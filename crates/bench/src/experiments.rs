@@ -89,11 +89,12 @@ fn write_latency(size: usize, to_local_soc: bool, from_remote: bool) -> f64 {
                     net2.req_notify_cq(ctx, cq);
                 }
                 NetEvent::CqNotify { cq } => {
-                    let out = cqdrain::drain_budgeted(&net2, ctx, cq, 8, |ctx, wc| {
-                        if wc.opcode == skv_netsim::WcOpcode::RecvRdmaWithImm {
-                            *r2.borrow_mut() = Some(ctx.now());
-                        }
-                    });
+                    let out =
+                        cqdrain::drain_budgeted(&net2, ctx, cq, 8, &mut Vec::new(), |ctx, wc| {
+                            if wc.opcode == skv_netsim::WcOpcode::RecvRdmaWithImm {
+                                *r2.borrow_mut() = Some(ctx.now());
+                            }
+                        });
                     if out.more {
                         // This probe measures the fabric, not the host CPU,
                         // so the continuation is scheduled after the drain

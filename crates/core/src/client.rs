@@ -6,9 +6,9 @@
 //! given concurrency level therefore emerges from server service times and
 //! round-trip latency exactly as it does for the paper's load generator.
 
-use skv_netsim::{CqId, Net, NetEvent, NodeId, SocketAddr};
-use skv_simcore::{Actor, ActorId, Context, DetRng, Payload, SimDuration, SimTime};
-use skv_store::resp::{Decoded, Resp};
+use skv_netsim::{CqId, Net, NetEvent, NodeId, SocketAddr, Wc};
+use skv_simcore::{Actor, ActorId, Context, DetRng, FramePool, Payload, SimDuration, SimTime};
+use skv_store::resp::{self, Decoded, Resp};
 
 use crate::channel::{Channel, ChannelMsg};
 use crate::config::{ClusterConfig, Mode};
@@ -127,6 +127,74 @@ pub struct WorkloadGen {
     zipf: Option<ZipfSampler>,
     /// Key draws so far (drives the deterministic hot-set rotation).
     key_draws: u64,
+    /// The `xxxx…` filler value every unstamped write carries.
+    filler: Vec<u8>,
+}
+
+/// Where [`WorkloadGen`] puts the command it draws: `begin` once with the
+/// argument count, then `arg` per argument, command name first.
+trait CommandSink {
+    fn begin(&mut self, argc: usize);
+    fn arg(&mut self, bytes: &[u8]);
+}
+
+/// The wire: RESP framing straight into the send buffer, nothing between.
+impl CommandSink for Vec<u8> {
+    fn begin(&mut self, argc: usize) {
+        resp::write_array_len(self, argc);
+    }
+    fn arg(&mut self, bytes: &[u8]) {
+        resp::write_bulk(self, bytes);
+    }
+}
+
+/// The items of a [`Resp::Array`] command value.
+impl CommandSink for Vec<Resp> {
+    fn begin(&mut self, argc: usize) {
+        self.reserve(argc);
+    }
+    fn arg(&mut self, bytes: &[u8]) {
+        self.push(Resp::Bulk(bytes.to_vec()));
+    }
+}
+
+/// `key:%012d` of a key index, on the stack. (Digits by hand rather than
+/// `write!` into the array: that is fallible in the type system, and this
+/// path may not `expect`.)
+struct KeyName {
+    bytes: [u8; Self::PREFIX.len() + Self::MAX_DIGITS],
+    len: usize,
+}
+
+impl KeyName {
+    const PREFIX: &'static [u8] = b"key:";
+    /// Indices are zero-padded to this width…
+    const MIN_DIGITS: usize = 12;
+    /// …and `u64::MAX` has this many digits.
+    const MAX_DIGITS: usize = 20;
+
+    fn new(mut index: u64) -> Self {
+        let mut digits = [b'0'; Self::MAX_DIGITS];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (index % 10) as u8;
+            index /= 10;
+            if index == 0 {
+                break;
+            }
+        }
+        let digits = &digits[at.min(Self::MAX_DIGITS - Self::MIN_DIGITS)..];
+        let mut bytes = [0u8; Self::PREFIX.len() + Self::MAX_DIGITS];
+        let len = Self::PREFIX.len() + digits.len();
+        bytes[..Self::PREFIX.len()].copy_from_slice(Self::PREFIX);
+        bytes[Self::PREFIX.len()..len].copy_from_slice(digits);
+        KeyName { bytes, len }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 impl WorkloadGen {
@@ -148,6 +216,7 @@ impl WorkloadGen {
             key_rng,
             zipf,
             key_draws: 0,
+            filler: vec![b'x'; w.value_size],
         }
     }
 
@@ -185,40 +254,68 @@ impl WorkloadGen {
     /// is identical to the historical one (the pinned trace digests
     /// prove it).
     pub fn next_command_stamped(&mut self, stamp: Option<u64>) -> (Resp, bool, Vec<String>) {
-        let key = format!("key:{:012}", self.key_index());
+        let mut items: Vec<Resp> = Vec::new();
+        let mut keys = Vec::new();
+        let is_write = self.draw(stamp, &mut items, |key| {
+            keys.push(String::from_utf8_lossy(key).into_owned());
+        });
+        (Resp::Array(items), is_write, keys)
+    }
+
+    /// Draw the next command and append it to `wire` in RESP framing —
+    /// key, value and framing written once, into the buffer that is sent.
+    /// `on_key` sees every key the command touches; `stamp` is as for
+    /// [`WorkloadGen::next_command_stamped`], whose draws and bytes this
+    /// shares. Returns whether the command is a write.
+    pub fn write_command(
+        &mut self,
+        stamp: Option<u64>,
+        wire: &mut Vec<u8>,
+        on_key: impl FnMut(&[u8]),
+    ) -> bool {
+        self.draw(stamp, wire, on_key)
+    }
+
+    /// The one generator behind both forms: draws per the documented
+    /// order and hands the command to `sink` argument by argument.
+    fn draw(
+        &mut self,
+        stamp: Option<u64>,
+        sink: &mut impl CommandSink,
+        mut on_key: impl FnMut(&[u8]),
+    ) -> bool {
+        let key = KeyName::new(self.key_index());
         let is_write = self.rng.chance(self.w.set_ratio);
-        let make_value = |size: usize| match stamp {
-            Some(s) => stamp_value(s, size),
-            None => vec![b'x'; size],
-        };
-        if is_write && self.w.mset_keys >= 2 {
+        on_key(key.as_bytes());
+        if !is_write {
+            sink.begin(2);
+            sink.arg(b"GET");
+            sink.arg(key.as_bytes());
+            return false;
+        }
+        // Only a recorded run stamps its values; every other write carries
+        // the filler built once with the generator.
+        let stamped = stamp.map(|s| stamp_value(s, self.w.value_size));
+        if self.w.mset_keys >= 2 {
             // Batched write: MSET over `mset_keys` keys (the first is
             // the one already drawn, keeping the draw order stable).
-            let value = make_value(self.w.value_size);
-            let mut keys = Vec::with_capacity(self.w.mset_keys);
-            let mut parts: Vec<Vec<u8>> = Vec::with_capacity(1 + 2 * self.w.mset_keys);
-            parts.push(b"MSET".to_vec());
-            parts.push(key.clone().into_bytes());
-            parts.push(value.clone());
-            keys.push(key);
+            sink.begin(1 + 2 * self.w.mset_keys);
+            sink.arg(b"MSET");
+            sink.arg(key.as_bytes());
+            sink.arg(stamped.as_deref().unwrap_or(&self.filler));
             for _ in 1..self.w.mset_keys {
-                let k = format!("key:{:012}", self.key_index());
-                parts.push(k.clone().into_bytes());
-                parts.push(value.clone());
-                keys.push(k);
+                let key = KeyName::new(self.key_index());
+                on_key(key.as_bytes());
+                sink.arg(key.as_bytes());
+                sink.arg(stamped.as_deref().unwrap_or(&self.filler));
             }
-            (Resp::command(parts), true, keys)
-        } else if is_write {
-            let cmd = Resp::command([
-                b"SET".as_slice(),
-                key.as_bytes(),
-                &make_value(self.w.value_size),
-            ]);
-            (cmd, true, vec![key])
         } else {
-            let cmd = Resp::command([b"GET".as_slice(), key.as_bytes()]);
-            (cmd, false, vec![key])
+            sink.begin(3);
+            sink.arg(b"SET");
+            sink.arg(key.as_bytes());
+            sink.arg(stamped.as_deref().unwrap_or(&self.filler));
         }
+        true
     }
 }
 
@@ -303,6 +400,11 @@ pub struct BenchClient {
     /// drives the capped exponential redial backoff
     /// (`ClusterConfig::client_dial_delay`).
     dial_attempts: u32,
+    /// Send-ring pool: each command is generated straight into a recycled
+    /// buffer (and, over TCP, framed into a second one).
+    pool: FramePool,
+    /// The WC array every CQ drain polls into.
+    wc_scratch: Vec<Wc>,
     /// Operations issued.
     pub stat_issued: u64,
     /// Replies received.
@@ -326,6 +428,9 @@ impl BenchClient {
         metrics: SharedMetrics,
     ) -> Self {
         let gen = WorkloadGen::new(&workload, DetRng::new(0));
+        // A command buffer and a TCP wire buffer per pipelined command,
+        // sized for one SET of the configured value.
+        let pool = FramePool::new(workload.value_size + 64, 4 * workload.pipeline.max(1));
         BenchClient {
             net,
             cfg,
@@ -342,6 +447,8 @@ impl BenchClient {
             stamp_counter: 0,
             rec_in_flight: Default::default(),
             dial_attempts: 0,
+            pool,
+            wc_scratch: Vec::new(),
             stat_issued: 0,
             stat_replies: 0,
             stat_reconnects: 0,
@@ -396,37 +503,47 @@ impl BenchClient {
         let Some(channel) = self.channel.as_mut() else {
             return;
         };
-        let (cmd, is_write) = if let Some(history) = &self.history {
+        let stamp = self.history.is_some().then(|| {
             self.stamp_counter += 1;
-            let stamp = history_stamp(self.client_id, self.stamp_counter);
-            let (cmd, is_write, keys) = self.gen.next_command_stamped(Some(stamp));
+            history_stamp(self.client_id, self.stamp_counter)
+        });
+        // Only a recording run keeps the keys (as the history wants them).
+        let mut keys: Vec<String> = Vec::new();
+        let mut is_write = false;
+        let cmd = self.pool.build(|wire| {
+            is_write = self.gen.write_command(stamp, wire, |key| {
+                if stamp.is_some() {
+                    keys.push(String::from_utf8_lossy(key).into_owned());
+                }
+            });
+        });
+        if let (Some(history), Some(stamp)) = (&self.history, stamp) {
             let now = ctx.now();
             let mut idxs = Vec::with_capacity(keys.len());
-            {
-                let mut h = history.borrow_mut();
-                for key in keys {
-                    h.ops.push(OpRecord {
-                        key,
-                        kind: if is_write { OpKind::Write } else { OpKind::Read },
-                        seq: if is_write { stamp } else { 0 },
-                        invoked: now,
-                        completed: None,
-                        ok: false,
-                        aborted: false,
-                        read_set: Vec::new(),
-                    });
-                    idxs.push(h.ops.len() - 1);
-                }
+            let mut h = history.borrow_mut();
+            for key in keys {
+                h.ops.push(OpRecord {
+                    key,
+                    kind: if is_write {
+                        OpKind::Write
+                    } else {
+                        OpKind::Read
+                    },
+                    seq: if is_write { stamp } else { 0 },
+                    invoked: now,
+                    completed: None,
+                    ok: false,
+                    aborted: false,
+                    read_set: Vec::new(),
+                });
+                idxs.push(h.ops.len() - 1);
             }
             self.rec_in_flight.push_back(idxs);
-            (cmd, is_write)
-        } else {
-            self.gen.next_command()
-        };
+        }
         self.in_flight.push_back((ctx.now(), is_write));
         self.stat_issued += 1;
         let net = self.net.clone();
-        channel.send(&net, ctx, tag::CMD, cmd.encode());
+        channel.send(&net, ctx, tag::CMD, cmd);
     }
 
     /// Fill the pipeline up to its configured depth.
@@ -560,7 +677,9 @@ impl Actor for BenchClient {
             }
             NetEvent::TcpConnected { conn, .. } => {
                 self.dial_attempts = 0;
-                self.channel = Some(Channel::tcp(conn));
+                let mut ch = Channel::tcp(conn);
+                ch.use_pool(self.pool.clone());
+                self.channel = Some(ch);
                 self.fill_pipeline(ctx);
             }
             NetEvent::CqNotify { cq } => {
@@ -572,7 +691,8 @@ impl Actor for BenchClient {
                 let net = self.net.clone();
                 let budget = self.cfg.cq_poll_budget;
                 let mut broken = false;
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, |ctx, wc| {
+                let mut wcs = std::mem::take(&mut self.wc_scratch);
+                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
                     if broken {
                         return;
                     }
@@ -587,6 +707,7 @@ impl Actor for BenchClient {
                         broken = true;
                     }
                 });
+                self.wc_scratch = wcs;
                 if out.more {
                     ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
                 }
@@ -783,6 +904,42 @@ mod tests {
                     assert_eq!(p_cmd.encode(), enc, "reads are byte-identical");
                 }
             }
+        }
+    }
+
+    /// The wire form and the `Resp` form are one generator: same draws,
+    /// same bytes, same keys — for plain, stamped, Zipf and MSET workloads.
+    #[test]
+    fn write_command_matches_next_command_stamped() {
+        let mut mset = workload(0.0, 0);
+        mset.set_ratio = 0.5;
+        mset.mset_keys = 5; // 11 arguments: past the inline bound
+        for w in [workload(0.0, 0), workload(0.99, 100), mset] {
+            let mut as_value = WorkloadGen::new(&w, DetRng::new(21));
+            let mut as_wire = WorkloadGen::new(&w, DetRng::new(21));
+            for i in 0..512u64 {
+                let stamp = (i % 3 == 0).then_some(i + 1);
+                let (cmd, is_write, keys) = as_value.next_command_stamped(stamp);
+                let mut wire = b"prefix".to_vec();
+                let mut wire_keys = Vec::new();
+                let wire_write = as_wire.write_command(stamp, &mut wire, |k| {
+                    wire_keys.push(String::from_utf8(k.to_vec()).unwrap());
+                });
+                assert_eq!(&wire[..6], b"prefix", "appends, never overwrites");
+                assert_eq!(&wire[6..], cmd.encode(), "command {i}");
+                assert_eq!((wire_write, wire_keys), (is_write, keys));
+            }
+        }
+    }
+
+    /// Keys are `key:%012d`, and wider once the index outgrows the pad.
+    #[test]
+    fn key_names_match_the_historical_format() {
+        for index in [0, 7, 9_999, 999_999_999_999, 1_000_000_000_000, u64::MAX] {
+            assert_eq!(
+                KeyName::new(index).as_bytes(),
+                format!("key:{index:012}").as_bytes()
+            );
         }
     }
 

@@ -46,19 +46,23 @@ pub struct DrainOutcome {
 /// left un-armed and [`DrainOutcome::more`] tells the caller to schedule
 /// its continuation — re-arming in that state would fire a fresh notify
 /// immediately and defeat the budget.
+///
+/// `scratch` is the caller's WC array (verbs-style): it is polled into and
+/// emptied again before returning, so an actor that keeps one around
+/// drains every notify without allocating.
 pub fn drain_budgeted(
     net: &Net,
     ctx: &mut Context<'_>,
     cq: CqId,
     budget: usize,
+    scratch: &mut Vec<Wc>,
     mut on_wc: impl FnMut(&mut Context<'_>, Wc),
 ) -> DrainOutcome {
     let budget = budget.max(1);
     let params = net.params();
-    let wcs = net.poll_cq(cq, budget);
-    let polled = wcs.len();
+    let polled = net.poll_cq_into(cq, budget, scratch);
     let cpu_cost = params.cq_poll_cpu + params.wc_handle_cpu.mul_f64(polled as f64);
-    for wc in wcs {
+    for wc in scratch.drain(..) {
         on_wc(ctx, wc);
     }
     let more = polled == budget && net.cq_depth(cq) > 0;
@@ -85,16 +89,13 @@ pub fn recover_drain(
     net: &Net,
     ctx: &mut Context<'_>,
     cq: CqId,
+    scratch: &mut Vec<Wc>,
     mut on_wc: impl FnMut(&mut Context<'_>, Wc),
 ) -> usize {
     let mut drained = 0;
-    loop {
-        let wcs = net.poll_cq(cq, 64);
-        if wcs.is_empty() {
-            break;
-        }
-        drained += wcs.len();
-        for wc in wcs {
+    while net.poll_cq_into(cq, 64, scratch) > 0 {
+        drained += scratch.len();
+        for wc in scratch.drain(..) {
             on_wc(ctx, wc);
         }
     }
@@ -187,7 +188,7 @@ mod tests {
                     ctx.timer(tick_every, Tick);
                 }
                 NetEvent::CqNotify { cq } => {
-                    let out = drain_budgeted(&n, ctx, cq, budget, |_ctx, _wc| {});
+                    let out = drain_budgeted(&n, ctx, cq, budget, &mut Vec::new(), |_ctx, _wc| {});
                     l.borrow_mut().passes.push((ctx.now(), out.polled));
                     let done = cpu.borrow_mut().run_on(0, ctx.now(), out.cpu_cost).finished;
                     if out.more {
@@ -228,7 +229,7 @@ mod tests {
                     }
                 }
                 NetEvent::CqNotify { cq } => {
-                    n.poll_cq(cq, usize::MAX);
+                    n.poll_cq_into(cq, usize::MAX, &mut Vec::new());
                     n.req_notify_cq(ctx, cq);
                 }
                 _ => {}

@@ -841,7 +841,8 @@ impl Actor for HistWriter {
                 let net = self.net.clone();
                 let budget = self.cfg.cq_poll_budget;
                 let mut broken = false;
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, |ctx, wc| {
+                let scratch = &mut Vec::new(); // probes are not a hot path
+                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, scratch, |ctx, wc| {
                     if broken {
                         return;
                     }
@@ -1178,7 +1179,8 @@ impl Actor for HistReader {
             NetEvent::CqNotify { cq } => {
                 let net = self.net.clone();
                 let budget = self.cfg.cq_poll_budget;
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, |ctx, wc| {
+                let scratch = &mut Vec::new(); // probes are not a hot path
+                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, scratch, |ctx, wc| {
                     let Some(&ti) = self.by_qp.get(&wc.qp) else {
                         return;
                     };

@@ -346,7 +346,7 @@ impl HotCache {
     /// Look up `key`, counting a hit or miss and refreshing recency on a
     /// hit. Returns the cached reply frame (cheap refcount clone).
     pub fn get(&mut self, key: &[u8]) -> Option<Frame> {
-        match self.map.get(&key.to_vec()).copied() {
+        match self.map.get(key).copied() {
             Some(slot) => {
                 self.unlink(slot);
                 self.link_front(slot);
@@ -363,7 +363,7 @@ impl HotCache {
     /// Peek at a cached entry's version without touching recency or
     /// counters (tests, invariant checks).
     pub fn version_of(&self, key: &[u8]) -> Option<u64> {
-        self.map.get(&key.to_vec()).map(|&slot| self.slots[slot].version)
+        self.map.get(key).map(|&slot| self.slots[slot].version)
     }
 
     /// Offer a completed GET reply for admission. `version` is the
@@ -372,10 +372,10 @@ impl HotCache {
     /// policy-rejected candidates are not stored.
     pub fn admit(&mut self, key: &[u8], value: Frame, version: u64) -> bool {
         let charged = value.len() + ENTRY_OVERHEAD;
-        if self.budget == 0 || charged > self.budget || self.tainted.contains(&key.to_vec()) {
+        if self.budget == 0 || charged > self.budget || self.tainted.contains(key) {
             return false;
         }
-        if let Some(&slot) = self.map.get(&key.to_vec()) {
+        if let Some(&slot) = self.map.get(key) {
             // Refresh in place (newer reply for a key already resident).
             self.bytes -= self.slots[slot].charged;
             self.bytes += charged;
@@ -391,8 +391,8 @@ impl HotCache {
         // Policy gate: compare against the current victim once; if
         // admitted, evict as many victims as the budget demands.
         if self.bytes + charged > self.budget {
-            let victim = (self.tail != NIL).then(|| self.slots[self.tail].key.clone());
-            if !self.policy.admit(&self.sketch, key, victim.as_deref()) {
+            let victim = (self.tail != NIL).then(|| self.slots[self.tail].key.as_slice());
+            if !self.policy.admit(&self.sketch, key, victim) {
                 return false;
             }
         }
@@ -430,7 +430,7 @@ impl HotCache {
 
     /// Drop `key` (invalidation). Returns true when an entry died.
     pub fn invalidate(&mut self, key: &[u8]) -> bool {
-        if let Some(slot) = self.map.remove(&key.to_vec()) {
+        if let Some(slot) = self.map.remove(key) {
             self.unlink(slot);
             self.bytes -= self.slots[slot].charged;
             self.slots[slot].value = Frame::new();
@@ -448,7 +448,7 @@ impl HotCache {
     /// is not resident is left alone (no admission on writes — the
     /// sketch tracks GET demand only). Returns true when refreshed.
     pub fn refresh(&mut self, key: &[u8], value: Frame, version: u64) -> bool {
-        let Some(&slot) = self.map.get(&key.to_vec()) else {
+        let Some(&slot) = self.map.get(key) else {
             return false;
         };
         let charged = value.len() + ENTRY_OVERHEAD;
@@ -478,12 +478,12 @@ impl HotCache {
     /// Clear `key`'s TTL taint (plain SET / DEL reset the key to an
     /// un-TTL'd state on the host).
     pub fn untaint(&mut self, key: &[u8]) {
-        self.tainted.remove(&key.to_vec());
+        self.tainted.remove(key);
     }
 
     /// Is `key` currently tainted? (test observability)
     pub fn is_tainted(&self, key: &[u8]) -> bool {
-        self.tainted.contains(&key.to_vec())
+        self.tainted.contains(key)
     }
 
     /// Drop every entry, the sketch and the taint set — the cold-cache

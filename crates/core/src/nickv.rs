@@ -17,17 +17,23 @@
 use std::collections::VecDeque;
 
 use skv_netsim::{
-    CqId, DetMap, Frame, Net, NetEvent, NodeId, QpId, SocketAddr, WcOpcode, WcStatus,
+    CqId, DetMap, Frame, Net, NetEvent, NodeId, QpId, SocketAddr, Wc, WcOpcode, WcStatus,
 };
-use skv_simcore::{Actor, ActorId, Context, CorePool, Payload, SimDuration, SimTime};
+use skv_simcore::{Actor, ActorId, Context, CorePool, FramePool, Payload, SimDuration, SimTime};
+use skv_store::cmd::{upper_name, MAX_NAME_LEN};
 use skv_store::repl::ReplicationPosition;
+use skv_store::resp::{self, ParsedCommand};
 
-use crate::channel::{Channel, ChannelMsg};
+use crate::channel::{Channel, ChannelMsg, WrBatch};
 use crate::config::ClusterConfig;
 use crate::cqdrain;
 use crate::hotcache::{fwd_cookie, fwd_cookie_epoch, CacheStats, HotCache};
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::{quorum_slave_acks, ReplModeKind};
+
+/// Emptied connection lists kept for reuse; more than a replication
+/// window's worth in flight at once is not a steady state worth serving.
+const SPARE_LISTS: usize = 64;
 
 /// An entry in the node list (paper §III-C: "a node list storing the
 /// corresponding relationship between the master node and the slave node
@@ -238,6 +244,14 @@ pub struct NicKv {
     pub stat_fwd_stale_drops: u64,
     /// Outstanding forwarded commands by cookie.
     fwd_pending: DetMap<u64, FwdCtx>,
+    /// Send-ring pool the cookie-framed `FWD_CMD`s are built in.
+    pool: FramePool,
+    /// The WC array every CQ drain polls into.
+    wc_scratch: Vec<Wc>,
+    /// Staging for doorbell-batched fan-out posts.
+    batch: WrBatch,
+    /// Emptied per-write connection lists, reused by the next fan-out.
+    spare_conns: Vec<Vec<usize>>,
 }
 
 impl NicKv {
@@ -295,6 +309,11 @@ impl NicKv {
             fwd_epoch: 0,
             stat_fwd_stale_drops: 0,
             fwd_pending: DetMap::new(),
+            // Same sizing as the host's send ring: a 4 KiB value + headers.
+            pool: FramePool::new(4096 + 64, 256),
+            wc_scratch: Vec::new(),
+            batch: WrBatch::default(),
+            spare_conns: Vec::new(),
         }
     }
 
@@ -338,11 +357,7 @@ impl NicKv {
         let Some((_, body)) = crate::server::parse_stream_frame(frame) else {
             return;
         };
-        use skv_store::resp::{Decoded, Resp};
-        let Decoded::Frame(v, _) = Resp::decode(body) else {
-            return;
-        };
-        let Ok(args) = v.into_command_args() else {
+        let ParsedCommand::Command(args, _) = resp::parse_command(body) else {
             return;
         };
         let shard = args.get(1).map_or(0, |key| {
@@ -541,19 +556,15 @@ impl NicKv {
     /// (miss, write, multi-key) is relayed to the master as a
     /// cookie-framed [`tag::FWD_CMD`] after the forwarding cost.
     fn on_client_cmd(&mut self, ctx: &mut Context<'_>, conn: usize, payload: Frame) {
-        use skv_store::resp::{Decoded, Resp};
-        let get_key = match Resp::decode(&payload) {
-            Decoded::Frame(v, _) => match v.into_command_args() {
-                Ok(mut args)
-                    if args.len() == 2 && args[0].eq_ignore_ascii_case(b"GET") =>
-                {
-                    Some(args.swap_remove(1))
-                }
-                _ => None,
-            },
+        let get_key = match resp::parse_command(&payload) {
+            ParsedCommand::Command(args, _)
+                if args.len() == 2 && args[0].eq_ignore_ascii_case(b"GET") =>
+            {
+                Some(args[1])
+            }
             _ => None,
         };
-        if let (Some(key), Some(cache)) = (get_key.as_deref(), self.cache.as_mut()) {
+        if let (Some(key), Some(cache)) = (get_key, self.cache.as_mut()) {
             // The sketch tracks GET demand whether or not the key is
             // resident — admission needs hotness for misses too.
             cache.touch(key);
@@ -568,21 +579,19 @@ impl NicKv {
         }
         self.fwd_seq += 1;
         let cookie = fwd_cookie(self.fwd_epoch, self.fwd_seq);
-        self.fwd_pending.insert(cookie, FwdCtx { conn, key: get_key });
-        let mut fwd = Vec::with_capacity(8 + payload.len());
-        fwd.extend_from_slice(&cookie.to_le_bytes());
-        fwd.extend_from_slice(&payload);
+        // The forward outlives this frame, so it keeps its own copy of the
+        // key — the one allocation of the miss path.
+        let key = get_key.map(<[u8]>::to_vec);
+        self.fwd_pending.insert(cookie, FwdCtx { conn, key });
+        let frame = self.pool.build(|fwd| {
+            fwd.extend_from_slice(&cookie.to_le_bytes());
+            fwd.extend_from_slice(&payload);
+        });
         let done = self
             .cpu
             .run_on(self.fe_core(), ctx.now(), self.cfg.costs.nic_fwd)
             .finished;
-        ctx.timer_at(
-            done,
-            NicMsg::FwdSend {
-                cookie,
-                frame: fwd.into(),
-            },
-        );
+        ctx.timer_at(done, NicMsg::FwdSend { cookie, frame });
     }
 
     /// Relay a cookie-framed client command to the master once the
@@ -630,13 +639,16 @@ impl NicKv {
         let Some(fwd) = self.fwd_pending.remove(&cookie) else {
             return; // duplicate or already answered-by-error
         };
-        let body: Frame = payload[8..].to_vec().into();
+        // The client gets a view of the delivery frame; the cache, when it
+        // takes the value, gets a copy of its own (SoC memory, and it must
+        // not pin the host's send ring for as long as the entry lives).
+        let body = payload.slice(8..);
         if let (Some(key), Some(cache)) = (fwd.key.as_deref(), self.cache.as_mut()) {
             // Only a present bulk value is a candidate; errors and null
             // bulks (missing key) are not worth a slot.
             if body.first() == Some(&b'$') && !body.starts_with(b"$-1") {
                 let version = self.master_offset;
-                cache.admit(key, body.clone(), version);
+                cache.admit(key, Frame::copy_from_slice(&body), version);
             }
         }
         if !self.conns[fwd.conn].open {
@@ -661,41 +673,47 @@ impl NicKv {
     /// any client — stream frames precede cookie replies on the FIFO
     /// master channel. A no-op (no state, no CPU) with the cache off.
     fn apply_cache_invalidations(&mut self, frame: &Frame) {
-        if self.cache.is_none() {
+        let Some(cache) = self.cache.as_mut() else {
             return;
-        }
-        use skv_store::resp::{Decoded, Resp};
+        };
         let Some((from_offset, body)) = crate::server::parse_stream_frame(frame) else {
             return;
         };
         let version = from_offset + body.len() as u64;
-        let Decoded::Frame(v, _) = Resp::decode(body) else {
+        // Parsed in place: keys and values are views into the stream frame.
+        let ParsedCommand::Command(args, _) = resp::parse_command(body) else {
             return;
         };
-        let Ok(args) = v.into_command_args() else {
-            return;
+        // A replicated plain write refreshes a *resident* entry in place;
+        // only then is the new value copied into a reply frame of the
+        // cache's own.
+        let refresh = |cache: &mut HotCache, key: &[u8], value: &[u8]| {
+            cache.untaint(key);
+            if cache.version_of(key).is_some() {
+                let mut reply = Vec::with_capacity(value.len() + 16);
+                resp::write_bulk(&mut reply, value);
+                cache.refresh(key, reply.into(), version);
+            }
         };
-        let Some(cache) = self.cache.as_mut() else {
-            return;
-        };
-        let Some(cmd) = args.first() else { return };
-        match cmd.to_ascii_uppercase().as_slice() {
+        let mut folded = [0u8; MAX_NAME_LEN];
+        match upper_name(args[0], &mut folded) {
             b"SET" => {
-                let Some(key) = args.get(1) else { return };
+                let Some(&key) = args.get(1) else { return };
                 // A SET carrying any TTL clause taints the key: its host
                 // expiry is silent (no stream traffic), so it must never
                 // be cached. A plain SET clears old taint and refreshes a
                 // resident entry in place.
                 let ttl = args.iter().skip(3).any(|a| {
-                    let u = a.to_ascii_uppercase();
-                    matches!(u.as_slice(), b"EX" | b"PX" | b"EXAT" | b"PXAT" | b"KEEPTTL")
+                    let mut folded = [0u8; MAX_NAME_LEN];
+                    matches!(
+                        upper_name(a, &mut folded),
+                        b"EX" | b"PX" | b"EXAT" | b"PXAT" | b"KEEPTTL"
+                    )
                 });
                 if ttl {
                     cache.taint(key);
-                } else if let Some(value) = args.get(2) {
-                    cache.untaint(key);
-                    let reply = Resp::Bulk(value.clone()).encode();
-                    cache.refresh(key, reply.into(), version);
+                } else if let Some(&value) = args.get(2) {
+                    refresh(cache, key, value);
                 }
             }
             b"SETEX" | b"PSETEX" | b"GETEX" | b"EXPIRE" | b"PEXPIRE" | b"EXPIREAT"
@@ -716,12 +734,8 @@ impl NicKv {
                 }
             }
             b"MSET" => {
-                let mut i = 1;
-                while i + 1 < args.len() {
-                    cache.untaint(&args[i]);
-                    let reply = Resp::Bulk(args[i + 1].clone()).encode();
-                    cache.refresh(&args[i], reply.into(), version);
-                    i += 2;
+                for pair in args[1..].chunks_exact(2) {
+                    refresh(cache, pair[0], pair[1]);
                 }
             }
             b"FLUSHALL" | b"FLUSHDB" => cache.clear(),
@@ -932,13 +946,8 @@ impl NicKv {
         let base = self.cfg.costs.nic_fanout_base;
         let per_slave = self.cfg.costs.nic_per_slave;
 
-        let targets: Vec<usize> = self
-            .nodes
-            .iter()
-            .filter(|n| !n.is_master && n.valid)
-            .filter_map(|n| n.conn)
-            .filter(|&c| self.conns[c].open)
-            .collect();
+        let mut conns = self.spare_conns.pop().unwrap_or_default();
+        conns.extend(self.slave_targets().map(|(conn, _)| conn));
 
         // Parsing the request happens once, on the thread that owns the
         // master connection (thread 0 by convention).
@@ -948,27 +957,19 @@ impl NicKv {
             // ring-write cost, but the WQEs are only staged; one doorbell
             // flushes them all once the last thread finishes.
             let mut batch_done = ctx.now();
-            let mut conns = Vec::with_capacity(targets.len());
-            for conn in targets {
-                let thread = self.fanout_cursor % threads;
-                self.fanout_cursor += 1;
-                let done = self.cpu.run_on(thread, ctx.now(), per_slave).finished;
-                self.stat_fanout_sends += 1;
-                if done > batch_done {
-                    batch_done = done;
-                }
-                conns.push(conn);
+            for _ in &conns {
+                batch_done =
+                    batch_done.max(self.charge_fanout_thread(ctx.now(), threads, per_slave));
             }
-            if !conns.is_empty() {
+            if conns.is_empty() {
+                self.recycle_conns(conns);
+            } else {
                 ctx.timer_at(batch_done, NicMsg::FanoutSendBatch { conns, frame });
             }
             return;
         }
-        for conn in targets {
-            let thread = self.fanout_cursor % threads;
-            self.fanout_cursor += 1;
-            let done = self.cpu.run_on(thread, ctx.now(), per_slave).finished;
-            self.stat_fanout_sends += 1;
+        for conn in conns.drain(..) {
+            let done = self.charge_fanout_thread(ctx.now(), threads, per_slave);
             ctx.timer_at(
                 done,
                 NicMsg::FanoutSend {
@@ -977,43 +978,71 @@ impl NicKv {
                 },
             );
         }
+        self.recycle_conns(conns);
+    }
+
+    /// Keep an emptied connection list for the next fan-out to fill.
+    fn recycle_conns(&mut self, mut conns: Vec<usize>) {
+        conns.clear();
+        if self.spare_conns.len() < SPARE_LISTS {
+            self.spare_conns.push(conns);
+        }
+    }
+
+    /// Valid slaves with an open channel, in node-list order: the targets
+    /// of one replicated write, as `(connection index, address)`.
+    fn slave_targets(&self) -> impl Iterator<Item = (usize, SocketAddr)> + '_ {
+        self.nodes
+            .iter()
+            .filter(|n| !n.is_master && n.valid)
+            .filter_map(|n| n.conn.map(|c| (c, n.addr)))
+            .filter(|&(c, _)| self.conns[c].open)
+    }
+
+    /// Charge one slave's ring-write work to the next fan-out thread
+    /// (round-robin) and return when that thread finishes it.
+    fn charge_fanout_thread(
+        &mut self,
+        now: SimTime,
+        threads: usize,
+        per_slave: SimDuration,
+    ) -> SimTime {
+        let thread = self.fanout_cursor % threads;
+        self.fanout_cursor += 1;
+        self.stat_fanout_sends += 1;
+        self.cpu.run_on(thread, now, per_slave).finished
     }
 
     /// Post the staged fan-out WRs for one replicated write under a single
     /// doorbell. Channels whose handshake is still outstanding queue the
     /// message internally (as `send` would); a failed batch entry breaks
     /// only its own channel.
-    fn fan_out_batch(&mut self, ctx: &mut Context<'_>, conns: Vec<usize>, frame: Frame) {
-        let net = self.net.clone();
-        let mut staged = Vec::with_capacity(conns.len());
-        let mut wrs = Vec::with_capacity(conns.len());
-        for conn in conns {
+    fn fan_out_batch(&mut self, ctx: &mut Context<'_>, mut conns: Vec<usize>, frame: Frame) {
+        for conn in conns.drain(..) {
             if !self.conns[conn].open {
                 continue;
             }
-            if let Some((qp, wr)) = self.conns[conn]
+            if let Some(wr) = self.conns[conn]
                 .channel
                 .build_wr(tag::REPL_STREAM, frame.clone())
             {
-                staged.push(conn);
-                wrs.push((qp, wr));
+                self.batch.stage(conn, wr);
             } else if !self.conns[conn].channel.ready() {
                 // Queued behind the handshake; it posts (and is counted)
                 // from the completion drain's flush accounting.
                 self.conns[conn].deferred_wrs += 1;
             }
         }
-        if wrs.is_empty() {
+        self.recycle_conns(conns);
+        if self.batch.is_empty() {
             return;
         }
         self.stat_doorbells += 1;
-        self.stat_wrs_posted += wrs.len() as u64;
-        let outcomes = net.post_send_batch(ctx, wrs);
-        for (conn, outcome) in staged.into_iter().zip(outcomes) {
-            if outcome.is_err() {
-                self.conns[conn].channel.mark_broken();
-                self.close_conn(ctx, conn);
-            }
+        self.stat_wrs_posted += self.batch.len() as u64;
+        let net = self.net.clone();
+        for (conn, ..) in self.batch.post(&net, ctx) {
+            self.conns[conn].channel.mark_broken();
+            self.close_conn(ctx, conn);
         }
     }
 
@@ -1043,13 +1072,6 @@ impl NicKv {
             .run_on(0, ctx.now(), self.cfg.costs.nic_fanout_base);
         self.write_seq += 1;
         let seq = self.write_seq;
-        let targets: Vec<(usize, SocketAddr)> = self
-            .nodes
-            .iter()
-            .filter(|n| !n.is_master && n.valid)
-            .filter_map(|n| n.conn.map(|c| (c, n.addr)))
-            .filter(|&(c, _)| self.conns[c].open)
-            .collect();
         match self.active_mode {
             ReplModeKind::Quorum => {
                 let needed = quorum_slave_acks(self.cfg.num_slaves);
@@ -1064,19 +1086,16 @@ impl NicKv {
                 });
                 let threads = self.cfg.effective_nic_threads();
                 let per_slave = self.cfg.costs.nic_per_slave;
+                let mut conns = self.spare_conns.pop().unwrap_or_default();
+                conns.extend(self.slave_targets().map(|(conn, _)| conn));
                 let mut batch_done = ctx.now();
-                let mut conns = Vec::with_capacity(targets.len());
-                for (conn, _) in targets {
-                    let thread = self.fanout_cursor % threads;
-                    self.fanout_cursor += 1;
-                    let done = self.cpu.run_on(thread, ctx.now(), per_slave).finished;
-                    self.stat_fanout_sends += 1;
-                    if done > batch_done {
-                        batch_done = done;
-                    }
-                    conns.push(conn);
+                for _ in &conns {
+                    batch_done =
+                        batch_done.max(self.charge_fanout_thread(ctx.now(), threads, per_slave));
                 }
-                if !conns.is_empty() {
+                if conns.is_empty() {
+                    self.recycle_conns(conns);
+                } else {
                     ctx.timer_at(batch_done, NicMsg::TrackedSend { seq, conns });
                 }
                 // N = 0 commits immediately (master is the whole quorum).
@@ -1084,7 +1103,7 @@ impl NicKv {
             }
             ReplModeKind::Chain => {
                 let hops: VecDeque<SocketAddr> =
-                    targets.into_iter().map(|(_, addr)| addr).collect();
+                    self.slave_targets().map(|(_, addr)| addr).collect();
                 self.pending.push_back(PendingWrite {
                     seq,
                     end_offset,
@@ -1103,19 +1122,17 @@ impl NicKv {
     /// Post one tracked write's WRs to `conns` under a single doorbell,
     /// arming `wr_acks` so the send-side completions land back on the
     /// write. Also the quorum retransmit path (single-conn `conns`).
-    fn tracked_send(&mut self, ctx: &mut Context<'_>, seq: u64, conns: Vec<usize>) {
+    fn tracked_send(&mut self, ctx: &mut Context<'_>, seq: u64, mut conns: Vec<usize>) {
         let Some(frame) = self
             .pending
             .iter()
             .find(|p| p.seq == seq)
             .map(|p| p.frame.clone())
         else {
+            self.recycle_conns(conns);
             return; // committed before the fan-out work finished
         };
-        let net = self.net.clone();
-        let mut staged: Vec<(usize, QpId, u64)> = Vec::with_capacity(conns.len());
-        let mut wrs = Vec::with_capacity(conns.len());
-        for conn in conns {
+        for conn in conns.drain(..) {
             if !self.conns[conn].open {
                 continue;
             }
@@ -1127,8 +1144,7 @@ impl NicKv {
                 .build_wr(tag::REPL_STREAM, frame.clone())
             {
                 self.wr_acks.insert((qp, wr.wr_id), (seq, addr));
-                staged.push((conn, qp, wr.wr_id));
-                wrs.push((qp, wr));
+                self.batch.stage(conn, (qp, wr));
             } else if !self.conns[conn].channel.ready() {
                 // Queued behind the handshake. No completion will carry
                 // this WR back to `wr_acks`; the slave's cumulative
@@ -1136,18 +1152,17 @@ impl NicKv {
                 self.conns[conn].deferred_wrs += 1;
             }
         }
-        if wrs.is_empty() {
+        self.recycle_conns(conns);
+        if self.batch.is_empty() {
             return;
         }
         self.stat_doorbells += 1;
-        self.stat_wrs_posted += wrs.len() as u64;
-        let outcomes = net.post_send_batch(ctx, wrs);
-        for ((conn, qp, wr_id), outcome) in staged.into_iter().zip(outcomes) {
-            if outcome.is_err() {
-                self.wr_acks.remove(&(qp, wr_id));
-                self.conns[conn].channel.mark_broken();
-                self.close_conn(ctx, conn);
-            }
+        self.stat_wrs_posted += self.batch.len() as u64;
+        let net = self.net.clone();
+        for (conn, qp, wr_id) in self.batch.post(&net, ctx) {
+            self.wr_acks.remove(&(qp, wr_id));
+            self.conns[conn].channel.mark_broken();
+            self.close_conn(ctx, conn);
         }
     }
 
@@ -1676,11 +1691,13 @@ impl Actor for NicKv {
                         // KvServer::Recover.
                         if let Some(cq) = self.cq {
                             let net = self.net.clone();
-                            cqdrain::recover_drain(&net, ctx, cq, |ctx, wc| {
+                            let mut wcs = std::mem::take(&mut self.wc_scratch);
+                            cqdrain::recover_drain(&net, ctx, cq, &mut wcs, |ctx, wc| {
                                 if let Some(&conn) = self.by_qp.get(&wc.qp) {
                                     let _ = self.conns[conn].channel.on_wc(&net, ctx, &wc);
                                 }
                             });
+                            self.wc_scratch = wcs;
                         }
                     }
                 }
@@ -1774,7 +1791,8 @@ impl Actor for NicKv {
                 // the realistic back-pressure under fan-in.
                 let net = self.net.clone();
                 let budget = self.cfg.cq_poll_budget;
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, |ctx, wc| {
+                let mut wcs = std::mem::take(&mut self.wc_scratch);
+                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
                     let Some(&conn) = self.by_qp.get(&wc.qp) else {
                         return;
                     };
@@ -1811,6 +1829,7 @@ impl Actor for NicKv {
                         self.close_conn(ctx, conn);
                     }
                 });
+                self.wc_scratch = wcs;
                 // Completion errors may have torn connections down; give
                 // in-flight chains a chance to splice dead hops out.
                 self.chain_repair(ctx);

@@ -19,7 +19,7 @@
 //! steady-state fan-out) and detect gaps (a crashed-and-recovered slave
 //! re-requests synchronization from its last applied offset).
 
-use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, QpId, SocketAddr, TcpConnId};
+use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, QpId, SocketAddr, TcpConnId, Wc};
 use skv_simcore::{
     Actor, ActorId, Context, CorePool, DetRng, FramePool, Payload, SimDuration, SimTime,
 };
@@ -29,11 +29,11 @@ use skv_store::db::Db;
 use skv_store::engine::{Engine, ExecResult};
 use skv_store::rdb;
 use skv_store::repl::{ReplicationId, ReplicationPosition};
-use skv_store::resp::{Decoded, Resp};
+use skv_store::resp::{self, Args, ParsedCommand, Resp};
 
 use std::collections::VecDeque;
 
-use crate::channel::{Channel, ChannelMsg};
+use crate::channel::{Channel, ChannelMsg, WrBatch};
 use crate::config::{ClusterConfig, Mode};
 use crate::cqdrain;
 use crate::protocol::{tag, NodeMsg};
@@ -48,6 +48,10 @@ const STREAM_CHUNK: usize = 32 * 1024;
 /// Most stream frames a slave keeps stashed while a sync is in flight.
 /// Anything dropped past the cap is re-sent by the resync stream itself.
 const STASH_CAP: usize = 1024;
+
+/// Emptied `SendFrames` lists kept for reuse (one is in flight per
+/// command whose CPU work has not finished yet).
+const SPARE_LISTS: usize = 64;
 
 /// External control events injected by the harness.
 #[derive(Debug, Clone)]
@@ -264,9 +268,15 @@ pub struct KvServer {
     active_mode: ReplModeKind,
     /// Mode transitions applied from `NodeMsg::ModeChange`.
     pub stat_mode_changes: u64,
-    /// Send-ring pool for wire frames (TCP framing) and replication
-    /// stream frames; shared by every channel this server owns.
+    /// Send-ring pool for wire frames (TCP framing), replies and
+    /// replication stream frames; shared by every channel this server owns.
     pool: FramePool,
+    /// The WC array every CQ drain polls into.
+    wc_scratch: Vec<Wc>,
+    /// Staging for the doorbell-batched part of `emit_frames`.
+    batch: WrBatch,
+    /// Emptied `SendFrames` lists, reused by the next `finish_command`.
+    spare_frames: Vec<Vec<OutFrame>>,
 }
 
 impl KvServer {
@@ -343,6 +353,9 @@ impl KvServer {
             // slab keeps enough buffers for a deep pipeline of in-flight
             // sends and grown buffers keep their capacity when recycled.
             pool: FramePool::new(4096 + 64, 256),
+            wc_scratch: Vec::new(),
+            batch: WrBatch::default(),
+            spare_frames: Vec::new(),
         }
     }
 
@@ -381,7 +394,7 @@ impl KvServer {
     /// *before* replication starts. Bypasses the backlog like
     /// [`KvServer::engine_mut`] did.
     pub fn preload(&mut self, parts: &[&str]) -> ExecResult {
-        let args: Vec<Vec<u8>> = parts.iter().map(|p| p.as_bytes().to_vec()).collect();
+        let args: Args<'_> = parts.iter().collect();
         let (result, _, _) = self.execute_routed(0, &args);
         result
     }
@@ -690,37 +703,36 @@ impl KvServer {
             return;
         };
         let cookie = u64::from_le_bytes(cookie_bytes);
-        let body: Frame = payload[8..].to_vec().into();
-        self.run_command(ctx, conn, body, Some(cookie));
+        self.run_command(ctx, conn, payload.slice(8..), Some(cookie));
     }
 
     /// The shared command path behind both entry points. `fwd` carries a
     /// relay cookie when the command came through the SoC front-end; its
     /// reply then leaves as a cookie-framed `FWD_REPLY` on `conn`.
     fn run_command(&mut self, ctx: &mut Context<'_>, conn: usize, payload: Frame, fwd: Option<u64>) {
-        let args = match Resp::decode(&payload) {
-            Decoded::Frame(v, _) => match v.into_command_args() {
-                Ok(args) => args,
-                Err(e) => {
-                    let reply = Resp::err(e).encode();
-                    self.finish_command(ctx, conn, payload.len(), reply, None, (0, SimDuration::ZERO), fwd);
-                    return;
-                }
-            },
-            _ => {
-                let reply = Resp::err("protocol error").encode();
-                self.finish_command(ctx, conn, payload.len(), reply, None, (0, SimDuration::ZERO), fwd);
+        // Parsed once, in place: the arguments are views into `payload`.
+        let unrouted = (0, SimDuration::ZERO);
+        let args = match resp::parse_command(&payload) {
+            ParsedCommand::Command(args, _) => args,
+            ParsedCommand::NotCommand(why, _) => {
+                let reply = Resp::err(why);
+                self.finish_command(ctx, conn, payload.len(), &reply, None, unrouted, fwd);
+                return;
+            }
+            ParsedCommand::Incomplete | ParsedCommand::ProtocolError(_) => {
+                let reply = Resp::err("protocol error");
+                self.finish_command(ctx, conn, payload.len(), &reply, None, unrouted, fwd);
                 return;
             }
         };
 
         // min-slaves / lag write gating (paper §III-C, §III-D).
-        let spec = skv_store::cmd::lookup(&args[0]);
+        let spec = skv_store::cmd::lookup(args[0]);
         let is_write_cmd = spec.is_some_and(CommandSpec::is_write);
         if is_write_cmd && self.write_gate_blocked() {
             self.stat_rejected += 1;
-            let reply = Resp::Error("NOREPLICAS Not enough good replicas to write".into()).encode();
-            self.finish_command(ctx, conn, payload.len(), reply, None, (0, SimDuration::ZERO), fwd);
+            let reply = Resp::Error("NOREPLICAS Not enough good replicas to write".into());
+            self.finish_command(ctx, conn, payload.len(), &reply, None, unrouted, fwd);
             return;
         }
 
@@ -733,8 +745,8 @@ impl KvServer {
         } else {
             None
         };
-        let reply = result.reply.encode();
-        self.finish_command(ctx, conn, payload.len(), reply, replicate, (shard, cross_cost), fwd);
+        let (bytes, route) = (payload.len(), (shard, cross_cost));
+        self.finish_command(ctx, conn, bytes, &result.reply, replicate, route, fwd);
     }
 
     /// Execute one command against the shard set: route to the owning
@@ -743,11 +755,7 @@ impl KvServer {
     /// command cost), and the inter-shard hop cost (zero unless the
     /// command actually crossed shards). With one shard this is exactly
     /// the historical single-engine call.
-    fn execute_routed(
-        &mut self,
-        now_ms: u64,
-        args: &[Vec<u8>],
-    ) -> (ExecResult, usize, SimDuration) {
+    fn execute_routed(&mut self, now_ms: u64, args: &[&[u8]]) -> (ExecResult, usize, SimDuration) {
         if self.engines.len() == 1 {
             self.shard_ops[0] += 1;
             return (self.engines[0].execute(now_ms, args), 0, SimDuration::ZERO);
@@ -810,14 +818,14 @@ impl KvServer {
     fn execute_split_pairs(
         &mut self,
         now_ms: u64,
-        args: &[Vec<u8>],
+        args: &[&[u8]],
     ) -> (ExecResult, usize, SimDuration) {
-        let mut per_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); self.engines.len()];
+        let mut per_shard: Vec<Vec<&[u8]>> = vec![Vec::new(); self.engines.len()];
         for pair in args[1..].chunks(2) {
-            if let [key, value] = pair {
+            if let &[key, value] = pair {
                 let shard = self.router.shard_of_key(key);
-                per_shard[shard].push(key.clone());
-                per_shard[shard].push(value.clone());
+                per_shard[shard].push(key);
+                per_shard[shard].push(value);
             }
         }
         let primary = args.get(1).map_or(0, |k| self.router.shard_of_key(k));
@@ -831,7 +839,7 @@ impl KvServer {
             touched += 1;
             self.shard_ops[shard] += 1;
             let mut sub_args = Vec::with_capacity(sub.len() + 1);
-            sub_args.push(args[0].clone());
+            sub_args.push(args[0]);
             sub_args.append(&mut sub);
             let r = self.engines[shard].execute(now_ms, &sub_args);
             dirty += r.dirty_delta;
@@ -856,7 +864,7 @@ impl KvServer {
     fn execute_split_keys(
         &mut self,
         now_ms: u64,
-        args: &[Vec<u8>],
+        args: &[&[u8]],
         gather: bool,
     ) -> (ExecResult, usize, SimDuration) {
         let keys = &args[1..];
@@ -878,9 +886,9 @@ impl KvServer {
             touched += 1;
             self.shard_ops[shard] += 1;
             let mut sub_args = Vec::with_capacity(indices.len() + 1);
-            sub_args.push(args[0].clone());
+            sub_args.push(args[0]);
             for &i in indices {
-                sub_args.push(keys[i].clone());
+                sub_args.push(keys[i]);
             }
             let r = self.engines[shard].execute(now_ms, &sub_args);
             dirty += r.dirty_delta;
@@ -943,7 +951,7 @@ impl KvServer {
         ctx: &mut Context<'_>,
         conn: usize,
         req_bytes: usize,
-        reply: Vec<u8>,
+        reply: &Resp,
         replicate: Option<Frame>,
         route: (usize, SimDuration),
         fwd: Option<u64>,
@@ -956,7 +964,7 @@ impl KvServer {
         let mut cost = costs.cmd_base + costs.cmd_per_kib.mul_f64(payload_kib) + cross_cost;
         let mut wr_posts = 0u32; // WQEs built (the unit of replication work)
         let mut doorbells = 0u32; // post calls; each may stall (tail model)
-        let mut frames: Vec<OutFrame> = Vec::with_capacity(2);
+        let mut frames: Vec<OutFrame> = self.spare_frames.pop().unwrap_or_default();
 
         // Quorum/chain modes hold a replicated write's reply until the NIC
         // commits the covering offset; its post cost is charged on release
@@ -965,17 +973,20 @@ impl KvServer {
         let defer = replicate.is_some()
             && self.is_master()
             && replmode::replication_mode(self.active_mode).defers_replies();
-        // A forwarded command's reply is re-framed with its relay cookie
-        // and leaves under FWD_REPLY.
-        let (reply_tag, reply_frame): (u32, Frame) = match fwd {
-            Some(cookie) => {
-                let mut framed = Vec::with_capacity(8 + reply.len());
-                framed.extend_from_slice(&cookie.to_le_bytes());
-                framed.extend_from_slice(&reply);
-                (tag::FWD_REPLY, framed.into())
-            }
-            None => (tag::REPLY, reply.into()),
+        // The reply is encoded straight into a recycled send-ring buffer. A
+        // forwarded command's reply leads with its relay cookie and leaves
+        // under FWD_REPLY.
+        let reply_tag = if fwd.is_some() {
+            tag::FWD_REPLY
+        } else {
+            tag::REPLY
         };
+        let reply_frame: Frame = self.pool.build(|out| {
+            if let Some(cookie) = fwd {
+                out.extend_from_slice(&cookie.to_le_bytes());
+            }
+            reply.encode_into(out);
+        });
         let reply_len = reply_frame.len();
 
         // Transport costs for receiving the request and posting the reply.
@@ -1225,7 +1236,7 @@ impl KvServer {
             return;
         }
         let upto = self.commit_upto.max(self.census_commit_upto());
-        let mut frames: Vec<OutFrame> = Vec::new();
+        let mut frames: Vec<OutFrame> = self.spare_frames.pop().unwrap_or_default();
         let mut cost = SimDuration::ZERO;
         let mut doorbells = 0u32;
         while let Some(front) = self.pending_replies.front() {
@@ -1254,6 +1265,7 @@ impl KvServer {
             });
         }
         if frames.is_empty() {
+            self.spare_frames.push(frames);
             return;
         }
         let jitter = self.cfg.costs.jitter;
@@ -1277,21 +1289,15 @@ impl KvServer {
     /// [`Channel::build_wr`] and posted as one linked list — a single
     /// doorbell for the whole fan-out — while replies, TCP sends, and
     /// handshake-queued messages still go through `send_on`.
-    fn emit_frames(&mut self, ctx: &mut Context<'_>, frames: Vec<OutFrame>) {
-        if !self.cfg.batch_wr_posts {
-            for f in frames {
-                self.send_on(ctx, f.conn, f.tag, f.payload);
-            }
-            return;
-        }
-        let mut staged_conns = Vec::new();
-        let mut wrs = Vec::new();
+    fn emit_frames(&mut self, ctx: &mut Context<'_>, mut frames: Vec<OutFrame>) {
+        let batching = self.cfg.batch_wr_posts;
         // With the hot cache on, cookie replies ride the same linked post
         // list as the stream frames they must trail — the list preserves
         // per-QP order, where an early `send_on` would overtake the batch.
         let cache_on = self.cfg.hot_cache_enabled();
-        for f in frames {
-            let batchable = (f.tag == tag::REPL_STREAM || (cache_on && f.tag == tag::FWD_REPLY))
+        for f in frames.drain(..) {
+            let batchable = batching
+                && (f.tag == tag::REPL_STREAM || (cache_on && f.tag == tag::FWD_REPLY))
                 && self.conns[f.conn].open
                 && self.conns[f.conn].channel.qp().is_some();
             if batchable {
@@ -1299,23 +1305,22 @@ impl KvServer {
                 // handshake and will flush when it completes — exactly
                 // what `send` would have done.
                 if let Some(wr) = self.conns[f.conn].channel.build_wr(f.tag, f.payload) {
-                    staged_conns.push(f.conn);
-                    wrs.push(wr);
+                    self.batch.stage(f.conn, wr);
                 }
             } else {
                 self.send_on(ctx, f.conn, f.tag, f.payload);
             }
         }
-        if wrs.is_empty() {
+        if self.spare_frames.len() < SPARE_LISTS {
+            self.spare_frames.push(frames);
+        }
+        if self.batch.is_empty() {
             return;
         }
         let net = self.net.clone();
-        let results = net.post_send_batch(ctx, wrs);
-        for (conn, result) in staged_conns.into_iter().zip(results) {
-            if result.is_err() {
-                self.conns[conn].channel.mark_broken();
-                self.on_conn_broken(ctx, conn);
-            }
+        for (conn, ..) in self.batch.post(&net, ctx) {
+            self.conns[conn].channel.mark_broken();
+            self.on_conn_broken(ctx, conn);
         }
     }
 
@@ -1731,27 +1736,29 @@ impl KvServer {
         let mut applied = 0usize;
         let mut total_cost = SimDuration::ZERO;
         while pos < fresh.len() {
-            match Resp::decode(&fresh[pos..]) {
-                Decoded::Frame(v, used) => {
-                    if let Ok(args) = v.into_command_args() {
-                        let kib = used as f64 / 1024.0;
-                        let parse_cost = self.cfg.costs.cmd_per_kib.mul_f64(kib);
-                        let apply_cost = self.cfg.costs.apply_base;
-                        if pipelined {
-                            let gate = self.apply_ring.admit(ctx.now());
-                            let parsed = self.cpu.run_on(0, gate, parse_cost).finished;
-                            let done = self.cpu.run_on(1, parsed, apply_cost).finished;
-                            self.apply_ring.complete(done);
-                        } else {
-                            total_cost += apply_cost + parse_cost;
-                        }
-                        let _ = self.execute_routed(now_ms, &args);
-                    }
-                    pos += used;
-                    applied = pos;
+            let (args, used) = match resp::parse_command(&fresh[pos..]) {
+                ParsedCommand::Command(args, used) => (Some(args), used),
+                // A complete frame that is no command is skipped, not applied.
+                ParsedCommand::NotCommand(_, used) => (None, used),
+                // partial command (not expected: frames align)
+                ParsedCommand::Incomplete | ParsedCommand::ProtocolError(_) => break,
+            };
+            if let Some(args) = args {
+                let kib = used as f64 / 1024.0;
+                let parse_cost = self.cfg.costs.cmd_per_kib.mul_f64(kib);
+                let apply_cost = self.cfg.costs.apply_base;
+                if pipelined {
+                    let gate = self.apply_ring.admit(ctx.now());
+                    let parsed = self.cpu.run_on(0, gate, parse_cost).finished;
+                    let done = self.cpu.run_on(1, parsed, apply_cost).finished;
+                    self.apply_ring.complete(done);
+                } else {
+                    total_cost += apply_cost + parse_cost;
                 }
-                _ => break, // partial command (not expected: frames align)
+                let _ = self.execute_routed(now_ms, &args);
             }
+            pos += used;
+            applied = pos;
         }
         self.stat_applied_bytes += applied as u64;
         self.backlog.feed(&fresh[..applied]);
@@ -2152,9 +2159,10 @@ impl Actor for KvServer {
                         // drain stale completions (replenishing receive
                         // slots) and re-arm the completion channel.
                         let cqs = self.cqs.clone();
+                        let mut wcs = std::mem::take(&mut self.wc_scratch);
                         for cq in cqs {
                             let net = self.net.clone();
-                            cqdrain::recover_drain(&net, ctx, cq, |ctx, wc| {
+                            cqdrain::recover_drain(&net, ctx, cq, &mut wcs, |ctx, wc| {
                                 if let Some(&conn) = self.by_qp.get(&wc.qp) {
                                     // Drop whatever the message was: the
                                     // process "restarted".
@@ -2162,6 +2170,7 @@ impl Actor for KvServer {
                                 }
                             });
                         }
+                        self.wc_scratch = wcs;
                         // A synced slave re-requests sync from its current
                         // offset; the backlog usually serves it partially.
                         if let Role::Slave { syncing: false, .. } = &self.role {
@@ -2269,7 +2278,8 @@ impl Actor for KvServer {
                 // a self-scheduled follow-up once that work is done.
                 let net = self.net.clone();
                 let budget = self.cfg.cq_poll_budget;
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, |ctx, wc| {
+                let mut wcs = std::mem::take(&mut self.wc_scratch);
+                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
                     let Some(&conn) = self.by_qp.get(&wc.qp) else {
                         return;
                     };
@@ -2279,6 +2289,7 @@ impl Actor for KvServer {
                         self.on_conn_broken(ctx, conn);
                     }
                 });
+                self.wc_scratch = wcs;
                 // Poll CPU lands on the core owning this CQ (cq 0 → core
                 // 0, the seed schedule; extra shard CQs → their cores).
                 let core = self.cqs.iter().position(|&c| c == cq).unwrap_or(0);

@@ -15,6 +15,8 @@
 use skv_simcore::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
+use skv_store::cmd::{upper_name, MAX_NAME_LEN};
+
 use crate::protocol::{key_hash_slot, slot_shard};
 
 /// CPU cost of handing a command fragment to another shard's queue
@@ -74,16 +76,17 @@ impl ShardRouter {
         slot_shard(key_hash_slot(key), self.num_shards)
     }
 
-    /// Route one parsed command. With one shard, always `Single(0)`.
-    pub fn plan(&self, args: &[Vec<u8>]) -> RoutePlan {
+    /// Route one parsed command (borrowed `&[&[u8]]` arguments or an owned
+    /// list). With one shard, always `Single(0)`.
+    pub fn plan<A: AsRef<[u8]>>(&self, args: &[A]) -> RoutePlan {
         if self.num_shards <= 1 {
             return RoutePlan::Single(0);
         }
         let Some(name) = args.first() else {
             return RoutePlan::Single(0);
         };
-        let upper: Vec<u8> = name.iter().map(u8::to_ascii_uppercase).collect();
-        match upper.as_slice() {
+        let mut folded = [0u8; MAX_NAME_LEN];
+        match upper_name(name.as_ref(), &mut folded) {
             b"FLUSHDB" | b"FLUSHALL" => RoutePlan::Broadcast,
             b"MSET" => self.plan_pairs(args),
             b"MSETNX" => {
@@ -101,7 +104,9 @@ impl ShardRouter {
             // use hash tags to arrange that, exactly as on Redis Cluster).
             b"RENAME" | b"RENAMENX" | b"COPY" | b"RPOPLPUSH" | b"SMOVE" => {
                 match (args.get(1), args.get(2)) {
-                    (Some(a), Some(b)) if self.shard_of_key(a) != self.shard_of_key(b) => {
+                    (Some(a), Some(b))
+                        if self.shard_of_key(a.as_ref()) != self.shard_of_key(b.as_ref()) =>
+                    {
                         RoutePlan::CrossSlot
                     }
                     _ => self.single_by_first_key(args),
@@ -123,7 +128,7 @@ impl ShardRouter {
                     RoutePlan::CrossSlot
                 } else {
                     match args.get(2) {
-                        Some(k) => RoutePlan::Single(self.shard_of_key(k)),
+                        Some(k) => RoutePlan::Single(self.shard_of_key(k.as_ref())),
                         None => RoutePlan::Single(0),
                     }
                 }
@@ -135,14 +140,14 @@ impl ShardRouter {
         }
     }
 
-    fn single_by_first_key(&self, args: &[Vec<u8>]) -> RoutePlan {
+    fn single_by_first_key<A: AsRef<[u8]>>(&self, args: &[A]) -> RoutePlan {
         match args.get(1) {
-            Some(key) => RoutePlan::Single(self.shard_of_key(key)),
+            Some(key) => RoutePlan::Single(self.shard_of_key(key.as_ref())),
             None => RoutePlan::Single(0),
         }
     }
 
-    fn plan_keys(&self, args: &[Vec<u8>], split: RoutePlan) -> RoutePlan {
+    fn plan_keys<A: AsRef<[u8]>>(&self, args: &[A], split: RoutePlan) -> RoutePlan {
         if self.keys_span_shards(&args[1..]) {
             split
         } else {
@@ -150,7 +155,7 @@ impl ShardRouter {
         }
     }
 
-    fn plan_pairs(&self, args: &[Vec<u8>]) -> RoutePlan {
+    fn plan_pairs<A: AsRef<[u8]>>(&self, args: &[A]) -> RoutePlan {
         if self.pairs_span_shards(args) {
             RoutePlan::SplitPairs
         } else {
@@ -158,18 +163,18 @@ impl ShardRouter {
         }
     }
 
-    fn keys_span_shards(&self, keys: &[Vec<u8>]) -> bool {
-        let mut shards = keys.iter().map(|k| self.shard_of_key(k));
+    fn keys_span_shards<A: AsRef<[u8]>>(&self, keys: &[A]) -> bool {
+        let mut shards = keys.iter().map(|k| self.shard_of_key(k.as_ref()));
         let Some(first) = shards.next() else {
             return false;
         };
         shards.any(|s| s != first)
     }
 
-    fn pairs_span_shards(&self, args: &[Vec<u8>]) -> bool {
+    fn pairs_span_shards<A: AsRef<[u8]>>(&self, args: &[A]) -> bool {
         let mut shards = args[1..].chunks(2).filter_map(|pair| {
             let key = pair.first()?;
-            Some(self.shard_of_key(key))
+            Some(self.shard_of_key(key.as_ref()))
         });
         let Some(first) = shards.next() else {
             return false;

@@ -334,7 +334,7 @@ struct Pattern {
     message: &'static str,
 }
 
-const PATTERNS: [Pattern; 12] = [
+const PATTERNS: [Pattern; 13] = [
     Pattern {
         needle: "HashMap",
         ident: true,
@@ -407,6 +407,14 @@ const PATTERNS: [Pattern; 12] = [
     },
     Pattern {
         needle: ".poll_cq(",
+        ident: false,
+        rule: "pollcq",
+        message: "raw CQ poll outside cqdrain::drain_budgeted; completion drains \
+                  must be budgeted so one burst cannot monopolise the event loop \
+                  (DESIGN.md §12)",
+    },
+    Pattern {
+        needle: ".poll_cq_into(",
         ident: false,
         rule: "pollcq",
         message: "raw CQ poll outside cqdrain::drain_budgeted; completion drains \
@@ -1238,6 +1246,11 @@ mod tests {
     fn pollcq_scope() {
         let src = "fn f(net: &Net, cq: CqId) { let wcs = net.poll_cq(cq, 8); }\n";
         let v = check_source("crates/core/src/nickv.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "pollcq");
+        // The caller-buffer form is the same raw poll.
+        let into = "fn f(net: &Net, cq: CqId, b: &mut Vec<Wc>) { net.poll_cq_into(cq, 8, b); }\n";
+        let v = check_source("crates/core/src/server.rs", into);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "pollcq");
         // cqdrain.rs is the sanctioned home of the raw poll.

@@ -13,6 +13,7 @@
 //! keys, never of OS state. `skv-lint` (rule `hashmap`) rejects the std
 //! hash collections in simulation crates and points here.
 
+use std::borrow::Borrow;
 use std::collections::{btree_map, BTreeMap, BTreeSet};
 
 /// An ordered map with deterministic iteration order (key order).
@@ -37,23 +38,36 @@ impl<K: Ord, V> DetMap<K, V> {
         self.inner.insert(key, value)
     }
 
-    /// Look up a value by key.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    /// Look up a value by key — or by any borrowed form of it, so a
+    /// `DetMap<Vec<u8>, _>` is probed with a `&[u8]` and no owned copy.
+    pub fn get<Q: Ord + ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
         self.inner.get(key)
     }
 
     /// Look up a value mutably by key.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+    pub fn get_mut<Q: Ord + ?Sized>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+    {
         self.inner.get_mut(key)
     }
 
     /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
+    pub fn contains_key<Q: Ord + ?Sized>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
         self.inner.contains_key(key)
     }
 
     /// Remove a key, returning its value if it was present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub fn remove<Q: Ord + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         self.inner.remove(key)
     }
 
@@ -128,13 +142,19 @@ impl<T: Ord> DetSet<T> {
         self.inner.insert(value)
     }
 
-    /// Whether `value` is present.
-    pub fn contains(&self, value: &T) -> bool {
+    /// Whether `value` (in any borrowed form) is present.
+    pub fn contains<Q: Ord + ?Sized>(&self, value: &Q) -> bool
+    where
+        T: Borrow<Q>,
+    {
         self.inner.contains(value)
     }
 
     /// Remove an element; returns `true` if it was present.
-    pub fn remove(&mut self, value: &T) -> bool {
+    pub fn remove<Q: Ord + ?Sized>(&mut self, value: &Q) -> bool
+    where
+        T: Borrow<Q>,
+    {
         self.inner.remove(value)
     }
 
@@ -209,6 +229,21 @@ mod tests {
         assert_eq!(m.len(), 1);
         m.clear();
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn lookups_take_borrowed_keys() {
+        let mut m: DetMap<Vec<u8>, u32> = DetMap::new();
+        m.insert(b"key".to_vec(), 7);
+        let probe: &[u8] = b"key";
+        assert_eq!(m.get(probe), Some(&7));
+        assert!(m.contains_key(probe));
+        *m.get_mut(probe).unwrap() += 1;
+        assert_eq!(m.remove(probe), Some(8));
+        let mut s: DetSet<Vec<u8>> = DetSet::new();
+        s.insert(b"key".to_vec());
+        assert!(s.contains(probe));
+        assert!(s.remove(probe) && s.is_empty());
     }
 
     #[test]

@@ -351,47 +351,50 @@ impl Net {
     /// frame to N slave QPs).
     ///
     /// Unlike the linked-list form, a bad WR on one QP must not block WRs
-    /// bound for *other* QPs, so each entry gets an independent outcome in
-    /// the returned vector (same order as the input). Exactly one doorbell
-    /// is counted when at least one WR posts.
+    /// bound for *other* QPs, so each entry gets an independent outcome:
+    /// `outcomes` is cleared and filled in input order. `wrs` is drained,
+    /// not consumed — like `outcomes` it is the caller's staging buffer, so
+    /// a steady fan-out posts batch after batch without allocating.
+    /// Exactly one doorbell is counted when at least one WR posts.
     pub fn post_send_batch(
         &self,
         ctx: &mut Context<'_>,
-        wrs: Vec<(QpId, SendWr)>,
-    ) -> Vec<Result<(), PostError>> {
+        wrs: &mut Vec<(QpId, SendWr)>,
+        outcomes: &mut Vec<Result<(), PostError>>,
+    ) {
         let mut inner = self.inner.borrow_mut();
-        let mut outcomes = Vec::with_capacity(wrs.len());
-        let mut posted = 0usize;
-        for (qp, wr) in wrs {
-            let out = post_one(&mut inner, ctx, qp, wr);
-            if out.is_ok() {
-                posted += 1;
-            }
-            outcomes.push(out);
+        outcomes.clear();
+        for (qp, wr) in wrs.drain(..) {
+            outcomes.push(post_one(&mut inner, ctx, qp, wr));
         }
-        if posted > 0 {
+        if outcomes.iter().any(Result::is_ok) {
             inner.counters.inc("rdma.doorbells");
         }
-        outcomes
     }
 
-    /// Drain up to `max` completions from `cq` (pop from the front of the
-    /// queue; no element shifting regardless of queue depth).
+    /// Drain up to `max` completions from `cq` into `out` (appended;
+    /// popped from the front of the queue, no element shifting regardless
+    /// of queue depth) and return how many were drained — `ibv_poll_cq`
+    /// with a caller-owned WC array, so a polling loop reuses one buffer.
     ///
     /// The fabric charges no CPU here; the polling actor owns the cost —
     /// [`crate::NetParams::cq_poll_cpu`] per call plus
     /// [`crate::NetParams::wc_handle_cpu`] per returned WC. Each returned
     /// WC bumps the `rdma.wcs_polled` counter, the denominator of the
     /// moderation collapse ratio (`rdma.cq_notifies / rdma.wcs_polled`).
-    pub fn poll_cq(&self, cq: CqId, max: usize) -> Vec<Wc> {
+    pub fn poll_cq_into(&self, cq: CqId, max: usize, out: &mut Vec<Wc>) -> usize {
         let mut inner = self.inner.borrow_mut();
         let q = &mut inner.cqs[cq.0 as usize].queue;
-        let mut out = Vec::with_capacity(q.len().min(max));
-        while out.len() < max {
-            let Some(wc) = q.pop_front() else { break };
-            out.push(wc);
-        }
-        inner.counters.add("rdma.wcs_polled", out.len() as u64);
+        let polled = q.len().min(max);
+        out.extend(q.drain(..polled));
+        inner.counters.add("rdma.wcs_polled", polled as u64);
+        polled
+    }
+
+    /// [`Net::poll_cq_into`] with a fresh vector per call.
+    pub fn poll_cq(&self, cq: CqId, max: usize) -> Vec<Wc> {
+        let mut out = Vec::new();
+        self.poll_cq_into(cq, max, &mut out);
         out
     }
 

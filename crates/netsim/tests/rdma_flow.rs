@@ -571,6 +571,157 @@ fn faulted_wr_mid_list_posts_prefix_and_names_bad_wr() {
     assert_eq!(w.net.counters().get("rdma.qp_errors"), 1);
 }
 
+/// The batch form takes the caller's staging vectors: `wrs` is drained and
+/// keeps its capacity, `outcomes` is overwritten in input order with one
+/// independent verdict per entry, and a batch rings one doorbell — or
+/// none, when nothing in it posts.
+#[test]
+fn post_batch_reuses_the_callers_staging_buffers() {
+    use skv_netsim::PostError;
+
+    let mut w = world();
+    let (cqp, sqp, _cwcs, _swcs, server_mr) = establish(&mut w, 8);
+    let (c, s) = (cqp.borrow().unwrap(), sqp.borrow().unwrap());
+    let base_doorbells = w.net.counters().get("rdma.doorbells");
+    let base_wrs = w.net.counters().get("rdma.wrs_posted");
+
+    type Outcomes = Vec<Result<(), PostError>>;
+    let seen: Rc<RefCell<Vec<(usize, usize, Outcomes)>>> = Rc::default();
+    let seen2 = seen.clone();
+    let net = w.net.clone();
+    let helper = w
+        .sim
+        .add_actor(Box::new(FnActor::new(move |ctx, _from, _msg| {
+            let mut wrs = Vec::with_capacity(8);
+            // Stale outcomes of an earlier, longer batch must not survive.
+            let mut outcomes: Outcomes = vec![Err(PostError::QpError); 5];
+            for round in 0..2u64 {
+                wrs.push((c, write_imm_wr(10 * round, server_mr, 0, 1, 1)));
+                wrs.push((
+                    s,
+                    SendWr {
+                        wr_id: 10 * round + 1,
+                        op: SendOp::Send,
+                        data: skv_netsim::Frame::new(),
+                    },
+                ));
+                wrs.push((c, write_imm_wr(10 * round + 2, server_mr, 64, 3, 3)));
+                net.post_send_batch(ctx, &mut wrs, &mut outcomes);
+                seen2
+                    .borrow_mut()
+                    .push((wrs.len(), wrs.capacity(), outcomes.clone()));
+                // After round 0 the client tears its QP down: it is closed,
+                // and the server's end has no peer left.
+                net.destroy_qp(c);
+            }
+            // Nothing staged: nothing posted.
+            net.post_send_batch(ctx, &mut wrs, &mut outcomes);
+            seen2
+                .borrow_mut()
+                .push((wrs.len(), wrs.capacity(), outcomes.clone()));
+        })));
+    w.sim.schedule(w.sim.now(), helper, ());
+    w.sim.run_to_completion();
+
+    let seen = seen.borrow();
+    assert_eq!(seen[0], (0, 8, vec![Ok(()); 3]), "drained, capacity kept");
+    assert_eq!(
+        seen[1],
+        (
+            0,
+            8,
+            vec![
+                Err(PostError::QpClosed),
+                Err(PostError::NotConnected),
+                Err(PostError::QpClosed)
+            ]
+        ),
+        "same buffers, one verdict per entry"
+    );
+    assert_eq!(seen[2], (0, 8, Vec::new()));
+    assert_eq!(
+        w.net.counters().get("rdma.doorbells") - base_doorbells,
+        1,
+        "one doorbell for the batch that posted, none for the two that did not"
+    );
+    assert_eq!(
+        w.net.counters().get("rdma.wrs_posted") - base_wrs,
+        3,
+        "only round 0 reached the fabric"
+    );
+}
+
+/// `poll_cq_into` appends to the caller's array, honours `max`, and counts
+/// what it returns — the same completions `poll_cq` would have returned.
+#[test]
+fn poll_cq_into_fills_the_callers_array() {
+    let mut w = world();
+    let mr = w.net.register_mr(w.b, 1 << 10);
+    let addr = SocketAddr::new(w.b, 6379);
+    // A server that accepts and posts receives but never polls: its CQ
+    // keeps every completion for the test to drain by hand.
+    let server_cq: Rc<RefCell<Option<skv_netsim::CqId>>> = Rc::default();
+    let scq = server_cq.clone();
+    let net = w.net.clone();
+    let server = w
+        .sim
+        .add_actor(Box::new(FnActor::new(move |ctx, _from, msg| {
+            if let Ok(ev) = msg.downcast::<NetEvent>() {
+                if let NetEvent::CmConnectRequest { req, .. } = *ev {
+                    let cq = net.create_cq(ctx.id());
+                    *scq.borrow_mut() = Some(cq);
+                    let qp = net.rdma_accept(ctx, req, cq).expect("fresh CM request");
+                    for i in 0..8 {
+                        net.post_recv(qp, i).unwrap();
+                    }
+                }
+            }
+        })));
+    w.net.rdma_listen(addr, server);
+    let net = w.net.clone();
+    let a = w.a;
+    let client = w
+        .sim
+        .add_actor(Box::new(FnActor::new(move |ctx, _from, msg| {
+            if let Ok(ev) = msg.downcast::<NetEvent>() {
+                if let NetEvent::CmEstablished { qp, .. } = *ev {
+                    for i in 0..5 {
+                        net.post_send(ctx, qp, write_imm_wr(i, mr, 0, i as u32, 0))
+                            .unwrap();
+                    }
+                }
+            }
+        })));
+    let net = w.net.clone();
+    let starter = w
+        .sim
+        .add_actor(Box::new(FnActor::new(move |ctx, _from, _msg| {
+            let cq = net.create_cq(client);
+            net.rdma_connect(ctx, a, client, cq, addr);
+        })));
+    w.sim.schedule(SimTime::ZERO, starter, ());
+    w.sim.run_to_completion();
+
+    let cq = server_cq.borrow().expect("server accepted");
+    assert_eq!(w.net.cq_depth(cq), 5);
+    let polled_before = w.net.counters().get("rdma.wcs_polled");
+    let mut wcs: Vec<Wc> = Vec::with_capacity(16);
+    assert_eq!(w.net.poll_cq_into(cq, 2, &mut wcs), 2);
+    assert_eq!(w.net.poll_cq_into(cq, 64, &mut wcs), 3, "appends the rest");
+    assert_eq!(w.net.poll_cq_into(cq, 64, &mut wcs), 0);
+    assert_eq!(wcs.capacity(), 16, "the caller's buffer, not a new one");
+    let imms: Vec<u32> = wcs.iter().map(|wc| wc.imm).collect();
+    assert_eq!(imms, vec![0, 1, 2, 3, 4], "queue order");
+    assert!(wcs
+        .iter()
+        .all(|wc| wc.opcode == WcOpcode::RecvRdmaWithImm && wc.status == WcStatus::Success));
+    assert_eq!(w.net.counters().get("rdma.wcs_polled") - polled_before, 5);
+    assert!(
+        w.net.poll_cq(cq, 64).is_empty(),
+        "the wrapper sees it drained"
+    );
+}
+
 #[test]
 fn deterministic_event_counts() {
     fn run() -> (u64, u64) {

@@ -37,12 +37,6 @@ impl Storage {
     }
 }
 
-impl Default for Storage {
-    fn default() -> Storage {
-        Storage::owned(Vec::new())
-    }
-}
-
 impl Drop for Storage {
     fn drop(&mut self) {
         if let Some(pool) = self.home.take().and_then(|weak| weak.upgrade()) {
@@ -54,39 +48,41 @@ impl Drop for Storage {
 /// A shared byte buffer with an `(offset, len)` view. See the module docs.
 #[derive(Clone, Default)]
 pub struct Frame {
-    buf: Arc<Storage>,
+    /// `None` is the empty frame: it has no backing buffer at all, so the
+    /// payload-less completions the fabric produces by the million cost
+    /// nothing to build or drop.
+    buf: Option<Arc<Storage>>,
     off: usize,
     len: usize,
 }
 
 impl Frame {
-    /// An empty frame (no allocation beyond the shared empty buffer).
+    /// An empty frame. Allocates nothing.
     pub fn new() -> Frame {
         Frame::default()
     }
 
-    /// Take ownership of `vec` without copying.
-    pub fn from_vec(vec: Vec<u8>) -> Frame {
-        let len = vec.len();
+    fn over(storage: Storage) -> Frame {
+        let len = storage.bytes.len();
         Frame {
-            buf: Arc::new(Storage::owned(vec)),
+            buf: Some(Arc::new(storage)),
             off: 0,
             len,
         }
+    }
+
+    /// Take ownership of `vec` without copying.
+    pub fn from_vec(vec: Vec<u8>) -> Frame {
+        Frame::over(Storage::owned(vec))
     }
 
     /// Wrap a buffer borrowed from a [`crate::FramePool`]; the allocation
     /// flows back into the pool when the last view over it drops.
     pub(crate) fn from_pooled(bytes: Vec<u8>, home: Weak<PoolShared>) -> Frame {
-        let len = bytes.len();
-        Frame {
-            buf: Arc::new(Storage {
-                bytes,
-                home: Some(home),
-            }),
-            off: 0,
-            len,
-        }
+        Frame::over(Storage {
+            bytes,
+            home: Some(home),
+        })
     }
 
     /// Copy `bytes` into a fresh frame. The one constructor that always
@@ -107,7 +103,10 @@ impl Frame {
 
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf.bytes[self.off..self.off + self.len]
+        match &self.buf {
+            Some(buf) => &buf.bytes[self.off..self.off + self.len],
+            None => &[],
+        }
     }
 
     /// A sub-view of this frame; refcount bump, no copy.
@@ -131,7 +130,7 @@ impl Frame {
             self.len
         );
         Frame {
-            buf: Arc::clone(&self.buf),
+            buf: self.buf.clone(),
             off: self.off + start,
             len: end - start,
         }
@@ -175,20 +174,17 @@ impl Frame {
         if bytes.is_empty() {
             return;
         }
-        let end = self.off + self.len;
-        if end == self.buf.bytes.len() {
-            if let Some(storage) = Arc::get_mut(&mut self.buf) {
+        if let Some(storage) = self.buf.as_mut().and_then(Arc::get_mut) {
+            if self.off + self.len == storage.bytes.len() {
                 storage.bytes.extend_from_slice(bytes);
                 self.len += bytes.len();
                 return;
             }
         }
         let mut vec = Vec::with_capacity(self.len + bytes.len());
-        vec.extend_from_slice(&self.buf.bytes[self.off..end]);
+        vec.extend_from_slice(self.as_slice());
         vec.extend_from_slice(bytes);
-        self.len = vec.len();
-        self.off = 0;
-        self.buf = Arc::new(Storage::owned(vec));
+        *self = Frame::from_vec(vec);
     }
 
     /// Copy the viewed bytes out into an owned `Vec`.
@@ -233,13 +229,16 @@ impl From<Frame> for Vec<u8> {
     /// of the whole buffer, otherwise one copy. A pooled buffer recovered
     /// this way leaves its pool for good (its `Storage` drops empty).
     fn from(frame: Frame) -> Vec<u8> {
-        if frame.off == 0 && frame.len == frame.buf.bytes.len() {
-            match Arc::try_unwrap(frame.buf) {
-                Ok(mut storage) => return std::mem::take(&mut storage.bytes),
-                Err(buf) => return buf.bytes[..frame.len].to_vec(),
-            }
+        let Some(buf) = frame.buf else {
+            return Vec::new();
+        };
+        let view = frame.off..frame.off + frame.len;
+        let whole = view.len() == buf.bytes.len();
+        match Arc::try_unwrap(buf) {
+            Ok(mut storage) if whole => std::mem::take(&mut storage.bytes),
+            Ok(storage) => storage.bytes[view].to_vec(),
+            Err(shared) => shared.bytes[view].to_vec(),
         }
-        frame.to_vec()
     }
 }
 
@@ -304,10 +303,21 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
+    fn empty_frame_has_no_backing_buffer() {
+        let mut f = Frame::new();
+        assert!(f.buf.is_none() && f.is_empty());
+        assert_eq!(f.slice(..), Frame::from_vec(Vec::new()));
+        assert_eq!(f.split_to(0).as_slice(), b"");
+        assert_eq!(Vec::from(f.clone()), Vec::<u8>::new());
+        f.extend_from_slice(b"ab");
+        assert_eq!(f, b"ab");
+    }
+
+    #[test]
     fn clone_is_a_view_not_a_copy() {
         let a = Frame::from_vec(vec![1, 2, 3, 4]);
         let b = a.clone();
-        assert_eq!(Arc::strong_count(&a.buf), 2);
+        assert_eq!(Arc::strong_count(a.buf.as_ref().unwrap()), 2);
         assert_eq!(a, b);
     }
 
@@ -321,15 +331,19 @@ mod tests {
         assert_eq!(f.as_slice(), &(10u8..32).collect::<Vec<_>>()[..]);
         let mid = f.slice(2..5);
         assert_eq!(mid, vec![12u8, 13, 14]);
-        assert_eq!(Arc::strong_count(&f.buf), 3);
+        assert_eq!(Arc::strong_count(f.buf.as_ref().unwrap()), 3);
     }
 
     #[test]
     fn extend_appends_in_place_when_unique() {
         let mut f = Frame::from_vec(vec![1, 2]);
-        let arc_before = Arc::as_ptr(&f.buf);
+        let arc_before = Arc::as_ptr(f.buf.as_ref().unwrap());
         f.extend_from_slice(&[3, 4]);
-        assert_eq!(Arc::as_ptr(&f.buf), arc_before, "unique append reallocated");
+        assert_eq!(
+            Arc::as_ptr(f.buf.as_ref().unwrap()),
+            arc_before,
+            "unique append reallocated"
+        );
         assert_eq!(f, vec![1, 2, 3, 4]);
     }
 

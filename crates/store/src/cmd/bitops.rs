@@ -20,18 +20,18 @@ fn string_bytes(ctx: &mut ExecCtx<'_>, key: &[u8]) -> Result<Option<Vec<u8>>, Re
     }
 }
 
-pub(super) fn setbit(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let offset = match parse_i64(&args[2]) {
+pub(super) fn setbit(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let offset = match parse_i64(args[2]) {
         Ok(v) if (0..=MAX_BIT_OFFSET).contains(&v) => v as usize,
         Ok(_) => return Resp::err("bit offset is not an integer or out of range"),
         Err(e) => return e,
     };
-    let bit = match parse_i64(&args[3]) {
+    let bit = match parse_i64(args[3]) {
         Ok(0) => 0u8,
         Ok(1) => 1u8,
         _ => return Resp::err("bit is not an integer or out of range"),
     };
-    let mut bytes = match string_bytes(ctx, &args[1]) {
+    let mut bytes = match string_bytes(ctx, args[1]) {
         Ok(Some(b)) => b,
         Ok(None) => Vec::new(),
         Err(e) => return e,
@@ -48,17 +48,17 @@ pub(super) fn setbit(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         bytes[byte_idx] &= !(1 << bit_idx);
     }
     ctx.db
-        .set_keep_ttl(&args[1], RObj::Str(Sds::from_vec(bytes)));
+        .set_keep_ttl(args[1], RObj::Str(Sds::from_vec(bytes)));
     Resp::Int(old as i64)
 }
 
-pub(super) fn getbit(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let offset = match parse_i64(&args[2]) {
+pub(super) fn getbit(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let offset = match parse_i64(args[2]) {
         Ok(v) if (0..=MAX_BIT_OFFSET).contains(&v) => v as usize,
         Ok(_) => return Resp::err("bit offset is not an integer or out of range"),
         Err(e) => return e,
     };
-    let bytes = match string_bytes(ctx, &args[1]) {
+    let bytes = match string_bytes(ctx, args[1]) {
         Ok(Some(b)) => b,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -70,8 +70,8 @@ pub(super) fn getbit(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Int(((bytes[byte_idx] >> (7 - offset % 8)) & 1) as i64)
 }
 
-pub(super) fn bitcount(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let bytes = match string_bytes(ctx, &args[1]) {
+pub(super) fn bitcount(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let bytes = match string_bytes(ctx, args[1]) {
         Ok(Some(b)) => b,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -93,13 +93,13 @@ pub(super) fn bitcount(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Int(slice.iter().map(|b| b.count_ones() as i64).sum())
 }
 
-pub(super) fn bitpos(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let target = match parse_i64(&args[2]) {
+pub(super) fn bitpos(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let target = match parse_i64(args[2]) {
         Ok(0) => 0u8,
         Ok(1) => 1u8,
         _ => return Resp::err("the bit argument must be 1 or 0"),
     };
-    let bytes = match string_bytes(ctx, &args[1]) {
+    let bytes = match string_bytes(ctx, args[1]) {
         Ok(Some(b)) => b,
         Ok(None) => {
             // Missing key is all-zeroes: first 0 is at 0; no 1 exists.
@@ -122,7 +122,7 @@ pub(super) fn bitpos(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn bitop(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn bitop(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let op = args[1].to_ascii_uppercase();
     let dest = &args[2];
     let sources = &args[3..];

@@ -33,18 +33,18 @@ fn reap_if_empty(ctx: &mut ExecCtx<'_>, key: &[u8]) {
     }
 }
 
-pub(super) fn hset(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn hset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     if !args.len().is_multiple_of(2) {
         return Resp::err("wrong number of arguments for HSET");
     }
-    let hash = match with_hash(ctx, &args[1], true) {
+    let hash = match with_hash(ctx, args[1], true) {
         Ok(Some(h)) => h,
         Ok(None) => unreachable!("create=true"),
         Err(e) => return e,
     };
     let mut added = 0;
     for pair in args[2..].chunks_exact(2) {
-        if hash.insert(&pair[0], Sds::from_bytes(&pair[1])).is_none() {
+        if hash.insert(pair[0], Sds::from_bytes(pair[1])).is_none() {
             added += 1;
         }
     }
@@ -52,31 +52,31 @@ pub(super) fn hset(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Int(added)
 }
 
-pub(super) fn hmset(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn hmset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     match hset(ctx, args) {
         r if r.is_error() => r,
         _ => Resp::ok(), // HMSET replies +OK rather than a count
     }
 }
 
-pub(super) fn hsetnx(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let hash = match with_hash(ctx, &args[1], true) {
+pub(super) fn hsetnx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let hash = match with_hash(ctx, args[1], true) {
         Ok(Some(h)) => h,
         Ok(None) => unreachable!("create=true"),
         Err(e) => return e,
     };
-    if hash.contains(&args[2]) {
+    if hash.contains(args[2]) {
         Resp::Int(0)
     } else {
-        hash.insert(&args[2], Sds::from_bytes(&args[3]));
+        hash.insert(args[2], Sds::from_bytes(args[3]));
         ctx.db.mark_dirty(1);
         Resp::Int(1)
     }
 }
 
-pub(super) fn hget(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_hash(ctx, &args[1], false) {
-        Ok(Some(h)) => match h.get(&args[2]) {
+pub(super) fn hget(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_hash(ctx, args[1], false) {
+        Ok(Some(h)) => match h.get(args[2]) {
             Some(v) => Resp::Bulk(v.as_bytes().to_vec()),
             None => Resp::NullBulk,
         },
@@ -85,8 +85,8 @@ pub(super) fn hget(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn hmget(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_hash(ctx, &args[1], false) {
+pub(super) fn hmget(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_hash(ctx, args[1], false) {
         Ok(Some(h)) => Resp::Array(
             args[2..]
                 .iter()
@@ -101,8 +101,8 @@ pub(super) fn hmget(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn hdel(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let hash = match with_hash(ctx, &args[1], false) {
+pub(super) fn hdel(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let hash = match with_hash(ctx, args[1], false) {
         Ok(Some(h)) => h,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -112,29 +112,29 @@ pub(super) fn hdel(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         .filter(|f| hash.remove(f).is_some())
         .count();
     ctx.db.mark_dirty(removed as u64);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     Resp::Int(removed as i64)
 }
 
-pub(super) fn hexists(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_hash(ctx, &args[1], false) {
-        Ok(Some(h)) => Resp::Int(h.contains(&args[2]) as i64),
+pub(super) fn hexists(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_hash(ctx, args[1], false) {
+        Ok(Some(h)) => Resp::Int(h.contains(args[2]) as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
     }
 }
 
-pub(super) fn hlen(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_hash(ctx, &args[1], false) {
+pub(super) fn hlen(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_hash(ctx, args[1], false) {
         Ok(Some(h)) => Resp::Int(h.len() as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
     }
 }
 
-pub(super) fn hstrlen(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_hash(ctx, &args[1], false) {
-        Ok(Some(h)) => Resp::Int(h.get(&args[2]).map_or(0, Sds::len) as i64),
+pub(super) fn hstrlen(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_hash(ctx, args[1], false) {
+        Ok(Some(h)) => Resp::Int(h.get(args[2]).map_or(0, Sds::len) as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
     }
@@ -150,8 +150,8 @@ fn sorted_pairs(h: &Dict<Sds>) -> Vec<(Vec<u8>, Vec<u8>)> {
     pairs
 }
 
-pub(super) fn hgetall(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_hash(ctx, &args[1], false) {
+pub(super) fn hgetall(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_hash(ctx, args[1], false) {
         Ok(Some(h)) => {
             let mut out = Vec::with_capacity(h.len() * 2);
             for (f, v) in sorted_pairs(h) {
@@ -165,8 +165,8 @@ pub(super) fn hgetall(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn hkeys(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_hash(ctx, &args[1], false) {
+pub(super) fn hkeys(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_hash(ctx, args[1], false) {
         Ok(Some(h)) => Resp::Array(
             sorted_pairs(h)
                 .into_iter()
@@ -178,8 +178,8 @@ pub(super) fn hkeys(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn hvals(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_hash(ctx, &args[1], false) {
+pub(super) fn hvals(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_hash(ctx, args[1], false) {
         Ok(Some(h)) => Resp::Array(
             sorted_pairs(h)
                 .into_iter()
@@ -191,17 +191,17 @@ pub(super) fn hvals(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn hincrby(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let delta = match parse_i64(&args[3]) {
+pub(super) fn hincrby(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let delta = match parse_i64(args[3]) {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let hash = match with_hash(ctx, &args[1], true) {
+    let hash = match with_hash(ctx, args[1], true) {
         Ok(Some(h)) => h,
         Ok(None) => unreachable!("create=true"),
         Err(e) => return e,
     };
-    let current = match hash.get(&args[2]) {
+    let current = match hash.get(args[2]) {
         None => 0,
         Some(v) => match v.parse_i64() {
             Some(n) => n,
@@ -211,7 +211,7 @@ pub(super) fn hincrby(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     let Some(next) = current.checked_add(delta) else {
         return Resp::err("increment or decrement would overflow");
     };
-    hash.insert(&args[2], Sds::from(next.to_string().as_str()));
+    hash.insert(args[2], Sds::from(next.to_string().as_str()));
     ctx.db.mark_dirty(1);
     Resp::Int(next)
 }

@@ -4,14 +4,14 @@ use super::{parse_i64, ExecCtx};
 use crate::object::{RObj, SetObj};
 use crate::resp::Resp;
 
-pub(super) fn type_cmd(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match ctx.db.lookup_read(&args[1], ctx.now_ms) {
+pub(super) fn type_cmd(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match ctx.db.lookup_read(args[1], ctx.now_ms) {
         Some(o) => Resp::Simple(o.type_name().into()),
         None => Resp::Simple("none".into()),
     }
 }
 
-pub(super) fn del(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn del(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let mut n = 0;
     for key in &args[1..] {
         // Expired keys count as absent, so reap first.
@@ -22,7 +22,7 @@ pub(super) fn del(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Int(n)
 }
 
-pub(super) fn exists(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn exists(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let n = args[1..]
         .iter()
         .filter(|key| ctx.db.exists(key, ctx.now_ms))
@@ -30,12 +30,12 @@ pub(super) fn exists(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Int(n as i64)
 }
 
-fn expire_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], unit_ms: u64, absolute: bool) -> Resp {
-    let v = match parse_i64(&args[2]) {
+fn expire_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], unit_ms: u64, absolute: bool) -> Resp {
+    let v = match parse_i64(args[2]) {
         Ok(v) => v,
         Err(e) => return e,
     };
-    if !ctx.db.exists(&args[1], ctx.now_ms) {
+    if !ctx.db.exists(args[1], ctx.now_ms) {
         return Resp::Int(0);
     }
     let at_ms = if absolute {
@@ -46,75 +46,75 @@ fn expire_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], unit_ms: u64, absolut
         }
     } else if v <= 0 {
         // Non-positive relative TTL deletes immediately, as in Redis.
-        ctx.db.delete(&args[1]);
+        ctx.db.delete(args[1]);
         return Resp::Int(1);
     } else {
         ctx.now_ms + v as u64 * unit_ms
     };
     if at_ms <= ctx.now_ms {
-        ctx.db.delete(&args[1]);
+        ctx.db.delete(args[1]);
         return Resp::Int(1);
     }
-    ctx.db.set_expire(&args[1], at_ms);
+    ctx.db.set_expire(args[1], at_ms);
     Resp::Int(1)
 }
 
-pub(super) fn expire(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn expire(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     expire_generic(ctx, args, 1000, false)
 }
 
-pub(super) fn pexpire(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn pexpire(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     expire_generic(ctx, args, 1, false)
 }
 
-pub(super) fn expireat(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn expireat(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     expire_generic(ctx, args, 1000, true)
 }
 
-pub(super) fn pexpireat(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn pexpireat(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     expire_generic(ctx, args, 1, true)
 }
 
-fn ttl_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], unit_ms: u64) -> Resp {
-    match ctx.db.ttl_ms(&args[1], ctx.now_ms) {
+fn ttl_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], unit_ms: u64) -> Resp {
+    match ctx.db.ttl_ms(args[1], ctx.now_ms) {
         None => Resp::Int(-2),
         Some(None) => Resp::Int(-1),
         Some(Some(ms)) => Resp::Int((ms / unit_ms) as i64),
     }
 }
 
-pub(super) fn ttl(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn ttl(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     ttl_generic(ctx, args, 1000)
 }
 
-pub(super) fn pttl(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn pttl(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     ttl_generic(ctx, args, 1)
 }
 
-pub(super) fn persist(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    if !ctx.db.exists(&args[1], ctx.now_ms) {
+pub(super) fn persist(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    if !ctx.db.exists(args[1], ctx.now_ms) {
         return Resp::Int(0);
     }
-    Resp::Int(ctx.db.persist(&args[1]) as i64)
+    Resp::Int(ctx.db.persist(args[1]) as i64)
 }
 
-fn rename_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], fail_if_target: bool) -> Resp {
-    if !ctx.db.exists(&args[1], ctx.now_ms) {
+fn rename_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], fail_if_target: bool) -> Resp {
+    if !ctx.db.exists(args[1], ctx.now_ms) {
         return Resp::err("no such key");
     }
-    if fail_if_target && ctx.db.exists(&args[2], ctx.now_ms) {
+    if fail_if_target && ctx.db.exists(args[2], ctx.now_ms) {
         return Resp::Int(0);
     }
-    let ttl = ctx.db.expiry_of(&args[1]);
+    let ttl = ctx.db.expiry_of(args[1]);
     let value = ctx
         .db
-        .lookup_read(&args[1], ctx.now_ms)
+        .lookup_read(args[1], ctx.now_ms)
         .expect("checked exists")
         .clone();
-    ctx.db.delete(&args[1]);
-    ctx.db.set(&args[2], value);
+    ctx.db.delete(args[1]);
+    ctx.db.set(args[2], value);
     if let Some(at) = ttl {
-        ctx.db.set_expire(&args[2], at);
+        ctx.db.set_expire(args[2], at);
     }
     if fail_if_target {
         Resp::Int(1)
@@ -123,15 +123,15 @@ fn rename_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], fail_if_target: bool)
     }
 }
 
-pub(super) fn rename(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn rename(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     rename_generic(ctx, args, false)
 }
 
-pub(super) fn renamenx(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn renamenx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     rename_generic(ctx, args, true)
 }
 
-pub(super) fn keys(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn keys(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let pattern = &args[1];
     let now = ctx.now_ms;
     let mut out: Vec<Vec<u8>> = ctx
@@ -148,7 +148,7 @@ pub(super) fn keys(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Array(out.into_iter().map(Resp::Bulk).collect())
 }
 
-pub(super) fn randomkey(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn randomkey(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let _ = args;
     // Retry a few times to skip expired-but-unreaped keys, as Redis does.
     for _ in 0..16 {
@@ -263,32 +263,32 @@ fn glob_at(mut p: &[u8], mut t: &[u8]) -> bool {
     t.is_empty()
 }
 
-pub(super) fn copy(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn copy(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let replace = match args.get(3) {
         None => false,
         Some(a) if a.eq_ignore_ascii_case(b"REPLACE") => true,
         Some(_) => return Resp::err("syntax error"),
     };
-    if !ctx.db.exists(&args[1], ctx.now_ms) {
+    if !ctx.db.exists(args[1], ctx.now_ms) {
         return Resp::Int(0);
     }
-    if !replace && ctx.db.exists(&args[2], ctx.now_ms) {
+    if !replace && ctx.db.exists(args[2], ctx.now_ms) {
         return Resp::Int(0);
     }
-    let ttl = ctx.db.expiry_of(&args[1]);
+    let ttl = ctx.db.expiry_of(args[1]);
     let value = ctx
         .db
-        .lookup_read(&args[1], ctx.now_ms)
+        .lookup_read(args[1], ctx.now_ms)
         .expect("checked exists")
         .clone();
-    ctx.db.set(&args[2], value);
+    ctx.db.set(args[2], value);
     if let Some(at) = ttl {
-        ctx.db.set_expire(&args[2], at);
+        ctx.db.set_expire(args[2], at);
     }
     Resp::Int(1)
 }
 
-pub(super) fn object(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn object(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     if !args[1].eq_ignore_ascii_case(b"ENCODING") {
         return Resp::err("unknown OBJECT subcommand (only ENCODING is supported)");
     }

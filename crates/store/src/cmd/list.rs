@@ -37,8 +37,8 @@ fn reap_if_empty(ctx: &mut ExecCtx<'_>, key: &[u8]) {
     }
 }
 
-fn push_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], front: bool, create: bool) -> Resp {
-    let list = match with_list(ctx, &args[1], create) {
+fn push_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], front: bool, create: bool) -> Resp {
+    let list = match with_list(ctx, args[1], create) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::Int(0), // LPUSHX/RPUSHX on missing key
         Err(e) => return e,
@@ -55,23 +55,23 @@ fn push_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], front: bool, create: bo
     Resp::Int(len as i64)
 }
 
-pub(super) fn lpush(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn lpush(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     push_generic(ctx, args, true, true)
 }
 
-pub(super) fn rpush(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn rpush(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     push_generic(ctx, args, false, true)
 }
 
-pub(super) fn lpushx(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn lpushx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     push_generic(ctx, args, true, false)
 }
 
-pub(super) fn rpushx(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn rpushx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     push_generic(ctx, args, false, false)
 }
 
-fn pop_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], front: bool) -> Resp {
+fn pop_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], front: bool) -> Resp {
     let count = match args.get(2) {
         None => None,
         Some(arg) => match parse_i64(arg) {
@@ -80,7 +80,7 @@ fn pop_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], front: bool) -> Resp {
             Err(e) => return e,
         },
     };
-    let list = match with_list(ctx, &args[1], false) {
+    let list = match with_list(ctx, args[1], false) {
         Ok(Some(l)) => l,
         Ok(None) => {
             return if count.is_some() {
@@ -105,7 +105,7 @@ fn pop_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], front: bool) -> Resp {
         }
     }
     ctx.db.mark_dirty(popped.len() as u64);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     match count {
         None => match popped.into_iter().next() {
             Some(v) => Resp::Bulk(v.into_vec()),
@@ -120,16 +120,16 @@ fn pop_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], front: bool) -> Resp {
     }
 }
 
-pub(super) fn lpop(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn lpop(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     pop_generic(ctx, args, true)
 }
 
-pub(super) fn rpop(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn rpop(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     pop_generic(ctx, args, false)
 }
 
-pub(super) fn llen(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_list(ctx, &args[1], false) {
+pub(super) fn llen(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_list(ctx, args[1], false) {
         Ok(Some(l)) => Resp::Int(l.len() as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
@@ -150,12 +150,12 @@ fn clamp_range(start: i64, stop: i64, len: usize) -> Option<(usize, usize)> {
     }
 }
 
-pub(super) fn lrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let (start, stop) = match (parse_i64(&args[2]), parse_i64(&args[3])) {
+pub(super) fn lrange(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let (start, stop) = match (parse_i64(args[2]), parse_i64(args[3])) {
         (Ok(s), Ok(e)) => (s, e),
         (Err(e), _) | (_, Err(e)) => return e,
     };
-    let list = match with_list(ctx, &args[1], false) {
+    let list = match with_list(ctx, args[1], false) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::Array(Vec::new()),
         Err(e) => return e,
@@ -172,12 +172,12 @@ pub(super) fn lrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn lindex(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let idx = match parse_i64(&args[2]) {
+pub(super) fn lindex(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let idx = match parse_i64(args[2]) {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let list = match with_list(ctx, &args[1], false) {
+    let list = match with_list(ctx, args[1], false) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::NullBulk,
         Err(e) => return e,
@@ -194,13 +194,13 @@ pub(super) fn lindex(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn lset(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let idx = match parse_i64(&args[2]) {
+pub(super) fn lset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let idx = match parse_i64(args[2]) {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let value = Sds::from_bytes(&args[3]);
-    let list = match with_list(ctx, &args[1], false) {
+    let value = Sds::from_bytes(args[3]);
+    let list = match with_list(ctx, args[1], false) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::err("no such key"),
         Err(e) => return e,
@@ -218,12 +218,12 @@ pub(super) fn lset(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::ok()
 }
 
-pub(super) fn ltrim(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let (start, stop) = match (parse_i64(&args[2]), parse_i64(&args[3])) {
+pub(super) fn ltrim(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let (start, stop) = match (parse_i64(args[2]), parse_i64(args[3])) {
         (Ok(s), Ok(e)) => (s, e),
         (Err(e), _) | (_, Err(e)) => return e,
     };
-    let list = match with_list(ctx, &args[1], false) {
+    let list = match with_list(ctx, args[1], false) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::ok(),
         Err(e) => return e,
@@ -236,17 +236,17 @@ pub(super) fn ltrim(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         None => list.clear(),
     }
     ctx.db.mark_dirty(1);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     Resp::ok()
 }
 
-pub(super) fn lrem(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let count = match parse_i64(&args[2]) {
+pub(super) fn lrem(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let count = match parse_i64(args[2]) {
         Ok(v) => v,
         Err(e) => return e,
     };
     let needle = &args[3];
-    let list = match with_list(ctx, &args[1], false) {
+    let list = match with_list(ctx, args[1], false) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -278,14 +278,14 @@ pub(super) fn lrem(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         }
     }
     ctx.db.mark_dirty(removed as u64);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     Resp::Int(removed as i64)
 }
 
-pub(super) fn rpoplpush(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn rpoplpush(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     // Pop from the source tail.
     let value = {
-        let src = match with_list(ctx, &args[1], false) {
+        let src = match with_list(ctx, args[1], false) {
             Ok(Some(l)) => l,
             Ok(None) => return Resp::NullBulk,
             Err(e) => return e,
@@ -295,9 +295,9 @@ pub(super) fn rpoplpush(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
             None => return Resp::NullBulk,
         }
     };
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     // Push onto the destination head (creating it; type errors push back).
-    match with_list(ctx, &args[2], true) {
+    match with_list(ctx, args[2], true) {
         Ok(Some(dst)) => {
             dst.push_front(value.clone());
             ctx.db.mark_dirty(2);
@@ -306,7 +306,7 @@ pub(super) fn rpoplpush(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         Ok(None) => unreachable!("create=true"),
         Err(e) => {
             // Destination has the wrong type: restore the source element.
-            if let Ok(Some(src)) = with_list(ctx, &args[1], true) {
+            if let Ok(Some(src)) = with_list(ctx, args[1], true) {
                 src.push_back(value);
             }
             e
@@ -314,8 +314,8 @@ pub(super) fn rpoplpush(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn lpos(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let needle = args[2].clone();
+pub(super) fn lpos(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let needle = args[2];
     let mut rank = 1i64;
     let mut i = 3;
     while i < args.len() {
@@ -333,7 +333,7 @@ pub(super) fn lpos(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         }
         i += 1;
     }
-    let list = match with_list(ctx, &args[1], false) {
+    let list = match with_list(ctx, args[1], false) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::NullBulk,
         Err(e) => return e,
@@ -342,7 +342,7 @@ pub(super) fn lpos(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     let want = rank.unsigned_abs() as i64;
     if rank > 0 {
         for (idx, item) in list.iter().enumerate() {
-            if item.as_bytes() == &needle[..] {
+            if item.as_bytes() == needle {
                 matches_seen += 1;
                 if matches_seen == want {
                     return Resp::Int(idx as i64);
@@ -351,7 +351,7 @@ pub(super) fn lpos(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         }
     } else {
         for (idx, item) in list.iter().enumerate().rev() {
-            if item.as_bytes() == &needle[..] {
+            if item.as_bytes() == needle {
                 matches_seen += 1;
                 if matches_seen == want {
                     return Resp::Int(idx as i64);

@@ -58,7 +58,7 @@ impl ExecCtx<'_> {
     }
 }
 
-type Handler = fn(&mut ExecCtx<'_>, &[Vec<u8>]) -> Resp;
+type Handler = fn(&mut ExecCtx<'_>, &[&[u8]]) -> Resp;
 
 /// A command table entry.
 pub struct CommandSpec {
@@ -221,13 +221,29 @@ pub static COMMANDS: &[CommandSpec] = &[
 
 /// Look up a command by (case-insensitive) name.
 pub fn lookup(name: &[u8]) -> Option<&'static CommandSpec> {
-    let upper: Vec<u8> = name.iter().map(u8::to_ascii_uppercase).collect();
-    COMMANDS.iter().find(|c| c.name.as_bytes() == upper)
+    COMMANDS
+        .iter()
+        .find(|c| c.name.as_bytes().eq_ignore_ascii_case(name))
+}
+
+/// Longest name [`upper_name`] folds; no command or option word is longer.
+pub const MAX_NAME_LEN: usize = 24;
+
+/// Upper-case `name` into `buf`, so callers can `match` a command or option
+/// word against byte literals case-insensitively without allocating. A
+/// name longer than any known word comes back empty and matches nothing.
+pub fn upper_name<'b>(name: &[u8], buf: &'b mut [u8; MAX_NAME_LEN]) -> &'b [u8] {
+    let Some(folded) = buf.get_mut(..name.len()) else {
+        return &[];
+    };
+    folded.copy_from_slice(name);
+    folded.make_ascii_uppercase();
+    folded
 }
 
 /// Dispatch a parsed command. Arity and existence checks mirror Redis's
 /// `processCommand`.
-pub fn dispatch(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> (Resp, Option<&'static CommandSpec>) {
+pub fn dispatch(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> (Resp, Option<&'static CommandSpec>) {
     let Some(first) = args.first() else {
         return (Resp::err("empty command"), None);
     };
@@ -297,7 +313,7 @@ mod tests {
             now_ms: 0,
             rng_state: &mut rng,
         };
-        let argv: Vec<Vec<u8>> = args.iter().map(|s| s.as_bytes().to_vec()).collect();
+        let argv: Vec<&[u8]> = args.iter().map(|s| s.as_bytes()).collect();
         dispatch(&mut ctx, &argv).0
     }
 
@@ -307,6 +323,16 @@ mod tests {
         assert!(lookup(b"SET").is_some());
         assert!(lookup(b"SeT").is_some());
         assert!(lookup(b"nope").is_none());
+    }
+
+    #[test]
+    fn upper_name_folds_without_allocating_and_bounds_length() {
+        let mut buf = [0u8; MAX_NAME_LEN];
+        assert_eq!(upper_name(b"mSetNx", &mut buf), b"MSETNX");
+        assert_eq!(upper_name(b"", &mut buf), b"");
+        assert_eq!(upper_name(&[b'a'; MAX_NAME_LEN + 1], &mut buf), b"");
+        let longest = COMMANDS.iter().map(|c| c.name.len()).max().unwrap();
+        assert!(longest <= MAX_NAME_LEN, "{longest}-byte command name");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use super::{format_f64, parse_i64, ExecCtx};
 use crate::object::{RObj, SetObj};
 use crate::resp::Resp;
 
-fn parse_scan_options(args: &[Vec<u8>]) -> Result<(Option<Vec<u8>>, usize), Resp> {
+fn parse_scan_options<'a>(args: &[&'a [u8]]) -> Result<(Option<&'a [u8]>, usize), Resp> {
     let mut pattern = None;
     let mut count = 10usize;
     let mut i = 0;
@@ -18,11 +18,7 @@ fn parse_scan_options(args: &[Vec<u8>]) -> Result<(Option<Vec<u8>>, usize), Resp
         match args[i].to_ascii_uppercase().as_slice() {
             b"MATCH" => {
                 i += 1;
-                pattern = Some(
-                    args.get(i)
-                        .ok_or_else(|| Resp::err("syntax error"))?
-                        .clone(),
-                );
+                pattern = Some(*args.get(i).ok_or_else(|| Resp::err("syntax error"))?);
             }
             b"COUNT" => {
                 i += 1;
@@ -53,8 +49,8 @@ fn parse_cursor(arg: &[u8]) -> Result<u64, Resp> {
         .ok_or_else(|| Resp::err("invalid cursor"))
 }
 
-pub(super) fn scan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let mut cursor = match parse_cursor(&args[1]) {
+pub(super) fn scan(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let mut cursor = match parse_cursor(args[1]) {
         Ok(c) => c,
         Err(e) => return e,
     };
@@ -66,7 +62,7 @@ pub(super) fn scan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     let mut keys = Vec::new();
     for _ in 0..count {
         cursor = ctx.db.scan_step(cursor, |k, _| {
-            if pattern.as_deref().is_none_or(|p| glob_match(p, k)) {
+            if pattern.is_none_or(|p| glob_match(p, k)) {
                 keys.push(k.to_vec());
             }
         });
@@ -79,8 +75,8 @@ pub(super) fn scan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     scan_reply(cursor, keys)
 }
 
-pub(super) fn hscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let mut cursor = match parse_cursor(&args[2]) {
+pub(super) fn hscan(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let mut cursor = match parse_cursor(args[2]) {
         Ok(c) => c,
         Err(e) => return e,
     };
@@ -88,7 +84,7 @@ pub(super) fn hscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let hash = match ctx.db.lookup_read(&args[1], ctx.now_ms) {
+    let hash = match ctx.db.lookup_read(args[1], ctx.now_ms) {
         None => return scan_reply(0, Vec::new()),
         Some(RObj::Hash(h)) => h,
         Some(_) => return Resp::wrongtype(),
@@ -96,7 +92,7 @@ pub(super) fn hscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     let mut items = Vec::new();
     for _ in 0..count {
         cursor = hash.scan(cursor, |f, v| {
-            if pattern.as_deref().is_none_or(|p| glob_match(p, f)) {
+            if pattern.is_none_or(|p| glob_match(p, f)) {
                 items.push(f.to_vec());
                 items.push(v.as_bytes().to_vec());
             }
@@ -108,8 +104,8 @@ pub(super) fn hscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     scan_reply(cursor, items)
 }
 
-pub(super) fn sscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let mut cursor = match parse_cursor(&args[2]) {
+pub(super) fn sscan(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let mut cursor = match parse_cursor(args[2]) {
         Ok(c) => c,
         Err(e) => return e,
     };
@@ -117,7 +113,7 @@ pub(super) fn sscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let set = match ctx.db.lookup_read(&args[1], ctx.now_ms) {
+    let set = match ctx.db.lookup_read(args[1], ctx.now_ms) {
         None => return scan_reply(0, Vec::new()),
         Some(RObj::Set(s)) => s,
         Some(_) => return Resp::wrongtype(),
@@ -128,7 +124,7 @@ pub(super) fn sscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
             let items = ints
                 .iter()
                 .map(|v| v.to_string().into_bytes())
-                .filter(|m| pattern.as_deref().is_none_or(|p| glob_match(p, m)))
+                .filter(|m| pattern.is_none_or(|p| glob_match(p, m)))
                 .collect();
             scan_reply(0, items)
         }
@@ -136,7 +132,7 @@ pub(super) fn sscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
             let mut items = Vec::new();
             for _ in 0..count {
                 cursor = d.scan(cursor, |m, _| {
-                    if pattern.as_deref().is_none_or(|p| glob_match(p, m)) {
+                    if pattern.is_none_or(|p| glob_match(p, m)) {
                         items.push(m.to_vec());
                     }
                 });
@@ -149,8 +145,8 @@ pub(super) fn sscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn zscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let mut cursor = match parse_cursor(&args[2]) {
+pub(super) fn zscan(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let mut cursor = match parse_cursor(args[2]) {
         Ok(c) => c,
         Err(e) => return e,
     };
@@ -158,7 +154,7 @@ pub(super) fn zscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let zset = match ctx.db.lookup_read(&args[1], ctx.now_ms) {
+    let zset = match ctx.db.lookup_read(args[1], ctx.now_ms) {
         None => return scan_reply(0, Vec::new()),
         Some(RObj::ZSet(z)) => z,
         Some(_) => return Resp::wrongtype(),
@@ -166,7 +162,7 @@ pub(super) fn zscan(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     let mut items = Vec::new();
     for _ in 0..count {
         cursor = zset.scan(cursor, |m, score| {
-            if pattern.as_deref().is_none_or(|p| glob_match(p, m)) {
+            if pattern.is_none_or(|p| glob_match(p, m)) {
                 items.push(m.to_vec());
                 items.push(format_f64(score).into_bytes());
             }

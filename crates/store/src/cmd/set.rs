@@ -31,8 +31,8 @@ fn reap_if_empty(ctx: &mut ExecCtx<'_>, key: &[u8]) {
     }
 }
 
-pub(super) fn sadd(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let set = match with_set(ctx, &args[1], true) {
+pub(super) fn sadd(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let set = match with_set(ctx, args[1], true) {
         Ok(Some(s)) => s,
         Ok(None) => unreachable!("create=true"),
         Err(e) => return e,
@@ -42,36 +42,36 @@ pub(super) fn sadd(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Int(added as i64)
 }
 
-pub(super) fn srem(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let set = match with_set(ctx, &args[1], false) {
+pub(super) fn srem(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let set = match with_set(ctx, args[1], false) {
         Ok(Some(s)) => s,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
     };
     let removed = args[2..].iter().filter(|m| set.remove(m)).count();
     ctx.db.mark_dirty(removed as u64);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     Resp::Int(removed as i64)
 }
 
-pub(super) fn scard(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_set(ctx, &args[1], false) {
+pub(super) fn scard(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_set(ctx, args[1], false) {
         Ok(Some(s)) => Resp::Int(s.len() as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
     }
 }
 
-pub(super) fn sismember(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_set(ctx, &args[1], false) {
-        Ok(Some(s)) => Resp::Int(s.contains(&args[2]) as i64),
+pub(super) fn sismember(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_set(ctx, args[1], false) {
+        Ok(Some(s)) => Resp::Int(s.contains(args[2]) as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
     }
 }
 
-pub(super) fn smembers(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_set(ctx, &args[1], false) {
+pub(super) fn smembers(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_set(ctx, args[1], false) {
         Ok(Some(s)) => {
             let mut members = s.members();
             members.sort_unstable(); // deterministic reply order
@@ -82,7 +82,7 @@ pub(super) fn smembers(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn spop(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn spop(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let count = match args.get(2) {
         None => None,
         Some(arg) => match parse_i64(arg) {
@@ -93,7 +93,7 @@ pub(super) fn spop(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     };
     // Choose victims first (immutable pass), then remove.
     let victims: Vec<Vec<u8>> = {
-        let set = match with_set(ctx, &args[1], false) {
+        let set = match with_set(ctx, args[1], false) {
             Ok(Some(s)) => s,
             Ok(None) => {
                 return if count.is_some() {
@@ -115,7 +115,7 @@ pub(super) fn spop(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         out
     };
     {
-        let set = match with_set(ctx, &args[1], false) {
+        let set = match with_set(ctx, args[1], false) {
             Ok(Some(s)) => s,
             _ => unreachable!("set existed above"),
         };
@@ -124,7 +124,7 @@ pub(super) fn spop(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         }
     }
     ctx.db.mark_dirty(victims.len() as u64);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     match count {
         None => match victims.into_iter().next() {
             Some(v) => Resp::Bulk(v),
@@ -134,7 +134,7 @@ pub(super) fn spop(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn srandmember(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn srandmember(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let count = match args.get(2) {
         None => None,
         Some(arg) => match parse_i64(arg) {
@@ -142,7 +142,7 @@ pub(super) fn srandmember(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
             Err(e) => return e,
         },
     };
-    let members = match with_set(ctx, &args[1], false) {
+    let members = match with_set(ctx, args[1], false) {
         Ok(Some(s)) => {
             let mut m = s.members();
             m.sort_unstable();
@@ -213,10 +213,10 @@ fn members_of(ctx: &mut ExecCtx<'_>, key: &[u8]) -> Result<Vec<Vec<u8>>, Resp> {
 
 fn set_algebra(
     ctx: &mut ExecCtx<'_>,
-    keys: &[Vec<u8>],
+    keys: &[&[u8]],
     op: u8, // 0 = inter, 1 = union, 2 = diff
 ) -> Result<Vec<Vec<u8>>, Resp> {
-    let first = members_of(ctx, &keys[0])?;
+    let first = members_of(ctx, keys[0])?;
     let mut acc: std::collections::BTreeSet<Vec<u8>> = first.into_iter().collect();
     for key in &keys[1..] {
         let other: std::collections::BTreeSet<Vec<u8>> =
@@ -251,67 +251,67 @@ fn algebra_store(ctx: &mut ExecCtx<'_>, dest: &[u8], members: Vec<Vec<u8>>) -> R
     Resp::Int(n as i64)
 }
 
-pub(super) fn sinter(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn sinter(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     match set_algebra(ctx, &args[1..], 0) {
         Ok(m) => algebra_reply(m),
         Err(e) => e,
     }
 }
 
-pub(super) fn sunion(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn sunion(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     match set_algebra(ctx, &args[1..], 1) {
         Ok(m) => algebra_reply(m),
         Err(e) => e,
     }
 }
 
-pub(super) fn sdiff(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn sdiff(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     match set_algebra(ctx, &args[1..], 2) {
         Ok(m) => algebra_reply(m),
         Err(e) => e,
     }
 }
 
-pub(super) fn sinterstore(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn sinterstore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     match set_algebra(ctx, &args[2..], 0) {
-        Ok(m) => algebra_store(ctx, &args[1], m),
+        Ok(m) => algebra_store(ctx, args[1], m),
         Err(e) => e,
     }
 }
 
-pub(super) fn sunionstore(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn sunionstore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     match set_algebra(ctx, &args[2..], 1) {
-        Ok(m) => algebra_store(ctx, &args[1], m),
+        Ok(m) => algebra_store(ctx, args[1], m),
         Err(e) => e,
     }
 }
 
-pub(super) fn sdiffstore(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn sdiffstore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     match set_algebra(ctx, &args[2..], 2) {
-        Ok(m) => algebra_store(ctx, &args[1], m),
+        Ok(m) => algebra_store(ctx, args[1], m),
         Err(e) => e,
     }
 }
 
-pub(super) fn smove(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let member = args[3].clone();
+pub(super) fn smove(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let member = args[3];
     // Check the source first.
-    let removed = match with_set(ctx, &args[1], false) {
-        Ok(Some(s)) => s.remove(&member),
+    let removed = match with_set(ctx, args[1], false) {
+        Ok(Some(s)) => s.remove(member),
         Ok(None) => false,
         Err(e) => return e,
     };
     if !removed {
         // Still must type-check the destination, as Redis does.
-        if let Err(e) = with_set(ctx, &args[2], false) {
+        if let Err(e) = with_set(ctx, args[2], false) {
             return e;
         }
         return Resp::Int(0);
     }
-    reap_if_empty(ctx, &args[1]);
-    match with_set(ctx, &args[2], true) {
+    reap_if_empty(ctx, args[1]);
+    match with_set(ctx, args[2], true) {
         Ok(Some(d)) => {
-            d.add(&member);
+            d.add(member);
             ctx.db.mark_dirty(1);
             Resp::Int(1)
         }

@@ -1,7 +1,7 @@
 //! String commands (`SET`, `GET`, `INCR`, …) — the workload the paper's
 //! evaluation drives (`redis-benchmark` SET/GET).
 
-use super::{parse_i64, ExecCtx};
+use super::{parse_i64, upper_name, ExecCtx, MAX_NAME_LEN};
 use crate::object::RObj;
 use crate::resp::Resp;
 use crate::sds::Sds;
@@ -15,7 +15,7 @@ fn get_string(ctx: &mut ExecCtx<'_>, key: &[u8]) -> Result<Option<Vec<u8>>, Resp
     }
 }
 
-pub(super) fn set(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn set(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let key = &args[1];
     let val = &args[2];
     let mut expire_at: Option<u64> = None;
@@ -25,8 +25,9 @@ pub(super) fn set(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
 
     let mut i = 3;
     while i < args.len() {
-        let opt = args[i].to_ascii_uppercase();
-        match opt.as_slice() {
+        let mut folded = [0u8; MAX_NAME_LEN];
+        let opt = upper_name(args[i], &mut folded);
+        match opt {
             b"NX" => nx = true,
             b"XX" => xx = true,
             b"KEEPTTL" => keepttl = true,
@@ -66,95 +67,95 @@ pub(super) fn set(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::ok()
 }
 
-pub(super) fn setnx(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    if ctx.db.exists(&args[1], ctx.now_ms) {
+pub(super) fn setnx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    if ctx.db.exists(args[1], ctx.now_ms) {
         Resp::Int(0)
     } else {
-        ctx.db.set(&args[1], RObj::string(&args[2]));
+        ctx.db.set(args[1], RObj::string(args[2]));
         Resp::Int(1)
     }
 }
 
-fn setex_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], unit_ms: u64) -> Resp {
-    let secs = match parse_i64(&args[2]) {
+fn setex_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], unit_ms: u64) -> Resp {
+    let secs = match parse_i64(args[2]) {
         Ok(v) if v > 0 => v as u64,
         Ok(_) => return Resp::err("invalid expire time in 'setex' command"),
         Err(e) => return e,
     };
-    ctx.db.set(&args[1], RObj::string(&args[3]));
-    ctx.db.set_expire(&args[1], ctx.now_ms + secs * unit_ms);
+    ctx.db.set(args[1], RObj::string(args[3]));
+    ctx.db.set_expire(args[1], ctx.now_ms + secs * unit_ms);
     Resp::ok()
 }
 
-pub(super) fn setex(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn setex(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     setex_generic(ctx, args, 1000)
 }
 
-pub(super) fn psetex(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn psetex(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     setex_generic(ctx, args, 1)
 }
 
-pub(super) fn get(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match get_string(ctx, &args[1]) {
+pub(super) fn get(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match get_string(ctx, args[1]) {
         Ok(Some(bytes)) => Resp::Bulk(bytes),
         Ok(None) => Resp::NullBulk,
         Err(e) => e,
     }
 }
 
-pub(super) fn getset(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let old = match get_string(ctx, &args[1]) {
+pub(super) fn getset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let old = match get_string(ctx, args[1]) {
         Ok(v) => v,
         Err(e) => return e,
     };
-    ctx.db.set(&args[1], RObj::string(&args[2]));
+    ctx.db.set(args[1], RObj::string(args[2]));
     match old {
         Some(bytes) => Resp::Bulk(bytes),
         None => Resp::NullBulk,
     }
 }
 
-pub(super) fn getdel(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let old = match get_string(ctx, &args[1]) {
+pub(super) fn getdel(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let old = match get_string(ctx, args[1]) {
         Ok(v) => v,
         Err(e) => return e,
     };
     match old {
         Some(bytes) => {
-            ctx.db.delete(&args[1]);
+            ctx.db.delete(args[1]);
             Resp::Bulk(bytes)
         }
         None => Resp::NullBulk,
     }
 }
 
-pub(super) fn mset(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn mset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     if args.len() % 2 != 1 {
         return Resp::err("wrong number of arguments for MSET");
     }
     for pair in args[1..].chunks_exact(2) {
-        ctx.db.set(&pair[0], RObj::string(&pair[1]));
+        ctx.db.set(pair[0], RObj::string(pair[1]));
     }
     Resp::ok()
 }
 
-pub(super) fn msetnx(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn msetnx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     if args.len() % 2 != 1 {
         return Resp::err("wrong number of arguments for MSETNX");
     }
     let any_exists = args[1..]
         .chunks_exact(2)
-        .any(|pair| ctx.db.exists(&pair[0], ctx.now_ms));
+        .any(|pair| ctx.db.exists(pair[0], ctx.now_ms));
     if any_exists {
         return Resp::Int(0);
     }
     for pair in args[1..].chunks_exact(2) {
-        ctx.db.set(&pair[0], RObj::string(&pair[1]));
+        ctx.db.set(pair[0], RObj::string(pair[1]));
     }
     Resp::Int(1)
 }
 
-pub(super) fn mget(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn mget(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     Resp::Array(
         args[1..]
             .iter()
@@ -166,32 +167,32 @@ pub(super) fn mget(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     )
 }
 
-pub(super) fn append(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match ctx.db.lookup_write(&args[1], ctx.now_ms) {
+pub(super) fn append(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match ctx.db.lookup_write(args[1], ctx.now_ms) {
         Some(RObj::Str(s)) => {
-            s.append(&args[2]);
+            s.append(args[2]);
             let len = s.len();
             ctx.db.mark_dirty(1);
             Resp::Int(len as i64)
         }
         Some(RObj::Int(v)) => {
             let mut s = Sds::from_vec(v.to_string().into_bytes());
-            s.append(&args[2]);
+            s.append(args[2]);
             let len = s.len();
-            ctx.db.set_keep_ttl(&args[1], RObj::Str(s));
+            ctx.db.set_keep_ttl(args[1], RObj::Str(s));
             Resp::Int(len as i64)
         }
         Some(_) => Resp::wrongtype(),
         None => {
             let len = args[2].len();
-            ctx.db.set(&args[1], RObj::Str(Sds::from_bytes(&args[2])));
+            ctx.db.set(args[1], RObj::Str(Sds::from_bytes(args[2])));
             Resp::Int(len as i64)
         }
     }
 }
 
-pub(super) fn strlen(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match get_string(ctx, &args[1]) {
+pub(super) fn strlen(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match get_string(ctx, args[1]) {
         Ok(Some(bytes)) => Resp::Int(bytes.len() as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
@@ -215,37 +216,37 @@ fn incr_generic(ctx: &mut ExecCtx<'_>, key: &[u8], delta: i64) -> Resp {
     Resp::Int(next)
 }
 
-pub(super) fn incr(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    incr_generic(ctx, &args[1], 1)
+pub(super) fn incr(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    incr_generic(ctx, args[1], 1)
 }
 
-pub(super) fn decr(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    incr_generic(ctx, &args[1], -1)
+pub(super) fn decr(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    incr_generic(ctx, args[1], -1)
 }
 
-pub(super) fn incrby(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match parse_i64(&args[2]) {
-        Ok(delta) => incr_generic(ctx, &args[1], delta),
+pub(super) fn incrby(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match parse_i64(args[2]) {
+        Ok(delta) => incr_generic(ctx, args[1], delta),
         Err(e) => e,
     }
 }
 
-pub(super) fn decrby(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match parse_i64(&args[2]) {
+pub(super) fn decrby(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match parse_i64(args[2]) {
         Ok(delta) => match delta.checked_neg() {
-            Some(neg) => incr_generic(ctx, &args[1], neg),
+            Some(neg) => incr_generic(ctx, args[1], neg),
             None => Resp::err("decrement would overflow"),
         },
         Err(e) => e,
     }
 }
 
-pub(super) fn getrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let (start, end) = match (parse_i64(&args[2]), parse_i64(&args[3])) {
+pub(super) fn getrange(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let (start, end) = match (parse_i64(args[2]), parse_i64(args[3])) {
         (Ok(s), Ok(e)) => (s, e),
         (Err(e), _) | (_, Err(e)) => return e,
     };
-    match get_string(ctx, &args[1]) {
+    match get_string(ctx, args[1]) {
         Ok(Some(bytes)) => {
             let s = Sds::from_vec(bytes);
             Resp::Bulk(s.get_range(start, end).to_vec())
@@ -255,24 +256,24 @@ pub(super) fn getrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn setrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let offset = match parse_i64(&args[2]) {
+pub(super) fn setrange(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let offset = match parse_i64(args[2]) {
         Ok(v) if v >= 0 => v as usize,
         Ok(_) => return Resp::err("offset is out of range"),
         Err(e) => return e,
     };
-    match ctx.db.lookup_write(&args[1], ctx.now_ms) {
+    match ctx.db.lookup_write(args[1], ctx.now_ms) {
         Some(RObj::Str(s)) => {
-            s.set_range(offset, &args[3]);
+            s.set_range(offset, args[3]);
             let len = s.len();
             ctx.db.mark_dirty(1);
             Resp::Int(len as i64)
         }
         Some(RObj::Int(v)) => {
             let mut s = Sds::from_vec(v.to_string().into_bytes());
-            s.set_range(offset, &args[3]);
+            s.set_range(offset, args[3]);
             let len = s.len();
-            ctx.db.set_keep_ttl(&args[1], RObj::Str(s));
+            ctx.db.set_keep_ttl(args[1], RObj::Str(s));
             Resp::Int(len as i64)
         }
         Some(_) => Resp::wrongtype(),
@@ -281,16 +282,16 @@ pub(super) fn setrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
                 return Resp::Int(0);
             }
             let mut s = Sds::new();
-            s.set_range(offset, &args[3]);
+            s.set_range(offset, args[3]);
             let len = s.len();
-            ctx.db.set(&args[1], RObj::Str(s));
+            ctx.db.set(args[1], RObj::Str(s));
             Resp::Int(len as i64)
         }
     }
 }
 
-pub(super) fn getex(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let value = match get_string(ctx, &args[1]) {
+pub(super) fn getex(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let value = match get_string(ctx, args[1]) {
         Ok(Some(v)) => v,
         Ok(None) => return Resp::NullBulk,
         Err(e) => return e,
@@ -299,7 +300,7 @@ pub(super) fn getex(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     match args.get(2).map(|a| a.to_ascii_uppercase()) {
         None => {}
         Some(opt) if opt == b"PERSIST" => {
-            ctx.db.persist(&args[1]);
+            ctx.db.persist(args[1]);
         }
         Some(opt) if opt == b"EX" || opt == b"PX" => {
             let Some(arg) = args.get(3) else {
@@ -311,19 +312,19 @@ pub(super) fn getex(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
                 Err(e) => return e,
             };
             let ms = if opt == b"EX" { v * 1000 } else { v };
-            ctx.db.set_expire(&args[1], ctx.now_ms + ms);
+            ctx.db.set_expire(args[1], ctx.now_ms + ms);
         }
         Some(_) => return Resp::err("syntax error"),
     }
     Resp::Bulk(value)
 }
 
-pub(super) fn incrbyfloat(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let delta = match super::parse_f64(&args[2]) {
+pub(super) fn incrbyfloat(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let delta = match super::parse_f64(args[2]) {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let current = match ctx.db.lookup_write(&args[1], ctx.now_ms) {
+    let current = match ctx.db.lookup_write(args[1], ctx.now_ms) {
         None => 0.0,
         Some(RObj::Int(v)) => *v as f64,
         Some(RObj::Str(s)) => match std::str::from_utf8(s.as_bytes())
@@ -341,6 +342,6 @@ pub(super) fn incrbyfloat(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
     let rendered = super::format_f64(next);
     ctx.db
-        .set_keep_ttl(&args[1], RObj::Str(Sds::from(rendered.as_str())));
+        .set_keep_ttl(args[1], RObj::Str(Sds::from(rendered.as_str())));
     Resp::Bulk(rendered.into_bytes())
 }

@@ -32,7 +32,7 @@ fn reap_if_empty(ctx: &mut ExecCtx<'_>, key: &[u8]) {
     }
 }
 
-pub(super) fn zadd(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn zadd(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     // Optional NX/XX/CH flags, then (score, member) pairs.
     let mut i = 2;
     let mut nx = false;
@@ -57,12 +57,12 @@ pub(super) fn zadd(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     // Validate all scores before mutating (Redis behaviour).
     let mut parsed = Vec::with_capacity(pairs.len() / 2);
     for pair in pairs.chunks_exact(2) {
-        match parse_f64(&pair[0]) {
+        match parse_f64(pair[0]) {
             Ok(score) => parsed.push((score, &pair[1])),
             Err(e) => return e,
         }
     }
-    let zset = match with_zset(ctx, &args[1], !xx) {
+    let zset = match with_zset(ctx, args[1], !xx) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Int(0), // XX on missing key
         Err(e) => return e,
@@ -91,13 +91,13 @@ pub(super) fn zadd(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         }
     }
     ctx.db.mark_dirty((added + changed) as u64);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     Resp::Int(if ch { added + changed } else { added })
 }
 
-pub(super) fn zscore(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_zset(ctx, &args[1], false) {
-        Ok(Some(z)) => match z.score(&args[2]) {
+pub(super) fn zscore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_zset(ctx, args[1], false) {
+        Ok(Some(z)) => match z.score(args[2]) {
             Some(s) => Resp::Bulk(format_f64(s).into_bytes()),
             None => Resp::NullBulk,
         },
@@ -106,29 +106,29 @@ pub(super) fn zscore(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn zcard(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_zset(ctx, &args[1], false) {
+pub(super) fn zcard(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_zset(ctx, args[1], false) {
         Ok(Some(z)) => Resp::Int(z.len() as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
     }
 }
 
-pub(super) fn zrem(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let zset = match with_zset(ctx, &args[1], false) {
+pub(super) fn zrem(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let zset = match with_zset(ctx, args[1], false) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
     };
     let removed = args[2..].iter().filter(|m| zset.remove(m)).count();
     ctx.db.mark_dirty(removed as u64);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     Resp::Int(removed as i64)
 }
 
-pub(super) fn zrank(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    match with_zset(ctx, &args[1], false) {
-        Ok(Some(z)) => match z.rank(&args[2]) {
+pub(super) fn zrank(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    match with_zset(ctx, args[1], false) {
+        Ok(Some(z)) => match z.rank(args[2]) {
             Some(r) => Resp::Int(r as i64),
             None => Resp::NullBulk,
         },
@@ -137,8 +137,8 @@ pub(super) fn zrank(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     }
 }
 
-pub(super) fn zrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let (start, stop) = match (parse_i64(&args[2]), parse_i64(&args[3])) {
+pub(super) fn zrange(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let (start, stop) = match (parse_i64(args[2]), parse_i64(args[3])) {
         (Ok(s), Ok(e)) => (s, e),
         (Err(e), _) | (_, Err(e)) => return e,
     };
@@ -147,7 +147,7 @@ pub(super) fn zrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         Some(a) if a.eq_ignore_ascii_case(b"WITHSCORES") => true,
         Some(_) => return Resp::err("syntax error"),
     };
-    let zset = match with_zset(ctx, &args[1], false) {
+    let zset = match with_zset(ctx, args[1], false) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Array(Vec::new()),
         Err(e) => return e,
@@ -170,8 +170,8 @@ pub(super) fn zrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Array(out)
 }
 
-pub(super) fn zrangebyscore(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let (min, max) = match (parse_score_bound(&args[2]), parse_score_bound(&args[3])) {
+pub(super) fn zrangebyscore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let (min, max) = match (parse_score_bound(args[2]), parse_score_bound(args[3])) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => return e,
     };
@@ -180,7 +180,7 @@ pub(super) fn zrangebyscore(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         Some(a) if a.eq_ignore_ascii_case(b"WITHSCORES") => true,
         Some(_) => return Resp::err("syntax error"),
     };
-    let zset = match with_zset(ctx, &args[1], false) {
+    let zset = match with_zset(ctx, args[1], false) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Array(Vec::new()),
         Err(e) => return e,
@@ -199,12 +199,12 @@ pub(super) fn zrangebyscore(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Array(out)
 }
 
-pub(super) fn zcount(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let (min, max) = match (parse_score_bound(&args[2]), parse_score_bound(&args[3])) {
+pub(super) fn zcount(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let (min, max) = match (parse_score_bound(args[2]), parse_score_bound(args[3])) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => return e,
     };
-    let zset = match with_zset(ctx, &args[1], false) {
+    let zset = match with_zset(ctx, args[1], false) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -217,21 +217,21 @@ pub(super) fn zcount(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Int(n as i64)
 }
 
-pub(super) fn zincrby(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let delta = match parse_f64(&args[2]) {
+pub(super) fn zincrby(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let delta = match parse_f64(args[2]) {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let zset = match with_zset(ctx, &args[1], true) {
+    let zset = match with_zset(ctx, args[1], true) {
         Ok(Some(z)) => z,
         Ok(None) => unreachable!("create=true"),
         Err(e) => return e,
     };
-    let next = zset.score(&args[3]).unwrap_or(0.0) + delta;
+    let next = zset.score(args[3]).unwrap_or(0.0) + delta;
     if next.is_nan() {
         return Resp::err("resulting score is not a number (NaN)");
     }
-    zset.add(&args[3], next);
+    zset.add(args[3], next);
     ctx.db.mark_dirty(1);
     Resp::Bulk(format_f64(next).into_bytes())
 }
@@ -250,8 +250,8 @@ fn bound_err() -> Resp {
     Resp::err("min or max is not a float")
 }
 
-pub(super) fn zrevrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let (start, stop) = match (parse_i64(&args[2]), parse_i64(&args[3])) {
+pub(super) fn zrevrange(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let (start, stop) = match (parse_i64(args[2]), parse_i64(args[3])) {
         (Ok(s), Ok(e)) => (s, e),
         (Err(e), _) | (_, Err(e)) => return e,
     };
@@ -260,7 +260,7 @@ pub(super) fn zrevrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         Some(a) if a.eq_ignore_ascii_case(b"WITHSCORES") => true,
         Some(_) => return Resp::err("syntax error"),
     };
-    let zset = match with_zset(ctx, &args[1], false) {
+    let zset = match with_zset(ctx, args[1], false) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Array(Vec::new()),
         Err(e) => return e,
@@ -288,7 +288,7 @@ pub(super) fn zrevrange(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
     Resp::Array(out)
 }
 
-fn zpop_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], min: bool) -> Resp {
+fn zpop_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], min: bool) -> Resp {
     let count = match args.get(2) {
         None => 1usize,
         Some(arg) => match parse_i64(arg) {
@@ -297,7 +297,7 @@ fn zpop_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], min: bool) -> Resp {
             Err(e) => return e,
         },
     };
-    let zset = match with_zset(ctx, &args[1], false) {
+    let zset = match with_zset(ctx, args[1], false) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Array(Vec::new()),
         Err(e) => return e,
@@ -318,24 +318,24 @@ fn zpop_generic(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>], min: bool) -> Resp {
         out.push(Resp::Bulk(format_f64(*score).into_bytes()));
     }
     ctx.db.mark_dirty(victims.len() as u64);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     Resp::Array(out)
 }
 
-pub(super) fn zpopmin(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn zpopmin(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     zpop_generic(ctx, args, true)
 }
 
-pub(super) fn zpopmax(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
+pub(super) fn zpopmax(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     zpop_generic(ctx, args, false)
 }
 
-pub(super) fn zremrangebyscore(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let (min, max) = match (parse_score_bound(&args[2]), parse_score_bound(&args[3])) {
+pub(super) fn zremrangebyscore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let (min, max) = match (parse_score_bound(args[2]), parse_score_bound(args[3])) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => return e,
     };
-    let zset = match with_zset(ctx, &args[1], false) {
+    let zset = match with_zset(ctx, args[1], false) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -350,16 +350,16 @@ pub(super) fn zremrangebyscore(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp 
         zset.remove(m);
     }
     ctx.db.mark_dirty(victims.len() as u64);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     Resp::Int(victims.len() as i64)
 }
 
-pub(super) fn zremrangebyrank(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
-    let (start, stop) = match (parse_i64(&args[2]), parse_i64(&args[3])) {
+pub(super) fn zremrangebyrank(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    let (start, stop) = match (parse_i64(args[2]), parse_i64(args[3])) {
         (Ok(s), Ok(e)) => (s, e),
         (Err(e), _) | (_, Err(e)) => return e,
     };
-    let zset = match with_zset(ctx, &args[1], false) {
+    let zset = match with_zset(ctx, args[1], false) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -381,6 +381,6 @@ pub(super) fn zremrangebyrank(ctx: &mut ExecCtx<'_>, args: &[Vec<u8>]) -> Resp {
         zset.remove(m);
     }
     ctx.db.mark_dirty(victims.len() as u64);
-    reap_if_empty(ctx, &args[1]);
+    reap_if_empty(ctx, args[1]);
     Resp::Int(victims.len() as i64)
 }

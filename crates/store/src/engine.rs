@@ -7,7 +7,7 @@
 
 use crate::cmd::{self, CommandSpec, ExecCtx};
 use crate::db::Db;
-use crate::resp::Resp;
+use crate::resp::{Args, Resp};
 
 /// Outcome of executing one command.
 #[derive(Debug)]
@@ -61,10 +61,17 @@ impl Engine {
         &mut self.db
     }
 
-    /// Execute one parsed command at simulated time `now_ms`.
-    pub fn execute(&mut self, now_ms: u64, args: &[Vec<u8>]) -> ExecResult {
+    /// Execute one parsed command at simulated time `now_ms`. The
+    /// arguments are only borrowed — `&[&[u8]]` straight out of
+    /// [`crate::resp::parse_command`], or any owned list (`&[Vec<u8>]`).
+    pub fn execute<A: AsRef<[u8]>>(&mut self, now_ms: u64, args: &[A]) -> ExecResult {
+        let args: Args<'_> = args.iter().collect();
+        self.execute_borrowed(now_ms, &args)
+    }
+
+    fn execute_borrowed(&mut self, now_ms: u64, args: &[&[u8]]) -> ExecResult {
         let dirty_before = self.db.dirty();
-        let bytes_touched = args.iter().map(Vec::len).sum();
+        let bytes_touched = args.iter().map(|a| a.len()).sum();
         let (reply, spec) = {
             let mut ctx = ExecCtx {
                 db: &mut self.db,
@@ -83,8 +90,7 @@ impl Engine {
 
     /// Convenience: execute a command given as string slices (tests).
     pub fn exec_str(&mut self, now_ms: u64, parts: &[&str]) -> ExecResult {
-        let args: Vec<Vec<u8>> = parts.iter().map(|p| p.as_bytes().to_vec()).collect();
-        self.execute(now_ms, &args)
+        self.execute(now_ms, parts)
     }
 
     /// One cron tick: active expire cycle plus incremental-rehash work —

@@ -69,7 +69,7 @@ impl SetObj {
     pub fn add(&mut self, member: &[u8]) -> bool {
         match self {
             SetObj::Ints(ints) => {
-                if let Some(v) = Sds::from_bytes(member).parse_i64() {
+                if let Some(v) = crate::sds::parse_i64(member) {
                     let added = ints.insert(v);
                     if ints.len() > SET_MAX_INTSET_ENTRIES {
                         self.convert_to_dict();
@@ -87,7 +87,7 @@ impl SetObj {
     /// Remove a member. Returns true if it was present.
     pub fn remove(&mut self, member: &[u8]) -> bool {
         match self {
-            SetObj::Ints(ints) => match Sds::from_bytes(member).parse_i64() {
+            SetObj::Ints(ints) => match crate::sds::parse_i64(member) {
                 Some(v) => ints.remove(v),
                 None => false,
             },
@@ -98,9 +98,7 @@ impl SetObj {
     /// Membership test.
     pub fn contains(&self, member: &[u8]) -> bool {
         match self {
-            SetObj::Ints(ints) => Sds::from_bytes(member)
-                .parse_i64()
-                .is_some_and(|v| ints.contains(v)),
+            SetObj::Ints(ints) => crate::sds::parse_i64(member).is_some_and(|v| ints.contains(v)),
             SetObj::Dict(d) => d.contains(member),
         }
     }
@@ -234,8 +232,11 @@ pub enum RObj {
 
 impl RObj {
     /// Build a string object, using the integer encoding when possible.
+    ///
+    /// The integer test reads the borrowed bytes; a value that stays a
+    /// string is copied exactly once, into the object the keyspace keeps.
     pub fn string(bytes: &[u8]) -> RObj {
-        match Sds::from_bytes(bytes).parse_i64() {
+        match crate::sds::parse_i64(bytes) {
             Some(v) => RObj::Int(v),
             None => RObj::Str(Sds::from_bytes(bytes)),
         }
@@ -299,6 +300,26 @@ mod tests {
         assert!(matches!(RObj::string(b"012"), RObj::Str(_)));
         assert_eq!(RObj::string(b"99").as_string_bytes(), b"99");
         assert_eq!(RObj::string(b"abc").as_string_bytes(), b"abc");
+    }
+
+    #[test]
+    fn string_encoding_is_decided_on_the_borrowed_bytes() {
+        assert!(matches!(RObj::string(b"42"), RObj::Int(42)));
+        assert!(matches!(RObj::string(b"-7"), RObj::Int(-7)));
+        assert!(matches!(RObj::string(b"0"), RObj::Int(0)));
+        // Non-canonical decimals round-trip byte for byte only as strings.
+        for raw in [&b"-0"[..], b"007", b"", b"-", b"4 2"] {
+            assert!(matches!(RObj::string(raw), RObj::Str(_)), "{raw:?}");
+            assert_eq!(RObj::string(raw).as_string_bytes(), raw);
+        }
+        // 21 digits overflow i64: a string, not a truncated integer.
+        let wide = b"123456789012345678901";
+        assert!(matches!(RObj::string(wide), RObj::Str(_)));
+        assert!(matches!(
+            RObj::string(b"9223372036854775807"),
+            RObj::Int(i64::MAX)
+        ));
+        assert!(matches!(RObj::string(b"9223372036854775808"), RObj::Str(_)));
     }
 
     #[test]

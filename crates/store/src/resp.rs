@@ -6,13 +6,16 @@
 //! and reports how many bytes each frame used, so a transport can deliver
 //! arbitrary fragments.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Deref;
 
 /// A RESP2 value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Resp {
-    /// `+OK\r\n`
-    Simple(String),
+    /// `+OK\r\n` — borrowed for the fixed status words (`OK`, `PONG`,
+    /// type names), so the commonest reply of all costs no allocation.
+    Simple(Cow<'static, str>),
     /// `-ERR ...\r\n`
     Error(String),
     /// `:42\r\n`
@@ -41,7 +44,7 @@ pub enum Decoded {
 impl Resp {
     /// The canonical `+OK` reply.
     pub fn ok() -> Resp {
-        Resp::Simple("OK".into())
+        Resp::Simple(Cow::Borrowed("OK"))
     }
 
     /// An `-ERR`-prefixed error reply.
@@ -103,21 +106,13 @@ impl Resp {
             }
             Resp::Int(v) => {
                 out.push(b':');
-                out.extend_from_slice(v.to_string().as_bytes());
+                push_decimal(out, v.unsigned_abs(), *v < 0);
                 out.extend_from_slice(b"\r\n");
             }
-            Resp::Bulk(b) => {
-                out.push(b'$');
-                out.extend_from_slice(b.len().to_string().as_bytes());
-                out.extend_from_slice(b"\r\n");
-                out.extend_from_slice(b);
-                out.extend_from_slice(b"\r\n");
-            }
+            Resp::Bulk(b) => write_bulk(out, b),
             Resp::NullBulk => out.extend_from_slice(b"$-1\r\n"),
             Resp::Array(items) => {
-                out.push(b'*');
-                out.extend_from_slice(items.len().to_string().as_bytes());
-                out.extend_from_slice(b"\r\n");
+                write_array_len(out, items.len());
                 for item in items {
                     item.encode_into(out);
                 }
@@ -154,25 +149,214 @@ impl Resp {
     }
 }
 
+/// Append `magnitude` in decimal, with a leading `-` when `negative`.
+/// Every length prefix and integer reply goes through here, so none of
+/// them builds a `String` first.
+fn push_decimal(out: &mut Vec<u8>, mut magnitude: u64, negative: bool) {
+    // u64::MAX has 20 digits; one more for the sign.
+    let mut buf = [0u8; 21];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (magnitude % 10) as u8;
+        magnitude /= 10;
+        if magnitude == 0 {
+            break;
+        }
+    }
+    if negative {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Append the array header `*N\r\n` — with [`write_bulk`], all a sender
+/// needs to frame a command straight into its wire buffer.
+pub fn write_array_len(out: &mut Vec<u8>, len: usize) {
+    out.push(b'*');
+    push_decimal(out, len as u64, false);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Append `bytes` as a bulk string, `$N\r\n<bytes>\r\n`.
+pub fn write_bulk(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.push(b'$');
+    push_decimal(out, bytes.len() as u64, false);
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(bytes);
+    out.extend_from_slice(b"\r\n");
+}
+
+// ---------------------------------------------------------------------------
+// borrowed command parsing
+// ---------------------------------------------------------------------------
+
+/// Arguments a command may carry before [`Args`] spills to the heap.
+/// SET/GET/MSET-of-three and every fixed-arity command fit; only long
+/// variadic commands (a 5-key MSET, a wide SADD) pay one allocation.
+pub const INLINE_ARGS: usize = 8;
+
+/// The arguments of one command, borrowed from the bytes they arrived in.
+///
+/// Dereferences to `&[&[u8]]`, which is what [`crate::engine::Engine`] and
+/// the command handlers take: a node parses a frame once, in place, and
+/// nothing is copied until the store keeps a value.
+#[derive(Debug)]
+pub struct Args<'a> {
+    inline: [&'a [u8]; INLINE_ARGS],
+    /// Arguments held in `inline`; unused once `spill` is.
+    len: usize,
+    /// Every argument, once there are more than [`INLINE_ARGS`].
+    spill: Vec<&'a [u8]>,
+}
+
+impl<'a> Args<'a> {
+    /// No arguments yet.
+    pub fn new() -> Self {
+        Args {
+            inline: [&[]; INLINE_ARGS],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    /// Append one argument.
+    pub fn push(&mut self, arg: &'a [u8]) {
+        if !self.spill.is_empty() {
+            self.spill.push(arg);
+        } else if let Some(slot) = self.inline.get_mut(self.len) {
+            *slot = arg;
+            self.len += 1;
+        } else {
+            self.spill.reserve(2 * INLINE_ARGS);
+            self.spill.extend_from_slice(&self.inline);
+            self.spill.push(arg);
+        }
+    }
+
+    /// The arguments, command name first.
+    pub fn as_slice(&self) -> &[&'a [u8]] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl Default for Args<'_> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<'a> Deref for Args<'a> {
+    type Target = [&'a [u8]];
+    fn deref(&self) -> &Self::Target {
+        self.as_slice()
+    }
+}
+
+impl<'a, A: AsRef<[u8]> + 'a> FromIterator<&'a A> for Args<'a> {
+    /// Borrow an owned argument list (`&[Vec<u8>]`, `&[&str]`, …).
+    fn from_iter<I: IntoIterator<Item = &'a A>>(iter: I) -> Self {
+        let mut args = Args::new();
+        for arg in iter {
+            args.push(arg.as_ref());
+        }
+        args
+    }
+}
+
+/// Outcome of [`parse_command`]. The four cases are exactly the outcomes of
+/// [`Resp::decode`] followed by [`Resp::into_command_args`], messages
+/// included, so a node can answer a bad frame the way it always has.
+#[derive(Debug)]
+pub enum ParsedCommand<'a> {
+    /// A complete command and the bytes it consumed.
+    Command(Args<'a>, usize),
+    /// A complete frame of that many bytes which is not a command (not a
+    /// non-empty array of bulk strings), and why.
+    NotCommand(String, usize),
+    /// More bytes are needed.
+    Incomplete,
+    /// The input violates the protocol.
+    ProtocolError(String),
+}
+
+/// Parse one command frame from the front of `buf` without copying: the
+/// arguments are slices of `buf`.
+pub fn parse_command(buf: &[u8]) -> ParsedCommand<'_> {
+    if let Some((args, used)) = parse_bulk_array(buf) {
+        return ParsedCommand::Command(args, used);
+    }
+    // Truncated, malformed, or not a command: rare, so let the general
+    // decoder give the verdict (and its message) it always gave.
+    match Resp::decode(buf) {
+        Decoded::Frame(v, used) => {
+            // `parse_bulk_array` takes every non-empty array of bulk
+            // strings, so this frame is not one and the conversion fails.
+            let why = v.into_command_args().err().unwrap_or_default();
+            ParsedCommand::NotCommand(why, used)
+        }
+        Decoded::Incomplete => ParsedCommand::Incomplete,
+        Decoded::ProtocolError(e) => ParsedCommand::ProtocolError(e),
+    }
+}
+
+/// The fast path of [`parse_command`]: a complete, well-formed, non-empty
+/// array of non-null bulk strings, or `None` for anything else.
+fn parse_bulk_array(buf: &[u8]) -> Option<(Args<'_>, usize)> {
+    if *buf.first()? != b'*' {
+        return None;
+    }
+    let (count, mut at) = parse_int_line(buf, 1).ok()??;
+    if count <= 0 {
+        return None;
+    }
+    let mut args = Args::new();
+    for _ in 0..count {
+        if *buf.get(at)? != b'$' {
+            return None;
+        }
+        let (len, start) = parse_int_line(buf, at + 1).ok()??;
+        let end = start.checked_add(usize::try_from(len).ok()?)?;
+        if buf.get(end..end.checked_add(2)?)? != b"\r\n" {
+            return None;
+        }
+        args.push(buf.get(start..end)?);
+        at = end + 2;
+    }
+    Some((args, at))
+}
+
+// ---------------------------------------------------------------------------
+// general decoding
+// ---------------------------------------------------------------------------
+
 type ParseResult = Result<Option<(Resp, usize)>, String>;
+
+/// Deepest array nesting the decoder follows. Replies nest two or three
+/// levels; a frame of nothing but `*1\r\n` headers would otherwise recurse
+/// once per header and overflow the stack.
+const MAX_DEPTH: usize = 32;
 
 /// Find `\r\n` starting at `from`; return the index of `\r`.
 fn find_crlf(buf: &[u8], from: usize) -> Option<usize> {
-    buf[from..]
+    buf.get(from..)?
         .windows(2)
         .position(|w| w == b"\r\n")
         .map(|p| p + from)
 }
 
-fn parse_line(buf: &[u8], from: usize) -> Result<Option<(&[u8], usize)>, String> {
-    match find_crlf(buf, from) {
-        Some(cr) => Ok(Some((&buf[from..cr], cr + 2))),
-        None => Ok(None),
-    }
+fn parse_line(buf: &[u8], from: usize) -> Option<(&[u8], usize)> {
+    let cr = find_crlf(buf, from)?;
+    Some((buf.get(from..cr)?, cr + 2))
 }
 
 fn parse_int_line(buf: &[u8], from: usize) -> Result<Option<(i64, usize)>, String> {
-    let Some((line, next)) = parse_line(buf, from)? else {
+    let Some((line, next)) = parse_line(buf, from) else {
         return Ok(None);
     };
     let s = std::str::from_utf8(line).map_err(|_| "non-utf8 length".to_string())?;
@@ -180,18 +364,18 @@ fn parse_int_line(buf: &[u8], from: usize) -> Result<Option<(i64, usize)>, Strin
     Ok(Some((v, next)))
 }
 
-fn parse_at(buf: &[u8], at: usize) -> ParseResult {
-    if at >= buf.len() {
+fn parse_at(buf: &[u8], at: usize, depth: usize) -> ParseResult {
+    let Some(&type_byte) = buf.get(at) else {
         return Ok(None);
-    }
-    match buf[at] {
-        b'+' => Ok(parse_line(buf, at + 1)?.map(|(line, next)| {
+    };
+    match type_byte {
+        b'+' => Ok(parse_line(buf, at + 1).map(|(line, next)| {
             (
-                Resp::Simple(String::from_utf8_lossy(line).into_owned()),
+                Resp::Simple(String::from_utf8_lossy(line).into_owned().into()),
                 next,
             )
         })),
-        b'-' => Ok(parse_line(buf, at + 1)?.map(|(line, next)| {
+        b'-' => Ok(parse_line(buf, at + 1).map(|(line, next)| {
             (
                 Resp::Error(String::from_utf8_lossy(line).into_owned()),
                 next,
@@ -205,20 +389,20 @@ fn parse_at(buf: &[u8], at: usize) -> ParseResult {
             if len == -1 {
                 return Ok(Some((Resp::NullBulk, next)));
             }
-            if len < 0 {
-                return Err(format!("bad bulk length {len}"));
-            }
-            let len = len as usize;
-            if buf.len() < next + len + 2 {
+            // A length that cannot be a buffer offset is as bad as a
+            // negative one (and must not overflow the arithmetic below).
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| next.checked_add(len))
+                .filter(|end| end.checked_add(2).is_some())
+                .ok_or_else(|| format!("bad bulk length {len}"))?;
+            let Some(terminator) = buf.get(end..end + 2) else {
                 return Ok(None);
-            }
-            if &buf[next + len..next + len + 2] != b"\r\n" {
+            };
+            if terminator != b"\r\n" {
                 return Err("bulk string not CRLF-terminated".into());
             }
-            Ok(Some((
-                Resp::Bulk(buf[next..next + len].to_vec()),
-                next + len + 2,
-            )))
+            Ok(Some((Resp::Bulk(buf[next..end].to_vec()), end + 2)))
         }
         b'*' => {
             let Some((n, mut next)) = parse_int_line(buf, at + 1)? else {
@@ -230,9 +414,15 @@ fn parse_at(buf: &[u8], at: usize) -> ParseResult {
             if n < 0 {
                 return Err(format!("bad array length {n}"));
             }
-            let mut items = Vec::with_capacity(n as usize);
+            if depth >= MAX_DEPTH {
+                return Err("array nesting too deep".into());
+            }
+            // The claimed count is the sender's; reserve no more than the
+            // bytes present could hold (an element is at least 3 bytes).
+            let claimed = usize::try_from(n).unwrap_or(usize::MAX);
+            let mut items = Vec::with_capacity(claimed.min((buf.len() - next) / 3));
             for _ in 0..n {
-                match parse_at(buf, next)? {
+                match parse_at(buf, next, depth + 1)? {
                     Some((item, after)) => {
                         items.push(item);
                         next = after;
@@ -247,7 +437,7 @@ fn parse_at(buf: &[u8], at: usize) -> ParseResult {
 }
 
 fn parse(buf: &[u8]) -> ParseResult {
-    parse_at(buf, 0)
+    parse_at(buf, 0, 0)
 }
 
 /// A stateful frame assembler over a byte stream.

@@ -114,22 +114,29 @@ impl Sds {
     }
 
     /// Parse as an i64 if the whole string is a valid decimal integer
-    /// (Redis's shared-integer fast path).
+    /// (Redis's shared-integer fast path); see [`parse_i64`].
     pub fn parse_i64(&self) -> Option<i64> {
-        let s = std::str::from_utf8(&self.buf).ok()?;
-        if s.is_empty() || (s.len() > 1 && s.starts_with('0')) || s == "-" {
-            return None;
-        }
-        if s.len() > 1 && s.starts_with("-0") {
-            return None;
-        }
-        s.parse().ok()
+        parse_i64(&self.buf)
     }
 
     /// Approximate heap memory used (for `maxmemory`-style accounting).
     pub fn memory_usage(&self) -> usize {
         self.buf.capacity() + std::mem::size_of::<Self>()
     }
+}
+
+/// Parse `bytes` as an i64 if they are exactly the canonical decimal form
+/// of one: no leading zeros, no `-0`, no sign-only or empty input — the
+/// strings Redis stores integer-encoded.
+pub fn parse_i64(bytes: &[u8]) -> Option<i64> {
+    let s = std::str::from_utf8(bytes).ok()?;
+    if s.is_empty() || (s.len() > 1 && s.starts_with('0')) || s == "-" {
+        return None;
+    }
+    if s.len() > 1 && s.starts_with("-0") {
+        return None;
+    }
+    s.parse().ok()
 }
 
 impl Deref for Sds {

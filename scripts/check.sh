@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI would run.
 #
-#   scripts/check.sh          # skv-analyze + tests + clippy
+#   scripts/check.sh          # skv-analyze + tests + clippy + benchmark smoke
 #
 # Fails on the first red step.
 set -euo pipefail
@@ -41,6 +41,15 @@ cargo clippy --workspace --all-targets -- -D warnings \
   -D clippy::explicit_iter_loop \
   -D clippy::redundant_closure_for_method_calls \
   -D clippy::uninlined_format_args
+
+echo "==> benchmark smoke (benchmark/ builds against the crate APIs and runs clean)"
+# One rep of all six workloads with the windows cut to a fifth (< 20 s once
+# built). benchmark/ is a package of its own, outside the workspace, so
+# nothing above compiles it: this is where an API change that breaks it, an
+# operation that fails, replicas that diverge or a workload whose mechanism
+# no longer engages stops the gate instead of surfacing in the bench
+# pipeline.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
 
 echo "==> bench smoke (non-gating)"
 # A seconds-scale pass over the wall-clock suite; regressions are judged
