@@ -8,7 +8,7 @@
 //! The `skv-value-*` arms sweep the payload from 64 B to 64 KiB at a
 //! fixed fan-out, exercising the pooled send rings across frame sizes.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use skv_bench::wallclock::{fanout_spec, fanout_spec_sized, smoke};
 use skv_core::cluster::run_spec;
 use skv_core::config::Mode;
@@ -23,28 +23,25 @@ fn fanout(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("fanout");
     g.sample_size(5);
-    for &slaves in sweep {
-        g.bench_function(&format!("skv-slaves-{slaves}"), |b| {
+    let arms = sweep
+        .iter()
+        .map(|&n| (format!("skv-slaves-{n}"), fanout_spec(Mode::Skv, n, 0xFA0)))
+        .chain(sweep.iter().map(|&n| {
+            let spec = fanout_spec_sized(Mode::Skv, n, true, 4096, 0xFA0);
+            (format!("skv-batched-slaves-{n}"), spec)
+        }))
+        .chain(values.iter().map(|&size| {
+            let spec = fanout_spec_sized(Mode::Skv, 5, false, size, 0xFA0);
+            (format!("skv-value-{size}"), spec)
+        }));
+    for (name, spec) in arms {
+        // Elements = operations the run completes (runs are deterministic, so
+        // one untimed run counts for every timed one): simulated ops per
+        // host second in `BENCH_results.json`.
+        g.throughput(Throughput::Elements(run_spec(spec.clone()).ops));
+        g.bench_function(&name, |b| {
             b.iter(|| {
-                let report = run_spec(fanout_spec(Mode::Skv, slaves, 0xFA0));
-                assert!(report.ops > 0, "fan-out run produced no operations");
-                black_box(report.ops)
-            });
-        });
-    }
-    for &slaves in sweep {
-        g.bench_function(&format!("skv-batched-slaves-{slaves}"), |b| {
-            b.iter(|| {
-                let report = run_spec(fanout_spec_sized(Mode::Skv, slaves, true, 4096, 0xFA0));
-                assert!(report.ops > 0, "fan-out run produced no operations");
-                black_box(report.ops)
-            });
-        });
-    }
-    for &value_size in values {
-        g.bench_function(&format!("skv-value-{value_size}"), |b| {
-            b.iter(|| {
-                let report = run_spec(fanout_spec_sized(Mode::Skv, 5, false, value_size, 0xFA0));
+                let report = run_spec(spec.clone());
                 assert!(report.ops > 0, "fan-out run produced no operations");
                 black_box(report.ops)
             });

@@ -404,7 +404,9 @@ impl Channel {
         }
     }
 
-    /// Process inbound TCP bytes, returning all completed frames.
+    /// Process inbound TCP bytes, appending every completed frame to `out`
+    /// — the caller's message array, so an actor that keeps one around
+    /// reassembles every delivery without allocating.
     ///
     /// Fast path (nothing buffered): frames are delivered as zero-copy
     /// sub-views of the incoming segment and only a trailing partial frame
@@ -412,14 +414,14 @@ impl Channel {
     /// consumed behind a cursor; the buffer compacts only when consumed
     /// bytes dominate it, so total reassembly cost is linear in bytes
     /// received rather than quadratic in frames per buffer.
-    pub fn on_tcp_bytes(&mut self, bytes: Frame) -> Vec<ChannelMsg> {
+    pub fn on_tcp_bytes_into(&mut self, bytes: Frame, out: &mut Vec<ChannelMsg>) {
         let TransportState::Tcp {
             inbuf, consumed, ..
         } = &mut self.state
         else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
+        let before = out.len();
         let mut poisoned = false;
         if inbuf.len() == *consumed {
             inbuf.clear();
@@ -489,7 +491,13 @@ impl Channel {
             // multi-gigabyte frame. The owner's watchdog reconnects.
             self.broken = true;
         }
-        self.received += out.len() as u64;
+        self.received += (out.len() - before) as u64;
+    }
+
+    /// [`Channel::on_tcp_bytes_into`] with a fresh vector per call.
+    pub fn on_tcp_bytes(&mut self, bytes: Frame) -> Vec<ChannelMsg> {
+        let mut out = Vec::new();
+        self.on_tcp_bytes_into(bytes, &mut out);
         out
     }
 }
@@ -613,11 +621,14 @@ mod tests {
         // partial frame outstanding — and expect exact reassembly.
         let wire = wire_of(FRAMES);
         let mut rx = Channel::tcp(TcpConnId(1));
+        // One caller-owned array across all deliveries: frames are
+        // appended behind what it already holds and counted once each.
         let mut got = Vec::new();
         for b in wire {
-            got.extend(rx.on_tcp_bytes(Frame::copy_from_slice(&[b])));
+            rx.on_tcp_bytes_into(Frame::copy_from_slice(&[b]), &mut got);
         }
         assert_eq!(got, expect_msgs(FRAMES));
+        assert_eq!(rx.received, FRAMES.len() as u64);
     }
 
     #[test]

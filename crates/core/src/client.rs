@@ -405,6 +405,8 @@ pub struct BenchClient {
     pool: FramePool,
     /// The WC array every CQ drain polls into.
     wc_scratch: Vec<Wc>,
+    /// The message array every TCP delivery is reassembled into.
+    msg_scratch: Vec<ChannelMsg>,
     /// Operations issued.
     pub stat_issued: u64,
     /// Replies received.
@@ -449,6 +451,7 @@ impl BenchClient {
             dial_attempts: 0,
             pool,
             wc_scratch: Vec::new(),
+            msg_scratch: Vec::new(),
             stat_issued: 0,
             stat_replies: 0,
             stat_reconnects: 0,
@@ -716,16 +719,16 @@ impl Actor for BenchClient {
                 }
             }
             NetEvent::TcpDelivered { bytes, .. } => {
-                let msgs = self
-                    .channel
-                    .as_mut()
-                    .map(|ch| ch.on_tcp_bytes(bytes))
-                    .unwrap_or_default();
-                for m in msgs {
+                let mut msgs = std::mem::take(&mut self.msg_scratch);
+                if let Some(ch) = self.channel.as_mut() {
+                    ch.on_tcp_bytes_into(bytes, &mut msgs);
+                }
+                for m in msgs.drain(..) {
                     if m.tag == tag::REPLY {
                         self.on_reply(ctx, &m.payload);
                     }
                 }
+                self.msg_scratch = msgs;
             }
             NetEvent::TcpClosed { .. } if ctx.now() < self.workload.stop_at => {
                 self.reconnect(ctx);

@@ -59,9 +59,8 @@ pub fn drain_budgeted(
     mut on_wc: impl FnMut(&mut Context<'_>, Wc),
 ) -> DrainOutcome {
     let budget = budget.max(1);
-    let params = net.params();
     let polled = net.poll_cq_into(cq, budget, scratch);
-    let cpu_cost = params.cq_poll_cpu + params.wc_handle_cpu.mul_f64(polled as f64);
+    let cpu_cost = net.with_params(|p| p.cq_poll_cpu + p.wc_handle_cpu.mul_f64(polled as f64));
     for wc in scratch.drain(..) {
         on_wc(ctx, wc);
     }

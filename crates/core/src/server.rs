@@ -273,6 +273,8 @@ pub struct KvServer {
     pool: FramePool,
     /// The WC array every CQ drain polls into.
     wc_scratch: Vec<Wc>,
+    /// The message array every TCP delivery is reassembled into.
+    msg_scratch: Vec<ChannelMsg>,
     /// Staging for the doorbell-batched part of `emit_frames`.
     batch: WrBatch,
     /// Emptied `SendFrames` lists, reused by the next `finish_command`.
@@ -354,6 +356,7 @@ impl KvServer {
             // sends and grown buffers keep their capacity when recycled.
             pool: FramePool::new(4096 + 64, 256),
             wc_scratch: Vec::new(),
+            msg_scratch: Vec::new(),
             batch: WrBatch::default(),
             spare_frames: Vec::new(),
         }
@@ -2313,10 +2316,12 @@ impl Actor for KvServer {
                 let Some(&idx) = self.by_tcp.get(&conn) else {
                     return;
                 };
-                let msgs = self.conns[idx].channel.on_tcp_bytes(bytes);
-                for m in msgs {
+                let mut msgs = std::mem::take(&mut self.msg_scratch);
+                self.conns[idx].channel.on_tcp_bytes_into(bytes, &mut msgs);
+                for m in msgs.drain(..) {
                     self.on_channel_msg(ctx, idx, m);
                 }
+                self.msg_scratch = msgs;
             }
             NetEvent::TcpClosed { conn } => {
                 if let Some(&idx) = self.by_tcp.get(&conn) {

@@ -19,6 +19,7 @@ use skv_simcore::{
     Actor, ActorId, Context, DetRng, Frame, Payload, SimDuration, SimTime, Simulation,
 };
 
+use crate::counters::{FabricCounters, Slot};
 use crate::det::DetMap;
 use crate::faults::{FaultPlan, Verdict};
 use crate::params::NetParams;
@@ -130,7 +131,7 @@ pub(crate) struct NetInner {
     pub(crate) cqs: Vec<CqState>,
     pub(crate) mrs: Vec<MrState>,
     pub(crate) next_ephemeral: u16,
-    pub(crate) counters: Counters,
+    pub(crate) counters: FabricCounters,
     /// Installed fault schedule (empty plan = nothing goes wrong).
     pub(crate) faults: FaultPlan,
     /// RNG dedicated to fault verdicts, reseeded when a plan is installed.
@@ -154,7 +155,7 @@ impl NetInner {
             cqs: Vec::new(),
             mrs: Vec::new(),
             next_ephemeral: 50_000,
-            counters: Counters::new(),
+            counters: FabricCounters::default(),
             faults: FaultPlan::new(0),
             fault_rng: DetRng::new(0),
         }
@@ -222,7 +223,7 @@ impl NetInner {
         let state = &mut self.cqs[cq.0 as usize];
         state.armed = false;
         let owner = state.owner;
-        self.counters.inc("rdma.cq_notifies");
+        self.counters.inc(Slot::RdmaCqNotifies);
         ctx.send(owner, NetEvent::CqNotify { cq });
     }
 
@@ -279,7 +280,13 @@ impl Net {
 
     /// The calibration parameters in force.
     pub fn params(&self) -> NetParams {
-        self.inner.borrow().params.clone()
+        self.with_params(NetParams::clone)
+    }
+
+    /// Read the calibration parameters in place — [`Net::params`] without
+    /// the clone, for callers on a per-event path.
+    pub fn with_params<R>(&self, read: impl FnOnce(&NetParams) -> R) -> R {
+        read(&self.inner.borrow().params)
     }
 
     /// Number of nodes in the topology.
@@ -305,7 +312,7 @@ impl Net {
 
     /// Snapshot of fabric counters (messages, bytes, drops, RNRs, faults).
     pub fn counters(&self) -> Counters {
-        self.inner.borrow().counters.clone()
+        self.inner.borrow().counters.snapshot()
     }
 
     /// Install a fault schedule. The plan's private RNG is reseeded from

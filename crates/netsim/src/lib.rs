@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
+mod counters;
 mod det;
 mod fabric;
 mod faults;

@@ -41,6 +41,7 @@
 
 use skv_simcore::{ActorId, Context, Frame, SimDuration};
 
+use crate::counters::Slot;
 use crate::fabric::{CmRequest, CqState, FabricMsg, MrState, Net, NetInner, QpState, RNR_WR_ID};
 use crate::faults::Verdict;
 use crate::types::*;
@@ -176,7 +177,7 @@ impl Net {
         let judged = inner.judge(ctx.now(), from_node, to.node);
         if !reachable || judged == Verdict::Drop {
             if reachable {
-                inner.counters.inc("faults.cm_dropped");
+                inner.counters.inc(Slot::FaultsCmDropped);
             }
             ctx.send_in(half * 2, from_actor, NetEvent::CmConnectFailed { to });
             return;
@@ -239,7 +240,7 @@ impl Net {
             error: false,
         });
         inner.qps[initiator_qp.0 as usize].peer = Some(acceptor_qp);
-        inner.counters.inc("rdma.connections");
+        inner.counters.inc(Slot::RdmaConnections);
 
         let fabric = inner.fabric_actor;
         ctx.send_in(
@@ -302,7 +303,7 @@ impl Net {
     pub fn post_send(&self, ctx: &mut Context<'_>, qp: QpId, wr: SendWr) -> Result<(), PostError> {
         let mut inner = self.inner.borrow_mut();
         post_one(&mut inner, ctx, qp, wr)?;
-        inner.counters.inc("rdma.doorbells");
+        inner.counters.inc(Slot::RdmaDoorbells);
         Ok(())
     }
 
@@ -332,14 +333,14 @@ impl Net {
         for (index, wr) in wrs.into_iter().enumerate() {
             if let Err(error) = post_one(&mut inner, ctx, qp, wr) {
                 if posted > 0 {
-                    inner.counters.inc("rdma.doorbells");
+                    inner.counters.inc(Slot::RdmaDoorbells);
                 }
                 return Err(PostListError { index, error });
             }
             posted += 1;
         }
         if posted > 0 {
-            inner.counters.inc("rdma.doorbells");
+            inner.counters.inc(Slot::RdmaDoorbells);
         }
         Ok(())
     }
@@ -368,7 +369,7 @@ impl Net {
             outcomes.push(post_one(&mut inner, ctx, qp, wr));
         }
         if outcomes.iter().any(Result::is_ok) {
-            inner.counters.inc("rdma.doorbells");
+            inner.counters.inc(Slot::RdmaDoorbells);
         }
     }
 
@@ -387,7 +388,7 @@ impl Net {
         let q = &mut inner.cqs[cq.0 as usize].queue;
         let polled = q.len().min(max);
         out.extend(q.drain(..polled));
-        inner.counters.add("rdma.wcs_polled", polled as u64);
+        inner.counters.add(Slot::RdmaWcsPolled, polled as u64);
         polled
     }
 
@@ -488,14 +489,14 @@ fn post_one(
         _ => wr.data.len().max(32),
     };
     let counter = match &wr.op {
-        SendOp::Send => "rdma.sends",
-        SendOp::Write { .. } => "rdma.writes",
-        SendOp::WriteImm { .. } => "rdma.write_imm",
-        SendOp::Read { .. } => "rdma.reads",
+        SendOp::Send => Slot::RdmaSends,
+        SendOp::Write { .. } => Slot::RdmaWrites,
+        SendOp::WriteImm { .. } => Slot::RdmaWriteImm,
+        SendOp::Read { .. } => Slot::RdmaReads,
     };
     inner.counters.inc(counter);
-    inner.counters.inc("rdma.wrs_posted");
-    inner.counters.add("rdma.bytes", wr.data.len() as u64);
+    inner.counters.inc(Slot::RdmaWrsPosted);
+    inner.counters.add(Slot::RdmaBytes, wr.data.len() as u64);
 
     let dma = inner.params.dma_delay;
     let mut extra = SimDuration::ZERO;
@@ -504,8 +505,8 @@ fn post_one(
         Verdict::Drop => {
             // RC retransmits exhaust: the WR completes with an error
             // after the retry budget and the QP enters the error state.
-            inner.counters.inc("faults.rdma_dropped");
-            inner.counters.inc("rdma.qp_errors");
+            inner.counters.inc(Slot::FaultsRdmaDropped);
+            inner.counters.inc(Slot::RdmaQpErrors);
             inner.qps[qp.0 as usize].error = true;
             let cq = inner.qps[qp.0 as usize].cq;
             let fabric = inner.fabric_actor;
@@ -527,7 +528,7 @@ fn post_one(
             return Ok(());
         }
         Verdict::Delay(d) => {
-            inner.counters.inc("faults.rdma_delayed");
+            inner.counters.inc(Slot::FaultsRdmaDelayed);
             extra = d;
         }
     }
@@ -575,9 +576,9 @@ pub(crate) fn handle_arrival(
     // NAKs the sender into retry exhaustion: error completion + the
     // sender's QP enters the error state.
     if !dst_open || !dst_up || dst_err {
-        net.counters.inc("rdma.drops");
+        net.counters.inc(Slot::RdmaDrops);
         if !net.qps[src_qp.0 as usize].error {
-            net.counters.inc("rdma.qp_errors");
+            net.counters.inc(Slot::RdmaQpErrors);
             net.qps[src_qp.0 as usize].error = true;
         }
         let wc = Wc {
@@ -718,7 +719,7 @@ pub(crate) fn handle_arrival(
                 .and_then(|end| mr.buf.get(remote_offset..end))
                 .map(Frame::copy_from_slice);
             let Some(payload) = payload else {
-                net.counters.inc("rdma.access_errors");
+                net.counters.inc(Slot::RdmaAccessErrors);
                 let wc = Wc {
                     wr_id,
                     opcode: WcOpcode::RdmaRead,
@@ -787,7 +788,7 @@ fn sender_opcode(op: &SendOp) -> WcOpcode {
 fn pop_recv(net: &mut NetInner, qp: QpId) -> Option<u64> {
     let popped = net.qps[qp.0 as usize].recv_queue.pop_front();
     if popped.is_none() {
-        net.counters.inc("rdma.rnr");
+        net.counters.inc(Slot::RdmaRnr);
     }
     popped
 }
@@ -811,7 +812,7 @@ fn write_mr(net: &mut NetInner, dst_node: NodeId, mr: MrId, offset: usize, data:
         .map(|dst| dst.copy_from_slice(data))
         .is_some();
     if !wrote {
-        net.counters.inc("rdma.access_errors");
+        net.counters.inc(Slot::RdmaAccessErrors);
     }
     wrote
 }

@@ -15,6 +15,7 @@
 
 use skv_simcore::{ActorId, Context, Frame, SimDuration};
 
+use crate::counters::Slot;
 use crate::fabric::{Net, TcpConnState};
 use crate::faults::Verdict;
 use crate::types::{next_id, NetEvent, NodeId, SocketAddr, TcpConnId};
@@ -56,7 +57,7 @@ impl Net {
             Some(l) if reachable && judged != Verdict::Drop => l,
             _ => {
                 if reachable {
-                    inner.counters.inc("faults.tcp_connect_dropped");
+                    inner.counters.inc(Slot::FaultsTcpConnectDropped);
                 }
                 ctx.send_in(handshake, from_actor, NetEvent::TcpConnectFailed { to });
                 return;
@@ -85,7 +86,7 @@ impl Net {
             open: true,
         });
         inner.tcp_conns[client_id.0 as usize].peer = Some(server_id);
-        inner.counters.inc("tcp.connects");
+        inner.counters.inc(Slot::TcpConnects);
 
         ctx.send_in(
             handshake,
@@ -124,7 +125,7 @@ impl Net {
             (p.node, p.actor, p.open)
         };
         if !dst_open || !inner.up(src) || !inner.up(dst_node) {
-            inner.counters.inc("tcp.drops");
+            inner.counters.inc(Slot::TcpDrops);
             return;
         }
         let n = bytes.len();
@@ -135,11 +136,11 @@ impl Net {
         let fault_delay = match inner.judge(ctx.now(), src, dst_node) {
             Verdict::Deliver => SimDuration::ZERO,
             Verdict::Drop => {
-                inner.counters.inc("faults.tcp_retrans");
+                inner.counters.inc(Slot::FaultsTcpRetrans);
                 inner.params.tcp_rto
             }
             Verdict::Delay(d) => {
-                inner.counters.inc("faults.tcp_delayed");
+                inner.counters.inc(Slot::FaultsTcpDelayed);
                 d
             }
         };
@@ -150,8 +151,8 @@ impl Net {
         let peer = &mut inner.tcp_conns[peer_id.0 as usize];
         deliver_at = deliver_at.max(peer.next_delivery);
         peer.next_delivery = deliver_at;
-        inner.counters.inc("tcp.messages");
-        inner.counters.add("tcp.bytes", n as u64);
+        inner.counters.inc(Slot::TcpMessages);
+        inner.counters.add(Slot::TcpBytes, n as u64);
 
         ctx.send_at(
             deliver_at,

@@ -7,9 +7,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use skv_netsim::{
-    MrId, Net, NetEvent, NetParams, NodeId, QpId, SendOp, SendWr, SocketAddr, Topology, Wc,
+    Frame, MrId, Net, NetEvent, NetParams, NodeId, QpId, SendOp, SendWr, SocketAddr, Topology, Wc,
     WcOpcode, WcStatus,
 };
+use skv_simcore::stats::Counters;
 use skv_simcore::{FnActor, SimTime, Simulation};
 
 struct World {
@@ -17,6 +18,10 @@ struct World {
     net: Net,
     a: NodeId,
     b: NodeId,
+    /// Name-keyed tally of what the scripted endpoints saw the fabric do
+    /// (notifies received, completions polled); see
+    /// `counters_snapshot_matches_a_name_keyed_tally`.
+    tally: Rc<RefCell<Counters>>,
 }
 
 fn world() -> World {
@@ -25,7 +30,13 @@ fn world() -> World {
     let a = topo.add_host();
     let b = topo.add_host();
     let net = Net::install(&mut sim, topo, NetParams::default());
-    World { sim, net, a, b }
+    World {
+        sim,
+        net,
+        a,
+        b,
+        tally: Rc::default(),
+    }
 }
 
 /// Establish a QP pair between two scripted endpoints and return the
@@ -51,6 +62,7 @@ fn establish(
     let swc = server_wcs.clone();
     let server_cq: Rc<RefCell<Option<skv_netsim::CqId>>> = Rc::default();
     let scq = server_cq.clone();
+    let tally = w.tally.clone();
     let server = w
         .sim
         .add_actor(Box::new(FnActor::new(move |ctx, _from, msg| {
@@ -69,7 +81,10 @@ fn establish(
                     net.req_notify_cq(ctx, cq);
                 }
                 NetEvent::CqNotify { cq } => {
-                    swc.borrow_mut().extend(net.poll_cq(cq, 64));
+                    let wcs = net.poll_cq(cq, 64);
+                    tally.borrow_mut().inc("rdma.cq_notifies");
+                    tally.borrow_mut().add("rdma.wcs_polled", wcs.len() as u64);
+                    swc.borrow_mut().extend(wcs);
                     net.req_notify_cq(ctx, cq);
                 }
                 _ => {}
@@ -82,6 +97,7 @@ fn establish(
     let cqp = client_qp.clone();
     let cwc = client_wcs.clone();
     let a = w.a;
+    let tally = w.tally.clone();
     let client = w
         .sim
         .add_actor(Box::new(FnActor::new(move |ctx, _from, msg| {
@@ -93,7 +109,10 @@ fn establish(
                     *cqp.borrow_mut() = Some(qp);
                 }
                 NetEvent::CqNotify { cq } => {
-                    cwc.borrow_mut().extend(net.poll_cq(cq, 64));
+                    let wcs = net.poll_cq(cq, 64);
+                    tally.borrow_mut().inc("rdma.cq_notifies");
+                    tally.borrow_mut().add("rdma.wcs_polled", wcs.len() as u64);
+                    cwc.borrow_mut().extend(wcs);
                     net.req_notify_cq(ctx, cq);
                 }
                 _ => {}
@@ -720,6 +739,78 @@ fn poll_cq_into_fills_the_callers_array() {
         w.net.poll_cq(cq, 64).is_empty(),
         "the wrapper sees it drained"
     );
+}
+
+/// The fabric keeps its counters in fixed slots; the snapshot must still
+/// read exactly like a name-keyed map incremented at the same sites.
+#[test]
+fn counters_snapshot_matches_a_name_keyed_tally() {
+    let mut w = world();
+    assert_eq!(w.net.counters().iter().count(), 0, "nothing written yet");
+    let (cqp, _sqp, _cwcs, _swcs, server_mr) = establish(&mut w, 2);
+    let c = cqp.borrow().unwrap();
+    w.tally.borrow_mut().inc("rdma.connections");
+
+    let post = |w: &mut World, name: &'static str, wr: SendWr| {
+        let mut tally = w.tally.borrow_mut();
+        tally.inc(name);
+        tally.inc("rdma.wrs_posted");
+        tally.add("rdma.bytes", wr.data.len() as u64);
+        tally.inc("rdma.doorbells");
+        drop(tally);
+        post_from_helper(w, c, wr);
+    };
+    post(
+        &mut w,
+        "rdma.write_imm",
+        write_imm_wr(1, server_mr, 0, 7, 1),
+    );
+    let send = |wr_id, len: usize| SendWr {
+        wr_id,
+        op: SendOp::Send,
+        data: vec![2u8; len].into(),
+    };
+    post(&mut w, "rdma.sends", send(2, 24));
+    // Both posted receives are consumed: this one finds none.
+    post(&mut w, "rdma.sends", send(3, 0));
+    w.tally.borrow_mut().inc("rdma.rnr");
+    let write = |remote_offset| SendWr {
+        wr_id: 4,
+        op: SendOp::Write {
+            remote_mr: server_mr,
+            remote_offset,
+        },
+        data: vec![3u8; 16].into(),
+    };
+    post(&mut w, "rdma.writes", write(128));
+    post(&mut w, "rdma.writes", write(usize::MAX - 8)); // outside the MR
+    w.tally.borrow_mut().inc("rdma.access_errors");
+    let read = SendWr {
+        wr_id: 5,
+        op: SendOp::Read {
+            remote_mr: server_mr,
+            remote_offset: 0,
+            len: 8,
+        },
+        data: Frame::new(),
+    };
+    post(&mut w, "rdma.reads", read);
+    // A linked list is one doorbell for all its WRs.
+    let list: Vec<SendWr> = (0..3).map(|i| write(256 + 16 * i)).collect();
+    {
+        let mut tally = w.tally.borrow_mut();
+        tally.add("rdma.writes", 3);
+        tally.add("rdma.wrs_posted", 3);
+        tally.add("rdma.bytes", 48);
+        tally.inc("rdma.doorbells");
+    }
+    post_list_from_helper(&mut w, c, list).expect("clean fabric");
+
+    let got: Vec<_> = w.net.counters().iter().collect();
+    let want: Vec<_> = w.tally.borrow().iter().collect();
+    assert_eq!(got, want);
+    assert!(w.net.counters().get("rdma.cq_notifies") > 0);
+    assert_eq!(w.net.counters().get("tcp.messages"), 0);
 }
 
 #[test]

@@ -198,6 +198,8 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Sends itself `count` ticks spaced `gap` apart, recording fire times.
     struct Ticker {
@@ -324,6 +326,54 @@ mod tests {
         let mut sim = Simulation::new(1);
         sim.schedule(SimTime::from_micros(1), ActorId::from_raw(99), Go);
         assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
+    }
+
+    /// Logs the tags it receives; tag 1 answers with a zero-delay send of
+    /// tag 9 to itself.
+    fn logger(sim: &mut Simulation) -> (ActorId, Rc<RefCell<Vec<u32>>>) {
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let seen = log.clone();
+        let id = sim.add_actor(Box::new(crate::actor::FnActor::new(
+            move |ctx, _from, msg| {
+                let tag = *msg.downcast::<u32>().expect("u32 tag");
+                seen.borrow_mut().push(tag);
+                if tag == 1 {
+                    let me = ctx.id();
+                    ctx.send(me, 9u32);
+                }
+            },
+        )));
+        (id, log)
+    }
+
+    #[test]
+    fn zero_delay_send_fires_after_queued_events_of_the_same_instant() {
+        let mut sim = Simulation::new(1);
+        let (id, log) = logger(&mut sim);
+        let t = SimTime::from_micros(5);
+        sim.schedule(t, id, 1u32);
+        sim.schedule(t, id, 2u32); // queued before tag 1 runs: lower seq than tag 9
+        sim.schedule(t + SimDuration::from_nanos(1), id, 3u32);
+        assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(*log.borrow(), vec![1, 2, 9, 3]);
+    }
+
+    #[test]
+    fn events_scheduled_at_a_reached_deadline_keep_their_order() {
+        let mut sim = Simulation::new(1);
+        let (id, log) = logger(&mut sim);
+        sim.schedule(SimTime::from_micros(9), id, 4u32);
+        // Nothing pops: `now` moves to the deadline, the queue's clock does
+        // not, so pushes at `now` must not jump the queue.
+        assert_eq!(
+            sim.run_until(SimTime::from_micros(5)),
+            RunOutcome::DeadlineReached
+        );
+        sim.schedule(SimTime::from_micros(9), id, 5u32);
+        sim.schedule(sim.now(), id, 1u32);
+        sim.schedule(sim.now(), id, 2u32);
+        assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(*log.borrow(), vec![1, 2, 9, 4, 5]);
     }
 
     #[test]

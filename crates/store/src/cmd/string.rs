@@ -52,9 +52,15 @@ pub(super) fn set(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         return Resp::err("syntax error");
     }
 
-    let exists = ctx.db.exists(key, ctx.now_ms);
-    if (nx && exists) || (xx && !exists) {
-        return Resp::NullBulk;
+    if nx || xx {
+        let exists = ctx.db.exists(key, ctx.now_ms);
+        if (nx && exists) || (xx && !exists) {
+            return Resp::NullBulk;
+        }
+    } else {
+        // An unconditional SET still reaps a dead key first: the reap is
+        // what `stat_expired` and the extra `dirty` count.
+        ctx.db.expire_if_needed(key, ctx.now_ms);
     }
     if keepttl {
         ctx.db.set_keep_ttl(key, RObj::string(val));

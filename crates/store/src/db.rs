@@ -64,8 +64,9 @@ impl Db {
         self.expires.get(key).is_some_and(|&at| at <= now_ms)
     }
 
-    /// Reap `key` if expired. Returns true if it was removed.
-    fn expire_if_needed(&mut self, key: &[u8], now_ms: u64) -> bool {
+    /// Reap `key` if expired. Returns true if it was removed. With no TTL
+    /// anywhere in the keyspace this is a length check, not a probe.
+    pub(crate) fn expire_if_needed(&mut self, key: &[u8], now_ms: u64) -> bool {
         if self.is_expired(key, now_ms) {
             self.dict.remove(key);
             self.expires.remove(key);

@@ -35,9 +35,17 @@ impl<V> Table<V> {
         }
     }
 
+    /// The bucket a key with this hash lives in. Callers hash a key once
+    /// and index both tables of a rehashing dict with the same value.
     #[inline]
-    fn index(&self, key: &[u8]) -> usize {
-        (siphash13(key) as usize) & (self.buckets.len() - 1)
+    fn index(&self, hash: u64) -> usize {
+        (hash as usize) & (self.buckets.len() - 1)
+    }
+
+    /// Position of `key` within bucket `idx`.
+    #[inline]
+    fn position(&self, idx: usize, key: &[u8]) -> Option<usize> {
+        self.buckets[idx].iter().position(|(k, _)| &**k == key)
     }
 }
 
@@ -88,16 +96,20 @@ impl<V> Dict<V> {
     }
 
     /// Insert or replace. Returns the previous value if the key existed.
+    ///
+    /// The key is hashed once and, outside a rehash, its bucket is walked
+    /// once: a miss appends to the bucket the walk just searched.
     pub fn insert(&mut self, key: &[u8], value: V) -> Option<V> {
         self.maybe_start_resize();
         self.rehash_step(1);
+        let hash = siphash13(key);
         // Replace in whichever table currently holds the key.
-        if let Some(slot) = self.find_mut(key) {
+        if let Some(slot) = self.find_mut(hash, key) {
             return Some(std::mem::replace(slot, value));
         }
         // New entries always go to the newest table.
         let table = self.ht1.as_mut().unwrap_or(&mut self.ht0);
-        let idx = table.index(key);
+        let idx = table.index(hash);
         table.buckets[idx].push((key.to_vec().into_boxed_slice(), value));
         table.used += 1;
         None
@@ -105,43 +117,35 @@ impl<V> Dict<V> {
 
     /// Look up a key.
     pub fn get(&self, key: &[u8]) -> Option<&V> {
-        let idx = self.ht0.index(key);
-        if let Some(v) = self.ht0.buckets[idx]
-            .iter()
-            .find(|(k, _)| &**k == key)
-            .map(|(_, v)| v)
-        {
-            return Some(v);
+        if self.is_empty() {
+            return None; // nothing to find: skip the hash
+        }
+        let hash = siphash13(key);
+        let idx = self.ht0.index(hash);
+        if let Some(pos) = self.ht0.position(idx, key) {
+            return Some(&self.ht0.buckets[idx][pos].1);
         }
         let ht1 = self.ht1.as_ref()?;
-        let idx = ht1.index(key);
-        ht1.buckets[idx]
-            .iter()
-            .find(|(k, _)| &**k == key)
-            .map(|(_, v)| v)
+        let idx = ht1.index(hash);
+        let pos = ht1.position(idx, key)?;
+        Some(&ht1.buckets[idx][pos].1)
     }
 
     /// Mutable lookup (performs a rehash step, as any Redis dict op would).
     pub fn get_mut(&mut self, key: &[u8]) -> Option<&mut V> {
         self.rehash_step(1);
-        self.find_mut(key)
+        self.find_mut(siphash13(key), key)
     }
 
-    fn find_mut(&mut self, key: &[u8]) -> Option<&mut V> {
-        let idx = self.ht0.index(key);
-        // (Two lookups to appease the borrow checker without unsafe.)
-        if self.ht0.buckets[idx].iter().any(|(k, _)| &**k == key) {
-            return self.ht0.buckets[idx]
-                .iter_mut()
-                .find(|(k, _)| &**k == key)
-                .map(|(_, v)| v);
+    fn find_mut(&mut self, hash: u64, key: &[u8]) -> Option<&mut V> {
+        let idx = self.ht0.index(hash);
+        if let Some(pos) = self.ht0.position(idx, key) {
+            return Some(&mut self.ht0.buckets[idx][pos].1);
         }
         let ht1 = self.ht1.as_mut()?;
-        let idx = ht1.index(key);
-        ht1.buckets[idx]
-            .iter_mut()
-            .find(|(k, _)| &**k == key)
-            .map(|(_, v)| v)
+        let idx = ht1.index(hash);
+        let pos = ht1.position(idx, key)?;
+        Some(&mut ht1.buckets[idx][pos].1)
     }
 
     /// True if the key exists.
@@ -151,17 +155,21 @@ impl<V> Dict<V> {
 
     /// Remove a key, returning its value.
     pub fn remove(&mut self, key: &[u8]) -> Option<V> {
+        if self.ht1.is_none() && self.ht0.used == 0 {
+            return None; // nothing to find or migrate: skip the hash
+        }
         self.rehash_step(1);
-        let idx = self.ht0.index(key);
-        if let Some(pos) = self.ht0.buckets[idx].iter().position(|(k, _)| &**k == key) {
+        let hash = siphash13(key);
+        let idx = self.ht0.index(hash);
+        if let Some(pos) = self.ht0.position(idx, key) {
             let (_, v) = self.ht0.buckets[idx].swap_remove(pos);
             self.ht0.used -= 1;
             self.maybe_start_resize();
             return Some(v);
         }
         if let Some(ht1) = self.ht1.as_mut() {
-            let idx = ht1.index(key);
-            if let Some(pos) = ht1.buckets[idx].iter().position(|(k, _)| &**k == key) {
+            let idx = ht1.index(hash);
+            if let Some(pos) = ht1.position(idx, key) {
                 let (_, v) = ht1.buckets[idx].swap_remove(pos);
                 ht1.used -= 1;
                 return Some(v);
@@ -178,7 +186,7 @@ impl<V> Dict<V> {
         while moved < buckets && self.rehash_idx < self.ht0.buckets.len() {
             let bucket = std::mem::take(&mut self.ht0.buckets[self.rehash_idx]);
             for (k, v) in bucket {
-                let idx = ht1.index(&k);
+                let idx = ht1.index(siphash13(&k));
                 ht1.buckets[idx].push((k, v));
                 ht1.used += 1;
                 self.ht0.used -= 1;

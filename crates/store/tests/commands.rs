@@ -74,6 +74,41 @@ fn set_ex_px_and_keepttl() {
     assert!(rt(&mut e, 0, &["SET", "k", "v", "EX", "abc"]).is_error());
 }
 
+/// `SET` reaps a dead key before it writes, whatever its options: the reap
+/// is one mutation and one `stat_expired` of its own, the old TTL goes with
+/// the old key, and a refused `XX` still replicates because of the reap.
+#[test]
+fn set_over_an_expired_key_reaps_it_first() {
+    // (options, reply, dirty_delta, TTL afterwards: -1 none, -2 no key)
+    let cases: [(&[&str], Resp, u64, i64); 5] = [
+        (&[], Resp::ok(), 2, -1),
+        (&["KEEPTTL"], Resp::ok(), 2, -1),
+        (&["NX"], Resp::ok(), 2, -1),
+        (&["XX"], Resp::NullBulk, 1, -2),
+        (&["PX", "700"], Resp::ok(), 3, 700),
+    ];
+    for (opts, reply, dirty, ttl) in cases {
+        let mut e = eng();
+        assert_eq!(rt(&mut e, 0, &["SET", "k", "old", "PX", "100"]), Resp::ok());
+        let mut cmd = vec!["SET", "k", "new"];
+        cmd.extend_from_slice(opts);
+        let res = e.exec_str(100, &cmd);
+        assert_eq!(res.reply, reply, "{opts:?}");
+        assert_eq!(res.dirty_delta, dirty, "{opts:?}");
+        assert!(res.should_replicate(), "{opts:?}");
+        assert_eq!(e.db().stat_expired(), 1, "{opts:?}");
+        assert_eq!(rt(&mut e, 100, &["PTTL", "k"]), Resp::Int(ttl), "{opts:?}");
+        assert_eq!(e.db().stat_expired(), 1, "nothing left to reap: {opts:?}");
+    }
+    // A live key is not reaped, and an unconditional SET clears its TTL.
+    let mut e = eng();
+    rt(&mut e, 0, &["SET", "k", "old", "PX", "100"]);
+    let res = e.exec_str(99, &["SET", "k", "new"]);
+    assert_eq!((res.reply, res.dirty_delta), (Resp::ok(), 1));
+    assert_eq!(e.db().stat_expired(), 0);
+    assert_eq!(rt(&mut e, 99, &["PTTL", "k"]), Resp::Int(-1));
+}
+
 #[test]
 fn setnx_setex_psetex() {
     let mut e = eng();

@@ -1,13 +1,12 @@
 //! Property-based tests: the from-scratch data structures must agree with
 //! std-library models under arbitrary operation sequences.
 
-// HashMap is the *model* here (Dict ≡ HashMap); order is never compared.
-#![allow(clippy::disallowed_types)]
 // Generated offsets are tiny by construction; the casts cannot truncate.
 #![allow(clippy::cast_possible_truncation)]
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use proptest::test_runner::TestCaseError;
+use std::collections::{BTreeMap, BTreeSet};
 
 use skv_store::backlog::Backlog;
 use skv_store::dict::Dict;
@@ -16,7 +15,7 @@ use skv_store::sds::Sds;
 use skv_store::skiplist::SkipList;
 
 // ---------------------------------------------------------------------------
-// Dict ≡ HashMap
+// Dict ≡ BTreeMap
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -24,6 +23,7 @@ enum DictOp {
     Insert(Vec<u8>, u32),
     Remove(Vec<u8>),
     Get(Vec<u8>),
+    GetMut(Vec<u8>, u32),
     RehashStep,
 }
 
@@ -37,38 +37,97 @@ fn dict_op() -> impl Strategy<Value = DictOp> {
         (dict_key(), any::<u32>()).prop_map(|(k, v)| DictOp::Insert(k, v)),
         dict_key().prop_map(DictOp::Remove),
         dict_key().prop_map(DictOp::Get),
+        (dict_key(), any::<u32>()).prop_map(|(k, v)| DictOp::GetMut(k, v)),
         Just(DictOp::RehashStep),
     ]
 }
 
+/// Apply one op to the dict and the model, comparing what each returns.
+fn apply_dict_op(
+    dict: &mut Dict<u32>,
+    model: &mut BTreeMap<Vec<u8>, u32>,
+    op: DictOp,
+) -> Result<(), TestCaseError> {
+    match op {
+        DictOp::Insert(k, v) => prop_assert_eq!(dict.insert(&k, v), model.insert(k, v)),
+        DictOp::Remove(k) => prop_assert_eq!(dict.remove(&k), model.remove(&k)),
+        DictOp::Get(k) => {
+            prop_assert_eq!(dict.get(&k), model.get(&k));
+            prop_assert_eq!(dict.contains(&k), model.contains_key(&k));
+        }
+        DictOp::GetMut(k, v) => {
+            let (got, want) = (dict.get_mut(&k), model.get_mut(&k));
+            prop_assert_eq!(got.as_deref(), want.as_deref());
+            if let (Some(got), Some(want)) = (got, want) {
+                *got = v;
+                *want = v;
+            }
+        }
+        DictOp::RehashStep => dict.rehash_step(2),
+    }
+    prop_assert_eq!(dict.len(), model.len());
+    Ok(())
+}
+
+/// The dict holds exactly the model's entries.
+fn assert_same_entries(
+    dict: &Dict<u32>,
+    model: &BTreeMap<Vec<u8>, u32>,
+) -> Result<(), TestCaseError> {
+    let mut seen: Vec<(Vec<u8>, u32)> = dict.iter().map(|(k, v)| (k.to_vec(), *v)).collect();
+    seen.sort_unstable();
+    let expect: Vec<(Vec<u8>, u32)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    prop_assert_eq!(seen, expect);
+    Ok(())
+}
+
 proptest! {
     #[test]
-    fn dict_matches_hashmap(ops in prop::collection::vec(dict_op(), 0..400)) {
+    fn dict_matches_btreemap(ops in prop::collection::vec(dict_op(), 0..400)) {
         let mut dict: Dict<u32> = Dict::new();
-        let mut model: HashMap<Vec<u8>, u32> = HashMap::new();
+        let mut model: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
         for op in ops {
-            match op {
-                DictOp::Insert(k, v) => {
-                    prop_assert_eq!(dict.insert(&k, v), model.insert(k, v));
-                }
-                DictOp::Remove(k) => {
-                    prop_assert_eq!(dict.remove(&k), model.remove(&k));
-                }
-                DictOp::Get(k) => {
-                    prop_assert_eq!(dict.get(&k), model.get(&k));
-                }
-                DictOp::RehashStep => dict.rehash_step(2),
-            }
-            prop_assert_eq!(dict.len(), model.len());
+            apply_dict_op(&mut dict, &mut model, op)?;
         }
-        // Iteration agrees with the model.
-        let mut seen: Vec<(Vec<u8>, u32)> =
-            dict.iter().map(|(k, v)| (k.to_vec(), *v)).collect();
-        seen.sort_unstable();
-        let mut expect: Vec<(Vec<u8>, u32)> =
-            model.into_iter().collect();
-        expect.sort_unstable();
-        prop_assert_eq!(seen, expect);
+        assert_same_entries(&dict, &model)?;
+    }
+
+    /// The same ops interleaved with a fill to 600 keys and a drain back to
+    /// a handful, so upserts, lookups and removes run against growing,
+    /// shrinking and mid-rehash tables.
+    #[test]
+    fn dict_matches_btreemap_across_resizes(
+        ops in prop::collection::vec(dict_op(), 1200..1201),
+        spare in 0usize..6,
+    ) {
+        let mut dict: Dict<u32> = Dict::new();
+        let mut model: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
+        let mut ops = ops.into_iter();
+        let wide = |i: u32| format!("wide:{i}").into_bytes();
+        let (mut grew, mut shrank) = (false, false);
+        for i in 0..600u32 {
+            apply_dict_op(&mut dict, &mut model, DictOp::Insert(wide(i), i))?;
+            grew |= dict.is_rehashing();
+            apply_dict_op(&mut dict, &mut model, ops.next().expect("1200 ops"))?;
+        }
+        assert_same_entries(&dict, &model)?;
+        let peak = dict.capacity();
+        for i in spare as u32..600 {
+            apply_dict_op(&mut dict, &mut model, DictOp::Remove(wide(i)))?;
+            shrank |= dict.is_rehashing() && dict.len() < 60;
+            apply_dict_op(&mut dict, &mut model, ops.next().expect("1200 ops"))?;
+            if i % 64 == 0 {
+                assert_same_entries(&dict, &model)?;
+            }
+        }
+        assert_same_entries(&dict, &model)?;
+        prop_assert!(grew && shrank, "both resize directions must be exercised");
+        prop_assert!(peak >= 512, "600 keys need at least 512 buckets, had {}", peak);
+        // Upserts over surviving and fresh keys while the shrink is in flight.
+        for i in 0..40u32 {
+            apply_dict_op(&mut dict, &mut model, DictOp::Insert(wide(i), i + 1))?;
+        }
+        assert_same_entries(&dict, &model)?;
     }
 }
 
