@@ -3,10 +3,12 @@
 //! the cost of one simulated run scales with the replica count. This is
 //! the headline number for the zero-copy frame pipeline (refcount bumps
 //! per slave instead of payload clones) and for the doorbell-batched
-//! post-list path: the `skv-batched-slaves-*` arms run the same workload
-//! with `batch_wr_posts` on, so one fabric call carries the whole fan-out.
-//! The `skv-value-*` arms sweep the payload from 64 B to 64 KiB at a
-//! fixed fan-out, exercising the pooled send rings across frame sizes.
+//! post-list path, where one fabric call carries the whole fan-out (the
+//! arms keep their `skv-batched-slaves-*` names from when a serial
+//! `skv-slaves-*` twin ran beside them, so `BENCH_results.json` history
+//! lines up). The `skv-value-*` arms sweep the payload from 64 B to
+//! 64 KiB at a fixed fan-out, exercising the pooled send rings across
+//! frame sizes.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use skv_bench::wallclock::{fanout_spec, fanout_spec_sized, smoke};
@@ -25,13 +27,12 @@ fn fanout(c: &mut Criterion) {
     g.sample_size(5);
     let arms = sweep
         .iter()
-        .map(|&n| (format!("skv-slaves-{n}"), fanout_spec(Mode::Skv, n, 0xFA0)))
-        .chain(sweep.iter().map(|&n| {
-            let spec = fanout_spec_sized(Mode::Skv, n, true, 4096, 0xFA0);
+        .map(|&n| {
+            let spec = fanout_spec(Mode::Skv, n, 0xFA0);
             (format!("skv-batched-slaves-{n}"), spec)
-        }))
+        })
         .chain(values.iter().map(|&size| {
-            let spec = fanout_spec_sized(Mode::Skv, 5, false, size, 0xFA0);
+            let spec = fanout_spec_sized(Mode::Skv, 5, size, 0xFA0);
             (format!("skv-value-{size}"), spec)
         }));
     for (name, spec) in arms {

@@ -1,5 +1,5 @@
 //! Wall-clock: replication-protocol sweep at a fixed 3-slave fan-out.
-//! Same SET workload per arm; only the `ReplicationMode` differs. The
+//! Same SET workload per arm; only the `ReplModeKind` differs. The
 //! async arm is the pre-existing stream path (the cost floor), quorum adds
 //! per-write WR-ack tracking plus deferred-reply release on the master,
 //! and chain serializes each write through hop timers and applied-ack

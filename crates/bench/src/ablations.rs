@@ -221,63 +221,48 @@ pub fn print_wr_cost(rows: &[WrCostRow]) {
 pub struct WrBatchRow {
     /// Number of slaves (= WRs per replicated write).
     pub slaves: usize,
-    /// Throughput with serial posting (kops/s).
-    pub serial_kops: f64,
-    /// Throughput with linked post lists (kops/s).
-    pub batched_kops: f64,
-    /// Doorbells per replicated write, serial (expected ≈ N).
-    pub serial_doorbells_per_write: f64,
-    /// Doorbells per replicated write, batched (expected ≈ 1).
-    pub batched_doorbells_per_write: f64,
-    /// WRs per replicated write, serial (expected ≈ N).
-    pub serial_wrs_per_write: f64,
-    /// WRs per replicated write, batched (must equal the serial column —
-    /// batching amortizes doorbells, not work requests).
-    pub batched_wrs_per_write: f64,
+    /// Client throughput (kops/s).
+    pub kops: f64,
+    /// Doorbells per replicated write (expected ≈ 1 at every width).
+    pub doorbells_per_write: f64,
+    /// WRs per replicated write (expected ≈ N — batching amortizes
+    /// doorbells, not work requests).
+    pub wrs_per_write: f64,
 }
 
-/// Sweep the fan-out width with `batch_wr_posts` off vs on. The Nic-KV's
-/// own counters show the mechanism: a serial fan-out rings one doorbell
-/// per slave per write, a linked post list rings exactly one — while the
-/// WRs per write stay at N in both arms.
+/// Sweep the fan-out width. The Nic-KV's own counters show the
+/// mechanism: a replicated write posts N WRs as one linked list, so it
+/// rings exactly one doorbell however wide the fan-out. (The serial
+/// one-doorbell-per-slave arm this table used to carry is recorded in
+/// EXPERIMENTS.md; it went with the knob that selected it.)
 pub fn ablation_wr_batching() -> Vec<WrBatchRow> {
     [1usize, 2, 3, 5, 8]
         .iter()
         .map(|&n| {
-            let run_arm = |batched: bool| {
-                let mut s = spec(Mode::Skv, n, 8, 29_000 + n as u64);
-                s.cfg.batch_wr_posts = batched;
-                let mut cluster = Cluster::build(s);
-                let report = cluster.run();
-                let (writes, doorbells, wrs) = cluster
-                    .nic_kv()
-                    .map(|nic| {
-                        (
-                            nic.stat_fanout_msgs,
-                            nic.stat_doorbells,
-                            nic.stat_wrs_posted,
-                        )
-                    })
-                    .unwrap_or((0, 0, 0));
-                let per_write = |v: u64| {
-                    if writes == 0 {
-                        0.0
-                    } else {
-                        v as f64 / writes as f64
-                    }
-                };
-                (report, per_write(doorbells), per_write(wrs))
+            let mut cluster = Cluster::build(spec(Mode::Skv, n, 8, 29_000 + n as u64));
+            let report = cluster.run();
+            let (writes, doorbells, wrs) = cluster
+                .nic_kv()
+                .map(|nic| {
+                    (
+                        nic.stat_fanout_msgs,
+                        nic.stat_doorbells(),
+                        nic.stat_wrs_posted(),
+                    )
+                })
+                .unwrap_or((0, 0, 0));
+            let per_write = |v: u64| {
+                if writes == 0 {
+                    0.0
+                } else {
+                    v as f64 / writes as f64
+                }
             };
-            let (serial, serial_db, serial_wrs) = run_arm(false);
-            let (batched, batched_db, batched_wrs) = run_arm(true);
             WrBatchRow {
                 slaves: n,
-                serial_kops: serial.throughput_kops,
-                batched_kops: batched.throughput_kops,
-                serial_doorbells_per_write: serial_db,
-                batched_doorbells_per_write: batched_db,
-                serial_wrs_per_write: serial_wrs,
-                batched_wrs_per_write: batched_wrs,
+                kops: report.throughput_kops,
+                doorbells_per_write: per_write(doorbells),
+                wrs_per_write: per_write(wrs),
             }
         })
         .collect()
@@ -287,19 +272,13 @@ pub fn ablation_wr_batching() -> Vec<WrBatchRow> {
 pub fn print_wr_batching(rows: &[WrBatchRow]) {
     println!("Ablation — doorbell batching on the Nic-KV fan-out (SET, 8 clients)");
     println!(
-        "{:>8} {:>12} {:>12} {:>11} {:>11} {:>9} {:>9}",
-        "slaves", "serial kops", "batch kops", "db/wr(ser)", "db/wr(bat)", "wr(ser)", "wr(bat)"
+        "{:>8} {:>12} {:>12} {:>12}",
+        "slaves", "kops", "db/write", "wr/write"
     );
     for r in rows {
         println!(
-            "{:>8} {:>12.1} {:>12.1} {:>11.2} {:>11.2} {:>9.2} {:>9.2}",
-            r.slaves,
-            r.serial_kops,
-            r.batched_kops,
-            r.serial_doorbells_per_write,
-            r.batched_doorbells_per_write,
-            r.serial_wrs_per_write,
-            r.batched_wrs_per_write
+            "{:>8} {:>12.1} {:>12.2} {:>12.2}",
+            r.slaves, r.kops, r.doorbells_per_write, r.wrs_per_write
         );
     }
 }
@@ -386,7 +365,7 @@ pub fn print_cq_moderation(rows: &[CqModRow]) {
 /// One replication-mode setting.
 #[derive(Debug, Clone)]
 pub struct ReplModeRow {
-    /// The protocol behind the `ReplicationMode` trait.
+    /// The replication protocol the arm ran.
     pub mode: ReplModeKind,
     /// Client-visible summary.
     pub report: RunReport,
@@ -436,7 +415,10 @@ pub fn ablation_replmode() -> Vec<ReplModeRow> {
             let report = cluster.run();
             let (commits, retransmits, chain_repairs) = cluster
                 .nic_kv()
-                .map(|n| (n.stat_commits, n.stat_retransmits, n.stat_chain_repairs))
+                .map(|n| {
+                    let t = n.tracker();
+                    (t.stat_commits, n.stat_retransmits, t.stat_chain_repairs)
+                })
                 .unwrap_or((0, 0, 0));
             let deferred_replies = cluster.master_server().stat_deferred_replies;
             let (hist_ops, violations) = cluster

@@ -20,22 +20,15 @@ pub fn smoke() -> bool {
 /// Replication fan-out workload: pure SET with a fat value so per-replica
 /// payload handling dominates, swept over the slave count.
 pub fn fanout_spec(mode: Mode, slaves: usize, seed: u64) -> RunSpec {
-    fanout_spec_sized(mode, slaves, false, 4096, seed)
+    fanout_spec_sized(mode, slaves, 4096, seed)
 }
 
-/// [`fanout_spec`] with the doorbell-batching knob and value size exposed:
-/// the batched-arm and value-size sweeps of `wallclock_fanout` must differ
-/// from the baseline arms in *only* these two parameters.
-pub fn fanout_spec_sized(
-    mode: Mode,
-    slaves: usize,
-    batched: bool,
-    value_size: usize,
-    seed: u64,
-) -> RunSpec {
+/// [`fanout_spec`] with the value size exposed: the value-size sweep of
+/// `wallclock_fanout` must differ from the slave-count arms in *only*
+/// this parameter.
+pub fn fanout_spec_sized(mode: Mode, slaves: usize, value_size: usize, seed: u64) -> RunSpec {
     let mut cfg = ClusterConfig::for_mode(mode);
     cfg.num_slaves = slaves;
-    cfg.batch_wr_posts = batched;
     RunSpec {
         cfg,
         num_clients: 4,
@@ -61,7 +54,7 @@ pub fn fanout_spec_sized(
 /// bookkeeping — WR-ack maps, commit windows, deferred-reply queues — that
 /// the async stream skips, so the sweep prices that machinery in host CPU.
 pub fn replmode_spec(mode: skv_core::replmode::ReplModeKind, seed: u64) -> RunSpec {
-    let mut spec = fanout_spec_sized(Mode::Skv, 3, false, 1024, seed);
+    let mut spec = fanout_spec_sized(Mode::Skv, 3, 1024, seed);
     spec.cfg.repl_mode = mode;
     spec
 }

@@ -16,13 +16,17 @@
 //! what the paper's evaluation is about.
 
 use skv_netsim::{
-    Frame, MrId, Net, NodeId, PostError, QpId, SendOp, SendWr, TcpConnId, Wc, WcOpcode, WcStatus,
-    RNR_WR_ID,
+    Frame, MrId, Net, NodeId, QpId, SendOp, SendWr, TcpConnId, Wc, WcOpcode, WcStatus, RNR_WR_ID,
 };
 use skv_simcore::{Context, FramePool};
 
 /// Receive WRs kept posted on an RDMA channel.
 const RECV_DEPTH: usize = 128;
+
+/// Per-connection receive-ring size in bytes, for every channel the
+/// cluster's actors open. It must exceed the largest burst in flight —
+/// a sizing rule, not a measured trade-off, so it is not a config knob.
+pub const RING_SIZE: usize = 1 << 20;
 
 /// A `(tag, payload)` message delivered by a channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -279,10 +283,10 @@ impl Channel {
     /// Stage — without ringing a doorbell — the `WRITE_WITH_IMM` work
     /// request that [`Channel::send`] would post for `(tag, payload)`,
     /// advancing the ring cursor and `sent` bookkeeping identically.
-    /// Callers collect staged WRs from several channels into one
-    /// [`Net::post_send_batch`] call: the doorbell-batched fan-out. A
-    /// failed batch entry must be reported back via
-    /// [`Channel::mark_broken`].
+    /// [`crate::conns::ConnTable`] collects staged WRs from several
+    /// channels into one [`Net::post_send_batch`] call: the
+    /// doorbell-batched fan-out. A failed batch entry must be reported
+    /// back via [`Channel::mark_broken`].
     ///
     /// Returns `None` (queueing the message, exactly as `send` does) while
     /// the MR handshake is outstanding — and `None` for TCP channels,
@@ -499,49 +503,6 @@ impl Channel {
         let mut out = Vec::new();
         self.on_tcp_bytes_into(bytes, &mut out);
         out
-    }
-}
-
-/// Staging buffers for doorbell-batched posts: WRs built by
-/// [`Channel::build_wr`] on several connections, posted together through
-/// [`Net::post_send_batch`]. An actor keeps one and reuses it for every
-/// batch, so a steady fan-out stages and posts without allocating.
-#[derive(Default)]
-pub struct WrBatch {
-    /// `(connection index, QP, wr_id)` of each staged WR, in post order.
-    staged: Vec<(usize, QpId, u64)>,
-    wrs: Vec<(QpId, SendWr)>,
-    outcomes: Vec<Result<(), PostError>>,
-}
-
-impl WrBatch {
-    /// Stage a WR built on the caller's connection `conn`.
-    pub fn stage(&mut self, conn: usize, (qp, wr): (QpId, SendWr)) {
-        self.staged.push((conn, qp, wr.wr_id));
-        self.wrs.push((qp, wr));
-    }
-
-    /// WRs staged and not yet posted.
-    pub fn len(&self) -> usize {
-        self.wrs.len()
-    }
-
-    /// Whether nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.wrs.is_empty()
-    }
-
-    /// Post everything staged under one doorbell and return the
-    /// `(connection index, QP, wr_id)` of every WR the fabric rejected
-    /// (none, and no allocation, in the normal case); the caller marks
-    /// those channels broken. The batch is empty afterwards.
-    pub fn post(&mut self, net: &Net, ctx: &mut Context<'_>) -> Vec<(usize, QpId, u64)> {
-        net.post_send_batch(ctx, &mut self.wrs, &mut self.outcomes);
-        self.staged
-            .drain(..)
-            .zip(self.outcomes.drain(..))
-            .filter_map(|(id, outcome)| outcome.is_err().then_some(id))
-            .collect()
     }
 }
 

@@ -6,12 +6,13 @@
 //! given concurrency level therefore emerges from server service times and
 //! round-trip latency exactly as it does for the paper's load generator.
 
-use skv_netsim::{CqId, Net, NetEvent, NodeId, SocketAddr, Wc};
+use skv_netsim::{Net, NetEvent, NodeId, SocketAddr};
 use skv_simcore::{Actor, ActorId, Context, DetRng, FramePool, Payload, SimDuration, SimTime};
 use skv_store::resp::{self, Decoded, Resp};
 
-use crate::channel::{Channel, ChannelMsg};
-use crate::config::{ClusterConfig, Mode};
+use crate::channel::{Channel, RING_SIZE};
+use crate::config::ClusterConfig;
+use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain;
 use crate::histcheck::{OpKind, OpRecord, SharedHistory};
 use crate::metrics::SharedMetrics;
@@ -378,8 +379,11 @@ pub struct BenchClient {
     server: SocketAddr,
     workload: Workload,
     metrics: SharedMetrics,
-    cq: Option<CqId>,
-    channel: Option<Channel>,
+    /// Every connection this client ever opened; it talks on `conn`.
+    conns: ConnTable<()>,
+    /// The live connection, if any. Whatever the transport delivers is
+    /// taken as this connection's traffic.
+    conn: Option<usize>,
     /// Command generator; rebuilt in `on_start` around a split of the
     /// simulation RNG (placeholder seed until then), so no unwrap on
     /// the issue path.
@@ -403,10 +407,6 @@ pub struct BenchClient {
     /// Send-ring pool: each command is generated straight into a recycled
     /// buffer (and, over TCP, framed into a second one).
     pool: FramePool,
-    /// The WC array every CQ drain polls into.
-    wc_scratch: Vec<Wc>,
-    /// The message array every TCP delivery is reassembled into.
-    msg_scratch: Vec<ChannelMsg>,
     /// Operations issued.
     pub stat_issued: u64,
     /// Replies received.
@@ -440,8 +440,8 @@ impl BenchClient {
             server,
             workload,
             metrics,
-            cq: None,
-            channel: None,
+            conns: ConnTable::new(Some(pool.clone())),
+            conn: None,
             gen,
             in_flight: Default::default(),
             client_id: 0,
@@ -450,8 +450,6 @@ impl BenchClient {
             rec_in_flight: Default::default(),
             dial_attempts: 0,
             pool,
-            wc_scratch: Vec::new(),
-            msg_scratch: Vec::new(),
             stat_issued: 0,
             stat_replies: 0,
             stat_reconnects: 0,
@@ -470,12 +468,10 @@ impl BenchClient {
     /// Abandon the current connection (commands in flight are lost, like a
     /// real client timing out) and dial again.
     fn reconnect(&mut self, ctx: &mut Context<'_>) {
-        if let Some(ch) = self.channel.take() {
-            if let Some(qp) = ch.qp() {
-                self.net.destroy_qp(qp);
-            }
-            if let Some(conn) = ch.tcp_conn() {
-                self.net.tcp_close(ctx, conn);
+        if let Some(conn) = self.conn.take() {
+            self.conns.close(&self.net, conn);
+            if let Some(tcp) = self.conns.channel(conn).tcp_conn() {
+                self.net.tcp_close(ctx, tcp);
             }
         }
         if let Some(h) = &self.history {
@@ -503,7 +499,7 @@ impl BenchClient {
         if ctx.now() >= self.workload.stop_at {
             return;
         }
-        let Some(channel) = self.channel.as_mut() else {
+        let Some(conn) = self.conn else {
             return;
         };
         let stamp = self.history.is_some().then(|| {
@@ -545,8 +541,8 @@ impl BenchClient {
         }
         self.in_flight.push_back((ctx.now(), is_write));
         self.stat_issued += 1;
-        let net = self.net.clone();
-        channel.send(&net, ctx, tag::CMD, cmd);
+        // A send that breaks the channel is the watchdog's to notice.
+        self.conns.send(&self.net, ctx, conn, tag::CMD, cmd);
     }
 
     /// Fill the pipeline up to its configured depth.
@@ -620,25 +616,12 @@ impl Actor for BenchClient {
             Ok(m) => {
                 match *m {
                     ClientMsg::Start => {
-                        if self.channel.is_some() {
+                        if self.conn.is_some() {
                             return;
                         }
-                        let me = ctx.id();
-                        if self.cfg.mode.uses_rdma() {
-                            // Reuse the CQ across reconnects.
-                            let cq = match self.cq {
-                                Some(cq) => cq,
-                                None => {
-                                    let cq = self.net.create_cq(me);
-                                    self.cq = Some(cq);
-                                    self.net.req_notify_cq(ctx, cq);
-                                    cq
-                                }
-                            };
-                            self.net.rdma_connect(ctx, self.node, me, cq, self.server);
-                        } else {
-                            self.net.tcp_connect(ctx, self.node, me, self.server);
-                        }
+                        let rdma = self.cfg.mode.uses_rdma();
+                        self.conns
+                            .dial(&self.net, ctx, self.node, rdma, self.server);
                     }
                     ClientMsg::IssueNext => self.fill_pipeline(ctx),
                     ClientMsg::Watchdog => {
@@ -651,7 +634,7 @@ impl Actor for BenchClient {
                             .in_flight
                             .front()
                             .is_some_and(|&(sent, _)| now.saturating_since(sent) > timeout);
-                        let broken = self.channel.as_ref().is_some_and(Channel::broken);
+                        let broken = self.conn.is_some_and(|c| self.conns.channel(c).broken());
                         if stuck || broken {
                             self.reconnect(ctx);
                         }
@@ -667,22 +650,19 @@ impl Actor for BenchClient {
         };
         match *ev {
             NetEvent::CmEstablished { qp, .. } => {
-                if self.channel.is_some() {
+                if self.conn.is_some() {
                     return;
                 }
                 self.dial_attempts = 0;
-                let net = self.net.clone();
-                let ch = Channel::rdma(&net, ctx, self.node, qp, self.cfg.ring_size);
-                self.channel = Some(ch);
+                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE);
+                self.conn = Some(self.conns.add(ch, (), None));
                 // First burst; the channel queues until the MR handshake
                 // completes.
                 self.fill_pipeline(ctx);
             }
             NetEvent::TcpConnected { conn, .. } => {
                 self.dial_attempts = 0;
-                let mut ch = Channel::tcp(conn);
-                ch.use_pool(self.pool.clone());
-                self.channel = Some(ch);
+                self.conn = Some(self.conns.add(Channel::tcp(conn), (), None));
                 self.fill_pipeline(ctx);
             }
             NetEvent::CqNotify { cq } => {
@@ -694,23 +674,18 @@ impl Actor for BenchClient {
                 let net = self.net.clone();
                 let budget = self.cfg.cq_poll_budget;
                 let mut broken = false;
-                let mut wcs = std::mem::take(&mut self.wc_scratch);
+                let mut wcs = self.conns.take_wcs();
                 let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
-                    if broken {
-                        return;
-                    }
-                    let Some(ch) = self.channel.as_mut() else {
+                    let Some(conn) = self.conn.filter(|_| !broken) else {
                         return;
                     };
-                    if let Some(ChannelMsg { tag: t, payload }) = ch.on_wc(&net, ctx, &wc) {
-                        if t == tag::REPLY {
-                            self.on_reply(ctx, &payload);
-                        }
-                    } else if self.channel.as_ref().is_some_and(Channel::broken) {
-                        broken = true;
+                    match self.conns.on_wc(&net, ctx, conn, &wc) {
+                        ConnEvent::Msg(m) if m.tag == tag::REPLY => self.on_reply(ctx, &m.payload),
+                        ConnEvent::Broken => broken = true,
+                        _ => {}
                     }
                 });
-                self.wc_scratch = wcs;
+                self.conns.put_wcs(wcs);
                 if out.more {
                     ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
                 }
@@ -719,16 +694,16 @@ impl Actor for BenchClient {
                 }
             }
             NetEvent::TcpDelivered { bytes, .. } => {
-                let mut msgs = std::mem::take(&mut self.msg_scratch);
-                if let Some(ch) = self.channel.as_mut() {
-                    ch.on_tcp_bytes_into(bytes, &mut msgs);
-                }
+                let Some(conn) = self.conn else {
+                    return;
+                };
+                let mut msgs = self.conns.on_tcp_bytes(conn, bytes);
                 for m in msgs.drain(..) {
                     if m.tag == tag::REPLY {
                         self.on_reply(ctx, &m.payload);
                     }
                 }
-                self.msg_scratch = msgs;
+                self.conns.put_msgs(msgs);
             }
             NetEvent::TcpClosed { .. } if ctx.now() < self.workload.stop_at => {
                 self.reconnect(ctx);
@@ -751,12 +726,6 @@ impl Actor for BenchClient {
     fn name(&self) -> &str {
         "bench-client"
     }
-}
-
-/// Check whether `mode` clients keep their transport invariant: clients in
-/// TCP mode never create CQs.
-pub fn client_uses_cq(mode: Mode) -> bool {
-    mode.uses_rdma()
 }
 
 #[cfg(test)]

@@ -478,14 +478,14 @@ impl Cluster {
         // bit-identical to the pre-trait code path.
         if self.spec.cfg.repl_mode != ReplModeKind::Async {
             if let Some(nic) = self.nic_kv() {
-                report.chaos.add("nic.commits", nic.stat_commits);
+                report.chaos.add("nic.commits", nic.tracker().stat_commits);
                 report.chaos.add("nic.retransmits", nic.stat_retransmits);
                 report
                     .chaos
-                    .add("nic.chain_repairs", nic.stat_chain_repairs);
+                    .add("nic.chain_repairs", nic.tracker().stat_chain_repairs);
                 report
                     .chaos
-                    .add("nic.chain_rejoins", nic.stat_chain_rejoins);
+                    .add("nic.chain_rejoins", nic.tracker().stat_chain_rejoins);
             }
             let m = self.master_server();
             report
@@ -621,14 +621,14 @@ impl Cluster {
             out.add("shard.nic_ingress", nic.shard_ingress().iter().sum::<u64>());
             out.add("nic.stat_fanout_msgs", nic.stat_fanout_msgs);
             out.add("nic.stat_fanout_sends", nic.stat_fanout_sends);
-            out.add("nic.stat_doorbells", nic.stat_doorbells);
-            out.add("nic.stat_wrs_posted", nic.stat_wrs_posted);
+            out.add("nic.stat_doorbells", nic.stat_doorbells());
+            out.add("nic.stat_wrs_posted", nic.stat_wrs_posted());
             out.add("nic.stat_probes", nic.stat_probes);
             out.add("nic.stat_failovers", nic.stat_failovers);
-            out.add("nic.stat_commits", nic.stat_commits);
+            out.add("nic.stat_commits", nic.tracker().stat_commits);
             out.add("nic.stat_retransmits", nic.stat_retransmits);
-            out.add("nic.stat_chain_repairs", nic.stat_chain_repairs);
-            out.add("nic.stat_chain_rejoins", nic.stat_chain_rejoins);
+            out.add("nic.stat_chain_repairs", nic.tracker().stat_chain_repairs);
+            out.add("nic.stat_chain_rejoins", nic.tracker().stat_chain_rejoins);
             out.add("nic.stat_mode_changes", nic.stat_mode_changes);
             out.add("nic.stat_fwd_stale_drops", nic.stat_fwd_stale_drops);
         }

@@ -118,19 +118,9 @@ pub struct ClusterConfig {
     /// Interval between Nic-KV probe rounds (paper: 1 second).
     // skv-lint: allow(config-drift) -- paper-fixed cadence (§III-D, 1 s); the probe *timeout* is the swept knob (failparams ablation)
     pub probe_interval: SimDuration,
-    /// How often slaves report replication progress to the master.
-    // skv-lint: allow(config-drift) -- Redis repl-ping cadence, held at the default; sweeping it changes nothing the paper measures
-    pub progress_interval: SimDuration,
     /// Replication backlog capacity in bytes.
     // skv-lint: allow(config-drift) -- sized so partial resync always works in-window; exercised by the partial-sync chaos tests, not an ablation arm
     pub backlog_size: usize,
-    /// Per-connection receive-ring size in bytes.
-    // skv-lint: allow(config-drift) -- must exceed the largest burst in flight; ring-wrap is covered by channel unit tests, not a measured trade-off
-    pub ring_size: usize,
-    /// Maximum replication lag (bytes) before the master returns errors
-    /// (paper §III-C: "if the progress is too slow … return an error").
-    // skv-lint: allow(config-drift) -- guardrail that never trips in healthy runs; the min-slaves rejection path is the measured variant (failparams)
-    pub max_slave_lag: u64,
     /// Base delay for reconnect backoff after a failed dial; doubles per
     /// attempt up to [`ClusterConfig::reconnect_max_delay`].
     pub reconnect_base: SimDuration,
@@ -150,15 +140,6 @@ pub struct ClusterConfig {
     /// A client abandons a connection when no reply arrives for this long,
     /// tears it down, reconnects, and refills its pipeline.
     pub client_retry_timeout: SimDuration,
-    /// Batch the replication fan-out into linked-WR post lists: one
-    /// doorbell carrying N frame-refcount-bump WRs per replicated write
-    /// instead of N separate `post_send` calls. Applies to both fan-out
-    /// sites (Nic-KV offload and the master's host fallback / RDMA-Redis
-    /// baseline). On by default — the batched arm has soaked, its digests
-    /// are deterministic, and it is how real verbs deployments post
-    /// fan-out. Set to `false` to reproduce the historical serial-post
-    /// schedule.
-    pub batch_wr_posts: bool,
     /// Maximum work completions drained per `CqNotify` event. A burst
     /// larger than the budget is rescheduled as a continuation after the
     /// drain's CPU cost, so one giant burst cannot monopolize an
@@ -168,8 +149,9 @@ pub struct ClusterConfig {
     pub cq_poll_budget: usize,
     /// Which replication protocol the cluster runs (see
     /// [`crate::replmode`]). `Async` reproduces the paper's stream
-    /// bit-for-bit; `Quorum` and `Chain` defer client replies until the
-    /// NIC commits the covering offset.
+    /// bit-for-bit; `Quorum` and `Chain` (SKV mode only — the tracking
+    /// runs on the Nic-KV) defer client replies until the NIC commits the
+    /// covering offset.
     pub repl_mode: ReplModeKind,
     /// Number of keyspace shards per server (Redis-Cluster-style hash
     /// slots, CRC16 → 16384 slots → `num_shards` contiguous ranges).
@@ -178,11 +160,6 @@ pub struct ClusterConfig {
     /// slots) pay an inter-shard hop. 1 (the default) reproduces the
     /// historical single-loop schedule bit-for-bit.
     pub num_shards: usize,
-    /// Bounded in-flight window for the deferred modes: how many
-    /// replicated segments the NIC tracks concurrently before queueing
-    /// further launches behind commits. Ignored by `Async`.
-    // skv-lint: allow(config-drift) -- deep enough that the replmode ablation never queues behind it; a sweep would measure the queue, not the protocol
-    pub repl_window: usize,
     /// Byte budget for the SoC-resident hot-key GET cache on the
     /// Nic-KV (see [`crate::hotcache`]). 0 (the default) disables the
     /// cache entirely: clients dial the host master directly and every
@@ -213,7 +190,8 @@ pub struct ClusterConfig {
     /// changes the written *values* (stamps replace the `xxxx…` filler),
     /// so the pinned workload trace digests only hold with it off.
     pub record_history: bool,
-    /// Cross-mode failover: allow the NIC to demote a quorum cluster to
+    /// Cross-mode failover (`repl_mode = Quorum` only): allow the NIC to
+    /// demote a quorum cluster to
     /// the async stream when fewer than a write quorum of slaves are
     /// reachable, and re-promote once a quorum heals. The demotion
     /// instant is recorded (`NicKv::mode_changes`) as the declared
@@ -239,23 +217,18 @@ impl Default for ClusterConfig {
             min_slaves: 0,
             waiting_time: SimDuration::from_millis(1500),
             probe_interval: SimDuration::from_secs(1),
-            progress_interval: SimDuration::from_millis(100),
             backlog_size: 1 << 20,
-            ring_size: 1 << 20,
-            max_slave_lag: 256 << 20,
             reconnect_base: SimDuration::from_millis(10),
             reconnect_max_delay: SimDuration::from_millis(640),
             reconnect_max_attempts: 8,
             upstream_silence: SimDuration::from_millis(2_500),
             client_retry_timeout: SimDuration::from_millis(250),
-            batch_wr_posts: true,
             cq_poll_budget: 64,
             repl_mode: ReplModeKind::Async,
             num_shards: 1,
             hot_cache_bytes: 0,
             hot_cache_policy: "lru".into(),
             hot_cache_max_value: 16 << 10,
-            repl_window: 256,
             record_commits: false,
             record_history: false,
             mode_failover: false,
@@ -338,6 +311,24 @@ impl ClusterConfig {
                  configs (num_shards {}) must size the NIC pool explicitly \
                  instead of relying on the clamp",
                 self.thread_num, self.machines.nic_cores, self.num_shards
+            ));
+        }
+        // Replication knobs. The deferred modes are tracked on the Nic-KV;
+        // a baseline master would hold every reply for a commit nobody
+        // reports.
+        if self.repl_mode != ReplModeKind::Async && self.mode != Mode::Skv {
+            return Err(format!(
+                "repl_mode {} requires SKV mode (writes are tracked on the \
+                 Nic-KV); mode is {}",
+                self.repl_mode,
+                self.mode.label()
+            ));
+        }
+        if self.mode_failover && self.repl_mode != ReplModeKind::Quorum {
+            return Err(format!(
+                "mode_failover degrades a quorum cluster to the async stream; \
+                 repl_mode is {}",
+                self.repl_mode
             ));
         }
         // Hot-cache knobs. The policy name is checked even with the
@@ -631,6 +622,49 @@ mod tests {
             ..Default::default()
         };
         assert!(off.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_deferred_modes_outside_skv_mode() {
+        for repl_mode in [ReplModeKind::Quorum, ReplModeKind::Chain] {
+            for mode in [Mode::TcpRedis, Mode::RdmaRedis] {
+                let cfg = ClusterConfig {
+                    mode,
+                    repl_mode,
+                    ..Default::default()
+                };
+                let err = cfg.validate().unwrap_err();
+                assert!(err.contains("repl_mode"), "unexpected error: {err}");
+            }
+            let skv = ClusterConfig {
+                repl_mode,
+                ..Default::default()
+            };
+            assert!(skv.validate().is_ok(), "{repl_mode} on SKV rejected");
+        }
+        // The async stream is every mode's default.
+        for mode in [Mode::TcpRedis, Mode::RdmaRedis, Mode::Skv] {
+            assert!(ClusterConfig::for_mode(mode).validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_mode_failover_without_quorum() {
+        for repl_mode in [ReplModeKind::Async, ReplModeKind::Chain] {
+            let cfg = ClusterConfig {
+                repl_mode,
+                mode_failover: true,
+                ..Default::default()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("mode_failover"), "unexpected error: {err}");
+        }
+        let cfg = ClusterConfig {
+            repl_mode: ReplModeKind::Quorum,
+            mode_failover: true,
+            ..Default::default()
+        };
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

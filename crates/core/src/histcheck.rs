@@ -43,12 +43,13 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use skv_netsim::{CqId, DetMap, Net, NetEvent, NodeId, QpId, SocketAddr};
+use skv_netsim::{Net, NetEvent, NodeId, SocketAddr};
 use skv_simcore::{Actor, ActorId, Context, DetRng, Payload, SimDuration, SimTime};
 use skv_store::resp::{Decoded, Resp};
 
-use crate::channel::{Channel, ChannelMsg};
+use crate::channel::{Channel, RING_SIZE};
 use crate::config::ClusterConfig;
+use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain;
 use crate::protocol::tag;
 
@@ -649,8 +650,9 @@ pub struct HistWriter {
     start_at: SimTime,
     stop_at: SimTime,
     seq: u64,
-    cq: Option<CqId>,
-    channel: Option<Channel>,
+    conns: ConnTable<()>,
+    /// The live connection, if any.
+    conn: Option<usize>,
     /// Index into the shared history of the op awaiting its reply.
     in_flight: Option<usize>,
     dial_attempts: u32,
@@ -683,31 +685,10 @@ impl HistWriter {
             start_at,
             stop_at,
             seq: 0,
-            cq: None,
-            channel: None,
+            conns: ConnTable::new(None),
+            conn: None,
             in_flight: None,
             dial_attempts: 0,
-        }
-    }
-
-    fn dial(&mut self, ctx: &mut Context<'_>) {
-        if self.channel.is_some() {
-            return;
-        }
-        let me = ctx.id();
-        if self.cfg.mode.uses_rdma() {
-            let cq = match self.cq {
-                Some(cq) => cq,
-                None => {
-                    let cq = self.net.create_cq(me);
-                    self.cq = Some(cq);
-                    self.net.req_notify_cq(ctx, cq);
-                    cq
-                }
-            };
-            self.net.rdma_connect(ctx, self.node, me, cq, self.server);
-        } else {
-            self.net.tcp_connect(ctx, self.node, me, self.server);
         }
     }
 
@@ -715,12 +696,10 @@ impl HistWriter {
         // The in-flight op stays incomplete in the history: its effect is
         // unknown (the checker treats it as maybe-applied).
         self.in_flight = None;
-        if let Some(ch) = self.channel.take() {
-            if let Some(qp) = ch.qp() {
-                self.net.destroy_qp(qp);
-            }
-            if let Some(conn) = ch.tcp_conn() {
-                self.net.tcp_close(ctx, conn);
+        if let Some(conn) = self.conn.take() {
+            self.conns.close(&self.net, conn);
+            if let Some(tcp) = self.conns.channel(conn).tcp_conn() {
+                self.net.tcp_close(ctx, tcp);
             }
         }
         ctx.timer(SimDuration::from_millis(1), ProbeMsg::Start);
@@ -730,10 +709,10 @@ impl HistWriter {
         if ctx.now() >= self.stop_at || self.in_flight.is_some() {
             return;
         }
-        let Some(channel) = self.channel.as_mut() else {
+        let Some(conn) = self.conn else {
             return;
         };
-        if channel.broken() {
+        if self.conns.channel(conn).broken() {
             // Don't record an op we provably cannot send: a dangling
             // invocation would read as an infinite-window maybe-applied
             // write. The watchdog redials and re-issues.
@@ -761,8 +740,8 @@ impl HistWriter {
             h.ops.len() - 1
         };
         self.in_flight = Some(idx);
-        let net = self.net.clone();
-        channel.send(&net, ctx, tag::CMD, cmd.encode());
+        self.conns
+            .send(&self.net, ctx, conn, tag::CMD, cmd.encode());
     }
 
     fn on_reply(&mut self, ctx: &mut Context<'_>, payload: &[u8]) {
@@ -793,7 +772,12 @@ impl Actor for HistWriter {
         let msg = match msg.downcast::<ProbeMsg>() {
             Ok(m) => {
                 match *m {
-                    ProbeMsg::Start => self.dial(ctx),
+                    ProbeMsg::Start if self.conn.is_none() => {
+                        let rdma = self.cfg.mode.uses_rdma();
+                        self.conns
+                            .dial(&self.net, ctx, self.node, rdma, self.server);
+                    }
+                    ProbeMsg::Start => {}
                     ProbeMsg::IssueNext => self.issue(ctx),
                     ProbeMsg::Watchdog => {
                         let now = ctx.now();
@@ -808,7 +792,7 @@ impl Actor for HistWriter {
                                 .get(idx)
                                 .is_some_and(|op| now.saturating_since(op.invoked) > timeout)
                         });
-                        let broken = self.channel.as_ref().is_some_and(Channel::broken);
+                        let broken = self.conn.is_some_and(|c| self.conns.channel(c).broken());
                         if stuck || broken {
                             self.abandon(ctx);
                         }
@@ -824,39 +808,35 @@ impl Actor for HistWriter {
         };
         match *ev {
             NetEvent::CmEstablished { qp, .. } => {
-                if self.channel.is_some() {
+                if self.conn.is_some() {
                     return;
                 }
                 self.dial_attempts = 0;
-                let net = self.net.clone();
-                self.channel = Some(Channel::rdma(&net, ctx, self.node, qp, self.cfg.ring_size));
+                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE);
+                self.conn = Some(self.conns.add(ch, (), None));
                 self.issue(ctx);
             }
             NetEvent::TcpConnected { conn, .. } => {
                 self.dial_attempts = 0;
-                self.channel = Some(Channel::tcp(conn));
+                self.conn = Some(self.conns.add(Channel::tcp(conn), (), None));
                 self.issue(ctx);
             }
             NetEvent::CqNotify { cq } => {
                 let net = self.net.clone();
                 let budget = self.cfg.cq_poll_budget;
                 let mut broken = false;
-                let scratch = &mut Vec::new(); // probes are not a hot path
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, scratch, |ctx, wc| {
-                    if broken {
-                        return;
-                    }
-                    let Some(ch) = self.channel.as_mut() else {
+                let mut wcs = self.conns.take_wcs();
+                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
+                    let Some(conn) = self.conn.filter(|_| !broken) else {
                         return;
                     };
-                    if let Some(ChannelMsg { tag: t, payload }) = ch.on_wc(&net, ctx, &wc) {
-                        if t == tag::REPLY {
-                            self.on_reply(ctx, &payload);
-                        }
-                    } else if self.channel.as_ref().is_some_and(Channel::broken) {
-                        broken = true;
+                    match self.conns.on_wc(&net, ctx, conn, &wc) {
+                        ConnEvent::Msg(m) if m.tag == tag::REPLY => self.on_reply(ctx, &m.payload),
+                        ConnEvent::Broken => broken = true,
+                        _ => {}
                     }
                 });
+                self.conns.put_wcs(wcs);
                 if out.more {
                     ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
                 }
@@ -865,16 +845,16 @@ impl Actor for HistWriter {
                 }
             }
             NetEvent::TcpDelivered { bytes, .. } => {
-                let msgs = self
-                    .channel
-                    .as_mut()
-                    .map(|ch| ch.on_tcp_bytes(bytes))
-                    .unwrap_or_default();
-                for m in msgs {
+                let Some(conn) = self.conn else {
+                    return;
+                };
+                let mut msgs = self.conns.on_tcp_bytes(conn, bytes);
+                for m in msgs.drain(..) {
                     if m.tag == tag::REPLY {
                         self.on_reply(ctx, &m.payload);
                     }
                 }
+                self.conns.put_msgs(msgs);
             }
             NetEvent::TcpClosed { .. } if ctx.now() < self.stop_at => self.abandon(ctx),
             NetEvent::CmConnectFailed { .. } | NetEvent::TcpConnectFailed { .. } => {
@@ -905,7 +885,8 @@ fn parse_observed(payload: &[u8]) -> Option<u64> {
 
 struct TargetConn {
     addr: SocketAddr,
-    channel: Option<Channel>,
+    /// This target's connection in the reader's table, once established.
+    conn: Option<usize>,
     /// Read generations with a GET outstanding on this channel, oldest
     /// first (replies arrive in FIFO order per channel).
     outstanding: VecDeque<u64>,
@@ -928,8 +909,8 @@ pub struct HistReader {
     start_at: SimTime,
     stop_at: SimTime,
     rng: DetRng,
-    cq: Option<CqId>,
-    by_qp: DetMap<QpId, usize>,
+    /// One connection per reachable target, tagged with the target index.
+    conns: ConnTable<usize>,
     cur_gen: u64,
     /// Index into the shared history of the read in progress.
     cur_op: Option<usize>,
@@ -963,7 +944,7 @@ impl HistReader {
                 .into_iter()
                 .map(|addr| TargetConn {
                     addr,
-                    channel: None,
+                    conn: None,
                     outstanding: VecDeque::new(),
                 })
                 .collect(),
@@ -975,8 +956,7 @@ impl HistReader {
             start_at,
             stop_at,
             rng: DetRng::new(0),
-            cq: None,
-            by_qp: DetMap::new(),
+            conns: ConnTable::new(None),
             cur_gen: 0,
             cur_op: None,
             got,
@@ -984,29 +964,15 @@ impl HistReader {
     }
 
     fn dial_missing(&mut self, ctx: &mut Context<'_>) {
-        let me = ctx.id();
-        let cq = match self.cq {
-            Some(cq) => cq,
-            None => {
-                let cq = self.net.create_cq(me);
-                self.cq = Some(cq);
-                self.net.req_notify_cq(ctx, cq);
-                cq
-            }
-        };
         for t in &mut self.targets {
-            if let Some(ch) = t.channel.as_ref() {
-                if !ch.broken() {
-                    continue;
-                }
+            if t.conn.is_some_and(|c| !self.conns.channel(c).broken()) {
+                continue;
             }
-            if let Some(ch) = t.channel.take() {
-                if let Some(qp) = ch.qp() {
-                    self.net.destroy_qp(qp);
-                }
+            if let Some(conn) = t.conn.take() {
+                self.conns.close(&self.net, conn);
                 t.outstanding.clear();
             }
-            self.net.rdma_connect(ctx, self.node, me, cq, t.addr);
+            self.conns.dial(&self.net, ctx, self.node, true, t.addr);
         }
     }
 
@@ -1015,7 +981,7 @@ impl HistReader {
             return;
         }
         // No anchor connection → nothing can complete; back off and retry.
-        if self.targets.first().is_some_and(|t| t.channel.is_none()) {
+        if self.targets.first().is_some_and(|t| t.conn.is_none()) {
             ctx.timer(self.cfg.client_retry_timeout, ProbeMsg::IssueNext);
             return;
         }
@@ -1042,13 +1008,12 @@ impl HistReader {
             h.ops.len() - 1
         };
         self.cur_op = Some(idx);
-        let net = self.net.clone();
         let gen = self.cur_gen;
         for t in &mut self.targets {
-            let Some(ch) = t.channel.as_mut() else {
+            let Some(conn) = t.conn else {
                 continue;
             };
-            ch.send(&net, ctx, tag::CMD, cmd.clone());
+            self.conns.send(&self.net, ctx, conn, tag::CMD, cmd.clone());
             t.outstanding.push_back(gen);
         }
         self.maybe_complete(ctx);
@@ -1164,13 +1129,11 @@ impl Actor for HistReader {
                 let Some(ti) = self.targets.iter().position(|t| t.addr == peer) else {
                     return;
                 };
-                if self.targets[ti].channel.is_some() {
+                if self.targets[ti].conn.is_some() {
                     return;
                 }
-                let net = self.net.clone();
-                let ch = Channel::rdma(&net, ctx, self.node, qp, self.cfg.ring_size);
-                self.by_qp.insert(qp, ti);
-                self.targets[ti].channel = Some(ch);
+                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE);
+                self.targets[ti].conn = Some(self.conns.add(ch, ti, None));
             }
             NetEvent::CmConnectFailed { .. } => {
                 // The watchdog retries; losing one target only costs
@@ -1179,22 +1142,25 @@ impl Actor for HistReader {
             NetEvent::CqNotify { cq } => {
                 let net = self.net.clone();
                 let budget = self.cfg.cq_poll_budget;
-                let scratch = &mut Vec::new(); // probes are not a hot path
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, scratch, |ctx, wc| {
-                    let Some(&ti) = self.by_qp.get(&wc.qp) else {
+                let mut wcs = self.conns.take_wcs();
+                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
+                    // A target's current channel gets the completions of
+                    // whichever of its QPs they arrive on.
+                    let Some(ti) = self.conns.conn_of_qp(wc.qp).map(|c| *self.conns.kind(c)) else {
                         return;
                     };
-                    let Some(ch) = self.targets[ti].channel.as_mut() else {
+                    let Some(conn) = self.targets[ti].conn else {
                         return;
                     };
-                    if let Some(ChannelMsg { tag: t, payload }) = ch.on_wc(&net, ctx, &wc) {
-                        if t == tag::REPLY {
-                            self.on_get_reply(ctx, ti, &payload);
+                    if let ConnEvent::Msg(m) = self.conns.on_wc(&net, ctx, conn, &wc) {
+                        if m.tag == tag::REPLY {
+                            self.on_get_reply(ctx, ti, &m.payload);
                         }
                     }
                     // Broken channels stay in place until the watchdog
                     // redials: `outstanding` bookkeeping dies with them.
                 });
+                self.conns.put_wcs(wcs);
                 if out.more {
                     ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
                 }

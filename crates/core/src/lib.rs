@@ -43,6 +43,7 @@ pub mod channel;
 pub mod client;
 pub mod cluster;
 pub mod config;
+pub mod conns;
 pub mod cqdrain;
 pub mod histcheck;
 pub mod hotcache;

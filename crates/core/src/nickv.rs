@@ -14,22 +14,20 @@
 //!   invalid flags, `min-slaves` notifications to the master, and master
 //!   failover with downgrade-on-return.
 
-use std::collections::VecDeque;
-
-use skv_netsim::{
-    CqId, DetMap, Frame, Net, NetEvent, NodeId, QpId, SocketAddr, Wc, WcOpcode, WcStatus,
-};
+use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, SocketAddr, WcOpcode, WcStatus};
 use skv_simcore::{Actor, ActorId, Context, CorePool, FramePool, Payload, SimDuration, SimTime};
 use skv_store::cmd::{upper_name, MAX_NAME_LEN};
 use skv_store::repl::ReplicationPosition;
 use skv_store::resp::{self, ParsedCommand};
 
-use crate::channel::{Channel, ChannelMsg, WrBatch};
+use crate::channel::{Channel, ChannelMsg, RING_SIZE};
 use crate::config::ClusterConfig;
+use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain;
 use crate::hotcache::{fwd_cookie, fwd_cookie_epoch, CacheStats, HotCache};
 use crate::protocol::{tag, NodeMsg};
-use crate::replmode::{quorum_slave_acks, ReplModeKind};
+use crate::replmode::{quorum_slave_acks, ReplModeKind, Step, Tracker, REPL_WINDOW};
+use crate::server::{parse_stream_frame, MAX_SLAVE_LAG};
 
 /// Emptied connection lists kept for reuse; more than a replication
 /// window's worth in flight at once is not a steady state worth serving.
@@ -60,12 +58,9 @@ pub struct NodeEntry {
 enum NicMsg {
     /// Probe round timer.
     ProbeTick,
-    /// Fan-out work for one slave finished; send the frame now (a
-    /// [`Frame`] clone — each slave's copy is a refcount bump).
-    FanoutSend { conn: usize, frame: Frame },
     /// All per-slave fan-out work for one replicated write finished; post
-    /// every staged WR under a single doorbell (`batch_wr_posts` mode).
-    /// Each slave's WR still carries the same frame by refcount bump.
+    /// one WR per slave under a single doorbell. Each slave's WR carries
+    /// the same frame by refcount bump.
     FanoutSendBatch { conns: Vec<usize>, frame: Frame },
     /// Tracked-mode (quorum) fan-out work finished; post the write's WRs
     /// under one doorbell and arm ack tracking on their completions.
@@ -89,29 +84,6 @@ struct FwdCtx {
     key: Option<Vec<u8>>,
 }
 
-/// One in-flight tracked write (quorum or chain mode). The frame is kept
-/// for retransmission until the write commits.
-struct PendingWrite {
-    /// Launch sequence number — the `wr_acks` / timer correlation key.
-    seq: u64,
-    /// Master backlog offset right *after* this write's bytes: a slave
-    /// whose cumulative applied offset reaches this value holds the write.
-    end_offset: u64,
-    /// The replication stream frame (`[from_offset][RESP]`).
-    frame: Frame,
-    /// Slaves that acked this write (WR completion, `WriteAck`, or
-    /// cumulative `ProgressReport` coverage). Deduplicated.
-    acked: Vec<SocketAddr>,
-    /// Slave acks required to commit (quorum mode; 0 in chain mode where
-    /// the emptied hop list is the commit condition).
-    needed: usize,
-    /// Remaining chain hops, head first (chain mode; empty in quorum).
-    hops: VecDeque<SocketAddr>,
-    /// Whether a post to the current head hop is scheduled or awaiting
-    /// its applied ack.
-    hop_inflight: bool,
-}
-
 /// External control events injected by the harness. The SmartNIC SoC can
 /// crash independently of its host (the degradation scenario): the host
 /// keeps running, Nic-KV just disappears.
@@ -124,17 +96,6 @@ pub enum NicControl {
     Recover,
 }
 
-struct ConnState {
-    channel: Channel,
-    open: bool,
-    /// Fan-out frames queued behind this channel's outstanding MR
-    /// handshake. They post later, inside `Channel::on_wc`'s flush; the
-    /// drain path reconciles them against `take_flushed_wrs` so the
-    /// doorbell/WR statistics count every fan-out WR at actual post time
-    /// (and only fan-out WRs — flushed control messages don't count).
-    deferred_wrs: u64,
-}
-
 /// The Nic-KV actor.
 pub struct NicKv {
     net: Net,
@@ -144,8 +105,9 @@ pub struct NicKv {
     cq: Option<CqId>,
     /// The SmartNIC's ARM cores (slow; speed factor from `MachineParams`).
     cpu: CorePool,
-    conns: Vec<ConnState>,
-    by_qp: DetMap<QpId, usize>,
+    /// Channels to the master, the slaves and (cache on) the clients; the
+    /// node list maps nodes to indices here.
+    conns: ConnTable<()>,
     nodes: Vec<NodeEntry>,
     probe_seq: u64,
     /// Address of a slave promoted during master failover, if any.
@@ -162,12 +124,6 @@ pub struct NicKv {
     pub stat_fanout_msgs: u64,
     /// Total per-slave sends performed.
     pub stat_fanout_sends: u64,
-    /// Doorbells rung by the replication fan-out (one per `post_send` in
-    /// serial mode, one per batch in `batch_wr_posts` mode).
-    pub stat_doorbells: u64,
-    /// WRs posted by the replication fan-out (identical in both modes —
-    /// batching amortizes doorbells, not work requests).
-    pub stat_wrs_posted: u64,
     /// Probes sent.
     pub stat_probes: u64,
     /// Failovers performed.
@@ -177,37 +133,17 @@ pub struct NicKv {
     pub detections: Vec<(SimTime, SocketAddr)>,
     /// Instants at which a previously failed node was seen alive again.
     pub recoveries: Vec<(SimTime, SocketAddr)>,
-    // -- tracked replication (quorum / chain modes) ------------------------
-    /// Launch sequence counter for tracked writes.
-    write_seq: u64,
-    /// In-flight tracked writes, oldest first (offsets ascend with launch
-    /// order, so commit release pops from the front).
-    pending: VecDeque<PendingWrite>,
-    /// Outstanding tracked WR → `(seq, slave)`; resolved by the send-side
-    /// completion in the CQ drain.
-    wr_acks: DetMap<(QpId, u64), (u64, SocketAddr)>,
-    /// Writes waiting for a window slot (`repl_window` bounds `pending`).
-    window_queue: VecDeque<Frame>,
-    /// Highest backlog offset committed under the active mode.
-    committed_upto: u64,
+    /// Tracked replication (quorum / chain): in-flight writes, acks, the
+    /// commit frontier, and the mode currently *in force* — `cfg.repl_mode`
+    /// unless `mode_failover` degraded a quorum cluster to the async
+    /// stream.
+    tracker: Tracker,
+    /// Scratch for the live-slave list every tracker call is given.
+    live: Vec<SocketAddr>,
     /// Highest commit offset pushed to the master via `WriteCommitted`.
     notified_upto: u64,
-    /// Tracked writes committed.
-    pub stat_commits: u64,
     /// Quorum-mode retransmissions to re-registering slaves.
     pub stat_retransmits: u64,
-    /// Chain-repair actions: dead hops spliced out of in-flight chains.
-    pub stat_chain_repairs: u64,
-    /// Chain-rejoin actions: a re-registering slave spliced back onto the
-    /// tail of in-flight chains (only the writes its cumulative offset
-    /// does not already cover — no overlapping window).
-    pub stat_chain_rejoins: u64,
-    // -- cross-mode failover (`ClusterConfig::mode_failover`) --------------
-    /// The replication mode currently *in force*. Starts at
-    /// `cfg.repl_mode` and diverges only under `mode_failover`: a quorum
-    /// cluster that cannot assemble a write quorum degrades to the async
-    /// stream, and re-promotes when enough slaves return.
-    active_mode: ReplModeKind,
     /// Every mode transition `(instant, new mode)`, in order. The history
     /// checker cuts its linearizability claim at the first entry — the
     /// declared degradation point.
@@ -218,10 +154,6 @@ pub struct NicKv {
     /// below quorum is only meaningful once a full quorum existed
     /// (otherwise cluster start-up would read as a partition).
     peak_slaves: usize,
-    /// Per-commit ack sets `(end_offset, acked slaves)`, recorded only
-    /// when `ClusterConfig::record_commits` is set (the quorum
-    /// intersection proptest reads these).
-    pub committed_acks: Vec<(u64, Vec<SocketAddr>)>,
     /// Replicated writes seen per master shard, classified by the hash
     /// slot of the command's first key (index = shard). Only populated
     /// when `num_shards > 1` — the NIC's view of how evenly the shard
@@ -246,10 +178,6 @@ pub struct NicKv {
     fwd_pending: DetMap<u64, FwdCtx>,
     /// Send-ring pool the cookie-framed `FWD_CMD`s are built in.
     pool: FramePool,
-    /// The WC array every CQ drain polls into.
-    wc_scratch: Vec<Wc>,
-    /// Staging for doorbell-batched fan-out posts.
-    batch: WrBatch,
     /// Emptied per-write connection lists, reused by the next fan-out.
     spare_conns: Vec<Vec<usize>>,
 }
@@ -263,15 +191,19 @@ impl NicKv {
         let cache = cfg
             .hot_cache_enabled()
             .then(|| HotCache::new(cfg.hot_cache_bytes, cfg.hot_cache_policy_kind()));
-        let active_mode = cfg.repl_mode;
+        let tracker = Tracker::new(
+            cfg.repl_mode,
+            cfg.num_slaves,
+            REPL_WINDOW,
+            cfg.record_commits,
+        );
         NicKv {
             net,
             node,
             addr,
             cq: None,
             cpu: CorePool::new(cores, speed),
-            conns: Vec::new(),
-            by_qp: DetMap::new(),
+            conns: ConnTable::new(None),
             nodes: Vec::new(),
             probe_seq: 0,
             promoted: None,
@@ -282,27 +214,17 @@ impl NicKv {
             cfg,
             stat_fanout_msgs: 0,
             stat_fanout_sends: 0,
-            stat_doorbells: 0,
-            stat_wrs_posted: 0,
             stat_probes: 0,
             stat_failovers: 0,
             detections: Vec::new(),
             recoveries: Vec::new(),
-            write_seq: 0,
-            pending: VecDeque::new(),
-            wr_acks: DetMap::new(),
-            window_queue: VecDeque::new(),
-            committed_upto: 0,
+            tracker,
+            live: Vec::new(),
             notified_upto: 0,
-            stat_commits: 0,
             stat_retransmits: 0,
-            stat_chain_repairs: 0,
-            stat_chain_rejoins: 0,
-            active_mode,
             mode_changes: Vec::new(),
             stat_mode_changes: 0,
             peak_slaves: 0,
-            committed_acks: Vec::new(),
             shard_ingress,
             cache,
             fwd_seq: 0,
@@ -311,16 +233,27 @@ impl NicKv {
             fwd_pending: DetMap::new(),
             // Same sizing as the host's send ring: a 4 KiB value + headers.
             pool: FramePool::new(4096 + 64, 256),
-            wc_scratch: Vec::new(),
-            batch: WrBatch::default(),
             spare_conns: Vec::new(),
         }
     }
 
-    /// The replication mode currently in force (== `cfg.repl_mode` unless
-    /// a `mode_failover` transition happened).
-    pub fn active_mode(&self) -> ReplModeKind {
-        self.active_mode
+    /// The tracked-replication state machine: the mode in force, the
+    /// commit frontier, in-flight writes and the `stat_commits` /
+    /// `stat_chain_*` counters.
+    pub fn tracker(&self) -> &Tracker {
+        &self.tracker
+    }
+
+    /// Doorbells rung by the replication fan-out: one per replicated
+    /// write, however many slaves it went to.
+    pub fn stat_doorbells(&self) -> u64 {
+        self.conns.stat_doorbells
+    }
+
+    /// WRs posted by the replication fan-out (batching amortizes
+    /// doorbells, not work requests).
+    pub fn stat_wrs_posted(&self) -> u64 {
+        self.conns.stat_wrs_posted
     }
 
     /// Cache counters and the resident byte footprint, when the hot
@@ -346,17 +279,14 @@ impl NicKv {
         &self.shard_ingress
     }
 
-    /// Classify one replicated stream frame by the owning master shard
-    /// (hash slot of the embedded command's first key) and bump its
+    /// Classify one replicated stream frame's command by the owning
+    /// master shard (hash slot of its first key) and bump that shard's
     /// ingress count. A no-op at one shard, keeping the unsharded
     /// schedule's state untouched.
-    fn note_shard_ingress(&mut self, frame: &Frame) {
+    fn note_shard_ingress(&mut self, body: &[u8]) {
         if self.shard_ingress.len() <= 1 {
             return;
         }
-        let Some((_, body)) = crate::server::parse_stream_frame(frame) else {
-            return;
-        };
         let ParsedCommand::Command(args, _) = resp::parse_command(body) else {
             return;
         };
@@ -373,18 +303,40 @@ impl NicKv {
     /// defers the master's client replies (quorum and chain; not the
     /// async stream, including a quorum cluster degraded into it).
     fn deferred(&self) -> bool {
-        self.active_mode != ReplModeKind::Async
+        self.tracker.mode().defers_replies()
     }
 
-    /// Highest backlog offset committed under the active replication mode
-    /// (async never tracks commits and reports 0).
-    pub fn committed_upto(&self) -> u64 {
-        self.committed_upto
-    }
-
-    /// Tracked writes still awaiting their commit condition.
-    pub fn pending_writes(&self) -> usize {
-        self.pending.len()
+    /// Hand the tracker an input together with the live-slave set, then
+    /// carry out every step it decided on, in order.
+    fn track(&mut self, ctx: &mut Context<'_>, input: impl FnOnce(&mut Tracker, &[SocketAddr])) {
+        let mut live = std::mem::take(&mut self.live);
+        live.clear();
+        // Only chains read it: their hops, and who a repair keeps.
+        if self.tracker.mode() == ReplModeKind::Chain {
+            live.extend(self.slave_targets().map(|(_, addr)| addr));
+        }
+        input(&mut self.tracker, &live);
+        self.live = live;
+        while let Some(step) = self.tracker.next_step() {
+            match step {
+                // Parsing the request happens once, on the thread that owns
+                // the master connection (thread 0 by convention).
+                Step::Parse => {
+                    self.cpu
+                        .run_on(0, ctx.now(), self.cfg.costs.nic_fanout_base);
+                }
+                Step::Fanout { seq } => {
+                    if let Some((conns, done)) = self.charge_fanout(ctx.now()) {
+                        ctx.timer_at(done, NicMsg::TrackedSend { seq, conns });
+                    }
+                }
+                Step::Hop { seq } => {
+                    let done = self.charge_fanout_thread(ctx.now());
+                    ctx.timer_at(done, NicMsg::ChainHop { seq });
+                }
+                Step::Committed => self.notify_committed(ctx),
+            }
+        }
     }
 
     fn addr_of_conn(&self, conn: usize) -> Option<SocketAddr> {
@@ -417,33 +369,24 @@ impl NicKv {
     }
 
     fn master_conn(&self) -> Option<usize> {
-        self.nodes
-            .iter()
-            .find(|n| n.is_master)
-            .and_then(|n| n.conn)
-            .filter(|&c| self.conns[c].open)
+        self.open_conn_of(|n| n.is_master)
     }
 
-    /// Send on an open connection; returns the number of RDMA WRs posted
-    /// right now (0 when the message was queued behind the handshake or
-    /// the channel is closed/broken — see [`Channel::send`]).
-    fn send_on(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: usize,
-        tag: u32,
-        payload: impl Into<Frame>,
-    ) -> usize {
-        if !self.conns[conn].open {
-            return 0;
-        }
-        let net = self.net.clone();
-        let posted = self.conns[conn].channel.send(&net, ctx, tag, payload);
-        if self.conns[conn].channel.broken() {
+    /// The open channel of the first node `pred` picks, if it has one.
+    fn open_conn_of(&self, pred: impl Fn(&NodeEntry) -> bool) -> Option<usize> {
+        self.nodes
+            .iter()
+            .find(|n| pred(n))
+            .and_then(|n| n.conn)
+            .filter(|&c| self.conns.is_open(c))
+    }
+
+    /// Send on an open connection; a send that breaks the channel tears
+    /// the connection down.
+    fn send_on(&mut self, ctx: &mut Context<'_>, conn: usize, tag: u32, payload: impl Into<Frame>) {
+        if !self.conns.send(&self.net, ctx, conn, tag, payload) {
             self.close_conn(ctx, conn);
-            return 0;
         }
-        posted
     }
 
     /// Tear down a failed connection; the node it belonged to stays in the
@@ -452,21 +395,13 @@ impl NicKv {
     /// takes the hot cache cold and fails outstanding forwards over to
     /// error replies (see [`NicKv::on_master_channel_lost`]).
     fn close_conn(&mut self, ctx: &mut Context<'_>, conn: usize) {
-        if !self.conns[conn].open {
+        if !self.conns.close(&self.net, conn) {
             return;
         }
         let was_master = self
             .nodes
             .iter()
             .any(|n| n.is_master && n.conn == Some(conn));
-        self.conns[conn].open = false;
-        // Whatever was queued behind the handshake dies with the channel;
-        // forget its statistics bookkeeping too.
-        self.conns[conn].deferred_wrs = 0;
-        let _ = self.conns[conn].channel.take_flushed_wrs();
-        if let Some(qp) = self.conns[conn].channel.qp() {
-            self.net.destroy_qp(qp);
-        }
         for e in &mut self.nodes {
             if e.conn == Some(conn) {
                 e.conn = None;
@@ -494,11 +429,8 @@ impl NicKv {
         let err: Frame = skv_store::resp::Resp::Error("ERR master unavailable".into())
             .encode()
             .into();
-        let conns: Vec<usize> = pending.iter().map(|(_, f)| f.conn).collect();
-        for conn in conns {
-            if self.conns[conn].open {
-                self.send_on(ctx, conn, tag::REPLY, err.clone());
-            }
+        for (_, fwd) in &pending {
+            self.send_on(ctx, fwd.conn, tag::REPLY, err.clone());
         }
     }
 
@@ -508,7 +440,7 @@ impl NicKv {
             !n.is_master
                 && n.valid
                 && n.position.offset > 0
-                && self.master_offset.saturating_sub(n.position.offset) > self.cfg.max_slave_lag
+                && self.master_offset.saturating_sub(n.position.offset) > MAX_SLAVE_LAG
         })
     }
 
@@ -607,10 +539,8 @@ impl NicKv {
         let Some(fwd) = self.fwd_pending.remove(&cookie) else {
             return;
         };
-        if self.conns[fwd.conn].open {
-            let err = skv_store::resp::Resp::Error("ERR master unavailable".into()).encode();
-            self.send_on(ctx, fwd.conn, tag::REPLY, err);
-        }
+        let err = skv_store::resp::Resp::Error("ERR master unavailable".into()).encode();
+        self.send_on(ctx, fwd.conn, tag::REPLY, err);
     }
 
     /// A cookie-framed reply came back from the host: pop the pending
@@ -651,7 +581,7 @@ impl NicKv {
                 cache.admit(key, Frame::copy_from_slice(&body), version);
             }
         }
-        if !self.conns[fwd.conn].open {
+        if !self.conns.is_open(fwd.conn) {
             return; // the client went away; drop the reply
         }
         let done = self
@@ -672,11 +602,8 @@ impl NicKv {
     /// affected keys *before* the master's ack for that write can reach
     /// any client — stream frames precede cookie replies on the FIFO
     /// master channel. A no-op (no state, no CPU) with the cache off.
-    fn apply_cache_invalidations(&mut self, frame: &Frame) {
+    fn apply_cache_invalidations(&mut self, from_offset: u64, body: &[u8]) {
         let Some(cache) = self.cache.as_mut() else {
-            return;
-        };
-        let Some((from_offset, body)) = crate::server::parse_stream_frame(frame) else {
             return;
         };
         let version = from_offset + body.len() as u64;
@@ -759,15 +686,11 @@ impl NicKv {
                     self.demote_promoted(ctx);
                     // Tell the master how many slaves are already valid.
                     self.notify_available(ctx);
-                    if self.cfg.mode_failover && self.active_mode != self.cfg.repl_mode {
+                    if self.cfg.mode_failover && self.tracker.mode() != self.cfg.repl_mode {
                         // A (re)connecting master defaults to the
                         // configured mode; bring it up to date with the
                         // mode actually in force.
-                        let msg = NodeMsg::ModeChange {
-                            mode: self.active_mode,
-                        }
-                        .encode();
-                        self.send_on(ctx, conn, tag::NODE, msg);
+                        self.announce_mode(ctx);
                     }
                     if self.deferred() {
                         // A reconnecting master lost any earlier commit
@@ -793,22 +716,14 @@ impl NicKv {
                 }
                 self.notify_available(ctx);
                 if self.deferred() {
-                    self.apply_ack(ctx, slave, position.offset);
-                    match self.active_mode {
+                    self.track(ctx, |t, live| t.on_progress(slave, position.offset, live));
+                    match self.tracker.mode() {
                         ReplModeKind::Quorum => self.retransmit_pending(ctx, slave),
+                        // A healed slave re-enters the replication
+                        // topology here, at the tail of every in-flight
+                        // chain its cumulative offset does not cover.
                         ReplModeKind::Chain => {
-                            // A healed slave re-enters the replication
-                            // topology here: splice it onto the *tail* of
-                            // every in-flight chain its cumulative offset
-                            // does not already cover.
-                            let spliced = Self::splice_rejoined_hops(
-                                &mut self.pending,
-                                slave,
-                                position.offset,
-                            );
-                            if spliced > 0 {
-                                self.stat_chain_rejoins += 1;
-                            }
+                            self.tracker.rejoin(slave, position.offset);
                         }
                         ReplModeKind::Async => {}
                     }
@@ -820,7 +735,7 @@ impl NicKv {
                     e.last_reply = ctx.now();
                 }
                 if self.deferred() {
-                    self.apply_ack(ctx, slave, offset);
+                    self.track(ctx, |t, live| t.on_progress(slave, offset, live));
                 }
             }
             NodeMsg::WriteAck { slave, offset } => {
@@ -832,7 +747,7 @@ impl NicKv {
                     e.last_reply = ctx.now();
                 }
                 if self.deferred() {
-                    self.apply_ack(ctx, slave, offset);
+                    self.track(ctx, |t, live| t.on_progress(slave, offset, live));
                 }
             }
             NodeMsg::ProbeReply { seq: _, from } => {
@@ -917,68 +832,56 @@ impl NicKv {
 
     /// Steady-state fan-out (Fig. 9 ②): write the command into each valid
     /// slave's send buffer and post one WRITE_WITH_IMM per slave, the work
-    /// spread round-robin across `thread-num` ARM cores.
+    /// spread round-robin across `thread-num` ARM cores. Quorum/chain
+    /// modes hand the write to the tracker instead, which launches it
+    /// under the mode's pattern or parks it behind a full window.
     fn fan_out(&mut self, ctx: &mut Context<'_>, frame: Frame) {
-        self.note_shard_ingress(&frame);
-        self.apply_cache_invalidations(&frame);
-        if self.deferred() {
-            // Quorum/chain modes track per-write acks; the async fast path
-            // below stays bit-identical when `repl_mode` is `Async`.
-            self.fan_out_tracked(ctx, frame);
-            return;
-        }
         self.stat_fanout_msgs += 1;
+        let end_offset = parse_stream_frame(&frame).map(|(from_offset, body)| {
+            self.note_shard_ingress(body);
+            self.apply_cache_invalidations(from_offset, body);
+            from_offset + body.len() as u64
+        });
         // Track the master's offset from the frame header (first 8 bytes),
         // for the lag check of §III-C.
-        if let Some((from_offset, body)) = crate::server::parse_stream_frame(&frame) {
-            self.master_offset = self.master_offset.max(from_offset + body.len() as u64);
+        if let Some(end_offset) = end_offset {
+            self.master_offset = self.master_offset.max(end_offset);
         }
-        self.async_send(ctx, frame);
+        if !self.deferred() {
+            self.async_send(ctx, frame);
+        } else if let Some(end_offset) = end_offset {
+            self.track(ctx, |t, live| t.admit(frame, end_offset, live));
+        }
     }
 
-    /// The async-stream send body: per-slave ARM work then one
-    /// WRITE_WITH_IMM per valid slave (batched under one doorbell in
-    /// `batch_wr_posts` mode). Shared by the steady-state fast path and
+    /// The async-stream send body: the request parse on thread 0, then
+    /// the per-slave ARM work. Shared by the steady-state fast path and
     /// the degrade flush, which re-launches window-parked tracked frames
     /// under async semantics (already counted in `stat_fanout_msgs`).
     fn async_send(&mut self, ctx: &mut Context<'_>, frame: Frame) {
-        let threads = self.cfg.effective_nic_threads();
-        let base = self.cfg.costs.nic_fanout_base;
-        let per_slave = self.cfg.costs.nic_per_slave;
+        self.cpu
+            .run_on(0, ctx.now(), self.cfg.costs.nic_fanout_base);
+        if let Some((conns, done)) = self.charge_fanout(ctx.now()) {
+            ctx.timer_at(done, NicMsg::FanoutSendBatch { conns, frame });
+        }
+    }
 
+    /// Charge one ring write per live slave, round-robin over the fan-out
+    /// threads. The WQEs are only staged: one doorbell flushes them all
+    /// once the last thread finishes. Returns the target connections and
+    /// that instant, or `None` without a live slave.
+    fn charge_fanout(&mut self, now: SimTime) -> Option<(Vec<usize>, SimTime)> {
         let mut conns = self.spare_conns.pop().unwrap_or_default();
         conns.extend(self.slave_targets().map(|(conn, _)| conn));
-
-        // Parsing the request happens once, on the thread that owns the
-        // master connection (thread 0 by convention).
-        self.cpu.run_on(0, ctx.now(), base);
-        if self.cfg.batch_wr_posts {
-            // Doorbell-batched mode: each thread still pays its per-slave
-            // ring-write cost, but the WQEs are only staged; one doorbell
-            // flushes them all once the last thread finishes.
-            let mut batch_done = ctx.now();
-            for _ in &conns {
-                batch_done =
-                    batch_done.max(self.charge_fanout_thread(ctx.now(), threads, per_slave));
-            }
-            if conns.is_empty() {
-                self.recycle_conns(conns);
-            } else {
-                ctx.timer_at(batch_done, NicMsg::FanoutSendBatch { conns, frame });
-            }
-            return;
+        let mut done = now;
+        for _ in &conns {
+            done = done.max(self.charge_fanout_thread(now));
         }
-        for conn in conns.drain(..) {
-            let done = self.charge_fanout_thread(ctx.now(), threads, per_slave);
-            ctx.timer_at(
-                done,
-                NicMsg::FanoutSend {
-                    conn,
-                    frame: frame.clone(),
-                },
-            );
+        if conns.is_empty() {
+            self.recycle_conns(conns);
+            return None;
         }
-        self.recycle_conns(conns);
+        Some((conns, done))
     }
 
     /// Keep an emptied connection list for the next fan-out to fill.
@@ -996,421 +899,98 @@ impl NicKv {
             .iter()
             .filter(|n| !n.is_master && n.valid)
             .filter_map(|n| n.conn.map(|c| (c, n.addr)))
-            .filter(|&(c, _)| self.conns[c].open)
+            .filter(|&(c, _)| self.conns.is_open(c))
     }
 
     /// Charge one slave's ring-write work to the next fan-out thread
     /// (round-robin) and return when that thread finishes it.
-    fn charge_fanout_thread(
-        &mut self,
-        now: SimTime,
-        threads: usize,
-        per_slave: SimDuration,
-    ) -> SimTime {
-        let thread = self.fanout_cursor % threads;
+    fn charge_fanout_thread(&mut self, now: SimTime) -> SimTime {
+        let thread = self.fanout_cursor % self.cfg.effective_nic_threads();
         self.fanout_cursor += 1;
         self.stat_fanout_sends += 1;
-        self.cpu.run_on(thread, now, per_slave).finished
-    }
-
-    /// Post the staged fan-out WRs for one replicated write under a single
-    /// doorbell. Channels whose handshake is still outstanding queue the
-    /// message internally (as `send` would); a failed batch entry breaks
-    /// only its own channel.
-    fn fan_out_batch(&mut self, ctx: &mut Context<'_>, mut conns: Vec<usize>, frame: Frame) {
-        for conn in conns.drain(..) {
-            if !self.conns[conn].open {
-                continue;
-            }
-            if let Some(wr) = self.conns[conn]
-                .channel
-                .build_wr(tag::REPL_STREAM, frame.clone())
-            {
-                self.batch.stage(conn, wr);
-            } else if !self.conns[conn].channel.ready() {
-                // Queued behind the handshake; it posts (and is counted)
-                // from the completion drain's flush accounting.
-                self.conns[conn].deferred_wrs += 1;
-            }
-        }
-        self.recycle_conns(conns);
-        if self.batch.is_empty() {
-            return;
-        }
-        self.stat_doorbells += 1;
-        self.stat_wrs_posted += self.batch.len() as u64;
-        let net = self.net.clone();
-        for (conn, ..) in self.batch.post(&net, ctx) {
-            self.conns[conn].channel.mark_broken();
-            self.close_conn(ctx, conn);
-        }
-    }
-
-    // -- tracked replication (quorum / chain modes) -----------------------------
-
-    /// Tracked-mode entry point for one replicated write. Shares the async
-    /// path's parse cost and offset bookkeeping, then launches the write
-    /// under the mode's WR pattern — or parks it in `window_queue` when the
-    /// in-flight window is full.
-    fn fan_out_tracked(&mut self, ctx: &mut Context<'_>, frame: Frame) {
-        self.stat_fanout_msgs += 1;
-        let Some((from_offset, body)) = crate::server::parse_stream_frame(&frame) else {
-            return;
-        };
-        let end_offset = from_offset + body.len() as u64;
-        self.master_offset = self.master_offset.max(end_offset);
-        if self.pending.len() >= self.cfg.repl_window.max(1) {
-            self.window_queue.push_back(frame);
-            return;
-        }
-        self.launch_write(ctx, frame, end_offset);
-    }
-
-    fn launch_write(&mut self, ctx: &mut Context<'_>, frame: Frame, end_offset: u64) {
-        // Parse cost on the master-connection thread, as in the async path.
         self.cpu
-            .run_on(0, ctx.now(), self.cfg.costs.nic_fanout_base);
-        self.write_seq += 1;
-        let seq = self.write_seq;
-        match self.active_mode {
-            ReplModeKind::Quorum => {
-                let needed = quorum_slave_acks(self.cfg.num_slaves);
-                self.pending.push_back(PendingWrite {
-                    seq,
-                    end_offset,
-                    frame,
-                    acked: Vec::new(),
-                    needed,
-                    hops: VecDeque::new(),
-                    hop_inflight: false,
-                });
-                let threads = self.cfg.effective_nic_threads();
-                let per_slave = self.cfg.costs.nic_per_slave;
-                let mut conns = self.spare_conns.pop().unwrap_or_default();
-                conns.extend(self.slave_targets().map(|(conn, _)| conn));
-                let mut batch_done = ctx.now();
-                for _ in &conns {
-                    batch_done =
-                        batch_done.max(self.charge_fanout_thread(ctx.now(), threads, per_slave));
-                }
-                if conns.is_empty() {
-                    self.recycle_conns(conns);
-                } else {
-                    ctx.timer_at(batch_done, NicMsg::TrackedSend { seq, conns });
-                }
-                // N = 0 commits immediately (master is the whole quorum).
-                self.check_commits(ctx);
-            }
-            ReplModeKind::Chain => {
-                let hops: VecDeque<SocketAddr> =
-                    self.slave_targets().map(|(_, addr)| addr).collect();
-                self.pending.push_back(PendingWrite {
-                    seq,
-                    end_offset,
-                    frame,
-                    acked: Vec::new(),
-                    needed: 0,
-                    hops,
-                    hop_inflight: false,
-                });
-                self.advance_chain(ctx, seq);
-            }
-            ReplModeKind::Async => unreachable!("async writes use fan_out"),
-        }
+            .run_on(thread, now, self.cfg.costs.nic_per_slave)
+            .finished
     }
 
-    /// Post one tracked write's WRs to `conns` under a single doorbell,
-    /// arming `wr_acks` so the send-side completions land back on the
-    /// write. Also the quorum retransmit path (single-conn `conns`).
-    fn tracked_send(&mut self, ctx: &mut Context<'_>, seq: u64, mut conns: Vec<usize>) {
-        let Some(frame) = self
-            .pending
-            .iter()
-            .find(|p| p.seq == seq)
-            .map(|p| p.frame.clone())
-        else {
-            self.recycle_conns(conns);
-            return; // committed before the fan-out work finished
-        };
-        for conn in conns.drain(..) {
-            if !self.conns[conn].open {
-                continue;
-            }
-            let Some(addr) = self.addr_of_conn(conn) else {
-                continue;
+    /// Post `frame` to each of `conns` under a single doorbell — the one
+    /// place replication WRs leave the NIC. A channel whose handshake is
+    /// still outstanding queues the frame internally; a rejected WR breaks
+    /// only its own channel. For a tracked write (`seq`) each WR is armed
+    /// so its send-side completion lands back on the tracker as that
+    /// slave's ack; a frame queued behind the handshake gets no such
+    /// completion, the slave's cumulative progress acks it instead.
+    /// Returns whether the fabric accepted every WR.
+    fn post_stream(
+        &mut self,
+        ctx: &mut Context<'_>,
+        conns: &[usize],
+        frame: &Frame,
+        seq: Option<u64>,
+    ) -> bool {
+        for &conn in conns {
+            let armed = match seq {
+                Some(seq) => match self.addr_of_conn(conn) {
+                    Some(slave) => Some((seq, slave)),
+                    None => continue,
+                },
+                None => None,
             };
-            if let Some((qp, wr)) = self.conns[conn]
-                .channel
-                .build_wr(tag::REPL_STREAM, frame.clone())
-            {
-                self.wr_acks.insert((qp, wr.wr_id), (seq, addr));
-                self.batch.stage(conn, (qp, wr));
-            } else if !self.conns[conn].channel.ready() {
-                // Queued behind the handshake. No completion will carry
-                // this WR back to `wr_acks`; the slave's cumulative
-                // progress (`ProgressReport`/resync) acks it instead.
-                self.conns[conn].deferred_wrs += 1;
+            let staged = self.conns.stage(conn, tag::REPL_STREAM, frame.clone());
+            if let (Some(key), Some((seq, slave))) = (staged, armed) {
+                self.tracker.arm(key, seq, slave);
             }
         }
-        self.recycle_conns(conns);
-        if self.batch.is_empty() {
-            return;
-        }
-        self.stat_doorbells += 1;
-        self.stat_wrs_posted += self.batch.len() as u64;
-        let net = self.net.clone();
-        for (conn, qp, wr_id) in self.batch.post(&net, ctx) {
-            self.wr_acks.remove(&(qp, wr_id));
-            self.conns[conn].channel.mark_broken();
+        let failed = self.conns.post(&self.net, ctx);
+        let accepted = failed.is_empty();
+        for (conn, qp, wr_id) in failed {
+            self.tracker.disarm((qp, wr_id));
             self.close_conn(ctx, conn);
         }
-    }
-
-    /// Chain mode: prune dead head hops, then schedule a post to the
-    /// current head if none is in flight.
-    fn advance_chain(&mut self, ctx: &mut Context<'_>, seq: u64) {
-        let Some(idx) = self.pending.iter().position(|p| p.seq == seq) else {
-            return;
-        };
-        while let Some(next) = self.pending[idx].hops.front().copied() {
-            let alive = self
-                .nodes
-                .iter()
-                .any(|n| n.addr == next && n.valid && n.conn.is_some_and(|c| self.conns[c].open));
-            if alive {
-                break;
-            }
-            self.pending[idx].hops.pop_front();
-            self.pending[idx].hop_inflight = false;
-            self.stat_chain_repairs += 1;
-        }
-        if self.pending[idx].hops.is_empty() {
-            self.check_commits(ctx);
-            return;
-        }
-        if self.pending[idx].hop_inflight {
-            return;
-        }
-        self.pending[idx].hop_inflight = true;
-        let threads = self.cfg.effective_nic_threads();
-        let thread = self.fanout_cursor % threads;
-        self.fanout_cursor += 1;
-        let done = self
-            .cpu
-            .run_on(thread, ctx.now(), self.cfg.costs.nic_per_slave)
-            .finished;
-        self.stat_fanout_sends += 1;
-        ctx.timer_at(done, NicMsg::ChainHop { seq });
+        accepted
     }
 
     /// Post one chain write to its head hop (the `ChainHop` timer body).
     fn chain_hop_post(&mut self, ctx: &mut Context<'_>, seq: u64) {
-        let Some(idx) = self.pending.iter().position(|p| p.seq == seq) else {
+        let mut target = None;
+        self.track(ctx, |t, live| target = t.hop_target(seq, live));
+        let Some((slave, frame)) = target else {
             return;
         };
-        let Some(target) = self.pending[idx].hops.front().copied() else {
-            self.pending[idx].hop_inflight = false;
-            self.check_commits(ctx);
-            return;
-        };
-        let conn = self
-            .nodes
-            .iter()
-            .find(|n| n.addr == target)
-            .and_then(|n| n.conn)
-            .filter(|&c| self.conns[c].open);
-        let Some(conn) = conn else {
-            // The hop died between scheduling and posting.
-            self.pending[idx].hop_inflight = false;
+        let conn = self.open_conn_of(|n| n.addr == slave);
+        if !conn.is_some_and(|c| self.post_stream(ctx, &[c], &frame, Some(seq))) {
+            // The hop died between scheduling and posting, or on the post.
+            self.tracker.hop_unposted(seq);
             self.chain_repair(ctx);
-            return;
-        };
-        let frame = self.pending[idx].frame.clone();
-        let net = self.net.clone();
-        if let Some((qp, wr)) = self.conns[conn].channel.build_wr(tag::REPL_STREAM, frame) {
-            let wr_id = wr.wr_id;
-            self.wr_acks.insert((qp, wr_id), (seq, target));
-            self.stat_doorbells += 1;
-            self.stat_wrs_posted += 1;
-            if net.post_send(ctx, qp, wr).is_err() {
-                self.wr_acks.remove(&(qp, wr_id));
-                self.conns[conn].channel.mark_broken();
-                self.close_conn(ctx, conn);
-                self.pending[idx].hop_inflight = false;
-                self.chain_repair(ctx);
-            }
-        } else if !self.conns[conn].channel.ready() {
-            // Queued behind the handshake; it posts from the drain's flush
-            // and the hop still completes via the slave's applied ack.
-            self.conns[conn].deferred_wrs += 1;
-        }
-    }
-
-    /// A tracked WR completed successfully: `slave` holds the write's
-    /// bytes (RC semantics — a send-side success means remote placement).
-    fn on_wr_ack(&mut self, ctx: &mut Context<'_>, seq: u64, slave: SocketAddr) {
-        match self.active_mode {
-            ReplModeKind::Quorum => {
-                if let Some(p) = self.pending.iter_mut().find(|p| p.seq == seq) {
-                    if !p.acked.contains(&slave) {
-                        p.acked.push(slave);
-                    }
-                }
-                self.check_commits(ctx);
-            }
-            // Chain hops advance on the slave's *applied* ack (`WriteAck`),
-            // not on delivery; nothing to do for the completion itself.
-            ReplModeKind::Chain | ReplModeKind::Async => {}
-        }
-    }
-
-    /// A tracked WR failed. Quorum just loses this ack (the slave's resync
-    /// progress is the backstop); chain must splice the dead hop out and
-    /// move the write along.
-    fn on_wr_error(&mut self, ctx: &mut Context<'_>, seq: u64, slave: SocketAddr) {
-        if self.active_mode != ReplModeKind::Chain {
-            return;
-        }
-        let mut advance = false;
-        if let Some(p) = self.pending.iter_mut().find(|p| p.seq == seq) {
-            if p.hops.front() == Some(&slave) {
-                p.hops.pop_front();
-                p.hop_inflight = false;
-            } else {
-                p.hops.retain(|h| *h != slave);
-            }
-            self.stat_chain_repairs += 1;
-            advance = !p.hops.is_empty();
-        }
-        if advance {
-            self.advance_chain(ctx, seq);
-        }
-        self.check_commits(ctx);
-    }
-
-    /// Fold a slave's cumulative applied offset (`WriteAck`, NIC-side
-    /// `ProgressReport`, or re-registration position) into every pending
-    /// write it covers. The cumulative form makes lost per-WR acks and
-    /// resync-delivered bytes converge on the same commit bookkeeping.
-    fn apply_ack(&mut self, ctx: &mut Context<'_>, slave: SocketAddr, upto: u64) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let chain = self.active_mode == ReplModeKind::Chain;
-        let mut advance: Vec<u64> = Vec::new();
-        for p in &mut self.pending {
-            if p.end_offset > upto {
-                break;
-            }
-            if !p.acked.contains(&slave) {
-                p.acked.push(slave);
-            }
-            if chain {
-                if p.hops.front() == Some(&slave) {
-                    p.hops.pop_front();
-                    p.hop_inflight = false;
-                    if !p.hops.is_empty() {
-                        advance.push(p.seq);
-                    }
-                } else if p.hops.contains(&slave) {
-                    // Covered out of order (a resync ran ahead of the
-                    // chain): drop the hop wherever it sits.
-                    p.hops.retain(|h| *h != slave);
-                }
-            }
-        }
-        for seq in advance {
-            self.advance_chain(ctx, seq);
-        }
-        self.check_commits(ctx);
-    }
-
-    /// Pop every front write whose commit condition holds, bump
-    /// `committed_upto`, notify the master, and refill the window.
-    fn check_commits(&mut self, ctx: &mut Context<'_>) {
-        if !self.deferred() {
-            return;
-        }
-        let chain = self.active_mode == ReplModeKind::Chain;
-        let mut committed = false;
-        loop {
-            let done = match self.pending.front() {
-                Some(p) if chain => p.hops.is_empty(),
-                Some(p) => p.acked.len() >= p.needed,
-                None => false,
-            };
-            if !done {
-                break;
-            }
-            let Some(p) = self.pending.pop_front() else {
-                break;
-            };
-            self.committed_upto = self.committed_upto.max(p.end_offset);
-            self.stat_commits += 1;
-            if self.cfg.record_commits {
-                self.committed_acks.push((p.end_offset, p.acked));
-            }
-            committed = true;
-        }
-        if committed {
-            self.notify_committed(ctx);
-            self.refill_window(ctx);
         }
     }
 
     /// Push the commit frontier to the master so it can release deferred
     /// client replies.
     fn notify_committed(&mut self, ctx: &mut Context<'_>) {
-        if self.committed_upto <= self.notified_upto {
+        let upto = self.tracker.committed_upto();
+        if upto <= self.notified_upto {
             return;
         }
         if let Some(conn) = self.master_conn() {
-            self.notified_upto = self.committed_upto;
-            let msg = NodeMsg::WriteCommitted {
-                upto: self.committed_upto,
-            }
-            .encode();
+            self.notified_upto = upto;
+            let msg = NodeMsg::WriteCommitted { upto }.encode();
             self.send_on(ctx, conn, tag::NODE, msg);
         }
     }
 
-    /// Launch queued writes into freed window slots.
-    fn refill_window(&mut self, ctx: &mut Context<'_>) {
-        while self.pending.len() < self.cfg.repl_window.max(1) {
-            let Some(frame) = self.window_queue.pop_front() else {
-                return;
-            };
-            let Some((from_offset, body)) = crate::server::parse_stream_frame(&frame) else {
-                continue;
-            };
-            let end_offset = from_offset + body.len() as u64;
-            self.launch_write(ctx, frame, end_offset);
-        }
-    }
-
     /// Quorum mode: re-post every pending write a re-registering slave has
-    /// not acked. Duplicate delivery is harmless (slave-side offset
-    /// dedupe); the completions repair acks lost to a broken QP.
+    /// not acked.
     fn retransmit_pending(&mut self, ctx: &mut Context<'_>, slave: SocketAddr) {
-        let Some(conn) = self
-            .nodes
-            .iter()
-            .find(|n| n.addr == slave)
-            .and_then(|n| n.conn)
-            .filter(|&c| self.conns[c].open)
-        else {
+        let Some(conn) = self.open_conn_of(|n| n.addr == slave) else {
             return;
         };
-        let seqs: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|p| !p.acked.contains(&slave))
-            .map(|p| p.seq)
-            .collect();
-        for seq in seqs {
+        for seq in self.tracker.unacked_by(slave) {
             self.stat_retransmits += 1;
             self.cpu.run_any(ctx.now(), self.cfg.costs.nic_per_slave);
-            self.tracked_send(ctx, seq, vec![conn]);
+            if let Some(frame) = self.tracker.frame_of(seq) {
+                self.post_stream(ctx, &[conn], &frame, Some(seq));
+            }
         }
     }
 
@@ -1418,73 +998,9 @@ impl NicKv {
     /// re-drive stalled writes. Run after completion drains and failure
     /// detections — any path that can tear a conn down.
     fn chain_repair(&mut self, ctx: &mut Context<'_>) {
-        if self.active_mode != ReplModeKind::Chain {
-            return;
+        if self.tracker.mode() == ReplModeKind::Chain {
+            self.track(ctx, Tracker::repair);
         }
-        let alive: Vec<SocketAddr> = self
-            .nodes
-            .iter()
-            .filter(|n| !n.is_master && n.valid && n.conn.is_some_and(|c| self.conns[c].open))
-            .map(|n| n.addr)
-            .collect();
-        let mut advance: Vec<u64> = Vec::new();
-        let mut repaired = false;
-        for p in &mut self.pending {
-            let before = p.hops.len();
-            let front = p.hops.front().copied();
-            p.hops.retain(|h| alive.contains(h));
-            if p.hops.len() != before {
-                repaired = true;
-                if p.hops.front().copied() != front {
-                    p.hop_inflight = false;
-                }
-            }
-            if !p.hop_inflight && !p.hops.is_empty() {
-                advance.push(p.seq);
-            }
-        }
-        if repaired {
-            self.stat_chain_repairs += 1;
-        }
-        for seq in advance {
-            self.advance_chain(ctx, seq);
-        }
-        self.check_commits(ctx);
-    }
-
-    /// Chain mode: splice a re-registering slave back into the hop order.
-    /// The slave resumes at the *tail* of every in-flight chain — never
-    /// mid-chain, which would reorder hops under writes already past it —
-    /// and only for writes its cumulative applied offset does not cover.
-    /// The historical bug was re-adding the slave to every pending write:
-    /// writes below its resync offset were then delivered twice, once by
-    /// the master's resync stream and once by the replayed chain hop, and
-    /// the chain stalled waiting for an applied ack the slave's offset
-    /// dedupe had already swallowed. Returns the number of chains spliced.
-    fn splice_rejoined_hops(
-        pending: &mut VecDeque<PendingWrite>,
-        slave: SocketAddr,
-        acked_upto: u64,
-    ) -> usize {
-        let mut spliced = 0;
-        for p in pending.iter_mut() {
-            // `end_offset <= acked_upto`: the resync stream already
-            // carried these bytes — replaying the hop would open an
-            // overlapping delivery window.
-            if p.end_offset <= acked_upto
-                || p.acked.contains(&slave)
-                || p.hops.contains(&slave)
-                // A chain whose hop list already drained is committed (or
-                // about to be); un-committing it would regress the
-                // frontier announced to the master.
-                || p.hops.is_empty()
-            {
-                continue;
-            }
-            p.hops.push_back(slave);
-            spliced += 1;
-        }
-        spliced
     }
 
     // -- cross-mode failover (`ClusterConfig::mode_failover`) -------------------
@@ -1502,9 +1018,10 @@ impl NicKv {
         let need = quorum_slave_acks(self.cfg.num_slaves);
         let avail = self.available_slaves();
         self.peak_slaves = self.peak_slaves.max(avail);
-        if self.active_mode == self.cfg.repl_mode && avail < need && self.peak_slaves >= need {
+        let mode = self.tracker.mode();
+        if mode == self.cfg.repl_mode && avail < need && self.peak_slaves >= need {
             self.degrade_to_async(ctx);
-        } else if self.active_mode == ReplModeKind::Async && avail >= need {
+        } else if mode == ReplModeKind::Async && avail >= need {
             self.promote_to_configured(ctx);
         }
     }
@@ -1515,23 +1032,12 @@ impl NicKv {
     /// window-parked frames are flushed through the async fast path so no
     /// write is lost in the transition.
     fn degrade_to_async(&mut self, ctx: &mut Context<'_>) {
-        self.active_mode = ReplModeKind::Async;
         self.stat_mode_changes += 1;
         self.mode_changes.push((ctx.now(), ReplModeKind::Async));
-        self.committed_upto = self.committed_upto.max(self.master_offset);
-        self.pending.clear();
-        self.wr_acks = DetMap::new();
-        let queued: Vec<Frame> = self.window_queue.drain(..).collect();
-        for frame in queued {
+        for frame in self.tracker.degrade(self.master_offset) {
             self.async_send(ctx, frame);
         }
-        if let Some(conn) = self.master_conn() {
-            let msg = NodeMsg::ModeChange {
-                mode: ReplModeKind::Async,
-            }
-            .encode();
-            self.send_on(ctx, conn, tag::NODE, msg);
-        }
+        self.announce_mode(ctx);
         self.notify_committed(ctx);
     }
 
@@ -1539,18 +1045,22 @@ impl NicKv {
     /// commit by the semantics they were written under; tracking starts
     /// fresh at the current stream frontier.
     fn promote_to_configured(&mut self, ctx: &mut Context<'_>) {
-        self.active_mode = self.cfg.repl_mode;
+        self.tracker.promote(self.cfg.repl_mode, self.master_offset);
         self.stat_mode_changes += 1;
-        self.mode_changes.push((ctx.now(), self.active_mode));
-        self.committed_upto = self.committed_upto.max(self.master_offset);
+        self.mode_changes.push((ctx.now(), self.cfg.repl_mode));
+        self.announce_mode(ctx);
+        self.notify_committed(ctx);
+    }
+
+    /// Tell the master which mode is in force now.
+    fn announce_mode(&mut self, ctx: &mut Context<'_>) {
         if let Some(conn) = self.master_conn() {
             let msg = NodeMsg::ModeChange {
-                mode: self.active_mode,
+                mode: self.tracker.mode(),
             }
             .encode();
             self.send_on(ctx, conn, tag::NODE, msg);
         }
-        self.notify_committed(ctx);
     }
 
     // -- failure detection (§III-D) ---------------------------------------------
@@ -1591,7 +1101,7 @@ impl NicKv {
             .nodes
             .iter()
             .filter_map(|e| e.conn.map(|c| (c, e.addr)))
-            .filter(|&(c, _)| self.conns[c].open)
+            .filter(|&(c, _)| self.conns.is_open(c))
             .collect();
         for (conn, addr) in targets {
             let cost = SimDuration::from_nanos(150);
@@ -1677,27 +1187,11 @@ impl Actor for NicKv {
                         self.master_offset = 0;
                         self.last_update_sent = None;
                         // Tracked-mode state is process state: gone too.
-                        // The master re-replicates unacked bytes through
-                        // resync; uncommitted writes surface as timeouts.
-                        self.pending.clear();
-                        self.wr_acks = DetMap::new();
-                        self.window_queue.clear();
-                        self.committed_upto = 0;
+                        self.tracker.reset();
                         self.notified_upto = 0;
-                        // Route stale completions through the channels so
-                        // surviving receive slots are replenished (the
-                        // messages themselves are dropped — the process
-                        // "restarted"), then re-arm. Same helper as
-                        // KvServer::Recover.
+                        // Stale completions still replenish receive slots.
                         if let Some(cq) = self.cq {
-                            let net = self.net.clone();
-                            let mut wcs = std::mem::take(&mut self.wc_scratch);
-                            cqdrain::recover_drain(&net, ctx, cq, &mut wcs, |ctx, wc| {
-                                if let Some(&conn) = self.by_qp.get(&wc.qp) {
-                                    let _ = self.conns[conn].channel.on_wc(&net, ctx, &wc);
-                                }
-                            });
-                            self.wc_scratch = wcs;
+                            self.conns.recover_drain(&self.net, ctx, cq);
                         }
                     }
                 }
@@ -1714,42 +1208,25 @@ impl Actor for NicKv {
                         ctx.timer(self.cfg.probe_interval, NicMsg::ProbeTick);
                     }
                     NicMsg::ProbeTick => self.on_probe_tick(ctx),
-                    NicMsg::FanoutSend { .. } if self.crashed => {}
-                    NicMsg::FanoutSend { conn, frame } => {
-                        // Count at actual post time: `send_on` reports how
-                        // many WRs really rang a doorbell. A frame queued
-                        // behind the MR handshake posts later, inside the
-                        // completion drain's flush — `deferred_wrs` carries
-                        // it to that accounting point.
-                        let was_open = self.conns[conn].open;
-                        let posted = self.send_on(ctx, conn, tag::REPL_STREAM, frame) as u64;
-                        self.stat_doorbells += posted;
-                        self.stat_wrs_posted += posted;
-                        if posted == 0
-                            && was_open
-                            && self.conns[conn].open
-                            && !self.conns[conn].channel.ready()
-                        {
-                            self.conns[conn].deferred_wrs += 1;
-                        }
-                    }
-                    NicMsg::FanoutSendBatch { .. } if self.crashed => {}
+                    // Work a crashed process had in progress is lost.
+                    _ if self.crashed => {}
                     NicMsg::FanoutSendBatch { conns, frame } => {
-                        self.fan_out_batch(ctx, conns, frame);
+                        self.post_stream(ctx, &conns, &frame, None);
+                        self.recycle_conns(conns);
                     }
-                    NicMsg::TrackedSend { .. } if self.crashed => {}
                     NicMsg::TrackedSend { seq, conns } => {
-                        self.tracked_send(ctx, seq, conns);
+                        // `None`: committed before the fan-out work finished.
+                        if let Some(frame) = self.tracker.frame_of(seq) {
+                            self.post_stream(ctx, &conns, &frame, Some(seq));
+                        }
+                        self.recycle_conns(conns);
                     }
-                    NicMsg::ChainHop { .. } if self.crashed => {}
                     NicMsg::ChainHop { seq } => {
                         self.chain_hop_post(ctx, seq);
                     }
-                    NicMsg::CacheReply { .. } if self.crashed => {}
                     NicMsg::CacheReply { conn, frame } => {
                         self.send_on(ctx, conn, tag::REPLY, frame);
                     }
-                    NicMsg::FwdSend { .. } if self.crashed => {}
                     NicMsg::FwdSend { cookie, frame } => {
                         self.fwd_to_master(ctx, cookie, frame);
                     }
@@ -1770,19 +1247,9 @@ impl Actor for NicKv {
                 let Some(cq) = self.cq else { return };
                 let _ = self.net.rdma_accept(ctx, req, cq);
             }
-            NetEvent::CmEstablished { qp, .. } => {
-                if self.by_qp.contains_key(&qp) {
-                    return;
-                }
-                let net = self.net.clone();
-                let ch = Channel::rdma(&net, ctx, self.node, qp, self.cfg.ring_size);
-                let idx = self.conns.len();
-                self.by_qp.insert(qp, idx);
-                self.conns.push(ConnState {
-                    channel: ch,
-                    open: true,
-                    deferred_wrs: 0,
-                });
+            NetEvent::CmEstablished { qp, .. } if self.conns.conn_of_qp(qp).is_none() => {
+                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE);
+                self.conns.add(ch, (), None);
             }
             NetEvent::CqNotify { cq } => {
                 // Budgeted drain on the slow ARM cores: at most
@@ -1791,45 +1258,27 @@ impl Actor for NicKv {
                 // the realistic back-pressure under fan-in.
                 let net = self.net.clone();
                 let budget = self.cfg.cq_poll_budget;
-                let mut wcs = std::mem::take(&mut self.wc_scratch);
+                let mut wcs = self.conns.take_wcs();
                 let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
-                    let Some(&conn) = self.by_qp.get(&wc.qp) else {
+                    let open = |c: &usize| self.conns.is_open(*c);
+                    let Some(conn) = self.conns.conn_of_qp(wc.qp).filter(open) else {
                         return;
                     };
-                    if !self.conns[conn].open {
-                        return;
-                    }
                     // Tracked-mode ack hook: a send-side completion for a
-                    // replication WR resolves its `(seq, slave)` entry —
+                    // replication WR resolves to its `(seq, slave)` —
                     // success means the slave holds the bytes (RC), error
-                    // feeds chain repair. Empty map (async mode) is free.
-                    if matches!(wc.opcode, WcOpcode::RdmaWrite) {
-                        if let Some((seq, slave)) = self.wr_acks.remove(&(wc.qp, wc.wr_id)) {
-                            if wc.status == WcStatus::Success {
-                                self.on_wr_ack(ctx, seq, slave);
-                            } else {
-                                self.on_wr_error(ctx, seq, slave);
-                            }
-                        }
+                    // feeds chain repair.
+                    if self.deferred() && wc.opcode == WcOpcode::RdmaWrite {
+                        let (key, ok) = ((wc.qp, wc.wr_id), wc.status == WcStatus::Success);
+                        self.track(ctx, |t, live| t.on_wr_done(key, ok, live));
                     }
-                    let msg = self.conns[conn].channel.on_wc(&net, ctx, &wc);
-                    // A handshake completion flushes queued messages; the
-                    // fan-out frames among them post right here, so this
-                    // is their actual post time for the statistics.
-                    let flushed = self.conns[conn].channel.take_flushed_wrs();
-                    if flushed > 0 {
-                        let fanout = flushed.min(self.conns[conn].deferred_wrs);
-                        self.conns[conn].deferred_wrs -= fanout;
-                        self.stat_doorbells += fanout;
-                        self.stat_wrs_posted += fanout;
-                    }
-                    if let Some(m) = msg {
-                        self.on_channel_msg(ctx, conn, m);
-                    } else if self.conns[conn].channel.broken() {
-                        self.close_conn(ctx, conn);
+                    match self.conns.on_wc(&net, ctx, conn, &wc) {
+                        ConnEvent::Msg(m) => self.on_channel_msg(ctx, conn, m),
+                        ConnEvent::Broken => self.close_conn(ctx, conn),
+                        ConnEvent::Quiet => {}
                     }
                 });
-                self.wc_scratch = wcs;
+                self.conns.put_wcs(wcs);
                 // Completion errors may have torn connections down; give
                 // in-flight chains a chance to splice dead hops out.
                 self.chain_repair(ctx);
@@ -1844,271 +1293,5 @@ impl Actor for NicKv {
 
     fn name(&self) -> &str {
         "nic-kv"
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    use skv_netsim::{SendOp, SendWr, Topology};
-    use skv_simcore::{FnActor, SimTime, Simulation};
-
-    use crate::config::{ClusterConfig, Mode};
-
-    /// Kick the scripted peer into dialing Nic-KV.
-    struct Connect;
-
-    /// Poke the scripted peer into finally sending its MR handshake.
-    struct ReleaseHandshake;
-
-    fn t(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
-    /// `(rdma.wrs_posted, rdma.doorbells)` fabric snapshot.
-    fn fabric_posts(net: &Net) -> (u64, u64) {
-        let c = net.counters();
-        (c.get("rdma.wrs_posted"), c.get("rdma.doorbells"))
-    }
-
-    /// Drive a Nic-KV against a scripted peer that establishes its QP but
-    /// *withholds* its half of the MR handshake until poked, so the
-    /// Nic-KV-side channel sits open-but-not-ready while fan-out work
-    /// arrives. The WR statistics must track the fabric's `rdma.wrs_posted`
-    /// and `rdma.doorbells` exactly through all three phases: nothing while
-    /// frames queue, the deferred frames once the handshake flushes them,
-    /// and immediate posts afterwards.
-    fn deferred_fanout_stats_agree(batched: bool) {
-        let mut sim = Simulation::new(17);
-        let mut topo = Topology::new();
-        let nic_host = topo.add_host();
-        let nic_node = topo.add_smartnic(nic_host);
-        let peer_node = topo.add_host();
-        let mut cfg = ClusterConfig::for_mode(Mode::Skv);
-        cfg.batch_wr_posts = batched;
-        let net = skv_netsim::Net::install(&mut sim, topo, cfg.net.clone());
-        let nic_addr = SocketAddr::new(nic_node, 7000);
-        let ring = cfg.ring_size;
-
-        let nic_id = sim.add_actor(Box::new(NicKv::new(net.clone(), cfg, nic_node, nic_addr)));
-
-        let peer_qp: Rc<RefCell<Option<QpId>>> = Rc::default();
-        let pq = peer_qp.clone();
-        let n = net.clone();
-        let peer = sim.add_actor(Box::new(FnActor::new(move |ctx, _from, msg| {
-            let msg = match msg.downcast::<Connect>() {
-                Ok(_) => {
-                    let cq = n.create_cq(ctx.id());
-                    n.req_notify_cq(ctx, cq);
-                    n.rdma_connect(ctx, peer_node, ctx.id(), cq, nic_addr);
-                    return;
-                }
-                Err(msg) => msg,
-            };
-            let msg = match msg.downcast::<ReleaseHandshake>() {
-                Ok(_) => {
-                    // The withheld half of the channel handshake: register
-                    // a receive ring and send its handle, exactly as
-                    // `Channel::rdma` would have at establishment.
-                    let qp = pq.borrow().expect("established before release");
-                    let mr = n.register_mr(peer_node, ring);
-                    n.post_send(
-                        ctx,
-                        qp,
-                        SendWr {
-                            wr_id: u64::MAX - 1,
-                            op: SendOp::Send,
-                            data: mr.0.to_le_bytes().to_vec().into(),
-                        },
-                    )
-                    .expect("handshake post");
-                    return;
-                }
-                Err(msg) => msg,
-            };
-            let Ok(ev) = msg.downcast::<NetEvent>() else {
-                return;
-            };
-            match *ev {
-                NetEvent::CmEstablished { qp, .. } => {
-                    *pq.borrow_mut() = Some(qp);
-                    // Plenty of receive slots for Nic-KV's handshake SEND
-                    // and the fan-out writes; the peer never replenishes.
-                    for i in 0..64u64 {
-                        n.post_recv(qp, i).expect("post recv");
-                    }
-                }
-                NetEvent::CqNotify { cq } => {
-                    n.poll_cq(cq, usize::MAX);
-                    n.req_notify_cq(ctx, cq);
-                }
-                _ => {}
-            }
-        })));
-        sim.schedule(SimTime::ZERO, peer, Connect);
-
-        // Phase 0: connection up, Nic-KV's handshake sent, peer silent —
-        // the channel is open but not ready, and nothing fan-out-related
-        // has been posted.
-        sim.run_until(t(5));
-        {
-            let nic = sim.actor_ref::<NicKv>(nic_id).expect("nic actor");
-            assert_eq!(nic.conns.len(), 1, "peer connected");
-            assert!(nic.conns[0].open && !nic.conns[0].channel.ready());
-            assert_eq!(nic.stat_wrs_posted, 0);
-        }
-        let (wrs0, dbs0) = fabric_posts(&net);
-
-        // Phase 1: three fan-out frames while the handshake is
-        // outstanding. They must queue — zero WRs on the fabric, zero in
-        // the statistics (the historical bug counted them here).
-        let frame = || Frame::copy_from_slice(b"repl-stream-frame");
-        if batched {
-            sim.schedule(
-                t(6),
-                nic_id,
-                NicMsg::FanoutSendBatch {
-                    conns: vec![0, 0, 0],
-                    frame: frame(),
-                },
-            );
-        } else {
-            for i in 0..3 {
-                sim.schedule(
-                    t(6 + i),
-                    nic_id,
-                    NicMsg::FanoutSend {
-                        conn: 0,
-                        frame: frame(),
-                    },
-                );
-            }
-        }
-        sim.run_until(t(10));
-        {
-            let nic = sim.actor_ref::<NicKv>(nic_id).expect("nic actor");
-            assert_eq!(nic.stat_wrs_posted, 0, "queued frames are not posts");
-            assert_eq!(nic.stat_doorbells, 0);
-            assert_eq!(nic.conns[0].deferred_wrs, 3);
-        }
-        assert_eq!(
-            fabric_posts(&net),
-            (wrs0, dbs0),
-            "nothing reached the fabric"
-        );
-
-        // Phase 2: the peer completes the handshake; the queued frames
-        // flush (as individual posts — deferral forfeits batching) and the
-        // statistics pick them up at actual post time. The fabric saw one
-        // extra WR: the peer's own handshake SEND.
-        sim.schedule(t(11), peer, ReleaseHandshake);
-        sim.run_until(t(20));
-        {
-            let nic = sim.actor_ref::<NicKv>(nic_id).expect("nic actor");
-            assert!(nic.conns[0].channel.ready());
-            assert_eq!(nic.stat_wrs_posted, 3);
-            assert_eq!(nic.stat_doorbells, 3);
-            assert_eq!(nic.conns[0].deferred_wrs, 0);
-        }
-        let (wrs1, dbs1) = fabric_posts(&net);
-        assert_eq!(wrs1 - wrs0, 3 + 1, "3 flushed fan-out WRs + peer handshake");
-        assert_eq!(dbs1 - dbs0, 3 + 1);
-
-        // Phase 3: the channel is ready, so fan-out posts immediately —
-        // statistics and fabric deltas now agree WR for WR (and in batched
-        // mode, one doorbell for the pair).
-        if batched {
-            sim.schedule(
-                t(21),
-                nic_id,
-                NicMsg::FanoutSendBatch {
-                    conns: vec![0, 0],
-                    frame: frame(),
-                },
-            );
-        } else {
-            for i in 0..2 {
-                sim.schedule(
-                    t(21 + i),
-                    nic_id,
-                    NicMsg::FanoutSend {
-                        conn: 0,
-                        frame: frame(),
-                    },
-                );
-            }
-        }
-        sim.run_until(t(30));
-        let expected_dbs = if batched { 1 } else { 2 };
-        {
-            let nic = sim.actor_ref::<NicKv>(nic_id).expect("nic actor");
-            assert_eq!(nic.stat_wrs_posted, 3 + 2);
-            assert_eq!(nic.stat_doorbells, 3 + expected_dbs);
-        }
-        let (wrs2, dbs2) = fabric_posts(&net);
-        assert_eq!(wrs2 - wrs1, 2);
-        assert_eq!(dbs2 - dbs1, expected_dbs);
-    }
-
-    #[test]
-    fn deferred_fanout_stats_agree_with_fabric_serial() {
-        deferred_fanout_stats_agree(false);
-    }
-
-    #[test]
-    fn deferred_fanout_stats_agree_with_fabric_batched() {
-        deferred_fanout_stats_agree(true);
-    }
-
-    fn pending_write(seq: u64, end_offset: u64, hops: &[SocketAddr]) -> PendingWrite {
-        PendingWrite {
-            seq,
-            end_offset,
-            frame: Frame::copy_from_slice(b"w"),
-            acked: Vec::new(),
-            needed: 0,
-            hops: hops.iter().copied().collect(),
-            hop_inflight: false,
-        }
-    }
-
-    #[test]
-    fn chain_rejoin_splices_at_the_tail_without_overlap() {
-        let node = skv_netsim::NodeId(0);
-        let s1 = SocketAddr::new(node, 1);
-        let s2 = SocketAddr::new(node, 2);
-        let rejoiner = SocketAddr::new(node, 3);
-        let mut pending: VecDeque<PendingWrite> = VecDeque::new();
-        // Covered by the rejoiner's resync offset: must NOT be replayed.
-        pending.push_back(pending_write(1, 100, &[s1]));
-        // Past the offset with live hops: rejoiner appends at the tail.
-        pending.push_back(pending_write(2, 200, &[s1, s2]));
-        // Chain already drained (committing): must stay empty.
-        pending.push_back(pending_write(3, 300, &[]));
-        // Rejoiner already listed (registered twice): no duplicate hop.
-        pending.push_back(pending_write(4, 400, &[s1, rejoiner]));
-
-        let spliced = NicKv::splice_rejoined_hops(&mut pending, rejoiner, 150);
-        assert_eq!(spliced, 1, "only the uncovered live chain is spliced");
-        assert_eq!(pending[0].hops, VecDeque::from([s1]), "covered write untouched");
-        assert_eq!(
-            pending[1].hops,
-            VecDeque::from([s1, s2, rejoiner]),
-            "rejoiner resumes at the tail, after every existing hop"
-        );
-        assert!(pending[2].hops.is_empty(), "committed chain stays committed");
-        assert_eq!(
-            pending[3].hops,
-            VecDeque::from([s1, rejoiner]),
-            "no duplicate hop for a double registration"
-        );
-
-        // A second registration at a higher offset covers writes 1–2 and
-        // adds nothing new.
-        let again = NicKv::splice_rejoined_hops(&mut pending, rejoiner, 250);
-        assert_eq!(again, 0);
     }
 }

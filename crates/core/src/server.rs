@@ -19,7 +19,7 @@
 //! steady-state fan-out) and detect gaps (a crashed-and-recovered slave
 //! re-requests synchronization from its last applied offset).
 
-use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, QpId, SocketAddr, TcpConnId, Wc};
+use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, SocketAddr};
 use skv_simcore::{
     Actor, ActorId, Context, CorePool, DetRng, FramePool, Payload, SimDuration, SimTime,
 };
@@ -33,11 +33,12 @@ use skv_store::resp::{self, Args, ParsedCommand, Resp};
 
 use std::collections::VecDeque;
 
-use crate::channel::{Channel, ChannelMsg, WrBatch};
+use crate::channel::{Channel, ChannelMsg, RING_SIZE};
 use crate::config::{ClusterConfig, Mode};
+use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain;
 use crate::protocol::{tag, NodeMsg};
-use crate::replmode::{self, ReplModeKind};
+use crate::replmode::ReplModeKind;
 use crate::shard::{ApplyRing, RoutePlan, ShardRouter, APPLY_RING_CAP, CROSS_SHARD_HOP};
 
 /// Maximum bytes per RDB transfer chunk.
@@ -48,6 +49,12 @@ const STREAM_CHUNK: usize = 32 * 1024;
 /// Most stream frames a slave keeps stashed while a sync is in flight.
 /// Anything dropped past the cap is re-sent by the resync stream itself.
 const STASH_CAP: usize = 1024;
+
+/// Maximum replication lag (bytes) before the master returns errors
+/// (paper §III-C: "if the progress is too slow … return an error"). A
+/// guardrail that never trips in healthy runs; the min-slaves rejection
+/// path is the measured variant (failparams ablation).
+pub const MAX_SLAVE_LAG: u64 = 256 << 20;
 
 /// Emptied `SendFrames` lists kept for reuse (one is in flight per
 /// command whose CPU work has not finished yet).
@@ -84,7 +91,6 @@ enum ServerMsg {
     /// The RDB persist (on the background core) completed.
     PersistDone {
         slave: SocketAddr,
-        position: ReplicationPosition,
         snapshot: Vec<u8>,
         start_offset: u64,
     },
@@ -123,15 +129,6 @@ enum ConnKind {
     },
     /// A slave's channel from/to its master.
     Master,
-}
-
-struct ConnState {
-    channel: Channel,
-    kind: ConnKind,
-    open: bool,
-    /// The listen address we dialled (outbound conns only; inbound peers
-    /// show an ephemeral port we can't route back to).
-    peer: Option<SocketAddr>,
 }
 
 /// Why we are dialling out, keyed by remote address.
@@ -194,14 +191,12 @@ pub struct KvServer {
     backlog: Backlog,
     repl_id: ReplicationId,
     role: Role,
-    conns: Vec<ConnState>,
-    by_qp: DetMap<QpId, usize>,
-    by_tcp: DetMap<TcpConnId, usize>,
+    conns: ConnTable<ConnKind>,
     intents: DetMap<SocketAddr, ConnectIntent>,
     /// Slaves considered available (from Nic-KV updates, or own census in
     /// baseline modes). Drives `min-slaves` rejection.
     available_slaves: usize,
-    /// Whether any synced slave lags more than `max_slave_lag` bytes.
+    /// Whether any synced slave lags more than [`MAX_SLAVE_LAG`] bytes.
     lag_exceeded: bool,
     crashed: bool,
     /// Remembered SLAVEOF target so a promoted slave can rejoin on Demote.
@@ -245,11 +240,11 @@ pub struct KvServer {
     pub stat_conn_errors: u64,
     /// Times the master fell back to host-driven fan-out (SKV mode).
     pub stat_degradations: u64,
-    /// Doorbells rung by the command path (reply + replication posts; one
-    /// per `post_send` call, one per batch in `batch_wr_posts` mode).
+    /// Doorbells the command path was charged for: one per reply, one per
+    /// replication fan-out however many slaves it reaches.
     pub stat_doorbells: u64,
-    /// WRs posted by the command path — identical whether batched or not;
-    /// batching amortizes doorbells, never work requests.
+    /// WRs the command path was charged for — batching amortizes
+    /// doorbells, never work requests.
     pub stat_wrs_posted: u64,
     /// Master, deferred modes: replies held back for commit, FIFO by
     /// `end_offset` (the backlog only grows, so pushes are ordered).
@@ -271,12 +266,6 @@ pub struct KvServer {
     /// Send-ring pool for wire frames (TCP framing), replies and
     /// replication stream frames; shared by every channel this server owns.
     pool: FramePool,
-    /// The WC array every CQ drain polls into.
-    wc_scratch: Vec<Wc>,
-    /// The message array every TCP delivery is reassembled into.
-    msg_scratch: Vec<ChannelMsg>,
-    /// Staging for the doorbell-batched part of `emit_frames`.
-    batch: WrBatch,
     /// Emptied `SendFrames` lists, reused by the next `finish_command`.
     spare_frames: Vec<Vec<OutFrame>>,
 }
@@ -299,6 +288,10 @@ impl KvServer {
                 }
             })
             .collect();
+        // Sized for a typical wire frame (4 KiB value + headers); the
+        // slab keeps enough buffers for a deep pipeline of in-flight
+        // sends and grown buffers keep their capacity when recycled.
+        let pool = FramePool::new(4096 + 64, 256);
         KvServer {
             net,
             node,
@@ -315,9 +308,7 @@ impl KvServer {
             backlog: Backlog::new(cfg.backlog_size),
             repl_id: ReplicationId::from_seed(seed ^ 0xCAFE),
             role: Role::Master,
-            conns: Vec::new(),
-            by_qp: DetMap::new(),
-            by_tcp: DetMap::new(),
+            conns: ConnTable::new(Some(pool.clone())),
             intents: DetMap::new(),
             available_slaves: 0,
             lag_exceeded: false,
@@ -351,13 +342,7 @@ impl KvServer {
             last_write_ack: 0,
             stat_deferred_replies: 0,
             stat_released_replies: 0,
-            // Sized for a typical wire frame (4 KiB value + headers); the
-            // slab keeps enough buffers for a deep pipeline of in-flight
-            // sends and grown buffers keep their capacity when recycled.
-            pool: FramePool::new(4096 + 64, 256),
-            wc_scratch: Vec::new(),
-            msg_scratch: Vec::new(),
-            batch: WrBatch::default(),
+            pool,
             spare_frames: Vec::new(),
         }
     }
@@ -463,42 +448,10 @@ impl KvServer {
         ctx.now().as_nanos() / 1_000_000
     }
 
-    fn rng(&mut self) -> &mut DetRng {
-        &mut self.rng
-    }
-
     // -- connection plumbing -------------------------------------------------
 
-    fn add_conn(
-        &mut self,
-        mut channel: Channel,
-        kind: ConnKind,
-        peer: Option<SocketAddr>,
-    ) -> usize {
-        channel.use_pool(self.pool.clone());
-        let idx = self.conns.len();
-        if let Some(qp) = channel.qp() {
-            self.by_qp.insert(qp, idx);
-        }
-        if let Some(tc) = channel.tcp_conn() {
-            self.by_tcp.insert(tc, idx);
-        }
-        self.conns.push(ConnState {
-            channel,
-            kind,
-            open: true,
-            peer,
-        });
-        idx
-    }
-
     fn send_on(&mut self, ctx: &mut Context<'_>, conn: usize, tag: u32, payload: impl Into<Frame>) {
-        if !self.conns[conn].open {
-            return;
-        }
-        let net = self.net.clone();
-        self.conns[conn].channel.send(&net, ctx, tag, payload);
-        if self.conns[conn].channel.broken() {
+        if !self.conns.send(&self.net, ctx, conn, tag, payload) {
             self.on_conn_broken(ctx, conn);
         }
     }
@@ -508,47 +461,24 @@ impl KvServer {
         self.connect_to(ctx, to);
     }
 
-    fn conn_of_kind(&self, pred: impl Fn(&ConnKind) -> bool) -> Option<usize> {
-        self.conns.iter().position(|c| c.open && pred(&c.kind))
-    }
-
     fn synced_slave_conns(&self) -> Vec<usize> {
         self.conns
             .iter()
-            .enumerate()
-            .filter(|(_, c)| c.open && matches!(c.kind, ConnKind::Slave { .. }))
-            .map(|(i, _)| i)
+            .filter(|(_, open, kind)| *open && matches!(kind, ConnKind::Slave { .. }))
+            .map(|(i, ..)| i)
             .collect()
-    }
-
-    fn open_conn_to(&self, addr: SocketAddr) -> Option<usize> {
-        self.conns
-            .iter()
-            .position(|c| c.open && c.peer == Some(addr))
     }
 
     // -- failure handling ----------------------------------------------------
 
-    /// Close a connection and release its transport resources.
-    fn close_conn(&mut self, conn: usize) {
-        if !self.conns[conn].open {
-            return;
-        }
-        self.conns[conn].open = false;
-        if let Some(qp) = self.conns[conn].channel.qp() {
-            self.net.destroy_qp(qp);
-        }
-    }
-
     /// A connection's transport failed: tear it down and start whatever
     /// recovery its role requires.
     fn on_conn_broken(&mut self, ctx: &mut Context<'_>, conn: usize) {
-        if !self.conns[conn].open {
+        if !self.conns.close(&self.net, conn) {
             return;
         }
         self.stat_conn_errors += 1;
-        self.close_conn(conn);
-        match self.conns[conn].kind {
+        match self.conns.kind(conn) {
             ConnKind::Nic if self.is_master() && self.cfg.mode == Mode::Skv => {
                 // The channel to Nic-KV died: fall back to host-driven
                 // fan-out and keep redialling until the SoC returns.
@@ -572,8 +502,8 @@ impl KvServer {
         self.stat_degradations += 1;
         self.degraded_periods.push((now, None));
         // Stop queueing frames on the dead NIC channel.
-        if let Some(conn) = self.conn_of_kind(|k| matches!(k, ConnKind::Nic)) {
-            self.close_conn(conn);
+        if let Some(conn) = self.conns.find_open(|k| matches!(k, ConnKind::Nic)) {
+            self.conns.close(&self.net, conn);
         }
     }
 
@@ -587,8 +517,8 @@ impl KvServer {
         }
     }
 
-    /// Master: dial the remembered Nic-KV address again (no-op while a dial
-    /// for it is already pending).
+    /// Master: dial the remembered Nic-KV address and introduce ourselves
+    /// (no-op while a dial for it is already pending).
     fn redial_nic(&mut self, ctx: &mut Context<'_>) {
         let Some(nic) = self.nic_addr else { return };
         if self.intents.contains_key(&nic) {
@@ -616,11 +546,7 @@ impl KvServer {
         *resyncing = false;
         // Restart the silence clock so we don't double-trigger.
         self.upstream_last_seen = Some(ctx.now());
-        let pos = ReplicationPosition {
-            repl_id: self.repl_id,
-            offset: self.slave_offset(),
-        };
-        self.send_sync_request(ctx, pos);
+        self.send_sync_request(ctx, self.position());
     }
 
     /// A dial failed: back off exponentially and retry, giving up after a
@@ -647,9 +573,10 @@ impl KvServer {
                 && attempts >= 2
                 && master != nic
                 && !self.intents.contains_key(&master)
-                && self.open_conn_to(master).is_none()
+                && self.conns.open_conn_to(master).is_none()
                 && self
-                    .conn_of_kind(|k| matches!(k, ConnKind::Master))
+                    .conns
+                    .find_open(|k| matches!(k, ConnKind::Master))
                     .is_none()
             {
                 if let Some(intent) = self.intents.remove(&to) {
@@ -689,8 +616,8 @@ impl KvServer {
 
     /// Handle one client command frame (TAG_CMD).
     fn on_client_command(&mut self, ctx: &mut Context<'_>, conn: usize, payload: Frame) {
-        if matches!(self.conns[conn].kind, ConnKind::Unknown) {
-            self.conns[conn].kind = ConnKind::Client;
+        if matches!(self.conns.kind(conn), ConnKind::Unknown) {
+            *self.conns.kind_mut(conn) = ConnKind::Client;
         }
         self.run_command(ctx, conn, payload, None);
     }
@@ -770,6 +697,9 @@ impl KvServer {
                 (self.engines[shard].execute(now_ms, args), shard, SimDuration::ZERO)
             }
             RoutePlan::Broadcast => {
+                // Replies merge by type: counts (DBSIZE) add up, listings
+                // (KEYS) concatenate in shard order, anything else
+                // (FLUSH*'s OK) is shard 0's.
                 let mut merged: Option<ExecResult> = None;
                 for shard in 0..self.engines.len() {
                     self.shard_ops[shard] += 1;
@@ -779,6 +709,11 @@ impl KvServer {
                         Some(mut acc) => {
                             acc.dirty_delta += r.dirty_delta;
                             acc.bytes_touched += r.bytes_touched;
+                            match (&mut acc.reply, r.reply) {
+                                (Resp::Int(sum), Resp::Int(n)) => *sum += n,
+                                (Resp::Array(all), Resp::Array(more)) => all.extend(more),
+                                _ => {}
+                            }
                             acc
                         }
                     });
@@ -973,9 +908,7 @@ impl KvServer {
         // commits the covering offset; its post cost is charged on release
         // (`release_ready_replies`), not here. Async keeps the original
         // immediate-reply schedule bit for bit.
-        let defer = replicate.is_some()
-            && self.is_master()
-            && replmode::replication_mode(self.active_mode).defers_replies();
+        let defer = replicate.is_some() && self.is_master() && self.active_mode.defers_replies();
         // The reply is encoded straight into a recycled send-ring buffer. A
         // forwarded command's reply leads with its relay cookie and leaves
         // under FWD_REPLY.
@@ -993,23 +926,17 @@ impl KvServer {
         let reply_len = reply_frame.len();
 
         // Transport costs for receiving the request and posting the reply.
-        match self.cfg.mode {
-            Mode::TcpRedis => {
-                cost += net_p.tcp_recv_cost(req_bytes);
-                if !defer {
-                    cost += net_p.tcp_send_cost(reply_len);
-                }
-            }
-            Mode::RdmaRedis | Mode::Skv => {
-                // Completion-side CPU (cq_poll_cpu + wc_handle_cpu) is
-                // charged where polling happens — the CqNotify drain —
-                // not per command; here only the reply's WR post.
-                if !defer {
-                    cost += net_p.wr_post_cpu;
-                    wr_posts += 1;
-                    doorbells += 1;
-                }
-            }
+        // Over RDMA the completion-side CPU (cq_poll_cpu + wc_handle_cpu)
+        // is charged where polling happens — the CqNotify drain — not per
+        // command; here only the reply's WR post.
+        if self.cfg.mode == Mode::TcpRedis {
+            cost += net_p.tcp_recv_cost(req_bytes);
+        }
+        if !defer {
+            let (post, wrs) = self.reply_post(reply_len);
+            cost += post;
+            wr_posts += wrs;
+            doorbells += wrs;
         }
         // A forwarded *dirty* command's ack must chase its own stream
         // frame down the master→NIC channel (the front-end invalidates
@@ -1046,50 +973,19 @@ impl KvServer {
                 out.extend_from_slice(&from_offset.to_le_bytes());
                 out.extend_from_slice(&cmd_bytes);
             });
-            match self.cfg.mode {
-                Mode::Skv => {
-                    // One request to Nic-KV, regardless of slave count
-                    // (Figure 9 ①): a single WR post on the host. When the
-                    // SoC is dead (degraded mode, or the channel simply
-                    // isn't up) the master falls back to RDMA-Redis-style
-                    // fan-out so writes keep replicating.
-                    let nic_conn = if self.degraded {
-                        None
-                    } else {
-                        self.conn_of_kind(|k| matches!(k, ConnKind::Nic))
-                    };
-                    if let Some(nic) = nic_conn {
-                        cost += net_p.wr_post_cpu;
-                        wr_posts += 1;
-                        doorbells += 1;
-                        frames.push(OutFrame {
-                            conn: nic,
-                            tag: tag::REPL_STREAM,
-                            payload: frame,
-                        });
-                    } else {
-                        let slaves = self.synced_slave_conns();
-                        cost += self.host_fanout_cost(slaves.len());
-                        wr_posts += u32::try_from(slaves.len()).unwrap_or(u32::MAX);
-                        doorbells += self.fanout_doorbells(slaves.len());
-                        for slave in slaves {
-                            frames.push(OutFrame {
-                                conn: slave,
-                                tag: tag::REPL_STREAM,
-                                payload: frame.clone(),
-                            });
-                        }
-                    }
-                }
-                Mode::RdmaRedis => {
-                    // One WR post per slave on the event loop — the CPU the
-                    // paper measures RDMA-Redis burning. Serial doorbells
-                    // by default; one linked post list when batching is on.
-                    let slaves = self.synced_slave_conns();
-                    cost += self.host_fanout_cost(slaves.len());
-                    wr_posts += u32::try_from(slaves.len()).unwrap_or(u32::MAX);
-                    doorbells += self.fanout_doorbells(slaves.len());
-                    for slave in slaves {
+            // SKV hands Nic-KV one request, regardless of slave count
+            // (Figure 9 ①). When the SoC is dead (degraded mode, or the
+            // channel simply isn't up) the master falls back to
+            // RDMA-Redis-style fan-out so writes keep replicating.
+            let nic_conn = if self.cfg.mode == Mode::Skv && !self.degraded {
+                self.conns.find_open(|k| matches!(k, ConnKind::Nic))
+            } else {
+                None
+            };
+            match (self.cfg.mode, nic_conn) {
+                (Mode::TcpRedis, _) => {
+                    for slave in self.synced_slave_conns() {
+                        cost += net_p.tcp_send_cost(frame.len());
                         frames.push(OutFrame {
                             conn: slave,
                             tag: tag::REPL_STREAM,
@@ -1097,9 +993,25 @@ impl KvServer {
                         });
                     }
                 }
-                Mode::TcpRedis => {
-                    for slave in self.synced_slave_conns() {
-                        cost += net_p.tcp_send_cost(frame.len());
+                (_, Some(nic)) => {
+                    cost += net_p.wr_post_cpu;
+                    wr_posts += 1;
+                    doorbells += 1;
+                    frames.push(OutFrame {
+                        conn: nic,
+                        tag: tag::REPL_STREAM,
+                        payload: frame,
+                    });
+                }
+                (_, None) => {
+                    // One WR per slave on the event loop — the CPU the
+                    // paper measures RDMA-Redis burning — posted as one
+                    // linked list under a single doorbell.
+                    let slaves = self.synced_slave_conns();
+                    cost += net_p.post_list_cpu(slaves.len());
+                    wr_posts += u32::try_from(slaves.len()).unwrap_or(u32::MAX);
+                    doorbells += u32::from(!slaves.is_empty());
+                    for slave in slaves {
                         frames.push(OutFrame {
                             conn: slave,
                             tag: tag::REPL_STREAM,
@@ -1120,24 +1032,43 @@ impl KvServer {
             });
         }
 
+        self.stat_wrs_posted += u64::from(wr_posts);
+        let done = self.charge_posts(ctx.now(), shard, cost, doorbells);
+        self.schedule_frames(ctx, done, frames);
+    }
+
+    /// Event-loop cost of posting one reply of `len` bytes, and the WRs
+    /// (each its own doorbell) that takes: one over RDMA, none over TCP.
+    fn reply_post(&self, len: usize) -> (SimDuration, u32) {
+        if self.cfg.mode.uses_rdma() {
+            (self.cfg.net.wr_post_cpu, 1)
+        } else {
+            (self.cfg.net.tcp_send_cost(len), 0)
+        }
+    }
+
+    /// Charge `core` a handler's `cost` — jittered, plus the stalls its
+    /// `doorbells` draw — and return when the core is done with it. The
+    /// stall is doorbell/CQ contention on the MMIO write, so it is drawn
+    /// once per *doorbell*, not per linked WR: a whole fan-out risks one
+    /// stall, however many slaves it reaches.
+    fn charge_posts(
+        &mut self,
+        now: SimTime,
+        core: usize,
+        cost: SimDuration,
+        doorbells: u32,
+    ) -> SimTime {
         let jitter = self.cfg.costs.jitter;
         let spike_prob = self.cfg.costs.post_spike_prob;
-        let spike_cost = self.cfg.costs.post_spike_cost;
-        let mut cost = cost.mul_f64(self.rng().service_jitter(jitter));
-        // The stall is doorbell/CQ contention on the MMIO write, so the
-        // draw happens once per *doorbell*, not per linked WR: a batched
-        // fan-out risks one stall where serial posting risks N. (With
-        // batching off, doorbells == wr_posts and the draw sequence is
-        // unchanged from the serial model.)
+        let mut cost = cost.mul_f64(self.rng.service_jitter(jitter));
         for _ in 0..doorbells {
-            if self.rng().chance(spike_prob) {
-                cost += spike_cost;
+            if self.rng.chance(spike_prob) {
+                cost += self.cfg.costs.post_spike_cost;
             }
         }
-        self.stat_wrs_posted += u64::from(wr_posts);
         self.stat_doorbells += u64::from(doorbells);
-        let done = self.cpu.run_on(shard, ctx.now(), cost).finished;
-        self.schedule_frames(ctx, done, frames);
+        self.cpu.run_on(core, now, cost).finished
     }
 
     /// Schedule a handler's staged frames for delivery at `done`. With one
@@ -1175,25 +1106,6 @@ impl KvServer {
         }
     }
 
-    /// Host CPU to post a replication fan-out of `n` WRs: `n` serial
-    /// doorbells, or one linked post list when `batch_wr_posts` is on.
-    fn host_fanout_cost(&self, n: usize) -> SimDuration {
-        if self.cfg.batch_wr_posts {
-            self.cfg.net.post_list_cpu(n)
-        } else {
-            self.cfg.net.wr_post_cpu.mul_f64(n as f64)
-        }
-    }
-
-    /// Doorbells a fan-out of `n` WRs rings under the current config.
-    fn fanout_doorbells(&self, n: usize) -> u32 {
-        if self.cfg.batch_wr_posts {
-            u32::from(n > 0)
-        } else {
-            u32::try_from(n).unwrap_or(u32::MAX)
-        }
-    }
-
     /// Deferred modes, master side: the commit offset derivable from the
     /// master's own view of slave progress, independent of the NIC's
     /// `WriteCommitted` notifications. This is what keeps quorum/chain
@@ -1201,35 +1113,23 @@ impl KvServer {
     /// covers the window where a commit notification is lost with the
     /// NIC channel: under quorum, the k-th largest reported offset among
     /// slave conns (k = required slave acks) is replicated on a majority;
-    /// under chain, the minimum over all open slave conns (every hop).
+    /// under chain, the minimum over all open slave conns (every hop) —
+    /// the same [`ReplModeKind::commit_frontier`] the NIC's tracker
+    /// applies to its acks, here fed the slaves' reported offsets.
     fn census_commit_upto(&self) -> u64 {
-        let mode = self.active_mode;
         let mut offs: Vec<u64> = self
             .conns
             .iter()
-            .filter(|c| c.open)
-            .filter_map(|c| match c.kind {
+            .filter_map(|(_, open, kind)| match kind {
                 ConnKind::Slave {
                     reported_offset, ..
-                } => Some(reported_offset),
+                } if open => Some(*reported_offset),
                 _ => None,
             })
             .collect();
-        match mode {
-            ReplModeKind::Async => u64::MAX,
-            ReplModeKind::Quorum => {
-                let k = replmode::quorum_slave_acks(self.cfg.num_slaves);
-                if k == 0 {
-                    return u64::MAX;
-                }
-                if offs.len() < k {
-                    return 0;
-                }
-                offs.sort_unstable_by(|a, b| b.cmp(a));
-                offs[k - 1]
-            }
-            ReplModeKind::Chain => offs.iter().copied().min().unwrap_or(0),
-        }
+        self.active_mode
+            .commit_frontier(self.cfg.num_slaves, &mut offs)
+            .unwrap_or(0)
     }
 
     /// Release every deferred reply covered by the known commit point,
@@ -1249,18 +1149,14 @@ impl KvServer {
             let Some(p) = self.pending_replies.pop_front() else {
                 break;
             };
-            if !self.conns[p.conn].open {
+            if !self.conns.is_open(p.conn) {
                 continue; // client gave up waiting; nothing to deliver
             }
             self.stat_released_replies += 1;
-            match self.cfg.mode {
-                Mode::TcpRedis => cost += self.cfg.net.tcp_send_cost(p.payload.len()),
-                Mode::RdmaRedis | Mode::Skv => {
-                    cost += self.cfg.net.wr_post_cpu;
-                    self.stat_wrs_posted += 1;
-                    doorbells += 1;
-                }
-            }
+            let (post, wrs) = self.reply_post(p.payload.len());
+            cost += post;
+            self.stat_wrs_posted += u64::from(wrs);
+            doorbells += wrs;
             frames.push(OutFrame {
                 conn: p.conn,
                 tag: p.tag,
@@ -1271,45 +1167,24 @@ impl KvServer {
             self.spare_frames.push(frames);
             return;
         }
-        let jitter = self.cfg.costs.jitter;
-        let spike_prob = self.cfg.costs.post_spike_prob;
-        let spike_cost = self.cfg.costs.post_spike_cost;
-        let mut cost = cost.mul_f64(self.rng().service_jitter(jitter));
-        for _ in 0..doorbells {
-            if self.rng().chance(spike_prob) {
-                cost += spike_cost;
-            }
-        }
-        self.stat_doorbells += u64::from(doorbells);
-        let done = self.cpu.run_on(0, ctx.now(), cost).finished;
+        let done = self.charge_posts(ctx.now(), 0, cost, doorbells);
         self.schedule_frames(ctx, done, frames);
     }
 
-    /// Deliver the frames a command handler staged. With batching off
-    /// this is the historical per-frame `send_on` loop, schedule-identical
-    /// to the seed. With `batch_wr_posts` on, replication-stream frames
-    /// bound for ready RDMA connections are staged via
-    /// [`Channel::build_wr`] and posted as one linked list — a single
-    /// doorbell for the whole fan-out — while replies, TCP sends, and
-    /// handshake-queued messages still go through `send_on`.
+    /// Deliver the frames a command handler staged. Replication-stream
+    /// frames bound for RDMA connections are staged and posted as one
+    /// linked list — a single doorbell for the whole fan-out — while
+    /// replies and TCP sends leave one by one.
     fn emit_frames(&mut self, ctx: &mut Context<'_>, mut frames: Vec<OutFrame>) {
-        let batching = self.cfg.batch_wr_posts;
         // With the hot cache on, cookie replies ride the same linked post
         // list as the stream frames they must trail — the list preserves
         // per-QP order, where an early `send_on` would overtake the batch.
         let cache_on = self.cfg.hot_cache_enabled();
         for f in frames.drain(..) {
-            let batchable = batching
-                && (f.tag == tag::REPL_STREAM || (cache_on && f.tag == tag::FWD_REPLY))
-                && self.conns[f.conn].open
-                && self.conns[f.conn].channel.qp().is_some();
-            if batchable {
-                // `None` means the frame was queued behind the MR
-                // handshake and will flush when it completes — exactly
-                // what `send` would have done.
-                if let Some(wr) = self.conns[f.conn].channel.build_wr(f.tag, f.payload) {
-                    self.batch.stage(f.conn, wr);
-                }
+            let listed = (f.tag == tag::REPL_STREAM || (cache_on && f.tag == tag::FWD_REPLY))
+                && self.conns.channel(f.conn).qp().is_some();
+            if listed {
+                self.conns.stage(f.conn, f.tag, f.payload);
             } else {
                 self.send_on(ctx, f.conn, f.tag, f.payload);
             }
@@ -1317,12 +1192,7 @@ impl KvServer {
         if self.spare_frames.len() < SPARE_LISTS {
             self.spare_frames.push(frames);
         }
-        if self.batch.is_empty() {
-            return;
-        }
-        let net = self.net.clone();
-        for (conn, ..) in self.batch.post(&net, ctx) {
-            self.conns[conn].channel.mark_broken();
+        for (conn, ..) in self.conns.post(&self.net, ctx) {
             self.on_conn_broken(ctx, conn);
         }
     }
@@ -1338,7 +1208,7 @@ impl KvServer {
     ) {
         // Fast path: partial resync needs no persist step.
         if position.matches(self.repl_id) && self.backlog.can_serve(position.offset) {
-            self.begin_slave_transfer(ctx, slave, position, None, position.offset);
+            self.begin_slave_transfer(ctx, slave, None, position.offset);
             return;
         }
         // Full sync: capture the snapshot now (fork-style copy-on-write
@@ -1358,7 +1228,6 @@ impl KvServer {
             done,
             ServerMsg::PersistDone {
                 slave,
-                position,
                 snapshot,
                 start_offset,
             },
@@ -1370,7 +1239,6 @@ impl KvServer {
         &mut self,
         ctx: &mut Context<'_>,
         slave: SocketAddr,
-        position: ReplicationPosition,
         snapshot: Option<(Vec<u8>, u64)>,
         resume_from: u64,
     ) {
@@ -1417,10 +1285,10 @@ impl KvServer {
                 self.push_backlog_range(resume_from, &mut frames);
             }
         }
-        let _ = position;
         // Reuse an existing channel to this slave if one is open.
-        if let Some(conn) =
-            self.conn_of_kind(|k| matches!(k, ConnKind::Slave { addr, .. } if *addr == slave))
+        if let Some(conn) = self
+            .conns
+            .find_open(|k| matches!(k, ConnKind::Slave { addr, .. } if *addr == slave))
         {
             for (t, p) in frames {
                 self.send_on(ctx, conn, t, p);
@@ -1449,19 +1317,23 @@ impl KvServer {
         nic: Option<SocketAddr>,
     ) {
         self.prior_slave_of = Some((master, nic));
+        self.become_slave(master, nic, true);
+        self.send_sync_request(ctx, ReplicationPosition::unsynced());
+    }
+
+    /// Take the slave role under `master`, with a clean sync state.
+    fn become_slave(&mut self, master: SocketAddr, nic: Option<SocketAddr>, syncing: bool) {
         self.last_write_ack = 0;
-        let position = ReplicationPosition::unsynced();
         self.role = Role::Slave {
             master,
             nic,
-            syncing: true,
+            syncing,
             rdb_expect: 0,
             rdb_buf: Vec::new(),
             rdb_start_offset: 0,
             stash: Vec::new(),
             resyncing: false,
         };
-        self.send_sync_request(ctx, position);
     }
 
     fn send_sync_request(&mut self, ctx: &mut Context<'_>, position: ReplicationPosition) {
@@ -1475,11 +1347,13 @@ impl KvServer {
             position,
         }
         .encode();
-        if let Some(conn) = self.conn_of_kind(|k| matches!(k, ConnKind::Nic)) {
-            self.send_on(ctx, conn, tag::NODE, msg);
-        } else if let Some(conn) = self.conn_of_kind(|k| matches!(k, ConnKind::Master)) {
-            // Nic-KV is unreachable but the master link survives: ask the
-            // master directly so a gap-resync doesn't dial a dead SoC.
+        // With Nic-KV unreachable but the master link alive, ask the master
+        // directly so a gap-resync doesn't dial a dead SoC.
+        let conn = self
+            .conns
+            .find_open(|k| matches!(k, ConnKind::Nic))
+            .or_else(|| self.conns.find_open(|k| matches!(k, ConnKind::Master)));
+        if let Some(conn) = conn {
             self.send_on(ctx, conn, tag::NODE, msg);
         } else {
             // The connection to the upstream (Nic-KV or master) is reused
@@ -1507,7 +1381,7 @@ impl KvServer {
         start_offset: u64,
         total_bytes: u64,
     ) {
-        self.conns[conn].kind = ConnKind::Master;
+        *self.conns.kind_mut(conn) = ConnKind::Master;
         if let Role::Slave {
             syncing,
             resyncing,
@@ -1547,7 +1421,7 @@ impl KvServer {
         let snapshot = std::mem::take(rdb_buf);
         let start_offset = *rdb_start_offset;
         *syncing = false;
-        let seed = self.rng().gen_u64();
+        let seed = self.rng.gen_u64();
         let load_result = if self.engines.len() == 1 {
             rdb::load(self.engines[0].db_mut(), &snapshot, seed)
         } else {
@@ -1590,7 +1464,7 @@ impl KvServer {
     }
 
     fn on_partial_sync_begin(&mut self, conn: usize, repl_id: ReplicationId) {
-        self.conns[conn].kind = ConnKind::Master;
+        *self.conns.kind_mut(conn) = ConnKind::Master;
         self.repl_id = repl_id;
         if let Role::Slave {
             syncing, resyncing, ..
@@ -1665,7 +1539,7 @@ impl KvServer {
         if offset <= self.last_write_ack {
             return;
         }
-        if let Some(conn) = self.conn_of_kind(|k| matches!(k, ConnKind::Nic)) {
+        if let Some(conn) = self.conns.find_open(|k| matches!(k, ConnKind::Nic)) {
             self.last_write_ack = offset;
             let msg = NodeMsg::WriteAck {
                 slave: self.addr,
@@ -1713,11 +1587,7 @@ impl KvServer {
             }
             if !*resyncing {
                 *resyncing = true;
-                let pos = ReplicationPosition {
-                    repl_id: self.repl_id,
-                    offset: my_offset,
-                };
-                self.send_sync_request(ctx, pos);
+                self.send_sync_request(ctx, self.position());
             }
             return;
         }
@@ -1781,7 +1651,7 @@ impl KvServer {
             }
             NodeMsg::SyncNotify { slave, position } => {
                 // Relayed by Nic-KV (Fig. 8 ②).
-                self.conns[conn].kind = ConnKind::Nic;
+                *self.conns.kind_mut(conn) = ConnKind::Nic;
                 self.on_sync_request(ctx, slave, position);
             }
             NodeMsg::FullSyncBegin {
@@ -1799,11 +1669,12 @@ impl KvServer {
                 let mut worst_lag = 0u64;
                 let master_offset = self.backlog.offset();
                 let mut stalled = false;
-                for c in &mut self.conns {
+                for conn in 0..self.conns.len() {
+                    let open = self.conns.is_open(conn);
                     if let ConnKind::Slave {
                         addr,
                         reported_offset,
-                    } = &mut c.kind
+                    } = self.conns.kind_mut(conn)
                     {
                         if *addr == slave {
                             // Two consecutive reports at the same offset
@@ -1811,8 +1682,7 @@ impl KvServer {
                             // later frame will surface the gap slave-side
                             // (gap detection needs a next frame). Re-serve
                             // from the stalled offset.
-                            stalled =
-                                c.open && offset < master_offset && offset == *reported_offset;
+                            stalled = open && offset < master_offset && offset == *reported_offset;
                             *reported_offset = (*reported_offset).max(offset);
                         }
                         if *reported_offset > 0 {
@@ -1825,7 +1695,7 @@ impl KvServer {
                 // knows which slaves are still valid; the master's own
                 // census would keep counting a crashed slave forever.
                 if self.cfg.mode != Mode::Skv {
-                    self.lag_exceeded = worst_lag > self.cfg.max_slave_lag;
+                    self.lag_exceeded = worst_lag > MAX_SLAVE_LAG;
                 }
                 if stalled {
                     let position = ReplicationPosition {
@@ -1835,9 +1705,7 @@ impl KvServer {
                     self.on_sync_request(ctx, slave, position);
                 }
                 // Progress may have advanced the census commit point.
-                if self.is_master()
-                    && replmode::replication_mode(self.active_mode).defers_replies()
-                {
+                if self.is_master() && self.active_mode.defers_replies() {
                     self.release_ready_replies(ctx);
                 }
             }
@@ -1867,22 +1735,8 @@ impl KvServer {
                 // any writes accepted while promoted; the paper's scenario
                 // has the original master simply resume.)
                 if let Some((master, nic)) = self.prior_slave_of {
-                    self.last_write_ack = 0;
-                    self.role = Role::Slave {
-                        master,
-                        nic,
-                        syncing: false,
-                        rdb_expect: 0,
-                        rdb_buf: Vec::new(),
-                        rdb_start_offset: 0,
-                        stash: Vec::new(),
-                        resyncing: false,
-                    };
-                    let pos = ReplicationPosition {
-                        repl_id: self.repl_id,
-                        offset: self.slave_offset(),
-                    };
-                    self.send_sync_request(ctx, pos);
+                    self.become_slave(master, nic, false);
+                    self.send_sync_request(ctx, self.position());
                 }
             }
             NodeMsg::WriteCommitted { upto } => {
@@ -1900,7 +1754,7 @@ impl KvServer {
                 if self.cfg.mode_failover && self.is_master() && mode != self.active_mode {
                     self.active_mode = mode;
                     self.stat_mode_changes += 1;
-                    if !replmode::replication_mode(mode).defers_replies() {
+                    if !mode.defers_replies() {
                         // Degraded to async: every held reply releases
                         // under the weaker (immediate-ack) contract.
                         self.commit_upto = self.commit_upto.max(self.backlog.offset());
@@ -1928,36 +1782,28 @@ impl KvServer {
         }
         // Slaves report progress on the master channel (Fig. 9 ③).
         if let Role::Slave { syncing: false, .. } = &self.role {
-            let offset = self.slave_offset();
-            if let Some(conn) = self.conn_of_kind(|k| matches!(k, ConnKind::Master)) {
-                let msg = NodeMsg::ProgressReport {
-                    slave: self.addr,
-                    offset,
-                }
-                .encode();
-                self.send_on(ctx, conn, tag::NODE, msg);
+            let report: Frame = NodeMsg::ProgressReport {
+                slave: self.addr,
+                offset: self.slave_offset(),
             }
+            .encode()
+            .into();
+            let master = self.conns.find_open(|k| matches!(k, ConnKind::Master));
             // Deferred modes: Nic-KV also consumes progress as cumulative
             // acks (covers acks lost to QP errors between retransmits).
-            if self.cfg.mode == Mode::Skv
-                && replmode::replication_mode(self.active_mode).defers_replies()
-            {
-                if let Some(conn) = self.conn_of_kind(|k| matches!(k, ConnKind::Nic)) {
-                    let msg = NodeMsg::ProgressReport {
-                        slave: self.addr,
-                        offset,
-                    }
-                    .encode();
-                    self.send_on(ctx, conn, tag::NODE, msg);
-                }
+            let nic = (self.cfg.mode == Mode::Skv && self.active_mode.defers_replies())
+                .then(|| self.conns.find_open(|k| matches!(k, ConnKind::Nic)))
+                .flatten();
+            for conn in master.into_iter().chain(nic) {
+                self.send_on(ctx, conn, tag::NODE, report.clone());
             }
         }
         // Deferred modes, master side: drop replies whose client conn died
         // (undeliverable) and re-check the census commit point so a
         // lost `WriteCommitted` cannot wedge the reply queue.
-        if self.is_master() && replmode::replication_mode(self.active_mode).defers_replies() {
+        if self.is_master() && self.active_mode.defers_replies() {
             let conns = &self.conns;
-            self.pending_replies.retain(|p| conns[p.conn].open);
+            self.pending_replies.retain(|p| conns.is_open(p.conn));
             self.release_ready_replies(ctx);
         }
         // A sync can stall: the request lost in flight (e.g. relayed via a
@@ -2012,7 +1858,7 @@ impl KvServer {
         // Probe silence on a live-looking channel means the SoC is gone.
         if let Some(seen) = self.upstream_last_seen {
             if now - seen > self.cfg.upstream_silence {
-                if let Some(conn) = self.open_conn_to(nic) {
+                if let Some(conn) = self.conns.open_conn_to(nic) {
                     self.on_conn_broken(ctx, conn);
                 } else {
                     self.upstream_last_seen = Some(now);
@@ -2022,18 +1868,18 @@ impl KvServer {
         // No channel to Nic-KV (it crashed, or the dial gave up): poll it
         // so a recovered SoC re-learns this slave — without this the NIC
         // comes back with an empty node list and fan-out goes nowhere.
-        if self.open_conn_to(nic).is_none()
+        if self.conns.open_conn_to(nic).is_none()
             && !self.intents.contains_key(&nic)
-            && self.conn_of_kind(|k| matches!(k, ConnKind::Nic)).is_none()
+            && self
+                .conns
+                .find_open(|k| matches!(k, ConnKind::Nic))
+                .is_none()
             && now >= self.next_upstream_retry
         {
             self.next_upstream_retry = now + SimDuration::from_secs(1);
             let msg = NodeMsg::SyncRequest {
                 slave: self.addr,
-                position: ReplicationPosition {
-                    repl_id: self.repl_id,
-                    offset: self.slave_offset(),
-                },
+                position: self.position(),
             }
             .encode();
             self.dial(
@@ -2052,7 +1898,7 @@ impl KvServer {
         // Liveness bookkeeping: traffic on a Nic-KV channel proves the SoC
         // alive (probes arrive every `probe_interval`, so silence is a
         // reliable death signal).
-        match self.conns[conn].kind {
+        match self.conns.kind(conn) {
             ConnKind::Nic if self.is_master() => {
                 self.nic_last_seen = Some(ctx.now());
                 // The SoC came back: re-offload replication fan-out.
@@ -2137,18 +1983,7 @@ impl Actor for KvServer {
                     Control::ConnectNic { nic } => {
                         self.nic_addr = Some(nic);
                         self.nic_last_seen = Some(ctx.now());
-                        let hello = NodeMsg::Hello {
-                            from: self.addr,
-                            is_master: true,
-                        }
-                        .encode();
-                        self.dial(
-                            ctx,
-                            nic,
-                            ConnectIntent::SyncUpstream {
-                                frames: vec![(tag::NODE, hello.into())],
-                            },
-                        );
+                        self.redial_nic(ctx);
                     }
                     Control::Recover => {
                         self.crashed = false;
@@ -2161,34 +1996,20 @@ impl Actor for KvServer {
                         // Notifications delivered while crashed were lost;
                         // drain stale completions (replenishing receive
                         // slots) and re-arm the completion channel.
-                        let cqs = self.cqs.clone();
-                        let mut wcs = std::mem::take(&mut self.wc_scratch);
-                        for cq in cqs {
-                            let net = self.net.clone();
-                            cqdrain::recover_drain(&net, ctx, cq, &mut wcs, |ctx, wc| {
-                                if let Some(&conn) = self.by_qp.get(&wc.qp) {
-                                    // Drop whatever the message was: the
-                                    // process "restarted".
-                                    let _ = self.conns[conn].channel.on_wc(&net, ctx, &wc);
-                                }
-                            });
+                        for &cq in &self.cqs {
+                            self.conns.recover_drain(&self.net, ctx, cq);
                         }
-                        self.wc_scratch = wcs;
                         // A synced slave re-requests sync from its current
                         // offset; the backlog usually serves it partially.
                         if let Role::Slave { syncing: false, .. } = &self.role {
-                            let pos = ReplicationPosition {
-                                repl_id: self.repl_id,
-                                offset: self.slave_offset(),
-                            };
-                            self.send_sync_request(ctx, pos);
+                            self.send_sync_request(ctx, self.position());
                         } else if self.cfg.mode == Mode::Skv && self.is_master() {
                             // A recovered master re-registers with Nic-KV:
                             // the SoC tore its channel down while the host
                             // was gone, so the surviving half is stale.
                             if let Some(nic) = self.nic_addr {
-                                if let Some(conn) = self.open_conn_to(nic) {
-                                    self.close_conn(conn);
+                                if let Some(conn) = self.conns.open_conn_to(nic) {
+                                    self.conns.close(&self.net, conn);
                                 }
                                 self.redial_nic(ctx);
                             }
@@ -2217,17 +2038,10 @@ impl Actor for KvServer {
                     ServerMsg::SendFrames(frames) => self.emit_frames(ctx, frames),
                     ServerMsg::PersistDone {
                         slave,
-                        position,
                         snapshot,
                         start_offset,
                     } => {
-                        self.begin_slave_transfer(
-                            ctx,
-                            slave,
-                            position,
-                            Some((snapshot, start_offset)),
-                            0,
-                        );
+                        self.begin_slave_transfer(ctx, slave, Some((snapshot, start_offset)), 0);
                     }
                     ServerMsg::Redial { to } => {
                         if self.intents.contains_key(&to) {
@@ -2262,17 +2076,11 @@ impl Actor for KvServer {
                 let _ = self.net.rdma_accept(ctx, req, cq);
             }
             NetEvent::CmEstablished { qp, peer } => {
-                if self.by_qp.contains_key(&qp) {
+                if self.conns.conn_of_qp(qp).is_some() {
                     return;
                 }
-                let net = self.net.clone();
-                let ch = Channel::rdma(&net, ctx, self.node, qp, self.cfg.ring_size);
-                let (kind, frames) = self.intent_to_kind(peer);
-                self.reconnect_attempts.remove(&peer);
-                let conn = self.add_conn(ch, kind, Some(peer));
-                for (t, p) in frames {
-                    self.send_on(ctx, conn, t, p);
-                }
+                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE);
+                self.attach(ctx, ch, peer);
             }
             NetEvent::CqNotify { cq } => {
                 // Budgeted drain: at most `cq_poll_budget` completions per
@@ -2281,18 +2089,18 @@ impl Actor for KvServer {
                 // a self-scheduled follow-up once that work is done.
                 let net = self.net.clone();
                 let budget = self.cfg.cq_poll_budget;
-                let mut wcs = std::mem::take(&mut self.wc_scratch);
+                let mut wcs = self.conns.take_wcs();
                 let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
-                    let Some(&conn) = self.by_qp.get(&wc.qp) else {
+                    let Some(conn) = self.conns.conn_of_qp(wc.qp) else {
                         return;
                     };
-                    if let Some(msg) = self.conns[conn].channel.on_wc(&net, ctx, &wc) {
-                        self.on_channel_msg(ctx, conn, msg);
-                    } else if self.conns[conn].open && self.conns[conn].channel.broken() {
-                        self.on_conn_broken(ctx, conn);
+                    match self.conns.on_wc(&net, ctx, conn, &wc) {
+                        ConnEvent::Msg(msg) => self.on_channel_msg(ctx, conn, msg),
+                        ConnEvent::Broken => self.on_conn_broken(ctx, conn),
+                        ConnEvent::Quiet => {}
                     }
                 });
-                self.wc_scratch = wcs;
+                self.conns.put_wcs(wcs);
                 // Poll CPU lands on the core owning this CQ (cq 0 → core
                 // 0, the seed schedule; extra shard CQs → their cores).
                 let core = self.cqs.iter().position(|&c| c == cq).unwrap_or(0);
@@ -2302,29 +2110,21 @@ impl Actor for KvServer {
                 }
             }
             NetEvent::TcpAccepted { conn, .. } => {
-                self.add_conn(Channel::tcp(conn), ConnKind::Unknown, None);
+                self.conns.add(Channel::tcp(conn), ConnKind::Unknown, None);
             }
-            NetEvent::TcpConnected { conn, peer } => {
-                let (kind, frames) = self.intent_to_kind(peer);
-                self.reconnect_attempts.remove(&peer);
-                let idx = self.add_conn(Channel::tcp(conn), kind, Some(peer));
-                for (t, p) in frames {
-                    self.send_on(ctx, idx, t, p);
-                }
-            }
+            NetEvent::TcpConnected { conn, peer } => self.attach(ctx, Channel::tcp(conn), peer),
             NetEvent::TcpDelivered { conn, bytes } => {
-                let Some(&idx) = self.by_tcp.get(&conn) else {
+                let Some(idx) = self.conns.conn_of_tcp(conn) else {
                     return;
                 };
-                let mut msgs = std::mem::take(&mut self.msg_scratch);
-                self.conns[idx].channel.on_tcp_bytes_into(bytes, &mut msgs);
+                let mut msgs = self.conns.on_tcp_bytes(idx, bytes);
                 for m in msgs.drain(..) {
                     self.on_channel_msg(ctx, idx, m);
                 }
-                self.msg_scratch = msgs;
+                self.conns.put_msgs(msgs);
             }
             NetEvent::TcpClosed { conn } => {
-                if let Some(&idx) = self.by_tcp.get(&conn) {
+                if let Some(idx) = self.conns.conn_of_tcp(conn) {
                     self.on_conn_broken(ctx, idx);
                 }
             }
@@ -2340,8 +2140,10 @@ impl Actor for KvServer {
 }
 
 impl KvServer {
-    fn intent_to_kind(&mut self, peer: SocketAddr) -> (ConnKind, Vec<(u32, Frame)>) {
-        match self.intents.remove(&peer) {
+    /// An outbound dial to `peer` came up: the connection takes the role
+    /// the dial was made for and the frames queued for it leave.
+    fn attach(&mut self, ctx: &mut Context<'_>, channel: Channel, peer: SocketAddr) {
+        let (kind, frames) = match self.intents.remove(&peer) {
             Some(ConnectIntent::SyncSlave { frames }) => (
                 ConnKind::Slave {
                     addr: peer,
@@ -2351,6 +2153,11 @@ impl KvServer {
             ),
             Some(ConnectIntent::SyncUpstream { frames }) => (ConnKind::Nic, frames),
             None => (ConnKind::Unknown, Vec::new()),
+        };
+        self.reconnect_attempts.remove(&peer);
+        let conn = self.conns.add(channel, kind, Some(peer));
+        for (t, p) in frames {
+            self.send_on(ctx, conn, t, p);
         }
     }
 }

@@ -36,7 +36,8 @@ pub enum RoutePlan {
     /// keyless commands, and multi-key commands whose keys all land on
     /// one shard).
     Single(usize),
-    /// Execute on every shard and merge replies (FLUSHDB/FLUSHALL).
+    /// Execute on every shard and merge replies (FLUSHDB/FLUSHALL,
+    /// DBSIZE, KEYS).
     Broadcast,
     /// MSET/MSETNX-style `key value` pairs: split the pair list by shard.
     SplitPairs,
@@ -87,7 +88,10 @@ impl ShardRouter {
         };
         let mut folded = [0u8; MAX_NAME_LEN];
         match upper_name(name.as_ref(), &mut folded) {
-            b"FLUSHDB" | b"FLUSHALL" => RoutePlan::Broadcast,
+            // Keyspace-wide commands run on every shard's slice; the
+            // caller merges the replies by type (counts summed, listings
+            // concatenated in shard order).
+            b"FLUSHDB" | b"FLUSHALL" | b"DBSIZE" | b"KEYS" => RoutePlan::Broadcast,
             b"MSET" => self.plan_pairs(args),
             b"MSETNX" => {
                 // All-or-nothing across shards would need a cross-shard
@@ -133,9 +137,10 @@ impl ShardRouter {
                     }
                 }
             }
-            // Keyspace-wide reads run on one shard per shard's slice; the
-            // merged view is a cross-shard gather.
-            b"DBSIZE" | b"KEYS" | b"SCAN" | b"RANDOMKEY" => RoutePlan::Single(0),
+            // Cursor- and sample-based reads stay scoped to shard 0 until
+            // the command table gives SCAN shard-tagged cursors: their
+            // reply covers one slice of the keyspace, not all of it.
+            b"SCAN" | b"RANDOMKEY" => RoutePlan::Single(0),
             _ => self.single_by_first_key(args),
         }
     }
@@ -274,6 +279,9 @@ mod tests {
             RoutePlan::Single(r.shard_of_key(&a))
         );
         assert_eq!(r.plan(&argv(&["FLUSHALL"])), RoutePlan::Broadcast);
+        assert_eq!(r.plan(&argv(&["dbsize"])), RoutePlan::Broadcast);
+        assert_eq!(r.plan(&argv(&["KEYS", "*"])), RoutePlan::Broadcast);
+        assert_eq!(r.plan(&argv(&["SCAN", "0"])), RoutePlan::Single(0));
         assert_eq!(
             r.plan(&argv(&["MSET", &s(&a), "1", &s(&other), "2"])),
             RoutePlan::SplitPairs

@@ -210,10 +210,11 @@ const SIM_CRATE_PREFIXES: [&str; 3] = [
 ];
 
 /// Protocol hot-path files (rule `unwrap` applies).
-const HOT_PATH_FILES: [&str; 12] = [
+const HOT_PATH_FILES: [&str; 13] = [
     "crates/core/src/server.rs",
     "crates/core/src/client.rs",
     "crates/core/src/channel.rs",
+    "crates/core/src/conns.rs",
     "crates/core/src/cqdrain.rs",
     "crates/core/src/hotcache.rs",
     "crates/core/src/nickv.rs",
@@ -636,6 +637,9 @@ struct FileAnalysis {
     violations: Vec<Violation>,
     facts: Facts,
     allows: Vec<Allow>,
+    /// Lines that still hold code once comments, blanks and
+    /// `#[cfg(test)]` items are stripped (the `--stats` size measure).
+    code_lines: usize,
 }
 
 /// Collect the public fields of `struct_name` from blanked code lines.
@@ -856,10 +860,15 @@ fn analyze_file(rel: &str, contents: &str) -> FileAnalysis {
         }
     }
 
+    let code_lines = lines
+        .iter()
+        .filter(|l| !l.in_test && !l.code.trim().is_empty())
+        .count();
     FileAnalysis {
         violations,
         facts,
         allows,
+        code_lines,
     }
 }
 
@@ -882,6 +891,13 @@ pub struct Analysis {
     pub violations: Vec<Violation>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Non-test code lines per scanned file, in path order: lines that
+    /// still hold code after the lexer blanked comments and literal
+    /// bodies, outside every `#[cfg(test)]` item. Moving code between
+    /// files, reflowing comments or growing tests changes no total.
+    pub code_lines: Vec<(String, usize)>,
+    /// Public field count of each drift-checked config struct.
+    pub config_fields: Vec<(&'static str, usize)>,
 }
 
 impl Analysis {
@@ -1093,9 +1109,24 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
 
     violations
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    let config_fields = CONFIG_STRUCTS
+        .iter()
+        .map(|&(file, name)| {
+            let fields = per_file
+                .iter()
+                .find(|(rel, _)| rel == file)
+                .map_or(0, |(_, fa)| fa.facts.knob_defs.len());
+            (name, fields)
+        })
+        .collect();
     Ok(Analysis {
         violations,
         files_scanned: files.len(),
+        code_lines: per_file
+            .iter()
+            .map(|(rel, fa)| (rel.clone(), fa.code_lines))
+            .collect(),
+        config_fields,
     })
 }
 
@@ -1103,6 +1134,33 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
 /// findings only.
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     analyze_workspace(root).map(|a| a.violations)
+}
+
+// ===========================================================================
+// Size statistics (`--stats`)
+// ===========================================================================
+
+/// Render the `--stats` table: non-test code lines per file, a subtotal
+/// per source directory, and the public field count of each config
+/// struct — the one way "net negative" is measured in this repo.
+pub fn stats_table(analysis: &Analysis) -> String {
+    let mut out =
+        String::from("non-test code lines (comments, blank lines and cfg(test) items stripped)\n");
+    let mut dirs: BTreeMap<&str, usize> = BTreeMap::new();
+    for (file, lines) in &analysis.code_lines {
+        out.push_str(&format!("{lines:>7}  {file}\n"));
+        let dir = file.rfind('/').map_or("", |at| &file[..at]);
+        *dirs.entry(dir).or_default() += lines;
+    }
+    out.push_str("per directory\n");
+    for (dir, lines) in &dirs {
+        out.push_str(&format!("{lines:>7}  {dir}/\n"));
+    }
+    out.push_str("public config fields\n");
+    for (name, fields) in &analysis.config_fields {
+        out.push_str(&format!("{fields:>7}  {name}\n"));
+    }
+    out
 }
 
 // ===========================================================================
@@ -1336,6 +1394,38 @@ mod tests {
     }
 
     #[test]
+    fn stats_count_code_outside_tests_and_comments() {
+        let src = "\
+//! Module docs.
+
+/// Item docs.
+pub fn prod() {
+    // a comment
+    let s = \"text\"; /* trailing */
+}
+
+#[cfg(test)]
+mod tests {
+    fn t() {}
+}
+";
+        assert_eq!(analyze_file("crates/core/src/x.rs", src).code_lines, 3);
+        let a = Analysis {
+            violations: Vec::new(),
+            files_scanned: 2,
+            code_lines: vec![
+                ("crates/a/src/x.rs".into(), 3),
+                ("crates/a/src/y.rs".into(), 4),
+            ],
+            config_fields: vec![("ClusterConfig", 24)],
+        };
+        let table = stats_table(&a);
+        assert!(table.contains("      3  crates/a/src/x.rs\n"), "{table}");
+        assert!(table.contains("      7  crates/a/src/\n"), "{table}");
+        assert!(table.contains("     24  ClusterConfig\n"), "{table}");
+    }
+
+    #[test]
     fn severity_lookup() {
         assert_eq!(severity_of("hashmap"), Severity::Error);
         assert_eq!(severity_of("allow-unused"), Severity::Warning);
@@ -1351,6 +1441,8 @@ mod tests {
                 message: "say \"hi\"".into(),
             }],
             files_scanned: 1,
+            code_lines: Vec::new(),
+            config_fields: Vec::new(),
         };
         let j = to_json(&a);
         assert!(j.contains("\"say \\\"hi\\\"\""), "{j}");

@@ -10,13 +10,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use skv_analyze::{analyze_workspace, to_json, RULES};
+use skv_analyze::{analyze_workspace, stats_table, to_json, RULES};
 
 const HELP_HEADER: &str = "\
 skv-analyze: token-level static analysis for the SKV reproduction
 
 USAGE:
-    cargo run -p skv-analyze [-- --root <dir>] [--format text|json] [--deny-warnings]
+    cargo run -p skv-analyze [-- --root <dir>] [--format text|json] [--deny-warnings] [--stats]
 
 Walks every non-test .rs file under <root>/crates/ and <root>/examples/
 with a small Rust lexer (comments, strings, raw strings, nested block
@@ -30,6 +30,9 @@ Suppress a finding with a justified directive on (or directly above) the line:
 Without --root, the workspace root is located by walking up from the
 current directory to the first Cargo.toml containing [workspace].
 --format json prints the machine-readable report (schema: DESIGN.md §14).
+--stats prints, instead of the findings, the non-test code lines of every
+scanned file (same lexer: comments, blank lines and cfg(test) items do not
+count) and the public field count of each drift-checked config struct.
 ";
 
 fn print_help() {
@@ -65,6 +68,7 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format_json = false;
     let mut deny_warnings = false;
+    let mut stats = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -84,6 +88,7 @@ fn main() -> ExitCode {
                 }
             },
             "--deny-warnings" => deny_warnings = true,
+            "--stats" => stats = true,
             "-h" | "--help" => {
                 print_help();
                 return ExitCode::SUCCESS;
@@ -107,6 +112,10 @@ fn main() -> ExitCode {
         }
     };
 
+    if stats {
+        print!("{}", stats_table(&analysis));
+        return ExitCode::SUCCESS;
+    }
     if format_json {
         print!("{}", to_json(&analysis));
     } else if analysis.violations.is_empty() {

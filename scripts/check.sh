@@ -16,6 +16,9 @@ if ! cargo run -q -p skv-analyze -- --format json > target/skv-analyze.json; the
   echo "FAIL: skv-analyze found violations (report: target/skv-analyze.json)"
   exit 1
 fi
+# Size of what was just scanned: non-test code lines per file and the
+# config structs' field counts (CI uploads it with the report).
+cargo run -q -p skv-analyze -- --stats | tee target/skv-analyze-stats.txt
 
 echo "==> histcheck smoke (bounded linearizability gate, all repl modes)"
 # Small recorded bench runs (async/quorum/chain) fed through the

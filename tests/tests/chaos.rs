@@ -250,8 +250,12 @@ fn slave_crash_stays_linearizable(mode: ReplModeKind, anchor: ReadAnchor) {
     run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
 
     let nic = cluster.nic_kv().expect("nic");
-    assert!(nic.stat_commits > 0, "{mode}: nothing committed");
-    assert_eq!(nic.pending_writes(), 0, "{mode}: stuck in-flight writes");
+    assert!(nic.tracker().stat_commits > 0, "{mode}: nothing committed");
+    assert_eq!(
+        nic.tracker().pending_writes(),
+        0,
+        "{mode}: stuck in-flight writes"
+    );
     let h = history.borrow();
     let done = h.ops.iter().filter(|o| o.completed.is_some()).count();
     assert!(done > 100, "{mode}: only {done} probe ops completed");
@@ -349,11 +353,15 @@ fn chain_rejoin_splices_recovered_slave_without_overlap() {
 
     let nic = cluster.nic_kv().expect("nic");
     assert!(
-        nic.stat_chain_rejoins >= 1,
+        nic.tracker().stat_chain_rejoins >= 1,
         "recovered slave never spliced back into an in-flight chain"
     );
-    assert!(nic.stat_commits > 0, "chain stopped committing");
-    assert_eq!(nic.pending_writes(), 0, "writes stuck behind the rejoiner");
+    assert!(nic.tracker().stat_commits > 0, "chain stopped committing");
+    assert_eq!(
+        nic.tracker().pending_writes(),
+        0,
+        "writes stuck behind the rejoiner"
+    );
     let h = history.borrow();
     let violations = check_linearizable(&h);
     assert!(
@@ -389,11 +397,15 @@ fn chain_mid_node_partition_triggers_repair() {
 
     let nic = cluster.nic_kv().expect("nic");
     assert!(
-        nic.stat_chain_repairs > 0,
+        nic.tracker().stat_chain_repairs > 0,
         "mid-node partition never triggered a chain repair"
     );
-    assert!(nic.stat_commits > 0, "chain stopped committing");
-    assert_eq!(nic.pending_writes(), 0, "writes stuck behind the dead hop");
+    assert!(nic.tracker().stat_commits > 0, "chain stopped committing");
+    assert_eq!(
+        nic.tracker().pending_writes(),
+        0,
+        "writes stuck behind the dead hop"
+    );
     let h = history.borrow();
     let violations = check_single_writer(&h);
     assert!(

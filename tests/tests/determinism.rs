@@ -125,21 +125,6 @@ fn same_seed_same_bits_under_chaos() {
 }
 
 #[test]
-fn same_seed_same_bits_with_serial_posts() {
-    // Batched posting is the default now; the historical serial-doorbell
-    // arm must stay deterministic too (it is still an ablation arm and
-    // the fallback for TCP-framed channels).
-    let mut spec = arm(Mode::Skv, 0xD00D);
-    spec.cfg.batch_wr_posts = false;
-    let a = execute(spec.clone(), None);
-    let b = execute(spec, None);
-    assert_eq!(
-        a, b,
-        "identical serial-post runs diverged: {a:#018x} vs {b:#018x}"
-    );
-}
-
-#[test]
 fn same_seed_same_bits_with_cq_moderation() {
     // Interrupt moderation batches completion *notifies*: the event
     // schedule changes shape (fewer, deeper CqNotify drains plus

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use skv_core::cluster::{Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
+use skv_core::server::KvServer;
 use skv_simcore::SimDuration;
 use skv_store::resp::Resp;
 
@@ -211,6 +212,44 @@ fn sharded_replicas_converge_with_split_msets() {
         ops.iter().all(|&n| n > 0),
         "hash-slot routing should spread load over every shard: {ops:?}"
     );
+}
+
+#[test]
+fn sharded_keyspace_wide_reads_cover_every_shard() {
+    // DBSIZE and KEYS used to route to shard 0 and silently answer for a
+    // quarter of the keyspace; they broadcast and merge now.
+    let mut s = spec(Mode::RdmaRedis, 0, 0);
+    s.cfg.num_shards = 4;
+    let mut cluster = Cluster::build(s);
+    let mut expected: Vec<String> = (0..200).map(|i| format!("key:{i:04}")).collect();
+    for key in &expected {
+        cluster.preload_master(&[&["SET", key, "v"]]);
+    }
+    let master = cluster
+        .sim
+        .actor_mut::<KvServer>(cluster.master)
+        .expect("master is a KvServer");
+    let sizes: Vec<usize> = master.engines().iter().map(|e| e.db().len()).collect();
+    assert!(
+        sizes.iter().all(|&n| n > 0),
+        "keys on every shard: {sizes:?}"
+    );
+    let total = i64::try_from(sizes.iter().sum::<usize>()).expect("small");
+    assert_eq!(total, 200);
+    assert_eq!(master.preload(&["DBSIZE"]).reply, Resp::Int(total));
+    let Resp::Array(keys) = master.preload(&["KEYS", "*"]).reply else {
+        panic!("KEYS must answer with an array");
+    };
+    let mut listed: Vec<String> = keys
+        .into_iter()
+        .map(|k| match k {
+            Resp::Bulk(b) => String::from_utf8(b).expect("ascii key"),
+            other => panic!("KEYS item {other:?}"),
+        })
+        .collect();
+    listed.sort();
+    expected.sort();
+    assert_eq!(listed, expected);
 }
 
 proptest! {

@@ -65,9 +65,16 @@ fn tracked_mode_serves(mode: ReplModeKind) {
     assert_eq!(report.errors, 0, "{mode}: {} errors", report.errors);
 
     let nic = cluster.nic_kv().expect("SKV has a NIC");
-    assert!(nic.stat_commits > 0, "{mode}: no tracked commits");
-    assert!(nic.committed_upto() > 0, "{mode}: commit frontier at 0");
-    assert_eq!(nic.pending_writes(), 0, "{mode}: writes stuck in flight");
+    assert!(nic.tracker().stat_commits > 0, "{mode}: no tracked commits");
+    assert!(
+        nic.tracker().committed_upto() > 0,
+        "{mode}: commit frontier at 0"
+    );
+    assert_eq!(
+        nic.tracker().pending_writes(),
+        0,
+        "{mode}: writes stuck in flight"
+    );
 
     let master = cluster.master_server();
     assert!(
@@ -270,8 +277,12 @@ fn cross_mode_failover_degrades_and_promotes() {
     assert_eq!(degraded_to, ReplModeKind::Async);
     assert_eq!(promoted_to, ReplModeKind::Quorum);
     assert!(degraded_at >= cut && promoted_at >= heal && degraded_at < promoted_at);
-    assert_eq!(nic.active_mode(), ReplModeKind::Quorum, "must end promoted");
-    assert_eq!(nic.pending_writes(), 0, "stuck in-flight writes");
+    assert_eq!(
+        nic.tracker().mode(),
+        ReplModeKind::Quorum,
+        "must end promoted"
+    );
+    assert_eq!(nic.tracker().pending_writes(), 0, "stuck in-flight writes");
     // The master tracked both transitions (it releases deferred replies
     // on degrade and resumes deferring on promote).
     assert_eq!(cluster.master_server().stat_mode_changes, 2);
@@ -346,10 +357,10 @@ proptest! {
         let needed = quorum_slave_acks(slaves);
         let nic = cluster.nic_kv().expect("nic");
         prop_assert!(
-            !nic.committed_acks.is_empty(),
+            !nic.tracker().committed_acks.is_empty(),
             "no commits recorded — invariant untested"
         );
-        for (off, acks) in &nic.committed_acks {
+        for (off, acks) in &nic.tracker().committed_acks {
             prop_assert!(all_distinct(acks), "duplicate ack at offset {off}: {acks:?}");
             prop_assert!(
                 acks.len() >= needed,
@@ -360,8 +371,8 @@ proptest! {
         // Pairwise: any two commit quorums (master ∪ acks) intersect —
         // trivially via the master, and on slave sets whenever both
         // majorities exceed half the slaves.
-        for (i, (_, a)) in nic.committed_acks.iter().enumerate() {
-            for (_, b) in &nic.committed_acks[i + 1..] {
+        for (i, (_, a)) in nic.tracker().committed_acks.iter().enumerate() {
+            for (_, b) in &nic.tracker().committed_acks[i + 1..] {
                 let joint = 2 * (1 + needed);
                 prop_assert!(joint > slaves + 1, "quorums of {a:?}/{b:?} may miss");
             }

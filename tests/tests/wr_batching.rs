@@ -1,13 +1,16 @@
-//! Doorbell-batched WR post lists: integration behaviour of the
-//! `batch_wr_posts` knob across the replication fan-out.
+//! Doorbell-batched WR post lists: how a replicated write leaves each of
+//! the two fan-out sites — the Nic-KV offload and the master's host
+//! fan-out (RDMA-Redis, or SKV degraded) — judged by the fabric's own
+//! `rdma.doorbells` / `rdma.wrs_posted` counters rather than by what the
+//! actors say they did.
 //!
-//! Covers the three acceptance properties of the batching PR:
-//! * doorbells per replicated write collapse from N to 1 while the WR
-//!   count per command is unchanged (the work still happens — it just
-//!   shares a doorbell),
+//! * a replicated write posts N WRs under exactly one doorbell, and it is
+//!   the only thing in the system that shares a doorbell — so the
+//!   fabric-wide gap `wrs_posted − doorbells` is exactly `(N − 1)` per
+//!   replicated write;
 //! * the post-stall probability is drawn once per *doorbell*, so forcing
-//!   a stall on every doorbell punishes serial posting N times harder
-//!   than a linked list (the satellite fix this PR carries),
+//!   a stall on every doorbell costs a replicated write two stalls (reply
+//!   + list) however many slaves the list reaches;
 //! * the steady-state send path is allocation-free: the master's send
 //!   rings come from the frame pool, and after warm-up every borrow is a
 //!   recycled buffer.
@@ -17,10 +20,9 @@ use skv_core::config::{ClusterConfig, Mode};
 use skv_core::metrics::RunReport;
 use skv_simcore::SimDuration;
 
-fn spec(mode: Mode, slaves: usize, batched: bool, seed: u64) -> RunSpec {
+fn spec(mode: Mode, slaves: usize, seed: u64) -> RunSpec {
     let mut cfg = ClusterConfig::for_mode(mode);
     cfg.num_slaves = slaves;
-    cfg.batch_wr_posts = batched;
     RunSpec {
         cfg,
         num_clients: 4,
@@ -43,119 +45,75 @@ fn run(spec: RunSpec) -> (Cluster, RunReport) {
     (cluster, report)
 }
 
-#[test]
-fn host_fanout_doorbells_collapse_to_one_per_write() {
-    // RDMA-Redis, 5 slaves: the master posts 1 reply WR + 5 fan-out WRs
-    // per SET. Serially that is 6 doorbells; batched it is 2 (the reply
-    // plus one linked list).
-    let (serial, _) = run(spec(Mode::RdmaRedis, 5, false, 0xB0B));
-    let (batched, _) = run(spec(Mode::RdmaRedis, 5, true, 0xB0B));
-
-    let s = serial.master_server();
-    let b = batched.master_server();
-    assert_eq!(
-        s.stat_doorbells, s.stat_wrs_posted,
-        "serial posting rings one doorbell per WR"
-    );
-    assert!(
-        b.stat_wrs_posted > b.stat_doorbells,
-        "batched posting shares doorbells across WRs"
-    );
-    // Per replicated write: serial 6 doorbells, batched 2 — a 3× drop.
-    // Op mixes differ slightly between the two runs (different schedules)
-    // so compare the per-WR ratio, with slack for non-replicated traffic.
-    let serial_ratio = s.stat_doorbells as f64 / s.stat_wrs_posted as f64;
-    let batched_ratio = b.stat_doorbells as f64 / b.stat_wrs_posted as f64;
-    assert!(
-        (serial_ratio - 1.0).abs() < 1e-9,
-        "serial: doorbells == WRs, got ratio {serial_ratio}"
-    );
-    assert!(
-        batched_ratio < 0.5,
-        "batched: expected ≪1 doorbell per WR, got ratio {batched_ratio}"
-    );
+/// `(rdma.wrs_posted, rdma.doorbells)` summed over every node.
+fn fabric_posts(cluster: &Cluster) -> (u64, u64) {
+    let c = cluster.net.counters();
+    (c.get("rdma.wrs_posted"), c.get("rdma.doorbells"))
 }
 
 #[test]
-fn nic_fanout_is_one_doorbell_per_replicated_write() {
-    let slaves = 3;
-    let (cluster, report) = run(spec(Mode::Skv, slaves, true, 0xA11));
+fn host_fanout_is_one_doorbell_and_n_wrs_per_replicated_write() {
+    // RDMA-Redis, 5 slaves, all synced before the first client command:
+    // per SET the master posts a reply (1 WR, 1 doorbell) and the fan-out
+    // (5 WRs, 1 doorbell). Client commands, handshakes, sync and progress
+    // traffic are all single posts, so the fan-outs alone open the gap
+    // between WRs and doorbells: 4 per replicated write, exactly. A
+    // fan-out that rang a doorbell per slave would close it; one that
+    // lost a WR, or a reply riding a list, would miss it.
+    let slaves = 5u64;
+    let (cluster, report) = run(spec(Mode::RdmaRedis, 5, 0xB0B));
+    assert!(report.ops > 0);
+    let master = cluster.master_server();
+    let writes = master.stat_commands;
+    let (wrs, doorbells) = fabric_posts(&cluster);
+    assert_eq!(wrs - doorbells, (slaves - 1) * writes);
+    // What the master *charged* its event loop for is what the fabric saw
+    // it post: one list doorbell + one reply doorbell per write.
+    assert_eq!(master.stat_doorbells, 2 * writes);
+    assert_eq!(master.stat_wrs_posted, (slaves + 1) * writes);
+}
+
+#[test]
+fn nic_fanout_is_one_doorbell_and_n_wrs_per_replicated_write() {
+    // SKV, 3 slaves: the master posts one WR to the NIC per write and the
+    // NIC's fan-out is the only linked post in the system.
+    let slaves = 3u64;
+    let (cluster, report) = run(spec(Mode::Skv, 3, 0xA11));
     assert!(report.ops > 0);
     let nic = cluster.nic_kv().expect("SKV mode has a Nic-KV");
-    assert!(nic.stat_doorbells > 0, "fan-out actually ran batched");
-    // Every batched fan-out posts one WR per synced slave under a single
-    // doorbell; with a healthy cluster that is exactly `slaves` WRs.
-    assert_eq!(
-        nic.stat_wrs_posted,
-        nic.stat_doorbells * slaves as u64,
-        "one doorbell must carry one WR per slave"
-    );
-
-    // Unbatched, the same fan-out rings one doorbell per WR.
-    let (serial, _) = run(spec(Mode::Skv, slaves, false, 0xA11));
-    let nic = serial.nic_kv().expect("SKV mode has a Nic-KV");
-    assert_eq!(nic.stat_doorbells, nic.stat_wrs_posted);
+    let writes = nic.stat_fanout_msgs;
+    assert!(writes > 0, "fan-out actually ran");
+    let (wrs, doorbells) = fabric_posts(&cluster);
+    assert_eq!(wrs - doorbells, (slaves - 1) * writes);
+    // The NIC's post-time statistics agree with the fabric WR for WR: had
+    // they counted a frame at staging time instead of post time, or
+    // missed one flushed by the MR handshake, these would drift apart.
+    assert_eq!(nic.stat_doorbells(), writes);
+    assert_eq!(nic.stat_wrs_posted(), slaves * writes);
 }
 
 #[test]
-fn nic_wr_stats_agree_with_fabric_accounting() {
-    // In SKV mode the NIC's batched fan-out is the only place that links
-    // multiple WRs under one doorbell: the master posts a single WR to the
-    // NIC per write, and replies, syncs, probes and client commands are
-    // all single posts. The fabric-wide WR/doorbell gap is therefore
-    // exactly the NIC's — if the fan-out stats counted a queued frame at
-    // enqueue time instead of post time (the bug this PR fixes), or missed
-    // a deferred frame flushed by the MR handshake, this equality breaks.
-    let slaves = 3;
-    for batched in [false, true] {
-        let (cluster, report) = run(spec(Mode::Skv, slaves, batched, 0xFAB));
-        assert!(report.ops > 0);
-        let nic = cluster.nic_kv().expect("SKV mode has a Nic-KV");
-        let c = cluster.net.counters();
-        let (wrs, dbs) = (c.get("rdma.wrs_posted"), c.get("rdma.doorbells"));
-        assert!(nic.stat_wrs_posted > 0, "fan-out ran (batched={batched})");
-        assert_eq!(
-            wrs - dbs,
-            nic.stat_wrs_posted - nic.stat_doorbells,
-            "fabric WR/doorbell gap must equal the NIC's (batched={batched})"
-        );
-        if !batched {
-            // Serially everything in the system is one doorbell per WR.
-            assert_eq!(nic.stat_doorbells, nic.stat_wrs_posted);
-            assert_eq!(wrs, dbs);
-        }
-    }
-}
-
-#[test]
-fn post_stall_is_charged_per_doorbell_not_per_linked_wr() {
+fn post_stall_is_drawn_once_per_doorbell() {
     // Force a stall on *every* doorbell and make it enormous relative to
-    // everything else. Serial posting pays N+1 stalls per replicated
-    // write, the linked list pays 2 (reply + one list) — so batched
-    // latency must come out far ahead. This is the regression test for
-    // the per-doorbell spike fix: if the stall were drawn per WR again,
-    // both arms would pay identically and the gap would vanish.
-    fn stalled(batched: bool) -> RunSpec {
-        let mut s = spec(Mode::RdmaRedis, 5, batched, 0x57A11);
-        s.cfg.costs.post_spike_prob = 1.0;
-        s.cfg.costs.post_spike_cost = SimDuration::from_micros(50);
-        s
-    }
-    let (_, serial) = run(stalled(false));
-    let (_, batched) = run(stalled(true));
-    assert!(serial.ops > 0 && batched.ops > 0);
+    // everything else: the master's event loop then spends 50 µs per
+    // doorbell and nothing else matters. A replicated write rings two —
+    // its reply and its 5-WR list — so the closed loop settles just under
+    // 1 / 100 µs = 10 kops/s. Were the stall drawn per linked WR again it
+    // would pay six and crawl at 3.3 kops/s.
+    let mut s = spec(Mode::RdmaRedis, 5, 0x57A11);
+    s.cfg.costs.post_spike_prob = 1.0;
+    s.cfg.costs.post_spike_cost = SimDuration::from_micros(50);
+    let (_, report) = run(s);
     assert!(
-        batched.p50_latency_us < serial.p50_latency_us * 0.75,
-        "batched p50 {}µs should be well under serial p50 {}µs when every \
-         doorbell stalls",
-        batched.p50_latency_us,
-        serial.p50_latency_us
+        report.throughput_kops > 7.0 && report.throughput_kops < 10.0,
+        "expected two 50 µs stalls per write, measured {} kops/s",
+        report.throughput_kops
     );
 }
 
 #[test]
 fn steady_state_send_path_does_not_allocate() {
-    let (cluster, report) = run(spec(Mode::RdmaRedis, 3, true, 0xF00D));
+    let (cluster, report) = run(spec(Mode::RdmaRedis, 3, 0xF00D));
     assert!(report.ops > 100, "need a real steady state");
     let pool = cluster.master_server().send_pool();
     assert!(
@@ -173,9 +131,9 @@ fn steady_state_send_path_does_not_allocate() {
 }
 
 #[test]
-fn batched_replication_still_converges() {
+fn fanned_out_replicas_converge() {
     for mode in [Mode::RdmaRedis, Mode::Skv] {
-        let (mut cluster, report) = run(spec(mode, 3, true, 0xC0C0A));
+        let (mut cluster, report) = run(spec(mode, 3, 0xC0C0A));
         assert!(report.ops > 0, "{mode:?}: no ops measured");
         // Give in-flight replication a moment to drain, then all replicas
         // must agree byte-for-byte.
@@ -183,7 +141,7 @@ fn batched_replication_still_converges() {
         let digests = cluster.keyspace_digests();
         assert!(
             digests.windows(2).all(|w| w[0] == w[1]),
-            "{mode:?}: batched replicas diverged: {digests:x?}"
+            "{mode:?}: replicas diverged: {digests:x?}"
         );
     }
 }
