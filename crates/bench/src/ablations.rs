@@ -1192,9 +1192,6 @@ pub fn ablation_hotcache() -> Vec<HotCacheRow> {
             s.zipf_shift_every = shift_every;
             s.cfg.hot_cache_bytes = cache_kib << 10;
             s.cfg.hot_cache_policy = policy.to_string();
-            // Values are small here; cap single entries well below the
-            // budget so one oversized reply can never pin the whole cache.
-            s.cfg.hot_cache_max_value = 4 << 10;
             let mut cluster = Cluster::build(s);
             let report = cluster.run();
             let counters = cluster.counters_snapshot();

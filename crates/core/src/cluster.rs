@@ -12,6 +12,7 @@ use skv_simcore::{ActorId, SimDuration, SimTime, Simulation};
 use crate::client::{BenchClient, Workload};
 use crate::config::{ClusterConfig, Mode};
 use crate::histcheck::{self, HistReader, HistSpec, HistWriter, ReadAnchor, SharedHistory};
+use crate::hotcache::ENTRY_OVERHEAD;
 use crate::metrics::{MetricsHub, RunReport, SharedMetrics};
 use crate::nickv::{NicControl, NicKv};
 use crate::replmode::{quorum_slave_acks, ReplModeKind};
@@ -72,6 +73,26 @@ impl Default for RunSpec {
             measure: SimDuration::from_secs(4),
             seed: 42,
         }
+    }
+}
+
+impl RunSpec {
+    /// [`ClusterConfig::validate`], plus what only the workload can say: a
+    /// hot cache too small for one of this run's values would admit
+    /// nothing — a misconfiguration, not a cache.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        self.cfg.validate()?;
+        // A GET reply is the bulk frame `$<len>\r\n<value>\r\n`.
+        let reply = 1 + self.value_size.to_string().len() + 2 + self.value_size + 2;
+        let entry = reply + ENTRY_OVERHEAD;
+        if self.cfg.hot_cache_bytes > 0 && self.cfg.hot_cache_bytes < entry {
+            return Err(format!(
+                "hot_cache_bytes {} cannot fit one entry: a {}-byte value's \
+                 GET reply is {reply} bytes + {ENTRY_OVERHEAD} overhead = {entry}",
+                self.cfg.hot_cache_bytes, self.value_size,
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -156,10 +177,10 @@ impl Cluster {
     /// Build the full testbed for `spec`.
     pub fn build(spec: RunSpec) -> Cluster {
         let mut sim = Simulation::new(spec.seed);
-        let cfg = &spec.cfg;
-        if let Err(e) = cfg.validate() {
-            panic!("invalid ClusterConfig: {e}");
+        if let Err(e) = spec.validate() {
+            panic!("invalid RunSpec: {e}");
         }
+        let cfg = &spec.cfg;
 
         // --- topology: master + slaves + one client machine + SmartNIC ---
         let mut topo = Topology::new();
@@ -742,6 +763,25 @@ mod tests {
             measure: SimDuration::from_millis(400),
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn validate_rejects_budget_below_one_entry() {
+        // A 64-byte value's GET reply is `$64\r\n` + 64 + `\r\n` = 71 bytes.
+        let floor = 71 + ENTRY_OVERHEAD;
+        let mut spec = small_spec(Mode::Skv);
+        spec.cfg.hot_cache_bytes = floor - 1;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("cannot fit one entry"), "{err}");
+        // Exactly one entry is the floor, and the floor moves with the
+        // workload's values, not with a knob.
+        spec.cfg.hot_cache_bytes = floor;
+        assert!(spec.validate().is_ok());
+        spec.value_size = 4096;
+        assert!(spec.validate().is_err());
+        // Cache off: nothing to fit.
+        spec.cfg.hot_cache_bytes = 0;
+        assert!(spec.validate().is_ok());
     }
 
     #[test]

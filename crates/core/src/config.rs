@@ -173,10 +173,6 @@ pub struct ClusterConfig {
     /// gate against the eviction victim). Validated by
     /// [`ClusterConfig::validate`]; ignored when `hot_cache_bytes` is 0.
     pub hot_cache_policy: String,
-    /// Largest value (bytes) the cache will ever be asked to hold; the
-    /// budget must fit at least one entry of this size plus overhead,
-    /// or admission could never succeed. Defaults to 16 KiB.
-    pub hot_cache_max_value: usize,
     /// Record per-commit ack sets on the NIC (`NicKv::committed_acks`).
     /// Test-only instrumentation for the quorum-intersection proptest;
     /// off by default to keep long runs lean.
@@ -228,7 +224,6 @@ impl Default for ClusterConfig {
             num_shards: 1,
             hot_cache_bytes: 0,
             hot_cache_policy: "lru".into(),
-            hot_cache_max_value: 16 << 10,
             record_commits: false,
             record_history: false,
             mode_failover: false,
@@ -347,18 +342,6 @@ impl ClusterConfig {
                      the Nic-KV); mode is {}",
                     self.hot_cache_bytes,
                     self.mode.label()
-                ));
-            }
-            let min_entry = self.hot_cache_max_value + crate::hotcache::ENTRY_OVERHEAD;
-            if self.hot_cache_bytes < min_entry {
-                return Err(format!(
-                    "hot_cache_bytes {} cannot fit one max-size entry \
-                     (hot_cache_max_value {} + {} overhead = {}); a budget \
-                     that admits nothing is a misconfiguration, not a cache",
-                    self.hot_cache_bytes,
-                    self.hot_cache_max_value,
-                    crate::hotcache::ENTRY_OVERHEAD,
-                    min_entry
                 ));
             }
             // The cache front-end pins a NIC core for GET serving and
@@ -557,23 +540,6 @@ mod tests {
             };
             assert!(cfg.validate().is_ok(), "policy {policy} rejected");
         }
-    }
-
-    #[test]
-    fn validate_rejects_budget_below_one_max_entry() {
-        let cfg = ClusterConfig {
-            hot_cache_bytes: 1 << 10,
-            hot_cache_max_value: 16 << 10,
-            ..Default::default()
-        };
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("max-size entry"), "unexpected error: {err}");
-        // Exactly one entry is the floor.
-        let cfg = ClusterConfig {
-            hot_cache_bytes: (16 << 10) + crate::hotcache::ENTRY_OVERHEAD,
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]

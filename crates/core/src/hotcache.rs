@@ -27,22 +27,28 @@
 //!   ablation axis — while the mechanism keeps one intrusive LRU list).
 //! * **Versioning** — every entry records the master's replication
 //!   offset (`version`) current when the reply was produced. The
-//!   invalidation seam in `nickv.rs` parses every replication stream
-//!   frame *before* fan-out and drops/refreshes covered entries, so a
-//!   hit can never be older than the last write the NIC has seen on the
-//!   stream.
-//! * **TTL taint** — expiry is *not* replicated (slaves expire
+//!   invalidation seam ([`HotCache::apply_write`]) sees every
+//!   replicated write *before* fan-out and drops/refreshes the entries
+//!   of its keys — which arguments those are comes from the command
+//!   table, not from this module — so a hit can never be older than the
+//!   last write the NIC has seen on the stream.
+//! * **No TTL'd entries** — expiry is *not* replicated (slaves expire
 //!   independently), so a cached value under a TTL could silently die on
-//!   the host with no stream traffic. Any TTL-touching command taints
-//!   its key: tainted keys are never admitted and a taint drops the
-//!   entry. A plain SET or DEL clears the taint (both reset the key to
-//!   an un-TTL'd state).
+//!   the host with no stream traffic. The host owns expiry, so the host
+//!   vetoes: a forwarded read of a key that carries one comes back with
+//!   [`FWD_NO_ADMIT`] set and is never offered to [`HotCache::admit`];
+//!   every command that *sets or moves* a TTL is a replicated write and
+//!   has already invalidated its keys. The cache keeps no record of
+//!   which keys or commands involve TTLs, so nothing is lost when the
+//!   SoC restarts.
 //!
 //! Counters are exported as `cache.{hits,misses,admits,evicts,
 //! invalidations,bytes}` (see `metrics::catalog::CACHE_COUNTERS`).
 
 use skv_netsim::DetMap;
 use skv_simcore::Frame;
+use skv_store::cmd::{CommandSpec, Route};
+use skv_store::resp;
 
 /// Byte overhead charged per cache entry on top of the stored reply
 /// frame: key copy, slot bookkeeping, LRU links. Keeps the budget honest
@@ -276,8 +282,8 @@ struct Entry {
 }
 
 /// The NIC-resident hot-key cache: keyed frame store under a hard byte
-/// budget with an intrusive LRU list, a hotness sketch, and a TTL taint
-/// set. All operations are O(1) plus the map lookup.
+/// budget with an intrusive LRU list and a hotness sketch. All
+/// operations are O(1) plus the map lookup.
 pub struct HotCache {
     /// Hard byte budget (`ClusterConfig::hot_cache_bytes`).
     budget: usize,
@@ -292,9 +298,6 @@ pub struct HotCache {
     tail: usize,
     /// Bytes currently charged.
     bytes: usize,
-    /// Keys currently under a TTL on the host — never cacheable, since
-    /// their expiry generates no stream traffic.
-    tainted: skv_netsim::DetSet<Vec<u8>>,
     /// Counter set.
     pub stats: CacheStats,
 }
@@ -312,7 +315,6 @@ impl HotCache {
             head: NIL,
             tail: NIL,
             bytes: 0,
-            tainted: skv_netsim::DetSet::new(),
             stats: CacheStats::default(),
         }
     }
@@ -368,11 +370,11 @@ impl HotCache {
 
     /// Offer a completed GET reply for admission. `version` is the
     /// master replication offset the NIC had processed when the reply
-    /// was produced. Tainted keys, oversized values, and
-    /// policy-rejected candidates are not stored.
+    /// was produced. Oversized values and policy-rejected candidates are
+    /// not stored.
     pub fn admit(&mut self, key: &[u8], value: Frame, version: u64) -> bool {
         let charged = value.len() + ENTRY_OVERHEAD;
-        if self.budget == 0 || charged > self.budget || self.tainted.contains(key) {
+        if self.budget == 0 || charged > self.budget {
             return false;
         }
         if let Some(&slot) = self.map.get(key) {
@@ -468,26 +470,33 @@ impl HotCache {
         true
     }
 
-    /// Mark `key` as living under a host-side TTL: drop any resident
-    /// entry and refuse future admissions until the taint clears.
-    pub fn taint(&mut self, key: &[u8]) {
-        self.invalidate(key);
-        self.tainted.insert(key.to_vec());
+    /// The invalidation seam: one replicated write, as the command table
+    /// describes it, whose stream frame ends at offset `version`. A
+    /// keyspace-wide write empties the cache; the plain overwrite form
+    /// (`SET k v`, `MSET`) refreshes each *resident* key in place with the
+    /// value behind it — only then is the value copied into a reply frame
+    /// of the cache's own; any other write invalidates exactly its keys.
+    pub fn apply_write(&mut self, spec: &CommandSpec, args: &[&[u8]], version: u64) {
+        if spec.route == Route::EveryShard {
+            self.clear();
+        } else if spec.overwrites(args.len()) {
+            for at in spec.key_positions(args.len()) {
+                let (key, value) = (args[at], args[at + 1]);
+                if self.version_of(key).is_some() {
+                    let mut reply = Vec::with_capacity(value.len() + 16);
+                    resp::write_bulk(&mut reply, value);
+                    self.refresh(key, reply.into(), version);
+                }
+            }
+        } else {
+            for key in spec.keys(args) {
+                self.invalidate(key);
+            }
+        }
     }
 
-    /// Clear `key`'s TTL taint (plain SET / DEL reset the key to an
-    /// un-TTL'd state on the host).
-    pub fn untaint(&mut self, key: &[u8]) {
-        self.tainted.remove(key);
-    }
-
-    /// Is `key` currently tainted? (test observability)
-    pub fn is_tainted(&self, key: &[u8]) -> bool {
-        self.tainted.contains(key)
-    }
-
-    /// Drop every entry, the sketch and the taint set — the cold-cache
-    /// state after an SoC crash or a lost master channel. Counters
+    /// Drop every entry and the sketch — the cold-cache state after an
+    /// SoC crash, a lost master channel or a keyspace flush. Counters
     /// survive (they describe the run, not the cache).
     pub fn clear(&mut self) {
         self.map = DetMap::new();
@@ -497,7 +506,6 @@ impl HotCache {
         self.tail = NIL;
         self.bytes = 0;
         self.sketch.clear();
-        self.tainted = skv_netsim::DetSet::new();
     }
 
     fn evict_to_fit(&mut self) {
@@ -565,11 +573,17 @@ impl HotCache {
 /// its sequence at 1 would hand stale host replies to fresh clients.
 pub const FWD_EPOCH_BITS: u32 = 16;
 
+/// The cookie bit just below the epoch belongs to the *host*: the SoC
+/// always sends it clear, and the master sets it in the cookie it echoes
+/// when the reply must not be admitted into the hot cache (the key carries
+/// a TTL, whose expiry the replication stream will never announce).
+pub const FWD_NO_ADMIT: u64 = 1 << (63 - FWD_EPOCH_BITS);
+
 /// Pack a forward cookie from the front end's boot epoch and its
-/// per-epoch sequence number. The sequence occupies the low 48 bits —
-/// at millions of forwards per second that is decades of headroom.
+/// per-epoch sequence number. The sequence occupies the low 47 bits —
+/// at millions of forwards per second that is years of headroom.
 pub fn fwd_cookie(epoch: u64, seq: u64) -> u64 {
-    (epoch << (64 - FWD_EPOCH_BITS)) | (seq & ((1 << (64 - FWD_EPOCH_BITS)) - 1))
+    (epoch << (64 - FWD_EPOCH_BITS)) | (seq & (FWD_NO_ADMIT - 1))
 }
 
 /// The epoch a cookie was minted under.
@@ -588,10 +602,14 @@ mod tests {
     #[test]
     fn fwd_cookies_carry_the_boot_epoch() {
         for epoch in [0u64, 1, 7, (1 << FWD_EPOCH_BITS) - 1] {
-            for seq in [0u64, 1, 42, (1 << (64 - FWD_EPOCH_BITS)) - 1] {
+            for seq in [0u64, 1, 42, FWD_NO_ADMIT - 1] {
                 let c = fwd_cookie(epoch, seq);
                 assert_eq!(fwd_cookie_epoch(c), epoch);
-                assert_eq!(c & ((1 << (64 - FWD_EPOCH_BITS)) - 1), seq);
+                assert_eq!(c & (FWD_NO_ADMIT - 1), seq);
+                // The host's veto bit is never set by the SoC, and setting
+                // it disturbs neither field.
+                assert_eq!(c & FWD_NO_ADMIT, 0);
+                assert_eq!(fwd_cookie_epoch(c | FWD_NO_ADMIT), epoch);
             }
         }
         // Equal sequence numbers from different boots never collide —
@@ -735,16 +753,83 @@ mod tests {
         assert!(c.stats.invalidations >= 2);
     }
 
-    #[test]
-    fn taint_blocks_admission_until_cleared() {
+    /// A cache holding `keys` (8-byte replies, version 1), and the seam
+    /// fed one replicated write the way `NicKv` feeds it.
+    fn holding(keys: &[&str]) -> HotCache {
         let mut c = HotCache::new(10_000, CachePolicyKind::Lru);
-        assert!(c.admit(b"k", frame(8), 1));
-        c.taint(b"k");
-        assert!(c.get(b"k").is_none(), "taint drops the resident entry");
-        assert!(!c.admit(b"k", frame(8), 2), "tainted keys never admit");
-        assert!(c.is_tainted(b"k"));
-        c.untaint(b"k");
-        assert!(c.admit(b"k", frame(8), 3));
+        for k in keys {
+            assert!(c.admit(k.as_bytes(), frame(8), 1));
+        }
+        c
+    }
+
+    fn write(c: &mut HotCache, parts: &[&str], version: u64) {
+        let args: Vec<&[u8]> = parts.iter().map(|p| p.as_bytes()).collect();
+        let spec = skv_store::cmd::lookup(args[0]).expect("command in the table");
+        c.apply_write(spec, &args, version);
+    }
+
+    fn resident(c: &HotCache) -> Vec<Vec<u8>> {
+        let mut keys = c.keys_mru();
+        keys.sort();
+        keys
+    }
+
+    #[test]
+    fn writes_invalidate_exactly_their_keys() {
+        // Both keys of a two-key command: the destination inherits the
+        // source's value *and TTL* on the host.
+        for name in ["RENAME", "RENAMENX", "COPY"] {
+            let mut c = holding(&["a", "b", "bystander"]);
+            write(&mut c, &[name, "a", "b"], 9);
+            assert_eq!(resident(&c), vec![b"bystander".to_vec()], "{name}");
+        }
+        // Keys only — never a value or an operator that happens to spell
+        // a resident key.
+        let mut c = holding(&["k", "v", "AND", "d", "a", "b"]);
+        write(&mut c, &["APPEND", "k", "v"], 9);
+        assert_eq!(c.version_of(b"k"), None);
+        assert_eq!(c.version_of(b"v"), Some(1), "APPEND's value is no key");
+        write(&mut c, &["BITOP", "AND", "d", "a", "b"], 10);
+        assert_eq!(resident(&c), vec![b"AND".to_vec(), b"v".to_vec()]);
+        assert_eq!(c.stats.invalidations, 4);
+    }
+
+    #[test]
+    fn only_the_plain_overwrite_form_refreshes() {
+        let mut c = holding(&["k", "m1", "m2"]);
+        // Plain SET / MSET: resident entries take the new value at the
+        // frame's end offset; absent keys are not admitted by a write.
+        write(&mut c, &["SET", "k", "fresh"], 20);
+        assert_eq!(c.version_of(b"k"), Some(20));
+        assert_eq!(c.get(b"k").as_deref(), Some(b"$5\r\nfresh\r\n".as_slice()));
+        write(&mut c, &["MSET", "m1", "x", "absent", "y", "m2", "zz"], 30);
+        assert_eq!(c.version_of(b"m1"), Some(30));
+        assert_eq!(c.get(b"m2").as_deref(), Some(b"$2\r\nzz\r\n".as_slice()));
+        assert_eq!(c.version_of(b"absent"), None);
+        write(&mut c, &["SET", "absent", "v"], 31);
+        assert_eq!(c.version_of(b"absent"), None);
+        // Any option makes the outcome the host's business (conditional,
+        // or TTL-bearing): drop, never refresh.
+        for tail in [&["EX", "5"][..], &["NX"], &["KEEPTTL"]] {
+            let mut c = holding(&["k"]);
+            let cmd = [&["SET", "k", "v"][..], tail].concat();
+            write(&mut c, &cmd, 40);
+            assert_eq!(c.version_of(b"k"), None, "{cmd:?}");
+        }
+        let mut c = holding(&["k"]);
+        write(&mut c, &["SETEX", "k", "5", "v"], 41);
+        assert_eq!(c.version_of(b"k"), None);
+    }
+
+    #[test]
+    fn keyspace_wide_writes_clear() {
+        for name in ["FLUSHALL", "FLUSHDB"] {
+            let mut c = holding(&["a", "b"]);
+            write(&mut c, &[name], 9);
+            assert!(c.is_empty(), "{name}");
+            assert_eq!(c.bytes(), 0);
+        }
     }
 
     #[test]
@@ -752,12 +837,10 @@ mod tests {
         let mut c = HotCache::new(10_000, CachePolicyKind::TinyLfu);
         c.touch(b"a");
         assert!(c.admit(b"a", frame(8), 1));
-        c.taint(b"t");
         let admits = c.stats.admits;
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.bytes(), 0);
-        assert!(!c.is_tainted(b"t"));
         assert_eq!(c.stats.admits, admits, "counters describe the run");
         assert!(c.get(b"a").is_none());
     }

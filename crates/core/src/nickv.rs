@@ -16,7 +16,7 @@
 
 use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, SocketAddr, WcOpcode, WcStatus};
 use skv_simcore::{Actor, ActorId, Context, CorePool, FramePool, Payload, SimDuration, SimTime};
-use skv_store::cmd::{upper_name, MAX_NAME_LEN};
+use skv_store::cmd;
 use skv_store::repl::ReplicationPosition;
 use skv_store::resp::{self, ParsedCommand};
 
@@ -24,7 +24,7 @@ use crate::channel::{Channel, ChannelMsg, RING_SIZE};
 use crate::config::ClusterConfig;
 use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain;
-use crate::hotcache::{fwd_cookie, fwd_cookie_epoch, CacheStats, HotCache};
+use crate::hotcache::{fwd_cookie, fwd_cookie_epoch, CacheStats, HotCache, FWD_NO_ADMIT};
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::{quorum_slave_acks, ReplModeKind, Step, Tracker, REPL_WINDOW};
 use crate::server::{parse_stream_frame, MAX_SLAVE_LAG};
@@ -279,26 +279,6 @@ impl NicKv {
         &self.shard_ingress
     }
 
-    /// Classify one replicated stream frame's command by the owning
-    /// master shard (hash slot of its first key) and bump that shard's
-    /// ingress count. A no-op at one shard, keeping the unsharded
-    /// schedule's state untouched.
-    fn note_shard_ingress(&mut self, body: &[u8]) {
-        if self.shard_ingress.len() <= 1 {
-            return;
-        }
-        let ParsedCommand::Command(args, _) = resp::parse_command(body) else {
-            return;
-        };
-        let shard = args.get(1).map_or(0, |key| {
-            crate::protocol::slot_shard(
-                crate::protocol::key_hash_slot(key),
-                self.shard_ingress.len(),
-            )
-        });
-        self.shard_ingress[shard] += 1;
-    }
-
     /// Whether the mode *currently in force* tracks per-write acks and
     /// defers the master's client replies (quorum and chain; not the
     /// async stream, including a quorum cluster degraded into it).
@@ -490,6 +470,7 @@ impl NicKv {
     fn on_client_cmd(&mut self, ctx: &mut Context<'_>, conn: usize, payload: Frame) {
         let get_key = match resp::parse_command(&payload) {
             ParsedCommand::Command(args, _)
+                // skv-lint: allow(cmd-drift) -- the cache's own contract (it stores GET's bulk reply), not an argument fact the table holds
                 if args.len() == 2 && args[0].eq_ignore_ascii_case(b"GET") =>
             {
                 Some(args[1])
@@ -544,8 +525,9 @@ impl NicKv {
     }
 
     /// A cookie-framed reply came back from the host: pop the pending
-    /// forward, offer a successful bulk GET reply for admission, and
-    /// relay the inner RESP reply to the waiting client. The admission
+    /// forward, offer a successful bulk GET reply the host did not veto
+    /// for admission, and relay the inner RESP reply to the waiting
+    /// client. The admission
     /// version is the replication high-water the NIC has applied — every
     /// write the master acked before producing this reply travelled the
     /// same FIFO channel ahead of it, so the entry is current as of that
@@ -557,7 +539,10 @@ impl NicKv {
         let Ok(cookie_bytes) = <[u8; 8]>::try_from(&payload[..8]) else {
             return;
         };
-        let cookie = u64::from_le_bytes(cookie_bytes);
+        // The host echoes the cookie with its veto bit set when the reply
+        // must not be cached (the key carries a TTL).
+        let echoed = u64::from_le_bytes(cookie_bytes);
+        let (cookie, admissible) = (echoed & !FWD_NO_ADMIT, echoed & FWD_NO_ADMIT == 0);
         if fwd_cookie_epoch(cookie) != self.fwd_epoch {
             // The cookie was minted by a previous SoC incarnation. Without
             // the epoch check a post-restart `fwd_seq` restarting at 1
@@ -574,9 +559,10 @@ impl NicKv {
         // not pin the host's send ring for as long as the entry lives).
         let body = payload.slice(8..);
         if let (Some(key), Some(cache)) = (fwd.key.as_deref(), self.cache.as_mut()) {
-            // Only a present bulk value is a candidate; errors and null
-            // bulks (missing key) are not worth a slot.
-            if body.first() == Some(&b'$') && !body.starts_with(b"$-1") {
+            // Only a present bulk value the host did not veto is a
+            // candidate; errors and null bulks (missing key) are not worth
+            // a slot.
+            if admissible && body.first() == Some(&b'$') && !body.starts_with(b"$-1") {
                 let version = self.master_offset;
                 cache.admit(key, Frame::copy_from_slice(&body), version);
             }
@@ -597,82 +583,34 @@ impl NicKv {
         );
     }
 
-    /// The invalidation seam: every replicated dirty command piggybacks
-    /// on its stream frame, so the cache drops, refreshes, or taints the
-    /// affected keys *before* the master's ack for that write can reach
-    /// any client — stream frames precede cookie replies on the FIFO
-    /// master channel. A no-op (no state, no CPU) with the cache off.
-    fn apply_cache_invalidations(&mut self, from_offset: u64, body: &[u8]) {
-        let Some(cache) = self.cache.as_mut() else {
+    /// What the SoC reads out of a replicated stream frame before fanning
+    /// it out, through the command table's view of its one command: the
+    /// owning master shard (hash slot of the first key) gets an ingress
+    /// count, and the hot cache drops or refreshes the write's keys
+    /// ([`HotCache::apply_write`]) *before* the master's ack for that write
+    /// can reach any client — stream frames precede cookie replies on the
+    /// FIFO master channel. Unsharded and cache-off it is a no-op (no
+    /// parse, no state, no CPU), keeping that schedule's state untouched.
+    fn observe_stream_command(&mut self, from_offset: u64, body: &[u8]) {
+        let shards = self.shard_ingress.len();
+        if shards <= 1 && self.cache.is_none() {
             return;
-        };
-        let version = from_offset + body.len() as u64;
+        }
         // Parsed in place: keys and values are views into the stream frame.
         let ParsedCommand::Command(args, _) = resp::parse_command(body) else {
             return;
         };
-        // A replicated plain write refreshes a *resident* entry in place;
-        // only then is the new value copied into a reply frame of the
-        // cache's own.
-        let refresh = |cache: &mut HotCache, key: &[u8], value: &[u8]| {
-            cache.untaint(key);
-            if cache.version_of(key).is_some() {
-                let mut reply = Vec::with_capacity(value.len() + 16);
-                resp::write_bulk(&mut reply, value);
-                cache.refresh(key, reply.into(), version);
-            }
+        let Some(spec) = cmd::lookup(args[0]) else {
+            return;
         };
-        let mut folded = [0u8; MAX_NAME_LEN];
-        match upper_name(args[0], &mut folded) {
-            b"SET" => {
-                let Some(&key) = args.get(1) else { return };
-                // A SET carrying any TTL clause taints the key: its host
-                // expiry is silent (no stream traffic), so it must never
-                // be cached. A plain SET clears old taint and refreshes a
-                // resident entry in place.
-                let ttl = args.iter().skip(3).any(|a| {
-                    let mut folded = [0u8; MAX_NAME_LEN];
-                    matches!(
-                        upper_name(a, &mut folded),
-                        b"EX" | b"PX" | b"EXAT" | b"PXAT" | b"KEEPTTL"
-                    )
-                });
-                if ttl {
-                    cache.taint(key);
-                } else if let Some(&value) = args.get(2) {
-                    refresh(cache, key, value);
-                }
-            }
-            b"SETEX" | b"PSETEX" | b"GETEX" | b"EXPIRE" | b"PEXPIRE" | b"EXPIREAT"
-            | b"PEXPIREAT" => {
-                if let Some(key) = args.get(1) {
-                    cache.taint(key);
-                }
-            }
-            b"PERSIST" => {
-                if let Some(key) = args.get(1) {
-                    cache.untaint(key);
-                }
-            }
-            b"DEL" | b"UNLINK" => {
-                for key in &args[1..] {
-                    cache.untaint(key);
-                    cache.invalidate(key);
-                }
-            }
-            b"MSET" => {
-                for pair in args[1..].chunks_exact(2) {
-                    refresh(cache, pair[0], pair[1]);
-                }
-            }
-            b"FLUSHALL" | b"FLUSHDB" => cache.clear(),
-            _ => {
-                // Unknown mutator: conservatively drop every key-looking
-                // argument.
-                for key in &args[1..] {
-                    cache.invalidate(key);
-                }
-            }
+        if shards > 1 {
+            let shard = spec.keys(&args).next().map_or(0, |key| {
+                crate::protocol::slot_shard(crate::protocol::key_hash_slot(key), shards)
+            });
+            self.shard_ingress[shard] += 1;
+        }
+        if let Some(cache) = self.cache.as_mut() {
+            cache.apply_write(spec, &args, from_offset + body.len() as u64);
         }
     }
 
@@ -838,8 +776,7 @@ impl NicKv {
     fn fan_out(&mut self, ctx: &mut Context<'_>, frame: Frame) {
         self.stat_fanout_msgs += 1;
         let end_offset = parse_stream_frame(&frame).map(|(from_offset, body)| {
-            self.note_shard_ingress(body);
-            self.apply_cache_invalidations(from_offset, body);
+            self.observe_stream_command(from_offset, body);
             from_offset + body.len() as u64
         });
         // Track the master's offset from the frame header (first 8 bytes),

@@ -24,7 +24,7 @@ use skv_simcore::{
     Actor, ActorId, Context, CorePool, DetRng, FramePool, Payload, SimDuration, SimTime,
 };
 use skv_store::backlog::Backlog;
-use skv_store::cmd::CommandSpec;
+use skv_store::cmd::{self, CommandSpec};
 use skv_store::db::Db;
 use skv_store::engine::{Engine, ExecResult};
 use skv_store::rdb;
@@ -37,6 +37,7 @@ use crate::channel::{Channel, ChannelMsg, RING_SIZE};
 use crate::config::{ClusterConfig, Mode};
 use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain;
+use crate::hotcache::FWD_NO_ADMIT;
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::ReplModeKind;
 use crate::shard::{ApplyRing, RoutePlan, ShardRouter, APPLY_RING_CAP, CROSS_SHARD_HOP};
@@ -383,7 +384,8 @@ impl KvServer {
     /// [`KvServer::engine_mut`] did.
     pub fn preload(&mut self, parts: &[&str]) -> ExecResult {
         let args: Args<'_> = parts.iter().collect();
-        let (result, _, _) = self.execute_routed(0, &args);
+        let spec = args.first().and_then(|name| cmd::lookup(name));
+        let (result, _, _) = self.execute_routed(0, spec, &args);
         result
     }
 
@@ -656,8 +658,10 @@ impl KvServer {
             }
         };
 
+        // The command path's one table lookup: the write gate, the shard
+        // planner, the engine and the admission veto all read `spec`.
+        let spec = cmd::lookup(args[0]);
         // min-slaves / lag write gating (paper §III-C, §III-D).
-        let spec = skv_store::cmd::lookup(args[0]);
         let is_write_cmd = spec.is_some_and(CommandSpec::is_write);
         if is_write_cmd && self.write_gate_blocked() {
             self.stat_rejected += 1;
@@ -666,8 +670,9 @@ impl KvServer {
             return;
         }
 
-        let (result, shard, cross_cost) = self.execute_routed(Self::now_ms(ctx), &args);
+        let (result, shard, cross_cost) = self.execute_routed(Self::now_ms(ctx), spec, &args);
         self.stat_commands += 1;
+        let fwd = fwd.map(|cookie| self.veto_ttl_admission(cookie, spec, &args, shard));
         let replicate = if result.should_replicate() {
             // The *original* command bytes are replicated even for split
             // executions; slaves re-route them with the same slot map.
@@ -679,31 +684,64 @@ impl KvServer {
         self.finish_command(ctx, conn, bytes, &result.reply, replicate, route, fwd);
     }
 
+    /// Mark a forwarded command's reply cookie "do not admit" when the
+    /// command only read and a key of it carries an expiry. Expiry is not
+    /// replicated and leaves no stream traffic, so the SoC cache could
+    /// never learn that an entry died on the host; the host owns expiry,
+    /// so the host says so, and no TTL-bearing key is ever resident — set
+    /// before the SoC booted, moved by `RENAME`, or met after a restart.
+    /// `shard` executed the command, so it holds the key of any reply the
+    /// SoC could admit (those answer single-key commands).
+    fn veto_ttl_admission(
+        &self,
+        cookie: u64,
+        spec: Option<&CommandSpec>,
+        args: &[&[u8]],
+        shard: usize,
+    ) -> u64 {
+        let db = self.engines[shard].db();
+        match spec {
+            Some(spec)
+                if !spec.is_write() && spec.keys(args).any(|k| db.expiry_of(k).is_some()) =>
+            {
+                cookie | FWD_NO_ADMIT
+            }
+            _ => cookie,
+        }
+    }
+
     /// Execute one command against the shard set: route to the owning
     /// shard, or split/broadcast a cross-shard command and merge replies.
-    /// Returns the merged result, the primary shard (whose core pays the
-    /// command cost), and the inter-shard hop cost (zero unless the
-    /// command actually crossed shards). With one shard this is exactly
-    /// the historical single-engine call.
-    fn execute_routed(&mut self, now_ms: u64, args: &[&[u8]]) -> (ExecResult, usize, SimDuration) {
-        if self.engines.len() == 1 {
-            self.shard_ops[0] += 1;
-            return (self.engines[0].execute(now_ms, args), 0, SimDuration::ZERO);
-        }
-        let plan = self.router.plan(args);
-        match plan {
-            RoutePlan::Single(shard) => {
+    /// `spec` is the caller's `cmd::lookup` of the name, shared with the
+    /// planner and the engine. Returns the merged result, the primary
+    /// shard (whose core pays the command cost), and the inter-shard hop
+    /// cost (zero unless the command actually crossed shards). With one
+    /// shard this is exactly the historical single-engine call.
+    fn execute_routed(
+        &mut self,
+        now_ms: u64,
+        spec: Option<&CommandSpec>,
+        args: &[&[u8]],
+    ) -> (ExecResult, usize, SimDuration) {
+        let plan = if self.engines.len() == 1 {
+            RoutePlan::Single(0)
+        } else {
+            self.router.plan_spec(spec, args)
+        };
+        match (plan, spec) {
+            (RoutePlan::Single(shard), _) => {
                 self.shard_ops[shard] += 1;
-                (self.engines[shard].execute(now_ms, args), shard, SimDuration::ZERO)
+                let result = self.engines[shard].execute_resolved(now_ms, spec, args);
+                (result, shard, SimDuration::ZERO)
             }
-            RoutePlan::Broadcast => {
+            (RoutePlan::Broadcast, _) => {
                 // Replies merge by type: counts (DBSIZE) add up, listings
                 // (KEYS) concatenate in shard order, anything else
                 // (FLUSH*'s OK) is shard 0's.
                 let mut merged: Option<ExecResult> = None;
                 for shard in 0..self.engines.len() {
                     self.shard_ops[shard] += 1;
-                    let r = self.engines[shard].execute(now_ms, args);
+                    let r = self.engines[shard].execute_resolved(now_ms, spec, args);
                     merged = Some(match merged {
                         None => r,
                         Some(mut acc) => {
@@ -728,14 +766,12 @@ impl KvServer {
                 });
                 (result, 0, CROSS_SHARD_HOP * (hops as u64))
             }
-            RoutePlan::SplitPairs => self.execute_split_pairs(now_ms, args),
-            RoutePlan::SplitSum | RoutePlan::SplitGather => {
-                self.execute_split_keys(now_ms, args, plan == RoutePlan::SplitGather)
-            }
-            RoutePlan::CrossSlot => {
+            // (Only a table entry's `Route` yields a split, so the `None`
+            // half cannot happen; it answers like a refused span.)
+            (RoutePlan::CrossSlot, _) | (_, None) => {
                 let reply =
                     Resp::Error("CROSSSLOT Keys in request don't hash to the same slot".into());
-                let shard = args.get(1).map_or(0, |k| self.router.shard_of_key(k));
+                let first_key = spec.and_then(|spec| spec.keys(args).next());
                 (
                     ExecResult {
                         reply,
@@ -743,120 +779,79 @@ impl KvServer {
                         is_write: false,
                         bytes_touched: 0,
                     },
-                    shard,
+                    first_key.map_or(0, |k| self.router.shard_of_key(k)),
                     SimDuration::ZERO,
                 )
             }
+            (split, Some(spec)) => self.execute_split(now_ms, spec, args, &split),
         }
     }
 
-    /// MSET split: partition the `key value` pairs by owning shard and
-    /// run one sub-MSET per shard (ascending shard order, so the schedule
-    /// is a pure function of the key set).
-    fn execute_split_pairs(
+    /// A multi-key command whose keys span shards: each shard that owns a
+    /// key runs the command name plus its own key groups (`key`, or `key
+    /// value` for a pair command), in ascending shard order so the schedule
+    /// is a pure function of the key set. The replies merge as `split`
+    /// says: `OK`, an integer sum, or the per-key array gathered back in
+    /// argument order.
+    fn execute_split(
         &mut self,
         now_ms: u64,
+        spec: &CommandSpec,
         args: &[&[u8]],
+        split: &RoutePlan,
     ) -> (ExecResult, usize, SimDuration) {
-        let mut per_shard: Vec<Vec<&[u8]>> = vec![Vec::new(); self.engines.len()];
-        for pair in args[1..].chunks(2) {
-            if let &[key, value] = pair {
-                let shard = self.router.shard_of_key(key);
-                per_shard[shard].push(key);
-                per_shard[shard].push(value);
-            }
-        }
-        let primary = args.get(1).map_or(0, |k| self.router.shard_of_key(k));
-        let mut dirty = 0u64;
-        let mut bytes = 0usize;
-        let mut touched = 0usize;
-        for (shard, mut sub) in per_shard.into_iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
-            touched += 1;
-            self.shard_ops[shard] += 1;
-            let mut sub_args = Vec::with_capacity(sub.len() + 1);
-            sub_args.push(args[0]);
-            sub_args.append(&mut sub);
-            let r = self.engines[shard].execute(now_ms, &sub_args);
-            dirty += r.dirty_delta;
-            bytes += r.bytes_touched;
-        }
-        let hops = touched.saturating_sub(1);
-        self.shard_cross_msgs += hops as u64;
-        (
-            ExecResult {
-                reply: Resp::ok(),
-                dirty_delta: dirty,
-                is_write: true,
-                bytes_touched: bytes,
-            },
-            primary,
-            CROSS_SHARD_HOP * (hops as u64),
-        )
-    }
-
-    /// Per-key split for DEL/UNLINK/EXISTS (summed integer replies) and
-    /// MGET (replies gathered back in original key order).
-    fn execute_split_keys(
-        &mut self,
-        now_ms: u64,
-        args: &[&[u8]],
-        gather: bool,
-    ) -> (ExecResult, usize, SimDuration) {
-        let keys = &args[1..];
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.engines.len()];
-        for (i, key) in keys.iter().enumerate() {
-            per_shard[self.router.shard_of_key(key)].push(i);
+        for at in spec.key_positions(args.len()) {
+            per_shard[self.router.shard_of_key(args[at])].push(at);
         }
-        let primary = keys.first().map_or(0, |k| self.router.shard_of_key(k));
+        let primary = spec.keys(args).next();
+        let mut merged = ExecResult {
+            reply: Resp::ok(),
+            dirty_delta: 0,
+            is_write: false,
+            bytes_touched: 0,
+        };
         let mut sum = 0i64;
-        let mut slots: Vec<Resp> = vec![Resp::NullBulk; if gather { keys.len() } else { 0 }];
-        let mut dirty = 0u64;
-        let mut bytes = 0usize;
-        let mut is_write = false;
+        let gather = *split == RoutePlan::SplitGather;
+        let keys = spec.key_positions(args.len());
+        let mut gathered = vec![Resp::NullBulk; if gather { keys.count() } else { 0 }];
         let mut touched = 0usize;
-        for (shard, indices) in per_shard.iter().enumerate() {
-            if indices.is_empty() {
+        let mut sub_args: Vec<&[u8]> = Vec::with_capacity(args.len());
+        for (shard, owned) in per_shard.iter().enumerate() {
+            if owned.is_empty() {
                 continue;
             }
             touched += 1;
             self.shard_ops[shard] += 1;
-            let mut sub_args = Vec::with_capacity(indices.len() + 1);
+            sub_args.clear();
             sub_args.push(args[0]);
-            for &i in indices {
-                sub_args.push(keys[i]);
+            for &at in owned {
+                sub_args.extend_from_slice(&args[at..at + spec.key_step]);
             }
-            let r = self.engines[shard].execute(now_ms, &sub_args);
-            dirty += r.dirty_delta;
-            bytes += r.bytes_touched;
-            is_write |= r.is_write;
+            let r = self.engines[shard].execute_resolved(now_ms, Some(spec), &sub_args);
+            merged.dirty_delta += r.dirty_delta;
+            merged.bytes_touched += r.bytes_touched;
+            merged.is_write |= r.is_write;
             match r.reply {
                 Resp::Int(n) => sum += n,
                 Resp::Array(items) if gather => {
-                    for (slot, item) in indices.iter().zip(items) {
-                        slots[*slot] = item;
+                    for (at, item) in owned.iter().zip(items) {
+                        gathered[(at - spec.first_key) / spec.key_step] = item;
                     }
                 }
                 _ => {}
             }
         }
-        let reply = if gather {
-            Resp::Array(slots)
-        } else {
-            Resp::Int(sum)
-        };
+        if gather {
+            merged.reply = Resp::Array(gathered);
+        } else if *split == RoutePlan::SplitSum {
+            merged.reply = Resp::Int(sum);
+        }
         let hops = touched.saturating_sub(1);
         self.shard_cross_msgs += hops as u64;
         (
-            ExecResult {
-                reply,
-                dirty_delta: dirty,
-                is_write,
-                bytes_touched: bytes,
-            },
-            primary,
+            merged,
+            primary.map_or(0, |k| self.router.shard_of_key(k)),
             CROSS_SHARD_HOP * (hops as u64),
         )
     }
@@ -1628,7 +1623,7 @@ impl KvServer {
                 } else {
                     total_cost += apply_cost + parse_cost;
                 }
-                let _ = self.execute_routed(now_ms, &args);
+                let _ = self.execute_routed(now_ms, cmd::lookup(args[0]), &args);
             }
             pos += used;
             applied = pos;
@@ -2158,6 +2153,59 @@ impl KvServer {
         let conn = self.conns.add(channel, kind, Some(peer));
         for (t, p) in frames {
             self.send_on(ctx, conn, t, p);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use skv_netsim::Topology;
+    use skv_simcore::Simulation;
+
+    fn server(num_shards: usize) -> KvServer {
+        let mut sim = Simulation::new(1);
+        let mut topo = Topology::new();
+        let node = topo.add_host();
+        let cfg = ClusterConfig {
+            num_shards,
+            ..ClusterConfig::default()
+        };
+        let net = Net::install(&mut sim, topo, cfg.net.clone());
+        KvServer::new(net, cfg, node, SocketAddr::new(node, 6379), 7)
+    }
+
+    /// The cookie a forwarded `parts` would be answered under, run the way
+    /// `run_command` runs it.
+    fn echoed_cookie(s: &mut KvServer, parts: &[&str]) -> u64 {
+        let args: Vec<&[u8]> = parts.iter().map(|p| p.as_bytes()).collect();
+        let spec = cmd::lookup(args[0]);
+        let (_, shard, _) = s.execute_routed(0, spec, &args);
+        s.veto_ttl_admission(41, spec, &args, shard)
+    }
+
+    #[test]
+    fn forwarded_reads_of_ttl_bearing_keys_come_back_vetoed() {
+        for shards in [1, 4] {
+            let mut s = server(shards);
+            s.preload(&["SET", "plain", "v"]);
+            s.preload(&["SET", "mortal", "v", "PX", "300"]);
+            let vetoed = 41 | FWD_NO_ADMIT;
+            assert_eq!(echoed_cookie(&mut s, &["GET", "plain"]), 41);
+            assert_eq!(echoed_cookie(&mut s, &["GET", "mortal"]), vetoed);
+            assert_eq!(echoed_cookie(&mut s, &["STRLEN", "mortal"]), vetoed);
+            // Keyless, unknown and absent: nothing to veto.
+            assert_eq!(echoed_cookie(&mut s, &["PING"]), 41);
+            assert_eq!(echoed_cookie(&mut s, &["NOSUCHCMD", "mortal"]), 41);
+            assert_eq!(echoed_cookie(&mut s, &["GET", "absent"]), 41);
+            // A write's keys are invalidated off its stream frame instead.
+            assert_eq!(echoed_cookie(&mut s, &["APPEND", "mortal", "x"]), 41);
+            // The TTL travels with RENAME on the host, and so does the veto;
+            // PERSIST ends both.
+            s.preload(&["RENAME", "mortal", "{mortal}2"]);
+            assert_eq!(echoed_cookie(&mut s, &["GET", "{mortal}2"]), vetoed);
+            s.preload(&["PERSIST", "{mortal}2"]);
+            assert_eq!(echoed_cookie(&mut s, &["GET", "{mortal}2"]), 41);
         }
     }
 }

@@ -4,9 +4,11 @@
 //! (CRC16 of the key → 16384 slots → contiguous slot ranges per shard,
 //! see [`crate::protocol::key_hash_slot`]). [`ShardRouter`] turns a
 //! parsed command into a [`RoutePlan`]: which shard executes it, or how a
-//! multi-key command splits across shards. [`ApplyRing`] models the
-//! bounded SPSC ring between a sharded slave's parse core and apply core
-//! — the backpressure that keeps the pipeline honest.
+//! multi-key command splits across shards — derived from the command
+//! table's key spec and [`Route`] column, never from the command's name.
+//! [`ApplyRing`] models the bounded SPSC ring between a sharded slave's
+//! parse core and apply core — the backpressure that keeps the pipeline
+//! honest.
 //!
 //! Everything here is pure bookkeeping over simulated time; with one
 //! shard every plan degenerates to `Single(0)` and no caller behavior
@@ -15,7 +17,7 @@
 use skv_simcore::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-use skv_store::cmd::{upper_name, MAX_NAME_LEN};
+use skv_store::cmd::{self, CommandSpec, Route};
 
 use crate::protocol::{key_hash_slot, slot_shard};
 
@@ -78,113 +80,48 @@ impl ShardRouter {
     }
 
     /// Route one parsed command (borrowed `&[&[u8]]` arguments or an owned
-    /// list). With one shard, always `Single(0)`.
+    /// list): look its name up, then plan from its table entry. With one
+    /// shard, always `Single(0)`.
     pub fn plan<A: AsRef<[u8]>>(&self, args: &[A]) -> RoutePlan {
         if self.num_shards <= 1 {
             return RoutePlan::Single(0);
         }
-        let Some(name) = args.first() else {
+        let spec = args.first().and_then(|name| cmd::lookup(name.as_ref()));
+        self.plan_spec(spec, args)
+    }
+
+    /// Route a command already resolved to its table entry (`None` = an
+    /// unknown name, whose error reply shard 0 produces). The keys decide:
+    /// none ⇒ shard 0, cohabiting ⇒ their shard, spanning ⇒ the split the
+    /// entry's [`Route`] allows, `CrossSlot` if it allows none.
+    pub(crate) fn plan_spec<A: AsRef<[u8]>>(
+        &self,
+        spec: Option<&CommandSpec>,
+        args: &[A],
+    ) -> RoutePlan {
+        let Some(spec) = spec else {
             return RoutePlan::Single(0);
         };
-        let mut folded = [0u8; MAX_NAME_LEN];
-        match upper_name(name.as_ref(), &mut folded) {
-            // Keyspace-wide commands run on every shard's slice; the
-            // caller merges the replies by type (counts summed, listings
-            // concatenated in shard order).
-            b"FLUSHDB" | b"FLUSHALL" | b"DBSIZE" | b"KEYS" => RoutePlan::Broadcast,
-            b"MSET" => self.plan_pairs(args),
-            b"MSETNX" => {
-                // All-or-nothing across shards would need a cross-shard
-                // transaction; mirror Redis Cluster and reject spans.
-                if self.pairs_span_shards(args) {
-                    RoutePlan::CrossSlot
-                } else {
-                    self.single_by_first_key(args)
-                }
-            }
-            b"MGET" => self.plan_keys(args, RoutePlan::SplitGather),
-            b"DEL" | b"UNLINK" | b"EXISTS" => self.plan_keys(args, RoutePlan::SplitSum),
-            // Two-key commands: both keys must cohabit a shard (callers
-            // use hash tags to arrange that, exactly as on Redis Cluster).
-            b"RENAME" | b"RENAMENX" | b"COPY" | b"RPOPLPUSH" | b"SMOVE" => {
-                match (args.get(1), args.get(2)) {
-                    (Some(a), Some(b))
-                        if self.shard_of_key(a.as_ref()) != self.shard_of_key(b.as_ref()) =>
-                    {
-                        RoutePlan::CrossSlot
-                    }
-                    _ => self.single_by_first_key(args),
-                }
-            }
-            // Variadic set algebra: every input key (args[1..] or the
-            // destination + sources) must share a shard.
-            b"SINTER" | b"SUNION" | b"SDIFF" | b"SINTERSTORE" | b"SUNIONSTORE"
-            | b"SDIFFSTORE" => {
-                if self.keys_span_shards(&args[1..]) {
-                    RoutePlan::CrossSlot
-                } else {
-                    self.single_by_first_key(args)
-                }
-            }
-            // BITOP op destkey srckey...: keys start at args[2].
-            b"BITOP" => {
-                if self.keys_span_shards(args.get(2..).unwrap_or(&[])) {
-                    RoutePlan::CrossSlot
-                } else {
-                    match args.get(2) {
-                        Some(k) => RoutePlan::Single(self.shard_of_key(k.as_ref())),
-                        None => RoutePlan::Single(0),
-                    }
-                }
-            }
-            // Cursor- and sample-based reads stay scoped to shard 0 until
-            // the command table gives SCAN shard-tagged cursors: their
-            // reply covers one slice of the keyspace, not all of it.
-            b"SCAN" | b"RANDOMKEY" => RoutePlan::Single(0),
-            _ => self.single_by_first_key(args),
+        if spec.route == Route::EveryShard {
+            return RoutePlan::Broadcast;
         }
-    }
-
-    fn single_by_first_key<A: AsRef<[u8]>>(&self, args: &[A]) -> RoutePlan {
-        match args.get(1) {
-            Some(key) => RoutePlan::Single(self.shard_of_key(key.as_ref())),
-            None => RoutePlan::Single(0),
-        }
-    }
-
-    fn plan_keys<A: AsRef<[u8]>>(&self, args: &[A], split: RoutePlan) -> RoutePlan {
-        if self.keys_span_shards(&args[1..]) {
-            split
-        } else {
-            self.single_by_first_key(args)
-        }
-    }
-
-    fn plan_pairs<A: AsRef<[u8]>>(&self, args: &[A]) -> RoutePlan {
-        if self.pairs_span_shards(args) {
-            RoutePlan::SplitPairs
-        } else {
-            self.single_by_first_key(args)
-        }
-    }
-
-    fn keys_span_shards<A: AsRef<[u8]>>(&self, keys: &[A]) -> bool {
-        let mut shards = keys.iter().map(|k| self.shard_of_key(k.as_ref()));
+        let mut shards = spec.keys(args).map(|key| self.shard_of_key(key));
         let Some(first) = shards.next() else {
-            return false;
+            return RoutePlan::Single(0);
         };
-        shards.any(|s| s != first)
-    }
-
-    fn pairs_span_shards<A: AsRef<[u8]>>(&self, args: &[A]) -> bool {
-        let mut shards = args[1..].chunks(2).filter_map(|pair| {
-            let key = pair.first()?;
-            Some(self.shard_of_key(key.as_ref()))
-        });
-        let Some(first) = shards.next() else {
-            return false;
-        };
-        shards.any(|s| s != first)
+        // A dangling key group (`MSET a 1 b`) must not split: no shard
+        // would see the malformed whole. One shard gets it all, and the
+        // handler's own error answers.
+        let dangling = !(args.len() - spec.first_key).is_multiple_of(spec.key_step);
+        if dangling || shards.all(|shard| shard == first) {
+            return RoutePlan::Single(first);
+        }
+        match spec.route {
+            Route::SplitPairs => RoutePlan::SplitPairs,
+            Route::SplitSum => RoutePlan::SplitSum,
+            Route::SplitGather => RoutePlan::SplitGather,
+            Route::OneShard | Route::EveryShard => RoutePlan::CrossSlot,
+        }
     }
 }
 

@@ -25,7 +25,10 @@
 //!   `"rdma.*"` counter literal must be listed in `metrics::catalog`,
 //!   and no catalog entry may outlive its counter), `config-drift`
 //!   (every `ClusterConfig`/`NetParams` knob must be referenced by an
-//!   experiment or ablation arm, or carry a reasoned allow).
+//!   experiment or ablation arm, or carry a reasoned allow), `cmd-drift`
+//!   (no command name from the store's `COMMANDS` table may be matched
+//!   or compared in `crates/core/src`: what a command's arguments mean
+//!   is read from its `CommandSpec`, not re-encoded per consumer).
 //! * **Allow audit** — `allow-syntax` (malformed or unknown-rule
 //!   directives), `allow-unused` (a directive that no longer suppresses
 //!   anything — the code it excused is gone).
@@ -115,7 +118,7 @@ pub struct RuleInfo {
 }
 
 /// The full rule registry.
-pub const RULES: [RuleInfo; 11] = [
+pub const RULES: [RuleInfo; 12] = [
     RuleInfo {
         name: "hashmap",
         severity: Severity::Error,
@@ -169,6 +172,12 @@ pub const RULES: [RuleInfo; 11] = [
         severity: Severity::Error,
         summary: "config knob not exercised by any experiment/ablation arm",
         scope: "ClusterConfig and NetParams fields",
+    },
+    RuleInfo {
+        name: "cmd-drift",
+        severity: Severity::Error,
+        summary: "command name matched or compared outside the store's command table",
+        scope: "core (names read from the cmd!( rows of store cmd/mod.rs)",
     },
     RuleInfo {
         name: "allow-syntax",
@@ -252,6 +261,13 @@ const CONFIG_STRUCTS: [(&str, &str); 2] = [
     ("crates/core/src/config.rs", "ClusterConfig"),
     ("crates/netsim/src/params.rs", "NetParams"),
 ];
+
+/// The command table whose `cmd!(` rows name the commands (rule
+/// `cmd-drift`).
+const CMD_TABLE_FILE: &str = "crates/store/src/cmd/mod.rs";
+
+/// The tree that must consume the table instead of matching names.
+const CMD_CONSUMER_PREFIX: &str = "crates/core/src/";
 
 /// Trees that count as "an experiment or ablation arm references it"
 /// for rule `config-drift`.
@@ -548,6 +564,47 @@ fn unchecked_range_indexing(code: &str) -> Vec<usize> {
     out
 }
 
+/// Contents of the byte-string literals on one line that sit in a
+/// comparing position: a `match`/`matches!` pattern (followed by `=>` or
+/// joined by `|`), an operand of `==`/`!=`, or the argument of
+/// `eq_ignore_ascii_case`. A literal merely passed along (`sink.arg(b"GET")`
+/// builds a command, it compares nothing) is not reported. `raw` is the
+/// source line, `code` its blanked twin; per-line best effort.
+fn compared_byte_literals(raw: &str, code: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = raw[from..].find("b\"").map(|p| from + p) {
+        from = pos + 2;
+        // A literal opens here only if the lexer kept the `b` as code and
+        // blanked the quote; inside a comment or string both are blank.
+        let opens = code.as_bytes().get(pos..pos + 2) == Some(b"b ".as_slice())
+            && code[..pos]
+                .chars()
+                .next_back()
+                .is_none_or(|c| !is_ident_char(c));
+        let Some(len) = raw[from..].find('"').filter(|_| opens) else {
+            continue;
+        };
+        let (before, after) = (code[..pos].trim_end(), code[from + len + 1..].trim_start());
+        // One `|` joins pattern alternatives; `||` is boolean or.
+        let alternative = (after.starts_with('|') && !after.starts_with("||"))
+            || (before.ends_with('|') && !before.ends_with("||"));
+        let compares = ["==", "!="];
+        if after.starts_with("=>")
+            || alternative
+            || compares
+                .iter()
+                .any(|op| after.starts_with(op) || before.ends_with(op))
+            || before.ends_with("eq_ignore_ascii_case(")
+            || (before.ends_with(',') && code.contains("matches!("))
+        {
+            out.push(raw[from..from + len].to_string());
+        }
+        from += len + 1;
+    }
+    out
+}
+
 // ===========================================================================
 // Allow directives
 // ===========================================================================
@@ -630,6 +687,10 @@ struct Facts {
     knob_defs: Vec<(usize, String)>,
     /// All identifiers in the experiment/ablation reference corpus.
     ref_idents: BTreeSet<String>,
+    /// Command names on the table's `cmd!(` rows (cmd/mod.rs only).
+    cmd_names: Vec<String>,
+    /// Byte-string literals compared or matched in core: (line, literal).
+    cmd_compares: Vec<(usize, String)>,
 }
 
 /// Result of scanning one file.
@@ -845,6 +906,21 @@ fn analyze_file(rel: &str, contents: &str) -> FileAnalysis {
             }
         }
     }
+    if rel == CMD_TABLE_FILE {
+        let rows = lines
+            .iter()
+            .filter(|l| !l.in_test && l.code.contains("cmd!("));
+        facts.cmd_names = rows.filter_map(|l| l.strings.first().cloned()).collect();
+    } else if rel.starts_with(CMD_CONSUMER_PREFIX) {
+        for (idx, (l, raw)) in lines.iter().zip(contents.lines()).enumerate() {
+            if !l.in_test {
+                let found = compared_byte_literals(raw, &l.code);
+                facts
+                    .cmd_compares
+                    .extend(found.into_iter().map(|lit| (idx + 1, lit)));
+            }
+        }
+    }
     if REF_CORPUS_PREFIXES.iter().any(|p| rel.starts_with(p)) {
         // Include `#[cfg(test)]` lines here: a knob a bench test sweeps
         // is still exercised.
@@ -874,7 +950,7 @@ fn analyze_file(rel: &str, contents: &str) -> FileAnalysis {
 
 /// Scan one file's contents with the file-scoped rules; `rel` is the
 /// workspace-relative path used for scoping and diagnostics. Cross-file
-/// rules (`counter-drift`, `config-drift`, `allow-unused`) need the
+/// rules (`counter-drift`, `config-drift`, `cmd-drift`, `allow-unused`) need the
 /// whole workspace and only fire from [`analyze_workspace`].
 pub fn check_source(rel: &str, contents: &str) -> Vec<Violation> {
     analyze_file(rel, contents).violations
@@ -1080,6 +1156,28 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
                         "config knob `{knob}` is not referenced by any experiment or \
                          ablation arm (crates/bench, examples); wire it into an arm \
                          or add `// skv-lint: allow(config-drift) -- <reason>`"
+                    ),
+                });
+            }
+        }
+    }
+
+    // --- cmd-drift -----------------------------------------------------
+    let cmd_names: BTreeSet<String> = per_file
+        .iter()
+        .flat_map(|(_, fa)| fa.facts.cmd_names.iter().cloned())
+        .collect();
+    for (rel, fa) in &mut per_file {
+        for (line, literal) in &fa.facts.cmd_compares {
+            if cmd_names.contains(literal) && !suppress(&mut fa.allows, *line, "cmd-drift") {
+                violations.push(Violation {
+                    file: rel.clone(),
+                    line: *line,
+                    rule: "cmd-drift",
+                    message: format!(
+                        "command name `{literal}` matched outside the command table; \
+                         read what its arguments mean from `CommandSpec` (key spec, \
+                         route, flags) so the copies cannot drift"
                     ),
                 });
             }
@@ -1354,6 +1452,32 @@ mod tests {
         // Array type syntax is not indexing.
         let ty = "fn f(x: [u8; 4]) {}\n";
         assert!(check_source("crates/core/src/channel.rs", ty).is_empty());
+    }
+
+    #[test]
+    fn compared_byte_literals_sees_patterns_not_construction() {
+        let found = |src: &str| {
+            let l = &lex(src)[0];
+            compared_byte_literals(src, &l.code)
+        };
+        assert_eq!(found("    b\"MSET\" => plan_pairs(args),"), ["MSET"]);
+        assert_eq!(
+            found("    b\"DEL\" | b\"UNLINK\" | b\"EXISTS\" => x,"),
+            ["DEL", "UNLINK", "EXISTS"]
+        );
+        assert_eq!(found("    | b\"PEXPIREAT\" => {"), ["PEXPIREAT"]);
+        assert_eq!(found("if a[0].eq_ignore_ascii_case(b\"GET\") {"), ["GET"]);
+        assert_eq!(
+            found("if name == b\"GET\" || b\"SET\" != name {"),
+            ["GET", "SET"]
+        );
+        assert_eq!(found("matches!(upper(a), b\"EX\" | b\"PX\")"), ["EX", "PX"]);
+        assert_eq!(found("matches!(name, b\"GET\")"), ["GET"]);
+        assert!(found("sink.arg(b\"GET\");").is_empty());
+        assert!(found("let c = Resp::command([b\"SET\".as_slice(), k]);").is_empty());
+        assert!(found("let a = x || y; f(b\"GET\")").is_empty());
+        assert!(found("// b\"GET\" => in a comment").is_empty());
+        assert!(found("let s = \"b\\\"GET\\\" =>\";").is_empty());
     }
 
     #[test]

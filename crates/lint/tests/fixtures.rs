@@ -107,6 +107,18 @@ fn fixtures_produce_expected_diagnostics() {
         vec![7]
     );
 
+    // `GET` and `MSET` are rows of the fixture command table; matching or
+    // comparing them in core is drift. The option word, the command being
+    // *built*, the prose in a string and the allowed fast path are clean.
+    assert_eq!(
+        lines_of(&violations, "crates/core/src/bad_cmd_match.rs", "cmd-drift"),
+        vec![4, 8]
+    );
+    assert_eq!(
+        by_file(&violations, "crates/core/src/bad_cmd_match.rs").len(),
+        2
+    );
+
     // --- allow auditing ------------------------------------------------
     // A reason-less (or typo'd) allow is flagged AND does not suppress
     // the underlying finding.
@@ -141,6 +153,7 @@ fn fixtures_produce_expected_diagnostics() {
         "crates/bench/src/ablations.rs",
         "crates/store/src/blocking_ok.rs",
         "crates/store/src/out_of_scope.rs",
+        "crates/store/src/cmd/mod.rs",
     ] {
         assert!(
             by_file(&violations, clean).is_empty(),
@@ -149,7 +162,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 28, "{violations:?}");
+    assert_eq!(violations.len(), 30, "{violations:?}");
 }
 
 #[test]
@@ -157,7 +170,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 27);
+    assert_eq!(analysis.errors(), 29);
     assert!(analysis
         .violations
         .iter()
@@ -181,6 +194,7 @@ fn json_report_round_trips_fixture_diagnostics() {
         "index-unchecked",
         "counter-drift",
         "config-drift",
+        "cmd-drift",
         "allow-syntax",
         "allow-unused",
     ] {
@@ -189,7 +203,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 28, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 30, "{json}");
 }
 
 #[test]

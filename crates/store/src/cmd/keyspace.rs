@@ -292,10 +292,7 @@ pub(super) fn object(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     if !args[1].eq_ignore_ascii_case(b"ENCODING") {
         return Resp::err("unknown OBJECT subcommand (only ENCODING is supported)");
     }
-    let Some(key) = args.get(2) else {
-        return Resp::err("wrong number of arguments for 'object' command");
-    };
-    match ctx.db.lookup_read(key, ctx.now_ms) {
+    match ctx.db.lookup_read(args[2], ctx.now_ms) {
         None => Resp::err("no such key"),
         Some(RObj::Int(_)) => Resp::Bulk(b"int".to_vec()),
         Some(RObj::Str(s)) => {

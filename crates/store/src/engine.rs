@@ -66,20 +66,27 @@ impl Engine {
     /// [`crate::resp::parse_command`], or any owned list (`&[Vec<u8>]`).
     pub fn execute<A: AsRef<[u8]>>(&mut self, now_ms: u64, args: &[A]) -> ExecResult {
         let args: Args<'_> = args.iter().collect();
-        self.execute_borrowed(now_ms, &args)
+        let spec = args.first().and_then(|name| cmd::lookup(name));
+        self.execute_resolved(now_ms, spec, &args)
     }
 
-    fn execute_borrowed(&mut self, now_ms: u64, args: &[&[u8]]) -> ExecResult {
+    /// [`Engine::execute`] for a caller that already looked the command
+    /// up (`spec` is `cmd::lookup(args[0])`; `None` = unknown command), so
+    /// routing, gating and execution share one table lookup.
+    pub fn execute_resolved(
+        &mut self,
+        now_ms: u64,
+        spec: Option<&CommandSpec>,
+        args: &[&[u8]],
+    ) -> ExecResult {
         let dirty_before = self.db.dirty();
         let bytes_touched = args.iter().map(|a| a.len()).sum();
-        let (reply, spec) = {
-            let mut ctx = ExecCtx {
-                db: &mut self.db,
-                now_ms,
-                rng_state: &mut self.rng_state,
-            };
-            cmd::dispatch(&mut ctx, args)
+        let mut ctx = ExecCtx {
+            db: &mut self.db,
+            now_ms,
+            rng_state: &mut self.rng_state,
         };
+        let reply = cmd::dispatch(&mut ctx, spec, args);
         ExecResult {
             reply,
             dirty_delta: self.db.dirty() - dirty_before,

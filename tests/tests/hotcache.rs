@@ -142,6 +142,55 @@ fn cached_reads_never_return_stale_values() {
     assert!(violations.is_empty(), "stale cached reads: {violations:?}");
 }
 
+/// The hole the deleted taint set could not close: a TTL that predates
+/// the SoC's view of the key (here it predates the SoC — preloaded, so
+/// it never crossed the replication stream) leaves nothing on the NIC to
+/// say "do not cache". The host knows, and vetoes the admission; were the
+/// key ever resident, the SoC would keep serving it after the host has
+/// expired it.
+#[test]
+fn ttl_bearing_keys_are_never_resident() {
+    let mut s = spec(1 << 20, "lru", 600, 55);
+    s.set_ratio = 0.0;
+    s.key_space = 8;
+    let mut cluster = Cluster::build(s);
+    let key = |i: u64| format!("key:{i:012}");
+    let mortal = key(3);
+    for i in 0..8 {
+        cluster.preload_master(&[&["SET", &key(i), "v"]]);
+    }
+    // Preload runs at simulated time zero: dead at 300 ms.
+    cluster.preload_master(&[&["SET", &mortal, "v", "PX", "300"]]);
+
+    let resident = |cluster: &Cluster, k: &str| {
+        let cache = cluster.nic_kv().and_then(|nic| nic.hot_cache());
+        cache.expect("cache on").version_of(k.as_bytes())
+    };
+    // Mid-run, the key still alive on the host: clients have been reading
+    // all eight keys for 150 ms, and only the TTL'd one stays out.
+    cluster.run_until(SimTime::from_millis(250));
+    assert!(
+        cache_counter(&cluster, "cache.hits") > 0,
+        "no hits — vacuous"
+    );
+    assert_eq!(resident(&cluster, &mortal), None, "TTL'd key was admitted");
+    for i in (0..8).filter(|&i| i != 3) {
+        assert!(
+            resident(&cluster, &key(i)).is_some(),
+            "{} not cached",
+            key(i)
+        );
+    }
+    // Past the expiry: still never resident, and the GETs that reached
+    // the host found the key gone (they were never answered by the SoC).
+    let report = cluster.run();
+    assert_eq!(report.errors, 0, "{} error replies", report.errors);
+    assert_eq!(resident(&cluster, &mortal), None);
+    let master = cluster.master_server();
+    let expired: u64 = master.engines().iter().map(|e| e.db().stat_expired()).sum();
+    assert_eq!(expired, 1, "the host expired exactly the one TTL'd key");
+}
+
 /// Chaos arm: the SoC dies mid-run and rejoins with a cold cache. The
 /// cold rejoin must be invisible to correctness — probes that resume
 /// against the recovered front end still never observe a stale value,

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use skv_core::cluster::{Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::server::KvServer;
+use skv_core::shard::ShardRouter;
 use skv_simcore::SimDuration;
 use skv_store::resp::Resp;
 
@@ -250,6 +251,71 @@ fn sharded_keyspace_wide_reads_cover_every_shard() {
     listed.sort();
     expected.sort();
     assert_eq!(listed, expected);
+}
+
+#[test]
+fn sharded_routing_reads_keys_where_the_command_table_puts_them() {
+    // `OBJECT ENCODING k` used to route by the hash of the word
+    // `ENCODING`, `BITOP AND dst a b` by hand-kept positions; both now
+    // read the table's key spec.
+    let mut s = spec(Mode::RdmaRedis, 0, 0);
+    s.cfg.num_shards = 4;
+    let mut cluster = Cluster::build(s);
+    let master = cluster
+        .sim
+        .actor_mut::<KvServer>(cluster.master)
+        .expect("master is a KvServer");
+    let router = ShardRouter::new(4);
+    let keys: Vec<String> = (0..64).map(|i| format!("key:{i:04}")).collect();
+    let word_shard = router.shard_of_key(b"ENCODING");
+    let k = keys
+        .iter()
+        .find(|k| router.shard_of_key(k.as_bytes()) != word_shard)
+        .expect("some key lives off the subcommand word's shard");
+    master.preload(&["SET", k, "12345"]);
+    assert_eq!(
+        master.preload(&["OBJECT", "ENCODING", k]).reply,
+        Resp::Bulk(b"int".to_vec())
+    );
+
+    // Co-located BITOP keys execute on their shard — which is not the
+    // operator word's — and leave the result there.
+    let op_shard = router.shard_of_key(b"AND");
+    let home = (0..4)
+        .find(|&shard| shard != op_shard)
+        .expect("four shards");
+    let mut at_home = keys
+        .iter()
+        .filter(|k| router.shard_of_key(k.as_bytes()) == home);
+    let (dst, a, b) = (
+        at_home.next().expect("dst"),
+        at_home.next().expect("a"),
+        at_home.next().expect("b"),
+    );
+    master.preload(&["SET", a, "abc"]);
+    master.preload(&["SET", b, "abd"]);
+    assert_eq!(
+        master.preload(&["BITOP", "AND", dst, a, b]).reply,
+        Resp::Int(3)
+    );
+    let on_home = |key: &str| {
+        let mut stored = master.engines()[home].db().iter();
+        stored.any(|(k, _)| k == key.as_bytes())
+    };
+    assert!(on_home(dst), "BITOP's result must land on its keys' shard");
+    assert_eq!(
+        master.preload(&["GET", dst]).reply,
+        Resp::Bulk(b"ab`".to_vec())
+    );
+    // Spanning keys cannot be combined without a cross-shard transaction.
+    let away = keys
+        .iter()
+        .find(|k| router.shard_of_key(k.as_bytes()) != home)
+        .expect("a key elsewhere");
+    let Resp::Error(err) = master.preload(&["BITOP", "AND", dst, a, away]).reply else {
+        panic!("spanning BITOP must be refused");
+    };
+    assert!(err.starts_with("CROSSSLOT"), "{err}");
 }
 
 proptest! {
