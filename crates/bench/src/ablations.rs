@@ -8,7 +8,7 @@
 //! * Slave count: the offload's benefit grows with the fan-out degree.
 //! * `min-slaves` / `waiting-time` (§III-D): detection-latency trade-off.
 
-use skv_core::cluster::{Cluster, RunSpec};
+use skv_core::cluster::{run_spec, Cluster};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::histcheck;
 use skv_core::metrics::RunReport;
@@ -16,24 +16,16 @@ use skv_core::replmode::ReplModeKind;
 use skv_netsim::{FaultPlan, LinkFault, TimeWindow};
 use skv_simcore::{SimDuration, SimTime};
 
-use crate::experiments::{MEASURE, WARMUP};
+use crate::cells;
+use crate::experiments::{base_spec as spec, gain_pct};
+use crate::table::{Column, Table};
 
-fn spec(mode: Mode, slaves: usize, clients: usize, seed: u64) -> RunSpec {
-    let mut cfg = ClusterConfig::for_mode(mode);
-    cfg.num_slaves = slaves;
-    RunSpec {
-        cfg,
-        num_clients: clients,
-        pipeline: 1,
-        set_ratio: 1.0,
-        mset_keys: 0,
-        value_size: 64,
-        key_space: 100_000,
-        warmup: WARMUP,
-        measure: MEASURE,
-        seed,
-        zipf_theta: 0.0,
-        zipf_shift_every: 0,
+/// `num / den`, or 0 when nothing was counted.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -41,97 +33,62 @@ fn spec(mode: Mode, slaves: usize, clients: usize, seed: u64) -> RunSpec {
 // thread-num
 // ===========================================================================
 
-/// One `thread-num` setting.
-#[derive(Debug, Clone)]
-pub struct ThreadNumRow {
-    /// Configured `thread-num`.
-    pub thread_num: usize,
-    /// Effective threads after the min(cores, slaves) clamp.
-    pub effective: usize,
-    /// Client-visible summary (expected ~flat across rows).
-    pub report: RunReport,
-    /// Maximum replication lag across slaves at measure end, in bytes
-    /// (expected to shrink as threads increase).
-    pub max_lag_bytes: u64,
-    /// Mean ARM-core utilization.
-    pub nic_utilization: f64,
-}
-
 /// Sweep `thread-num` with a fan-out wide enough (12 slaves) that a single
-/// ARM core cannot keep up.
-pub fn ablation_threadnum() -> Vec<ThreadNumRow> {
-    [1usize, 2, 4, 8, 16]
-        .iter()
-        .map(|&tn| {
-            let mut s = spec(Mode::Skv, 12, 8, 21_000 + tn as u64);
-            s.cfg.thread_num = tn;
-            // A single ARM core cannot keep up with this fan-out; bound the
-            // overload window so the undrained-queue memory stays modest.
-            s.measure = SimDuration::from_millis(1_000);
-            let effective = s.cfg.effective_nic_threads();
-            let mut cluster = Cluster::build(s);
-            let report = cluster.run();
-            let now = cluster.sim.now();
-            let master_offset = cluster.master_server().repl_offset();
-            let max_lag_bytes = (0..cluster.slaves.len())
-                .map(|i| master_offset.saturating_sub(cluster.slave_server(i).repl_offset()))
-                .max()
-                .unwrap_or(0);
-            let nic_utilization = cluster
-                .nic_kv()
-                .map(|n| n.mean_utilization(now))
-                .unwrap_or(0.0);
-            ThreadNumRow {
-                thread_num: tn,
-                effective,
-                report,
-                max_lag_bytes,
-                nic_utilization,
-            }
-        })
-        .collect()
-}
-
-/// Print the thread-num ablation.
-pub fn print_threadnum(rows: &[ThreadNumRow]) {
-    println!("Ablation — thread-num (SKV, 12 slaves, 8 clients)");
-    println!(
-        "{:>10} {:>10} {:>12} {:>10} {:>14} {:>10}",
-        "thread", "effective", "kops/s", "p99(us)", "max lag (B)", "nic util"
+/// ARM core cannot keep up. The client-visible columns are expected flat;
+/// the maximum replication lag across slaves at measure end shrinks as
+/// threads (clamped to min(cores, slaves)) increase.
+pub fn ablation_threadnum() -> Table {
+    let mut t = Table::new(
+        "Ablation — thread-num (SKV, 12 slaves, 8 clients)",
+        vec![
+            Column::new("thread", 10),
+            Column::new("effective", 10),
+            Column::num("kops/s", 12, 1),
+            Column::num("p99(us)", 10, 1),
+            Column::new("max lag (B)", 14),
+            Column::num("nic util", 10, 2),
+        ],
     );
-    for r in rows {
-        println!(
-            "{:>10} {:>10} {:>12.1} {:>10.1} {:>14} {:>10.2}",
-            r.thread_num,
-            r.effective,
-            r.report.throughput_kops,
-            r.report.p99_latency_us,
-            r.max_lag_bytes,
-            r.nic_utilization
-        );
+    for tn in [1usize, 2, 4, 8, 16] {
+        let mut s = spec(Mode::Skv, 12, 8, 21_000 + tn as u64);
+        s.cfg.thread_num = tn;
+        // A single ARM core cannot keep up with this fan-out; bound the
+        // overload window so the undrained-queue memory stays modest.
+        s.measure = SimDuration::from_millis(1_000);
+        let effective = s.cfg.effective_nic_threads();
+        let mut cluster = Cluster::build(s);
+        let report = cluster.run();
+        let now = cluster.sim.now();
+        let master_offset = cluster.master_server().repl_offset();
+        let max_lag_bytes = (0..cluster.slaves.len())
+            .map(|i| master_offset.saturating_sub(cluster.slave_server(i).repl_offset()))
+            .max()
+            .unwrap_or(0);
+        let nic_utilization = cluster.nic_kv().map_or(0.0, |n| n.mean_utilization(now));
+        t.row(cells![
+            tn,
+            effective,
+            report.throughput_kops,
+            report.p99_latency_us,
+            max_lag_bytes,
+            nic_utilization,
+        ]);
     }
+    t
 }
 
 // ===========================================================================
 // NIC-side data store (the rejected design of §IV-A)
 // ===========================================================================
 
-/// Comparison of serving GETs from the host vs from the SmartNIC SoC.
-#[derive(Debug, Clone)]
-pub struct NicStoreResult {
-    /// GETs served by Host-KV on the host (SKV's actual design).
-    pub host_store: RunReport,
-    /// GETs served by a KV store running on the SmartNIC SoC cores.
-    pub nic_store: RunReport,
-}
-
 /// Run the rejected design: the whole store on the SoC (weak cores, and the
-/// client's RDMA path to the SoC costs nearly a full host-to-host hop).
-pub fn ablation_nic_datastore() -> NicStoreResult {
+/// client's RDMA path to the SoC costs nearly a full host-to-host hop),
+/// against GETs served by Host-KV on the host (SKV's actual design).
+pub fn ablation_nic_datastore() -> Table {
     // Host store: plain RDMA-Redis GETs, no slaves.
     let mut host_spec = spec(Mode::RdmaRedis, 0, 8, 22_000);
     host_spec.set_ratio = 0.0;
-    let host_store = skv_core::cluster::run_spec(host_spec);
+    let host_store = run_spec(host_spec);
 
     // NIC store: same server logic, but its event-loop cores are the
     // BlueField's ARM cores. (The cluster builder places servers on hosts;
@@ -141,471 +98,283 @@ pub fn ablation_nic_datastore() -> NicStoreResult {
     let mut nic_spec = spec(Mode::RdmaRedis, 0, 8, 22_001);
     nic_spec.set_ratio = 0.0;
     nic_spec.cfg.machines.host_core_speed = nic_spec.cfg.machines.nic_core_speed;
-    let mut nic_store = skv_core::cluster::run_spec(nic_spec);
+    let mut nic_store = run_spec(nic_spec);
     nic_store.label = "NIC-store".into();
 
-    NicStoreResult {
-        host_store,
-        nic_store,
-    }
-}
-
-/// Print the NIC-datastore ablation.
-pub fn print_nic_datastore(r: &NicStoreResult) {
-    println!("Ablation — data store placement for GETs (§IV-A rejected design)");
-    println!("{:<12} {}", "placement", RunReport::header());
-    println!("{:<12} {}", "host", r.host_store.row());
-    println!("{:<12} {}", "SmartNIC", r.nic_store.row());
+    let mut t = Table::new(
+        "Ablation — data store placement for GETs (§IV-A rejected design)",
+        vec![
+            Column::left("placement", 12),
+            Column::left(RunReport::header(), 0),
+        ],
+    );
+    t.row(cells!["host", host_store.row()]);
+    t.row(cells!["SmartNIC", nic_store.row()]);
+    t
 }
 
 // ===========================================================================
 // WR post cost
 // ===========================================================================
 
-/// One WR-post-cost setting.
-#[derive(Debug, Clone)]
-pub struct WrCostRow {
-    /// `ibv_post_send` CPU cost, nanoseconds.
-    pub wr_post_ns: u64,
-    /// RDMA-Redis throughput (kops/s).
-    pub baseline_kops: f64,
-    /// SKV throughput (kops/s).
-    pub skv_kops: f64,
-    /// SKV gain, percent.
-    pub gain_pct: f64,
-}
-
-/// Sweep the per-WR host CPU cost: the offload's benefit must scale with it
-/// (§V-C's causal claim).
-pub fn ablation_wr_cost() -> Vec<WrCostRow> {
-    [50u64, 100, 200, 400, 800]
-        .iter()
-        .map(|&ns| {
-            let mut b = spec(Mode::RdmaRedis, 3, 8, 23_000 + ns);
-            b.cfg.net.wr_post_cpu = SimDuration::from_nanos(ns);
-            let mut s = spec(Mode::Skv, 3, 8, 23_500 + ns);
-            s.cfg.net.wr_post_cpu = SimDuration::from_nanos(ns);
-            let baseline = skv_core::cluster::run_spec(b);
-            let skv = skv_core::cluster::run_spec(s);
-            WrCostRow {
-                wr_post_ns: ns,
-                baseline_kops: baseline.throughput_kops,
-                skv_kops: skv.throughput_kops,
-                gain_pct: (skv.throughput_kops / baseline.throughput_kops - 1.0) * 100.0,
-            }
-        })
-        .collect()
-}
-
-/// Print the WR-cost ablation.
-pub fn print_wr_cost(rows: &[WrCostRow]) {
-    println!("Ablation — WR post cost vs offload gain (SET, 3 slaves, 8 clients)");
-    println!(
-        "{:>12} {:>14} {:>12} {:>8}",
-        "post(ns)", "RDMA kops", "SKV kops", "gain%"
+/// Sweep the per-WR host CPU cost (`ibv_post_send`, ns): the offload's
+/// benefit must scale with it (§V-C's causal claim).
+pub fn ablation_wr_cost() -> Table {
+    let mut t = Table::new(
+        "Ablation — WR post cost vs offload gain (SET, 3 slaves, 8 clients)",
+        vec![
+            Column::new("post(ns)", 12),
+            Column::num("RDMA kops", 14, 1),
+            Column::num("SKV kops", 12, 1),
+            Column::signed("gain%", 8, 1),
+        ],
     );
-    for r in rows {
-        println!(
-            "{:>12} {:>14.1} {:>12.1} {:>+8.1}",
-            r.wr_post_ns, r.baseline_kops, r.skv_kops, r.gain_pct
-        );
+    for ns in [50u64, 100, 200, 400, 800] {
+        let mut b = spec(Mode::RdmaRedis, 3, 8, 23_000 + ns);
+        b.cfg.net.wr_post_cpu = SimDuration::from_nanos(ns);
+        let mut s = spec(Mode::Skv, 3, 8, 23_500 + ns);
+        s.cfg.net.wr_post_cpu = SimDuration::from_nanos(ns);
+        let (baseline, skv) = (run_spec(b).throughput_kops, run_spec(s).throughput_kops);
+        t.row(cells![ns, baseline, skv, gain_pct(skv, baseline)]);
     }
+    t
 }
 
 // ===========================================================================
 // doorbell batching (linked-WR post lists)
 // ===========================================================================
 
-/// One slave-count setting of the doorbell-batching ablation.
-#[derive(Debug, Clone)]
-pub struct WrBatchRow {
-    /// Number of slaves (= WRs per replicated write).
-    pub slaves: usize,
-    /// Client throughput (kops/s).
-    pub kops: f64,
-    /// Doorbells per replicated write (expected ≈ 1 at every width).
-    pub doorbells_per_write: f64,
-    /// WRs per replicated write (expected ≈ N — batching amortizes
-    /// doorbells, not work requests).
-    pub wrs_per_write: f64,
-}
-
 /// Sweep the fan-out width. The Nic-KV's own counters show the
 /// mechanism: a replicated write posts N WRs as one linked list, so it
-/// rings exactly one doorbell however wide the fan-out. (The serial
-/// one-doorbell-per-slave arm this table used to carry is recorded in
-/// EXPERIMENTS.md; it went with the knob that selected it.)
-pub fn ablation_wr_batching() -> Vec<WrBatchRow> {
-    [1usize, 2, 3, 5, 8]
-        .iter()
-        .map(|&n| {
-            let mut cluster = Cluster::build(spec(Mode::Skv, n, 8, 29_000 + n as u64));
-            let report = cluster.run();
-            let (writes, doorbells, wrs) = cluster
-                .nic_kv()
-                .map(|nic| {
-                    (
-                        nic.stat_fanout_msgs,
-                        nic.stat_doorbells(),
-                        nic.stat_wrs_posted(),
-                    )
-                })
-                .unwrap_or((0, 0, 0));
-            let per_write = |v: u64| {
-                if writes == 0 {
-                    0.0
-                } else {
-                    v as f64 / writes as f64
-                }
-            };
-            WrBatchRow {
-                slaves: n,
-                kops: report.throughput_kops,
-                doorbells_per_write: per_write(doorbells),
-                wrs_per_write: per_write(wrs),
-            }
-        })
-        .collect()
-}
-
-/// Print the doorbell-batching ablation.
-pub fn print_wr_batching(rows: &[WrBatchRow]) {
-    println!("Ablation — doorbell batching on the Nic-KV fan-out (SET, 8 clients)");
-    println!(
-        "{:>8} {:>12} {:>12} {:>12}",
-        "slaves", "kops", "db/write", "wr/write"
+/// rings exactly one doorbell however wide the fan-out — doorbells per
+/// replicated write ≈ 1, WRs per write ≈ N (batching amortizes doorbells,
+/// not work requests). (The serial one-doorbell-per-slave arm this table
+/// used to carry is recorded in EXPERIMENTS.md; it went with the knob
+/// that selected it.)
+pub fn ablation_wr_batching() -> Table {
+    let mut t = Table::new(
+        "Ablation — doorbell batching on the Nic-KV fan-out (SET, 8 clients)",
+        vec![
+            Column::new("slaves", 8),
+            Column::num("kops", 12, 1),
+            Column::num("db/write", 12, 2),
+            Column::num("wr/write", 12, 2),
+        ],
     );
-    for r in rows {
-        println!(
-            "{:>8} {:>12.1} {:>12.2} {:>12.2}",
-            r.slaves, r.kops, r.doorbells_per_write, r.wrs_per_write
-        );
+    for n in [1usize, 2, 3, 5, 8] {
+        let mut cluster = Cluster::build(spec(Mode::Skv, n, 8, 29_000 + n as u64));
+        let report = cluster.run();
+        let (writes, doorbells, wrs) = cluster.nic_kv().map_or((0, 0, 0), |nic| {
+            (
+                nic.stat_fanout_msgs,
+                nic.stat_doorbells(),
+                nic.stat_wrs_posted(),
+            )
+        });
+        t.row(cells![
+            n,
+            report.throughput_kops,
+            ratio(doorbells, writes),
+            ratio(wrs, writes),
+        ]);
     }
+    t
 }
 
 // ===========================================================================
 // CQ interrupt moderation
 // ===========================================================================
 
-/// One CQ-moderation threshold setting.
-#[derive(Debug, Clone)]
-pub struct CqModRow {
-    /// `cq_notify_threshold` (1 = moderation off).
-    pub threshold: usize,
-    /// Coalescing deadline, µs.
-    pub timer_us: u64,
-    /// Client throughput (kops/s).
-    pub kops: f64,
-    /// p99 latency (µs).
-    pub p99_us: f64,
-    /// Completion notifies the whole testbed saw.
-    pub cq_notifies: u64,
-    /// Work completions polled.
-    pub wcs_polled: u64,
-    /// Notifies per polled WC — collapses toward 1/threshold under load.
-    pub notify_ratio: f64,
-}
-
-/// Sweep the notify threshold at a fixed 10 µs coalescing deadline,
-/// mirroring ConnectX interrupt-moderation profiles. The event count
-/// (the simulator's stand-in for interrupt rate) must fall as the
-/// threshold grows while the served workload stays intact; past the point
+/// Sweep the notify threshold (1 = moderation off) at a fixed 10 µs
+/// coalescing deadline, mirroring ConnectX interrupt-moderation profiles.
+/// The event count (the simulator's stand-in for interrupt rate) must fall
+/// as the threshold grows while the served workload stays intact — notifies
+/// per polled WC collapse toward 1/threshold under load; past the point
 /// where bursts rarely reach the threshold the coalescing timer flushes
 /// sub-threshold batches and the ratio flattens out.
-pub fn ablation_cq_moderation() -> Vec<CqModRow> {
+pub fn ablation_cq_moderation() -> Table {
     const TIMER_US: u64 = 10;
-    [1usize, 2, 4, 8, 16]
-        .iter()
-        .map(|&threshold| {
-            let mut s = spec(Mode::Skv, 3, 8, 30_000 + threshold as u64);
-            s.pipeline = 4; // keep completions bursty enough to coalesce
-            s.cfg.net.cq_notify_threshold = threshold;
-            s.cfg.net.cq_notify_timer = SimDuration::from_micros(TIMER_US);
-            let mut cluster = Cluster::build(s);
-            let report = cluster.run();
-            let c = cluster.net.counters();
-            let cq_notifies = c.get("rdma.cq_notifies");
-            let wcs_polled = c.get("rdma.wcs_polled");
-            CqModRow {
-                threshold,
-                timer_us: TIMER_US,
-                kops: report.throughput_kops,
-                p99_us: report.p99_latency_us,
-                cq_notifies,
-                wcs_polled,
-                notify_ratio: if wcs_polled == 0 {
-                    0.0
-                } else {
-                    cq_notifies as f64 / wcs_polled as f64
-                },
-            }
-        })
-        .collect()
-}
-
-/// Print the CQ-moderation ablation.
-pub fn print_cq_moderation(rows: &[CqModRow]) {
-    println!("Ablation — CQ interrupt moderation (SKV, 3 slaves, 8 clients, P=4)");
-    println!(
-        "{:>10} {:>10} {:>10} {:>10} {:>12} {:>12} {:>12}",
-        "threshold", "timer(us)", "kops/s", "p99(us)", "notifies", "wcs polled", "notify/wc"
+    let mut t = Table::new(
+        "Ablation — CQ interrupt moderation (SKV, 3 slaves, 8 clients, P=4)",
+        vec![
+            Column::new("threshold", 10),
+            Column::new("timer(us)", 10),
+            Column::num("kops/s", 10, 1),
+            Column::num("p99(us)", 10, 1),
+            Column::new("notifies", 12),
+            Column::new("wcs polled", 12),
+            Column::num("notify/wc", 12, 3),
+        ],
     );
-    for r in rows {
-        println!(
-            "{:>10} {:>10} {:>10.1} {:>10.1} {:>12} {:>12} {:>12.3}",
-            r.threshold, r.timer_us, r.kops, r.p99_us, r.cq_notifies, r.wcs_polled, r.notify_ratio
-        );
+    for threshold in [1usize, 2, 4, 8, 16] {
+        let mut s = spec(Mode::Skv, 3, 8, 30_000 + threshold as u64);
+        s.pipeline = 4; // keep completions bursty enough to coalesce
+        s.cfg.net.cq_notify_threshold = threshold;
+        s.cfg.net.cq_notify_timer = SimDuration::from_micros(TIMER_US);
+        let mut cluster = Cluster::build(s);
+        let report = cluster.run();
+        let c = cluster.net.counters();
+        let cq_notifies = c.get("rdma.cq_notifies");
+        let wcs_polled = c.get("rdma.wcs_polled");
+        t.row(cells![
+            threshold,
+            TIMER_US,
+            report.throughput_kops,
+            report.p99_latency_us,
+            cq_notifies,
+            wcs_polled,
+            ratio(cq_notifies, wcs_polled),
+        ]);
     }
+    t
 }
 
 // ===========================================================================
 // replication mode (async stream vs quorum vs chain)
 // ===========================================================================
 
-/// One replication-mode setting.
-#[derive(Debug, Clone)]
-pub struct ReplModeRow {
-    /// The replication protocol the arm ran.
-    pub mode: ReplModeKind,
-    /// Client-visible summary.
-    pub report: RunReport,
-    /// Writes the NIC committed through ack tracking (0 for async — the
-    /// stream mode has no commit point).
-    pub commits: u64,
-    /// Quorum retransmits to re-registered slaves.
-    pub retransmits: u64,
-    /// Chain-repair events (hops spliced out of in-flight writes).
-    pub chain_repairs: u64,
-    /// Replies the master deferred until the NIC's commit frontier (and
-    /// the slave census) caught up.
-    pub deferred_replies: u64,
-    /// Ops in the history the bench clients recorded of themselves
-    /// (`record_history`): the linearizability checker's input size.
-    pub hist_ops: u64,
-    /// Violations `histcheck::check_linearizable` found in that history
-    /// (0 is the expected verdict for every fault-free arm).
-    pub violations: usize,
-}
-
 /// Sweep the replication protocol at a fixed fan-out: the async stream is
 /// the latency/throughput ceiling (replies return as soon as the host
 /// write lands), quorum pays one NIC→slave RTT before release, and chain
 /// pays the full hop-by-hop pipeline — the paper's offload numbers are
 /// the async arm, the other two price its durability upgrade.
-pub fn ablation_replmode() -> Vec<ReplModeRow> {
-    ReplModeKind::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, &mode)| {
-            let mut s = spec(Mode::Skv, 3, 8, 31_000 + i as u64);
-            s.cfg.repl_mode = mode;
-            // Every arm records its own client traffic and runs the
-            // linearizability checker over it: the verdict column proves
-            // the protocol (not just prices it). Mixed GET/SET so reads
-            // actually constrain the order.
-            s.cfg.record_history = true;
-            s.set_ratio = 0.5;
-            // The quorum arm carries the cross-mode failover knob too;
-            // with no faults injected the mode never moves, so the knob's
-            // steady-state cost shows up here as exactly zero transitions.
-            if mode == ReplModeKind::Quorum {
-                s.cfg.mode_failover = true;
-            }
-            let mut cluster = Cluster::build(s);
-            let report = cluster.run();
-            let (commits, retransmits, chain_repairs) = cluster
-                .nic_kv()
-                .map(|n| {
-                    let t = n.tracker();
-                    (t.stat_commits, n.stat_retransmits, t.stat_chain_repairs)
-                })
-                .unwrap_or((0, 0, 0));
-            let deferred_replies = cluster.master_server().stat_deferred_replies;
-            let (hist_ops, violations) = cluster
-                .bench_history
-                .as_ref()
-                .map(|h| {
-                    let hb = h.borrow();
-                    (hb.ops.len() as u64, histcheck::check_linearizable(&hb).len())
-                })
-                .unwrap_or((0, 0));
-            ReplModeRow {
-                mode,
-                report,
-                commits,
-                retransmits,
-                chain_repairs,
-                deferred_replies,
-                hist_ops,
-                violations,
-            }
-        })
-        .collect()
-}
-
-/// Print the replication-mode ablation.
-pub fn print_replmode(rows: &[ReplModeRow]) {
-    println!("Ablation — replication protocol (SKV, 3 slaves, 8 clients, GET/SET)");
-    println!(
-        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>8} {:>10} {:>10} {:>8}",
-        "mode", "kops/s", "p99(us)", "commits", "deferred", "rexmit", "repairs", "hist ops", "lin"
+///
+/// `commits` are writes the NIC committed through ack tracking (0 for
+/// async — the stream mode has no commit point), `deferred` the replies
+/// the master held until the NIC's commit frontier (and the slave census)
+/// caught up, `rexmit` quorum retransmits to re-registered slaves,
+/// `repairs` hops spliced out of in-flight chain writes.
+pub fn ablation_replmode() -> Table {
+    let mut t = Table::new(
+        "Ablation — replication protocol (SKV, 3 slaves, 8 clients, GET/SET)",
+        vec![
+            Column::new("mode", 8),
+            Column::num("kops/s", 10, 1),
+            Column::num("p99(us)", 10, 1),
+            Column::new("commits", 10),
+            Column::new("deferred", 10),
+            Column::new("rexmit", 8),
+            Column::new("repairs", 10),
+            Column::new("hist ops", 10),
+            Column::new("lin", 8),
+        ],
     );
-    for r in rows {
-        println!(
-            "{:>8} {:>10.1} {:>10.1} {:>10} {:>10} {:>8} {:>10} {:>10} {:>8}",
-            r.mode.label(),
-            r.report.throughput_kops,
-            r.report.p99_latency_us,
-            r.commits,
-            r.deferred_replies,
-            r.retransmits,
-            r.chain_repairs,
-            r.hist_ops,
-            if r.violations == 0 { "ok" } else { "FAIL" }
-        );
+    for (i, &mode) in ReplModeKind::ALL.iter().enumerate() {
+        let mut s = spec(Mode::Skv, 3, 8, 31_000 + i as u64);
+        s.cfg.repl_mode = mode;
+        // Every arm records its own client traffic and runs the
+        // linearizability checker over it: the verdict column proves
+        // the protocol (not just prices it). Mixed GET/SET so reads
+        // actually constrain the order.
+        s.cfg.record_history = true;
+        s.set_ratio = 0.5;
+        // The quorum arm carries the cross-mode failover knob too;
+        // with no faults injected the mode never moves, so the knob's
+        // steady-state cost shows up here as exactly zero transitions.
+        if mode == ReplModeKind::Quorum {
+            s.cfg.mode_failover = true;
+        }
+        let mut cluster = Cluster::build(s);
+        let report = cluster.run();
+        let (commits, retransmits, chain_repairs) = cluster.nic_kv().map_or((0, 0, 0), |n| {
+            let tr = n.tracker();
+            (tr.stat_commits, n.stat_retransmits, tr.stat_chain_repairs)
+        });
+        // The history the bench clients recorded of themselves
+        // (`record_history`) and the violations the checker finds in it
+        // (none is the expected verdict for every fault-free arm).
+        let (hist_ops, violations) = cluster.bench_history.as_ref().map_or((0, 0), |h| {
+            let hb = h.borrow();
+            (hb.ops.len(), histcheck::check_linearizable(&hb).len())
+        });
+        t.row(cells![
+            mode.label(),
+            report.throughput_kops,
+            report.p99_latency_us,
+            commits,
+            cluster.master_server().stat_deferred_replies,
+            retransmits,
+            chain_repairs,
+            hist_ops,
+            if violations == 0 { "ok" } else { "FAIL" },
+        ]);
     }
+    t
 }
 
 // ===========================================================================
 // slave count
 // ===========================================================================
 
-/// One slave-count setting.
-#[derive(Debug, Clone)]
-pub struct SlaveCountRow {
-    /// Number of slaves.
-    pub slaves: usize,
-    /// RDMA-Redis throughput.
-    pub baseline_kops: f64,
-    /// SKV throughput.
-    pub skv_kops: f64,
-    /// SKV gain, percent.
-    pub gain_pct: f64,
-}
-
 /// Sweep the number of slaves: the host saves (N−1) WR posts per write, so
 /// the gain must grow with N.
-pub fn ablation_slave_count() -> Vec<SlaveCountRow> {
-    [0usize, 1, 2, 3, 5, 8]
-        .iter()
-        .map(|&n| {
-            let baseline =
-                skv_core::cluster::run_spec(spec(Mode::RdmaRedis, n, 8, 24_000 + n as u64));
-            let skv = skv_core::cluster::run_spec(spec(Mode::Skv, n, 8, 24_500 + n as u64));
-            SlaveCountRow {
-                slaves: n,
-                baseline_kops: baseline.throughput_kops,
-                skv_kops: skv.throughput_kops,
-                gain_pct: (skv.throughput_kops / baseline.throughput_kops - 1.0) * 100.0,
-            }
-        })
-        .collect()
-}
-
-/// Print the slave-count ablation.
-pub fn print_slave_count(rows: &[SlaveCountRow]) {
-    println!("Ablation — offload gain vs number of slaves (SET, 8 clients)");
-    println!(
-        "{:>8} {:>14} {:>12} {:>8}",
-        "slaves", "RDMA kops", "SKV kops", "gain%"
+pub fn ablation_slave_count() -> Table {
+    let mut t = Table::new(
+        "Ablation — offload gain vs number of slaves (SET, 8 clients)",
+        vec![
+            Column::new("slaves", 8),
+            Column::num("RDMA kops", 14, 1),
+            Column::num("SKV kops", 12, 1),
+            Column::signed("gain%", 8, 1),
+        ],
     );
-    for r in rows {
-        println!(
-            "{:>8} {:>14.1} {:>12.1} {:>+8.1}",
-            r.slaves, r.baseline_kops, r.skv_kops, r.gain_pct
-        );
+    for n in [0usize, 1, 2, 3, 5, 8] {
+        let baseline = run_spec(spec(Mode::RdmaRedis, n, 8, 24_000 + n as u64)).throughput_kops;
+        let skv = run_spec(spec(Mode::Skv, n, 8, 24_500 + n as u64)).throughput_kops;
+        t.row(cells![n, baseline, skv, gain_pct(skv, baseline)]);
     }
+    t
 }
 
 // ===========================================================================
 // failure-detection parameters
 // ===========================================================================
 
-/// One `waiting-time` setting.
-#[derive(Debug, Clone)]
-pub struct FailureParamRow {
-    /// Configured waiting-time (ms).
-    pub waiting_ms: u64,
-    /// Measured detection delay after the crash (ms).
-    pub detection_delay_ms: f64,
-    /// Write errors clients saw (min-slaves = 3 with one slave down).
-    pub errors: u64,
-    /// Client ops completed.
-    pub ops: u64,
-}
-
 /// Sweep `waiting-time` with `min-slaves = 3`: shorter timeouts detect the
 /// crash sooner, so clients see `NOREPLICAS` errors earlier (more of them).
-pub fn ablation_failure_params() -> Vec<FailureParamRow> {
-    [500u64, 1500, 3000]
-        .iter()
-        .map(|&wt| {
-            let mut s = spec(Mode::Skv, 3, 4, 25_000 + wt);
-            s.cfg.waiting_time = SimDuration::from_millis(wt);
-            s.cfg.min_slaves = 3;
-            s.measure = SimDuration::from_millis(7_000);
-            let crash_at = SimTime::from_secs(3);
-            let mut cluster = Cluster::build(s);
-            cluster.schedule_slave_crash(0, crash_at);
-            let report = cluster.run();
-            let detection = cluster
-                .nic_kv()
-                .and_then(|n| n.detections.iter().find(|(t, _)| *t >= crash_at).copied())
-                .map(|(t, _)| t.saturating_since(crash_at).as_secs_f64() * 1000.0)
-                .unwrap_or(f64::NAN);
-            FailureParamRow {
-                waiting_ms: wt,
-                detection_delay_ms: detection,
-                errors: report.errors,
-                ops: report.ops,
-            }
-        })
-        .collect()
-}
-
-/// Print the failure-parameter ablation.
-pub fn print_failure_params(rows: &[FailureParamRow]) {
-    println!("Ablation — waiting-time vs detection delay (min-slaves=3, crash at 3s)");
-    println!(
-        "{:>12} {:>16} {:>10} {:>10}",
-        "waiting(ms)", "detect delay(ms)", "errors", "ops"
+pub fn ablation_failure_params() -> Table {
+    let mut t = Table::new(
+        "Ablation — waiting-time vs detection delay (min-slaves=3, crash at 3s)",
+        vec![
+            Column::new("waiting(ms)", 12),
+            Column::num("detect delay(ms)", 16, 0),
+            Column::new("errors", 10),
+            Column::new("ops", 10),
+        ],
     );
-    for r in rows {
-        println!(
-            "{:>12} {:>16.0} {:>10} {:>10}",
-            r.waiting_ms, r.detection_delay_ms, r.errors, r.ops
-        );
+    for wt in [500u64, 1500, 3000] {
+        let mut s = spec(Mode::Skv, 3, 4, 25_000 + wt);
+        s.cfg.waiting_time = SimDuration::from_millis(wt);
+        s.cfg.min_slaves = 3;
+        s.measure = SimDuration::from_millis(7_000);
+        let crash_at = SimTime::from_secs(3);
+        let mut cluster = Cluster::build(s);
+        cluster.schedule_slave_crash(0, crash_at);
+        let report = cluster.run();
+        let detection_delay_ms = cluster
+            .nic_kv()
+            .and_then(|n| n.detections.iter().find(|(t, _)| *t >= crash_at).copied())
+            .map_or(f64::NAN, |(t, _)| {
+                t.saturating_since(crash_at).as_secs_f64() * 1000.0
+            });
+        t.row(cells![wt, detection_delay_ms, report.errors, report.ops]);
     }
+    t
 }
 
 // ===========================================================================
 // probe loss — detection false positives vs waiting-time
 // ===========================================================================
 
-/// One (outage duration, waiting-time) cell.
-#[derive(Debug, Clone)]
-pub struct ProbeLossRow {
-    /// Duration of the NIC↔slave link outage (ms).
-    pub blip_ms: u64,
-    /// Configured `waiting-time` (ms).
-    pub waiting_ms: u64,
-    /// Nodes declared failed. The slave never crashes and keeps serving
-    /// through its other links, so every detection is a false positive.
-    pub false_positives: u64,
-    /// Failed nodes later seen alive again (the false alarm clearing).
-    pub recoveries: u64,
-    /// Client ops completed.
-    pub ops: u64,
-    /// Error replies clients saw.
-    pub errors: u64,
-}
-
 /// The cost of aggressive detection (§III-D): cut one slave's link to the
 /// NIC — probes, replies and re-registration — for a bounded blip while
 /// the slave itself stays alive, and sweep `waiting-time`. A timeout
 /// shorter than the blip flags the live slave as failed; a longer one
 /// rides it out (but would detect a real crash correspondingly later —
-/// the other half of the trade-off, in `ablation_failure_params`).
+/// the other half of the trade-off, in `ablation_failure_params`). The
+/// slave never crashes and keeps serving through its other links, so every
+/// detection is a false positive, and a recovery is the false alarm
+/// clearing.
 ///
 /// Independent per-message probe loss is deliberately *not* the x-axis:
 /// a dropped probe errors the sender's QP, the slave redials within
@@ -613,10 +382,20 @@ pub struct ProbeLossRow {
 /// up to 5% produces zero false positives at any `waiting-time`. Only
 /// sustained silence — an outage the retry machinery cannot route around
 /// — can outlive the timeout.
-pub fn ablation_probe_loss() -> Vec<ProbeLossRow> {
-    let mut rows = Vec::new();
-    for &blip_ms in &[250u64, 1_000, 2_500, 5_000] {
-        for &wt in &[500u64, 1_500, 3_000] {
+pub fn ablation_probe_loss() -> Table {
+    let mut t = Table::new(
+        "Ablation — probe-path outage vs false detections (slave stays alive)",
+        vec![
+            Column::new("blip(ms)", 9),
+            Column::new("waiting(ms)", 12),
+            Column::new("false-pos", 10),
+            Column::new("recoveries", 11),
+            Column::new("ops", 9),
+            Column::new("errors", 8),
+        ],
+    );
+    for blip_ms in [250u64, 1_000, 2_500, 5_000] {
+        for wt in [500u64, 1_500, 3_000] {
             let mut s = spec(Mode::Skv, 2, 1, 27_000 + wt + blip_ms);
             s.cfg.waiting_time = SimDuration::from_millis(wt);
             s.measure = SimDuration::from_millis(8_000);
@@ -647,103 +426,50 @@ pub fn ablation_probe_loss() -> Vec<ProbeLossRow> {
             cluster.net.set_fault_plan(plan);
 
             let report = cluster.run();
-            let (false_positives, recoveries) = cluster.nic_kv().map_or((0, 0), |n| {
-                (n.detections.len() as u64, n.recoveries.len() as u64)
-            });
-            rows.push(ProbeLossRow {
+            let (false_positives, recoveries) = cluster
+                .nic_kv()
+                .map_or((0, 0), |n| (n.detections.len(), n.recoveries.len()));
+            t.row(cells![
                 blip_ms,
-                waiting_ms: wt,
+                wt,
                 false_positives,
                 recoveries,
-                ops: report.ops,
-                errors: report.errors,
-            });
+                report.ops,
+                report.errors,
+            ]);
         }
     }
-    rows
-}
-
-/// Print the probe-outage ablation.
-pub fn print_probe_loss(rows: &[ProbeLossRow]) {
-    println!("Ablation — probe-path outage vs false detections (slave stays alive)");
-    println!(
-        "{:>9} {:>12} {:>10} {:>11} {:>9} {:>8}",
-        "blip(ms)", "waiting(ms)", "false-pos", "recoveries", "ops", "errors"
-    );
-    for r in rows {
-        println!(
-            "{:>9} {:>12} {:>10} {:>11} {:>9} {:>8}",
-            r.blip_ms, r.waiting_ms, r.false_positives, r.recoveries, r.ops, r.errors
-        );
-    }
+    t
 }
 
 // ===========================================================================
 // client pipelining (extension: redis-benchmark -P)
 // ===========================================================================
 
-/// One pipeline-depth setting.
-#[derive(Debug, Clone)]
-pub struct PipelineRow {
-    /// Commands in flight per connection.
-    pub depth: usize,
-    /// Throughput with a single client connection.
-    pub kops_1_client: f64,
-    /// p99 latency with a single client (µs).
-    pub p99_us: f64,
-}
-
 /// Sweep pipeline depth with ONE client: depth substitutes for connection
 /// concurrency until the server core saturates (an extension beyond the
 /// paper, which benchmarks unpipelined clients only).
-pub fn ablation_pipeline() -> Vec<PipelineRow> {
-    [1usize, 2, 4, 8, 16]
-        .iter()
-        .map(|&depth| {
-            let mut s = spec(Mode::RdmaRedis, 0, 1, 26_000 + depth as u64);
-            s.pipeline = depth;
-            let report = skv_core::cluster::run_spec(s);
-            PipelineRow {
-                depth,
-                kops_1_client: report.throughput_kops,
-                p99_us: report.p99_latency_us,
-            }
-        })
-        .collect()
-}
-
-/// Print the pipelining ablation.
-pub fn print_pipeline(rows: &[PipelineRow]) {
-    println!("Ablation — client pipelining (RDMA-Redis, 1 client, no slaves)");
-    println!("{:>8} {:>12} {:>10}", "depth", "kops/s", "p99(us)");
-    for r in rows {
-        println!(
-            "{:>8} {:>12.1} {:>10.1}",
-            r.depth, r.kops_1_client, r.p99_us
-        );
+pub fn ablation_pipeline() -> Table {
+    let mut t = Table::new(
+        "Ablation — client pipelining (RDMA-Redis, 1 client, no slaves)",
+        vec![
+            Column::new("depth", 8),
+            Column::num("kops/s", 12, 1),
+            Column::num("p99(us)", 10, 1),
+        ],
+    );
+    for depth in [1usize, 2, 4, 8, 16] {
+        let mut s = spec(Mode::RdmaRedis, 0, 1, 26_000 + depth as u64);
+        s.pipeline = depth;
+        let report = run_spec(s);
+        t.row(cells![depth, report.throughput_kops, report.p99_latency_us]);
     }
+    t
 }
 
 // ===========================================================================
 // fabric-calibration sensitivity
 // ===========================================================================
-
-/// One calibration-sensitivity arm: a single fabric/CPU knob perturbed.
-#[derive(Debug, Clone)]
-pub struct NetCalRow {
-    /// The knob and how it was moved.
-    pub knob: &'static str,
-    /// Which system variant the knob matters for.
-    pub mode: Mode,
-    /// Throughput at the default calibration (kops/s).
-    pub base_kops: f64,
-    /// Throughput with the knob perturbed (kops/s).
-    pub kops: f64,
-    /// Throughput delta, percent.
-    pub delta_pct: f64,
-    /// p99 latency delta, percent.
-    pub p99_delta_pct: f64,
-}
 
 /// Perturb each [`skv_netsim::NetParams`] calibration knob (and the host
 /// command-CPU cost) in isolation — latencies and CPU costs doubled,
@@ -752,7 +478,7 @@ pub struct NetCalRow {
 /// quoting absolute numbers from a calibrated simulator: the knobs the
 /// paper's claims lean on (WR post cost, SoC path factors) must matter,
 /// and the ones it abstracts away (connect latency) must not.
-pub fn ablation_netcal() -> Vec<NetCalRow> {
+pub fn ablation_netcal() -> Table {
     fn x2(d: SimDuration) -> SimDuration {
         d.mul_f64(2.0)
     }
@@ -847,328 +573,195 @@ pub fn ablation_netcal() -> Vec<NetCalRow> {
         if let Some(f) = apply {
             f(&mut s.cfg);
         }
-        skv_core::cluster::run_spec(s)
+        run_spec(s)
     };
     let base_skv = run(Mode::Skv, None);
     let base_tcp = run(Mode::TcpRedis, None);
-    arms.iter()
-        .map(|&(knob, mode, apply)| {
-            let base = if mode == Mode::TcpRedis {
-                &base_tcp
-            } else {
-                &base_skv
-            };
-            let r = run(mode, Some(apply));
-            NetCalRow {
-                knob,
-                mode,
-                base_kops: base.throughput_kops,
-                kops: r.throughput_kops,
-                delta_pct: (r.throughput_kops / base.throughput_kops - 1.0) * 100.0,
-                p99_delta_pct: (r.p99_latency_us / base.p99_latency_us - 1.0) * 100.0,
-            }
-        })
-        .collect()
-}
-
-/// Print the calibration-sensitivity ablation.
-pub fn print_netcal(rows: &[NetCalRow]) {
-    println!("Ablation — fabric-calibration sensitivity (one knob per row, 4 clients)");
-    println!(
-        "{:<24} {:<10} {:>10} {:>10} {:>8} {:>9}",
-        "knob", "mode", "base kops", "kops", "d kops%", "d p99%"
+    let mut t = Table::new(
+        "Ablation — fabric-calibration sensitivity (one knob per row, 4 clients)",
+        vec![
+            Column::left("knob", 24),
+            Column::left("mode", 10),
+            Column::num("base kops", 10, 1),
+            Column::num("kops", 10, 1),
+            Column::signed("d kops%", 8, 1),
+            Column::signed("d p99%", 9, 1),
+        ],
     );
-    for r in rows {
-        println!(
-            "{:<24} {:<10} {:>10.1} {:>10.1} {:>+8.1} {:>+9.1}",
-            r.knob,
-            r.mode.label(),
-            r.base_kops,
-            r.kops,
-            r.delta_pct,
-            r.p99_delta_pct
-        );
+    for &(knob, mode, apply) in arms {
+        let base = if mode == Mode::TcpRedis {
+            &base_tcp
+        } else {
+            &base_skv
+        };
+        let r = run(mode, Some(apply));
+        t.row(cells![
+            knob,
+            mode.label(),
+            base.throughput_kops,
+            r.throughput_kops,
+            gain_pct(r.throughput_kops, base.throughput_kops),
+            gain_pct(r.p99_latency_us, base.p99_latency_us),
+        ]);
     }
+    t
 }
 
 // ===========================================================================
 // reconnect backoff / client retry
 // ===========================================================================
 
-/// One reconnect-backoff profile under a master outage.
-#[derive(Debug, Clone)]
-pub struct BackoffRow {
-    /// Profile name.
-    pub label: &'static str,
-    /// `reconnect_base`, milliseconds.
-    pub base_ms: u64,
-    /// `reconnect_max_delay`, milliseconds.
-    pub max_delay_ms: u64,
-    /// `reconnect_max_attempts`.
-    pub max_attempts: u32,
-    /// `client_retry_timeout`, milliseconds.
-    pub client_retry_ms: u64,
-    /// Throughput over the window containing the outage (kops/s).
-    pub kops: f64,
-    /// Error replies observed by clients.
-    pub errors: u64,
-    /// Server-side reconnect attempts (master + slaves).
-    pub server_reconnects: u64,
-    /// Client connection teardowns + redials.
-    pub client_reconnects: u64,
-    /// Client dials that failed outright (master still down).
-    pub client_dial_failures: u64,
-}
-
 /// Crash the master for 300 ms mid-measurement and compare reconnect
-/// profiles: an aggressive schedule redials often (dial-failure storm,
-/// fastest recovery), a lazy one stays quiet but gives up throughput.
+/// profiles (`reconnect_base`, `reconnect_max_delay`,
+/// `reconnect_max_attempts`, `client_retry_timeout`): an aggressive
+/// schedule redials often (dial-failure storm, fastest recovery), a lazy
+/// one stays quiet but gives up throughput. `srv rc` counts server-side
+/// reconnect attempts (master + slaves), `cli rc` client teardowns +
+/// redials, `dialfail` client dials that found the master still down.
 /// The numbers come from [`Cluster::counters_snapshot`] — the run report
 /// itself stays byte-identical to a chaos-free run's shape.
-pub fn ablation_backoff() -> Vec<BackoffRow> {
-    let profiles: &[(&'static str, u64, u64, u32, u64)] = &[
+pub fn ablation_backoff() -> Table {
+    let mut t = Table::new(
+        "Ablation — reconnect backoff under a 300 ms master outage (SKV, 2 slaves)",
+        vec![
+            Column::left("profile", 12),
+            Column::new("base", 8),
+            Column::new("cap", 8),
+            Column::new("attempts", 9),
+            Column::new("retry", 9),
+            Column::num("kops/s", 8, 1),
+            Column::new("errors", 7),
+            Column::new("srv rc", 8),
+            Column::new("cli rc", 8),
+            Column::new("dialfail", 8),
+        ],
+    );
+    let profiles: [(&str, u64, u64, u32, u64); 3] = [
         ("aggressive", 2, 40, 16, 50),
         ("default", 10, 640, 8, 250),
         ("lazy", 100, 2_000, 3, 800),
     ];
-    profiles
-        .iter()
-        .enumerate()
-        .map(
-            |(i, &(label, base_ms, max_delay_ms, max_attempts, client_retry_ms))| {
-                let mut s = spec(Mode::Skv, 2, 4, 33_000 + i as u64);
-                s.cfg.reconnect_base = SimDuration::from_millis(base_ms);
-                s.cfg.reconnect_max_delay = SimDuration::from_millis(max_delay_ms);
-                s.cfg.reconnect_max_attempts = max_attempts;
-                s.cfg.client_retry_timeout = SimDuration::from_millis(client_retry_ms);
-                let mut cluster = Cluster::build(s);
-                cluster.schedule_master_crash(SimTime::from_millis(800));
-                cluster.schedule_master_recover(SimTime::from_millis(1_100));
-                let report = cluster.run();
-                let snap = cluster.counters_snapshot();
-                BackoffRow {
-                    label,
-                    base_ms,
-                    max_delay_ms,
-                    max_attempts,
-                    client_retry_ms,
-                    kops: report.throughput_kops,
-                    errors: report.errors,
-                    server_reconnects: snap.get("server.stat_reconnects"),
-                    client_reconnects: snap.get("client.stat_reconnects"),
-                    client_dial_failures: snap.get("client.stat_dial_failures"),
-                }
-            },
-        )
-        .collect()
-}
-
-/// Print the reconnect-backoff ablation.
-pub fn print_backoff(rows: &[BackoffRow]) {
-    println!("Ablation — reconnect backoff under a 300 ms master outage (SKV, 2 slaves)");
-    println!(
-        "{:<12} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>8} {:>8} {:>8}",
-        "profile",
-        "base",
-        "cap",
-        "attempts",
-        "retry",
-        "kops/s",
-        "errors",
-        "srv rc",
-        "cli rc",
-        "dialfail"
-    );
-    for r in rows {
-        println!(
-            "{:<12} {:>7}m {:>7}m {:>9} {:>8}m {:>8.1} {:>7} {:>8} {:>8} {:>8}",
-            r.label,
-            r.base_ms,
-            r.max_delay_ms,
-            r.max_attempts,
-            r.client_retry_ms,
-            r.kops,
-            r.errors,
-            r.server_reconnects,
-            r.client_reconnects,
-            r.client_dial_failures
-        );
+    for (i, (label, base_ms, max_delay_ms, max_attempts, client_retry_ms)) in
+        profiles.into_iter().enumerate()
+    {
+        let mut s = spec(Mode::Skv, 2, 4, 33_000 + i as u64);
+        s.cfg.reconnect_base = SimDuration::from_millis(base_ms);
+        s.cfg.reconnect_max_delay = SimDuration::from_millis(max_delay_ms);
+        s.cfg.reconnect_max_attempts = max_attempts;
+        s.cfg.client_retry_timeout = SimDuration::from_millis(client_retry_ms);
+        let mut cluster = Cluster::build(s);
+        cluster.schedule_master_crash(SimTime::from_millis(800));
+        cluster.schedule_master_recover(SimTime::from_millis(1_100));
+        let report = cluster.run();
+        let snap = cluster.counters_snapshot();
+        t.row(cells![
+            label,
+            format!("{base_ms}m"),
+            format!("{max_delay_ms}m"),
+            max_attempts,
+            format!("{client_retry_ms}m"),
+            report.throughput_kops,
+            report.errors,
+            snap.get("server.stat_reconnects"),
+            snap.get("client.stat_reconnects"),
+            snap.get("client.stat_dial_failures"),
+        ]);
     }
+    t
 }
 
 // ===========================================================================
 // CQ poll budget
 // ===========================================================================
 
-/// One `cq_poll_budget` setting.
-#[derive(Debug, Clone)]
-pub struct CqBudgetRow {
-    /// Maximum WCs drained per `CqNotify` (see `skv_core::cqdrain`).
-    pub budget: usize,
-    /// Client throughput (kops/s).
-    pub kops: f64,
-    /// p99 latency (µs).
-    pub p99_us: f64,
-    /// Work completions polled across the testbed.
-    pub wcs_polled: u64,
-}
-
-/// Sweep the budgeted-drain size with pipelined clients: tiny budgets pay
-/// a `cq_poll_cpu` call per few completions (throughput sags), huge ones
+/// Sweep the budgeted-drain size (maximum WCs drained per `CqNotify`, see
+/// `skv_core::cqdrain`) with pipelined clients: tiny budgets pay a
+/// `cq_poll_cpu` call per few completions (throughput sags), huge ones
 /// approach the old unbounded drain. The default (64) sits on the flat
 /// part of the curve.
-pub fn ablation_cq_budget() -> Vec<CqBudgetRow> {
-    [2usize, 8, 32, 64, 256]
-        .iter()
-        .map(|&budget| {
-            let mut s = spec(Mode::Skv, 3, 8, 32_000 + budget as u64);
-            s.pipeline = 4;
-            s.cfg.cq_poll_budget = budget;
-            let mut cluster = Cluster::build(s);
-            let report = cluster.run();
-            CqBudgetRow {
-                budget,
-                kops: report.throughput_kops,
-                p99_us: report.p99_latency_us,
-                wcs_polled: cluster.net.counters().get("rdma.wcs_polled"),
-            }
-        })
-        .collect()
-}
-
-/// Print the CQ-poll-budget ablation.
-pub fn print_cq_budget(rows: &[CqBudgetRow]) {
-    println!("Ablation — CQ drain budget (SKV, 3 slaves, 8 clients, P=4)");
-    println!(
-        "{:>8} {:>10} {:>10} {:>12}",
-        "budget", "kops/s", "p99(us)", "wcs polled"
+pub fn ablation_cq_budget() -> Table {
+    let mut t = Table::new(
+        "Ablation — CQ drain budget (SKV, 3 slaves, 8 clients, P=4)",
+        vec![
+            Column::new("budget", 8),
+            Column::num("kops/s", 10, 1),
+            Column::num("p99(us)", 10, 1),
+            Column::new("wcs polled", 12),
+        ],
     );
-    for r in rows {
-        println!(
-            "{:>8} {:>10.1} {:>10.1} {:>12}",
-            r.budget, r.kops, r.p99_us, r.wcs_polled
-        );
+    for budget in [2usize, 8, 32, 64, 256] {
+        let mut s = spec(Mode::Skv, 3, 8, 32_000 + budget as u64);
+        s.pipeline = 4;
+        s.cfg.cq_poll_budget = budget;
+        let mut cluster = Cluster::build(s);
+        let report = cluster.run();
+        t.row(cells![
+            budget,
+            report.throughput_kops,
+            report.p99_latency_us,
+            cluster.net.counters().get("rdma.wcs_polled"),
+        ]);
     }
+    t
 }
 
 // ===========================================================================
 // keyspace sharding (extension: hash-slot multi-core master engine)
 // ===========================================================================
 
-/// One shard-count (or MSET batch-width) setting.
-#[derive(Debug, Clone)]
-pub struct ShardRow {
-    /// Master/slave shard count (`ClusterConfig::num_shards`).
-    pub shards: usize,
-    /// Client pipeline depth used to saturate the shard cores.
-    pub pipeline_depth: usize,
-    /// Keys per MSET write batch (0 = plain SET workload).
-    pub mset_keys: usize,
-    /// Client-visible throughput (kops/s).
-    pub kops: f64,
-    /// Client-visible p99 latency (µs).
-    pub p99_us: f64,
-    /// Cross-shard fragment handoffs (`shard.cross_msgs`, all servers).
-    pub cross_msgs: u64,
-    /// Deepest slave parse→apply ring occupancy (`shard.queue_depth`).
-    pub queue_depth: u64,
-}
-
 /// Sweep the shard count 1→8 under a pipelined GET/SET workload (the
 /// scaling curve the tentpole buys), then hold 4 shards and widen the
 /// MSET batch (the cross-shard tax those wins are paid from). Pure
-/// GET/SET never crosses shards — `cross_msgs` stays 0 on those rows —
-/// while every batched row pays hop costs on the split writes.
-pub fn ablation_shards() -> Vec<ShardRow> {
-    let mut rows = Vec::new();
+/// GET/SET never crosses shards — `cross_msgs` (fragment handoffs, all
+/// servers) stays 0 on those rows — while every batched row pays hop
+/// costs on the split writes. `queue_depth` is the deepest slave
+/// parse→apply ring occupancy.
+pub fn ablation_shards() -> Table {
+    const PIPELINE: usize = 8;
+    let mut t = Table::new(
+        "Ablation — keyspace shards (SKV, 2 slaves, 8 clients, P=8, 50% SET)",
+        vec![
+            Column::new("shards", 7),
+            Column::new("P", 9),
+            Column::new("mset_keys", 10),
+            Column::num("kops/s", 10, 1),
+            Column::num("p99(us)", 10, 1),
+            Column::new("cross_msgs", 11),
+            Column::new("queue_depth", 11),
+        ],
+    );
     let mut arm = |shards: usize, mset_keys: usize, seed: u64| {
         let mut s = spec(Mode::Skv, 2, 8, seed);
         s.cfg.num_shards = shards;
-        s.pipeline = 8;
+        s.pipeline = PIPELINE;
         s.set_ratio = 0.5;
         s.mset_keys = mset_keys;
         s.key_space = 10_000;
         let mut cluster = Cluster::build(s);
         let report = cluster.run();
         let counters = cluster.counters_snapshot();
-        rows.push(ShardRow {
+        t.row(cells![
             shards,
-            pipeline_depth: 8,
+            PIPELINE,
             mset_keys,
-            kops: report.throughput_kops,
-            p99_us: report.p99_latency_us,
-            cross_msgs: counters.get("shard.cross_msgs"),
-            queue_depth: counters.get("shard.queue_depth"),
-        });
+            report.throughput_kops,
+            report.p99_latency_us,
+            counters.get("shard.cross_msgs"),
+            counters.get("shard.queue_depth"),
+        ]);
     };
-    for (i, &shards) in [1usize, 2, 4, 8].iter().enumerate() {
+    for (i, shards) in [1usize, 2, 4, 8].into_iter().enumerate() {
         arm(shards, 0, 34_000 + i as u64);
     }
-    for (i, &mset) in [2usize, 4].iter().enumerate() {
+    for (i, mset) in [2usize, 4].into_iter().enumerate() {
         arm(4, mset, 35_000 + i as u64);
     }
-    rows
-}
-
-/// Print the sharding ablation.
-pub fn print_shards(rows: &[ShardRow]) {
-    println!("Ablation — keyspace shards (SKV, 2 slaves, 8 clients, P=8, 50% SET)");
-    println!(
-        "{:>7} {:>9} {:>10} {:>10} {:>10} {:>11} {:>11}",
-        "shards", "P", "mset_keys", "kops/s", "p99(us)", "cross_msgs", "queue_depth"
-    );
-    for r in rows {
-        println!(
-            "{:>7} {:>9} {:>10} {:>10.1} {:>10.1} {:>11} {:>11}",
-            r.shards, r.pipeline_depth, r.mset_keys, r.kops, r.p99_us, r.cross_msgs, r.queue_depth
-        );
-    }
+    t
 }
 
 // ===========================================================================
 // hot-key cache (extension: SoC-resident GET cache + admission policies)
 // ===========================================================================
-
-/// One hot-cache setting under a Zipf-skewed, read-heavy workload.
-#[derive(Debug, Clone)]
-pub struct HotCacheRow {
-    /// Admission policy label (`ClusterConfig::hot_cache_policy`), or
-    /// `"off"` for the cache-disabled baseline.
-    pub policy: String,
-    /// Zipf skew of the client key stream (`RunSpec::zipf_theta`).
-    pub theta: f64,
-    /// Cache budget in KiB (`ClusterConfig::hot_cache_bytes`); 0 = off.
-    pub cache_kib: usize,
-    /// Hot-set rotation period in key draws (`RunSpec::zipf_shift_every`).
-    pub shift_every: u64,
-    /// Client-visible throughput (kops/s).
-    pub kops: f64,
-    /// Client-visible p99 latency (µs).
-    pub p99_us: f64,
-    /// GETs served from SoC memory (`cache.hits`).
-    pub hits: u64,
-    /// GETs forwarded to the host (`cache.misses`).
-    pub misses: u64,
-    /// Admissions, evictions, stream-driven invalidations.
-    pub admits: u64,
-    /// Entries evicted under the byte budget.
-    pub evicts: u64,
-    /// Entries dropped/refreshed off the replication stream.
-    pub invalidations: u64,
-    /// Resident cache bytes at run end.
-    pub bytes: u64,
-}
-
-impl HotCacheRow {
-    /// Hit fraction over all front-end GET lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
 
 /// Sweep the SoC hot-key cache under a read-heavy (5% SET) Zipf-skewed
 /// stream: policy (LRU vs TinyLFU admission) × skew theta × byte budget,
@@ -1178,42 +771,58 @@ impl HotCacheRow {
 /// host core stops being the GET bottleneck. The last arm rotates the
 /// hot set mid-run (`zipf_shift_every`) to price re-warming: admissions
 /// and evictions churn while the steady-state arms sit at a full,
-/// quiet cache.
-pub fn ablation_hotcache() -> Vec<HotCacheRow> {
-    let mut rows = Vec::new();
-    let mut arm =
-        |policy: &str, theta: f64, cache_kib: usize, shift_every: u64, seed: u64| {
-            let mut s = spec(Mode::Skv, 2, 8, seed);
-            s.pipeline = 4;
-            s.set_ratio = 0.05;
-            s.key_space = 10_000;
-            s.value_size = 64;
-            s.zipf_theta = theta;
-            s.zipf_shift_every = shift_every;
-            s.cfg.hot_cache_bytes = cache_kib << 10;
-            s.cfg.hot_cache_policy = policy.to_string();
-            let mut cluster = Cluster::build(s);
-            let report = cluster.run();
-            let counters = cluster.counters_snapshot();
-            rows.push(HotCacheRow {
-                policy: if cache_kib == 0 {
-                    "off".to_string()
-                } else {
-                    policy.to_string()
-                },
-                theta,
-                cache_kib,
-                shift_every,
-                kops: report.throughput_kops,
-                p99_us: report.p99_latency_us,
-                hits: counters.get("cache.hits"),
-                misses: counters.get("cache.misses"),
-                admits: counters.get("cache.admits"),
-                evicts: counters.get("cache.evicts"),
-                invalidations: counters.get("cache.invalidations"),
-                bytes: counters.get("cache.bytes"),
-            });
-        };
+/// quiet cache. `hits` are GETs served from SoC memory, `misses` the ones
+/// forwarded to the host, `invals` entries dropped or refreshed off the
+/// replication stream, `bytes` what is resident at run end.
+pub fn ablation_hotcache() -> Table {
+    let mut t = Table::new(
+        "Ablation — SoC hot-key GET cache (SKV, 2 slaves, 8 clients, P=4, 5% SET)",
+        vec![
+            Column::new("policy", 8),
+            Column::num("theta", 6, 2),
+            Column::new("KiB", 7),
+            Column::new("shift", 7),
+            Column::num("kops/s", 9, 1),
+            Column::num("p99(us)", 8, 1),
+            Column::new("hits", 9),
+            Column::new("misses", 9),
+            Column::num("hit%", 6, 1),
+            Column::new("admits", 8),
+            Column::new("evicts", 8),
+            Column::new("invals", 7),
+            Column::new("bytes", 9),
+        ],
+    );
+    let mut arm = |policy: &str, theta: f64, cache_kib: usize, shift_every: u64, seed: u64| {
+        let mut s = spec(Mode::Skv, 2, 8, seed);
+        s.pipeline = 4;
+        s.set_ratio = 0.05;
+        s.key_space = 10_000;
+        s.value_size = 64;
+        s.zipf_theta = theta;
+        s.zipf_shift_every = shift_every;
+        s.cfg.hot_cache_bytes = cache_kib << 10;
+        s.cfg.hot_cache_policy = policy.to_string();
+        let mut cluster = Cluster::build(s);
+        let report = cluster.run();
+        let counters = cluster.counters_snapshot();
+        let (hits, misses) = (counters.get("cache.hits"), counters.get("cache.misses"));
+        t.row(cells![
+            if cache_kib == 0 { "off" } else { policy },
+            theta,
+            cache_kib,
+            shift_every,
+            report.throughput_kops,
+            report.p99_latency_us,
+            hits,
+            misses,
+            ratio(hits, hits + misses) * 100.0,
+            counters.get("cache.admits"),
+            counters.get("cache.evicts"),
+            counters.get("cache.invalidations"),
+            counters.get("cache.bytes"),
+        ]);
+    };
     // Cache-off baseline on the exact headline workload.
     arm("lru", 0.99, 0, 0, 36_000);
     // Policy × budget at the headline skew.
@@ -1226,33 +835,5 @@ pub fn ablation_hotcache() -> Vec<HotCacheRow> {
     arm("lru", 0.0, 1024, 0, 36_006);
     // Shifting hot set: rotate every 50k key draws.
     arm("lru", 0.99, 1024, 50_000, 36_007);
-    rows
-}
-
-/// Print the hot-key cache ablation.
-pub fn print_hotcache(rows: &[HotCacheRow]) {
-    println!("Ablation — SoC hot-key GET cache (SKV, 2 slaves, 8 clients, P=4, 5% SET)");
-    println!(
-        "{:>8} {:>6} {:>7} {:>7} {:>9} {:>8} {:>9} {:>9} {:>6} {:>8} {:>8} {:>7} {:>9}",
-        "policy", "theta", "KiB", "shift", "kops/s", "p99(us)", "hits", "misses", "hit%", "admits",
-        "evicts", "invals", "bytes"
-    );
-    for r in rows {
-        println!(
-            "{:>8} {:>6.2} {:>7} {:>7} {:>9.1} {:>8.1} {:>9} {:>9} {:>6.1} {:>8} {:>8} {:>7} {:>9}",
-            r.policy,
-            r.theta,
-            r.cache_kib,
-            r.shift_every,
-            r.kops,
-            r.p99_us,
-            r.hits,
-            r.misses,
-            r.hit_rate() * 100.0,
-            r.admits,
-            r.evicts,
-            r.invalidations,
-            r.bytes
-        );
-    }
+    t
 }

@@ -1,78 +1,21 @@
 //! CLI driver: regenerate any (or all) of the paper's figures.
 //!
-//! Usage: `experiments [fig3|fig7|...|fig14|niccrash|threadnum|...|probeloss|all]...`
+//! Usage: `experiments [NAME...]` with the names of `skv_bench::REGISTRY`,
+//! or `all` / no argument for every one of them in registry order.
 
-use skv_bench::ablations as abl;
-use skv_bench::experiments as exp;
+use std::process::ExitCode;
 
-fn run(which: &str) {
-    match which {
-        "fig3" => exp::print_fig03(&exp::fig03_rdma_write_latency()),
-        "fig7" => exp::print_fig07(&exp::fig07_slave_degradation()),
-        "fig10" => exp::print_fig10(&exp::fig10_redis_vs_rdma(&[1, 2, 4, 8, 16, 24, 32])),
-        "fig11" => exp::print_vs(
-            "Figure 11 — SET, 1 master + 3 slaves (SKV vs RDMA-Redis)",
-            &exp::fig11_set_offload(),
-        ),
-        "fig12" => exp::print_fig12(&exp::fig12_value_size(&[64, 256, 1024, 4096, 16384])),
-        "fig13" => exp::print_vs(
-            "Figure 13 — GET, 1 master + 3 slaves (SKV vs RDMA-Redis)",
-            &exp::fig13_get_parity(),
-        ),
-        "fig14" => exp::print_fig14(&exp::fig14_availability()),
-        "niccrash" => exp::print_nic_crash(&exp::nic_crash_timeline()),
-        "threadnum" => abl::print_threadnum(&abl::ablation_threadnum()),
-        "nicstore" => abl::print_nic_datastore(&abl::ablation_nic_datastore()),
-        "wrcost" => abl::print_wr_cost(&abl::ablation_wr_cost()),
-        "wrbatch" => abl::print_wr_batching(&abl::ablation_wr_batching()),
-        "cqmod" => abl::print_cq_moderation(&abl::ablation_cq_moderation()),
-        "cqbudget" => abl::print_cq_budget(&abl::ablation_cq_budget()),
-        "netcal" => abl::print_netcal(&abl::ablation_netcal()),
-        "backoff" => abl::print_backoff(&abl::ablation_backoff()),
-        "replmode" => abl::print_replmode(&abl::ablation_replmode()),
-        "slavecount" => abl::print_slave_count(&abl::ablation_slave_count()),
-        "failparams" => abl::print_failure_params(&abl::ablation_failure_params()),
-        "probeloss" => abl::print_probe_loss(&abl::ablation_probe_loss()),
-        "pipeline" => abl::print_pipeline(&abl::ablation_pipeline()),
-        "shards" => abl::print_shards(&abl::ablation_shards()),
-        "hotcache" => abl::print_hotcache(&abl::ablation_hotcache()),
-        other => eprintln!("unknown experiment {other:?}"),
-    }
-    println!();
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let list: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "fig3",
-            "fig7",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "niccrash",
-            "threadnum",
-            "nicstore",
-            "wrcost",
-            "wrbatch",
-            "cqmod",
-            "cqbudget",
-            "netcal",
-            "backoff",
-            "replmode",
-            "slavecount",
-            "failparams",
-            "probeloss",
-            "pipeline",
-            "shards",
-            "hotcache",
-        ]
-    } else {
-        args.iter().map(String::as_str).collect()
+fn main() -> ExitCode {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let arms = match skv_bench::select(&names) {
+        Ok(arms) => arms,
+        Err(why) => {
+            eprintln!("{why}");
+            return ExitCode::from(2);
+        }
     };
-    for which in list {
-        run(which);
+    for (_, run) in arms {
+        println!("{}", run());
     }
+    ExitCode::SUCCESS
 }

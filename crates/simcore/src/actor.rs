@@ -60,7 +60,7 @@ pub trait Actor: Any {
     /// Called for every message delivered to this actor.
     fn on_message(&mut self, ctx: &mut Context<'_>, from: ActorId, msg: Payload);
 
-    /// Human-readable name used in traces.
+    /// Human-readable name.
     fn name(&self) -> &str {
         "actor"
     }
@@ -87,7 +87,6 @@ pub struct Context<'a> {
     pub(crate) queue: &'a mut EventQueue,
     pub(crate) rng: &'a mut DetRng,
     pub(crate) halt: &'a mut bool,
-    pub(crate) trace: &'a mut crate::trace::Trace,
 }
 
 impl Context<'_> {
@@ -145,13 +144,6 @@ impl Context<'_> {
     /// Request that the simulation stop after the current event.
     pub fn halt(&mut self) {
         *self.halt = true;
-    }
-
-    /// Record a trace line (no-op unless tracing is enabled).
-    pub fn trace(&mut self, text: impl FnOnce() -> String) {
-        let now = self.now;
-        let id = self.self_id;
-        self.trace.record(now, id, text);
     }
 }
 

@@ -12,7 +12,6 @@ use crate::actor::{Actor, ActorId, Context};
 use crate::event::{EventQueue, Payload};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 
 /// Outcome of a [`Simulation::run_until`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +33,6 @@ pub struct Simulation {
     now: SimTime,
     rng: DetRng,
     halt: bool,
-    trace: Trace,
     events_processed: u64,
     /// Safety valve against runaway event loops; `u64::MAX` by default.
     event_budget: u64,
@@ -49,20 +47,9 @@ impl Simulation {
             now: SimTime::ZERO,
             rng: DetRng::new(seed),
             halt: false,
-            trace: Trace::disabled(),
             events_processed: 0,
             event_budget: u64::MAX,
         }
-    }
-
-    /// Enable tracing with the given record capacity.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::enabled(capacity);
-    }
-
-    /// Access captured trace records.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Cap the total number of events this simulation may process.
@@ -85,7 +72,6 @@ impl Simulation {
                 queue: &mut self.queue,
                 rng: &mut self.rng,
                 halt: &mut self.halt,
-                trace: &mut self.trace,
             };
             actor.on_start(&mut ctx);
         }
@@ -187,7 +173,6 @@ impl Simulation {
                 queue: &mut self.queue,
                 rng: &mut self.rng,
                 halt: &mut self.halt,
-                trace: &mut self.trace,
             };
             actor.on_message(&mut ctx, from, payload);
         }

@@ -54,7 +54,6 @@ pub mod pool;
 mod rng;
 pub mod stats;
 mod time;
-mod trace;
 
 pub use actor::{Actor, ActorId, Context, FnActor};
 pub use cpu::{CorePool, WorkDone};
@@ -64,4 +63,3 @@ pub use frame::Frame;
 pub use pool::FramePool;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceRecord};

@@ -20,16 +20,12 @@ fn main() {
     } else {
         sizes
     };
-    let rows = experiments::fig12_value_size(&sizes);
-    experiments::print_fig12(&rows);
+    let table = experiments::fig12_value_size(&sizes);
+    print!("{table}");
 
     // SKV must win at every size (the paper's claim for Figure 12).
-    for r in &rows {
-        assert!(
-            r.skv.throughput_kops > r.baseline.throughput_kops,
-            "SKV should beat RDMA-Redis at {} bytes",
-            r.value_size
-        );
+    for (size, gain) in sizes.iter().zip(table.column("gain%")) {
+        assert!(gain > 0.0, "SKV should beat RDMA-Redis at {size} bytes");
     }
     println!("\nSKV outperformed RDMA-Redis at every value size");
 }

@@ -54,11 +54,4 @@ echo "==> benchmark smoke (benchmark/ builds against the crate APIs and runs cle
 # pipeline.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
 
-echo "==> bench smoke (non-gating)"
-# A seconds-scale pass over the wall-clock suite; regressions are judged
-# from BENCH_results.json trends, not pass/fail, so failure only warns.
-if ! SKV_BENCH_SMOKE=1 SKV_BENCH_OUT=target/BENCH_smoke.json scripts/bench.sh; then
-  echo "WARN: bench smoke failed (non-gating)"
-fi
-
 echo "OK"
