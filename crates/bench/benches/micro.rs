@@ -1,5 +1,5 @@
 //! Criterion isolates of the functions no `benchmark/` layer replay times:
-//! the event queue's three shapes, core-pool scheduling, the `Dict` and
+//! the event queue's two shapes, core-pool scheduling, the `Dict` and
 //! `SkipList` primitives, the keyed hash and single-segment TCP reassembly.
 //!
 //! Ungated on purpose. Run-to-run medians of these arms move ±20–50 % on a
@@ -38,7 +38,7 @@ fn event_loop(c: &mut Criterion) {
     const EVENTS: u64 = 100_000;
     let mut g = c.benchmark_group("event_loop");
     g.throughput(Throughput::Elements(EVENTS));
-    // One pending event at a time: the floor the other two are read against.
+    // One pending event at a time: the floor the other is read against.
     g.bench_function("timer-chain", |b| {
         b.iter(|| {
             let mut sim = Simulation::new(7);
@@ -64,25 +64,6 @@ fn event_loop(c: &mut Criterion) {
                 left -= K.min(left);
             })));
             sim.schedule(SimTime::ZERO, actor, ());
-            sim.run_to_completion();
-            assert_eq!(sim.events_processed(), EVENTS);
-            sim.now()
-        });
-    });
-    // The timer chain again, under 8 192 timers parked beyond its end — a
-    // backlogged NIC core's completion timers. Every push and pop of the
-    // chain sifts through the 13 heap levels they occupy: the price of a
-    // deep queue, which the same-instant lane does not touch.
-    g.bench_function("deep-backlog", |b| {
-        const PARKED: u64 = 8_192;
-        b.iter(|| {
-            let mut sim = Simulation::new(7);
-            let actor = timer_chain(&mut sim);
-            let horizon = SimTime::from_nanos(100 * EVENTS);
-            for i in 0..PARKED {
-                sim.schedule(horizon + SimDuration::from_nanos(i), actor, 0u64);
-            }
-            sim.schedule(SimTime::ZERO, actor, EVENTS - PARKED - 1);
             sim.run_to_completion();
             assert_eq!(sim.events_processed(), EVENTS);
             sim.now()

@@ -59,11 +59,7 @@ pub fn ablation_threadnum() -> Table {
         let mut cluster = Cluster::build(s);
         let report = cluster.run();
         let now = cluster.sim.now();
-        let master_offset = cluster.master_server().repl_offset();
-        let max_lag_bytes = (0..cluster.slaves.len())
-            .map(|i| master_offset.saturating_sub(cluster.slave_server(i).repl_offset()))
-            .max()
-            .unwrap_or(0);
+        let max_lag_bytes = cluster.max_replication_lag();
         let nic_utilization = cluster.nic_kv().map_or(0.0, |n| n.mean_utilization(now));
         t.row(cells![
             tn,

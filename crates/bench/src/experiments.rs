@@ -9,7 +9,7 @@ use skv_core::cluster::{run_spec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::cqdrain;
 use skv_core::metrics::RunReport;
-use skv_netsim::{Net, NetEvent, NetParams, SendOp, SendWr, SocketAddr, Topology};
+use skv_netsim::{Net, NetEvent, NetParams, SendWr, SocketAddr, Topology};
 use skv_simcore::{FnActor, SimDuration, SimTime, Simulation};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -106,20 +106,8 @@ fn write_latency(size: usize, to_local_soc: bool, from_remote: bool) -> f64 {
         if let Ok(ev) = msg.downcast::<NetEvent>() {
             if let NetEvent::CmEstablished { qp, .. } = *ev {
                 *s2.borrow_mut() = Some(ctx.now());
-                net2.post_send(
-                    ctx,
-                    qp,
-                    SendWr {
-                        wr_id: 1,
-                        op: SendOp::WriteImm {
-                            remote_mr: dst_mr,
-                            remote_offset: 0,
-                            imm: 0,
-                        },
-                        data: vec![0xAB; size].into(),
-                    },
-                )
-                .unwrap();
+                let wr = SendWr::write_imm(1, dst_mr, 0, 0, vec![0xAB; size]);
+                net2.post_send(ctx, qp, wr).unwrap();
             }
         }
     })));

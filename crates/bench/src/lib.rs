@@ -7,11 +7,15 @@
 //! ```text
 //! cargo run --release -p skv-bench --bin experiments -- all
 //! ```
+//!
+//! `experiments --check NAME…` renders the named arms and compares each
+//! with its block of the committed `experiments_output.txt` ([`golden`]).
 
 #![warn(missing_docs)]
 
 pub mod ablations;
 pub mod experiments;
+pub mod golden;
 pub mod table;
 
 use ablations as abl;
@@ -120,17 +124,13 @@ mod tests {
         }
     }
 
-    /// `experiments_output.txt` is `experiments all`: one block per arm,
-    /// each followed by a blank line. Rendering the cheapest arm (fabric
-    /// only, ≈ 1 s) and comparing it with its block keeps the renderer, the
-    /// registry order and the committed file from drifting apart.
+    /// Rendering the cheapest arm (fabric only, ≈ 1 s) against its block
+    /// keeps the renderer, the registry order and the committed file from
+    /// drifting apart — `experiments --check fig3`, in tier-1.
     #[test]
     fn fig3_renders_the_committed_block() {
         let recorded = include_str!("../../../experiments_output.txt");
-        let blocks: Vec<&str> = recorded.split_terminator("\n\n").collect();
-        assert_eq!(blocks.len(), REGISTRY.len(), "one recorded block per arm");
-        let (name, run) = REGISTRY[0];
-        assert_eq!(name, "fig3");
-        assert_eq!(run().to_string(), format!("{}\n", blocks[0]));
+        assert_eq!(REGISTRY[0].0, "fig3");
+        assert_eq!(golden::check(&REGISTRY[0], recorded), Ok(()));
     }
 }

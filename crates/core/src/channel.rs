@@ -84,6 +84,13 @@ pub struct Channel {
     /// [`Channel::take_flushed_wrs`] so stats count every WR at actual
     /// post time.
     flushed_wrs: u64,
+    /// Whether message WRs ask for their success completion
+    /// (`IBV_SEND_SIGNALED`). `on_wc` reads a send completion only for its
+    /// error status, and errors complete regardless — so an owner that
+    /// reads nothing else from them posts unsignaled
+    /// ([`Channel::unsignaled`]) and is spared the completion event,
+    /// the notify and the poll. The MR-handshake SEND is always signaled.
+    signaled: bool,
 }
 
 impl Channel {
@@ -122,6 +129,7 @@ impl Channel {
             broken: recv_failed,
             pool: None,
             flushed_wrs: 0,
+            signaled: true,
         };
         if !ch.broken {
             ch.send_handshake(net, ctx);
@@ -142,7 +150,18 @@ impl Channel {
             broken: false,
             pool: None,
             flushed_wrs: 0,
+            signaled: true,
         }
+    }
+
+    /// This channel's owner reads no success send-completion: post every
+    /// message WR — sent, staged, or flushed from the handshake queue —
+    /// unsignaled. Error completions still arrive and still break the
+    /// channel.
+    #[must_use]
+    pub fn unsignaled(mut self) -> Channel {
+        self.signaled = false;
+        self
     }
 
     /// Use `pool` for send-side wire frames (TCP framing): the steady-state
@@ -191,18 +210,9 @@ impl Channel {
         {
             if !*handshake_sent {
                 *handshake_sent = true;
-                if net
-                    .post_send(
-                        ctx,
-                        *qp,
-                        SendWr {
-                            wr_id: u64::MAX - 1,
-                            op: SendOp::Send,
-                            data: my_ring.0.to_le_bytes().to_vec().into(),
-                        },
-                    )
-                    .is_err()
-                {
+                let handshake =
+                    SendWr::new(u64::MAX - 1, SendOp::Send, my_ring.0.to_le_bytes().to_vec());
+                if net.post_send(ctx, *qp, handshake).is_err() {
                     self.broken = true;
                 }
             }
@@ -321,18 +331,9 @@ impl Channel {
         let offset = *send_pos;
         *send_pos += payload.len();
         self.sent += 1;
-        Some((
-            *qp,
-            SendWr {
-                wr_id: self.sent,
-                op: SendOp::WriteImm {
-                    remote_mr: ring,
-                    remote_offset: offset,
-                    imm: tag,
-                },
-                data: payload,
-            },
-        ))
+        let mut wr = SendWr::write_imm(self.sent, ring, offset, tag, payload);
+        wr.signaled = self.signaled;
+        Some((*qp, wr))
     }
 
     /// Record a send-side transport failure observed outside the channel —
@@ -386,9 +387,8 @@ impl Channel {
                 // the ring MR (the debug assertion audits that), so taking
                 // the view skips the mr_read copy-out.
                 net.post_recv(*qp, wc.wr_id).ok();
-                debug_assert_eq!(
-                    wc.data,
-                    net.mr_read(*my_ring, wc.mr_offset, wc.byte_len),
+                debug_assert!(
+                    net.mr_holds(*my_ring, wc.mr_offset, &wc.data),
                     "completion payload diverged from ring contents"
                 );
                 self.received += 1;

@@ -654,7 +654,9 @@ impl Actor for BenchClient {
                     return;
                 }
                 self.dial_attempts = 0;
-                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE);
+                // A request's completion is its reply; its send completion
+                // says nothing the client reads.
+                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE).unsignaled();
                 self.conn = Some(self.conns.add(ch, (), None));
                 // First burst; the channel queues until the MR handshake
                 // completes.

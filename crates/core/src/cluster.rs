@@ -734,6 +734,16 @@ impl Cluster {
         self.nic.and_then(|id| self.sim.actor_ref::<NicKv>(id))
     }
 
+    /// How far the slowest slave's replication offset trails the
+    /// master's, in bytes (0 without slaves).
+    pub fn max_replication_lag(&self) -> u64 {
+        let master = self.master_server().repl_offset();
+        (0..self.slaves.len())
+            .map(|i| master.saturating_sub(self.slave_server(i).repl_offset()))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// All keyspace digests (master first), for convergence checks.
     pub fn keyspace_digests(&self) -> Vec<u64> {
         let mut out = vec![self.master_server().keyspace_digest()];

@@ -18,7 +18,12 @@
 //! * **posting** — [`ConnTable::stage`] builds one `WRITE_WITH_IMM` per
 //!   call without ringing a doorbell and [`ConnTable::post`] rings one for
 //!   everything staged ([`Net::post_send_batch`]); a single-entry post is
-//!   exactly a [`Net::post_send`].
+//!   exactly a [`Net::post_send`];
+//! * **signaling** — every send, staged frame and handshake flush asks
+//!   for a send completion or not as its channel says
+//!   ([`Channel::unsignaled`]); [`ConnTable::stage_signaled`] is the
+//!   per-WR exception, for the one WR whose completion *is* information
+//!   (a tracked write's ack).
 //!
 //! The doorbell/WR statistics count staged frames at *post* time: a frame
 //! staged behind an unfinished MR handshake is queued inside the channel
@@ -281,6 +286,18 @@ impl<K> ConnTable<K> {
         Some(key)
     }
 
+    /// [`ConnTable::stage`], but the WR asks for its success completion
+    /// whatever the channel's policy: the caller will read it under the
+    /// returned key. A frame queued behind the handshake (`None`) flushes
+    /// under the channel's policy, like any other.
+    pub fn stage_signaled(&mut self, conn: usize, tag: u32, payload: Frame) -> Option<(QpId, u64)> {
+        let key = self.stage(conn, tag, payload)?;
+        if let Some((_, wr)) = self.wrs.last_mut() {
+            wr.signaled = true;
+        }
+        Some(key)
+    }
+
     /// Post everything staged under one doorbell. Returns the
     /// `(connection, QP, wr_id)` of every WR the fabric rejected (none,
     /// and no allocation, normally); those channels are marked broken and
@@ -367,7 +384,7 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    use skv_netsim::{NetEvent, NetParams, SendOp, SocketAddr, Topology};
+    use skv_netsim::{NetEvent, NetParams, SendOp, SocketAddr, Topology, WcOpcode, WcStatus};
     use skv_simcore::{FnActor, SimDuration, SimTime, Simulation};
 
     use crate::channel::RING_SIZE;
@@ -400,6 +417,22 @@ mod tests {
     /// and one doorbell per post afterwards.
     #[test]
     fn staged_frames_are_counted_when_they_post_not_when_staged() {
+        // A signaled channel: each of the five frames completes back.
+        assert_eq!(stage_across_a_withheld_handshake(false), 5);
+    }
+
+    /// The channel's signaling policy covers every way a frame leaves it —
+    /// including the three the handshake completion flushes from inside
+    /// `Channel::on_wc`, where no caller is around to say: an unsignaled
+    /// channel posts the same five WRs and polls no completion for them.
+    #[test]
+    fn frames_flushed_by_the_handshake_inherit_the_channels_policy() {
+        assert_eq!(stage_across_a_withheld_handshake(true), 0);
+    }
+
+    /// The three-phase script of the two tests above; returns how many
+    /// send-side write completions the owner polled.
+    fn stage_across_a_withheld_handshake(unsignaled: bool) -> u64 {
         let mut sim = Simulation::new(17);
         let mut topo = Topology::new();
         let owner_node = topo.add_host();
@@ -408,7 +441,8 @@ mod tests {
         let owner_addr = SocketAddr::new(owner_node, 7000);
 
         let table: Rc<RefCell<ConnTable<()>>> = Rc::new(RefCell::new(ConnTable::new(None)));
-        let (tb, n) = (table.clone(), net.clone());
+        let write_wcs: Rc<RefCell<u64>> = Rc::default();
+        let (tb, n, polled) = (table.clone(), net.clone(), write_wcs.clone());
         let owner = sim.add_actor(Box::new(FnActor::new(move |ctx, _from, msg| {
             let mut table = tb.borrow_mut();
             let msg = match msg.downcast::<Fanout>() {
@@ -431,13 +465,20 @@ mod tests {
                     n.rdma_accept(ctx, req, cq).expect("fresh CM request");
                 }
                 NetEvent::CmEstablished { qp, .. } => {
-                    let ch = Channel::rdma(&n, ctx, owner_node, qp, RING_SIZE);
+                    let mut ch = Channel::rdma(&n, ctx, owner_node, qp, RING_SIZE);
+                    if unsignaled {
+                        ch = ch.unsignaled();
+                    }
                     table.add(ch, (), None);
                 }
                 NetEvent::CqNotify { cq } => {
                     let mut wcs = table.take_wcs();
                     cqdrain::drain_budgeted(&n, ctx, cq, 64, &mut wcs, |ctx, wc| {
                         let conn = table.conn_of_qp(wc.qp).expect("known QP");
+                        if wc.opcode == WcOpcode::RdmaWrite {
+                            assert_eq!(wc.status, WcStatus::Success);
+                            *polled.borrow_mut() += 1;
+                        }
                         table.on_wc(&n, ctx, conn, &wc);
                     });
                     table.put_wcs(wcs);
@@ -466,16 +507,9 @@ mod tests {
                     // `Channel::rdma` would have at establishment.
                     let qp = pq.borrow().expect("established before release");
                     let mr = n.register_mr(peer_node, RING_SIZE);
-                    n.post_send(
-                        ctx,
-                        qp,
-                        SendWr {
-                            wr_id: u64::MAX - 1,
-                            op: SendOp::Send,
-                            data: mr.0.to_le_bytes().to_vec().into(),
-                        },
-                    )
-                    .expect("handshake post");
+                    let handshake =
+                        SendWr::new(u64::MAX - 1, SendOp::Send, mr.0.to_le_bytes().to_vec());
+                    n.post_send(ctx, qp, handshake).expect("handshake post");
                     return;
                 }
                 Err(msg) => msg,
@@ -548,5 +582,7 @@ mod tests {
         assert_eq!(stats(&table.borrow()), (3 + 2, 3 + 1));
         let (wrs2, dbs2) = fabric_posts(&net);
         assert_eq!((wrs2 - wrs1, dbs2 - dbs1), (2, 1));
+        let polled = *write_wcs.borrow();
+        polled
     }
 }

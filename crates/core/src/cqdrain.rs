@@ -109,7 +109,7 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    use skv_netsim::{Net, NetEvent, NetParams, QpId, SendOp, SendWr, SocketAddr, Topology};
+    use skv_netsim::{Net, NetEvent, NetParams, QpId, SendWr, SocketAddr, Topology};
     use skv_simcore::{CorePool, FnActor, SimTime, Simulation};
 
     /// Periodic heartbeat message for the starvation test.
@@ -211,20 +211,8 @@ mod tests {
                     // The whole burst in one turn: the receiver must not
                     // absorb it in one event either.
                     for i in 0..n_wrs {
-                        n.post_send(
-                            ctx,
-                            qp,
-                            SendWr {
-                                wr_id: i as u64,
-                                op: SendOp::WriteImm {
-                                    remote_mr: mr,
-                                    remote_offset: 0,
-                                    imm: i as u32,
-                                },
-                                data: vec![0u8; 8].into(),
-                            },
-                        )
-                        .unwrap();
+                        let wr = SendWr::write_imm(i as u64, mr, 0, i as u32, vec![0u8; 8]);
+                        n.post_send(ctx, qp, wr).unwrap();
                     }
                 }
                 NetEvent::CqNotify { cq } => {

@@ -812,7 +812,7 @@ impl Actor for HistWriter {
                     return;
                 }
                 self.dial_attempts = 0;
-                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE);
+                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE).unsignaled();
                 self.conn = Some(self.conns.add(ch, (), None));
                 self.issue(ctx);
             }
@@ -1132,7 +1132,7 @@ impl Actor for HistReader {
                 if self.targets[ti].conn.is_some() {
                     return;
                 }
-                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE);
+                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE).unsignaled();
                 self.targets[ti].conn = Some(self.conns.add(ch, ti, None));
             }
             NetEvent::CmConnectFailed { .. } => {

@@ -855,7 +855,8 @@ impl NicKv {
     /// still outstanding queues the frame internally; a rejected WR breaks
     /// only its own channel. For a tracked write (`seq`) each WR is armed
     /// so its send-side completion lands back on the tracker as that
-    /// slave's ack; a frame queued behind the handshake gets no such
+    /// slave's ack — the one completion Nic-KV reads, so the one WR it
+    /// posts signaled; a frame queued behind the handshake gets no such
     /// completion, the slave's cumulative progress acks it instead.
     /// Returns whether the fabric accepted every WR.
     fn post_stream(
@@ -866,15 +867,17 @@ impl NicKv {
         seq: Option<u64>,
     ) -> bool {
         for &conn in conns {
-            let armed = match seq {
-                Some(seq) => match self.addr_of_conn(conn) {
-                    Some(slave) => Some((seq, slave)),
-                    None => continue,
-                },
-                None => None,
+            let Some(seq) = seq else {
+                self.conns.stage(conn, tag::REPL_STREAM, frame.clone());
+                continue;
             };
-            let staged = self.conns.stage(conn, tag::REPL_STREAM, frame.clone());
-            if let (Some(key), Some((seq, slave))) = (staged, armed) {
+            let Some(slave) = self.addr_of_conn(conn) else {
+                continue;
+            };
+            let staged = self
+                .conns
+                .stage_signaled(conn, tag::REPL_STREAM, frame.clone());
+            if let Some(key) = staged {
                 self.tracker.arm(key, seq, slave);
             }
         }
@@ -1185,7 +1188,11 @@ impl Actor for NicKv {
                 let _ = self.net.rdma_accept(ctx, req, cq);
             }
             NetEvent::CmEstablished { qp, .. } if self.conns.conn_of_qp(qp).is_none() => {
-                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE);
+                // The SoC's per-message rate is its scarce resource:
+                // fan-out, forwards, replies and node messages post
+                // unsignaled; only a tracked write's ack asks for its
+                // completion (`post_stream`).
+                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE).unsignaled();
                 self.conns.add(ch, (), None);
             }
             NetEvent::CqNotify { cq } => {

@@ -15,9 +15,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use skv_simcore::stats::Counters;
-use skv_simcore::{
-    Actor, ActorId, Context, DetRng, Frame, Payload, SimDuration, SimTime, Simulation,
-};
+use skv_simcore::{Actor, ActorId, Context, DetRng, Payload, SimDuration, SimTime, Simulation};
 
 use crate::counters::{FabricCounters, Slot};
 use crate::det::DetMap;
@@ -91,9 +89,7 @@ pub(crate) enum FabricMsg {
     RdmaArrive {
         src_qp: QpId,
         dst_qp: QpId,
-        op: SendOp,
-        data: Frame,
-        wr_id: u64,
+        wr: SendWr,
         /// One-way path latency (for scheduling the sender's ack/completion).
         path_latency: SimDuration,
     },
@@ -349,21 +345,10 @@ impl Actor for FabricActor {
             FabricMsg::RdmaArrive {
                 src_qp,
                 dst_qp,
-                op,
-                data,
-                wr_id,
+                wr,
                 path_latency,
             } => {
-                crate::rdma::handle_arrival(
-                    &mut net,
-                    ctx,
-                    src_qp,
-                    dst_qp,
-                    op,
-                    data,
-                    wr_id,
-                    path_latency,
-                );
+                crate::rdma::handle_arrival(&mut net, ctx, src_qp, dst_qp, wr, path_latency);
             }
             FabricMsg::PushWc { cq, wc } => {
                 net.push_wc(ctx, cq, wc);

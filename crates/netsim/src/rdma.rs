@@ -20,6 +20,15 @@
 //! tears the QP down and re-establishes the connection. Nothing is ever
 //! silently lost without a send-side signal.
 //!
+//! **Selective signaling** (`IBV_SEND_SIGNALED`, [`SendWr::signaled`]): a
+//! WRITE / WRITE_WITH_IMM / SEND posted unsignaled produces no send-side
+//! completion when it *succeeds* — no event, no notify, no poll cost for
+//! the poster — and completes exactly like a signaled one when it does
+//! not, so the paragraph above holds for every WR. READ always completes.
+//! The fabric models no send-queue depth, so there are no WQE slots for a
+//! periodic signaled WR to reclaim: posters signal exactly the WRs whose
+//! success they read.
+//!
 //! One divergence from hardware, chosen deliberately: `req_notify_cq` fires
 //! immediately when completions are already queued, removing the classic
 //! poll/arm race without requiring apps to re-poll.
@@ -122,6 +131,18 @@ impl Net {
             panic!("MR read out of bounds: {}+{} > {}", offset, len, buf.len());
         };
         view.to_vec()
+    }
+
+    /// Whether the region holds exactly `data` at `offset` (false when
+    /// the range is out of bounds): [`Net::mr_read`]'s comparison without
+    /// the copy-out, for audits on a per-message path.
+    pub fn mr_holds(&self, mr: MrId, offset: usize, data: &[u8]) -> bool {
+        let inner = self.inner.borrow();
+        let buf = &inner.mrs[mr.0 as usize].buf;
+        let held = offset
+            .checked_add(data.len())
+            .and_then(|end| buf.get(offset..end));
+        held == Some(data)
     }
 
     /// Write bytes into a local memory region.
@@ -508,8 +529,6 @@ fn post_one(
             inner.counters.inc(Slot::FaultsRdmaDropped);
             inner.counters.inc(Slot::RdmaQpErrors);
             inner.qps[qp.0 as usize].error = true;
-            let cq = inner.qps[qp.0 as usize].cq;
-            let fabric = inner.fabric_actor;
             let wc = Wc {
                 wr_id: wr.wr_id,
                 opcode: sender_opcode(&wr.op),
@@ -520,11 +539,7 @@ fn post_one(
                 mr_offset: 0,
                 data: Frame::new(),
             };
-            ctx.send_in(
-                inner.params.rc_retry_latency,
-                fabric,
-                FabricMsg::PushWc { cq, wc },
-            );
+            push_sender_wc(inner, ctx, inner.params.rc_retry_latency, wr.signaled, wc);
             return Ok(());
         }
         Verdict::Delay(d) => {
@@ -541,9 +556,7 @@ fn post_one(
         FabricMsg::RdmaArrive {
             src_qp: qp,
             dst_qp: peer_qp,
-            op: wr.op,
-            data: wr.data,
-            wr_id: wr.wr_id,
+            wr,
             path_latency: lat,
         },
     );
@@ -551,19 +564,20 @@ fn post_one(
 }
 
 /// Apply an RDMA arrival at the destination NIC (fabric-actor context).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_arrival(
     net: &mut NetInner,
     ctx: &mut Context<'_>,
     src_qp: QpId,
     dst_qp: QpId,
-    op: SendOp,
-    data: Frame,
-    wr_id: u64,
+    wr: SendWr,
     path_latency: SimDuration,
 ) {
-    let fabric = net.fabric_actor;
-    let sender_cq = net.qps[src_qp.0 as usize].cq;
+    let SendWr {
+        wr_id,
+        op,
+        data,
+        signaled,
+    } = wr;
     let dst_open = net.qps[dst_qp.0 as usize].open;
     let dst_err = net.qps[dst_qp.0 as usize].error;
     let dst_node = net.qps[dst_qp.0 as usize].node;
@@ -571,6 +585,17 @@ pub(crate) fn handle_arrival(
 
     let opcode = sender_opcode(&op);
     let byte_len = data.len();
+    // The sender's completion for this WR, visible one ACK-hop later.
+    let sender_wc = |status| Wc {
+        wr_id,
+        opcode,
+        status,
+        qp: src_qp,
+        byte_len,
+        imm: 0,
+        mr_offset: 0,
+        data: Frame::new(),
+    };
 
     // A destination that is gone (crashed node, torn-down or errored QP)
     // NAKs the sender into retry exhaustion: error completion + the
@@ -581,21 +606,8 @@ pub(crate) fn handle_arrival(
             net.counters.inc(Slot::RdmaQpErrors);
             net.qps[src_qp.0 as usize].error = true;
         }
-        let wc = Wc {
-            wr_id,
-            opcode,
-            status: WcStatus::RemoteUnreachable,
-            qp: src_qp,
-            byte_len,
-            imm: 0,
-            mr_offset: 0,
-            data: Frame::new(),
-        };
-        ctx.send_in(
-            path_latency,
-            fabric,
-            FabricMsg::PushWc { cq: sender_cq, wc },
-        );
+        let wc = sender_wc(WcStatus::RemoteUnreachable);
+        push_sender_wc(net, ctx, path_latency, signaled, wc);
         return;
     }
 
@@ -618,17 +630,8 @@ pub(crate) fn handle_arrival(
                 data,
             };
             net.push_wc(ctx, dst_cq, wc);
-            push_sender_wc(
-                net,
-                ctx,
-                sender_cq,
-                src_qp,
-                wr_id,
-                opcode,
-                byte_len,
-                path_latency,
-                WcStatus::Success,
-            );
+            let wc = sender_wc(WcStatus::Success);
+            push_sender_wc(net, ctx, path_latency, signaled, wc);
         }
         SendOp::Write {
             remote_mr,
@@ -639,17 +642,7 @@ pub(crate) fn handle_arrival(
             } else {
                 WcStatus::RemoteAccessError
             };
-            push_sender_wc(
-                net,
-                ctx,
-                sender_cq,
-                src_qp,
-                wr_id,
-                opcode,
-                byte_len,
-                path_latency,
-                status,
-            );
+            push_sender_wc(net, ctx, path_latency, signaled, sender_wc(status));
         }
         SendOp::WriteImm {
             remote_mr,
@@ -659,17 +652,8 @@ pub(crate) fn handle_arrival(
             if !write_mr(net, dst_node, remote_mr, remote_offset, &data) {
                 // The payload never landed: no receive is consumed and the
                 // receiver sees nothing, exactly like a NAKed verbs WRITE.
-                push_sender_wc(
-                    net,
-                    ctx,
-                    sender_cq,
-                    src_qp,
-                    wr_id,
-                    opcode,
-                    byte_len,
-                    path_latency,
-                    WcStatus::RemoteAccessError,
-                );
+                let wc = sender_wc(WcStatus::RemoteAccessError);
+                push_sender_wc(net, ctx, path_latency, signaled, wc);
                 return;
             }
             let recv_wr = pop_recv(net, dst_qp);
@@ -692,17 +676,8 @@ pub(crate) fn handle_arrival(
                 data,
             };
             net.push_wc(ctx, dst_cq, wc);
-            push_sender_wc(
-                net,
-                ctx,
-                sender_cq,
-                src_qp,
-                wr_id,
-                opcode,
-                byte_len,
-                path_latency,
-                WcStatus::Success,
-            );
+            let wc = sender_wc(WcStatus::Success);
+            push_sender_wc(net, ctx, path_latency, signaled, wc);
         }
         SendOp::Read {
             remote_mr,
@@ -721,35 +696,23 @@ pub(crate) fn handle_arrival(
             let Some(payload) = payload else {
                 net.counters.inc(Slot::RdmaAccessErrors);
                 let wc = Wc {
-                    wr_id,
-                    opcode: WcOpcode::RdmaRead,
-                    status: WcStatus::RemoteAccessError,
-                    qp: src_qp,
                     byte_len: 0,
-                    imm: 0,
                     mr_offset: remote_offset,
-                    data: Frame::new(),
+                    ..sender_wc(WcStatus::RemoteAccessError)
                 };
-                ctx.send_in(
-                    path_latency,
-                    fabric,
-                    FabricMsg::PushWc { cq: sender_cq, wc },
-                );
+                push_sender_wc(net, ctx, path_latency, true, wc);
                 return;
             };
             // Response: serialization of the payload plus the return hop.
+            // A READ's completion *is* its result, so it is always signaled.
             let resp_delay = net.params.serialize_time(len) + path_latency + net.params.dma_delay;
             let wc = Wc {
-                wr_id,
-                opcode: WcOpcode::RdmaRead,
-                status: WcStatus::Success,
-                qp: src_qp,
                 byte_len: len,
-                imm: 0,
                 mr_offset: remote_offset,
                 data: payload,
+                ..sender_wc(WcStatus::Success)
             };
-            ctx.send_in(resp_delay, fabric, FabricMsg::PushWc { cq: sender_cq, wc });
+            push_sender_wc(net, ctx, resp_delay, true, wc);
         }
     }
 }
@@ -817,33 +780,20 @@ fn write_mr(net: &mut NetInner, dst_node: NodeId, mr: MrId, offset: usize, data:
     wrote
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Make `wc` visible in its QP's send CQ after `delay` — unless it is the
+/// success of an unsignaled WR, which the sender never asked to see: no
+/// `PushWc` event, no notify, nothing to poll. Every other status
+/// completes whatever the flag says.
 fn push_sender_wc(
-    net: &mut NetInner,
+    net: &NetInner,
     ctx: &mut Context<'_>,
-    sender_cq: CqId,
-    src_qp: QpId,
-    wr_id: u64,
-    opcode: WcOpcode,
-    byte_len: usize,
-    path_latency: SimDuration,
-    status: WcStatus,
+    delay: SimDuration,
+    signaled: bool,
+    wc: Wc,
 ) {
-    let fabric = net.fabric_actor;
-    let wc = Wc {
-        wr_id,
-        opcode,
-        status,
-        qp: src_qp,
-        byte_len,
-        imm: 0,
-        mr_offset: 0,
-        data: Frame::new(),
-    };
-    // The sender observes completion one ACK-hop later.
-    ctx.send_in(
-        path_latency,
-        fabric,
-        FabricMsg::PushWc { cq: sender_cq, wc },
-    );
+    if wc.status == WcStatus::Success && !signaled {
+        return;
+    }
+    let cq = net.qps[wc.qp.0 as usize].cq;
+    ctx.send_in(delay, net.fabric_actor, FabricMsg::PushWc { cq, wc });
 }

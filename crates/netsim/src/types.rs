@@ -104,6 +104,60 @@ pub struct SendWr {
     /// A [`Frame`], so posting a fan-out of the same payload to many QPs
     /// is a refcount bump per WR, not a copy.
     pub data: Frame,
+    /// `IBV_SEND_SIGNALED`: whether a *successful* WRITE / WRITE_WITH_IMM /
+    /// SEND produces a send-side completion. An unsignaled success leaves
+    /// the sender's CQ untouched — no completion, no notify, nothing to
+    /// poll — while every non-success status still completes, so failure
+    /// detection never depends on the flag. READ ignores it: its
+    /// completion carries the data.
+    pub signaled: bool,
+}
+
+impl SendWr {
+    /// A signaled work request.
+    pub fn new(wr_id: u64, op: SendOp, data: impl Into<Frame>) -> SendWr {
+        SendWr {
+            wr_id,
+            op,
+            data: data.into(),
+            signaled: true,
+        }
+    }
+
+    /// A signaled WRITE_WITH_IMM of `data` to `remote_offset` of the peer's
+    /// `remote_mr`.
+    pub fn write_imm(
+        wr_id: u64,
+        remote_mr: MrId,
+        remote_offset: usize,
+        imm: u32,
+        data: impl Into<Frame>,
+    ) -> SendWr {
+        let op = SendOp::WriteImm {
+            remote_mr,
+            remote_offset,
+            imm,
+        };
+        SendWr::new(wr_id, op, data)
+    }
+
+    /// A READ of `len` bytes at `remote_offset` of the peer's `remote_mr`.
+    pub fn read(wr_id: u64, remote_mr: MrId, remote_offset: usize, len: usize) -> SendWr {
+        let op = SendOp::Read {
+            remote_mr,
+            remote_offset,
+            len,
+        };
+        SendWr::new(wr_id, op, Frame::new())
+    }
+
+    /// The same request without `IBV_SEND_SIGNALED`: the poster does not
+    /// read its success completion.
+    #[must_use]
+    pub fn unsignaled(mut self) -> SendWr {
+        self.signaled = false;
+        self
+    }
 }
 
 /// Completion opcode, mirroring `ibv_wc_opcode`.

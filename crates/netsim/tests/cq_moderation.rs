@@ -15,7 +15,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use skv_netsim::{MrId, Net, NetEvent, NetParams, QpId, SendOp, SendWr, SocketAddr, Topology};
+use skv_netsim::{MrId, Net, NetEvent, NetParams, QpId, SendWr, SocketAddr, Topology};
 use skv_simcore::{FnActor, SimDuration, SimTime, Simulation};
 
 struct World {
@@ -115,15 +115,7 @@ fn post_schedule(w: &mut World, qp: QpId, mr: MrId, offsets_us: &[u64]) {
     let base = w.sim.now();
     for (i, off) in offsets_us.iter().enumerate() {
         let net = w.net.clone();
-        let wr = SendWr {
-            wr_id: i as u64,
-            op: SendOp::WriteImm {
-                remote_mr: mr,
-                remote_offset: 64 * i,
-                imm: i as u32,
-            },
-            data: vec![i as u8; 8].into(),
-        };
+        let wr = SendWr::write_imm(i as u64, mr, 64 * i, i as u32, vec![i as u8; 8]);
         let helper = w
             .sim
             .add_actor(Box::new(FnActor::new(move |ctx, _from, _msg| {

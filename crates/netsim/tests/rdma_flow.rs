@@ -7,8 +7,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use skv_netsim::{
-    Frame, MrId, Net, NetEvent, NetParams, NodeId, QpId, SendOp, SendWr, SocketAddr, Topology, Wc,
-    WcOpcode, WcStatus,
+    Frame, MrId, Net, NetEvent, NetParams, NodeId, PostError, QpId, SendOp, SendWr, SocketAddr,
+    Topology, Wc, WcOpcode, WcStatus,
 };
 use skv_simcore::stats::Counters;
 use skv_simcore::{FnActor, SimTime, Simulation};
@@ -134,16 +134,26 @@ fn establish(
     (client_qp, server_qp, client_wcs, server_wcs, server_mr)
 }
 
-/// Post a WR from a one-shot helper actor and run to completion.
-fn post_from_helper(w: &mut World, qp: QpId, wr: SendWr) {
+/// Post a WR from a one-shot helper actor, run to completion, and return
+/// the post result.
+fn try_post(w: &mut World, qp: QpId, wr: SendWr) -> Result<(), PostError> {
+    let result: Rc<RefCell<Option<Result<(), PostError>>>> = Rc::default();
+    let r2 = result.clone();
     let net = w.net.clone();
     let helper = w
         .sim
         .add_actor(Box::new(FnActor::new(move |ctx, _from, _msg| {
-            net.post_send(ctx, qp, wr.clone()).unwrap();
+            *r2.borrow_mut() = Some(net.post_send(ctx, qp, wr.clone()));
         })));
     w.sim.schedule(w.sim.now(), helper, ());
     w.sim.run_to_completion();
+    let r = result.borrow().expect("helper ran");
+    r
+}
+
+/// [`try_post`] on a QP that must accept the WR.
+fn post_from_helper(w: &mut World, qp: QpId, wr: SendWr) {
+    try_post(w, qp, wr).unwrap();
 }
 
 #[test]
@@ -167,15 +177,7 @@ fn write_imm_moves_real_bytes_and_completes_both_sides() {
     post_from_helper(
         &mut w,
         c,
-        SendWr {
-            wr_id: 7,
-            op: SendOp::WriteImm {
-                remote_mr: server_mr,
-                remote_offset: 128,
-                imm: 0xDEAD,
-            },
-            data: b"replicate me".to_vec().into(),
-        },
+        SendWr::write_imm(7, server_mr, 128, 0xDEAD, b"replicate me".to_vec()),
     );
 
     // Receiver side: completion consumed a posted recv, reports offset/imm.
@@ -207,14 +209,14 @@ fn plain_write_generates_no_receiver_completion() {
     post_from_helper(
         &mut w,
         c,
-        SendWr {
-            wr_id: 1,
-            op: SendOp::Write {
+        SendWr::new(
+            1,
+            SendOp::Write {
                 remote_mr: server_mr,
                 remote_offset: 0,
             },
-            data: vec![9, 9, 9].into(),
-        },
+            vec![9, 9, 9],
+        ),
     );
     assert_eq!(swcs.borrow().len(), 0, "one-sided write is silent at peer");
     assert_eq!(cwcs.borrow().len(), 1);
@@ -230,11 +232,7 @@ fn send_recv_carries_payload() {
     post_from_helper(
         &mut w,
         c,
-        SendWr {
-            wr_id: 2,
-            op: SendOp::Send,
-            data: b"mr-info-exchange".to_vec().into(),
-        },
+        SendWr::new(2, SendOp::Send, b"mr-info-exchange".to_vec()),
     );
     let swcs = swcs.borrow();
     assert_eq!(swcs.len(), 1);
@@ -249,19 +247,7 @@ fn read_fetches_remote_bytes() {
     let c = cqp.borrow().unwrap();
     w.net.mr_write(server_mr, 64, b"snapshot-bytes");
 
-    post_from_helper(
-        &mut w,
-        c,
-        SendWr {
-            wr_id: 3,
-            op: SendOp::Read {
-                remote_mr: server_mr,
-                remote_offset: 64,
-                len: 14,
-            },
-            data: skv_netsim::Frame::new(),
-        },
-    );
+    post_from_helper(&mut w, c, SendWr::read(3, server_mr, 64, 14));
     let cwcs = cwcs.borrow();
     assert_eq!(cwcs.len(), 1);
     assert_eq!(cwcs[0].opcode, WcOpcode::RdmaRead);
@@ -274,19 +260,7 @@ fn missing_recv_reports_rnr() {
     let (cqp, _sqp, _cwcs, swcs, server_mr) = establish(&mut w, 0);
     let c = cqp.borrow().unwrap();
 
-    post_from_helper(
-        &mut w,
-        c,
-        SendWr {
-            wr_id: 4,
-            op: SendOp::WriteImm {
-                remote_mr: server_mr,
-                remote_offset: 0,
-                imm: 1,
-            },
-            data: vec![1].into(),
-        },
-    );
+    post_from_helper(&mut w, c, SendWr::write_imm(4, server_mr, 0, 1, vec![1]));
     let swcs = swcs.borrow();
     assert_eq!(swcs.len(), 1);
     assert_eq!(swcs[0].status, WcStatus::ReceiverNotReady);
@@ -301,25 +275,166 @@ fn write_to_down_node_errors_at_sender() {
     let c = cqp.borrow().unwrap();
     w.net.set_node_up(w.b, false);
 
-    post_from_helper(
-        &mut w,
-        c,
-        SendWr {
-            wr_id: 5,
-            op: SendOp::WriteImm {
-                remote_mr: server_mr,
-                remote_offset: 0,
-                imm: 0,
-            },
-            data: vec![42].into(),
-        },
-    );
+    post_from_helper(&mut w, c, SendWr::write_imm(5, server_mr, 0, 0, vec![42]));
     assert_eq!(swcs.borrow().len(), 0, "down node receives nothing");
     let cwcs = cwcs.borrow();
     assert_eq!(cwcs.len(), 1);
     assert_eq!(cwcs[0].status, WcStatus::RemoteUnreachable);
     // The payload must NOT have been placed.
     assert_eq!(w.net.mr_read(server_mr, 0, 1), vec![0]);
+}
+
+/// `(rdma.cq_notifies, rdma.wcs_polled)` fabric snapshot.
+fn completion_counts(w: &World) -> (u64, u64) {
+    let c = w.net.counters();
+    (c.get("rdma.cq_notifies"), c.get("rdma.wcs_polled"))
+}
+
+/// Selective signaling: an unsignaled WRITE_WITH_IMM is the same transfer
+/// — bytes in the MR, a receive completion at the peer — minus everything
+/// on the sender's side of a success: no completion, no notify, no poll.
+#[test]
+fn unsignaled_write_imm_delivers_but_leaves_the_senders_cq_silent() {
+    let mut w = world();
+    let (cqp, _sqp, cwcs, swcs, server_mr) = establish(&mut w, 4);
+    let c = cqp.borrow().unwrap();
+
+    let (notifies0, polled0) = completion_counts(&w);
+    let wr = SendWr::write_imm(7, server_mr, 128, 0xDEAD, b"replicate me".to_vec());
+    post_from_helper(&mut w, c, wr.clone().unsignaled());
+    {
+        let swcs = swcs.borrow();
+        assert_eq!(swcs.len(), 1);
+        assert_eq!(swcs[0].opcode, WcOpcode::RecvRdmaWithImm);
+        assert_eq!(swcs[0].status, WcStatus::Success);
+        assert_eq!(swcs[0].imm, 0xDEAD);
+        assert_eq!(swcs[0].data, b"replicate me");
+    }
+    assert_eq!(w.net.mr_read(server_mr, 128, 12), b"replicate me");
+    assert!(cwcs.borrow().is_empty(), "nobody asked for this completion");
+    let (notifies1, polled1) = completion_counts(&w);
+    assert_eq!(
+        (notifies1 - notifies0, polled1 - polled0),
+        (1, 1),
+        "the receiver's completion only"
+    );
+
+    // The same WR signaled completes on both sides.
+    post_from_helper(&mut w, c, wr);
+    assert_eq!(cwcs.borrow().len(), 1);
+    assert_eq!(cwcs.borrow()[0].wr_id, 7);
+    let (notifies2, polled2) = completion_counts(&w);
+    assert_eq!((notifies2 - notifies1, polled2 - polled1), (2, 2));
+}
+
+/// Failure detection does not depend on the flag: an unsignaled WR that
+/// does not succeed completes with its error status exactly like a
+/// signaled one, and moves the QP to the error state where a signaled
+/// one would.
+#[test]
+fn unsignaled_wr_that_fails_still_completes_at_the_sender() {
+    use skv_netsim::{FaultPlan, Partition, TimeWindow};
+
+    let unsignaled = |mr, offset| write_imm_wr(9, mr, offset, 1, 5).unsignaled();
+    // What the sender sees of one failed unsignaled WR, and what the next
+    // post on the same QP returns.
+    let outcome = |w: &mut World, c: QpId, cwcs: &SharedWcs, wr: SendWr| {
+        post_from_helper(w, c, wr.clone());
+        let status = {
+            let cwcs = cwcs.borrow();
+            assert_eq!(cwcs.len(), 1, "the error completes");
+            assert_eq!((cwcs[0].wr_id, cwcs[0].opcode), (9, WcOpcode::RdmaWrite));
+            cwcs[0].status
+        };
+        (status, try_post(w, c, wr))
+    };
+
+    // A fault-plan drop: RC retries exhaust.
+    let mut w = world();
+    let (cqp, _sqp, cwcs, swcs, mr) = establish(&mut w, 4);
+    let c = cqp.borrow().unwrap();
+    let mut plan = FaultPlan::new(7);
+    plan.partitions.push(Partition {
+        a: vec![w.a],
+        b: vec![w.b],
+        window: TimeWindow::new(w.sim.now(), SimTime::from_secs(3600)),
+    });
+    w.net.set_fault_plan(plan);
+    assert_eq!(
+        outcome(&mut w, c, &cwcs, unsignaled(mr, 0)),
+        (WcStatus::RetryExceeded, Err(PostError::QpError))
+    );
+    assert!(swcs.borrow().is_empty());
+
+    // A crashed destination node.
+    let mut w = world();
+    let (cqp, _sqp, cwcs, swcs, mr) = establish(&mut w, 4);
+    let c = cqp.borrow().unwrap();
+    w.net.set_node_up(w.b, false);
+    assert_eq!(
+        outcome(&mut w, c, &cwcs, unsignaled(mr, 0)),
+        (WcStatus::RemoteUnreachable, Err(PostError::QpError))
+    );
+    assert!(swcs.borrow().is_empty());
+
+    // A destination QP the peer tore down while the WR was in flight.
+    let mut w = world();
+    let (cqp, sqp, cwcs, _swcs, mr) = establish(&mut w, 4);
+    let (c, s) = (cqp.borrow().unwrap(), sqp.borrow().unwrap());
+    let net = w.net.clone();
+    let closer = w
+        .sim
+        .add_actor(Box::new(FnActor::new(move |_ctx, _from, _msg| {
+            net.destroy_qp(s);
+        })));
+    // Posted first, so the WR is on the wire when the peer closes.
+    let net = w.net.clone();
+    let wr = unsignaled(mr, 0);
+    let poster = w
+        .sim
+        .add_actor(Box::new(FnActor::new(move |ctx, _from, _msg| {
+            net.post_send(ctx, c, wr.clone()).unwrap();
+        })));
+    w.sim.schedule(w.sim.now(), poster, ());
+    w.sim.schedule(w.sim.now(), closer, ());
+    w.sim.run_to_completion();
+    assert_eq!(cwcs.borrow().len(), 1);
+    assert_eq!(cwcs.borrow()[0].status, WcStatus::RemoteUnreachable);
+    assert_eq!(
+        try_post(&mut w, c, unsignaled(mr, 0)),
+        Err(PostError::QpError)
+    );
+
+    // A range outside the target MR: the requester's protocol error. As
+    // for a signaled WR, it completes but leaves the QP usable.
+    let mut w = world();
+    let (cqp, _sqp, cwcs, swcs, mr) = establish(&mut w, 4);
+    let c = cqp.borrow().unwrap();
+    assert_eq!(
+        outcome(&mut w, c, &cwcs, unsignaled(mr, usize::MAX - 4)),
+        (WcStatus::RemoteAccessError, Ok(()))
+    );
+    assert!(
+        swcs.borrow().is_empty(),
+        "nothing landed, no receive consumed"
+    );
+    assert_eq!(w.net.counters().get("rdma.access_errors"), 2);
+}
+
+/// A READ's completion is its result: the flag cannot suppress it.
+#[test]
+fn read_posted_unsignaled_still_completes_with_its_data() {
+    let mut w = world();
+    let (cqp, _sqp, cwcs, _swcs, server_mr) = establish(&mut w, 0);
+    let c = cqp.borrow().unwrap();
+    w.net.mr_write(server_mr, 64, b"snapshot-bytes");
+
+    post_from_helper(&mut w, c, SendWr::read(3, server_mr, 64, 14).unsignaled());
+    let cwcs = cwcs.borrow();
+    assert_eq!(cwcs.len(), 1);
+    assert_eq!(cwcs[0].opcode, WcOpcode::RdmaRead);
+    assert_eq!(cwcs[0].status, WcStatus::Success);
+    assert_eq!(cwcs[0].data, b"snapshot-bytes");
 }
 
 #[test]
@@ -415,28 +530,8 @@ fn destroyed_qp_rejects_posts() {
     let c = cqp.borrow().unwrap();
     w.net.destroy_qp(c);
 
-    let result: Rc<RefCell<Option<Result<(), skv_netsim::PostError>>>> = Rc::default();
-    let r2 = result.clone();
-    let net = w.net.clone();
-    let helper = w
-        .sim
-        .add_actor(Box::new(FnActor::new(move |ctx, _from, _msg| {
-            *r2.borrow_mut() = Some(net.post_send(
-                ctx,
-                c,
-                SendWr {
-                    wr_id: 0,
-                    op: SendOp::Send,
-                    data: skv_netsim::Frame::new(),
-                },
-            ));
-        })));
-    w.sim.schedule(w.sim.now(), helper, ());
-    w.sim.run_to_completion();
-    assert_eq!(
-        result.borrow().unwrap(),
-        Err(skv_netsim::PostError::QpClosed)
-    );
+    let result = try_post(&mut w, c, SendWr::new(0, SendOp::Send, Frame::new()));
+    assert_eq!(result, Err(PostError::QpClosed));
 }
 
 /// Post a linked-WR list from a one-shot helper actor, run to completion,
@@ -461,15 +556,7 @@ fn post_list_from_helper(
 }
 
 fn write_imm_wr(wr_id: u64, mr: MrId, offset: usize, imm: u32, byte: u8) -> SendWr {
-    SendWr {
-        wr_id,
-        op: SendOp::WriteImm {
-            remote_mr: mr,
-            remote_offset: offset,
-            imm,
-        },
-        data: vec![byte; 8].into(),
-    }
+    SendWr::write_imm(wr_id, mr, offset, imm, vec![byte; 8])
 }
 
 #[test]
@@ -523,7 +610,7 @@ fn post_list_on_closed_qp_names_index_zero() {
         .collect();
     let err = post_list_from_helper(&mut w, c, wrs).unwrap_err();
     assert_eq!(err.index, 0, "bad_wr is the very first WR");
-    assert_eq!(err.error, skv_netsim::PostError::QpClosed);
+    assert_eq!(err.error, PostError::QpClosed);
     assert_eq!(
         w.net.counters().get("rdma.doorbells"),
         base_doorbells,
@@ -568,7 +655,7 @@ fn faulted_wr_mid_list_posts_prefix_and_names_bad_wr() {
     // WR 0 was posted (RC retries exhaust, erroring the QP), so the WR
     // that fails to post is the *next* linked one — bad_wr index 1.
     assert_eq!(err.index, 1, "the WR after the dropped one is the bad_wr");
-    assert_eq!(err.error, skv_netsim::PostError::QpError);
+    assert_eq!(err.error, PostError::QpError);
     assert_eq!(
         w.net.counters().get("rdma.wrs_posted") - base_wrs,
         1,
@@ -596,7 +683,7 @@ fn faulted_wr_mid_list_posts_prefix_and_names_bad_wr() {
 /// none, when nothing in it posts.
 #[test]
 fn post_batch_reuses_the_callers_staging_buffers() {
-    use skv_netsim::PostError;
+    use PostError;
 
     let mut w = world();
     let (cqp, sqp, _cwcs, _swcs, server_mr) = establish(&mut w, 8);
@@ -616,14 +703,7 @@ fn post_batch_reuses_the_callers_staging_buffers() {
             let mut outcomes: Outcomes = vec![Err(PostError::QpError); 5];
             for round in 0..2u64 {
                 wrs.push((c, write_imm_wr(10 * round, server_mr, 0, 1, 1)));
-                wrs.push((
-                    s,
-                    SendWr {
-                        wr_id: 10 * round + 1,
-                        op: SendOp::Send,
-                        data: skv_netsim::Frame::new(),
-                    },
-                ));
+                wrs.push((s, SendWr::new(10 * round + 1, SendOp::Send, Frame::new())));
                 wrs.push((c, write_imm_wr(10 * round + 2, server_mr, 64, 3, 3)));
                 net.post_send_batch(ctx, &mut wrs, &mut outcomes);
                 seen2
@@ -765,35 +845,30 @@ fn counters_snapshot_matches_a_name_keyed_tally() {
         "rdma.write_imm",
         write_imm_wr(1, server_mr, 0, 7, 1),
     );
-    let send = |wr_id, len: usize| SendWr {
-        wr_id,
-        op: SendOp::Send,
-        data: vec![2u8; len].into(),
-    };
+    let send = |wr_id, len: usize| SendWr::new(wr_id, SendOp::Send, vec![2u8; len]);
     post(&mut w, "rdma.sends", send(2, 24));
     // Both posted receives are consumed: this one finds none.
     post(&mut w, "rdma.sends", send(3, 0));
     w.tally.borrow_mut().inc("rdma.rnr");
-    let write = |remote_offset| SendWr {
-        wr_id: 4,
-        op: SendOp::Write {
-            remote_mr: server_mr,
-            remote_offset,
-        },
-        data: vec![3u8; 16].into(),
+    let write = |remote_offset| {
+        SendWr::new(
+            4,
+            SendOp::Write {
+                remote_mr: server_mr,
+                remote_offset,
+            },
+            vec![3u8; 16],
+        )
     };
     post(&mut w, "rdma.writes", write(128));
     post(&mut w, "rdma.writes", write(usize::MAX - 8)); // outside the MR
     w.tally.borrow_mut().inc("rdma.access_errors");
-    let read = SendWr {
-        wr_id: 5,
-        op: SendOp::Read {
-            remote_mr: server_mr,
-            remote_offset: 0,
-            len: 8,
-        },
-        data: Frame::new(),
-    };
+    // An unsignaled success is a posted WR like any other, but nobody is
+    // notified of it and nobody polls it.
+    let completions = completion_counts(&w);
+    post(&mut w, "rdma.writes", write(512).unsignaled());
+    assert_eq!(completion_counts(&w), completions);
+    let read = SendWr::read(5, server_mr, 0, 8);
     post(&mut w, "rdma.reads", read);
     // A linked list is one doorbell for all its WRs.
     let list: Vec<SendWr> = (0..3).map(|i| write(256 + 16 * i)).collect();
@@ -823,15 +898,7 @@ fn deterministic_event_counts() {
             post_from_helper(
                 &mut w,
                 c,
-                SendWr {
-                    wr_id: i,
-                    op: SendOp::WriteImm {
-                        remote_mr: mr,
-                        remote_offset: (i as usize) * 64,
-                        imm: i as u32,
-                    },
-                    data: vec![i as u8; 64].into(),
-                },
+                SendWr::write_imm(i, mr, (i as usize) * 64, i as u32, vec![i as u8; 64]),
             );
         }
         (w.sim.events_processed(), w.net.counters().get("rdma.bytes"))

@@ -2,6 +2,7 @@
 # Full local gate: everything CI would run.
 #
 #   scripts/check.sh          # skv-analyze + tests + clippy + benchmark smoke
+#                             # + the calibrated figures against their record
 #
 # Fails on the first red step.
 set -euo pipefail
@@ -53,5 +54,13 @@ echo "==> benchmark smoke (benchmark/ builds against the crate APIs and runs cle
 # no longer engages stops the gate instead of surfacing in the bench
 # pipeline.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
+
+echo "==> experiments --check fig7 fig11 (the host-path calibration has not moved)"
+# Figures 7 and 11 are the calibrated points every other number hangs off
+# (master throughput with and without slaves, the offload gain). Each arm
+# is rendered in release (≈ 50 s for both) and compared with its block of
+# the committed experiments_output.txt; a mismatch prints a unified diff.
+# A change that moves them on purpose regenerates the file and says so.
+cargo run --release --quiet -p skv-bench --bin experiments -- --check fig7 fig11
 
 echo "OK"

@@ -81,8 +81,14 @@ fn heap() -> (u64, u64) {
 }
 
 /// The benchmark's closed-loop shape: 10 000 keys, 20 ms of client
-/// warm-up, then the measured window.
-fn spec(cfg: ClusterConfig, clients: usize, pipeline: usize, value_size: usize) -> RunSpec {
+/// warm-up, then a measured window of `measure_ms`.
+fn spec(
+    cfg: ClusterConfig,
+    clients: usize,
+    pipeline: usize,
+    value_size: usize,
+    measure_ms: u64,
+) -> RunSpec {
     RunSpec {
         cfg,
         num_clients: clients,
@@ -94,7 +100,7 @@ fn spec(cfg: ClusterConfig, clients: usize, pipeline: usize, value_size: usize) 
         zipf_theta: 0.0,
         zipf_shift_every: 0,
         warmup: SimDuration::from_millis(20),
-        measure: SimDuration::from_millis(100),
+        measure: SimDuration::from_millis(measure_ms),
         seed: 42,
     }
 }
@@ -126,18 +132,19 @@ fn per_op(spec: RunSpec) -> (f64, f64) {
 
 /// The Fig. 11 operating point (the benchmark's `set-fanout`): SKV, three
 /// slaves, 8 closed-loop clients, 64-byte SETs. One SET is executed on
-/// four nodes and costs ~26 simulator events (one boxed payload each,
-/// the largest remaining share); everything else on the path must fit in
-/// the rest of the budget. Before the borrowed command path this was
-/// ≈ 102 allocations per op.
+/// four nodes and costs 19 simulator events (one boxed payload each, the
+/// largest remaining share — it was ~26 while Nic-KV and the clients
+/// still asked for send completions nobody read); everything else on the
+/// path must fit in the rest of the budget: 27.1 measured. Before the
+/// borrowed command path this was ≈ 102 allocations per op.
 #[test]
-fn set_fanout_stays_within_sixty_allocations_per_op() {
+fn set_fanout_stays_within_thirty_allocations_per_op() {
     let mut cfg = ClusterConfig::for_mode(Mode::Skv);
     cfg.num_slaves = 3;
-    let (allocs, _) = per_op(spec(cfg, 8, 1, 64));
+    let (allocs, _) = per_op(spec(cfg, 8, 1, 64, 250));
     assert!(
-        allocs <= 60.0,
-        "{allocs:.1} allocations per SET on the fan-out path (budget 60)"
+        allocs <= 30.0,
+        "{allocs:.1} allocations per SET on the fan-out path (budget 30)"
     );
 }
 
@@ -150,7 +157,7 @@ fn quorum_4k_stays_within_45_kb_per_op() {
     let mut cfg = ClusterConfig::for_mode(Mode::Skv);
     cfg.num_slaves = 3;
     cfg.repl_mode = ReplModeKind::Quorum;
-    let (_, bytes) = per_op(spec(cfg, 4, 4, 4096));
+    let (_, bytes) = per_op(spec(cfg, 4, 4, 4096, 100));
     assert!(
         bytes <= 45_000.0,
         "{bytes:.0} bytes allocated per 4 KiB quorum SET (budget 45 000)"

@@ -203,3 +203,167 @@ fn waiting_time_scales_detection_delay() {
         "longer waiting-time must delay detection: {delays:?}"
     );
 }
+
+// -- failure detection rides on error completions, signaled or not -----------
+//
+// Nic-KV and the clients post their message WRs unsignaled (DESIGN.md §23):
+// a success produces no send completion. These arms pin the other half of
+// the rule — an unsignaled WR that *fails* still completes, and every
+// recovery path that hangs off that completion still runs.
+
+/// `(nic.stat_fanout_msgs, nic.stat_fanout_sends)` so far.
+fn fanout_counts(cluster: &Cluster) -> (u64, u64) {
+    let nic = cluster.nic_kv().expect("nic");
+    (nic.stat_fanout_msgs, nic.stat_fanout_sends)
+}
+
+#[test]
+fn unsignaled_fanout_error_closes_a_crashed_slaves_connection_before_detection() {
+    let mut cluster = Cluster::build(spec(3, 4, 1_000));
+    let crash_at = SimTime::from_millis(800);
+    cluster.schedule_slave_crash(1, crash_at);
+
+    // Healthy: every replicated write goes to all three slaves.
+    cluster.sim.run_until(SimTime::from_millis(790));
+    let (msgs0, sends0) = fanout_counts(&cluster);
+    cluster.sim.run_until(crash_at);
+    let (msgs1, sends1) = fanout_counts(&cluster);
+    assert!(msgs1 > msgs0, "load is flowing");
+    assert_eq!(sends1 - sends0, 3 * (msgs1 - msgs0));
+    let qp_errors = cluster.net.counters().get("rdma.qp_errors");
+
+    // 5 ms after the crash — waiting-time is 400 ms, so the probe machinery
+    // has noticed nothing — the first fan-out WR to the dead node has come
+    // back as an error completion and Nic-KV has closed that connection:
+    // writes fan out to the two slaves that are left.
+    cluster
+        .sim
+        .run_until(crash_at + SimDuration::from_millis(5));
+    let (msgs2, sends2) = fanout_counts(&cluster);
+    cluster
+        .sim
+        .run_until(crash_at + SimDuration::from_millis(10));
+    let (msgs3, sends3) = fanout_counts(&cluster);
+    assert!(msgs3 > msgs2, "load is still flowing");
+    assert_eq!(sends3 - sends2, 2 * (msgs3 - msgs2));
+    assert!(cluster.net.counters().get("rdma.qp_errors") > qp_errors);
+    let nic = cluster.nic_kv().expect("nic");
+    assert!(nic.detections.is_empty(), "no probe timeout yet");
+    assert_eq!(nic.available_slaves(), 3, "still flagged valid");
+}
+
+#[test]
+fn unsignaled_request_error_makes_clients_reconnect_after_a_master_crash() {
+    use skv_core::client::BenchClient;
+
+    let mut s = spec(2, 8, 1_500);
+    s.pipeline = 4;
+    let pipeline = s.pipeline as u64;
+    let mut cluster = Cluster::build(s);
+    let crash_at = SimTime::from_millis(600);
+    cluster.schedule_master_crash(crash_at);
+    cluster.schedule_master_recover(SimTime::from_millis(900));
+
+    let reconnects = |cluster: &Cluster| cluster.counters_snapshot().get("client.stat_reconnects");
+    cluster.sim.run_until(crash_at);
+    assert_eq!(reconnects(&cluster), 0);
+
+    // 1 ms after the crash no request is older than 1 ms, so the watchdog
+    // (`client_retry_timeout`, 250 ms) cannot have fired: whoever has
+    // reconnected did so on the error completion of a request that was on
+    // the wire when the node went down.
+    cluster
+        .sim
+        .run_until(crash_at + SimDuration::from_millis(1));
+    assert!(
+        reconnects(&cluster) >= 1,
+        "no error completion reached a client"
+    );
+
+    // Nothing is lost beyond what was in flight when a connection was
+    // abandoned: every op issued was answered, or was one of at most
+    // `pipeline` dropped per reconnect (or still in flight at the end).
+    let report = cluster.run();
+    assert!(report.ops > 10_000, "clients came back: {} ops", report.ops);
+    for &id in &cluster.clients {
+        let c = cluster.sim.actor_ref::<BenchClient>(id).expect("client");
+        assert!(c.stat_reconnects >= 1, "every client lost its connection");
+        let unanswered = c.stat_issued - c.stat_replies;
+        assert!(
+            unanswered <= pipeline * (c.stat_reconnects + 1),
+            "{unanswered} ops unanswered over {} reconnects",
+            c.stat_reconnects
+        );
+    }
+}
+
+#[test]
+fn degrade_relaunches_window_parked_frames_unsignaled_and_converges() {
+    use skv_core::replmode::{ReplModeKind, REPL_WINDOW};
+
+    // Quorum over three slaves needs two acks. Cutting two slaves off
+    // stalls every commit: the window fills, the overflow parks, and once
+    // the probes time out the NIC degrades to async and re-launches the
+    // parked frames to the one slave it still reaches.
+    let mut s = spec(3, 8, 1_600);
+    s.cfg.repl_mode = ReplModeKind::Quorum;
+    s.cfg.mode_failover = true;
+    s.pipeline = 48; // 384 writes in flight > REPL_WINDOW
+    let mut cluster = Cluster::build(s);
+    let (cut, heal) = (SimTime::from_millis(600), SimTime::from_millis(1_400));
+    cluster.apply_chaos(&skv_core::cluster::ChaosSpec {
+        partition: Some((vec![0, 1], cut, heal)),
+        ..Default::default()
+    });
+
+    cluster.sim.run_until(cut + SimDuration::from_millis(100));
+    let nic = cluster.nic_kv().expect("nic");
+    assert_eq!(nic.tracker().mode(), ReplModeKind::Quorum);
+    assert_eq!(nic.tracker().pending_writes(), REPL_WINDOW, "window full");
+    let master = cluster.master_server();
+    let held = master.stat_deferred_replies - master.stat_released_replies;
+    assert!(
+        held > REPL_WINDOW as u64,
+        "only {held} writes held: none parked"
+    );
+
+    cluster.sim.run_until(SimTime::from_millis(1_200));
+    let nic = cluster.nic_kv().expect("nic");
+    let &(degraded_at, mode) = nic.mode_changes.first().expect("degraded");
+    assert_eq!(mode, ReplModeKind::Async);
+    assert_eq!(nic.tracker().pending_writes(), 0);
+
+    // The async interlude, one live slave. Per SET the fabric's CQs see
+    // six completions — the command and its reply (2), the master's two
+    // signaled sends (2), the stream frame at the NIC and at the slave (2)
+    // — and none for the NIC's own send, which a signaled fan-out would
+    // add as a seventh.
+    let polled = |c: &Cluster| c.net.counters().get("rdma.wcs_polled");
+    let replies = |c: &Cluster| c.counters_snapshot().get("client.stat_replies");
+    cluster.sim.run_until(SimTime::from_millis(1_250));
+    let (polled0, replies0) = (polled(&cluster), replies(&cluster));
+    cluster.sim.run_until(SimTime::from_millis(1_350));
+    let (polled1, replies1) = (polled(&cluster), replies(&cluster));
+    let ops = replies1 - replies0;
+    assert!(ops > 5_000, "the degraded cluster serves: {ops} ops");
+    let per_op = (polled1 - polled0) as f64 / ops as f64;
+    assert!(
+        (5.9..6.3).contains(&per_op),
+        "{per_op:.3} completions polled per SET in the async interlude"
+    );
+
+    // The partition heals, the NIC re-promotes, and no write was lost on
+    // the way: every replica ends with the master's keyspace.
+    cluster.run();
+    cluster
+        .sim
+        .run_until(cluster.measure_until + SimDuration::from_secs(2));
+    assert!(degraded_at > cut);
+    let nic = cluster.nic_kv().expect("nic");
+    assert_eq!(nic.tracker().mode(), ReplModeKind::Quorum, "re-promoted");
+    let digests = cluster.keyspace_digests();
+    assert!(
+        digests.iter().all(|&d| d == digests[0]),
+        "diverged: {digests:x?}"
+    );
+}

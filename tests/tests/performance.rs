@@ -171,3 +171,81 @@ fn nic_offload_actually_uses_the_nic() {
         "ARM cores busy but not overloaded, got {util:.3}"
     );
 }
+
+// -- the SoC fan-out keeps up: held as counts -------------------------------
+//
+// Nic-KV posts its fan-out unsignaled (DESIGN.md §23), so thread 0 no
+// longer polls three success completions per SET and the fan-out runs at
+// the offered rate instead of ≈ 10 % under it. These arms hold that as
+// queue depths and offsets, which a slower host cannot blur.
+
+#[test]
+fn fanout_keeps_up_at_the_fig11_point() {
+    let mut cluster = skv_core::cluster::Cluster::build(spec(Mode::Skv, 3, 8, 1.0, 72));
+    cluster.sim.run_until(cluster.measure_from);
+    let nic = cluster.nic_kv().expect("nic");
+    let (msgs0, wrs0) = (nic.stat_fanout_msgs, nic.stat_wrs_posted());
+
+    // A fan-out thread that falls behind parks one `FanoutSendBatch` timer
+    // per write it has not reached yet — ≈ 2 200 of them at this point
+    // before. Keeping up, the whole cluster has a few dozen events queued.
+    let mut deepest = 0;
+    let mut t = cluster.measure_from;
+    while t < cluster.measure_until {
+        t = (t + SimDuration::from_millis(1)).min(cluster.measure_until);
+        cluster.sim.run_until(t);
+        deepest = deepest.max(cluster.sim.pending_events());
+    }
+    assert!(deepest <= 100, "{deepest} events pending inside the window");
+
+    // ... and the slaves are where the master is when the window closes
+    // (a 64-byte SET is ≈ 107 stream bytes: 64 KiB is ≈ 2.3 ms of load).
+    let lag = cluster.max_replication_lag();
+    assert!(
+        lag <= 64 << 10,
+        "a slave is {lag} bytes behind at window close"
+    );
+
+    // Every replicated write of the window posted its three WRs: a
+    // millisecond after the clients stop nothing is left to post.
+    cluster
+        .sim
+        .run_until(cluster.measure_until + SimDuration::from_millis(1));
+    let nic = cluster.nic_kv().expect("nic");
+    let (msgs, wrs) = (nic.stat_fanout_msgs - msgs0, nic.stat_wrs_posted() - wrs0);
+    assert!(msgs > 100_000, "load was flowing: {msgs} writes");
+    // (Plus the WRs of at most one write per client that reached the NIC
+    // just before the window opened and posted just inside it.)
+    assert!(
+        (3 * msgs..=3 * (msgs + 8)).contains(&wrs),
+        "{wrs} WRs posted for {msgs} replicated writes"
+    );
+    assert_eq!(cluster.max_replication_lag(), 0);
+}
+
+#[test]
+fn two_fanout_threads_carry_twelve_slaves_without_lag() {
+    // The `threadnum` ablation's shape: one ARM thread cannot write twelve
+    // rings per SET at this rate and its slaves trail by megabytes; from
+    // two threads up the fan-out keeps pace — a few writes in flight when
+    // the window closes, nothing once they land.
+    let lag_with = |thread_num: usize| {
+        let mut s = spec(Mode::Skv, 12, 8, 1.0, 73);
+        s.cfg.thread_num = thread_num;
+        s.measure = SimDuration::from_millis(200);
+        let mut cluster = skv_core::cluster::Cluster::build(s);
+        cluster.sim.run_until(cluster.measure_until);
+        let at_close = cluster.max_replication_lag();
+        cluster.run();
+        (at_close, cluster.max_replication_lag())
+    };
+    let (overloaded, _) = lag_with(1);
+    assert!(
+        overloaded > 1 << 20,
+        "one thread lags only {overloaded} bytes"
+    );
+    // (Two is the tight case: more threads only share the same work.)
+    let (at_close, drained) = lag_with(2);
+    assert!(at_close <= 64 << 10, "two threads lag {at_close} bytes");
+    assert_eq!(drained, 0);
+}
