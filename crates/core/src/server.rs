@@ -2126,6 +2126,8 @@ impl Actor for KvServer {
             NetEvent::TcpConnectFailed { to } | NetEvent::CmConnectFailed { to } => {
                 self.on_connect_failed(ctx, to);
             }
+            // The fabric's own wire records; never addressed to an endpoint.
+            NetEvent::InFlight(_) => {}
         }
     }
 

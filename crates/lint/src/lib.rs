@@ -16,7 +16,11 @@
 //!   `thread::spawn`/`thread_rng` in sim code).
 //! * **Event-loop discipline** — `pollcq` (no raw `poll_cq` outside
 //!   `cqdrain::drain_budgeted`; DESIGN.md §12), `blocking` (no
-//!   `thread::sleep`, real sockets, or file IO in sim crates).
+//!   `thread::sleep`, real sockets, or file IO in sim crates),
+//!   `handoff-site` (no `Context::handoff` outside the fabric's one
+//!   notify site and `simcore` itself; DESIGN.md §24), `sync-in-sim`
+//!   (no `std::sync` in sim crates: one thread by construction, so
+//!   `Rc`/`Cell`/`RefCell`, not locked read-modify-writes).
 //! * **Wire-format hygiene** — `cast-truncate` (no narrowing `as
 //!   u8/u16/u32` casts in the frame codecs; use `try_from`),
 //!   `index-unchecked` (no unchecked range indexing in the codecs; use
@@ -118,7 +122,7 @@ pub struct RuleInfo {
 }
 
 /// The full rule registry.
-pub const RULES: [RuleInfo; 12] = [
+pub const RULES: [RuleInfo; 14] = [
     RuleInfo {
         name: "hashmap",
         severity: Severity::Error,
@@ -148,6 +152,18 @@ pub const RULES: [RuleInfo; 12] = [
         severity: Severity::Error,
         summary: "raw poll_cq outside cqdrain::drain_budgeted",
         scope: "core and bench event loops (cqdrain.rs exempt)",
+    },
+    RuleInfo {
+        name: "handoff-site",
+        severity: Severity::Error,
+        summary: "Context::handoff outside the fabric's one notify site",
+        scope: "everywhere except netsim fabric.rs and simcore",
+    },
+    RuleInfo {
+        name: "sync-in-sim",
+        severity: Severity::Error,
+        summary: "std::sync (Arc, Mutex, RwLock, atomics) in single-threaded sim code",
+        scope: "sim crates (netsim, simcore, core)",
     },
     RuleInfo {
         name: "cast-truncate",
@@ -253,6 +269,13 @@ const EVENT_LOOP_PREFIXES: [&str; 3] = ["crates/core/src/", "crates/bench/src/",
 /// The one file allowed to call `poll_cq` directly.
 const CQDRAIN_FILE: &str = "crates/core/src/cqdrain.rs";
 
+/// The one file outside `simcore` allowed to hand a message off (rule
+/// `handoff-site`): every `CqNotify` leaves through its `fire_cq_notify`.
+const HANDOFF_FILE: &str = "crates/netsim/src/fabric.rs";
+
+/// The crate that defines the primitive (and so calls it).
+const HANDOFF_HOME_PREFIX: &str = "crates/simcore/src/";
+
 /// Where the counter catalog lives (rule `counter-drift`).
 const METRICS_FILE: &str = "crates/core/src/metrics.rs";
 
@@ -283,6 +306,7 @@ struct Scope {
     hot: bool,
     wire: bool,
     event_loop: bool,
+    handoff_guarded: bool,
 }
 
 fn scope_of(rel: &str) -> Scope {
@@ -291,14 +315,16 @@ fn scope_of(rel: &str) -> Scope {
         hot: HOT_PATH_FILES.contains(&rel),
         wire: WIRE_FILES.contains(&rel),
         event_loop: rel != CQDRAIN_FILE && EVENT_LOOP_PREFIXES.iter().any(|p| rel.starts_with(p)),
+        handoff_guarded: rel != HANDOFF_FILE && !rel.starts_with(HANDOFF_HOME_PREFIX),
     }
 }
 
 fn rule_applies(rule: &str, scope: Scope) -> bool {
     match rule {
-        "hashmap" | "wallclock" | "blocking" => scope.sim,
+        "hashmap" | "wallclock" | "blocking" | "sync-in-sim" => scope.sim,
         "unwrap" => scope.hot,
         "pollcq" => scope.event_loop,
+        "handoff-site" => scope.handoff_guarded,
         _ => false,
     }
 }
@@ -351,7 +377,12 @@ struct Pattern {
     message: &'static str,
 }
 
-const PATTERNS: [Pattern; 13] = [
+/// Shared by both spellings of the call.
+const HANDOFF_MESSAGE: &str = "handoff outside NetInner::fire_cq_notify; the primitive has one \
+                               proven call site (its order argument is made there, DESIGN.md \
+                               §24) — use Context::send";
+
+const PATTERNS: [Pattern; 16] = [
     Pattern {
         needle: "HashMap",
         ident: true,
@@ -429,6 +460,26 @@ const PATTERNS: [Pattern; 13] = [
         message: "raw CQ poll outside cqdrain::drain_budgeted; completion drains \
                   must be budgeted so one burst cannot monopolise the event loop \
                   (DESIGN.md §12)",
+    },
+    Pattern {
+        needle: ".handoff(",
+        ident: false,
+        rule: "handoff-site",
+        message: HANDOFF_MESSAGE,
+    },
+    Pattern {
+        needle: ".handoff_boxed(",
+        ident: false,
+        rule: "handoff-site",
+        message: HANDOFF_MESSAGE,
+    },
+    Pattern {
+        needle: "std::sync::",
+        ident: true,
+        rule: "sync-in-sim",
+        message: "thread synchronisation in sim code; the simulation is one thread by \
+                  construction — use Rc / Cell / RefCell (a locked read-modify-write is a \
+                  full fence the event loop pays for nothing)",
     },
     Pattern {
         needle: ".poll_cq_into(",
@@ -1413,6 +1464,41 @@ mod tests {
         assert!(check_source("crates/core/src/cqdrain.rs", src).is_empty());
         // Out-of-scope crates are not event loops.
         assert!(check_source("crates/store/src/db.rs", src).is_empty());
+    }
+
+    #[test]
+    fn handoff_site_scope() {
+        let src = "fn f(ctx: &mut Context<'_>, to: ActorId) { ctx.handoff(to, Tick); }\n";
+        for file in ["crates/core/src/nickv.rs", "crates/netsim/src/rdma.rs"] {
+            let v = check_source(file, src);
+            assert_eq!(v.len(), 1, "{file}: {v:?}");
+            assert_eq!(v[0].rule, "handoff-site");
+        }
+        let boxed =
+            "fn f(ctx: &mut Context<'_>, to: ActorId, m: Payload) { ctx.handoff_boxed(to, m); }\n";
+        let v = check_source("examples/quickstart.rs", boxed);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "handoff-site");
+        // The fabric's notify site and the defining crate are exempt.
+        assert!(check_source("crates/netsim/src/fabric.rs", boxed).is_empty());
+        assert!(check_source("crates/simcore/src/actor.rs", src).is_empty());
+        // A field or a definition of that name is not a call.
+        let field = "fn f(s: &mut Simulation) { let h = s.handoff.take(); }\n";
+        assert!(check_source("crates/core/src/nickv.rs", field).is_empty());
+    }
+
+    #[test]
+    fn sync_in_sim_scope() {
+        let src = "use std::sync::{Arc, Mutex};\nstatic N: std::sync::atomic::AtomicU64 = X;\n";
+        let v = check_source("crates/simcore/src/pool.rs", src);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|x| x.rule == "sync-in-sim"));
+        // The store, the benches and the analyzer are not simulation code.
+        assert!(check_source("crates/store/src/db.rs", src).is_empty());
+        assert!(check_source("crates/bench/src/experiments.rs", src).is_empty());
+        // `Rc` and friends are what sim code uses instead.
+        let rc = "use std::rc::Rc;\nuse std::cell::{Cell, RefCell};\n";
+        assert!(check_source("crates/simcore/src/pool.rs", rc).is_empty());
     }
 
     #[test]

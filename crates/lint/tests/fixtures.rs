@@ -66,6 +66,26 @@ fn fixtures_produce_expected_diagnostics() {
         vec![4]
     );
 
+    // Handoffs are flagged everywhere but the fabric's notify site and
+    // the crate that defines the primitive (both checked clean below).
+    assert_eq!(
+        lines_of(
+            &violations,
+            "crates/core/src/bad_handoff.rs",
+            "handoff-site"
+        ),
+        vec![5, 6]
+    );
+
+    // `std::sync` in a sim crate: both `use` lines and the inline path;
+    // the `Rc`/`Cell` imports and the handoff call in `simcore` are clean.
+    let sync = by_file(&violations, "crates/simcore/src/bad_sync.rs");
+    assert_eq!(
+        sync.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+        vec![(5, "sync-in-sim"), (6, "sync-in-sim"), (11, "sync-in-sim")],
+        "{sync:?}"
+    );
+
     // --- wire-format hygiene ------------------------------------------
     // Narrowing casts only; the `as u64` / `as usize` widenings are clean.
     assert_eq!(
@@ -150,6 +170,7 @@ fn fixtures_produce_expected_diagnostics() {
         "crates/core/src/allowed.rs",
         "crates/core/src/test_only.rs",
         "crates/core/src/cqdrain.rs",
+        "crates/netsim/src/fabric.rs",
         "crates/bench/src/ablations.rs",
         "crates/store/src/blocking_ok.rs",
         "crates/store/src/out_of_scope.rs",
@@ -162,7 +183,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 30, "{violations:?}");
+    assert_eq!(violations.len(), 35, "{violations:?}");
 }
 
 #[test]
@@ -170,7 +191,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 29);
+    assert_eq!(analysis.errors(), 34);
     assert!(analysis
         .violations
         .iter()
@@ -190,6 +211,8 @@ fn json_report_round_trips_fixture_diagnostics() {
         "unwrap",
         "blocking",
         "pollcq",
+        "handoff-site",
+        "sync-in-sim",
         "cast-truncate",
         "index-unchecked",
         "counter-drift",
@@ -203,7 +226,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 30, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 35, "{json}");
 }
 
 #[test]

@@ -8,7 +8,13 @@
 //! Wire-level arrivals that must mutate fabric state at a *future* instant
 //! (placing RDMA-written bytes into a memory region, pushing a work
 //! completion) are routed through a hidden [`FabricActor`] registered in the
-//! simulation.
+//! simulation. The record of what arrives ([`FabricMsg`]) waits in a slab
+//! inside [`NetInner`]; the scheduled event is a boxed
+//! [`NetEvent::InFlight`] naming its slot. When the arrival makes a
+//! completion visible on an armed CQ, that same box is overwritten with the
+//! [`NetEvent::CqNotify`] and handed to the CQ's owner as the continuation
+//! of the arrival event ([`Context::handoff_boxed`]): one queue entry and
+//! one allocation per delivered completion.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -83,7 +89,7 @@ pub(crate) struct CmRequest {
     pub(crate) listener_addr: SocketAddr,
 }
 
-/// Internal messages processed by the fabric actor at arrival instants.
+/// Wire records the fabric actor applies at their arrival instants.
 pub(crate) enum FabricMsg {
     /// An RDMA operation reaches the destination NIC.
     RdmaArrive {
@@ -106,6 +112,35 @@ pub(crate) enum FabricMsg {
     /// A CQ moderation coalescing deadline expires (see
     /// [`crate::NetParams::cq_notify_timer`]).
     CqModerationTimer { cq: CqId },
+}
+
+/// The wire records in flight, parked from launch until their arrival
+/// event fires. Slots are reused last-freed-first, so the slab grows to
+/// the peak number of records in flight at once and no further.
+#[derive(Default)]
+pub(crate) struct Parked {
+    slots: Vec<Option<FabricMsg>>,
+    free: Vec<u32>,
+}
+
+impl Parked {
+    fn park(&mut self, msg: FabricMsg) -> InFlightId {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(None);
+                next_id(self.slots.len() - 1)
+            }
+        };
+        self.slots[slot as usize] = Some(msg);
+        InFlightId(slot)
+    }
+
+    fn take(&mut self, id: InFlightId) -> Option<FabricMsg> {
+        let msg = self.slots.get_mut(id.0 as usize)?.take()?;
+        self.free.push(id.0);
+        Some(msg)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -132,6 +167,10 @@ pub(crate) struct NetInner {
     pub(crate) faults: FaultPlan,
     /// RNG dedicated to fault verdicts, reseeded when a plan is installed.
     pub(crate) fault_rng: DetRng,
+    parked: Parked,
+    /// While the fabric actor applies a wire record: the box its event
+    /// arrived in, free for the first notify the record causes.
+    spare: Option<Box<NetEvent>>,
 }
 
 impl NetInner {
@@ -154,7 +193,15 @@ impl NetInner {
             counters: FabricCounters::default(),
             faults: FaultPlan::new(0),
             fault_rng: DetRng::new(0),
+            parked: Parked::default(),
+            spare: None,
         }
+    }
+
+    /// Put `msg` in flight: it reaches the fabric actor at `at`.
+    pub(crate) fn launch(&mut self, ctx: &mut Context<'_>, at: SimTime, msg: FabricMsg) {
+        let id = self.parked.park(msg);
+        ctx.send_at(at, self.fabric_actor, NetEvent::InFlight(id));
     }
 
     pub(crate) fn alloc_ephemeral(&mut self) -> u16 {
@@ -215,12 +262,25 @@ impl NetInner {
     /// Every notify the fabric ever emits goes through here, so
     /// `rdma.cq_notifies` counts them all (the doorbell-style observable
     /// for the N-to-1 moderation collapse).
+    ///
+    /// The notify is handed off: it runs inside the current event unless
+    /// something else is due at this instant — a second arrival on the same
+    /// CQ, say, which one notify must still cover — and is then an ordinary
+    /// zero-delay send. Same firing order either way.
     pub(crate) fn fire_cq_notify(&mut self, ctx: &mut Context<'_>, cq: CqId) {
         let state = &mut self.cqs[cq.0 as usize];
         state.armed = false;
         let owner = state.owner;
         self.counters.inc(Slot::RdmaCqNotifies);
-        ctx.send(owner, NetEvent::CqNotify { cq });
+        let notify = NetEvent::CqNotify { cq };
+        let notify = match self.spare.take() {
+            Some(mut spare) => {
+                *spare = notify;
+                spare
+            }
+            None => Box::new(notify),
+        };
+        ctx.handoff_boxed(owner, notify);
     }
 
     /// Schedule the moderation coalescing deadline for `cq` unless one is
@@ -231,9 +291,8 @@ impl NetInner {
             return;
         }
         state.timer_pending = true;
-        let fabric = self.fabric_actor;
-        let deadline = self.params.cq_notify_timer;
-        ctx.send_in(deadline, fabric, FabricMsg::CqModerationTimer { cq });
+        let deadline = ctx.now() + self.params.cq_notify_timer;
+        self.launch(ctx, deadline, FabricMsg::CqModerationTimer { cq });
     }
 
     /// The coalescing deadline expired: flush a sub-threshold notify if the
@@ -311,6 +370,19 @@ impl Net {
         self.inner.borrow().counters.snapshot()
     }
 
+    /// Wire records in flight right now: posted or scheduled, not yet
+    /// arrived.
+    pub fn in_flight(&self) -> usize {
+        let parked = &self.inner.borrow().parked;
+        parked.slots.len() - parked.free.len()
+    }
+
+    /// The most wire records that have ever been in flight at once — the
+    /// size the fabric's record slab has grown to.
+    pub fn in_flight_peak(&self) -> usize {
+        self.inner.borrow().parked.slots.len()
+    }
+
     /// Install a fault schedule. The plan's private RNG is reseeded from
     /// `plan.seed`, so installing the same plan twice replays identically.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
@@ -337,11 +409,18 @@ struct FabricActor {
 
 impl Actor for FabricActor {
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: ActorId, msg: Payload) {
-        let Ok(msg) = msg.downcast::<FabricMsg>() else {
+        let Ok(ev) = msg.downcast::<NetEvent>() else {
+            return;
+        };
+        let NetEvent::InFlight(id) = *ev else {
             return;
         };
         let mut net = self.net.borrow_mut();
-        match *msg {
+        let Some(record) = net.parked.take(id) else {
+            return;
+        };
+        net.spare = Some(ev);
+        match record {
             FabricMsg::RdmaArrive {
                 src_qp,
                 dst_qp,
@@ -363,6 +442,7 @@ impl Actor for FabricActor {
                 net.cq_timer_fire(ctx, cq);
             }
         }
+        net.spare = None;
     }
 
     fn name(&self) -> &str {

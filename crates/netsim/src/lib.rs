@@ -15,7 +15,7 @@
 //! * calibration constants in [`NetParams`] / [`MachineParams`].
 //!
 //! Endpoint actors drive the fabric through the cloneable [`Net`] handle
-//! and receive [`NetEvent`] messages back through the simulation queue.
+//! and receive [`NetEvent`] messages back from the simulation engine.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,6 +39,6 @@ pub use rdma::{CmError, PostError, PostListError};
 pub use skv_simcore::Frame;
 pub use topology::{NodeKind, Topology};
 pub use types::{
-    CmReqId, CqId, MrId, NetEvent, NodeId, QpId, SendOp, SendWr, SocketAddr, TcpConnId, Wc,
-    WcOpcode, WcStatus,
+    CmReqId, CqId, InFlightId, MrId, NetEvent, NodeId, QpId, SendOp, SendWr, SocketAddr, TcpConnId,
+    Wc, WcOpcode, WcStatus,
 };

@@ -87,9 +87,6 @@ pub enum CmError {
     AlreadyAnswered,
 }
 
-/// Next 32-bit resource id from a table length. A truncating `as u32` cast
-/// would silently alias id 0 after 2^32 allocations; exhaustion is a
-/// simulation-scale bug, so it panics instead.
 impl Net {
     /// Create a completion queue owned by `owner`.
     pub fn create_cq(&self, owner: ActorId) -> CqId {
@@ -212,8 +209,7 @@ impl Net {
             from_addr: SocketAddr::new(from_node, port),
             listener_addr: to,
         }));
-        let fabric = inner.fabric_actor;
-        ctx.send_in(half, fabric, FabricMsg::CmRequestArrive { req });
+        inner.launch(ctx, ctx.now() + half, FabricMsg::CmRequestArrive { req });
     }
 
     /// Accept a pending connection request, creating this side's QP with
@@ -263,19 +259,19 @@ impl Net {
         inner.qps[initiator_qp.0 as usize].peer = Some(acceptor_qp);
         inner.counters.inc(Slot::RdmaConnections);
 
-        let fabric = inner.fabric_actor;
-        ctx.send_in(
-            half,
-            fabric,
+        let established = ctx.now() + half;
+        inner.launch(
+            ctx,
+            established,
             FabricMsg::CmEstablishedArrive {
                 actor: request.from_actor,
                 qp: initiator_qp,
                 peer: request.listener_addr,
             },
         );
-        ctx.send_in(
-            half,
-            fabric,
+        inner.launch(
+            ctx,
+            established,
             FabricMsg::CmEstablishedArrive {
                 actor: acceptor,
                 qp: acceptor_qp,
@@ -548,11 +544,9 @@ fn post_one(
         }
     }
     let (arrival, lat) = inner.wire(ctx.now(), src_node, dst_node, wire_bytes);
-    let arrival = arrival + extra;
-    let fabric = inner.fabric_actor;
-    ctx.send_at(
-        arrival + dma,
-        fabric,
+    inner.launch(
+        ctx,
+        arrival + extra + dma,
         FabricMsg::RdmaArrive {
             src_qp: qp,
             dst_qp: peer_qp,
@@ -785,7 +779,7 @@ fn write_mr(net: &mut NetInner, dst_node: NodeId, mr: MrId, offset: usize, data:
 /// `PushWc` event, no notify, nothing to poll. Every other status
 /// completes whatever the flag says.
 fn push_sender_wc(
-    net: &NetInner,
+    net: &mut NetInner,
     ctx: &mut Context<'_>,
     delay: SimDuration,
     signaled: bool,
@@ -795,5 +789,5 @@ fn push_sender_wc(
         return;
     }
     let cq = net.qps[wc.qp.0 as usize].cq;
-    ctx.send_in(delay, net.fabric_actor, FabricMsg::PushWc { cq, wc });
+    net.launch(ctx, ctx.now() + delay, FabricMsg::PushWc { cq, wc });
 }

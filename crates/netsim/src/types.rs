@@ -58,6 +58,12 @@ pub struct MrId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CmReqId(pub u32);
 
+/// Names a wire record in flight inside the fabric (see
+/// [`NetEvent::InFlight`]). Opaque: the field is private to this crate, so
+/// no endpoint can build one or read what it stands for.
+#[derive(Debug, Clone, Copy)]
+pub struct InFlightId(pub(crate) u32);
+
 /// Verbs operation kinds, mirroring `ibv_wr_opcode`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SendOp {
@@ -285,10 +291,18 @@ pub enum NetEvent {
         /// The completion queue with new completions.
         cq: CqId,
     },
+    /// The fabric's note to itself that a wire record — an RDMA arrival, a
+    /// sender completion, an RDMA_CM hop, a moderation deadline — takes
+    /// effect now. Only ever addressed to the fabric's own actor; endpoint
+    /// actors never receive one. It is a `NetEvent` so that the box which
+    /// carries it can become the [`NetEvent::CqNotify`] the arrival causes.
+    InFlight(InFlightId),
 }
 
-/// Allocate the next dense resource id, panicking loudly if the 32-bit id
-/// space is ever exhausted (a simulation bug, not a recoverable error).
+/// Allocate the next dense resource id from a table length, panicking
+/// loudly if the 32-bit id space is ever exhausted (a simulation bug, not a
+/// recoverable error; a truncating `as u32` cast would silently alias id 0
+/// after 2^32 allocations instead).
 pub(crate) fn next_id(len: usize) -> u32 {
     match u32::try_from(len) {
         Ok(id) => id,

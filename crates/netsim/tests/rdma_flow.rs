@@ -3,7 +3,7 @@
 // Test payloads and loop counters are tiny literals; casts cannot truncate.
 #![allow(clippy::cast_possible_truncation)]
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use skv_netsim::{
@@ -22,6 +22,9 @@ struct World {
     /// (notifies received, completions polled); see
     /// `counters_snapshot_matches_a_name_keyed_tally`.
     tally: Rc<RefCell<Counters>>,
+    /// Whether the server endpoint re-arms its CQ after a poll (it does
+    /// unless a test wants to see an arrival on an un-armed CQ).
+    server_rearms: Rc<Cell<bool>>,
 }
 
 fn world() -> World {
@@ -36,6 +39,7 @@ fn world() -> World {
         a,
         b,
         tally: Rc::default(),
+        server_rearms: Rc::new(Cell::new(true)),
     }
 }
 
@@ -63,6 +67,7 @@ fn establish(
     let server_cq: Rc<RefCell<Option<skv_netsim::CqId>>> = Rc::default();
     let scq = server_cq.clone();
     let tally = w.tally.clone();
+    let rearms = w.server_rearms.clone();
     let server = w
         .sim
         .add_actor(Box::new(FnActor::new(move |ctx, _from, msg| {
@@ -85,7 +90,9 @@ fn establish(
                     tally.borrow_mut().inc("rdma.cq_notifies");
                     tally.borrow_mut().add("rdma.wcs_polled", wcs.len() as u64);
                     swc.borrow_mut().extend(wcs);
-                    net.req_notify_cq(ctx, cq);
+                    if rearms.get() {
+                        net.req_notify_cq(ctx, cq);
+                    }
                 }
                 _ => {}
             }
@@ -904,4 +911,201 @@ fn deterministic_event_counts() {
         (w.sim.events_processed(), w.net.counters().get("rdma.bytes"))
     }
     assert_eq!(run(), run());
+}
+
+// -- one event per delivered completion ------------------------------------
+//
+// A completion that reaches an armed CQ used to cost two queue entries: the
+// arrival at the fabric actor and a zero-delay `CqNotify` to the owner. The
+// notify is now handed off inside the arrival event unless something else
+// is due at the same instant (DESIGN.md §24). These arms count engine
+// dispatches; the one-shot posting helper is one event of its own.
+
+/// `(events popped, handoffs, notifies fired)` so far.
+fn dispatch_counts(w: &World) -> (u64, u64, u64) {
+    let notifies = w.net.counters().get("rdma.cq_notifies");
+    (w.sim.events_processed(), w.sim.handoffs(), notifies)
+}
+
+#[test]
+fn a_delivery_is_one_event_with_the_notify_inside_it_when_the_cq_is_armed() {
+    let mut w = world();
+    let (cqp, _sqp, _cwcs, swcs, server_mr) = establish(&mut w, 4);
+    let c = cqp.borrow().unwrap();
+    let wr = |wr_id| write_imm_wr(wr_id, server_mr, 0, 1, 7).unsignaled();
+
+    let (events0, handoffs0, notifies0) = dispatch_counts(&w);
+    post_from_helper(&mut w, c, wr(1));
+    let (events1, handoffs1, notifies1) = dispatch_counts(&w);
+    assert_eq!(events1 - events0, 2, "the helper and the arrival");
+    assert_eq!((handoffs1 - handoffs0, notifies1 - notifies0), (1, 1));
+    assert_eq!(swcs.borrow().len(), 1, "the notify ran and polled");
+
+    // The owner polls the next one but leaves its CQ un-armed ...
+    w.server_rearms.set(false);
+    post_from_helper(&mut w, c, wr(2));
+    assert_eq!(swcs.borrow().len(), 2);
+    // ... so the one after is an arrival and nothing else: one event, no
+    // notify, the completion waits in the CQ.
+    let (events2, handoffs2, notifies2) = dispatch_counts(&w);
+    post_from_helper(&mut w, c, wr(3));
+    let (events3, handoffs3, notifies3) = dispatch_counts(&w);
+    assert_eq!(events3 - events2, 2);
+    assert_eq!((handoffs3 - handoffs2, notifies3 - notifies2), (0, 0));
+    assert_eq!(swcs.borrow().len(), 2);
+}
+
+/// The case an unconditional fold would get wrong: two writers on
+/// different hosts post at the same instant, so both arrivals land on the
+/// server's one CQ in the same nanosecond. The first arrival fires the
+/// notify; run inside that event it would poll one completion, re-arm, and
+/// the second arrival would fire a second notify. Queued behind the second
+/// arrival, as it always was, one notify polls both.
+#[test]
+fn two_arrivals_in_one_nanosecond_are_still_polled_by_one_notify() {
+    let mut sim = Simulation::new(3);
+    let mut topo = Topology::new();
+    let (a, b, c) = (topo.add_host(), topo.add_host(), topo.add_host());
+    let net = Net::install(&mut sim, topo, NetParams::default());
+    let mr = net.register_mr(c, 4096);
+    let addr = SocketAddr::new(c, 6379);
+
+    // Server: one CQ for every accepted QP; records the size of each poll.
+    let polls: Rc<RefCell<Vec<usize>>> = Rc::default();
+    let server = sim.add_actor(Box::new(FnActor::new({
+        let (net, polls) = (net.clone(), polls.clone());
+        let mut the_cq = None;
+        move |ctx, _from, msg| {
+            let Ok(ev) = msg.downcast::<NetEvent>() else {
+                return;
+            };
+            match *ev {
+                NetEvent::CmConnectRequest { req, .. } => {
+                    let cq = *the_cq.get_or_insert_with(|| net.create_cq(ctx.id()));
+                    let qp = net.rdma_accept(ctx, req, cq).expect("fresh CM request");
+                    net.post_recv(qp, 1).unwrap();
+                    net.req_notify_cq(ctx, cq);
+                }
+                NetEvent::CqNotify { cq } => {
+                    polls.borrow_mut().push(net.poll_cq(cq, 64).len());
+                    net.req_notify_cq(ctx, cq);
+                }
+                _ => {}
+            }
+        }
+    })));
+    net.rdma_listen(addr, server);
+
+    // One writer actor holding a QP on each of the two other hosts.
+    let qps: Rc<RefCell<Vec<QpId>>> = Rc::default();
+    let writer = sim.add_actor(Box::new(FnActor::new({
+        let qps = qps.clone();
+        move |_ctx, _from, msg| {
+            if let Ok(ev) = msg.downcast::<NetEvent>() {
+                if let NetEvent::CmEstablished { qp, .. } = *ev {
+                    qps.borrow_mut().push(qp);
+                }
+            }
+        }
+    })));
+    let script = sim.add_actor(Box::new(FnActor::new({
+        let (net, qps) = (net.clone(), qps.clone());
+        move |ctx, _from, msg| {
+            if msg.downcast::<&str>().is_ok_and(|m| *m == "connect") {
+                let cq = net.create_cq(writer);
+                net.rdma_connect(ctx, a, writer, cq, addr);
+                net.rdma_connect(ctx, b, writer, cq, addr);
+            } else {
+                for (i, &qp) in qps.borrow().iter().enumerate() {
+                    let wr = write_imm_wr(i as u64, mr, 64 * i, 0, 9).unsignaled();
+                    net.post_send(ctx, qp, wr).unwrap();
+                }
+            }
+        }
+    })));
+    sim.schedule(SimTime::ZERO, script, "connect");
+    sim.run_to_completion();
+    assert_eq!(qps.borrow().len(), 2, "both connections must establish");
+
+    let notifies = net.counters().get("rdma.cq_notifies");
+    let (events, handoffs) = (sim.events_processed(), sim.handoffs());
+    sim.schedule(sim.now(), script, "post");
+    sim.run_to_completion();
+    assert_eq!(*polls.borrow(), vec![2], "one notify, both completions");
+    assert_eq!(net.counters().get("rdma.cq_notifies") - notifies, 1);
+    // The script, two arrivals, and the notify as an event of its own.
+    assert_eq!(sim.events_processed() - events, 4);
+    assert_eq!(sim.handoffs(), handoffs, "nothing was folded");
+}
+
+/// In-flight wire records wait in a slab that grows to the peak number in
+/// flight and no further, and every record leaves it when its event fires —
+/// also when the arrival finds the destination gone.
+#[test]
+fn in_flight_records_are_parked_until_they_arrive_and_never_after() {
+    let mut w = world();
+    let (cqp, sqp, cwcs, _swcs, server_mr) = establish(&mut w, 16);
+    let (c, s) = (cqp.borrow().unwrap(), sqp.borrow().unwrap());
+    assert_eq!(w.net.in_flight(), 0);
+    assert_eq!(w.net.in_flight_peak(), 2, "the two CM established hops");
+
+    // Post five WRs and stop the clock before any of them lands.
+    let post_five = |w: &mut World| {
+        let net = w.net.clone();
+        let helper = w
+            .sim
+            .add_actor(Box::new(FnActor::new(move |ctx, _from, _msg| {
+                let wrs = (0..5)
+                    .map(|i| write_imm_wr(i, server_mr, 0, 0, 1))
+                    .collect();
+                net.post_send_list(ctx, c, wrs).unwrap();
+            })));
+        w.sim.schedule(w.sim.now(), helper, ());
+        w.sim.run_until(w.sim.now());
+    };
+    post_five(&mut w);
+    assert_eq!((w.net.in_flight(), w.net.in_flight_peak()), (5, 5));
+    w.sim.run_to_completion();
+    assert_eq!(
+        cwcs.borrow().len(),
+        5,
+        "sender completions were records too"
+    );
+    assert_eq!((w.net.in_flight(), w.net.in_flight_peak()), (0, 5));
+
+    // The freed slots are reused: the same load does not grow the slab.
+    post_five(&mut w);
+    w.sim.run_to_completion();
+    assert_eq!((w.net.in_flight(), w.net.in_flight_peak()), (0, 5));
+
+    // The peer QP is destroyed with five WRs in flight, and (below) a node
+    // crashes: the arrivals are discarded, their error completions are
+    // delivered, and nothing stays parked.
+    post_five(&mut w);
+    w.net.destroy_qp(s);
+    w.sim.run_to_completion();
+    assert_eq!(cwcs.borrow().len(), 15);
+    assert_eq!(
+        cwcs.borrow().last().unwrap().status,
+        WcStatus::RemoteUnreachable
+    );
+    assert_eq!((w.net.in_flight(), w.net.in_flight_peak()), (0, 5));
+
+    let mut w = world();
+    let (cqp, _sqp, cwcs, _swcs, server_mr) = establish(&mut w, 4);
+    w.net.set_node_up(w.b, false);
+    post_from_helper(
+        &mut w,
+        cqp.borrow().unwrap(),
+        write_imm_wr(21, server_mr, 0, 0, 1),
+    );
+    assert_eq!(cwcs.borrow()[0].status, WcStatus::RemoteUnreachable);
+    assert_eq!((w.net.in_flight(), w.net.in_flight_peak()), (0, 2));
+}
+
+/// `tcp-baseline` allocates one `NetEvent` per delivery: the variant that
+/// names an in-flight record must not grow the type.
+#[test]
+fn net_event_stays_32_bytes() {
+    assert_eq!(std::mem::size_of::<NetEvent>(), 32);
 }

@@ -80,6 +80,10 @@ impl dyn Actor {
     }
 }
 
+/// A message handed off as the continuation of the event being dispatched:
+/// destination, source, payload. See [`Context::handoff`].
+pub(crate) type Handoff = (ActorId, ActorId, Payload);
+
 /// The actor's handle to the engine while processing an event.
 pub struct Context<'a> {
     pub(crate) now: SimTime,
@@ -87,6 +91,10 @@ pub struct Context<'a> {
     pub(crate) queue: &'a mut EventQueue,
     pub(crate) rng: &'a mut DetRng,
     pub(crate) halt: &'a mut bool,
+    /// Where a handoff waits for the current handler to return; `None`
+    /// outside an event ([`Actor::on_start`]), where there is nothing to
+    /// continue.
+    pub(crate) handoff: Option<&'a mut Option<Handoff>>,
 }
 
 impl Context<'_> {
@@ -106,6 +114,33 @@ impl Context<'_> {
     /// current event, in scheduling order).
     pub fn send<M: Any>(&mut self, to: ActorId, msg: M) {
         self.queue.push(self.now, to, self.self_id, Box::new(msg));
+    }
+
+    /// Deliver `msg` to `to` at the current instant as the *continuation of
+    /// the current event* when nothing else could come first: if the queue
+    /// holds no event for this instant and no handoff is already pending,
+    /// the engine dispatches `msg` right after the current handler returns,
+    /// without a queue entry. Otherwise this is exactly [`Context::send`].
+    ///
+    /// In the taken case a sent `msg` would have been the very next pop —
+    /// everything queued is later, everything pushed after this call has a
+    /// higher sequence number — so both cases fire in the same total order
+    /// and the choice is invisible to the simulation. A message to nowhere
+    /// is dropped at dispatch, as a sent one is.
+    pub fn handoff<M: Any>(&mut self, to: ActorId, msg: M) {
+        self.handoff_boxed(to, Box::new(msg));
+    }
+
+    /// [`Context::handoff`] for a payload that is already boxed, so a
+    /// caller can reuse the allocation of the message it is handling.
+    pub fn handoff_boxed(&mut self, to: ActorId, msg: Payload) {
+        let nothing_first = self.queue.peek_time().is_none_or(|t| t > self.now);
+        match &mut self.handoff {
+            Some(slot) if slot.is_none() && nothing_first => {
+                **slot = Some((to, self.self_id, msg));
+            }
+            _ => self.queue.push(self.now, to, self.self_id, msg),
+        }
     }
 
     /// Deliver `msg` to `to` after `delay`.

@@ -5,10 +5,16 @@
 //! dispatching it to its destination actor. Actors are temporarily removed
 //! from their slot during dispatch, which lets them schedule new events
 //! (including to themselves) without aliasing.
+//!
+//! A handler may also name the *continuation* of its event with
+//! [`Context::handoff`]: a message the engine dispatches right after the
+//! handler returns, without a queue entry, when it would have been the next
+//! pop anyway. A dispatch is therefore either an event (popped from the
+//! queue) or a handoff, and the two are counted apart.
 
 use std::any::Any;
 
-use crate::actor::{Actor, ActorId, Context};
+use crate::actor::{Actor, ActorId, Context, Handoff};
 use crate::event::{EventQueue, Payload};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
@@ -22,7 +28,7 @@ pub enum RunOutcome {
     DeadlineReached,
     /// An actor called [`Context::halt`].
     Halted,
-    /// The event budget was exhausted (runaway protection).
+    /// The dispatch budget was exhausted (runaway protection).
     BudgetExhausted,
 }
 
@@ -33,7 +39,12 @@ pub struct Simulation {
     now: SimTime,
     rng: DetRng,
     halt: bool,
-    events_processed: u64,
+    /// Events popped plus handoffs: what `event_budget` bounds.
+    dispatches: u64,
+    handoffs: u64,
+    /// The continuation of the event dispatched last, if its handler named
+    /// one: the next thing to run, ahead of anything in the queue.
+    handoff: Option<Handoff>,
     /// Safety valve against runaway event loops; `u64::MAX` by default.
     event_budget: u64,
 }
@@ -47,12 +58,16 @@ impl Simulation {
             now: SimTime::ZERO,
             rng: DetRng::new(seed),
             halt: false,
-            events_processed: 0,
+            dispatches: 0,
+            handoffs: 0,
+            handoff: None,
             event_budget: u64::MAX,
         }
     }
 
-    /// Cap the total number of events this simulation may process.
+    /// Cap the total number of dispatches — events plus handoffs — this
+    /// simulation may make, so a same-instant handoff cycle ends in
+    /// [`RunOutcome::BudgetExhausted`] like any other runaway loop.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = budget;
     }
@@ -72,6 +87,7 @@ impl Simulation {
                 queue: &mut self.queue,
                 rng: &mut self.rng,
                 halt: &mut self.halt,
+                handoff: None,
             };
             actor.on_start(&mut ctx);
         }
@@ -97,9 +113,16 @@ impl Simulation {
         self.now
     }
 
-    /// Total events processed so far.
+    /// Total events popped from the queue and dispatched so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.dispatches - self.handoffs
+    }
+
+    /// Total messages dispatched as the continuation of an event instead of
+    /// through the queue ([`Context::handoff`]). Every dispatch is one or
+    /// the other: `dispatches = events_processed + handoffs`.
+    pub fn handoffs(&self) -> u64 {
+        self.handoffs
     }
 
     /// Number of events waiting in the queue.
@@ -128,25 +151,37 @@ impl Simulation {
     /// exactly at the deadline are processed.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         loop {
-            if self.halt {
+            // A pending handoff is the rest of the current event, so it runs
+            // before a halt takes effect. A chain of them is this loop, not
+            // recursion, and the budget bounds it like everything else.
+            if self.halt && self.handoff.is_none() {
                 self.halt = false;
                 return RunOutcome::Halted;
             }
-            if self.events_processed >= self.event_budget {
+            if self.dispatches >= self.event_budget {
                 return RunOutcome::BudgetExhausted;
             }
-            let Some(next_time) = self.queue.peek_time() else {
-                return RunOutcome::Drained;
+            let (to, from, payload) = match self.handoff.take() {
+                Some(handoff) => {
+                    self.handoffs += 1;
+                    handoff
+                }
+                None => {
+                    let Some(next_time) = self.queue.peek_time() else {
+                        return RunOutcome::Drained;
+                    };
+                    if next_time > deadline {
+                        self.now = deadline;
+                        return RunOutcome::DeadlineReached;
+                    }
+                    let ev = self.queue.pop().expect("peeked event must exist");
+                    debug_assert!(ev.time >= self.now, "time must not run backwards");
+                    self.now = ev.time;
+                    (ev.to, ev.from, ev.payload)
+                }
             };
-            if next_time > deadline {
-                self.now = deadline;
-                return RunOutcome::DeadlineReached;
-            }
-            let ev = self.queue.pop().expect("peeked event must exist");
-            debug_assert!(ev.time >= self.now, "time must not run backwards");
-            self.now = ev.time;
-            self.events_processed += 1;
-            self.dispatch(ev.to, ev.from, ev.payload);
+            self.dispatches += 1;
+            self.dispatch(to, from, payload);
         }
     }
 
@@ -173,6 +208,7 @@ impl Simulation {
                 queue: &mut self.queue,
                 rng: &mut self.rng,
                 halt: &mut self.halt,
+                handoff: Some(&mut self.handoff),
             };
             actor.on_message(&mut ctx, from, payload);
         }
@@ -183,6 +219,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -359,6 +396,201 @@ mod tests {
         sim.schedule(sim.now(), id, 2u32);
         assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
         assert_eq!(*log.borrow(), vec![1, 2, 9, 4, 5]);
+    }
+
+    /// Logs the tags it receives. Tag 1 hands tag 9 off to itself and then
+    /// sends tag 8; tag 2 asks for two handoffs (tags 6 and 7); tag 3 hands
+    /// tag 3 off again, forever; tag 4 halts and hands off tag 9.
+    fn handoff_logger(sim: &mut Simulation) -> (ActorId, Rc<RefCell<Vec<u32>>>) {
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let seen = log.clone();
+        let id = sim.add_actor(Box::new(crate::actor::FnActor::new(
+            move |ctx, _from, msg| {
+                let tag = *msg.downcast::<u32>().expect("u32 tag");
+                seen.borrow_mut().push(tag);
+                let me = ctx.id();
+                match tag {
+                    1 => {
+                        ctx.handoff(me, 9u32);
+                        ctx.send(me, 8u32);
+                    }
+                    2 => {
+                        ctx.handoff(me, 6u32);
+                        ctx.handoff(me, 7u32);
+                    }
+                    3 => ctx.handoff(me, 3u32),
+                    4 => {
+                        ctx.halt();
+                        ctx.handoff(me, 9u32);
+                    }
+                    _ => {}
+                }
+            },
+        )));
+        (id, log)
+    }
+
+    #[test]
+    fn handoff_runs_inside_the_event_when_nothing_else_is_due() {
+        let mut sim = Simulation::new(1);
+        let (id, log) = handoff_logger(&mut sim);
+        sim.schedule(SimTime::from_micros(5), id, 1u32);
+        sim.schedule(SimTime::from_micros(6), id, 2u32);
+        assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
+        // Tag 8 was pushed after the handoff call and fires after it; of
+        // two handoffs from one handler the second is a plain send.
+        assert_eq!(*log.borrow(), vec![1, 9, 8, 2, 6, 7]);
+        assert_eq!((sim.events_processed(), sim.handoffs()), (4, 2));
+    }
+
+    #[test]
+    fn handoff_is_a_send_when_the_instant_has_something_queued() {
+        let mut sim = Simulation::new(1);
+        let (id, log) = handoff_logger(&mut sim);
+        let t = SimTime::from_micros(5);
+        sim.schedule(t, id, 1u32);
+        sim.schedule(t, id, 5u32); // queued before tag 1 runs: fires before tag 9
+        assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(*log.borrow(), vec![1, 5, 9, 8]);
+        assert_eq!((sim.events_processed(), sim.handoffs()), (4, 0));
+    }
+
+    #[test]
+    fn handoff_cycle_exhausts_the_budget_without_recursing() {
+        let mut sim = Simulation::new(1);
+        let (id, log) = handoff_logger(&mut sim);
+        sim.schedule(SimTime::from_micros(5), id, 3u32);
+        // Deep enough that one stack frame per link would overflow.
+        sim.set_event_budget(1_000_000);
+        assert_eq!(sim.run_to_completion(), RunOutcome::BudgetExhausted);
+        assert_eq!((sim.events_processed(), sim.handoffs()), (1, 999_999));
+        assert_eq!(sim.now(), SimTime::from_micros(5));
+        // The link that did not fit is kept, not lost: it runs first when
+        // the budget is raised.
+        sim.set_event_budget(1_000_002);
+        assert_eq!(sim.run_to_completion(), RunOutcome::BudgetExhausted);
+        assert_eq!(log.borrow().len(), 1_000_002);
+    }
+
+    #[test]
+    fn handoff_requested_with_a_halt_is_delivered_before_the_run_stops() {
+        let mut sim = Simulation::new(1);
+        let (id, log) = handoff_logger(&mut sim);
+        sim.schedule(SimTime::from_micros(5), id, 4u32);
+        sim.schedule(SimTime::from_micros(6), id, 5u32);
+        assert_eq!(sim.run_to_completion(), RunOutcome::Halted);
+        assert_eq!(*log.borrow(), vec![4, 9]);
+        assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(*log.borrow(), vec![4, 9, 5]);
+    }
+
+    #[test]
+    fn handoff_outside_an_event_or_to_nowhere_behaves_as_send() {
+        struct Starter {
+            got: u32,
+        }
+        impl Actor for Starter {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                let me = ctx.id();
+                ctx.handoff(me, Go);
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_>, _from: ActorId, _msg: Payload) {
+                self.got += 1;
+                ctx.handoff(ActorId::SYSTEM, Go);
+                ctx.handoff(ActorId::from_raw(99), Go);
+            }
+        }
+        let mut sim = Simulation::new(1);
+        let id = sim.add_actor(Box::new(Starter { got: 0 }));
+        // on_start has no event to continue: its handoff waits in the queue.
+        assert_eq!((sim.pending_events(), sim.handoffs()), (1, 0));
+        assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(sim.actor_ref::<Starter>(id).unwrap().got, 1);
+        // Both messages to nowhere were dispatched and dropped.
+        assert_eq!(sim.events_processed() + sim.handoffs(), 3);
+    }
+
+    /// What a handler of the order-equivalence property does with one tag:
+    /// `(handoff?, delay_ns, to, tag)` per message it emits, in order. An
+    /// emission marked `handoff` is the primitive under test and has no
+    /// delay; the others are `send_in(delay_ns)`, zero included.
+    type Script = Vec<Vec<(bool, u64, u32, u32)>>;
+
+    const SCRIPT_ACTORS: u32 = 3;
+
+    /// Tag `i` emits up to three messages carrying higher tags, so every
+    /// run ends.
+    fn script() -> impl Strategy<Value = Script> {
+        let emit = (any::<bool>(), 0u64..3, 0..SCRIPT_ACTORS, 1u32..12);
+        prop::collection::vec(prop::collection::vec(emit, 0..4), 24..25).prop_map(|mut script| {
+            for (tag, emits) in script.iter_mut().enumerate() {
+                for e in emits.iter_mut() {
+                    e.3 += tag as u32;
+                }
+            }
+            script
+        })
+    }
+
+    /// Run `script` from `kicks` (`(time_ns, to, tag)`), with the emissions
+    /// marked `handoff` going through [`Context::handoff`] or, in the
+    /// reference run, through [`Context::send`]. Returns the dispatch log
+    /// and the engine's two counters.
+    fn run_script(
+        script: &Rc<Script>,
+        kicks: &[(u64, u32, u32)],
+        use_handoff: bool,
+    ) -> (Vec<(SimTime, ActorId, u32)>, u64, u64) {
+        let mut sim = Simulation::new(1);
+        let log: Rc<RefCell<Vec<(SimTime, ActorId, u32)>>> = Rc::default();
+        for _ in 0..SCRIPT_ACTORS {
+            let (script, seen) = (script.clone(), log.clone());
+            sim.add_actor(Box::new(crate::actor::FnActor::new(
+                move |ctx, _from, msg| {
+                    let tag = *msg.downcast::<u32>().expect("u32 tag");
+                    seen.borrow_mut().push((ctx.now(), ctx.id(), tag));
+                    for &(handoff, delay, to, tag) in script.get(tag as usize).into_iter().flatten()
+                    {
+                        let to = ActorId::from_raw(to);
+                        match (handoff, use_handoff) {
+                            (true, true) => ctx.handoff(to, tag),
+                            (true, false) => ctx.send(to, tag),
+                            (false, _) => ctx.send_in(SimDuration::from_nanos(delay), to, tag),
+                        }
+                    }
+                },
+            )));
+        }
+        for &(at, to, tag) in kicks {
+            sim.schedule(SimTime::from_nanos(at), ActorId::from_raw(to), tag);
+        }
+        // Fan-out is up to 3 per tag: cut deep scripts off at the same
+        // dispatch in both runs.
+        sim.set_event_budget(3_000);
+        sim.run_to_completion();
+        let log = log.borrow().clone();
+        (log, sim.events_processed(), sim.handoffs())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `handoff` is `send` in every way a simulation can observe: one
+        /// schedule — same-instant collisions, chains, self-handoffs, two
+        /// handoffs from one handler, pushes made after the handoff call —
+        /// dispatches the same `(time, actor, tag)` sequence either way.
+        #[test]
+        fn prop_handoff_dispatches_in_send_order(
+            script in script(),
+            kicks in prop::collection::vec((0u64..4, 0..SCRIPT_ACTORS, 0u32..6), 1..6),
+        ) {
+            let script = Rc::new(script);
+            let (sent, sent_events, none) = run_script(&script, &kicks, false);
+            let (handed, events, handoffs) = run_script(&script, &kicks, true);
+            prop_assert_eq!(none, 0);
+            prop_assert_eq!(events + handoffs, sent_events);
+            prop_assert_eq!(handed, sent);
+        }
     }
 
     #[test]

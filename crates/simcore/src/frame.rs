@@ -16,7 +16,7 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
 
 use crate::pool::PoolShared;
 
@@ -51,7 +51,7 @@ pub struct Frame {
     /// `None` is the empty frame: it has no backing buffer at all, so the
     /// payload-less completions the fabric produces by the million cost
     /// nothing to build or drop.
-    buf: Option<Arc<Storage>>,
+    buf: Option<Rc<Storage>>,
     off: usize,
     len: usize,
 }
@@ -65,7 +65,7 @@ impl Frame {
     fn over(storage: Storage) -> Frame {
         let len = storage.bytes.len();
         Frame {
-            buf: Some(Arc::new(storage)),
+            buf: Some(Rc::new(storage)),
             off: 0,
             len,
         }
@@ -174,7 +174,7 @@ impl Frame {
         if bytes.is_empty() {
             return;
         }
-        if let Some(storage) = self.buf.as_mut().and_then(Arc::get_mut) {
+        if let Some(storage) = self.buf.as_mut().and_then(Rc::get_mut) {
             if self.off + self.len == storage.bytes.len() {
                 storage.bytes.extend_from_slice(bytes);
                 self.len += bytes.len();
@@ -234,7 +234,7 @@ impl From<Frame> for Vec<u8> {
         };
         let view = frame.off..frame.off + frame.len;
         let whole = view.len() == buf.bytes.len();
-        match Arc::try_unwrap(buf) {
+        match Rc::try_unwrap(buf) {
             Ok(mut storage) if whole => std::mem::take(&mut storage.bytes),
             Ok(storage) => storage.bytes[view].to_vec(),
             Err(shared) => shared.bytes[view].to_vec(),
@@ -317,7 +317,7 @@ mod tests {
     fn clone_is_a_view_not_a_copy() {
         let a = Frame::from_vec(vec![1, 2, 3, 4]);
         let b = a.clone();
-        assert_eq!(Arc::strong_count(a.buf.as_ref().unwrap()), 2);
+        assert_eq!(Rc::strong_count(a.buf.as_ref().unwrap()), 2);
         assert_eq!(a, b);
     }
 
@@ -331,17 +331,17 @@ mod tests {
         assert_eq!(f.as_slice(), &(10u8..32).collect::<Vec<_>>()[..]);
         let mid = f.slice(2..5);
         assert_eq!(mid, vec![12u8, 13, 14]);
-        assert_eq!(Arc::strong_count(f.buf.as_ref().unwrap()), 3);
+        assert_eq!(Rc::strong_count(f.buf.as_ref().unwrap()), 3);
     }
 
     #[test]
     fn extend_appends_in_place_when_unique() {
         let mut f = Frame::from_vec(vec![1, 2]);
-        let arc_before = Arc::as_ptr(f.buf.as_ref().unwrap());
+        let buf_before = Rc::as_ptr(f.buf.as_ref().unwrap());
         f.extend_from_slice(&[3, 4]);
         assert_eq!(
-            Arc::as_ptr(f.buf.as_ref().unwrap()),
-            arc_before,
+            Rc::as_ptr(f.buf.as_ref().unwrap()),
+            buf_before,
             "unique append reallocated"
         );
         assert_eq!(f, vec![1, 2, 3, 4]);

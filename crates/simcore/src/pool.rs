@@ -20,8 +20,8 @@
 //! (the steady-state send path is asserted allocation-free by checking
 //! the hit rate), not part of any simulated cost model.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use crate::frame::Frame;
 
@@ -29,12 +29,16 @@ use crate::frame::Frame;
 /// Frame storages hold a `Weak` back-reference so buffers outliving the
 /// pool are simply freed instead of kept alive.
 pub(crate) struct PoolShared {
-    free: Mutex<Vec<Vec<u8>>>,
+    free: RefCell<Vec<Vec<u8>>>,
     max_free: usize,
     buf_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    recycled: AtomicU64,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    recycled: Cell<u64>,
+}
+
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
 impl PoolShared {
@@ -47,10 +51,10 @@ impl PoolShared {
             return;
         }
         bytes.clear();
-        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut free = self.free.borrow_mut();
         if free.len() < self.max_free {
             free.push(bytes);
-            self.recycled.fetch_add(1, Ordering::Relaxed);
+            bump(&self.recycled);
         }
     }
 }
@@ -59,7 +63,7 @@ impl PoolShared {
 /// handle shares the slab.
 #[derive(Clone)]
 pub struct FramePool {
-    shared: Arc<PoolShared>,
+    shared: Rc<PoolShared>,
 }
 
 impl FramePool {
@@ -68,13 +72,13 @@ impl FramePool {
     /// buffers keep their larger capacity when recycled).
     pub fn new(buf_capacity: usize, max_free: usize) -> FramePool {
         FramePool {
-            shared: Arc::new(PoolShared {
-                free: Mutex::new(Vec::new()),
+            shared: Rc::new(PoolShared {
+                free: RefCell::new(Vec::new()),
                 max_free,
                 buf_capacity,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                recycled: AtomicU64::new(0),
+                hits: Cell::new(0),
+                misses: Cell::new(0),
+                recycled: Cell::new(0),
             }),
         }
     }
@@ -86,7 +90,7 @@ impl FramePool {
     pub fn build(&self, fill: impl FnOnce(&mut Vec<u8>)) -> Frame {
         let mut bytes = self.take();
         fill(&mut bytes);
-        Frame::from_pooled(bytes, Arc::downgrade(&self.shared))
+        Frame::from_pooled(bytes, Rc::downgrade(&self.shared))
     }
 
     /// Copy `bytes` into a pooled frame — the pooled analogue of
@@ -96,21 +100,14 @@ impl FramePool {
     }
 
     fn take(&self) -> Vec<u8> {
-        let recycled = {
-            let mut free = self
-                .shared
-                .free
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            free.pop()
-        };
+        let recycled = self.shared.free.borrow_mut().pop();
         match recycled {
             Some(bytes) => {
-                self.shared.hits.fetch_add(1, Ordering::Relaxed);
+                bump(&self.shared.hits);
                 bytes
             }
             None => {
-                self.shared.misses.fetch_add(1, Ordering::Relaxed);
+                bump(&self.shared.misses);
                 Vec::with_capacity(self.shared.buf_capacity)
             }
         }
@@ -118,17 +115,17 @@ impl FramePool {
 
     /// Borrows served from the slab (no allocation).
     pub fn hits(&self) -> u64 {
-        self.shared.hits.load(Ordering::Relaxed)
+        self.shared.hits.get()
     }
 
     /// Borrows that had to allocate a fresh buffer.
     pub fn misses(&self) -> u64 {
-        self.shared.misses.load(Ordering::Relaxed)
+        self.shared.misses.get()
     }
 
     /// Buffers returned to the slab so far.
     pub fn recycled(&self) -> u64 {
-        self.shared.recycled.load(Ordering::Relaxed)
+        self.shared.recycled.get()
     }
 
     /// Fraction of borrows served without allocating, in `[0, 1]`;
@@ -145,11 +142,7 @@ impl FramePool {
 
     /// Idle buffers currently in the slab.
     pub fn free_len(&self) -> usize {
-        self.shared
-            .free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.shared.free.borrow().len()
     }
 }
 

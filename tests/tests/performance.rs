@@ -223,6 +223,27 @@ fn fanout_keeps_up_at_the_fig11_point() {
     assert_eq!(cluster.max_replication_lag(), 0);
 }
 
+/// The census of DESIGN.md §24 at the same point: a SET is 19 dispatches —
+/// 8 wire records reaching the fabric, the 8 `CqNotify`s they cause, 3 CPU
+/// timers — and the notifies run inside the arrival events, so 11 of them
+/// are queue entries. Nothing was skipped, only folded.
+#[test]
+fn a_set_is_eleven_events_and_nineteen_dispatches() {
+    let mut cluster = skv_core::cluster::Cluster::build(spec(Mode::Skv, 3, 8, 1.0, 72));
+    cluster.sim.run_until(cluster.measure_from);
+    let (events0, handoffs0) = (cluster.sim.events_processed(), cluster.sim.handoffs());
+    cluster.sim.run_until(cluster.measure_until);
+    let ops = cluster.metrics.borrow().ops as f64;
+    assert!(ops > 100_000.0, "load was flowing: {ops} SETs");
+    let events = (cluster.sim.events_processed() - events0) as f64 / ops;
+    let handoffs = (cluster.sim.handoffs() - handoffs0) as f64 / ops;
+    assert!(events <= 11.1, "{events:.2} events per SET");
+    assert!(
+        (18.9..=19.1).contains(&(events + handoffs)),
+        "{events:.2} events + {handoffs:.2} handoffs per SET"
+    );
+}
+
 #[test]
 fn two_fanout_threads_carry_twelve_slaves_without_lag() {
     // The `threadnum` ablation's shape: one ARM thread cannot write twelve
