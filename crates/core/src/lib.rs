@@ -7,6 +7,8 @@
 //! * [`server::KvServer`] — Host-KV: single-threaded command execution,
 //!   replication backlog, initial synchronization (Figure 8), and
 //!   per-mode write propagation,
+//! * [`replsink::ReplSink`] — the replica's side of that synchronization
+//!   as an IO-free state machine (phase, snapshot, stash, applied offset),
 //! * [`nickv::NicKv`] — the SmartNIC-resident component: node list,
 //!   steady-state replication fan-out (Figure 9), `thread-num`
 //!   multi-threading, and probe-based failure detection with failover,
@@ -51,5 +53,6 @@ pub mod metrics;
 pub mod nickv;
 pub mod protocol;
 pub mod replmode;
+pub mod replsink;
 pub mod server;
 pub mod shard;

@@ -12,7 +12,10 @@
 //!     immediately returns to serving clients;
 //! * **slave** — runs the initial synchronization of Figure 8 (request via
 //!   Nic-KV, RDB or backlog transfer from the master), then applies the
-//!   replication stream and reports progress.
+//!   replication stream and reports progress. What a slave knows about its
+//!   own synchronisation — phase, snapshot in flight, stash, applied
+//!   offset — is owned by the IO-free [`crate::replsink::ReplSink`]; this
+//!   actor dials, sends, executes and charges CPU on its behalf.
 //!
 //! Replication stream frames carry the master-history offset of their first
 //! byte, so receivers deduplicate overlaps (sync rides concurrently with
@@ -40,16 +43,11 @@ use crate::cqdrain;
 use crate::hotcache::FWD_NO_ADMIT;
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::ReplModeKind;
+use crate::replsink::{stream_frames, Apply, ReplSink};
 use crate::shard::{ApplyRing, RoutePlan, ShardRouter, APPLY_RING_CAP, CROSS_SHARD_HOP};
 
 /// Maximum bytes per RDB transfer chunk.
 const RDB_CHUNK: usize = 64 * 1024;
-/// Maximum bytes per backlog-range replication frame (after the header).
-const STREAM_CHUNK: usize = 32 * 1024;
-
-/// Most stream frames a slave keeps stashed while a sync is in flight.
-/// Anything dropped past the cap is re-sent by the resync stream itself.
-const STASH_CAP: usize = 1024;
 
 /// Maximum replication lag (bytes) before the master returns errors
 /// (paper §III-C: "if the progress is too slow … return an error"). A
@@ -142,25 +140,6 @@ enum ConnectIntent {
     SyncUpstream { frames: Vec<(u32, Frame)> },
 }
 
-/// Replication role.
-enum Role {
-    Master,
-    Slave {
-        master: SocketAddr,
-        nic: Option<SocketAddr>,
-        syncing: bool,
-        /// RDB accumulation during a full sync.
-        rdb_expect: u64,
-        rdb_buf: Vec<u8>,
-        rdb_start_offset: u64,
-        /// Stream frames that arrived while syncing or beyond a gap
-        /// (zero-copy views of the delivery frames).
-        stash: Vec<(u64, Frame)>,
-        /// Guard so a detected gap triggers at most one resync at a time.
-        resyncing: bool,
-    },
-}
-
 /// The Host-KV server actor.
 pub struct KvServer {
     net: Net,
@@ -191,7 +170,9 @@ pub struct KvServer {
     shard_cross_msgs: u64,
     backlog: Backlog,
     repl_id: ReplicationId,
-    role: Role,
+    /// `Some` exactly while this server is a replica: everything it knows
+    /// about its own synchronisation. A master has none.
+    sink: Option<ReplSink>,
     conns: ConnTable<ConnKind>,
     intents: DetMap<SocketAddr, ConnectIntent>,
     /// Slaves considered available (from Nic-KV updates, or own census in
@@ -200,8 +181,9 @@ pub struct KvServer {
     /// Whether any synced slave lags more than [`MAX_SLAVE_LAG`] bytes.
     lag_exceeded: bool,
     crashed: bool,
-    /// Remembered SLAVEOF target so a promoted slave can rejoin on Demote.
-    prior_slave_of: Option<(SocketAddr, Option<SocketAddr>)>,
+    /// The SLAVEOF target `(master, nic)` a replica's sync requests go to;
+    /// kept through a promotion so `Demote` can rejoin it.
+    slave_of: Option<(SocketAddr, Option<SocketAddr>)>,
     /// Master (SKV): Nic-KV is unreachable, replication fan-out runs
     /// host-driven (RDMA-Redis style) until the SoC comes back.
     degraded: bool,
@@ -217,9 +199,6 @@ pub struct KvServer {
     reconnect_attempts: DetMap<SocketAddr, u32>,
     /// Rate limit for cron-driven upstream redials.
     next_upstream_retry: SimTime,
-    /// When the last SyncRequest left, so cron can re-issue one that got
-    /// lost in flight (e.g. relayed through a Nic-KV with no master link).
-    sync_request_at: Option<SimTime>,
     /// Seeded from `seed` at construction, replaced by a split of the
     /// simulation RNG in `on_start` (so actor start order matters, not OS
     /// state). Never absent — no unwrap on the command path.
@@ -252,8 +231,6 @@ pub struct KvServer {
     pending_replies: VecDeque<PendingReply>,
     /// Master, deferred modes: highest offset Nic-KV reported committed.
     commit_upto: u64,
-    /// Slave, chain mode: highest applied offset already WriteAck'd.
-    last_write_ack: u64,
     /// Client replies deferred behind replication commit (quorum/chain).
     pub stat_deferred_replies: u64,
     /// Deferred replies released after a commit or census advance.
@@ -308,13 +285,13 @@ impl KvServer {
             shard_cross_msgs: 0,
             backlog: Backlog::new(cfg.backlog_size),
             repl_id: ReplicationId::from_seed(seed ^ 0xCAFE),
-            role: Role::Master,
+            sink: None,
             conns: ConnTable::new(Some(pool.clone())),
             intents: DetMap::new(),
             available_slaves: 0,
             lag_exceeded: false,
             crashed: false,
-            prior_slave_of: None,
+            slave_of: None,
             degraded: false,
             degraded_periods: Vec::new(),
             nic_addr: None,
@@ -322,7 +299,6 @@ impl KvServer {
             upstream_last_seen: None,
             reconnect_attempts: DetMap::new(),
             next_upstream_retry: SimTime::ZERO,
-            sync_request_at: None,
             rng: DetRng::new(seed ^ 0xD1CE),
             started: false,
             active_mode: cfg.repl_mode,
@@ -340,7 +316,6 @@ impl KvServer {
             stat_wrs_posted: 0,
             pending_replies: VecDeque::new(),
             commit_upto: 0,
-            last_write_ack: 0,
             stat_deferred_replies: 0,
             stat_released_replies: 0,
             pool,
@@ -418,27 +393,34 @@ impl KvServer {
         u64::try_from(self.apply_ring.max_depth).unwrap_or(u64::MAX)
     }
 
-    /// Master replication offset.
+    /// Replication offset: bytes of history written (master) or applied
+    /// (slave).
     pub fn repl_offset(&self) -> u64 {
-        self.backlog.offset()
+        let written = self.backlog.offset();
+        self.sink.as_ref().map_or(written, ReplSink::applied)
     }
 
     /// This server's replication position (slave view).
     pub fn position(&self) -> ReplicationPosition {
         ReplicationPosition {
             repl_id: self.repl_id,
-            offset: self.backlog.offset(),
+            offset: self.repl_offset(),
         }
     }
 
     /// Is this server currently acting as a master?
     pub fn is_master(&self) -> bool {
-        matches!(self.role, Role::Master)
+        self.sink.is_none()
     }
 
     /// Is a slave fully synchronized?
     pub fn is_synced_slave(&self) -> bool {
-        matches!(self.role, Role::Slave { syncing: false, .. })
+        self.sink.as_ref().is_some_and(ReplSink::is_streaming)
+    }
+
+    /// A replica's `(master, nic)` upstream; a master has none.
+    fn upstream(&self) -> Option<(SocketAddr, Option<SocketAddr>)> {
+        self.slave_of.filter(|_| !self.is_master())
     }
 
     /// Mean utilization of the event-loop core over the run so far.
@@ -461,6 +443,12 @@ impl KvServer {
     fn dial(&mut self, ctx: &mut Context<'_>, to: SocketAddr, intent: ConnectIntent) {
         self.intents.insert(to, intent);
         self.connect_to(ctx, to);
+    }
+
+    /// Dial the coordination upstream `to`; `msg` leaves once it is up.
+    fn dial_upstream(&mut self, ctx: &mut Context<'_>, to: SocketAddr, msg: Vec<u8>) {
+        let frames = vec![(tag::NODE, msg.into())];
+        self.dial(ctx, to, ConnectIntent::SyncUpstream { frames });
     }
 
     fn synced_slave_conns(&self) -> Vec<usize> {
@@ -529,26 +517,18 @@ impl KvServer {
         let hello = NodeMsg::Hello {
             from: self.addr,
             is_master: true,
-        }
-        .encode();
-        self.dial(
-            ctx,
-            nic,
-            ConnectIntent::SyncUpstream {
-                frames: vec![(tag::NODE, hello.into())],
-            },
-        );
+        };
+        self.dial_upstream(ctx, nic, hello.encode());
     }
 
     /// Slave: re-request synchronization from the current offset.
     fn schedule_upstream_resync(&mut self, ctx: &mut Context<'_>) {
-        let Role::Slave { resyncing, .. } = &mut self.role else {
-            return;
-        };
-        *resyncing = false;
-        // Restart the silence clock so we don't double-trigger.
-        self.upstream_last_seen = Some(ctx.now());
-        self.send_sync_request(ctx, self.position());
+        if let Some(sink) = self.sink.as_mut() {
+            sink.rerequest(ctx.now());
+            // Restart the silence clock so we don't double-trigger.
+            self.upstream_last_seen = Some(ctx.now());
+            self.send_sync_request(ctx);
+        }
     }
 
     /// A dial failed: back off exponentially and retry, giving up after a
@@ -564,13 +544,7 @@ impl KvServer {
         };
         // A slave that cannot reach Nic-KV and has no working upstream at
         // all falls back to syncing straight from the master.
-        if let Role::Slave {
-            master,
-            nic: Some(nic),
-            ..
-        } = &self.role
-        {
-            let (master, nic) = (*master, *nic);
+        if let Some((master, Some(nic))) = self.upstream() {
             if to == nic
                 && attempts >= 2
                 && master != nic
@@ -1295,53 +1269,37 @@ impl KvServer {
 
     fn push_backlog_range(&self, from: u64, frames: &mut Vec<(u32, Frame)>) {
         if let Some(bytes) = self.backlog.range_from(from) {
-            let mut offset = from;
-            for chunk in bytes.chunks(STREAM_CHUNK) {
-                frames.push((tag::REPL_STREAM, stream_frame(offset, chunk).into()));
-                offset += chunk.len() as u64;
-            }
+            let stream = stream_frames(from, &bytes);
+            frames.extend(stream.map(|frame| (tag::REPL_STREAM, frame.into())));
         }
     }
 
     // -- slave-side synchronization -------------------------------------------
 
-    fn begin_slaveof(
-        &mut self,
-        ctx: &mut Context<'_>,
-        master: SocketAddr,
-        nic: Option<SocketAddr>,
-    ) {
-        self.prior_slave_of = Some((master, nic));
-        self.become_slave(master, nic, true);
-        self.send_sync_request(ctx, ReplicationPosition::unsynced());
+    /// Start over as an unsynchronised replica of `slave_of` (`SLAVEOF`, or
+    /// a snapshot that failed to load): with no history there is no
+    /// position to resume, so `position()` reads `unsynced()` until the
+    /// full sync this asks for lands.
+    fn join_upstream(&mut self, ctx: &mut Context<'_>) {
+        self.repl_id = ReplicationId::NONE;
+        self.sink = Some(ReplSink::joining(ctx.now()));
+        self.send_sync_request(ctx);
     }
 
-    /// Take the slave role under `master`, with a clean sync state.
-    fn become_slave(&mut self, master: SocketAddr, nic: Option<SocketAddr>, syncing: bool) {
-        self.last_write_ack = 0;
-        self.role = Role::Slave {
-            master,
-            nic,
-            syncing,
-            rdb_expect: 0,
-            rdb_buf: Vec::new(),
-            rdb_start_offset: 0,
-            stash: Vec::new(),
-            resyncing: false,
-        };
+    /// The encoded `SyncRequest` for this replica's current position.
+    fn sync_request(&self) -> Vec<u8> {
+        let (slave, position) = (self.addr, self.position());
+        NodeMsg::SyncRequest { slave, position }.encode()
     }
 
-    fn send_sync_request(&mut self, ctx: &mut Context<'_>, position: ReplicationPosition) {
-        let Role::Slave { master, nic, .. } = &self.role else {
+    /// Send the `SyncRequest` the sink decided on. The sink already counts
+    /// it as outstanding: cron re-issues it if neither a
+    /// Full/PartialSyncBegin nor RDB progress answers within `waiting_time`.
+    fn send_sync_request(&mut self, ctx: &mut Context<'_>) {
+        let Some((master, nic)) = self.upstream() else {
             return;
         };
-        self.sync_request_at = Some(ctx.now());
-        let upstream = nic.unwrap_or(*master);
-        let msg = NodeMsg::SyncRequest {
-            slave: self.addr,
-            position,
-        }
-        .encode();
+        let msg = self.sync_request();
         // With Nic-KV unreachable but the master link alive, ask the master
         // directly so a gap-resync doesn't dial a dead SoC.
         let conn = self
@@ -1352,169 +1310,85 @@ impl KvServer {
             self.send_on(ctx, conn, tag::NODE, msg);
         } else {
             // The connection to the upstream (Nic-KV or master) is reused
-            // for probes and progress, so label it Nic.
-            self.dial(
-                ctx,
-                upstream,
-                ConnectIntent::SyncUpstream {
-                    frames: vec![(tag::NODE, msg.into())],
-                },
-            );
-        }
-        // The request is now outstanding; cron re-issues it if no
-        // Full/PartialSyncBegin answers within `waiting_time` (the request
-        // or its reply can be lost anywhere along the relay).
-        if let Role::Slave { resyncing, .. } = &mut self.role {
-            *resyncing = true;
-        }
-    }
-
-    fn on_full_sync_begin(
-        &mut self,
-        conn: usize,
-        repl_id: ReplicationId,
-        start_offset: u64,
-        total_bytes: u64,
-    ) {
-        *self.conns.kind_mut(conn) = ConnKind::Master;
-        if let Role::Slave {
-            syncing,
-            resyncing,
-            rdb_expect,
-            rdb_buf,
-            rdb_start_offset,
-            ..
-        } = &mut self.role
-        {
-            *syncing = true;
-            *resyncing = false;
-            *rdb_expect = total_bytes;
-            *rdb_buf = Vec::with_capacity(usize::try_from(total_bytes).unwrap_or(0));
-            *rdb_start_offset = start_offset;
-            self.repl_id = repl_id;
+            // for probes and progress, so it is labelled Nic.
+            self.dial_upstream(ctx, nic.unwrap_or(master), msg);
         }
     }
 
     fn on_rdb_chunk(&mut self, ctx: &mut Context<'_>, chunk: &[u8]) {
-        // Transfer progress resets the stalled-sync clock.
-        self.sync_request_at = Some(ctx.now());
-        let Role::Slave {
-            rdb_expect,
-            rdb_buf,
-            rdb_start_offset,
-            syncing,
-            ..
-        } = &mut self.role
-        else {
+        let now = ctx.now();
+        let complete = self.sink.as_mut().and_then(|s| s.on_rdb_chunk(now, chunk));
+        let Some((snapshot, start_offset)) = complete else {
             return;
         };
-        rdb_buf.extend_from_slice(chunk);
-        if (rdb_buf.len() as u64) < *rdb_expect {
-            return;
-        }
-        // Snapshot complete: load it (charging CPU), then adopt the offset.
-        let snapshot = std::mem::take(rdb_buf);
-        let start_offset = *rdb_start_offset;
-        *syncing = false;
+        // Snapshot complete: load it (charging CPU), each key routed to its
+        // owning shard — a sharded slave's per-shard stores mirror the
+        // master's slot map.
         let seed = self.rng.gen_u64();
-        let load_result = if self.engines.len() == 1 {
-            rdb::load(self.engines[0].db_mut(), &snapshot, seed)
-        } else {
-            // Route each snapshot key to its owning shard — a sharded
-            // slave's per-shard stores mirror the master's slot map.
-            let mut dbs: Vec<Db> = self
-                .engines
-                .iter_mut()
-                .map(|e| std::mem::replace(e.db_mut(), Db::new()))
-                .collect();
-            let router = self.router.clone();
-            let r = rdb::load_routed(&mut dbs, &snapshot, seed, &|key| router.shard_of_key(key));
-            for (e, db) in self.engines.iter_mut().zip(dbs) {
-                *e.db_mut() = db;
-            }
-            r
-        };
-        let loaded = match load_result {
-            Ok(n) => n,
-            Err(_) => {
-                // Corrupt snapshot (torn transfer): restart the sync from
-                // scratch instead of taking the whole process down.
-                self.stat_conn_errors += 1;
-                if let Role::Slave { syncing, .. } = &mut self.role {
-                    *syncing = true;
-                }
-                self.send_sync_request(ctx, ReplicationPosition::unsynced());
-                return;
-            }
+        let mut dbs: Vec<Db> = self
+            .engines
+            .iter_mut()
+            .map(|e| std::mem::replace(e.db_mut(), Db::new()))
+            .collect();
+        let router = &self.router;
+        let loaded = rdb::load_routed(&mut dbs, &snapshot, seed, &|key| router.shard_of_key(key));
+        for (e, db) in self.engines.iter_mut().zip(dbs) {
+            *e.db_mut() = db;
+        }
+        let Ok(loaded) = loaded else {
+            // Corrupt snapshot (torn transfer): restart the sync from
+            // scratch instead of taking the whole process down.
+            self.stat_conn_errors += 1;
+            self.join_upstream(ctx);
+            return;
         };
         self.stat_full_syncs += 1;
         let cost = SimDuration::from_micros(100) + self.cfg.costs.load_per_key * loaded as u64;
-        self.cpu.run_on(0, ctx.now(), cost);
-        // Adopt the master's history at the snapshot point. The backlog is
-        // reset by feeding a placeholder of the right length conceptually;
-        // we track the slave offset via a dedicated counter instead.
-        self.slave_set_offset(start_offset);
-        self.drain_stash(ctx);
-        self.maybe_send_write_ack(ctx);
+        self.cpu.run_on(0, now, cost);
+        self.drive_sink(ctx, |sink, apply| sink.adopt(now, start_offset, apply));
     }
 
-    fn on_partial_sync_begin(&mut self, conn: usize, repl_id: ReplicationId) {
-        *self.conns.kind_mut(conn) = ConnKind::Master;
-        self.repl_id = repl_id;
-        if let Role::Slave {
-            syncing, resyncing, ..
-        } = &mut self.role
-        {
-            *syncing = false;
-            *resyncing = false;
-        }
-        self.stat_partial_syncs += 1;
-    }
-
-    // The slave tracks its applied offset in `slave_offset`; stored in the
-    // backlog-offset field of a master, but slaves don't use their backlog,
-    // so keep a plain counter:
-    fn slave_offset(&self) -> u64 {
-        self.backlog.offset()
-    }
-
-    fn slave_set_offset(&mut self, offset: u64) {
-        // Feed zero-bytes to advance the counter to `offset`. The backlog
-        // content of a slave is never served, only the offset matters.
-        let cur = self.backlog.offset();
-        if offset > cur {
-            let gap = usize::try_from(offset - cur).unwrap_or(usize::MAX);
-            // Feed in bounded chunks to avoid one huge allocation.
-            let mut left = gap;
-            let chunk = vec![0u8; left.min(64 * 1024)];
-            while left > 0 {
-                let n = left.min(chunk.len());
-                self.backlog.feed(&chunk[..n]);
-                left -= n;
-            }
-        }
-    }
-
-    /// Apply a replication stream frame (slave side).
-    fn on_repl_stream(&mut self, ctx: &mut Context<'_>, payload: Frame) {
-        if parse_stream_frame(&payload).is_none() {
-            return;
-        }
-        let from_offset = u64::from_le_bytes(payload[..8].try_into().unwrap_or_default());
-        // The body is a zero-copy view of the delivery frame; stashing it
-        // keeps the view rather than reallocating per stalled frame.
-        let body = payload.slice(8..);
-        let Role::Slave { syncing, stash, .. } = &mut self.role else {
+    /// Run one sink step that may apply stream commands, then do the IO it
+    /// decided on. Parse and execute happen synchronously (determinism:
+    /// replica contents never depend on core timing); the CPU model differs
+    /// by shard count. Unsharded: one charge on core 0 for the step.
+    /// Sharded: a two-stage pipeline — core 0 parses, core 1 applies,
+    /// coupled by the bounded parse→apply ring, so parse of command k+1
+    /// overlaps apply of command k.
+    fn drive_sink(
+        &mut self,
+        ctx: &mut Context<'_>,
+        step: impl FnOnce(&mut ReplSink, &mut Apply<'_>) -> bool,
+    ) {
+        // `execute_routed` borrows the whole server, so the sink steps out
+        // of it for the duration of the callback (nothing the callback
+        // runs asks which role this server has).
+        let Some(mut sink) = self.sink.take() else {
             return;
         };
-        if *syncing {
-            if stash.len() < STASH_CAP {
-                stash.push((from_offset, body));
+        let (now, now_ms) = (ctx.now(), Self::now_ms(ctx));
+        let mut total_cost = SimDuration::ZERO;
+        let ask = step(&mut sink, &mut |args, used| {
+            self.stat_applied_bytes += used as u64;
+            let parse_cost = self.cfg.costs.cmd_per_kib.mul_f64(used as f64 / 1024.0);
+            let apply_cost = self.cfg.costs.apply_base;
+            if self.engines.len() > 1 {
+                let gate = self.apply_ring.admit(now);
+                let parsed = self.cpu.run_on(0, gate, parse_cost).finished;
+                let done = self.cpu.run_on(1, parsed, apply_cost).finished;
+                self.apply_ring.complete(done);
+            } else {
+                total_cost += apply_cost + parse_cost;
             }
-            return;
+            let _ = self.execute_routed(now_ms, cmd::lookup(args[0]), args);
+        });
+        self.sink = Some(sink);
+        if !total_cost.is_zero() {
+            self.cpu.run_on(0, now, total_cost);
         }
-        self.apply_stream(ctx, from_offset, body);
-        self.drain_stash(ctx);
+        if ask {
+            self.send_sync_request(ctx);
+        }
         self.maybe_send_write_ack(ctx);
     }
 
@@ -1527,112 +1401,15 @@ impl KvServer {
         if self.cfg.mode != Mode::Skv || self.active_mode != ReplModeKind::Chain {
             return;
         }
-        if !self.is_synced_slave() {
-            return;
-        }
-        let offset = self.slave_offset();
-        if offset <= self.last_write_ack {
-            return;
-        }
-        if let Some(conn) = self.conns.find_open(|k| matches!(k, ConnKind::Nic)) {
-            self.last_write_ack = offset;
-            let msg = NodeMsg::WriteAck {
-                slave: self.addr,
-                offset,
-            }
-            .encode();
-            self.send_on(ctx, conn, tag::NODE, msg);
-        }
-    }
-
-    fn drain_stash(&mut self, ctx: &mut Context<'_>) {
-        let my_offset = self.slave_offset();
-        let Role::Slave { stash, .. } = &mut self.role else {
+        let Some(conn) = self.conns.find_open(|k| matches!(k, ConnKind::Nic)) else {
             return;
         };
-        // While a gap is still open nothing stashed can apply; skip the
-        // take-sort-restash churn (the stash can hold thousands of frames
-        // while a resync is in flight).
-        if stash.is_empty() || stash.iter().all(|&(off, _)| off > my_offset) {
+        let Some(offset) = self.sink.as_mut().and_then(ReplSink::write_ack) else {
             return;
-        }
-        let mut pending = std::mem::take(stash);
-        pending.sort_by_key(|(off, _)| *off);
-        for (off, bytes) in pending {
-            self.apply_stream(ctx, off, bytes);
-        }
-    }
-
-    fn apply_stream(&mut self, ctx: &mut Context<'_>, from_offset: u64, bytes: Frame) {
-        let my_offset = self.slave_offset();
-        if from_offset > my_offset {
-            // Gap: we missed bytes (e.g. we were crashed). Stash the frame
-            // and ask the master for the missing range (self-healing
-            // partial resync).
-            let Role::Slave {
-                stash, resyncing, ..
-            } = &mut self.role
-            else {
-                return;
-            };
-            // Bounded: the resync stream re-covers anything dropped here
-            // (a fresh gap just triggers another round).
-            if stash.len() < STASH_CAP {
-                stash.push((from_offset, bytes));
-            }
-            if !*resyncing {
-                *resyncing = true;
-                self.send_sync_request(ctx, self.position());
-            }
-            return;
-        }
-        let skip = usize::try_from(my_offset - from_offset).unwrap_or(usize::MAX);
-        if skip >= bytes.len() {
-            return; // entirely duplicate
-        }
-        let fresh = &bytes[skip..];
-        // Parse and execute each RESP command in the fresh region. The
-        // state change is applied synchronously (determinism: replica
-        // contents never depend on core timing); the CPU model differs by
-        // shard count. Unsharded: the historical single charge on core 0.
-        // Sharded: a two-stage pipeline — core 0 parses, core 1 applies,
-        // coupled by the bounded parse→apply ring, so parse of command
-        // k+1 overlaps apply of command k.
-        let pipelined = self.engines.len() > 1;
-        let mut pos = 0;
-        let now_ms = Self::now_ms(ctx);
-        let mut applied = 0usize;
-        let mut total_cost = SimDuration::ZERO;
-        while pos < fresh.len() {
-            let (args, used) = match resp::parse_command(&fresh[pos..]) {
-                ParsedCommand::Command(args, used) => (Some(args), used),
-                // A complete frame that is no command is skipped, not applied.
-                ParsedCommand::NotCommand(_, used) => (None, used),
-                // partial command (not expected: frames align)
-                ParsedCommand::Incomplete | ParsedCommand::ProtocolError(_) => break,
-            };
-            if let Some(args) = args {
-                let kib = used as f64 / 1024.0;
-                let parse_cost = self.cfg.costs.cmd_per_kib.mul_f64(kib);
-                let apply_cost = self.cfg.costs.apply_base;
-                if pipelined {
-                    let gate = self.apply_ring.admit(ctx.now());
-                    let parsed = self.cpu.run_on(0, gate, parse_cost).finished;
-                    let done = self.cpu.run_on(1, parsed, apply_cost).finished;
-                    self.apply_ring.complete(done);
-                } else {
-                    total_cost += apply_cost + parse_cost;
-                }
-                let _ = self.execute_routed(now_ms, cmd::lookup(args[0]), &args);
-            }
-            pos += used;
-            applied = pos;
-        }
-        self.stat_applied_bytes += applied as u64;
-        self.backlog.feed(&fresh[..applied]);
-        if !total_cost.is_zero() {
-            self.cpu.run_on(0, ctx.now(), total_cost);
-        }
+        };
+        let slave = self.addr;
+        let msg = NodeMsg::WriteAck { slave, offset }.encode();
+        self.send_on(ctx, conn, tag::NODE, msg);
     }
 
     // -- node messages ---------------------------------------------------------
@@ -1654,11 +1431,19 @@ impl KvServer {
                 start_offset,
                 total_bytes,
             } => {
-                self.sync_request_at = Some(ctx.now());
-                self.on_full_sync_begin(conn, repl_id, start_offset, total_bytes);
+                *self.conns.kind_mut(conn) = ConnKind::Master;
+                if let Some(sink) = self.sink.as_mut() {
+                    sink.on_full_sync_begin(ctx.now(), start_offset, total_bytes);
+                    self.repl_id = repl_id;
+                }
             }
             NodeMsg::PartialSyncBegin { repl_id, .. } => {
-                self.on_partial_sync_begin(conn, repl_id);
+                *self.conns.kind_mut(conn) = ConnKind::Master;
+                self.repl_id = repl_id;
+                if let Some(sink) = self.sink.as_mut() {
+                    sink.on_partial_sync_begin();
+                }
+                self.stat_partial_syncs += 1;
             }
             NodeMsg::ProgressReport { slave, offset } => {
                 let mut worst_lag = 0u64;
@@ -1722,16 +1507,23 @@ impl KvServer {
                 }
             }
             NodeMsg::Promote => {
-                self.role = Role::Master;
+                // The backlog is a source structure: a replica never wrote
+                // it, so the new master's history resumes, empty, where the
+                // sink stopped applying.
+                if let Some(sink) = self.sink.take() {
+                    self.backlog.restart_at(sink.applied());
+                }
             }
             NodeMsg::Demote => {
                 // Rejoin as a slave of the original master and resync from
                 // the current offset. (A real system would also reconcile
                 // any writes accepted while promoted; the paper's scenario
                 // has the original master simply resume.)
-                if let Some((master, nic)) = self.prior_slave_of {
-                    self.become_slave(master, nic, false);
-                    self.send_sync_request(ctx, self.position());
+                if self.slave_of.is_some() {
+                    let mut sink = ReplSink::at(self.repl_offset());
+                    sink.rerequest(ctx.now());
+                    self.sink = Some(sink);
+                    self.send_sync_request(ctx);
                 }
             }
             NodeMsg::WriteCommitted { upto } => {
@@ -1776,13 +1568,9 @@ impl KvServer {
             engine.cron(now_ms);
         }
         // Slaves report progress on the master channel (Fig. 9 ③).
-        if let Role::Slave { syncing: false, .. } = &self.role {
-            let report: Frame = NodeMsg::ProgressReport {
-                slave: self.addr,
-                offset: self.slave_offset(),
-            }
-            .encode()
-            .into();
+        if self.is_synced_slave() {
+            let (slave, offset) = (self.addr, self.repl_offset());
+            let report: Frame = NodeMsg::ProgressReport { slave, offset }.encode().into();
             let master = self.conns.find_open(|k| matches!(k, ConnKind::Master));
             // Deferred modes: Nic-KV also consumes progress as cumulative
             // acks (covers acks lost to QP errors between retransmits).
@@ -1803,19 +1591,10 @@ impl KvServer {
         }
         // A sync can stall: the request lost in flight (e.g. relayed via a
         // Nic-KV that had no master link at that instant), or the RDB/stream
-        // transfer cut by a transport error. `sync_request_at` doubles as a
-        // progress clock (bumped per RDB chunk); silence means re-request.
-        if let Role::Slave {
-            resyncing, syncing, ..
-        } = &self.role
-        {
-            if (*resyncing || *syncing)
-                && self
-                    .sync_request_at
-                    .is_none_or(|at| ctx.now() - at > self.cfg.waiting_time)
-            {
-                self.schedule_upstream_resync(ctx);
-            }
+        // transfer cut by a transport error. Silence means re-request.
+        let stalled = |s: &ReplSink| s.stalled(ctx.now(), self.cfg.waiting_time);
+        if self.sink.as_ref().is_some_and(stalled) {
+            self.schedule_upstream_resync(ctx);
         }
         if self.cfg.mode == Mode::Skv {
             self.cron_skv_liveness(ctx);
@@ -1841,15 +1620,9 @@ impl KvServer {
             }
             return;
         }
-        let Role::Slave {
-            nic: Some(nic),
-            syncing: false,
-            ..
-        } = &self.role
-        else {
+        let (Some((_, Some(nic))), true) = (self.upstream(), self.is_synced_slave()) else {
             return;
         };
-        let nic = *nic;
         // Probe silence on a live-looking channel means the SoC is gone.
         if let Some(seen) = self.upstream_last_seen {
             if now - seen > self.cfg.upstream_silence {
@@ -1872,18 +1645,9 @@ impl KvServer {
             && now >= self.next_upstream_retry
         {
             self.next_upstream_retry = now + SimDuration::from_secs(1);
-            let msg = NodeMsg::SyncRequest {
-                slave: self.addr,
-                position: self.position(),
-            }
-            .encode();
-            self.dial(
-                ctx,
-                nic,
-                ConnectIntent::SyncUpstream {
-                    frames: vec![(tag::NODE, msg.into())],
-                },
-            );
+            // Re-registration only: nothing is counted as outstanding.
+            let msg = self.sync_request();
+            self.dial_upstream(ctx, nic, msg);
         }
     }
 
@@ -1915,26 +1679,14 @@ impl KvServer {
                     self.on_node_msg(ctx, conn, m);
                 }
             }
-            tag::REPL_STREAM => self.on_repl_stream(ctx, msg.payload),
+            tag::REPL_STREAM => {
+                let now = ctx.now();
+                self.drive_sink(ctx, |sink, apply| sink.on_frame(now, &msg.payload, apply));
+            }
             tag::RDB_CHUNK => self.on_rdb_chunk(ctx, &msg.payload),
             _ => {}
         }
     }
-}
-
-/// Encode a replication stream frame: `[u64 from_offset][stream bytes]`.
-pub fn stream_frame(from_offset: u64, bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bytes.len() + 8);
-    out.extend_from_slice(&from_offset.to_le_bytes());
-    out.extend_from_slice(bytes);
-    out
-}
-
-/// Decode a replication stream frame.
-pub fn parse_stream_frame(frame: &[u8]) -> Option<(u64, &[u8])> {
-    let header = frame.get(..8)?;
-    let offset = u64::from_le_bytes(header.try_into().ok()?);
-    Some((offset, &frame[8..]))
 }
 
 impl Actor for KvServer {
@@ -1968,7 +1720,8 @@ impl Actor for KvServer {
                 match *ctrl {
                     Control::Slaveof { master, nic } => {
                         if !self.crashed {
-                            self.begin_slaveof(ctx, master, nic);
+                            self.slave_of = Some((master, nic));
+                            self.join_upstream(ctx);
                         }
                     }
                     Control::Crash => {
@@ -1996,8 +1749,8 @@ impl Actor for KvServer {
                         }
                         // A synced slave re-requests sync from its current
                         // offset; the backlog usually serves it partially.
-                        if let Role::Slave { syncing: false, .. } = &self.role {
-                            self.send_sync_request(ctx, self.position());
+                        if self.is_synced_slave() {
+                            self.schedule_upstream_resync(ctx);
                         } else if self.cfg.mode == Mode::Skv && self.is_master() {
                             // A recovered master re-registers with Nic-KV:
                             // the SoC tore its channel down while the host

@@ -20,7 +20,11 @@
 //!   `handoff-site` (no `Context::handoff` outside the fabric's one
 //!   notify site and `simcore` itself; DESIGN.md §24), `sync-in-sim`
 //!   (no `std::sync` in sim crates: one thread by construction, so
-//!   `Rc`/`Cell`/`RefCell`, not locked read-modify-writes).
+//!   `Rc`/`Cell`/`RefCell`, not locked read-modify-writes), `io-free`
+//!   (the protocol state machines `replmode.rs` and `replsink.rs` name no
+//!   `Net`, `Context`, `ConnTable`, `CorePool` or `Channel`: time comes
+//!   in as a value and decisions go out as values, which is what lets
+//!   them be unit-tested without a cluster; DESIGN.md §25).
 //! * **Wire-format hygiene** — `cast-truncate` (no narrowing `as
 //!   u8/u16/u32` casts in the frame codecs; use `try_from`),
 //!   `index-unchecked` (no unchecked range indexing in the codecs; use
@@ -122,7 +126,7 @@ pub struct RuleInfo {
 }
 
 /// The full rule registry.
-pub const RULES: [RuleInfo; 14] = [
+pub const RULES: [RuleInfo; 15] = [
     RuleInfo {
         name: "hashmap",
         severity: Severity::Error,
@@ -164,6 +168,12 @@ pub const RULES: [RuleInfo; 14] = [
         severity: Severity::Error,
         summary: "std::sync (Arc, Mutex, RwLock, atomics) in single-threaded sim code",
         scope: "sim crates (netsim, simcore, core)",
+    },
+    RuleInfo {
+        name: "io-free",
+        severity: Severity::Error,
+        summary: "IO or cost type named in an IO-free protocol state machine",
+        scope: "core replmode.rs and replsink.rs",
     },
     RuleInfo {
         name: "cast-truncate",
@@ -235,7 +245,7 @@ const SIM_CRATE_PREFIXES: [&str; 3] = [
 ];
 
 /// Protocol hot-path files (rule `unwrap` applies).
-const HOT_PATH_FILES: [&str; 13] = [
+const HOT_PATH_FILES: [&str; 14] = [
     "crates/core/src/server.rs",
     "crates/core/src/client.rs",
     "crates/core/src/channel.rs",
@@ -245,6 +255,7 @@ const HOT_PATH_FILES: [&str; 13] = [
     "crates/core/src/nickv.rs",
     "crates/core/src/shard.rs",
     "crates/core/src/replmode.rs",
+    "crates/core/src/replsink.rs",
     "crates/core/src/histcheck.rs",
     "crates/netsim/src/rdma.rs",
     "crates/netsim/src/tcp.rs",
@@ -275,6 +286,10 @@ const HANDOFF_FILE: &str = "crates/netsim/src/fabric.rs";
 
 /// The crate that defines the primitive (and so calls it).
 const HANDOFF_HOME_PREFIX: &str = "crates/simcore/src/";
+
+/// The IO-free protocol state machines (rule `io-free`): the actors
+/// around them do the dialling, sending, executing and charging.
+const IO_FREE_FILES: [&str; 2] = ["crates/core/src/replmode.rs", "crates/core/src/replsink.rs"];
 
 /// Where the counter catalog lives (rule `counter-drift`).
 const METRICS_FILE: &str = "crates/core/src/metrics.rs";
@@ -307,6 +322,7 @@ struct Scope {
     wire: bool,
     event_loop: bool,
     handoff_guarded: bool,
+    io_free: bool,
 }
 
 fn scope_of(rel: &str) -> Scope {
@@ -316,6 +332,7 @@ fn scope_of(rel: &str) -> Scope {
         wire: WIRE_FILES.contains(&rel),
         event_loop: rel != CQDRAIN_FILE && EVENT_LOOP_PREFIXES.iter().any(|p| rel.starts_with(p)),
         handoff_guarded: rel != HANDOFF_FILE && !rel.starts_with(HANDOFF_HOME_PREFIX),
+        io_free: IO_FREE_FILES.contains(&rel),
     }
 }
 
@@ -325,6 +342,7 @@ fn rule_applies(rule: &str, scope: Scope) -> bool {
         "unwrap" => scope.hot,
         "pollcq" => scope.event_loop,
         "handoff-site" => scope.handoff_guarded,
+        "io-free" => scope.io_free,
         _ => false,
     }
 }
@@ -382,7 +400,12 @@ const HANDOFF_MESSAGE: &str = "handoff outside NetInner::fire_cq_notify; the pri
                                proven call site (its order argument is made there, DESIGN.md \
                                §24) — use Context::send";
 
-const PATTERNS: [Pattern; 16] = [
+/// Shared by the five types the rule names.
+const IO_FREE_MESSAGE: &str = "IO or cost type in an IO-free state machine; take time as `now: \
+                               SimTime`, return decisions as values, and leave dialling, sending \
+                               and CPU charging to the actor (DESIGN.md §25)";
+
+const PATTERNS: [Pattern; 21] = [
     Pattern {
         needle: "HashMap",
         ident: true,
@@ -480,6 +503,36 @@ const PATTERNS: [Pattern; 16] = [
         message: "thread synchronisation in sim code; the simulation is one thread by \
                   construction — use Rc / Cell / RefCell (a locked read-modify-write is a \
                   full fence the event loop pays for nothing)",
+    },
+    Pattern {
+        needle: "Net",
+        ident: true,
+        rule: "io-free",
+        message: IO_FREE_MESSAGE,
+    },
+    Pattern {
+        needle: "Context",
+        ident: true,
+        rule: "io-free",
+        message: IO_FREE_MESSAGE,
+    },
+    Pattern {
+        needle: "ConnTable",
+        ident: true,
+        rule: "io-free",
+        message: IO_FREE_MESSAGE,
+    },
+    Pattern {
+        needle: "CorePool",
+        ident: true,
+        rule: "io-free",
+        message: IO_FREE_MESSAGE,
+    },
+    Pattern {
+        needle: "Channel",
+        ident: true,
+        rule: "io-free",
+        message: IO_FREE_MESSAGE,
     },
     Pattern {
         needle: ".poll_cq_into(",
@@ -1485,6 +1538,25 @@ mod tests {
         // A field or a definition of that name is not a call.
         let field = "fn f(s: &mut Simulation) { let h = s.handoff.take(); }\n";
         assert!(check_source("crates/core/src/nickv.rs", field).is_empty());
+    }
+
+    #[test]
+    fn io_free_scope() {
+        let src = "use skv_netsim::Net;\nfn f(ctx: &mut Context<'_>, cpu: &mut CorePool) {}\n\
+                   fn g(t: &ConnTable<()>, ch: &Channel) {}\n";
+        for file in ["crates/core/src/replmode.rs", "crates/core/src/replsink.rs"] {
+            let v = check_source(file, src);
+            assert_eq!(v.len(), 5, "{file}: {v:?}");
+            assert!(v.iter().all(|x| x.rule == "io-free"));
+        }
+        // The actors around the state machines are made of exactly these.
+        assert!(check_source("crates/core/src/server.rs", src).is_empty());
+        assert!(check_source("crates/core/src/nickv.rs", src).is_empty());
+        // Longer names, plain data from the same crates and time as a value
+        // are what the state machines are built from.
+        let ok = "use skv_netsim::{Frame, NetEvent, QpId};\nuse crate::channel::RING_SIZE;\n\
+                  fn f(now: SimTime, msg: &ChannelMsg, nets: usize) {}\n";
+        assert!(check_source("crates/core/src/replsink.rs", ok).is_empty());
     }
 
     #[test]

@@ -86,6 +86,23 @@ fn fixtures_produce_expected_diagnostics() {
         "{sync:?}"
     );
 
+    // The IO-free state machines name no network, context, connection
+    // table, CPU model or channel: the import and both signatures fire
+    // (once per type), `NetEvent` / `ChannelMsg` / `SimTime` do not.
+    let io_free = by_file(&violations, "crates/core/src/replsink.rs");
+    assert_eq!(
+        io_free.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+        vec![
+            (5, "io-free"),
+            (6, "io-free"),
+            (6, "io-free"),
+            (6, "io-free"),
+            (7, "io-free"),
+            (7, "io-free"),
+        ],
+        "{io_free:?}"
+    );
+
     // --- wire-format hygiene ------------------------------------------
     // Narrowing casts only; the `as u64` / `as usize` widenings are clean.
     assert_eq!(
@@ -183,7 +200,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 35, "{violations:?}");
+    assert_eq!(violations.len(), 41, "{violations:?}");
 }
 
 #[test]
@@ -191,7 +208,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 34);
+    assert_eq!(analysis.errors(), 40);
     assert!(analysis
         .violations
         .iter()
@@ -213,6 +230,7 @@ fn json_report_round_trips_fixture_diagnostics() {
         "pollcq",
         "handoff-site",
         "sync-in-sim",
+        "io-free",
         "cast-truncate",
         "index-unchecked",
         "counter-drift",
@@ -226,7 +244,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 35, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 41, "{json}");
 }
 
 #[test]

@@ -29,12 +29,21 @@ impl Backlog {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "backlog capacity must be positive");
         Backlog {
-            buf: vec![0; capacity],
+            buf: Vec::new(),
             capacity,
             offset: 0,
             histlen: 0,
             idx: 0,
         }
+    }
+
+    /// Start over at `offset` with nothing retained: the history a
+    /// promoted replica continues is one it applied, not one it wrote, so
+    /// no earlier byte can be served from here.
+    pub fn restart_at(&mut self, offset: u64) {
+        self.offset = offset;
+        self.histlen = 0;
+        self.idx = 0;
     }
 
     /// The master replication offset: total bytes ever appended.
@@ -54,6 +63,11 @@ impl Backlog {
 
     /// Append replication stream bytes.
     pub fn feed(&mut self, data: &[u8]) {
+        // The ring belongs to whoever writes it: a replica never feeds, so
+        // it never holds one.
+        if self.buf.is_empty() {
+            self.buf = vec![0; self.capacity];
+        }
         self.offset += data.len() as u64;
         // If the chunk exceeds capacity only its tail survives.
         let data = if data.len() > self.capacity {
@@ -131,6 +145,19 @@ mod tests {
         assert_eq!(b.histlen(), 4);
         assert_eq!(b.range_from(6).unwrap(), b"6789");
         assert!(b.range_from(5).is_none());
+    }
+
+    #[test]
+    fn restart_resumes_at_an_offset_with_nothing_to_serve() {
+        let mut b = Backlog::new(8);
+        b.feed(b"abcdef");
+        b.restart_at(100);
+        assert_eq!((b.offset(), b.histlen()), (100, 0));
+        assert!(!b.can_serve(99));
+        assert_eq!(b.range_from(100).unwrap(), b"");
+        b.feed(b"0123456789");
+        assert_eq!(b.first_available_offset(), 102);
+        assert_eq!(b.range_from(104).unwrap(), b"456789");
     }
 
     #[test]

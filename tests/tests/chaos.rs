@@ -415,3 +415,48 @@ fn chain_mid_node_partition_triggers_repair() {
     drop(h);
     assert_converged(&cluster);
 }
+
+// -- recovery schedules on timer boundaries -----------------------------------
+
+/// ROADMAP recovery lead (b), DESIGN.md §25: slave 1 is down +40…+160 ms
+/// and the SoC +280…+400 ms — back exactly `upstream_silence` after it
+/// left. The master then re-serves a stale reported position as a full
+/// sync nobody asked for, and its snapshot point lies *behind* what the
+/// healthy replicas had already applied. A full sync adopts the master's
+/// history at the snapshot point whichever side of the replica's own
+/// offset it falls on, so the range in between is fetched again; a replica
+/// that kept its higher offset over the older keyspace never asked.
+#[test]
+fn unsolicited_full_sync_behind_the_replica_still_converges() {
+    for seed in [42, 1, 2, 3, 4, 5, 6, 7] {
+        let mut s = spec(3, 2, 480, seed);
+        s.cfg.probe_interval = SimDuration::from_millis(40);
+        s.cfg.waiting_time = SimDuration::from_millis(60);
+        s.cfg.upstream_silence = SimDuration::from_millis(120);
+        s.cfg.reconnect_base = SimDuration::from_millis(2);
+        s.cfg.client_retry_timeout = SimDuration::from_millis(40);
+        s.set_ratio = 0.9;
+        s.value_size = 256;
+        s.key_space = 20_000;
+        s.warmup = SimDuration::from_millis(20);
+        let mut cluster = Cluster::build(s);
+        let at = |ms: u64| cluster.measure_from + SimDuration::from_millis(ms);
+        let (slave_down, slave_up, nic_down, nic_up) = (at(40), at(160), at(280), at(400));
+        cluster.schedule_slave_crash(1, slave_down);
+        cluster.schedule_slave_recover(1, slave_up);
+        cluster.schedule_nic_crash(nic_down);
+        cluster.schedule_nic_recover(nic_up);
+        run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
+
+        let digests = cluster.keyspace_digests();
+        assert!(
+            digests.iter().all(|&d| d == digests[0]),
+            "seed {seed}: replicas diverged: {digests:x?}"
+        );
+        let master = cluster.master_server().repl_offset();
+        for i in 0..3 {
+            let slave = cluster.slave_server(i).repl_offset();
+            assert_eq!(slave, master, "seed {seed}: slave {i} offset");
+        }
+    }
+}
