@@ -7,6 +7,9 @@
 //! * [`server::KvServer`] — Host-KV: single-threaded command execution,
 //!   replication backlog, initial synchronization (Figure 8), and
 //!   per-mode write propagation,
+//! * [`replsource::ReplSource`] — the master's side of that
+//!   synchronization as an IO-free state machine (backlog, replication id,
+//!   reported offsets; serve / repair / census decisions as values),
 //! * [`replsink::ReplSink`] — the replica's side of that synchronization
 //!   as an IO-free state machine (phase, snapshot, stash, applied offset),
 //! * [`nickv::NicKv`] — the SmartNIC-resident component: node list,
@@ -54,5 +57,6 @@ pub mod nickv;
 pub mod protocol;
 pub mod replmode;
 pub mod replsink;
+pub mod replsource;
 pub mod server;
 pub mod shard;

@@ -28,7 +28,7 @@ use crate::hotcache::{fwd_cookie, fwd_cookie_epoch, CacheStats, HotCache, FWD_NO
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::{quorum_slave_acks, ReplModeKind, Step, Tracker, REPL_WINDOW};
 use crate::replsink::parse_stream_frame;
-use crate::server::MAX_SLAVE_LAG;
+use crate::replsource::MAX_SLAVE_LAG;
 
 /// Emptied connection lists kept for reuse; more than a replication
 /// window's worth in flight at once is not a steady state worth serving.

@@ -30,7 +30,7 @@ use crate::channel::RING_SIZE;
 const STASH_CAP: usize = 1024;
 
 /// Most bytes per frame of a re-served backlog range (after the header).
-const STREAM_CHUNK: usize = 32 * 1024;
+pub(crate) const STREAM_CHUNK: usize = 32 * 1024;
 
 /// Longest unparsed command tail carried between frames: no command is
 /// longer than the ring it crossed.
@@ -58,7 +58,7 @@ pub(crate) fn parse_stream_frame(frame: &[u8]) -> Option<(u64, &[u8])> {
 /// Where a replica stands. `Streaming` and `Rerequested` apply the stream
 /// as it arrives ([`ReplSink::is_streaming`]); `Joining` and `Loading`
 /// stash it. Every phase but `Streaming` is waiting for the source.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 enum Phase {
     /// In step with the source; nothing outstanding.
     #[default]
@@ -78,7 +78,7 @@ enum Phase {
 pub type Apply<'a> = dyn FnMut(&[&[u8]], usize) + 'a;
 
 /// The snapshot a `FullSyncBegin` announced, while its chunks arrive.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Transfer {
     expect: u64,
     buf: Vec<u8>,
@@ -88,7 +88,7 @@ struct Transfer {
 /// The replica-side sync state machine. See the module docs. A step that
 /// can meet a gap returns whether a `SyncRequest` from [`Self::applied`] is
 /// now due — `true` at most once per outstanding request.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 pub struct ReplSink {
     phase: Phase,
     /// When the current waiting phase last saw progress: its request
@@ -105,6 +105,9 @@ pub struct ReplSink {
     rdb: Option<Transfer>,
     /// Chain mode: highest applied offset already `WriteAck`ed.
     last_write_ack: u64,
+    /// A smaller stash than [`STASH_CAP`], for small-scope exploration.
+    #[cfg(test)]
+    stash_cap: Option<usize>,
 }
 
 impl ReplSink {
@@ -124,6 +127,14 @@ impl ReplSink {
             progress_at: now,
             ..ReplSink::default()
         }
+    }
+
+    /// This replica, keeping at most `cap` frames it cannot apply yet: with
+    /// a history of a few commands the production cap is never met.
+    #[cfg(test)]
+    pub(crate) fn with_stash_cap(self, cap: usize) -> Self {
+        let stash_cap = Some(cap);
+        ReplSink { stash_cap, ..self }
     }
 
     /// Is the stream being applied as it arrives (the replica counts as
@@ -243,10 +254,18 @@ impl ReplSink {
     }
 
     fn stash(&mut self, from: u64, body: Frame) {
-        if self.stash.len() < STASH_CAP {
+        if self.stash.len() < self.stash_cap() {
             let at = self.stash.partition_point(|&(off, _)| off <= from);
             self.stash.insert(at, (from, body));
         }
+    }
+
+    fn stash_cap(&self) -> usize {
+        #[cfg(test)]
+        if let Some(cap) = self.stash_cap {
+            return cap;
+        }
+        STASH_CAP
     }
 
     /// Bytes are missing before something that arrived: ask for them,
@@ -316,7 +335,6 @@ impl ReplSink {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use skv_store::backlog::Backlog;
 
     const T0: SimTime = SimTime::ZERO;
     const WAIT: SimDuration = SimDuration::from_millis(60);
@@ -676,25 +694,6 @@ mod tests {
         r.sink.on_full_sync_begin(T0, 0, 1);
         r.sink.applied += 1;
         assert_eq!(r.sink.write_ack(), None);
-    }
-
-    #[test]
-    fn promote_then_demote_round_trips_the_offset() {
-        let mut r = Replica::new(ReplSink::at(0));
-        r.deliver(T0, stream_frame(0, &set(0, 10)));
-        // Promote: the backlog resumes, empty, at the sink's offset …
-        let mut ring = Backlog::new(64);
-        ring.feed(b"a replica's backlog is never served");
-        ring.restart_at(r.sink.applied());
-        assert_eq!((ring.offset(), ring.histlen()), (r.sink.applied(), 0));
-        // … and Demote starts the sink at the backlog's, writes included.
-        ring.feed(&set(1, 10));
-        let demoted = ReplSink::at(ring.offset());
-        assert_eq!(
-            demoted.applied(),
-            r.sink.applied() + set(1, 10).len() as u64
-        );
-        assert_eq!(demoted.phase, Phase::Streaming);
     }
 
     proptest! {

@@ -1,0 +1,1367 @@
+//! # The master's side of synchronisation (Fig. 8 ②→④, Fig. 9, §III-D)
+//!
+//! A master's protocol is as short as a replica's: compare the requester's
+//! position with the backlog, answer with the missing range or with a
+//! snapshot plus what followed it, keep the stream going, repair it after a
+//! failure. [`ReplSource`] owns everything a master knows about its own
+//! history and about its replicas — the backlog, the replication id, the
+//! offset each replica last reported — and every decision taken from them
+//! comes back as a value ([`Serve`], [`Progress`], the frames of a
+//! transfer, the census commit point). It does no IO and charges no CPU:
+//! the actor around it ([`crate::server::KvServer`]) takes the snapshot,
+//! pays the persist core, dials or reuses the replica's channel and sends;
+//! the same split as [`crate::replsink::ReplSink`] (DESIGN.md §26).
+//!
+//! A replica holds one too: its backlog is never fed (so never allocated)
+//! and its id is the history it follows, which is what lets `Promote`
+//! continue that history at the sink's offset.
+
+use std::collections::BTreeMap;
+use std::ops::Range;
+
+use skv_netsim::{Frame, SocketAddr};
+use skv_store::backlog::Backlog;
+use skv_store::repl::{ReplicationId, ReplicationPosition};
+
+use crate::protocol::{tag, NodeMsg};
+use crate::replmode::ReplModeKind;
+use crate::replsink::stream_frames;
+
+/// Maximum replication lag (bytes) before the master returns errors
+/// (paper §III-C: "if the progress is too slow … return an error"). A
+/// guardrail that never trips in healthy runs; the min-slaves rejection
+/// path is the measured variant (failparams ablation).
+pub const MAX_SLAVE_LAG: u64 = 256 << 20;
+
+/// Maximum bytes per RDB transfer chunk.
+const RDB_CHUNK: usize = 64 * 1024;
+
+/// How the master answers a replica that stands at some offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Serve {
+    /// The backlog still holds `from..to`: send exactly that range
+    /// ([`ReplSource::partial_frames`]).
+    Partial {
+        /// The replica's offset.
+        from: u64,
+        /// The master's offset.
+        to: u64,
+    },
+    /// It does not (or the position is of another history): snapshot the
+    /// keyspace now — the snapshot stands for [`ReplSource::offset`] as of
+    /// this instant — and send it once persisted
+    /// ([`ReplSource::on_persist_done`]).
+    Full,
+}
+
+/// What a `ProgressReport` led to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Progress {
+    /// The tail-loss repair: the replica reported the same offset below
+    /// the master's twice on an open channel, so the end of the stream was
+    /// lost and no later frame will show the replica the gap. Nobody asked
+    /// for this answer — the replica sent a report, not a request.
+    pub repair: Option<Serve>,
+    /// The furthest any replica that ever reported is behind the master.
+    pub worst_lag: u64,
+}
+
+impl Progress {
+    /// The lag half of the write gate: is some replica more than
+    /// [`MAX_SLAVE_LAG`] behind?
+    pub fn lag_exceeded(&self) -> bool {
+        self.worst_lag > MAX_SLAVE_LAG
+    }
+}
+
+/// The master-side sync state machine. See the module docs.
+#[derive(Debug, Clone)]
+pub struct ReplSource {
+    backlog: Backlog,
+    repl_id: ReplicationId,
+    /// The highest offset each replica reported since a channel to it was
+    /// last attached (0: nothing yet).
+    replicas: BTreeMap<SocketAddr, u64>,
+    /// [`Self::commit_census`]'s scratch.
+    held: Vec<u64>,
+}
+
+impl ReplSource {
+    /// A master with no history yet, keeping the last `backlog_size` bytes.
+    pub fn new(backlog_size: usize, repl_id: ReplicationId) -> Self {
+        ReplSource {
+            backlog: Backlog::new(backlog_size),
+            repl_id,
+            replicas: BTreeMap::new(),
+            held: Vec::new(),
+        }
+    }
+
+    /// Bytes of history written.
+    pub fn offset(&self) -> u64 {
+        self.backlog.offset()
+    }
+
+    /// The history this server writes, or follows as a replica.
+    pub fn repl_id(&self) -> ReplicationId {
+        self.repl_id
+    }
+
+    /// A replica adopts the history its master announced (`NONE`: it has
+    /// none, and its next request is `unsynced()`).
+    pub fn follow(&mut self, repl_id: ReplicationId) {
+        self.repl_id = repl_id;
+    }
+
+    /// `Promote`: the history resumes, with nothing retained, where the
+    /// sink stopped applying — a replica never wrote its backlog.
+    pub fn restart_at(&mut self, offset: u64) {
+        self.backlog.restart_at(offset);
+    }
+
+    /// Append one propagated command; returns the offsets it occupies.
+    pub fn feed(&mut self, cmd: &[u8]) -> Range<u64> {
+        let from = self.backlog.offset();
+        self.backlog.feed(cmd);
+        from..self.backlog.offset()
+    }
+
+    /// A channel to `replica` came up: it has reported nothing on it, so
+    /// its first report can never read as a stalled one.
+    pub fn attach(&mut self, replica: SocketAddr) {
+        self.replicas.insert(replica, 0);
+    }
+
+    /// A replica asked to synchronise from `position`.
+    pub fn on_sync_request(&self, position: ReplicationPosition) -> Serve {
+        self.serve_from(position.offset, position.matches(self.repl_id))
+    }
+
+    /// The missing range if `from` is a point of this history the backlog
+    /// still holds, a snapshot otherwise.
+    fn serve_from(&self, from: u64, same_history: bool) -> Serve {
+        let to = self.offset();
+        if same_history && self.backlog.can_serve(from) {
+            Serve::Partial { from, to }
+        } else {
+            Serve::Full
+        }
+    }
+
+    /// The frames of a [`Serve::Partial`] decided at this offset.
+    pub fn partial_frames(&self, from: u64) -> Vec<(u32, Frame)> {
+        let begin = NodeMsg::PartialSyncBegin {
+            repl_id: self.repl_id,
+            from_offset: from,
+            to_offset: self.offset(),
+        };
+        let mut frames = vec![(tag::NODE, begin.encode().into())];
+        self.push_range(from, &mut frames);
+        frames
+    }
+
+    /// The snapshot taken at `start_offset` is persisted: the
+    /// `FullSyncBegin`, the snapshot in chunks, then everything written
+    /// since — if the backlog still holds it.
+    pub fn on_persist_done(&self, start_offset: u64, rdb: Vec<u8>) -> Vec<(u32, Frame)> {
+        let begin = NodeMsg::FullSyncBegin {
+            repl_id: self.repl_id,
+            start_offset,
+            total_bytes: rdb.len() as u64,
+        };
+        let mut frames = vec![(tag::NODE, begin.encode().into())];
+        // Chunks are zero-copy views into the one snapshot buffer.
+        let rdb = Frame::from(rdb);
+        let chunks = (0..rdb.len().max(1)).step_by(RDB_CHUNK);
+        frames.extend(chunks.map(|at| {
+            let end = (at + RDB_CHUNK).min(rdb.len());
+            (tag::RDB_CHUNK, rdb.slice(at..end))
+        }));
+        self.push_range(start_offset, &mut frames);
+        frames
+    }
+
+    fn push_range(&self, from: u64, frames: &mut Vec<(u32, Frame)>) {
+        if let Some(bytes) = self.backlog.range_from(from) {
+            let stream = stream_frames(from, &bytes);
+            frames.extend(stream.map(|frame| (tag::REPL_STREAM, frame.into())));
+        }
+    }
+
+    /// `slave` reported `offset`; `conn_open` says whether a channel to it
+    /// is up. A replica no channel was ever attached for is not tracked.
+    pub fn on_progress(&mut self, slave: SocketAddr, offset: u64, conn_open: bool) -> Progress {
+        let master = self.offset();
+        let mut stalled = false;
+        if let Some(reported) = self.replicas.get_mut(&slave) {
+            stalled = conn_open && offset < master && offset == *reported;
+            *reported = (*reported).max(offset);
+        }
+        let lags = self.replicas.values().filter(|&&reported| reported > 0);
+        Progress {
+            repair: stalled.then(|| self.serve_from(offset, true)),
+            worst_lag: lags.map(|r| master.saturating_sub(*r)).max().unwrap_or(0),
+        }
+    }
+
+    /// Deferred modes: the commit offset derivable from the master's own
+    /// view of replica progress, independent of the NIC's `WriteCommitted`
+    /// notifications. This is what keeps quorum/chain semantics working
+    /// through degraded (host fan-out) periods and covers the window where
+    /// a commit notification is lost with the NIC channel: the same
+    /// [`ReplModeKind::commit_frontier`] the NIC's tracker applies to its
+    /// acks, here fed the offsets reported by the replicas a channel is
+    /// `open` to.
+    pub fn commit_census(
+        &mut self,
+        mode: ReplModeKind,
+        num_slaves: usize,
+        open: impl Iterator<Item = SocketAddr>,
+    ) -> u64 {
+        let reported = open.map(|replica| self.replicas.get(&replica).copied().unwrap_or(0));
+        self.held.clear();
+        self.held.extend(reported);
+        let frontier = mode.commit_frontier(num_slaves, &mut self.held);
+        frontier.unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replsink::{parse_stream_frame, ReplSink, STREAM_CHUNK};
+    use skv_netsim::NodeId;
+    use skv_simcore::SimTime;
+
+    const ID: ReplicationId = ReplicationId([7; 20]);
+    const FOREIGN: ReplicationId = ReplicationId([9; 20]);
+
+    fn replica(n: u16) -> SocketAddr {
+        SocketAddr::new(NodeId(1), 7000 + n)
+    }
+
+    fn at(repl_id: ReplicationId, offset: u64) -> ReplicationPosition {
+        ReplicationPosition { repl_id, offset }
+    }
+
+    /// A master whose 100-byte window holds `20..120` of a 120-byte history
+    /// (`history()[i]` is the byte at offset `i`).
+    fn master() -> ReplSource {
+        let mut source = ReplSource::new(100, ID);
+        for chunk in history().chunks(40) {
+            source.feed(chunk);
+        }
+        source
+    }
+
+    fn history() -> Vec<u8> {
+        (0..120).collect()
+    }
+
+    /// The `NODE` frame a transfer opens with, and the stream range that
+    /// follows its RDB chunks as `(from, bytes)`.
+    fn begin_and_range(frames: &[(u32, Frame)]) -> (NodeMsg, Option<(u64, Vec<u8>)>) {
+        assert_eq!(frames[0].0, tag::NODE);
+        let begin = NodeMsg::decode(&frames[0].1).expect("a NodeMsg opens every transfer");
+        let stream = frames.iter().filter(|(t, _)| *t == tag::REPL_STREAM);
+        let mut range: Option<(u64, Vec<u8>)> = None;
+        for (_, frame) in stream {
+            let (from, body) = parse_stream_frame(frame).expect("header");
+            let (start, bytes) = range.get_or_insert((from, Vec::new()));
+            assert_eq!(
+                from,
+                *start + bytes.len() as u64,
+                "range frames are contiguous"
+            );
+            bytes.extend_from_slice(body);
+        }
+        (begin, range)
+    }
+
+    // -- the decision table: one test per input, every window state a row -----
+
+    #[test]
+    fn a_request_is_served_from_the_window_or_by_a_snapshot() {
+        let source = master();
+        let partial = |from| Serve::Partial { from, to: 120 };
+        for (position, serve) in [
+            (at(ID, 60), partial(60)),       // inside the window
+            (at(ID, 20), partial(20)),       // its oldest byte
+            (at(ID, 120), partial(120)),     // nothing missing: an empty range
+            (at(ID, 19), Serve::Full),       // fell out of the window
+            (at(ID, 121), Serve::Full),      // a future this history never had
+            (at(FOREIGN, 60), Serve::Full),  // another history, any offset
+            (at(FOREIGN, 120), Serve::Full), //
+            (ReplicationPosition::unsynced(), Serve::Full),
+        ] {
+            assert_eq!(source.on_sync_request(position), serve, "{position:?}");
+        }
+        // Before the first wrap the window starts at 0.
+        let mut young = ReplSource::new(100, ID);
+        assert_eq!(
+            young.on_sync_request(at(ID, 0)),
+            Serve::Partial { from: 0, to: 0 }
+        );
+        assert_eq!(young.feed(b"abc"), 0..3);
+        assert_eq!(young.feed(b"de"), 3..5);
+        assert_eq!(
+            young.on_sync_request(at(ID, 0)),
+            Serve::Partial { from: 0, to: 5 }
+        );
+    }
+
+    #[test]
+    fn a_partial_transfer_is_the_begin_and_exactly_the_missing_range() {
+        let source = master();
+        for from in [20, 60, 119] {
+            let (begin, range) = begin_and_range(&source.partial_frames(from));
+            let expect = NodeMsg::PartialSyncBegin {
+                repl_id: ID,
+                from_offset: from,
+                to_offset: 120,
+            };
+            assert_eq!(begin, expect);
+            assert_eq!(
+                range,
+                Some((
+                    from,
+                    history().split_off(usize::try_from(from).expect("small"))
+                ))
+            );
+        }
+        // Nothing is missing at the master's own offset: the begin alone.
+        let frames = source.partial_frames(120);
+        assert_eq!((frames.len(), begin_and_range(&frames).1), (1, None));
+    }
+
+    #[test]
+    fn a_persisted_snapshot_is_followed_by_what_the_window_still_holds() {
+        let mut source = master();
+        let rdb = vec![5u8; 2 * RDB_CHUNK + 5];
+        // Taken at 120, persisted before anything else was written.
+        let frames = source.on_persist_done(120, rdb.clone());
+        let begin = NodeMsg::FullSyncBegin {
+            repl_id: ID,
+            start_offset: 120,
+            total_bytes: rdb.len() as u64,
+        };
+        assert_eq!(begin_and_range(&frames), (begin, None));
+        let chunks = frames.iter().filter(|(t, _)| *t == tag::RDB_CHUNK);
+        let chunks: Vec<&[u8]> = chunks.map(|(_, f)| &f[..]).collect();
+        let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+        assert_eq!(sizes, [RDB_CHUNK, RDB_CHUNK, 5]);
+        assert_eq!(chunks.concat(), rdb);
+        assert_eq!(frames.len(), 1 + 3);
+        // Writes during the persist that the window still holds follow it …
+        source.feed(&[1; 60]);
+        let (_, range) = begin_and_range(&source.on_persist_done(120, rdb.clone()));
+        assert_eq!(range, Some((120, vec![1; 60])));
+        // … at the window's oldest byte too …
+        source.feed(&[2; 40]);
+        let (_, range) = begin_and_range(&source.on_persist_done(120, rdb.clone()));
+        assert_eq!(
+            range.map(|(from, bytes)| (from, bytes.len())),
+            Some((120, 100))
+        );
+        // … and once the snapshot's offset is out of it, nothing does: the
+        // replica adopts 120 and has to ask again from there.
+        source.feed(&[3; 1]);
+        let frames = source.on_persist_done(120, rdb);
+        assert_eq!((frames.len(), begin_and_range(&frames).1), (1 + 3, None));
+        // An empty keyspace is still one (empty) chunk: it ends the transfer.
+        let frames = source.on_persist_done(221, Vec::new());
+        assert_eq!(frames[1], (tag::RDB_CHUNK, Frame::new()));
+        assert_eq!(begin_and_range(&frames).1, None);
+    }
+
+    #[test]
+    fn a_reserved_range_is_cut_every_stream_chunk() {
+        let mut source = ReplSource::new(3 * STREAM_CHUNK, ID);
+        source.feed(&vec![8; 2 * STREAM_CHUNK + 9]);
+        let frames = source.partial_frames(4);
+        let froms: Vec<u64> = frames[1..]
+            .iter()
+            .map(|(_, f)| parse_stream_frame(f).expect("header").0)
+            .collect();
+        let chunk = STREAM_CHUNK as u64;
+        assert_eq!(froms, [4, 4 + chunk, 4 + 2 * chunk]);
+        assert_eq!(
+            begin_and_range(&frames).1.map(|(_, b)| b.len()),
+            Some(2 * STREAM_CHUNK + 5)
+        );
+    }
+
+    #[test]
+    fn a_report_repairs_only_a_repeat_below_the_master_on_an_open_channel() {
+        let (r, mut source) = (replica(0), master());
+        let lag = |worst_lag| Progress {
+            repair: None,
+            worst_lag,
+        };
+        // No channel was ever attached: not tracked, never lagging.
+        assert_eq!(source.on_progress(r, 60, true), lag(0));
+        assert_eq!(source.on_progress(r, 60, true), lag(0));
+        source.attach(r);
+        // Advances: no repair, the lag follows.
+        assert_eq!(source.on_progress(r, 40, true), lag(80));
+        assert_eq!(source.on_progress(r, 60, true), lag(60));
+        // Repeats once, inside the window: the missing range.
+        let repair = Some(Serve::Partial { from: 60, to: 120 });
+        assert_eq!(
+            source.on_progress(r, 60, true),
+            Progress {
+                repair,
+                worst_lag: 60
+            }
+        );
+        // … and again on every further repeat: nothing remembers the answer.
+        assert_eq!(source.on_progress(r, 60, true).repair, repair);
+        // On a closed channel a repeat repairs nothing.
+        assert_eq!(source.on_progress(r, 60, false), lag(60));
+        // At the master's own offset there is nothing to repair.
+        assert_eq!(source.on_progress(r, 120, true), lag(0));
+        assert_eq!(source.on_progress(r, 120, true), lag(0));
+    }
+
+    #[test]
+    fn a_repeat_outside_the_window_is_repaired_by_a_snapshot_nobody_asked_for() {
+        let (r, mut source) = (replica(0), master());
+        source.attach(r);
+        assert_eq!(source.on_progress(r, 10, true).repair, None);
+        // ROADMAP 2 (b): a report is not a request, and the replica may be
+        // well past 10 by now — the next PR changes this row.
+        assert_eq!(source.on_progress(r, 10, true).repair, Some(Serve::Full));
+    }
+
+    #[test]
+    fn a_report_that_goes_backwards_is_never_repaired_again() {
+        let (r, mut source) = (replica(0), master());
+        source.attach(r);
+        assert_eq!(source.on_progress(r, 100, true).worst_lag, 20);
+        // The replica adopted a snapshot behind itself (DESIGN.md §25.3).
+        // What the master keeps is a running maximum, so the lag it sees
+        // does not grow and no repeat of 60 ever equals it: the tail-loss
+        // repair is off for this replica until a channel is re-attached.
+        for _ in 0..3 {
+            assert_eq!(
+                source.on_progress(r, 60, true),
+                Progress {
+                    repair: None,
+                    worst_lag: 20
+                }
+            );
+        }
+        source.attach(r);
+        assert_eq!(source.on_progress(r, 60, true).repair, None);
+        assert_eq!(
+            source.on_progress(r, 60, true).repair,
+            Some(Serve::Partial { from: 60, to: 120 })
+        );
+    }
+
+    #[test]
+    fn the_first_report_after_a_reattach_is_never_stalled() {
+        let (r, mut source) = (replica(0), master());
+        source.attach(r);
+        assert_eq!(source.on_progress(r, 60, true).repair, None);
+        source.attach(r);
+        // Same offset as the last report on the old channel: not a repeat.
+        assert_eq!(
+            source.on_progress(r, 60, true),
+            Progress {
+                repair: None,
+                worst_lag: 60
+            }
+        );
+        // Until it has reported, a re-attached replica does not count as
+        // lagging either.
+        source.attach(r);
+        source.attach(replica(1));
+        assert_eq!(source.on_progress(replica(1), 110, true).worst_lag, 10);
+    }
+
+    #[test]
+    fn the_worst_lag_is_over_every_replica_that_reported_and_gates_writes_past_the_cap() {
+        let mut source = master();
+        for n in 0..3 {
+            source.attach(replica(n));
+        }
+        assert_eq!(source.on_progress(replica(0), 100, true).worst_lag, 20);
+        assert_eq!(source.on_progress(replica(1), 30, false).worst_lag, 90);
+        // Replica 1's channel is closed and it stays the worst; replica 2
+        // has not reported and does not count.
+        let progress = source.on_progress(replica(0), 120, true);
+        assert_eq!((progress.worst_lag, progress.lag_exceeded()), (90, false));
+        source.restart_at(30 + MAX_SLAVE_LAG);
+        assert!(!source.on_progress(replica(0), 120, true).lag_exceeded());
+        source.feed(b"x");
+        let progress = source.on_progress(replica(0), 120, true);
+        assert_eq!(
+            (progress.worst_lag, progress.lag_exceeded()),
+            (MAX_SLAVE_LAG + 1, true)
+        );
+    }
+
+    #[test]
+    fn the_census_is_the_commit_frontier_of_the_open_replicas() {
+        let mut source = master();
+        for (n, offset) in [(0, 100), (1, 60), (2, 90)] {
+            source.attach(replica(n));
+            source.on_progress(replica(n), offset, true);
+        }
+        let all = || (0..3).map(replica);
+        // Quorum of 3 slaves: the 2nd largest. Chain: the minimum.
+        assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, all()), 90);
+        assert_eq!(source.commit_census(ReplModeKind::Chain, 3, all()), 60);
+        assert_eq!(
+            source.commit_census(ReplModeKind::Async, 3, all()),
+            u64::MAX
+        );
+        // A closed channel's replica is out of both …
+        let open = || [replica(0), replica(1)].into_iter();
+        assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, open()), 60);
+        assert_eq!(
+            source.commit_census(ReplModeKind::Chain, 3, [replica(0)].into_iter()),
+            100
+        );
+        // … fewer reports than the quorum, or no hop in sight, prove nothing …
+        assert_eq!(
+            source.commit_census(ReplModeKind::Quorum, 3, [replica(0)].into_iter()),
+            0
+        );
+        assert_eq!(
+            source.commit_census(ReplModeKind::Chain, 3, [].into_iter()),
+            0
+        );
+        // … and an open replica that has not reported yet holds 0.
+        source.attach(replica(1));
+        assert_eq!(source.commit_census(ReplModeKind::Chain, 3, all()), 0);
+        assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, all()), 90);
+    }
+
+    #[test]
+    fn promote_then_demote_round_trips_the_offset() {
+        // A replica's source follows its master's history and is never fed.
+        let mut source = ReplSource::new(64, ReplicationId::NONE);
+        source.follow(ID);
+        let sink = ReplSink::at(37);
+        // Promote: the history resumes, with nothing to serve, at the
+        // sink's offset, under the id the replica followed …
+        source.restart_at(sink.applied());
+        assert_eq!((source.offset(), source.repl_id()), (37, ID));
+        assert_eq!(
+            source.on_sync_request(at(ID, 37)),
+            Serve::Partial { from: 37, to: 37 }
+        );
+        assert_eq!(source.on_sync_request(at(ID, 36)), Serve::Full);
+        // … and Demote starts the sink at the source's, writes included.
+        assert_eq!(source.feed(b"0123456789"), 37..47);
+        let mut demoted = ReplSink::at(source.offset());
+        demoted.rerequest(SimTime::ZERO);
+        assert_eq!((demoted.applied(), demoted.is_streaming()), (47, true));
+    }
+}
+
+/// # Source × lossy link × sink, explored exhaustively in a small scope
+///
+/// One master ([`ReplSource`]), one replica (the real
+/// [`crate::replsink::ReplSink`] plus its keyspace, kept as the number of
+/// history commands it holds) and a FIFO link each way, with what
+/// `KvServer` does between them mirrored in a few lines of glue: no
+/// `Simulation` and no clock (every `now` is `T0`, so "`waiting_time`
+/// passed" is an action, not a timestamp). Whole states are hashed and
+/// explored breadth-first, so the first trace to reach a predicate is a
+/// shortest one.
+///
+/// **Actions.** The master writes the next command (the live fan-out
+/// reaches the replica through the down link, also while a snapshot
+/// persists); the oldest persist job finishes, however late; the head of
+/// either link is delivered, dropped, or delivered and kept (a
+/// duplicate); the replica crashes (what is in flight to it, and every
+/// frame sent while it is down, is lost; the first send to it breaks the
+/// master's channel) and restarts; its cron reports progress, or — when
+/// nothing is in flight and nothing persists, i.e. `waiting_time` is
+/// longer than a delivery or a persist, as the default 1.5 s is —
+/// re-issues a `stalled` request. Drops, duplicates and crashes are
+/// *faults* and a run has at most `Scope::faults` of them (the counter
+/// is part of the state); a full link or persist queue back-pressures:
+/// the action that would push onto it is not enabled.
+///
+/// **Checked on every reachable state.** The replica's keyspace is a
+/// prefix of the history no longer than what was written; `applied` is
+/// exactly that prefix's length in bytes; every command the sink hands
+/// its callback is the next one of the history (nothing twice, nothing
+/// skipped). And *liveness*: if the master stops writing and nothing is
+/// lost any more, does the replica catch up (`World::quiet_end`)?
+///
+/// **Measured bounds** (dev profile, one core of the 2-core box; each
+/// exhausts — empty frontier, the state cap not met):
+///
+/// | scope | commands | window | faults | states | transitions | stuck | time |
+/// |---|---|---|---|---|---|---|---|
+/// | `Scope::lossless` | 8 × 28 B | 70 B (last 2) | 0 | 706 031 | 1 723 768 | 22 589 | 9.6 s |
+/// | `Scope::faulty` | 5 × 28 B | 70 B (last 2) | 1 | 494 933 | 1 292 833 | 4 035 | 5.3 s |
+/// | `Scope::chunked` | 38 B, 32 899 B, 38 B | 32 948 B (last 2) | 1 | 26 597 | 66 556 | 310 | 2.8 s |
+///
+/// with a stash of 2 frames, links of 6 / 3 messages and 2 persist jobs
+/// (≈ 16 s of CPU, ≈ 90 MB at the peak; the three run side by side). The
+/// growth is ≈ × 2.7 per command and ≈ × 12 per fault: 6 commands with 1
+/// fault are past 1.2 M states. Unbudgeted loss and an unpaced `stalled`
+/// re-request are out of reach at any length — 345 000 states for a
+/// history of *one* command: every re-request is one more transfer in
+/// flight, and a lossy link then holds every subsequence of them.
+/// "Stuck" counts the states the liveness question answers *no* from;
+/// every one of them ends in `World::behind_its_own_report`.
+#[cfg(test)]
+mod explorer {
+    use super::*;
+    use crate::replsink::{ReplSink, STREAM_CHUNK};
+    use skv_netsim::NodeId;
+    use skv_simcore::{SimDuration, SimTime};
+    use std::cell::Cell;
+    use std::collections::btree_map::Entry;
+    use std::collections::hash_map::DefaultHasher;
+    use std::collections::VecDeque;
+    use std::fmt::{self, Write as _};
+    use std::hash::{Hash, Hasher};
+    use std::sync::OnceLock;
+
+    const ID: ReplicationId = ReplicationId([7; 20]);
+    const T0: SimTime = SimTime::ZERO;
+    const WAIT: SimDuration = SimDuration::from_millis(60);
+    /// A `now` by which any waiting phase has [`ReplSink::stalled`].
+    const LATE: SimTime = SimTime::from_millis(200);
+    /// More states than any scope here has: an exploration that meets it
+    /// did not exhaust its bound.
+    const STATE_CAP: usize = 1_500_000;
+
+    fn replica() -> SocketAddr {
+        SocketAddr::new(NodeId(1), 7000)
+    }
+
+    /// The bounds of one exploration.
+    struct Scope {
+        /// The commands the master will ever write, in order.
+        history: Vec<Vec<u8>>,
+        /// `starts[i]` is the offset of command `i`; the last entry is the
+        /// length of the whole history.
+        starts: Vec<u64>,
+        /// Backlog capacity in bytes.
+        window: usize,
+        /// Most drops, duplicates and crashes in one run, together.
+        faults: u8,
+    }
+
+    /// Frames a waiting replica keeps (production: 1 024). With a history
+    /// of a few commands the live fan-out would otherwise bridge every
+    /// snapshot through the stash, and ROADMAP's loop (a) be out of reach.
+    const STASH_CAP: usize = 2;
+    /// Most messages in flight to the replica / to the master, and most
+    /// snapshots persisting at once.
+    const DOWN_CAP: usize = 6;
+    const UP_CAP: usize = 3;
+    const PERSIST_CAP: usize = 2;
+
+    impl Scope {
+        /// `SET k<i> <value_lens[i] bytes>` each and a backlog of `window`
+        /// bytes.
+        fn new(value_lens: &[usize], window: usize, faults: u8) -> Scope {
+            let set = |(i, len): (usize, &usize)| {
+                let value = "v".repeat(*len);
+                format!("*3\r\n$3\r\nSET\r\n$2\r\nk{i}\r\n${len}\r\n{value}\r\n").into_bytes()
+            };
+            let history: Vec<Vec<u8>> = value_lens.iter().enumerate().map(set).collect();
+            let mut starts = vec![0u64];
+            for cmd in &history {
+                starts.push(starts[starts.len() - 1] + cmd.len() as u64);
+            }
+            Scope {
+                history,
+                starts,
+                window,
+                faults,
+            }
+        }
+
+        /// Eight 28-byte commands, a window of the last two, nothing lost.
+        fn lossless() -> Scope {
+            Scope::new(&[1; 8], 70, 0)
+        }
+
+        /// Five of them and one fault.
+        fn faulty() -> Scope {
+            Scope::new(&[1; 5], 70, 1)
+        }
+
+        /// ROADMAP's command larger than `STREAM_CHUNK`: a re-served range
+        /// is cut inside it. The window holds it and one neighbour.
+        fn chunked() -> Scope {
+            let big = STREAM_CHUNK + 100;
+            Scope::new(&[10, big, 10], big + 80, 1)
+        }
+
+        /// How many commands of the history end at or before `offset`.
+        fn prefix(&self, offset: u64) -> usize {
+            self.starts.partition_point(|&s| s <= offset) - 1
+        }
+    }
+
+    /// What travels from the replica to the master.
+    #[derive(Clone, Copy, PartialEq, Hash)]
+    enum Up {
+        Request(ReplicationId, u64),
+        Report(u64),
+    }
+
+    impl fmt::Debug for Up {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                Up::Request(ReplicationId::NONE, at) => write!(f, "Request(unsynced, {at})"),
+                Up::Request(_, at) => write!(f, "Request({at})"),
+                Up::Report(at) => write!(f, "Report({at})"),
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Action {
+        Write,
+        PersistDone,
+        DeliverDown,
+        DropDown,
+        /// A duplicate of the head arrives; the head stays in flight.
+        DupDown,
+        DeliverUp,
+        DropUp,
+        DupUp,
+        Crash,
+        Restart,
+        /// The replica's cron: a `ProgressReport`.
+        Report,
+        /// The replica's cron once `waiting_time` is over: the `stalled`
+        /// re-request.
+        Timeout,
+    }
+
+    const ACTIONS: [Action; 12] = [
+        Action::Write,
+        Action::PersistDone,
+        Action::DeliverDown,
+        Action::DropDown,
+        Action::DupDown,
+        Action::DeliverUp,
+        Action::DropUp,
+        Action::DupUp,
+        Action::Crash,
+        Action::Restart,
+        Action::Report,
+        Action::Timeout,
+    ];
+
+    /// What a step did that a test wants a shortest trace to (bits).
+    mod saw {
+        /// ROADMAP 2 (b): a full sync whose origin is a report.
+        pub const FULL_FROM_A_REPORT: usize = 0;
+        /// A full sync begun while another one for the same replica still
+        /// persists: two snapshots, two persist jobs.
+        pub const TWO_FULLS_AT_ONCE: usize = 1;
+        /// ROADMAP 2 (a): the replica loaded the last snapshot, asks from
+        /// exactly its offset, and is answered with another snapshot: the
+        /// writes since pushed that offset out of the window.
+        pub const FULL_AGAIN_AT_THE_SNAPSHOT: usize = 2;
+        /// A safety property failed.
+        pub const VIOLATION: usize = 3;
+    }
+
+    fn bit(which: usize, set: bool) -> u8 {
+        u8::from(set) << which
+    }
+
+    impl Hash for ReplSource {
+        /// Canonical: the retained bytes, not the ring they sit in.
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            self.repl_id.hash(state);
+            self.backlog.offset().hash(state);
+            let oldest = self.backlog.first_available_offset();
+            self.backlog.range_from(oldest).hash(state);
+            self.replicas.hash(state);
+        }
+    }
+
+    #[derive(Clone, Hash)]
+    struct World {
+        source: ReplSource,
+        /// Start offsets of the snapshots being persisted, oldest first.
+        persists: VecDeque<u64>,
+        /// Does the master hold an open channel to the replica?
+        conn_open: bool,
+        /// Start offset of the snapshot sent last.
+        last_full: Option<u64>,
+        down: VecDeque<(u32, Frame)>,
+        up: VecDeque<Up>,
+        sink: ReplSink,
+        /// The history the replica follows (`KvServer`'s own source).
+        sink_id: ReplicationId,
+        /// The replica's keyspace: the first `keys` commands.
+        keys: usize,
+        replica_up: bool,
+        /// Drops, duplicates and crashes so far.
+        faults: u8,
+        /// A push met a full link or persist queue (never in a kept state:
+        /// the step that would overflow is not enabled).
+        overflowed: bool,
+    }
+
+    impl World {
+        /// `SLAVEOF` was just issued: the first request is in flight.
+        fn new(scope: &Scope) -> World {
+            World {
+                source: ReplSource::new(scope.window, ID),
+                persists: VecDeque::new(),
+                conn_open: false,
+                last_full: None,
+                down: VecDeque::new(),
+                up: VecDeque::from([Up::Request(ReplicationId::NONE, 0)]),
+                sink: ReplSink::joining(T0).with_stash_cap(STASH_CAP),
+                sink_id: ReplicationId::NONE,
+                keys: 0,
+                replica_up: true,
+                faults: 0,
+                overflowed: false,
+            }
+        }
+
+        /// 128 bits, so that a visited set of fingerprints is as good as
+        /// one of states.
+        fn fingerprint(&self) -> (u64, u64) {
+            let (mut a, mut b) = (DefaultHasher::new(), DefaultHasher::new());
+            self.hash(&mut a);
+            0xA5u8.hash(&mut b);
+            self.hash(&mut b);
+            (a.finish(), b.finish())
+        }
+
+        fn written(&self, scope: &Scope) -> usize {
+            scope.prefix(self.source.offset())
+        }
+
+        fn push_down(&mut self, frame: (u32, Frame)) {
+            self.overflowed |= self.down.len() >= DOWN_CAP;
+            self.down.push_back(frame);
+        }
+
+        fn push_up(&mut self, msg: Up) {
+            self.overflowed |= self.up.len() >= UP_CAP;
+            self.up.push_back(msg);
+        }
+
+        /// `KvServer::send_to_slave`: on the open channel, or on one
+        /// dialled (and attached) for it; to a dead replica the send
+        /// breaks the channel, or the dial fails, and the frames are lost.
+        fn send_to_replica(&mut self, frames: Vec<(u32, Frame)>) {
+            if !self.replica_up {
+                self.conn_open = false;
+                return;
+            }
+            if !self.conn_open {
+                self.source.attach(replica());
+                self.conn_open = true;
+            }
+            for frame in frames {
+                self.push_down(frame);
+            }
+        }
+
+        /// `KvServer::serve`. A snapshot is its start offset: it holds the
+        /// history's commands up to there.
+        fn serve(&mut self, serve: Serve, from_report: bool) -> u8 {
+            match serve {
+                Serve::Partial { from, .. } => {
+                    let frames = self.source.partial_frames(from);
+                    self.send_to_replica(frames);
+                    0
+                }
+                Serve::Full => {
+                    let two = !self.persists.is_empty();
+                    self.overflowed |= self.persists.len() >= PERSIST_CAP;
+                    self.persists.push_back(self.source.offset());
+                    bit(saw::FULL_FROM_A_REPORT, from_report) | bit(saw::TWO_FULLS_AT_ONCE, two)
+                }
+            }
+        }
+
+        /// The replica's `SyncRequest`, from `KvServer::position()`.
+        fn request(&mut self) {
+            self.push_up(Up::Request(self.sink_id, self.sink.applied()));
+        }
+
+        /// `KvServer::on_channel_msg` on the replica, for one frame.
+        fn deliver_down(&mut self, tag: u32, frame: &Frame) -> u8 {
+            let (keys, skipped) = (Cell::new(self.keys), Cell::new(false));
+            let mut apply = |args: &[&[u8]], _used: usize| {
+                let next = format!("k{}", keys.get());
+                skipped.set(skipped.get() || next.as_bytes() != args[1]);
+                keys.set(keys.get() + 1);
+            };
+            let ask = match tag {
+                tag::REPL_STREAM => self.sink.on_frame(T0, frame, &mut apply),
+                tag::RDB_CHUNK => match self.sink.on_rdb_chunk(T0, frame) {
+                    Some((rdb, start_offset)) => {
+                        keys.set(usize::from(rdb[0]));
+                        self.sink.adopt(T0, start_offset, &mut apply)
+                    }
+                    None => false,
+                },
+                _ => {
+                    match NodeMsg::decode(frame) {
+                        Some(NodeMsg::FullSyncBegin {
+                            repl_id,
+                            start_offset,
+                            total_bytes,
+                        }) => {
+                            self.sink.on_full_sync_begin(T0, start_offset, total_bytes);
+                            self.sink_id = repl_id;
+                        }
+                        Some(NodeMsg::PartialSyncBegin { repl_id, .. }) => {
+                            self.sink_id = repl_id;
+                            self.sink.on_partial_sync_begin();
+                        }
+                        other => panic!("not a sync answer: {other:?}"),
+                    }
+                    false
+                }
+            };
+            self.keys = keys.get();
+            if ask {
+                self.request();
+            }
+            bit(saw::VIOLATION, skipped.get())
+        }
+
+        /// `KvServer::on_node_msg` on the master, for one message.
+        fn deliver_up(&mut self, msg: Up) -> u8 {
+            match msg {
+                Up::Request(repl_id, offset) => {
+                    let position = ReplicationPosition { repl_id, offset };
+                    let serve = self.source.on_sync_request(position);
+                    let again = serve == Serve::Full
+                        && repl_id == ID
+                        && self.last_full == Some(offset)
+                        && self.sink.is_streaming()
+                        && self.sink.applied() == offset;
+                    self.serve(serve, false) | bit(saw::FULL_AGAIN_AT_THE_SNAPSHOT, again)
+                }
+                Up::Report(offset) => {
+                    let progress = self.source.on_progress(replica(), offset, self.conn_open);
+                    progress.repair.map_or(0, |serve| self.serve(serve, true))
+                }
+            }
+        }
+
+        fn idle(&self) -> bool {
+            self.down.is_empty() && self.up.is_empty() && self.persists.is_empty()
+        }
+
+        /// The state after `action` and what the step did; `None` when the
+        /// action is not enabled here, or would overflow a link or the
+        /// persist queue.
+        fn step(&self, scope: &Scope, action: Action) -> Option<(World, u8)> {
+            let next = self.step_unbounded(scope, action);
+            next.filter(|(next, _)| !next.overflowed)
+        }
+
+        /// [`Self::step`] without the capacities (nothing explored is kept
+        /// from here: the quiet suffix must not deadlock on a full link).
+        fn step_unbounded(&self, scope: &Scope, action: Action) -> Option<(World, u8)> {
+            let fault = matches!(
+                action,
+                Action::DropDown | Action::DupDown | Action::DropUp | Action::DupUp | Action::Crash
+            );
+            // The cron is paced: it does not fire again while what it sent
+            // last is still on its way.
+            let cron = self.replica_up && self.up.is_empty();
+            let enabled = match action {
+                Action::Write => self.written(scope) < scope.history.len(),
+                Action::PersistDone => !self.persists.is_empty(),
+                Action::DeliverDown | Action::DropDown | Action::DupDown => !self.down.is_empty(),
+                Action::DeliverUp | Action::DropUp | Action::DupUp => !self.up.is_empty(),
+                Action::Crash => self.replica_up,
+                Action::Restart => !self.replica_up,
+                Action::Report => cron && self.sink.is_streaming(),
+                Action::Timeout => cron && self.idle() && self.sink.stalled(LATE, WAIT),
+            };
+            if !enabled || (fault && self.faults >= scope.faults) {
+                return None;
+            }
+            let mut next = self.clone();
+            next.faults += u8::from(fault);
+            let mut seen = 0;
+            match action {
+                Action::Write => {
+                    // `finish_command`, then the fan-out: frames for a dead
+                    // replica are lost.
+                    let cmd = &scope.history[self.written(scope)];
+                    let span = next.source.feed(cmd);
+                    if next.replica_up {
+                        let frame = [&span.start.to_le_bytes()[..], cmd].concat();
+                        next.push_down((tag::REPL_STREAM, frame.into()));
+                    }
+                }
+                Action::PersistDone => {
+                    let start_offset = next.persists.pop_front()?;
+                    let rdb = vec![u8::try_from(scope.prefix(start_offset)).ok()?];
+                    let frames = next.source.on_persist_done(start_offset, rdb);
+                    next.last_full = Some(start_offset);
+                    next.send_to_replica(frames);
+                }
+                Action::DeliverDown | Action::DupDown => {
+                    let (tag, frame) = next.down.pop_front()?;
+                    if action == Action::DupDown {
+                        next.down.push_front((tag, frame.clone()));
+                    }
+                    seen = next.deliver_down(tag, &frame);
+                }
+                Action::DropDown => drop(next.down.pop_front()),
+                Action::DeliverUp | Action::DupUp => {
+                    let msg = next.up.pop_front()?;
+                    if action == Action::DupUp {
+                        next.up.push_front(msg);
+                    }
+                    seen = next.deliver_up(msg);
+                }
+                Action::DropUp => drop(next.up.pop_front()),
+                Action::Crash => {
+                    next.replica_up = false;
+                    next.down.clear();
+                }
+                Action::Restart => {
+                    // `Control::Recover`: a synced slave asks again.
+                    next.replica_up = true;
+                    if next.sink.is_streaming() {
+                        next.sink.rerequest(T0);
+                        next.request();
+                    }
+                }
+                Action::Report => next.push_up(Up::Report(next.sink.applied())),
+                Action::Timeout => {
+                    next.sink.rerequest(T0);
+                    next.request();
+                }
+            }
+            seen |= bit(saw::VIOLATION, !next.safe(scope));
+            Some((next, seen))
+        }
+
+        /// The safety properties a state can be asked for.
+        fn safe(&self, scope: &Scope) -> bool {
+            self.keys <= self.written(scope) && self.sink.applied() == scope.starts[self.keys]
+        }
+
+        /// The master writes nothing more and nothing is lost any more:
+        /// `Ok` if the replica catches up, `Err` with the state the system
+        /// keeps coming back to if it never does. The fair suffix is
+        /// deterministic — restart the replica, finish every persist,
+        /// deliver everything, and only when nothing is left in flight
+        /// fire the cron — so a repeated state is a proof.
+        fn quiet_end(&self, scope: &Scope) -> Result<(), Box<World>> {
+            let order = [
+                Action::Restart,
+                Action::PersistDone,
+                Action::DeliverDown,
+                Action::DeliverUp,
+                Action::Timeout,
+                Action::Report,
+            ];
+            let mut at = self.clone();
+            let mut seen = Vec::new();
+            loop {
+                let caught_up = at.sink.applied() == at.source.offset();
+                if at.idle() && at.replica_up && caught_up && !at.sink.stalled(LATE, WAIT) {
+                    return Ok(());
+                }
+                let next = order.iter().find_map(|a| at.step_unbounded(scope, *a));
+                let Some((next, _)) = next else {
+                    return Err(Box::new(at));
+                };
+                at = next;
+                at.overflowed = false;
+                if at.idle() {
+                    let print = at.fingerprint();
+                    if seen.contains(&print) {
+                        return Err(Box::new(at));
+                    }
+                    seen.push(print);
+                }
+            }
+        }
+
+        /// The running-maximum hole: a replica in step with nothing
+        /// outstanding, behind the master, below what the master remembers
+        /// it reporting — so no repeat of its report ever reads as stalled.
+        fn behind_its_own_report(&self) -> bool {
+            let reported = self.source.replicas.get(&replica()).copied();
+            let applied = self.sink.applied();
+            self.idle()
+                && !self.sink.stalled(LATE, WAIT)
+                && applied < self.source.offset()
+                && reported > Some(applied)
+        }
+
+        /// One line of a printed trace.
+        fn describe(&self, scope: &Scope) -> String {
+            let oldest = self.source.backlog.first_available_offset();
+            let reported = self.source.replicas.get(&replica());
+            let mut line = format!(
+                "master at {} (window from {oldest}, reported {reported:?}",
+                self.source.offset()
+            );
+            if !self.persists.is_empty() {
+                let _ = write!(line, ", persisting {:?}", self.persists);
+            }
+            let _ = write!(
+                line,
+                ") | {} down, up {:?} | replica ",
+                self.down.len(),
+                self.up
+            );
+            if !self.replica_up {
+                line.push_str("DOWN ");
+            }
+            let waiting = if self.sink.is_streaming() {
+                ""
+            } else {
+                ", waiting for a snapshot"
+            };
+            let (keys, written) = (self.keys, self.written(scope));
+            let _ = write!(
+                line,
+                "at {} with {keys} of {written} commands{waiting}",
+                self.sink.applied()
+            );
+            line
+        }
+    }
+
+    /// What one exhaustive exploration found.
+    struct Found {
+        states: usize,
+        transitions: usize,
+        /// The shortest trace to each [`saw`] bit.
+        first: [Option<Vec<Action>>; 4],
+        /// States the quiet, lossless suffix does not converge from, the
+        /// shortest trace to one, and how many of them end anywhere but in
+        /// [`World::behind_its_own_report`].
+        stuck: usize,
+        first_stuck: Option<Vec<Action>>,
+        stuck_elsewhere: usize,
+    }
+
+    /// Breadth-first over every reachable state of `scope`.
+    fn explore(scope: &Scope) -> Found {
+        let root = World::new(scope);
+        let mut index = BTreeMap::from([(root.fingerprint(), 0u32)]);
+        // `(parent, action)` of every state, in discovery order.
+        let mut parents: Vec<(u32, Action)> = vec![(0, Action::Write)];
+        let mut frontier = VecDeque::from([(0u32, root)]);
+        let trace = |parents: &[(u32, Action)], mut at: u32| {
+            let mut actions = Vec::new();
+            while at != 0 {
+                let (parent, action) = parents[at as usize];
+                actions.push(action);
+                at = parent;
+            }
+            actions.reverse();
+            actions
+        };
+        let mut found = Found {
+            states: 0,
+            transitions: 0,
+            first: [None, None, None, None],
+            stuck: 0,
+            first_stuck: None,
+            stuck_elsewhere: 0,
+        };
+        while let Some((at, world)) = frontier.pop_front() {
+            assert!(
+                parents.len() < STATE_CAP,
+                "state cap met: the bound is not exhausted"
+            );
+            if let Err(end) = world.quiet_end(scope) {
+                found.stuck += 1;
+                found.stuck_elsewhere += usize::from(!end.behind_its_own_report());
+                found.first_stuck.get_or_insert_with(|| trace(&parents, at));
+            }
+            for action in ACTIONS {
+                let Some((next, seen)) = world.step(scope, action) else {
+                    continue;
+                };
+                found.transitions += 1;
+                for (which, first) in found.first.iter_mut().enumerate() {
+                    if seen & bit(which, true) != 0 && first.is_none() {
+                        let mut actions = trace(&parents, at);
+                        actions.push(action);
+                        *first = Some(actions);
+                    }
+                }
+                let id = u32::try_from(parents.len()).expect("fewer states than the cap");
+                if let Entry::Vacant(slot) = index.entry(next.fingerprint()) {
+                    slot.insert(id);
+                    parents.push((at, action));
+                    frontier.push_back((id, next));
+                }
+            }
+        }
+        found.states = parents.len();
+        found
+    }
+
+    /// Replay `actions` from the initial state, one line per step; the
+    /// state they end in.
+    fn replay(scope: &Scope, actions: &[Action]) -> (String, World) {
+        let mut at = World::new(scope);
+        let mut out = format!("{:>12}  {}\n", "SLAVEOF", at.describe(scope));
+        for action in actions {
+            let (next, _) = at.step(scope, *action).expect("a recorded trace replays");
+            at = next;
+            let _ = writeln!(out, "{:>12}  {}", format!("{action:?}"), at.describe(scope));
+        }
+        (out, at)
+    }
+
+    /// The lossless scope, explored once for all the tests that read it.
+    fn lossless() -> &'static (Scope, Found) {
+        static FOUND: OnceLock<(Scope, Found)> = OnceLock::new();
+        FOUND.get_or_init(|| {
+            let scope = Scope::lossless();
+            let found = explore(&scope);
+            (scope, found)
+        })
+    }
+
+    /// The shortest trace to `which` in the lossless scope, printed.
+    fn known_counterexample(which: usize, what: &str) -> World {
+        let (scope, found) = lossless();
+        let trace = found.first[which].as_ref();
+        let trace =
+            trace.unwrap_or_else(|| panic!("{what}: not reachable any more — flip this test"));
+        let (lines, end) = replay(scope, trace);
+        println!("{what} ({} steps, nothing lost):\n{lines}", trace.len());
+        end
+    }
+
+    fn expect_safe_and_exhausted(name: &str, scope: &Scope, found: &Found, states: usize) {
+        println!(
+            "{name}: {} states, {} transitions, {} stuck",
+            found.states, found.transitions, found.stuck
+        );
+        // Reaching the end of `explore` is exhaustion: the frontier is
+        // empty and the cap was not met. The count pins the bound stated
+        // in the module docs.
+        assert_eq!(found.states, states, "{name}: the measured bound moved");
+        if let Some(trace) = &found.first[saw::VIOLATION] {
+            panic!(
+                "{name}: a safety property fails:\n{}",
+                replay(scope, trace).0
+            );
+        }
+        // Every state the quiet suffix does not converge from is the one
+        // known hole, not a second one.
+        assert_eq!(found.stuck_elsewhere, 0, "{name}");
+    }
+
+    #[test]
+    fn the_lossless_scope_is_exhausted_and_safe() {
+        let (scope, found) = lossless();
+        expect_safe_and_exhausted("lossless", scope, found, 706_031);
+    }
+
+    #[test]
+    fn one_fault_anywhere_is_exhausted_and_safe() {
+        let scope = Scope::faulty();
+        expect_safe_and_exhausted("faulty", &scope, &explore(&scope), 494_933);
+    }
+
+    #[test]
+    fn a_command_cut_by_the_chunker_is_exhausted_and_safe() {
+        let scope = Scope::chunked();
+        assert!(scope.history[1].len() > STREAM_CHUNK);
+        expect_safe_and_exhausted("chunked", &scope, &explore(&scope), 26_597);
+    }
+
+    // -- known counterexamples: each is *found*; the fix flips it to never -----
+
+    #[test]
+    fn known_counterexample_b_a_full_sync_whose_origin_is_a_report() {
+        let end = known_counterexample(saw::FULL_FROM_A_REPORT, "ROADMAP 2 (b)");
+        // The replica asked for nothing, and is not even waiting.
+        assert!(end.sink.is_streaming() && !end.sink.stalled(LATE, WAIT));
+        assert_eq!(end.persists.len(), 1);
+    }
+
+    #[test]
+    fn known_counterexample_two_full_syncs_in_flight_for_one_replica() {
+        let end = known_counterexample(saw::TWO_FULLS_AT_ONCE, "two snapshots persisting");
+        assert_eq!(end.persists.len(), 2);
+    }
+
+    #[test]
+    fn known_counterexample_a_a_request_at_the_last_snapshot_is_answered_full_again() {
+        let end = known_counterexample(saw::FULL_AGAIN_AT_THE_SNAPSHOT, "ROADMAP 2 (a)");
+        // Writes continued: the snapshot's offset left the window.
+        let at = end.sink.applied();
+        assert_eq!(end.last_full, Some(at));
+        assert!(at < end.source.backlog.first_available_offset());
+    }
+
+    #[test]
+    fn known_counterexample_a_quiet_master_never_repairs_a_replica_behind_its_report() {
+        let (scope, found) = lossless();
+        let trace = found.first_stuck.as_ref();
+        let trace = trace.expect("every state converges quietly now — flip this test");
+        let (lines, end) = replay(scope, trace);
+        let stuck = end
+            .quiet_end(scope)
+            .expect_err("the recorded state is stuck");
+        println!(
+            "no quiet, lossless suffix converges from here ({} steps; {} such states):\n{lines}\
+             and from then on, for ever:\n{:>12}  {}",
+            trace.len(),
+            found.stuck,
+            "…",
+            stuck.describe(scope)
+        );
+        assert!(stuck.behind_its_own_report());
+    }
+
+    /// Found at *two* faults (3 commands: 180 854 states; the chunked
+    /// scope: 162 117 states, 17 s — so the shortest trace is replayed
+    /// here, not searched for): an RDB chunk completes whatever transfer
+    /// is announced. Cut one transfer after its `FullSyncBegin`, lose the
+    /// next one's `FullSyncBegin`, and the second snapshot is adopted at
+    /// the first one's offset. It takes losing a frame *and not* the one
+    /// behind it on the same connection, which neither RC nor TCP does: a
+    /// documented non-goal, pinned so that it stays known.
+    #[test]
+    fn known_counterexample_a_chunk_is_not_tied_to_its_begin() {
+        let scope = Scope::new(&[1; 3], 70, 2);
+        let trace = [
+            Action::DeliverUp,
+            Action::PersistDone,
+            Action::Write,
+            Action::Write,
+            Action::Write,
+            Action::DeliverDown, // FullSyncBegin at 0 …
+            Action::Crash,       // … and its only chunk is lost.
+            Action::Restart,
+            Action::Timeout,
+            Action::DeliverUp, // 0 has left the window: a second snapshot,
+            Action::PersistDone,
+            Action::DropDown,    // whose FullSyncBegin is lost …
+            Action::DeliverDown, // … and whose chunk completes the first.
+        ];
+        let (lines, end) = replay(&scope, &trace);
+        println!("{lines}");
+        assert!(!end.safe(&scope));
+        assert_eq!((end.sink.applied(), end.keys), (0, 3));
+    }
+}

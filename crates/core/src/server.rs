@@ -3,7 +3,10 @@
 //! One actor type plays every server role in every mode:
 //!
 //! * **master** — executes client commands on a single-threaded event loop
-//!   (core 0), feeds the replication backlog, and propagates write commands:
+//!   (core 0), feeds the replication backlog, and propagates write commands
+//!   (what a master knows about its history and its replicas, and every
+//!   sync decision taken from it, is owned by the IO-free
+//!   [`crate::replsource::ReplSource`]):
 //!   * `TcpRedis` / `RdmaRedis`: sends the stream to each synced slave
 //!     itself, one message (= one Work Request, = one chunk of host CPU)
 //!     per slave per command — the serial fan-out §V-C blames for the
@@ -26,7 +29,6 @@ use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, SocketAddr};
 use skv_simcore::{
     Actor, ActorId, Context, CorePool, DetRng, FramePool, Payload, SimDuration, SimTime,
 };
-use skv_store::backlog::Backlog;
 use skv_store::cmd::{self, CommandSpec};
 use skv_store::db::Db;
 use skv_store::engine::{Engine, ExecResult};
@@ -43,17 +45,9 @@ use crate::cqdrain;
 use crate::hotcache::FWD_NO_ADMIT;
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::ReplModeKind;
-use crate::replsink::{stream_frames, Apply, ReplSink};
+use crate::replsink::{Apply, ReplSink};
+use crate::replsource::{ReplSource, Serve};
 use crate::shard::{ApplyRing, RoutePlan, ShardRouter, APPLY_RING_CAP, CROSS_SHARD_HOP};
-
-/// Maximum bytes per RDB transfer chunk.
-const RDB_CHUNK: usize = 64 * 1024;
-
-/// Maximum replication lag (bytes) before the master returns errors
-/// (paper §III-C: "if the progress is too slow … return an error"). A
-/// guardrail that never trips in healthy runs; the min-slaves rejection
-/// path is the measured variant (failparams ablation).
-pub const MAX_SLAVE_LAG: u64 = 256 << 20;
 
 /// Emptied `SendFrames` lists kept for reuse (one is in flight per
 /// command whose CPU work has not finished yet).
@@ -116,16 +110,14 @@ struct PendingReply {
 }
 
 /// What a connection is for (learned from traffic or connect intent).
+#[derive(PartialEq)]
 enum ConnKind {
     Unknown,
     Client,
     /// The master's channel to its Nic-KV.
     Nic,
-    /// A master's channel to one synced slave.
-    Slave {
-        addr: SocketAddr,
-        reported_offset: u64,
-    },
+    /// A master's channel to the synced slave at this address.
+    Slave(SocketAddr),
     /// A slave's channel from/to its master.
     Master,
 }
@@ -168,8 +160,9 @@ pub struct KvServer {
     shard_ops: Vec<u64>,
     /// Cross-shard fragment handoffs (`shard.cross_msgs`).
     shard_cross_msgs: u64,
-    backlog: Backlog,
-    repl_id: ReplicationId,
+    /// The history this server writes (or, as a replica, follows) and
+    /// what it knows about its own replicas.
+    source: ReplSource,
     /// `Some` exactly while this server is a replica: everything it knows
     /// about its own synchronisation. A master has none.
     sink: Option<ReplSink>,
@@ -178,7 +171,8 @@ pub struct KvServer {
     /// Slaves considered available (from Nic-KV updates, or own census in
     /// baseline modes). Drives `min-slaves` rejection.
     available_slaves: usize,
-    /// Whether any synced slave lags more than [`MAX_SLAVE_LAG`] bytes.
+    /// Whether any synced slave lags too far (Nic-KV's verdict in SKV
+    /// mode, the source's own otherwise).
     lag_exceeded: bool,
     crashed: bool,
     /// The SLAVEOF target `(master, nic)` a replica's sync requests go to;
@@ -210,9 +204,12 @@ pub struct KvServer {
     pub stat_rejected: u64,
     /// Stream bytes applied (slave side).
     pub stat_applied_bytes: u64,
-    /// Full syncs served (master) or performed (slave).
+    /// Full syncs, counted at both ends: a master adds one per snapshot it
+    /// sends, a replica one per snapshot it loads, so summed over a
+    /// cluster every completed full sync reads two.
     pub stat_full_syncs: u64,
-    /// Partial syncs served (master) or performed (slave).
+    /// Partial syncs, counted at both ends like `stat_full_syncs`: one per
+    /// range a master sends, one per `PartialSyncBegin` a replica receives.
     pub stat_partial_syncs: u64,
     /// Dial retries issued after connect failures.
     pub stat_reconnects: u64,
@@ -283,8 +280,7 @@ impl KvServer {
             repl_egress_at: SimTime::ZERO,
             shard_ops: vec![0; num_shards],
             shard_cross_msgs: 0,
-            backlog: Backlog::new(cfg.backlog_size),
-            repl_id: ReplicationId::from_seed(seed ^ 0xCAFE),
+            source: ReplSource::new(cfg.backlog_size, ReplicationId::from_seed(seed ^ 0xCAFE)),
             sink: None,
             conns: ConnTable::new(Some(pool.clone())),
             intents: DetMap::new(),
@@ -396,14 +392,14 @@ impl KvServer {
     /// Replication offset: bytes of history written (master) or applied
     /// (slave).
     pub fn repl_offset(&self) -> u64 {
-        let written = self.backlog.offset();
+        let written = self.source.offset();
         self.sink.as_ref().map_or(written, ReplSink::applied)
     }
 
     /// This server's replication position (slave view).
     pub fn position(&self) -> ReplicationPosition {
         ReplicationPosition {
-            repl_id: self.repl_id,
+            repl_id: self.source.repl_id(),
             offset: self.repl_offset(),
         }
     }
@@ -440,6 +436,11 @@ impl KvServer {
         }
     }
 
+    /// The first open connection of this kind.
+    fn open_conn(&self, kind: ConnKind) -> Option<usize> {
+        self.conns.find_open(|k| *k == kind)
+    }
+
     fn dial(&mut self, ctx: &mut Context<'_>, to: SocketAddr, intent: ConnectIntent) {
         self.intents.insert(to, intent);
         self.connect_to(ctx, to);
@@ -454,7 +455,7 @@ impl KvServer {
     fn synced_slave_conns(&self) -> Vec<usize> {
         self.conns
             .iter()
-            .filter(|(_, open, kind)| *open && matches!(kind, ConnKind::Slave { .. }))
+            .filter(|(_, open, kind)| *open && matches!(kind, ConnKind::Slave(_)))
             .map(|(i, ..)| i)
             .collect()
     }
@@ -492,7 +493,7 @@ impl KvServer {
         self.stat_degradations += 1;
         self.degraded_periods.push((now, None));
         // Stop queueing frames on the dead NIC channel.
-        if let Some(conn) = self.conns.find_open(|k| matches!(k, ConnKind::Nic)) {
+        if let Some(conn) = self.open_conn(ConnKind::Nic) {
             self.conns.close(&self.net, conn);
         }
     }
@@ -550,10 +551,7 @@ impl KvServer {
                 && master != nic
                 && !self.intents.contains_key(&master)
                 && self.conns.open_conn_to(master).is_none()
-                && self
-                    .conns
-                    .find_open(|k| matches!(k, ConnKind::Master))
-                    .is_none()
+                && self.open_conn(ConnKind::Master).is_none()
             {
                 if let Some(intent) = self.intents.remove(&to) {
                     self.reconnect_attempts.remove(&to);
@@ -923,12 +921,11 @@ impl KvServer {
 
         // Replication propagation (the heart of the experiment).
         if let Some(cmd_bytes) = replicate {
-            let from_offset = self.backlog.offset();
-            self.backlog.feed(&cmd_bytes);
+            let span = self.source.feed(&cmd_bytes);
             if defer {
                 self.stat_deferred_replies += 1;
                 self.pending_replies.push_back(PendingReply {
-                    end_offset: self.backlog.offset(),
+                    end_offset: span.end,
                     conn,
                     tag: reply_tag,
                     payload: reply_frame.clone(),
@@ -939,7 +936,7 @@ impl KvServer {
             // below clones the Frame, so N-slave fan-out is N refcount
             // bumps of this one buffer.
             let frame: Frame = self.pool.build(|out| {
-                out.extend_from_slice(&from_offset.to_le_bytes());
+                out.extend_from_slice(&span.start.to_le_bytes());
                 out.extend_from_slice(&cmd_bytes);
             });
             // SKV hands Nic-KV one request, regardless of slave count
@@ -947,7 +944,7 @@ impl KvServer {
             // channel simply isn't up) the master falls back to
             // RDMA-Redis-style fan-out so writes keep replicating.
             let nic_conn = if self.cfg.mode == Mode::Skv && !self.degraded {
-                self.conns.find_open(|k| matches!(k, ConnKind::Nic))
+                self.open_conn(ConnKind::Nic)
             } else {
                 None
             };
@@ -1075,39 +1072,19 @@ impl KvServer {
         }
     }
 
-    /// Deferred modes, master side: the commit offset derivable from the
-    /// master's own view of slave progress, independent of the NIC's
-    /// `WriteCommitted` notifications. This is what keeps quorum/chain
-    /// semantics working through degraded (host fan-out) periods and
-    /// covers the window where a commit notification is lost with the
-    /// NIC channel: under quorum, the k-th largest reported offset among
-    /// slave conns (k = required slave acks) is replicated on a majority;
-    /// under chain, the minimum over all open slave conns (every hop) —
-    /// the same [`ReplModeKind::commit_frontier`] the NIC's tracker
-    /// applies to its acks, here fed the slaves' reported offsets.
-    fn census_commit_upto(&self) -> u64 {
-        let mut offs: Vec<u64> = self
-            .conns
-            .iter()
-            .filter_map(|(_, open, kind)| match kind {
-                ConnKind::Slave {
-                    reported_offset, ..
-                } if open => Some(*reported_offset),
-                _ => None,
-            })
-            .collect();
-        self.active_mode
-            .commit_frontier(self.cfg.num_slaves, &mut offs)
-            .unwrap_or(0)
-    }
-
     /// Release every deferred reply covered by the known commit point,
     /// charging the reply-post CPU that `finish_command` skipped.
     fn release_ready_replies(&mut self, ctx: &mut Context<'_>) {
         if self.pending_replies.is_empty() {
             return;
         }
-        let upto = self.commit_upto.max(self.census_commit_upto());
+        let open = self.conns.iter().filter_map(|(_, open, kind)| match kind {
+            ConnKind::Slave(addr) if open => Some(*addr),
+            _ => None,
+        });
+        let (mode, slaves) = (self.active_mode, self.cfg.num_slaves);
+        let census = self.source.commit_census(mode, slaves, open);
+        let upto = self.commit_upto.max(census);
         let mut frames: Vec<OutFrame> = self.spare_frames.pop().unwrap_or_default();
         let mut cost = SimDuration::ZERO;
         let mut doorbells = 0u32;
@@ -1168,17 +1145,15 @@ impl KvServer {
 
     // -- master-side synchronization ------------------------------------------
 
-    /// A slave asked to synchronize (directly, or relayed by Nic-KV).
-    fn on_sync_request(
-        &mut self,
-        ctx: &mut Context<'_>,
-        slave: SocketAddr,
-        position: ReplicationPosition,
-    ) {
-        // Fast path: partial resync needs no persist step.
-        if position.matches(self.repl_id) && self.backlog.can_serve(position.offset) {
-            self.begin_slave_transfer(ctx, slave, None, position.offset);
-            return;
+    /// Carry out the source's answer for `slave`: to a request it sent
+    /// (directly, or relayed by Nic-KV), or to a stream the source found
+    /// stalled.
+    fn serve(&mut self, ctx: &mut Context<'_>, slave: SocketAddr, serve: Serve) {
+        if let Serve::Partial { from, .. } = serve {
+            // Fast path: partial resync needs no persist step.
+            self.stat_partial_syncs += 1;
+            let frames = self.source.partial_frames(from);
+            return self.send_to_slave(ctx, slave, frames);
         }
         // Full sync: capture the snapshot now (fork-style copy-on-write
         // semantics) but charge the persist time on a background core, so
@@ -1186,7 +1161,7 @@ impl KvServer {
         // process to persist all the data").
         let dbs: Vec<&Db> = self.engines.iter().map(Engine::db).collect();
         let snapshot = rdb::save_union(&dbs);
-        let start_offset = self.backlog.offset();
+        let start_offset = self.source.offset();
         let keys = dbs.iter().map(|db| db.len() as u64).sum::<u64>();
         // The persist core sits just past the shard cores (core 1 when
         // unsharded — the historical schedule).
@@ -1203,74 +1178,15 @@ impl KvServer {
         );
     }
 
-    /// Persist finished (or partial path): connect to the slave and send.
-    fn begin_slave_transfer(
-        &mut self,
-        ctx: &mut Context<'_>,
-        slave: SocketAddr,
-        snapshot: Option<(Vec<u8>, u64)>,
-        resume_from: u64,
-    ) {
-        let mut frames: Vec<(u32, Frame)> = Vec::new();
-        match snapshot {
-            Some((rdb_bytes, start_offset)) => {
-                self.stat_full_syncs += 1;
-                frames.push((
-                    tag::NODE,
-                    NodeMsg::FullSyncBegin {
-                        repl_id: self.repl_id,
-                        start_offset,
-                        total_bytes: rdb_bytes.len() as u64,
-                    }
-                    .encode()
-                    .into(),
-                ));
-                // Chunks are zero-copy views into the one snapshot buffer.
-                let rdb_frame = Frame::from(rdb_bytes);
-                let mut at = 0;
-                while at < rdb_frame.len() {
-                    let end = (at + RDB_CHUNK.max(1)).min(rdb_frame.len());
-                    frames.push((tag::RDB_CHUNK, rdb_frame.slice(at..end)));
-                    at = end;
-                }
-                if rdb_frame.is_empty() {
-                    frames.push((tag::RDB_CHUNK, Frame::new()));
-                }
-                // Stream everything that happened since the snapshot.
-                self.push_backlog_range(start_offset, &mut frames);
-            }
-            None => {
-                self.stat_partial_syncs += 1;
-                frames.push((
-                    tag::NODE,
-                    NodeMsg::PartialSyncBegin {
-                        repl_id: self.repl_id,
-                        from_offset: resume_from,
-                        to_offset: self.backlog.offset(),
-                    }
-                    .encode()
-                    .into(),
-                ));
-                self.push_backlog_range(resume_from, &mut frames);
-            }
-        }
-        // Reuse an existing channel to this slave if one is open.
-        if let Some(conn) = self
-            .conns
-            .find_open(|k| matches!(k, ConnKind::Slave { addr, .. } if *addr == slave))
-        {
+    /// Send a sync transfer on the open channel to the slave at `to`, or
+    /// dial one and send once it is up.
+    fn send_to_slave(&mut self, ctx: &mut Context<'_>, to: SocketAddr, frames: Vec<(u32, Frame)>) {
+        if let Some(conn) = self.open_conn(ConnKind::Slave(to)) {
             for (t, p) in frames {
                 self.send_on(ctx, conn, t, p);
             }
         } else {
-            self.dial(ctx, slave, ConnectIntent::SyncSlave { frames });
-        }
-    }
-
-    fn push_backlog_range(&self, from: u64, frames: &mut Vec<(u32, Frame)>) {
-        if let Some(bytes) = self.backlog.range_from(from) {
-            let stream = stream_frames(from, &bytes);
-            frames.extend(stream.map(|frame| (tag::REPL_STREAM, frame.into())));
+            self.dial(ctx, to, ConnectIntent::SyncSlave { frames });
         }
     }
 
@@ -1281,7 +1197,7 @@ impl KvServer {
     /// position to resume, so `position()` reads `unsynced()` until the
     /// full sync this asks for lands.
     fn join_upstream(&mut self, ctx: &mut Context<'_>) {
-        self.repl_id = ReplicationId::NONE;
+        self.source.follow(ReplicationId::NONE);
         self.sink = Some(ReplSink::joining(ctx.now()));
         self.send_sync_request(ctx);
     }
@@ -1303,9 +1219,8 @@ impl KvServer {
         // With Nic-KV unreachable but the master link alive, ask the master
         // directly so a gap-resync doesn't dial a dead SoC.
         let conn = self
-            .conns
-            .find_open(|k| matches!(k, ConnKind::Nic))
-            .or_else(|| self.conns.find_open(|k| matches!(k, ConnKind::Master)));
+            .open_conn(ConnKind::Nic)
+            .or_else(|| self.open_conn(ConnKind::Master));
         if let Some(conn) = conn {
             self.send_on(ctx, conn, tag::NODE, msg);
         } else {
@@ -1401,7 +1316,7 @@ impl KvServer {
         if self.cfg.mode != Mode::Skv || self.active_mode != ReplModeKind::Chain {
             return;
         }
-        let Some(conn) = self.conns.find_open(|k| matches!(k, ConnKind::Nic)) else {
+        let Some(conn) = self.open_conn(ConnKind::Nic) else {
             return;
         };
         let Some(offset) = self.sink.as_mut().and_then(ReplSink::write_ack) else {
@@ -1419,12 +1334,14 @@ impl KvServer {
             NodeMsg::SyncRequest { slave, position } => {
                 // Arrives directly in baseline modes (and when a recovered
                 // slave re-dials the master in any mode).
-                self.on_sync_request(ctx, slave, position);
+                let serve = self.source.on_sync_request(position);
+                self.serve(ctx, slave, serve);
             }
             NodeMsg::SyncNotify { slave, position } => {
                 // Relayed by Nic-KV (Fig. 8 ②).
                 *self.conns.kind_mut(conn) = ConnKind::Nic;
-                self.on_sync_request(ctx, slave, position);
+                let serve = self.source.on_sync_request(position);
+                self.serve(ctx, slave, serve);
             }
             NodeMsg::FullSyncBegin {
                 repl_id,
@@ -1434,55 +1351,28 @@ impl KvServer {
                 *self.conns.kind_mut(conn) = ConnKind::Master;
                 if let Some(sink) = self.sink.as_mut() {
                     sink.on_full_sync_begin(ctx.now(), start_offset, total_bytes);
-                    self.repl_id = repl_id;
+                    self.source.follow(repl_id);
                 }
             }
             NodeMsg::PartialSyncBegin { repl_id, .. } => {
                 *self.conns.kind_mut(conn) = ConnKind::Master;
-                self.repl_id = repl_id;
+                self.source.follow(repl_id);
                 if let Some(sink) = self.sink.as_mut() {
                     sink.on_partial_sync_begin();
                 }
                 self.stat_partial_syncs += 1;
             }
             NodeMsg::ProgressReport { slave, offset } => {
-                let mut worst_lag = 0u64;
-                let master_offset = self.backlog.offset();
-                let mut stalled = false;
-                for conn in 0..self.conns.len() {
-                    let open = self.conns.is_open(conn);
-                    if let ConnKind::Slave {
-                        addr,
-                        reported_offset,
-                    } = self.conns.kind_mut(conn)
-                    {
-                        if *addr == slave {
-                            // Two consecutive reports at the same offset
-                            // below ours: the stream tail was lost and no
-                            // later frame will surface the gap slave-side
-                            // (gap detection needs a next frame). Re-serve
-                            // from the stalled offset.
-                            stalled = open && offset < master_offset && offset == *reported_offset;
-                            *reported_offset = (*reported_offset).max(offset);
-                        }
-                        if *reported_offset > 0 {
-                            worst_lag =
-                                worst_lag.max(master_offset.saturating_sub(*reported_offset));
-                        }
-                    }
-                }
+                let open = self.open_conn(ConnKind::Slave(slave)).is_some();
+                let progress = self.source.on_progress(slave, offset, open);
                 // In SKV mode the lag verdict comes from Nic-KV, which
                 // knows which slaves are still valid; the master's own
                 // census would keep counting a crashed slave forever.
                 if self.cfg.mode != Mode::Skv {
-                    self.lag_exceeded = worst_lag > MAX_SLAVE_LAG;
+                    self.lag_exceeded = progress.lag_exceeded();
                 }
-                if stalled {
-                    let position = ReplicationPosition {
-                        repl_id: self.repl_id,
-                        offset,
-                    };
-                    self.on_sync_request(ctx, slave, position);
+                if let Some(serve) = progress.repair {
+                    self.serve(ctx, slave, serve);
                 }
                 // Progress may have advanced the census commit point.
                 if self.is_master() && self.active_mode.defers_replies() {
@@ -1507,11 +1397,8 @@ impl KvServer {
                 }
             }
             NodeMsg::Promote => {
-                // The backlog is a source structure: a replica never wrote
-                // it, so the new master's history resumes, empty, where the
-                // sink stopped applying.
                 if let Some(sink) = self.sink.take() {
-                    self.backlog.restart_at(sink.applied());
+                    self.source.restart_at(sink.applied());
                 }
             }
             NodeMsg::Demote => {
@@ -1544,7 +1431,7 @@ impl KvServer {
                     if !mode.defers_replies() {
                         // Degraded to async: every held reply releases
                         // under the weaker (immediate-ack) contract.
-                        self.commit_upto = self.commit_upto.max(self.backlog.offset());
+                        self.commit_upto = self.commit_upto.max(self.source.offset());
                         self.release_ready_replies(ctx);
                     }
                 }
@@ -1571,11 +1458,11 @@ impl KvServer {
         if self.is_synced_slave() {
             let (slave, offset) = (self.addr, self.repl_offset());
             let report: Frame = NodeMsg::ProgressReport { slave, offset }.encode().into();
-            let master = self.conns.find_open(|k| matches!(k, ConnKind::Master));
+            let master = self.open_conn(ConnKind::Master);
             // Deferred modes: Nic-KV also consumes progress as cumulative
             // acks (covers acks lost to QP errors between retransmits).
             let nic = (self.cfg.mode == Mode::Skv && self.active_mode.defers_replies())
-                .then(|| self.conns.find_open(|k| matches!(k, ConnKind::Nic)))
+                .then(|| self.open_conn(ConnKind::Nic))
                 .flatten();
             for conn in master.into_iter().chain(nic) {
                 self.send_on(ctx, conn, tag::NODE, report.clone());
@@ -1638,10 +1525,7 @@ impl KvServer {
         // comes back with an empty node list and fan-out goes nowhere.
         if self.conns.open_conn_to(nic).is_none()
             && !self.intents.contains_key(&nic)
-            && self
-                .conns
-                .find_open(|k| matches!(k, ConnKind::Nic))
-                .is_none()
+            && self.open_conn(ConnKind::Nic).is_none()
             && now >= self.next_upstream_retry
         {
             self.next_upstream_retry = now + SimDuration::from_secs(1);
@@ -1789,7 +1673,9 @@ impl Actor for KvServer {
                         snapshot,
                         start_offset,
                     } => {
-                        self.begin_slave_transfer(ctx, slave, Some((snapshot, start_offset)), 0);
+                        self.stat_full_syncs += 1;
+                        let frames = self.source.on_persist_done(start_offset, snapshot);
+                        self.send_to_slave(ctx, slave, frames);
                     }
                     ServerMsg::Redial { to } => {
                         if self.intents.contains_key(&to) {
@@ -1894,13 +1780,10 @@ impl KvServer {
     /// the dial was made for and the frames queued for it leave.
     fn attach(&mut self, ctx: &mut Context<'_>, channel: Channel, peer: SocketAddr) {
         let (kind, frames) = match self.intents.remove(&peer) {
-            Some(ConnectIntent::SyncSlave { frames }) => (
-                ConnKind::Slave {
-                    addr: peer,
-                    reported_offset: 0,
-                },
-                frames,
-            ),
+            Some(ConnectIntent::SyncSlave { frames }) => {
+                self.source.attach(peer);
+                (ConnKind::Slave(peer), frames)
+            }
             Some(ConnectIntent::SyncUpstream { frames }) => (ConnKind::Nic, frames),
             None => (ConnKind::Unknown, Vec::new()),
         };

@@ -221,6 +221,9 @@ pub fn lex(source: &str) -> Vec<LexedLine> {
 fn mark_test_lines(lines: &mut [LexedLine]) {
     let mut skip_depth: Option<usize> = None;
     let mut awaiting_open = false;
+    // Parentheses open since the attribute: a `,` inside them separates
+    // parameters, it does not end the item.
+    let mut awaiting_parens = 0usize;
     for line in lines.iter_mut() {
         let code = line.code.as_str();
         if let Some(depth) = &mut skip_depth {
@@ -241,9 +244,15 @@ fn mark_test_lines(lines: &mut [LexedLine]) {
                 if depth > 0 {
                     skip_depth = Some(depth);
                 }
-            } else if code.contains(';') {
-                // Single-item attribute (`#[cfg(test)] use ...;`).
-                awaiting_open = false;
+            } else {
+                awaiting_parens += code.matches('(').count();
+                awaiting_parens = awaiting_parens.saturating_sub(code.matches(')').count());
+                // Single-item attribute (`#[cfg(test)] use ...;`), or a
+                // field or variant (`#[cfg(test)] cap: usize,`).
+                let ends_field = awaiting_parens == 0 && code.trim_end().ends_with(',');
+                if code.contains(';') || ends_field {
+                    awaiting_open = false;
+                }
             }
             continue;
         }
@@ -261,6 +270,7 @@ fn mark_test_lines(lines: &mut [LexedLine]) {
                 }
             } else if !rest.contains(';') {
                 awaiting_open = true;
+                awaiting_parens = 0;
             }
         }
     }
@@ -360,6 +370,17 @@ fn after() {}
         let l = lex("#[cfg(test)] mod t { fn f() {} }\nlet y = 2;\n");
         assert!(l[0].in_test);
         assert!(!l[1].in_test);
+    }
+
+    #[test]
+    fn cfg_test_field_ends_at_its_comma() {
+        let l = lex("struct S {\n    #[cfg(test)]\n    cap: Option<usize>,\n    len: usize,\n}\n");
+        assert!(l[1].in_test && l[2].in_test);
+        assert!(!l[3].in_test && !l[4].in_test);
+        // A parameter list's commas do not end a test-only function.
+        let l = lex("#[cfg(test)]\nfn f(\n    a: u32,\n    b: u32,\n) {\n}\nfn g() {}\n");
+        assert!(l[1..6].iter().all(|line| line.in_test));
+        assert!(!l[6].in_test);
     }
 
     #[test]

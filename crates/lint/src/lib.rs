@@ -21,10 +21,11 @@
 //!   notify site and `simcore` itself; DESIGN.md §24), `sync-in-sim`
 //!   (no `std::sync` in sim crates: one thread by construction, so
 //!   `Rc`/`Cell`/`RefCell`, not locked read-modify-writes), `io-free`
-//!   (the protocol state machines `replmode.rs` and `replsink.rs` name no
-//!   `Net`, `Context`, `ConnTable`, `CorePool` or `Channel`: time comes
-//!   in as a value and decisions go out as values, which is what lets
-//!   them be unit-tested without a cluster; DESIGN.md §25).
+//!   (the protocol state machines `replmode.rs`, `replsink.rs` and
+//!   `replsource.rs` name no `Net`, `Context`, `ConnTable`, `CorePool` or
+//!   `Channel`: time comes in as a value and decisions go out as values,
+//!   which is what lets them be unit-tested — and explored exhaustively —
+//!   without a cluster; DESIGN.md §25, §26).
 //! * **Wire-format hygiene** — `cast-truncate` (no narrowing `as
 //!   u8/u16/u32` casts in the frame codecs; use `try_from`),
 //!   `index-unchecked` (no unchecked range indexing in the codecs; use
@@ -173,7 +174,7 @@ pub const RULES: [RuleInfo; 15] = [
         name: "io-free",
         severity: Severity::Error,
         summary: "IO or cost type named in an IO-free protocol state machine",
-        scope: "core replmode.rs and replsink.rs",
+        scope: "core replmode.rs, replsink.rs and replsource.rs",
     },
     RuleInfo {
         name: "cast-truncate",
@@ -245,7 +246,7 @@ const SIM_CRATE_PREFIXES: [&str; 3] = [
 ];
 
 /// Protocol hot-path files (rule `unwrap` applies).
-const HOT_PATH_FILES: [&str; 14] = [
+const HOT_PATH_FILES: [&str; 15] = [
     "crates/core/src/server.rs",
     "crates/core/src/client.rs",
     "crates/core/src/channel.rs",
@@ -256,6 +257,7 @@ const HOT_PATH_FILES: [&str; 14] = [
     "crates/core/src/shard.rs",
     "crates/core/src/replmode.rs",
     "crates/core/src/replsink.rs",
+    "crates/core/src/replsource.rs",
     "crates/core/src/histcheck.rs",
     "crates/netsim/src/rdma.rs",
     "crates/netsim/src/tcp.rs",
@@ -289,7 +291,11 @@ const HANDOFF_HOME_PREFIX: &str = "crates/simcore/src/";
 
 /// The IO-free protocol state machines (rule `io-free`): the actors
 /// around them do the dialling, sending, executing and charging.
-const IO_FREE_FILES: [&str; 2] = ["crates/core/src/replmode.rs", "crates/core/src/replsink.rs"];
+const IO_FREE_FILES: [&str; 3] = [
+    "crates/core/src/replmode.rs",
+    "crates/core/src/replsink.rs",
+    "crates/core/src/replsource.rs",
+];
 
 /// Where the counter catalog lives (rule `counter-drift`).
 const METRICS_FILE: &str = "crates/core/src/metrics.rs";
@@ -403,7 +409,7 @@ const HANDOFF_MESSAGE: &str = "handoff outside NetInner::fire_cq_notify; the pri
 /// Shared by the five types the rule names.
 const IO_FREE_MESSAGE: &str = "IO or cost type in an IO-free state machine; take time as `now: \
                                SimTime`, return decisions as values, and leave dialling, sending \
-                               and CPU charging to the actor (DESIGN.md §25)";
+                               and CPU charging to the actor (DESIGN.md §25, §26)";
 
 const PATTERNS: [Pattern; 21] = [
     Pattern {
@@ -1544,7 +1550,7 @@ mod tests {
     fn io_free_scope() {
         let src = "use skv_netsim::Net;\nfn f(ctx: &mut Context<'_>, cpu: &mut CorePool) {}\n\
                    fn g(t: &ConnTable<()>, ch: &Channel) {}\n";
-        for file in ["crates/core/src/replmode.rs", "crates/core/src/replsink.rs"] {
+        for file in IO_FREE_FILES {
             let v = check_source(file, src);
             assert_eq!(v.len(), 5, "{file}: {v:?}");
             assert!(v.iter().all(|x| x.rule == "io-free"));
@@ -1557,6 +1563,14 @@ mod tests {
         let ok = "use skv_netsim::{Frame, NetEvent, QpId};\nuse crate::channel::RING_SIZE;\n\
                   fn f(now: SimTime, msg: &ChannelMsg, nets: usize) {}\n";
         assert!(check_source("crates/core/src/replsink.rs", ok).is_empty());
+        // What the master's half is built from: the store's plain data, the
+        // wire enum, time as a value.
+        let ok = "use skv_store::backlog::Backlog;\nuse crate::protocol::{tag, NodeMsg};\n\
+                  fn f(now: SimTime, conn_open: bool, open: impl Iterator<Item = SocketAddr>) {}\n";
+        assert!(check_source("crates/core/src/replsource.rs", ok).is_empty());
+        // Hot path too: a sync decision must not panic on a peer's input.
+        let v = check_source("crates/core/src/replsource.rs", "fn f() { x.unwrap(); }\n");
+        assert_eq!(v.iter().map(|x| x.rule).collect::<Vec<_>>(), ["unwrap"]);
     }
 
     #[test]

@@ -525,7 +525,7 @@ mod tests {
         prop::collection::vec(prop::collection::vec(emit, 0..4), 24..25).prop_map(|mut script| {
             for (tag, emits) in script.iter_mut().enumerate() {
                 for e in emits.iter_mut() {
-                    e.3 += tag as u32;
+                    e.3 += u32::try_from(tag).expect("a script has 24 tags");
                 }
             }
             script
