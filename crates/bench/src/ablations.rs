@@ -178,54 +178,6 @@ pub fn ablation_wr_batching() -> Table {
 }
 
 // ===========================================================================
-// CQ interrupt moderation
-// ===========================================================================
-
-/// Sweep the notify threshold (1 = moderation off) at a fixed 10 µs
-/// coalescing deadline, mirroring ConnectX interrupt-moderation profiles.
-/// The event count (the simulator's stand-in for interrupt rate) must fall
-/// as the threshold grows while the served workload stays intact — notifies
-/// per polled WC collapse toward 1/threshold under load; past the point
-/// where bursts rarely reach the threshold the coalescing timer flushes
-/// sub-threshold batches and the ratio flattens out.
-pub fn ablation_cq_moderation() -> Table {
-    const TIMER_US: u64 = 10;
-    let mut t = Table::new(
-        "Ablation — CQ interrupt moderation (SKV, 3 slaves, 8 clients, P=4)",
-        vec![
-            Column::new("threshold", 10),
-            Column::new("timer(us)", 10),
-            Column::num("kops/s", 10, 1),
-            Column::num("p99(us)", 10, 1),
-            Column::new("notifies", 12),
-            Column::new("wcs polled", 12),
-            Column::num("notify/wc", 12, 3),
-        ],
-    );
-    for threshold in [1usize, 2, 4, 8, 16] {
-        let mut s = spec(Mode::Skv, 3, 8, 30_000 + threshold as u64);
-        s.pipeline = 4; // keep completions bursty enough to coalesce
-        s.cfg.net.cq_notify_threshold = threshold;
-        s.cfg.net.cq_notify_timer = SimDuration::from_micros(TIMER_US);
-        let mut cluster = Cluster::build(s);
-        let report = cluster.run();
-        let c = cluster.net.counters();
-        let cq_notifies = c.get("rdma.cq_notifies");
-        let wcs_polled = c.get("rdma.wcs_polled");
-        t.row(cells![
-            threshold,
-            TIMER_US,
-            report.throughput_kops,
-            report.p99_latency_us,
-            cq_notifies,
-            wcs_polled,
-            ratio(cq_notifies, wcs_polled),
-        ]);
-    }
-    t
-}
-
-// ===========================================================================
 // replication mode (async stream vs quorum vs chain)
 // ===========================================================================
 
@@ -493,13 +445,6 @@ pub fn ablation_netcal() -> Table {
         ("local_soc_factor x2", Mode::Skv, |c: &mut ClusterConfig| {
             c.net.local_soc_factor *= 2.0;
         }),
-        (
-            "remote_soc_factor x2",
-            Mode::Skv,
-            |c: &mut ClusterConfig| {
-                c.net.remote_soc_factor *= 2.0;
-            },
-        ),
         ("nic_tx_delay x2", Mode::Skv, |c: &mut ClusterConfig| {
             c.net.nic_tx_delay = x2(c.net.nic_tx_delay);
         }),
@@ -661,41 +606,6 @@ pub fn ablation_backoff() -> Table {
             snap.get("server.stat_reconnects"),
             snap.get("client.stat_reconnects"),
             snap.get("client.stat_dial_failures"),
-        ]);
-    }
-    t
-}
-
-// ===========================================================================
-// CQ poll budget
-// ===========================================================================
-
-/// Sweep the budgeted-drain size (maximum WCs drained per `CqNotify`, see
-/// `skv_core::cqdrain`) with pipelined clients: tiny budgets pay a
-/// `cq_poll_cpu` call per few completions (throughput sags), huge ones
-/// approach the old unbounded drain. The default (64) sits on the flat
-/// part of the curve.
-pub fn ablation_cq_budget() -> Table {
-    let mut t = Table::new(
-        "Ablation — CQ drain budget (SKV, 3 slaves, 8 clients, P=4)",
-        vec![
-            Column::new("budget", 8),
-            Column::num("kops/s", 10, 1),
-            Column::num("p99(us)", 10, 1),
-            Column::new("wcs polled", 12),
-        ],
-    );
-    for budget in [2usize, 8, 32, 64, 256] {
-        let mut s = spec(Mode::Skv, 3, 8, 32_000 + budget as u64);
-        s.pipeline = 4;
-        s.cfg.cq_poll_budget = budget;
-        let mut cluster = Cluster::build(s);
-        let report = cluster.run();
-        t.row(cells![
-            budget,
-            report.throughput_kops,
-            report.p99_latency_us,
-            cluster.net.counters().get("rdma.wcs_polled"),
         ]);
     }
     t

@@ -276,7 +276,7 @@ pub fn fig13_get_parity() -> Table {
 
 /// Reproduce Figure 12: SET throughput across value sizes (8 clients,
 /// 3 slaves).
-pub fn fig12_value_size(sizes: &[usize]) -> Table {
+pub fn fig12_value_size() -> Table {
     let mut t = Table::new(
         "Figure 12 — SET throughput vs value size (8 clients, 3 slaves)",
         vec![
@@ -286,7 +286,7 @@ pub fn fig12_value_size(sizes: &[usize]) -> Table {
             Column::signed("gain%", 8, 1),
         ],
     );
-    for &value_size in sizes {
+    for value_size in [64usize, 256, 1024, 4096, 16384] {
         let mut b = base_spec(Mode::RdmaRedis, 3, 8, 12_000 + value_size as u64);
         b.value_size = value_size;
         let mut s = base_spec(Mode::Skv, 3, 8, 12_500 + value_size as u64);

@@ -32,9 +32,7 @@ pub const REGISTRY: &[Arm] = &[
     ("fig7", exp::fig07_slave_degradation),
     ("fig10", exp::fig10_redis_vs_rdma),
     ("fig11", exp::fig11_set_offload),
-    ("fig12", || {
-        exp::fig12_value_size(&[64, 256, 1024, 4096, 16384])
-    }),
+    ("fig12", exp::fig12_value_size),
     ("fig13", exp::fig13_get_parity),
     ("fig14", exp::fig14_availability),
     ("niccrash", exp::nic_crash_timeline),
@@ -42,8 +40,6 @@ pub const REGISTRY: &[Arm] = &[
     ("nicstore", abl::ablation_nic_datastore),
     ("wrcost", abl::ablation_wr_cost),
     ("wrbatch", abl::ablation_wr_batching),
-    ("cqmod", abl::ablation_cq_moderation),
-    ("cqbudget", abl::ablation_cq_budget),
     ("netcal", abl::ablation_netcal),
     ("backoff", abl::ablation_backoff),
     ("replmode", abl::ablation_replmode),

@@ -13,7 +13,7 @@ use skv_store::resp::{self, Decoded, Resp};
 use crate::channel::{Channel, RING_SIZE};
 use crate::config::ClusterConfig;
 use crate::conns::{ConnEvent, ConnTable};
-use crate::cqdrain;
+use crate::cqdrain::{self, POLL_BUDGET};
 use crate::histcheck::{OpKind, OpRecord, SharedHistory};
 use crate::metrics::SharedMetrics;
 use crate::protocol::tag;
@@ -674,19 +674,21 @@ impl Actor for BenchClient {
                 // same instant — other messages still interleave, which
                 // is all the budget is for here.
                 let net = self.net.clone();
-                let budget = self.cfg.cq_poll_budget;
                 let mut broken = false;
                 let mut wcs = self.conns.take_wcs();
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
-                    let Some(conn) = self.conn.filter(|_| !broken) else {
-                        return;
-                    };
-                    match self.conns.on_wc(&net, ctx, conn, &wc) {
-                        ConnEvent::Msg(m) if m.tag == tag::REPLY => self.on_reply(ctx, &m.payload),
-                        ConnEvent::Broken => broken = true,
-                        _ => {}
-                    }
-                });
+                let out =
+                    cqdrain::drain_budgeted(&net, ctx, cq, POLL_BUDGET, &mut wcs, |ctx, wc| {
+                        let Some(conn) = self.conn.filter(|_| !broken) else {
+                            return;
+                        };
+                        match self.conns.on_wc(&net, ctx, conn, &wc) {
+                            ConnEvent::Msg(m) if m.tag == tag::REPLY => {
+                                self.on_reply(ctx, &m.payload);
+                            }
+                            ConnEvent::Broken => broken = true,
+                            _ => {}
+                        }
+                    });
                 self.conns.put_wcs(wcs);
                 if out.more {
                     ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
@@ -723,10 +725,6 @@ impl Actor for BenchClient {
             }
             _ => {}
         }
-    }
-
-    fn name(&self) -> &str {
-        "bench-client"
     }
 }
 

@@ -116,10 +116,9 @@ pub struct ClusterConfig {
     /// Probe timeout before a node is declared failed (`waiting-time`).
     pub waiting_time: SimDuration,
     /// Interval between Nic-KV probe rounds (paper: 1 second).
-    // skv-lint: allow(config-drift) -- paper-fixed cadence (§III-D, 1 s); the probe *timeout* is the swept knob (failparams ablation)
     pub probe_interval: SimDuration,
-    /// Replication backlog capacity in bytes.
-    // skv-lint: allow(config-drift) -- sized so partial resync always works in-window; exercised by the partial-sync chaos tests, not an ablation arm
+    /// Replication backlog capacity in bytes, sized so a partial resync
+    /// always finds its range in the window.
     pub backlog_size: usize,
     /// Base delay for reconnect backoff after a failed dial; doubles per
     /// attempt up to [`ClusterConfig::reconnect_max_delay`].
@@ -134,19 +133,12 @@ pub struct ClusterConfig {
     pub reconnect_max_attempts: u32,
     /// Silence from the coordination upstream (Nic-KV probes, in SKV mode)
     /// before a node declares the channel dead: the master falls back to
-    /// host-driven fan-out, a slave tears down and re-syncs.
-    // skv-lint: allow(config-drift) -- liveness watchdog tied to probe_interval (2.5 probe periods); chaos tests drive it, latency/throughput do not see it
+    /// host-driven fan-out, a slave tears down and re-syncs. Tied to
+    /// `probe_interval`: the default is 2.5 probe periods.
     pub upstream_silence: SimDuration,
     /// A client abandons a connection when no reply arrives for this long,
     /// tears it down, reconnects, and refills its pipeline.
     pub client_retry_timeout: SimDuration,
-    /// Maximum work completions drained per `CqNotify` event. A burst
-    /// larger than the budget is rescheduled as a continuation after the
-    /// drain's CPU cost, so one giant burst cannot monopolize an
-    /// event-loop turn — timers and other messages interleave. This is
-    /// what lets the slow Nic-KV ARM cores back-pressure realistically
-    /// under fan-in; see [`crate::cqdrain`].
-    pub cq_poll_budget: usize,
     /// Which replication protocol the cluster runs (see
     /// [`crate::replmode`]). `Async` reproduces the paper's stream
     /// bit-for-bit; `Quorum` and `Chain` (SKV mode only — the tracking
@@ -173,18 +165,15 @@ pub struct ClusterConfig {
     /// gate against the eviction victim). Validated by
     /// [`ClusterConfig::validate`]; ignored when `hot_cache_bytes` is 0.
     pub hot_cache_policy: String,
-    /// Record per-commit ack sets on the NIC (`NicKv::committed_acks`).
-    /// Test-only instrumentation for the quorum-intersection proptest;
-    /// off by default to keep long runs lean.
-    // skv-lint: allow(config-drift) -- test-only instrumentation flag, never a performance knob
-    pub record_commits: bool,
     /// Record every bench client's operations (invocation/response
     /// windows, stamped write values, observed read values — including
     /// NIC-cache-served GETs and forwarded FWD_CMD replies) into a
     /// shared history for the multi-writer linearizability checker
     /// (`histcheck::check_linearizable`). Off by default: recording
     /// changes the written *values* (stamps replace the `xxxx…` filler),
-    /// so the pinned workload trace digests only hold with it off.
+    /// so the pinned workload trace digests only hold with it off. The
+    /// NIC also keeps each commit's ack set (`Tracker::committed_acks`)
+    /// while this is on.
     pub record_history: bool,
     /// Cross-mode failover (`repl_mode = Quorum` only): allow the NIC to
     /// demote a quorum cluster to
@@ -219,12 +208,10 @@ impl Default for ClusterConfig {
             reconnect_max_attempts: 8,
             upstream_silence: SimDuration::from_millis(2_500),
             client_retry_timeout: SimDuration::from_millis(250),
-            cq_poll_budget: 64,
             repl_mode: ReplModeKind::Async,
             num_shards: 1,
             hot_cache_bytes: 0,
             hot_cache_policy: "lru".into(),
-            record_commits: false,
             record_history: false,
             mode_failover: false,
             costs: CostParams::default(),
@@ -365,9 +352,10 @@ impl ClusterConfig {
         self.hot_cache_bytes > 0 && self.mode == Mode::Skv
     }
 
-    /// The parsed cache admission policy. Panics on an unvalidated
-    /// unknown name — call [`ClusterConfig::validate`] first (the
-    /// cluster builder does).
+    /// The parsed cache admission policy; an unknown name reads as LRU.
+    /// [`ClusterConfig::validate`] (run by the cluster builder) rejects
+    /// unknown names, so the fallback is only seen by a caller that
+    /// skipped it.
     pub fn hot_cache_policy_kind(&self) -> crate::hotcache::CachePolicyKind {
         crate::hotcache::CachePolicyKind::parse(&self.hot_cache_policy)
             .unwrap_or(crate::hotcache::CachePolicyKind::Lru)

@@ -22,6 +22,13 @@
 use skv_netsim::{CqId, Net, Wc};
 use skv_simcore::{Context, SimDuration};
 
+/// Completions drained per `CqNotify` by every actor's event loop. A
+/// constant, not a knob: one value was ever in use, and any budget from 3
+/// to 256 reads the same throughput (DESIGN.md §12.3). A deeper burst
+/// continues in a follow-up after the drain's CPU cost, so it cannot
+/// monopolize an event-loop turn.
+pub const POLL_BUDGET: usize = 64;
+
 /// What one budgeted drain pass did; see [`drain_budgeted`].
 #[derive(Debug, Clone, Copy)]
 pub struct DrainOutcome {
@@ -92,7 +99,7 @@ pub fn recover_drain(
     mut on_wc: impl FnMut(&mut Context<'_>, Wc),
 ) -> usize {
     let mut drained = 0;
-    while net.poll_cq_into(cq, 64, scratch) > 0 {
+    while net.poll_cq_into(cq, POLL_BUDGET, scratch) > 0 {
         drained += scratch.len();
         for wc in scratch.drain(..) {
             on_wc(ctx, wc);

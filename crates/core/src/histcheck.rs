@@ -50,7 +50,7 @@ use skv_store::resp::{Decoded, Resp};
 use crate::channel::{Channel, RING_SIZE};
 use crate::config::ClusterConfig;
 use crate::conns::{ConnEvent, ConnTable};
-use crate::cqdrain;
+use crate::cqdrain::{self, POLL_BUDGET};
 use crate::protocol::tag;
 
 /// What kind of operation a history record describes.
@@ -823,19 +823,21 @@ impl Actor for HistWriter {
             }
             NetEvent::CqNotify { cq } => {
                 let net = self.net.clone();
-                let budget = self.cfg.cq_poll_budget;
                 let mut broken = false;
                 let mut wcs = self.conns.take_wcs();
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
-                    let Some(conn) = self.conn.filter(|_| !broken) else {
-                        return;
-                    };
-                    match self.conns.on_wc(&net, ctx, conn, &wc) {
-                        ConnEvent::Msg(m) if m.tag == tag::REPLY => self.on_reply(ctx, &m.payload),
-                        ConnEvent::Broken => broken = true,
-                        _ => {}
-                    }
-                });
+                let out =
+                    cqdrain::drain_budgeted(&net, ctx, cq, POLL_BUDGET, &mut wcs, |ctx, wc| {
+                        let Some(conn) = self.conn.filter(|_| !broken) else {
+                            return;
+                        };
+                        match self.conns.on_wc(&net, ctx, conn, &wc) {
+                            ConnEvent::Msg(m) if m.tag == tag::REPLY => {
+                                self.on_reply(ctx, &m.payload);
+                            }
+                            ConnEvent::Broken => broken = true,
+                            _ => {}
+                        }
+                    });
                 self.conns.put_wcs(wcs);
                 if out.more {
                     ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
@@ -864,10 +866,6 @@ impl Actor for HistWriter {
             }
             _ => {}
         }
-    }
-
-    fn name(&self) -> &str {
-        "hist-writer"
     }
 }
 
@@ -1141,25 +1139,26 @@ impl Actor for HistReader {
             }
             NetEvent::CqNotify { cq } => {
                 let net = self.net.clone();
-                let budget = self.cfg.cq_poll_budget;
                 let mut wcs = self.conns.take_wcs();
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
-                    // A target's current channel gets the completions of
-                    // whichever of its QPs they arrive on.
-                    let Some(ti) = self.conns.conn_of_qp(wc.qp).map(|c| *self.conns.kind(c)) else {
-                        return;
-                    };
-                    let Some(conn) = self.targets[ti].conn else {
-                        return;
-                    };
-                    if let ConnEvent::Msg(m) = self.conns.on_wc(&net, ctx, conn, &wc) {
-                        if m.tag == tag::REPLY {
-                            self.on_get_reply(ctx, ti, &m.payload);
+                let out =
+                    cqdrain::drain_budgeted(&net, ctx, cq, POLL_BUDGET, &mut wcs, |ctx, wc| {
+                        // A target's current channel gets the completions of
+                        // whichever of its QPs they arrive on.
+                        let Some(ti) = self.conns.conn_of_qp(wc.qp).map(|c| *self.conns.kind(c))
+                        else {
+                            return;
+                        };
+                        let Some(conn) = self.targets[ti].conn else {
+                            return;
+                        };
+                        if let ConnEvent::Msg(m) = self.conns.on_wc(&net, ctx, conn, &wc) {
+                            if m.tag == tag::REPLY {
+                                self.on_get_reply(ctx, ti, &m.payload);
+                            }
                         }
-                    }
-                    // Broken channels stay in place until the watchdog
-                    // redials: `outstanding` bookkeeping dies with them.
-                });
+                        // Broken channels stay in place until the watchdog
+                        // redials: `outstanding` bookkeeping dies with them.
+                    });
                 self.conns.put_wcs(wcs);
                 if out.more {
                     ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
@@ -1167,10 +1166,6 @@ impl Actor for HistReader {
             }
             _ => {}
         }
-    }
-
-    fn name(&self) -> &str {
-        "hist-reader"
     }
 }
 

@@ -319,11 +319,6 @@ impl HotCache {
         }
     }
 
-    /// The policy kind in force.
-    pub fn policy_kind(&self) -> CachePolicyKind {
-        self.policy.kind()
-    }
-
     /// Bytes currently charged against the budget.
     pub fn bytes(&self) -> usize {
         self.bytes

@@ -23,7 +23,7 @@ use skv_store::resp::{self, ParsedCommand};
 use crate::channel::{Channel, ChannelMsg, RING_SIZE};
 use crate::config::ClusterConfig;
 use crate::conns::{ConnEvent, ConnTable};
-use crate::cqdrain;
+use crate::cqdrain::{self, POLL_BUDGET};
 use crate::hotcache::{fwd_cookie, fwd_cookie_epoch, CacheStats, HotCache, FWD_NO_ADMIT};
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::{quorum_slave_acks, ReplModeKind, Step, Tracker, REPL_WINDOW};
@@ -196,7 +196,7 @@ impl NicKv {
             cfg.repl_mode,
             cfg.num_slaves,
             REPL_WINDOW,
-            cfg.record_commits,
+            cfg.record_history,
         );
         NicKv {
             net,
@@ -1198,31 +1198,31 @@ impl Actor for NicKv {
             }
             NetEvent::CqNotify { cq } => {
                 // Budgeted drain on the slow ARM cores: at most
-                // `cq_poll_budget` completions per event, CPU charged to
+                // `POLL_BUDGET` completions per event, CPU charged to
                 // thread 0, over-budget bursts continued after that work —
                 // the realistic back-pressure under fan-in.
                 let net = self.net.clone();
-                let budget = self.cfg.cq_poll_budget;
                 let mut wcs = self.conns.take_wcs();
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
-                    let open = |c: &usize| self.conns.is_open(*c);
-                    let Some(conn) = self.conns.conn_of_qp(wc.qp).filter(open) else {
-                        return;
-                    };
-                    // Tracked-mode ack hook: a send-side completion for a
-                    // replication WR resolves to its `(seq, slave)` —
-                    // success means the slave holds the bytes (RC), error
-                    // feeds chain repair.
-                    if self.deferred() && wc.opcode == WcOpcode::RdmaWrite {
-                        let (key, ok) = ((wc.qp, wc.wr_id), wc.status == WcStatus::Success);
-                        self.track(ctx, |t, live| t.on_wr_done(key, ok, live));
-                    }
-                    match self.conns.on_wc(&net, ctx, conn, &wc) {
-                        ConnEvent::Msg(m) => self.on_channel_msg(ctx, conn, m),
-                        ConnEvent::Broken => self.close_conn(ctx, conn),
-                        ConnEvent::Quiet => {}
-                    }
-                });
+                let out =
+                    cqdrain::drain_budgeted(&net, ctx, cq, POLL_BUDGET, &mut wcs, |ctx, wc| {
+                        let open = |c: &usize| self.conns.is_open(*c);
+                        let Some(conn) = self.conns.conn_of_qp(wc.qp).filter(open) else {
+                            return;
+                        };
+                        // Tracked-mode ack hook: a send-side completion for a
+                        // replication WR resolves to its `(seq, slave)` —
+                        // success means the slave holds the bytes (RC), error
+                        // feeds chain repair.
+                        if self.deferred() && wc.opcode == WcOpcode::RdmaWrite {
+                            let (key, ok) = ((wc.qp, wc.wr_id), wc.status == WcStatus::Success);
+                            self.track(ctx, |t, live| t.on_wr_done(key, ok, live));
+                        }
+                        match self.conns.on_wc(&net, ctx, conn, &wc) {
+                            ConnEvent::Msg(m) => self.on_channel_msg(ctx, conn, m),
+                            ConnEvent::Broken => self.close_conn(ctx, conn),
+                            ConnEvent::Quiet => {}
+                        }
+                    });
                 self.conns.put_wcs(wcs);
                 // Completion errors may have torn connections down; give
                 // in-flight chains a chance to splice dead hops out.
@@ -1234,9 +1234,5 @@ impl Actor for NicKv {
             }
             _ => {}
         }
-    }
-
-    fn name(&self) -> &str {
-        "nic-kv"
     }
 }

@@ -240,7 +240,7 @@ pub struct Tracker {
     /// Per-commit ack sets `(end_offset, acked slaves)`, when recording
     /// was requested (the quorum-intersection proptest reads these).
     pub committed_acks: Vec<(u64, Vec<SocketAddr>)>,
-    record_commits: bool,
+    record_acks: bool,
 }
 
 impl Tracker {
@@ -250,7 +250,7 @@ impl Tracker {
         mode: ReplModeKind,
         configured_slaves: usize,
         window: usize,
-        record_commits: bool,
+        record_acks: bool,
     ) -> Self {
         Tracker {
             mode,
@@ -267,7 +267,7 @@ impl Tracker {
             stat_chain_repairs: 0,
             stat_chain_rejoins: 0,
             committed_acks: Vec::new(),
-            record_commits,
+            record_acks,
         }
     }
 
@@ -489,7 +489,7 @@ impl Tracker {
             };
             self.committed_upto = self.committed_upto.max(p.end_offset);
             self.stat_commits += 1;
-            if self.record_commits {
+            if self.record_acks {
                 self.committed_acks.push((p.end_offset, p.acked));
             }
             committed = true;

@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use crate::channel::{Channel, ChannelMsg, RING_SIZE};
 use crate::config::{ClusterConfig, Mode};
 use crate::conns::{ConnEvent, ConnTable};
-use crate::cqdrain;
+use crate::cqdrain::{self, POLL_BUDGET};
 use crate::hotcache::FWD_NO_ADMIT;
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::ReplModeKind;
@@ -1717,23 +1717,23 @@ impl Actor for KvServer {
                 self.attach(ctx, ch, peer);
             }
             NetEvent::CqNotify { cq } => {
-                // Budgeted drain: at most `cq_poll_budget` completions per
+                // Budgeted drain: at most `POLL_BUDGET` completions per
                 // event, with the poll + per-WC handling CPU charged to
                 // the event-loop core; an over-budget burst continues in
                 // a self-scheduled follow-up once that work is done.
                 let net = self.net.clone();
-                let budget = self.cfg.cq_poll_budget;
                 let mut wcs = self.conns.take_wcs();
-                let out = cqdrain::drain_budgeted(&net, ctx, cq, budget, &mut wcs, |ctx, wc| {
-                    let Some(conn) = self.conns.conn_of_qp(wc.qp) else {
-                        return;
-                    };
-                    match self.conns.on_wc(&net, ctx, conn, &wc) {
-                        ConnEvent::Msg(msg) => self.on_channel_msg(ctx, conn, msg),
-                        ConnEvent::Broken => self.on_conn_broken(ctx, conn),
-                        ConnEvent::Quiet => {}
-                    }
-                });
+                let out =
+                    cqdrain::drain_budgeted(&net, ctx, cq, POLL_BUDGET, &mut wcs, |ctx, wc| {
+                        let Some(conn) = self.conns.conn_of_qp(wc.qp) else {
+                            return;
+                        };
+                        match self.conns.on_wc(&net, ctx, conn, &wc) {
+                            ConnEvent::Msg(msg) => self.on_channel_msg(ctx, conn, msg),
+                            ConnEvent::Broken => self.on_conn_broken(ctx, conn),
+                            ConnEvent::Quiet => {}
+                        }
+                    });
                 self.conns.put_wcs(wcs);
                 // Poll CPU lands on the core owning this CQ (cq 0 → core
                 // 0, the seed schedule; extra shard CQs → their cores).
@@ -1768,10 +1768,6 @@ impl Actor for KvServer {
             // The fabric's own wire records; never addressed to an endpoint.
             NetEvent::InFlight(_) => {}
         }
-    }
-
-    fn name(&self) -> &str {
-        "kv-server"
     }
 }
 

@@ -7,4 +7,6 @@ pub struct ClusterConfig {
     pub orphan_knob: usize,
     // skv-lint: allow(config-drift) -- fixture: guardrail constant, deliberately not swept
     pub excused_knob: usize,
+    /// Set only by the fixture benchmark workload: clean.
+    pub benchmark_knob: usize,
 }

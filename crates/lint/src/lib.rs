@@ -34,7 +34,10 @@
 //!   `"rdma.*"` counter literal must be listed in `metrics::catalog`,
 //!   and no catalog entry may outlive its counter), `config-drift`
 //!   (every `ClusterConfig`/`NetParams` knob must be referenced by an
-//!   experiment or ablation arm, or carry a reasoned allow), `cmd-drift`
+//!   experiment arm, an example or a benchmark workload, or carry a
+//!   reasoned allow), `knob-budget` (neither struct may grow past its
+//!   field budget: a change adds a knob only by retiring one; DESIGN.md
+//!   §27), `cmd-drift`
 //!   (no command name from the store's `COMMANDS` table may be matched
 //!   or compared in `crates/core/src`: what a command's arguments mean
 //!   is read from its `CommandSpec`, not re-encoded per consumer).
@@ -127,7 +130,7 @@ pub struct RuleInfo {
 }
 
 /// The full rule registry.
-pub const RULES: [RuleInfo; 15] = [
+pub const RULES: [RuleInfo; 16] = [
     RuleInfo {
         name: "hashmap",
         severity: Severity::Error,
@@ -197,8 +200,14 @@ pub const RULES: [RuleInfo; 15] = [
     RuleInfo {
         name: "config-drift",
         severity: Severity::Error,
-        summary: "config knob not exercised by any experiment/ablation arm",
+        summary: "config knob not exercised by any experiment arm or benchmark workload",
         scope: "ClusterConfig and NetParams fields",
+    },
+    RuleInfo {
+        name: "knob-budget",
+        severity: Severity::Error,
+        summary: "config struct has more public fields than its budget",
+        scope: "ClusterConfig (21) and NetParams (15)",
     },
     RuleInfo {
         name: "cmd-drift",
@@ -300,10 +309,11 @@ const IO_FREE_FILES: [&str; 3] = [
 /// Where the counter catalog lives (rule `counter-drift`).
 const METRICS_FILE: &str = "crates/core/src/metrics.rs";
 
-/// Config structs whose public fields are drift-checked knobs.
-const CONFIG_STRUCTS: [(&str, &str); 2] = [
-    ("crates/core/src/config.rs", "ClusterConfig"),
-    ("crates/netsim/src/params.rs", "NetParams"),
+/// Config structs whose public fields are drift-checked knobs, each with
+/// the most fields it may have (rule `knob-budget`).
+const CONFIG_STRUCTS: [(&str, &str, usize); 2] = [
+    ("crates/core/src/config.rs", "ClusterConfig", 21),
+    ("crates/netsim/src/params.rs", "NetParams", 15),
 ];
 
 /// The command table whose `cmd!(` rows name the commands (rule
@@ -316,6 +326,10 @@ const CMD_CONSUMER_PREFIX: &str = "crates/core/src/";
 /// Trees that count as "an experiment or ablation arm references it"
 /// for rule `config-drift`.
 const REF_CORPUS_PREFIXES: [&str; 2] = ["crates/bench/src/", "examples/"];
+
+/// The benchmark package counts too. It is outside the workspace, so it
+/// is read for the identifiers it names and scanned by no rule.
+const BENCHMARK_SRC: &str = "benchmark/src";
 
 /// Directory names never descended into.
 const SKIP_DIRS: [&str; 5] = ["target", "fixtures", "tests", "benches", ".git"];
@@ -1040,7 +1054,7 @@ fn analyze_file(rel: &str, contents: &str) -> FileAnalysis {
             }
         }
     }
-    for (file, struct_name) in CONFIG_STRUCTS {
+    for (file, struct_name, _) in CONFIG_STRUCTS {
         if rel == file {
             facts.knob_defs = collect_pub_fields(&lines, struct_name);
         }
@@ -1236,10 +1250,20 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     }
 
     // --- config-drift --------------------------------------------------
-    let ref_idents: BTreeSet<String> = per_file
+    let mut ref_idents: BTreeSet<String> = per_file
         .iter()
         .flat_map(|(_, fa)| fa.facts.ref_idents.iter().cloned())
         .collect();
+    let mut benchmark_files = Vec::new();
+    let benchmark = root.join(BENCHMARK_SRC);
+    if benchmark.is_dir() {
+        walk(&benchmark, &mut benchmark_files)?;
+    }
+    for path in &benchmark_files {
+        for l in lex(&fs::read_to_string(path)?) {
+            ref_idents.extend(idents(&l.code).into_iter().map(|(_, id)| id.to_string()));
+        }
+    }
     let knob_files: Vec<String> = per_file
         .iter()
         .filter(|(_, fa)| !fa.facts.knob_defs.is_empty())
@@ -1263,12 +1287,34 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
                     line,
                     rule: "config-drift",
                     message: format!(
-                        "config knob `{knob}` is not referenced by any experiment or \
-                         ablation arm (crates/bench, examples); wire it into an arm \
-                         or add `// skv-lint: allow(config-drift) -- <reason>`"
+                        "config knob `{knob}` is not referenced by any experiment arm, \
+                         example or benchmark workload (crates/bench, examples, \
+                         benchmark/src); wire it into one or add \
+                         `// skv-lint: allow(config-drift) -- <reason>`"
                     ),
                 });
             }
+        }
+    }
+
+    // --- knob-budget ---------------------------------------------------
+    for (file, struct_name, budget) in CONFIG_STRUCTS {
+        let knobs = per_file
+            .iter()
+            .find(|(rel, _)| rel == file)
+            .map_or(&[][..], |(_, fa)| &fa.facts.knob_defs[..]);
+        if let Some((line, knob)) = knobs.get(budget) {
+            violations.push(Violation {
+                file: file.to_string(),
+                line: *line,
+                rule: "knob-budget",
+                message: format!(
+                    "`{struct_name}` has {} public fields, budget {budget}: `{knob}` is one \
+                     too many. A knob needs two non-test callers that want different \
+                     values; make it a constant or retire another (DESIGN.md §27)",
+                    knobs.len()
+                ),
+            });
         }
     }
 
@@ -1319,7 +1365,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     let config_fields = CONFIG_STRUCTS
         .iter()
-        .map(|&(file, name)| {
+        .map(|&(file, name, _)| {
             let fields = per_file
                 .iter()
                 .find(|(rel, _)| rel == file)

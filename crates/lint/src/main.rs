@@ -20,7 +20,8 @@ USAGE:
 
 Walks every non-test .rs file under <root>/crates/ and <root>/examples/
 with a small Rust lexer (comments, strings, raw strings, nested block
-comments, cfg(test) brace tracking) and enforces:
+comments, cfg(test) brace tracking; <root>/benchmark/src is read only for
+the config knobs it names) and enforces:
 ";
 
 const HELP_FOOTER: &str = "

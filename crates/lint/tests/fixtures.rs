@@ -148,11 +148,22 @@ fn fixtures_produce_expected_diagnostics() {
     );
 
     // `orphan_knob` is swept by nothing; `used_knob` is referenced from
-    // the fixture bench crate and `excused_knob` carries a reasoned allow.
+    // the fixture bench crate, `benchmark_knob` from the fixture benchmark
+    // package, and `excused_knob` carries a reasoned allow.
     assert_eq!(
         lines_of(&violations, "crates/core/src/config.rs", "config-drift"),
         vec![7]
     );
+    // Sixteen public `NetParams` fields against a budget of fifteen: the
+    // sixteenth is the finding, and the only one (the benchmark package
+    // sets all sixteen, and is itself scanned by no rule).
+    let params = by_file(&violations, "crates/netsim/src/params.rs");
+    assert_eq!(
+        params.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+        vec![(22, "knob-budget")],
+        "{params:?}"
+    );
+    assert!(violations.iter().all(|v| !v.file.starts_with("benchmark/")));
 
     // `GET` and `MSET` are rows of the fixture command table; matching or
     // comparing them in core is drift. The option word, the command being
@@ -210,7 +221,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 44, "{violations:?}");
+    assert_eq!(violations.len(), 45, "{violations:?}");
 }
 
 #[test]
@@ -218,7 +229,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 43);
+    assert_eq!(analysis.errors(), 44);
     assert!(analysis
         .violations
         .iter()
@@ -245,6 +256,7 @@ fn json_report_round_trips_fixture_diagnostics() {
         "index-unchecked",
         "counter-drift",
         "config-drift",
+        "knob-budget",
         "cmd-drift",
         "allow-syntax",
         "allow-unused",
@@ -254,7 +266,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 44, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 45, "{json}");
 }
 
 #[test]

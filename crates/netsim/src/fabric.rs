@@ -43,7 +43,6 @@ pub(crate) struct TcpConnState {
     pub(crate) node: NodeId,
     pub(crate) actor: ActorId,
     pub(crate) peer: Option<TcpConnId>,
-    pub(crate) peer_addr: SocketAddr,
     /// Earliest instant the next in-order delivery may occur.
     pub(crate) next_delivery: SimTime,
     pub(crate) open: bool,
@@ -52,7 +51,6 @@ pub(crate) struct TcpConnState {
 #[derive(Debug)]
 pub(crate) struct QpState {
     pub(crate) node: NodeId,
-    pub(crate) actor: ActorId,
     pub(crate) cq: CqId,
     pub(crate) peer: Option<QpId>,
     pub(crate) peer_addr: SocketAddr,
@@ -68,10 +66,6 @@ pub(crate) struct CqState {
     pub(crate) owner: ActorId,
     pub(crate) queue: VecDeque<Wc>,
     pub(crate) armed: bool,
-    /// A moderation coalescing-deadline event is in flight for this CQ.
-    /// An already-scheduled deadline is never extended — it can only fire
-    /// *earlier* than a fresh one would, so the no-stranding bound holds.
-    pub(crate) timer_pending: bool,
 }
 
 #[derive(Debug)]
@@ -109,9 +103,6 @@ pub(crate) enum FabricMsg {
         qp: QpId,
         peer: SocketAddr,
     },
-    /// A CQ moderation coalescing deadline expires (see
-    /// [`crate::NetParams::cq_notify_timer`]).
-    CqModerationTimer { cq: CqId },
 }
 
 /// The wire records in flight, parked from launch until their arrival
@@ -240,28 +231,19 @@ impl NetInner {
         self.faults.judge(now, src, dst, &mut self.fault_rng)
     }
 
-    /// Append a WC to a CQ and, if the CQ is armed, either fire its
-    /// completion channel or — under interrupt moderation — hold the
-    /// notify until the threshold is met or the coalescing deadline runs.
+    /// Append a WC to a CQ and, if the CQ is armed, fire its completion
+    /// channel.
     pub(crate) fn push_wc(&mut self, ctx: &mut Context<'_>, cq: CqId, wc: Wc) {
         let state = &mut self.cqs[cq.0 as usize];
         state.queue.push_back(wc);
-        if !state.armed {
-            return;
-        }
-        if !self.params.cq_moderation_active()
-            || self.cqs[cq.0 as usize].queue.len() >= self.params.cq_notify_threshold
-        {
+        if state.armed {
             self.fire_cq_notify(ctx, cq);
-        } else {
-            self.ensure_cq_timer(ctx, cq);
         }
     }
 
     /// Fire `CqNotify` at a CQ's owner, disarming the completion channel.
     /// Every notify the fabric ever emits goes through here, so
-    /// `rdma.cq_notifies` counts them all (the doorbell-style observable
-    /// for the N-to-1 moderation collapse).
+    /// `rdma.cq_notifies` counts them all.
     ///
     /// The notify is handed off: it runs inside the current event unless
     /// something else is due at this instant — a second arrival on the same
@@ -281,31 +263,6 @@ impl NetInner {
             None => Box::new(notify),
         };
         ctx.handoff_boxed(owner, notify);
-    }
-
-    /// Schedule the moderation coalescing deadline for `cq` unless one is
-    /// already in flight.
-    pub(crate) fn ensure_cq_timer(&mut self, ctx: &mut Context<'_>, cq: CqId) {
-        let state = &mut self.cqs[cq.0 as usize];
-        if state.timer_pending {
-            return;
-        }
-        state.timer_pending = true;
-        let deadline = ctx.now() + self.params.cq_notify_timer;
-        self.launch(ctx, deadline, FabricMsg::CqModerationTimer { cq });
-    }
-
-    /// The coalescing deadline expired: flush a sub-threshold notify if the
-    /// CQ is still armed with completions waiting. A deadline that raced a
-    /// threshold-fire (or a drain) finds nothing to do and is dropped —
-    /// firing early is impossible, firing late never happens because the
-    /// deadline was scheduled at the *first* sub-threshold completion.
-    pub(crate) fn cq_timer_fire(&mut self, ctx: &mut Context<'_>, cq: CqId) {
-        let state = &mut self.cqs[cq.0 as usize];
-        state.timer_pending = false;
-        if state.armed && !state.queue.is_empty() {
-            self.fire_cq_notify(ctx, cq);
-        }
     }
 }
 
@@ -438,15 +395,8 @@ impl Actor for FabricActor {
             FabricMsg::CmEstablishedArrive { actor, qp, peer } => {
                 ctx.send(actor, NetEvent::CmEstablished { qp, peer });
             }
-            FabricMsg::CqModerationTimer { cq } => {
-                net.cq_timer_fire(ctx, cq);
-            }
         }
         net.spare = None;
-    }
-
-    fn name(&self) -> &str {
-        "fabric"
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! * **RDMA + `Drop`** — reliable-connection retransmits exhaust: the
 //!   sender receives a completion with [`crate::WcStatus::RetryExceeded`]
-//!   after [`crate::NetParams::rc_retry_latency`] and the QP transitions to
+//!   after `RC_RETRY_LATENCY` (500 µs, `rdma.rs`) and the QP transitions to
 //!   the error state (subsequent posts fail with
 //!   [`crate::PostError::QpError`]). Nothing arrives at the peer.
 //! * **RDMA + `Delay`** — the retransmit succeeded; the message is late
@@ -23,7 +23,7 @@
 //!   and the next linked WR on that QP fails to post at its own index
 //!   (verbs `bad_wr` semantics).
 //! * **TCP + `Drop`** — the kernel retransmits: delivery is delayed by
-//!   [`crate::NetParams::tcp_rto`], never lost (the stream stays reliable).
+//!   `TCP_RTO` (200 ms, `tcp.rs`), never lost (the stream stays reliable).
 //! * **Connection management + `Drop`** — the connect attempt fails; the
 //!   caller is expected to back off and retry.
 //!

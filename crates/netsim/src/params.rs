@@ -26,9 +26,6 @@ pub struct NetParams {
     /// SmartNIC SoC. Figure 3 shows this path is "only a little lower" than
     /// host-to-host because the SoC runs a full network stack.
     pub local_soc_factor: f64,
-    /// Multiplier for a *remote* host talking to a SmartNIC SoC (Figure 3:
-    /// essentially a separate endpoint; same as host-to-host).
-    pub remote_soc_factor: f64,
 
     // ---- RDMA NIC ----
     /// NIC pipeline delay to start emitting a posted WR onto the wire.
@@ -54,19 +51,6 @@ pub struct NetParams {
     /// dispatch to the owning connection). A drain of n WCs costs
     /// `cq_poll_cpu + n × wc_handle_cpu` on the polling core.
     pub wc_handle_cpu: SimDuration,
-    /// Interrupt moderation (ConnectX-style event coalescing): an armed CQ
-    /// fires `CqNotify` only once this many completions are queued.
-    /// `0` or `1` disables moderation — every completion on an armed CQ
-    /// notifies immediately, the historical behaviour.
-    pub cq_notify_threshold: usize,
-    /// Coalescing deadline for moderation: an armed CQ holding fewer than
-    /// `cq_notify_threshold` completions fires no later than this after the
-    /// first sub-threshold completion arrives, so a lone completion is
-    /// never stranded waiting for peers. Moderation is only *active* when
-    /// the threshold is above one **and** this timer is non-zero
-    /// ([`NetParams::cq_moderation_active`]) — a threshold without a
-    /// deadline could park completions forever, so it is rejected.
-    pub cq_notify_timer: SimDuration,
 
     // ---- TCP-like kernel stack ----
     /// One-way latency added by each kernel network stack traversal
@@ -85,16 +69,6 @@ pub struct NetParams {
     // ---- connection management ----
     /// Handshake round-trips cost for TCP connect and RDMA_CM establish.
     pub connect_latency: SimDuration,
-
-    // ---- fault injection (see `crate::FaultPlan`) ----
-    /// Time for an RC QP to exhaust its retransmits and surface an error
-    /// completion when the fault plan drops a message.
-    // skv-lint: allow(config-drift) -- fault-model constant (RC retry budget from the ConnectX manual); exercised by the chaos/probe-loss tests, not swept
-    pub rc_retry_latency: SimDuration,
-    /// Extra delivery delay modelling one TCP retransmission timeout when
-    /// the fault plan drops a segment (the stream stays reliable).
-    // skv-lint: allow(config-drift) -- fault-model constant (minimum Linux RTO); exercised by the chaos tests, not swept
-    pub tcp_rto: SimDuration,
 }
 
 impl Default for NetParams {
@@ -103,23 +77,18 @@ impl Default for NetParams {
             bandwidth_bps: 100e9,
             host_host_latency: SimDuration::from_nanos(1_900),
             local_soc_factor: 0.85,
-            remote_soc_factor: 1.0,
             nic_tx_delay: SimDuration::from_nanos(250),
             dma_delay: SimDuration::from_nanos(350),
             wr_post_cpu: SimDuration::from_nanos(200),
             wr_post_linked: SimDuration::from_nanos(80),
             cq_poll_cpu: SimDuration::from_nanos(200),
             wc_handle_cpu: SimDuration::from_nanos(60),
-            cq_notify_threshold: 1,
-            cq_notify_timer: SimDuration::from_micros(16),
             tcp_stack_latency: SimDuration::from_nanos(2_000),
             tcp_send_cpu: SimDuration::from_nanos(2_600),
             tcp_recv_cpu: SimDuration::from_nanos(2_800),
             tcp_copy_cpu_per_kib: SimDuration::from_nanos(120),
             tcp_base_latency: SimDuration::from_nanos(1_900),
             connect_latency: SimDuration::from_micros(40),
-            rc_retry_latency: SimDuration::from_micros(500),
-            tcp_rto: SimDuration::from_millis(200),
         }
     }
 }
@@ -143,15 +112,6 @@ impl NetParams {
             return SimDuration::ZERO;
         }
         self.wr_post_cpu + self.wr_post_linked.mul_f64((n - 1) as f64)
-    }
-
-    /// Whether CQ interrupt moderation is active: a notify threshold above
-    /// one **and** a non-zero coalescing deadline. The deadline is what
-    /// makes a threshold safe — without it, sub-threshold completions on an
-    /// armed CQ would wait indefinitely for company — so a zero timer
-    /// falls back to unmoderated (immediate) notification.
-    pub fn cq_moderation_active(&self) -> bool {
-        self.cq_notify_threshold > 1 && self.cq_notify_timer > SimDuration::ZERO
     }
 
     /// Kernel-stack CPU cost for a TCP message of `bytes` on the send side.
@@ -248,19 +208,6 @@ mod tests {
                 p.wr_post_cpu + p.wr_post_linked.mul_f64(2.0)
             );
         }
-    }
-
-    #[test]
-    fn moderation_requires_threshold_and_deadline() {
-        let mut p = NetParams::default();
-        assert!(!p.cq_moderation_active(), "default config is unmoderated");
-        p.cq_notify_threshold = 8;
-        assert!(p.cq_moderation_active());
-        p.cq_notify_timer = SimDuration::ZERO;
-        assert!(
-            !p.cq_moderation_active(),
-            "a threshold with no coalescing deadline could strand completions"
-        );
     }
 
     #[test]

@@ -33,15 +33,10 @@
 //! immediately when completions are already queued, removing the classic
 //! poll/arm race without requiring apps to re-poll.
 //!
-//! Completion-event **interrupt moderation** (ConnectX-style coalescing) is
-//! modelled by two [`crate::NetParams`] knobs: `cq_notify_threshold` holds
-//! an armed CQ's notify until N completions queue, and `cq_notify_timer` is
-//! the coalescing deadline that flushes a sub-threshold batch so a lone
-//! completion is never stranded. With the default threshold of 1 the
-//! machinery is inert and every completion notifies immediately — the
-//! historical schedule, bit for bit. The collapse is observable through the
-//! `rdma.cq_notifies` / `rdma.wcs_polled` counters, the completion-side
-//! analogue of `rdma.doorbells` / `rdma.wrs_posted`.
+//! Every completion on an armed CQ notifies at once: there is no interrupt
+//! moderation, as in the paper's event-driven poll loop. How many
+//! completions one notify finds is `rdma.wcs_polled` / `rdma.cq_notifies`,
+//! the completion-side analogue of `rdma.wrs_posted` / `rdma.doorbells`.
 //!
 //! Completion costs follow the same convention as posting costs: the fabric
 //! charges nothing, the *polling actor* charges `cq_poll_cpu` per
@@ -54,6 +49,11 @@ use crate::counters::Slot;
 use crate::fabric::{CmRequest, CqState, FabricMsg, MrState, Net, NetInner, QpState, RNR_WR_ID};
 use crate::faults::Verdict;
 use crate::types::*;
+
+/// Time for an RC QP to exhaust its retransmits and surface an error
+/// completion when the fault plan drops a message (the RC retry budget of
+/// the ConnectX manual).
+const RC_RETRY_LATENCY: SimDuration = SimDuration::from_micros(500);
 
 /// Why a post failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +96,6 @@ impl Net {
             owner,
             queue: Default::default(),
             armed: false,
-            timer_pending: false,
         });
         id
     }
@@ -110,11 +109,6 @@ impl Net {
             buf: vec![0; len],
         });
         id
-    }
-
-    /// Length of a memory region.
-    pub fn mr_len(&self, mr: MrId) -> usize {
-        self.inner.borrow().mrs[mr.0 as usize].buf.len()
     }
 
     /// Read bytes out of a local memory region.
@@ -237,7 +231,6 @@ impl Net {
         let initiator_qp = QpId(next_id(inner.qps.len()));
         inner.qps.push(QpState {
             node: request.from_node,
-            actor: request.from_actor,
             cq: request.from_cq,
             peer: None,
             peer_addr: request.listener_addr,
@@ -248,7 +241,6 @@ impl Net {
         let acceptor_qp = QpId(next_id(inner.qps.len()));
         inner.qps.push(QpState {
             node: acceptor_node,
-            actor: acceptor,
             cq,
             peer: Some(initiator_qp),
             peer_addr: request.from_addr,
@@ -398,8 +390,7 @@ impl Net {
     /// The fabric charges no CPU here; the polling actor owns the cost —
     /// [`crate::NetParams::cq_poll_cpu`] per call plus
     /// [`crate::NetParams::wc_handle_cpu`] per returned WC. Each returned
-    /// WC bumps the `rdma.wcs_polled` counter, the denominator of the
-    /// moderation collapse ratio (`rdma.cq_notifies / rdma.wcs_polled`).
+    /// WC bumps the `rdma.wcs_polled` counter.
     pub fn poll_cq_into(&self, cq: CqId, max: usize, out: &mut Vec<Wc>) -> usize {
         let mut inner = self.inner.borrow_mut();
         let q = &mut inner.cqs[cq.0 as usize].queue;
@@ -424,25 +415,12 @@ impl Net {
     /// Arm the completion event channel: the owner receives
     /// [`NetEvent::CqNotify`] when the next completion arrives (immediately
     /// if completions are already pending).
-    ///
-    /// With interrupt moderation active
-    /// ([`crate::NetParams::cq_moderation_active`]), an already-pending
-    /// backlog below `cq_notify_threshold` does not fire immediately;
-    /// instead the CQ arms and the `cq_notify_timer` coalescing deadline
-    /// guarantees the backlog is flushed, so no completion is ever
-    /// stranded longer than the timer.
     pub fn req_notify_cq(&self, ctx: &mut Context<'_>, cq: CqId) {
         let mut inner = self.inner.borrow_mut();
-        let moderated = inner.params.cq_moderation_active();
-        let threshold = inner.params.cq_notify_threshold.max(1);
-        let depth = inner.cqs[cq.0 as usize].queue.len();
-        if depth > 0 && (!moderated || depth >= threshold) {
-            inner.fire_cq_notify(ctx, cq);
-        } else {
+        if inner.cqs[cq.0 as usize].queue.is_empty() {
             inner.cqs[cq.0 as usize].armed = true;
-            if moderated && depth > 0 {
-                inner.ensure_cq_timer(ctx, cq);
-            }
+        } else {
+            inner.fire_cq_notify(ctx, cq);
         }
     }
 
@@ -465,16 +443,6 @@ impl Net {
     /// The node a QP lives on.
     pub fn qp_node(&self, qp: QpId) -> NodeId {
         self.inner.borrow().qps[qp.0 as usize].node
-    }
-
-    /// The actor that owns a QP endpoint.
-    pub fn qp_actor(&self, qp: QpId) -> ActorId {
-        self.inner.borrow().qps[qp.0 as usize].actor
-    }
-
-    /// Number of posted, unconsumed receive WRs on a QP.
-    pub fn qp_recv_depth(&self, qp: QpId) -> usize {
-        self.inner.borrow().qps[qp.0 as usize].recv_queue.len()
     }
 }
 
@@ -535,7 +503,7 @@ fn post_one(
                 mr_offset: 0,
                 data: Frame::new(),
             };
-            push_sender_wc(inner, ctx, inner.params.rc_retry_latency, wr.signaled, wc);
+            push_sender_wc(inner, ctx, RC_RETRY_LATENCY, wr.signaled, wc);
             return Ok(());
         }
         Verdict::Delay(d) => {

@@ -20,6 +20,10 @@ use crate::fabric::{Net, TcpConnState};
 use crate::faults::Verdict;
 use crate::types::{next_id, NetEvent, NodeId, SocketAddr, TcpConnId};
 
+/// Extra delivery delay of one TCP retransmission timeout when the fault
+/// plan drops a segment (the minimum Linux RTO).
+const TCP_RTO: SimDuration = SimDuration::from_millis(200);
+
 impl Net {
     /// Register `actor` as the accept handler for TCP connections to `addr`.
     ///
@@ -29,11 +33,6 @@ impl Net {
         let mut inner = self.inner.borrow_mut();
         let prev = inner.tcp_listeners.insert(addr, actor);
         assert!(prev.is_none(), "TCP address {addr} already bound");
-    }
-
-    /// Stop listening on `addr`.
-    pub fn tcp_unlisten(&self, addr: SocketAddr) {
-        self.inner.borrow_mut().tcp_listeners.remove(&addr);
     }
 
     /// Open a connection from (`from_node`, `from_actor`) to `to`.
@@ -72,7 +71,6 @@ impl Net {
             node: from_node,
             actor: from_actor,
             peer: None,
-            peer_addr: to,
             next_delivery: done,
             open: true,
         });
@@ -81,7 +79,6 @@ impl Net {
             node: to.node,
             actor: listener,
             peer: Some(client_id),
-            peer_addr: local_addr,
             next_delivery: done,
             open: true,
         });
@@ -137,7 +134,7 @@ impl Net {
             Verdict::Deliver => SimDuration::ZERO,
             Verdict::Drop => {
                 inner.counters.inc(Slot::FaultsTcpRetrans);
-                inner.params.tcp_rto
+                TCP_RTO
             }
             Verdict::Delay(d) => {
                 inner.counters.inc(Slot::FaultsTcpDelayed);
@@ -187,11 +184,6 @@ impl Net {
             let actor = p.actor;
             ctx.send_in(lat, actor, NetEvent::TcpClosed { conn: peer_id });
         }
-    }
-
-    /// The remote address of a connection endpoint.
-    pub fn tcp_peer_addr(&self, conn: TcpConnId) -> SocketAddr {
-        self.inner.borrow().tcp_conns[conn.0 as usize].peer_addr
     }
 
     /// Whether a connection endpoint is still open.

@@ -98,7 +98,7 @@ impl Topology {
         if self.is_local_pcie_pair(a, b) {
             p.host_host_latency.mul_f64(p.local_soc_factor)
         } else {
-            p.host_host_latency.mul_f64(p.remote_soc_factor.max(1.0))
+            p.host_host_latency
         }
     }
 }

@@ -292,7 +292,7 @@ pub enum NetEvent {
         cq: CqId,
     },
     /// The fabric's note to itself that a wire record — an RDMA arrival, a
-    /// sender completion, an RDMA_CM hop, a moderation deadline — takes
+    /// sender completion, an RDMA_CM hop — takes
     /// effect now. Only ever addressed to the fabric's own actor; endpoint
     /// actors never receive one. It is a `NetEvent` so that the box which
     /// carries it can become the [`NetEvent::CqNotify`] the arrival causes.

@@ -59,11 +59,6 @@ pub trait Actor: Any {
 
     /// Called for every message delivered to this actor.
     fn on_message(&mut self, ctx: &mut Context<'_>, from: ActorId, msg: Payload);
-
-    /// Human-readable name.
-    fn name(&self) -> &str {
-        "actor"
-    }
 }
 
 impl dyn Actor {
@@ -207,9 +202,6 @@ impl Actor for FnActor {
     fn on_message(&mut self, ctx: &mut Context<'_>, from: ActorId, msg: Payload) {
         (self.handler)(ctx, from, msg);
     }
-    fn name(&self) -> &str {
-        "fn-actor"
-    }
 }
 
 #[cfg(test)]
@@ -222,9 +214,6 @@ mod tests {
     impl Actor for Dummy {
         fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ActorId, _msg: Payload) {
             self.hits += 1;
-        }
-        fn name(&self) -> &str {
-            "dummy"
         }
     }
 

@@ -185,12 +185,6 @@ impl Simulation {
         }
     }
 
-    /// Run for `d` simulated time from now.
-    pub fn run_for(&mut self, d: SimDuration) -> RunOutcome {
-        let deadline = self.now + d;
-        self.run_until(deadline)
-    }
-
     /// Run until the event queue is completely drained.
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
@@ -246,9 +240,6 @@ mod tests {
                     ctx.timer(self.gap, Tick);
                 }
             }
-        }
-        fn name(&self) -> &str {
-            "ticker"
         }
     }
 

@@ -165,21 +165,6 @@ impl Histogram {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-    /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-
-    /// Mean as a duration.
-    pub fn mean_duration(&self) -> SimDuration {
-        SimDuration::from_nanos(self.mean().round() as u64)
-    }
-
-    /// Quantile as a duration.
-    pub fn quantile_duration(&self, q: f64) -> SimDuration {
-        SimDuration::from_nanos(self.quantile(q))
-    }
-
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {

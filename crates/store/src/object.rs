@@ -267,26 +267,6 @@ impl RObj {
             other => panic!("as_string_bytes on {}", other.type_name()),
         }
     }
-
-    /// Approximate payload size in bytes, used by the CPU-cost model (a
-    /// SET of a 4 KiB value costs more than a 16-byte one).
-    pub fn payload_len(&self) -> usize {
-        match self {
-            RObj::Str(s) => s.len(),
-            RObj::Int(_) => 8,
-            RObj::List(l) => l.iter().map(Sds::len).sum(),
-            RObj::Set(s) => match s {
-                SetObj::Ints(i) => i.memory_usage(),
-                SetObj::Dict(d) => d.iter().map(|(k, _)| k.len()).sum(),
-            },
-            RObj::Hash(h) => h.iter().map(|(k, v)| k.len() + v.len()).sum(),
-            RObj::ZSet(z) => z
-                .range(0, usize::MAX - 1)
-                .iter()
-                .map(|(m, _)| m.len() + 8)
-                .sum(),
-        }
-    }
 }
 
 #[cfg(test)]

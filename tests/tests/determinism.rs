@@ -125,24 +125,6 @@ fn same_seed_same_bits_under_chaos() {
 }
 
 #[test]
-fn same_seed_same_bits_with_cq_moderation() {
-    // Interrupt moderation batches completion *notifies*: the event
-    // schedule changes shape (fewer, deeper CqNotify drains plus
-    // coalescing-timer events) but must remain a pure function of the
-    // seed — timers, thresholds and budgets all run on simulated time.
-    let mut spec = arm(Mode::Skv, 0xCAFE);
-    spec.cfg.net.cq_notify_threshold = 4;
-    spec.cfg.net.cq_notify_timer = SimDuration::from_micros(16);
-    spec.cfg.cq_poll_budget = 8;
-    let a = execute(spec.clone(), None);
-    let b = execute(spec, None);
-    assert_eq!(
-        a, b,
-        "identical moderated runs diverged: {a:#018x} vs {b:#018x}"
-    );
-}
-
-#[test]
 fn single_shard_digest_matches_pre_shard_baseline() {
     // The sharding refactor's contract: at `num_shards = 1` (the default)
     // every routed path degenerates to the historical single-engine code,

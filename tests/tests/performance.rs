@@ -232,6 +232,7 @@ fn a_set_is_eleven_events_and_nineteen_dispatches() {
     let mut cluster = skv_core::cluster::Cluster::build(spec(Mode::Skv, 3, 8, 1.0, 72));
     cluster.sim.run_until(cluster.measure_from);
     let (events0, handoffs0) = (cluster.sim.events_processed(), cluster.sim.handoffs());
+    let fabric0 = cluster.net.counters();
     cluster.sim.run_until(cluster.measure_until);
     let ops = cluster.metrics.borrow().ops as f64;
     assert!(ops > 100_000.0, "load was flowing: {ops} SETs");
@@ -241,6 +242,18 @@ fn a_set_is_eleven_events_and_nineteen_dispatches() {
     assert!(
         (18.9..=19.1).contains(&(events + handoffs)),
         "{events:.2} events + {handoffs:.2} handoffs per SET"
+    );
+    // The un-batched floor (DESIGN.md §12.3): a drain runs at its notify's
+    // instant whether or not the polling core is free, so even a saturated
+    // master finds one completion per notify and pays a full `cq_poll_cpu`
+    // for each — 1.000009 here, fabric-wide. A drain that waits for its
+    // core will move this on purpose.
+    let fabric = cluster.net.counters();
+    let in_window = |name: &str| (fabric.get(name) - fabric0.get(name)) as f64;
+    let per_notify = in_window("rdma.wcs_polled") / in_window("rdma.cq_notifies");
+    assert!(
+        (1.00..=1.01).contains(&per_notify),
+        "{per_notify:.4} completions polled per notify"
     );
 }
 

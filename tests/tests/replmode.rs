@@ -340,7 +340,7 @@ proptest! {
         chaos_seed in 0u64..1_000,
     ) {
         let mut s = spec(ReplModeKind::Quorum, slaves, 1_200, 2_000 + chaos_seed);
-        s.cfg.record_commits = true;
+        s.cfg.record_history = true;
         let mut cluster = Cluster::build(s);
         cluster.apply_chaos(&ChaosSpec {
             loss_prob: loss,
