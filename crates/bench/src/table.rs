@@ -165,23 +165,6 @@ impl Table {
     pub fn footer(&mut self, line: impl Into<String>) {
         self.footer.push(line.into());
     }
-
-    /// The numeric cells of the column headed `header`, top to bottom.
-    pub fn column(&self, header: &str) -> Vec<f64> {
-        let at = self
-            .columns
-            .iter()
-            .position(|c| c.header == header)
-            .unwrap_or_else(|| panic!("no column {header:?} in {:?}", self.title));
-        self.rows
-            .iter()
-            .filter_map(|row| match row[at] {
-                Cell::Int(v) => Some(v as f64),
-                Cell::Num(v) => Some(v),
-                Cell::Text(_) => None,
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for Table {
@@ -265,18 +248,6 @@ mod tests {
         t.footer("min: 1");
         t.footer("converged: true");
         assert_eq!(t.to_string(), "T\nt(s)\n   1\nmin: 1\nconverged: true\n");
-    }
-
-    #[test]
-    fn column_reads_numbers_back() {
-        let mut t = Table::new(
-            "T",
-            vec![Column::new("n", 3), Column::signed("gain%", 6, 1)],
-        );
-        t.row(cells![64usize, 18.04]);
-        t.row(cells![256usize, -1.5]);
-        assert_eq!(t.column("n"), [64.0, 256.0]);
-        assert_eq!(t.column("gain%"), [18.04, -1.5]);
     }
 
     #[test]

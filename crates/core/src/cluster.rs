@@ -528,7 +528,9 @@ impl Cluster {
                 report
                     .chaos
                     .add("shard.ops", s.shard_ops().iter().sum::<u64>());
-                report.chaos.add("shard.cross_msgs", s.shard_cross_msgs());
+                report
+                    .chaos
+                    .add("shard.cross_msgs", s.shards().cross_msgs());
                 report.chaos.add("shard.queue_depth", s.apply_queue_depth());
             }
             if let Some(nic) = self.nic_kv() {
@@ -541,19 +543,11 @@ impl Cluster {
         // cache-off run's report — and its determinism digest — stays
         // bit-identical to the pre-cache baseline.
         if self.spec.cfg.hot_cache_enabled() {
-            if let Some((stats, bytes)) = self.nic_kv().and_then(crate::nickv::NicKv::cache_stats)
-            {
-                report.chaos.add("cache.hits", stats.hits);
-                report.chaos.add("cache.misses", stats.misses);
-                report.chaos.add("cache.admits", stats.admits);
-                report.chaos.add("cache.evicts", stats.evicts);
-                report.chaos.add("cache.invalidations", stats.invalidations);
-                report.chaos.add("cache.bytes", bytes as u64);
-            }
+            self.add_cache_counters(&mut report.chaos);
             if let Some(nic) = self.nic_kv() {
                 report
                     .chaos
-                    .add("nic.fwd_stale_drops", nic.stat_fwd_stale_drops);
+                    .add("nic.fwd_stale_drops", nic.front_end().stat_fwd_stale_drops);
             }
         }
         // Mode-failover counters exist only when the knob is on, keeping
@@ -615,9 +609,9 @@ impl Cluster {
             out.add("server.stat_released_replies", s.stat_released_replies);
             out.add("server.stat_mode_changes", s.stat_mode_changes);
             out.add("shard.ops", s.shard_ops().iter().sum::<u64>());
-            out.add("shard.cross_msgs", s.shard_cross_msgs());
+            out.add("shard.cross_msgs", s.shards().cross_msgs());
             out.add("shard.queue_depth", s.apply_queue_depth());
-            for engine in s.engines() {
+            for engine in s.shards().engines() {
                 let db = engine.db();
                 let (hits, misses) = db.stats_hit_miss();
                 out.add("store.stat_hits", hits);
@@ -651,19 +645,15 @@ impl Cluster {
             out.add("nic.stat_chain_repairs", nic.tracker().stat_chain_repairs);
             out.add("nic.stat_chain_rejoins", nic.tracker().stat_chain_rejoins);
             out.add("nic.stat_mode_changes", nic.stat_mode_changes);
-            out.add("nic.stat_fwd_stale_drops", nic.stat_fwd_stale_drops);
+            out.add(
+                "nic.stat_fwd_stale_drops",
+                nic.front_end().stat_fwd_stale_drops,
+            );
         }
         for &name in crate::metrics::catalog::CACHE_COUNTERS {
             out.add(name, 0);
         }
-        if let Some((stats, bytes)) = self.nic_kv().and_then(crate::nickv::NicKv::cache_stats) {
-            out.add("cache.hits", stats.hits);
-            out.add("cache.misses", stats.misses);
-            out.add("cache.admits", stats.admits);
-            out.add("cache.evicts", stats.evicts);
-            out.add("cache.invalidations", stats.invalidations);
-            out.add("cache.bytes", bytes as u64);
-        }
+        self.add_cache_counters(&mut out);
         out.add("client.stat_issued", 0);
         out.add("client.stat_replies", 0);
         out.add("client.stat_reconnects", 0);
@@ -701,6 +691,19 @@ impl Cluster {
         out
     }
 
+    /// The hot cache's counters and resident byte footprint, if one runs.
+    fn add_cache_counters(&self, out: &mut Counters) {
+        let Some(cache) = self.nic_kv().and_then(|nic| nic.front_end().cache()) else {
+            return;
+        };
+        out.add("cache.hits", cache.stats.hits);
+        out.add("cache.misses", cache.stats.misses);
+        out.add("cache.admits", cache.stats.admits);
+        out.add("cache.evicts", cache.stats.evicts);
+        out.add("cache.invalidations", cache.stats.invalidations);
+        out.add("cache.bytes", cache.bytes() as u64);
+    }
+
     /// Execute commands directly on the master's engine — for preloading a
     /// dataset before slaves attach (it bypasses the replication stream and
     /// reaches slaves only via the initial full sync).
@@ -710,7 +713,7 @@ impl Cluster {
             .actor_mut::<KvServer>(self.master)
             .expect("master is a KvServer");
         for parts in commands {
-            let r = server.preload(parts);
+            let r = server.shards_mut().preload(parts);
             assert!(!r.reply.is_error(), "preload failed: {parts:?}");
         }
     }
@@ -746,9 +749,9 @@ impl Cluster {
 
     /// All keyspace digests (master first), for convergence checks.
     pub fn keyspace_digests(&self) -> Vec<u64> {
-        let mut out = vec![self.master_server().keyspace_digest()];
+        let mut out = vec![self.master_server().shards().digest()];
         for i in 0..self.slaves.len() {
-            out.push(self.slave_server(i).keyspace_digest());
+            out.push(self.slave_server(i).shards().digest());
         }
         out
     }

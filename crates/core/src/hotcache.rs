@@ -44,11 +44,19 @@
 //!
 //! Counters are exported as `cache.{hits,misses,admits,evicts,
 //! invalidations,bytes}` (see `metrics::catalog::CACHE_COUNTERS`).
+//!
+//! [`SocFrontEnd`] is the SoC's command front end around the cache: it
+//! answers a client command from the cache or turns it into a
+//! cookie-framed forward, matches the host's replies back to their
+//! clients, and keeps the cache coherent with the stream. Like
+//! [`crate::replmode::Tracker`] it does no IO and charges no CPU — every
+//! decision is a value the actor ([`crate::nickv::NicKv`]) carries out
+//! (DESIGN.md §28).
 
 use skv_netsim::DetMap;
-use skv_simcore::Frame;
+use skv_simcore::{Frame, FramePool};
 use skv_store::cmd::{CommandSpec, Route};
-use skv_store::resp;
+use skv_store::resp::{self, ParsedCommand};
 
 /// Byte overhead charged per cache entry on top of the stored reply
 /// frame: key copy, slot bookkeeping, LRU links. Keeps the budget honest
@@ -586,9 +594,197 @@ pub fn fwd_cookie_epoch(cookie: u64) -> u64 {
     cookie >> (64 - FWD_EPOCH_BITS)
 }
 
+// ---------------------------------------------------------------------------
+// The SoC command front end
+// ---------------------------------------------------------------------------
+
+/// One outstanding forwarded client command: where its reply goes, and —
+/// when the command was a single-key GET — the key whose bulk reply is a
+/// cache admission candidate.
+struct FwdCtx {
+    conn: usize,
+    key: Option<Vec<u8>>,
+}
+
+/// What the front end does with one client command.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Dispatch {
+    /// A cached GET: this reply goes straight back to the client.
+    Hit(Frame),
+    /// Everything else: `frame` (the cookie, then the command) goes to the
+    /// master as a `FWD_CMD`.
+    Forward {
+        /// Names the forward until its reply, or [`SocFrontEnd::unforward`].
+        cookie: u64,
+        /// The cookie-framed command, built in the front end's send ring.
+        frame: Frame,
+    },
+}
+
+/// The SoC's command front end: the hot cache (if the cluster runs one),
+/// the cookies of the commands forwarded to the host, and who waits for
+/// each. Connections are the caller's indices, carried and handed back.
+pub struct SocFrontEnd {
+    cache: Option<HotCache>,
+    /// Cookie source for forwarded commands (low bits; back to 0 on every
+    /// restart).
+    seq: u64,
+    /// SoC boot counter carried in every cookie's high bits, modulo
+    /// `1 << FWD_EPOCH_BITS` — the one piece of state that survives a
+    /// crash. A `FWD_REPLY` minted under another epoch never resolves a
+    /// forward, so a cookie is fenced against the previous 65 535
+    /// incarnations (and no host holds a reply through that many).
+    epoch: u64,
+    /// Outstanding forwarded commands by cookie.
+    pending: DetMap<u64, FwdCtx>,
+    /// Send-ring pool the cookie-framed `FWD_CMD`s are built in.
+    pool: FramePool,
+    /// Replies for forwarded commands dropped because their cookie carried
+    /// a stale (pre-restart) epoch.
+    pub stat_fwd_stale_drops: u64,
+}
+
+impl SocFrontEnd {
+    /// A front end at boot epoch 0, with `cache` or without one.
+    pub fn new(cache: Option<HotCache>) -> Self {
+        SocFrontEnd {
+            cache,
+            seq: 0,
+            epoch: 0,
+            pending: DetMap::new(),
+            // Same sizing as the host's send ring: a 4 KiB value + headers.
+            pool: FramePool::new(4096 + 64, 256),
+            stat_fwd_stale_drops: 0,
+        }
+    }
+
+    /// The hot cache, when the cluster runs one.
+    pub fn cache(&self) -> Option<&HotCache> {
+        self.cache.as_ref()
+    }
+
+    /// One client command from `conn`. A single-key GET probes the hot
+    /// cache, and a hit is answered from SoC memory — the host is never
+    /// involved. Everything else (miss, write, multi-key) becomes a
+    /// pending forward under a fresh cookie.
+    pub fn on_client_cmd(&mut self, conn: usize, payload: &Frame) -> Dispatch {
+        let get_key = match resp::parse_command(payload) {
+            ParsedCommand::Command(args, _)
+                // skv-lint: allow(cmd-drift) -- the cache's own contract (it stores GET's bulk reply), not an argument fact the table holds
+                if args.len() == 2 && args[0].eq_ignore_ascii_case(b"GET") =>
+            {
+                Some(args[1])
+            }
+            _ => None,
+        };
+        if let (Some(key), Some(cache)) = (get_key, self.cache.as_mut()) {
+            // The sketch tracks GET demand whether or not the key is
+            // resident — admission needs hotness for misses too.
+            cache.touch(key);
+            if let Some(reply) = cache.get(key) {
+                return Dispatch::Hit(reply);
+            }
+        }
+        self.seq += 1;
+        let cookie = fwd_cookie(self.epoch, self.seq);
+        // The forward outlives this frame, so it keeps its own copy of the
+        // key — the one allocation of the miss path.
+        let key = get_key.map(<[u8]>::to_vec);
+        self.pending.insert(cookie, FwdCtx { conn, key });
+        let frame = self.pool.build(|fwd| {
+            fwd.extend_from_slice(&cookie.to_le_bytes());
+            fwd.extend_from_slice(payload);
+        });
+        Dispatch::Forward { cookie, frame }
+    }
+
+    /// A cookie-framed reply came back from the host: pop the pending
+    /// forward, offer a successful bulk GET reply the host did not veto
+    /// for admission, and return the waiting client's connection with the
+    /// inner RESP reply. `None` for a reply nobody waits for: a stale
+    /// epoch (counted), a duplicate, a forward already answered by error.
+    /// `version` is the replication high-water the SoC has applied — every
+    /// write the master acked before producing this reply travelled the
+    /// same FIFO link ahead of it, so the entry is current as of it.
+    pub fn on_fwd_reply(&mut self, payload: &Frame, version: u64) -> Option<(usize, Frame)> {
+        let (header, _) = payload.split_first_chunk::<8>()?;
+        // The host echoes the cookie with its veto bit set when the reply
+        // must not be cached (the key carries a TTL).
+        let echoed = u64::from_le_bytes(*header);
+        let (cookie, admissible) = (echoed & !FWD_NO_ADMIT, echoed & FWD_NO_ADMIT == 0);
+        if fwd_cookie_epoch(cookie) != self.epoch {
+            // Minted by a previous incarnation. Without the epoch a
+            // post-restart sequence restarting at 1 would collide with
+            // pre-crash cookies still in flight on the host, handing some
+            // new client another command's reply.
+            self.stat_fwd_stale_drops += 1;
+            return None;
+        }
+        let fwd = self.pending.remove(&cookie)?;
+        // The client gets a view of the delivery frame; the cache, when it
+        // takes the value, gets a copy of its own (SoC memory, and it must
+        // not pin the host's send ring for as long as the entry lives).
+        let body = payload.slice(8..);
+        if let (Some(key), Some(cache)) = (fwd.key.as_deref(), self.cache.as_mut()) {
+            // Only a present bulk value the host did not veto is a
+            // candidate; errors and null bulks (missing key) are not worth
+            // a slot.
+            if admissible && body.first() == Some(&b'$') && !body.starts_with(b"$-1") {
+                cache.admit(key, Frame::copy_from_slice(&body), version);
+            }
+        }
+        Some((fwd.conn, body))
+    }
+
+    /// One replicated write seen on the stream, its frame ending at
+    /// `end_offset`: the cache drops or refreshes the write's keys
+    /// ([`HotCache::apply_write`]) *before* the master's ack for that write
+    /// can reach any client — stream frames precede cookie replies on the
+    /// FIFO master link.
+    pub fn on_stream_write(&mut self, spec: &CommandSpec, args: &[&[u8]], end_offset: u64) {
+        if let Some(cache) = self.cache.as_mut() {
+            cache.apply_write(spec, args, end_offset);
+        }
+    }
+
+    /// The forward under `cookie` could not be sent: forget it and name
+    /// the connection owed an error (`None`: already answered).
+    pub fn unforward(&mut self, cookie: u64) -> Option<usize> {
+        self.pending.remove(&cookie).map(|fwd| fwd.conn)
+    }
+
+    /// The link to the master died. Cached entries can no longer be kept
+    /// coherent — a failover master may lag the stream they were versioned
+    /// against — so the cache goes cold. No pending forward will see its
+    /// cookie reply: each connection returned is owed an error, so
+    /// closed-loop clients keep running.
+    pub fn master_lost(&mut self) -> Vec<usize> {
+        if let Some(cache) = self.cache.as_mut() {
+            cache.clear();
+        }
+        let owed = self.pending.values().map(|fwd| fwd.conn).collect();
+        self.pending.clear();
+        owed
+    }
+
+    /// The SoC restarted: a new process has no cookies to answer and
+    /// rejoins with a *cold* cache. Only the boot counter carries over,
+    /// and it fences every cookie minted before.
+    pub fn restart(&mut self) {
+        if let Some(cache) = self.cache.as_mut() {
+            cache.clear();
+        }
+        self.seq = 0;
+        self.epoch = (self.epoch + 1) % (1 << FWD_EPOCH_BITS);
+        self.pending = DetMap::new();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn frame(n: usize) -> Frame {
         Frame::from_vec(vec![b'v'; n])
@@ -613,6 +809,481 @@ mod tests {
         // Epoch 0 cookies are the bare sequence: the pre-epoch framing
         // is a strict subset, so old traces still parse.
         assert_eq!(fwd_cookie(0, 99), 99);
+    }
+
+    // -- SocFrontEnd: one test per row of its decision table (DESIGN.md §28) --
+
+    fn front_end() -> SocFrontEnd {
+        SocFrontEnd::new(Some(HotCache::new(10_000, CachePolicyKind::Lru)))
+    }
+
+    fn command(parts: &[&str]) -> Frame {
+        resp::Resp::command(parts.iter().map(|p| p.as_bytes()))
+            .encode()
+            .into()
+    }
+
+    /// `conn` sends `parts`; the forward it must become, as `(cookie, frame)`.
+    fn forward(fe: &mut SocFrontEnd, conn: usize, parts: &[&str]) -> (u64, Frame) {
+        let payload = command(parts);
+        match fe.on_client_cmd(conn, &payload) {
+            Dispatch::Forward { cookie, frame } => {
+                assert_eq!(frame[..8], cookie.to_le_bytes());
+                assert_eq!(frame[8..], payload[..], "the command rides unchanged");
+                (cookie, frame)
+            }
+            Dispatch::Hit(reply) => panic!("{parts:?} hit {reply:?}"),
+        }
+    }
+
+    /// The host's `FWD_REPLY` to the forward under `echoed`.
+    fn fwd_reply(echoed: u64, body: &[u8]) -> Frame {
+        [&echoed.to_le_bytes(), body].concat().into()
+    }
+
+    const BULK: &[u8] = b"$1\r\nv\r\n";
+
+    #[test]
+    fn a_resident_get_is_a_hit_and_leaves_nothing_pending() {
+        let mut fe = front_end();
+        let (cookie, _) = forward(&mut fe, 3, &["GET", "k"]);
+        assert!(fe.on_fwd_reply(&fwd_reply(cookie, BULK), 7).is_some());
+        let hit = fe.on_client_cmd(4, &command(&["get", "k"]));
+        assert_eq!(hit, Dispatch::Hit(BULK.into()));
+        assert!(fe.master_lost().is_empty(), "a hit forwards nothing");
+        let stats = fe.cache().expect("cache on").stats;
+        assert_eq!((stats.hits, stats.misses, stats.admits), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_missed_get_is_forwarded_under_a_fresh_cookie() {
+        let mut fe = front_end();
+        let (first, _) = forward(&mut fe, 3, &["GET", "k"]);
+        let (second, _) = forward(&mut fe, 3, &["GET", "k"]);
+        assert_eq!((first, second), (fwd_cookie(0, 1), fwd_cookie(0, 2)));
+        assert_eq!(fe.cache().expect("cache on").stats.misses, 2);
+        // Cache off, every command is a forward and nothing is counted.
+        let mut off = SocFrontEnd::new(None);
+        let (cookie, _) = forward(&mut off, 3, &["GET", "k"]);
+        assert_eq!(
+            off.on_fwd_reply(&fwd_reply(cookie, BULK), 7),
+            Some((3, BULK.into()))
+        );
+        forward(&mut off, 3, &["GET", "k"]);
+    }
+
+    #[test]
+    fn anything_but_a_single_key_get_is_forwarded_unprobed() {
+        let mut fe = front_end();
+        let (cookie, _) = forward(&mut fe, 3, &["GET", "k"]);
+        fe.on_fwd_reply(&fwd_reply(cookie, BULK), 7);
+        for parts in [
+            &["SET", "k", "v"][..],
+            &["MGET", "k"],
+            &["GET", "k", "x"],
+            &["GET"],
+        ] {
+            let (cookie, _) = forward(&mut fe, 3, parts);
+            // Its reply is relayed, and no key of it is an admission candidate.
+            assert_eq!(
+                fe.on_fwd_reply(&fwd_reply(cookie, BULK), 8),
+                Some((3, BULK.into()))
+            );
+        }
+        // Not a command at all: the host's parser answers it.
+        forward(&mut fe, 3, &[]);
+        let stats = fe.cache().expect("cache on").stats;
+        assert_eq!((stats.hits, stats.misses, stats.admits), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_bulk_reply_is_admitted_at_the_version_it_came_with() {
+        let mut fe = front_end();
+        let (cookie, _) = forward(&mut fe, 3, &["GET", "k"]);
+        assert_eq!(
+            fe.on_fwd_reply(&fwd_reply(cookie, BULK), 41),
+            Some((3, BULK.into()))
+        );
+        assert_eq!(fe.cache().expect("cache on").version_of(b"k"), Some(41));
+    }
+
+    #[test]
+    fn a_vetoed_null_or_error_reply_is_relayed_but_not_admitted() {
+        let mut fe = front_end();
+        let rows: [(u64, &[u8]); 3] = [
+            (FWD_NO_ADMIT, BULK),
+            (0, b"$-1\r\n"),
+            (0, b"-WRONGTYPE not a string\r\n"),
+        ];
+        for (veto, body) in rows {
+            let (cookie, _) = forward(&mut fe, 3, &["GET", "k"]);
+            let relayed = fe.on_fwd_reply(&fwd_reply(cookie | veto, body), 7);
+            assert_eq!(relayed, Some((3, body.into())));
+            assert!(fe.cache().expect("cache on").is_empty(), "{body:?}");
+        }
+    }
+
+    #[test]
+    fn a_duplicate_or_malformed_reply_answers_nobody() {
+        let mut fe = front_end();
+        let (cookie, _) = forward(&mut fe, 3, &["GET", "k"]);
+        let reply = fwd_reply(cookie, BULK);
+        assert!(fe.on_fwd_reply(&reply, 7).is_some());
+        assert_eq!(fe.on_fwd_reply(&reply, 7), None, "duplicate");
+        assert_eq!(
+            fe.on_fwd_reply(&fwd_reply(fwd_cookie(0, 99), BULK), 7),
+            None,
+            "never issued"
+        );
+        assert_eq!(
+            fe.on_fwd_reply(&Frame::from_vec(vec![1, 2, 3]), 7),
+            None,
+            "no cookie"
+        );
+        assert_eq!(fe.stat_fwd_stale_drops, 0);
+    }
+
+    #[test]
+    fn a_reply_from_before_a_restart_is_dropped_and_counted() {
+        let mut fe = front_end();
+        let (old, _) = forward(&mut fe, 3, &["GET", "k"]);
+        fe.restart();
+        // The new incarnation's first cookie has the old one's sequence
+        // number; only the epoch tells them apart.
+        let (new, _) = forward(&mut fe, 5, &["GET", "other"]);
+        assert_eq!((old, new), (fwd_cookie(0, 1), fwd_cookie(1, 1)));
+        assert_eq!(
+            fe.on_fwd_reply(&fwd_reply(old | FWD_NO_ADMIT, BULK), 7),
+            None
+        );
+        assert_eq!(fe.on_fwd_reply(&fwd_reply(old, BULK), 7), None);
+        assert_eq!(fe.stat_fwd_stale_drops, 2);
+        assert_eq!(
+            fe.on_fwd_reply(&fwd_reply(new, BULK), 7),
+            Some((5, BULK.into()))
+        );
+    }
+
+    #[test]
+    fn an_unsent_forward_is_forgotten_once() {
+        let mut fe = front_end();
+        let (cookie, _) = forward(&mut fe, 3, &["GET", "k"]);
+        assert_eq!(fe.unforward(cookie), Some(3));
+        assert_eq!(fe.unforward(cookie), None);
+        assert_eq!(fe.on_fwd_reply(&fwd_reply(cookie, BULK), 7), None);
+        assert!(fe.cache().expect("cache on").is_empty());
+    }
+
+    #[test]
+    fn a_lost_master_owes_each_pending_conn_one_error_and_a_cold_cache() {
+        let mut fe = front_end();
+        let (cookie, _) = forward(&mut fe, 3, &["GET", "k"]);
+        fe.on_fwd_reply(&fwd_reply(cookie, BULK), 7);
+        let (answered, _) = forward(&mut fe, 4, &["GET", "other"]);
+        let pending = [
+            forward(&mut fe, 5, &["SET", "a", "b"]),
+            forward(&mut fe, 6, &["GET", "z"]),
+        ];
+        fe.on_fwd_reply(&fwd_reply(answered, BULK), 7);
+        assert_eq!(fe.master_lost(), vec![5, 6]);
+        assert_eq!(fe.master_lost(), Vec::<usize>::new(), "once");
+        assert!(fe.cache().expect("cache on").is_empty());
+        for (cookie, _) in pending {
+            assert_eq!(
+                fe.on_fwd_reply(&fwd_reply(cookie, BULK), 9),
+                None,
+                "answered by error"
+            );
+        }
+        // Cold, not off: the next reply is admitted again.
+        let (cookie, _) = forward(&mut fe, 3, &["GET", "k"]);
+        fe.on_fwd_reply(&fwd_reply(cookie, BULK), 9);
+        assert_eq!(
+            fe.on_client_cmd(3, &command(&["GET", "k"])),
+            Dispatch::Hit(BULK.into())
+        );
+    }
+
+    #[test]
+    fn a_stream_write_reaches_the_cache_before_the_next_probe() {
+        let mut fe = front_end();
+        let (cookie, _) = forward(&mut fe, 3, &["GET", "k"]);
+        fe.on_fwd_reply(&fwd_reply(cookie, BULK), 7);
+        let write = |fe: &mut SocFrontEnd, parts: &[&str], end| {
+            let args: Vec<&[u8]> = parts.iter().map(|p| p.as_bytes()).collect();
+            let spec = skv_store::cmd::lookup(args[0]).expect("command in the table");
+            fe.on_stream_write(spec, &args, end);
+        };
+        write(&mut fe, &["SET", "k", "fresh"], 20);
+        let fresh = Dispatch::Hit(b"$5\r\nfresh\r\n".into());
+        assert_eq!(fe.on_client_cmd(3, &command(&["GET", "k"])), fresh);
+        write(&mut fe, &["DEL", "k"], 30);
+        forward(&mut fe, 3, &["GET", "k"]);
+        // Cache off there is nothing to keep coherent.
+        write(&mut SocFrontEnd::new(None), &["SET", "k", "v"], 20);
+    }
+
+    #[test]
+    fn the_boot_epoch_wraps_inside_its_cookie_bits() {
+        let mut fe = SocFrontEnd::new(None);
+        for _ in 0..=(1u32 << FWD_EPOCH_BITS) {
+            fe.restart();
+        }
+        // 65 537 restarts later the epoch is 1 again — and still the one
+        // its own cookies carry, so their replies resolve. (Kept as a plain
+        // counter it would read 65 537 against the cookie's 1, and every
+        // forward would be dropped as stale for ever.)
+        let (cookie, _) = forward(&mut fe, 3, &["GET", "k"]);
+        assert_eq!(cookie, fwd_cookie(1, 1));
+        assert_eq!(
+            fe.on_fwd_reply(&fwd_reply(cookie, BULK), 7),
+            Some((3, BULK.into()))
+        );
+        assert_eq!(fe.stat_fwd_stale_drops, 0);
+    }
+
+    /// What is in flight from the host to the SoC, in link order.
+    enum Wire {
+        /// A replicated write to `key`: `value` is its global write number
+        /// (`None` = a DEL), the frame ends at `end_offset`.
+        Stream {
+            key: usize,
+            value: Option<u64>,
+            end_offset: u64,
+        },
+        /// The reply to forward `id`.
+        Reply { id: usize, frame: Frame },
+    }
+
+    /// The front end between a model host and its clients. The host answers
+    /// a forward the moment it is sent; what it sends back waits on `link`,
+    /// a FIFO like the master channel (stream frames and replies in one
+    /// order), until a step delivers it. Every forward gets a connection of
+    /// its own, so the connection names the forward.
+    struct World {
+        fe: SocFrontEnd,
+        /// The host's store: per key, the number of the write that set it.
+        store: Vec<Option<u64>>,
+        writes: u64,
+        link: VecDeque<Wire>,
+        /// Replies already delivered, or cut off by a loss: any may turn up
+        /// again, late.
+        late: Vec<(usize, Frame)>,
+        /// Per forward: the incarnation that issued it, and whether the
+        /// client has its answer.
+        forwards: Vec<(u32, bool)>,
+        incarnation: u32,
+        /// Per key, the newest stream write the SoC was shown, as
+        /// `(write number, it left a value)`.
+        shown: Vec<(u64, bool)>,
+        high_water: u64,
+    }
+
+    const KEYS: usize = 4;
+    /// The host vetoes admission of this key (it carries a TTL there).
+    const MORTAL: usize = 3;
+
+    impl World {
+        fn new() -> World {
+            World {
+                fe: front_end(),
+                store: vec![Some(0); KEYS],
+                writes: 0,
+                link: VecDeque::new(),
+                late: Vec::new(),
+                forwards: Vec::new(),
+                incarnation: 0,
+                shown: vec![(0, true); KEYS],
+                high_water: 0,
+            }
+        }
+
+        /// The client behind forward `id` gets its one answer.
+        fn answer(&mut self, id: usize) {
+            let (incarnation, answered) = &mut self.forwards[id];
+            assert!(!*answered, "forward {id} answered twice");
+            assert_eq!(
+                *incarnation, self.incarnation,
+                "forward {id} outlived a restart"
+            );
+            *answered = true;
+        }
+
+        /// The host executes a write to `key` and streams it.
+        fn host_write(&mut self, key: usize, set: bool) {
+            self.writes += 1;
+            self.store[key] = set.then_some(self.writes);
+            let (value, end_offset) = (self.store[key], self.writes * 40);
+            self.link.push_back(Wire::Stream {
+                key,
+                value,
+                end_offset,
+            });
+        }
+
+        /// A client sends `GET key`, or a write to it.
+        fn client(&mut self, key: usize, write: Option<bool>, master_up: bool) {
+            let name = format!("k{key}");
+            let payload = match write {
+                None => command(&["GET", &name]),
+                Some(true) => command(&["SET", &name, "x"]),
+                Some(false) => command(&["DEL", &name]),
+            };
+            let id = self.forwards.len();
+            let cookie = match self.fe.on_client_cmd(id, &payload) {
+                Dispatch::Hit(reply) => {
+                    assert!(write.is_none(), "only a GET is probed");
+                    assert_ne!(key, MORTAL, "a vetoed key was resident");
+                    let digits =
+                        &reply[reply.iter().position(|b| *b == b'\n').expect("bulk") + 1..];
+                    let value: u64 = std::str::from_utf8(&digits[..digits.len() - 2])
+                        .expect("digits")
+                        .parse()
+                        .expect("a write number");
+                    let (shown, left_value) = self.shown[key];
+                    assert!(
+                        value > shown || (value == shown && left_value),
+                        "k{key}: hit on write {value}, stream already showed write {shown}"
+                    );
+                    return;
+                }
+                Dispatch::Forward { cookie, .. } => cookie,
+            };
+            self.forwards.push((self.incarnation, false));
+            if !master_up {
+                assert_eq!(self.fe.unforward(cookie), Some(id));
+                return self.answer(id);
+            }
+            if let Some(set) = write {
+                self.host_write(key, set);
+            }
+            let body = match (write, self.store[key]) {
+                (Some(_), _) => b"+OK\r\n".to_vec(),
+                (None, None) => b"$-1\r\n".to_vec(),
+                (None, Some(n)) => format!("${}\r\n{n}\r\n", n.to_string().len()).into_bytes(),
+            };
+            let veto = if key == MORTAL { FWD_NO_ADMIT } else { 0 };
+            let frame = fwd_reply(cookie | veto, &body);
+            self.link.push_back(Wire::Reply { id, frame });
+        }
+
+        fn deliver_reply(&mut self, id: usize, frame: &Frame) {
+            if let Some((conn, _)) = self.fe.on_fwd_reply(frame, self.high_water) {
+                assert_eq!(conn, id, "a reply resolved another command's forward");
+                self.answer(id);
+            }
+        }
+
+        fn deliver_next(&mut self) {
+            match self.link.pop_front() {
+                Some(Wire::Stream {
+                    key,
+                    value,
+                    end_offset,
+                }) => {
+                    let name = format!("k{key}");
+                    let number = value.map(|n| n.to_string()).unwrap_or_default();
+                    let parts: Vec<&[u8]> = match value {
+                        Some(_) => vec![b"SET", name.as_bytes(), number.as_bytes()],
+                        None => vec![b"DEL", name.as_bytes()],
+                    };
+                    let spec = skv_store::cmd::lookup(parts[0]).expect("in the table");
+                    self.fe.on_stream_write(spec, &parts, end_offset);
+                    self.shown[key] = (end_offset / 40, value.is_some());
+                    self.high_water = end_offset;
+                }
+                Some(Wire::Reply { id, frame }) => {
+                    self.deliver_reply(id, &frame);
+                    self.late.push((id, frame));
+                }
+                None => {}
+            }
+        }
+
+        /// The link is cut, and the cache with it went cold: replies on it
+        /// may still surface from some queue, late; its stream frames are
+        /// gone, and nothing older than them may be served afterwards.
+        fn cut_link(&mut self) {
+            for wire in std::mem::take(&mut self.link) {
+                match wire {
+                    Wire::Reply { id, frame } => self.late.push((id, frame)),
+                    Wire::Stream {
+                        key,
+                        value,
+                        end_offset,
+                    } => {
+                        self.shown[key] = (end_offset / 40, value.is_some());
+                    }
+                }
+            }
+        }
+
+        fn step(&mut self, (kind, a, b): (u8, u8, u8)) {
+            let (key, at) = (a as usize % KEYS, a as usize);
+            match kind {
+                0..=4 => self.client(key, None, b % 8 != 0),
+                5 => self.client(key, Some(b % 3 != 0), b % 8 != 0),
+                // A write from a client that dialled the host directly.
+                6 => self.host_write(key, b % 3 != 0),
+                7..=10 => self.deliver_next(),
+                // Two neighbouring replies change places (never a reply and
+                // a stream frame: the channel is FIFO, and §15.2 leans on it).
+                11 if self.link.len() >= 2 => {
+                    let i = at % (self.link.len() - 1);
+                    if let (Wire::Reply { .. }, Wire::Reply { .. }) =
+                        (&self.link[i], &self.link[i + 1])
+                    {
+                        self.link.swap(i, i + 1);
+                    }
+                }
+                // A reply is lost.
+                12 if !self.link.is_empty() => {
+                    let i = at % self.link.len();
+                    if matches!(self.link[i], Wire::Reply { .. }) {
+                        self.link.remove(i);
+                    }
+                }
+                // A reply seen before, or cut off, arrives (again).
+                13 if !self.late.is_empty() => {
+                    let (id, frame) = self.late[at % self.late.len()].clone();
+                    self.deliver_reply(id, &frame);
+                }
+                14 => {
+                    for conn in self.fe.master_lost() {
+                        self.answer(conn);
+                    }
+                    self.cut_link();
+                }
+                15 => {
+                    self.fe.restart();
+                    self.incarnation += 1;
+                    self.high_water = 0;
+                    self.cut_link();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Client commands, stream writes, replies (reordered among
+        /// themselves, duplicated, dropped), master losses and restarts in
+        /// any interleaving: (i) every forward is answered at most once,
+        /// (ii) no reply minted before a restart resolves a forward issued
+        /// after it — both in `World::answer` — and (iii) a hit never
+        /// returns a value older than the last stream write shown for its
+        /// key (`World::client`).
+        #[test]
+        fn any_interleaving_keeps_the_front_end_contract(
+            steps in prop::collection::vec((0u8..16, any::<u8>(), any::<u8>()), 1..400),
+        ) {
+            let mut world = World::new();
+            for step in steps {
+                world.step(step);
+            }
+        }
     }
 
     #[test]

@@ -14,17 +14,17 @@
 //!   invalid flags, `min-slaves` notifications to the master, and master
 //!   failover with downgrade-on-return.
 
-use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, SocketAddr, WcOpcode, WcStatus};
-use skv_simcore::{Actor, ActorId, Context, CorePool, FramePool, Payload, SimDuration, SimTime};
+use skv_netsim::{CqId, Frame, Net, NetEvent, NodeId, SocketAddr, WcOpcode, WcStatus};
+use skv_simcore::{Actor, ActorId, Context, CorePool, Payload, SimDuration, SimTime};
 use skv_store::cmd;
 use skv_store::repl::ReplicationPosition;
-use skv_store::resp::{self, ParsedCommand};
+use skv_store::resp::{self, ParsedCommand, Resp};
 
 use crate::channel::{Channel, ChannelMsg, RING_SIZE};
 use crate::config::ClusterConfig;
 use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain::{self, POLL_BUDGET};
-use crate::hotcache::{fwd_cookie, fwd_cookie_epoch, CacheStats, HotCache, FWD_NO_ADMIT};
+use crate::hotcache::{Dispatch, HotCache, SocFrontEnd};
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::{quorum_slave_acks, ReplModeKind, Step, Tracker, REPL_WINDOW};
 use crate::replsink::parse_stream_frame;
@@ -75,14 +75,6 @@ enum NicMsg {
     /// Front-end forwarding work for a missed/non-GET client command
     /// finished; relay the cookie-framed `FWD_CMD` to the master.
     FwdSend { cookie: u64, frame: Frame },
-}
-
-/// One outstanding forwarded client command: where its reply goes, and —
-/// when the command was a single-key GET — the key whose bulk reply is a
-/// cache admission candidate.
-struct FwdCtx {
-    conn: usize,
-    key: Option<Vec<u8>>,
 }
 
 /// External control events injected by the harness. The SmartNIC SoC can
@@ -161,24 +153,10 @@ pub struct NicKv {
     /// mapping spreads replication ingress. Exported as
     /// `shard.nic_ingress`.
     shard_ingress: Vec<u64>,
-    // -- hot-key GET cache (SoC-resident front-end) ------------------------
-    /// The NIC-resident hot-key cache; `None` unless
-    /// `ClusterConfig::hot_cache_enabled()`.
-    cache: Option<HotCache>,
-    /// Cookie source for forwarded client commands (low bits; resets to 0
-    /// on every SoC restart).
-    fwd_seq: u64,
-    /// SoC boot counter carried in every cookie's high bits — the one
-    /// piece of state that survives a crash. A `FWD_REPLY` minted under an
-    /// older epoch can never resolve a forward issued after the rejoin.
-    fwd_epoch: u64,
-    /// Replies for forwarded commands dropped because their cookie carried
-    /// a stale (pre-restart) epoch.
-    pub stat_fwd_stale_drops: u64,
-    /// Outstanding forwarded commands by cookie.
-    fwd_pending: DetMap<u64, FwdCtx>,
-    /// Send-ring pool the cookie-framed `FWD_CMD`s are built in.
-    pool: FramePool,
+    /// The command front end clients meet in cache-on runs: the hot-key
+    /// GET cache (`Some` iff `ClusterConfig::hot_cache_enabled()`) and the
+    /// commands forwarded to the host.
+    front: SocFrontEnd,
     /// Emptied per-write connection lists, reused by the next fan-out.
     spare_conns: Vec<Vec<usize>>,
 }
@@ -227,13 +205,7 @@ impl NicKv {
             stat_mode_changes: 0,
             peak_slaves: 0,
             shard_ingress,
-            cache,
-            fwd_seq: 0,
-            fwd_epoch: 0,
-            stat_fwd_stale_drops: 0,
-            fwd_pending: DetMap::new(),
-            // Same sizing as the host's send ring: a 4 KiB value + headers.
-            pool: FramePool::new(4096 + 64, 256),
+            front: SocFrontEnd::new(cache),
             spare_conns: Vec::new(),
         }
     }
@@ -257,15 +229,10 @@ impl NicKv {
         self.conns.stat_wrs_posted
     }
 
-    /// Cache counters and the resident byte footprint, when the hot
-    /// cache is enabled.
-    pub fn cache_stats(&self) -> Option<(CacheStats, usize)> {
-        self.cache.as_ref().map(|c| (c.stats, c.bytes()))
-    }
-
-    /// The hot cache itself (test observability).
-    pub fn hot_cache(&self) -> Option<&HotCache> {
-        self.cache.as_ref()
+    /// The command front end: the hot cache and its counters, when one is
+    /// enabled, and `stat_fwd_stale_drops`.
+    pub fn front_end(&self) -> &SocFrontEnd {
+        &self.front
     }
 
     /// The ARM core running the cache front-end: the last one, which
@@ -393,26 +360,20 @@ impl NicKv {
         }
     }
 
-    /// The master channel died. Cached entries can no longer be kept
-    /// coherent — a failover master may lag the stream the entries were
-    /// versioned against — so the cache goes cold. Outstanding forwarded
-    /// commands will never see their cookie replies; answer them with an
-    /// error so closed-loop clients keep running (the same liveness a
-    /// directly-connected client gets from its broken channel).
+    /// The master channel died: the cache goes cold, and every forwarded
+    /// command still outstanding is answered with an error (the same
+    /// liveness a directly-connected client gets from its broken channel).
     fn on_master_channel_lost(&mut self, ctx: &mut Context<'_>) {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.clear();
+        for conn in self.front.master_lost() {
+            self.reply_master_unavailable(ctx, conn);
         }
-        if self.fwd_pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::replace(&mut self.fwd_pending, DetMap::new());
-        let err: Frame = skv_store::resp::Resp::Error("ERR master unavailable".into())
-            .encode()
-            .into();
-        for (_, fwd) in &pending {
-            self.send_on(ctx, fwd.conn, tag::REPLY, err.clone());
-        }
+    }
+
+    /// Tell the client on `conn` that its command cannot reach the master,
+    /// instead of hanging its closed loop.
+    fn reply_master_unavailable(&mut self, ctx: &mut Context<'_>, conn: usize) {
+        let err = Resp::Error("ERR master unavailable".into()).encode();
+        self.send_on(ctx, conn, tag::REPLY, err);
     }
 
     /// Whether any *valid* slave lags beyond the configured bound.
@@ -454,147 +415,69 @@ impl NicKv {
             tag::REPL_STREAM => self.fan_out(ctx, msg.payload),
             // Client command landing on the SoC front-end (cache-on runs
             // route clients at the NIC instead of the master).
-            tag::CMD => self.on_client_cmd(ctx, conn, msg.payload),
+            tag::CMD => self.on_client_cmd(ctx, conn, &msg.payload),
             // Cookie-framed reply for a command we forwarded to the host.
-            tag::FWD_REPLY => self.on_fwd_reply(ctx, msg.payload),
+            tag::FWD_REPLY => self.on_fwd_reply(ctx, &msg.payload),
             _ => {}
         }
     }
 
     // -- hot-key GET cache front-end --------------------------------------------
 
-    /// One client command at the SoC front-end. A single-key GET probes
-    /// the hot cache: a hit is answered straight from SoC memory after
-    /// the ARM lookup cost — the host is never involved. Everything else
-    /// (miss, write, multi-key) is relayed to the master as a
-    /// cookie-framed [`tag::FWD_CMD`] after the forwarding cost.
-    fn on_client_cmd(&mut self, ctx: &mut Context<'_>, conn: usize, payload: Frame) {
-        let get_key = match resp::parse_command(&payload) {
-            ParsedCommand::Command(args, _)
-                // skv-lint: allow(cmd-drift) -- the cache's own contract (it stores GET's bulk reply), not an argument fact the table holds
-                if args.len() == 2 && args[0].eq_ignore_ascii_case(b"GET") =>
-            {
-                Some(args[1])
+    /// One client command at the SoC front end: a cache hit is answered
+    /// after the ARM lookup cost, anything else is relayed to the master
+    /// as a cookie-framed [`tag::FWD_CMD`] after the forwarding cost.
+    fn on_client_cmd(&mut self, ctx: &mut Context<'_>, conn: usize, payload: &Frame) {
+        let costs = &self.cfg.costs;
+        let (cost, msg) = match self.front.on_client_cmd(conn, payload) {
+            Dispatch::Hit(frame) => (costs.nic_cache_hit, NicMsg::CacheReply { conn, frame }),
+            Dispatch::Forward { cookie, frame } => {
+                (costs.nic_fwd, NicMsg::FwdSend { cookie, frame })
             }
-            _ => None,
         };
-        if let (Some(key), Some(cache)) = (get_key, self.cache.as_mut()) {
-            // The sketch tracks GET demand whether or not the key is
-            // resident — admission needs hotness for misses too.
-            cache.touch(key);
-            if let Some(reply) = cache.get(key) {
-                let done = self
-                    .cpu
-                    .run_on(self.fe_core(), ctx.now(), self.cfg.costs.nic_cache_hit)
-                    .finished;
-                ctx.timer_at(done, NicMsg::CacheReply { conn, frame: reply });
-                return;
-            }
-        }
-        self.fwd_seq += 1;
-        let cookie = fwd_cookie(self.fwd_epoch, self.fwd_seq);
-        // The forward outlives this frame, so it keeps its own copy of the
-        // key — the one allocation of the miss path.
-        let key = get_key.map(<[u8]>::to_vec);
-        self.fwd_pending.insert(cookie, FwdCtx { conn, key });
-        let frame = self.pool.build(|fwd| {
-            fwd.extend_from_slice(&cookie.to_le_bytes());
-            fwd.extend_from_slice(&payload);
-        });
-        let done = self
-            .cpu
-            .run_on(self.fe_core(), ctx.now(), self.cfg.costs.nic_fwd)
-            .finished;
-        ctx.timer_at(done, NicMsg::FwdSend { cookie, frame });
+        let done = self.cpu.run_on(self.fe_core(), ctx.now(), cost).finished;
+        ctx.timer_at(done, msg);
     }
 
     /// Relay a cookie-framed client command to the master once the
     /// front-end work is done. With no live master channel the client
-    /// gets an immediate error reply instead of hanging its closed loop.
+    /// gets an immediate error reply.
     fn fwd_to_master(&mut self, ctx: &mut Context<'_>, cookie: u64, frame: Frame) {
         if let Some(mconn) = self.master_conn() {
-            self.send_on(ctx, mconn, tag::FWD_CMD, frame);
-            // A send that broke the master channel already failed every
+            // A send that breaks the master channel fails every
             // outstanding cookie over to an error reply in `close_conn`.
-            return;
+            self.send_on(ctx, mconn, tag::FWD_CMD, frame);
+        } else if let Some(conn) = self.front.unforward(cookie) {
+            self.reply_master_unavailable(ctx, conn);
         }
-        let Some(fwd) = self.fwd_pending.remove(&cookie) else {
-            return;
-        };
-        let err = skv_store::resp::Resp::Error("ERR master unavailable".into()).encode();
-        self.send_on(ctx, fwd.conn, tag::REPLY, err);
     }
 
-    /// A cookie-framed reply came back from the host: pop the pending
-    /// forward, offer a successful bulk GET reply the host did not veto
-    /// for admission, and relay the inner RESP reply to the waiting
-    /// client. The admission
-    /// version is the replication high-water the NIC has applied — every
-    /// write the master acked before producing this reply travelled the
-    /// same FIFO channel ahead of it, so the entry is current as of that
-    /// offset.
-    fn on_fwd_reply(&mut self, ctx: &mut Context<'_>, payload: Frame) {
-        if payload.len() < 8 {
-            return;
-        }
-        let Ok(cookie_bytes) = <[u8; 8]>::try_from(&payload[..8]) else {
+    /// A cookie-framed reply came back from the host: relay the inner
+    /// reply to the client the front end says is waiting for it, after the
+    /// forwarding cost. The admission version is the replication
+    /// high-water this NIC has seen on the stream.
+    fn on_fwd_reply(&mut self, ctx: &mut Context<'_>, payload: &Frame) {
+        let Some((conn, frame)) = self.front.on_fwd_reply(payload, self.master_offset) else {
             return;
         };
-        // The host echoes the cookie with its veto bit set when the reply
-        // must not be cached (the key carries a TTL).
-        let echoed = u64::from_le_bytes(cookie_bytes);
-        let (cookie, admissible) = (echoed & !FWD_NO_ADMIT, echoed & FWD_NO_ADMIT == 0);
-        if fwd_cookie_epoch(cookie) != self.fwd_epoch {
-            // The cookie was minted by a previous SoC incarnation. Without
-            // the epoch check a post-restart `fwd_seq` restarting at 1
-            // would collide with pre-crash cookies still in flight on the
-            // host, handing some new client another command's reply.
-            self.stat_fwd_stale_drops += 1;
-            return;
-        }
-        let Some(fwd) = self.fwd_pending.remove(&cookie) else {
-            return; // duplicate or already answered-by-error
-        };
-        // The client gets a view of the delivery frame; the cache, when it
-        // takes the value, gets a copy of its own (SoC memory, and it must
-        // not pin the host's send ring for as long as the entry lives).
-        let body = payload.slice(8..);
-        if let (Some(key), Some(cache)) = (fwd.key.as_deref(), self.cache.as_mut()) {
-            // Only a present bulk value the host did not veto is a
-            // candidate; errors and null bulks (missing key) are not worth
-            // a slot.
-            if admissible && body.first() == Some(&b'$') && !body.starts_with(b"$-1") {
-                let version = self.master_offset;
-                cache.admit(key, Frame::copy_from_slice(&body), version);
-            }
-        }
-        if !self.conns.is_open(fwd.conn) {
+        if !self.conns.is_open(conn) {
             return; // the client went away; drop the reply
         }
-        let done = self
-            .cpu
-            .run_on(self.fe_core(), ctx.now(), self.cfg.costs.nic_fwd)
-            .finished;
-        ctx.timer_at(
-            done,
-            NicMsg::CacheReply {
-                conn: fwd.conn,
-                frame: body,
-            },
-        );
+        let cost = self.cfg.costs.nic_fwd;
+        let done = self.cpu.run_on(self.fe_core(), ctx.now(), cost).finished;
+        ctx.timer_at(done, NicMsg::CacheReply { conn, frame });
     }
 
     /// What the SoC reads out of a replicated stream frame before fanning
     /// it out, through the command table's view of its one command: the
     /// owning master shard (hash slot of the first key) gets an ingress
-    /// count, and the hot cache drops or refreshes the write's keys
-    /// ([`HotCache::apply_write`]) *before* the master's ack for that write
-    /// can reach any client — stream frames precede cookie replies on the
-    /// FIFO master channel. Unsharded and cache-off it is a no-op (no
-    /// parse, no state, no CPU), keeping that schedule's state untouched.
+    /// count, and the front end keeps its cache coherent with the write
+    /// ([`SocFrontEnd::on_stream_write`]). Unsharded and cache-off it is a
+    /// no-op (no parse, no state, no CPU), keeping that schedule's state
+    /// untouched.
     fn observe_stream_command(&mut self, from_offset: u64, body: &[u8]) {
         let shards = self.shard_ingress.len();
-        if shards <= 1 && self.cache.is_none() {
+        if shards <= 1 && self.front.cache().is_none() {
             return;
         }
         // Parsed in place: keys and values are views into the stream frame.
@@ -610,9 +493,8 @@ impl NicKv {
             });
             self.shard_ingress[shard] += 1;
         }
-        if let Some(cache) = self.cache.as_mut() {
-            cache.apply_write(spec, &args, from_offset + body.len() as u64);
-        }
+        self.front
+            .on_stream_write(spec, &args, from_offset + body.len() as u64);
     }
 
     fn on_node_msg(&mut self, ctx: &mut Context<'_>, conn: usize, msg: NodeMsg) {
@@ -1107,19 +989,10 @@ impl Actor for NicKv {
                         // The SoC restarted: transport state and the node
                         // list are gone. The master's Hello redial and the
                         // slaves' re-registration polls rebuild the list.
-                        // Front-end state first — a restarted process has
-                        // no cookies to answer and rejoins with a *cold*
-                        // cache — and before the close loop, so tearing
-                        // down the master conn doesn't fire error replies
-                        // into already-dead client channels.
-                        if let Some(cache) = self.cache.as_mut() {
-                            cache.clear();
-                        }
-                        self.fwd_seq = 0;
-                        // The boot counter is the one durable datum: it
-                        // fences every cookie minted before this restart.
-                        self.fwd_epoch += 1;
-                        self.fwd_pending = DetMap::new();
+                        // Front-end state first, before the close loop, so
+                        // tearing down the master conn doesn't fire error
+                        // replies into already-dead client channels.
+                        self.front.restart();
                         self.nodes.clear();
                         for i in 0..self.conns.len() {
                             self.close_conn(ctx, i);

@@ -30,11 +30,8 @@ use skv_simcore::{
     Actor, ActorId, Context, CorePool, DetRng, FramePool, Payload, SimDuration, SimTime,
 };
 use skv_store::cmd::{self, CommandSpec};
-use skv_store::db::Db;
-use skv_store::engine::{Engine, ExecResult};
-use skv_store::rdb;
 use skv_store::repl::{ReplicationId, ReplicationPosition};
-use skv_store::resp::{self, Args, ParsedCommand, Resp};
+use skv_store::resp::{self, ParsedCommand, Resp};
 
 use std::collections::VecDeque;
 
@@ -47,7 +44,7 @@ use crate::protocol::{tag, NodeMsg};
 use crate::replmode::ReplModeKind;
 use crate::replsink::{Apply, ReplSink};
 use crate::replsource::{ReplSource, Serve};
-use crate::shard::{ApplyRing, RoutePlan, ShardRouter, APPLY_RING_CAP, CROSS_SHARD_HOP};
+use crate::shard::{ApplyRing, ShardSet, APPLY_RING_CAP, CROSS_SHARD_HOP};
 
 /// Emptied `SendFrames` lists kept for reuse (one is in flight per
 /// command whose CPU work has not finished yet).
@@ -145,21 +142,15 @@ pub struct KvServer {
     /// Round-robin cursor for spreading accepted QPs over `cqs`.
     accept_cursor: usize,
     cpu: CorePool,
-    /// One engine per shard; `engines[0]` is the whole store at
-    /// `num_shards = 1` and holds shard 0's slot range otherwise.
-    engines: Vec<Engine>,
-    /// Slot-range router over `cfg.num_shards` shards.
-    router: ShardRouter,
+    /// The store: one engine per shard behind the slot-range router, and
+    /// the `shard.ops` / `shard.cross_msgs` counters execution keeps.
+    shards: ShardSet,
     /// Sharded slave apply pipeline: bounded ring between the parse core
     /// and the apply core (unused at `num_shards = 1`).
     apply_ring: ApplyRing,
     /// Monotonic floor for REPL_STREAM emission times: shard cores finish
     /// out of order, but the stream must leave in backlog-offset order.
     repl_egress_at: SimTime,
-    /// Commands executed per shard (`shard.ops`).
-    shard_ops: Vec<u64>,
-    /// Cross-shard fragment handoffs (`shard.cross_msgs`).
-    shard_cross_msgs: u64,
     /// The history this server writes (or, as a replica, follows) and
     /// what it knows about its own replicas.
     source: ReplSource,
@@ -252,17 +243,6 @@ impl KvServer {
         // One core per shard plus the background persist core; the legacy
         // single-shard floor of 2 is unchanged.
         let cores = cfg.machines.host_cores.max(num_shards + 1).max(2);
-        // Shard 0 keeps the historical seed byte-for-byte; extra shards
-        // derive theirs so no shared RNG draw order changes.
-        let engines = (0..num_shards)
-            .map(|s| {
-                if s == 0 {
-                    Engine::new(seed)
-                } else {
-                    Engine::new(seed ^ (0x51AD_0000 + s as u64))
-                }
-            })
-            .collect();
         // Sized for a typical wire frame (4 KiB value + headers); the
         // slab keeps enough buffers for a deep pipeline of in-flight
         // sends and grown buffers keep their capacity when recycled.
@@ -274,12 +254,9 @@ impl KvServer {
             cqs: Vec::new(),
             accept_cursor: 0,
             cpu: CorePool::new(cores, cfg.machines.host_core_speed),
-            engines,
-            router: ShardRouter::new(num_shards),
+            shards: ShardSet::new(num_shards, seed),
             apply_ring: ApplyRing::new(APPLY_RING_CAP),
             repl_egress_at: SimTime::ZERO,
-            shard_ops: vec![0; num_shards],
-            shard_cross_msgs: 0,
             source: ReplSource::new(cfg.backlog_size, ReplicationId::from_seed(seed ^ 0xCAFE)),
             sink: None,
             conns: ConnTable::new(Some(pool.clone())),
@@ -330,56 +307,20 @@ impl KvServer {
         self.degraded
     }
 
-    /// This server's address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+    /// The store: engines, keyspace digest and the shard counters.
+    pub fn shards(&self) -> &ShardSet {
+        &self.shards
     }
 
-    /// Shard 0's engine (the whole store at `num_shards = 1`), for test
-    /// inspection.
-    pub fn engine(&self) -> &Engine {
-        &self.engines[0]
-    }
-
-    /// Mutable access to shard 0's engine, for tests that poke state
-    /// directly. Sharded callers should use [`KvServer::preload`], which
-    /// routes by key. Mutations made this way bypass the backlog, so they
-    /// only reach slaves through a subsequent full sync.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engines[0]
-    }
-
-    /// Execute a command at simulated time zero, routed to the owning
-    /// shard(s) — for preloading data in tests, examples, and benches
-    /// *before* replication starts. Bypasses the backlog like
-    /// [`KvServer::engine_mut`] did.
-    pub fn preload(&mut self, parts: &[&str]) -> ExecResult {
-        let args: Args<'_> = parts.iter().collect();
-        let spec = args.first().and_then(|name| cmd::lookup(name));
-        let (result, _, _) = self.execute_routed(0, spec, &args);
-        result
-    }
-
-    /// Stable fingerprint of the full logical keyspace, merged across
-    /// shards (equal to the single engine's digest at `num_shards = 1`).
-    pub fn keyspace_digest(&self) -> u64 {
-        let engines: Vec<&Engine> = self.engines.iter().collect();
-        Engine::keyspace_digest_merged(&engines)
-    }
-
-    /// All shard engines, shard 0 first (one entry at `num_shards = 1`).
-    pub fn engines(&self) -> &[Engine] {
-        &self.engines
+    /// The store, to [`ShardSet::preload`] it. What is written this way
+    /// bypasses the backlog and reaches slaves only through a full sync.
+    pub fn shards_mut(&mut self) -> &mut ShardSet {
+        &mut self.shards
     }
 
     /// Commands executed per shard (the `shard.ops` counters).
     pub fn shard_ops(&self) -> &[u64] {
-        &self.shard_ops
-    }
-
-    /// Cross-shard fragment handoffs performed (`shard.cross_msgs`).
-    pub fn shard_cross_msgs(&self) -> u64 {
-        self.shard_cross_msgs
+        self.shards.ops()
     }
 
     /// Deepest occupancy the slave apply ring reached
@@ -642,9 +583,12 @@ impl KvServer {
             return;
         }
 
-        let (result, shard, cross_cost) = self.execute_routed(Self::now_ms(ctx), spec, &args);
+        let (result, shard, hops) = self.shards.execute(Self::now_ms(ctx), spec, &args);
         self.stat_commands += 1;
-        let fwd = fwd.map(|cookie| self.veto_ttl_admission(cookie, spec, &args, shard));
+        // A forwarded read of a TTL-bearing key goes back marked "do not
+        // admit": the host owns expiry, so the host says so.
+        let veto = fwd.is_some() && self.shards.vetoes_admission(spec, &args, shard);
+        let fwd = fwd.map(|cookie| if veto { cookie | FWD_NO_ADMIT } else { cookie });
         let replicate = if result.should_replicate() {
             // The *original* command bytes are replicated even for split
             // executions; slaves re-route them with the same slot map.
@@ -652,180 +596,8 @@ impl KvServer {
         } else {
             None
         };
-        let (bytes, route) = (payload.len(), (shard, cross_cost));
+        let (bytes, route) = (payload.len(), (shard, CROSS_SHARD_HOP * hops));
         self.finish_command(ctx, conn, bytes, &result.reply, replicate, route, fwd);
-    }
-
-    /// Mark a forwarded command's reply cookie "do not admit" when the
-    /// command only read and a key of it carries an expiry. Expiry is not
-    /// replicated and leaves no stream traffic, so the SoC cache could
-    /// never learn that an entry died on the host; the host owns expiry,
-    /// so the host says so, and no TTL-bearing key is ever resident — set
-    /// before the SoC booted, moved by `RENAME`, or met after a restart.
-    /// `shard` executed the command, so it holds the key of any reply the
-    /// SoC could admit (those answer single-key commands).
-    fn veto_ttl_admission(
-        &self,
-        cookie: u64,
-        spec: Option<&CommandSpec>,
-        args: &[&[u8]],
-        shard: usize,
-    ) -> u64 {
-        let db = self.engines[shard].db();
-        match spec {
-            Some(spec)
-                if !spec.is_write() && spec.keys(args).any(|k| db.expiry_of(k).is_some()) =>
-            {
-                cookie | FWD_NO_ADMIT
-            }
-            _ => cookie,
-        }
-    }
-
-    /// Execute one command against the shard set: route to the owning
-    /// shard, or split/broadcast a cross-shard command and merge replies.
-    /// `spec` is the caller's `cmd::lookup` of the name, shared with the
-    /// planner and the engine. Returns the merged result, the primary
-    /// shard (whose core pays the command cost), and the inter-shard hop
-    /// cost (zero unless the command actually crossed shards). With one
-    /// shard this is exactly the historical single-engine call.
-    fn execute_routed(
-        &mut self,
-        now_ms: u64,
-        spec: Option<&CommandSpec>,
-        args: &[&[u8]],
-    ) -> (ExecResult, usize, SimDuration) {
-        let plan = if self.engines.len() == 1 {
-            RoutePlan::Single(0)
-        } else {
-            self.router.plan_spec(spec, args)
-        };
-        match (plan, spec) {
-            (RoutePlan::Single(shard), _) => {
-                self.shard_ops[shard] += 1;
-                let result = self.engines[shard].execute_resolved(now_ms, spec, args);
-                (result, shard, SimDuration::ZERO)
-            }
-            (RoutePlan::Broadcast, _) => {
-                // Replies merge by type: counts (DBSIZE) add up, listings
-                // (KEYS) concatenate in shard order, anything else
-                // (FLUSH*'s OK) is shard 0's.
-                let mut merged: Option<ExecResult> = None;
-                for shard in 0..self.engines.len() {
-                    self.shard_ops[shard] += 1;
-                    let r = self.engines[shard].execute_resolved(now_ms, spec, args);
-                    merged = Some(match merged {
-                        None => r,
-                        Some(mut acc) => {
-                            acc.dirty_delta += r.dirty_delta;
-                            acc.bytes_touched += r.bytes_touched;
-                            match (&mut acc.reply, r.reply) {
-                                (Resp::Int(sum), Resp::Int(n)) => *sum += n,
-                                (Resp::Array(all), Resp::Array(more)) => all.extend(more),
-                                _ => {}
-                            }
-                            acc
-                        }
-                    });
-                }
-                let hops = self.engines.len() - 1;
-                self.shard_cross_msgs += hops as u64;
-                let result = merged.unwrap_or_else(|| ExecResult {
-                    reply: Resp::ok(),
-                    dirty_delta: 0,
-                    is_write: true,
-                    bytes_touched: 0,
-                });
-                (result, 0, CROSS_SHARD_HOP * (hops as u64))
-            }
-            // (Only a table entry's `Route` yields a split, so the `None`
-            // half cannot happen; it answers like a refused span.)
-            (RoutePlan::CrossSlot, _) | (_, None) => {
-                let reply =
-                    Resp::Error("CROSSSLOT Keys in request don't hash to the same slot".into());
-                let first_key = spec.and_then(|spec| spec.keys(args).next());
-                (
-                    ExecResult {
-                        reply,
-                        dirty_delta: 0,
-                        is_write: false,
-                        bytes_touched: 0,
-                    },
-                    first_key.map_or(0, |k| self.router.shard_of_key(k)),
-                    SimDuration::ZERO,
-                )
-            }
-            (split, Some(spec)) => self.execute_split(now_ms, spec, args, &split),
-        }
-    }
-
-    /// A multi-key command whose keys span shards: each shard that owns a
-    /// key runs the command name plus its own key groups (`key`, or `key
-    /// value` for a pair command), in ascending shard order so the schedule
-    /// is a pure function of the key set. The replies merge as `split`
-    /// says: `OK`, an integer sum, or the per-key array gathered back in
-    /// argument order.
-    fn execute_split(
-        &mut self,
-        now_ms: u64,
-        spec: &CommandSpec,
-        args: &[&[u8]],
-        split: &RoutePlan,
-    ) -> (ExecResult, usize, SimDuration) {
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.engines.len()];
-        for at in spec.key_positions(args.len()) {
-            per_shard[self.router.shard_of_key(args[at])].push(at);
-        }
-        let primary = spec.keys(args).next();
-        let mut merged = ExecResult {
-            reply: Resp::ok(),
-            dirty_delta: 0,
-            is_write: false,
-            bytes_touched: 0,
-        };
-        let mut sum = 0i64;
-        let gather = *split == RoutePlan::SplitGather;
-        let keys = spec.key_positions(args.len());
-        let mut gathered = vec![Resp::NullBulk; if gather { keys.count() } else { 0 }];
-        let mut touched = 0usize;
-        let mut sub_args: Vec<&[u8]> = Vec::with_capacity(args.len());
-        for (shard, owned) in per_shard.iter().enumerate() {
-            if owned.is_empty() {
-                continue;
-            }
-            touched += 1;
-            self.shard_ops[shard] += 1;
-            sub_args.clear();
-            sub_args.push(args[0]);
-            for &at in owned {
-                sub_args.extend_from_slice(&args[at..at + spec.key_step]);
-            }
-            let r = self.engines[shard].execute_resolved(now_ms, Some(spec), &sub_args);
-            merged.dirty_delta += r.dirty_delta;
-            merged.bytes_touched += r.bytes_touched;
-            merged.is_write |= r.is_write;
-            match r.reply {
-                Resp::Int(n) => sum += n,
-                Resp::Array(items) if gather => {
-                    for (at, item) in owned.iter().zip(items) {
-                        gathered[(at - spec.first_key) / spec.key_step] = item;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if gather {
-            merged.reply = Resp::Array(gathered);
-        } else if *split == RoutePlan::SplitSum {
-            merged.reply = Resp::Int(sum);
-        }
-        let hops = touched.saturating_sub(1);
-        self.shard_cross_msgs += hops as u64;
-        (
-            merged,
-            primary.map_or(0, |k| self.router.shard_of_key(k)),
-            CROSS_SHARD_HOP * (hops as u64),
-        )
     }
 
     fn write_gate_blocked(&self) -> bool {
@@ -1045,7 +817,7 @@ impl KvServer {
     /// offset order they were fed — the sim's FIFO tie-break at equal
     /// timestamps preserves feed order for frames released together.
     fn schedule_frames(&mut self, ctx: &mut Context<'_>, done: SimTime, frames: Vec<OutFrame>) {
-        if self.engines.len() <= 1 {
+        if self.shards.num_shards() <= 1 {
             ctx.timer_at(done, ServerMsg::SendFrames(frames));
             return;
         }
@@ -1159,13 +931,11 @@ impl KvServer {
         // semantics) but charge the persist time on a background core, so
         // the event loop keeps serving clients (paper: "starts a child
         // process to persist all the data").
-        let dbs: Vec<&Db> = self.engines.iter().map(Engine::db).collect();
-        let snapshot = rdb::save_union(&dbs);
+        let (snapshot, keys) = self.shards.save();
         let start_offset = self.source.offset();
-        let keys = dbs.iter().map(|db| db.len() as u64).sum::<u64>();
         // The persist core sits just past the shard cores (core 1 when
         // unsharded — the historical schedule).
-        let persist_core = self.engines.len().max(1);
+        let persist_core = self.shards.num_shards();
         let cost = SimDuration::from_micros(150) + self.cfg.costs.persist_per_key * keys;
         let done = self.cpu.run_on(persist_core, ctx.now(), cost).finished;
         ctx.timer_at(
@@ -1236,21 +1006,9 @@ impl KvServer {
         let Some((snapshot, start_offset)) = complete else {
             return;
         };
-        // Snapshot complete: load it (charging CPU), each key routed to its
-        // owning shard — a sharded slave's per-shard stores mirror the
-        // master's slot map.
+        // Snapshot complete: load it (charging CPU).
         let seed = self.rng.gen_u64();
-        let mut dbs: Vec<Db> = self
-            .engines
-            .iter_mut()
-            .map(|e| std::mem::replace(e.db_mut(), Db::new()))
-            .collect();
-        let router = &self.router;
-        let loaded = rdb::load_routed(&mut dbs, &snapshot, seed, &|key| router.shard_of_key(key));
-        for (e, db) in self.engines.iter_mut().zip(dbs) {
-            *e.db_mut() = db;
-        }
-        let Ok(loaded) = loaded else {
+        let Ok(loaded) = self.shards.load(&snapshot, seed) else {
             // Corrupt snapshot (torn transfer): restart the sync from
             // scratch instead of taking the whole process down.
             self.stat_conn_errors += 1;
@@ -1275,19 +1033,16 @@ impl KvServer {
         ctx: &mut Context<'_>,
         step: impl FnOnce(&mut ReplSink, &mut Apply<'_>) -> bool,
     ) {
-        // `execute_routed` borrows the whole server, so the sink steps out
-        // of it for the duration of the callback (nothing the callback
-        // runs asks which role this server has).
-        let Some(mut sink) = self.sink.take() else {
+        let Some(sink) = self.sink.as_mut() else {
             return;
         };
         let (now, now_ms) = (ctx.now(), Self::now_ms(ctx));
         let mut total_cost = SimDuration::ZERO;
-        let ask = step(&mut sink, &mut |args, used| {
+        let ask = step(sink, &mut |args, used| {
             self.stat_applied_bytes += used as u64;
             let parse_cost = self.cfg.costs.cmd_per_kib.mul_f64(used as f64 / 1024.0);
             let apply_cost = self.cfg.costs.apply_base;
-            if self.engines.len() > 1 {
+            if self.shards.num_shards() > 1 {
                 let gate = self.apply_ring.admit(now);
                 let parsed = self.cpu.run_on(0, gate, parse_cost).finished;
                 let done = self.cpu.run_on(1, parsed, apply_cost).finished;
@@ -1295,9 +1050,8 @@ impl KvServer {
             } else {
                 total_cost += apply_cost + parse_cost;
             }
-            let _ = self.execute_routed(now_ms, cmd::lookup(args[0]), args);
+            self.shards.execute(now_ms, cmd::lookup(args[0]), args);
         });
-        self.sink = Some(sink);
         if !total_cost.is_zero() {
             self.cpu.run_on(0, now, total_cost);
         }
@@ -1450,10 +1204,7 @@ impl KvServer {
         if self.crashed {
             return;
         }
-        let now_ms = Self::now_ms(ctx);
-        for engine in &mut self.engines {
-            engine.cron(now_ms);
-        }
+        self.shards.cron(Self::now_ms(ctx));
         // Slaves report progress on the master channel (Fig. 9 ③).
         if self.is_synced_slave() {
             let (slave, offset) = (self.addr, self.repl_offset());
@@ -1586,7 +1337,7 @@ impl Actor for KvServer {
             self.cqs.push(cq);
             self.net.rdma_listen(self.addr, me);
             self.net.req_notify_cq(ctx, cq);
-            for _ in 1..self.engines.len() {
+            for _ in 1..self.shards.num_shards() {
                 let extra = self.net.create_cq(me);
                 self.cqs.push(extra);
                 self.net.req_notify_cq(ctx, extra);
@@ -1787,59 +1538,6 @@ impl KvServer {
         let conn = self.conns.add(channel, kind, Some(peer));
         for (t, p) in frames {
             self.send_on(ctx, conn, t, p);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use skv_netsim::Topology;
-    use skv_simcore::Simulation;
-
-    fn server(num_shards: usize) -> KvServer {
-        let mut sim = Simulation::new(1);
-        let mut topo = Topology::new();
-        let node = topo.add_host();
-        let cfg = ClusterConfig {
-            num_shards,
-            ..ClusterConfig::default()
-        };
-        let net = Net::install(&mut sim, topo, cfg.net.clone());
-        KvServer::new(net, cfg, node, SocketAddr::new(node, 6379), 7)
-    }
-
-    /// The cookie a forwarded `parts` would be answered under, run the way
-    /// `run_command` runs it.
-    fn echoed_cookie(s: &mut KvServer, parts: &[&str]) -> u64 {
-        let args: Vec<&[u8]> = parts.iter().map(|p| p.as_bytes()).collect();
-        let spec = cmd::lookup(args[0]);
-        let (_, shard, _) = s.execute_routed(0, spec, &args);
-        s.veto_ttl_admission(41, spec, &args, shard)
-    }
-
-    #[test]
-    fn forwarded_reads_of_ttl_bearing_keys_come_back_vetoed() {
-        for shards in [1, 4] {
-            let mut s = server(shards);
-            s.preload(&["SET", "plain", "v"]);
-            s.preload(&["SET", "mortal", "v", "PX", "300"]);
-            let vetoed = 41 | FWD_NO_ADMIT;
-            assert_eq!(echoed_cookie(&mut s, &["GET", "plain"]), 41);
-            assert_eq!(echoed_cookie(&mut s, &["GET", "mortal"]), vetoed);
-            assert_eq!(echoed_cookie(&mut s, &["STRLEN", "mortal"]), vetoed);
-            // Keyless, unknown and absent: nothing to veto.
-            assert_eq!(echoed_cookie(&mut s, &["PING"]), 41);
-            assert_eq!(echoed_cookie(&mut s, &["NOSUCHCMD", "mortal"]), 41);
-            assert_eq!(echoed_cookie(&mut s, &["GET", "absent"]), 41);
-            // A write's keys are invalidated off its stream frame instead.
-            assert_eq!(echoed_cookie(&mut s, &["APPEND", "mortal", "x"]), 41);
-            // The TTL travels with RENAME on the host, and so does the veto;
-            // PERSIST ends both.
-            s.preload(&["RENAME", "mortal", "{mortal}2"]);
-            assert_eq!(echoed_cookie(&mut s, &["GET", "{mortal}2"]), vetoed);
-            s.preload(&["PERSIST", "{mortal}2"]);
-            assert_eq!(echoed_cookie(&mut s, &["GET", "{mortal}2"]), 41);
         }
     }
 }

@@ -22,10 +22,11 @@
 //!   (no `std::sync` in sim crates: one thread by construction, so
 //!   `Rc`/`Cell`/`RefCell`, not locked read-modify-writes), `io-free`
 //!   (the protocol state machines `replmode.rs`, `replsink.rs` and
-//!   `replsource.rs` name no `Net`, `Context`, `ConnTable`, `CorePool` or
+//!   `replsource.rs` and the command front ends `shard.rs` and
+//!   `hotcache.rs` name no `Net`, `Context`, `ConnTable`, `CorePool` or
 //!   `Channel`: time comes in as a value and decisions go out as values,
 //!   which is what lets them be unit-tested — and explored exhaustively —
-//!   without a cluster; DESIGN.md §25, §26).
+//!   without a cluster; DESIGN.md §25, §26, §28).
 //! * **Wire-format hygiene** — `cast-truncate` (no narrowing `as
 //!   u8/u16/u32` casts in the frame codecs; use `try_from`),
 //!   `index-unchecked` (no unchecked range indexing in the codecs; use
@@ -176,8 +177,8 @@ pub const RULES: [RuleInfo; 16] = [
     RuleInfo {
         name: "io-free",
         severity: Severity::Error,
-        summary: "IO or cost type named in an IO-free protocol state machine",
-        scope: "core replmode.rs, replsink.rs and replsource.rs",
+        summary: "IO or cost type named in an IO-free state machine or command front end",
+        scope: "core replmode.rs, replsink.rs, replsource.rs, shard.rs and hotcache.rs",
     },
     RuleInfo {
         name: "cast-truncate",
@@ -298,12 +299,15 @@ const HANDOFF_FILE: &str = "crates/netsim/src/fabric.rs";
 /// The crate that defines the primitive (and so calls it).
 const HANDOFF_HOME_PREFIX: &str = "crates/simcore/src/";
 
-/// The IO-free protocol state machines (rule `io-free`): the actors
-/// around them do the dialling, sending, executing and charging.
-const IO_FREE_FILES: [&str; 3] = [
+/// The IO-free protocol state machines and command front ends (rule
+/// `io-free`): the actors around them do the dialling, sending and
+/// charging.
+const IO_FREE_FILES: [&str; 5] = [
+    "crates/core/src/hotcache.rs",
     "crates/core/src/replmode.rs",
     "crates/core/src/replsink.rs",
     "crates/core/src/replsource.rs",
+    "crates/core/src/shard.rs",
 ];
 
 /// Where the counter catalog lives (rule `counter-drift`).
@@ -423,7 +427,7 @@ const HANDOFF_MESSAGE: &str = "handoff outside NetInner::fire_cq_notify; the pri
 /// Shared by the five types the rule names.
 const IO_FREE_MESSAGE: &str = "IO or cost type in an IO-free state machine; take time as `now: \
                                SimTime`, return decisions as values, and leave dialling, sending \
-                               and CPU charging to the actor (DESIGN.md §25, §26)";
+                               and CPU charging to the actor (DESIGN.md §25, §26, §28)";
 
 const PATTERNS: [Pattern; 21] = [
     Pattern {
@@ -1614,6 +1618,14 @@ mod tests {
         let ok = "use skv_store::backlog::Backlog;\nuse crate::protocol::{tag, NodeMsg};\n\
                   fn f(now: SimTime, conn_open: bool, open: impl Iterator<Item = SocketAddr>) {}\n";
         assert!(check_source("crates/core/src/replsource.rs", ok).is_empty());
+        // What the two command front ends are built from: the store's
+        // engines and command table, a frame pool, time as a value.
+        let ok = "use skv_simcore::{Frame, FramePool, SimDuration};
+use skv_store::engine::Engine;
+                  fn f(now_ms: u64, spec: Option<&CommandSpec>, conn: usize, nets: &[Engine]) {}
+";
+        assert!(check_source("crates/core/src/shard.rs", ok).is_empty());
+        assert!(check_source("crates/core/src/hotcache.rs", ok).is_empty());
         // Hot path too: a sync decision must not panic on a peer's input.
         let v = check_source("crates/core/src/replsource.rs", "fn f() { x.unwrap(); }\n");
         assert_eq!(v.iter().map(|x| x.rule).collect::<Vec<_>>(), ["unwrap"]);

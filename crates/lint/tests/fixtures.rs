@@ -112,6 +112,21 @@ fn fixtures_produce_expected_diagnostics() {
         vec![(6, "io-free"), (7, "io-free"), (7, "io-free")],
         "{io_free:?}"
     );
+    // And so are the two command front ends: the shard set hands back a
+    // hop count instead of charging a core, the SoC front end a
+    // connection index instead of sending on it.
+    let io_free = by_file(&violations, "crates/core/src/shard.rs");
+    assert_eq!(
+        io_free.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+        vec![(5, "io-free"), (6, "io-free")],
+        "{io_free:?}"
+    );
+    let io_free = by_file(&violations, "crates/core/src/hotcache.rs");
+    assert_eq!(
+        io_free.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+        vec![(5, "io-free"), (5, "io-free"), (6, "io-free")],
+        "{io_free:?}"
+    );
 
     // --- wire-format hygiene ------------------------------------------
     // Narrowing casts only; the `as u64` / `as usize` widenings are clean.
@@ -221,7 +236,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 45, "{violations:?}");
+    assert_eq!(violations.len(), 50, "{violations:?}");
 }
 
 #[test]
@@ -229,7 +244,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 44);
+    assert_eq!(analysis.errors(), 49);
     assert!(analysis
         .violations
         .iter()
@@ -266,7 +281,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 45, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 50, "{json}");
 }
 
 #[test]

@@ -4,9 +4,10 @@
 //! command table (`skv_store::cmd::COMMANDS`); this is the check that the
 //! derivation is right for *every* row, not only the SET/GET/MSET the
 //! bench clients speak. Random command streams over all families run
-//! through `KvServer::preload` — the master's real routed command path —
-//! at 1, 2 and 4 shards: every reply must equal the unsharded one and the
-//! merged keyspace digests must agree after every stream.
+//! through `ShardSet::preload` — the master's real routed command path,
+//! which needs no cluster around it — at 1, 2 and 4 shards: every reply
+//! must equal the unsharded one and the merged keyspace digests must
+//! agree after every stream.
 //!
 //! Commands that may not span shards draw `{tag}`-co-located keys, as a
 //! Redis Cluster client would. Everything runs at simulated time zero, so
@@ -16,10 +17,7 @@
 //! through TTL/PTTL replies.
 
 use proptest::prelude::*;
-use skv_core::config::ClusterConfig;
-use skv_core::server::KvServer;
-use skv_netsim::{Net, SocketAddr, Topology};
-use skv_simcore::Simulation;
+use skv_core::shard::ShardSet;
 use skv_store::cmd::COMMANDS;
 use skv_store::resp::Resp;
 
@@ -319,16 +317,9 @@ fn drawn_rows() -> Vec<&'static str> {
         .collect()
 }
 
-fn master(num_shards: usize) -> KvServer {
-    let mut sim = Simulation::new(1);
-    let mut topo = Topology::new();
-    let node = topo.add_host();
-    let cfg = ClusterConfig {
-        num_shards,
-        ..ClusterConfig::default()
-    };
-    let net = Net::install(&mut sim, topo, cfg.net.clone());
-    KvServer::new(net, cfg, node, SocketAddr::new(node, 6379), 7)
+/// A master's store, seeded as `KvServer::new(.., 7)` seeds it.
+fn master(num_shards: usize) -> ShardSet {
+    ShardSet::new(num_shards, 7)
 }
 
 /// A reply with shard-order-dependent listings put in a canonical order.
@@ -389,9 +380,9 @@ proptest! {
                 prop_assert_eq!(&sharded, &unsharded, "{:?} at {} shards", parts, shards);
             }
         }
-        let digest = servers[0].keyspace_digest();
+        let digest = servers[0].digest();
         for s in &servers[1..] {
-            prop_assert_eq!(s.keyspace_digest(), digest);
+            prop_assert_eq!(s.digest(), digest);
         }
     }
 }

@@ -163,7 +163,7 @@ fn ttl_bearing_keys_are_never_resident() {
     cluster.preload_master(&[&["SET", &mortal, "v", "PX", "300"]]);
 
     let resident = |cluster: &Cluster, k: &str| {
-        let cache = cluster.nic_kv().and_then(|nic| nic.hot_cache());
+        let cache = cluster.nic_kv().and_then(|nic| nic.front_end().cache());
         cache.expect("cache on").version_of(k.as_bytes())
     };
     // Mid-run, the key still alive on the host: clients have been reading
@@ -187,7 +187,12 @@ fn ttl_bearing_keys_are_never_resident() {
     assert_eq!(report.errors, 0, "{} error replies", report.errors);
     assert_eq!(resident(&cluster, &mortal), None);
     let master = cluster.master_server();
-    let expired: u64 = master.engines().iter().map(|e| e.db().stat_expired()).sum();
+    let expired: u64 = master
+        .shards()
+        .engines()
+        .iter()
+        .map(|e| e.db().stat_expired())
+        .sum();
     assert_eq!(expired, 1, "the host expired exactly the one TTL'd key");
 }
 

@@ -39,7 +39,9 @@ fn assert_converged(cluster: &mut Cluster) {
         "replicas diverged: {digests:x?}"
     );
     assert!(
-        !cluster.master_server().engine().db().is_empty(),
+        !cluster.master_server().shards().engines()[0]
+            .db()
+            .is_empty(),
         "workload must have written data"
     );
 }
@@ -102,10 +104,13 @@ fn preloaded_data_reaches_slaves_via_full_sync() {
 
     // Spot-check the slave actually holds the data (with its TTL).
     let slave = cluster.slave_server(0);
-    let digest = slave.engine().keyspace_digest();
-    assert_eq!(digest, master.engine().keyspace_digest());
-    assert_eq!(slave.engine().db().len(), 6);
-    assert_eq!(slave.engine().db().expiry_of(b"ttl-key"), Some(99_999_999));
+    let digest = slave.shards().digest();
+    assert_eq!(digest, master.shards().digest());
+    assert_eq!(slave.shards().engines()[0].db().len(), 6);
+    assert_eq!(
+        slave.shards().engines()[0].db().expiry_of(b"ttl-key"),
+        Some(99_999_999)
+    );
 }
 
 #[test]
@@ -124,10 +129,7 @@ fn steady_state_stream_applies_every_write_kind() {
     let master = cluster.master_server();
     let slave = cluster.slave_server(0);
     assert!(slave.is_synced_slave());
-    assert_eq!(
-        master.engine().keyspace_digest(),
-        slave.engine().keyspace_digest()
-    );
+    assert_eq!(master.shards().digest(), slave.shards().digest());
     // The replication stream really carried bytes.
     assert!(slave.stat_applied_bytes > 10_000);
     // And the master's offset equals what the slave applied (plus any
@@ -162,7 +164,7 @@ fn get_replies_carry_real_values() {
     // The value written is always 64 x's; read one back from the engine.
     let master = cluster.master_server();
     let mut found = false;
-    for (k, v) in master.engine().db().iter() {
+    for (k, v) in master.shards().engines()[0].db().iter() {
         if k.starts_with(b"key:") {
             assert_eq!(v.as_string_bytes(), vec![b'x'; 64]);
             found = true;
@@ -204,7 +206,7 @@ fn sharded_replicas_converge_with_split_msets() {
     assert_converged(&mut cluster);
     let master = cluster.master_server();
     assert!(
-        master.shard_cross_msgs() > 0,
+        master.shards().cross_msgs() > 0,
         "MSET batch of 3 uniform keys should cross shards"
     );
     let ops = master.shard_ops();
@@ -230,15 +232,16 @@ fn sharded_keyspace_wide_reads_cover_every_shard() {
         .sim
         .actor_mut::<KvServer>(cluster.master)
         .expect("master is a KvServer");
-    let sizes: Vec<usize> = master.engines().iter().map(|e| e.db().len()).collect();
+    let shards = master.shards_mut();
+    let sizes: Vec<usize> = shards.engines().iter().map(|e| e.db().len()).collect();
     assert!(
         sizes.iter().all(|&n| n > 0),
         "keys on every shard: {sizes:?}"
     );
     let total = i64::try_from(sizes.iter().sum::<usize>()).expect("small");
     assert_eq!(total, 200);
-    assert_eq!(master.preload(&["DBSIZE"]).reply, Resp::Int(total));
-    let Resp::Array(keys) = master.preload(&["KEYS", "*"]).reply else {
+    assert_eq!(shards.preload(&["DBSIZE"]).reply, Resp::Int(total));
+    let Resp::Array(keys) = shards.preload(&["KEYS", "*"]).reply else {
         panic!("KEYS must answer with an array");
     };
     let mut listed: Vec<String> = keys
@@ -265,6 +268,7 @@ fn sharded_routing_reads_keys_where_the_command_table_puts_them() {
         .sim
         .actor_mut::<KvServer>(cluster.master)
         .expect("master is a KvServer");
+    let shards = master.shards_mut();
     let router = ShardRouter::new(4);
     let keys: Vec<String> = (0..64).map(|i| format!("key:{i:04}")).collect();
     let word_shard = router.shard_of_key(b"ENCODING");
@@ -272,9 +276,9 @@ fn sharded_routing_reads_keys_where_the_command_table_puts_them() {
         .iter()
         .find(|k| router.shard_of_key(k.as_bytes()) != word_shard)
         .expect("some key lives off the subcommand word's shard");
-    master.preload(&["SET", k, "12345"]);
+    shards.preload(&["SET", k, "12345"]);
     assert_eq!(
-        master.preload(&["OBJECT", "ENCODING", k]).reply,
+        shards.preload(&["OBJECT", "ENCODING", k]).reply,
         Resp::Bulk(b"int".to_vec())
     );
 
@@ -292,19 +296,19 @@ fn sharded_routing_reads_keys_where_the_command_table_puts_them() {
         at_home.next().expect("a"),
         at_home.next().expect("b"),
     );
-    master.preload(&["SET", a, "abc"]);
-    master.preload(&["SET", b, "abd"]);
+    shards.preload(&["SET", a, "abc"]);
+    shards.preload(&["SET", b, "abd"]);
     assert_eq!(
-        master.preload(&["BITOP", "AND", dst, a, b]).reply,
+        shards.preload(&["BITOP", "AND", dst, a, b]).reply,
         Resp::Int(3)
     );
     let on_home = |key: &str| {
-        let mut stored = master.engines()[home].db().iter();
+        let mut stored = shards.engines()[home].db().iter();
         stored.any(|(k, _)| k == key.as_bytes())
     };
     assert!(on_home(dst), "BITOP's result must land on its keys' shard");
     assert_eq!(
-        master.preload(&["GET", dst]).reply,
+        shards.preload(&["GET", dst]).reply,
         Resp::Bulk(b"ab`".to_vec())
     );
     // Spanning keys cannot be combined without a cross-shard transaction.
@@ -312,7 +316,7 @@ fn sharded_routing_reads_keys_where_the_command_table_puts_them() {
         .iter()
         .find(|k| router.shard_of_key(k.as_bytes()) != home)
         .expect("a key elsewhere");
-    let Resp::Error(err) = master.preload(&["BITOP", "AND", dst, a, away]).reply else {
+    let Resp::Error(err) = shards.preload(&["BITOP", "AND", dst, a, away]).reply else {
         panic!("spanning BITOP must be refused");
     };
     assert!(err.starts_with("CROSSSLOT"), "{err}");
