@@ -6,17 +6,14 @@
 //! given concurrency level therefore emerges from server service times and
 //! round-trip latency exactly as it does for the paper's load generator.
 
-use skv_netsim::{Net, NetEvent, NodeId, SocketAddr};
+use skv_netsim::{Net, NodeId, SocketAddr};
 use skv_simcore::{Actor, ActorId, Context, DetRng, FramePool, Payload, SimDuration, SimTime};
 use skv_store::resp::{self, Decoded, Resp};
 
-use crate::channel::{Channel, RING_SIZE};
 use crate::config::ClusterConfig;
-use crate::conns::{ConnEvent, ConnTable};
-use crate::cqdrain::{self, POLL_BUDGET};
-use crate::histcheck::{OpKind, OpRecord, SharedHistory};
+use crate::histcheck::{OpKind, SharedHistory};
+use crate::link::{ClientLink, LinkEvent};
 use crate::metrics::SharedMetrics;
-use crate::protocol::tag;
 
 /// Workload shape for one client.
 #[derive(Debug, Clone)]
@@ -353,7 +350,7 @@ pub fn parse_stamp(bytes: &[u8]) -> Option<u64> {
 /// Parse a GET reply into the observed stamp: `NullBulk` (key absent)
 /// observes 0, a stamped bulk observes its stamp, anything else (errors,
 /// unstamped values) observes nothing and is dropped from the history.
-fn parse_reply_stamp(payload: &[u8]) -> Option<u64> {
+pub(crate) fn parse_reply_stamp(payload: &[u8]) -> Option<u64> {
     match Resp::decode(payload) {
         Decoded::Frame(Resp::NullBulk, _) => Some(0),
         Decoded::Frame(Resp::Bulk(b), _) => parse_stamp(&b),
@@ -373,17 +370,14 @@ enum ClientMsg {
 
 /// A benchmark client actor.
 pub struct BenchClient {
-    net: Net,
-    cfg: ClusterConfig,
-    node: NodeId,
-    server: SocketAddr,
+    /// The connection to the server (see [`crate::link`]).
+    link: ClientLink,
+    /// Per-op client overhead: the think time of the closed loop.
+    think: SimDuration,
+    /// How long the oldest in-flight command may wait for its reply.
+    retry_timeout: SimDuration,
     workload: Workload,
     metrics: SharedMetrics,
-    /// Every connection this client ever opened; it talks on `conn`.
-    conns: ConnTable<()>,
-    /// The live connection, if any. Whatever the transport delivers is
-    /// taken as this connection's traffic.
-    conn: Option<usize>,
     /// Command generator; rebuilt in `on_start` around a split of the
     /// simulation RNG (placeholder seed until then), so no unwrap on
     /// the issue path.
@@ -400,10 +394,6 @@ pub struct BenchClient {
     /// `in_flight` (one index per key an MSET touches; empty vec and
     /// untouched unless recording).
     rec_in_flight: std::collections::VecDeque<Vec<usize>>,
-    /// Consecutive failed dials since the last established connection;
-    /// drives the capped exponential redial backoff
-    /// (`ClusterConfig::client_dial_delay`).
-    dial_attempts: u32,
     /// Send-ring pool: each command is generated straight into a recycled
     /// buffer (and, over TCP, framed into a second one).
     pool: FramePool,
@@ -434,21 +424,17 @@ impl BenchClient {
         // sized for one SET of the configured value.
         let pool = FramePool::new(workload.value_size + 64, 4 * workload.pipeline.max(1));
         BenchClient {
-            net,
-            cfg,
-            node,
-            server,
+            think: cfg.costs.client_op,
+            retry_timeout: cfg.client_retry_timeout,
+            link: ClientLink::new(net, cfg, node, server, Some(pool.clone())),
             workload,
             metrics,
-            conns: ConnTable::new(Some(pool.clone())),
-            conn: None,
             gen,
             in_flight: Default::default(),
             client_id: 0,
             history: None,
             stamp_counter: 0,
             rec_in_flight: Default::default(),
-            dial_attempts: 0,
             pool,
             stat_issued: 0,
             stat_replies: 0,
@@ -468,12 +454,7 @@ impl BenchClient {
     /// Abandon the current connection (commands in flight are lost, like a
     /// real client timing out) and dial again.
     fn reconnect(&mut self, ctx: &mut Context<'_>) {
-        if let Some(conn) = self.conn.take() {
-            self.conns.close(&self.net, conn);
-            if let Some(tcp) = self.conns.channel(conn).tcp_conn() {
-                self.net.tcp_close(ctx, tcp);
-            }
-        }
+        self.link.close(ctx);
         if let Some(h) = &self.history {
             // In-flight reads were provably never observed — record
             // explicit aborts so the checker drops them. Writes stay
@@ -496,12 +477,9 @@ impl BenchClient {
     }
 
     fn issue(&mut self, ctx: &mut Context<'_>) {
-        if ctx.now() >= self.workload.stop_at {
+        if ctx.now() >= self.workload.stop_at || !self.link.connected() {
             return;
         }
-        let Some(conn) = self.conn else {
-            return;
-        };
         let stamp = self.history.is_some().then(|| {
             self.stamp_counter += 1;
             history_stamp(self.client_id, self.stamp_counter)
@@ -520,29 +498,20 @@ impl BenchClient {
             let now = ctx.now();
             let mut idxs = Vec::with_capacity(keys.len());
             let mut h = history.borrow_mut();
+            let (kind, seq) = if is_write {
+                (OpKind::Write, stamp)
+            } else {
+                (OpKind::Read, 0)
+            };
             for key in keys {
-                h.ops.push(OpRecord {
-                    key,
-                    kind: if is_write {
-                        OpKind::Write
-                    } else {
-                        OpKind::Read
-                    },
-                    seq: if is_write { stamp } else { 0 },
-                    invoked: now,
-                    completed: None,
-                    ok: false,
-                    aborted: false,
-                    read_set: Vec::new(),
-                });
-                idxs.push(h.ops.len() - 1);
+                idxs.push(h.invoke(key, kind, seq, now));
             }
             self.rec_in_flight.push_back(idxs);
         }
         self.in_flight.push_back((ctx.now(), is_write));
         self.stat_issued += 1;
         // A send that breaks the channel is the watchdog's to notice.
-        self.conns.send(&self.net, ctx, conn, tag::CMD, cmd);
+        self.link.send(ctx, cmd);
     }
 
     /// Fill the pipeline up to its configured depth.
@@ -584,7 +553,7 @@ impl BenchClient {
                                 if let Some(v) = observed {
                                     op.ok = true;
                                     op.seq = v;
-                                    op.read_set = vec![self.server];
+                                    op.read_set = vec![self.link.server()];
                                 }
                                 // Unparseable replies observe nothing:
                                 // the record completes with ok = false
@@ -599,7 +568,7 @@ impl BenchClient {
             .borrow_mut()
             .record(ctx.now(), latency, is_write, is_error);
         // Closed loop: think for the client-side overhead, then refill.
-        ctx.timer(self.cfg.costs.client_op, ClientMsg::IssueNext);
+        ctx.timer(self.think, ClientMsg::IssueNext);
     }
 }
 
@@ -608,122 +577,49 @@ impl Actor for BenchClient {
         self.gen = WorkloadGen::new(&self.workload, ctx.rng().split());
         let start = self.workload.start_at;
         ctx.timer_at(start, ClientMsg::Start);
-        ctx.timer_at(start + self.cfg.client_retry_timeout, ClientMsg::Watchdog);
+        ctx.timer_at(start + self.retry_timeout, ClientMsg::Watchdog);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: ActorId, msg: Payload) {
         let msg = match msg.downcast::<ClientMsg>() {
             Ok(m) => {
                 match *m {
-                    ClientMsg::Start => {
-                        if self.conn.is_some() {
-                            return;
-                        }
-                        let rdma = self.cfg.mode.uses_rdma();
-                        self.conns
-                            .dial(&self.net, ctx, self.node, rdma, self.server);
-                    }
+                    ClientMsg::Start => self.link.dial(ctx),
                     ClientMsg::IssueNext => self.fill_pipeline(ctx),
                     ClientMsg::Watchdog => {
                         let now = ctx.now();
                         if now >= self.workload.stop_at && self.in_flight.is_empty() {
                             return; // run over, timer chain ends
                         }
-                        let timeout = self.cfg.client_retry_timeout;
-                        let stuck = self
-                            .in_flight
-                            .front()
-                            .is_some_and(|&(sent, _)| now.saturating_since(sent) > timeout);
-                        let broken = self.conn.is_some_and(|c| self.conns.channel(c).broken());
-                        if stuck || broken {
+                        let stuck = self.in_flight.front().is_some_and(|&(sent, _)| {
+                            now.saturating_since(sent) > self.retry_timeout
+                        });
+                        if stuck || self.link.broken() {
                             self.reconnect(ctx);
                         }
-                        ctx.timer(timeout, ClientMsg::Watchdog);
+                        ctx.timer(self.retry_timeout, ClientMsg::Watchdog);
                     }
                 }
                 return;
             }
             Err(other) => other,
         };
-        let Ok(ev) = msg.downcast::<NetEvent>() else {
-            return;
-        };
-        match *ev {
-            NetEvent::CmEstablished { qp, .. } => {
-                if self.conn.is_some() {
-                    return;
-                }
-                self.dial_attempts = 0;
-                // A request's completion is its reply; its send completion
-                // says nothing the client reads.
-                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE).unsignaled();
-                self.conn = Some(self.conns.add(ch, (), None));
-                // First burst; the channel queues until the MR handshake
-                // completes.
-                self.fill_pipeline(ctx);
-            }
-            NetEvent::TcpConnected { conn, .. } => {
-                self.dial_attempts = 0;
-                self.conn = Some(self.conns.add(Channel::tcp(conn), (), None));
-                self.fill_pipeline(ctx);
-            }
-            NetEvent::CqNotify { cq } => {
-                // Budgeted drain like the servers', except the client
-                // models no CPU pool: the drain cost is discarded and an
-                // over-budget burst continues in a fresh event at the
-                // same instant — other messages still interleave, which
-                // is all the budget is for here.
-                let net = self.net.clone();
-                let mut broken = false;
-                let mut wcs = self.conns.take_wcs();
-                let out =
-                    cqdrain::drain_budgeted(&net, ctx, cq, POLL_BUDGET, &mut wcs, |ctx, wc| {
-                        let Some(conn) = self.conn.filter(|_| !broken) else {
-                            return;
-                        };
-                        match self.conns.on_wc(&net, ctx, conn, &wc) {
-                            ConnEvent::Msg(m) if m.tag == tag::REPLY => {
-                                self.on_reply(ctx, &m.payload);
-                            }
-                            ConnEvent::Broken => broken = true,
-                            _ => {}
-                        }
-                    });
-                self.conns.put_wcs(wcs);
-                if out.more {
-                    ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
-                }
-                if broken {
+        self.link.accept(ctx, msg);
+        while let Some(ev) = self.link.next_event(ctx) {
+            match ev {
+                LinkEvent::Up => self.fill_pipeline(ctx),
+                LinkEvent::Reply(payload) => self.on_reply(ctx, &payload),
+                // A server closing the connection after the run is over
+                // is not a loss.
+                LinkEvent::Lost { by_peer } if !by_peer || ctx.now() < self.workload.stop_at => {
                     self.reconnect(ctx);
                 }
-            }
-            NetEvent::TcpDelivered { bytes, .. } => {
-                let Some(conn) = self.conn else {
-                    return;
-                };
-                let mut msgs = self.conns.on_tcp_bytes(conn, bytes);
-                for m in msgs.drain(..) {
-                    if m.tag == tag::REPLY {
-                        self.on_reply(ctx, &m.payload);
-                    }
+                LinkEvent::Lost { .. } => {}
+                LinkEvent::Refused(delay) => {
+                    self.stat_dial_failures += 1;
+                    ctx.timer(delay, ClientMsg::Start);
                 }
-                self.conns.put_msgs(msgs);
             }
-            NetEvent::TcpClosed { .. } if ctx.now() < self.workload.stop_at => {
-                self.reconnect(ctx);
-            }
-            NetEvent::CmConnectFailed { .. } | NetEvent::TcpConnectFailed { .. } => {
-                // Redial with capped exponential backoff: base delay for
-                // the startup race, doubling toward the configured cap
-                // under a long partition — but never beyond
-                // `client_retry_timeout`, so a recovered server is found
-                // within one watchdog period.
-                self.dial_attempts = self.dial_attempts.saturating_add(1);
-                self.stat_dial_failures += 1;
-                let delay = self.cfg.client_dial_delay(self.dial_attempts);
-                ctx.timer(delay, ClientMsg::Start);
-            }
-            _ => {}
         }
     }
 }
@@ -851,6 +747,9 @@ mod tests {
             Some(99)
         );
         assert_eq!(parse_reply_stamp(b"-ERR nope\r\n"), None);
+        // The probe readers parse their unpadded sequence numbers with it.
+        assert_eq!(parse_reply_stamp(&Resp::Bulk(b"42".to_vec()).encode()), Some(42));
+        assert_eq!(parse_reply_stamp(&Resp::Bulk(b"x".to_vec()).encode()), None);
     }
 
     /// Stamping changes only the written value bytes: same seed, same

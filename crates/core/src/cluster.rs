@@ -11,10 +11,11 @@ use skv_simcore::{ActorId, SimDuration, SimTime, Simulation};
 
 use crate::client::{BenchClient, Workload};
 use crate::config::{ClusterConfig, Mode};
-use crate::histcheck::{self, HistReader, HistSpec, HistWriter, ReadAnchor, SharedHistory};
+use crate::histcheck::{self, SharedHistory};
 use crate::hotcache::ENTRY_OVERHEAD;
 use crate::metrics::{MetricsHub, RunReport, SharedMetrics};
 use crate::nickv::{NicControl, NicKv};
+use crate::probes::{self, HistReader, HistWriter, ReadAnchor};
 use crate::replmode::{quorum_slave_acks, ReplModeKind};
 use crate::server::{Control, KvServer};
 
@@ -359,19 +360,19 @@ impl Cluster {
         }
     }
 
-    /// Deploy history probe actors (see [`crate::histcheck`]) on the
-    /// client machine: `spec.writers` single-writer actors against the
-    /// master and `spec.readers` readers against the anchor. Call after
-    /// [`Cluster::build`], before running. The returned handle holds the
-    /// recorded history for [`histcheck::check_single_writer`].
-    pub fn add_history(&mut self, spec: &HistSpec) -> SharedHistory {
+    /// Deploy the history probe actors (see [`crate::probes`]) on the
+    /// client machine: [`probes::WRITERS`] single-writer actors against
+    /// the master and [`probes::READERS`] readers against `anchor`. Call
+    /// after [`Cluster::build`], before running. The returned handle holds
+    /// the recorded history for [`histcheck::check_linearizable`].
+    pub fn add_history(&mut self, anchor: ReadAnchor) -> SharedHistory {
         let history = histcheck::new_history();
         let cfg = self.spec.cfg.clone();
         let master_addr = SocketAddr::new(self.master_node, KV_PORT);
         // With the hot-key cache on, the history probes exercise the NIC
         // front end exactly like the bench clients: writers and
         // master-anchored readers dial the Nic-KV, so stale cache hits
-        // surface as single-writer monotonicity violations.
+        // surface as non-monotone reads.
         let front_addr = match self.nic_node {
             Some(n) if cfg.hot_cache_enabled() => SocketAddr::new(n, NIC_PORT),
             _ => master_addr,
@@ -381,7 +382,7 @@ impl Cluster {
             .iter()
             .map(|&n| SocketAddr::new(n, KV_PORT))
             .collect();
-        let (targets, read_quorum) = match spec.anchor {
+        let (targets, read_quorum) = match anchor {
             ReadAnchor::Master => (vec![front_addr], 1),
             ReadAnchor::Slave(i) => (vec![slave_addrs[i]], 1),
             ReadAnchor::MasterQuorum => {
@@ -392,7 +393,7 @@ impl Cluster {
         };
         let start = self.clients_start;
         let stop = self.measure_until;
-        for w in 0..spec.writers {
+        for w in 0..probes::WRITERS {
             self.sim.add_actor(Box::new(HistWriter::new(
                 self.net.clone(),
                 cfg.clone(),
@@ -400,13 +401,11 @@ impl Cluster {
                 front_addr,
                 history.clone(),
                 w,
-                spec.keys_per_writer,
-                spec.op_gap,
                 start,
                 stop,
             )));
         }
-        for _ in 0..spec.readers {
+        for _ in 0..probes::READERS {
             self.sim.add_actor(Box::new(HistReader::new(
                 self.net.clone(),
                 cfg.clone(),
@@ -414,9 +413,6 @@ impl Cluster {
                 targets.clone(),
                 read_quorum,
                 history.clone(),
-                spec.writers,
-                spec.keys_per_writer,
-                spec.op_gap,
                 start,
                 stop,
             )));

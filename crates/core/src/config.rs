@@ -168,7 +168,7 @@ pub struct ClusterConfig {
     /// Record every bench client's operations (invocation/response
     /// windows, stamped write values, observed read values — including
     /// NIC-cache-served GETs and forwarded FWD_CMD replies) into a
-    /// shared history for the multi-writer linearizability checker
+    /// shared history for the linearizability checker
     /// (`histcheck::check_linearizable`). Off by default: recording
     /// changes the written *values* (stamps replace the `xxxx…` filler),
     /// so the pinned workload trace digests only hold with it off. The

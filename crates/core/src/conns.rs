@@ -1,7 +1,8 @@
 //! The connection table every actor keeps its channels in.
 //!
-//! `KvServer`, `NicKv` and the bench clients all own a growing list of
-//! [`Channel`]s, find them again by QP or TCP connection id, send on them,
+//! `KvServer`, `NicKv`, the probe reader and every client's
+//! [`crate::link::ClientLink`] own a growing list of [`Channel`]s, find
+//! them again by QP or TCP connection id, send on them,
 //! tear them down, feed them work completions and TCP deliveries, and — on
 //! the replication write path — post the same frame to several of them
 //! under one doorbell. [`ConnTable`] is the one owner of that plumbing:

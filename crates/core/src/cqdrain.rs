@@ -66,11 +66,29 @@ pub fn drain_budgeted(
     mut on_wc: impl FnMut(&mut Context<'_>, Wc),
 ) -> DrainOutcome {
     let budget = budget.max(1);
-    let polled = net.poll_cq_into(cq, budget, scratch);
-    let cpu_cost = net.with_params(|p| p.cq_poll_cpu + p.wc_handle_cpu.mul_f64(polled as f64));
+    let polled = begin_drain(net, cq, budget, scratch);
     for wc in scratch.drain(..) {
         on_wc(ctx, wc);
     }
+    finish_drain(net, ctx, cq, budget, polled)
+}
+
+/// The two halves of [`drain_budgeted`], for a caller that dispatches the
+/// completions between them itself: poll at most `budget` into `scratch`
+/// (returning how many), then re-arm or report `more`, and cost the pass.
+pub fn begin_drain(net: &Net, cq: CqId, budget: usize, scratch: &mut Vec<Wc>) -> usize {
+    net.poll_cq_into(cq, budget, scratch)
+}
+
+/// See [`begin_drain`].
+pub fn finish_drain(
+    net: &Net,
+    ctx: &mut Context<'_>,
+    cq: CqId,
+    budget: usize,
+    polled: usize,
+) -> DrainOutcome {
+    let cpu_cost = net.with_params(|p| p.cq_poll_cpu + p.wc_handle_cpu.mul_f64(polled as f64));
     let more = polled == budget && net.cq_depth(cq) > 0;
     if !more {
         net.req_notify_cq(ctx, cq);

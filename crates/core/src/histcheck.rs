@@ -1,57 +1,60 @@
-//! # histcheck — client-visible operation histories + consistency checking
+//! # histcheck — client-visible operation histories + the one checker
 //!
 //! The replication-mode work (see [`crate::replmode`]) promises different
 //! guarantees per mode: linearizable writes for quorum and chain,
 //! eventual convergence only for the async stream. Promises about
-//! *client-visible* behaviour need client-visible evidence, so this
-//! module records operation histories from dedicated probe actors during
-//! chaos runs and checks them deterministically afterwards:
+//! *client-visible* behaviour need client-visible evidence, so clients
+//! record what they did and saw — the probe actors of [`crate::probes`]
+//! during chaos runs, the bench clients behind
+//! `ClusterConfig::record_history` (including NIC-cache-served GETs and
+//! forwarded FWD_CMD replies) — and this module checks the record
+//! deterministically afterwards:
 //!
-//! * [`HistWriter`] — owns a namespaced key set (`h:{writer}:{key}`) and
-//!   issues `SET key <seq>` to the master, one in flight, with strictly
-//!   increasing `seq` per writer. Single-writer-per-key by construction.
-//! * [`HistReader`] — issues `GET` for a random probe key to a set of
-//!   target servers (the *anchor* plus optional quorum peers) and
-//!   completes a read once the anchor and `read_quorum` targets
-//!   responded, taking the **maximum** observed sequence number.
-//! * [`check_single_writer`] — verifies the recorded history against the
-//!   single-writer atomic-register conditions. An empty violation list
-//!   is a linearizability witness for the probe keys; for the async
-//!   arm the *expected* stale-read violations are the evidence that it
-//!   only converges eventually.
-//! * [`check_linearizable`] — the full multi-writer checker: a Wing &
-//!   Gong–style per-key partitioned search over invocation/response
-//!   windows with memoized state pruning. It ingests *bench* client
-//!   histories (recorded behind `ClusterConfig::record_history`,
-//!   including NIC-cache-served GETs and forwarded FWD_CMD replies),
-//!   not just the side probes. [`check_linearizable_upto`] checks a
+//! * [`History`] / [`OpRecord`] — what was recorded, in record order;
+//! * [`check_linearizable`] — the only checker: every key is an atomic
+//!   register, checked on its own (linearizability is compositional). An
+//!   empty violation list is a linearizability witness; for the async arm
+//!   the *expected* [`ViolationKind::Stale`] hits are the evidence that it
+//!   only converges eventually. [`check_linearizable_upto`] checks a
 //!   prefix only — the tool for proving a history linearizable up to a
 //!   declared cross-mode degradation point.
 //!
-//! Everything is deterministic: actors draw from split [`DetRng`]s, the
-//! history lives in a [`SharedHistory`] the test inspects after the run.
+//! Per key the checker runs two stages, both near-linear in the key's
+//! records (DESIGN.md §17):
+//!
+//! 1. **Three screens**, sort-and-sweep passes whose hits are definite
+//!    counterexamples with a legible message — a *phantom* value nobody
+//!    wrote in time, a *stale* read older than a write acked before it
+//!    began, *non-monotone* reads that travel back in time.
+//! 2. **The search** (Wing & Gong, in its just-in-time form): walk
+//!    invocations and responses in time order, keeping every register
+//!    state the ops so far allow together with the few still-open ops
+//!    each has already placed. A response forces its op to be placed; no
+//!    state left means no valid order. Cost per step follows the number
+//!    of concurrently open ops, not the history's length.
 //!
 //! The checker is deliberately conservative about incomplete operations:
-//! a write whose reply never arrived may or may not have taken effect,
-//! so its value is *allowed* but never *required* to be observed. A
-//! client that provably gave up *before observing anything* records an
-//! explicit abort instead (see [`OpRecord::aborted`]) — without it, a
-//! probe abandoned mid-plan under a partition would read as an
-//! infinite-window op and over-constrain the search forever.
+//! a write whose reply never arrived (or was an error) may or may not
+//! have taken effect, so its value is *allowed* but never *required* to
+//! be observed. Such a *maybe-applied* write whose value no completed
+//! read observed is dropped before the search, and one that was observed
+//! is placed only directly before a read of its value: in any valid
+//! order nothing can sit between a maybe-applied write and its first
+//! observer (a write there would hide it, a read there would be the
+//! first observer), and one without an observer can be taken out of a
+//! valid order leaving it valid. A client that provably gave up *before
+//! observing anything* records an explicit abort instead (see
+//! [`OpRecord::aborted`]) and the record is excluded.
+//!
+//! Assumed of every history (both recording paths guarantee it): per-key
+//! write values are unique and non-zero, and keys are never deleted.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use skv_netsim::{Net, NetEvent, NodeId, SocketAddr};
-use skv_simcore::{Actor, ActorId, Context, DetRng, Payload, SimDuration, SimTime};
-use skv_store::resp::{Decoded, Resp};
-
-use crate::channel::{Channel, RING_SIZE};
-use crate::config::ClusterConfig;
-use crate::conns::{ConnEvent, ConnTable};
-use crate::cqdrain::{self, POLL_BUDGET};
-use crate::protocol::tag;
+use skv_netsim::SocketAddr;
+use skv_simcore::SimTime;
 
 /// What kind of operation a history record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +69,7 @@ pub enum OpKind {
 /// `seq` is the value written or observed (`0` = key absent).
 #[derive(Debug, Clone)]
 pub struct OpRecord {
-    /// The probe key (`h:{writer:02}:{key:04}`).
+    /// The key (probes: `h:{writer:02}:{key:04}`).
     pub key: String,
     /// Read or write.
     pub kind: OpKind,
@@ -89,16 +92,16 @@ pub struct OpRecord {
     pub read_set: Vec<SocketAddr>,
 }
 
-/// A recorded history — all operations from all probe actors, in record
-/// order (which is deterministic under the simulation).
+/// A recorded history — all operations from all recording clients, in
+/// record order (which is deterministic under the simulation).
 #[derive(Debug, Default)]
 pub struct History {
     /// The operations.
     pub ops: Vec<OpRecord>,
 }
 
-/// Shared handle to a [`History`]; the probe actors append, the test
-/// reads after the run.
+/// Shared handle to a [`History`]; the clients append, the test reads
+/// after the run.
 pub type SharedHistory = Rc<RefCell<History>>;
 
 /// Fresh shared history.
@@ -106,11 +109,30 @@ pub fn new_history() -> SharedHistory {
     Rc::new(RefCell::new(History::default()))
 }
 
-/// One consistency violation found by [`check_single_writer`].
+/// Which rule a [`Violation`] broke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViolationKind {
+    /// A read observed a value no write invoked before its completion
+    /// produced.
+    Phantom,
+    /// A read observed a value older than a write acked before the read
+    /// was invoked — what async replication shows at a lagging replica.
+    Stale,
+    /// Of two non-overlapping reads, the later observed the older value.
+    NonMonotone,
+    /// The screens passed, yet no order of the key's ops is valid.
+    NoOrder,
+    /// The search gave up — a failure, never a silent pass.
+    BudgetExceeded,
+}
+
+/// One consistency violation found by [`check_linearizable`].
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// The key the violation occurred on.
     pub key: String,
+    /// Which rule it broke.
+    pub kind: ViolationKind,
     /// Human-readable description (times and sequence numbers).
     pub detail: String,
 }
@@ -121,406 +143,326 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Check a single-writer-per-key history against the atomic-register
-/// linearizability conditions. Returns every violation found (empty =
-/// the history is linearizable on the probe keys):
-///
-/// 1. **Value provenance** — a read's observed value was actually
-///    written, and the write was invoked before the read completed.
-/// 2. **Read freshness** — a read invoked after a write *completed
-///    successfully* observes that write or a newer one. (This is the
-///    condition async replication breaks under faults: the master acked
-///    a write that a lagging anchor has not applied.)
-/// 3. **Read monotonicity** — of two non-overlapping reads on a key, the
-///    later never observes an older value than the earlier (no "time
-///    travel" between quorums).
-///
-/// Incomplete or failed operations are treated conservatively: their
-/// effects are allowed but never required.
-pub fn check_single_writer(history: &History) -> Vec<Violation> {
-    let mut by_key: BTreeMap<&str, (Vec<&OpRecord>, Vec<&OpRecord>)> = BTreeMap::new();
-    for op in &history.ops {
-        let entry = by_key.entry(op.key.as_str()).or_default();
-        match op.kind {
-            OpKind::Write => entry.0.push(op),
-            OpKind::Read => entry.1.push(op),
-        }
-    }
-    let mut violations = Vec::new();
-    for (key, (writes, reads)) in by_key {
-        let done_reads: Vec<&OpRecord> = reads
-            .iter()
-            .copied()
-            .filter(|r| r.ok && r.completed.is_some())
-            .collect();
-        for r in &done_reads {
-            let Some(r_done) = r.completed else { continue };
-            // 1. Provenance: the value must come from a write invoked
-            // before the read completed.
-            if r.seq != 0 && !writes.iter().any(|w| w.seq == r.seq && w.invoked < r_done) {
-                violations.push(Violation {
-                    key: key.to_string(),
-                    detail: format!(
-                        "read at {:?} observed {} which was never written before it",
-                        r_done, r.seq
-                    ),
-                });
-            }
-            // 2. Freshness: at least the newest write that completed
-            // successfully before the read was invoked.
-            let floor = writes
-                .iter()
-                .filter(|w| w.ok && w.completed.is_some_and(|t| t < r.invoked))
-                .map(|w| w.seq)
-                .max()
-                .unwrap_or(0);
-            if r.seq < floor {
-                violations.push(Violation {
-                    key: key.to_string(),
-                    detail: format!(
-                        "stale read: observed {} at {:?} but write {} completed before {:?}",
-                        r.seq, r_done, floor, r.invoked
-                    ),
-                });
-            }
-        }
-        // 3. Monotonicity across non-overlapping reads.
-        for (i, r1) in done_reads.iter().enumerate() {
-            let Some(r1_done) = r1.completed else {
-                continue;
-            };
-            for r2 in &done_reads[i + 1..] {
-                let (first, second) = if r1_done <= r2.invoked {
-                    (*r1, *r2)
-                } else if r2.completed.is_some_and(|t| t <= r1.invoked) {
-                    (*r2, *r1)
-                } else {
-                    continue; // overlapping — either order is legal
-                };
-                if second.seq < first.seq {
-                    violations.push(Violation {
-                        key: key.to_string(),
-                        detail: format!("non-monotone reads: {} then {}", first.seq, second.seq),
-                    });
-                }
-            }
-        }
-    }
-    violations
-}
-
-/// Count of stale-read violations only (condition 2) — the signal the
-/// async-mode chaos arm asserts on.
-pub fn stale_reads(violations: &[Violation]) -> usize {
-    violations
-        .iter()
-        .filter(|v| v.detail.starts_with("stale read"))
-        .count()
-}
-
-// ---------------------------------------------------------------------------
-// Multi-writer linearizability (Wing & Gong-style search)
-// ---------------------------------------------------------------------------
-
-/// Per-key state budget for the exhaustive search: the maximum number of
-/// memoized states explored before the checker gives up *loudly*.
-/// Mostly-sequential histories (closed-loop clients) stay near-linear in
-/// ops; only a genuinely ambiguous — or non-linearizable — history gets
+/// Per-key budget of search states before the checker gives up *loudly*.
+/// A closed-loop history needs about one state per response; only a
+/// genuinely ambiguous history (many long-overlapping writes) gets
 /// anywhere near this.
 const SEARCH_BUDGET: usize = 200_000;
 
-/// One operation as the search sees it after classification.
-struct SearchOp {
-    /// Invocation instant.
-    inv: SimTime,
-    /// Response instant; `SimTime::MAX` marks an open window (a
-    /// maybe-applied write may linearize at any point after `inv`).
-    resp: SimTime,
-    /// Write (sets the register) or read (must observe it).
-    is_write: bool,
-    /// Value written or observed (`0` = key absent).
-    value: u64,
-    /// Required ops must appear in the linearization; optional ops
-    /// (maybe-applied writes) may be dropped.
-    required: bool,
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// A completed, successful read. Aborted, incomplete and error reads
+    /// observed nothing and never get this far.
+    Read,
+    /// An acked write: takes effect inside its window.
+    Write,
+    /// A maybe-applied write (abandoned or errored — treating an errored
+    /// write as open past its reply only *admits* more orders, so it can
+    /// never produce a false rejection) that some read observed: it may
+    /// take effect, up to the reply of the last read that observed it,
+    /// after which nothing can tell.
+    MaybeWrite,
 }
 
-/// Classify a key's records into search operations.
+/// One operation as the checker sees it.
+#[derive(Clone, Copy)]
+struct Op {
+    role: Role,
+    value: u64,
+    inv: SimTime,
+    /// When it must have taken effect.
+    resp: SimTime,
+    /// Reads: invocation and ack (if any) of the write of `value`.
+    wrote: Option<(SimTime, Option<SimTime>)>,
+}
+
+/// One key's ops and their invocations (`false`) and responses (`true`) in
+/// time order. Invocations sort before responses of the same instant: `a`
+/// precedes `b` only when `a`'s reply landed strictly before `b` was
+/// invoked. Reads sort before writes among the ops, so a maybe-applied
+/// write outlives the response of its last observer.
+struct Timeline {
+    ops: Vec<Op>,
+    events: Vec<(SimTime, bool, usize)>,
+}
+
+impl Timeline {
+    fn new(recs: &[&OpRecord], visits: &mut u64) -> Timeline {
+        let acked = |op: &OpRecord| op.completed.filter(|_| op.ok);
+        let of = |kind| recs.iter().filter(move |op| !op.aborted && op.kind == kind);
+        let mut wrote = BTreeMap::new();
+        for w in of(OpKind::Write) {
+            wrote.entry(w.seq).or_insert((w.invoked, acked(w)));
+        }
+        let mut ops = Vec::new();
+        let mut last_read: BTreeMap<u64, SimTime> = BTreeMap::new();
+        for r in of(OpKind::Read) {
+            let Some(resp) = acked(r) else { continue };
+            let last = last_read.entry(r.seq).or_insert(resp);
+            *last = resp.max(*last);
+            ops.push(Op {
+                role: Role::Read,
+                value: r.seq,
+                inv: r.invoked,
+                resp,
+                wrote: wrote.get(&r.seq).copied(),
+            });
+        }
+        for w in of(OpKind::Write) {
+            let (role, resp) = match (acked(w), last_read.get(&w.seq)) {
+                (Some(resp), _) => (Role::Write, resp),
+                (None, Some(&last)) => (Role::MaybeWrite, last),
+                (None, None) => continue, // nobody observed it: dropped
+            };
+            ops.push(Op {
+                role,
+                value: w.seq,
+                inv: w.invoked,
+                resp,
+                wrote: None,
+            });
+        }
+        *visits += (recs.len() + ops.len()) as u64;
+        let mut events = Vec::with_capacity(2 * ops.len());
+        for (i, o) in ops.iter().enumerate() {
+            events.push((o.inv, false, i));
+            events.push((o.resp.max(o.inv), true, i));
+        }
+        events.sort_by(|a, b| {
+            *visits += 1;
+            a.cmp(b)
+        });
+        Timeline { ops, events }
+    }
+}
+
+/// The register screens: one sweep over the timeline. Every condition
+/// here is implied by linearizability (given unique per-key write values
+/// and no deletions), so a hit is a definite counterexample:
 ///
-/// * Completed successful writes are **required** with their real window.
-/// * Incomplete and error-reply writes are **optional** with an open
-///   window — they may have applied, so their effect is allowed from
-///   invocation on but never demanded. (Extending an errored write's
-///   window past its reply is deliberate slack: it only *admits* more
-///   schedules, so it can never produce a false rejection.)
-/// * Completed successful reads are **required** — the register must
-///   hold their observed value at the chosen point.
-/// * Aborted, incomplete and error reads observed nothing: dropped.
-fn classify(recs: &[&OpRecord]) -> Vec<SearchOp> {
+/// 1. **Provenance** — a read's value was written, by a write invoked
+///    before the read completed.
+/// 2. **Freshness** — if a write was acked strictly before the read was
+///    invoked, the read observes neither nothing nor a value whose write
+///    was acked before that one began (the register never reverts). This
+///    is the condition async replication breaks under faults.
+/// 3. **Monotonicity** — of two non-overlapping reads, the later never
+///    observes nothing after something, nor a value whose write was acked
+///    before the earlier read's value began to be written.
+///
+/// 2 and 3 ask, at a read's invocation, "had anything newer happened by
+/// then": the sweep carries the latest invocation among the writes acked
+/// so far and among the writes whose values completed reads have seen.
+fn screens(key: &str, t: &Timeline, visits: &mut u64) -> Vec<Violation> {
+    let later =
+        |a: Option<(SimTime, u64)>, b: (SimTime, u64)| Some(a.filter(|a| a.0 >= b.0).unwrap_or(b));
+    let (mut acked, mut seen) = (None, None);
     let mut out = Vec::new();
-    for op in recs {
-        if op.aborted {
+    let mut hit = |kind, detail| {
+        out.push(Violation {
+            key: key.to_string(),
+            kind,
+            detail,
+        });
+    };
+    for &(_, is_resp, i) in &t.events {
+        *visits += 1;
+        let op = t.ops[i];
+        match (op.role, is_resp) {
+            (Role::Write, true) => acked = later(acked, (op.inv, op.value)),
+            (Role::Read, true) if op.value != 0 => {
+                let began = op.wrote.map_or(SimTime::ZERO, |w| w.0);
+                seen = later(seen, (began, op.value));
+            }
+            (Role::Read, false) => {
+                if op.value != 0 && op.wrote.is_none_or(|w| w.0 > op.resp) {
+                    hit(
+                        ViolationKind::Phantom,
+                        format!(
+                            "phantom read: observed {} at {:?} which no write before it produced",
+                            op.value, op.resp
+                        ),
+                    );
+                    continue;
+                }
+                // Had the write of what it observed been acked before `t`?
+                // (Of nothing: always.)
+                let older_than =
+                    |t: SimTime| op.value == 0 || op.wrote.and_then(|w| w.1).is_some_and(|d| d < t);
+                if let Some((_, newer)) = acked.filter(|a| older_than(a.0)) {
+                    hit(
+                        ViolationKind::Stale,
+                        format!(
+                            "stale read: observed {} at {:?} but write {newer} completed before {:?}",
+                            op.value, op.resp, op.inv
+                        ),
+                    );
+                }
+                if let Some((_, earlier)) = seen.filter(|s| older_than(s.0)) {
+                    hit(
+                        ViolationKind::NonMonotone,
+                        format!("non-monotone reads: {earlier} then {}", op.value),
+                    );
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// One way the ops so far can have taken effect: the register's value and
+/// which of the still-open ops are already placed.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Config {
+    reg: u64,
+    placed: BTreeSet<usize>,
+}
+
+impl Config {
+    /// The open reads of `value` still to be placed.
+    fn waiting_reads<'a>(
+        &'a self,
+        ops: &'a [Op],
+        open: &'a [usize],
+        value: u64,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let reads_it = move |r: &usize| ops[*r].role == Role::Read && ops[*r].value == value;
+        let unplaced = open.iter().copied().filter(|r| !self.placed.contains(r));
+        unplaced.filter(reads_it)
+    }
+}
+
+/// The search: `None` when a valid order exists, else why not.
+fn search(key: &str, t: &Timeline, visits: &mut u64) -> Option<Violation> {
+    let ops = &t.ops;
+    let violation = |kind, detail| {
+        Some(Violation {
+            key: key.to_string(),
+            kind,
+            detail,
+        })
+    };
+    let mut open: Vec<usize> = Vec::new();
+    let mut configs = vec![Config {
+        reg: 0,
+        placed: BTreeSet::new(),
+    }];
+    let mut states = 0usize;
+    for &(_, is_resp, i) in &t.events {
+        let op = ops[i];
+        *visits += configs.len() as u64;
+        if !is_resp {
+            // A read takes effect the moment the register holds its value:
+            // it changes nothing, and with unique values the register
+            // never holds that value again once a write replaces it.
+            open.push(i);
+            for c in configs
+                .iter_mut()
+                .filter(|c| op.role == Role::Read && c.reg == op.value)
+            {
+                c.placed.insert(i);
+            }
             continue;
         }
-        match op.kind {
-            OpKind::Write => {
-                let (resp, required) = match op.completed {
-                    Some(t) if op.ok => (t, true),
-                    _ => (SimTime::MAX, false),
-                };
-                out.push(SearchOp {
-                    inv: op.invoked,
-                    resp,
-                    is_write: true,
-                    value: op.seq,
-                    required,
-                });
+        // The op's window closes: every config must have placed it by now
+        // (a maybe-applied write is merely forgotten). Configs that have
+        // not place open writes, in every order, until it is.
+        let mut next: BTreeSet<Config> = BTreeSet::new();
+        let mut todo: Vec<Config> = Vec::new();
+        for mut c in configs {
+            if c.placed.remove(&i) || op.role == Role::MaybeWrite {
+                next.insert(c);
+            } else {
+                todo.push(c);
             }
-            OpKind::Read => {
-                if let Some(t) = op.completed {
-                    if op.ok {
-                        out.push(SearchOp {
-                            inv: op.invoked,
-                            resp: t,
-                            is_write: false,
-                            value: op.seq,
-                            required: true,
-                        });
-                    }
+        }
+        let mut tried: BTreeSet<Config> = todo.iter().cloned().collect();
+        while let Some(c) = todo.pop() {
+            states += 1;
+            if states > SEARCH_BUDGET {
+                return violation(
+                    ViolationKind::BudgetExceeded,
+                    format!(
+                        "search budget exceeded: {states} states over {} ops without a verdict — treating as a failure",
+                        ops.len()
+                    ),
+                );
+            }
+            for &w in &open {
+                *visits += 1;
+                let write = ops[w];
+                // A maybe-applied write only directly before an observer.
+                if write.role == Role::Read
+                    || c.placed.contains(&w)
+                    || (write.role == Role::MaybeWrite
+                        && c.waiting_reads(ops, &open, write.value).next().is_none())
+                {
+                    continue;
+                }
+                let mut n = c.clone();
+                n.reg = write.value;
+                n.placed.insert(w);
+                n.placed.extend(c.waiting_reads(ops, &open, write.value));
+                *visits += open.len() as u64;
+                if n.placed.remove(&i) {
+                    next.insert(n);
+                } else if tried.insert(n.clone()) {
+                    todo.push(n);
                 }
             }
         }
-    }
-    out
-}
-
-#[inline]
-fn bit_get(words: &[u64], i: usize) -> bool {
-    words[i / 64] & (1u64 << (i % 64)) != 0
-}
-
-#[inline]
-fn bit_set(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1u64 << (i % 64);
-}
-
-/// Cheap register-semantics screens run before the exhaustive search.
-/// Every condition here is implied by linearizability (given unique
-/// per-key write values and no deletions — both guaranteed by the
-/// recording paths), so a hit is a definite counterexample with a
-/// legible message: `stale read`, `phantom read` or `non-monotone`.
-fn quick_register_checks(key: &str, recs: &[&OpRecord]) -> Vec<Violation> {
-    let writes: Vec<&OpRecord> = recs
-        .iter()
-        .copied()
-        .filter(|o| o.kind == OpKind::Write && !o.aborted)
-        .collect();
-    let reads: Vec<&OpRecord> = recs
-        .iter()
-        .copied()
-        .filter(|o| o.kind == OpKind::Read && o.ok && o.completed.is_some() && !o.aborted)
-        .collect();
-    // value → (invoked, completed-if-ok) for O(log) precedence lookups.
-    let mut wmap: BTreeMap<u64, (SimTime, Option<SimTime>)> = BTreeMap::new();
-    for w in &writes {
-        let done = if w.ok { w.completed } else { None };
-        wmap.entry(w.seq)
-            .and_modify(|e| {
-                e.0 = e.0.min(w.invoked);
-                e.1 = match (e.1, done) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            })
-            .or_insert((w.invoked, done));
-    }
-    // `a` strictly precedes instant `t` when its success reply landed
-    // before `t`.
-    let done_before = |v: u64, t: SimTime| {
-        wmap.get(&v)
-            .and_then(|&(_, done)| done)
-            .is_some_and(|d| d < t)
-    };
-    let mut out = Vec::new();
-    for r in &reads {
-        let r_done = r.completed.unwrap_or(SimTime::MAX);
-        // 1. Provenance: the observed value must come from a write that
-        //    was invoked before the read completed.
-        if r.seq != 0 && wmap.get(&r.seq).is_none_or(|&(inv, _)| inv >= r_done) {
-            out.push(Violation {
-                key: key.to_string(),
-                detail: format!(
-                    "phantom read: observed {} at {:?} which no write before it produced",
-                    r.seq, r_done
-                ),
-            });
-            continue;
-        }
-        // 2. Freshness: if some write w_new completed successfully
-        //    strictly before the read was invoked, the read may not
-        //    observe nothing, nor a value whose write strictly preceded
-        //    w_new (the register never reverts).
-        for w_new in writes.iter().filter(|w| w.ok && done_before(w.seq, r.invoked)) {
-            let stale = if r.seq == 0 {
-                true
+        if next.is_empty() {
+            let kind = if op.role == Role::Read {
+                "read"
             } else {
-                r.seq != w_new.seq && done_before(r.seq, w_new.invoked)
+                "write"
             };
-            if stale {
-                out.push(Violation {
-                    key: key.to_string(),
-                    detail: format!(
-                        "stale read: observed {} at {:?} but write {} completed before {:?}",
-                        r.seq, r_done, w_new.seq, r.invoked
-                    ),
-                });
-                break;
-            }
-        }
-    }
-    // 3. Monotonicity across non-overlapping reads: the later read never
-    //    observes a strictly older value than the earlier.
-    for (i, r1) in reads.iter().enumerate() {
-        let r1_done = r1.completed.unwrap_or(SimTime::MAX);
-        for r2 in &reads[i + 1..] {
-            let r2_done = r2.completed.unwrap_or(SimTime::MAX);
-            let (first, second) = if r1_done < r2.invoked {
-                (r1, r2)
-            } else if r2_done < r1.invoked {
-                (r2, r1)
-            } else {
-                continue; // overlapping — either order is legal
-            };
-            if first.seq == second.seq {
-                continue;
-            }
-            let regress = (second.seq == 0 && first.seq != 0)
-                || (second.seq != 0 && done_before(second.seq, wmap.get(&first.seq).map_or(SimTime::ZERO, |e| e.0)));
-            if regress {
-                out.push(Violation {
-                    key: key.to_string(),
-                    detail: format!("non-monotone reads: {} then {}", first.seq, second.seq),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Exhaustive per-key search. Returns `None` when a valid linearization
-/// exists, or one violation describing why not (or that the budget ran
-/// out — treated as a failure, never a silent pass).
-fn search_key(key: &str, recs: &[&OpRecord]) -> Option<Violation> {
-    let ops = classify(recs);
-    let n = ops.len();
-    if n == 0 {
-        return None;
-    }
-    let req_total = ops.iter().filter(|o| o.required).count();
-    if req_total == 0 {
-        return None; // only maybe-applied writes: trivially fine
-    }
-    let words = n.div_ceil(64);
-    let mut visited: std::collections::BTreeSet<(Vec<u64>, u64)> = std::collections::BTreeSet::new();
-    let mut stack: Vec<(Vec<u64>, u64)> = Vec::new();
-    let init = (vec![0u64; words], 0u64);
-    visited.insert(init.clone());
-    stack.push(init);
-    let mut best_done = 0usize;
-    let mut best_note = String::new();
-    while let Some((done, reg)) = stack.pop() {
-        if visited.len() > SEARCH_BUDGET {
-            return Some(Violation {
-                key: key.to_string(),
-                detail: format!(
-                    "search budget exceeded: {} states over {n} ops without a verdict — treating as a failure",
-                    visited.len()
+            return violation(
+                ViolationKind::NoOrder,
+                format!(
+                    "not linearizable: no valid order for {} ops ({kind} of {} invoked at {:?} cannot take effect by its reply at {:?})",
+                    ops.len(),
+                    op.value,
+                    op.inv,
+                    op.resp
                 ),
-            });
+            );
         }
-        let done_req = ops
-            .iter()
-            .enumerate()
-            .filter(|(i, o)| o.required && bit_get(&done, *i))
-            .count();
-        if done_req == req_total {
-            return None; // all required ops linearized — witness found
-        }
-        if done_req >= best_done {
-            best_done = done_req;
-            if let Some((_, o)) = ops
-                .iter()
-                .enumerate()
-                .filter(|(i, o)| o.required && !bit_get(&done, *i))
-                .min_by_key(|(_, o)| o.inv)
-            {
-                let kind = if o.is_write { "write" } else { "read" };
-                best_note = format!(
-                    "first unplaced op: {kind} of {} invoked at {:?} (register held {reg})",
-                    o.value, o.inv
-                );
-            }
-        }
-        // An op may be linearized next iff no *required* unlinearized op
-        // responded strictly before its invocation.
-        let min_resp = ops
-            .iter()
-            .enumerate()
-            .filter(|(i, o)| o.required && !bit_get(&done, *i))
-            .map(|(_, o)| o.resp)
-            .min()
-            .unwrap_or(SimTime::MAX);
-        for (i, o) in ops.iter().enumerate() {
-            if bit_get(&done, i) || o.inv > min_resp {
-                continue;
-            }
-            if !o.is_write && o.value != reg {
-                continue; // a read must observe the current register
-            }
-            let mut nd = done.clone();
-            bit_set(&mut nd, i);
-            let nreg = if o.is_write { o.value } else { reg };
-            let st = (nd, nreg);
-            if visited.insert(st.clone()) {
-                stack.push(st);
-            }
-        }
+        open.retain(|&o| o != i);
+        configs = next.into_iter().collect();
     }
-    Some(Violation {
-        key: key.to_string(),
-        detail: format!(
-            "not linearizable: no valid order for {req_total} required ops (best schedule placed {best_done}; {best_note})"
-        ),
-    })
+    None
 }
 
-/// Full multi-writer linearizability check against atomic-register
-/// semantics, partitioned per key. Returns every violation found; an
-/// empty list is a linearizability witness for the recorded history.
-///
-/// Assumes per-key write values are unique and keys are never deleted —
-/// both guaranteed by the recording paths (probe writers use strictly
-/// increasing per-writer sequences; bench recording stamps values with
-/// `client-id ≪ 40 | counter`).
-pub fn check_linearizable(history: &History) -> Vec<Violation> {
+/// [`check_linearizable`], also returning how many times the checker
+/// looked at an op (a loop step, a comparison of the sort) — the quantity
+/// the complexity guard pins.
+fn check_counted(history: &History) -> (Vec<Violation>, u64) {
     let mut by_key: BTreeMap<&str, Vec<&OpRecord>> = BTreeMap::new();
     for op in &history.ops {
         by_key.entry(op.key.as_str()).or_default().push(op);
     }
+    let mut visits = history.ops.len() as u64;
     let mut violations = Vec::new();
     for (key, recs) in by_key {
-        let quick = quick_register_checks(key, &recs);
-        if !quick.is_empty() {
-            // Definite counterexamples with legible messages; skip the
-            // expensive search for an already-rejected key.
-            violations.extend(quick);
-            continue;
+        let timeline = Timeline::new(&recs, &mut visits);
+        // A screen hit is a definite counterexample with a legible
+        // message; only a key without one needs the search.
+        let hits = screens(key, &timeline, &mut visits);
+        if hits.is_empty() {
+            violations.extend(search(key, &timeline, &mut visits));
         }
-        if let Some(v) = search_key(key, &recs) {
-            violations.push(v);
-        }
+        violations.extend(hits);
     }
-    violations
+    (violations, visits)
+}
+
+/// Linearizability check against atomic-register semantics, per key.
+/// Returns every violation found; an empty list is a linearizability
+/// witness for the recorded history.
+pub fn check_linearizable(history: &History) -> Vec<Violation> {
+    check_counted(history).0
 }
 
 /// Check only the prefix of the history before `cutoff` — the tool for
@@ -551,11 +493,27 @@ pub fn check_linearizable_upto(history: &History, cutoff: SimTime) -> Vec<Violat
 }
 
 impl History {
+    /// Record an operation as invoked at `now` with its outcome unknown;
+    /// returns its index in [`History::ops`] for the client to complete.
+    pub fn invoke(&mut self, key: String, kind: OpKind, seq: u64, now: SimTime) -> usize {
+        self.ops.push(OpRecord {
+            key,
+            kind,
+            seq,
+            invoked: now,
+            completed: None,
+            ok: false,
+            aborted: false,
+            read_set: Vec::new(),
+        });
+        self.ops.len() - 1
+    }
+
     /// Serialize the history as a JSON event log, one object per
-    /// operation in record order — the artifact `scripts/check.sh`
-    /// uploads when the histcheck smoke fails. Hand-rolled on purpose
-    /// (no serde in the workspace): keys are ASCII identifiers with no
-    /// characters needing escapes.
+    /// operation in record order — the artifact CI uploads when the
+    /// histcheck smoke fails. Hand-rolled on purpose (no serde in the
+    /// workspace): keys are ASCII identifiers with no characters needing
+    /// escapes.
     pub fn event_log_json(&self) -> String {
         let mut s = String::from("[\n");
         for (i, op) in self.ops.iter().enumerate() {
@@ -583,595 +541,11 @@ impl History {
     }
 }
 
-/// The probe key for `(writer, key_idx)`; namespaced away from the
-/// benchmark keyspace.
-pub fn probe_key(writer: usize, key_idx: usize) -> String {
-    format!("h:{writer:02}:{key_idx:04}")
-}
-
-/// Where a [`HistReader`] anchors its reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadAnchor {
-    /// Read from the master only (quorum-mode arm: the master holds
-    /// every committed write).
-    Master,
-    /// Read from one slave only (async arm: exposes staleness; chain
-    /// arm with the tail index: the commit point).
-    Slave(usize),
-    /// Read from the master plus enough slaves for a majority of the
-    /// replica set (ABD-style read quorum).
-    MasterQuorum,
-}
-
-/// Shape of a history probe deployment (see `Cluster::add_history`).
-#[derive(Debug, Clone)]
-pub struct HistSpec {
-    /// Number of single-writer actors (each owns its key namespace).
-    pub writers: usize,
-    /// Keys per writer.
-    pub keys_per_writer: usize,
-    /// Number of reader actors.
-    pub readers: usize,
-    /// Read anchoring.
-    pub anchor: ReadAnchor,
-    /// Think time between a completion and the next operation.
-    pub op_gap: SimDuration,
-}
-
-impl Default for HistSpec {
-    fn default() -> Self {
-        HistSpec {
-            writers: 2,
-            keys_per_writer: 4,
-            readers: 2,
-            anchor: ReadAnchor::Master,
-            op_gap: SimDuration::from_micros(30),
-        }
-    }
-}
-
-enum ProbeMsg {
-    Start,
-    IssueNext,
-    Watchdog,
-}
-
-/// Single-writer probe actor: `SET probe_key <seq>` to the master, one
-/// operation in flight, strictly increasing `seq`.
-pub struct HistWriter {
-    net: Net,
-    cfg: ClusterConfig,
-    node: NodeId,
-    server: SocketAddr,
-    history: SharedHistory,
-    writer_id: usize,
-    keys: usize,
-    op_gap: SimDuration,
-    start_at: SimTime,
-    stop_at: SimTime,
-    seq: u64,
-    conns: ConnTable<()>,
-    /// The live connection, if any.
-    conn: Option<usize>,
-    /// Index into the shared history of the op awaiting its reply.
-    in_flight: Option<usize>,
-    dial_attempts: u32,
-}
-
-impl HistWriter {
-    /// Create a writer probe targeting `server` (the master).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        net: Net,
-        cfg: ClusterConfig,
-        node: NodeId,
-        server: SocketAddr,
-        history: SharedHistory,
-        writer_id: usize,
-        keys: usize,
-        op_gap: SimDuration,
-        start_at: SimTime,
-        stop_at: SimTime,
-    ) -> Self {
-        HistWriter {
-            net,
-            cfg,
-            node,
-            server,
-            history,
-            writer_id,
-            keys: keys.max(1),
-            op_gap,
-            start_at,
-            stop_at,
-            seq: 0,
-            conns: ConnTable::new(None),
-            conn: None,
-            in_flight: None,
-            dial_attempts: 0,
-        }
-    }
-
-    fn abandon(&mut self, ctx: &mut Context<'_>) {
-        // The in-flight op stays incomplete in the history: its effect is
-        // unknown (the checker treats it as maybe-applied).
-        self.in_flight = None;
-        if let Some(conn) = self.conn.take() {
-            self.conns.close(&self.net, conn);
-            if let Some(tcp) = self.conns.channel(conn).tcp_conn() {
-                self.net.tcp_close(ctx, tcp);
-            }
-        }
-        ctx.timer(SimDuration::from_millis(1), ProbeMsg::Start);
-    }
-
-    fn issue(&mut self, ctx: &mut Context<'_>) {
-        if ctx.now() >= self.stop_at || self.in_flight.is_some() {
-            return;
-        }
-        let Some(conn) = self.conn else {
-            return;
-        };
-        if self.conns.channel(conn).broken() {
-            // Don't record an op we provably cannot send: a dangling
-            // invocation would read as an infinite-window maybe-applied
-            // write. The watchdog redials and re-issues.
-            return;
-        }
-        self.seq += 1;
-        let key = probe_key(
-            self.writer_id,
-            usize::try_from(self.seq).unwrap_or(0) % self.keys,
-        );
-        let value = self.seq.to_string();
-        let cmd = Resp::command([b"SET".as_slice(), key.as_bytes(), value.as_bytes()]);
-        let idx = {
-            let mut h = self.history.borrow_mut();
-            h.ops.push(OpRecord {
-                key,
-                kind: OpKind::Write,
-                seq: self.seq,
-                invoked: ctx.now(),
-                completed: None,
-                ok: false,
-                aborted: false,
-                read_set: Vec::new(),
-            });
-            h.ops.len() - 1
-        };
-        self.in_flight = Some(idx);
-        self.conns
-            .send(&self.net, ctx, conn, tag::CMD, cmd.encode());
-    }
-
-    fn on_reply(&mut self, ctx: &mut Context<'_>, payload: &[u8]) {
-        let Some(idx) = self.in_flight.take() else {
-            return;
-        };
-        let is_error = payload.first() == Some(&b'-');
-        let mut h = self.history.borrow_mut();
-        if let Some(op) = h.ops.get_mut(idx) {
-            op.completed = Some(ctx.now());
-            op.ok = !is_error;
-        }
-        drop(h);
-        ctx.timer(self.op_gap, ProbeMsg::IssueNext);
-    }
-}
-
-impl Actor for HistWriter {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.timer_at(self.start_at, ProbeMsg::Start);
-        ctx.timer_at(
-            self.start_at + self.cfg.client_retry_timeout,
-            ProbeMsg::Watchdog,
-        );
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_>, _from: ActorId, msg: Payload) {
-        let msg = match msg.downcast::<ProbeMsg>() {
-            Ok(m) => {
-                match *m {
-                    ProbeMsg::Start if self.conn.is_none() => {
-                        let rdma = self.cfg.mode.uses_rdma();
-                        self.conns
-                            .dial(&self.net, ctx, self.node, rdma, self.server);
-                    }
-                    ProbeMsg::Start => {}
-                    ProbeMsg::IssueNext => self.issue(ctx),
-                    ProbeMsg::Watchdog => {
-                        let now = ctx.now();
-                        if now >= self.stop_at && self.in_flight.is_none() {
-                            return;
-                        }
-                        let timeout = self.cfg.client_retry_timeout;
-                        let stuck = self.in_flight.is_some_and(|idx| {
-                            self.history
-                                .borrow()
-                                .ops
-                                .get(idx)
-                                .is_some_and(|op| now.saturating_since(op.invoked) > timeout)
-                        });
-                        let broken = self.conn.is_some_and(|c| self.conns.channel(c).broken());
-                        if stuck || broken {
-                            self.abandon(ctx);
-                        }
-                        ctx.timer(timeout, ProbeMsg::Watchdog);
-                    }
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        let Ok(ev) = msg.downcast::<NetEvent>() else {
-            return;
-        };
-        match *ev {
-            NetEvent::CmEstablished { qp, .. } => {
-                if self.conn.is_some() {
-                    return;
-                }
-                self.dial_attempts = 0;
-                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE).unsignaled();
-                self.conn = Some(self.conns.add(ch, (), None));
-                self.issue(ctx);
-            }
-            NetEvent::TcpConnected { conn, .. } => {
-                self.dial_attempts = 0;
-                self.conn = Some(self.conns.add(Channel::tcp(conn), (), None));
-                self.issue(ctx);
-            }
-            NetEvent::CqNotify { cq } => {
-                let net = self.net.clone();
-                let mut broken = false;
-                let mut wcs = self.conns.take_wcs();
-                let out =
-                    cqdrain::drain_budgeted(&net, ctx, cq, POLL_BUDGET, &mut wcs, |ctx, wc| {
-                        let Some(conn) = self.conn.filter(|_| !broken) else {
-                            return;
-                        };
-                        match self.conns.on_wc(&net, ctx, conn, &wc) {
-                            ConnEvent::Msg(m) if m.tag == tag::REPLY => {
-                                self.on_reply(ctx, &m.payload);
-                            }
-                            ConnEvent::Broken => broken = true,
-                            _ => {}
-                        }
-                    });
-                self.conns.put_wcs(wcs);
-                if out.more {
-                    ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
-                }
-                if broken {
-                    self.abandon(ctx);
-                }
-            }
-            NetEvent::TcpDelivered { bytes, .. } => {
-                let Some(conn) = self.conn else {
-                    return;
-                };
-                let mut msgs = self.conns.on_tcp_bytes(conn, bytes);
-                for m in msgs.drain(..) {
-                    if m.tag == tag::REPLY {
-                        self.on_reply(ctx, &m.payload);
-                    }
-                }
-                self.conns.put_msgs(msgs);
-            }
-            NetEvent::TcpClosed { .. } if ctx.now() < self.stop_at => self.abandon(ctx),
-            NetEvent::CmConnectFailed { .. } | NetEvent::TcpConnectFailed { .. } => {
-                self.dial_attempts = self.dial_attempts.saturating_add(1);
-                let delay = self.cfg.client_dial_delay(self.dial_attempts);
-                ctx.timer(delay, ProbeMsg::Start);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Parse a GET reply into the observed sequence number. `NullBulk` (key
-/// absent) observes 0; errors and malformed values observe nothing.
-fn parse_observed(payload: &[u8]) -> Option<u64> {
-    match Resp::decode(payload) {
-        Decoded::Frame(Resp::NullBulk, _) => Some(0),
-        Decoded::Frame(Resp::Bulk(b), _) => {
-            std::str::from_utf8(&b).ok().and_then(|s| s.parse().ok())
-        }
-        _ => None,
-    }
-}
-
-struct TargetConn {
-    addr: SocketAddr,
-    /// This target's connection in the reader's table, once established.
-    conn: Option<usize>,
-    /// Read generations with a GET outstanding on this channel, oldest
-    /// first (replies arrive in FIFO order per channel).
-    outstanding: VecDeque<u64>,
-}
-
-/// Multi-target read probe: GETs a random probe key from every connected
-/// target and completes once the anchor (`targets[0]`) plus
-/// `read_quorum` total targets responded, observing the maximum value.
-/// RDMA modes only (one CQ multiplexes all target QPs).
-pub struct HistReader {
-    net: Net,
-    cfg: ClusterConfig,
-    node: NodeId,
-    targets: Vec<TargetConn>,
-    read_quorum: usize,
-    history: SharedHistory,
-    writers: usize,
-    keys_per_writer: usize,
-    op_gap: SimDuration,
-    start_at: SimTime,
-    stop_at: SimTime,
-    rng: DetRng,
-    /// One connection per reachable target, tagged with the target index.
-    conns: ConnTable<usize>,
-    cur_gen: u64,
-    /// Index into the shared history of the read in progress.
-    cur_op: Option<usize>,
-    /// Per-target observation for the current generation.
-    got: Vec<Option<u64>>,
-}
-
-impl HistReader {
-    /// Create a reader probe. `targets[0]` is the anchor; a read needs
-    /// the anchor plus `read_quorum` total responders.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        net: Net,
-        cfg: ClusterConfig,
-        node: NodeId,
-        targets: Vec<SocketAddr>,
-        read_quorum: usize,
-        history: SharedHistory,
-        writers: usize,
-        keys_per_writer: usize,
-        op_gap: SimDuration,
-        start_at: SimTime,
-        stop_at: SimTime,
-    ) -> Self {
-        let got = vec![None; targets.len()];
-        HistReader {
-            net,
-            cfg,
-            node,
-            targets: targets
-                .into_iter()
-                .map(|addr| TargetConn {
-                    addr,
-                    conn: None,
-                    outstanding: VecDeque::new(),
-                })
-                .collect(),
-            read_quorum: read_quorum.max(1),
-            history,
-            writers: writers.max(1),
-            keys_per_writer: keys_per_writer.max(1),
-            op_gap,
-            start_at,
-            stop_at,
-            rng: DetRng::new(0),
-            conns: ConnTable::new(None),
-            cur_gen: 0,
-            cur_op: None,
-            got,
-        }
-    }
-
-    fn dial_missing(&mut self, ctx: &mut Context<'_>) {
-        for t in &mut self.targets {
-            if t.conn.is_some_and(|c| !self.conns.channel(c).broken()) {
-                continue;
-            }
-            if let Some(conn) = t.conn.take() {
-                self.conns.close(&self.net, conn);
-                t.outstanding.clear();
-            }
-            self.conns.dial(&self.net, ctx, self.node, true, t.addr);
-        }
-    }
-
-    fn issue(&mut self, ctx: &mut Context<'_>) {
-        if ctx.now() >= self.stop_at || self.cur_op.is_some() {
-            return;
-        }
-        // No anchor connection → nothing can complete; back off and retry.
-        if self.targets.first().is_some_and(|t| t.conn.is_none()) {
-            ctx.timer(self.cfg.client_retry_timeout, ProbeMsg::IssueNext);
-            return;
-        }
-        let writer = usize::try_from(self.rng.below(self.writers as u64)).unwrap_or(0);
-        let key_idx = usize::try_from(self.rng.below(self.keys_per_writer as u64)).unwrap_or(0);
-        let key = probe_key(writer, key_idx);
-        let cmd = Resp::command([b"GET".as_slice(), key.as_bytes()]).encode();
-        self.cur_gen += 1;
-        for g in &mut self.got {
-            *g = None;
-        }
-        let idx = {
-            let mut h = self.history.borrow_mut();
-            h.ops.push(OpRecord {
-                key,
-                kind: OpKind::Read,
-                seq: 0,
-                invoked: ctx.now(),
-                completed: None,
-                ok: false,
-                aborted: false,
-                read_set: Vec::new(),
-            });
-            h.ops.len() - 1
-        };
-        self.cur_op = Some(idx);
-        let gen = self.cur_gen;
-        for t in &mut self.targets {
-            let Some(conn) = t.conn else {
-                continue;
-            };
-            self.conns.send(&self.net, ctx, conn, tag::CMD, cmd.clone());
-            t.outstanding.push_back(gen);
-        }
-        self.maybe_complete(ctx);
-    }
-
-    /// Record target `ti`'s reply for the generation it answers; complete
-    /// the current read when anchor + quorum responded.
-    fn on_get_reply(&mut self, ctx: &mut Context<'_>, ti: usize, payload: &[u8]) {
-        let Some(gen) = self.targets[ti].outstanding.pop_front() else {
-            return;
-        };
-        if gen != self.cur_gen || self.cur_op.is_none() {
-            return; // reply for an abandoned generation
-        }
-        if let Some(v) = parse_observed(payload) {
-            self.got[ti] = Some(v);
-        }
-        self.maybe_complete(ctx);
-    }
-
-    fn maybe_complete(&mut self, ctx: &mut Context<'_>) {
-        let Some(idx) = self.cur_op else { return };
-        if self.got.first().copied().flatten().is_none() {
-            return; // anchor has not answered
-        }
-        let responders = self.got.iter().filter(|g| g.is_some()).count();
-        if responders < self.read_quorum {
-            return;
-        }
-        let observed = self.got.iter().flatten().copied().max().unwrap_or(0);
-        let read_set: Vec<SocketAddr> = self
-            .targets
-            .iter()
-            .zip(&self.got)
-            .filter(|(_, g)| g.is_some())
-            .map(|(t, _)| t.addr)
-            .collect();
-        {
-            let mut h = self.history.borrow_mut();
-            if let Some(op) = h.ops.get_mut(idx) {
-                op.completed = Some(ctx.now());
-                op.ok = true;
-                op.seq = observed;
-                op.read_set = read_set;
-            }
-        }
-        self.cur_op = None;
-        ctx.timer(self.op_gap, ProbeMsg::IssueNext);
-    }
-}
-
-impl Actor for HistReader {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.rng = ctx.rng().split();
-        ctx.timer_at(self.start_at, ProbeMsg::Start);
-        ctx.timer_at(
-            self.start_at + self.cfg.client_retry_timeout,
-            ProbeMsg::Watchdog,
-        );
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_>, _from: ActorId, msg: Payload) {
-        let msg = match msg.downcast::<ProbeMsg>() {
-            Ok(m) => {
-                match *m {
-                    ProbeMsg::Start => {
-                        self.dial_missing(ctx);
-                        ctx.timer(self.op_gap, ProbeMsg::IssueNext);
-                    }
-                    ProbeMsg::IssueNext => self.issue(ctx),
-                    ProbeMsg::Watchdog => {
-                        let now = ctx.now();
-                        if now >= self.stop_at && self.cur_op.is_none() {
-                            return;
-                        }
-                        let timeout = self.cfg.client_retry_timeout;
-                        let stuck = self.cur_op.is_some_and(|idx| {
-                            self.history
-                                .borrow()
-                                .ops
-                                .get(idx)
-                                .is_some_and(|op| now.saturating_since(op.invoked) > timeout)
-                        });
-                        if stuck {
-                            // Abandon the read and record an *explicit
-                            // abort*: its value was provably never
-                            // observed, so the checker drops it instead
-                            // of treating it as an infinite-window op
-                            // (which a dial backoff under a partition
-                            // would otherwise leave behind every time a
-                            // probe gives up mid-plan).
-                            if let Some(idx) = self.cur_op.take() {
-                                let mut h = self.history.borrow_mut();
-                                if let Some(op) = h.ops.get_mut(idx) {
-                                    op.aborted = true;
-                                }
-                            }
-                            self.dial_missing(ctx);
-                            ctx.timer(self.op_gap, ProbeMsg::IssueNext);
-                        }
-                        ctx.timer(timeout, ProbeMsg::Watchdog);
-                    }
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        let Ok(ev) = msg.downcast::<NetEvent>() else {
-            return;
-        };
-        match *ev {
-            NetEvent::CmEstablished { qp, peer } => {
-                let Some(ti) = self.targets.iter().position(|t| t.addr == peer) else {
-                    return;
-                };
-                if self.targets[ti].conn.is_some() {
-                    return;
-                }
-                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE).unsignaled();
-                self.targets[ti].conn = Some(self.conns.add(ch, ti, None));
-            }
-            NetEvent::CmConnectFailed { .. } => {
-                // The watchdog retries; losing one target only costs
-                // quorum membership until then.
-            }
-            NetEvent::CqNotify { cq } => {
-                let net = self.net.clone();
-                let mut wcs = self.conns.take_wcs();
-                let out =
-                    cqdrain::drain_budgeted(&net, ctx, cq, POLL_BUDGET, &mut wcs, |ctx, wc| {
-                        // A target's current channel gets the completions of
-                        // whichever of its QPs they arrive on.
-                        let Some(ti) = self.conns.conn_of_qp(wc.qp).map(|c| *self.conns.kind(c))
-                        else {
-                            return;
-                        };
-                        let Some(conn) = self.targets[ti].conn else {
-                            return;
-                        };
-                        if let ConnEvent::Msg(m) = self.conns.on_wc(&net, ctx, conn, &wc) {
-                            if m.tag == tag::REPLY {
-                                self.on_get_reply(ctx, ti, &m.payload);
-                            }
-                        }
-                        // Broken channels stay in place until the watchdog
-                        // redials: `outstanding` bookkeeping dies with them.
-                    });
-                self.conns.put_wcs(wcs);
-                if out.more {
-                    ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use skv_simcore::SimDuration;
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
@@ -1192,15 +566,22 @@ mod tests {
 
     fn read(key: &str, seq: u64, inv: u64, done: u64) -> OpRecord {
         OpRecord {
-            key: key.into(),
             kind: OpKind::Read,
-            seq,
-            invoked: t(inv),
-            completed: Some(t(done)),
-            ok: true,
-            aborted: false,
-            read_set: Vec::new(),
+            ..write(key, seq, inv, done)
         }
+    }
+
+    /// A write whose reply never arrived.
+    fn abandoned(key: &str, seq: u64, inv: u64) -> OpRecord {
+        OpRecord {
+            completed: None,
+            ok: false,
+            ..write(key, seq, inv, 0)
+        }
+    }
+
+    fn kinds(v: &[Violation]) -> Vec<ViolationKind> {
+        v.iter().map(|v| v.kind).collect()
     }
 
     #[test]
@@ -1213,7 +594,7 @@ mod tests {
                 read("k", 2, 60, 70),
             ],
         };
-        assert!(check_single_writer(&h).is_empty());
+        assert!(check_linearizable(&h).is_empty());
     }
 
     #[test]
@@ -1225,9 +606,9 @@ mod tests {
                 read("k", 1, 40, 50), // write 2 completed before — stale
             ],
         };
-        let v = check_single_writer(&h);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(stale_reads(&v), 1);
+        let v = check_linearizable(&h);
+        assert_eq!(kinds(&v), [ViolationKind::Stale], "{v:?}");
+        assert!(v[0].detail.contains("stale read: observed 1"), "{v:?}");
     }
 
     #[test]
@@ -1235,9 +616,8 @@ mod tests {
         let h = History {
             ops: vec![write("k", 1, 0, 10), read("k", 7, 20, 30)],
         };
-        let v = check_single_writer(&h);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(stale_reads(&v), 0);
+        let v = check_linearizable(&h);
+        assert_eq!(kinds(&v), [ViolationKind::Phantom], "{v:?}");
     }
 
     #[test]
@@ -1247,17 +627,13 @@ mod tests {
                 write("k", 1, 0, 10),
                 // Write 2 never completed (abandoned) — observing it is
                 // legal, but un-observing it afterwards is not.
-                OpRecord {
-                    completed: None,
-                    ok: false,
-                    ..write("k", 2, 15, 0)
-                },
+                abandoned("k", 2, 15),
                 read("k", 2, 20, 30),
                 read("k", 1, 40, 50),
             ],
         };
-        let v = check_single_writer(&h);
-        assert_eq!(v.len(), 1, "{v:?}");
+        let v = check_linearizable(&h);
+        assert_eq!(kinds(&v), [ViolationKind::NonMonotone], "{v:?}");
         assert!(v[0].detail.contains("non-monotone"), "{v:?}");
     }
 
@@ -1267,18 +643,14 @@ mod tests {
             ops: vec![
                 write("k", 1, 0, 10),
                 // In-flight write: reads may see 1 or 2.
-                OpRecord {
-                    completed: None,
-                    ok: false,
-                    ..write("k", 2, 15, 0)
-                },
-                // Overlapping reads: one sees the new value, one does not.
+                abandoned("k", 2, 15),
+                // Overlapping reads, both already seeing the new value.
                 read("k", 2, 20, 30),
                 read("k", 2, 25, 40),
                 read("k", 2, 50, 60),
             ],
         };
-        assert!(check_single_writer(&h).is_empty());
+        assert!(check_linearizable(&h).is_empty());
     }
 
     #[test]
@@ -1290,27 +662,8 @@ mod tests {
                 read("k", 1, 30, 40),
             ],
         };
-        assert!(check_single_writer(&h).is_empty());
+        assert!(check_linearizable(&h).is_empty());
     }
-
-    #[test]
-    fn observed_parse_handles_replies() {
-        assert_eq!(parse_observed(&Resp::NullBulk.encode()), Some(0));
-        assert_eq!(
-            parse_observed(&Resp::Bulk(b"42".to_vec()).encode()),
-            Some(42)
-        );
-        assert_eq!(parse_observed(&Resp::Bulk(b"x".to_vec()).encode()), None);
-        assert_eq!(parse_observed(b"-ERR nope\r\n"), None);
-    }
-
-    #[test]
-    fn probe_keys_are_namespaced_and_stable() {
-        assert_eq!(probe_key(1, 2), "h:01:0002");
-        assert_ne!(probe_key(1, 2), probe_key(2, 1));
-    }
-
-    // -- multi-writer checker -------------------------------------------
 
     #[test]
     fn multi_writer_clean_history_is_linearizable() {
@@ -1333,25 +686,27 @@ mod tests {
     #[test]
     fn known_bad_stale_read_fixture_is_rejected() {
         // The seeded known-bad fixture: write 2 completed before the read
-        // was invoked, yet the read observed the older value 1. The
-        // checker must produce a counterexample, not a pass.
+        // was invoked, yet the read observed the older value 1 — on one
+        // key of two; the clean key must not hide it.
         let h = History {
             ops: vec![
                 write("k", 1, 0, 10),
+                write("clean", 5, 0, 10),
                 write("k", 2, 20, 30),
+                read("clean", 5, 20, 30),
                 read("k", 1, 40, 50),
             ],
         };
         let v = check_linearizable(&h);
-        assert!(!v.is_empty(), "checker passed a stale-read history");
-        assert!(stale_reads(&v) >= 1, "{v:?}");
+        assert_eq!(kinds(&v), [ViolationKind::Stale], "{v:?}");
+        assert_eq!(v[0].to_string(), format!("[k] {}", v[0].detail));
     }
 
     #[test]
     fn concurrent_write_order_contradiction_is_rejected() {
         // Both writes complete before any read, so the register order of
         // (1, 2) is fixed by read time — observing 1, then 2, then 1
-        // again has no valid schedule. The quick screens cannot see this
+        // again has no valid schedule. The screens cannot see this
         // (neither write strictly precedes the other); only the search
         // rejects it.
         let h = History {
@@ -1364,7 +719,7 @@ mod tests {
             ],
         };
         let v = check_linearizable(&h);
-        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(kinds(&v), [ViolationKind::NoOrder], "{v:?}");
         assert!(v[0].detail.contains("not linearizable"), "{v:?}");
     }
 
@@ -1376,11 +731,7 @@ mod tests {
         let h = History {
             ops: vec![
                 write("k", 1, 0, 10),
-                OpRecord {
-                    completed: None,
-                    ok: false,
-                    ..write("k", 2, 15, 0)
-                },
+                abandoned("k", 2, 15),
                 read("k", 2, 20, 30),
                 read("k", 2, 25, 40),
                 read("k", 2, 50, 60),
@@ -1388,6 +739,73 @@ mod tests {
         };
         let v = check_linearizable(&h);
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    /// A closed-loop writer and reader on one key: `rounds` acked writes,
+    /// each read back by a read that is still open when the next write
+    /// begins, and every `abandon_every` rounds an abandoned write of a
+    /// value nobody ever observes.
+    fn closed_loop_with_abandoned_writes(rounds: u64, abandon_every: u64) -> History {
+        let mut ops = Vec::new();
+        for i in 1..=rounds {
+            let at = 10 * i;
+            ops.push(write("k", i, at, at + 4));
+            ops.push(read("k", i, at + 5, at + 12));
+            if i % abandon_every == 0 {
+                ops.push(abandoned("k", 1_000_000 + i, at + 7));
+            }
+        }
+        History { ops }
+    }
+
+    #[test]
+    fn many_abandoned_writes_still_reach_a_verdict() {
+        // 20 maybe-applied writes nobody observed among 2 000 completed
+        // ops. A search that may place each of them anywhere tries every
+        // subset of them wherever it has to back out of placing a write
+        // before the read that overlaps it (2^20 states; the checker this
+        // one replaced reported "search budget exceeded: 200001 states
+        // over 2020 ops"). None of them can matter.
+        let h = closed_loop_with_abandoned_writes(1_000, 50);
+        assert_eq!(h.ops.iter().filter(|o| o.completed.is_none()).count(), 20);
+        assert_eq!(
+            h.ops.iter().filter(|o| o.completed.is_some()).count(),
+            2_000
+        );
+        let v = check_linearizable(&h);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn an_observed_abandoned_write_is_kept() {
+        // Write 500 000 was abandoned but landed: a later read saw it, and
+        // the acked write after that replaced it.
+        let mut h = closed_loop_with_abandoned_writes(100, 10);
+        h.ops.extend([
+            abandoned("k", 500_000, 2_000),
+            read("k", 500_000, 2_020, 2_025),
+            write("k", 101, 2_030, 2_040),
+            read("k", 101, 2_050, 2_060),
+        ]);
+        let v = check_linearizable(&h);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn an_observed_abandoned_write_cannot_return_after_an_acked_one() {
+        // Seen, replaced by the acked write 101, then seen again: the
+        // abandoned write takes effect once. No screen fires (its ack
+        // time is unknown); the search rejects.
+        let mut h = closed_loop_with_abandoned_writes(100, 10);
+        h.ops.extend([
+            abandoned("k", 500_000, 2_000),
+            read("k", 500_000, 2_020, 2_025),
+            write("k", 101, 2_030, 2_040),
+            read("k", 101, 2_050, 2_060),
+            read("k", 500_000, 2_070, 2_080),
+        ]);
+        let v = check_linearizable(&h);
+        assert_eq!(kinds(&v), [ViolationKind::NoOrder], "{v:?}");
     }
 
     #[test]
@@ -1446,5 +864,148 @@ mod tests {
         assert!(json.contains("\"completed_ns\":null"), "{json}");
         assert!(json.contains("\"aborted\":true"), "{json}");
         assert_eq!(json.matches("\"key\":").count(), 2, "{json}");
+    }
+
+    /// The complexity guard: three closed-loop clients on one key — a
+    /// writer and two readers whose ops overlap the writes — 20 000 ops.
+    /// The checker's op visits stay under `8 · n · log2 n` (measured:
+    /// 4.5); the quadratic screens this replaced compared 0.44 n² pairs,
+    /// 620 of those units, and the search rescanned the history per state.
+    #[test]
+    fn cost_is_near_linear_in_the_history() {
+        let mut ops = Vec::new();
+        let rounds = 20_000 / 3;
+        for i in 1..=rounds {
+            let at = 12 * i;
+            ops.push(write("k", i, at, at + 6));
+            // One reader overlaps the write (either value is legal; it
+            // sees the new one), the other starts after it.
+            ops.push(read("k", i, at + 3, at + 9));
+            ops.push(read("k", i, at + 7, at + 11));
+        }
+        let h = History { ops };
+        let n = h.ops.len() as f64;
+        let (v, visits) = check_counted(&h);
+        assert!(v.is_empty(), "{v:?}");
+        let unit = n * n.log2();
+        assert!(
+            (visits as f64) < 8.0 * unit,
+            "{visits} op visits for {n} ops = {:.1} n log2 n",
+            visits as f64 / unit
+        );
+    }
+
+    // -- the oracle ------------------------------------------------------
+
+    /// Brute force, for histories of a handful of ops: try every order of
+    /// the key's ops that respects real-time precedence, with every
+    /// subset of the maybe-applied writes, against a register. No
+    /// screens, no pruning, no memo — Wing & Gong as first written.
+    fn oracle_accepts(recs: &[&OpRecord]) -> bool {
+        // (inv, resp, is_write, value, required)
+        let mut ops: Vec<(SimTime, SimTime, bool, u64, bool)> = Vec::new();
+        for op in recs.iter().filter(|op| !op.aborted) {
+            let done = op.completed.filter(|_| op.ok);
+            match op.kind {
+                OpKind::Write => ops.push((
+                    op.invoked,
+                    done.unwrap_or(SimTime::MAX),
+                    true,
+                    op.seq,
+                    done.is_some(),
+                )),
+                OpKind::Read => {
+                    if let Some(done) = done {
+                        ops.push((op.invoked, done, false, op.seq, true));
+                    }
+                }
+            }
+        }
+        fn place(
+            ops: &[(SimTime, SimTime, bool, u64, bool)],
+            placed: &mut [bool],
+            reg: u64,
+        ) -> bool {
+            // Next may come any op not preceded by an unplaced required one.
+            let Some(first_reply) = ops
+                .iter()
+                .zip(placed.iter())
+                .filter(|(o, p)| o.4 && !**p)
+                .map(|(o, _)| o.1)
+                .min()
+            else {
+                return true; // every required op placed
+            };
+            for i in 0..ops.len() {
+                let (inv, _, is_write, value, _) = ops[i];
+                if placed[i] || inv > first_reply || (!is_write && value != reg) {
+                    continue;
+                }
+                placed[i] = true;
+                let ok = place(ops, placed, if is_write { value } else { reg });
+                placed[i] = false;
+                if ok {
+                    return true;
+                }
+            }
+            false
+        }
+        place(&ops, &mut vec![false; ops.len()], 0)
+    }
+
+    /// Up to seven ops on one key: `(is_write, invoked, duration, fate,
+    /// read value)`. Times are drawn from a small range so that ties,
+    /// overlaps and strict precedence all occur; writes get the unique
+    /// values 1, 2, …; reads observe anything from nothing to one past
+    /// the last write (a phantom).
+    fn small_history() -> impl Strategy<Value = History> {
+        let op = (any::<bool>(), 0u64..12, 0u64..6, 0u8..8, 0u64..5);
+        prop::collection::vec(op, 1..8).prop_map(|raw| {
+            let mut next_value = 0;
+            let ops = raw
+                .into_iter()
+                .map(|(is_write, inv, len, fate, seen)| {
+                    let mut op = if is_write {
+                        next_value += 1;
+                        write("k", next_value, inv, inv + len)
+                    } else {
+                        read("k", seen, inv, inv + len)
+                    };
+                    match fate {
+                        0 => op.completed = None, // abandoned
+                        1 => op.ok = false,       // error reply
+                        2 if !is_write => {
+                            op.completed = None;
+                            op.aborted = true;
+                        }
+                        _ => {}
+                    }
+                    op.ok &= op.completed.is_some();
+                    op
+                })
+                .collect();
+            History { ops }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// The checker accepts exactly what the oracle accepts; a screen
+        /// hit is always an oracle reject; and the search decides every
+        /// history by itself (half of these never reach it in
+        /// `check_linearizable`, a screen rejects them first).
+        #[test]
+        fn verdicts_match_the_brute_force_oracle(h in small_history()) {
+            let recs: Vec<&OpRecord> = h.ops.iter().collect();
+            let expected = oracle_accepts(&recs);
+            let v = check_linearizable(&h);
+            prop_assert_eq!(v.is_empty(), expected, "{:?} on {}", v, h.event_log_json());
+            let timeline = Timeline::new(&recs, &mut 0);
+            let hits = screens("k", &timeline, &mut 0);
+            prop_assert!(hits.is_empty() || !expected, "{:?} on {}", hits, h.event_log_json());
+            let found = search("k", &timeline, &mut 0);
+            prop_assert_eq!(found.is_none(), expected, "{:?} on {}", found, h.event_log_json());
+        }
     }
 }

@@ -16,7 +16,11 @@
 //!   steady-state replication fan-out (Figure 9), `thread-num`
 //!   multi-threading, and probe-based failure detection with failover,
 //! * [`client::BenchClient`] — closed-loop load generation à la
-//!   `redis-benchmark`,
+//!   `redis-benchmark`, over a [`link::ClientLink`] (what a client's
+//!   connection is: dial, backoff, input step, teardown),
+//! * [`histcheck`] — client-visible operation histories and the
+//!   linearizability checker ([`probes`]: the actors that record one
+//!   beside the workload),
 //! * [`cluster`] — the harness that assembles testbeds and produces
 //!   [`metrics::RunReport`]s,
 //! * three run modes ([`config::Mode`]): original **Redis** over TCP,
@@ -52,8 +56,10 @@ pub mod conns;
 pub mod cqdrain;
 pub mod histcheck;
 pub mod hotcache;
+pub mod link;
 pub mod metrics;
 pub mod nickv;
+pub mod probes;
 pub mod protocol;
 pub mod replmode;
 pub mod replsink;

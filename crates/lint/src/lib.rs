@@ -256,7 +256,7 @@ const SIM_CRATE_PREFIXES: [&str; 3] = [
 ];
 
 /// Protocol hot-path files (rule `unwrap` applies).
-const HOT_PATH_FILES: [&str; 15] = [
+const HOT_PATH_FILES: [&str; 17] = [
     "crates/core/src/server.rs",
     "crates/core/src/client.rs",
     "crates/core/src/channel.rs",
@@ -269,6 +269,8 @@ const HOT_PATH_FILES: [&str; 15] = [
     "crates/core/src/replsink.rs",
     "crates/core/src/replsource.rs",
     "crates/core/src/histcheck.rs",
+    "crates/core/src/link.rs",
+    "crates/core/src/probes.rs",
     "crates/netsim/src/rdma.rs",
     "crates/netsim/src/tcp.rs",
     "crates/simcore/src/pool.rs",

@@ -21,18 +21,18 @@ fi
 # config structs' field counts (CI uploads it with the report).
 cargo run -q -p skv-analyze -- --stats | tee target/skv-analyze-stats.txt
 
-echo "==> histcheck smoke (bounded linearizability gate, all repl modes)"
-# Small recorded bench runs (async/quorum/chain) fed through the
-# multi-writer checker. On a violation the failing test writes the full
-# event log to target/histcheck_events.json — CI uploads it as the
-# counterexample artifact.
-if ! cargo test -q --test histcheck_smoke; then
-  echo "FAIL: linearizability smoke (event log: target/histcheck_events.json)"
+echo "==> cargo test --workspace (with the histcheck smoke: bounded linearizability gate, all repl modes)"
+# tests/tests/histcheck_smoke.rs feeds small recorded bench runs
+# (async/quorum/chain) through the checker. On a violation it writes the
+# full event log to target/histcheck_events.json before failing — CI
+# uploads it as the counterexample artifact (ci.yml, `if: failure()`).
+rm -f target/histcheck_events.json
+if ! cargo test -q --workspace; then
+  if [ -e target/histcheck_events.json ]; then
+    echo "FAIL: linearizability smoke (event log: target/histcheck_events.json)"
+  fi
   exit 1
 fi
-
-echo "==> cargo test --workspace"
-cargo test -q --workspace
 
 echo "==> cargo clippy (deny warnings + curated pedantic subset)"
 # The pedantic lints are opt-in one by one: each either mirrors an

@@ -226,9 +226,8 @@ proptest! {
 
 // -- per-protocol fault arms (replication modes) ------------------------------
 
-use skv_core::histcheck::{
-    check_linearizable, check_single_writer, stale_reads, HistSpec, ReadAnchor,
-};
+use skv_core::histcheck::{check_linearizable, ViolationKind};
+use skv_core::probes::ReadAnchor;
 use skv_core::replmode::ReplModeKind;
 use skv_netsim::{FaultPlan, Partition, TimeWindow};
 
@@ -239,10 +238,7 @@ fn slave_crash_stays_linearizable(mode: ReplModeKind, anchor: ReadAnchor) {
     let mut s = spec(3, 2, 2_000, 41);
     s.cfg.repl_mode = mode;
     let mut cluster = Cluster::build(s);
-    let history = cluster.add_history(&HistSpec {
-        anchor,
-        ..HistSpec::default()
-    });
+    let history = cluster.add_history(anchor);
     // Crash slave 0 (the chain head / a quorum member) mid-run, recover
     // it before the end so convergence is checkable.
     cluster.schedule_slave_crash(0, SimTime::from_millis(700));
@@ -259,7 +255,7 @@ fn slave_crash_stays_linearizable(mode: ReplModeKind, anchor: ReadAnchor) {
     let h = history.borrow();
     let done = h.ops.iter().filter(|o| o.completed.is_some()).count();
     assert!(done > 100, "{mode}: only {done} probe ops completed");
-    let violations = check_single_writer(&h);
+    let violations = check_linearizable(&h);
     assert!(
         violations.is_empty(),
         "{mode}: consistency violations under slave crash: {violations:?}"
@@ -287,10 +283,7 @@ fn slave_crash_async_serves_stale_reads_then_converges() {
     // the heal the replicas still converge: eventual consistency, and
     // nothing stronger.
     let mut cluster = Cluster::build(spec(2, 2, 2_000, 42));
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Slave(0),
-        ..HistSpec::default()
-    });
+    let history = cluster.add_history(ReadAnchor::Slave(0));
     let lagging = cluster.slave_nodes[0];
     let servers: Vec<_> = std::iter::once(cluster.master_node)
         .chain(cluster.nic_node)
@@ -306,22 +299,16 @@ fn slave_crash_async_serves_stale_reads_then_converges() {
     run_and_quiesce(&mut cluster, SimDuration::from_secs(3));
 
     let h = history.borrow();
-    let violations = check_single_writer(&h);
+    let violations = check_linearizable(&h);
+    let stale = violations
+        .iter()
+        .filter(|v| v.kind == ViolationKind::Stale)
+        .count();
     assert!(
-        stale_reads(&violations) > 0,
+        stale > 0,
         "async must expose stale reads at the cut-off anchor, found none \
-         ({} ops recorded)",
-        h.ops.len()
-    );
-    // The known-bad fixture for the full checker: the same history fed
-    // through the multi-writer search must also be rejected — async
-    // staleness reproduces as a concrete counterexample, not just a
-    // single-writer screen hit.
-    let mw = check_linearizable(&h);
-    assert!(
-        stale_reads(&mw) > 0,
-        "multi-writer checker accepted a known-stale history \
-         ({} single-writer violations)",
+         ({} ops recorded, {} other violations)",
+        h.ops.len(),
         violations.len()
     );
     drop(h);
@@ -341,10 +328,7 @@ fn chain_rejoin_splices_recovered_slave_without_overlap() {
     let mut s = spec(3, 2, 2_000, 44);
     s.cfg.repl_mode = ReplModeKind::Chain;
     let mut cluster = Cluster::build(s);
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Slave(2),
-        ..HistSpec::default()
-    });
+    let history = cluster.add_history(ReadAnchor::Slave(2));
     // Crash the middle hop with writes in flight; recover it mid-run so
     // it rejoins under load.
     cluster.schedule_slave_crash(1, SimTime::from_millis(700));
@@ -381,10 +365,7 @@ fn chain_mid_node_partition_triggers_repair() {
     let mut s = spec(3, 2, 2_000, 43);
     s.cfg.repl_mode = ReplModeKind::Chain;
     let mut cluster = Cluster::build(s);
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Slave(2),
-        ..HistSpec::default()
-    });
+    let history = cluster.add_history(ReadAnchor::Slave(2));
     cluster.apply_chaos(&ChaosSpec {
         partition: Some((
             vec![1],
@@ -407,7 +388,7 @@ fn chain_mid_node_partition_triggers_repair() {
         "writes stuck behind the dead hop"
     );
     let h = history.borrow();
-    let violations = check_single_writer(&h);
+    let violations = check_linearizable(&h);
     assert!(
         violations.is_empty(),
         "chain violations under mid-node partition: {violations:?}"

@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 use skv_core::cluster::{ChaosSpec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
-use skv_core::histcheck::{check_single_writer, HistSpec, ReadAnchor};
+use skv_core::histcheck::check_linearizable;
+use skv_core::probes::ReadAnchor;
 use skv_simcore::{SimDuration, SimTime};
 
 /// Compressed-time SKV spec with the SoC cache configured: read-heavy
@@ -121,10 +122,7 @@ fn cache_lifts_read_heavy_throughput() {
 #[test]
 fn cached_reads_never_return_stale_values() {
     let mut cluster = Cluster::build(spec(1 << 20, "lru", 800, 53));
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Master,
-        ..HistSpec::default()
-    });
+    let history = cluster.add_history(ReadAnchor::Master);
     run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
 
     assert!(
@@ -138,7 +136,7 @@ fn cached_reads_never_return_stale_values() {
     let h = history.borrow();
     let reads = h.ops.iter().filter(|o| o.completed.is_some()).count();
     assert!(reads > 50, "not enough probe ops completed: {reads}");
-    let violations = check_single_writer(&h);
+    let violations = check_linearizable(&h);
     assert!(violations.is_empty(), "stale cached reads: {violations:?}");
 }
 
@@ -203,10 +201,7 @@ fn ttl_bearing_keys_are_never_resident() {
 #[test]
 fn soc_crash_rejoins_with_cold_cache_and_stays_coherent() {
     let mut cluster = Cluster::build(spec(1 << 20, "lru", 2_500, 54));
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Master,
-        ..HistSpec::default()
-    });
+    let history = cluster.add_history(ReadAnchor::Master);
     cluster.apply_chaos(&ChaosSpec {
         nic_crash: Some((SimTime::from_millis(800), SimTime::from_millis(1_500))),
         seed: 54,
@@ -228,7 +223,7 @@ fn soc_crash_rejoins_with_cold_cache_and_stays_coherent() {
     assert!(cache_counter(&cluster, "cache.hits") > 0, "no hits at all");
     // ...and coherence held across the crash boundary.
     let h = history.borrow();
-    let violations = check_single_writer(&h);
+    let violations = check_linearizable(&h);
     assert!(
         violations.is_empty(),
         "stale reads across the SoC crash: {violations:?}"
@@ -242,7 +237,7 @@ proptest! {
     /// Invalidation-vs-replication ordering under randomized seed ×
     /// shard count × policy: whatever the engine layout and admission
     /// policy, a NIC cache hit must never return a value older than the
-    /// last acked write — the single-writer checker over a probe
+    /// last acked write — the checker over a probe
     /// history routed through the NIC front end.
     #[test]
     fn cache_coherent_across_shards_and_policies(
@@ -255,10 +250,7 @@ proptest! {
         let mut s = spec(cache_kib << 10, policy, 600, 3_000 + seed);
         s.cfg.num_shards = shards;
         let mut cluster = Cluster::build(s);
-        let history = cluster.add_history(&HistSpec {
-            anchor: ReadAnchor::Master,
-            ..HistSpec::default()
-        });
+        let history = cluster.add_history(ReadAnchor::Master);
         run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
 
         prop_assert!(
@@ -266,7 +258,7 @@ proptest! {
             "no cached replies — nothing exercised"
         );
         let h = history.borrow();
-        let violations = check_single_writer(&h);
+        let violations = check_linearizable(&h);
         prop_assert!(
             violations.is_empty(),
             "stale cached reads (shards={shards}, policy={policy}): {violations:?}"

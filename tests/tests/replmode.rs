@@ -8,9 +8,8 @@ use proptest::prelude::*;
 use skv_core::client::BenchClient;
 use skv_core::cluster::{ChaosSpec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
-use skv_core::histcheck::{
-    check_linearizable, check_linearizable_upto, check_single_writer, HistSpec, OpKind, ReadAnchor,
-};
+use skv_core::histcheck::{check_linearizable, check_linearizable_upto, OpKind};
+use skv_core::probes::ReadAnchor;
 use skv_core::replmode::{quorum_slave_acks, ReplModeKind};
 use skv_netsim::SocketAddr;
 use skv_simcore::{SimDuration, SimTime};
@@ -106,10 +105,7 @@ fn quorum_history_linearizable_on_quorum_reads() {
     // Majority-quorum writes + master-anchored quorum reads: the probe
     // history must carry zero violations.
     let mut cluster = Cluster::build(spec(ReplModeKind::Quorum, 2, 600, 33));
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::MasterQuorum,
-        ..HistSpec::default()
-    });
+    let history = cluster.add_history(ReadAnchor::MasterQuorum);
     run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
 
     let h = history.borrow();
@@ -119,7 +115,7 @@ fn quorum_history_linearizable_on_quorum_reads() {
         .filter(|o| o.completed.is_some() && o.read_set.len() >= 2)
         .count();
     assert!(reads > 50, "not enough quorum reads completed: {reads}");
-    let violations = check_single_writer(&h);
+    let violations = check_linearizable(&h);
     assert!(violations.is_empty(), "quorum violations: {violations:?}");
 }
 
@@ -128,16 +124,13 @@ fn chain_history_linearizable_at_tail() {
     // Chain commit = tail applied, so tail-anchored reads must be
     // linearizable.
     let mut cluster = Cluster::build(spec(ReplModeKind::Chain, 3, 600, 34));
-    let history = cluster.add_history(&HistSpec {
-        anchor: ReadAnchor::Slave(2),
-        ..HistSpec::default()
-    });
+    let history = cluster.add_history(ReadAnchor::Slave(2));
     run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
 
     let h = history.borrow();
     let reads = h.ops.iter().filter(|o| o.completed.is_some()).count();
     assert!(reads > 50, "not enough probe ops completed: {reads}");
-    let violations = check_single_writer(&h);
+    let violations = check_linearizable(&h);
     assert!(violations.is_empty(), "chain violations: {violations:?}");
 }
 
