@@ -71,12 +71,11 @@ fn write_latency(size: usize, to_local_soc: bool, from_remote: bool) -> f64 {
         if let Ok(ev) = msg.downcast::<NetEvent>() {
             match *ev {
                 NetEvent::CmConnectRequest { req, .. } => {
-                    let cq = net2.create_cq(ctx.id());
+                    let cq = cqdrain::create_armed(&net2, ctx);
                     let qp = net2.rdma_accept(ctx, req, cq).expect("fresh CM request");
                     for i in 0..8 {
                         net2.post_recv(qp, i).unwrap();
                     }
-                    net2.req_notify_cq(ctx, cq);
                 }
                 NetEvent::CqNotify { cq } => {
                     let out =

@@ -158,14 +158,9 @@ impl<K> ConnTable<K> {
             net.tcp_connect(ctx, node, me, to);
             return;
         }
-        let cq = match self.dial_cq {
-            Some(cq) => cq,
-            None => {
-                let cq = net.create_cq(me);
-                net.req_notify_cq(ctx, cq);
-                *self.dial_cq.insert(cq)
-            }
-        };
+        let cq = *self
+            .dial_cq
+            .get_or_insert_with(|| cqdrain::create_armed(net, ctx));
         net.rdma_connect(ctx, node, me, cq, to);
     }
 

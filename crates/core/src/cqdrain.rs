@@ -1,12 +1,13 @@
-//! Shared completion-queue drain helpers.
+//! The completion path's one owner: how an event loop drains a CQ, and
+//! when the CQ is armed again.
 //!
 //! Every event-driven actor in the system (server, Nic-KV, bench client)
 //! used to drain its CQ with a private unbounded loop — poll 64, repeat
 //! until empty — which made a large completion burst monopolize one
 //! event-loop turn and charged the polling CPU nothing. These helpers
-//! give all three call sites one budgeted, *costed* drain:
+//! give every call site one budgeted, *costed* drain:
 //!
-//! * at most `budget` work completions are polled per `CqNotify` event;
+//! * at most `budget` work completions are polled per pass;
 //! * the drain's CPU cost — `cq_poll_cpu` per poll call plus
 //!   `wc_handle_cpu` per WC ([`skv_netsim::NetParams`]) — is returned to
 //!   the caller, who charges it to its own core pool (the crate
@@ -17,17 +18,32 @@
 //!   charged cost, so timers and other messages interleave with the
 //!   drain — this is what lets a slow Nic-KV ARM core back-pressure
 //!   realistically instead of absorbing any burst in zero sim time;
-//! * otherwise the helper re-arms the CQ before returning.
+//! * otherwise the CQ is re-armed — unless the pass queued work on a
+//!   core (`ParkedCqs`): then it stays un-armed, and the event that ends
+//!   that work polls it again, so completions that land while the core
+//!   is busy are taken in one poll (DESIGN.md §12.3).
+//!
+//! Arming is this file's alone (`skv-analyze` rule `armcq`): a CQ starts
+//! armed ([`create_armed`]) and is re-armed only by a pass that comes
+//! back with nothing left behind.
 
 use skv_netsim::{CqId, Net, Wc};
-use skv_simcore::{Context, SimDuration};
+use skv_simcore::{Context, SimDuration, SimTime};
 
-/// Completions drained per `CqNotify` by every actor's event loop. A
-/// constant, not a knob: one value was ever in use, and any budget from 3
-/// to 256 reads the same throughput (DESIGN.md §12.3). A deeper burst
-/// continues in a follow-up after the drain's CPU cost, so it cannot
-/// monopolize an event-loop turn.
+/// Completions drained per pass by every actor's event loop. A constant,
+/// not a knob: one value was ever in use, and any budget from 3 to 256
+/// reads the same throughput (DESIGN.md §12.3). A deeper burst continues
+/// in a follow-up after the drain's CPU cost, so it cannot monopolize an
+/// event-loop turn.
 pub const POLL_BUDGET: usize = 64;
+
+/// Create a CQ for the calling actor, armed: its first completion
+/// notifies. Every CQ an event loop drains starts here.
+pub fn create_armed(net: &Net, ctx: &mut Context<'_>) -> CqId {
+    let cq = net.create_cq(ctx.id());
+    net.req_notify_cq(ctx, cq);
+    cq
+}
 
 /// What one budgeted drain pass did; see [`drain_budgeted`].
 #[derive(Debug, Clone, Copy)]
@@ -45,7 +61,8 @@ pub struct DrainOutcome {
 }
 
 /// Drain up to `budget` completions from `cq`, dispatching each through
-/// `on_wc`, and report what happened.
+/// `on_wc`, and report what happened — for a caller whose handlers queue
+/// no work behind the poll.
 ///
 /// When the queue is exhausted within budget the CQ is re-armed here
 /// (atomically with the poll in simulation time, so no completion can
@@ -80,7 +97,7 @@ pub fn begin_drain(net: &Net, cq: CqId, budget: usize, scratch: &mut Vec<Wc>) ->
     net.poll_cq_into(cq, budget, scratch)
 }
 
-/// See [`begin_drain`].
+/// See [`begin_drain`]: the end of a pass that queued no work.
 pub fn finish_drain(
     net: &Net,
     ctx: &mut Context<'_>,
@@ -88,7 +105,6 @@ pub fn finish_drain(
     budget: usize,
     polled: usize,
 ) -> DrainOutcome {
-    let cpu_cost = net.with_params(|p| p.cq_poll_cpu + p.wc_handle_cpu.mul_f64(polled as f64));
     let more = polled == budget && net.cq_depth(cq) > 0;
     if !more {
         net.req_notify_cq(ctx, cq);
@@ -96,7 +112,101 @@ pub fn finish_drain(
     DrainOutcome {
         polled,
         more,
+        cpu_cost: poll_cost(net, polled),
+    }
+}
+
+/// See [`begin_drain`]: the end of a pass, polled with [`POLL_BUDGET`],
+/// whose handlers may have queued work — `queued` is when the last of it
+/// ends. [`ParkedCqs::settle`] decides; a parked CQ stays un-armed until
+/// [`ParkedCqs::take_due`] hands it back for its next poll. A poll that
+/// finds nothing is the terminating poll of the pass before it and costs
+/// nothing.
+pub(crate) fn finish_parked(
+    net: &Net,
+    ctx: &mut Context<'_>,
+    cq: CqId,
+    parked: &mut ParkedCqs,
+    polled: usize,
+    queued: Option<SimTime>,
+) -> DrainOutcome {
+    let more = polled == POLL_BUDGET && net.cq_depth(cq) > 0;
+    let next = parked.settle(cq, more, queued);
+    if next == Next::Arm {
+        net.req_notify_cq(ctx, cq);
+    }
+    let cpu_cost = if polled == 0 {
+        SimDuration::ZERO
+    } else {
+        poll_cost(net, polled)
+    };
+    DrainOutcome {
+        polled,
+        more,
         cpu_cost,
+    }
+}
+
+/// One poll call that returned `polled` completions, in reference-core
+/// time.
+fn poll_cost(net: &Net, polled: usize) -> SimDuration {
+    net.with_params(|p| p.cq_poll_cpu + p.wc_handle_cpu.mul_f64(polled as f64))
+}
+
+/// How a drain pass leaves its CQ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Next {
+    /// Nothing left behind: arm, so the next completion notifies.
+    Arm,
+    /// The budget ran out with completions queued: the caller continues
+    /// the drain once its core has done the pass.
+    Continue,
+    /// The pass queued work on a core: the CQ stays un-armed, and the
+    /// event that ends the work polls it again.
+    Park,
+}
+
+/// The CQs an event loop has left un-armed behind work it queued, each
+/// with the instant that work ends (IO-free: the decisions of
+/// [`finish_parked`], as values).
+///
+/// A parked CQ has exactly one way back: the caller's event at or after
+/// its `due` takes it out ([`ParkedCqs::take_due`]) and polls it. A
+/// process that crashes loses those events, so it clears the list
+/// ([`ParkedCqs::clear`]) and re-arms on recovery ([`recover_drain`]).
+#[derive(Debug, Default)]
+pub(crate) struct ParkedCqs {
+    /// `(cq, due)`, one entry per CQ, in parking order.
+    cqs: Vec<(CqId, SimTime)>,
+}
+
+impl ParkedCqs {
+    /// Decide how the pass that just polled `cq` leaves it. The pass
+    /// answers for any earlier park of `cq` (it polled it), so at most
+    /// one entry per CQ exists: the one of its latest pass.
+    pub fn settle(&mut self, cq: CqId, more: bool, queued: Option<SimTime>) -> Next {
+        self.cqs.retain(|&(c, _)| c != cq);
+        match (more, queued) {
+            (true, _) => Next::Continue,
+            (false, None) => Next::Arm,
+            (false, Some(due)) => {
+                self.cqs.push((cq, due));
+                Next::Park
+            }
+        }
+    }
+
+    /// Take out one CQ whose queued work has ended by `now`, oldest park
+    /// first; the caller polls it.
+    pub fn take_due(&mut self, now: SimTime) -> Option<CqId> {
+        let i = self.cqs.iter().position(|&(_, due)| due <= now)?;
+        Some(self.cqs.remove(i).0)
+    }
+
+    /// Forget every parked CQ: the process crashed, and the events that
+    /// would have polled them are lost with it.
+    pub fn clear(&mut self) {
+        self.cqs.clear();
     }
 }
 
@@ -311,5 +421,78 @@ mod tests {
         // 40 WCs at budget 16: passes of 16, 16, 8 — the final sub-budget
         // pass re-armed (and a fresh notify would find an empty queue).
         assert_eq!(log.passes.last().unwrap().1, 8);
+    }
+
+    // -- the parked list: a CQ is never left silent -------------------------
+
+    fn cq(id: u32) -> CqId {
+        CqId(id)
+    }
+
+    fn at(us: u64) -> SimTime {
+        SimTime::from_micros(us)
+    }
+
+    #[test]
+    fn a_pass_with_queued_work_parks_until_the_work_ends() {
+        let mut parked = ParkedCqs::default();
+        assert_eq!(parked.settle(cq(0), false, Some(at(10))), Next::Park);
+        // Not before its work ends ...
+        assert_eq!(parked.take_due(at(9)), None);
+        // ... then exactly once.
+        assert_eq!(parked.take_due(at(10)), Some(cq(0)));
+        assert_eq!(parked.take_due(at(10)), None);
+    }
+
+    #[test]
+    fn a_pass_without_queued_work_arms_and_an_exhausted_budget_continues() {
+        let mut parked = ParkedCqs::default();
+        assert_eq!(parked.settle(cq(0), false, None), Next::Arm);
+        // A continuation polls the CQ itself: nothing to park, whatever
+        // the pass queued.
+        assert_eq!(parked.settle(cq(1), true, Some(at(5))), Next::Continue);
+        assert_eq!(parked.settle(cq(2), true, None), Next::Continue);
+        assert_eq!(parked.take_due(at(100)), None);
+    }
+
+    #[test]
+    fn due_cqs_come_back_oldest_park_first_and_keyed_by_cq() {
+        // Two CQs of one event loop, parked behind work on different
+        // cores: each comes back on its own due, and neither is confused
+        // with the other (the list is keyed by CQ, not by core).
+        let mut parked = ParkedCqs::default();
+        parked.settle(cq(3), false, Some(at(20)));
+        parked.settle(cq(1), false, Some(at(10)));
+        parked.settle(cq(2), false, Some(at(10)));
+        assert_eq!(parked.take_due(at(15)), Some(cq(1)));
+        assert_eq!(parked.take_due(at(15)), Some(cq(2)));
+        assert_eq!(parked.take_due(at(15)), None);
+        assert_eq!(parked.take_due(at(25)), Some(cq(3)));
+        assert_eq!(parked.take_due(at(100)), None);
+    }
+
+    #[test]
+    fn a_second_park_on_one_cq_replaces_the_first() {
+        let mut parked = ParkedCqs::default();
+        parked.settle(cq(0), false, Some(at(10)));
+        // The CQ was polled again before that work ended; the new pass's
+        // work is what the next poll waits for — one entry, not two.
+        parked.settle(cq(0), false, Some(at(30)));
+        assert_eq!(parked.take_due(at(10)), None);
+        assert_eq!(parked.take_due(at(30)), Some(cq(0)));
+        assert_eq!(parked.take_due(at(100)), None);
+        // A pass that queues nothing un-parks it and arms.
+        parked.settle(cq(0), false, Some(at(40)));
+        assert_eq!(parked.settle(cq(0), false, None), Next::Arm);
+        assert_eq!(parked.take_due(at(100)), None);
+    }
+
+    #[test]
+    fn a_crash_clears_every_park() {
+        let mut parked = ParkedCqs::default();
+        parked.settle(cq(0), false, Some(at(10)));
+        parked.settle(cq(1), false, Some(at(10)));
+        parked.clear();
+        assert_eq!(parked.take_due(at(100)), None);
     }
 }

@@ -966,11 +966,9 @@ impl NicKv {
 
 impl Actor for NicKv {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let me = ctx.id();
-        let cq = self.net.create_cq(me);
+        let cq = cqdrain::create_armed(&self.net, ctx);
         self.cq = Some(cq);
-        self.net.rdma_listen(self.addr, me);
-        self.net.req_notify_cq(ctx, cq);
+        self.net.rdma_listen(self.addr, ctx.id());
         ctx.timer(self.cfg.probe_interval, NicMsg::ProbeTick);
     }
 

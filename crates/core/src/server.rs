@@ -38,7 +38,7 @@ use std::collections::VecDeque;
 use crate::channel::{Channel, ChannelMsg, RING_SIZE};
 use crate::config::{ClusterConfig, Mode};
 use crate::conns::{ConnEvent, ConnTable};
-use crate::cqdrain::{self, POLL_BUDGET};
+use crate::cqdrain::{self, ParkedCqs, POLL_BUDGET};
 use crate::hotcache::FWD_NO_ADMIT;
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::ReplModeKind;
@@ -141,6 +141,12 @@ pub struct KvServer {
     cqs: Vec<CqId>,
     /// Round-robin cursor for spreading accepted QPs over `cqs`.
     accept_cursor: usize,
+    /// CQs left un-armed behind the command work their last poll queued;
+    /// the `SendFrames` that ends that work polls them again.
+    parked: ParkedCqs,
+    /// When the last `SendFrames` scheduled since the current poll began
+    /// fires: the work that poll queued (see `drain_cq`).
+    frames_due: Option<SimTime>,
     cpu: CorePool,
     /// The store: one engine per shard behind the slot-range router, and
     /// the `shard.ops` / `shard.cross_msgs` counters execution keeps.
@@ -253,6 +259,8 @@ impl KvServer {
             addr,
             cqs: Vec::new(),
             accept_cursor: 0,
+            parked: ParkedCqs::default(),
+            frames_due: None,
             cpu: CorePool::new(cores, cfg.machines.host_core_speed),
             shards: ShardSet::new(num_shards, seed),
             apply_ring: ApplyRing::new(APPLY_RING_CAP),
@@ -358,6 +366,11 @@ impl KvServer {
     /// A replica's `(master, nic)` upstream; a master has none.
     fn upstream(&self) -> Option<(SocketAddr, Option<SocketAddr>)> {
         self.slave_of.filter(|_| !self.is_master())
+    }
+
+    /// This server's CQs, one per shard; CQ 0 is also the one it dials on.
+    pub fn cqs(&self) -> &[CqId] {
+        &self.cqs
     }
 
     /// Mean utilization of the event-loop core over the run so far.
@@ -818,8 +831,7 @@ impl KvServer {
     /// timestamps preserves feed order for frames released together.
     fn schedule_frames(&mut self, ctx: &mut Context<'_>, done: SimTime, frames: Vec<OutFrame>) {
         if self.shards.num_shards() <= 1 {
-            ctx.timer_at(done, ServerMsg::SendFrames(frames));
-            return;
+            return self.send_frames_at(ctx, done, frames);
         }
         if self.cfg.hot_cache_enabled() && frames.iter().any(|f| f.tag == tag::REPL_STREAM) {
             // Cache-coherency ordering: a forwarded write's ack must not
@@ -829,19 +841,25 @@ impl KvServer {
             // through `repl_egress_at` together.
             let at = done.max(self.repl_egress_at);
             self.repl_egress_at = at;
-            ctx.timer_at(at, ServerMsg::SendFrames(frames));
-            return;
+            return self.send_frames_at(ctx, at, frames);
         }
         let (stream, other): (Vec<OutFrame>, Vec<OutFrame>) =
             frames.into_iter().partition(|f| f.tag == tag::REPL_STREAM);
         if !other.is_empty() {
-            ctx.timer_at(done, ServerMsg::SendFrames(other));
+            self.send_frames_at(ctx, done, other);
         }
         if !stream.is_empty() {
             let at = done.max(self.repl_egress_at);
             self.repl_egress_at = at;
-            ctx.timer_at(at, ServerMsg::SendFrames(stream));
+            self.send_frames_at(ctx, at, stream);
         }
+    }
+
+    /// The one `SendFrames` timer: the event that ends a command's CPU
+    /// work, and so the one that polls a CQ parked behind it.
+    fn send_frames_at(&mut self, ctx: &mut Context<'_>, at: SimTime, frames: Vec<OutFrame>) {
+        self.frames_due = Some(self.frames_due.map_or(at, |due| due.max(at)));
+        ctx.timer_at(at, ServerMsg::SendFrames(frames));
     }
 
     /// Release every deferred reply covered by the known commit point,
@@ -1330,18 +1348,13 @@ impl Actor for KvServer {
         self.started = true;
         let me = ctx.id();
         if self.cfg.mode.uses_rdma() {
-            // CQ 0 first, then listen, then arm — the seed's exact order.
-            // Extra per-shard CQs (sharded servers only) follow, each armed
-            // so its completions interrupt the owning shard's core.
-            let cq = self.net.create_cq(me);
-            self.cqs.push(cq);
-            self.net.rdma_listen(self.addr, me);
-            self.net.req_notify_cq(ctx, cq);
-            for _ in 1..self.shards.num_shards() {
-                let extra = self.net.create_cq(me);
-                self.cqs.push(extra);
-                self.net.req_notify_cq(ctx, extra);
+            // One armed CQ per shard, CQ 0 (the listen / dial CQ) first;
+            // each CQ's completions interrupt the owning shard's core.
+            for _ in 0..self.shards.num_shards() {
+                let cq = cqdrain::create_armed(&self.net, ctx);
+                self.cqs.push(cq);
             }
+            self.net.rdma_listen(self.addr, me);
         } else {
             self.net.tcp_listen(self.addr, me);
         }
@@ -1362,6 +1375,9 @@ impl Actor for KvServer {
                     Control::Crash => {
                         self.crashed = true;
                         self.net.set_node_up(self.node, false);
+                        // The `SendFrames` that would poll them are lost
+                        // with the process; `Recover` re-arms every CQ.
+                        self.parked.clear();
                     }
                     Control::ConnectNic { nic } => {
                         self.nic_addr = Some(nic);
@@ -1418,7 +1434,14 @@ impl Actor for KvServer {
             Ok(m) => {
                 match *m {
                     ServerMsg::Cron => self.on_cron(ctx),
-                    ServerMsg::SendFrames(frames) => self.emit_frames(ctx, frames),
+                    ServerMsg::SendFrames(frames) => {
+                        self.emit_frames(ctx, frames);
+                        // The core is through the work that parked a CQ:
+                        // poll it again, before it is armed.
+                        while let Some(cq) = self.parked.take_due(ctx.now()) {
+                            self.drain_cq(ctx, cq);
+                        }
+                    }
                     ServerMsg::PersistDone {
                         slave,
                         snapshot,
@@ -1467,33 +1490,7 @@ impl Actor for KvServer {
                 let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE);
                 self.attach(ctx, ch, peer);
             }
-            NetEvent::CqNotify { cq } => {
-                // Budgeted drain: at most `POLL_BUDGET` completions per
-                // event, with the poll + per-WC handling CPU charged to
-                // the event-loop core; an over-budget burst continues in
-                // a self-scheduled follow-up once that work is done.
-                let net = self.net.clone();
-                let mut wcs = self.conns.take_wcs();
-                let out =
-                    cqdrain::drain_budgeted(&net, ctx, cq, POLL_BUDGET, &mut wcs, |ctx, wc| {
-                        let Some(conn) = self.conns.conn_of_qp(wc.qp) else {
-                            return;
-                        };
-                        match self.conns.on_wc(&net, ctx, conn, &wc) {
-                            ConnEvent::Msg(msg) => self.on_channel_msg(ctx, conn, msg),
-                            ConnEvent::Broken => self.on_conn_broken(ctx, conn),
-                            ConnEvent::Quiet => {}
-                        }
-                    });
-                self.conns.put_wcs(wcs);
-                // Poll CPU lands on the core owning this CQ (cq 0 → core
-                // 0, the seed schedule; extra shard CQs → their cores).
-                let core = self.cqs.iter().position(|&c| c == cq).unwrap_or(0);
-                let done = self.cpu.run_on(core, ctx.now(), out.cpu_cost).finished;
-                if out.more {
-                    ctx.timer_at(done, NetEvent::CqNotify { cq });
-                }
-            }
+            NetEvent::CqNotify { cq } => self.drain_cq(ctx, cq),
             NetEvent::TcpAccepted { conn, .. } => {
                 self.conns.add(Channel::tcp(conn), ConnKind::Unknown, None);
             }
@@ -1523,6 +1520,38 @@ impl Actor for KvServer {
 }
 
 impl KvServer {
+    /// One budgeted pass over `cq`: at most `POLL_BUDGET` completions,
+    /// with the poll + per-WC handling CPU charged to the core owning the
+    /// CQ (cq 0 → core 0; extra shard CQs → their cores). An over-budget
+    /// burst continues in a self-scheduled follow-up once that work is
+    /// done. A pass whose commands queued work leaves the CQ parked: the
+    /// `SendFrames` that ends the work polls it again, so completions that
+    /// land while the core is busy share one poll (DESIGN.md §12.3).
+    fn drain_cq(&mut self, ctx: &mut Context<'_>, cq: CqId) {
+        let net = self.net.clone();
+        let mut wcs = self.conns.take_wcs();
+        let polled = cqdrain::begin_drain(&net, cq, POLL_BUDGET, &mut wcs);
+        self.frames_due = None;
+        for wc in wcs.drain(..) {
+            let Some(conn) = self.conns.conn_of_qp(wc.qp) else {
+                continue;
+            };
+            match self.conns.on_wc(&net, ctx, conn, &wc) {
+                ConnEvent::Msg(msg) => self.on_channel_msg(ctx, conn, msg),
+                ConnEvent::Broken => self.on_conn_broken(ctx, conn),
+                ConnEvent::Quiet => {}
+            }
+        }
+        self.conns.put_wcs(wcs);
+        let queued = self.frames_due.take();
+        let out = cqdrain::finish_parked(&net, ctx, cq, &mut self.parked, polled, queued);
+        let core = self.cqs.iter().position(|&c| c == cq).unwrap_or(0);
+        let done = self.cpu.run_on(core, ctx.now(), out.cpu_cost).finished;
+        if out.more {
+            ctx.timer_at(done, NetEvent::CqNotify { cq });
+        }
+    }
+
     /// An outbound dial to `peer` came up: the connection takes the role
     /// the dial was made for and the frames queued for it leave.
     fn attach(&mut self, ctx: &mut Context<'_>, channel: Channel, peer: SocketAddr) {

@@ -15,7 +15,9 @@
 //!   crates), `wallclock` (no `Instant::now`/`SystemTime`/
 //!   `thread::spawn`/`thread_rng` in sim code).
 //! * **Event-loop discipline** — `pollcq` (no raw `poll_cq` outside
-//!   `cqdrain::drain_budgeted`; DESIGN.md §12), `blocking` (no
+//!   `cqdrain::drain_budgeted`; DESIGN.md §12), `armcq` (no
+//!   `req_notify_cq` outside `cqdrain.rs`: a CQ is armed at creation and
+//!   re-armed only by a drain that leaves nothing behind), `blocking` (no
 //!   `thread::sleep`, real sockets, or file IO in sim crates),
 //!   `handoff-site` (no `Context::handoff` outside the fabric's one
 //!   notify site and `simcore` itself; DESIGN.md §24), `sync-in-sim`
@@ -131,7 +133,7 @@ pub struct RuleInfo {
 }
 
 /// The full rule registry.
-pub const RULES: [RuleInfo; 16] = [
+pub const RULES: [RuleInfo; 17] = [
     RuleInfo {
         name: "hashmap",
         severity: Severity::Error,
@@ -160,6 +162,12 @@ pub const RULES: [RuleInfo; 16] = [
         name: "pollcq",
         severity: Severity::Error,
         summary: "raw poll_cq outside cqdrain::drain_budgeted",
+        scope: "core and bench event loops (cqdrain.rs exempt)",
+    },
+    RuleInfo {
+        name: "armcq",
+        severity: Severity::Error,
+        summary: "req_notify_cq outside cqdrain.rs",
         scope: "core and bench event loops (cqdrain.rs exempt)",
     },
     RuleInfo {
@@ -288,10 +296,11 @@ const WIRE_FILES: [&str; 4] = [
 ];
 
 /// Trees whose event loops must drain completions through
-/// `cqdrain::drain_budgeted` (rule `pollcq`).
+/// `cqdrain::drain_budgeted` and arm CQs through `cqdrain` (rules `pollcq`
+/// and `armcq`).
 const EVENT_LOOP_PREFIXES: [&str; 3] = ["crates/core/src/", "crates/bench/src/", "examples/"];
 
-/// The one file allowed to call `poll_cq` directly.
+/// The one file allowed to call `poll_cq` or `req_notify_cq` directly.
 const CQDRAIN_FILE: &str = "crates/core/src/cqdrain.rs";
 
 /// The one file outside `simcore` allowed to hand a message off (rule
@@ -366,7 +375,7 @@ fn rule_applies(rule: &str, scope: Scope) -> bool {
     match rule {
         "hashmap" | "wallclock" | "blocking" | "sync-in-sim" => scope.sim,
         "unwrap" => scope.hot,
-        "pollcq" => scope.event_loop,
+        "pollcq" | "armcq" => scope.event_loop,
         "handoff-site" => scope.handoff_guarded,
         "io-free" => scope.io_free,
         _ => false,
@@ -431,7 +440,7 @@ const IO_FREE_MESSAGE: &str = "IO or cost type in an IO-free state machine; take
                                SimTime`, return decisions as values, and leave dialling, sending \
                                and CPU charging to the actor (DESIGN.md §25, §26, §28)";
 
-const PATTERNS: [Pattern; 21] = [
+const PATTERNS: [Pattern; 22] = [
     Pattern {
         needle: "HashMap",
         ident: true,
@@ -567,6 +576,14 @@ const PATTERNS: [Pattern; 21] = [
         message: "raw CQ poll outside cqdrain::drain_budgeted; completion drains \
                   must be budgeted so one burst cannot monopolise the event loop \
                   (DESIGN.md §12)",
+    },
+    Pattern {
+        needle: ".req_notify_cq(",
+        ident: false,
+        rule: "armcq",
+        message: "CQ armed outside cqdrain; create it with cqdrain::create_armed and \
+                  leave re-arming to the drain, which arms only when a poll leaves \
+                  nothing behind (DESIGN.md §12.3)",
     },
 ];
 
@@ -1575,6 +1592,27 @@ mod tests {
         assert!(check_source("crates/core/src/cqdrain.rs", src).is_empty());
         // Out-of-scope crates are not event loops.
         assert!(check_source("crates/store/src/db.rs", src).is_empty());
+    }
+
+    #[test]
+    fn armcq_scope() {
+        let src =
+            "fn f(net: &Net, ctx: &mut Context<'_>, cq: CqId) { net.req_notify_cq(ctx, cq); }\n";
+        for file in [
+            "crates/core/src/server.rs",
+            "crates/bench/src/experiments.rs",
+            "examples/quickstart.rs",
+        ] {
+            let v = check_source(file, src);
+            assert_eq!(v.len(), 1, "{file}: {v:?}");
+            assert_eq!(v[0].rule, "armcq");
+        }
+        // cqdrain.rs owns arming; the fabric defines the verb.
+        assert!(check_source("crates/core/src/cqdrain.rs", src).is_empty());
+        assert!(check_source("crates/netsim/src/rdma.rs", src).is_empty());
+        // The helper every event loop creates its CQs with is not a raw arm.
+        let ok = "fn f(net: &Net, ctx: &mut Context<'_>) { let cq = cqdrain::create_armed(net, ctx); }\n";
+        assert!(check_source("crates/core/src/nickv.rs", ok).is_empty());
     }
 
     #[test]

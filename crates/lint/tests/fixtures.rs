@@ -65,6 +65,14 @@ fn fixtures_produce_expected_diagnostics() {
         lines_of(&violations, "crates/core/src/bad_pollcq.rs", "pollcq"),
         vec![4]
     );
+    // So are raw arms; the creation helper beside it is clean.
+    assert_eq!(
+        by_file(&violations, "crates/core/src/bad_armcq.rs")
+            .iter()
+            .map(|v| (v.line, v.rule))
+            .collect::<Vec<_>>(),
+        vec![(4, "armcq")]
+    );
 
     // Handoffs are flagged everywhere but the fabric's notify site and
     // the crate that defines the primitive (both checked clean below).
@@ -236,7 +244,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 50, "{violations:?}");
+    assert_eq!(violations.len(), 51, "{violations:?}");
 }
 
 #[test]
@@ -244,7 +252,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 49);
+    assert_eq!(analysis.errors(), 50);
     assert!(analysis
         .violations
         .iter()
@@ -264,6 +272,7 @@ fn json_report_round_trips_fixture_diagnostics() {
         "unwrap",
         "blocking",
         "pollcq",
+        "armcq",
         "handoff-site",
         "sync-in-sim",
         "io-free",
@@ -281,7 +290,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 50, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 51, "{json}");
 }
 
 #[test]

@@ -325,35 +325,47 @@ fn chain_rejoin_splices_recovered_slave_without_overlap() {
     // would hand the slave an overlapping backlog window. Commits keep
     // flowing, nothing wedges behind the rejoiner, and the tail-anchored
     // history stays linearizable through crash, rejoin, and resync.
-    let mut s = spec(3, 2, 2_000, 44);
-    s.cfg.repl_mode = ReplModeKind::Chain;
-    let mut cluster = Cluster::build(s);
-    let history = cluster.add_history(ReadAnchor::Slave(2));
-    // Crash the middle hop with writes in flight; recover it mid-run so
-    // it rejoins under load.
-    cluster.schedule_slave_crash(1, SimTime::from_millis(700));
-    cluster.schedule_slave_recover(1, SimTime::from_millis(1_100));
-    run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
+    //
+    // A splice needs a chain open when the rejoiner's sync request reaches
+    // the NIC. Two closed-loop clients leave none open at some instants —
+    // the rejoin then correctly splices nothing (`Tracker::rejoin` finds
+    // no pending write) — so four keep writes in flight, and the recovery
+    // is swept over instants a few µs apart so no single one decides.
+    for offset_us in [0, 7, 14, 21] {
+        let mut s = spec(3, 4, 2_000, 44);
+        s.cfg.repl_mode = ReplModeKind::Chain;
+        let mut cluster = Cluster::build(s);
+        let history = cluster.add_history(ReadAnchor::Slave(2));
+        // Crash the middle hop with writes in flight; recover it mid-run
+        // so it rejoins under load.
+        let recover_at = SimTime::from_millis(1_100) + SimDuration::from_micros(offset_us);
+        cluster.schedule_slave_crash(1, SimTime::from_millis(700));
+        cluster.schedule_slave_recover(1, recover_at);
+        run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
 
-    let nic = cluster.nic_kv().expect("nic");
-    assert!(
-        nic.tracker().stat_chain_rejoins >= 1,
-        "recovered slave never spliced back into an in-flight chain"
-    );
-    assert!(nic.tracker().stat_commits > 0, "chain stopped committing");
-    assert_eq!(
-        nic.tracker().pending_writes(),
-        0,
-        "writes stuck behind the rejoiner"
-    );
-    let h = history.borrow();
-    let violations = check_linearizable(&h);
-    assert!(
-        violations.is_empty(),
-        "chain rejoin violations: {violations:?}"
-    );
-    drop(h);
-    assert_converged(&cluster);
+        let nic = cluster.nic_kv().expect("nic");
+        assert!(
+            nic.tracker().stat_chain_rejoins >= 1,
+            "recover +{offset_us} µs: recovered slave never spliced back into an in-flight chain"
+        );
+        assert!(
+            nic.tracker().stat_commits > 0,
+            "recover +{offset_us} µs: chain stopped committing"
+        );
+        assert_eq!(
+            nic.tracker().pending_writes(),
+            0,
+            "recover +{offset_us} µs: writes stuck behind the rejoiner"
+        );
+        let h = history.borrow();
+        let violations = check_linearizable(&h);
+        assert!(
+            violations.is_empty(),
+            "recover +{offset_us} µs: chain rejoin violations: {violations:?}"
+        );
+        drop(h);
+        assert_converged(&cluster);
+    }
 }
 
 #[test]
@@ -394,6 +406,57 @@ fn chain_mid_node_partition_triggers_repair() {
         "chain violations under mid-node partition: {violations:?}"
     );
     drop(h);
+    assert_converged(&cluster);
+}
+
+// -- the completion path ------------------------------------------------------
+
+/// A CQ is never left silent (DESIGN.md §12.3): a busy master leaves a CQ
+/// un-armed behind the command work its last poll queued, and only the
+/// event that ends that work polls it again. Whatever happens to that
+/// event — the master crashes with it pending, the SoC dies under the
+/// master's fan-out, four shard CQs park behind four cores — every server
+/// CQ must be drained once the cluster is quiet, and the master must keep
+/// serving after each recovery. A CQ parked under the wrong key and never
+/// polled again would hold its completions to the end.
+#[test]
+fn no_server_cq_is_left_silent() {
+    let mut s = spec(3, 8, 1_500, 45);
+    s.cfg.num_shards = 4;
+    s.pipeline = 2;
+    let mut cluster = Cluster::build(s);
+    let at = |ms: u64| cluster.measure_from + SimDuration::from_millis(ms);
+    let (master_down, master_up, nic_down, nic_up) = (at(200), at(400), at(700), at(1_000));
+    cluster.schedule_master_crash(master_down);
+    cluster.schedule_master_recover(master_up);
+    cluster.schedule_nic_crash(nic_down);
+    cluster.schedule_nic_recover(nic_up);
+
+    let mut served_after = Vec::new();
+    for (recovered, until) in [(master_up, nic_down), (nic_up, cluster.measure_until)] {
+        cluster.sim.run_until(recovered);
+        let before = cluster.master_server().stat_commands;
+        cluster.sim.run_until(until);
+        served_after.push(cluster.master_server().stat_commands - before);
+    }
+    assert!(
+        served_after.iter().all(|&n| n > 1_000),
+        "master stalled after a recovery: {served_after:?} commands"
+    );
+    run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
+
+    let servers =
+        std::iter::once(cluster.master_server()).chain((0..3).map(|i| cluster.slave_server(i)));
+    for (i, server) in servers.enumerate() {
+        assert_eq!(server.cqs().len(), 4, "server {i}: one CQ per shard");
+        for &cq in server.cqs() {
+            assert_eq!(
+                cluster.net.cq_depth(cq),
+                0,
+                "server {i}: {cq:?} holds completions nobody polls"
+            );
+        }
+    }
     assert_converged(&cluster);
 }
 
