@@ -679,7 +679,11 @@ pub fn ablation_shards() -> Table {
 /// and evictions churn while the steady-state arms sit at a full,
 /// quiet cache. `hits` are GETs served from SoC memory, `misses` the ones
 /// forwarded to the host, `invals` entries dropped or refreshed off the
-/// replication stream, `bytes` what is resident at run end.
+/// replication stream, `bytes` what is resident at run end. `ARM%` is the
+/// busiest SoC core's accounted busy time over the measurement window:
+/// the front end spreads over every core the fan-out thread leaves free,
+/// each polling its own clients' CQ, so no core's work may exceed the
+/// time it had.
 pub fn ablation_hotcache() -> Table {
     let mut t = Table::new(
         "Ablation — SoC hot-key GET cache (SKV, 2 slaves, 8 clients, P=4, 5% SET)",
@@ -697,6 +701,7 @@ pub fn ablation_hotcache() -> Table {
             Column::new("evicts", 8),
             Column::new("invals", 7),
             Column::new("bytes", 9),
+            Column::num("ARM%", 6, 1),
         ],
     );
     let mut arm = |policy: &str, theta: f64, cache_kib: usize, shift_every: u64, seed: u64| {
@@ -710,6 +715,19 @@ pub fn ablation_hotcache() -> Table {
         s.cfg.hot_cache_bytes = cache_kib << 10;
         s.cfg.hot_cache_policy = policy.to_string();
         let mut cluster = Cluster::build(s);
+        let arm_busy = |c: &Cluster| -> Vec<SimDuration> {
+            c.nic_kv().expect("SKV has a NIC").core_busy().collect()
+        };
+        cluster.sim.run_until(cluster.measure_from);
+        let before = arm_busy(&cluster);
+        cluster.sim.run_until(cluster.measure_until);
+        let busiest = arm_busy(&cluster)
+            .into_iter()
+            .zip(before)
+            .map(|(after, before)| after - before)
+            .max()
+            .unwrap_or(SimDuration::ZERO);
+        let window = cluster.measure_until - cluster.measure_from;
         let report = cluster.run();
         let counters = cluster.counters_snapshot();
         let (hits, misses) = (counters.get("cache.hits"), counters.get("cache.misses"));
@@ -727,6 +745,7 @@ pub fn ablation_hotcache() -> Table {
             counters.get("cache.evicts"),
             counters.get("cache.invalidations"),
             counters.get("cache.bytes"),
+            busiest.as_secs_f64() / window.as_secs_f64() * 100.0,
         ]);
     };
     // Cache-off baseline on the exact headline workload.

@@ -23,6 +23,9 @@ use crate::server::{Control, KvServer};
 pub const KV_PORT: u16 = 6379;
 /// Nic-KV's RDMA listen port on the SmartNIC SoC.
 pub const NIC_PORT: u16 = 7000;
+/// Nic-KV's cache front end on the SmartNIC SoC (cache-on runs): the port
+/// clients and history probes dial instead of the master's.
+pub const NIC_FE_PORT: u16 = 7001;
 
 /// Workload + measurement parameters for one run.
 #[derive(Debug, Clone)]
@@ -266,14 +269,7 @@ impl Cluster {
             start_at: clients_start,
             stop_at: measure_until,
         };
-        // With the SoC hot-key cache on, clients dial the Nic-KV front
-        // end instead of the host master: hot GETs are answered from SoC
-        // memory, everything else is proxied through (see
-        // `crate::hotcache`). Cache off keeps the historical direct path.
-        let client_target = match nic_addr {
-            Some(nic) if cfg.hot_cache_enabled() => nic,
-            _ => master_addr,
-        };
+        let client_target = front_addr(cfg, nic_node, master_addr);
         let bench_history = cfg.record_history.then(histcheck::new_history);
         let clients: Vec<ActorId> = (0..spec.num_clients)
             .map(|i| {
@@ -368,15 +364,12 @@ impl Cluster {
     pub fn add_history(&mut self, anchor: ReadAnchor) -> SharedHistory {
         let history = histcheck::new_history();
         let cfg = self.spec.cfg.clone();
-        let master_addr = SocketAddr::new(self.master_node, KV_PORT);
         // With the hot-key cache on, the history probes exercise the NIC
         // front end exactly like the bench clients: writers and
         // master-anchored readers dial the Nic-KV, so stale cache hits
         // surface as non-monotone reads.
-        let front_addr = match self.nic_node {
-            Some(n) if cfg.hot_cache_enabled() => SocketAddr::new(n, NIC_PORT),
-            _ => master_addr,
-        };
+        let master_addr = SocketAddr::new(self.master_node, KV_PORT);
+        let front_addr = front_addr(&cfg, self.nic_node, master_addr);
         let slave_addrs: Vec<SocketAddr> = self
             .slave_nodes
             .iter()
@@ -750,6 +743,17 @@ impl Cluster {
             out.push(self.slave_server(i).shards().digest());
         }
         out
+    }
+}
+
+/// Where clients send commands. With the SoC hot-key cache on, that is the
+/// Nic-KV front end instead of the host master: hot GETs are answered from
+/// SoC memory, everything else is proxied through (see `crate::hotcache`).
+/// Cache off keeps the historical direct path.
+fn front_addr(cfg: &ClusterConfig, nic_node: Option<NodeId>, master: SocketAddr) -> SocketAddr {
+    match nic_node {
+        Some(n) if cfg.hot_cache_enabled() => SocketAddr::new(n, NIC_FE_PORT),
+        _ => master,
     }
 }
 

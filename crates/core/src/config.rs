@@ -1,5 +1,7 @@
 //! Cluster and server configuration.
 
+use std::ops::Range;
+
 use crate::replmode::ReplModeKind;
 use skv_netsim::{MachineParams, NetParams};
 use skv_simcore::SimDuration;
@@ -241,6 +243,20 @@ impl ClusterConfig {
             .min(self.num_slaves.max(1))
     }
 
+    /// The SmartNIC cores that run the cache front end (DESIGN.md §16.1):
+    /// every core the fan-out threads leave free, each polling its own CQ
+    /// and its share of the client connections. When the threads take
+    /// every core, the front end shares the last one.
+    pub fn nic_front_end_cores(&self) -> Range<usize> {
+        let cores = self.machines.nic_cores.max(1);
+        let threads = self.effective_nic_threads();
+        if threads < cores {
+            threads..cores
+        } else {
+            cores - 1..cores
+        }
+    }
+
     /// Server-side reconnect backoff for the `attempts`-th consecutive
     /// failure (1-based): `reconnect_base · 2^(attempts−1)` clamped to
     /// [`ClusterConfig::reconnect_max_delay`]. The cap never drops below
@@ -331,10 +347,10 @@ impl ClusterConfig {
                     self.mode.label()
                 ));
             }
-            // The cache front-end pins a NIC core for GET serving and
-            // proxying; a sharded config (already in the explicit-sizing
-            // regime above) must leave room for it next to the
-            // replication pool.
+            // The cache front end serves GETs and proxies on the NIC cores
+            // the replication pool leaves free; a sharded config (already
+            // in the explicit-sizing regime above) must leave it at least
+            // one.
             if self.num_shards > 1 && self.thread_num + 1 > self.machines.nic_cores {
                 return Err(format!(
                     "hot cache with num_shards {} needs a SmartNIC core for \
@@ -633,5 +649,27 @@ mod tests {
         assert_eq!(cfg.effective_nic_threads(), 8, "min(cores=8, slaves=20)");
         cfg.thread_num = 0;
         assert_eq!(cfg.effective_nic_threads(), 1, "at least one");
+    }
+
+    #[test]
+    fn the_front_end_runs_on_every_core_the_fanout_leaves_free() {
+        // The default: one fan-out thread on core 0, seven front-end cores.
+        let mut cfg = ClusterConfig::default();
+        assert_eq!(cfg.nic_front_end_cores(), 1..8);
+        // Threads are counted after the clamp: 5 asked, 3 slaves, so 3.
+        cfg.thread_num = 5;
+        assert_eq!(cfg.nic_front_end_cores(), 3..8);
+        cfg.num_slaves = 7;
+        cfg.thread_num = 7;
+        assert_eq!(cfg.nic_front_end_cores(), 7..8, "the last core alone");
+        // Threads on every core: the front end shares the last one.
+        cfg.thread_num = 8;
+        assert_eq!(cfg.nic_front_end_cores(), 7..8);
+        cfg.thread_num = 16;
+        cfg.num_slaves = 20;
+        assert_eq!(cfg.nic_front_end_cores(), 7..8);
+        // A one-core SoC runs everything on core 0.
+        cfg.machines.nic_cores = 1;
+        assert_eq!(cfg.nic_front_end_cores(), 0..1);
     }
 }

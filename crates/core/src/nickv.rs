@@ -12,7 +12,10 @@
 //!   `thread-num` ARM cores,
 //! * runs **failure detection**: 1-second probes, `waiting-time` timeouts,
 //!   invalid flags, `min-slaves` notifications to the master, and master
-//!   failover with downgrade-on-return.
+//!   failover with downgrade-on-return,
+//! * with the hot-key cache on, runs the clients' **command front end** on
+//!   every ARM core the fan-out threads leave free, each core polling its
+//!   own CQ and its share of the client connections (DESIGN.md §16.1).
 
 use skv_netsim::{CqId, Frame, Net, NetEvent, NodeId, SocketAddr, WcOpcode, WcStatus};
 use skv_simcore::{Actor, ActorId, Context, CorePool, Payload, SimDuration, SimTime};
@@ -21,6 +24,7 @@ use skv_store::repl::ReplicationPosition;
 use skv_store::resp::{self, ParsedCommand, Resp};
 
 use crate::channel::{Channel, ChannelMsg, RING_SIZE};
+use crate::cluster::NIC_FE_PORT;
 use crate::config::ClusterConfig;
 use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain::{self, POLL_BUDGET};
@@ -95,12 +99,18 @@ pub struct NicKv {
     cfg: ClusterConfig,
     node: NodeId,
     addr: SocketAddr,
-    cq: Option<CqId>,
+    /// Every CQ this SoC polls, with the ARM core that polls it: thread
+    /// 0's first (the master and slave channels), then, cache on, one per
+    /// front-end core (the client connections).
+    cqs: Vec<(CqId, usize)>,
+    /// Round-robin cursor over the front-end CQs for accepted clients.
+    accept_cursor: usize,
     /// The SmartNIC's ARM cores (slow; speed factor from `MachineParams`).
     cpu: CorePool,
-    /// Channels to the master, the slaves and (cache on) the clients; the
+    /// Channels to the master, the slaves and (cache on) the clients, each
+    /// tagged with the ARM core that polls its CQ and runs its work; the
     /// node list maps nodes to indices here.
-    conns: ConnTable<()>,
+    conns: ConnTable<usize>,
     nodes: Vec<NodeEntry>,
     probe_seq: u64,
     /// Address of a slave promoted during master failover, if any.
@@ -180,7 +190,8 @@ impl NicKv {
             net,
             node,
             addr,
-            cq: None,
+            cqs: Vec::new(),
+            accept_cursor: 0,
             cpu: CorePool::new(cores, speed),
             conns: ConnTable::new(None),
             nodes: Vec::new(),
@@ -235,10 +246,19 @@ impl NicKv {
         &self.front
     }
 
-    /// The ARM core running the cache front-end: the last one, which
-    /// `ClusterConfig::validate` keeps clear of sharded fan-out threads.
-    fn fe_core(&self) -> usize {
-        self.cfg.machines.nic_cores.max(1) - 1
+    /// Every CQ this SoC polls: thread 0's, then the front end's.
+    pub fn cqs(&self) -> impl Iterator<Item = CqId> + '_ {
+        self.cqs.iter().map(|&(cq, _)| cq)
+    }
+
+    /// Busy time each ARM core has accumulated so far, in core order.
+    pub fn core_busy(&self) -> impl Iterator<Item = SimDuration> + '_ {
+        (0..self.cpu.num_cores()).map(|core| self.cpu.busy_time(core))
+    }
+
+    /// The ARM core that polls `cq`.
+    fn core_of_cq(&self, cq: CqId) -> usize {
+        self.cqs.iter().find(|c| c.0 == cq).map_or(0, |c| c.1)
     }
 
     /// Replication ingress per master shard (empty counts unless the
@@ -426,7 +446,8 @@ impl NicKv {
 
     /// One client command at the SoC front end: a cache hit is answered
     /// after the ARM lookup cost, anything else is relayed to the master
-    /// as a cookie-framed [`tag::FWD_CMD`] after the forwarding cost.
+    /// as a cookie-framed [`tag::FWD_CMD`] after the forwarding cost. The
+    /// work runs on the front-end core that polls the client's CQ.
     fn on_client_cmd(&mut self, ctx: &mut Context<'_>, conn: usize, payload: &Frame) {
         let costs = &self.cfg.costs;
         let (cost, msg) = match self.front.on_client_cmd(conn, payload) {
@@ -435,7 +456,8 @@ impl NicKv {
                 (costs.nic_fwd, NicMsg::FwdSend { cookie, frame })
             }
         };
-        let done = self.cpu.run_on(self.fe_core(), ctx.now(), cost).finished;
+        let core = *self.conns.kind(conn);
+        let done = self.cpu.run_on(core, ctx.now(), cost).finished;
         ctx.timer_at(done, msg);
     }
 
@@ -454,8 +476,10 @@ impl NicKv {
 
     /// A cookie-framed reply came back from the host: relay the inner
     /// reply to the client the front end says is waiting for it, after the
-    /// forwarding cost. The admission version is the replication
-    /// high-water this NIC has seen on the stream.
+    /// forwarding cost on that client's front-end core — the core its
+    /// hits reply from, so the connection's replies keep their order. The
+    /// admission version is the replication high-water this NIC has seen
+    /// on the stream.
     fn on_fwd_reply(&mut self, ctx: &mut Context<'_>, payload: &Frame) {
         let Some((conn, frame)) = self.front.on_fwd_reply(payload, self.master_offset) else {
             return;
@@ -463,8 +487,8 @@ impl NicKv {
         if !self.conns.is_open(conn) {
             return; // the client went away; drop the reply
         }
-        let cost = self.cfg.costs.nic_fwd;
-        let done = self.cpu.run_on(self.fe_core(), ctx.now(), cost).finished;
+        let (core, cost) = (*self.conns.kind(conn), self.cfg.costs.nic_fwd);
+        let done = self.cpu.run_on(core, ctx.now(), cost).finished;
         ctx.timer_at(done, NicMsg::CacheReply { conn, frame });
     }
 
@@ -550,19 +574,10 @@ impl NicKv {
                     }
                 }
             }
-            NodeMsg::ProgressReport { slave, offset } => {
-                if let Some(e) = self.entry_mut(slave) {
-                    e.position.offset = e.position.offset.max(offset);
-                    e.last_reply = ctx.now();
-                }
-                if self.deferred() {
-                    self.track(ctx, |t, live| t.on_progress(slave, offset, live));
-                }
-            }
-            NodeMsg::WriteAck { slave, offset } => {
-                // Chain hop acknowledgement: the slave *applied* the
-                // stream up to `offset` (cumulative, so one ack can cover
-                // several pending writes).
+            // A progress report, or a chain hop acknowledgement: the slave
+            // *applied* the stream up to `offset` (cumulative, so one ack
+            // can cover several pending writes).
+            NodeMsg::ProgressReport { slave, offset } | NodeMsg::WriteAck { slave, offset } => {
                 if let Some(e) = self.entry_mut(slave) {
                     e.position.offset = e.position.offset.max(offset);
                     e.last_reply = ctx.now();
@@ -967,8 +982,16 @@ impl NicKv {
 impl Actor for NicKv {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let cq = cqdrain::create_armed(&self.net, ctx);
-        self.cq = Some(cq);
+        self.cqs.push((cq, 0));
         self.net.rdma_listen(self.addr, ctx.id());
+        if self.front.cache().is_some() {
+            for core in self.cfg.nic_front_end_cores() {
+                let cq = cqdrain::create_armed(&self.net, ctx);
+                self.cqs.push((cq, core));
+            }
+            let front = SocketAddr::new(self.node, NIC_FE_PORT);
+            self.net.rdma_listen(front, ctx.id());
+        }
         ctx.timer(self.cfg.probe_interval, NicMsg::ProbeTick);
     }
 
@@ -1001,8 +1024,9 @@ impl Actor for NicKv {
                         // Tracked-mode state is process state: gone too.
                         self.tracker.reset();
                         self.notified_upto = 0;
-                        // Stale completions still replenish receive slots.
-                        if let Some(cq) = self.cq {
+                        // Stale completions still replenish receive slots,
+                        // and every CQ is armed again.
+                        for &(cq, _) in &self.cqs {
                             self.conns.recover_drain(&self.net, ctx, cq);
                         }
                     }
@@ -1054,9 +1078,21 @@ impl Actor for NicKv {
             return;
         };
         match *ev {
-            NetEvent::CmConnectRequest { req, .. } => {
-                // Stale or double-answered requests are benign: ignore.
-                let Some(cq) = self.cq else { return };
+            NetEvent::CmConnectRequest { req, to, .. } => {
+                // The master and the slaves dial `addr` and land on thread
+                // 0's CQ. Clients dial the front end and are spread over
+                // its cores' CQs round-robin, as the master spreads its
+                // connections over the shard CQs. Stale or double-answered
+                // requests are benign: ignore.
+                let cq = match self.cqs.split_first() {
+                    None => return,
+                    Some((_, front)) if to != self.addr && !front.is_empty() => {
+                        let (cq, _) = front[self.accept_cursor % front.len()];
+                        self.accept_cursor += 1;
+                        cq
+                    }
+                    Some((&(cq, _), _)) => cq,
+                };
                 let _ = self.net.rdma_accept(ctx, req, cq);
             }
             NetEvent::CmEstablished { qp, .. } if self.conns.conn_of_qp(qp).is_none() => {
@@ -1065,13 +1101,16 @@ impl Actor for NicKv {
                 // unsignaled; only a tracked write's ack asks for its
                 // completion (`post_stream`).
                 let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE).unsignaled();
-                self.conns.add(ch, (), None);
+                let core = self.core_of_cq(self.net.qp_cq(qp));
+                self.conns.add(ch, core, None);
             }
             NetEvent::CqNotify { cq } => {
                 // Budgeted drain on the slow ARM cores: at most
-                // `POLL_BUDGET` completions per event, CPU charged to
-                // thread 0, over-budget bursts continued after that work —
-                // the realistic back-pressure under fan-in.
+                // `POLL_BUDGET` completions per event, CPU charged to the
+                // core that polls this CQ, over-budget bursts continued
+                // after that work — the realistic back-pressure under
+                // fan-in.
+                let core = self.core_of_cq(cq);
                 let net = self.net.clone();
                 let mut wcs = self.conns.take_wcs();
                 let out =
@@ -1098,7 +1137,7 @@ impl Actor for NicKv {
                 // Completion errors may have torn connections down; give
                 // in-flight chains a chance to splice dead hops out.
                 self.chain_repair(ctx);
-                let done = self.cpu.run_on(0, ctx.now(), out.cpu_cost).finished;
+                let done = self.cpu.run_on(core, ctx.now(), out.cpu_cost).finished;
                 if out.more {
                     ctx.timer_at(done, NetEvent::CqNotify { cq });
                 }

@@ -71,7 +71,10 @@ pub(crate) struct CqState {
 #[derive(Debug)]
 pub(crate) struct MrState {
     pub(crate) node: NodeId,
-    pub(crate) buf: Vec<u8>,
+    /// Registered length: the bound every remote access is checked against.
+    pub(crate) len: usize,
+    /// The region's bytes; `None` for a registration without contents.
+    pub(crate) buf: Option<Vec<u8>>,
 }
 
 #[derive(Debug)]

@@ -8,9 +8,12 @@
 //!
 //! Memory regions hold real bytes: an RDMA WRITE physically copies the
 //! payload into the target region at the arrival instant, so protocols
-//! built on top (command rings, replication streams, RDB transfer) move
-//! real data and can be checked end-to-end for correctness, not just for
-//! timing.
+//! built on top move real data and can be checked end-to-end for
+//! correctness, not just for timing. A region registered *without
+//! contents* ([`Net::register_mr_without_contents`]) keeps only its
+//! length: writes into it are bounds-checked but not copied, and READs of
+//! it fail. A `WRITE_WITH_IMM`'s completion carries the payload either
+//! way, which is all a receive ring's owner reads.
 //!
 //! Error semantics follow reliable-connection hardware: a WR whose packets
 //! are lost (fault injection) or whose destination is gone surfaces as a
@@ -102,47 +105,53 @@ impl Net {
 
     /// Register a memory region of `len` zeroed bytes on `node`.
     pub fn register_mr(&self, node: NodeId, len: usize) -> MrId {
+        self.register(node, len, Some(vec![0; len]))
+    }
+
+    /// Register a region of `len` bytes on `node` that keeps no copy of
+    /// what lands in it: for a receive ring whose owner reads every
+    /// message from its completion, never from the region. Remote WRITEs
+    /// and WRITE_WITH_IMMs are bounds-checked exactly as for
+    /// [`Net::register_mr`] (out of range completes `RemoteAccessError`);
+    /// a READ always completes `RemoteAccessError`, as on an MR registered
+    /// without `IBV_ACCESS_REMOTE_READ`.
+    pub fn register_mr_without_contents(&self, node: NodeId, len: usize) -> MrId {
+        self.register(node, len, None)
+    }
+
+    fn register(&self, node: NodeId, len: usize, buf: Option<Vec<u8>>) -> MrId {
         let mut inner = self.inner.borrow_mut();
         let id = MrId(next_id(inner.mrs.len()));
-        inner.mrs.push(MrState {
-            node,
-            buf: vec![0; len],
-        });
+        inner.mrs.push(MrState { node, len, buf });
         id
     }
 
     /// Read bytes out of a local memory region.
     ///
     /// # Panics
-    /// Panics if the range is out of bounds (a protocol bug).
+    /// Panics if the range is out of bounds or the region keeps no
+    /// contents (a protocol bug).
     pub fn mr_read(&self, mr: MrId, offset: usize, len: usize) -> Vec<u8> {
         let inner = self.inner.borrow();
-        let buf = &inner.mrs[mr.0 as usize].buf;
+        let Some(buf) = &inner.mrs[mr.0 as usize].buf else {
+            panic!("MR read from a region without contents");
+        };
         let Some(view) = offset.checked_add(len).and_then(|end| buf.get(offset..end)) else {
             panic!("MR read out of bounds: {}+{} > {}", offset, len, buf.len());
         };
         view.to_vec()
     }
 
-    /// Whether the region holds exactly `data` at `offset` (false when
-    /// the range is out of bounds): [`Net::mr_read`]'s comparison without
-    /// the copy-out, for audits on a per-message path.
-    pub fn mr_holds(&self, mr: MrId, offset: usize, data: &[u8]) -> bool {
-        let inner = self.inner.borrow();
-        let buf = &inner.mrs[mr.0 as usize].buf;
-        let held = offset
-            .checked_add(data.len())
-            .and_then(|end| buf.get(offset..end));
-        held == Some(data)
-    }
-
     /// Write bytes into a local memory region.
     ///
     /// # Panics
-    /// Panics if the range is out of bounds (a protocol bug).
+    /// Panics if the range is out of bounds or the region keeps no
+    /// contents (a protocol bug).
     pub fn mr_write(&self, mr: MrId, offset: usize, data: &[u8]) {
         let mut inner = self.inner.borrow_mut();
-        let buf = &mut inner.mrs[mr.0 as usize].buf;
+        let Some(buf) = &mut inner.mrs[mr.0 as usize].buf else {
+            panic!("MR write to a region without contents");
+        };
         let buf_len = buf.len();
         let Some(dst) = offset
             .checked_add(data.len())
@@ -444,6 +453,11 @@ impl Net {
     pub fn qp_node(&self, qp: QpId) -> NodeId {
         self.inner.borrow().qps[qp.0 as usize].node
     }
+
+    /// The CQ a QP's completions go to.
+    pub fn qp_cq(&self, qp: QpId) -> CqId {
+        self.inner.borrow().qps[qp.0 as usize].cq
+    }
 }
 
 /// Validate, judge and launch one send-side WR: the shared engine behind
@@ -650,10 +664,11 @@ pub(crate) fn handle_arrival(
             assert_eq!(mr.node, dst_node, "READ must target an MR on the peer node");
             // A requester-supplied range outside the MR is the requester's
             // protocol error, not a target-host bug: complete with
-            // `RemoteAccessError` rather than panicking the simulation.
+            // `RemoteAccessError` rather than panicking the simulation. So
+            // does any READ of a region that keeps no contents.
             let payload = remote_offset
                 .checked_add(len)
-                .and_then(|end| mr.buf.get(remote_offset..end))
+                .and_then(|end| mr.buf.as_ref()?.get(remote_offset..end))
                 .map(Frame::copy_from_slice);
             let Some(payload) = payload else {
                 net.counters.inc(Slot::RdmaAccessErrors);
@@ -686,13 +701,12 @@ pub(crate) fn handle_cm_request_arrival(net: &mut NetInner, ctx: &mut Context<'_
     };
     let listener = net.cm_listeners.get(&request.listener_addr).copied();
     let listener_up = net.up(request.listener_addr.node);
-    let from = request.from_addr;
+    let (from, to) = (request.from_addr, request.listener_addr);
     match listener {
         Some(actor) if listener_up => {
-            ctx.send(actor, NetEvent::CmConnectRequest { req, from });
+            ctx.send(actor, NetEvent::CmConnectRequest { req, from, to });
         }
         _ => {
-            let to = request.listener_addr;
             let from_actor = request.from_actor;
             let half = net.params.connect_latency / 2;
             net.cm_requests[req.0 as usize] = None;
@@ -718,7 +732,8 @@ fn pop_recv(net: &mut NetInner, qp: QpId) -> Option<u64> {
     popped
 }
 
-/// Apply a remote WRITE payload to the target MR.
+/// Apply a remote WRITE payload to the target MR (a region without
+/// contents only checks the range).
 ///
 /// Returns `false` — after counting an `rdma.access_errors` — when the
 /// remote-supplied range falls outside the region: that is the *requester's*
@@ -731,11 +746,17 @@ fn write_mr(net: &mut NetInner, dst_node: NodeId, mr: MrId, offset: usize, data:
         state.node, dst_node,
         "WRITE must target an MR on the peer node"
     );
-    let wrote = offset
+    let end = offset
         .checked_add(data.len())
-        .and_then(|end| state.buf.get_mut(offset..end))
-        .map(|dst| dst.copy_from_slice(data))
-        .is_some();
+        .filter(|&end| end <= state.len);
+    let wrote = match (end, &mut state.buf) {
+        (None, _) => false,
+        (Some(_), None) => true,
+        (Some(end), Some(buf)) => buf
+            .get_mut(offset..end)
+            .map(|dst| dst.copy_from_slice(data))
+            .is_some(),
+    };
     if !wrote {
         net.counters.inc(Slot::RdmaAccessErrors);
     }

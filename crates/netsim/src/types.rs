@@ -222,8 +222,8 @@ pub struct Wc {
     /// The payload, as a zero-copy view of the sender's frame: valid for
     /// `Recv` completions of two-sided sends, `RdmaRead` completions, and
     /// `RecvRdmaWithImm` — for the latter the same bytes have also been
-    /// written into the target MR at `mr_offset` (one-sided reads of the
-    /// region still see them), but consuming `data` directly skips the
+    /// written into the target MR at `mr_offset`, unless it was registered
+    /// without contents, and consuming `data` directly skips the
     /// `mr_read` copy-out.
     pub data: Frame,
 }
@@ -272,6 +272,9 @@ pub enum NetEvent {
         req: CmReqId,
         /// Who is dialling.
         from: SocketAddr,
+        /// The listen address dialled (RDMA_CM's listen id): an actor
+        /// listening on several addresses tells them apart by it.
+        to: SocketAddr,
     },
     /// An RDMA_CM connection is established; the QP is ready.
     CmEstablished {

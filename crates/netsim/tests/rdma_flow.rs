@@ -428,6 +428,100 @@ fn unsignaled_wr_that_fails_still_completes_at_the_sender() {
     assert_eq!(w.net.counters().get("rdma.access_errors"), 2);
 }
 
+// -- a receive ring registered without contents -------------------------------
+
+/// A 1 KiB ring on the server node that keeps no copy of what lands in it.
+fn contents_free_ring(w: &World) -> MrId {
+    w.net.register_mr_without_contents(w.b, 1 << 10)
+}
+
+/// The receiver reads a ring message from its completion alone: the WC
+/// carries the posted bytes, where they landed and the tag, and a plain
+/// WRITE into the ring completes like one into a full region.
+#[test]
+fn a_contents_free_ring_delivers_the_posted_bytes_in_the_completion() {
+    let mut w = world();
+    let (cqp, _sqp, cwcs, swcs, _mr) = establish(&mut w, 4);
+    let c = cqp.borrow().unwrap();
+    let ring = contents_free_ring(&w);
+    let payload: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+
+    post_from_helper(
+        &mut w,
+        c,
+        SendWr::write_imm(7, ring, 1024 - 300, 0xBEEF, payload.clone()),
+    );
+    {
+        let swcs = swcs.borrow();
+        assert_eq!(swcs.len(), 1);
+        let rwc = &swcs[0];
+        assert_eq!(
+            (rwc.opcode, rwc.status),
+            (WcOpcode::RecvRdmaWithImm, WcStatus::Success)
+        );
+        assert_eq!((rwc.imm, rwc.mr_offset, rwc.byte_len), (0xBEEF, 724, 300));
+        assert_eq!(&rwc.data[..], &payload[..], "the completion is the message");
+    }
+    let write = SendWr::new(
+        8,
+        SendOp::Write {
+            remote_mr: ring,
+            remote_offset: 0,
+        },
+        vec![1; 16],
+    );
+    post_from_helper(&mut w, c, write);
+    let statuses: Vec<_> = cwcs.borrow().iter().map(|wc| wc.status).collect();
+    assert_eq!(statuses, [WcStatus::Success; 2]);
+    assert_eq!(w.net.counters().get("rdma.access_errors"), 0);
+}
+
+/// The ring still has its bounds: a WRITE_WITH_IMM past its end is the
+/// requester's error, consumes no receive, and leaves the QP usable.
+#[test]
+fn an_out_of_range_write_imm_into_a_contents_free_ring_fails_and_the_qp_lives() {
+    let mut w = world();
+    let (cqp, _sqp, cwcs, swcs, _mr) = establish(&mut w, 4);
+    let c = cqp.borrow().unwrap();
+    let ring = contents_free_ring(&w);
+
+    post_from_helper(&mut w, c, SendWr::write_imm(1, ring, 1020, 5, vec![0; 8]));
+    assert_eq!(cwcs.borrow().len(), 1);
+    assert_eq!(cwcs.borrow()[0].status, WcStatus::RemoteAccessError);
+    assert!(
+        swcs.borrow().is_empty(),
+        "nothing landed, no receive consumed"
+    );
+    assert_eq!(w.net.counters().get("rdma.access_errors"), 1);
+
+    // The very next post on the same QP goes through and is delivered.
+    post_from_helper(&mut w, c, SendWr::write_imm(2, ring, 1016, 6, vec![3; 8]));
+    assert_eq!(cwcs.borrow()[1].status, WcStatus::Success);
+    let swcs = swcs.borrow();
+    assert_eq!(swcs.len(), 1);
+    assert_eq!((swcs[0].wr_id, swcs[0].imm), (1000, 6));
+    assert_eq!(swcs[0].data, vec![3; 8]);
+}
+
+/// There is nothing to read: a READ of the ring fails, in range or not.
+#[test]
+fn a_read_of_a_contents_free_ring_fails() {
+    let mut w = world();
+    let (cqp, _sqp, cwcs, _swcs, _mr) = establish(&mut w, 0);
+    let c = cqp.borrow().unwrap();
+    let ring = contents_free_ring(&w);
+
+    post_from_helper(&mut w, c, SendWr::read(3, ring, 0, 16));
+    let cwcs = cwcs.borrow();
+    assert_eq!(cwcs.len(), 1);
+    assert_eq!(
+        (cwcs[0].opcode, cwcs[0].status),
+        (WcOpcode::RdmaRead, WcStatus::RemoteAccessError)
+    );
+    assert!(cwcs[0].data.is_empty());
+    assert_eq!(w.net.counters().get("rdma.access_errors"), 1);
+}
+
 /// A READ's completion is its result: the flag cannot suppress it.
 #[test]
 fn read_posted_unsignaled_still_completes_with_its_data() {

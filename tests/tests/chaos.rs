@@ -460,6 +460,48 @@ fn no_server_cq_is_left_silent() {
     assert_converged(&cluster);
 }
 
+/// The same for Nic-KV with the hot cache on, whose clients spread over
+/// one CQ per front-end ARM core beside thread 0's (DESIGN.md §12.3,
+/// §16.1). The SoC crashes under eight pipelined clients and recovers;
+/// the clients redial onto the front-end CQs of the restarted process.
+/// Once the cluster is quiet every Nic-KV CQ must be empty, and the
+/// clients must have been served again after the recovery.
+#[test]
+fn no_nic_cq_is_left_silent_with_the_cache_on() {
+    let mut s = spec(2, 8, 1_000, 46);
+    s.cfg.hot_cache_bytes = 64 << 10;
+    s.pipeline = 2;
+    s.set_ratio = 0.2;
+    s.zipf_theta = 0.99;
+    let mut cluster = Cluster::build(s);
+    let at = |ms: u64| cluster.measure_from + SimDuration::from_millis(ms);
+    let (nic_down, nic_up) = (at(300), at(600));
+    cluster.schedule_nic_crash(nic_down);
+    cluster.schedule_nic_recover(nic_up);
+
+    cluster.sim.run_until(nic_up);
+    let replies = |c: &Cluster| c.counters_snapshot().get("client.stat_replies");
+    let before = replies(&cluster);
+    run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
+    let served = replies(&cluster) - before;
+    assert!(
+        served > 1_000,
+        "clients stalled after the SoC recovered: {served} replies"
+    );
+
+    let nic = cluster.nic_kv().expect("SKV has a NIC");
+    let cqs: Vec<_> = nic.cqs().collect();
+    assert_eq!(cqs.len(), 8, "thread 0's CQ and seven front-end CQs");
+    for cq in cqs {
+        assert_eq!(
+            cluster.net.cq_depth(cq),
+            0,
+            "Nic-KV {cq:?} holds completions nobody polls"
+        );
+    }
+    assert_converged(&cluster);
+}
+
 // -- recovery schedules on timer boundaries -----------------------------------
 
 /// ROADMAP recovery lead (b), DESIGN.md §25: slave 1 is down +40…+160 ms

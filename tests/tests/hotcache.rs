@@ -116,6 +116,59 @@ fn cache_lifts_read_heavy_throughput() {
     );
 }
 
+/// The front end runs on every ARM core the fan-out thread leaves free
+/// (DESIGN.md §16.1): eight clients are accepted round-robin onto seven
+/// front-end CQs, and each core polls its own CQ and runs its own clients'
+/// hits, forwards and relays. A front end pinned to one core, an accept
+/// that fills one CQ, or thread 0 polling every CQ each leaves a core idle
+/// or past the window. At 1 MiB the SoC answers most GETs itself, so the
+/// front-end cores run near saturation.
+#[test]
+fn every_free_arm_core_serves_its_own_clients() {
+    let mut s = spec(1 << 20, "lru", 300, 55);
+    s.num_clients = 8;
+    s.pipeline = 4;
+    s.key_space = 10_000;
+    let front = s.cfg.nic_front_end_cores();
+    assert_eq!(front, 1..8, "one fan-out thread, eight ARM cores");
+    let mut cluster = Cluster::build(s);
+    let arm_busy = |c: &Cluster| -> Vec<SimDuration> {
+        c.nic_kv().expect("SKV has a NIC").core_busy().collect()
+    };
+    cluster.sim.run_until(cluster.measure_from);
+    let before = arm_busy(&cluster);
+    cluster.sim.run_until(cluster.measure_until);
+    let busy: Vec<SimDuration> = arm_busy(&cluster)
+        .into_iter()
+        .zip(before)
+        .map(|(after, before)| after - before)
+        .collect();
+    let report = cluster.run();
+    assert_eq!(report.errors, 0, "{} error replies", report.errors);
+
+    let nic = cluster.nic_kv().expect("SKV has a NIC");
+    assert_eq!(
+        nic.cqs().count(),
+        1 + front.len(),
+        "thread 0's CQ + one per core"
+    );
+    let busiest = front.clone().map(|core| busy[core]).max().unwrap();
+    for core in front {
+        assert!(
+            busy[core] * 4 > busiest,
+            "front-end core {core} barely worked: {:?} of the busiest {busiest:?}",
+            busy[core]
+        );
+    }
+    let window = cluster.measure_until - cluster.measure_from;
+    for (core, &b) in busy.iter().enumerate() {
+        assert!(
+            b <= window,
+            "ARM core {core} busy {b:?} in a {window:?} window"
+        );
+    }
+}
+
 /// The stale-read regression the invalidation seam exists for: history
 /// probes (single-writer SETs, anchored GETs) flow through the NIC
 /// front end, so every probe GET is eligible for a cached reply — and
