@@ -472,7 +472,6 @@ impl BenchClient {
         }
         self.in_flight.clear();
         self.stat_reconnects += 1;
-        self.metrics.borrow_mut().chaos.inc("client.reconnects");
         ctx.timer(SimDuration::from_millis(1), ClientMsg::Start);
     }
 

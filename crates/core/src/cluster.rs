@@ -3,7 +3,8 @@
 //! Assembles the paper's testbed in the simulator: a master host (with a
 //! SmartNIC SoC in SKV mode), N slave hosts, a client host, and the 100 Gb
 //! fabric between them; wires up the replication topology; runs a measured
-//! workload; and produces a [`RunReport`].
+//! workload; and produces a [`RunReport`] — the clients' summary — plus
+//! [`Cluster::counters_snapshot`], the one export of every counter.
 
 use skv_netsim::{FaultPlan, Net, NodeId, Partition, SocketAddr, TimeWindow, Topology};
 use skv_simcore::stats::Counters;
@@ -16,7 +17,7 @@ use crate::hotcache::ENTRY_OVERHEAD;
 use crate::metrics::{MetricsHub, RunReport, SharedMetrics};
 use crate::nickv::{NicControl, NicKv};
 use crate::probes::{self, HistReader, HistWriter, ReadAnchor};
-use crate::replmode::{quorum_slave_acks, ReplModeKind};
+use crate::replmode::quorum_slave_acks;
 use crate::server::{Control, KvServer};
 
 /// Well-known ports.
@@ -462,109 +463,11 @@ impl Cluster {
         self.report()
     }
 
-    /// Summarize the run so far, folding the fabric's fault counters and
-    /// the servers' robustness stats into the report's `chaos` set.
+    /// Summarize the clients' view of the run so far: throughput,
+    /// latency percentiles and the completion series. Counters leave a run
+    /// through [`Cluster::counters_snapshot`] alone.
     pub fn report(&self) -> RunReport {
-        let mut report = RunReport::from_hub(self.spec.cfg.mode.label(), &self.metrics.borrow());
-        for (k, v) in self.net.counters().iter() {
-            if k.starts_with("faults.") || k == "rdma.qp_errors" {
-                report.chaos.add(k, v);
-            }
-        }
-        let mut servers = vec![self.master_server()];
-        for i in 0..self.slaves.len() {
-            servers.push(self.slave_server(i));
-        }
-        for s in servers {
-            report.chaos.add("server.reconnects", s.stat_reconnects);
-            report.chaos.add("server.conn_errors", s.stat_conn_errors);
-            report.chaos.add("server.degradations", s.stat_degradations);
-            report
-                .chaos
-                .add("server.partial_syncs", s.stat_partial_syncs);
-        }
-        // Tracked-mode counters are gated on the mode so the async arm's
-        // report — and therefore its determinism digest — stays
-        // bit-identical to the pre-trait code path.
-        if self.spec.cfg.repl_mode != ReplModeKind::Async {
-            if let Some(nic) = self.nic_kv() {
-                report.chaos.add("nic.commits", nic.tracker().stat_commits);
-                report.chaos.add("nic.retransmits", nic.stat_retransmits);
-                report
-                    .chaos
-                    .add("nic.chain_repairs", nic.tracker().stat_chain_repairs);
-                report
-                    .chaos
-                    .add("nic.chain_rejoins", nic.tracker().stat_chain_rejoins);
-            }
-            let m = self.master_server();
-            report
-                .chaos
-                .add("server.deferred_replies", m.stat_deferred_replies);
-            report
-                .chaos
-                .add("server.released_replies", m.stat_released_replies);
-        }
-        // Shard counters are gated the same way on the shard count, so a
-        // single-shard run's report — and its determinism digest — stays
-        // bit-identical to the pre-sharding engine.
-        if self.spec.cfg.num_shards > 1 {
-            let mut servers = vec![self.master_server()];
-            for i in 0..self.slaves.len() {
-                servers.push(self.slave_server(i));
-            }
-            for s in servers {
-                report
-                    .chaos
-                    .add("shard.ops", s.shard_ops().iter().sum::<u64>());
-                report
-                    .chaos
-                    .add("shard.cross_msgs", s.shards().cross_msgs());
-                report.chaos.add("shard.queue_depth", s.apply_queue_depth());
-            }
-            if let Some(nic) = self.nic_kv() {
-                report
-                    .chaos
-                    .add("shard.nic_ingress", nic.shard_ingress().iter().sum::<u64>());
-            }
-        }
-        // Cache counters are gated on the cache being enabled, so every
-        // cache-off run's report — and its determinism digest — stays
-        // bit-identical to the pre-cache baseline.
-        if self.spec.cfg.hot_cache_enabled() {
-            self.add_cache_counters(&mut report.chaos);
-            if let Some(nic) = self.nic_kv() {
-                report
-                    .chaos
-                    .add("nic.fwd_stale_drops", nic.front_end().stat_fwd_stale_drops);
-            }
-        }
-        // Mode-failover counters exist only when the knob is on, keeping
-        // every fixed-mode report (and digest) untouched.
-        if self.spec.cfg.mode_failover {
-            if let Some(nic) = self.nic_kv() {
-                report.chaos.add("nic.mode_changes", nic.stat_mode_changes);
-            }
-            report
-                .chaos
-                .add("server.mode_changes", self.master_server().stat_mode_changes);
-        }
-        // History-recording counters: sizes of the recorded event log,
-        // present only when the recorder ran.
-        if let Some(history) = &self.bench_history {
-            let h = history.borrow();
-            let reads = h
-                .ops
-                .iter()
-                .filter(|o| o.kind == histcheck::OpKind::Read)
-                .count() as u64;
-            let aborts = h.ops.iter().filter(|o| o.aborted).count() as u64;
-            report.chaos.add("hist.ops", h.ops.len() as u64);
-            report.chaos.add("hist.reads", reads);
-            report.chaos.add("hist.writes", h.ops.len() as u64 - reads);
-            report.chaos.add("hist.aborts", aborts);
-        }
-        report
+        RunReport::from_hub(self.spec.cfg.mode.label(), &self.metrics.borrow())
     }
 
     /// Dump every counter in the testbed, keyed by subsystem: `server.*`
@@ -572,11 +475,9 @@ impl Cluster {
     /// `store.*` (all engines summed), plus the fabric's `rdma.*` and
     /// `faults.*` counters verbatim. Every name in
     /// [`crate::metrics::catalog`] is present (zero when never hit), so
-    /// ablation tables get a stable schema.
-    ///
-    /// This is deliberately separate from [`Cluster::report`]: the report's
-    /// chaos set is mode-gated so determinism digests stay bit-identical
-    /// across refactors, while this snapshot is the unconditional export.
+    /// ablation tables get a stable schema. This is the one way counters
+    /// leave a run: the benchmark, the ablations, the tests and the
+    /// determinism digest all read it.
     pub fn counters_snapshot(&self) -> Counters {
         let mut out = Counters::new();
         let mut servers = vec![self.master_server()];
@@ -642,7 +543,14 @@ impl Cluster {
         for &name in crate::metrics::catalog::CACHE_COUNTERS {
             out.add(name, 0);
         }
-        self.add_cache_counters(&mut out);
+        if let Some(cache) = self.nic_kv().and_then(|nic| nic.front_end().cache()) {
+            out.add("cache.hits", cache.stats.hits);
+            out.add("cache.misses", cache.stats.misses);
+            out.add("cache.admits", cache.stats.admits);
+            out.add("cache.evicts", cache.stats.evicts);
+            out.add("cache.invalidations", cache.stats.invalidations);
+            out.add("cache.bytes", cache.bytes() as u64);
+        }
         out.add("client.stat_issued", 0);
         out.add("client.stat_replies", 0);
         out.add("client.stat_reconnects", 0);
@@ -678,19 +586,6 @@ impl Cluster {
             out.add(k, v);
         }
         out
-    }
-
-    /// The hot cache's counters and resident byte footprint, if one runs.
-    fn add_cache_counters(&self, out: &mut Counters) {
-        let Some(cache) = self.nic_kv().and_then(|nic| nic.front_end().cache()) else {
-            return;
-        };
-        out.add("cache.hits", cache.stats.hits);
-        out.add("cache.misses", cache.stats.misses);
-        out.add("cache.admits", cache.stats.admits);
-        out.add("cache.evicts", cache.stats.evicts);
-        out.add("cache.invalidations", cache.stats.invalidations);
-        out.add("cache.bytes", cache.bytes() as u64);
     }
 
     /// Execute commands directly on the master's engine — for preloading a

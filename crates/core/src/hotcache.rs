@@ -18,9 +18,9 @@
 //!   every GET it proxies; the sketch is what lets TinyLFU-style
 //!   admission compare a candidate against a victim without per-key
 //!   state.
-//! * **Policy** — [`CachePolicy`] decides *admission* (should this
-//!   freshly-fetched reply displace the eviction victim?). [`LruPolicy`]
-//!   always admits (classic LRU cache); [`TinyLfuPolicy`] admits only
+//! * **Policy** — [`CachePolicyKind::admits`] decides *admission* (should
+//!   this freshly-fetched reply displace the eviction victim?). `Lru`
+//!   always admits (classic LRU cache); `TinyLfu` admits only
 //!   when the sketch says the candidate is hotter than the victim, which
 //!   protects the working set from scan pollution. Eviction order is
 //!   recency for both (the policy plane sweeps admission — the paper's
@@ -197,55 +197,17 @@ impl CachePolicyKind {
             CachePolicyKind::TinyLfu => "tinylfu",
         }
     }
-}
 
-/// Admission decision plane. The mechanism (store, LRU order, budget,
-/// invalidation) is fixed; the policy decides only whether a miss that
-/// just completed earns a slot at the victim's expense.
-pub trait CachePolicy {
-    /// Should `candidate` be admitted when making room would evict
-    /// `victim`? `victim` is `None` when the budget has free space.
-    fn admit(&self, sketch: &CountMinSketch, candidate: &[u8], victim: Option<&[u8]>) -> bool;
-
-    /// The kind this policy was built from (reporting).
-    fn kind(&self) -> CachePolicyKind;
-}
-
-/// Always admit; pure recency cache.
-pub struct LruPolicy;
-
-impl CachePolicy for LruPolicy {
-    fn admit(&self, _sketch: &CountMinSketch, _candidate: &[u8], _victim: Option<&[u8]>) -> bool {
-        true
-    }
-
-    fn kind(&self) -> CachePolicyKind {
-        CachePolicyKind::Lru
-    }
-}
-
-/// TinyLFU-style admission: a candidate must out-score the victim in the
-/// frequency sketch to displace it. With free space it always admits.
-pub struct TinyLfuPolicy;
-
-impl CachePolicy for TinyLfuPolicy {
-    fn admit(&self, sketch: &CountMinSketch, candidate: &[u8], victim: Option<&[u8]>) -> bool {
-        match victim {
-            None => true,
-            Some(v) => sketch.estimate(candidate) > sketch.estimate(v),
+    /// The admission decision. The mechanism (store, LRU order, budget,
+    /// invalidation) is fixed; the policy decides only whether a miss that
+    /// just completed earns a slot at `victim`'s expense (`None` when the
+    /// budget has free space). LRU always admits; TinyLFU needs the
+    /// candidate to out-score the victim in the frequency sketch.
+    pub fn admits(self, sketch: &CountMinSketch, candidate: &[u8], victim: Option<&[u8]>) -> bool {
+        match (self, victim) {
+            (CachePolicyKind::TinyLfu, Some(v)) => sketch.estimate(candidate) > sketch.estimate(v),
+            _ => true,
         }
-    }
-
-    fn kind(&self) -> CachePolicyKind {
-        CachePolicyKind::TinyLfu
-    }
-}
-
-/// Build the policy object for a parsed kind.
-pub fn policy_for(kind: CachePolicyKind) -> Box<dyn CachePolicy> {
-    match kind {
-        CachePolicyKind::Lru => Box::new(LruPolicy),
-        CachePolicyKind::TinyLfu => Box::new(TinyLfuPolicy),
     }
 }
 
@@ -295,7 +257,7 @@ struct Entry {
 pub struct HotCache {
     /// Hard byte budget (`ClusterConfig::hot_cache_bytes`).
     budget: usize,
-    policy: Box<dyn CachePolicy>,
+    policy: CachePolicyKind,
     sketch: CountMinSketch,
     map: DetMap<Vec<u8>, usize>,
     slots: Vec<Entry>,
@@ -312,10 +274,10 @@ pub struct HotCache {
 
 impl HotCache {
     /// An empty cache with `budget` bytes and the given policy.
-    pub fn new(budget: usize, kind: CachePolicyKind) -> Self {
+    pub fn new(budget: usize, policy: CachePolicyKind) -> Self {
         HotCache {
             budget,
-            policy: policy_for(kind),
+            policy,
             sketch: CountMinSketch::new(),
             map: DetMap::new(),
             slots: Vec::new(),
@@ -397,7 +359,7 @@ impl HotCache {
         // admitted, evict as many victims as the budget demands.
         if self.bytes + charged > self.budget {
             let victim = (self.tail != NIL).then(|| self.slots[self.tail].key.as_slice());
-            if !self.policy.admit(&self.sketch, key, victim) {
+            if !self.policy.admits(&self.sketch, key, victim) {
                 return false;
             }
         }

@@ -1,10 +1,13 @@
 //! Run-wide measurement: latency histograms, completion time series, and
-//! the report type every experiment prints.
+//! the report type every experiment prints. The report is the clients'
+//! summary only; counters leave a run through one export,
+//! [`Cluster::counters_snapshot`](crate::cluster::Cluster::counters_snapshot),
+//! under the [`catalog`] names.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use skv_simcore::stats::{Counters, Histogram, SeriesPoint, TimeSeries};
+use skv_simcore::stats::{Histogram, SeriesPoint, TimeSeries};
 use skv_simcore::{SimDuration, SimTime};
 
 /// Canonical counter catalog.
@@ -127,10 +130,6 @@ pub struct MetricsHub {
     pub ops: u64,
     /// Error replies observed (e.g. `min-slaves` rejections).
     pub errors: u64,
-    /// Robustness events across the whole run (client reconnects, server
-    /// degradations, resyncs — see the `core::server`/`core::client`
-    /// counter names).
-    pub chaos: Counters,
     /// Start of the measurement window.
     pub measure_from: SimTime,
     /// End of the measurement window.
@@ -150,7 +149,6 @@ impl MetricsHub {
             completions: TimeSeries::new(SimDuration::from_millis(500)),
             ops: 0,
             errors: 0,
-            chaos: Counters::new(),
             measure_from: from,
             measure_until: until,
         }))
@@ -198,9 +196,6 @@ pub struct RunReport {
     pub p99_latency_us: f64,
     /// Throughput over time (500 ms buckets) across the whole run.
     pub series: Vec<SeriesPoint>,
-    /// Robustness events observed during the run (reconnects, degradations,
-    /// resyncs).
-    pub chaos: Counters,
 }
 
 impl RunReport {
@@ -219,7 +214,6 @@ impl RunReport {
             p95_latency_us: h.p95() as f64 / 1000.0,
             p99_latency_us: h.p99() as f64 / 1000.0,
             series: hub.completions.points(),
-            chaos: hub.chaos.clone(),
         }
     }
 

@@ -822,37 +822,31 @@ impl KvServer {
         self.cpu.run_on(core, now, cost).finished
     }
 
-    /// Schedule a handler's staged frames for delivery at `done`. With one
-    /// shard this is exactly the historical single timer. With several,
-    /// replication-stream frames are serialized through a single egress
-    /// point (`repl_egress_at`): shards may finish out of order, but the
-    /// backlog is one stream, so stream frames must hit the wire in the
-    /// offset order they were fed — the sim's FIFO tie-break at equal
-    /// timestamps preserves feed order for frames released together.
+    /// Schedule a handler's staged frames, whose CPU work ends at `done`.
+    /// Replication-stream frames pass one egress point (`repl_egress_at`):
+    /// shards may finish out of order, but the backlog is one stream, so
+    /// stream frames must hit the wire in the offset order they were fed —
+    /// the sim's FIFO tie-break at equal timestamps preserves feed order
+    /// for frames released together. A batch leaves whole when it need not
+    /// wait, or when it carries a `FWD_REPLY`: a forwarded ack must trail
+    /// its own stream frame to the SoC, which invalidates off the stream
+    /// before it relays acks. Only otherwise do its other frames go ahead
+    /// at `done`. One core finishes its work in order, so at one shard the
+    /// egress point never passes `done` and every batch leaves whole.
     fn schedule_frames(&mut self, ctx: &mut Context<'_>, done: SimTime, frames: Vec<OutFrame>) {
-        if self.shards.num_shards() <= 1 {
+        if !frames.iter().any(|f| f.tag == tag::REPL_STREAM) {
             return self.send_frames_at(ctx, done, frames);
         }
-        if self.cfg.hot_cache_enabled() && frames.iter().any(|f| f.tag == tag::REPL_STREAM) {
-            // Cache-coherency ordering: a forwarded write's ack must not
-            // outrun its own stream frame through the egress point (the
-            // front-end invalidates off the stream *before* relaying
-            // acks), so the whole batch — already stream-first — moves
-            // through `repl_egress_at` together.
-            let at = done.max(self.repl_egress_at);
-            self.repl_egress_at = at;
+        let at = done.max(self.repl_egress_at);
+        self.repl_egress_at = at;
+        let whole = frames.iter().all(|f| f.tag == tag::REPL_STREAM)
+            || frames.iter().any(|f| f.tag == tag::FWD_REPLY);
+        if at == done || whole {
             return self.send_frames_at(ctx, at, frames);
         }
-        let (stream, other): (Vec<OutFrame>, Vec<OutFrame>) =
-            frames.into_iter().partition(|f| f.tag == tag::REPL_STREAM);
-        if !other.is_empty() {
-            self.send_frames_at(ctx, done, other);
-        }
-        if !stream.is_empty() {
-            let at = done.max(self.repl_egress_at);
-            self.repl_egress_at = at;
-            self.send_frames_at(ctx, at, stream);
-        }
+        let (stream, other) = frames.into_iter().partition(|f| f.tag == tag::REPL_STREAM);
+        self.send_frames_at(ctx, done, other);
+        self.send_frames_at(ctx, at, stream);
     }
 
     /// The one `SendFrames` timer: the event that ends a command's CPU
@@ -912,12 +906,12 @@ impl KvServer {
     /// linked list — a single doorbell for the whole fan-out — while
     /// replies and TCP sends leave one by one.
     fn emit_frames(&mut self, ctx: &mut Context<'_>, mut frames: Vec<OutFrame>) {
-        // With the hot cache on, cookie replies ride the same linked post
-        // list as the stream frames they must trail — the list preserves
-        // per-QP order, where an early `send_on` would overtake the batch.
-        let cache_on = self.cfg.hot_cache_enabled();
+        // Cookie replies (only the cache front end forwards) ride the same
+        // linked post list as the stream frames they must trail — the list
+        // preserves per-QP order, where an early `send_on` would overtake
+        // the batch.
         for f in frames.drain(..) {
-            let listed = (f.tag == tag::REPL_STREAM || (cache_on && f.tag == tag::FWD_REPLY))
+            let listed = (f.tag == tag::REPL_STREAM || f.tag == tag::FWD_REPLY)
                 && self.conns.channel(f.conn).qp().is_some();
             if listed {
                 self.conns.stage(f.conn, f.tag, f.payload);

@@ -44,6 +44,9 @@
 //!   (no command name from the store's `COMMANDS` table may be matched
 //!   or compared in `crates/core/src`: what a command's arguments mean
 //!   is read from its `CommandSpec`, not re-encoded per consumer).
+//! * **Size** — `file-budget` (no file in `crates/core/src` over 800
+//!   non-test code lines, the `--stats` count; a file already over it is
+//!   held to a ceiling that only ever goes down).
 //! * **Allow audit** — `allow-syntax` (malformed or unknown-rule
 //!   directives), `allow-unused` (a directive that no longer suppresses
 //!   anything — the code it excused is gone).
@@ -133,7 +136,7 @@ pub struct RuleInfo {
 }
 
 /// The full rule registry.
-pub const RULES: [RuleInfo; 17] = [
+pub const RULES: [RuleInfo; 18] = [
     RuleInfo {
         name: "hashmap",
         severity: Severity::Error,
@@ -223,6 +226,12 @@ pub const RULES: [RuleInfo; 17] = [
         severity: Severity::Error,
         summary: "command name matched or compared outside the store's command table",
         scope: "core (names read from the cmd!( rows of store cmd/mod.rs)",
+    },
+    RuleInfo {
+        name: "file-budget",
+        severity: Severity::Error,
+        summary: "file has more non-test code lines than its budget",
+        scope: "core src (800 each; server.rs capped at its own ceiling)",
     },
     RuleInfo {
         name: "allow-syntax",
@@ -330,6 +339,23 @@ const CONFIG_STRUCTS: [(&str, &str, usize); 2] = [
     ("crates/core/src/config.rs", "ClusterConfig", 21),
     ("crates/netsim/src/params.rs", "NetParams", 15),
 ];
+
+/// The tree whose files are held to a code-line budget (rule
+/// `file-budget`), and the budget.
+const FILE_BUDGET_PREFIX: &str = "crates/core/src/";
+const FILE_BUDGET: usize = 800;
+
+/// Files still over [`FILE_BUDGET`], each capped at its size when the rule
+/// landed. A ceiling only ever goes down, and a file under the budget
+/// leaves this list.
+const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 1111)];
+
+/// The most non-test code lines `rel` may have, if it is budgeted.
+fn line_budget(rel: &str) -> Option<usize> {
+    let ceiling = FILE_CEILINGS.iter().find(|&&(file, _)| file == rel);
+    rel.starts_with(FILE_BUDGET_PREFIX)
+        .then(|| ceiling.map_or(FILE_BUDGET, |&(_, lines)| lines))
+}
 
 /// The command table whose `cmd!(` rows name the commands (rule
 /// `cmd-drift`).
@@ -1083,15 +1109,33 @@ fn analyze_file(rel: &str, contents: &str) -> FileAnalysis {
         }
     }
 
-    let code_lines = lines
+    // --- file-budget: the `--stats` count against the file's budget ---
+    let code: Vec<usize> = lines
         .iter()
-        .filter(|l| !l.in_test && !l.code.trim().is_empty())
-        .count();
+        .enumerate()
+        .filter(|(_, l)| !l.in_test && !l.code.trim().is_empty())
+        .map(|(idx, _)| idx + 1)
+        .collect();
+    if let Some(budget) = line_budget(rel) {
+        if let Some(&line) = code.get(budget) {
+            violations.push(Violation {
+                file: rel.to_string(),
+                line,
+                rule: "file-budget",
+                message: format!(
+                    "{} non-test code lines, budget {budget}: this is the first line past \
+                     it. Delete code or give a decision an IO-free owner; do not split the \
+                     file (DESIGN.md §14.1)",
+                    code.len()
+                ),
+            });
+        }
+    }
     FileAnalysis {
         violations,
         facts,
         allows,
-        code_lines,
+        code_lines: code.len(),
     }
 }
 
@@ -1817,6 +1861,31 @@ mod tests {
         assert!(table.contains("      3  crates/a/src/x.rs\n"), "{table}");
         assert!(table.contains("      7  crates/a/src/\n"), "{table}");
         assert!(table.contains("     24  ClusterConfig\n"), "{table}");
+    }
+
+    #[test]
+    fn file_budget_counts_what_stats_counts() {
+        let body = |n: usize| "fn f() {}\n".repeat(n);
+        // Comments, blanks and test items are free; the 801st code line is
+        // the finding, on its own line number.
+        let tail = "#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        let at = format!("//! Docs.\n\n{}{tail}", body(800));
+        assert!(check_source("crates/core/src/x.rs", &at).is_empty());
+        let over = format!("//! Docs.\n\n{}{tail}", body(801));
+        let v = check_source("crates/core/src/x.rs", &over);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].line, v[0].rule), (803, "file-budget"));
+        assert!(v[0]
+            .message
+            .starts_with("801 non-test code lines, budget 800"));
+        // Only core is budgeted; a file over the budget is held to its
+        // ceiling instead.
+        assert!(check_source("crates/store/src/x.rs", &over).is_empty());
+        let (file, ceiling) = FILE_CEILINGS[0];
+        assert!(ceiling > FILE_BUDGET);
+        assert!(check_source(file, &body(ceiling)).is_empty());
+        let v = check_source(file, &body(ceiling + 1));
+        assert_eq!((v.len(), v[0].line), (1, ceiling + 1), "{v:?}");
     }
 
     #[test]

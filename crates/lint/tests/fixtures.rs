@@ -200,6 +200,17 @@ fn fixtures_produce_expected_diagnostics() {
         2
     );
 
+    // --- size ----------------------------------------------------------
+    // 801 code lines in core: the 801st is the finding. The fixture
+    // `server.rs` is far under its ceiling and reports only its unwraps.
+    assert_eq!(
+        by_file(&violations, "crates/core/src/over_budget.rs")
+            .iter()
+            .map(|v| (v.line, v.rule))
+            .collect::<Vec<_>>(),
+        vec![(805, "file-budget")]
+    );
+
     // --- allow auditing ------------------------------------------------
     // A reason-less (or typo'd) allow is flagged AND does not suppress
     // the underlying finding.
@@ -244,7 +255,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 51, "{violations:?}");
+    assert_eq!(violations.len(), 52, "{violations:?}");
 }
 
 #[test]
@@ -252,7 +263,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 50);
+    assert_eq!(analysis.errors(), 51);
     assert!(analysis
         .violations
         .iter()
@@ -282,6 +293,7 @@ fn json_report_round_trips_fixture_diagnostics() {
         "config-drift",
         "knob-budget",
         "cmd-drift",
+        "file-budget",
         "allow-syntax",
         "allow-unused",
     ] {
@@ -290,7 +302,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 51, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 52, "{json}");
 }
 
 #[test]

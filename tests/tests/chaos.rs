@@ -97,17 +97,18 @@ fn lossy_link_set_stream_completes() {
     run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
 
     let report = cluster.report();
+    let counters = cluster.counters_snapshot();
     assert!(report.ops > 500, "stream stalled: {} ops", report.ops);
     assert!(
-        report.chaos.get("faults.rdma_dropped") > 0,
+        counters.get("faults.rdma_dropped") > 0,
         "plan must actually drop messages"
     );
     assert!(
-        report.chaos.get("rdma.qp_errors") > 0,
+        counters.get("rdma.qp_errors") > 0,
         "drops must surface as QP errors"
     );
     assert!(
-        report.chaos.get("client.reconnects") > 0,
+        counters.get("client.stat_reconnects") > 0,
         "clients must recover by reconnecting"
     );
 }
@@ -165,11 +166,10 @@ fn chaos_run(spec: RunSpec, chaos: &ChaosSpec) -> (u64, Vec<u64>, u64) {
     let mut cluster = Cluster::build(spec);
     cluster.apply_chaos(chaos);
     run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
-    let report = cluster.report();
     (
-        report.ops,
+        cluster.report().ops,
         cluster.keyspace_digests(),
-        report.chaos.get("rdma.qp_errors"),
+        cluster.counters_snapshot().get("rdma.qp_errors"),
     )
 }
 

@@ -1,8 +1,8 @@
 //! Cross-run determinism regression: the property every figure in the
 //! paper reproduction rests on. One arm executed twice with the same seed
 //! must produce *bit-for-bit* identical output — same op counts, same
-//! latency percentiles, same per-bucket throughput series, same chaos
-//! counters, same final keyspace digests. A single stray `HashMap`
+//! latency percentiles, same per-bucket throughput series, the same full
+//! counter snapshot, same final keyspace digests. A single stray `HashMap`
 //! iteration or wall-clock read anywhere in the stack breaks this test
 //! (and `skv-lint` / `clippy.toml` exist to catch those statically; this
 //! is the dynamic backstop).
@@ -10,10 +10,11 @@
 use skv_core::cluster::{ChaosSpec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::metrics::RunReport;
+use skv_simcore::stats::Counters;
 use skv_simcore::SimDuration;
 
 /// FNV-1a over every observable byte of a run. Hand-rolled so the test
-/// depends on nothing but the report itself.
+/// depends on nothing but the run's own outputs.
 struct Fnv(u64);
 
 impl Fnv {
@@ -35,8 +36,9 @@ impl Fnv {
     }
 }
 
-/// Fold a full run (report + replica keyspaces) into one digest.
-fn run_digest(report: &RunReport, keyspaces: &[u64]) -> u64 {
+/// Fold a full run (report + every counter + replica keyspaces) into one
+/// digest.
+fn run_digest(report: &RunReport, counters: &Counters, keyspaces: &[u64]) -> u64 {
     let mut h = Fnv::new();
     h.u64(report.ops);
     h.u64(report.errors);
@@ -50,7 +52,7 @@ fn run_digest(report: &RunReport, keyspaces: &[u64]) -> u64 {
         h.u64(p.count);
         h.f64(p.rate_per_sec);
     }
-    for (name, value) in report.chaos.iter() {
+    for (name, value) in counters.iter() {
         h.bytes(name.as_bytes());
         h.u64(value);
     }
@@ -83,28 +85,51 @@ fn arm(mode: Mode, seed: u64) -> RunSpec {
     }
 }
 
-fn execute(spec: RunSpec, chaos: Option<&ChaosSpec>) -> u64 {
+/// One run's digest, and its counter snapshot in name order (so a
+/// diverging pair names the first counter that moved).
+struct Run {
+    digest: u64,
+    counters: Vec<(&'static str, u64)>,
+}
+
+fn execute(spec: RunSpec, chaos: Option<&ChaosSpec>) -> Run {
     let mut cluster = Cluster::build(spec);
     if let Some(chaos) = chaos {
         cluster.apply_chaos(chaos);
     }
     let report = cluster.run();
-    let digests = cluster.keyspace_digests();
-    run_digest(&report, &digests)
+    let snapshot = cluster.counters_snapshot();
+    let digest = run_digest(&report, &snapshot, &cluster.keyspace_digests());
+    Run {
+        digest,
+        counters: snapshot.iter().collect(),
+    }
+}
+
+/// Run `spec` twice and require the two full snapshots, then the two
+/// digests, to be identical.
+fn assert_same_bits(what: &str, spec: RunSpec, chaos: Option<&ChaosSpec>) {
+    let a = execute(spec.clone(), chaos);
+    let b = execute(spec, chaos);
+    assert_eq!(
+        a.counters, b.counters,
+        "identical {what} runs' counters diverged"
+    );
+    let (a, b) = (a.digest, b.digest);
+    assert_eq!(
+        a, b,
+        "identical {what} runs diverged: {a:#018x} vs {b:#018x}"
+    );
 }
 
 #[test]
 fn same_seed_same_bits_skv() {
-    let a = execute(arm(Mode::Skv, 0xD00D), None);
-    let b = execute(arm(Mode::Skv, 0xD00D), None);
-    assert_eq!(a, b, "identical SKV runs diverged: {a:#018x} vs {b:#018x}");
+    assert_same_bits("SKV", arm(Mode::Skv, 0xD00D), None);
 }
 
 #[test]
 fn same_seed_same_bits_tcp_baseline() {
-    let a = execute(arm(Mode::TcpRedis, 0xBEEF), None);
-    let b = execute(arm(Mode::TcpRedis, 0xBEEF), None);
-    assert_eq!(a, b, "identical TCP runs diverged: {a:#018x} vs {b:#018x}");
+    assert_same_bits("TCP", arm(Mode::TcpRedis, 0xBEEF), None);
 }
 
 #[test]
@@ -116,12 +141,7 @@ fn same_seed_same_bits_under_chaos() {
         seed: 7,
         ..Default::default()
     };
-    let a = execute(arm(Mode::Skv, 0xFACE), Some(&chaos));
-    let b = execute(arm(Mode::Skv, 0xFACE), Some(&chaos));
-    assert_eq!(
-        a, b,
-        "identical chaos runs diverged: {a:#018x} vs {b:#018x}"
-    );
+    assert_same_bits("chaos", arm(Mode::Skv, 0xFACE), Some(&chaos));
 }
 
 #[test]
@@ -129,19 +149,21 @@ fn single_shard_digest_matches_pre_shard_baseline() {
     // The sharding refactor's contract: at `num_shards = 1` (the default)
     // every routed path degenerates to the historical single-engine code,
     // leaving the event schedule — and therefore these digests — bit-
-    // identical. The TCP digest is the one captured from the commit
-    // *before* the shard engine landed. The SKV digest was re-pinned once
-    // when a busy master began polling its CQ again before re-arming it
-    // (DESIGN.md §12.3); TCP has no CQ and did not move.
-    let skv = execute(arm(Mode::Skv, 0xD00D), None);
+    // identical. The SKV digest was re-pinned when a busy master began
+    // polling its CQ again before re-arming it (DESIGN.md §12.3). Both
+    // were re-pinned once more when the digest moved from a mode-gated
+    // counter subset to the full `counters_snapshot()`: the hashed input
+    // changed, not the schedule — the old subset, rebuilt from the same
+    // runs, still reproduced the old pins.
+    let skv = execute(arm(Mode::Skv, 0xD00D), None).digest;
     assert_eq!(
-        skv, 0x0bb1_6d53_966f_d3a5,
+        skv, 0x69bb_c929_5ca3_2593,
         "single-shard SKV schedule drifted from its pinned digest: {skv:#018x}"
     );
-    let tcp = execute(arm(Mode::TcpRedis, 0xBEEF), None);
+    let tcp = execute(arm(Mode::TcpRedis, 0xBEEF), None).digest;
     assert_eq!(
-        tcp, 0xa23d_0199_5d6a_1cec,
-        "single-shard TCP schedule drifted from the pre-shard baseline: {tcp:#018x}"
+        tcp, 0x5f8d_6d77_836a_d6b5,
+        "single-shard TCP schedule drifted from its pinned digest: {tcp:#018x}"
     );
 }
 
@@ -153,19 +175,14 @@ fn same_seed_same_bits_sharded() {
     let mut spec = arm(Mode::Skv, 0x5A4D);
     spec.cfg.num_shards = 4;
     spec.pipeline = 4;
-    let a = execute(spec.clone(), None);
-    let b = execute(spec, None);
-    assert_eq!(
-        a, b,
-        "identical sharded runs diverged: {a:#018x} vs {b:#018x}"
-    );
+    assert_same_bits("sharded", spec, None);
 }
 
 #[test]
 fn different_seeds_actually_differ() {
     // Guards against the digest degenerating into a constant.
-    let a = execute(arm(Mode::Skv, 1), None);
-    let b = execute(arm(Mode::Skv, 2), None);
+    let a = execute(arm(Mode::Skv, 1), None).digest;
+    let b = execute(arm(Mode::Skv, 2), None).digest;
     assert_ne!(a, b, "digest ignores the seed (constant hash?)");
 }
 
@@ -173,15 +190,10 @@ fn different_seeds_actually_differ() {
 fn same_seed_same_bits_quorum_mode() {
     // The tracked quorum path adds WR-ack maps, commit windows and
     // deferred-reply queues — all of which must stay pure functions of
-    // the seed (their counters are folded into the report's chaos set).
+    // the seed (their counters are in the snapshot).
     let mut spec = arm(Mode::Skv, 0xAB0D);
     spec.cfg.repl_mode = skv_core::replmode::ReplModeKind::Quorum;
-    let a = execute(spec.clone(), None);
-    let b = execute(spec, None);
-    assert_eq!(
-        a, b,
-        "identical quorum runs diverged: {a:#018x} vs {b:#018x}"
-    );
+    assert_same_bits("quorum", spec, None);
 }
 
 #[test]
@@ -199,12 +211,7 @@ fn same_seed_same_bits_chain_mode() {
         seed: 11,
         ..Default::default()
     };
-    let a = execute(spec.clone(), Some(&chaos));
-    let b = execute(spec, Some(&chaos));
-    assert_eq!(
-        a, b,
-        "identical chain runs diverged: {a:#018x} vs {b:#018x}"
-    );
+    assert_same_bits("chain", spec, Some(&chaos));
 }
 
 #[test]
@@ -212,18 +219,12 @@ fn same_seed_same_bits_with_hot_cache() {
     // The SoC cache adds a whole front-end plane — forwarded commands,
     // cookie maps, admission sketches, stream-driven invalidation — all
     // of which must stay pure functions of the seed. Zipf draws engage
-    // the split key stream; the cache counters fold into the report's
-    // chaos set, so any nondeterminism in the cache itself also breaks
-    // the digest.
+    // the split key stream; the cache counters are in the snapshot, so
+    // any nondeterminism in the cache itself also breaks the digest.
     let mut spec = arm(Mode::Skv, 0xCACE);
     spec.cfg.hot_cache_bytes = 1 << 20;
     spec.cfg.hot_cache_policy = "tinylfu".into();
     spec.set_ratio = 0.1;
     spec.zipf_theta = 0.99;
-    let a = execute(spec.clone(), None);
-    let b = execute(spec, None);
-    assert_eq!(
-        a, b,
-        "identical hot-cache runs diverged: {a:#018x} vs {b:#018x}"
-    );
+    assert_same_bits("hot-cache", spec, None);
 }

@@ -212,7 +212,7 @@ fn bench_history_linearizable(mode: ReplModeKind, seed: u64) {
     let report = cluster.report();
     assert!(report.ops > 500, "{mode}: only {} ops", report.ops);
     assert!(
-        report.chaos.get("cache.hits") > 0,
+        cluster.counters_snapshot().get("cache.hits") > 0,
         "{mode}: no cache-served GETs in the recorded traffic"
     );
     let history = cluster.bench_history.clone().expect("recording on");
