@@ -358,11 +358,15 @@ pub(crate) fn parse_reply_stamp(payload: &[u8]) -> Option<u64> {
     }
 }
 
+/// Issue the next operation (after per-op client overhead). A unit
+/// struct rather than a `ClientMsg` variant: the closed loop arms this
+/// timer once per reply, and a zero-sized payload boxes without
+/// allocating.
+struct IssueNext;
+
 enum ClientMsg {
     /// Time to connect and start.
     Start,
-    /// Issue the next operation (after per-op client overhead).
-    IssueNext,
     /// Periodic liveness check: reconnect when the oldest in-flight
     /// command has waited longer than `client_retry_timeout`.
     Watchdog,
@@ -567,7 +571,7 @@ impl BenchClient {
             .borrow_mut()
             .record(ctx.now(), latency, is_write, is_error);
         // Closed loop: think for the client-side overhead, then refill.
-        ctx.timer(self.think, ClientMsg::IssueNext);
+        ctx.timer(self.think, IssueNext);
     }
 }
 
@@ -580,11 +584,14 @@ impl Actor for BenchClient {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: ActorId, msg: Payload) {
+        if msg.is::<IssueNext>() {
+            self.fill_pipeline(ctx);
+            return;
+        }
         let msg = match msg.downcast::<ClientMsg>() {
             Ok(m) => {
                 match *m {
                     ClientMsg::Start => self.link.dial(ctx),
-                    ClientMsg::IssueNext => self.fill_pipeline(ctx),
                     ClientMsg::Watchdog => {
                         let now = ctx.now();
                         if now >= self.workload.stop_at && self.in_flight.is_empty() {

@@ -16,7 +16,7 @@ fn with_hash<'a>(
         if !create {
             return Ok(None);
         }
-        ctx.db.set(key, RObj::Hash(Dict::new()));
+        ctx.db.set(key, RObj::Hash(Box::default()));
     }
     match ctx.db.lookup_write(key, now) {
         Some(RObj::Hash(h)) => Ok(Some(h)),

@@ -1,7 +1,7 @@
 //! Generic keyspace commands (`DEL`, `EXPIRE`, `KEYS`, …).
 
 use super::{parse_i64, ExecCtx};
-use crate::object::{RObj, SetObj};
+use crate::object::RObj;
 use crate::resp::Resp;
 
 pub(super) fn type_cmd(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
@@ -304,8 +304,8 @@ pub(super) fn object(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
             }
         }
         Some(RObj::List(_)) => Resp::Bulk(b"quicklist".to_vec()),
-        Some(RObj::Set(SetObj::Ints(_))) => Resp::Bulk(b"intset".to_vec()),
-        Some(RObj::Set(SetObj::Dict(_))) => Resp::Bulk(b"hashtable".to_vec()),
+        Some(RObj::Set(s)) if s.is_intset() => Resp::Bulk(b"intset".to_vec()),
+        Some(RObj::Set(_)) => Resp::Bulk(b"hashtable".to_vec()),
         Some(RObj::Hash(_)) => Resp::Bulk(b"hashtable".to_vec()),
         Some(RObj::ZSet(_)) => Resp::Bulk(b"skiplist".to_vec()),
     }

@@ -19,7 +19,7 @@ fn with_list<'a>(
         if !create {
             return Ok(None);
         }
-        ctx.db.set(key, RObj::List(VecDeque::new()));
+        ctx.db.set(key, RObj::List(Box::default()));
     }
     match ctx.db.lookup_write(key, now) {
         Some(RObj::List(l)) => Ok(Some(l)),

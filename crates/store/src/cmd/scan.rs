@@ -118,7 +118,7 @@ pub(super) fn sscan(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         Some(RObj::Set(s)) => s,
         Some(_) => return Resp::wrongtype(),
     };
-    match set {
+    match &**set {
         SetObj::Ints(ints) => {
             // Compact encoding: everything in one pass (Redis behaviour).
             let items = ints

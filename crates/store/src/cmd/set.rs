@@ -14,7 +14,7 @@ fn with_set<'a>(
         if !create {
             return Ok(None);
         }
-        ctx.db.set(key, RObj::Set(SetObj::new()));
+        ctx.db.set(key, RObj::Set(Box::default()));
     }
     match ctx.db.lookup_write(key, now) {
         Some(RObj::Set(s)) => Ok(Some(s)),

@@ -62,11 +62,7 @@ pub(super) fn set(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         // what `stat_expired` and the extra `dirty` count.
         ctx.db.expire_if_needed(key, ctx.now_ms);
     }
-    if keepttl {
-        ctx.db.set_keep_ttl(key, RObj::string(val));
-    } else {
-        ctx.db.set(key, RObj::string(val));
-    }
+    ctx.db.set_string(key, val, keepttl);
     if let Some(at) = expire_at {
         ctx.db.set_expire(key, at);
     }
@@ -77,7 +73,7 @@ pub(super) fn setnx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     if ctx.db.exists(args[1], ctx.now_ms) {
         Resp::Int(0)
     } else {
-        ctx.db.set(args[1], RObj::string(args[2]));
+        ctx.db.set_string(args[1], args[2], false);
         Resp::Int(1)
     }
 }
@@ -88,7 +84,7 @@ fn setex_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], unit_ms: u64) -> Resp {
         Ok(_) => return Resp::err("invalid expire time in 'setex' command"),
         Err(e) => return e,
     };
-    ctx.db.set(args[1], RObj::string(args[3]));
+    ctx.db.set_string(args[1], args[3], false);
     ctx.db.set_expire(args[1], ctx.now_ms + secs * unit_ms);
     Resp::ok()
 }
@@ -114,7 +110,7 @@ pub(super) fn getset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         Ok(v) => v,
         Err(e) => return e,
     };
-    ctx.db.set(args[1], RObj::string(args[2]));
+    ctx.db.set_string(args[1], args[2], false);
     match old {
         Some(bytes) => Resp::Bulk(bytes),
         None => Resp::NullBulk,
@@ -140,7 +136,7 @@ pub(super) fn mset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         return Resp::err("wrong number of arguments for MSET");
     }
     for pair in args[1..].chunks_exact(2) {
-        ctx.db.set(pair[0], RObj::string(pair[1]));
+        ctx.db.set_string(pair[0], pair[1], false);
     }
     Resp::ok()
 }
@@ -156,7 +152,7 @@ pub(super) fn msetnx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         return Resp::Int(0);
     }
     for pair in args[1..].chunks_exact(2) {
-        ctx.db.set(pair[0], RObj::string(pair[1]));
+        ctx.db.set_string(pair[0], pair[1], false);
     }
     Resp::Int(1)
 }

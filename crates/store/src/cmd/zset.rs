@@ -15,7 +15,7 @@ fn with_zset<'a>(
             return Ok(None);
         }
         let seed = ctx.next_seed();
-        ctx.db.set(key, RObj::ZSet(ZSet::new(seed)));
+        ctx.db.set(key, RObj::ZSet(Box::new(ZSet::new(seed))));
     }
     match ctx.db.lookup_write(key, now) {
         Some(RObj::ZSet(z)) => Ok(Some(z)),

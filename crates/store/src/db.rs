@@ -105,6 +105,26 @@ impl Db {
         self.dict.contains(key)
     }
 
+    /// Store the plain string `bytes` at `key` — `SET` and every command
+    /// that writes a whole string value — clearing any TTL unless
+    /// `keep_ttl`.
+    ///
+    /// The keyspace takes [`Db::set`]'s steps ([`Dict::upsert`] is
+    /// [`Dict::insert`]'s), so bucket layout, `SCAN` order and RDB bytes
+    /// are the same; only an existing value is rewritten in place
+    /// ([`RObj::assign_string`]), so overwriting a string with one of
+    /// similar size allocates nothing.
+    pub fn set_string(&mut self, key: &[u8], bytes: &[u8], keep_ttl: bool) {
+        let (value, inserted) = self.dict.upsert(key, || RObj::string(bytes));
+        if !inserted {
+            value.assign_string(bytes);
+        }
+        if !keep_ttl {
+            self.expires.remove(key);
+        }
+        self.dirty += 1;
+    }
+
     /// Insert or replace a value, clearing any previous TTL (SET semantics).
     pub fn set(&mut self, key: &[u8], value: RObj) {
         self.dict.insert(key, value);
@@ -263,6 +283,29 @@ mod tests {
         db.set_expire(b"k", 500);
         db.set_keep_ttl(b"k", obj("v3"));
         assert_eq!(db.ttl_ms(b"k", 100), Some(Some(400)));
+    }
+
+    #[test]
+    fn keyspace_entry_stays_40_bytes() {
+        // A boxed key and a 24-byte `RObj`; a bucket's first push reserves
+        // four of these.
+        assert_eq!(std::mem::size_of::<crate::dict::Entry<RObj>>(), 40);
+    }
+
+    #[test]
+    fn set_string_clears_ttl_unless_asked_to_keep_it() {
+        let mut db = Db::new();
+        db.set(b"k", RObj::List(Box::default()));
+        db.set_expire(b"k", 500);
+        db.set_string(b"k", b"v1", true);
+        assert_eq!(db.lookup_read(b"k", 0).unwrap().as_string_bytes(), b"v1");
+        assert_eq!(db.ttl_ms(b"k", 100), Some(Some(400)), "KEEPTTL");
+        db.set_string(b"k", b"42", false);
+        assert!(matches!(db.lookup_read(b"k", 0), Some(RObj::Int(42))));
+        assert_eq!(db.ttl_ms(b"k", 0), Some(None), "SET clears TTL");
+        db.set_string(b"new", b"v", false);
+        assert_eq!(db.len(), 2);
+        assert_eq!(db.dirty(), 5);
     }
 
     #[test]

@@ -18,7 +18,18 @@ const GROW_RATIO: f64 = 1.0;
 /// Shrink when used/size drops below this ratio (and size > initial).
 const SHRINK_RATIO: f64 = 0.1;
 
-type Bucket<V> = Vec<(Box<[u8]>, V)>;
+/// One key and its value, as a bucket holds them.
+pub(crate) type Entry<V> = (Box<[u8]>, V);
+
+type Bucket<V> = Vec<Entry<V>>;
+
+/// An entry's place: which table, which bucket, where in the bucket.
+#[derive(Clone, Copy)]
+struct Slot {
+    in_ht1: bool,
+    idx: usize,
+    pos: usize,
+}
 
 #[derive(Debug, Clone)]
 struct Table<V> {
@@ -107,12 +118,36 @@ impl<V> Dict<V> {
         if let Some(slot) = self.find_mut(hash, key) {
             return Some(std::mem::replace(slot, value));
         }
-        // New entries always go to the newest table.
+        self.push_new(hash, key, value);
+        None
+    }
+
+    /// The value at `key`, inserting `make()` first when the key is absent;
+    /// the flag is true when it did. The caller updates an existing value
+    /// in place instead of replacing it.
+    ///
+    /// Takes exactly [`Dict::insert`]'s steps — the resize check, one
+    /// rehash step, one hash, one walk — so no table layout, iteration
+    /// order or scan cursor tells an upsert from an insert of the same key.
+    pub fn upsert(&mut self, key: &[u8], make: impl FnOnce() -> V) -> (&mut V, bool) {
+        self.maybe_start_resize();
+        self.rehash_step(1);
+        let hash = siphash13(key);
+        match self.locate(hash, key) {
+            Some(slot) => (self.value_mut(slot), false),
+            None => (self.push_new(hash, key, make()), true),
+        }
+    }
+
+    /// Append a key known to be absent. New entries always go to the
+    /// newest table.
+    fn push_new(&mut self, hash: u64, key: &[u8], value: V) -> &mut V {
         let table = self.ht1.as_mut().unwrap_or(&mut self.ht0);
         let idx = table.index(hash);
-        table.buckets[idx].push((key.to_vec().into_boxed_slice(), value));
         table.used += 1;
-        None
+        let bucket = &mut table.buckets[idx];
+        bucket.push((Box::from(key), value));
+        &mut bucket.last_mut().expect("just pushed").1
     }
 
     /// Look up a key.
@@ -120,15 +155,13 @@ impl<V> Dict<V> {
         if self.is_empty() {
             return None; // nothing to find: skip the hash
         }
-        let hash = siphash13(key);
-        let idx = self.ht0.index(hash);
-        if let Some(pos) = self.ht0.position(idx, key) {
-            return Some(&self.ht0.buckets[idx][pos].1);
-        }
-        let ht1 = self.ht1.as_ref()?;
-        let idx = ht1.index(hash);
-        let pos = ht1.position(idx, key)?;
-        Some(&ht1.buckets[idx][pos].1)
+        let Slot { in_ht1, idx, pos } = self.locate(siphash13(key), key)?;
+        let table = if in_ht1 {
+            self.ht1.as_ref().expect("located in ht1")
+        } else {
+            &self.ht0
+        };
+        Some(&table.buckets[idx][pos].1)
     }
 
     /// Mutable lookup (performs a rehash step, as any Redis dict op would).
@@ -138,14 +171,38 @@ impl<V> Dict<V> {
     }
 
     fn find_mut(&mut self, hash: u64, key: &[u8]) -> Option<&mut V> {
+        let slot = self.locate(hash, key)?;
+        Some(self.value_mut(slot))
+    }
+
+    /// Where `key` is: `ht0` first, then `ht1` of a rehashing dict, both
+    /// indexed with the one hash.
+    fn locate(&self, hash: u64, key: &[u8]) -> Option<Slot> {
         let idx = self.ht0.index(hash);
         if let Some(pos) = self.ht0.position(idx, key) {
-            return Some(&mut self.ht0.buckets[idx][pos].1);
+            return Some(Slot {
+                in_ht1: false,
+                idx,
+                pos,
+            });
         }
-        let ht1 = self.ht1.as_mut()?;
+        let ht1 = self.ht1.as_ref()?;
         let idx = ht1.index(hash);
         let pos = ht1.position(idx, key)?;
-        Some(&mut ht1.buckets[idx][pos].1)
+        Some(Slot {
+            in_ht1: true,
+            idx,
+            pos,
+        })
+    }
+
+    fn value_mut(&mut self, Slot { in_ht1, idx, pos }: Slot) -> &mut V {
+        let table = if in_ht1 {
+            self.ht1.as_mut().expect("located in ht1")
+        } else {
+            &mut self.ht0
+        };
+        &mut table.buckets[idx][pos].1
     }
 
     /// True if the key exists.

@@ -210,24 +210,26 @@ impl ZSet {
 
 /// A value stored at a key.
 ///
-/// Variant sizes differ (a `ZSet` carries a dict and a skiplist header),
-/// but objects live behind the keyspace dict's allocation, so boxing the
-/// large variants would only add indirection on the hot SET/GET path.
+/// Like Redis's `robj`, the object is a small header: the two string forms
+/// that `GET`/`SET` touch are inline, the collections sit behind a pointer.
+/// Every keyspace entry and every bucket slot is sized by this enum, so an
+/// inline `ZSet` (a dict and a skiplist header) would make each string key
+/// pay for a sorted set's layout — 168 bytes instead of 24
+/// (`robj_stays_24_bytes`).
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)]
 pub enum RObj {
     /// A raw byte string.
     Str(Sds),
     /// An integer-encoded string (Redis `OBJ_ENCODING_INT`).
     Int(i64),
     /// A list (deque of strings).
-    List(VecDeque<Sds>),
+    List(Box<VecDeque<Sds>>),
     /// A set.
-    Set(SetObj),
+    Set(Box<SetObj>),
     /// A field→value hash.
-    Hash(Dict<Sds>),
+    Hash(Box<Dict<Sds>>),
     /// A sorted set.
-    ZSet(ZSet),
+    ZSet(Box<ZSet>),
 }
 
 impl RObj {
@@ -239,6 +241,19 @@ impl RObj {
         match crate::sds::parse_i64(bytes) {
             Some(v) => RObj::Int(v),
             None => RObj::Str(Sds::from_bytes(bytes)),
+        }
+    }
+
+    /// Overwrite this object with the string `bytes`, encoded as
+    /// [`RObj::string`] would. A raw string's buffer is rewritten in place
+    /// when [`Sds::can_reuse_for`] allows it; anything else is replaced by
+    /// an exact-size copy, so the keyspace never pins more than twice a
+    /// value's bytes.
+    pub fn assign_string(&mut self, bytes: &[u8]) {
+        match (self, crate::sds::parse_i64(bytes)) {
+            (RObj::Str(s), None) if s.can_reuse_for(bytes.len()) => s.overwrite(bytes),
+            (this, Some(v)) => *this = RObj::Int(v),
+            (this, None) => *this = RObj::Str(Sds::from_bytes(bytes)),
         }
     }
 
@@ -300,6 +315,39 @@ mod tests {
             RObj::Int(i64::MAX)
         ));
         assert!(matches!(RObj::string(b"9223372036854775808"), RObj::Str(_)));
+    }
+
+    #[test]
+    fn robj_stays_24_bytes() {
+        // Every keyspace entry and bucket slot is sized by `RObj`: a
+        // collection inline would make every string key pay for its layout.
+        assert_eq!(std::mem::size_of::<RObj>(), 24);
+    }
+
+    #[test]
+    fn assign_string_encodes_like_string_and_reuses_only_a_close_fit() {
+        let mut o = RObj::string(&[b'a'; 100]);
+        let ptr = |o: &RObj| match o {
+            RObj::Str(s) => s.as_ptr(),
+            other => panic!("{other:?}"),
+        };
+        let before = ptr(&o);
+        o.assign_string(&[b'b'; 60]);
+        assert_eq!(o.as_string_bytes(), [b'b'; 60]);
+        assert_eq!(ptr(&o), before, "60 of 100 bytes: rewritten in place");
+        o.assign_string(b"tiny");
+        assert_eq!(o.as_string_bytes(), b"tiny");
+        assert!(
+            matches!(&o, RObj::Str(s) if s.capacity() == 4),
+            "exact-size copy"
+        );
+        o.assign_string(b"-12");
+        assert!(matches!(o, RObj::Int(-12)));
+        o.assign_string(b"007");
+        assert!(matches!(&o, RObj::Str(s) if s.as_bytes() == b"007"));
+        let mut list = RObj::List(Box::default());
+        list.assign_string(b"v");
+        assert!(matches!(&list, RObj::Str(s) if s.as_bytes() == b"v"));
     }
 
     #[test]
@@ -376,9 +424,9 @@ mod tests {
     fn type_names() {
         assert_eq!(RObj::string(b"x").type_name(), "string");
         assert_eq!(RObj::Int(1).type_name(), "string");
-        assert_eq!(RObj::List(VecDeque::new()).type_name(), "list");
-        assert_eq!(RObj::Set(SetObj::new()).type_name(), "set");
-        assert_eq!(RObj::Hash(Dict::new()).type_name(), "hash");
-        assert_eq!(RObj::ZSet(ZSet::new(1)).type_name(), "zset");
+        assert_eq!(RObj::List(Box::default()).type_name(), "list");
+        assert_eq!(RObj::Set(Box::default()).type_name(), "set");
+        assert_eq!(RObj::Hash(Box::default()).type_name(), "hash");
+        assert_eq!(RObj::ZSet(Box::new(ZSet::new(1))).type_name(), "zset");
     }
 }

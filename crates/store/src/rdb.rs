@@ -141,7 +141,7 @@ fn put_obj(out: &mut Vec<u8>, obj: &RObj) {
         RObj::List(items) => {
             out.push(T_LIST);
             put_len(out, items.len() as u64);
-            for item in items {
+            for item in items.iter() {
                 put_bytes(out, item.as_bytes());
             }
         }
@@ -196,7 +196,7 @@ fn get_obj(buf: &[u8], pos: &mut usize, seed: u64) -> Result<RObj, RdbError> {
             for _ in 0..n {
                 list.push_back(Sds::from_vec(get_bytes(buf, pos)?));
             }
-            Ok(RObj::List(list))
+            Ok(RObj::List(Box::new(list)))
         }
         T_SET => {
             let n = get_len(buf, pos)?;
@@ -204,7 +204,7 @@ fn get_obj(buf: &[u8], pos: &mut usize, seed: u64) -> Result<RObj, RdbError> {
             for _ in 0..n {
                 set.add(&get_bytes(buf, pos)?);
             }
-            Ok(RObj::Set(set))
+            Ok(RObj::Set(Box::new(set)))
         }
         T_HASH => {
             let n = get_len(buf, pos)?;
@@ -214,7 +214,7 @@ fn get_obj(buf: &[u8], pos: &mut usize, seed: u64) -> Result<RObj, RdbError> {
                 let v = get_bytes(buf, pos)?;
                 h.insert(&f, Sds::from_vec(v));
             }
-            Ok(RObj::Hash(h))
+            Ok(RObj::Hash(Box::new(h)))
         }
         T_ZSET => {
             let n = get_len(buf, pos)?;
@@ -224,7 +224,7 @@ fn get_obj(buf: &[u8], pos: &mut usize, seed: u64) -> Result<RObj, RdbError> {
                 let score = get_f64(buf, pos)?;
                 z.add(&m, score);
             }
-            Ok(RObj::ZSet(z))
+            Ok(RObj::ZSet(Box::new(z)))
         }
         other => Err(RdbError::BadTag(other)),
     }

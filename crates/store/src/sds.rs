@@ -63,6 +63,19 @@ impl Sds {
         self.buf
     }
 
+    /// True when a value of `len` bytes may be rewritten into this buffer:
+    /// it fits, and it fills at least half, so a buffer kept for a shorter
+    /// value never pins more than twice that value's bytes.
+    pub fn can_reuse_for(&self, len: usize) -> bool {
+        len <= self.buf.capacity() && 2 * len >= self.buf.capacity()
+    }
+
+    /// Replace the contents with `bytes`, keeping the buffer when they fit.
+    pub fn overwrite(&mut self, bytes: &[u8]) {
+        self.buf.clear();
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Ensure room for `additional` more bytes using Redis's policy:
     /// request doubling up to the 1 MiB preallocation cap, then fixed
     /// increments.
@@ -230,6 +243,23 @@ mod tests {
         assert_eq!(Sds::from("abc").parse_i64(), None);
         assert_eq!(Sds::from("9223372036854775807").parse_i64(), Some(i64::MAX));
         assert_eq!(Sds::from("9223372036854775808").parse_i64(), None);
+    }
+
+    #[test]
+    fn a_buffer_is_reused_only_for_a_value_that_fills_half_of_it() {
+        let mut s = Sds::from_bytes([b'x'; 64]);
+        assert_eq!(s.capacity(), 64);
+        assert!(s.can_reuse_for(64));
+        assert!(s.can_reuse_for(32));
+        assert!(!s.can_reuse_for(31), "would pin more than twice the value");
+        assert!(!s.can_reuse_for(65), "does not fit");
+        s.overwrite(b"short but at least half of the sixty-four bytes");
+        assert_eq!(
+            s.as_bytes(),
+            b"short but at least half of the sixty-four bytes"
+        );
+        assert_eq!(s.capacity(), 64, "rewritten in place");
+        assert!(Sds::new().can_reuse_for(0));
     }
 
     #[test]

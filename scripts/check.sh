@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI would run.
 #
-#   scripts/check.sh          # skv-analyze + tests + clippy + benchmark smoke
-#                             # + the calibrated figures against their record
+#   scripts/check.sh            # skv-analyze + tests + clippy + benchmark smoke
+#                               # + the calibrated figures against their record
+#   scripts/check.sh --nightly  # the same, then the slower tooling self-tests
 #
 # Fails on the first red step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+nightly=0
+for arg in "$@"; do
+  case $arg in
+    --nightly) nightly=1 ;;
+    *) echo "usage: scripts/check.sh [--nightly]" >&2; exit 2 ;;
+  esac
+done
 
 echo "==> skv-analyze (determinism, event-loop, wire-format & drift rules)"
 # JSON report first (CI uploads target/skv-analyze.json as an artifact);
@@ -66,5 +74,18 @@ echo "==> experiments --check fig7 fig10 fig11 shards hotcache (calibration and 
 # experiments_output.txt; a mismatch prints a unified diff. A change that
 # moves them on purpose regenerates the file and says so.
 cargo run --release --quiet -p skv-bench --bin experiments -- --check fig7 fig10 fig11 shards hotcache
+
+if [ "$nightly" = 1 ]; then
+  echo "==> nightly: scripts/hostprof.sh --allocs self-test (the census finds set-fanout's 8 wire records per SET)"
+  # Each SET on the Fig. 11 path sends 8 boxed NetEvent wire records
+  # (DESIGN.md §18.3); a sampler, frame walk or symboliser that broke would
+  # lose that row or misplace it.
+  census=$(HOSTPROF_SECONDS=2 scripts/hostprof.sh set-fanout --allocs)
+  echo "$census"
+  if ! echo "$census" | awk '/NetEvent/ && $1 > 7.5 && $1 < 8.5 { ok = 1 } END { exit !ok }'; then
+    echo "FAIL: hostprof --allocs did not find ≈ 8 NetEvent allocations per op"
+    exit 1
+  fi
+fi
 
 echo "OK"

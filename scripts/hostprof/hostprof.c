@@ -1,11 +1,18 @@
 // LD_PRELOAD sampling profiler for the single-threaded simulator binaries.
 //
-// SIGPROF fires HOSTPROF_HZ times per CPU-second (default 250); the handler
-// walks the frame-pointer chain of the interrupted main thread and stores
-// raw return addresses. At exit the samples go to $HOSTPROF_OUT (default
-// hostprof.raw) and the executable mappings to $HOSTPROF_OUT.maps, for
-// hostprof.py to symbolise. Needs a binary built with
-// RUSTFLAGS="-C force-frame-pointers=yes"; see scripts/hostprof.sh.
+// Time (the default): SIGPROF fires HOSTPROF_HZ times per CPU-second
+// (default 250); the handler walks the frame-pointer chain of the
+// interrupted main thread and stores raw return addresses.
+//
+// Allocations (HOSTPROF_ALLOC_EVERY=N): no timer; every Nth call to
+// malloc, calloc or realloc walks the chain from the caller of that
+// function instead, so a sample is one allocation's call site. The
+// wrappers forward to glibc's __libc_* entry points.
+//
+// At exit the samples go to $HOSTPROF_OUT (default hostprof.raw) and the
+// executable mappings to $HOSTPROF_OUT.maps, for hostprof.py to symbolise.
+// Needs a binary built with RUSTFLAGS="-C force-frame-pointers=yes" and
+// this file built with -fno-omit-frame-pointer; see scripts/hostprof.sh.
 #define _GNU_SOURCE
 #include <signal.h>
 #include <stdint.h>
@@ -22,15 +29,12 @@
 static uintptr_t *buf; // [depth, pc, return addresses...] per sample
 static size_t used;
 static uintptr_t stack_hi, exe_base;
+static unsigned long alloc_every, alloc_calls; // allocation mode when > 0
 
-static void on_prof(int sig, siginfo_t *si, void *ucv) {
-    (void)sig;
-    (void)si;
-    ucontext_t *uc = ucv;
-    uintptr_t pc = uc->uc_mcontext.gregs[REG_RIP];
-    uintptr_t fp = uc->uc_mcontext.gregs[REG_RBP];
-    uintptr_t lo = uc->uc_mcontext.gregs[REG_RSP];
-    if (used + DEPTH + 2 > CAP)
+// Store one sample: `pc`, then the return addresses of the frame chain
+// that starts at `fp` (nothing above `lo` is a frame of this stack).
+static void record(uintptr_t pc, uintptr_t fp, uintptr_t lo) {
+    if (!buf || used + DEPTH + 2 > CAP)
         return;
     size_t at = used++;
     size_t depth = 0;
@@ -52,7 +56,46 @@ static void on_prof(int sig, siginfo_t *si, void *ucv) {
     buf[at] = depth;
 }
 
+static void on_prof(int sig, siginfo_t *si, void *ucv) {
+    (void)sig;
+    (void)si;
+    ucontext_t *uc = ucv;
+    record(uc->uc_mcontext.gregs[REG_RIP], uc->uc_mcontext.gregs[REG_RBP],
+           uc->uc_mcontext.gregs[REG_RSP]);
+}
+
+// In allocation mode, every Nth call records its caller's chain: the
+// return address out of the wrapper, then the frames above it. Every
+// entry is a return address, which hostprof.py --allocs accounts for.
+#define SAMPLE_ALLOC()                                                      \
+    do {                                                                    \
+        if (alloc_every && ++alloc_calls % alloc_every == 0) {              \
+            uintptr_t *fp = __builtin_frame_address(0);                     \
+            record((uintptr_t)__builtin_return_address(0), fp[0], (uintptr_t)fp); \
+        }                                                                   \
+    } while (0)
+
+extern void *__libc_malloc(size_t);
+extern void *__libc_calloc(size_t, size_t);
+extern void *__libc_realloc(void *, size_t);
+
+void *malloc(size_t n) {
+    SAMPLE_ALLOC();
+    return __libc_malloc(n);
+}
+
+void *calloc(size_t k, size_t n) {
+    SAMPLE_ALLOC();
+    return __libc_calloc(k, n);
+}
+
+void *realloc(void *p, size_t n) {
+    SAMPLE_ALLOC();
+    return __libc_realloc(p, n);
+}
+
 static void dump(void) {
+    alloc_every = 0; // what dump itself allocates is not the program's
     struct itimerval off = {{0, 0}, {0, 0}};
     setitimer(ITIMER_PROF, &off, NULL);
     const char *path = getenv("HOSTPROF_OUT");
@@ -94,8 +137,14 @@ __attribute__((constructor)) static void init(void) {
     }
     if (maps)
         fclose(maps);
-    buf = malloc(CAP * sizeof(uintptr_t));
-    if (!buf || !stack_hi)
+    uintptr_t *b = malloc(CAP * sizeof(uintptr_t));
+    if (!b || !stack_hi)
+        return;
+    atexit(dump);
+    const char *every = getenv("HOSTPROF_ALLOC_EVERY");
+    alloc_every = every ? strtoul(every, NULL, 10) : 0;
+    buf = b;
+    if (alloc_every)
         return;
     struct sigaction sa;
     memset(&sa, 0, sizeof sa);
@@ -108,5 +157,4 @@ __attribute__((constructor)) static void init(void) {
         rate = 250;
     struct itimerval it = {{0, 1000000 / rate}, {0, 1000000 / rate}};
     setitimer(ITIMER_PROF, &it, NULL);
-    atexit(dump);
 }

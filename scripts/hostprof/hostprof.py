@@ -4,6 +4,7 @@
 usage: hostprof.py BINARY RAW [--exclude S]... [--top N]
        hostprof.py BINARY RAW [--exclude S]... --grep S [--grep S]...
        hostprof.py BINARY RAW [--exclude S]... --lines FUNCTION
+       hostprof.py BINARY RAW [--exclude S]... [--only S] --allocs PER_OP [--top N]
 
 Frames come from `addr2line -i`, so inlined callees are attributed to
 themselves. Without --grep: the top N functions by self time, then by
@@ -11,7 +12,16 @@ inclusive time. --grep S: share of samples with a frame containing S
 (inclusive) and whose innermost frame contains S (self). --lines F: the
 source lines of the samples whose innermost frame contains F. --exclude S
 drops every sample with a frame containing S before anything is counted
-(e.g. the benchmark's calibration kernel: --exclude traced_pass).
+(e.g. the benchmark's calibration kernel: --exclude traced_pass); --only S
+keeps only the samples with a frame whose name or source path:line
+contains S (e.g. one call site: --only rep.rs:272).
+
+--allocs PER_OP reads a dump of allocation samples (HOSTPROF_ALLOC_EVERY)
+and prints allocation sites: the innermost frame that is not allocator
+machinery (the Rust library, the allocator shims and the global
+allocator), followed by its caller. PER_OP is the run's exact allocations
+per operation; a site's share of the kept samples times PER_OP is its
+count per operation.
 
 PCs in shared libraries are named after the nearest exported symbol, which
 for a stripped libc is often wrong by name but right by library: read
@@ -28,34 +38,43 @@ import sys
 def parse_args(argv):
     if len(argv) < 2:
         raise SystemExit(__doc__)
-    opts = {"exclude": [], "grep": [], "top": 40, "lines": None}
+    opts = {"exclude": [], "grep": [], "only": [], "top": 40, "lines": None, "allocs": None}
     rest = argv[2:]
     while rest:
         flag, value, rest = rest[0], rest[1:2], rest[2:]
-        if not value or flag not in ("--exclude", "--grep", "--top", "--lines"):
+        if not value or flag[2:] not in opts:
             raise SystemExit(__doc__)
-        if flag in ("--exclude", "--grep"):
-            opts[flag[2:]].append(value[0])
+        key = flag[2:]
+        if isinstance(opts[key], list):
+            opts[key].append(value[0])
+        elif key == "top":
+            opts[key] = int(value[0])
+        elif key == "allocs":
+            opts[key] = float(value[0])
         else:
-            opts[flag[2:]] = int(value[0]) if flag == "--top" else value[0]
+            opts[key] = value[0]
     return argv[0], argv[1], opts
 
 
-def read_samples(raw):
+def read_samples(raw, returns_only=False):
     data = open(raw, "rb").read()
     words = struct.unpack(f"<{len(data) // 8}Q", data)
     base, words = words[0], words[1:]
     samples, i = [], 0
     while i < len(words):
         depth = words[i]
-        # The leaf PC is exact; return addresses point past their call.
-        samples.append([pc - (1 if j else 0) for j, pc in enumerate(words[i + 1 : i + 1 + depth])])
+        # The leaf PC is exact (unless the sample holds return addresses
+        # only); return addresses point past their call.
+        samples.append([pc - (1 if j or returns_only else 0) for j, pc in enumerate(words[i + 1 : i + 1 + depth])])
         i += 1 + depth
     return base, samples
 
 
 def symbolise_exe(binary, offsets):
-    """offset -> [(function, file:line)], innermost inlined frame first."""
+    """offset -> [(function, path:line)], innermost inlined frame first.
+
+    addr2line names the innermost frame of an inlined chain after the
+    function it was inlined into; the path:line of every frame is exact."""
     out = subprocess.run(
         ["addr2line", "-f", "-i", "-C", "-a", "-e", binary],
         input="\n".join(hex(o) for o in offsets),
@@ -71,7 +90,7 @@ def symbolise_exe(binary, offsets):
             k += 1
         else:
             name = re.sub(r"::h[0-9a-f]{16}$", "", out[k])
-            frames[cur].append((name, out[k + 1].rsplit("/", 1)[-1]))
+            frames[cur].append((name, out[k + 1]))
             k += 2
     return frames
 
@@ -93,7 +112,9 @@ class Libraries:
     def name(self, pc):
         for lo, hi, file_offset, path in self.maps:
             if lo <= pc < hi:
-                table = self.tables.setdefault(path, self.load(path))
+                if path not in self.tables:
+                    self.tables[path] = self.load(path)
+                table = self.tables[path]
                 i = bisect.bisect_right(table, (pc - lo + file_offset, "~")) - 1
                 lib = path.rsplit("/", 1)[-1]
                 return f"{lib}:{table[i][1]}" if i >= 0 else lib
@@ -110,9 +131,38 @@ class Libraries:
         return sorted(table)
 
 
+def basename(loc):
+    return loc.rsplit("/", 1)[-1]
+
+
+def is_machinery(name, loc):
+    """Allocator machinery: the Rust library (containers, `Box::new`, the
+    `System` allocator), the allocator shims and the benchmark's counting
+    allocator. Matched by source path, because addr2line may name an
+    inlined library frame after its caller."""
+    path = loc.split(":")[0]
+    return "/rustc/" in path or path.startswith("?") or name.startswith("__rust") or path.endswith("benchmark/src/alloc.rs")
+
+
+def print_alloc_sites(kept, total, opts):
+    sites = collections.Counter()
+    for st in kept:
+        frames = [(name, loc) for name, loc in st if not is_machinery(name, loc)]
+        if not frames:
+            sites["(allocator machinery only)"] += 1
+            continue
+        name, loc = frames[0]
+        sites[" < ".join([f"{name} {basename(loc)}"] + [n for n, _ in frames[1:2]])] += 1
+    per_op = opts["allocs"]
+    print(f"{per_op:.2f} allocations per op")
+    print(" per op   share  site")
+    for site, n in sites.most_common(opts["top"]):
+        print(f"{per_op * n / total:7.3f} {100 * n / total:6.1f}%  {site}")
+
+
 def main():
     binary, raw, opts = parse_args(sys.argv[1:])
-    base, samples = read_samples(raw)
+    base, samples = read_samples(raw, returns_only=opts["allocs"] is not None)
     exe = symbolise_exe(binary, sorted({pc - base for s in samples for pc in s if 0 <= pc - base < 1 << 40}))
     libs = Libraries(raw + ".maps")
 
@@ -125,10 +175,15 @@ def main():
 
     stacks = [frames(s) for s in samples]
     kept = [st for st in stacks if not any(e in name for e in opts["exclude"] for name, _ in st)]
+    kept = [st for st in kept if all(any(o in name or o in loc for name, loc in st) for o in opts["only"])]
     total = len(kept)
     print(f"{len(stacks)} samples, {total} kept")
-    if opts["lines"]:
-        lines = collections.Counter(st[0][1] for st in kept if opts["lines"] in st[0][0])
+    if total == 0:
+        raise SystemExit("no samples kept")
+    if opts["allocs"] is not None:
+        print_alloc_sites(kept, total, opts)
+    elif opts["lines"]:
+        lines = collections.Counter(basename(st[0][1]) for st in kept if opts["lines"] in st[0][0])
         for line, n in lines.most_common(25):
             print(f"{100 * n / total:5.2f}%  {line}")
     elif opts["grep"]:
