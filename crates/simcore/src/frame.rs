@@ -22,10 +22,12 @@ use crate::pool::PoolShared;
 
 /// The refcounted backing allocation of a [`Frame`]: the bytes plus an
 /// optional link back to the [`crate::FramePool`] the buffer was borrowed
-/// from. When the last view over a pooled buffer drops, the allocation is
-/// recycled into its pool instead of freed — that is the whole "send ring
-/// returned on completion" lifecycle, and it needs no cooperation from any
-/// of the hops a frame passes through.
+/// from. When the last view over a pooled buffer drops, the whole `Rc` —
+/// header and bytes — is recycled into its pool instead of freed (see
+/// `Frame`'s `Drop`): that is the "send ring returned on completion"
+/// lifecycle, and it needs no cooperation from any of the hops a frame
+/// passes through. `Clone` exists only for `Rc::make_mut`'s fallback.
+#[derive(Clone)]
 pub(crate) struct Storage {
     pub(crate) bytes: Vec<u8>,
     home: Option<Weak<PoolShared>>,
@@ -35,12 +37,12 @@ impl Storage {
     fn owned(bytes: Vec<u8>) -> Storage {
         Storage { bytes, home: None }
     }
-}
 
-impl Drop for Storage {
-    fn drop(&mut self) {
-        if let Some(pool) = self.home.take().and_then(|weak| weak.upgrade()) {
-            pool.give_back(std::mem::take(&mut self.bytes));
+    /// An empty buffer of `capacity` that belongs to the pool `home`.
+    pub(crate) fn pooled(capacity: usize, home: Weak<PoolShared>) -> Storage {
+        Storage {
+            bytes: Vec::with_capacity(capacity),
+            home: Some(home),
         }
     }
 }
@@ -62,10 +64,11 @@ impl Frame {
         Frame::default()
     }
 
-    fn over(storage: Storage) -> Frame {
+    /// View all of `storage`'s bytes.
+    pub(crate) fn over(storage: Rc<Storage>) -> Frame {
         let len = storage.bytes.len();
         Frame {
-            buf: Some(Rc::new(storage)),
+            buf: Some(storage),
             off: 0,
             len,
         }
@@ -73,16 +76,7 @@ impl Frame {
 
     /// Take ownership of `vec` without copying.
     pub fn from_vec(vec: Vec<u8>) -> Frame {
-        Frame::over(Storage::owned(vec))
-    }
-
-    /// Wrap a buffer borrowed from a [`crate::FramePool`]; the allocation
-    /// flows back into the pool when the last view over it drops.
-    pub(crate) fn from_pooled(bytes: Vec<u8>, home: Weak<PoolShared>) -> Frame {
-        Frame::over(Storage {
-            bytes,
-            home: Some(home),
-        })
+        Frame::over(Rc::new(Storage::owned(vec)))
     }
 
     /// Copy `bytes` into a fresh frame. The one constructor that always
@@ -191,6 +185,29 @@ impl Frame {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
+
+    /// The header this frame views, null for the empty frame.
+    #[cfg(test)]
+    pub(crate) fn header(&self) -> *const Storage {
+        self.buf.as_ref().map_or(std::ptr::null(), Rc::as_ptr)
+    }
+}
+
+impl Drop for Frame {
+    /// The last view over a pooled buffer hands the whole `Rc` back to its
+    /// pool, so the next `build` reuses the header as well as the bytes.
+    /// A buffer that outlives its pool is simply freed.
+    fn drop(&mut self) {
+        let Some(storage) = self.buf.take() else {
+            return;
+        };
+        if Rc::strong_count(&storage) > 1 {
+            return;
+        }
+        if let Some(pool) = storage.home.as_ref().and_then(Weak::upgrade) {
+            pool.give_back(storage);
+        }
+    }
 }
 
 impl Deref for Frame {
@@ -227,18 +244,15 @@ impl<const N: usize> From<&[u8; N]> for Frame {
 impl From<Frame> for Vec<u8> {
     /// Recover an owned `Vec`; free only when the frame is the sole owner
     /// of the whole buffer, otherwise one copy. A pooled buffer recovered
-    /// this way leaves its pool for good (its `Storage` drops empty).
-    fn from(frame: Frame) -> Vec<u8> {
-        let Some(buf) = frame.buf else {
-            return Vec::new();
-        };
-        let view = frame.off..frame.off + frame.len;
-        let whole = view.len() == buf.bytes.len();
-        match Rc::try_unwrap(buf) {
-            Ok(mut storage) if whole => std::mem::take(&mut storage.bytes),
-            Ok(storage) => storage.bytes[view].to_vec(),
-            Err(shared) => shared.bytes[view].to_vec(),
+    /// this way leaves its pool for good (its header drops empty); after
+    /// a copy, the frame's drop recycles the buffer as usual.
+    fn from(mut frame: Frame) -> Vec<u8> {
+        if let Some(storage) = frame.buf.as_mut().and_then(Rc::get_mut) {
+            if storage.bytes.len() == frame.len {
+                return std::mem::take(&mut storage.bytes);
+            }
         }
+        frame.to_vec()
     }
 }
 

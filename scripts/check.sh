@@ -86,6 +86,16 @@ if [ "$nightly" = 1 ]; then
     echo "FAIL: hostprof --allocs did not find ≈ 8 NetEvent allocations per op"
     exit 1
   fi
+  # A warm FramePool hands out its recycled Rc<Storage> headers, so nothing
+  # in simcore's frame.rs or pool.rs allocates per message (DESIGN.md §11.2);
+  # a row there means a per-message header came back. The site is the text
+  # before " < " (its caller).
+  if ! echo "$census" | awk '{ site = $0; sub(/ < .*/, "", site) }
+      site ~ / (frame|pool)\.rs:[0-9]/ && $1 >= 0.1 { print "  " $0; bad = 1 }
+      END { exit bad }'; then
+    echo "FAIL: hostprof --allocs attributes ≥ 0.1 allocations per op to simcore's frame.rs / pool.rs"
+    exit 1
+  fi
 fi
 
 echo "OK"

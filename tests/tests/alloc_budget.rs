@@ -1,12 +1,12 @@
 //! Allocation budget of the steady-state command path.
 //!
-//! The command path allocates per *message* — a frame header, an event —
-//! never per argument and never per completion: commands are parsed in
-//! place out of their delivery frame, CQ drains poll into a reused WC
-//! array, replies are encoded into pooled send rings, and the one copy of
-//! a value is the store's — made when a key is new or its value outgrows
-//! (or shrinks well below) the buffer it has, never for an overwrite of a
-//! similar size. These tests pin that with a counting allocator:
+//! The command path allocates per *message* — an event; pooled frames reuse
+//! their headers — never per argument and never per completion: commands
+//! are parsed in place out of their delivery frame, CQ drains poll into a
+//! reused WC array, replies are encoded into pooled send rings, and the
+//! one copy of a value is the store's — made when a key is new or its value
+//! outgrows (or shrinks well below) the buffer it has, never for an
+//! overwrite of a similar size. These tests pin that with a counting allocator:
 //! a regression that brings back a `Vec<Vec<u8>>` per command or a
 //! `Vec<Wc>` per drain shows up as a count, not as a slower benchmark.
 //!
@@ -18,7 +18,7 @@ use std::cell::Cell;
 use skv_core::cluster::{Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::replmode::ReplModeKind;
-use skv_simcore::SimDuration;
+use skv_simcore::{FramePool, SimDuration};
 use skv_store::engine::Engine;
 use skv_store::object::RObj;
 use skv_store::resp::Resp;
@@ -140,18 +140,42 @@ fn per_op(spec: RunSpec) -> (f64, f64) {
 /// 8 completion notifies among its 19 dispatches reuse the box of the
 /// arrival that causes them, DESIGN.md §24; the client's zero-sized think
 /// timer boxes nothing); an overwrite rewrites the stored value in place,
-/// so everything else on the path must fit in the rest of the budget:
-/// 14.1 measured. Before the borrowed command path this was ≈ 102
-/// allocations per op; before the in-place store, 19.1.
+/// and the command, reply and stream frames reuse their pooled `Rc`
+/// headers, so everything else on the path must fit in the rest of the
+/// budget: 11.1 measured. Before the borrowed command path this was ≈ 102
+/// allocations per op; before the in-place store, 19.1; before pooled
+/// headers, 14.1.
 #[test]
 fn set_fanout_stays_within_its_allocation_budget() {
     let mut cfg = ClusterConfig::for_mode(Mode::Skv);
     cfg.num_slaves = 3;
     let (allocs, _) = per_op(spec(cfg, 8, 1, 64, 250));
     assert!(
-        allocs <= 15.0,
-        "{allocs:.1} allocations per SET on the fan-out path (budget 15)"
+        allocs <= 12.0,
+        "{allocs:.1} allocations per SET on the fan-out path (budget 12)"
     );
+}
+
+/// A warm `FramePool` hands out the header and bytes it got back: building
+/// a frame, viewing it by clone, `slice` and `split_to`, and dropping every
+/// view allocates nothing.
+#[test]
+fn warm_frame_pool_round_trip_allocates_nothing() {
+    let pool = FramePool::new(64, 4);
+    let round = |i: u8| {
+        let mut frame = pool.build(|b| b.extend_from_slice(&[i; 48]));
+        let copy = frame.clone();
+        let tail = copy.slice(16..);
+        let head = frame.split_to(8);
+        assert_eq!(head.len() + frame.len(), tail.len() + 16);
+    };
+    round(0);
+    let (calls, _) = heap();
+    for i in (0..=u8::MAX).cycle().take(1_000) {
+        round(i);
+    }
+    assert_eq!(heap().0 - calls, 0, "a warm pooled round trip allocated");
+    assert_eq!(pool.misses(), 1);
 }
 
 /// Quorum replication of 4 KiB values (the benchmark's `quorum-4k`): the
