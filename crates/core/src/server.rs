@@ -194,7 +194,6 @@ pub struct KvServer {
     /// simulation RNG in `on_start` (so actor start order matters, not OS
     /// state). Never absent — no unwrap on the command path.
     rng: DetRng,
-    started: bool,
     /// Statistics: commands executed, replication frames sent, etc.
     pub stat_commands: u64,
     /// Write commands rejected due to `min-slaves` or lag.
@@ -281,7 +280,6 @@ impl KvServer {
             reconnect_attempts: DetMap::new(),
             next_upstream_retry: SimTime::ZERO,
             rng: DetRng::new(seed ^ 0xD1CE),
-            started: false,
             active_mode: cfg.repl_mode,
             stat_mode_changes: 0,
             cfg,
@@ -1339,7 +1337,6 @@ impl KvServer {
 impl Actor for KvServer {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.rng = ctx.rng().split();
-        self.started = true;
         let me = ctx.id();
         if self.cfg.mode.uses_rdma() {
             // One armed CQ per shard, CQ 0 (the listen / dial CQ) first;

@@ -1,4 +1,4 @@
-//! Fixture: `store` is not a simulation crate — its CLI may sleep and do
+//! Fixture: `bench` is not a simulation crate — its CLI may sleep and do
 //! real file IO; rule `blocking` must not fire here.
 
 fn f() {

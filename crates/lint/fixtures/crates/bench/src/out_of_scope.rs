@@ -1,4 +1,4 @@
-//! Fixture: `store` is not a simulation crate — HashMap is allowed
+//! Fixture: `bench` is not a simulation crate — HashMap is allowed
 //! (its iteration order never feeds the event loop) and must not fire,
 //! and neither must `std::sync` (rule `sync-in-sim`).
 

@@ -53,7 +53,7 @@ fn fixtures_produce_expected_diagnostics() {
     assert!(unwrap.iter().all(|v| v.rule == "unwrap"));
 
     // Blocking calls fire in sim crates only; the `thread::sleep` and
-    // `std::fs::` twins in crates/store stay clean (checked below).
+    // `std::fs::` twins in crates/bench stay clean (checked below).
     assert_eq!(
         lines_of(&violations, "crates/core/src/bad_blocking.rs", "blocking"),
         vec![4, 5, 6]
@@ -244,8 +244,8 @@ fn fixtures_produce_expected_diagnostics() {
         "crates/core/src/cqdrain.rs",
         "crates/netsim/src/fabric.rs",
         "crates/bench/src/ablations.rs",
-        "crates/store/src/blocking_ok.rs",
-        "crates/store/src/out_of_scope.rs",
+        "crates/bench/src/blocking_ok.rs",
+        "crates/bench/src/out_of_scope.rs",
         "crates/store/src/cmd/mod.rs",
     ] {
         assert!(

@@ -17,11 +17,11 @@
 //!   [`crate::PostError::QpError`]). Nothing arrives at the peer.
 //! * **RDMA + `Delay`** — the retransmit succeeded; the message is late
 //!   but intact.
-//! * **Linked post lists** (`post_send_list` / `post_send_batch`) — the
-//!   verdict is drawn *per WR*, not per doorbell: each WR in a chain is
-//!   judged independently, so a `Drop` on WR *k* errors the QP mid-chain
-//!   and the next linked WR on that QP fails to post at its own index
-//!   (verbs `bad_wr` semantics).
+//! * **Doorbell batches** (`post_send_batch`) — the verdict is drawn
+//!   *per WR*, not per doorbell: each WR in a batch is judged
+//!   independently, so a `Drop` on WR *k* errors its QP mid-batch and the
+//!   next WR on that QP fails to post with
+//!   [`crate::PostError::QpError`] as its own outcome.
 //! * **TCP + `Drop`** — the kernel retransmits: delivery is delayed by
 //!   `TCP_RTO` (200 ms, `tcp.rs`), never lost (the stream stays reliable).
 //! * **Connection management + `Drop`** — the connect attempt fails; the

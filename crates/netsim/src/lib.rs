@@ -35,7 +35,7 @@ pub use det::{DetMap, DetSet};
 pub use fabric::{Net, RNR_WR_ID};
 pub use faults::{FaultPlan, LinkFault, Partition, TimeWindow, Verdict};
 pub use params::{MachineParams, NetParams};
-pub use rdma::{CmError, PostError, PostListError};
+pub use rdma::{CmError, PostError};
 pub use skv_simcore::Frame;
 pub use topology::{NodeKind, Topology};
 pub use types::{

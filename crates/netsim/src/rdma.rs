@@ -70,19 +70,6 @@ pub enum PostError {
     QpError,
 }
 
-/// Why a linked-WR post list failed partway: verbs `bad_wr` semantics.
-///
-/// Mirrors `ibv_post_send`'s out-parameter: every WR *before* `index` was
-/// posted (and will complete, possibly with an error status); the WR at
-/// `index` and everything after it were **not** posted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PostListError {
-    /// Index of the first WR that could not be posted (the `bad_wr`).
-    pub index: usize,
-    /// Why that WR was rejected.
-    pub error: PostError,
-}
-
 /// Why answering an RDMA_CM connection request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmError {
@@ -325,52 +312,14 @@ impl Net {
         Ok(())
     }
 
-    /// Post a chain of linked work requests on one QP with a single
-    /// doorbell — the verbs `ibv_post_send` linked-WR form.
-    ///
-    /// Semantics are verbs-faithful: WRs are posted **in order** until one
-    /// is rejected; on failure the returned [`PostListError`] names the
-    /// index of the first bad WR (`bad_wr`) and every WR before that index
-    /// has been posted and will complete. Fault injection applies a
-    /// verdict *per WR*: a dropped WR is still posted (it completes with
-    /// [`WcStatus::RetryExceeded`] after the retry budget) and moves the
-    /// QP to the error state, so it is the *next* linked WR that fails —
-    /// with [`PostError::QpError`] at its own index.
-    ///
-    /// The caller charges [`crate::NetParams::post_list_cpu`] to its own
-    /// core — one `wr_post_cpu` for the first WR plus `wr_post_linked`
-    /// per linked WR — instead of `n × wr_post_cpu`.
-    pub fn post_send_list(
-        &self,
-        ctx: &mut Context<'_>,
-        qp: QpId,
-        wrs: Vec<SendWr>,
-    ) -> Result<(), PostListError> {
-        let mut inner = self.inner.borrow_mut();
-        let mut posted = 0usize;
-        for (index, wr) in wrs.into_iter().enumerate() {
-            if let Err(error) = post_one(&mut inner, ctx, qp, wr) {
-                if posted > 0 {
-                    inner.counters.inc(Slot::RdmaDoorbells);
-                }
-                return Err(PostListError { index, error });
-            }
-            posted += 1;
-        }
-        if posted > 0 {
-            inner.counters.inc(Slot::RdmaDoorbells);
-        }
-        Ok(())
-    }
-
-    /// Post one WR on each of several QPs under a single doorbell batch —
-    /// the cross-QP analogue of [`Net::post_send_list`], modelling
+    /// Post a batch of WRs, on one QP or several, under a single doorbell —
+    /// the verbs linked-WR post generalised across send queues, modelling
     /// DPA-style doorbell batching where one kick flushes WQEs staged on
     /// many send queues (the shape of SKV's replication fan-out: the same
     /// frame to N slave QPs).
     ///
-    /// Unlike the linked-list form, a bad WR on one QP must not block WRs
-    /// bound for *other* QPs, so each entry gets an independent outcome:
+    /// A bad WR on one QP must not block WRs bound for *other* QPs, so
+    /// each entry gets an independent outcome:
     /// `outcomes` is cleared and filled in input order. `wrs` is drained,
     /// not consumed — like `outcomes` it is the caller's staging buffer, so
     /// a steady fan-out posts batch after batch without allocating.
@@ -461,7 +410,7 @@ impl Net {
 }
 
 /// Validate, judge and launch one send-side WR: the shared engine behind
-/// [`Net::post_send`], [`Net::post_send_list`] and [`Net::post_send_batch`].
+/// [`Net::post_send`] and [`Net::post_send_batch`].
 /// Counts the WR (`rdma.wrs_posted` + per-op counters) but **not** the
 /// doorbell — the calling post entry point owns doorbell accounting.
 fn post_one(

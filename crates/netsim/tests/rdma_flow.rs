@@ -635,25 +635,23 @@ fn destroyed_qp_rejects_posts() {
     assert_eq!(result, Err(PostError::QpClosed));
 }
 
-/// Post a linked-WR list from a one-shot helper actor, run to completion,
-/// and return the post result.
-fn post_list_from_helper(
+/// Post a doorbell batch from a one-shot helper actor, run to completion,
+/// and return one outcome per WR.
+fn post_batch_from_helper(
     w: &mut World,
-    qp: QpId,
-    wrs: Vec<SendWr>,
-) -> Result<(), skv_netsim::PostListError> {
-    let result: Rc<RefCell<Option<Result<(), skv_netsim::PostListError>>>> = Rc::default();
-    let r2 = result.clone();
+    mut wrs: Vec<(QpId, SendWr)>,
+) -> Vec<Result<(), PostError>> {
+    let outcomes: Rc<RefCell<Vec<Result<(), PostError>>>> = Rc::default();
+    let out2 = outcomes.clone();
     let net = w.net.clone();
     let helper = w
         .sim
         .add_actor(Box::new(FnActor::new(move |ctx, _from, _msg| {
-            *r2.borrow_mut() = Some(net.post_send_list(ctx, qp, wrs.clone()));
+            net.post_send_batch(ctx, &mut wrs, &mut out2.borrow_mut());
         })));
     w.sim.schedule(w.sim.now(), helper, ());
     w.sim.run_to_completion();
-    let r = result.borrow().expect("helper ran");
-    r
+    outcomes.take()
 }
 
 fn write_imm_wr(wr_id: u64, mr: MrId, offset: usize, imm: u32, byte: u8) -> SendWr {
@@ -661,83 +659,60 @@ fn write_imm_wr(wr_id: u64, mr: MrId, offset: usize, imm: u32, byte: u8) -> Send
 }
 
 #[test]
-fn post_list_rings_one_doorbell_for_many_wrs() {
+fn one_qp_batch_rings_one_doorbell_for_many_wrs() {
     let mut w = world();
     let (cqp, _sqp, cwcs, swcs, server_mr) = establish(&mut w, 8);
     let c = cqp.borrow().unwrap();
     let base_doorbells = w.net.counters().get("rdma.doorbells");
     let base_wrs = w.net.counters().get("rdma.wrs_posted");
 
-    let wrs: Vec<SendWr> = (0..3)
-        .map(|i| write_imm_wr(10 + i, server_mr, 64 * i as usize, i as u32, i as u8))
+    let wrs: Vec<(QpId, SendWr)> = (0..3)
+        .map(|i| {
+            (
+                c,
+                write_imm_wr(10 + i, server_mr, 64 * i as usize, i as u32, i as u8),
+            )
+        })
         .collect();
-    post_list_from_helper(&mut w, c, wrs).expect("clean fabric posts the whole list");
+    assert_eq!(post_batch_from_helper(&mut w, wrs), vec![Ok(()); 3]);
 
     assert_eq!(
         w.net.counters().get("rdma.doorbells") - base_doorbells,
         1,
-        "a linked list is one doorbell"
+        "a batch is one doorbell"
     );
     assert_eq!(w.net.counters().get("rdma.wrs_posted") - base_wrs, 3);
     let swcs = swcs.borrow();
-    assert_eq!(swcs.len(), 3, "every linked WR delivers");
+    assert_eq!(swcs.len(), 3, "every batched WR delivers");
     assert!(swcs.iter().all(|wc| wc.status == WcStatus::Success));
     let cwcs = cwcs.borrow();
-    assert_eq!(cwcs.len(), 3, "every linked WR completes at the sender");
+    assert_eq!(cwcs.len(), 3, "every batched WR completes at the sender");
     assert!(cwcs.iter().all(|wc| wc.status == WcStatus::Success));
 }
 
 #[test]
-fn empty_post_list_rings_no_doorbell() {
-    let mut w = world();
-    let (cqp, _sqp, _cwcs, _swcs, _mr) = establish(&mut w, 0);
-    let c = cqp.borrow().unwrap();
-    let base = w.net.counters().get("rdma.doorbells");
-    post_list_from_helper(&mut w, c, Vec::new()).expect("empty list is a no-op");
-    assert_eq!(w.net.counters().get("rdma.doorbells"), base);
-}
-
-#[test]
-fn post_list_on_closed_qp_names_index_zero() {
-    let mut w = world();
-    let (cqp, _sqp, _cwcs, _swcs, server_mr) = establish(&mut w, 0);
-    let c = cqp.borrow().unwrap();
-    w.net.destroy_qp(c);
-    let base_doorbells = w.net.counters().get("rdma.doorbells");
-    let base_wrs = w.net.counters().get("rdma.wrs_posted");
-
-    let wrs: Vec<SendWr> = (0..2)
-        .map(|i| write_imm_wr(i, server_mr, 0, 0, 0))
-        .collect();
-    let err = post_list_from_helper(&mut w, c, wrs).unwrap_err();
-    assert_eq!(err.index, 0, "bad_wr is the very first WR");
-    assert_eq!(err.error, PostError::QpClosed);
-    assert_eq!(
-        w.net.counters().get("rdma.doorbells"),
-        base_doorbells,
-        "nothing posted, nothing rung"
-    );
-    assert_eq!(w.net.counters().get("rdma.wrs_posted"), base_wrs);
-}
-
-#[test]
-fn faulted_wr_mid_list_posts_prefix_and_names_bad_wr() {
+fn faulted_wr_mid_batch_errors_its_qp_and_fails_the_next_wr() {
     use skv_netsim::{FaultPlan, Partition, TimeWindow};
 
     let mut w = world();
     let (cqp, _sqp, cwcs, swcs, server_mr) = establish(&mut w, 8);
     let c = cqp.borrow().unwrap();
 
-    // A clean list first: both WRs deliver and complete successfully.
-    let clean: Vec<SendWr> = (0..2)
-        .map(|i| write_imm_wr(100 + i, server_mr, 64 * i as usize, i as u32, 1))
+    // A clean batch first: both WRs deliver and complete successfully.
+    let clean: Vec<(QpId, SendWr)> = (0..2)
+        .map(|i| {
+            (
+                c,
+                write_imm_wr(100 + i, server_mr, 64 * i as usize, i as u32, 1),
+            )
+        })
         .collect();
-    post_list_from_helper(&mut w, c, clean).expect("clean fabric");
+    assert_eq!(post_batch_from_helper(&mut w, clean), vec![Ok(()); 2]);
     assert_eq!(swcs.borrow().len(), 2);
     assert_eq!(cwcs.borrow().len(), 2);
 
     // Partition the hosts: every packet from here on is dropped, so the
-    // first WR of the next list draws a Drop verdict deterministically.
+    // first WR of the next batch draws a Drop verdict deterministically.
     let mut plan = FaultPlan::new(7);
     plan.partitions.push(Partition {
         a: vec![w.a],
@@ -748,33 +723,38 @@ fn faulted_wr_mid_list_posts_prefix_and_names_bad_wr() {
     let base_doorbells = w.net.counters().get("rdma.doorbells");
     let base_wrs = w.net.counters().get("rdma.wrs_posted");
 
-    let faulted: Vec<SendWr> = (0..3)
-        .map(|i| write_imm_wr(200 + i, server_mr, 64 * i as usize, i as u32, 2))
+    let faulted: Vec<(QpId, SendWr)> = (0..3)
+        .map(|i| {
+            (
+                c,
+                write_imm_wr(200 + i, server_mr, 64 * i as usize, i as u32, 2),
+            )
+        })
         .collect();
-    let err = post_list_from_helper(&mut w, c, faulted).unwrap_err();
-
-    // WR 0 was posted (RC retries exhaust, erroring the QP), so the WR
-    // that fails to post is the *next* linked one — bad_wr index 1.
-    assert_eq!(err.index, 1, "the WR after the dropped one is the bad_wr");
-    assert_eq!(err.error, PostError::QpError);
+    // WR 0 was posted (RC retries exhaust, erroring the QP), so every
+    // later WR on that QP fails to post.
+    assert_eq!(
+        post_batch_from_helper(&mut w, faulted),
+        vec![Ok(()), Err(PostError::QpError), Err(PostError::QpError)]
+    );
     assert_eq!(
         w.net.counters().get("rdma.wrs_posted") - base_wrs,
         1,
-        "only the prefix before bad_wr was posted"
+        "only the dropped WR was posted"
     );
     assert_eq!(
         w.net.counters().get("rdma.doorbells") - base_doorbells,
         1,
-        "a partially posted list still rang its doorbell"
+        "a partially posted batch still rang its doorbell"
     );
 
-    // The posted prefix completes — with an error status at the sender —
-    // and nothing from the failed list reaches the receiver.
+    // The posted WR completes — with an error status at the sender — and
+    // nothing from the faulted batch reaches the receiver.
     let cwcs = cwcs.borrow();
     assert_eq!(cwcs.len(), 3, "two clean completions plus the retry error");
     assert_eq!(cwcs[2].wr_id, 200);
     assert_eq!(cwcs[2].status, WcStatus::RetryExceeded);
-    assert_eq!(swcs.borrow().len(), 2, "receiver saw only the clean list");
+    assert_eq!(swcs.borrow().len(), 2, "receiver saw only the clean batch");
     assert_eq!(w.net.counters().get("rdma.qp_errors"), 1);
 }
 
@@ -971,8 +951,8 @@ fn counters_snapshot_matches_a_name_keyed_tally() {
     assert_eq!(completion_counts(&w), completions);
     let read = SendWr::read(5, server_mr, 0, 8);
     post(&mut w, "rdma.reads", read);
-    // A linked list is one doorbell for all its WRs.
-    let list: Vec<SendWr> = (0..3).map(|i| write(256 + 16 * i)).collect();
+    // A batch is one doorbell for all its WRs.
+    let list: Vec<(QpId, SendWr)> = (0..3).map(|i| (c, write(256 + 16 * i))).collect();
     {
         let mut tally = w.tally.borrow_mut();
         tally.add("rdma.writes", 3);
@@ -980,7 +960,7 @@ fn counters_snapshot_matches_a_name_keyed_tally() {
         tally.add("rdma.bytes", 48);
         tally.inc("rdma.doorbells");
     }
-    post_list_from_helper(&mut w, c, list).expect("clean fabric");
+    assert_eq!(post_batch_from_helper(&mut w, list), vec![Ok(()); 3]);
 
     let got: Vec<_> = w.net.counters().iter().collect();
     let want: Vec<_> = w.tally.borrow().iter().collect();
@@ -1149,10 +1129,12 @@ fn in_flight_records_are_parked_until_they_arrive_and_never_after() {
         let helper = w
             .sim
             .add_actor(Box::new(FnActor::new(move |ctx, _from, _msg| {
-                let wrs = (0..5)
-                    .map(|i| write_imm_wr(i, server_mr, 0, 0, 1))
+                let mut wrs = (0..5)
+                    .map(|i| (c, write_imm_wr(i, server_mr, 0, 0, 1)))
                     .collect();
-                net.post_send_list(ctx, c, wrs).unwrap();
+                let mut outcomes = Vec::new();
+                net.post_send_batch(ctx, &mut wrs, &mut outcomes);
+                assert_eq!(outcomes, vec![Ok(()); 5]);
             })));
         w.sim.schedule(w.sim.now(), helper, ());
         w.sim.run_until(w.sim.now());

@@ -111,11 +111,6 @@ impl CorePool {
             .unwrap_or(0)
     }
 
-    /// Instant the given core next becomes free.
-    pub fn free_at(&self, core: usize) -> SimTime {
-        self.busy_until[core]
-    }
-
     /// Queueing depth proxy: how far in the future the given core's queue
     /// currently extends.
     pub fn backlog(&self, core: usize, now: SimTime) -> SimDuration {

@@ -3,22 +3,14 @@
 //! Bits are numbered Redis-style: bit 0 is the most significant bit of the
 //! first byte.
 
-use super::{parse_i64, ExecCtx};
+use super::string::get_string;
+use super::{parse_i64, parse_i64_pair, ExecCtx};
 use crate::object::RObj;
 use crate::resp::Resp;
 use crate::sds::Sds;
 
 /// Largest addressable bit offset (Redis caps strings at 512 MB).
 const MAX_BIT_OFFSET: i64 = 512 * 1024 * 1024 * 8 - 1;
-
-/// Fetch the raw bytes of a string key (owned), or None/wrongtype.
-fn string_bytes(ctx: &mut ExecCtx<'_>, key: &[u8]) -> Result<Option<Vec<u8>>, Resp> {
-    match ctx.db.lookup_read(key, ctx.now_ms) {
-        None => Ok(None),
-        Some(o) if o.is_string() => Ok(Some(o.as_string_bytes())),
-        Some(_) => Err(Resp::wrongtype()),
-    }
-}
 
 pub(super) fn setbit(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let offset = match parse_i64(args[2]) {
@@ -31,7 +23,7 @@ pub(super) fn setbit(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         Ok(1) => 1u8,
         _ => return Resp::err("bit is not an integer or out of range"),
     };
-    let mut bytes = match string_bytes(ctx, args[1]) {
+    let mut bytes = match get_string(ctx, args[1]) {
         Ok(Some(b)) => b,
         Ok(None) => Vec::new(),
         Err(e) => return e,
@@ -58,7 +50,7 @@ pub(super) fn getbit(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         Ok(_) => return Resp::err("bit offset is not an integer or out of range"),
         Err(e) => return e,
     };
-    let bytes = match string_bytes(ctx, args[1]) {
+    let bytes = match get_string(ctx, args[1]) {
         Ok(Some(b)) => b,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -71,7 +63,7 @@ pub(super) fn getbit(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn bitcount(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let bytes = match string_bytes(ctx, args[1]) {
+    let bytes = match get_string(ctx, args[1]) {
         Ok(Some(b)) => b,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -79,9 +71,9 @@ pub(super) fn bitcount(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let slice: &[u8] = match (args.get(2), args.get(3)) {
         (None, None) => &bytes,
         (Some(s), Some(e)) => {
-            let (start, end) = match (parse_i64(s), parse_i64(e)) {
-                (Ok(a), Ok(b)) => (a, b),
-                (Err(err), _) | (_, Err(err)) => return err,
+            let (start, end) = match parse_i64_pair(s, e) {
+                Ok(pair) => pair,
+                Err(err) => return err,
             };
             // Reuse GETRANGE-style clamping for the byte range.
             let tmp = Sds::from_vec(bytes.clone());
@@ -99,7 +91,7 @@ pub(super) fn bitpos(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         Ok(1) => 1u8,
         _ => return Resp::err("the bit argument must be 1 or 0"),
     };
-    let bytes = match string_bytes(ctx, args[1]) {
+    let bytes = match get_string(ctx, args[1]) {
         Ok(Some(b)) => b,
         Ok(None) => {
             // Missing key is all-zeroes: first 0 is at 0; no 1 exists.
@@ -134,7 +126,7 @@ pub(super) fn bitop(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     }
     let mut operands = Vec::with_capacity(sources.len());
     for key in sources {
-        match string_bytes(ctx, key) {
+        match get_string(ctx, key) {
             Ok(Some(b)) => operands.push(b),
             Ok(None) => operands.push(Vec::new()),
             Err(e) => return e,

@@ -1,35 +1,27 @@
 //! Hash commands (`HSET`, `HGETALL`, …).
 
-use super::{parse_i64, ExecCtx};
+use super::{parse_i64, Aggregate, ExecCtx};
 use crate::dict::Dict;
 use crate::object::RObj;
 use crate::resp::Resp;
 use crate::sds::Sds;
 
-fn with_hash<'a>(
-    ctx: &'a mut ExecCtx<'_>,
-    key: &[u8],
-    create: bool,
-) -> Result<Option<&'a mut Dict<Sds>>, Resp> {
-    let now = ctx.now_ms;
-    if ctx.db.lookup_write(key, now).is_none() {
-        if !create {
-            return Ok(None);
-        }
-        ctx.db.set(key, RObj::Hash(Box::default()));
-    }
-    match ctx.db.lookup_write(key, now) {
-        Some(RObj::Hash(h)) => Ok(Some(h)),
-        Some(_) => Err(Resp::wrongtype()),
-        None => Ok(None),
-    }
-}
+type Hash = Dict<Sds>;
 
-fn reap_if_empty(ctx: &mut ExecCtx<'_>, key: &[u8]) {
-    if let Some(RObj::Hash(h)) = ctx.db.lookup_write(key, ctx.now_ms) {
-        if h.is_empty() {
-            ctx.db.delete(key);
+impl Aggregate for Hash {
+    fn of(obj: &mut RObj) -> Option<&mut Self> {
+        match obj {
+            RObj::Hash(h) => Some(h),
+            _ => None,
         }
+    }
+
+    fn empty(_: &mut ExecCtx<'_>) -> RObj {
+        RObj::Hash(Box::default())
+    }
+
+    fn is_empty(&self) -> bool {
+        Dict::is_empty(self)
     }
 }
 
@@ -37,9 +29,8 @@ pub(super) fn hset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     if !args.len().is_multiple_of(2) {
         return Resp::err("wrong number of arguments for HSET");
     }
-    let hash = match with_hash(ctx, args[1], true) {
-        Ok(Some(h)) => h,
-        Ok(None) => unreachable!("create=true"),
+    let hash = match ctx.lookup_or_create::<Hash>(args[1]) {
+        Ok(h) => h,
         Err(e) => return e,
     };
     let mut added = 0;
@@ -60,9 +51,8 @@ pub(super) fn hmset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn hsetnx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let hash = match with_hash(ctx, args[1], true) {
-        Ok(Some(h)) => h,
-        Ok(None) => unreachable!("create=true"),
+    let hash = match ctx.lookup_or_create::<Hash>(args[1]) {
+        Ok(h) => h,
         Err(e) => return e,
     };
     if hash.contains(args[2]) {
@@ -75,7 +65,7 @@ pub(super) fn hsetnx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn hget(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_hash(ctx, args[1], false) {
+    match ctx.lookup::<Hash>(args[1]) {
         Ok(Some(h)) => match h.get(args[2]) {
             Some(v) => Resp::Bulk(v.as_bytes().to_vec()),
             None => Resp::NullBulk,
@@ -86,7 +76,7 @@ pub(super) fn hget(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn hmget(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_hash(ctx, args[1], false) {
+    match ctx.lookup::<Hash>(args[1]) {
         Ok(Some(h)) => Resp::Array(
             args[2..]
                 .iter()
@@ -102,7 +92,7 @@ pub(super) fn hmget(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn hdel(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let hash = match with_hash(ctx, args[1], false) {
+    let hash = match ctx.lookup::<Hash>(args[1]) {
         Ok(Some(h)) => h,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -112,12 +102,12 @@ pub(super) fn hdel(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         .filter(|f| hash.remove(f).is_some())
         .count();
     ctx.db.mark_dirty(removed as u64);
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<Hash>(args[1]);
     Resp::Int(removed as i64)
 }
 
 pub(super) fn hexists(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_hash(ctx, args[1], false) {
+    match ctx.lookup::<Hash>(args[1]) {
         Ok(Some(h)) => Resp::Int(h.contains(args[2]) as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
@@ -125,7 +115,7 @@ pub(super) fn hexists(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn hlen(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_hash(ctx, args[1], false) {
+    match ctx.lookup::<Hash>(args[1]) {
         Ok(Some(h)) => Resp::Int(h.len() as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
@@ -133,7 +123,7 @@ pub(super) fn hlen(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn hstrlen(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_hash(ctx, args[1], false) {
+    match ctx.lookup::<Hash>(args[1]) {
         Ok(Some(h)) => Resp::Int(h.get(args[2]).map_or(0, Sds::len) as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
@@ -141,7 +131,7 @@ pub(super) fn hstrlen(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 /// Collect `(field, value)` pairs sorted by field for deterministic replies.
-fn sorted_pairs(h: &Dict<Sds>) -> Vec<(Vec<u8>, Vec<u8>)> {
+fn sorted_pairs(h: &Hash) -> Vec<(Vec<u8>, Vec<u8>)> {
     let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = h
         .iter()
         .map(|(k, v)| (k.to_vec(), v.as_bytes().to_vec()))
@@ -151,7 +141,7 @@ fn sorted_pairs(h: &Dict<Sds>) -> Vec<(Vec<u8>, Vec<u8>)> {
 }
 
 pub(super) fn hgetall(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_hash(ctx, args[1], false) {
+    match ctx.lookup::<Hash>(args[1]) {
         Ok(Some(h)) => {
             let mut out = Vec::with_capacity(h.len() * 2);
             for (f, v) in sorted_pairs(h) {
@@ -166,7 +156,7 @@ pub(super) fn hgetall(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn hkeys(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_hash(ctx, args[1], false) {
+    match ctx.lookup::<Hash>(args[1]) {
         Ok(Some(h)) => Resp::Array(
             sorted_pairs(h)
                 .into_iter()
@@ -179,7 +169,7 @@ pub(super) fn hkeys(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn hvals(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_hash(ctx, args[1], false) {
+    match ctx.lookup::<Hash>(args[1]) {
         Ok(Some(h)) => Resp::Array(
             sorted_pairs(h)
                 .into_iter()
@@ -196,9 +186,8 @@ pub(super) fn hincrby(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let hash = match with_hash(ctx, args[1], true) {
-        Ok(Some(h)) => h,
-        Ok(None) => unreachable!("create=true"),
+    let hash = match ctx.lookup_or_create::<Hash>(args[1]) {
+        Ok(h) => h,
         Err(e) => return e,
     };
     let current = match hash.get(args[2]) {

@@ -1,6 +1,6 @@
 //! Generic keyspace commands (`DEL`, `EXPIRE`, `KEYS`, …).
 
-use super::{parse_i64, ExecCtx};
+use super::{lcg_below, parse_i64, ExecCtx};
 use crate::object::RObj;
 use crate::resp::Resp;
 
@@ -105,21 +105,28 @@ fn rename_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], fail_if_target: bool) -
     if fail_if_target && ctx.db.exists(args[2], ctx.now_ms) {
         return Resp::Int(0);
     }
-    let ttl = ctx.db.expiry_of(args[1]);
-    let value = ctx
-        .db
-        .lookup_read(args[1], ctx.now_ms)
-        .expect("checked exists")
-        .clone();
-    ctx.db.delete(args[1]);
-    ctx.db.set(args[2], value);
-    if let Some(at) = ttl {
-        ctx.db.set_expire(args[2], at);
-    }
+    copy_with_ttl(ctx, args[1], args[2], true);
     if fail_if_target {
         Resp::Int(1)
     } else {
         Resp::ok()
+    }
+}
+
+/// Store `src`'s value at `dst` with its TTL — and, for a move, delete
+/// `src` in between (`RENAME`, `COPY`). The callers have checked that
+/// `src` exists.
+fn copy_with_ttl(ctx: &mut ExecCtx<'_>, src: &[u8], dst: &[u8], move_src: bool) {
+    let ttl = ctx.db.expiry_of(src);
+    let Some(value) = ctx.db.lookup_read(src, ctx.now_ms).cloned() else {
+        return;
+    };
+    if move_src {
+        ctx.db.delete(src);
+    }
+    ctx.db.set(dst, value);
+    if let Some(at) = ttl {
+        ctx.db.set_expire(dst, at);
     }
 }
 
@@ -152,7 +159,7 @@ pub(super) fn randomkey(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let _ = args;
     // Retry a few times to skip expired-but-unreaped keys, as Redis does.
     for _ in 0..16 {
-        let Some(key) = ctx.db.random_key(|n| ctx_rand(ctx.rng_state, n)) else {
+        let Some(key) = ctx.db.random_key(|n| lcg_below(ctx.rng_state, n)) else {
             return Resp::NullBulk;
         };
         if ctx.db.exists(&key, ctx.now_ms) {
@@ -160,17 +167,6 @@ pub(super) fn randomkey(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         }
     }
     Resp::NullBulk
-}
-
-fn ctx_rand(state: &mut u64, n: u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    if n == 0 {
-        0
-    } else {
-        (*state >> 16) % n
-    }
 }
 
 /// Redis-style glob matching: `*`, `?`, `[abc]`, `[^abc]`, `[a-z]`, `\x`.
@@ -275,16 +271,7 @@ pub(super) fn copy(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     if !replace && ctx.db.exists(args[2], ctx.now_ms) {
         return Resp::Int(0);
     }
-    let ttl = ctx.db.expiry_of(args[1]);
-    let value = ctx
-        .db
-        .lookup_read(args[1], ctx.now_ms)
-        .expect("checked exists")
-        .clone();
-    ctx.db.set(args[2], value);
-    if let Some(at) = ttl {
-        ctx.db.set_expire(args[2], at);
-    }
+    copy_with_ttl(ctx, args[1], args[2], false);
     Resp::Int(1)
 }
 

@@ -2,43 +2,37 @@
 
 use std::collections::VecDeque;
 
-use super::{parse_i64, ExecCtx};
+use super::{parse_count, parse_i64, parse_i64_pair, rank_range, Aggregate, ExecCtx};
 use crate::object::RObj;
 use crate::resp::Resp;
 use crate::sds::Sds;
 
-/// Resolve a key to its list, optionally creating an empty one.
-/// Returns `Err(reply)` on wrong type.
-fn with_list<'a>(
-    ctx: &'a mut ExecCtx<'_>,
-    key: &[u8],
-    create: bool,
-) -> Result<Option<&'a mut VecDeque<Sds>>, Resp> {
-    let now = ctx.now_ms;
-    if ctx.db.lookup_write(key, now).is_none() {
-        if !create {
-            return Ok(None);
-        }
-        ctx.db.set(key, RObj::List(Box::default()));
-    }
-    match ctx.db.lookup_write(key, now) {
-        Some(RObj::List(l)) => Ok(Some(l)),
-        Some(_) => Err(Resp::wrongtype()),
-        None => Ok(None),
-    }
-}
+type List = VecDeque<Sds>;
 
-/// Delete the key if its list became empty (Redis removes empty aggregates).
-fn reap_if_empty(ctx: &mut ExecCtx<'_>, key: &[u8]) {
-    if let Some(RObj::List(l)) = ctx.db.lookup_write(key, ctx.now_ms) {
-        if l.is_empty() {
-            ctx.db.delete(key);
+impl Aggregate for List {
+    fn of(obj: &mut RObj) -> Option<&mut Self> {
+        match obj {
+            RObj::List(l) => Some(l),
+            _ => None,
         }
+    }
+
+    fn empty(_: &mut ExecCtx<'_>) -> RObj {
+        RObj::List(Box::default())
+    }
+
+    fn is_empty(&self) -> bool {
+        VecDeque::is_empty(self)
     }
 }
 
 fn push_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], front: bool, create: bool) -> Resp {
-    let list = match with_list(ctx, args[1], create) {
+    let found = if create {
+        ctx.lookup_or_create::<List>(args[1]).map(Some)
+    } else {
+        ctx.lookup::<List>(args[1])
+    };
+    let list = match found {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::Int(0), // LPUSHX/RPUSHX on missing key
         Err(e) => return e,
@@ -72,15 +66,11 @@ pub(super) fn rpushx(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 fn pop_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], front: bool) -> Resp {
-    let count = match args.get(2) {
-        None => None,
-        Some(arg) => match parse_i64(arg) {
-            Ok(v) if v >= 0 => Some(v as usize),
-            Ok(_) => return Resp::err("value is out of range, must be positive"),
-            Err(e) => return e,
-        },
+    let count = match parse_count(args.get(2)) {
+        Ok(c) => c,
+        Err(e) => return e,
     };
-    let list = match with_list(ctx, args[1], false) {
+    let list = match ctx.lookup::<List>(args[1]) {
         Ok(Some(l)) => l,
         Ok(None) => {
             return if count.is_some() {
@@ -91,32 +81,15 @@ fn pop_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], front: bool) -> Resp {
         }
         Err(e) => return e,
     };
-    let mut popped = Vec::new();
     let n = count.unwrap_or(1).min(list.len());
-    for _ in 0..n {
-        let item = if front {
-            list.pop_front()
-        } else {
-            list.pop_back()
-        };
-        match item {
-            Some(v) => popped.push(v),
-            None => break,
-        }
-    }
+    let pop = |l: &mut List| if front { l.pop_front() } else { l.pop_back() };
+    let popped: Vec<Sds> = (0..n).filter_map(|_| pop(list)).collect();
     ctx.db.mark_dirty(popped.len() as u64);
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<List>(args[1]);
+    let mut replies = popped.into_iter().map(|v| Resp::Bulk(v.into_vec()));
     match count {
-        None => match popped.into_iter().next() {
-            Some(v) => Resp::Bulk(v.into_vec()),
-            None => Resp::NullBulk,
-        },
-        Some(_) => Resp::Array(
-            popped
-                .into_iter()
-                .map(|v| Resp::Bulk(v.into_vec()))
-                .collect(),
-        ),
+        None => replies.next().unwrap_or(Resp::NullBulk),
+        Some(_) => Resp::Array(replies.collect()),
     }
 }
 
@@ -129,38 +102,24 @@ pub(super) fn rpop(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn llen(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_list(ctx, args[1], false) {
+    match ctx.lookup::<List>(args[1]) {
         Ok(Some(l)) => Resp::Int(l.len() as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
     }
 }
 
-/// Clamp Redis-style negative-capable (start, stop) onto `[0, len)`.
-fn clamp_range(start: i64, stop: i64, len: usize) -> Option<(usize, usize)> {
-    let len = len as i64;
-    let mut s = if start < 0 { len + start } else { start };
-    let mut e = if stop < 0 { len + stop } else { stop };
-    s = s.max(0);
-    e = e.min(len - 1);
-    if s > e || len == 0 {
-        None
-    } else {
-        Some((s as usize, e as usize))
-    }
-}
-
 pub(super) fn lrange(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let (start, stop) = match (parse_i64(args[2]), parse_i64(args[3])) {
-        (Ok(s), Ok(e)) => (s, e),
-        (Err(e), _) | (_, Err(e)) => return e,
+    let (start, stop) = match parse_i64_pair(args[2], args[3]) {
+        Ok(pair) => pair,
+        Err(e) => return e,
     };
-    let list = match with_list(ctx, args[1], false) {
+    let list = match ctx.lookup::<List>(args[1]) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::Array(Vec::new()),
         Err(e) => return e,
     };
-    match clamp_range(start, stop, list.len()) {
+    match rank_range(start, stop, list.len()) {
         Some((s, e)) => Resp::Array(
             list.iter()
                 .skip(s)
@@ -177,21 +136,22 @@ pub(super) fn lindex(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let list = match with_list(ctx, args[1], false) {
+    let list = match ctx.lookup::<List>(args[1]) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::NullBulk,
         Err(e) => return e,
     };
-    let real = if idx < 0 {
-        list.len() as i64 + idx
-    } else {
-        idx
-    };
-    if real < 0 || real as usize >= list.len() {
-        Resp::NullBulk
-    } else {
-        Resp::Bulk(list[real as usize].as_bytes().to_vec())
+    match list_index(idx, list.len()) {
+        Some(i) => Resp::Bulk(list[i].as_bytes().to_vec()),
+        None => Resp::NullBulk,
     }
+}
+
+/// A Redis-style list index, negative counting from the end, checked
+/// against `len`.
+fn list_index(idx: i64, len: usize) -> Option<usize> {
+    let real = if idx < 0 { len as i64 + idx } else { idx };
+    (0..len as i64).contains(&real).then_some(real as usize)
 }
 
 pub(super) fn lset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
@@ -200,35 +160,30 @@ pub(super) fn lset(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         Err(e) => return e,
     };
     let value = Sds::from_bytes(args[3]);
-    let list = match with_list(ctx, args[1], false) {
+    let list = match ctx.lookup::<List>(args[1]) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::err("no such key"),
         Err(e) => return e,
     };
-    let real = if idx < 0 {
-        list.len() as i64 + idx
-    } else {
-        idx
-    };
-    if real < 0 || real as usize >= list.len() {
+    let Some(i) = list_index(idx, list.len()) else {
         return Resp::err("index out of range");
-    }
-    list[real as usize] = value;
+    };
+    list[i] = value;
     ctx.db.mark_dirty(1);
     Resp::ok()
 }
 
 pub(super) fn ltrim(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let (start, stop) = match (parse_i64(args[2]), parse_i64(args[3])) {
-        (Ok(s), Ok(e)) => (s, e),
-        (Err(e), _) | (_, Err(e)) => return e,
+    let (start, stop) = match parse_i64_pair(args[2], args[3]) {
+        Ok(pair) => pair,
+        Err(e) => return e,
     };
-    let list = match with_list(ctx, args[1], false) {
+    let list = match ctx.lookup::<List>(args[1]) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::ok(),
         Err(e) => return e,
     };
-    match clamp_range(start, stop, list.len()) {
+    match rank_range(start, stop, list.len()) {
         Some((s, e)) => {
             list.drain(e + 1..);
             list.drain(..s);
@@ -236,7 +191,7 @@ pub(super) fn ltrim(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         None => list.clear(),
     }
     ctx.db.mark_dirty(1);
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<List>(args[1]);
     Resp::ok()
 }
 
@@ -246,7 +201,7 @@ pub(super) fn lrem(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         Err(e) => return e,
     };
     let needle = &args[3];
-    let list = match with_list(ctx, args[1], false) {
+    let list = match ctx.lookup::<List>(args[1]) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
@@ -278,14 +233,14 @@ pub(super) fn lrem(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         }
     }
     ctx.db.mark_dirty(removed as u64);
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<List>(args[1]);
     Resp::Int(removed as i64)
 }
 
 pub(super) fn rpoplpush(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     // Pop from the source tail.
     let value = {
-        let src = match with_list(ctx, args[1], false) {
+        let src = match ctx.lookup::<List>(args[1]) {
             Ok(Some(l)) => l,
             Ok(None) => return Resp::NullBulk,
             Err(e) => return e,
@@ -295,18 +250,17 @@ pub(super) fn rpoplpush(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
             None => return Resp::NullBulk,
         }
     };
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<List>(args[1]);
     // Push onto the destination head (creating it; type errors push back).
-    match with_list(ctx, args[2], true) {
-        Ok(Some(dst)) => {
+    match ctx.lookup_or_create::<List>(args[2]) {
+        Ok(dst) => {
             dst.push_front(value.clone());
             ctx.db.mark_dirty(2);
             Resp::Bulk(value.into_vec())
         }
-        Ok(None) => unreachable!("create=true"),
         Err(e) => {
             // Destination has the wrong type: restore the source element.
-            if let Ok(Some(src)) = with_list(ctx, args[1], true) {
+            if let Ok(src) = ctx.lookup_or_create::<List>(args[1]) {
                 src.push_back(value);
             }
             e
@@ -333,31 +287,21 @@ pub(super) fn lpos(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         }
         i += 1;
     }
-    let list = match with_list(ctx, args[1], false) {
+    let list = match ctx.lookup::<List>(args[1]) {
         Ok(Some(l)) => l,
         Ok(None) => return Resp::NullBulk,
         Err(e) => return e,
     };
-    let mut matches_seen = 0i64;
-    let want = rank.unsigned_abs() as i64;
-    if rank > 0 {
-        for (idx, item) in list.iter().enumerate() {
-            if item.as_bytes() == needle {
-                matches_seen += 1;
-                if matches_seen == want {
-                    return Resp::Int(idx as i64);
-                }
-            }
-        }
+    // The |rank|-th match, counted from the head or (rank < 0) the tail.
+    let nth = rank.unsigned_abs() as usize - 1;
+    let mut hits = list
+        .iter()
+        .enumerate()
+        .filter(|(_, item)| item.as_bytes() == needle);
+    let hit = if rank > 0 {
+        hits.nth(nth)
     } else {
-        for (idx, item) in list.iter().enumerate().rev() {
-            if item.as_bytes() == needle {
-                matches_seen += 1;
-                if matches_seen == want {
-                    return Resp::Int(idx as i64);
-                }
-            }
-        }
-    }
-    Resp::NullBulk
+        hits.rev().nth(nth)
+    };
+    hit.map_or(Resp::NullBulk, |(idx, _)| Resp::Int(idx as i64))
 }

@@ -26,6 +26,7 @@ mod string;
 mod zset;
 
 use crate::db::Db;
+use crate::object::RObj;
 use crate::resp::Resp;
 
 /// Command flag: may modify the keyspace (must be replicated).
@@ -44,28 +45,71 @@ pub struct ExecCtx<'a> {
     pub db: &'a mut Db,
     /// Current time in milliseconds (simulated).
     pub now_ms: u64,
-    /// Cheap deterministic randomness for `RANDOMKEY`/`SPOP`/zset seeds.
+    /// The state of [`lcg_below`], the store's only randomness.
     pub rng_state: &'a mut u64,
 }
 
+/// One step of the store's LCG: advance `state` and draw a value in
+/// `[0, n)` (0 when `n` is 0). Every draw the store makes goes through
+/// here — `SPOP`, `SRANDMEMBER`, `RANDOMKEY`, a new zset's skiplist seed
+/// and the active-expire sampler; determinism matters more than quality.
+pub(crate) fn lcg_below(state: &mut u64, n: u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    if n == 0 {
+        0
+    } else {
+        (*state >> 16) % n
+    }
+}
+
+/// A collection a key can hold. Each command family implements it for its
+/// value type, so the typed lookups and the empty-key reaper are written
+/// once.
+pub(crate) trait Aggregate {
+    /// The value behind `obj`, or `None` when `obj` holds another type.
+    fn of(obj: &mut RObj) -> Option<&mut Self>;
+    /// A new empty value, drawing from `ctx` what it needs (a zset's seed).
+    fn empty(ctx: &mut ExecCtx<'_>) -> RObj;
+    /// True when the value holds nothing.
+    fn is_empty(&self) -> bool;
+}
+
 impl ExecCtx<'_> {
-    /// Draw a pseudo-random value in `[0, n)` (LCG; determinism matters
-    /// more than quality here).
-    pub fn rand_below(&mut self, n: u64) -> u64 {
-        *self.rng_state = self
-            .rng_state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        if n == 0 {
-            0
-        } else {
-            (*self.rng_state >> 16) % n
+    /// The `T` at `key`: `Ok(None)` when absent, WRONGTYPE when the key
+    /// holds another type.
+    pub(crate) fn lookup<T: Aggregate>(&mut self, key: &[u8]) -> Result<Option<&mut T>, Resp> {
+        if self.db.lookup_write(key, self.now_ms).is_none() {
+            return Ok(None);
         }
+        self.typed(key).map(Some)
     }
 
-    /// A fresh seed (for per-zset skiplists).
-    pub fn next_seed(&mut self) -> u64 {
-        self.rand_below(u64::MAX)
+    /// The `T` at `key`, created empty when absent; WRONGTYPE when the key
+    /// holds another type.
+    pub(crate) fn lookup_or_create<T: Aggregate>(&mut self, key: &[u8]) -> Result<&mut T, Resp> {
+        if self.db.lookup_write(key, self.now_ms).is_none() {
+            let empty = T::empty(self);
+            self.db.set(key, empty);
+        }
+        self.typed(key)
+    }
+
+    /// The second probe of both lookups. Every dict probe takes an
+    /// incremental-rehash step, so the probe count is part of the schedule.
+    fn typed<T: Aggregate>(&mut self, key: &[u8]) -> Result<&mut T, Resp> {
+        let obj = self.db.lookup_write(key, self.now_ms);
+        obj.and_then(T::of).ok_or_else(Resp::wrongtype)
+    }
+
+    /// Delete `key` if it holds an empty `T` (Redis removes empty
+    /// aggregates).
+    pub(crate) fn reap_if_empty<T: Aggregate>(&mut self, key: &[u8]) {
+        let obj = self.db.lookup_write(key, self.now_ms);
+        if obj.and_then(T::of).is_some_and(|v| v.is_empty()) {
+            self.db.delete(key);
+        }
     }
 }
 
@@ -371,6 +415,32 @@ pub(crate) fn parse_f64(arg: &[u8]) -> Result<f64, Resp> {
     }
 }
 
+/// Parse a `(start, stop)` integer pair; a bad `start` is reported first.
+pub(crate) fn parse_i64_pair(start: &[u8], stop: &[u8]) -> Result<(i64, i64), Resp> {
+    Ok((parse_i64(start)?, parse_i64(stop)?))
+}
+
+/// The optional non-negative count of a pop (`LPOP`/`RPOP`, `SPOP`,
+/// `ZPOPMIN`/`ZPOPMAX`): `None` when the argument is absent.
+pub(crate) fn parse_count(arg: Option<&&[u8]>) -> Result<Option<usize>, Resp> {
+    let Some(arg) = arg else {
+        return Ok(None);
+    };
+    match parse_i64(arg)? {
+        v if v >= 0 => Ok(Some(v as usize)),
+        _ => Err(Resp::err("value is out of range, must be positive")),
+    }
+}
+
+/// Clamp a Redis-style `(start, stop)` rank pair, negative counting from
+/// the end, onto `[0, len)`; `None` when nothing is left.
+pub(crate) fn rank_range(start: i64, stop: i64, len: usize) -> Option<(usize, usize)> {
+    let len = len as i64;
+    let start = if start < 0 { len + start } else { start }.max(0);
+    let stop = if stop < 0 { len + stop } else { stop }.min(len - 1);
+    (start <= stop).then_some((start as usize, stop as usize))
+}
+
 /// Format a float the way Redis does (`%.17g`, trimmed).
 pub(crate) fn format_f64(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e17 {
@@ -384,7 +454,12 @@ pub(crate) fn format_f64(v: f64) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
+    use crate::dict::Dict;
+    use crate::object::{SetObj, ZSet};
+    use crate::sds::Sds;
 
     fn ctx_exec(args: &[&str]) -> Resp {
         let mut db = Db::new();
@@ -396,6 +471,141 @@ mod tests {
         };
         let argv: Vec<&[u8]> = args.iter().map(|s| s.as_bytes()).collect();
         dispatch(&mut ctx, argv.first().and_then(|n| lookup(n)), &argv)
+    }
+
+    #[test]
+    fn lcg_draws_are_pinned() {
+        // Every draw the store makes comes from this sequence: RANDOMKEY,
+        // SPOP, SRANDMEMBER, zset seeds and the active-expire sampler all
+        // move with it, and with them every pinned digest.
+        let mut state = 1;
+        assert_eq!(lcg_below(&mut state, 10), 3);
+        assert_eq!(state, 0x6c57_6fac_43fd_007c);
+        assert_eq!(lcg_below(&mut state, 1000), 930);
+        // `n == 0` still advances the state, and draws 0.
+        assert_eq!(lcg_below(&mut state, 0), 0);
+        assert_eq!(state, 0xa5fa_e199_2097_aa0e);
+        assert_eq!(lcg_below(&mut state, u64::MAX), 107_766_463_926_675);
+    }
+
+    #[test]
+    fn rank_range_clamps_like_redis() {
+        // (start, stop, len) → the clamped (start, stop), if any.
+        let table = [
+            ((0, -1, 5), Some((0, 4))),
+            ((1, 3, 5), Some((1, 3))),
+            ((-2, -1, 5), Some((3, 4))),
+            ((-100, 1, 5), Some((0, 1))),
+            ((2, 100, 5), Some((2, 4))),
+            ((4, 4, 5), Some((4, 4))),
+            ((3, 1, 5), None),
+            ((-1, -2, 5), None),
+            ((5, 9, 5), None),
+            ((-100, -90, 5), None),
+            ((0, -1, 0), None),
+            ((i64::MIN, i64::MAX, 3), Some((0, 2))),
+        ];
+        for ((start, stop, len), want) in table {
+            assert_eq!(
+                rank_range(start, stop, len),
+                want,
+                "({start}, {stop}) of {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_argument_parsers_report_the_first_bad_argument() {
+        assert_eq!(parse_i64_pair(b"-3", b"7"), Ok((-3, 7)));
+        let bad = Resp::err("value is not an integer or out of range");
+        assert_eq!(parse_i64_pair(b"x", b"y"), Err(bad.clone()));
+        assert_eq!(parse_i64_pair(b"1", b"y"), Err(bad.clone()));
+        assert_eq!(parse_count(None), Ok(None));
+        assert_eq!(parse_count(Some(&&b"0"[..])), Ok(Some(0)));
+        assert_eq!(parse_count(Some(&&b"x"[..])), Err(bad));
+        assert_eq!(
+            parse_count(Some(&&b"-1"[..])),
+            Err(Resp::err("value is out of range, must be positive"))
+        );
+    }
+
+    /// One family's typed lookups and reaper, on a keyspace holding a
+    /// string and an empty value of every aggregate type. `draws` is how
+    /// many LCG steps creating one costs; `fill` makes a value non-empty.
+    fn check_family<T: Aggregate>(type_name: &str, draws: usize, fill: fn(&mut T)) {
+        let mut db = Db::new();
+        db.set(b"str", RObj::string(b"x"));
+        let empties = [
+            RObj::List(Box::default()),
+            RObj::Set(Box::default()),
+            RObj::Hash(Box::default()),
+            RObj::ZSet(Box::new(ZSet::new(1))),
+        ];
+        for (i, value) in empties.into_iter().enumerate() {
+            db.set(format!("empty{i}").as_bytes(), value);
+        }
+        let mut rng = 1u64;
+        let mut ctx = ExecCtx {
+            db: &mut db,
+            now_ms: 0,
+            rng_state: &mut rng,
+        };
+        let wrongtype = |r: Result<(), Resp>| r == Err(Resp::wrongtype());
+
+        // Absent: a plain lookup finds nothing and creates nothing.
+        assert!(matches!(ctx.lookup::<T>(b"k"), Ok(None)), "{type_name}");
+        assert_eq!((ctx.db.len(), *ctx.rng_state), (5, 1), "{type_name}");
+        // A creating lookup makes an empty value of the family's type,
+        // drawing exactly what the type needs (a zset: one seed).
+        assert!(ctx.lookup_or_create::<T>(b"k").is_ok_and(|v| v.is_empty()));
+        let type_of =
+            |ctx: &mut ExecCtx<'_>, key: &[u8]| ctx.db.lookup_read(key, 0).map(RObj::type_name);
+        assert_eq!(type_of(&mut ctx, b"k"), Some(type_name));
+        let mut expected = 1u64;
+        for _ in 0..draws {
+            lcg_below(&mut expected, 0);
+        }
+        assert_eq!(*ctx.rng_state, expected, "{type_name}: draws");
+        // Another type: WRONGTYPE from both lookups, and nothing replaced.
+        assert!(wrongtype(ctx.lookup::<T>(b"str").map(|_| ())));
+        assert!(wrongtype(ctx.lookup_or_create::<T>(b"str").map(|_| ())));
+        assert_eq!(type_of(&mut ctx, b"str"), Some("string"));
+
+        // The reaper keeps a non-empty value and other types, empty or not.
+        if let Ok(Some(value)) = ctx.lookup::<T>(b"k") {
+            fill(value);
+        }
+        ctx.reap_if_empty::<T>(b"k");
+        ctx.reap_if_empty::<T>(b"str");
+        assert_eq!(type_of(&mut ctx, b"k"), Some(type_name));
+        assert_eq!(type_of(&mut ctx, b"str"), Some("string"));
+        for i in 0..4 {
+            ctx.reap_if_empty::<T>(format!("empty{i}").as_bytes());
+        }
+        let mut left: Vec<&str> = ctx
+            .db
+            .iter()
+            .filter(|(k, _)| k.starts_with(b"empty"))
+            .map(|(_, v)| v.type_name())
+            .collect();
+        left.sort_unstable();
+        let mut want = vec!["hash", "list", "set", "zset"];
+        want.retain(|t| *t != type_name);
+        assert_eq!(left, want, "{type_name}: only its own empty value goes");
+    }
+
+    #[test]
+    fn every_family_shares_one_lookup_and_reaper() {
+        check_family::<VecDeque<Sds>>("list", 0, |l| l.push_back(Sds::from_bytes(b"a")));
+        check_family::<SetObj>("set", 0, |s| {
+            s.add(b"a");
+        });
+        check_family::<Dict<Sds>>("hash", 0, |h| {
+            h.insert(b"f", Sds::from_bytes(b"v"));
+        });
+        check_family::<ZSet>("zset", 1, |z| {
+            z.add(b"a", 1.0);
+        });
     }
 
     #[test]

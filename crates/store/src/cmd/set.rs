@@ -1,40 +1,29 @@
 //! Set commands (`SADD`, `SMEMBERS`, …).
 
-use super::{parse_i64, ExecCtx};
+use super::{lcg_below, parse_count, parse_i64, Aggregate, ExecCtx};
 use crate::object::{RObj, SetObj};
 use crate::resp::Resp;
 
-fn with_set<'a>(
-    ctx: &'a mut ExecCtx<'_>,
-    key: &[u8],
-    create: bool,
-) -> Result<Option<&'a mut SetObj>, Resp> {
-    let now = ctx.now_ms;
-    if ctx.db.lookup_write(key, now).is_none() {
-        if !create {
-            return Ok(None);
+impl Aggregate for SetObj {
+    fn of(obj: &mut RObj) -> Option<&mut Self> {
+        match obj {
+            RObj::Set(s) => Some(s),
+            _ => None,
         }
-        ctx.db.set(key, RObj::Set(Box::default()));
     }
-    match ctx.db.lookup_write(key, now) {
-        Some(RObj::Set(s)) => Ok(Some(s)),
-        Some(_) => Err(Resp::wrongtype()),
-        None => Ok(None),
-    }
-}
 
-fn reap_if_empty(ctx: &mut ExecCtx<'_>, key: &[u8]) {
-    if let Some(RObj::Set(s)) = ctx.db.lookup_write(key, ctx.now_ms) {
-        if s.is_empty() {
-            ctx.db.delete(key);
-        }
+    fn empty(_: &mut ExecCtx<'_>) -> RObj {
+        RObj::Set(Box::default())
+    }
+
+    fn is_empty(&self) -> bool {
+        SetObj::is_empty(self)
     }
 }
 
 pub(super) fn sadd(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let set = match with_set(ctx, args[1], true) {
-        Ok(Some(s)) => s,
-        Ok(None) => unreachable!("create=true"),
+    let set = match ctx.lookup_or_create::<SetObj>(args[1]) {
+        Ok(s) => s,
         Err(e) => return e,
     };
     let added = args[2..].iter().filter(|m| set.add(m)).count();
@@ -43,19 +32,19 @@ pub(super) fn sadd(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn srem(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let set = match with_set(ctx, args[1], false) {
+    let set = match ctx.lookup::<SetObj>(args[1]) {
         Ok(Some(s)) => s,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
     };
     let removed = args[2..].iter().filter(|m| set.remove(m)).count();
     ctx.db.mark_dirty(removed as u64);
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<SetObj>(args[1]);
     Resp::Int(removed as i64)
 }
 
 pub(super) fn scard(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_set(ctx, args[1], false) {
+    match ctx.lookup::<SetObj>(args[1]) {
         Ok(Some(s)) => Resp::Int(s.len() as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
@@ -63,7 +52,7 @@ pub(super) fn scard(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn sismember(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_set(ctx, args[1], false) {
+    match ctx.lookup::<SetObj>(args[1]) {
         Ok(Some(s)) => Resp::Int(s.contains(args[2]) as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
@@ -71,144 +60,78 @@ pub(super) fn sismember(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn smembers(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_set(ctx, args[1], false) {
-        Ok(Some(s)) => {
-            let mut members = s.members();
-            members.sort_unstable(); // deterministic reply order
-            Resp::Array(members.into_iter().map(Resp::Bulk).collect())
-        }
+    match ctx.lookup::<SetObj>(args[1]) {
+        Ok(Some(s)) => Resp::Array(s.sorted_members().into_iter().map(Resp::Bulk).collect()),
         Ok(None) => Resp::Array(Vec::new()),
         Err(e) => e,
     }
 }
 
 pub(super) fn spop(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let count = match args.get(2) {
-        None => None,
-        Some(arg) => match parse_i64(arg) {
-            Ok(v) if v >= 0 => Some(v as usize),
-            Ok(_) => return Resp::err("value is out of range, must be positive"),
-            Err(e) => return e,
-        },
+    let count = match parse_count(args.get(2)) {
+        Ok(c) => c,
+        Err(e) => return e,
     };
     // Choose victims first (immutable pass), then remove.
-    let victims: Vec<Vec<u8>> = {
-        let set = match with_set(ctx, args[1], false) {
-            Ok(Some(s)) => s,
-            Ok(None) => {
-                return if count.is_some() {
-                    Resp::Array(Vec::new())
-                } else {
-                    Resp::NullBulk
-                }
-            }
-            Err(e) => return e,
-        };
-        let mut members = set.members();
-        members.sort_unstable();
-        let want = count.unwrap_or(1).min(members.len());
-        let mut out = Vec::with_capacity(want);
-        for _ in 0..want {
-            let idx = ctx_rand(ctx.rng_state, members.len() as u64) as usize;
-            out.push(members.swap_remove(idx));
-        }
-        out
+    let members = match ctx.lookup::<SetObj>(args[1]) {
+        Ok(Some(s)) => s.sorted_members(),
+        Ok(None) => return count.map_or(Resp::NullBulk, |_| Resp::Array(Vec::new())),
+        Err(e) => return e,
     };
-    {
-        let set = match with_set(ctx, args[1], false) {
-            Ok(Some(s)) => s,
-            _ => unreachable!("set existed above"),
-        };
+    let victims = draw_distinct(ctx.rng_state, members, count.unwrap_or(1));
+    if let Ok(Some(set)) = ctx.lookup::<SetObj>(args[1]) {
         for v in &victims {
             set.remove(v);
         }
     }
     ctx.db.mark_dirty(victims.len() as u64);
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<SetObj>(args[1]);
+    let mut replies = victims.into_iter().map(Resp::Bulk);
     match count {
-        None => match victims.into_iter().next() {
-            Some(v) => Resp::Bulk(v),
-            None => Resp::NullBulk,
-        },
-        Some(_) => Resp::Array(victims.into_iter().map(Resp::Bulk).collect()),
+        None => replies.next().unwrap_or(Resp::NullBulk),
+        Some(_) => Resp::Array(replies.collect()),
     }
 }
 
 pub(super) fn srandmember(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let count = match args.get(2) {
-        None => None,
-        Some(arg) => match parse_i64(arg) {
-            Ok(v) => Some(v),
-            Err(e) => return e,
-        },
-    };
-    let members = match with_set(ctx, args[1], false) {
-        Ok(Some(s)) => {
-            let mut m = s.members();
-            m.sort_unstable();
-            m
-        }
-        Ok(None) => {
-            return if count.is_some() {
-                Resp::Array(Vec::new())
-            } else {
-                Resp::NullBulk
-            }
-        }
+    let count = match args.get(2).map(|arg| parse_i64(arg)).transpose() {
+        Ok(c) => c,
         Err(e) => return e,
     };
+    let members = match ctx.lookup::<SetObj>(args[1]) {
+        Ok(Some(s)) => s.sorted_members(),
+        Ok(None) => return count.map_or(Resp::NullBulk, |_| Resp::Array(Vec::new())),
+        Err(e) => return e,
+    };
+    let rng = &mut *ctx.rng_state;
+    let mut pick = || members[lcg_below(rng, members.len() as u64) as usize].clone();
     match count {
-        None => {
-            let idx = ctx_rand(ctx.rng_state, members.len() as u64) as usize;
-            Resp::Bulk(members[idx].clone())
-        }
+        None => Resp::Bulk(pick()),
+        // Distinct members, up to the set size.
         Some(n) if n >= 0 => {
-            // Distinct members, up to the set size.
-            let want = (n as usize).min(members.len());
-            let mut pool = members;
-            let mut out = Vec::with_capacity(want);
-            for _ in 0..want {
-                let idx = ctx_rand(ctx.rng_state, pool.len() as u64) as usize;
-                out.push(pool.swap_remove(idx));
-            }
-            Resp::Array(out.into_iter().map(Resp::Bulk).collect())
+            let drawn = draw_distinct(rng, members, n as usize);
+            Resp::Array(drawn.into_iter().map(Resp::Bulk).collect())
         }
-        Some(n) => {
-            // Negative count: repetitions allowed, exactly |n| results.
-            let want = n.unsigned_abs() as usize;
-            let out: Vec<Resp> = (0..want)
-                .map(|_| {
-                    let idx = ctx_rand(ctx.rng_state, members.len() as u64) as usize;
-                    Resp::Bulk(members[idx].clone())
-                })
-                .collect();
-            Resp::Array(out)
-        }
+        // Negative count: repetitions allowed, exactly |n| results.
+        Some(n) => Resp::Array((0..n.unsigned_abs()).map(|_| Resp::Bulk(pick())).collect()),
     }
 }
 
-fn ctx_rand(state: &mut u64, n: u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    if n == 0 {
-        0
-    } else {
-        (*state >> 16) % n
-    }
+/// Draw up to `n` distinct members of `pool` at random, in draw order.
+fn draw_distinct(rng: &mut u64, mut pool: Vec<Vec<u8>>, n: usize) -> Vec<Vec<u8>> {
+    (0..n.min(pool.len()))
+        .map(|_| {
+            let idx = lcg_below(rng, pool.len() as u64) as usize;
+            pool.swap_remove(idx)
+        })
+        .collect()
 }
 
 /// Gather a key's members as a sorted vec (empty when missing).
 fn members_of(ctx: &mut ExecCtx<'_>, key: &[u8]) -> Result<Vec<Vec<u8>>, Resp> {
-    match with_set(ctx, key, false) {
-        Ok(Some(s)) => {
-            let mut m = s.members();
-            m.sort_unstable();
-            Ok(m)
-        }
-        Ok(None) => Ok(Vec::new()),
-        Err(e) => Err(e),
-    }
+    Ok(ctx
+        .lookup::<SetObj>(key)?
+        .map_or_else(Vec::new, |s| s.sorted_members()))
 }
 
 fn set_algebra(
@@ -230,92 +153,78 @@ fn set_algebra(
     Ok(acc.into_iter().collect())
 }
 
-fn algebra_reply(members: Vec<Vec<u8>>) -> Resp {
-    Resp::Array(members.into_iter().map(Resp::Bulk).collect())
-}
-
-fn algebra_store(ctx: &mut ExecCtx<'_>, dest: &[u8], members: Vec<Vec<u8>>) -> Resp {
+/// `SINTER`, `SUNION` and `SDIFF` over `args[1..]`, or with `store` their
+/// `…STORE` forms: destination `args[1]`, keys `args[2..]`.
+fn algebra(ctx: &mut ExecCtx<'_>, args: &[&[u8]], op: u8, store: bool) -> Resp {
+    let members = match set_algebra(ctx, &args[1 + store as usize..], op) {
+        Ok(m) => m,
+        Err(e) => return e,
+    };
+    if !store {
+        return Resp::Array(members.into_iter().map(Resp::Bulk).collect());
+    }
+    let dest = args[1];
     ctx.db.delete(dest);
     if members.is_empty() {
         return Resp::Int(0);
     }
-    let n = members.len();
-    let set = match with_set(ctx, dest, true) {
-        Ok(Some(s)) => s,
-        _ => unreachable!("create=true on a fresh key"),
+    let set = match ctx.lookup_or_create::<SetObj>(dest) {
+        Ok(s) => s,
+        Err(e) => return e,
     };
     for m in &members {
         set.add(m);
     }
-    ctx.db.mark_dirty(n as u64);
-    Resp::Int(n as i64)
+    ctx.db.mark_dirty(members.len() as u64);
+    Resp::Int(members.len() as i64)
 }
 
 pub(super) fn sinter(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match set_algebra(ctx, &args[1..], 0) {
-        Ok(m) => algebra_reply(m),
-        Err(e) => e,
-    }
+    algebra(ctx, args, 0, false)
 }
 
 pub(super) fn sunion(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match set_algebra(ctx, &args[1..], 1) {
-        Ok(m) => algebra_reply(m),
-        Err(e) => e,
-    }
+    algebra(ctx, args, 1, false)
 }
 
 pub(super) fn sdiff(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match set_algebra(ctx, &args[1..], 2) {
-        Ok(m) => algebra_reply(m),
-        Err(e) => e,
-    }
+    algebra(ctx, args, 2, false)
 }
 
 pub(super) fn sinterstore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match set_algebra(ctx, &args[2..], 0) {
-        Ok(m) => algebra_store(ctx, args[1], m),
-        Err(e) => e,
-    }
+    algebra(ctx, args, 0, true)
 }
 
 pub(super) fn sunionstore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match set_algebra(ctx, &args[2..], 1) {
-        Ok(m) => algebra_store(ctx, args[1], m),
-        Err(e) => e,
-    }
+    algebra(ctx, args, 1, true)
 }
 
 pub(super) fn sdiffstore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match set_algebra(ctx, &args[2..], 2) {
-        Ok(m) => algebra_store(ctx, args[1], m),
-        Err(e) => e,
-    }
+    algebra(ctx, args, 2, true)
 }
 
 pub(super) fn smove(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     let member = args[3];
     // Check the source first.
-    let removed = match with_set(ctx, args[1], false) {
+    let removed = match ctx.lookup::<SetObj>(args[1]) {
         Ok(Some(s)) => s.remove(member),
         Ok(None) => false,
         Err(e) => return e,
     };
     if !removed {
         // Still must type-check the destination, as Redis does.
-        if let Err(e) = with_set(ctx, args[2], false) {
+        if let Err(e) = ctx.lookup::<SetObj>(args[2]) {
             return e;
         }
         return Resp::Int(0);
     }
-    reap_if_empty(ctx, args[1]);
-    match with_set(ctx, args[2], true) {
-        Ok(Some(d)) => {
+    ctx.reap_if_empty::<SetObj>(args[1]);
+    match ctx.lookup_or_create::<SetObj>(args[2]) {
+        Ok(d) => {
             d.add(member);
             ctx.db.mark_dirty(1);
             Resp::Int(1)
         }
-        Ok(None) => unreachable!("create=true"),
         Err(e) => e,
     }
 }

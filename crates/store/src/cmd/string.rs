@@ -1,13 +1,13 @@
 //! String commands (`SET`, `GET`, `INCR`, …) — the workload the paper's
 //! evaluation drives (`redis-benchmark` SET/GET).
 
-use super::{parse_i64, upper_name, ExecCtx, MAX_NAME_LEN};
+use super::{parse_i64, parse_i64_pair, upper_name, ExecCtx, MAX_NAME_LEN};
 use crate::object::RObj;
 use crate::resp::Resp;
 use crate::sds::Sds;
 
 /// Fetch a string-typed object's bytes, or an error/None reply.
-fn get_string(ctx: &mut ExecCtx<'_>, key: &[u8]) -> Result<Option<Vec<u8>>, Resp> {
+pub(super) fn get_string(ctx: &mut ExecCtx<'_>, key: &[u8]) -> Result<Option<Vec<u8>>, Resp> {
     match ctx.db.lookup_read(key, ctx.now_ms) {
         None => Ok(None),
         Some(o) if o.is_string() => Ok(Some(o.as_string_bytes())),
@@ -244,9 +244,9 @@ pub(super) fn decrby(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn getrange(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let (start, end) = match (parse_i64(args[2]), parse_i64(args[3])) {
-        (Ok(s), Ok(e)) => (s, e),
-        (Err(e), _) | (_, Err(e)) => return e,
+    let (start, end) = match parse_i64_pair(args[2], args[3]) {
+        Ok(pair) => pair,
+        Err(e) => return e,
     };
     match get_string(ctx, args[1]) {
         Ok(Some(bytes)) => {

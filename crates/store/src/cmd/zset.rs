@@ -1,35 +1,71 @@
 //! Sorted-set commands (`ZADD`, `ZRANGE`, …).
 
-use super::{format_f64, parse_f64, parse_i64, ExecCtx};
+use super::{
+    format_f64, lcg_below, parse_count, parse_f64, parse_i64_pair, rank_range, Aggregate, ExecCtx,
+};
 use crate::object::{RObj, ZSet};
 use crate::resp::Resp;
 
-fn with_zset<'a>(
-    ctx: &'a mut ExecCtx<'_>,
-    key: &[u8],
-    create: bool,
-) -> Result<Option<&'a mut ZSet>, Resp> {
-    let now = ctx.now_ms;
-    if ctx.db.lookup_write(key, now).is_none() {
-        if !create {
-            return Ok(None);
+impl Aggregate for ZSet {
+    fn of(obj: &mut RObj) -> Option<&mut Self> {
+        match obj {
+            RObj::ZSet(z) => Some(z),
+            _ => None,
         }
-        let seed = ctx.next_seed();
-        ctx.db.set(key, RObj::ZSet(Box::new(ZSet::new(seed))));
     }
-    match ctx.db.lookup_write(key, now) {
-        Some(RObj::ZSet(z)) => Ok(Some(z)),
-        Some(_) => Err(Resp::wrongtype()),
-        None => Ok(None),
+
+    /// A new zset draws exactly one skiplist seed.
+    fn empty(ctx: &mut ExecCtx<'_>) -> RObj {
+        RObj::ZSet(Box::new(ZSet::new(lcg_below(ctx.rng_state, u64::MAX))))
+    }
+
+    fn is_empty(&self) -> bool {
+        ZSet::is_empty(self)
     }
 }
 
-fn reap_if_empty(ctx: &mut ExecCtx<'_>, key: &[u8]) {
-    if let Some(RObj::ZSet(z)) = ctx.db.lookup_write(key, ctx.now_ms) {
-        if z.is_empty() {
-            ctx.db.delete(key);
+/// A score bound: `(value, exclusive)`.
+type Bound = (f64, bool);
+
+/// Parse `(min, max)` score bounds: `5`, `(5` (exclusive), `+inf`, `-inf`.
+fn parse_score_bounds(min: &[u8], max: &[u8]) -> Result<(Bound, Bound), Resp> {
+    let bound = |arg: &[u8]| {
+        let (value, exclusive) = match arg.strip_prefix(b"(") {
+            Some(rest) => (rest, true),
+            None => (arg, false),
+        };
+        let value = parse_f64(value).map_err(|_| Resp::err("min or max is not a float"))?;
+        Ok((value, exclusive))
+    };
+    Ok((bound(min)?, bound(max)?))
+}
+
+/// The members of `zset` whose scores lie inside the bounds, in rank order.
+fn in_score_range(zset: &ZSet, (min, max): (Bound, Bound)) -> impl Iterator<Item = (Vec<u8>, f64)> {
+    let excluded = move |score: f64| (min.1 && score == min.0) || (max.1 && score == max.0);
+    let items = zset.range_by_score(min.0, max.0).into_iter();
+    items.filter(move |&(_, score)| !excluded(score))
+}
+
+/// The optional `WITHSCORES` word of a range read.
+fn parse_withscores(arg: Option<&&[u8]>) -> Result<bool, Resp> {
+    match arg {
+        None => Ok(false),
+        Some(a) if a.eq_ignore_ascii_case(b"WITHSCORES") => Ok(true),
+        Some(_) => Err(Resp::err("syntax error")),
+    }
+}
+
+/// An array of members, each followed by its score when `withscores`.
+fn scored_reply(items: impl IntoIterator<Item = (Vec<u8>, f64)>, withscores: bool) -> Resp {
+    let mut out = Vec::new();
+    for (member, score) in items {
+        out.push(Resp::Bulk(member));
+        if withscores {
+            out.push(Resp::Bulk(format_f64(score).into_bytes()));
         }
     }
+    Resp::Array(out)
 }
 
 pub(super) fn zadd(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
@@ -62,7 +98,12 @@ pub(super) fn zadd(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
             Err(e) => return e,
         }
     }
-    let zset = match with_zset(ctx, args[1], !xx) {
+    let found = if xx {
+        ctx.lookup::<ZSet>(args[1])
+    } else {
+        ctx.lookup_or_create::<ZSet>(args[1]).map(Some)
+    };
+    let zset = match found {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Int(0), // XX on missing key
         Err(e) => return e,
@@ -91,12 +132,12 @@ pub(super) fn zadd(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         }
     }
     ctx.db.mark_dirty((added + changed) as u64);
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<ZSet>(args[1]);
     Resp::Int(if ch { added + changed } else { added })
 }
 
 pub(super) fn zscore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_zset(ctx, args[1], false) {
+    match ctx.lookup::<ZSet>(args[1]) {
         Ok(Some(z)) => match z.score(args[2]) {
             Some(s) => Resp::Bulk(format_f64(s).into_bytes()),
             None => Resp::NullBulk,
@@ -107,7 +148,7 @@ pub(super) fn zscore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn zcard(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_zset(ctx, args[1], false) {
+    match ctx.lookup::<ZSet>(args[1]) {
         Ok(Some(z)) => Resp::Int(z.len() as i64),
         Ok(None) => Resp::Int(0),
         Err(e) => e,
@@ -115,19 +156,19 @@ pub(super) fn zcard(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn zrem(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let zset = match with_zset(ctx, args[1], false) {
+    let zset = match ctx.lookup::<ZSet>(args[1]) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
     };
     let removed = args[2..].iter().filter(|m| zset.remove(m)).count();
     ctx.db.mark_dirty(removed as u64);
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<ZSet>(args[1]);
     Resp::Int(removed as i64)
 }
 
 pub(super) fn zrank(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    match with_zset(ctx, args[1], false) {
+    match ctx.lookup::<ZSet>(args[1]) {
         Ok(Some(z)) => match z.rank(args[2]) {
             Some(r) => Resp::Int(r as i64),
             None => Resp::NullBulk,
@@ -138,83 +179,66 @@ pub(super) fn zrank(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn zrange(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let (start, stop) = match (parse_i64(args[2]), parse_i64(args[3])) {
-        (Ok(s), Ok(e)) => (s, e),
-        (Err(e), _) | (_, Err(e)) => return e,
+    range_generic(ctx, args, false)
+}
+
+pub(super) fn zrevrange(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
+    range_generic(ctx, args, true)
+}
+
+fn range_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], rev: bool) -> Resp {
+    let (start, stop) = match parse_i64_pair(args[2], args[3]) {
+        Ok(pair) => pair,
+        Err(e) => return e,
     };
-    let withscores = match args.get(4) {
-        None => false,
-        Some(a) if a.eq_ignore_ascii_case(b"WITHSCORES") => true,
-        Some(_) => return Resp::err("syntax error"),
+    let withscores = match parse_withscores(args.get(4)) {
+        Ok(w) => w,
+        Err(e) => return e,
     };
-    let zset = match with_zset(ctx, args[1], false) {
+    let zset = match ctx.lookup::<ZSet>(args[1]) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Array(Vec::new()),
         Err(e) => return e,
     };
-    let len = zset.len() as i64;
-    let mut s = if start < 0 { len + start } else { start };
-    let mut e = if stop < 0 { len + stop } else { stop };
-    s = s.max(0);
-    e = e.min(len - 1);
-    if s > e || len == 0 {
+    let len = zset.len();
+    let Some((s, e)) = rank_range(start, stop, len) else {
         return Resp::Array(Vec::new());
+    };
+    if !rev {
+        return scored_reply(zset.range(s, e), withscores);
     }
-    let mut out = Vec::new();
-    for (member, score) in zset.range(s as usize, e as usize) {
-        out.push(Resp::Bulk(member));
-        if withscores {
-            out.push(Resp::Bulk(format_f64(score).into_bytes()));
-        }
-    }
-    Resp::Array(out)
+    // Reverse ranks: rev-rank r maps to rank len-1-r.
+    let mut items = zset.range(len - 1 - e, len - 1 - s);
+    items.reverse();
+    scored_reply(items, withscores)
 }
 
 pub(super) fn zrangebyscore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let (min, max) = match (parse_score_bound(args[2]), parse_score_bound(args[3])) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => return e,
-    };
-    let withscores = match args.get(4) {
-        None => false,
-        Some(a) if a.eq_ignore_ascii_case(b"WITHSCORES") => true,
-        Some(_) => return Resp::err("syntax error"),
-    };
-    let zset = match with_zset(ctx, args[1], false) {
-        Ok(Some(z)) => z,
-        Ok(None) => return Resp::Array(Vec::new()),
+    let bounds = match parse_score_bounds(args[2], args[3]) {
+        Ok(b) => b,
         Err(e) => return e,
     };
-    let mut out = Vec::new();
-    for (member, score) in zset.range_by_score(min.0, max.0) {
-        // Exclusive bounds filter.
-        if (min.1 && score == min.0) || (max.1 && score == max.0) {
-            continue;
-        }
-        out.push(Resp::Bulk(member));
-        if withscores {
-            out.push(Resp::Bulk(format_f64(score).into_bytes()));
-        }
+    let withscores = match parse_withscores(args.get(4)) {
+        Ok(w) => w,
+        Err(e) => return e,
+    };
+    match ctx.lookup::<ZSet>(args[1]) {
+        Ok(Some(z)) => scored_reply(in_score_range(z, bounds), withscores),
+        Ok(None) => Resp::Array(Vec::new()),
+        Err(e) => e,
     }
-    Resp::Array(out)
 }
 
 pub(super) fn zcount(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let (min, max) = match (parse_score_bound(args[2]), parse_score_bound(args[3])) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => return e,
-    };
-    let zset = match with_zset(ctx, args[1], false) {
-        Ok(Some(z)) => z,
-        Ok(None) => return Resp::Int(0),
+    let bounds = match parse_score_bounds(args[2], args[3]) {
+        Ok(b) => b,
         Err(e) => return e,
     };
-    let n = zset
-        .range_by_score(min.0, max.0)
-        .into_iter()
-        .filter(|(_, score)| !((min.1 && *score == min.0) || (max.1 && *score == max.0)))
-        .count();
-    Resp::Int(n as i64)
+    match ctx.lookup::<ZSet>(args[1]) {
+        Ok(Some(z)) => Resp::Int(in_score_range(z, bounds).count() as i64),
+        Ok(None) => Resp::Int(0),
+        Err(e) => e,
+    }
 }
 
 pub(super) fn zincrby(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
@@ -222,9 +246,8 @@ pub(super) fn zincrby(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
         Ok(v) => v,
         Err(e) => return e,
     };
-    let zset = match with_zset(ctx, args[1], true) {
-        Ok(Some(z)) => z,
-        Ok(None) => unreachable!("create=true"),
+    let zset = match ctx.lookup_or_create::<ZSet>(args[1]) {
+        Ok(z) => z,
         Err(e) => return e,
     };
     let next = zset.score(args[3]).unwrap_or(0.0) + delta;
@@ -236,68 +259,12 @@ pub(super) fn zincrby(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
     Resp::Bulk(format_f64(next).into_bytes())
 }
 
-/// Parse a score bound: `5`, `(5` (exclusive), `+inf`, `-inf`.
-/// Returns `(value, exclusive)`.
-fn parse_score_bound(arg: &[u8]) -> Result<(f64, bool), Resp> {
-    if let Some(rest) = arg.strip_prefix(b"(") {
-        Ok((parse_f64(rest).map_err(|_| bound_err())?, true))
-    } else {
-        Ok((parse_f64(arg).map_err(|_| bound_err())?, false))
-    }
-}
-
-fn bound_err() -> Resp {
-    Resp::err("min or max is not a float")
-}
-
-pub(super) fn zrevrange(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let (start, stop) = match (parse_i64(args[2]), parse_i64(args[3])) {
-        (Ok(s), Ok(e)) => (s, e),
-        (Err(e), _) | (_, Err(e)) => return e,
-    };
-    let withscores = match args.get(4) {
-        None => false,
-        Some(a) if a.eq_ignore_ascii_case(b"WITHSCORES") => true,
-        Some(_) => return Resp::err("syntax error"),
-    };
-    let zset = match with_zset(ctx, args[1], false) {
-        Ok(Some(z)) => z,
-        Ok(None) => return Resp::Array(Vec::new()),
+fn zpop_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], min: bool) -> Resp {
+    let count = match parse_count(args.get(2)) {
+        Ok(c) => c.unwrap_or(1),
         Err(e) => return e,
     };
-    // Reverse ranks: rev-rank r maps to rank len-1-r.
-    let len = zset.len() as i64;
-    let mut s = if start < 0 { len + start } else { start };
-    let mut e = if stop < 0 { len + stop } else { stop };
-    s = s.max(0);
-    e = e.min(len - 1);
-    if s > e || len == 0 {
-        return Resp::Array(Vec::new());
-    }
-    let lo = (len - 1 - e) as usize;
-    let hi = (len - 1 - s) as usize;
-    let mut items = zset.range(lo, hi);
-    items.reverse();
-    let mut out = Vec::new();
-    for (member, score) in items {
-        out.push(Resp::Bulk(member));
-        if withscores {
-            out.push(Resp::Bulk(format_f64(score).into_bytes()));
-        }
-    }
-    Resp::Array(out)
-}
-
-fn zpop_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], min: bool) -> Resp {
-    let count = match args.get(2) {
-        None => 1usize,
-        Some(arg) => match parse_i64(arg) {
-            Ok(v) if v >= 0 => v as usize,
-            Ok(_) => return Resp::err("value is out of range, must be positive"),
-            Err(e) => return e,
-        },
-    };
-    let zset = match with_zset(ctx, args[1], false) {
+    let zset = match ctx.lookup::<ZSet>(args[1]) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Array(Vec::new()),
         Err(e) => return e,
@@ -311,15 +278,12 @@ fn zpop_generic(ctx: &mut ExecCtx<'_>, args: &[&[u8]], min: bool) -> Resp {
         v.reverse();
         v
     };
-    let mut out = Vec::with_capacity(victims.len() * 2);
-    for (m, score) in &victims {
+    for (m, _) in &victims {
         zset.remove(m);
-        out.push(Resp::Bulk(m.clone()));
-        out.push(Resp::Bulk(format_f64(*score).into_bytes()));
     }
     ctx.db.mark_dirty(victims.len() as u64);
-    reap_if_empty(ctx, args[1]);
-    Resp::Array(out)
+    ctx.reap_if_empty::<ZSet>(args[1]);
+    scored_reply(victims, true)
 }
 
 pub(super) fn zpopmin(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
@@ -331,56 +295,42 @@ pub(super) fn zpopmax(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
 }
 
 pub(super) fn zremrangebyscore(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let (min, max) = match (parse_score_bound(args[2]), parse_score_bound(args[3])) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => return e,
+    let bounds = match parse_score_bounds(args[2], args[3]) {
+        Ok(b) => b,
+        Err(e) => return e,
     };
-    let zset = match with_zset(ctx, args[1], false) {
+    let zset = match ctx.lookup::<ZSet>(args[1]) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
     };
-    let victims: Vec<Vec<u8>> = zset
-        .range_by_score(min.0, max.0)
-        .into_iter()
-        .filter(|(_, score)| !((min.1 && *score == min.0) || (max.1 && *score == max.0)))
-        .map(|(m, _)| m)
-        .collect();
+    let victims: Vec<Vec<u8>> = in_score_range(zset, bounds).map(|(m, _)| m).collect();
     for m in &victims {
         zset.remove(m);
     }
     ctx.db.mark_dirty(victims.len() as u64);
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<ZSet>(args[1]);
     Resp::Int(victims.len() as i64)
 }
 
 pub(super) fn zremrangebyrank(ctx: &mut ExecCtx<'_>, args: &[&[u8]]) -> Resp {
-    let (start, stop) = match (parse_i64(args[2]), parse_i64(args[3])) {
-        (Ok(s), Ok(e)) => (s, e),
-        (Err(e), _) | (_, Err(e)) => return e,
+    let (start, stop) = match parse_i64_pair(args[2], args[3]) {
+        Ok(pair) => pair,
+        Err(e) => return e,
     };
-    let zset = match with_zset(ctx, args[1], false) {
+    let zset = match ctx.lookup::<ZSet>(args[1]) {
         Ok(Some(z)) => z,
         Ok(None) => return Resp::Int(0),
         Err(e) => return e,
     };
-    let len = zset.len() as i64;
-    let mut s = if start < 0 { len + start } else { start };
-    let mut e = if stop < 0 { len + stop } else { stop };
-    s = s.max(0);
-    e = e.min(len - 1);
-    if s > e || len == 0 {
+    let Some((s, e)) = rank_range(start, stop, zset.len()) else {
         return Resp::Int(0);
-    }
-    let victims: Vec<Vec<u8>> = zset
-        .range(s as usize, e as usize)
-        .into_iter()
-        .map(|(m, _)| m)
-        .collect();
+    };
+    let victims: Vec<Vec<u8>> = zset.range(s, e).into_iter().map(|(m, _)| m).collect();
     for m in &victims {
         zset.remove(m);
     }
     ctx.db.mark_dirty(victims.len() as u64);
-    reap_if_empty(ctx, args[1]);
+    ctx.reap_if_empty::<ZSet>(args[1]);
     Resp::Int(victims.len() as i64)
 }

@@ -104,16 +104,9 @@ impl Engine {
     /// the "time events" of the paper's Figure 4.
     pub fn cron(&mut self, now_ms: u64) -> usize {
         let rng = &mut self.rng_state;
-        let reaped = self.db.active_expire_cycle(now_ms, 20, |n| {
-            *rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            if n == 0 {
-                0
-            } else {
-                (*rng >> 16) % n
-            }
-        });
+        let reaped = self
+            .db
+            .active_expire_cycle(now_ms, 20, |n| cmd::lcg_below(rng, n));
         self.db.rehash_step(8);
         reaped
     }

@@ -111,6 +111,14 @@ impl SetObj {
             SetObj::Dict(d) => d.iter().map(|(k, _)| k.to_vec()).collect(),
         }
     }
+
+    /// [`SetObj::members`] in byte order: the order every reply and every
+    /// snapshot lists a set in, whatever its encoding.
+    pub fn sorted_members(&self) -> Vec<Vec<u8>> {
+        let mut members = self.members();
+        members.sort_unstable();
+        members
+    }
 }
 
 /// A sorted set: member→score dict plus a score-ordered skiplist, mutated
@@ -364,6 +372,19 @@ mod tests {
         assert!(s.contains(b"apple"));
         assert!(!s.add(b"1"), "duplicate after conversion");
         assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn sorted_members_are_byte_ordered_in_both_encodings() {
+        let mut s = SetObj::new();
+        for m in ["10", "9", "-1"] {
+            s.add(m.as_bytes());
+        }
+        assert!(s.is_intset());
+        assert_eq!(s.sorted_members(), [&b"-1"[..], b"10", b"9"]);
+        s.add(b"b");
+        assert!(!s.is_intset());
+        assert_eq!(s.sorted_members(), [&b"-1"[..], b"10", b"9", b"b"]);
     }
 
     #[test]

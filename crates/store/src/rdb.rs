@@ -147,8 +147,7 @@ fn put_obj(out: &mut Vec<u8>, obj: &RObj) {
         }
         RObj::Set(set) => {
             out.push(T_SET);
-            let mut members = set.members();
-            members.sort_unstable();
+            let members = set.sorted_members();
             put_len(out, members.len() as u64);
             for m in members {
                 put_bytes(out, &m);
@@ -366,7 +365,10 @@ mod tests {
             .collect();
         let n = load_routed(&mut dbs, &single, 7, &route).unwrap();
         assert_eq!(n, 8);
-        assert!(!dbs[0].is_empty() && !dbs[1].is_empty(), "both shards populated");
+        assert!(
+            !dbs[0].is_empty() && !dbs[1].is_empty(),
+            "both shards populated"
+        );
         // The union snapshot of the shards is byte-identical to the
         // unsharded snapshot: global key sort erases the shard split.
         let union = save_union(&[&dbs[0], &dbs[1]]);
