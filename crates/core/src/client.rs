@@ -364,8 +364,10 @@ pub(crate) fn parse_reply_stamp(payload: &[u8]) -> Option<u64> {
 /// allocating.
 struct IssueNext;
 
+#[derive(Default)]
 enum ClientMsg {
     /// Time to connect and start.
+    #[default]
     Start,
     /// Periodic liveness check: reconnect when the oldest in-flight
     /// command has waited longer than `client_retry_timeout`.
@@ -590,7 +592,7 @@ impl Actor for BenchClient {
         }
         let msg = match msg.downcast::<ClientMsg>() {
             Ok(m) => {
-                match *m {
+                match ctx.open(m) {
                     ClientMsg::Start => self.link.dial(ctx),
                     ClientMsg::Watchdog => {
                         let now = ctx.now();

@@ -150,7 +150,7 @@ impl ClientLink {
         let Ok(ev) = msg.downcast::<NetEvent>() else {
             return;
         };
-        match *ev {
+        match ctx.open(ev) {
             // A second QP while connected is left unused; a second TCP
             // connection replaces the first.
             NetEvent::CmEstablished { qp, .. } if self.conn.is_none() => {

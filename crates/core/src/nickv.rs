@@ -60,8 +60,10 @@ pub struct NodeEntry {
     conn: Option<usize>,
 }
 
+#[derive(Default)]
 enum NicMsg {
     /// Probe round timer.
+    #[default]
     ProbeTick,
     /// All per-slave fan-out work for one replicated write finished; post
     /// one WR per slave under a single doorbell. Each slave's WR carries
@@ -1037,7 +1039,7 @@ impl Actor for NicKv {
         };
         let msg = match msg.downcast::<NicMsg>() {
             Ok(m) => {
-                match *m {
+                match ctx.open(m) {
                     // Keep the probe-timer chain alive through a crash so
                     // probing resumes on recovery.
                     NicMsg::ProbeTick if self.crashed => {
@@ -1077,7 +1079,7 @@ impl Actor for NicKv {
         let Ok(ev) = msg.downcast::<NetEvent>() else {
             return;
         };
-        match *ev {
+        match ctx.open(ev) {
             NetEvent::CmConnectRequest { req, to, .. } => {
                 // The master and the slaves dial `addr` and land on thread
                 // 0's CQ. Clients dial the front end and are spread over

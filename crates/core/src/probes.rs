@@ -61,7 +61,9 @@ pub enum ReadAnchor {
     MasterQuorum,
 }
 
+#[derive(Default)]
 enum ProbeMsg {
+    #[default]
     Start,
     IssueNext,
     Watchdog,
@@ -163,7 +165,7 @@ impl Actor for HistWriter {
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: ActorId, msg: Payload) {
         let msg = match msg.downcast::<ProbeMsg>() {
             Ok(m) => {
-                match *m {
+                match ctx.open(m) {
                     ProbeMsg::Start => self.link.dial(ctx),
                     ProbeMsg::IssueNext => self.issue(ctx),
                     ProbeMsg::Watchdog => {
@@ -374,7 +376,7 @@ impl Actor for HistReader {
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: ActorId, msg: Payload) {
         let msg = match msg.downcast::<ProbeMsg>() {
             Ok(m) => {
-                match *m {
+                match ctx.open(m) {
                     ProbeMsg::Start => {
                         self.dial_missing(ctx);
                         ctx.timer(OP_GAP, ProbeMsg::IssueNext);
@@ -420,7 +422,7 @@ impl Actor for HistReader {
         let Ok(ev) = msg.downcast::<NetEvent>() else {
             return;
         };
-        match *ev {
+        match ctx.open(ev) {
             NetEvent::CmEstablished { qp, peer } => {
                 let Some(ti) = self.targets.iter().position(|t| t.addr == peer) else {
                     return;

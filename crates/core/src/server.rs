@@ -73,8 +73,10 @@ pub enum Control {
 }
 
 /// Messages the server schedules to itself.
+#[derive(Default)]
 enum ServerMsg {
     /// Cron tick: expire cycle, rehash, progress report.
+    #[default]
     Cron,
     /// CPU work finished; emit the prepared frames.
     SendFrames(Vec<OutFrame>),
@@ -404,12 +406,11 @@ impl KvServer {
         self.dial(ctx, to, ConnectIntent::SyncUpstream { frames });
     }
 
-    fn synced_slave_conns(&self) -> Vec<usize> {
+    fn synced_slave_conns(&self) -> impl Iterator<Item = usize> + '_ {
         self.conns
             .iter()
             .filter(|(_, open, kind)| *open && matches!(kind, ConnKind::Slave(_)))
             .map(|(i, ..)| i)
-            .collect()
     }
 
     // -- failure handling ----------------------------------------------------
@@ -621,7 +622,7 @@ impl KvServer {
         let available = if self.cfg.mode == Mode::Skv && !self.degraded {
             self.available_slaves
         } else {
-            self.synced_slave_conns().len()
+            self.synced_slave_conns().count()
         };
         if self.cfg.min_slaves > 0 && available < self.cfg.min_slaves {
             return true;
@@ -756,11 +757,11 @@ impl KvServer {
                     // One WR per slave on the event loop — the CPU the
                     // paper measures RDMA-Redis burning — posted as one
                     // linked list under a single doorbell.
-                    let slaves = self.synced_slave_conns();
-                    cost += net_p.post_list_cpu(slaves.len());
-                    wr_posts += u32::try_from(slaves.len()).unwrap_or(u32::MAX);
-                    doorbells += u32::from(!slaves.is_empty());
-                    for slave in slaves {
+                    let slaves = self.synced_slave_conns().count();
+                    cost += net_p.post_list_cpu(slaves);
+                    wr_posts += u32::try_from(slaves).unwrap_or(u32::MAX);
+                    doorbells += u32::from(slaves > 0);
+                    for slave in self.synced_slave_conns() {
                         frames.push(OutFrame {
                             conn: slave,
                             tag: tag::REPL_STREAM,
@@ -1414,16 +1415,14 @@ impl Actor for KvServer {
             // Keep the cron chain alive through a crash so the periodic
             // recovery machinery resumes on Recover; all other messages
             // are lost with the process.
-            if let Ok(m) = msg.downcast::<ServerMsg>() {
-                if matches!(*m, ServerMsg::Cron) {
-                    ctx.timer(SimDuration::from_millis(100), ServerMsg::Cron);
-                }
+            if let Some(ServerMsg::Cron) = msg.downcast_ref::<ServerMsg>() {
+                ctx.timer(SimDuration::from_millis(100), ServerMsg::Cron);
             }
             return;
         }
         let msg = match msg.downcast::<ServerMsg>() {
             Ok(m) => {
-                match *m {
+                match ctx.open(m) {
                     ServerMsg::Cron => self.on_cron(ctx),
                     ServerMsg::SendFrames(frames) => {
                         self.emit_frames(ctx, frames);
@@ -1456,7 +1455,7 @@ impl Actor for KvServer {
         let Ok(ev) = msg.downcast::<NetEvent>() else {
             return;
         };
-        match *ev {
+        match ctx.open(ev) {
             NetEvent::CmConnectRequest { req, .. } => {
                 // Accept now; the channel (ring registration, receive
                 // posting, MR handshake) is created when CmEstablished

@@ -354,7 +354,7 @@ const FILE_BUDGET: usize = 800;
 /// Files still over [`FILE_BUDGET`], each capped at its size when the rule
 /// landed. A ceiling only ever goes down, and a file under the budget
 /// leaves this list.
-const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 1108)];
+const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 1107)];
 
 /// The most non-test code lines `rel` may have, if it is budgeted.
 fn line_budget(rel: &str) -> Option<usize> {
@@ -474,7 +474,7 @@ const IO_FREE_MESSAGE: &str = "IO or cost type in an IO-free state machine; take
                                SimTime`, return decisions as values, and leave dialling, sending \
                                and CPU charging to the actor (DESIGN.md §25, §26, §28)";
 
-const PATTERNS: [Pattern; 22] = [
+const PATTERNS: [Pattern; 21] = [
     Pattern {
         needle: "HashMap",
         ident: true,
@@ -555,12 +555,6 @@ const PATTERNS: [Pattern; 22] = [
     },
     Pattern {
         needle: ".handoff(",
-        ident: false,
-        rule: "handoff-site",
-        message: HANDOFF_MESSAGE,
-    },
-    Pattern {
-        needle: ".handoff_boxed(",
         ident: false,
         rule: "handoff-site",
         message: HANDOFF_MESSAGE,
@@ -1691,13 +1685,11 @@ mod tests {
             assert_eq!(v.len(), 1, "{file}: {v:?}");
             assert_eq!(v[0].rule, "handoff-site");
         }
-        let boxed =
-            "fn f(ctx: &mut Context<'_>, to: ActorId, m: Payload) { ctx.handoff_boxed(to, m); }\n";
-        let v = check_source("examples/quickstart.rs", boxed);
+        let v = check_source("examples/quickstart.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "handoff-site");
         // The fabric's notify site and the defining crate are exempt.
-        assert!(check_source("crates/netsim/src/fabric.rs", boxed).is_empty());
+        assert!(check_source("crates/netsim/src/fabric.rs", src).is_empty());
         assert!(check_source("crates/simcore/src/actor.rs", src).is_empty());
         // A field or a definition of that name is not a call.
         let field = "fn f(s: &mut Simulation) { let h = s.handoff.take(); }\n";

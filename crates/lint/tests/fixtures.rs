@@ -82,7 +82,7 @@ fn fixtures_produce_expected_diagnostics() {
             "crates/core/src/bad_handoff.rs",
             "handoff-site"
         ),
-        vec![5, 6]
+        vec![5]
     );
 
     // `std::sync` in a sim crate: both `use` lines and the inline path;
@@ -255,7 +255,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 52, "{violations:?}");
+    assert_eq!(violations.len(), 51, "{violations:?}");
 }
 
 #[test]
@@ -263,7 +263,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 51);
+    assert_eq!(analysis.errors(), 50);
     assert!(analysis
         .violations
         .iter()
@@ -302,7 +302,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 52, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 51, "{json}");
 }
 
 #[test]

@@ -10,11 +10,13 @@
 //! completion) are routed through a hidden [`FabricActor`] registered in the
 //! simulation. The record of what arrives ([`FabricMsg`]) waits in a slab
 //! inside [`NetInner`]; the scheduled event is a boxed
-//! [`NetEvent::InFlight`] naming its slot. When the arrival makes a
-//! completion visible on an armed CQ, that same box is overwritten with the
-//! [`NetEvent::CqNotify`] and handed to the CQ's owner as the continuation
-//! of the arrival event ([`Context::handoff_boxed`]): one queue entry and
-//! one allocation per delivered completion.
+//! [`NetEvent::InFlight`] naming its slot. The fabric actor opens that box
+//! ([`Context::open`]) before it applies the record, so when the arrival
+//! makes a completion visible on an armed CQ, the [`NetEvent::CqNotify`]
+//! handed to the CQ's owner as the continuation of the arrival event
+//! ([`Context::handoff`]) travels in the same box, and the owner opens it
+//! in turn: one queue entry per delivered completion and, once the event
+//! queue's free lists are warm, no allocation.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -162,9 +164,6 @@ pub(crate) struct NetInner {
     /// RNG dedicated to fault verdicts, reseeded when a plan is installed.
     pub(crate) fault_rng: DetRng,
     parked: Parked,
-    /// While the fabric actor applies a wire record: the box its event
-    /// arrived in, free for the first notify the record causes.
-    spare: Option<Box<NetEvent>>,
 }
 
 impl NetInner {
@@ -188,7 +187,6 @@ impl NetInner {
             faults: FaultPlan::new(0),
             fault_rng: DetRng::new(0),
             parked: Parked::default(),
-            spare: None,
         }
     }
 
@@ -257,15 +255,7 @@ impl NetInner {
         state.armed = false;
         let owner = state.owner;
         self.counters.inc(Slot::RdmaCqNotifies);
-        let notify = NetEvent::CqNotify { cq };
-        let notify = match self.spare.take() {
-            Some(mut spare) => {
-                *spare = notify;
-                spare
-            }
-            None => Box::new(notify),
-        };
-        ctx.handoff_boxed(owner, notify);
+        ctx.handoff(owner, NetEvent::CqNotify { cq });
     }
 }
 
@@ -372,14 +362,14 @@ impl Actor for FabricActor {
         let Ok(ev) = msg.downcast::<NetEvent>() else {
             return;
         };
-        let NetEvent::InFlight(id) = *ev else {
+        // Opened first: the notify this record causes reuses the box.
+        let NetEvent::InFlight(id) = ctx.open(ev) else {
             return;
         };
         let mut net = self.net.borrow_mut();
         let Some(record) = net.parked.take(id) else {
             return;
         };
-        net.spare = Some(ev);
         match record {
             FabricMsg::RdmaArrive {
                 src_qp,
@@ -399,7 +389,6 @@ impl Actor for FabricActor {
                 ctx.send(actor, NetEvent::CmEstablished { qp, peer });
             }
         }
-        net.spare = None;
     }
 }
 

@@ -302,6 +302,15 @@ pub enum NetEvent {
     InFlight(InFlightId),
 }
 
+/// What a recycled box holds while it waits on the event queue's free list
+/// ([`skv_simcore::Context::open`]): a wire record no slab slot has, which
+/// the fabric ignores. Never sent.
+impl Default for NetEvent {
+    fn default() -> Self {
+        NetEvent::InFlight(InFlightId(u32::MAX))
+    }
+}
+
 /// Allocate the next dense resource id from a table length, panicking
 /// loudly if the 32-bit id space is ever exhausted (a simulation bug, not a
 /// recoverable error; a truncating `as u32` cast would silently alias id 0

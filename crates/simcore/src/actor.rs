@@ -108,7 +108,8 @@ impl Context<'_> {
     /// Deliver `msg` to `to` at the current instant (processed after the
     /// current event, in scheduling order).
     pub fn send<M: Any>(&mut self, to: ActorId, msg: M) {
-        self.queue.push(self.now, to, self.self_id, Box::new(msg));
+        let msg = self.queue.boxed(msg);
+        self.queue.push(self.now, to, self.self_id, msg);
     }
 
     /// Deliver `msg` to `to` at the current instant as the *continuation of
@@ -123,12 +124,7 @@ impl Context<'_> {
     /// and the choice is invisible to the simulation. A message to nowhere
     /// is dropped at dispatch, as a sent one is.
     pub fn handoff<M: Any>(&mut self, to: ActorId, msg: M) {
-        self.handoff_boxed(to, Box::new(msg));
-    }
-
-    /// [`Context::handoff`] for a payload that is already boxed, so a
-    /// caller can reuse the allocation of the message it is handling.
-    pub fn handoff_boxed(&mut self, to: ActorId, msg: Payload) {
+        let msg = self.queue.boxed(msg);
         let nothing_first = self.queue.peek_time().is_none_or(|t| t > self.now);
         match &mut self.handoff {
             Some(slot) if slot.is_none() && nothing_first => {
@@ -140,14 +136,14 @@ impl Context<'_> {
 
     /// Deliver `msg` to `to` after `delay`.
     pub fn send_in<M: Any>(&mut self, delay: SimDuration, to: ActorId, msg: M) {
-        self.queue
-            .push(self.now + delay, to, self.self_id, Box::new(msg));
+        self.send_at(self.now + delay, to, msg);
     }
 
     /// Deliver `msg` to `to` at the absolute instant `at` (clamped to now).
     pub fn send_at<M: Any>(&mut self, at: SimTime, to: ActorId, msg: M) {
         let at = at.max(self.now);
-        self.queue.push(at, to, self.self_id, Box::new(msg));
+        let msg = self.queue.boxed(msg);
+        self.queue.push(at, to, self.self_id, msg);
     }
 
     /// Schedule a message to self after `delay` (a timer).
@@ -160,6 +156,16 @@ impl Context<'_> {
     pub fn timer_at<M: Any>(&mut self, at: SimTime, msg: M) {
         let to = self.self_id;
         self.send_at(at, to, msg);
+    }
+
+    /// Take a received message out of its box and hand the box back to
+    /// the event queue, whose next send of an `M` reuses it instead of
+    /// allocating. Receivers call it on the box `Payload::downcast`
+    /// returned; a payload nobody opens is simply freed. `M::default()`
+    /// holds the box's place on the free list and should own no heap
+    /// memory.
+    pub fn open<M: Any + Default>(&mut self, msg: Box<M>) -> M {
+        self.queue.open(msg)
     }
 
     /// The engine-wide deterministic RNG.

@@ -99,13 +99,13 @@ impl Simulation {
     /// [`ActorId::SYSTEM`]) for delivery at absolute time `at`.
     pub fn schedule<M: Any>(&mut self, at: SimTime, to: ActorId, msg: M) {
         let at = at.max(self.now);
-        self.queue.push(at, to, ActorId::SYSTEM, Box::new(msg));
+        let msg = self.queue.boxed(msg);
+        self.queue.push(at, to, ActorId::SYSTEM, msg);
     }
 
     /// Schedule a message from the outside world after `delay`.
     pub fn schedule_in<M: Any>(&mut self, delay: SimDuration, to: ActorId, msg: M) {
-        let at = self.now + delay;
-        self.queue.push(at, to, ActorId::SYSTEM, Box::new(msg));
+        self.schedule(self.now + delay, to, msg);
     }
 
     /// The current simulated time.

@@ -12,8 +12,15 @@
 //! (the queue's clock) in sequence order, so it is itself sorted by
 //! `(time, seq)`, and popping the smaller of lane front and heap top yields
 //! the same total order a single heap would.
+//!
+//! The queue also keeps the boxes its messages travel in. A box whose
+//! message was taken out with [`EventQueue::open`] goes on a free list of
+//! its message type, and the next message of that type to be pushed is
+//! written into it instead of into a fresh allocation. The lists hold no
+//! addresses anyone reads and change neither what is pushed nor when, so
+//! they are invisible to the simulation.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -22,8 +29,9 @@ use crate::time::SimTime;
 
 /// An opaque message payload delivered to an actor.
 ///
-/// Actors downcast payloads to the concrete types they understand; see
-/// [`crate::actor::Actor::on_message`].
+/// Actors downcast payloads to the concrete types they understand and take
+/// the message out with [`crate::actor::Context::open`], which hands the
+/// box back for reuse; see [`crate::actor::Actor::on_message`].
 pub type Payload = Box<dyn Any>;
 
 /// A scheduled delivery.
@@ -78,7 +86,22 @@ pub struct EventQueue {
     /// have heap events ahead of it.
     clock: SimTime,
     next_seq: u64,
+    /// Spare message boxes, one list per message type, scanned linearly:
+    /// a handful of types are ever opened.
+    free: Vec<(TypeId, Vec<Payload>)>,
 }
+
+/// Most spare boxes the queue keeps for one message type. A list only
+/// holds boxes that messages of its type once occupied at the same time,
+/// so it never grows past the most of them ever in flight at once. The
+/// commonest type is the fabric's wire record, whose peak,
+/// `Net::in_flight_peak()`, reads 24 (`set-fanout`, `quorum-4k`), 48
+/// (`get-zipf-cache`), 80 (`mixed-shards4`) and 156 (`recover-resync`, in
+/// its full sync) on the benchmark workloads at seed 42, and 0 on
+/// `tcp-baseline`, whose TCP deliveries are boxed directly. The cap keeps
+/// every one of those bursts, and bounds what a larger one can leave
+/// parked for the rest of a run to 256 boxes of a type.
+const FREE_LIST_CAP: usize = 256;
 
 impl EventQueue {
     /// Create an empty queue.
@@ -102,6 +125,40 @@ impl EventQueue {
         } else {
             self.heap.push(event);
         }
+    }
+
+    /// Box `msg` for [`EventQueue::push`], in a spare box of its type when
+    /// there is one. A zero-sized message boxes nothing and skips the
+    /// lists.
+    pub(crate) fn boxed<M: Any>(&mut self, msg: M) -> Payload {
+        if size_of::<M>() > 0 {
+            let id = TypeId::of::<M>();
+            let spare = self.free.iter_mut().find(|(t, _)| *t == id);
+            if let Some(mut spare) = spare.and_then(|(_, list)| list.pop()) {
+                if let Some(slot) = spare.downcast_mut::<M>() {
+                    *slot = msg;
+                    return spare;
+                }
+            }
+        }
+        Box::new(msg)
+    }
+
+    /// Move the message out of its box and keep the box for the next
+    /// message of type `M`, up to `FREE_LIST_CAP` (256) per type; past
+    /// that it is freed. What stays behind in the box is `M::default()`,
+    /// which should own no heap memory.
+    pub(crate) fn open<M: Any + Default>(&mut self, mut boxed: Box<M>) -> M {
+        let msg = std::mem::take(&mut *boxed);
+        if size_of::<M>() > 0 {
+            let id = TypeId::of::<M>();
+            match self.free.iter_mut().find(|(t, _)| *t == id) {
+                Some((_, list)) if list.len() < FREE_LIST_CAP => list.push(boxed),
+                Some(_) => {}
+                None => self.free.push((id, vec![boxed as Payload])),
+            }
+        }
+        msg
     }
 
     /// Remove and return the earliest event.
@@ -196,6 +253,68 @@ mod tests {
         q.push(SimTime::from_nanos(5), id(1), id(0), Box::new(3u32)); // in the past
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
         assert_eq!(drain_tags(&mut q), vec![3, 1, 2]);
+    }
+
+    /// Where a payload's message lives.
+    fn addr(payload: &Payload) -> *const u8 {
+        (&**payload as *const dyn Any).cast()
+    }
+
+    /// Spare boxes the queue holds for `M`.
+    fn spares<M: Any>(q: &EventQueue) -> usize {
+        let id = TypeId::of::<M>();
+        q.free
+            .iter()
+            .find(|(t, _)| *t == id)
+            .map_or(0, |(_, l)| l.len())
+    }
+
+    #[test]
+    fn an_opened_box_carries_the_next_message_of_its_own_type_only() {
+        let mut q = EventQueue::new();
+        let first = q.boxed(7u64);
+        let at = addr(&first);
+        assert_eq!(q.open(first.downcast::<u64>().unwrap()), 7);
+        assert_eq!((spares::<u64>(&q), spares::<u32>(&q)), (1, 0));
+        // Another type allocates afresh and leaves the u64 box alone.
+        let other = q.boxed(9u32);
+        assert_ne!(addr(&other), at);
+        assert_eq!(spares::<u64>(&q), 1);
+        // The next u64 moves into the box the first one left.
+        let second = q.boxed(8u64);
+        assert_eq!(addr(&second), at);
+        assert_eq!(*second.downcast::<u64>().unwrap(), 8);
+        assert_eq!(spares::<u64>(&q), 0);
+        // The u32's box goes on a list of its own.
+        assert_eq!(q.open(other.downcast::<u32>().unwrap()), 9);
+        assert_eq!((spares::<u64>(&q), spares::<u32>(&q)), (0, 1));
+    }
+
+    #[test]
+    fn a_free_list_keeps_at_most_its_cap() {
+        let mut q = EventQueue::new();
+        let boxes: Vec<Payload> = (0..FREE_LIST_CAP as u64 + 10).map(|i| q.boxed(i)).collect();
+        for b in boxes {
+            q.open(b.downcast::<u64>().unwrap());
+        }
+        assert_eq!(spares::<u64>(&q), FREE_LIST_CAP);
+        // Zero-sized messages box nothing and are never kept.
+        let unit = q.boxed(());
+        q.open(unit.downcast::<()>().unwrap());
+        assert_eq!(spares::<()>(&q), 0);
+    }
+
+    #[test]
+    fn a_payload_nobody_opens_is_just_freed() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, id(1), id(0), Box::new(5u64));
+        let spare = q.boxed(6u64);
+        q.push(SimTime::ZERO, id(1), id(0), spare);
+        // Both delivered and downcast, neither opened: no list appears.
+        while let Some(e) = q.pop() {
+            assert!(e.payload.downcast::<u64>().is_ok());
+        }
+        assert!(q.free.is_empty());
     }
 
     #[test]

@@ -404,6 +404,9 @@ pub(crate) fn parse_i64(arg: &[u8]) -> Result<i64, Resp> {
         .ok_or_else(|| Resp::err("value is not an integer or out of range"))
 }
 
+/// Parse a float argument: `inf`, `+inf`, `-inf` or a decimal, never NaN —
+/// Redis rejects it in every float it parses, and a NaN score could not be
+/// found again in a sorted set.
 pub(crate) fn parse_f64(arg: &[u8]) -> Result<f64, Resp> {
     let s = std::str::from_utf8(arg).map_err(|_| Resp::err("value is not a valid float"))?;
     match s {
@@ -411,7 +414,9 @@ pub(crate) fn parse_f64(arg: &[u8]) -> Result<f64, Resp> {
         "-inf" => Ok(f64::NEG_INFINITY),
         _ => s
             .parse()
-            .map_err(|_| Resp::err("value is not a valid float")),
+            .ok()
+            .filter(|v: &f64| !v.is_nan())
+            .ok_or_else(|| Resp::err("value is not a valid float")),
     }
 }
 

@@ -365,6 +365,40 @@ fn zremrange_by_score_and_rank() {
     );
 }
 
+/// NaN is no float to Redis: every float argument rejects it with its
+/// command's own error and leaves the keyspace as it was. (A stored NaN
+/// score used to make the next update of that member panic in
+/// `ZSet::add`.)
+#[test]
+fn nan_is_rejected_by_every_float_argument() {
+    let mut e = eng();
+    r(&mut e, &["ZADD", "z", "1", "m"]);
+    r(&mut e, &["SET", "f", "1.5"]);
+    let not_a_float = Resp::err("value is not a valid float");
+    let bad_bound = Resp::err("min or max is not a float");
+    for nan in ["nan", "NaN", "-nan", "+NAN"] {
+        assert_eq!(r(&mut e, &["ZADD", "z", nan, "m"]), not_a_float, "{nan}");
+        assert_eq!(r(&mut e, &["ZADD", "z", "2", "n", nan, "m"]), not_a_float);
+        assert_eq!(r(&mut e, &["ZADD", "new", nan, "m"]), not_a_float);
+        assert_eq!(r(&mut e, &["ZINCRBY", "z", nan, "m"]), not_a_float);
+        assert_eq!(r(&mut e, &["ZINCRBY", "new", nan, "m"]), not_a_float);
+        assert_eq!(r(&mut e, &["INCRBYFLOAT", "f", nan]), not_a_float);
+        assert_eq!(r(&mut e, &["ZCOUNT", "z", nan, "+inf"]), bad_bound);
+        let exclusive = format!("({nan}");
+        assert_eq!(r(&mut e, &["ZCOUNT", "z", "-inf", &exclusive]), bad_bound);
+    }
+    assert_eq!(
+        r(&mut e, &["ZRANGE", "z", "0", "-1", "WITHSCORES"]),
+        array(&["m", "1"])
+    );
+    assert_eq!(r(&mut e, &["GET", "f"]), bulk("1.5"));
+    assert_eq!(r(&mut e, &["EXISTS", "new"]), Resp::Int(0));
+    // The member is still found: an update moves it.
+    assert_eq!(r(&mut e, &["ZINCRBY", "z", "2", "m"]), bulk("3"));
+    assert_eq!(r(&mut e, &["ZADD", "z", "5", "m"]), Resp::Int(0));
+    assert_eq!(r(&mut e, &["ZSCORE", "z", "m"]), bulk("5"));
+}
+
 // ---------------------------------------------------------------------------
 // list extensions
 // ---------------------------------------------------------------------------

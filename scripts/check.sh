@@ -76,14 +76,25 @@ echo "==> experiments --check fig7 fig10 fig11 shards hotcache (calibration and 
 cargo run --release --quiet -p skv-bench --bin experiments -- --check fig7 fig10 fig11 shards hotcache
 
 if [ "$nightly" = 1 ]; then
-  echo "==> nightly: scripts/hostprof.sh --allocs self-test (the census finds set-fanout's 8 wire records per SET)"
-  # Each SET on the Fig. 11 path sends 8 boxed NetEvent wire records
-  # (DESIGN.md §18.3); a sampler, frame walk or symboliser that broke would
-  # lose that row or misplace it.
+  echo "==> nightly: scripts/hostprof.sh --allocs self-test (the census finds set-fanout's new-key row)"
+  # Of set-fanout's 1.1 allocations per SET, 0.44 are a new key's entry
+  # pushed into its Dict bucket (`push_new` < `Dict::upsert`, DESIGN.md
+  # §18.3); a sampler, frame walk or symboliser that broke would lose that
+  # row or misplace it. The census is deterministic for a build.
   census=$(HOSTPROF_SECONDS=2 scripts/hostprof.sh set-fanout --allocs)
   echo "$census"
-  if ! echo "$census" | awk '/NetEvent/ && $1 > 7.5 && $1 < 8.5 { ok = 1 } END { exit !ok }'; then
-    echo "FAIL: hostprof --allocs did not find ≈ 8 NetEvent allocations per op"
+  if ! echo "$census" | awk '/push_new/ && /Dict<V>::upsert/ && $1 > 0.41 && $1 < 0.47 { ok = 1 } END { exit !ok }'; then
+    echo "FAIL: hostprof --allocs did not find ≈ 0.44 new-key Dict::upsert allocations per op"
+    exit 1
+  fi
+  # Every event travels in a box the event queue recycles (DESIGN.md §18.4):
+  # a row allocating a message box — sited in simcore's event.rs or actor.rs,
+  # or in a send_at / timer_at / handoff / boxed frame — means a receiver on
+  # the op path stopped opening its messages.
+  if ! echo "$census" | awk '{ site = $0; sub(/ < .*/, "", site) }
+      (site ~ / (event|actor)\.rs:[0-9]/ || $0 ~ /send_at<|timer_at<|boxed<|handoff/) && $1 >= 0.1 { print "  " $0; bad = 1 }
+      END { exit bad }'; then
+    echo "FAIL: hostprof --allocs attributes ≥ 0.1 allocations per op to an event box"
     exit 1
   fi
   # A warm FramePool hands out its recycled Rc<Storage> headers, so nothing

@@ -290,13 +290,13 @@ fn invocation(name: &str, d: &mut Dice) -> Option<Vec<String>> {
         "ZADD" => {
             arg(d.key());
             for _ in 0..1 + d.roll(2) {
-                arg(d.pick(&["1", "2", "2.5", "-1", "10"]));
+                arg(d.pick(&["1", "2", "2.5", "-1", "10", "nan"]));
                 arg(d.member());
             }
         }
         "ZINCRBY" => {
             arg(d.key());
-            arg(d.pick(&["1", "-2", "0.5"]));
+            arg(d.pick(&["1", "-2", "0.5", "nan"]));
             arg(d.member());
         }
         "ZRANGEBYSCORE" | "ZCOUNT" | "ZREMRANGEBYSCORE" => {
