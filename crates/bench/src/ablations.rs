@@ -11,7 +11,9 @@
 use skv_core::cluster::{run_spec, Cluster};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::histcheck;
+use skv_core::metrics::catalog::{NicStat, ServerStat};
 use skv_core::metrics::RunReport;
+use skv_core::nickv::NicKv;
 use skv_core::replmode::ReplModeKind;
 use skv_netsim::{FaultPlan, LinkFault, TimeWindow};
 use skv_simcore::{SimDuration, SimTime};
@@ -160,13 +162,10 @@ pub fn ablation_wr_batching() -> Table {
     for n in [1usize, 2, 3, 5, 8] {
         let mut cluster = Cluster::build(spec(Mode::Skv, n, 8, 29_000 + n as u64));
         let report = cluster.run();
-        let (writes, doorbells, wrs) = cluster.nic_kv().map_or((0, 0, 0), |nic| {
-            (
-                nic.stat_fanout_msgs,
-                nic.stat_doorbells(),
-                nic.stat_wrs_posted(),
-            )
-        });
+        let nic = cluster.nic_kv().map(NicKv::stats).unwrap_or_default();
+        let writes = nic.get(NicStat::FanoutMsgs);
+        let doorbells = nic.get(NicStat::Doorbells);
+        let wrs = nic.get(NicStat::WrsPosted);
         t.row(cells![
             n,
             report.throughput_kops,
@@ -224,10 +223,11 @@ pub fn ablation_replmode() -> Table {
         }
         let mut cluster = Cluster::build(s);
         let report = cluster.run();
-        let (commits, retransmits, chain_repairs) = cluster.nic_kv().map_or((0, 0, 0), |n| {
-            let tr = n.tracker();
-            (tr.stat_commits, n.stat_retransmits, tr.stat_chain_repairs)
-        });
+        let nic = cluster.nic_kv().map(NicKv::stats).unwrap_or_default();
+        let commits = nic.get(NicStat::Commits);
+        let retransmits = nic.get(NicStat::Retransmits);
+        let chain_repairs = nic.get(NicStat::ChainRepairs);
+        let master = cluster.master_server().stats();
         // The history the bench clients recorded of themselves
         // (`record_history`) and the violations the checker finds in it
         // (none is the expected verdict for every fault-free arm).
@@ -240,7 +240,7 @@ pub fn ablation_replmode() -> Table {
             report.throughput_kops,
             report.p99_latency_us,
             commits,
-            cluster.master_server().stat_deferred_replies,
+            master.get(ServerStat::DeferredReplies),
             retransmits,
             chain_repairs,
             hist_ops,

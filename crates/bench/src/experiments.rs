@@ -8,6 +8,7 @@
 use skv_core::cluster::{run_spec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::cqdrain;
+use skv_core::metrics::catalog::NicStat;
 use skv_core::metrics::RunReport;
 use skv_netsim::{Net, NetEvent, NetParams, SendWr, SocketAddr, Topology};
 use skv_simcore::{FnActor, SimDuration, SimTime, Simulation};
@@ -385,11 +386,12 @@ pub fn nic_crash_timeline() -> Table {
     // down, so this snapshot is the pre-crash total. The later total
     // exceeding it proves replication was re-offloaded.
     cluster.sim.run_until(recover_at);
-    let fanout_at_recovery = cluster.nic_kv().map_or(0, |n| n.stat_fanout_msgs);
+    let fanout = |c: &Cluster| c.nic_kv().map_or(0, |n| n.stats().get(NicStat::FanoutMsgs));
+    let fanout_at_recovery = fanout(&cluster);
 
     let report = cluster.run();
     let converged = replicas_converge(&mut cluster);
-    let fanout_at_end = cluster.nic_kv().map_or(0, |n| n.stat_fanout_msgs);
+    let fanout_at_end = fanout(&cluster);
 
     // The degraded window the master recorded (NaN end: it never closed).
     let (entered, exited) = cluster

@@ -7,12 +7,14 @@
 //! round-trip latency exactly as it does for the paper's load generator.
 
 use skv_netsim::{Net, NodeId, SocketAddr};
+use skv_simcore::stats::CounterSet;
 use skv_simcore::{Actor, ActorId, Context, DetRng, FramePool, Payload, SimDuration, SimTime};
 use skv_store::resp::{self, Decoded, Resp};
 
 use crate::config::ClusterConfig;
 use crate::histcheck::{OpKind, SharedHistory};
 use crate::link::{ClientLink, LinkEvent};
+use crate::metrics::catalog::ClientStat;
 use crate::metrics::SharedMetrics;
 
 /// Workload shape for one client.
@@ -403,16 +405,9 @@ pub struct BenchClient {
     /// Send-ring pool: each command is generated straight into a recycled
     /// buffer (and, over TCP, framed into a second one).
     pool: FramePool,
-    /// Operations issued.
-    pub stat_issued: u64,
-    /// Replies received.
-    pub stat_replies: u64,
-    /// Connections abandoned and re-established after reply timeouts.
-    pub stat_reconnects: u64,
-    /// Total failed dial attempts (each one schedules a backed-off
-    /// redial); the backoff regression test bounds this under a long
-    /// partition.
-    pub stat_dial_failures: u64,
+    /// The `client.*` counters; the backoff regression test bounds
+    /// `DialFailures` under a long partition.
+    stats: CounterSet<ClientStat>,
 }
 
 impl BenchClient {
@@ -442,10 +437,7 @@ impl BenchClient {
             stamp_counter: 0,
             rec_in_flight: Default::default(),
             pool,
-            stat_issued: 0,
-            stat_replies: 0,
-            stat_reconnects: 0,
-            stat_dial_failures: 0,
+            stats: CounterSet::default(),
         }
     }
 
@@ -455,6 +447,11 @@ impl BenchClient {
     pub fn record_into(&mut self, client_id: usize, history: SharedHistory) {
         self.client_id = client_id;
         self.history = Some(history);
+    }
+
+    /// The `client.*` counters.
+    pub fn stats(&self) -> &CounterSet<ClientStat> {
+        &self.stats
     }
 
     /// Abandon the current connection (commands in flight are lost, like a
@@ -477,7 +474,7 @@ impl BenchClient {
             }
         }
         self.in_flight.clear();
-        self.stat_reconnects += 1;
+        self.stats.inc(ClientStat::Reconnects);
         ctx.timer(SimDuration::from_millis(1), ClientMsg::Start);
     }
 
@@ -514,7 +511,7 @@ impl BenchClient {
             self.rec_in_flight.push_back(idxs);
         }
         self.in_flight.push_back((ctx.now(), is_write));
-        self.stat_issued += 1;
+        self.stats.inc(ClientStat::Issued);
         // A send that breaks the channel is the watchdog's to notice.
         self.link.send(ctx, cmd);
     }
@@ -531,7 +528,7 @@ impl BenchClient {
     }
 
     fn on_reply(&mut self, ctx: &mut Context<'_>, payload: &[u8]) {
-        self.stat_replies += 1;
+        self.stats.inc(ClientStat::Replies);
         let Some((sent_at, is_write)) = self.in_flight.pop_front() else {
             return;
         };
@@ -624,7 +621,7 @@ impl Actor for BenchClient {
                 }
                 LinkEvent::Lost { .. } => {}
                 LinkEvent::Refused(delay) => {
-                    self.stat_dial_failures += 1;
+                    self.stats.inc(ClientStat::DialFailures);
                     ctx.timer(delay, ClientMsg::Start);
                 }
             }
@@ -672,8 +669,14 @@ mod tests {
     /// as a breaking change, not a test to update casually.
     #[test]
     fn same_seed_trace_digests_are_pinned() {
-        assert_eq!(trace_digest(&workload(0.0, 0), 42, 4_096), 0xae5a_e245_5695_96eb);
-        assert_eq!(trace_digest(&workload(0.99, 0), 42, 4_096), 0xa8d8_733a_71c0_43fc);
+        assert_eq!(
+            trace_digest(&workload(0.0, 0), 42, 4_096),
+            0xae5a_e245_5695_96eb
+        );
+        assert_eq!(
+            trace_digest(&workload(0.99, 0), 42, 4_096),
+            0xa8d8_733a_71c0_43fc
+        );
         assert_eq!(
             trace_digest(&workload(0.99, 500), 42, 4_096),
             0x811a_7567_801e_70f7
@@ -756,7 +759,10 @@ mod tests {
         );
         assert_eq!(parse_reply_stamp(b"-ERR nope\r\n"), None);
         // The probe readers parse their unpadded sequence numbers with it.
-        assert_eq!(parse_reply_stamp(&Resp::Bulk(b"42".to_vec()).encode()), Some(42));
+        assert_eq!(
+            parse_reply_stamp(&Resp::Bulk(b"42".to_vec()).encode()),
+            Some(42)
+        );
         assert_eq!(parse_reply_stamp(&Resp::Bulk(b"x".to_vec()).encode()), None);
     }
 
@@ -843,4 +849,3 @@ mod tests {
         assert!(diverged, "after a shift the hot set must have moved");
     }
 }
-

@@ -6,14 +6,15 @@
 //! workload; and produces a [`RunReport`] — the clients' summary — plus
 //! [`Cluster::counters_snapshot`], the one export of every counter.
 
-use skv_netsim::{FaultPlan, Net, NodeId, Partition, SocketAddr, TimeWindow, Topology};
-use skv_simcore::stats::Counters;
+use skv_netsim::{FabricStat, FaultPlan, Net, NodeId, Partition, SocketAddr, TimeWindow, Topology};
+use skv_simcore::stats::{CounterSet, CounterSlot, Counters};
 use skv_simcore::{ActorId, SimDuration, SimTime, Simulation};
 
 use crate::client::{BenchClient, Workload};
 use crate::config::{ClusterConfig, Mode};
 use crate::histcheck::{self, SharedHistory};
-use crate::hotcache::ENTRY_OVERHEAD;
+use crate::hotcache::{HotCache, ENTRY_OVERHEAD};
+use crate::metrics::catalog::{ClientStat, HistStat, ShardStat, StoreStat};
 use crate::metrics::{MetricsHub, RunReport, SharedMetrics};
 use crate::nickv::{NicControl, NicKv};
 use crate::probes::{self, HistReader, HistWriter, ReadAnchor};
@@ -470,121 +471,67 @@ impl Cluster {
         RunReport::from_hub(self.spec.cfg.mode.label(), &self.metrics.borrow())
     }
 
-    /// Dump every counter in the testbed, keyed by subsystem: `server.*`
-    /// (master + slaves summed), `nic.*`, `client.*` (all clients summed),
-    /// `store.*` (all engines summed), plus the fabric's `rdma.*` and
-    /// `faults.*` counters verbatim. Every name in
-    /// [`crate::metrics::catalog`] is present (zero when never hit), so
-    /// ablation tables get a stable schema. This is the one way counters
-    /// leave a run: the benchmark, the ablations, the tests and the
-    /// determinism digest all read it.
+    /// Dump every counter in the testbed, keyed by subsystem: every name
+    /// of every [`crate::metrics::catalog`] family — `server.*` (master +
+    /// slaves summed), `nic.*`, `client.*` (all clients summed), `store.*`
+    /// (all engines summed), `shard.*`, `cache.*`, `hist.*` — zero when
+    /// never hit or when the part is absent, so ablation tables get a
+    /// stable schema; plus the fabric's `rdma.*` (always) and the
+    /// `faults.*` / `tcp.*` it wrote. This is the one way counters leave a
+    /// run: the benchmark, the ablations, the tests and the determinism
+    /// digest all read it.
     pub fn counters_snapshot(&self) -> Counters {
         let mut out = Counters::new();
         let mut servers = vec![self.master_server()];
-        for i in 0..self.slaves.len() {
-            servers.push(self.slave_server(i));
-        }
+        servers.extend((0..self.slaves.len()).map(|i| self.slave_server(i)));
+        let mut store = CounterSet::default();
+        let mut shard = CounterSet::default();
         for s in &servers {
-            out.add("server.stat_commands", s.stat_commands);
-            out.add("server.stat_rejected", s.stat_rejected);
-            out.add("server.stat_applied_bytes", s.stat_applied_bytes);
-            out.add("server.stat_full_syncs", s.stat_full_syncs);
-            out.add("server.stat_partial_syncs", s.stat_partial_syncs);
-            out.add("server.stat_reconnects", s.stat_reconnects);
-            out.add("server.stat_conn_errors", s.stat_conn_errors);
-            out.add("server.stat_degradations", s.stat_degradations);
-            out.add("server.stat_doorbells", s.stat_doorbells);
-            out.add("server.stat_wrs_posted", s.stat_wrs_posted);
-            out.add("server.stat_deferred_replies", s.stat_deferred_replies);
-            out.add("server.stat_released_replies", s.stat_released_replies);
-            out.add("server.stat_mode_changes", s.stat_mode_changes);
-            out.add("shard.ops", s.shard_ops().iter().sum::<u64>());
-            out.add("shard.cross_msgs", s.shards().cross_msgs());
-            out.add("shard.queue_depth", s.apply_queue_depth());
+            s.stats().export(&mut out);
+            shard.add(ShardStat::Ops, s.shard_ops().iter().sum::<u64>());
+            shard.add(ShardStat::CrossMsgs, s.shards().cross_msgs());
             for engine in s.shards().engines() {
                 let db = engine.db();
                 let (hits, misses) = db.stats_hit_miss();
-                out.add("store.stat_hits", hits);
-                out.add("store.stat_misses", misses);
-                out.add("store.stat_expired", db.stat_expired());
+                store.add(StoreStat::Hits, hits);
+                store.add(StoreStat::Misses, misses);
+                store.add(StoreStat::Expired, db.stat_expired());
             }
         }
-        out.add("shard.nic_ingress", 0);
-        out.add("nic.stat_fanout_msgs", 0);
-        out.add("nic.stat_fanout_sends", 0);
-        out.add("nic.stat_doorbells", 0);
-        out.add("nic.stat_wrs_posted", 0);
-        out.add("nic.stat_probes", 0);
-        out.add("nic.stat_failovers", 0);
-        out.add("nic.stat_commits", 0);
-        out.add("nic.stat_retransmits", 0);
-        out.add("nic.stat_chain_repairs", 0);
-        out.add("nic.stat_chain_rejoins", 0);
-        out.add("nic.stat_mode_changes", 0);
-        out.add("nic.stat_fwd_stale_drops", 0);
-        if let Some(nic) = self.nic_kv() {
-            out.add("shard.nic_ingress", nic.shard_ingress().iter().sum::<u64>());
-            out.add("nic.stat_fanout_msgs", nic.stat_fanout_msgs);
-            out.add("nic.stat_fanout_sends", nic.stat_fanout_sends);
-            out.add("nic.stat_doorbells", nic.stat_doorbells());
-            out.add("nic.stat_wrs_posted", nic.stat_wrs_posted());
-            out.add("nic.stat_probes", nic.stat_probes);
-            out.add("nic.stat_failovers", nic.stat_failovers);
-            out.add("nic.stat_commits", nic.tracker().stat_commits);
-            out.add("nic.stat_retransmits", nic.stat_retransmits);
-            out.add("nic.stat_chain_repairs", nic.tracker().stat_chain_repairs);
-            out.add("nic.stat_chain_rejoins", nic.tracker().stat_chain_rejoins);
-            out.add("nic.stat_mode_changes", nic.stat_mode_changes);
-            out.add(
-                "nic.stat_fwd_stale_drops",
-                nic.front_end().stat_fwd_stale_drops,
-            );
+        let depth = servers.iter().map(|s| s.apply_queue_depth()).max();
+        shard.add(ShardStat::QueueDepth, depth.unwrap_or(0));
+        let nic = self.nic_kv();
+        let ingress = nic.map_or(0, |n| n.shard_ingress().iter().sum::<u64>());
+        shard.add(ShardStat::NicIngress, ingress);
+        store.export(&mut out);
+        shard.export(&mut out);
+        nic.map(NicKv::stats).unwrap_or_default().export(&mut out);
+        let cache = nic.and_then(|n| n.front_end().cache()).map(HotCache::stats);
+        cache.unwrap_or_default().export(&mut out);
+        let mut clients = CounterSet::<ClientStat>::default();
+        let bench = self.clients.iter();
+        for c in bench.filter_map(|&id| self.sim.actor_ref::<BenchClient>(id)) {
+            clients.merge(c.stats());
         }
-        for &name in crate::metrics::catalog::CACHE_COUNTERS {
-            out.add(name, 0);
-        }
-        if let Some(cache) = self.nic_kv().and_then(|nic| nic.front_end().cache()) {
-            out.add("cache.hits", cache.stats.hits);
-            out.add("cache.misses", cache.stats.misses);
-            out.add("cache.admits", cache.stats.admits);
-            out.add("cache.evicts", cache.stats.evicts);
-            out.add("cache.invalidations", cache.stats.invalidations);
-            out.add("cache.bytes", cache.bytes() as u64);
-        }
-        out.add("client.stat_issued", 0);
-        out.add("client.stat_replies", 0);
-        out.add("client.stat_reconnects", 0);
-        out.add("client.stat_dial_failures", 0);
-        for &id in &self.clients {
-            if let Some(c) = self.sim.actor_ref::<BenchClient>(id) {
-                out.add("client.stat_issued", c.stat_issued);
-                out.add("client.stat_replies", c.stat_replies);
-                out.add("client.stat_reconnects", c.stat_reconnects);
-                out.add("client.stat_dial_failures", c.stat_dial_failures);
-            }
-        }
-        for &name in crate::metrics::catalog::HIST_COUNTERS {
-            out.add(name, 0);
-        }
+        clients.export(&mut out);
+        let mut hist = CounterSet::default();
         if let Some(history) = &self.bench_history {
-            let h = history.borrow();
-            let reads = h
-                .ops
-                .iter()
-                .filter(|o| o.kind == histcheck::OpKind::Read)
-                .count() as u64;
-            let aborts = h.ops.iter().filter(|o| o.aborted).count() as u64;
-            out.add("hist.ops", h.ops.len() as u64);
-            out.add("hist.reads", reads);
-            out.add("hist.writes", h.ops.len() as u64 - reads);
-            out.add("hist.aborts", aborts);
+            for op in &history.borrow().ops {
+                hist.inc(match op.kind {
+                    histcheck::OpKind::Read => HistStat::Reads,
+                    histcheck::OpKind::Write => HistStat::Writes,
+                });
+                hist.inc(HistStat::Ops);
+                hist.add(HistStat::Aborts, u64::from(op.aborted));
+            }
         }
-        for &name in crate::metrics::catalog::RDMA_COUNTERS {
+        hist.export(&mut out);
+        // The fabric exports what it wrote; its `rdma.*` read zero from
+        // the start, so every mode has the same RDMA schema.
+        for &name in FabricStat::NAMES.iter().filter(|n| n.starts_with("rdma.")) {
             out.add(name, 0);
         }
-        for (k, v) in self.net.counters().iter() {
-            out.add(k, v);
-        }
+        out.merge(&self.net.counters());
         out
     }
 
@@ -660,6 +607,7 @@ pub fn run_spec(spec: RunSpec) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::catalog::{CacheStat, NicStat, ServerStat};
 
     fn small_spec(mode: Mode) -> RunSpec {
         let mut cfg = ClusterConfig::for_mode(mode);
@@ -705,7 +653,7 @@ mod tests {
         }
         // NIC actually fanned out.
         let nic = cluster.nic_kv().expect("SKV has a NIC");
-        assert!(nic.stat_fanout_msgs > 0);
+        assert!(nic.stats().get(NicStat::FanoutMsgs) > 0);
         assert_eq!(nic.available_slaves(), 2);
     }
 
@@ -724,42 +672,89 @@ mod tests {
         assert!(report.ops > 50, "ops {}", report.ops);
     }
 
+    /// SKV with the hot cache and two shards — the spec that turns every
+    /// family on.
+    fn cached_sharded_spec() -> RunSpec {
+        let mut spec = small_spec(Mode::Skv);
+        spec.cfg.hot_cache_bytes = 64 << 10;
+        spec.cfg.num_shards = 2;
+        spec.set_ratio = 0.5;
+        spec
+    }
+
     #[test]
     fn counters_snapshot_covers_catalog() {
-        use crate::metrics::catalog;
-        let mut cluster = Cluster::build(small_spec(Mode::Skv));
-        cluster.run();
-        let snap = cluster.counters_snapshot();
-        let keys: Vec<&str> = snap.iter().map(|(k, _)| k).collect();
-        let expect_prefixed = [
-            ("server.", catalog::SERVER_STATS),
-            ("nic.", catalog::NIC_STATS),
-            ("client.", catalog::CLIENT_STATS),
-            ("store.", catalog::STORE_STATS),
+        use std::collections::BTreeSet;
+
+        fn names<S: CounterSlot>() -> impl Iterator<Item = &'static str> {
+            S::NAMES.iter().copied()
+        }
+        let arms = [
+            ("skv+cache+2 shards", cached_sharded_spec()),
+            ("skv", small_spec(Mode::Skv)),
+            ("rdma-redis", small_spec(Mode::RdmaRedis)),
+            ("tcp-redis", small_spec(Mode::TcpRedis)),
         ];
-        for (prefix, names) in expect_prefixed {
-            for &name in names {
-                let key = format!("{prefix}{name}");
-                assert!(keys.contains(&key.as_str()), "snapshot missing {key}");
+        for (arm, spec) in arms {
+            let mut cluster = Cluster::build(spec);
+            cluster.run();
+            let snap = cluster.counters_snapshot();
+            let got: BTreeSet<&str> = snap.iter().map(|(k, _)| k).collect();
+            // Every declared family, each name once; the fabric's `rdma.*`
+            // always and its `faults.*` / `tcp.*` as written.
+            let fabric = cluster.net.counters();
+            let expected: BTreeSet<&str> = names::<ServerStat>()
+                .chain(names::<NicStat>())
+                .chain(names::<ClientStat>())
+                .chain(names::<StoreStat>())
+                .chain(names::<ShardStat>())
+                .chain(names::<CacheStat>())
+                .chain(names::<HistStat>())
+                .chain(names::<FabricStat>().filter(|n| n.starts_with("rdma.")))
+                .chain(fabric.iter().map(|(k, _)| k))
+                .collect();
+            assert_eq!(got, expected, "{arm}");
+            for (name, value) in fabric.iter() {
+                assert_eq!(snap.get(name), value, "{arm}: {name}");
+            }
+            // And the busy ones really counted.
+            assert!(snap.get("server.stat_commands") > 0, "{arm}");
+            assert!(snap.get("client.stat_replies") > 0, "{arm}");
+            let nic = snap.get("nic.stat_fanout_msgs");
+            let cache = snap.get("cache.hits");
+            match arm {
+                "tcp-redis" => assert!(snap.get("tcp.messages") > 0),
+                _ => assert!(snap.get("rdma.wrs_posted") > 0, "{arm}"),
+            }
+            match arm {
+                "skv+cache+2 shards" => assert!(nic > 0 && cache > 0),
+                "skv" => assert!(nic > 0 && cache == 0),
+                // No NIC: its parts zero-fill.
+                _ => {
+                    let zero = |prefix| snap.iter().all(|(k, v)| !k.starts_with(prefix) || v == 0);
+                    assert!(zero("nic.") && zero("cache.") && zero("hist."), "{arm}");
+                }
             }
         }
-        for &name in catalog::RDMA_COUNTERS {
-            assert!(keys.contains(&name), "snapshot missing {name}");
-        }
-        for &name in catalog::SHARD_COUNTERS {
-            assert!(keys.contains(&name), "snapshot missing {name}");
-        }
-        for &name in catalog::CACHE_COUNTERS {
-            assert!(keys.contains(&name), "snapshot missing {name}");
-        }
-        for &name in catalog::HIST_COUNTERS {
-            assert!(keys.contains(&name), "snapshot missing {name}");
-        }
-        // And the busy ones really counted.
-        assert!(snap.get("server.stat_commands") > 0);
-        assert!(snap.get("client.stat_replies") > 0);
-        assert!(snap.get("nic.stat_fanout_msgs") > 0);
-        assert!(snap.get("rdma.wrs_posted") > 0);
+    }
+
+    #[test]
+    fn shard_queue_depth_is_the_deepest_ring() {
+        let mut cluster = Cluster::build(cached_sharded_spec());
+        cluster.run();
+        let depths: Vec<u64> = std::iter::once(cluster.master_server())
+            .chain((0..cluster.slaves.len()).map(|i| cluster.slave_server(i)))
+            .map(KvServer::apply_queue_depth)
+            .collect();
+        let deepest = depths.iter().copied().max().unwrap_or(0);
+        assert!(deepest > 0, "a slave applied a sharded stream: {depths:?}");
+        // Both slaves reach that depth, so a sum over servers would read
+        // double.
+        assert!(depths.iter().sum::<u64>() > deepest, "{depths:?}");
+        assert_eq!(
+            cluster.counters_snapshot().get("shard.queue_depth"),
+            deepest
+        );
     }
 
     #[test]

@@ -38,10 +38,12 @@
 use skv_netsim::{
     CqId, DetMap, Frame, Net, NodeId, PostError, QpId, SendWr, SocketAddr, TcpConnId, Wc,
 };
+use skv_simcore::stats::CounterSet;
 use skv_simcore::{Context, FramePool};
 
 use crate::channel::{Channel, ChannelMsg};
 use crate::cqdrain;
+use crate::metrics::catalog::NicStat;
 
 /// One entry of a [`ConnTable`].
 struct ConnState<K> {
@@ -91,11 +93,10 @@ pub struct ConnTable<K> {
     staged: Vec<(usize, QpId, u64)>,
     outcomes: Vec<Result<(), PostError>>,
     /// Doorbells rung by [`ConnTable::post`] (plus one per staged frame a
-    /// handshake flush posted on its own).
-    pub stat_doorbells: u64,
-    /// WRs posted through [`ConnTable::stage`] — batching amortizes
-    /// doorbells, never work requests.
-    pub stat_wrs_posted: u64,
+    /// handshake flush posted on its own) and WRs posted through
+    /// [`ConnTable::stage`], as `nic.*` slots: only Nic-KV exports its
+    /// table's (the host charges its own `ServerStat::Doorbells`).
+    pub(crate) stats: CounterSet<NicStat>,
 }
 
 impl<K> ConnTable<K> {
@@ -113,8 +114,7 @@ impl<K> ConnTable<K> {
             wrs: Vec::new(),
             staged: Vec::new(),
             outcomes: Vec::new(),
-            stat_doorbells: 0,
-            stat_wrs_posted: 0,
+            stats: CounterSet::default(),
         }
     }
 
@@ -302,8 +302,8 @@ impl<K> ConnTable<K> {
         if self.wrs.is_empty() {
             return Vec::new();
         }
-        self.stat_doorbells += 1;
-        self.stat_wrs_posted += self.wrs.len() as u64;
+        self.stats.inc(NicStat::Doorbells);
+        self.stats.add(NicStat::WrsPosted, self.wrs.len() as u64);
         net.post_send_batch(ctx, &mut self.wrs, &mut self.outcomes);
         let failed: Vec<_> = self
             .staged
@@ -326,8 +326,8 @@ impl<K> ConnTable<K> {
         // post; this is the post time of the staged ones among them.
         let flushed = c.channel.take_flushed_wrs().min(c.deferred_wrs);
         c.deferred_wrs -= flushed;
-        self.stat_doorbells += flushed;
-        self.stat_wrs_posted += flushed;
+        self.stats.add(NicStat::Doorbells, flushed);
+        self.stats.add(NicStat::WrsPosted, flushed);
         match msg {
             Some(m) => ConnEvent::Msg(m),
             None if c.open && c.channel.broken() => ConnEvent::Broken,
@@ -529,7 +529,10 @@ mod tests {
             }
         })));
         sim.schedule(SimTime::ZERO, peer, Connect);
-        let stats = |table: &ConnTable<()>| (table.stat_wrs_posted, table.stat_doorbells);
+        let stats = |table: &ConnTable<()>| {
+            let s = &table.stats;
+            (s.get(NicStat::WrsPosted), s.get(NicStat::Doorbells))
+        };
 
         // Phase 0: connection up, the owner's handshake sent, peer silent —
         // the channel is open but not ready, and nothing has been staged.

@@ -42,8 +42,8 @@
 //!   which keys or commands involve TTLs, so nothing is lost when the
 //!   SoC restarts.
 //!
-//! Counters are exported as `cache.{hits,misses,admits,evicts,
-//! invalidations,bytes}` (see `metrics::catalog::CACHE_COUNTERS`).
+//! Counters are the [`CacheStat`] family, exported as `cache.*` (see
+//! [`crate::metrics::catalog`]).
 //!
 //! [`SocFrontEnd`] is the SoC's command front end around the cache: it
 //! answers a client command from the cache or turns it into a
@@ -54,9 +54,12 @@
 //! (DESIGN.md §28).
 
 use skv_netsim::DetMap;
+use skv_simcore::stats::CounterSet;
 use skv_simcore::{Frame, FramePool};
 use skv_store::cmd::{CommandSpec, Route};
 use skv_store::resp::{self, ParsedCommand};
+
+use crate::metrics::catalog::{CacheStat, NicStat};
 
 /// Byte overhead charged per cache entry on top of the stored reply
 /// frame: key copy, slot bookkeeping, LRU links. Keeps the budget honest
@@ -212,26 +215,6 @@ impl CachePolicyKind {
 }
 
 // ===========================================================================
-// Counters
-// ===========================================================================
-
-/// Cache observability, exported as `cache.*` counters (catalogued in
-/// `metrics::catalog::CACHE_COUNTERS`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheStats {
-    /// GETs answered straight from SoC memory.
-    pub hits: u64,
-    /// GETs that fell through to the host path.
-    pub misses: u64,
-    /// Replies admitted into the cache.
-    pub admits: u64,
-    /// Entries evicted to make room under the byte budget.
-    pub evicts: u64,
-    /// Entries dropped or refreshed by stream-driven invalidation.
-    pub invalidations: u64,
-}
-
-// ===========================================================================
 // Hot cache store
 // ===========================================================================
 
@@ -268,8 +251,8 @@ pub struct HotCache {
     tail: usize,
     /// Bytes currently charged.
     bytes: usize,
-    /// Counter set.
-    pub stats: CacheStats,
+    /// The counted `cache.*` slots (`Bytes` is read by [`HotCache::stats`]).
+    stats: CounterSet<CacheStat>,
 }
 
 impl HotCache {
@@ -285,8 +268,15 @@ impl HotCache {
             head: NIL,
             tail: NIL,
             bytes: 0,
-            stats: CacheStats::default(),
+            stats: CounterSet::default(),
         }
+    }
+
+    /// The `cache.*` counters, with the resident footprint as `Bytes`.
+    pub fn stats(&self) -> CounterSet<CacheStat> {
+        let mut all = self.stats.clone();
+        all.add(CacheStat::Bytes, self.bytes as u64);
+        all
     }
 
     /// Bytes currently charged against the budget.
@@ -317,11 +307,11 @@ impl HotCache {
             Some(slot) => {
                 self.unlink(slot);
                 self.link_front(slot);
-                self.stats.hits += 1;
+                self.stats.inc(CacheStat::Hits);
                 Some(self.slots[slot].value.clone())
             }
             None => {
-                self.stats.misses += 1;
+                self.stats.inc(CacheStat::Misses);
                 None
             }
         }
@@ -390,7 +380,7 @@ impl HotCache {
         self.map.insert(key.to_vec(), slot);
         self.bytes += charged;
         self.link_front(slot);
-        self.stats.admits += 1;
+        self.stats.inc(CacheStat::Admits);
         self.evict_to_fit();
         true
     }
@@ -403,7 +393,7 @@ impl HotCache {
             self.slots[slot].value = Frame::new();
             self.slots[slot].key.clear();
             self.free.push(slot);
-            self.stats.invalidations += 1;
+            self.stats.inc(CacheStat::Invalidations);
             true
         } else {
             false
@@ -430,7 +420,7 @@ impl HotCache {
         e.value = value;
         e.version = version;
         e.charged = charged;
-        self.stats.invalidations += 1;
+        self.stats.inc(CacheStat::Invalidations);
         self.evict_to_fit();
         true
     }
@@ -482,7 +472,7 @@ impl HotCache {
             self.bytes -= self.slots[victim].charged;
             self.slots[victim].value = Frame::new();
             self.free.push(victim);
-            self.stats.evicts += 1;
+            self.stats.inc(CacheStat::Evicts);
         }
     }
 
@@ -602,8 +592,8 @@ pub struct SocFrontEnd {
     /// Send-ring pool the cookie-framed `FWD_CMD`s are built in.
     pool: FramePool,
     /// Replies for forwarded commands dropped because their cookie carried
-    /// a stale (pre-restart) epoch.
-    pub stat_fwd_stale_drops: u64,
+    /// a stale (pre-restart) epoch, as the `nic.*` slot `FwdStaleDrops`.
+    pub(crate) stats: CounterSet<NicStat>,
 }
 
 impl SocFrontEnd {
@@ -616,7 +606,7 @@ impl SocFrontEnd {
             pending: DetMap::new(),
             // Same sizing as the host's send ring: a 4 KiB value + headers.
             pool: FramePool::new(4096 + 64, 256),
-            stat_fwd_stale_drops: 0,
+            stats: CounterSet::default(),
         }
     }
 
@@ -679,7 +669,7 @@ impl SocFrontEnd {
             // post-restart sequence restarting at 1 would collide with
             // pre-crash cookies still in flight on the host, handing some
             // new client another command's reply.
-            self.stat_fwd_stale_drops += 1;
+            self.stats.inc(NicStat::FwdStaleDrops);
             return None;
         }
         let fwd = self.pending.remove(&cookie)?;
@@ -813,8 +803,16 @@ mod tests {
         let hit = fe.on_client_cmd(4, &command(&["get", "k"]));
         assert_eq!(hit, Dispatch::Hit(BULK.into()));
         assert!(fe.master_lost().is_empty(), "a hit forwards nothing");
-        let stats = fe.cache().expect("cache on").stats;
-        assert_eq!((stats.hits, stats.misses, stats.admits), (1, 1, 1));
+        let stats = fe.cache().expect("cache on").stats();
+        let get = |slot| stats.get(slot);
+        assert_eq!(
+            (
+                get(CacheStat::Hits),
+                get(CacheStat::Misses),
+                get(CacheStat::Admits)
+            ),
+            (1, 1, 1)
+        );
     }
 
     #[test]
@@ -823,7 +821,10 @@ mod tests {
         let (first, _) = forward(&mut fe, 3, &["GET", "k"]);
         let (second, _) = forward(&mut fe, 3, &["GET", "k"]);
         assert_eq!((first, second), (fwd_cookie(0, 1), fwd_cookie(0, 2)));
-        assert_eq!(fe.cache().expect("cache on").stats.misses, 2);
+        assert_eq!(
+            fe.cache().expect("cache on").stats().get(CacheStat::Misses),
+            2
+        );
         // Cache off, every command is a forward and nothing is counted.
         let mut off = SocFrontEnd::new(None);
         let (cookie, _) = forward(&mut off, 3, &["GET", "k"]);
@@ -854,8 +855,16 @@ mod tests {
         }
         // Not a command at all: the host's parser answers it.
         forward(&mut fe, 3, &[]);
-        let stats = fe.cache().expect("cache on").stats;
-        assert_eq!((stats.hits, stats.misses, stats.admits), (0, 1, 1));
+        let stats = fe.cache().expect("cache on").stats();
+        let get = |slot| stats.get(slot);
+        assert_eq!(
+            (
+                get(CacheStat::Hits),
+                get(CacheStat::Misses),
+                get(CacheStat::Admits)
+            ),
+            (0, 1, 1)
+        );
     }
 
     #[test]
@@ -902,7 +911,7 @@ mod tests {
             None,
             "no cookie"
         );
-        assert_eq!(fe.stat_fwd_stale_drops, 0);
+        assert_eq!(fe.stats.get(NicStat::FwdStaleDrops), 0);
     }
 
     #[test]
@@ -919,7 +928,7 @@ mod tests {
             None
         );
         assert_eq!(fe.on_fwd_reply(&fwd_reply(old, BULK), 7), None);
-        assert_eq!(fe.stat_fwd_stale_drops, 2);
+        assert_eq!(fe.stats.get(NicStat::FwdStaleDrops), 2);
         assert_eq!(
             fe.on_fwd_reply(&fwd_reply(new, BULK), 7),
             Some((5, BULK.into()))
@@ -1001,7 +1010,7 @@ mod tests {
             fe.on_fwd_reply(&fwd_reply(cookie, BULK), 7),
             Some((3, BULK.into()))
         );
-        assert_eq!(fe.stat_fwd_stale_drops, 0);
+        assert_eq!(fe.stats.get(NicStat::FwdStaleDrops), 0);
     }
 
     /// What is in flight from the host to the SoC, in link order.
@@ -1307,8 +1316,8 @@ mod tests {
         assert!(c.admit(b"a", frame(10), 1));
         assert!(c.admit(b"b", frame(10), 2));
         assert_eq!(c.get(b"a").map(|f| f.len()), Some(10));
-        assert_eq!(c.stats.hits, 1);
-        assert_eq!(c.stats.misses, 1);
+        assert_eq!(c.stats.get(CacheStat::Hits), 1);
+        assert_eq!(c.stats.get(CacheStat::Misses), 1);
         // `a` was touched last → MRU order is [a, b].
         assert_eq!(c.keys_mru(), vec![b"a".to_vec(), b"b".to_vec()]);
     }
@@ -1324,7 +1333,7 @@ mod tests {
         // Touch `a` so `b` is the LRU victim.
         assert!(c.get(b"a").is_some());
         assert!(c.admit(b"c", frame(36), 3));
-        assert_eq!(c.stats.evicts, 1);
+        assert_eq!(c.stats.get(CacheStat::Evicts), 1);
         assert!(c.get(b"b").is_none(), "LRU victim must be b");
         assert!(c.get(b"a").is_some());
         assert!(c.get(b"c").is_some());
@@ -1337,7 +1346,7 @@ mod tests {
         assert!(!c.admit(b"big", frame(200), 1));
         let mut z = HotCache::new(0, CachePolicyKind::Lru);
         assert!(!z.admit(b"any", frame(1), 1));
-        assert_eq!(z.stats.admits, 0);
+        assert_eq!(z.stats.get(CacheStat::Admits), 0);
     }
 
     #[test]
@@ -1378,7 +1387,7 @@ mod tests {
         assert!(!c.invalidate(b"k"));
         assert!(c.get(b"k").is_none());
         assert_eq!(c.bytes(), 0);
-        assert!(c.stats.invalidations >= 2);
+        assert!(c.stats.get(CacheStat::Invalidations) >= 2);
     }
 
     /// A cache holding `keys` (8-byte replies, version 1), and the seam
@@ -1420,7 +1429,7 @@ mod tests {
         assert_eq!(c.version_of(b"v"), Some(1), "APPEND's value is no key");
         write(&mut c, &["BITOP", "AND", "d", "a", "b"], 10);
         assert_eq!(resident(&c), vec![b"AND".to_vec(), b"v".to_vec()]);
-        assert_eq!(c.stats.invalidations, 4);
+        assert_eq!(c.stats.get(CacheStat::Invalidations), 4);
     }
 
     #[test]
@@ -1465,11 +1474,15 @@ mod tests {
         let mut c = HotCache::new(10_000, CachePolicyKind::TinyLfu);
         c.touch(b"a");
         assert!(c.admit(b"a", frame(8), 1));
-        let admits = c.stats.admits;
+        let admits = c.stats.get(CacheStat::Admits);
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.bytes(), 0);
-        assert_eq!(c.stats.admits, admits, "counters describe the run");
+        assert_eq!(
+            c.stats.get(CacheStat::Admits),
+            admits,
+            "counters describe the run"
+        );
         assert!(c.get(b"a").is_none());
     }
 

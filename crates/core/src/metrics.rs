@@ -2,7 +2,7 @@
 //! the report type every experiment prints. The report is the clients'
 //! summary only; counters leave a run through one export,
 //! [`Cluster::counters_snapshot`](crate::cluster::Cluster::counters_snapshot),
-//! under the [`catalog`] names.
+//! under the names the [`catalog`] families declare.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -10,110 +10,169 @@ use std::rc::Rc;
 use skv_simcore::stats::{Histogram, SeriesPoint, TimeSeries};
 use skv_simcore::{SimDuration, SimTime};
 
-/// Canonical counter catalog.
+/// Canonical counter catalog: every core counter family, each name
+/// written once, in its [`counter_slots!`](skv_simcore::counter_slots)
+/// declaration.
 ///
-/// `skv-analyze`'s `counter-drift` rule cross-checks the workspace against
-/// these lists: every `stat_*` field and every `"rdma.*"` fabric counter
-/// must appear here, and every entry here must still exist in the code —
-/// adding a counter without exporting it, or deleting one and leaving a
-/// stale name behind, fails the build's analysis gate. The runtime export
-/// is [`Cluster::counters_snapshot`](crate::cluster::Cluster::counters_snapshot),
-/// which dumps all of them keyed by subsystem.
+/// An owner holds a [`CounterSet`](skv_simcore::stats::CounterSet) of its
+/// family and counts into it by slot; families read at snapshot time
+/// (`store.*`, `shard.*`, `hist.*`) are sets the snapshot fills in.
+/// [`Cluster::counters_snapshot`](crate::cluster::Cluster::counters_snapshot)
+/// exports every name of every family, zero when never hit, plus the
+/// fabric's `rdma.*` ([`skv_netsim::FabricStat`]) and whichever `faults.*`
+/// / `tcp.*` the fabric wrote. The names are frozen: the benchmark, the
+/// ablations and the pinned determinism digests read them.
 pub mod catalog {
-    /// Host-KV server counters (`server.rs`), summed over master + slaves.
-    pub const SERVER_STATS: &[&str] = &[
-        "stat_commands",
-        "stat_rejected",
-        "stat_applied_bytes",
-        "stat_full_syncs",
-        "stat_partial_syncs",
-        "stat_reconnects",
-        "stat_conn_errors",
-        "stat_degradations",
-        "stat_doorbells",
-        "stat_wrs_posted",
-        "stat_deferred_replies",
-        "stat_released_replies",
-        "stat_mode_changes",
-    ];
-    /// Nic-KV fan-out and replication-mode counters (`nickv.rs`).
-    pub const NIC_STATS: &[&str] = &[
-        "stat_fanout_msgs",
-        "stat_fanout_sends",
-        "stat_doorbells",
-        "stat_wrs_posted",
-        "stat_probes",
-        "stat_failovers",
-        "stat_commits",
-        "stat_retransmits",
-        "stat_chain_repairs",
-        "stat_chain_rejoins",
-        "stat_mode_changes",
-        "stat_fwd_stale_drops",
-    ];
-    /// Bench-client counters (`client.rs`), summed over all clients.
-    pub const CLIENT_STATS: &[&str] = &[
-        "stat_issued",
-        "stat_replies",
-        "stat_reconnects",
-        "stat_dial_failures",
-    ];
-    /// Storage-engine counters (`skv-store`'s `Db`), summed over engines.
-    pub const STORE_STATS: &[&str] = &["stat_expired", "stat_hits", "stat_misses"];
-    /// Sharded-engine counters (`shard.rs` + the sharded `server.rs`
-    /// paths), kept under these exact names: commands executed per shard
-    /// (summed), cross-shard fragment handoffs, the deepest slave
-    /// parse→apply ring occupancy, and the NIC's per-shard replication
-    /// ingress. `shard.ops` counts at any shard count; the rest stay zero
-    /// when `num_shards = 1`.
-    pub const SHARD_COUNTERS: &[&str] = &[
-        "shard.cross_msgs",
-        "shard.nic_ingress",
-        "shard.ops",
-        "shard.queue_depth",
-    ];
-    /// NIC-resident hot-key GET cache counters (`hotcache.rs`, surfaced
-    /// through `nickv.rs`): request outcomes (`cache.hits` served from
-    /// the SoC, `cache.misses` forwarded to the host), admission-plane
-    /// decisions (`cache.admits`, `cache.evicts`), invalidations applied
-    /// off the replication stream, and the resident byte footprint at
-    /// run end. All stay zero when `hot_cache_bytes = 0`.
-    pub const CACHE_COUNTERS: &[&str] = &[
-        "cache.admits",
-        "cache.bytes",
-        "cache.evicts",
-        "cache.hits",
-        "cache.invalidations",
-        "cache.misses",
-    ];
-    /// History-recorder counters (`histcheck.rs` event logs produced by
-    /// the bench clients under `ClusterConfig::record_history`): total
-    /// recorded ops, the read/write split, and reads abandoned by a
-    /// dial-away (`hist.aborts` — excluded from the linearizability
-    /// search). All stay zero when recording is off.
-    pub const HIST_COUNTERS: &[&str] = &[
-        "hist.aborts",
-        "hist.ops",
-        "hist.reads",
-        "hist.writes",
-    ];
-    /// Fabric counters kept by `skv-netsim` under these exact names.
-    pub const RDMA_COUNTERS: &[&str] = &[
-        "rdma.access_errors",
-        "rdma.bytes",
-        "rdma.connections",
-        "rdma.cq_notifies",
-        "rdma.doorbells",
-        "rdma.drops",
-        "rdma.qp_errors",
-        "rdma.reads",
-        "rdma.rnr",
-        "rdma.sends",
-        "rdma.wcs_polled",
-        "rdma.write_imm",
-        "rdma.writes",
-        "rdma.wrs_posted",
-    ];
+    skv_simcore::counter_slots! {
+        /// Host-KV server counters (`server.rs`), summed over master +
+        /// slaves.
+        pub enum ServerStat {
+            /// Commands executed.
+            Commands => "server.stat_commands",
+            /// Write commands rejected due to `min-slaves` or lag.
+            Rejected => "server.stat_rejected",
+            /// Stream bytes applied (slave side).
+            AppliedBytes => "server.stat_applied_bytes",
+            /// Full syncs, counted at both ends: a master adds one per
+            /// snapshot it sends, a replica one per snapshot it loads, so
+            /// summed over a cluster every completed full sync reads two.
+            FullSyncs => "server.stat_full_syncs",
+            /// Partial syncs, counted at both ends like `FullSyncs`: one per
+            /// range a master sends, one per `PartialSyncBegin` a replica
+            /// receives.
+            PartialSyncs => "server.stat_partial_syncs",
+            /// Dial retries issued after connect failures.
+            Reconnects => "server.stat_reconnects",
+            /// Connections torn down after transport errors.
+            ConnErrors => "server.stat_conn_errors",
+            /// Times the master fell back to host-driven fan-out (SKV mode).
+            Degradations => "server.stat_degradations",
+            /// Doorbells the command path was charged for: one per reply,
+            /// one per replication fan-out however many slaves it reaches.
+            Doorbells => "server.stat_doorbells",
+            /// WRs the command path was charged for — batching amortizes
+            /// doorbells, never work requests.
+            WrsPosted => "server.stat_wrs_posted",
+            /// Client replies deferred behind replication commit
+            /// (quorum/chain).
+            DeferredReplies => "server.stat_deferred_replies",
+            /// Deferred replies released after a commit or census advance.
+            ReleasedReplies => "server.stat_released_replies",
+            /// Mode transitions applied from `NodeMsg::ModeChange`.
+            ModeChanges => "server.stat_mode_changes",
+        }
+
+        /// Nic-KV counters. Each part of the SoC counts its own slots in
+        /// a set of its own — the actor (fan-out, probes, failover,
+        /// retransmits, mode changes), its connection table (doorbells and
+        /// WRs), the [`Tracker`](crate::replmode::Tracker) (commits, chain
+        /// repair) and the [`SocFrontEnd`](crate::hotcache::SocFrontEnd)
+        /// (stale forwards) — and [`NicKv::stats`](crate::nickv::NicKv::stats)
+        /// sums them.
+        pub enum NicStat {
+            /// Replicated writes fanned out.
+            FanoutMsgs => "nic.stat_fanout_msgs",
+            /// Per-slave sends performed.
+            FanoutSends => "nic.stat_fanout_sends",
+            /// Doorbells rung by the replication fan-out: one per
+            /// replicated write, however many slaves it went to (plus one
+            /// per staged frame a handshake flush posted on its own).
+            Doorbells => "nic.stat_doorbells",
+            /// WRs posted by the replication fan-out (batching amortizes
+            /// doorbells, not work requests).
+            WrsPosted => "nic.stat_wrs_posted",
+            /// Probes sent.
+            Probes => "nic.stat_probes",
+            /// Master failovers performed.
+            Failovers => "nic.stat_failovers",
+            /// Tracked writes committed (quorum / chain).
+            Commits => "nic.stat_commits",
+            /// Quorum-mode retransmissions to re-registering slaves.
+            Retransmits => "nic.stat_retransmits",
+            /// Chain-repair actions: dead hops spliced out of in-flight
+            /// chains.
+            ChainRepairs => "nic.stat_chain_repairs",
+            /// Chain-rejoin actions: a re-registering slave spliced back
+            /// onto the tail of in-flight chains.
+            ChainRejoins => "nic.stat_chain_rejoins",
+            /// Mode transitions performed (degradations + re-promotions).
+            ModeChanges => "nic.stat_mode_changes",
+            /// Replies for forwarded commands dropped because their cookie
+            /// carried a stale (pre-restart) epoch.
+            FwdStaleDrops => "nic.stat_fwd_stale_drops",
+        }
+
+        /// Bench-client counters (`client.rs`), summed over all clients.
+        pub enum ClientStat {
+            /// Operations issued.
+            Issued => "client.stat_issued",
+            /// Replies received.
+            Replies => "client.stat_replies",
+            /// Connections abandoned and re-established after reply
+            /// timeouts.
+            Reconnects => "client.stat_reconnects",
+            /// Failed dial attempts (each one schedules a backed-off
+            /// redial).
+            DialFailures => "client.stat_dial_failures",
+        }
+
+        /// Storage-engine counters (`skv-store`'s `Db`), summed over
+        /// engines; read at snapshot time.
+        pub enum StoreStat {
+            /// Keys expired (lazy + active).
+            Expired => "store.stat_expired",
+            /// Read lookups that found their key.
+            Hits => "store.stat_hits",
+            /// Read lookups that did not.
+            Misses => "store.stat_misses",
+        }
+
+        /// Sharded-engine counters (`shard.rs` + the sharded `server.rs`
+        /// paths), read at snapshot time. `Ops` counts at any shard count;
+        /// the rest stay zero when `num_shards = 1`.
+        pub enum ShardStat {
+            /// Fragment handoffs between shards.
+            CrossMsgs => "shard.cross_msgs",
+            /// The NIC's per-shard replication ingress, summed.
+            NicIngress => "shard.nic_ingress",
+            /// Commands executed per shard, summed.
+            Ops => "shard.ops",
+            /// The deepest slave parse→apply ring occupancy of any server.
+            QueueDepth => "shard.queue_depth",
+        }
+
+        /// NIC-resident hot-key GET cache counters (`hotcache.rs`). All
+        /// stay zero when `hot_cache_bytes = 0`.
+        pub enum CacheStat {
+            /// Replies admitted into the cache.
+            Admits => "cache.admits",
+            /// Resident bytes at snapshot time (read, not counted).
+            Bytes => "cache.bytes",
+            /// Entries evicted to make room under the byte budget.
+            Evicts => "cache.evicts",
+            /// GETs answered straight from SoC memory.
+            Hits => "cache.hits",
+            /// Entries dropped or refreshed by stream-driven invalidation.
+            Invalidations => "cache.invalidations",
+            /// GETs that fell through to the host path.
+            Misses => "cache.misses",
+        }
+
+        /// History-recorder counters (`histcheck.rs` event logs produced
+        /// by the bench clients under `ClusterConfig::record_history`),
+        /// read at snapshot time. All stay zero when recording is off.
+        pub enum HistStat {
+            /// Reads abandoned by a dial-away (excluded from the
+            /// linearizability search).
+            Aborts => "hist.aborts",
+            /// Recorded ops.
+            Ops => "hist.ops",
+            /// Recorded reads.
+            Reads => "hist.reads",
+            /// Recorded writes.
+            Writes => "hist.writes",
+        }
+    }
 }
 
 /// Shared measurement sink written by client actors.

@@ -18,6 +18,7 @@
 //!   own CQ and its share of the client connections (DESIGN.md §16.1).
 
 use skv_netsim::{CqId, Frame, Net, NetEvent, NodeId, SocketAddr, WcOpcode, WcStatus};
+use skv_simcore::stats::CounterSet;
 use skv_simcore::{Actor, ActorId, Context, CorePool, Payload, SimDuration, SimTime};
 use skv_store::cmd;
 use skv_store::repl::ReplicationPosition;
@@ -29,6 +30,7 @@ use crate::config::ClusterConfig;
 use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain::{self, POLL_BUDGET};
 use crate::hotcache::{Dispatch, HotCache, SocFrontEnd};
+use crate::metrics::catalog::NicStat;
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::{quorum_slave_acks, ReplModeKind, Step, Tracker, REPL_WINDOW};
 use crate::replsink::parse_stream_frame;
@@ -125,14 +127,9 @@ pub struct NicKv {
     master_offset: u64,
     /// Last `(available, lagging)` pair pushed to the master.
     last_update_sent: Option<(u32, bool)>,
-    /// Statistics.
-    pub stat_fanout_msgs: u64,
-    /// Total per-slave sends performed.
-    pub stat_fanout_sends: u64,
-    /// Probes sent.
-    pub stat_probes: u64,
-    /// Failovers performed.
-    pub stat_failovers: u64,
+    /// This actor's `nic.*` counters (the rest are its parts'; see
+    /// [`NicKv::stats`]).
+    stats: CounterSet<NicStat>,
     /// Instants at which a node was declared failed (detection latency
     /// analysis for the `waiting-time` ablation).
     pub detections: Vec<(SimTime, SocketAddr)>,
@@ -147,14 +144,10 @@ pub struct NicKv {
     live: Vec<SocketAddr>,
     /// Highest commit offset pushed to the master via `WriteCommitted`.
     notified_upto: u64,
-    /// Quorum-mode retransmissions to re-registering slaves.
-    pub stat_retransmits: u64,
     /// Every mode transition `(instant, new mode)`, in order. The history
     /// checker cuts its linearizability claim at the first entry — the
     /// declared degradation point.
     pub mode_changes: Vec<(SimTime, ReplModeKind)>,
-    /// Mode transitions performed (degradations + re-promotions).
-    pub stat_mode_changes: u64,
     /// Highest simultaneously-valid slave count ever observed; degrading
     /// below quorum is only meaningful once a full quorum existed
     /// (otherwise cluster start-up would read as a partition).
@@ -204,18 +197,13 @@ impl NicKv {
             master_offset: 0,
             last_update_sent: None,
             cfg,
-            stat_fanout_msgs: 0,
-            stat_fanout_sends: 0,
-            stat_probes: 0,
-            stat_failovers: 0,
+            stats: CounterSet::default(),
             detections: Vec::new(),
             recoveries: Vec::new(),
             tracker,
             live: Vec::new(),
             notified_upto: 0,
-            stat_retransmits: 0,
             mode_changes: Vec::new(),
-            stat_mode_changes: 0,
             peak_slaves: 0,
             shard_ingress,
             front: SocFrontEnd::new(cache),
@@ -224,26 +212,23 @@ impl NicKv {
     }
 
     /// The tracked-replication state machine: the mode in force, the
-    /// commit frontier, in-flight writes and the `stat_commits` /
-    /// `stat_chain_*` counters.
+    /// commit frontier and in-flight writes.
     pub fn tracker(&self) -> &Tracker {
         &self.tracker
     }
 
-    /// Doorbells rung by the replication fan-out: one per replicated
-    /// write, however many slaves it went to.
-    pub fn stat_doorbells(&self) -> u64 {
-        self.conns.stat_doorbells
-    }
-
-    /// WRs posted by the replication fan-out (batching amortizes
-    /// doorbells, not work requests).
-    pub fn stat_wrs_posted(&self) -> u64 {
-        self.conns.stat_wrs_posted
+    /// Every `nic.*` counter: this actor's, its connection table's, the
+    /// tracker's and the front end's, summed.
+    pub fn stats(&self) -> CounterSet<NicStat> {
+        let mut all = self.stats.clone();
+        for part in [&self.conns.stats, &self.tracker.stats, &self.front.stats] {
+            all.merge(part);
+        }
+        all
     }
 
     /// The command front end: the hot cache and its counters, when one is
-    /// enabled, and `stat_fwd_stale_drops`.
+    /// enabled.
     pub fn front_end(&self) -> &SocFrontEnd {
         &self.front
     }
@@ -674,7 +659,7 @@ impl NicKv {
     /// modes hand the write to the tracker instead, which launches it
     /// under the mode's pattern or parks it behind a full window.
     fn fan_out(&mut self, ctx: &mut Context<'_>, frame: Frame) {
-        self.stat_fanout_msgs += 1;
+        self.stats.inc(NicStat::FanoutMsgs);
         let end_offset = parse_stream_frame(&frame).map(|(from_offset, body)| {
             self.observe_stream_command(from_offset, body);
             from_offset + body.len() as u64
@@ -694,7 +679,7 @@ impl NicKv {
     /// The async-stream send body: the request parse on thread 0, then
     /// the per-slave ARM work. Shared by the steady-state fast path and
     /// the degrade flush, which re-launches window-parked tracked frames
-    /// under async semantics (already counted in `stat_fanout_msgs`).
+    /// under async semantics (already counted in `NicStat::FanoutMsgs`).
     fn async_send(&mut self, ctx: &mut Context<'_>, frame: Frame) {
         self.cpu
             .run_on(0, ctx.now(), self.cfg.costs.nic_fanout_base);
@@ -744,7 +729,7 @@ impl NicKv {
     fn charge_fanout_thread(&mut self, now: SimTime) -> SimTime {
         let thread = self.fanout_cursor % self.cfg.effective_nic_threads();
         self.fanout_cursor += 1;
-        self.stat_fanout_sends += 1;
+        self.stats.inc(NicStat::FanoutSends);
         self.cpu
             .run_on(thread, now, self.cfg.costs.nic_per_slave)
             .finished
@@ -826,7 +811,7 @@ impl NicKv {
             return;
         };
         for seq in self.tracker.unacked_by(slave) {
-            self.stat_retransmits += 1;
+            self.stats.inc(NicStat::Retransmits);
             self.cpu.run_any(ctx.now(), self.cfg.costs.nic_per_slave);
             if let Some(frame) = self.tracker.frame_of(seq) {
                 self.post_stream(ctx, &[conn], &frame, Some(seq));
@@ -872,7 +857,7 @@ impl NicKv {
     /// window-parked frames are flushed through the async fast path so no
     /// write is lost in the transition.
     fn degrade_to_async(&mut self, ctx: &mut Context<'_>) {
-        self.stat_mode_changes += 1;
+        self.stats.inc(NicStat::ModeChanges);
         self.mode_changes.push((ctx.now(), ReplModeKind::Async));
         for frame in self.tracker.degrade(self.master_offset) {
             self.async_send(ctx, frame);
@@ -886,7 +871,7 @@ impl NicKv {
     /// fresh at the current stream frontier.
     fn promote_to_configured(&mut self, ctx: &mut Context<'_>) {
         self.tracker.promote(self.cfg.repl_mode, self.master_offset);
-        self.stat_mode_changes += 1;
+        self.stats.inc(NicStat::ModeChanges);
         self.mode_changes.push((ctx.now(), self.cfg.repl_mode));
         self.announce_mode(ctx);
         self.notify_committed(ctx);
@@ -946,7 +931,7 @@ impl NicKv {
         for (conn, addr) in targets {
             let cost = SimDuration::from_nanos(150);
             self.cpu.run_any(now, cost);
-            self.stat_probes += 1;
+            self.stats.inc(NicStat::Probes);
             if let Some(e) = self.entry_mut(addr) {
                 if e.pending_probe_since.is_none() {
                     e.pending_probe_since = Some(now);
@@ -975,7 +960,7 @@ impl NicKv {
             return;
         };
         self.promoted = Some(addr);
-        self.stat_failovers += 1;
+        self.stats.inc(NicStat::Failovers);
         let msg = NodeMsg::Promote.encode();
         self.send_on(ctx, conn, tag::NODE, msg);
     }

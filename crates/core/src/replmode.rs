@@ -35,6 +35,9 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use skv_netsim::{DetMap, Frame, QpId, SocketAddr};
+use skv_simcore::stats::CounterSet;
+
+use crate::metrics::catalog::NicStat;
 
 /// Which replication protocol the cluster runs. Carried by
 /// `ClusterConfig` and consulted by the master (`server.rs` reply
@@ -229,14 +232,11 @@ pub struct Tracker {
     steps: VecDeque<Step>,
     /// Scratch for the commit rule's offset list.
     held: Vec<u64>,
-    /// Tracked writes committed.
-    pub stat_commits: u64,
-    /// Chain-repair actions: dead hops spliced out of in-flight chains.
-    pub stat_chain_repairs: u64,
-    /// Chain-rejoin actions: a re-registering slave spliced back onto the
-    /// tail of in-flight chains (only the writes its cumulative offset
-    /// does not already cover — no overlapping window).
-    pub stat_chain_rejoins: u64,
+    /// Commits, chain repairs and chain rejoins, as `nic.*` slots. A
+    /// rejoin splices a re-registering slave back onto the tail of
+    /// in-flight chains (only the writes its cumulative offset does not
+    /// already cover — no overlapping window).
+    pub(crate) stats: CounterSet<NicStat>,
     /// Per-commit ack sets `(end_offset, acked slaves)`, when recording
     /// was requested (the quorum-intersection proptest reads these).
     pub committed_acks: Vec<(u64, Vec<SocketAddr>)>,
@@ -263,9 +263,7 @@ impl Tracker {
             committed_upto: 0,
             steps: VecDeque::new(),
             held: Vec::new(),
-            stat_commits: 0,
-            stat_chain_repairs: 0,
-            stat_chain_rejoins: 0,
+            stats: CounterSet::default(),
             committed_acks: Vec::new(),
             record_acks,
         }
@@ -375,7 +373,7 @@ impl Tracker {
         while p.hops.front().is_some_and(|next| !live.contains(next)) {
             p.hops.pop_front();
             p.hop_inflight = false;
-            self.stat_chain_repairs += 1;
+            self.stats.inc(NicStat::ChainRepairs);
         }
         if p.hops.is_empty() {
             self.check_commits(live);
@@ -413,7 +411,7 @@ impl Tracker {
                     } else {
                         p.hops.retain(|h| *h != slave);
                     }
-                    self.stat_chain_repairs += 1;
+                    self.stats.inc(NicStat::ChainRepairs);
                     advance = !p.hops.is_empty();
                 }
                 if advance {
@@ -488,7 +486,7 @@ impl Tracker {
                 break;
             };
             self.committed_upto = self.committed_upto.max(p.end_offset);
-            self.stat_commits += 1;
+            self.stats.inc(NicStat::Commits);
             if self.record_acks {
                 self.committed_acks.push((p.end_offset, p.acked));
             }
@@ -537,7 +535,7 @@ impl Tracker {
             }
         }
         if repaired {
-            self.stat_chain_repairs += 1;
+            self.stats.inc(NicStat::ChainRepairs);
         }
         for seq in advance {
             self.advance_chain(seq, live);
@@ -574,7 +572,7 @@ impl Tracker {
             spliced += 1;
         }
         if spliced > 0 {
-            self.stat_chain_rejoins += 1;
+            self.stats.inc(NicStat::ChainRejoins);
         }
         spliced
     }
@@ -738,7 +736,7 @@ mod tests {
         t.on_progress(slave(1), 100, &live);
         // A failed WR is no ack at all.
         t.on_wr_done(key(1, 3), false, &live);
-        assert_eq!((t.committed_upto(), t.stat_commits), (0, 0));
+        assert_eq!((t.committed_upto(), t.stats.get(NicStat::Commits)), (0, 0));
         assert!(steps(&mut t).is_empty());
         // The second distinct slave commits write 1, and write 2 behind it.
         t.on_wr_done(key(1, 2), true, &live);
@@ -753,7 +751,7 @@ mod tests {
         );
         // A straggler's ack for a committed write changes nothing.
         t.on_wr_done(key(2, 3), true, &live);
-        assert_eq!((t.stat_commits, steps(&mut t)), (2, vec![]));
+        assert_eq!((t.stats.get(NicStat::Commits), steps(&mut t)), (2, vec![]));
     }
 
     #[test]
@@ -813,7 +811,7 @@ mod tests {
         let live = [slave(1), slave(3)];
         t.repair(&live);
         assert_eq!(
-            (steps(&mut t), t.stat_chain_repairs),
+            (steps(&mut t), t.stats.get(NicStat::ChainRepairs)),
             (vec![Step::Hop { seq: 1 }], 1)
         );
         assert_eq!(t.hop_target(1, &live).map(|(s, _)| s), Some(slave(3)));
@@ -863,12 +861,12 @@ mod tests {
             [s1, rejoiner],
             "no duplicate hop for a double registration"
         );
-        assert_eq!(t.stat_chain_rejoins, 1);
+        assert_eq!(t.stats.get(NicStat::ChainRejoins), 1);
 
         // A second registration at a higher offset covers writes 1–2 and
         // adds nothing new.
         assert_eq!(t.rejoin(rejoiner, 250), 0);
-        assert_eq!(t.stat_chain_rejoins, 1);
+        assert_eq!(t.stats.get(NicStat::ChainRejoins), 1);
     }
 
     #[test]
@@ -888,7 +886,7 @@ mod tests {
         // Completions of the dropped writes find nothing to ack.
         t.on_wr_done(key(1, 1), true, &live);
         t.on_wr_done(key(1, 2), true, &live);
-        assert_eq!((t.stat_commits, steps(&mut t)), (0, vec![]));
+        assert_eq!((t.stats.get(NicStat::Commits), steps(&mut t)), (0, vec![]));
         // Re-promotion starts tracking afresh at the stream frontier.
         t.promote(ReplModeKind::Quorum, 450);
         assert_eq!((t.mode(), t.committed_upto()), (ReplModeKind::Quorum, 450));

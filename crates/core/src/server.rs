@@ -26,6 +26,7 @@
 //! re-requests synchronization from its last applied offset).
 
 use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, SocketAddr};
+use skv_simcore::stats::CounterSet;
 use skv_simcore::{
     Actor, ActorId, Context, CorePool, DetRng, FramePool, Payload, SimDuration, SimTime,
 };
@@ -40,6 +41,7 @@ use crate::config::{ClusterConfig, Mode};
 use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain::{self, ParkedCqs, POLL_BUDGET};
 use crate::hotcache::FWD_NO_ADMIT;
+use crate::metrics::catalog::ServerStat;
 use crate::protocol::{tag, NodeMsg};
 use crate::replmode::ReplModeKind;
 use crate::replsink::{Apply, ReplSink};
@@ -196,46 +198,17 @@ pub struct KvServer {
     /// simulation RNG in `on_start` (so actor start order matters, not OS
     /// state). Never absent — no unwrap on the command path.
     rng: DetRng,
-    /// Statistics: commands executed, replication frames sent, etc.
-    pub stat_commands: u64,
-    /// Write commands rejected due to `min-slaves` or lag.
-    pub stat_rejected: u64,
-    /// Stream bytes applied (slave side).
-    pub stat_applied_bytes: u64,
-    /// Full syncs, counted at both ends: a master adds one per snapshot it
-    /// sends, a replica one per snapshot it loads, so summed over a
-    /// cluster every completed full sync reads two.
-    pub stat_full_syncs: u64,
-    /// Partial syncs, counted at both ends like `stat_full_syncs`: one per
-    /// range a master sends, one per `PartialSyncBegin` a replica receives.
-    pub stat_partial_syncs: u64,
-    /// Dial retries issued after connect failures.
-    pub stat_reconnects: u64,
-    /// Connections torn down after transport errors.
-    pub stat_conn_errors: u64,
-    /// Times the master fell back to host-driven fan-out (SKV mode).
-    pub stat_degradations: u64,
-    /// Doorbells the command path was charged for: one per reply, one per
-    /// replication fan-out however many slaves it reaches.
-    pub stat_doorbells: u64,
-    /// WRs the command path was charged for — batching amortizes
-    /// doorbells, never work requests.
-    pub stat_wrs_posted: u64,
+    /// The `server.*` counters.
+    stats: CounterSet<ServerStat>,
     /// Master, deferred modes: replies held back for commit, FIFO by
     /// `end_offset` (the backlog only grows, so pushes are ordered).
     pending_replies: VecDeque<PendingReply>,
     /// Master, deferred modes: highest offset Nic-KV reported committed.
     commit_upto: u64,
-    /// Client replies deferred behind replication commit (quorum/chain).
-    pub stat_deferred_replies: u64,
-    /// Deferred replies released after a commit or census advance.
-    pub stat_released_replies: u64,
     /// The replication mode currently in force. Equals `cfg.repl_mode`
     /// unless a `NodeMsg::ModeChange` from Nic-KV moved it (the
     /// `mode_failover` degrade/re-promote path).
     active_mode: ReplModeKind,
-    /// Mode transitions applied from `NodeMsg::ModeChange`.
-    pub stat_mode_changes: u64,
     /// Send-ring pool for wire frames (TCP framing), replies and
     /// replication stream frames; shared by every channel this server owns.
     pool: FramePool,
@@ -283,25 +256,18 @@ impl KvServer {
             next_upstream_retry: SimTime::ZERO,
             rng: DetRng::new(seed ^ 0xD1CE),
             active_mode: cfg.repl_mode,
-            stat_mode_changes: 0,
             cfg,
-            stat_commands: 0,
-            stat_rejected: 0,
-            stat_applied_bytes: 0,
-            stat_full_syncs: 0,
-            stat_partial_syncs: 0,
-            stat_reconnects: 0,
-            stat_conn_errors: 0,
-            stat_degradations: 0,
-            stat_doorbells: 0,
-            stat_wrs_posted: 0,
+            stats: CounterSet::default(),
             pending_replies: VecDeque::new(),
             commit_upto: 0,
-            stat_deferred_replies: 0,
-            stat_released_replies: 0,
             pool,
             spare_frames: Vec::new(),
         }
+    }
+
+    /// The `server.*` counters.
+    pub fn stats(&self) -> &CounterSet<ServerStat> {
+        &self.stats
     }
 
     /// The send-ring pool (tests assert the steady-state hit rate here).
@@ -421,7 +387,7 @@ impl KvServer {
         if !self.conns.close(&self.net, conn) {
             return;
         }
-        self.stat_conn_errors += 1;
+        self.stats.inc(ServerStat::ConnErrors);
         match self.conns.kind(conn) {
             ConnKind::Nic if self.is_master() && self.cfg.mode == Mode::Skv => {
                 // The channel to Nic-KV died: fall back to host-driven
@@ -443,7 +409,7 @@ impl KvServer {
             return;
         }
         self.degraded = true;
-        self.stat_degradations += 1;
+        self.stats.inc(ServerStat::Degradations);
         self.degraded_periods.push((now, None));
         // Stop queueing frames on the dead NIC channel.
         if let Some(conn) = self.open_conn(ConnKind::Nic) {
@@ -589,14 +555,14 @@ impl KvServer {
         // min-slaves / lag write gating (paper §III-C, §III-D).
         let is_write_cmd = spec.is_some_and(CommandSpec::is_write);
         if is_write_cmd && self.write_gate_blocked() {
-            self.stat_rejected += 1;
+            self.stats.inc(ServerStat::Rejected);
             let reply = Resp::Error("NOREPLICAS Not enough good replicas to write".into());
             self.finish_command(ctx, conn, payload.len(), &reply, None, unrouted, fwd);
             return;
         }
 
         let (result, shard, hops) = self.shards.execute(Self::now_ms(ctx), spec, &args);
-        self.stat_commands += 1;
+        self.stats.inc(ServerStat::Commands);
         // A forwarded read of a TTL-bearing key goes back marked "do not
         // admit": the host owns expiry, so the host says so.
         let veto = fwd.is_some() && self.shards.vetoes_admission(spec, &args, shard);
@@ -707,7 +673,7 @@ impl KvServer {
         if let Some(cmd_bytes) = replicate {
             let span = self.source.feed(&cmd_bytes);
             if defer {
-                self.stat_deferred_replies += 1;
+                self.stats.inc(ServerStat::DeferredReplies);
                 self.pending_replies.push_back(PendingReply {
                     end_offset: span.end,
                     conn,
@@ -782,7 +748,7 @@ impl KvServer {
             });
         }
 
-        self.stat_wrs_posted += u64::from(wr_posts);
+        self.stats.add(ServerStat::WrsPosted, u64::from(wr_posts));
         let done = self.charge_posts(ctx.now(), shard, cost, doorbells);
         self.schedule_frames(ctx, done, frames);
     }
@@ -817,7 +783,7 @@ impl KvServer {
                 cost += self.cfg.costs.post_spike_cost;
             }
         }
-        self.stat_doorbells += u64::from(doorbells);
+        self.stats.add(ServerStat::Doorbells, u64::from(doorbells));
         self.cpu.run_on(core, now, cost).finished
     }
 
@@ -881,10 +847,10 @@ impl KvServer {
             if !self.conns.is_open(p.conn) {
                 continue; // client gave up waiting; nothing to deliver
             }
-            self.stat_released_replies += 1;
+            self.stats.inc(ServerStat::ReleasedReplies);
             let (post, wrs) = self.reply_post(p.payload.len());
             cost += post;
-            self.stat_wrs_posted += u64::from(wrs);
+            self.stats.add(ServerStat::WrsPosted, u64::from(wrs));
             doorbells += wrs;
             frames.push(OutFrame {
                 conn: p.conn,
@@ -934,7 +900,7 @@ impl KvServer {
     fn serve(&mut self, ctx: &mut Context<'_>, slave: SocketAddr, serve: Serve) {
         if let Serve::Partial { from, .. } = serve {
             // Fast path: partial resync needs no persist step.
-            self.stat_partial_syncs += 1;
+            self.stats.inc(ServerStat::PartialSyncs);
             let frames = self.source.partial_frames(from);
             return self.send_to_slave(ctx, slave, frames);
         }
@@ -1022,11 +988,11 @@ impl KvServer {
         let Ok(loaded) = self.shards.load(&snapshot, seed) else {
             // Corrupt snapshot (torn transfer): restart the sync from
             // scratch instead of taking the whole process down.
-            self.stat_conn_errors += 1;
+            self.stats.inc(ServerStat::ConnErrors);
             self.join_upstream(ctx);
             return;
         };
-        self.stat_full_syncs += 1;
+        self.stats.inc(ServerStat::FullSyncs);
         let cost = SimDuration::from_micros(100) + self.cfg.costs.load_per_key * loaded as u64;
         self.cpu.run_on(0, now, cost);
         self.drive_sink(ctx, |sink, apply| sink.adopt(now, start_offset, apply));
@@ -1050,7 +1016,7 @@ impl KvServer {
         let (now, now_ms) = (ctx.now(), Self::now_ms(ctx));
         let mut total_cost = SimDuration::ZERO;
         let ask = step(sink, &mut |args, used| {
-            self.stat_applied_bytes += used as u64;
+            self.stats.add(ServerStat::AppliedBytes, used as u64);
             let parse_cost = self.cfg.costs.cmd_per_kib.mul_f64(used as f64 / 1024.0);
             let apply_cost = self.cfg.costs.apply_base;
             if self.shards.num_shards() > 1 {
@@ -1125,7 +1091,7 @@ impl KvServer {
                 if let Some(sink) = self.sink.as_mut() {
                     sink.on_partial_sync_begin();
                 }
-                self.stat_partial_syncs += 1;
+                self.stats.inc(ServerStat::PartialSyncs);
             }
             NodeMsg::ProgressReport { slave, offset } => {
                 let open = self.open_conn(ConnKind::Slave(slave)).is_some();
@@ -1192,7 +1158,7 @@ impl KvServer {
                 // cannot flip a fixed-mode cluster.
                 if self.cfg.mode_failover && self.is_master() && mode != self.active_mode {
                     self.active_mode = mode;
-                    self.stat_mode_changes += 1;
+                    self.stats.inc(ServerStat::ModeChanges);
                     if !mode.defers_replies() {
                         // Degraded to async: every held reply releases
                         // under the weaker (immediate-ack) contract.
@@ -1437,13 +1403,13 @@ impl Actor for KvServer {
                         snapshot,
                         start_offset,
                     } => {
-                        self.stat_full_syncs += 1;
+                        self.stats.inc(ServerStat::FullSyncs);
                         let frames = self.source.on_persist_done(start_offset, snapshot);
                         self.send_to_slave(ctx, slave, frames);
                     }
                     ServerMsg::Redial { to } => {
                         if self.intents.contains_key(&to) {
-                            self.stat_reconnects += 1;
+                            self.stats.inc(ServerStat::Reconnects);
                             self.connect_to(ctx, to);
                         }
                     }

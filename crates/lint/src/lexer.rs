@@ -11,7 +11,7 @@
 //! * the text and offset of a genuine `//` line comment, for directive
 //!   parsing (`// skv-lint: allow(...)`);
 //! * the contents of string literals that start on the line, for the
-//!   drift rules that reason about counter-name literals;
+//!   drift rules that read names from literals (`cmd-drift`'s table rows);
 //! * whether the line sits inside a `#[cfg(test)]` item, determined by
 //!   token-level brace tracking on the blanked code (braces inside
 //!   strings or comments can no longer desynchronise the tracker).
@@ -91,7 +91,7 @@ pub fn lex(source: &str) -> Vec<LexedLine> {
         // The string literal currently being captured (may span lines;
         // continuation lines append to the *starting* line's capture
         // only if it closes there — cross-line bodies are rare and the
-        // drift rules only need single-line counter names).
+        // drift rules only need single-line names).
         let mut capture = String::new();
         let mut i = 0;
         while i < bytes.len() {

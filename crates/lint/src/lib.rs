@@ -33,10 +33,7 @@
 //!   u8/u16/u32` casts in the frame codecs; use `try_from`),
 //!   `index-unchecked` (no unchecked range indexing in the codecs; use
 //!   `get(..)`), `unwrap` (no `.unwrap()`/`.expect(` on hot paths).
-//! * **Drift detection** — `counter-drift` (every `stat_*` field and
-//!   `"rdma.*"` counter literal must be listed in `metrics::catalog`,
-//!   and no catalog entry may outlive its counter), `config-drift`
-//!   (every `ClusterConfig`/`NetParams` knob must be referenced by an
+//! * **Drift detection** — `config-drift` (every `ClusterConfig`/`NetParams` knob must be referenced by an
 //!   experiment arm, an example or a benchmark workload, or carry a
 //!   reasoned allow), `knob-budget` (neither struct may grow past its
 //!   field budget: a change adds a knob only by retiring one; DESIGN.md
@@ -136,7 +133,7 @@ pub struct RuleInfo {
 }
 
 /// The full rule registry.
-pub const RULES: [RuleInfo; 18] = [
+pub const RULES: [RuleInfo; 17] = [
     RuleInfo {
         name: "hashmap",
         severity: Severity::Error,
@@ -202,12 +199,6 @@ pub const RULES: [RuleInfo; 18] = [
         severity: Severity::Error,
         summary: "unchecked range indexing in a frame codec; use get(..)",
         scope: "wire-format files (protocol.rs, channel.rs, netsim rdma.rs)",
-    },
-    RuleInfo {
-        name: "counter-drift",
-        severity: Severity::Error,
-        summary: "counter not listed in metrics::catalog, or stale catalog entry",
-        scope: "workspace-wide (catalog in core metrics.rs)",
     },
     RuleInfo {
         name: "config-drift",
@@ -336,9 +327,6 @@ const IO_FREE_FILES: [&str; 5] = [
     "crates/core/src/shard.rs",
 ];
 
-/// Where the counter catalog lives (rule `counter-drift`).
-const METRICS_FILE: &str = "crates/core/src/metrics.rs";
-
 /// Config structs whose public fields are drift-checked knobs, each with
 /// the most fields it may have (rule `knob-budget`).
 const CONFIG_STRUCTS: [(&str, &str, usize); 2] = [
@@ -354,7 +342,7 @@ const FILE_BUDGET: usize = 800;
 /// Files still over [`FILE_BUDGET`], each capped at its size when the rule
 /// landed. A ceiling only ever goes down, and a file under the budget
 /// leaves this list.
-const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 1107)];
+const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 1088)];
 
 /// The most non-test code lines `rel` may have, if it is budgeted.
 fn line_budget(rel: &str) -> Option<usize> {
@@ -852,12 +840,6 @@ fn suppress(allows: &mut [Allow], line: usize, rule: &str) -> bool {
 /// Cross-file facts gathered while scanning one file.
 #[derive(Debug, Default)]
 struct Facts {
-    /// `stat_*` identifiers seen in code: (line, name, is-definition).
-    counter_mentions: Vec<(usize, String, bool)>,
-    /// `"rdma.*"` / `"shard.*"` counter literals seen in strings: (line, name).
-    rdma_mentions: Vec<(usize, String)>,
-    /// Catalog entries (metrics.rs only): (line, name).
-    catalog: Vec<(usize, String)>,
     /// Public config-struct fields (config.rs / params.rs): (line, name).
     knob_defs: Vec<(usize, String)>,
     /// All identifiers in the experiment/ablation reference corpus.
@@ -918,39 +900,6 @@ fn collect_pub_fields(lines: &[LexedLine], struct_name: &str) -> Vec<(usize, Str
         }
     }
     out
-}
-
-fn counter_literal_rdma(s: &str) -> bool {
-    s.strip_prefix("rdma.").is_some_and(|rest| {
-        !rest.is_empty() && rest.chars().all(|c| c.is_ascii_lowercase() || c == '_')
-    })
-}
-
-fn counter_literal_stat(s: &str) -> bool {
-    s.strip_prefix("stat_").is_some_and(|rest| {
-        !rest.is_empty()
-            && rest
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-    })
-}
-
-fn counter_literal_shard(s: &str) -> bool {
-    s.strip_prefix("shard.").is_some_and(|rest| {
-        !rest.is_empty() && rest.chars().all(|c| c.is_ascii_lowercase() || c == '_')
-    })
-}
-
-fn counter_literal_cache(s: &str) -> bool {
-    s.strip_prefix("cache.").is_some_and(|rest| {
-        !rest.is_empty() && rest.chars().all(|c| c.is_ascii_lowercase() || c == '_')
-    })
-}
-
-fn counter_literal_hist(s: &str) -> bool {
-    s.strip_prefix("hist.").is_some_and(|rest| {
-        !rest.is_empty() && rest.chars().all(|c| c.is_ascii_lowercase() || c == '_')
-    })
 }
 
 fn analyze_file(rel: &str, contents: &str) -> FileAnalysis {
@@ -1042,45 +991,6 @@ fn analyze_file(rel: &str, contents: &str) -> FileAnalysis {
     }
 
     // --- cross-file facts ---------------------------------------------
-    // The analyzer's own sources talk *about* counters; exempt them so
-    // the drift rules reason only over the simulator and its harnesses.
-    let in_drift_corpus = !rel.starts_with("crates/lint/");
-    let is_metrics = rel == METRICS_FILE;
-    for (idx, l) in lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        if is_metrics {
-            for s in &l.strings {
-                if counter_literal_rdma(s)
-                    || counter_literal_stat(s)
-                    || counter_literal_shard(s)
-                    || counter_literal_cache(s)
-                    || counter_literal_hist(s)
-                {
-                    facts.catalog.push((idx + 1, s.clone()));
-                }
-            }
-        } else if in_drift_corpus {
-            for (off, id) in idents(&l.code) {
-                if id.starts_with("stat_") && id.len() > 5 {
-                    let is_def = l.code[..off].trim_end().ends_with("pub");
-                    facts
-                        .counter_mentions
-                        .push((idx + 1, id.to_string(), is_def));
-                }
-            }
-            for s in &l.strings {
-                if counter_literal_rdma(s)
-                    || counter_literal_shard(s)
-                    || counter_literal_cache(s)
-                    || counter_literal_hist(s)
-                {
-                    facts.rdma_mentions.push((idx + 1, s.clone()));
-                }
-            }
-        }
-    }
     if rel == CMD_TABLE_FILE {
         let rows = lines
             .iter()
@@ -1143,7 +1053,7 @@ fn analyze_file(rel: &str, contents: &str) -> FileAnalysis {
 
 /// Scan one file's contents with the file-scoped rules; `rel` is the
 /// workspace-relative path used for scoping and diagnostics. Cross-file
-/// rules (`counter-drift`, `config-drift`, `cmd-drift`, `allow-unused`) need the
+/// rules (`config-drift`, `cmd-drift`, `allow-unused`) need the
 /// whole workspace and only fire from [`analyze_workspace`].
 pub fn check_source(rel: &str, contents: &str) -> Vec<Violation> {
     analyze_file(rel, contents).violations
@@ -1241,37 +1151,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
 
     let mut violations: Vec<Violation> = Vec::new();
 
-    // --- counter-drift -------------------------------------------------
-    let catalog: BTreeMap<String, (String, usize)> = per_file
-        .iter()
-        .flat_map(|(rel, fa)| {
-            fa.facts
-                .catalog
-                .iter()
-                .map(move |(line, name)| (name.clone(), (rel.clone(), *line)))
-        })
-        .collect();
-    // Definition (or first-mention) site per counter name.
-    let mut counter_sites: BTreeMap<String, (String, usize, bool)> = BTreeMap::new();
-    for (rel, fa) in &per_file {
-        for (line, name, is_def) in &fa.facts.counter_mentions {
-            let entry = counter_sites
-                .entry(name.clone())
-                .or_insert_with(|| (rel.clone(), *line, *is_def));
-            if *is_def && !entry.2 {
-                *entry = (rel.clone(), *line, true);
-            }
-        }
-        for (line, name) in &fa.facts.rdma_mentions {
-            let preferred = rel.starts_with("crates/netsim/");
-            let entry = counter_sites
-                .entry(name.clone())
-                .or_insert_with(|| (rel.clone(), *line, preferred));
-            if preferred && !entry.2 {
-                *entry = (rel.clone(), *line, true);
-            }
-        }
-    }
     fn allows_of<'a>(
         per_file: &'a mut [(String, FileAnalysis)],
         file: &str,
@@ -1280,42 +1159,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
             .iter_mut()
             .find(|(rel, _)| rel == file)
             .map(|(_, fa)| &mut fa.allows)
-    }
-    for (name, (file, line, _)) in &counter_sites {
-        if catalog.contains_key(name) {
-            continue;
-        }
-        let suppressed = allows_of(&mut per_file, file)
-            .is_some_and(|allows| suppress(allows, *line, "counter-drift"));
-        if !suppressed {
-            violations.push(Violation {
-                file: file.clone(),
-                line: *line,
-                rule: "counter-drift",
-                message: format!(
-                    "counter `{name}` is not listed in metrics::catalog; export it \
-                     (or the drift check cannot see regressions in it)"
-                ),
-            });
-        }
-    }
-    for (name, (file, line)) in &catalog {
-        if counter_sites.contains_key(name) {
-            continue;
-        }
-        let suppressed = allows_of(&mut per_file, file)
-            .is_some_and(|allows| suppress(allows, *line, "counter-drift"));
-        if !suppressed {
-            violations.push(Violation {
-                file: file.clone(),
-                line: *line,
-                rule: "counter-drift",
-                message: format!(
-                    "catalog entry `{name}` matches no counter in the workspace; \
-                     remove the stale entry"
-                ),
-            });
-        }
     }
 
     // --- config-drift --------------------------------------------------
@@ -1826,25 +1669,6 @@ use skv_store::engine::Engine;
         let fields = collect_pub_fields(&lines, "NetParams");
         let names: Vec<_> = fields.iter().map(|(_, n)| n.as_str()).collect();
         assert_eq!(names, vec!["bandwidth_bps", "nested"]);
-    }
-
-    #[test]
-    fn counter_literals() {
-        assert!(counter_literal_rdma("rdma.doorbells"));
-        assert!(!counter_literal_rdma("rdma."));
-        assert!(!counter_literal_rdma("rdma.Doorbells"));
-        assert!(!counter_literal_rdma("faults.tcp_retrans"));
-        assert!(counter_literal_stat("stat_commands"));
-        assert!(!counter_literal_stat("stat_"));
-        assert!(counter_literal_shard("shard.cross_msgs"));
-        assert!(!counter_literal_shard("shard."));
-        assert!(!counter_literal_shard("shard.Ops"));
-        assert!(counter_literal_cache("cache.hits"));
-        assert!(!counter_literal_cache("cache."));
-        assert!(!counter_literal_cache("cache.Hits"));
-        assert!(counter_literal_hist("hist.aborts"));
-        assert!(!counter_literal_hist("hist."));
-        assert!(!counter_literal_hist("hist.Ops"));
     }
 
     #[test]

@@ -22,10 +22,10 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use skv_simcore::stats::Counters;
+use skv_simcore::stats::{CounterSet, Counters};
 use skv_simcore::{Actor, ActorId, Context, DetRng, Payload, SimDuration, SimTime, Simulation};
 
-use crate::counters::{FabricCounters, Slot};
+use crate::counters::FabricStat;
 use crate::det::DetMap;
 use crate::faults::{FaultPlan, Verdict};
 use crate::params::NetParams;
@@ -158,7 +158,7 @@ pub(crate) struct NetInner {
     pub(crate) cqs: Vec<CqState>,
     pub(crate) mrs: Vec<MrState>,
     pub(crate) next_ephemeral: u16,
-    pub(crate) counters: FabricCounters,
+    pub(crate) counters: CounterSet<FabricStat>,
     /// Installed fault schedule (empty plan = nothing goes wrong).
     pub(crate) faults: FaultPlan,
     /// RNG dedicated to fault verdicts, reseeded when a plan is installed.
@@ -183,7 +183,7 @@ impl NetInner {
             cqs: Vec::new(),
             mrs: Vec::new(),
             next_ephemeral: 50_000,
-            counters: FabricCounters::default(),
+            counters: CounterSet::default(),
             faults: FaultPlan::new(0),
             fault_rng: DetRng::new(0),
             parked: Parked::default(),
@@ -254,7 +254,7 @@ impl NetInner {
         let state = &mut self.cqs[cq.0 as usize];
         state.armed = false;
         let owner = state.owner;
-        self.counters.inc(Slot::RdmaCqNotifies);
+        self.counters.inc(FabricStat::RdmaCqNotifies);
         ctx.handoff(owner, NetEvent::CqNotify { cq });
     }
 }
@@ -315,9 +315,12 @@ impl Net {
         self.inner.borrow_mut().node_up[node.0 as usize] = up;
     }
 
-    /// Snapshot of fabric counters (messages, bytes, drops, RNRs, faults).
+    /// Snapshot of the fabric counters written so far (messages, bytes,
+    /// drops, RNRs, faults), under their [`FabricStat`] names.
     pub fn counters(&self) -> Counters {
-        self.inner.borrow().counters.snapshot()
+        let mut out = Counters::new();
+        self.inner.borrow().counters.export_written(&mut out);
+        out
     }
 
     /// Wire records in flight right now: posted or scheduled, not yet

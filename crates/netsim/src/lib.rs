@@ -31,6 +31,7 @@ mod tcp;
 mod topology;
 mod types;
 
+pub use counters::FabricStat;
 pub use det::{DetMap, DetSet};
 pub use fabric::{Net, RNR_WR_ID};
 pub use faults::{FaultPlan, LinkFault, Partition, TimeWindow, Verdict};

@@ -48,7 +48,7 @@
 
 use skv_simcore::{ActorId, Context, Frame, SimDuration};
 
-use crate::counters::Slot;
+use crate::counters::FabricStat;
 use crate::fabric::{CmRequest, CqState, FabricMsg, MrState, Net, NetInner, QpState, RNR_WR_ID};
 use crate::faults::Verdict;
 use crate::types::*;
@@ -185,7 +185,7 @@ impl Net {
         let judged = inner.judge(ctx.now(), from_node, to.node);
         if !reachable || judged == Verdict::Drop {
             if reachable {
-                inner.counters.inc(Slot::FaultsCmDropped);
+                inner.counters.inc(FabricStat::FaultsCmDropped);
             }
             ctx.send_in(half * 2, from_actor, NetEvent::CmConnectFailed { to });
             return;
@@ -245,7 +245,7 @@ impl Net {
             error: false,
         });
         inner.qps[initiator_qp.0 as usize].peer = Some(acceptor_qp);
-        inner.counters.inc(Slot::RdmaConnections);
+        inner.counters.inc(FabricStat::RdmaConnections);
 
         let established = ctx.now() + half;
         inner.launch(
@@ -308,7 +308,7 @@ impl Net {
     pub fn post_send(&self, ctx: &mut Context<'_>, qp: QpId, wr: SendWr) -> Result<(), PostError> {
         let mut inner = self.inner.borrow_mut();
         post_one(&mut inner, ctx, qp, wr)?;
-        inner.counters.inc(Slot::RdmaDoorbells);
+        inner.counters.inc(FabricStat::RdmaDoorbells);
         Ok(())
     }
 
@@ -336,7 +336,7 @@ impl Net {
             outcomes.push(post_one(&mut inner, ctx, qp, wr));
         }
         if outcomes.iter().any(Result::is_ok) {
-            inner.counters.inc(Slot::RdmaDoorbells);
+            inner.counters.inc(FabricStat::RdmaDoorbells);
         }
     }
 
@@ -354,7 +354,7 @@ impl Net {
         let q = &mut inner.cqs[cq.0 as usize].queue;
         let polled = q.len().min(max);
         out.extend(q.drain(..polled));
-        inner.counters.add(Slot::RdmaWcsPolled, polled as u64);
+        inner.counters.add(FabricStat::RdmaWcsPolled, polled as u64);
         polled
     }
 
@@ -437,14 +437,16 @@ fn post_one(
         _ => wr.data.len().max(32),
     };
     let counter = match &wr.op {
-        SendOp::Send => Slot::RdmaSends,
-        SendOp::Write { .. } => Slot::RdmaWrites,
-        SendOp::WriteImm { .. } => Slot::RdmaWriteImm,
-        SendOp::Read { .. } => Slot::RdmaReads,
+        SendOp::Send => FabricStat::RdmaSends,
+        SendOp::Write { .. } => FabricStat::RdmaWrites,
+        SendOp::WriteImm { .. } => FabricStat::RdmaWriteImm,
+        SendOp::Read { .. } => FabricStat::RdmaReads,
     };
     inner.counters.inc(counter);
-    inner.counters.inc(Slot::RdmaWrsPosted);
-    inner.counters.add(Slot::RdmaBytes, wr.data.len() as u64);
+    inner.counters.inc(FabricStat::RdmaWrsPosted);
+    inner
+        .counters
+        .add(FabricStat::RdmaBytes, wr.data.len() as u64);
 
     let dma = inner.params.dma_delay;
     let mut extra = SimDuration::ZERO;
@@ -453,8 +455,8 @@ fn post_one(
         Verdict::Drop => {
             // RC retransmits exhaust: the WR completes with an error
             // after the retry budget and the QP enters the error state.
-            inner.counters.inc(Slot::FaultsRdmaDropped);
-            inner.counters.inc(Slot::RdmaQpErrors);
+            inner.counters.inc(FabricStat::FaultsRdmaDropped);
+            inner.counters.inc(FabricStat::RdmaQpErrors);
             inner.qps[qp.0 as usize].error = true;
             let wc = Wc {
                 wr_id: wr.wr_id,
@@ -470,7 +472,7 @@ fn post_one(
             return Ok(());
         }
         Verdict::Delay(d) => {
-            inner.counters.inc(Slot::FaultsRdmaDelayed);
+            inner.counters.inc(FabricStat::FaultsRdmaDelayed);
             extra = d;
         }
     }
@@ -526,9 +528,9 @@ pub(crate) fn handle_arrival(
     // NAKs the sender into retry exhaustion: error completion + the
     // sender's QP enters the error state.
     if !dst_open || !dst_up || dst_err {
-        net.counters.inc(Slot::RdmaDrops);
+        net.counters.inc(FabricStat::RdmaDrops);
         if !net.qps[src_qp.0 as usize].error {
-            net.counters.inc(Slot::RdmaQpErrors);
+            net.counters.inc(FabricStat::RdmaQpErrors);
             net.qps[src_qp.0 as usize].error = true;
         }
         let wc = sender_wc(WcStatus::RemoteUnreachable);
@@ -620,7 +622,7 @@ pub(crate) fn handle_arrival(
                 .and_then(|end| mr.buf.as_ref()?.get(remote_offset..end))
                 .map(Frame::copy_from_slice);
             let Some(payload) = payload else {
-                net.counters.inc(Slot::RdmaAccessErrors);
+                net.counters.inc(FabricStat::RdmaAccessErrors);
                 let wc = Wc {
                     byte_len: 0,
                     mr_offset: remote_offset,
@@ -676,7 +678,7 @@ fn sender_opcode(op: &SendOp) -> WcOpcode {
 fn pop_recv(net: &mut NetInner, qp: QpId) -> Option<u64> {
     let popped = net.qps[qp.0 as usize].recv_queue.pop_front();
     if popped.is_none() {
-        net.counters.inc(Slot::RdmaRnr);
+        net.counters.inc(FabricStat::RdmaRnr);
     }
     popped
 }
@@ -707,7 +709,7 @@ fn write_mr(net: &mut NetInner, dst_node: NodeId, mr: MrId, offset: usize, data:
             .is_some(),
     };
     if !wrote {
-        net.counters.inc(Slot::RdmaAccessErrors);
+        net.counters.inc(FabricStat::RdmaAccessErrors);
     }
     wrote
 }

@@ -15,7 +15,7 @@
 
 use skv_simcore::{ActorId, Context, Frame, SimDuration};
 
-use crate::counters::Slot;
+use crate::counters::FabricStat;
 use crate::fabric::{Net, TcpConnState};
 use crate::faults::Verdict;
 use crate::types::{next_id, NetEvent, NodeId, SocketAddr, TcpConnId};
@@ -56,7 +56,7 @@ impl Net {
             Some(l) if reachable && judged != Verdict::Drop => l,
             _ => {
                 if reachable {
-                    inner.counters.inc(Slot::FaultsTcpConnectDropped);
+                    inner.counters.inc(FabricStat::FaultsTcpConnectDropped);
                 }
                 ctx.send_in(handshake, from_actor, NetEvent::TcpConnectFailed { to });
                 return;
@@ -83,7 +83,7 @@ impl Net {
             open: true,
         });
         inner.tcp_conns[client_id.0 as usize].peer = Some(server_id);
-        inner.counters.inc(Slot::TcpConnects);
+        inner.counters.inc(FabricStat::TcpConnects);
 
         ctx.send_in(
             handshake,
@@ -122,7 +122,7 @@ impl Net {
             (p.node, p.actor, p.open)
         };
         if !dst_open || !inner.up(src) || !inner.up(dst_node) {
-            inner.counters.inc(Slot::TcpDrops);
+            inner.counters.inc(FabricStat::TcpDrops);
             return;
         }
         let n = bytes.len();
@@ -133,11 +133,11 @@ impl Net {
         let fault_delay = match inner.judge(ctx.now(), src, dst_node) {
             Verdict::Deliver => SimDuration::ZERO,
             Verdict::Drop => {
-                inner.counters.inc(Slot::FaultsTcpRetrans);
+                inner.counters.inc(FabricStat::FaultsTcpRetrans);
                 TCP_RTO
             }
             Verdict::Delay(d) => {
-                inner.counters.inc(Slot::FaultsTcpDelayed);
+                inner.counters.inc(FabricStat::FaultsTcpDelayed);
                 d
             }
         };
@@ -148,8 +148,8 @@ impl Net {
         let peer = &mut inner.tcp_conns[peer_id.0 as usize];
         deliver_at = deliver_at.max(peer.next_delivery);
         peer.next_delivery = deliver_at;
-        inner.counters.inc(Slot::TcpMessages);
-        inner.counters.add(Slot::TcpBytes, n as u64);
+        inner.counters.inc(FabricStat::TcpMessages);
+        inner.counters.add(FabricStat::TcpBytes, n as u64);
 
         ctx.send_at(
             deliver_at,

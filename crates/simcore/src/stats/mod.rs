@@ -1,9 +1,11 @@
 //! Measurement utilities: histograms, time series, and counters.
 
 mod histogram;
+mod slots;
 mod timeseries;
 
 pub use histogram::Histogram;
+pub use slots::{CounterSet, CounterSlot};
 pub use timeseries::{SeriesPoint, TimeSeries};
 
 use std::collections::BTreeMap;

@@ -7,6 +7,7 @@
 
 use skv_core::cluster::{Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
+use skv_core::metrics::catalog::{NicStat, ServerStat};
 use skv_simcore::SimDuration;
 
 fn main() {
@@ -42,20 +43,25 @@ fn main() {
 
     // 4. Inspect the distributed state.
     let master = cluster.master_server();
-    println!("\nmaster executed {} commands", master.stat_commands);
+    println!(
+        "\nmaster executed {} commands",
+        master.stats().get(ServerStat::Commands)
+    );
     println!("master replication offset: {} bytes", master.repl_offset());
     for i in 0..cluster.slaves.len() {
         let s = cluster.slave_server(i);
         println!(
             "slave {i}: synced={} applied {} stream bytes",
             s.is_synced_slave(),
-            s.stat_applied_bytes
+            s.stats().get(ServerStat::AppliedBytes)
         );
     }
     if let Some(nic) = cluster.nic_kv() {
         println!(
             "Nic-KV: {} replication requests fanned out as {} sends, {} probes",
-            nic.stat_fanout_msgs, nic.stat_fanout_sends, nic.stat_probes
+            nic.stats().get(NicStat::FanoutMsgs),
+            nic.stats().get(NicStat::FanoutSends),
+            nic.stats().get(NicStat::Probes)
         );
     }
 

@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use skv_core::cluster::{ChaosSpec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
+use skv_core::metrics::catalog::{NicStat, ServerStat};
 use skv_simcore::{SimDuration, SimTime};
 
 /// Compressed-time SKV spec, same scale trick as `failure.rs`.
@@ -78,7 +79,7 @@ fn partition_heals_and_replicas_converge() {
     let resyncs: u64 = (0..2)
         .map(|i| {
             let s = cluster.slave_server(i);
-            s.stat_full_syncs + s.stat_partial_syncs
+            s.stats().get(ServerStat::FullSyncs) + s.stats().get(ServerStat::PartialSyncs)
         })
         .sum();
     assert!(resyncs >= 3, "expected post-heal resyncs, got {resyncs}");
@@ -132,7 +133,11 @@ fn nic_crash_degrades_master_but_writes_continue() {
         cluster.master_server().is_degraded(),
         "master must detect SoC death and degrade"
     );
-    let fanout_before = cluster.nic_kv().expect("nic").stat_fanout_msgs;
+    let fanout_before = cluster
+        .nic_kv()
+        .expect("nic")
+        .stats()
+        .get(NicStat::FanoutMsgs);
     let hub = cluster.metrics.borrow();
     let degraded_ops = hub
         .completions
@@ -145,7 +150,7 @@ fn nic_crash_degrades_master_but_writes_continue() {
 
     run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
     let master = cluster.master_server();
-    assert_eq!(master.stat_degradations, 1);
+    assert_eq!(master.stats().get(ServerStat::Degradations), 1);
     assert!(
         !master.is_degraded(),
         "master must re-offload after recovery"
@@ -153,7 +158,11 @@ fn nic_crash_degrades_master_but_writes_continue() {
     let (entered, exited) = *master.degraded_periods.last().expect("one period");
     assert!(entered >= crash_at && exited.expect("closed") >= recover_at);
     // Fan-out went back to the SoC.
-    let fanout_after = cluster.nic_kv().expect("nic").stat_fanout_msgs;
+    let fanout_after = cluster
+        .nic_kv()
+        .expect("nic")
+        .stats()
+        .get(NicStat::FanoutMsgs);
     assert!(
         fanout_after > fanout_before,
         "NIC must fan out again after recovery ({fanout_before} → {fanout_after})"
@@ -246,7 +255,10 @@ fn slave_crash_stays_linearizable(mode: ReplModeKind, anchor: ReadAnchor) {
     run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
 
     let nic = cluster.nic_kv().expect("nic");
-    assert!(nic.tracker().stat_commits > 0, "{mode}: nothing committed");
+    assert!(
+        nic.stats().get(NicStat::Commits) > 0,
+        "{mode}: nothing committed"
+    );
     assert_eq!(
         nic.tracker().pending_writes(),
         0,
@@ -345,11 +357,11 @@ fn chain_rejoin_splices_recovered_slave_without_overlap() {
 
         let nic = cluster.nic_kv().expect("nic");
         assert!(
-            nic.tracker().stat_chain_rejoins >= 1,
+            nic.stats().get(NicStat::ChainRejoins) >= 1,
             "recover +{offset_us} µs: recovered slave never spliced back into an in-flight chain"
         );
         assert!(
-            nic.tracker().stat_commits > 0,
+            nic.stats().get(NicStat::Commits) > 0,
             "recover +{offset_us} µs: chain stopped committing"
         );
         assert_eq!(
@@ -390,10 +402,13 @@ fn chain_mid_node_partition_triggers_repair() {
 
     let nic = cluster.nic_kv().expect("nic");
     assert!(
-        nic.tracker().stat_chain_repairs > 0,
+        nic.stats().get(NicStat::ChainRepairs) > 0,
         "mid-node partition never triggered a chain repair"
     );
-    assert!(nic.tracker().stat_commits > 0, "chain stopped committing");
+    assert!(
+        nic.stats().get(NicStat::Commits) > 0,
+        "chain stopped committing"
+    );
     assert_eq!(
         nic.tracker().pending_writes(),
         0,
@@ -435,9 +450,9 @@ fn no_server_cq_is_left_silent() {
     let mut served_after = Vec::new();
     for (recovered, until) in [(master_up, nic_down), (nic_up, cluster.measure_until)] {
         cluster.sim.run_until(recovered);
-        let before = cluster.master_server().stat_commands;
+        let before = cluster.master_server().stats().get(ServerStat::Commands);
         cluster.sim.run_until(until);
-        served_after.push(cluster.master_server().stat_commands - before);
+        served_after.push(cluster.master_server().stats().get(ServerStat::Commands) - before);
     }
     assert!(
         served_after.iter().all(|&n| n > 1_000),

@@ -3,6 +3,7 @@
 
 use skv_core::cluster::{Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
+use skv_core::metrics::catalog::{ClientStat, NicStat, ServerStat};
 use skv_simcore::{SimDuration, SimTime};
 
 fn spec(slaves: usize, clients: usize, measure_ms: u64) -> RunSpec {
@@ -78,7 +79,7 @@ fn crashed_slave_recovery_is_detected_and_resynced() {
     );
     // The recovered slave needed a (full or partial) resync.
     let s0 = cluster.slave_server(0);
-    assert!(s0.stat_full_syncs + s0.stat_partial_syncs >= 2);
+    assert!(s0.stats().get(ServerStat::FullSyncs) + s0.stats().get(ServerStat::PartialSyncs) >= 2);
 }
 
 #[test]
@@ -97,8 +98,15 @@ fn partial_resync_used_when_backlog_covers_gap() {
 
     let s0 = cluster.slave_server(0);
     assert!(s0.is_synced_slave());
-    assert_eq!(s0.stat_full_syncs, 1, "only the initial sync is full");
-    assert!(s0.stat_partial_syncs >= 1, "recovery must resync partially");
+    assert_eq!(
+        s0.stats().get(ServerStat::FullSyncs),
+        1,
+        "only the initial sync is full"
+    );
+    assert!(
+        s0.stats().get(ServerStat::PartialSyncs) >= 1,
+        "recovery must resync partially"
+    );
     let digests = cluster.keyspace_digests();
     assert!(digests.iter().all(|&d| d == digests[0]));
 }
@@ -113,7 +121,7 @@ fn min_slaves_rejects_writes_after_detection() {
     // Before detection writes flow; afterwards NOREPLICAS errors appear.
     assert!(report.errors > 0, "min-slaves must reject writes");
     assert!(
-        cluster.master_server().stat_rejected > 0,
+        cluster.master_server().stats().get(ServerStat::Rejected) > 0,
         "rejections must come from the master's write gate"
     );
     // And plenty of writes succeeded before the crash was detected.
@@ -145,7 +153,11 @@ fn master_failover_promotes_best_slave_and_demotes_on_return() {
     cluster.sim.run_until(SimTime::from_millis(3_500));
 
     let nic = cluster.nic_kv().expect("nic");
-    assert_eq!(nic.stat_failovers, 1, "exactly one failover");
+    assert_eq!(
+        nic.stats().get(NicStat::Failovers),
+        1,
+        "exactly one failover"
+    );
     // While the master was away, some slave was master; after its return
     // and demote, nobody but the original is.
     assert!(cluster.master_server().is_master());
@@ -176,7 +188,7 @@ fn failure_detection_has_no_false_positives() {
         nic.detections
     );
     assert_eq!(nic.available_slaves(), 3);
-    assert_eq!(nic.stat_failovers, 0);
+    assert_eq!(nic.stats().get(NicStat::Failovers), 0);
 }
 
 #[test]
@@ -214,7 +226,10 @@ fn waiting_time_scales_detection_delay() {
 /// `(nic.stat_fanout_msgs, nic.stat_fanout_sends)` so far.
 fn fanout_counts(cluster: &Cluster) -> (u64, u64) {
     let nic = cluster.nic_kv().expect("nic");
-    (nic.stat_fanout_msgs, nic.stat_fanout_sends)
+    (
+        nic.stats().get(NicStat::FanoutMsgs),
+        nic.stats().get(NicStat::FanoutSends),
+    )
 }
 
 #[test]
@@ -287,12 +302,15 @@ fn unsignaled_request_error_makes_clients_reconnect_after_a_master_crash() {
     assert!(report.ops > 10_000, "clients came back: {} ops", report.ops);
     for &id in &cluster.clients {
         let c = cluster.sim.actor_ref::<BenchClient>(id).expect("client");
-        assert!(c.stat_reconnects >= 1, "every client lost its connection");
-        let unanswered = c.stat_issued - c.stat_replies;
         assert!(
-            unanswered <= pipeline * (c.stat_reconnects + 1),
+            c.stats().get(ClientStat::Reconnects) >= 1,
+            "every client lost its connection"
+        );
+        let unanswered = c.stats().get(ClientStat::Issued) - c.stats().get(ClientStat::Replies);
+        assert!(
+            unanswered <= pipeline * (c.stats().get(ClientStat::Reconnects) + 1),
             "{unanswered} ops unanswered over {} reconnects",
-            c.stat_reconnects
+            c.stats().get(ClientStat::Reconnects)
         );
     }
 }
@@ -321,7 +339,8 @@ fn degrade_relaunches_window_parked_frames_unsignaled_and_converges() {
     assert_eq!(nic.tracker().mode(), ReplModeKind::Quorum);
     assert_eq!(nic.tracker().pending_writes(), REPL_WINDOW, "window full");
     let master = cluster.master_server();
-    let held = master.stat_deferred_replies - master.stat_released_replies;
+    let held = master.stats().get(ServerStat::DeferredReplies)
+        - master.stats().get(ServerStat::ReleasedReplies);
     assert!(
         held > REPL_WINDOW as u64,
         "only {held} writes held: none parked"

@@ -4,6 +4,7 @@
 
 use skv_core::cluster::{run_spec, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
+use skv_core::metrics::catalog::NicStat;
 use skv_simcore::SimDuration;
 
 fn spec(mode: Mode, slaves: usize, clients: usize, set_ratio: f64, seed: u64) -> RunSpec {
@@ -164,7 +165,7 @@ fn nic_offload_actually_uses_the_nic() {
     cluster.run();
     let now = cluster.sim.now();
     let nic = cluster.nic_kv().expect("nic");
-    assert!(nic.stat_fanout_sends >= 3 * nic.stat_fanout_msgs / 2);
+    assert!(nic.stats().get(NicStat::FanoutSends) >= 3 * nic.stats().get(NicStat::FanoutMsgs) / 2);
     let util = nic.mean_utilization(now);
     assert!(
         util > 0.01 && util < 0.9,
@@ -184,7 +185,10 @@ fn fanout_keeps_up_at_the_fig11_point() {
     let mut cluster = skv_core::cluster::Cluster::build(spec(Mode::Skv, 3, 8, 1.0, 72));
     cluster.sim.run_until(cluster.measure_from);
     let nic = cluster.nic_kv().expect("nic");
-    let (msgs0, wrs0) = (nic.stat_fanout_msgs, nic.stat_wrs_posted());
+    let (msgs0, wrs0) = (
+        nic.stats().get(NicStat::FanoutMsgs),
+        nic.stats().get(NicStat::WrsPosted),
+    );
 
     // A fan-out thread that falls behind parks one `FanoutSendBatch` timer
     // per write it has not reached yet — ≈ 2 200 of them at this point
@@ -212,7 +216,10 @@ fn fanout_keeps_up_at_the_fig11_point() {
         .sim
         .run_until(cluster.measure_until + SimDuration::from_millis(1));
     let nic = cluster.nic_kv().expect("nic");
-    let (msgs, wrs) = (nic.stat_fanout_msgs - msgs0, nic.stat_wrs_posted() - wrs0);
+    let (msgs, wrs) = (
+        nic.stats().get(NicStat::FanoutMsgs) - msgs0,
+        nic.stats().get(NicStat::WrsPosted) - wrs0,
+    );
     assert!(msgs > 100_000, "load was flowing: {msgs} writes");
     // (Plus the WRs of at most one write per client that reached the NIC
     // just before the window opened and posted just inside it.)

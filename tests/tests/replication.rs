@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use skv_core::cluster::{Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
+use skv_core::metrics::catalog::ServerStat;
 use skv_core::server::KvServer;
 use skv_core::shard::ShardRouter;
 use skv_simcore::SimDuration;
@@ -99,8 +100,8 @@ fn preloaded_data_reaches_slaves_via_full_sync() {
 
     // Full syncs happened (one per slave), no partial syncs.
     let master = cluster.master_server();
-    assert_eq!(master.stat_full_syncs, 2);
-    assert_eq!(master.stat_partial_syncs, 0);
+    assert_eq!(master.stats().get(ServerStat::FullSyncs), 2);
+    assert_eq!(master.stats().get(ServerStat::PartialSyncs), 0);
 
     // Spot-check the slave actually holds the data (with its TTL).
     let slave = cluster.slave_server(0);
@@ -131,7 +132,7 @@ fn steady_state_stream_applies_every_write_kind() {
     assert!(slave.is_synced_slave());
     assert_eq!(master.shards().digest(), slave.shards().digest());
     // The replication stream really carried bytes.
-    assert!(slave.stat_applied_bytes > 10_000);
+    assert!(slave.stats().get(ServerStat::AppliedBytes) > 10_000);
     // And the master's offset equals what the slave applied (plus any
     // bytes still in flight — after the drain there are none).
     assert_eq!(master.repl_offset(), slave.repl_offset());
@@ -221,7 +222,10 @@ fn sharded_replicas_converge_with_split_msets() {
     // converge — through dozens of partial and full resyncs each.
     for i in 0..cluster.slaves.len() {
         let slave = cluster.slave_server(i);
-        let syncs = (slave.stat_partial_syncs, slave.stat_full_syncs);
+        let syncs = (
+            slave.stats().get(ServerStat::PartialSyncs),
+            slave.stats().get(ServerStat::FullSyncs),
+        );
         assert_eq!(syncs, (0, 1), "slave {i}: (partial, full) syncs");
     }
 }

@@ -9,6 +9,7 @@ use skv_core::client::BenchClient;
 use skv_core::cluster::{ChaosSpec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::histcheck::{check_linearizable, check_linearizable_upto, OpKind};
+use skv_core::metrics::catalog::{ClientStat, NicStat, ServerStat};
 use skv_core::probes::ReadAnchor;
 use skv_core::replmode::{quorum_slave_acks, ReplModeKind};
 use skv_netsim::SocketAddr;
@@ -64,7 +65,10 @@ fn tracked_mode_serves(mode: ReplModeKind) {
     assert_eq!(report.errors, 0, "{mode}: {} errors", report.errors);
 
     let nic = cluster.nic_kv().expect("SKV has a NIC");
-    assert!(nic.tracker().stat_commits > 0, "{mode}: no tracked commits");
+    assert!(
+        nic.stats().get(NicStat::Commits) > 0,
+        "{mode}: no tracked commits"
+    );
     assert!(
         nic.tracker().committed_upto() > 0,
         "{mode}: commit frontier at 0"
@@ -77,11 +81,12 @@ fn tracked_mode_serves(mode: ReplModeKind) {
 
     let master = cluster.master_server();
     assert!(
-        master.stat_deferred_replies > 0,
+        master.stats().get(ServerStat::DeferredReplies) > 0,
         "{mode}: master never deferred a reply"
     );
     assert_eq!(
-        master.stat_deferred_replies, master.stat_released_replies,
+        master.stats().get(ServerStat::DeferredReplies),
+        master.stats().get(ServerStat::ReleasedReplies),
         "{mode}: deferred replies were not all released"
     );
     for i in 0..cluster.slaves.len() {
@@ -160,11 +165,11 @@ fn backoff_stays_capped_under_long_partition() {
             .sim
             .actor_ref::<BenchClient>(id)
             .expect("bench client");
-        total_failures += c.stat_dial_failures;
+        total_failures += c.stats().get(ClientStat::DialFailures);
         assert!(
-            c.stat_dial_failures <= 40,
+            c.stats().get(ClientStat::DialFailures) <= 40,
             "backoff not capped: {} dial failures in a 1.5s partition",
-            c.stat_dial_failures
+            c.stats().get(ClientStat::DialFailures)
         );
     }
     assert!(
@@ -261,7 +266,8 @@ fn cross_mode_failover_degrades_and_promotes() {
 
     let nic = cluster.nic_kv().expect("nic");
     assert_eq!(
-        nic.stat_mode_changes, 2,
+        nic.stats().get(NicStat::ModeChanges),
+        2,
         "expected degrade + promote, got {:?}",
         nic.mode_changes
     );
@@ -278,7 +284,10 @@ fn cross_mode_failover_degrades_and_promotes() {
     assert_eq!(nic.tracker().pending_writes(), 0, "stuck in-flight writes");
     // The master tracked both transitions (it releases deferred replies
     // on degrade and resumes deferring on promote).
-    assert_eq!(cluster.master_server().stat_mode_changes, 2);
+    assert_eq!(
+        cluster.master_server().stats().get(ServerStat::ModeChanges),
+        2
+    );
 
     // Writes kept completing while the quorum was unreachable.
     let hub = cluster.metrics.borrow();

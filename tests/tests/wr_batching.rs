@@ -17,6 +17,7 @@
 
 use skv_core::cluster::{Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
+use skv_core::metrics::catalog::{NicStat, ServerStat};
 use skv_core::metrics::RunReport;
 use skv_simcore::SimDuration;
 
@@ -64,13 +65,16 @@ fn host_fanout_is_one_doorbell_and_n_wrs_per_replicated_write() {
     let (cluster, report) = run(spec(Mode::RdmaRedis, 5, 0xB0B));
     assert!(report.ops > 0);
     let master = cluster.master_server();
-    let writes = master.stat_commands;
+    let writes = master.stats().get(ServerStat::Commands);
     let (wrs, doorbells) = fabric_posts(&cluster);
     assert_eq!(wrs - doorbells, (slaves - 1) * writes);
     // What the master *charged* its event loop for is what the fabric saw
     // it post: one list doorbell + one reply doorbell per write.
-    assert_eq!(master.stat_doorbells, 2 * writes);
-    assert_eq!(master.stat_wrs_posted, (slaves + 1) * writes);
+    assert_eq!(master.stats().get(ServerStat::Doorbells), 2 * writes);
+    assert_eq!(
+        master.stats().get(ServerStat::WrsPosted),
+        (slaves + 1) * writes
+    );
 }
 
 #[test]
@@ -81,15 +85,15 @@ fn nic_fanout_is_one_doorbell_and_n_wrs_per_replicated_write() {
     let (cluster, report) = run(spec(Mode::Skv, 3, 0xA11));
     assert!(report.ops > 0);
     let nic = cluster.nic_kv().expect("SKV mode has a Nic-KV");
-    let writes = nic.stat_fanout_msgs;
+    let writes = nic.stats().get(NicStat::FanoutMsgs);
     assert!(writes > 0, "fan-out actually ran");
     let (wrs, doorbells) = fabric_posts(&cluster);
     assert_eq!(wrs - doorbells, (slaves - 1) * writes);
     // The NIC's post-time statistics agree with the fabric WR for WR: had
     // they counted a frame at staging time instead of post time, or
     // missed one flushed by the MR handshake, these would drift apart.
-    assert_eq!(nic.stat_doorbells(), writes);
-    assert_eq!(nic.stat_wrs_posted(), slaves * writes);
+    assert_eq!(nic.stats().get(NicStat::Doorbells), writes);
+    assert_eq!(nic.stats().get(NicStat::WrsPosted), slaves * writes);
 }
 
 #[test]
