@@ -396,7 +396,8 @@ pub fn nic_crash_timeline() -> Table {
     // The degraded window the master recorded (NaN end: it never closed).
     let (entered, exited) = cluster
         .master_server()
-        .degraded_periods
+        .links()
+        .degraded_periods()
         .last()
         .copied()
         .expect("the SoC crash must degrade the master");

@@ -140,9 +140,10 @@ impl<K> ConnTable<K> {
         idx
     }
 
-    /// Dial `to` from `node` for the calling actor: over RDMA on a CQ of
-    /// the table's own — created and armed at the first dial, reused by
-    /// every later one — or over TCP. The transport answers the actor
+    /// Dial `to` from `node` for the calling actor: over RDMA on the
+    /// [`ConnTable::dial_on`] CQ, or else a CQ of the table's own — created
+    /// and armed at the first dial, reused by every later one — or over
+    /// TCP. The transport answers the actor
     /// with `CmEstablished` / `TcpConnected` (or the matching failure),
     /// which is when the channel is built and [`ConnTable::add`]ed.
     pub fn dial(
@@ -162,6 +163,11 @@ impl<K> ConnTable<K> {
             .dial_cq
             .get_or_insert_with(|| cqdrain::create_armed(net, ctx));
         net.rdma_connect(ctx, node, me, cq, to);
+    }
+
+    /// Make [`ConnTable::dial`] connect on `cq` instead of a CQ of its own.
+    pub fn dial_on(&mut self, cq: CqId) {
+        self.dial_cq = Some(cq);
     }
 
     /// Connections ever added (open or closed).

@@ -55,6 +55,7 @@ pub mod config;
 pub mod conns;
 pub mod cqdrain;
 pub mod histcheck;
+pub mod hostlinks;
 pub mod hotcache;
 pub mod link;
 pub mod metrics;

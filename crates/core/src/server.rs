@@ -25,7 +25,7 @@
 //! steady-state fan-out) and detect gaps (a crashed-and-recovered slave
 //! re-requests synchronization from its last applied offset).
 
-use skv_netsim::{CqId, DetMap, Frame, Net, NetEvent, NodeId, SocketAddr};
+use skv_netsim::{CqId, Frame, Net, NetEvent, NodeId, SocketAddr};
 use skv_simcore::stats::CounterSet;
 use skv_simcore::{
     Actor, ActorId, Context, CorePool, DetRng, FramePool, Payload, SimDuration, SimTime,
@@ -40,6 +40,7 @@ use crate::channel::{Channel, ChannelMsg, RING_SIZE};
 use crate::config::{ClusterConfig, Mode};
 use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain::{self, ParkedCqs, POLL_BUDGET};
+use crate::hostlinks::{ConnKind, Fallback, HostLinks};
 use crate::hotcache::FWD_NO_ADMIT;
 use crate::metrics::catalog::ServerStat;
 use crate::protocol::{tag, NodeMsg};
@@ -88,7 +89,7 @@ enum ServerMsg {
         snapshot: Vec<u8>,
         start_offset: u64,
     },
-    /// Backoff expired: retry the dial recorded in `intents` for `to`.
+    /// Backoff expired: retry the dial to `to` if it is still wanted.
     Redial { to: SocketAddr },
 }
 
@@ -108,29 +109,6 @@ struct PendingReply {
     /// for a command relayed by the SoC front-end.
     tag: u32,
     payload: Frame,
-}
-
-/// What a connection is for (learned from traffic or connect intent).
-#[derive(PartialEq)]
-enum ConnKind {
-    Unknown,
-    Client,
-    /// The master's channel to its Nic-KV.
-    Nic,
-    /// A master's channel to the synced slave at this address.
-    Slave(SocketAddr),
-    /// A slave's channel from/to its master.
-    Master,
-}
-
-/// Why we are dialling out, keyed by remote address.
-enum ConnectIntent {
-    /// Master → slave, to run the initial sync; frames to send when ready.
-    SyncSlave { frames: Vec<(u32, Frame)> },
-    /// To the coordination upstream — the master dialling its Nic-KV, or a
-    /// slave dialling Nic-KV (SKV) / the master (baselines); frames to send
-    /// once the channel is ready.
-    SyncUpstream { frames: Vec<(u32, Frame)> },
 }
 
 /// The Host-KV server actor.
@@ -168,7 +146,8 @@ pub struct KvServer {
     /// about its own synchronisation. A master has none.
     sink: Option<ReplSink>,
     conns: ConnTable<ConnKind>,
-    intents: DetMap<SocketAddr, ConnectIntent>,
+    /// Dial intents, backoff, Nic-KV liveness and the degraded flag.
+    links: HostLinks,
     /// Slaves considered available (from Nic-KV updates, or own census in
     /// baseline modes). Drives `min-slaves` rejection.
     available_slaves: usize,
@@ -176,24 +155,6 @@ pub struct KvServer {
     /// mode, the source's own otherwise).
     lag_exceeded: bool,
     crashed: bool,
-    /// The SLAVEOF target `(master, nic)` a replica's sync requests go to;
-    /// kept through a promotion so `Demote` can rejoin it.
-    slave_of: Option<(SocketAddr, Option<SocketAddr>)>,
-    /// Master (SKV): Nic-KV is unreachable, replication fan-out runs
-    /// host-driven (RDMA-Redis style) until the SoC comes back.
-    degraded: bool,
-    /// Degradation windows `(entered, exited)` for timeline reports.
-    pub degraded_periods: Vec<(SimTime, Option<SimTime>)>,
-    /// Master: remembered ConnectNic target for redials after NIC death.
-    nic_addr: Option<SocketAddr>,
-    /// Master: last traffic seen from Nic-KV (silence ⇒ degrade).
-    nic_last_seen: Option<SimTime>,
-    /// Slave: last traffic seen from the coordination upstream.
-    upstream_last_seen: Option<SimTime>,
-    /// Consecutive failed dials per target, for exponential backoff.
-    reconnect_attempts: DetMap<SocketAddr, u32>,
-    /// Rate limit for cron-driven upstream redials.
-    next_upstream_retry: SimTime,
     /// Seeded from `seed` at construction, replaced by a split of the
     /// simulation RNG in `on_start` (so actor start order matters, not OS
     /// state). Never absent — no unwrap on the command path.
@@ -242,18 +203,10 @@ impl KvServer {
             source: ReplSource::new(cfg.backlog_size, ReplicationId::from_seed(seed ^ 0xCAFE)),
             sink: None,
             conns: ConnTable::new(Some(pool.clone())),
-            intents: DetMap::new(),
+            links: HostLinks::new(&cfg),
             available_slaves: 0,
             lag_exceeded: false,
             crashed: false,
-            slave_of: None,
-            degraded: false,
-            degraded_periods: Vec::new(),
-            nic_addr: None,
-            nic_last_seen: None,
-            upstream_last_seen: None,
-            reconnect_attempts: DetMap::new(),
-            next_upstream_retry: SimTime::ZERO,
             rng: DetRng::new(seed ^ 0xD1CE),
             active_mode: cfg.repl_mode,
             cfg,
@@ -275,10 +228,10 @@ impl KvServer {
         &self.pool
     }
 
-    /// Is the master currently running host-driven fallback fan-out
-    /// because its Nic-KV is unreachable?
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
+    /// Dial intents, backoff and Nic-KV liveness: whether the master is
+    /// degraded, and the degraded windows.
+    pub fn links(&self) -> &HostLinks {
+        &self.links
     }
 
     /// The store: engines, keyspace digest and the shard counters.
@@ -329,11 +282,6 @@ impl KvServer {
         self.sink.as_ref().is_some_and(ReplSink::is_streaming)
     }
 
-    /// A replica's `(master, nic)` upstream; a master has none.
-    fn upstream(&self) -> Option<(SocketAddr, Option<SocketAddr>)> {
-        self.slave_of.filter(|_| !self.is_master())
-    }
-
     /// This server's CQs, one per shard; CQ 0 is also the one it dials on.
     pub fn cqs(&self) -> &[CqId] {
         &self.cqs
@@ -361,15 +309,25 @@ impl KvServer {
         self.conns.find_open(|k| *k == kind)
     }
 
-    fn dial(&mut self, ctx: &mut Context<'_>, to: SocketAddr, intent: ConnectIntent) {
-        self.intents.insert(to, intent);
-        self.connect_to(ctx, to);
-    }
-
-    /// Dial the coordination upstream `to`; `msg` leaves once it is up.
+    /// Dial the coordination upstream `to`; `msg` leaves once it is up. The
+    /// channel carries probes and progress too, so it is labelled Nic even
+    /// when it reaches the master.
     fn dial_upstream(&mut self, ctx: &mut Context<'_>, to: SocketAddr, msg: Vec<u8>) {
         let frames = vec![(tag::NODE, msg.into())];
-        self.dial(ctx, to, ConnectIntent::SyncUpstream { frames });
+        self.links.want(to, (ConnKind::Nic, frames));
+        self.connect(ctx, to);
+    }
+
+    /// Master: dial its Nic-KV at `nic` and introduce itself.
+    fn dial_nic(&mut self, ctx: &mut Context<'_>, nic: SocketAddr) {
+        let (from, is_master) = (self.addr, true);
+        self.dial_upstream(ctx, nic, NodeMsg::Hello { from, is_master }.encode());
+    }
+
+    /// Start the transport connect for a dial the links want (on CQ 0).
+    fn connect(&mut self, ctx: &mut Context<'_>, to: SocketAddr) {
+        let rdma = self.cfg.mode.uses_rdma();
+        self.conns.dial(&self.net, ctx, self.node, rdma, to);
     }
 
     fn synced_slave_conns(&self) -> impl Iterator<Item = usize> + '_ {
@@ -392,53 +350,28 @@ impl KvServer {
             ConnKind::Nic if self.is_master() && self.cfg.mode == Mode::Skv => {
                 // The channel to Nic-KV died: fall back to host-driven
                 // fan-out and keep redialling until the SoC returns.
-                self.enter_degraded(ctx.now());
-                self.redial_nic(ctx);
+                let fallback = self.links.nic_lost(ctx.now());
+                self.fall_back(ctx, fallback);
             }
-            ConnKind::Nic | ConnKind::Master => {
-                // A slave lost its upstream: re-request sync from the
-                // current offset (served from the backlog when possible).
-                self.schedule_upstream_resync(ctx);
-            }
+            // A slave lost its upstream: re-request sync from the current
+            // offset (served from the backlog when possible).
+            ConnKind::Nic | ConnKind::Master => self.schedule_upstream_resync(ctx),
             _ => {} // clients and slave conns re-establish themselves
         }
     }
 
-    fn enter_degraded(&mut self, now: SimTime) {
-        if self.cfg.mode != Mode::Skv || !self.is_master() || self.degraded {
-            return;
+    /// Carry out the links' answer to a quiet Nic-KV: count a new degraded
+    /// period and stop queueing frames on the dead channel, then dial.
+    fn fall_back(&mut self, ctx: &mut Context<'_>, fallback: Fallback) {
+        if fallback.degraded {
+            self.stats.inc(ServerStat::Degradations);
+            if let Some(conn) = self.open_conn(ConnKind::Nic) {
+                self.conns.close(&self.net, conn);
+            }
         }
-        self.degraded = true;
-        self.stats.inc(ServerStat::Degradations);
-        self.degraded_periods.push((now, None));
-        // Stop queueing frames on the dead NIC channel.
-        if let Some(conn) = self.open_conn(ConnKind::Nic) {
-            self.conns.close(&self.net, conn);
+        if let Some(nic) = fallback.dial {
+            self.dial_nic(ctx, nic);
         }
-    }
-
-    fn exit_degraded(&mut self, now: SimTime) {
-        if !self.degraded {
-            return;
-        }
-        self.degraded = false;
-        if let Some(last) = self.degraded_periods.last_mut() {
-            last.1 = Some(now);
-        }
-    }
-
-    /// Master: dial the remembered Nic-KV address and introduce ourselves
-    /// (no-op while a dial for it is already pending).
-    fn redial_nic(&mut self, ctx: &mut Context<'_>) {
-        let Some(nic) = self.nic_addr else { return };
-        if self.intents.contains_key(&nic) {
-            return;
-        }
-        let hello = NodeMsg::Hello {
-            from: self.addr,
-            is_master: true,
-        };
-        self.dial_upstream(ctx, nic, hello.encode());
     }
 
     /// Slave: re-request synchronization from the current offset.
@@ -446,74 +379,12 @@ impl KvServer {
         if let Some(sink) = self.sink.as_mut() {
             sink.rerequest(ctx.now());
             // Restart the silence clock so we don't double-trigger.
-            self.upstream_last_seen = Some(ctx.now());
+            self.links.upstream_heard(ctx.now());
             self.send_sync_request(ctx);
         }
     }
 
-    /// A dial failed: back off exponentially and retry, giving up after a
-    /// bounded number of attempts (cron re-seeds long-lived intents).
-    fn on_connect_failed(&mut self, ctx: &mut Context<'_>, to: SocketAddr) {
-        if !self.intents.contains_key(&to) {
-            return;
-        }
-        let attempts = {
-            let e = self.reconnect_attempts.or_insert(to, 0);
-            *e += 1;
-            *e
-        };
-        // A slave that cannot reach Nic-KV and has no working upstream at
-        // all falls back to syncing straight from the master.
-        if let Some((master, Some(nic))) = self.upstream() {
-            if to == nic
-                && attempts >= 2
-                && master != nic
-                && !self.intents.contains_key(&master)
-                && self.conns.open_conn_to(master).is_none()
-                && self.open_conn(ConnKind::Master).is_none()
-            {
-                if let Some(intent) = self.intents.remove(&to) {
-                    self.reconnect_attempts.remove(&to);
-                    self.intents.insert(master, intent);
-                    ctx.timer(self.cfg.reconnect_base, ServerMsg::Redial { to: master });
-                    return;
-                }
-            }
-        }
-        if attempts > self.cfg.reconnect_max_attempts {
-            self.intents.remove(&to);
-            self.reconnect_attempts.remove(&to);
-            return;
-        }
-        let delay = self.cfg.reconnect_delay(attempts);
-        ctx.timer(delay, ServerMsg::Redial { to });
-    }
-
-    /// Re-issue the transport connect for an intent that is still wanted.
-    fn connect_to(&mut self, ctx: &mut Context<'_>, to: SocketAddr) {
-        let me = ctx.id();
-        if self.cfg.mode.uses_rdma() {
-            let Some(&cq) = self.cqs.first() else {
-                // Dial before on_start created the CQ: surface it as a
-                // failed connect so the backoff machinery retries.
-                ctx.send(me, NetEvent::CmConnectFailed { to });
-                return;
-            };
-            self.net.rdma_connect(ctx, self.node, me, cq, to);
-        } else {
-            self.net.tcp_connect(ctx, self.node, me, to);
-        }
-    }
-
     // -- command path --------------------------------------------------------
-
-    /// Handle one client command frame (TAG_CMD).
-    fn on_client_command(&mut self, ctx: &mut Context<'_>, conn: usize, payload: Frame) {
-        if matches!(self.conns.kind(conn), ConnKind::Unknown) {
-            *self.conns.kind_mut(conn) = ConnKind::Client;
-        }
-        self.run_command(ctx, conn, payload, None);
-    }
 
     /// Handle one SoC-relayed command frame (TAG_FWD_CMD): an 8-byte LE
     /// cookie followed by the original RESP command. The connection keeps
@@ -585,7 +456,7 @@ impl KvServer {
         }
         // While degraded (Nic-KV dead) the master cannot trust stale NIC
         // updates; fall back to its own census, like the baselines.
-        let available = if self.cfg.mode == Mode::Skv && !self.degraded {
+        let available = if self.cfg.mode == Mode::Skv && !self.links.is_degraded() {
             self.available_slaves
         } else {
             self.synced_slave_conns().count()
@@ -693,7 +564,7 @@ impl KvServer {
             // (Figure 9 ①). When the SoC is dead (degraded mode, or the
             // channel simply isn't up) the master falls back to
             // RDMA-Redis-style fan-out so writes keep replicating.
-            let nic_conn = if self.cfg.mode == Mode::Skv && !self.degraded {
+            let nic_conn = if self.cfg.mode == Mode::Skv && !self.links.is_degraded() {
                 self.open_conn(ConnKind::Nic)
             } else {
                 None
@@ -933,7 +804,8 @@ impl KvServer {
                 self.send_on(ctx, conn, t, p);
             }
         } else {
-            self.dial(ctx, to, ConnectIntent::SyncSlave { frames });
+            self.links.want(to, (ConnKind::Slave(to), frames));
+            self.connect(ctx, to);
         }
     }
 
@@ -959,7 +831,7 @@ impl KvServer {
     /// it as outstanding: cron re-issues it if neither a
     /// Full/PartialSyncBegin nor RDB progress answers within `waiting_time`.
     fn send_sync_request(&mut self, ctx: &mut Context<'_>) {
-        let Some((master, nic)) = self.upstream() else {
+        let Some((master, nic)) = self.links.upstream(self.is_master()) else {
             return;
         };
         let msg = self.sync_request();
@@ -971,8 +843,6 @@ impl KvServer {
         if let Some(conn) = conn {
             self.send_on(ctx, conn, tag::NODE, msg);
         } else {
-            // The connection to the upstream (Nic-KV or master) is reused
-            // for probes and progress, so it is labelled Nic.
             self.dial_upstream(ctx, nic.unwrap_or(master), msg);
         }
     }
@@ -1136,8 +1006,9 @@ impl KvServer {
                 // Rejoin as a slave of the original master and resync from
                 // the current offset. (A real system would also reconcile
                 // any writes accepted while promoted; the paper's scenario
-                // has the original master simply resume.)
-                if self.slave_of.is_some() {
+                // has the original master simply resume.) The SLAVEOF
+                // target outlived the promotion.
+                if self.links.upstream(false).is_some() {
                     let mut sink = ReplSink::at(self.repl_offset());
                     sink.rerequest(ctx.now());
                     self.sink = Some(sink);
@@ -1222,41 +1093,23 @@ impl KvServer {
     fn cron_skv_liveness(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
         if self.is_master() {
-            if !self.degraded {
-                if let Some(seen) = self.nic_last_seen {
-                    if now - seen > self.cfg.upstream_silence {
-                        self.enter_degraded(now);
-                    }
-                }
-            }
-            if self.degraded && now >= self.next_upstream_retry {
-                self.next_upstream_retry = now + SimDuration::from_millis(500);
-                self.redial_nic(ctx);
-            }
-            return;
+            let fallback = self.links.master_cron(now);
+            return self.fall_back(ctx, fallback);
         }
-        let (Some((_, Some(nic))), true) = (self.upstream(), self.is_synced_slave()) else {
+        let Some(nic) = self.links.watched_nic(self.is_synced_slave()) else {
             return;
         };
         // Probe silence on a live-looking channel means the SoC is gone.
-        if let Some(seen) = self.upstream_last_seen {
-            if now - seen > self.cfg.upstream_silence {
-                if let Some(conn) = self.conns.open_conn_to(nic) {
-                    self.on_conn_broken(ctx, conn);
-                } else {
-                    self.upstream_last_seen = Some(now);
-                }
-            }
+        let open = self.conns.open_conn_to(nic);
+        if let Some(conn) = self.links.upstream_silent(now, open) {
+            self.on_conn_broken(ctx, conn);
         }
         // No channel to Nic-KV (it crashed, or the dial gave up): poll it
         // so a recovered SoC re-learns this slave — without this the NIC
         // comes back with an empty node list and fan-out goes nowhere.
-        if self.conns.open_conn_to(nic).is_none()
-            && !self.intents.contains_key(&nic)
-            && self.open_conn(ConnKind::Nic).is_none()
-            && now >= self.next_upstream_retry
-        {
-            self.next_upstream_retry = now + SimDuration::from_secs(1);
+        let to_nic = self.conns.open_conn_to(nic);
+        let open = to_nic.or_else(|| self.open_conn(ConnKind::Nic)).is_some();
+        if self.links.reregister_due(nic, open, now) {
             // Re-registration only: nothing is counted as outstanding.
             let msg = self.sync_request();
             self.dial_upstream(ctx, nic, msg);
@@ -1269,19 +1122,11 @@ impl KvServer {
         // Liveness bookkeeping: traffic on a Nic-KV channel proves the SoC
         // alive (probes arrive every `probe_interval`, so silence is a
         // reliable death signal).
-        match self.conns.kind(conn) {
-            ConnKind::Nic if self.is_master() => {
-                self.nic_last_seen = Some(ctx.now());
-                // The SoC came back: re-offload replication fan-out.
-                self.exit_degraded(ctx.now());
-            }
-            ConnKind::Nic => {
-                self.upstream_last_seen = Some(ctx.now());
-            }
-            _ => {}
+        if *self.conns.kind(conn) == ConnKind::Nic {
+            self.links.nic_heard(self.is_master(), ctx.now());
         }
         match msg.tag {
-            tag::CMD => self.on_client_command(ctx, conn, msg.payload),
+            tag::CMD => self.run_command(ctx, conn, msg.payload, None),
             // A client command relayed by the SoC front-end: strip the
             // cookie and run the ordinary command path; the reply goes
             // back cookie-framed as FWD_REPLY on the same channel.
@@ -1312,6 +1157,7 @@ impl Actor for KvServer {
                 let cq = cqdrain::create_armed(&self.net, ctx);
                 self.cqs.push(cq);
             }
+            self.conns.dial_on(self.cqs[0]);
             self.net.rdma_listen(self.addr, me);
         } else {
             self.net.tcp_listen(self.addr, me);
@@ -1326,7 +1172,7 @@ impl Actor for KvServer {
                 match *ctrl {
                     Control::Slaveof { master, nic } => {
                         if !self.crashed {
-                            self.slave_of = Some((master, nic));
+                            self.links.follow(master, nic);
                             self.join_upstream(ctx);
                         }
                     }
@@ -1338,18 +1184,16 @@ impl Actor for KvServer {
                         self.parked.clear();
                     }
                     Control::ConnectNic { nic } => {
-                        self.nic_addr = Some(nic);
-                        self.nic_last_seen = Some(ctx.now());
-                        self.redial_nic(ctx);
+                        if let Some(nic) = self.links.connect_nic(nic, ctx.now()) {
+                            self.dial_nic(ctx, nic);
+                        }
                     }
                     Control::Recover => {
                         self.crashed = false;
                         self.net.set_node_up(self.node, true);
-                        // Fresh start for the liveness clocks and backoff.
-                        self.nic_last_seen = Some(ctx.now());
-                        self.upstream_last_seen = Some(ctx.now());
-                        self.reconnect_attempts.clear();
-                        self.next_upstream_retry = ctx.now();
+                        // Fresh start for the liveness clocks and backoff;
+                        // the dials made before the crash are forgotten.
+                        let rejoin = self.links.restart(ctx.now(), self.is_master());
                         // Notifications delivered while crashed were lost;
                         // drain stale completions (replenishing receive
                         // slots) and re-arm the completion channel.
@@ -1360,16 +1204,14 @@ impl Actor for KvServer {
                         // offset; the backlog usually serves it partially.
                         if self.is_synced_slave() {
                             self.schedule_upstream_resync(ctx);
-                        } else if self.cfg.mode == Mode::Skv && self.is_master() {
+                        } else if let Some(nic) = rejoin {
                             // A recovered master re-registers with Nic-KV:
                             // the SoC tore its channel down while the host
                             // was gone, so the surviving half is stale.
-                            if let Some(nic) = self.nic_addr {
-                                if let Some(conn) = self.conns.open_conn_to(nic) {
-                                    self.conns.close(&self.net, conn);
-                                }
-                                self.redial_nic(ctx);
+                            if let Some(conn) = self.conns.open_conn_to(nic) {
+                                self.conns.close(&self.net, conn);
                             }
+                            self.dial_nic(ctx, nic);
                         }
                     }
                 }
@@ -1408,9 +1250,9 @@ impl Actor for KvServer {
                         self.send_to_slave(ctx, slave, frames);
                     }
                     ServerMsg::Redial { to } => {
-                        if self.intents.contains_key(&to) {
+                        if self.links.wants(to) {
                             self.stats.inc(ServerStat::Reconnects);
-                            self.connect_to(ctx, to);
+                            self.connect(ctx, to);
                         }
                     }
                 }
@@ -1426,15 +1268,12 @@ impl Actor for KvServer {
                 // Accept now; the channel (ring registration, receive
                 // posting, MR handshake) is created when CmEstablished
                 // arrives, so both sides post receives before either
-                // side's handshake SEND can land. A request without a CQ
-                // (TCP mode race) or one already answered is ignored.
-                // Sharded servers spread accepted connections across the
+                // side's handshake SEND can land. A request already
+                // answered is ignored. Only an RDMA listener is asked, and
+                // `on_start` creates the CQs before it listens. Sharded servers spread accepted connections across the
                 // per-shard CQs round-robin, so each shard core polls its
                 // own completion stream; with one CQ this picks cq 0 every
                 // time.
-                if self.cqs.is_empty() {
-                    return;
-                }
                 let cq = self.cqs[self.accept_cursor % self.cqs.len()];
                 self.accept_cursor += 1;
                 let _ = self.net.rdma_accept(ctx, req, cq);
@@ -1467,7 +1306,15 @@ impl Actor for KvServer {
                 }
             }
             NetEvent::TcpConnectFailed { to } | NetEvent::CmConnectFailed { to } => {
-                self.on_connect_failed(ctx, to);
+                // Dial again where and when the links say; they need to
+                // know whether a replica has any link to its master.
+                let master = self.is_master();
+                let upstream = self.links.upstream(master);
+                let to_master = upstream.and_then(|(m, _)| self.conns.open_conn_to(m));
+                let link = to_master.or_else(|| self.open_conn(ConnKind::Master));
+                if let Some((to, after)) = self.links.refused(to, master, link.is_some()) {
+                    ctx.timer(after, ServerMsg::Redial { to });
+                }
             }
             // The fabric's own wire records; never addressed to an endpoint.
             NetEvent::InFlight(_) => {}
@@ -1511,15 +1358,10 @@ impl KvServer {
     /// An outbound dial to `peer` came up: the connection takes the role
     /// the dial was made for and the frames queued for it leave.
     fn attach(&mut self, ctx: &mut Context<'_>, channel: Channel, peer: SocketAddr) {
-        let (kind, frames) = match self.intents.remove(&peer) {
-            Some(ConnectIntent::SyncSlave { frames }) => {
-                self.source.attach(peer);
-                (ConnKind::Slave(peer), frames)
-            }
-            Some(ConnectIntent::SyncUpstream { frames }) => (ConnKind::Nic, frames),
-            None => (ConnKind::Unknown, Vec::new()),
-        };
-        self.reconnect_attempts.remove(&peer);
+        let (kind, frames) = self.links.established(peer);
+        if matches!(kind, ConnKind::Slave(_)) {
+            self.source.attach(peer);
+        }
         let conn = self.conns.add(channel, kind, Some(peer));
         for (t, p) in frames {
             self.send_on(ctx, conn, t, p);

@@ -268,7 +268,7 @@ const SIM_CRATE_PREFIXES: [&str; 4] = [
 /// Protocol hot-path files (rule `unwrap` applies); an entry ending in `/`
 /// covers every file under it. Every client command passes through the
 /// store's RESP codec and a command handler.
-const HOT_PATH_FILES: [&str; 19] = [
+const HOT_PATH_FILES: [&str; 20] = [
     "crates/store/src/cmd/",
     "crates/store/src/resp.rs",
     "crates/core/src/server.rs",
@@ -283,6 +283,7 @@ const HOT_PATH_FILES: [&str; 19] = [
     "crates/core/src/replsink.rs",
     "crates/core/src/replsource.rs",
     "crates/core/src/histcheck.rs",
+    "crates/core/src/hostlinks.rs",
     "crates/core/src/link.rs",
     "crates/core/src/probes.rs",
     "crates/netsim/src/rdma.rs",
@@ -316,10 +317,11 @@ const HANDOFF_FILE: &str = "crates/netsim/src/fabric.rs";
 /// The crate that defines the primitive (and so calls it).
 const HANDOFF_HOME_PREFIX: &str = "crates/simcore/src/";
 
-/// The IO-free protocol state machines and command front ends (rule
-/// `io-free`): the actors around them do the dialling, sending and
-/// charging.
-const IO_FREE_FILES: [&str; 5] = [
+/// The IO-free protocol state machines, command front ends and the host's
+/// link owner (rule `io-free`): the actors around them do the dialling,
+/// sending and charging.
+const IO_FREE_FILES: [&str; 6] = [
+    "crates/core/src/hostlinks.rs",
     "crates/core/src/hotcache.rs",
     "crates/core/src/replmode.rs",
     "crates/core/src/replsink.rs",
@@ -342,7 +344,7 @@ const FILE_BUDGET: usize = 800;
 /// Files still over [`FILE_BUDGET`], each capped at its size when the rule
 /// landed. A ceiling only ever goes down, and a file under the budget
 /// leaves this list.
-const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 1088)];
+const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 960)];
 
 /// The most non-test code lines `rel` may have, if it is budgeted.
 fn line_budget(rel: &str) -> Option<usize> {

@@ -135,6 +135,15 @@ fn fixtures_produce_expected_diagnostics() {
         vec![(5, "io-free"), (5, "io-free"), (6, "io-free")],
         "{io_free:?}"
     );
+    // The host's link owner is told whether a channel is open and hands
+    // back the address to dial: a context to dial with, or the table to
+    // look the channel up in, is the actor's.
+    let io_free = by_file(&violations, "crates/core/src/hostlinks.rs");
+    assert_eq!(
+        io_free.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+        vec![(5, "io-free"), (6, "io-free")],
+        "{io_free:?}"
+    );
 
     // --- wire-format hygiene ------------------------------------------
     // Narrowing casts only; the `as u64` / `as usize` widenings are clean.
@@ -235,7 +244,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 48, "{violations:?}");
+    assert_eq!(violations.len(), 50, "{violations:?}");
 }
 
 #[test]
@@ -243,7 +252,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 47);
+    assert_eq!(analysis.errors(), 49);
     assert!(analysis
         .violations
         .iter()
@@ -281,7 +290,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 48, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 50, "{json}");
 }
 
 #[test]

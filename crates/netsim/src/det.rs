@@ -20,9 +20,18 @@ use std::collections::{btree_map, BTreeMap, BTreeSet};
 ///
 /// Drop-in replacement for the `HashMap` subset the simulation uses; keys
 /// must be `Ord` instead of `Hash`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetMap<K, V> {
     inner: BTreeMap<K, V>,
+}
+
+// Not derived: the derive would demand `K: Default` of an empty map.
+impl<K, V> Default for DetMap<K, V> {
+    fn default() -> Self {
+        DetMap {
+            inner: BTreeMap::new(),
+        }
+    }
 }
 
 impl<K: Ord, V> DetMap<K, V> {

@@ -130,7 +130,7 @@ fn nic_crash_degrades_master_but_writes_continue() {
     // and the NIC's fan-out counter frozen.
     cluster.sim.run_until(recover_at);
     assert!(
-        cluster.master_server().is_degraded(),
+        cluster.master_server().links().is_degraded(),
         "master must detect SoC death and degrade"
     );
     let fanout_before = cluster
@@ -152,10 +152,14 @@ fn nic_crash_degrades_master_but_writes_continue() {
     let master = cluster.master_server();
     assert_eq!(master.stats().get(ServerStat::Degradations), 1);
     assert!(
-        !master.is_degraded(),
+        !master.links().is_degraded(),
         "master must re-offload after recovery"
     );
-    let (entered, exited) = *master.degraded_periods.last().expect("one period");
+    let (entered, exited) = *master
+        .links()
+        .degraded_periods()
+        .last()
+        .expect("one period");
     assert!(entered >= crash_at && exited.expect("closed") >= recover_at);
     // Fan-out went back to the SoC.
     let fanout_after = cluster
@@ -168,6 +172,33 @@ fn nic_crash_degrades_master_but_writes_continue() {
         "NIC must fan out again after recovery ({fanout_before} → {fanout_after})"
     );
     assert_converged(&cluster);
+}
+
+#[test]
+fn master_crash_during_soc_outage_re_offloads() {
+    // The SoC is down from 1.0 s to 3.0 s and the master crashes inside
+    // that window. The crash loses the failure and the backoff timer of
+    // the Nic-KV dial in flight, so `Recover` must forget that dial too: a
+    // remembered one blocks every later redial and the master stays
+    // degraded for good. A crash that ends before the old dial's failure
+    // or backoff timer comes due hides it: that event lands after
+    // `Recover` and restarts the retries.
+    for (crash_ms, down_ms) in [(1_050, 600), (1_150, 1_200), (1_300, 600), (1_500, 1_200)] {
+        let mut cluster = Cluster::build(spec(2, 2, 3_000, 23));
+        cluster.apply_chaos(&ChaosSpec {
+            nic_crash: Some((SimTime::from_millis(1_000), SimTime::from_millis(3_000))),
+            ..ChaosSpec::default()
+        });
+        cluster.schedule_master_crash(SimTime::from_millis(crash_ms));
+        cluster.schedule_master_recover(SimTime::from_millis(crash_ms + down_ms));
+        run_and_quiesce(&mut cluster, SimDuration::from_secs(3));
+        let master = cluster.master_server();
+        let case = format!("master down {crash_ms} ms → {} ms", crash_ms + down_ms);
+        assert!(!master.links().is_degraded(), "{case}: must re-offload");
+        let periods = master.links().degraded_periods();
+        let (_, exited) = *periods.last().expect("the outage degrades the master");
+        assert!(exited.is_some(), "{case}: the last period must close");
+    }
 }
 
 /// Build, apply chaos, run, quiesce — returns (ops, digests, qp_errors).
