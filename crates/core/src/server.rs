@@ -438,13 +438,9 @@ impl KvServer {
         // admit": the host owns expiry, so the host says so.
         let veto = fwd.is_some() && self.shards.vetoes_admission(spec, &args, shard);
         let fwd = fwd.map(|cookie| if veto { cookie | FWD_NO_ADMIT } else { cookie });
-        let replicate = if result.should_replicate() {
-            // The *original* command bytes are replicated even for split
-            // executions; slaves re-route them with the same slot map.
-            Some(payload.clone())
-        } else {
-            None
-        };
+        // The *original* command bytes are replicated even for split
+        // executions; slaves re-route them with the same slot map.
+        let replicate = result.should_replicate().then(|| payload.clone());
         let (bytes, route) = (payload.len(), (shard, CROSS_SHARD_HOP * hops));
         self.finish_command(ctx, conn, bytes, &result.reply, replicate, route, fwd);
     }
@@ -778,9 +774,11 @@ impl KvServer {
         // Full sync: capture the snapshot now (fork-style copy-on-write
         // semantics) but charge the persist time on a background core, so
         // the event loop keeps serving clients (paper: "starts a child
-        // process to persist all the data").
+        // process to persist all the data"). One per replica at a time.
+        let Some(start_offset) = self.source.snapshot_for(slave) else {
+            return;
+        };
         let (snapshot, keys) = self.shards.save();
-        let start_offset = self.source.offset();
         // The persist core sits just past the shard cores (core 1 when
         // unsharded — the historical schedule).
         let persist_core = self.shards.num_shards();
@@ -1179,6 +1177,7 @@ impl Actor for KvServer {
                     Control::Crash => {
                         self.crashed = true;
                         self.net.set_node_up(self.node, false);
+                        self.source.crash();
                         // The `SendFrames` that would poll them are lost
                         // with the process; `Recover` re-arms every CQ.
                         self.parked.clear();
@@ -1246,7 +1245,7 @@ impl Actor for KvServer {
                         start_offset,
                     } => {
                         self.stats.inc(ServerStat::FullSyncs);
-                        let frames = self.source.on_persist_done(start_offset, snapshot);
+                        let frames = self.source.on_persist_done(slave, start_offset, snapshot);
                         self.send_to_slave(ctx, slave, frames);
                     }
                     ServerMsg::Redial { to } => {

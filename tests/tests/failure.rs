@@ -386,3 +386,41 @@ fn degrade_relaunches_window_parked_frames_unsignaled_and_converges() {
         "diverged: {digests:x?}"
     );
 }
+
+#[test]
+fn a_slave_down_longer_than_the_backlog_holds_recovers_with_at_most_two_full_syncs() {
+    // 100 ms of 256 B SETs is several times the 1 MiB backlog, so the
+    // recovered slave is answered with a snapshot; 30 000 preloaded keys
+    // make its persist ≈ 25 ms, more writes than the backlog holds too.
+    // The transfer must still end with every write made while it
+    // persisted, or the slave asks again from the snapshot's offset and
+    // is answered with the next snapshot, and the next.
+    let mut s = spec(3, 2, 600);
+    s.value_size = 256;
+    s.key_space = 20_000;
+    let mut cluster = Cluster::build(s);
+    for i in 0..30_000 {
+        let key = format!("pre:{i:06}");
+        cluster.preload_master(&[&["SET", &key, "v"]]);
+    }
+    let (down, up) = (SimTime::from_millis(300), SimTime::from_millis(400));
+    cluster.schedule_slave_crash(0, down);
+    cluster.schedule_slave_recover(0, up);
+    cluster.sim.run_until(up);
+    let before = cluster.slave_server(0).stats().get(ServerStat::FullSyncs);
+
+    cluster.sim.run_until(up + SimDuration::from_millis(300));
+    let s0 = cluster.slave_server(0);
+    let full = s0.stats().get(ServerStat::FullSyncs) - before;
+    assert!(s0.is_synced_slave(), "not synced 300 ms after recovery");
+    assert!((1..=2).contains(&full), "{full} full syncs to recover");
+
+    cluster
+        .sim
+        .run_until(cluster.measure_until + SimDuration::from_secs(1));
+    let digests = cluster.keyspace_digests();
+    assert!(
+        digests.iter().all(|&d| d == digests[0]),
+        "diverged: {digests:x?}"
+    );
+}
