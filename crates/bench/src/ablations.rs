@@ -301,8 +301,8 @@ pub fn ablation_failure_params() -> Table {
         let report = cluster.run();
         let detection_delay_ms = cluster
             .nic_kv()
-            .and_then(|n| n.detections.iter().find(|(t, _)| *t >= crash_at).copied())
-            .map_or(f64::NAN, |(t, _)| {
+            .and_then(|n| n.nodes().detections.iter().find(|(t, _)| *t >= crash_at))
+            .map_or(f64::NAN, |&(t, _)| {
                 t.saturating_since(crash_at).as_secs_f64() * 1000.0
             });
         t.row(cells![wt, detection_delay_ms, report.errors, report.ops]);
@@ -374,9 +374,9 @@ pub fn ablation_probe_loss() -> Table {
             cluster.net.set_fault_plan(plan);
 
             let report = cluster.run();
-            let (false_positives, recoveries) = cluster
-                .nic_kv()
-                .map_or((0, 0), |n| (n.detections.len(), n.recoveries.len()));
+            let (false_positives, recoveries) = cluster.nic_kv().map_or((0, 0), |n| {
+                (n.nodes().detections.len(), n.nodes().recoveries.len())
+            });
             t.row(cells![
                 blip_ms,
                 wt,

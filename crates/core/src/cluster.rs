@@ -654,7 +654,7 @@ mod tests {
         // NIC actually fanned out.
         let nic = cluster.nic_kv().expect("SKV has a NIC");
         assert!(nic.stats().get(NicStat::FanoutMsgs) > 0);
-        assert_eq!(nic.available_slaves(), 2);
+        assert_eq!(nic.nodes().available_slaves(), 2);
     }
 
     #[test]

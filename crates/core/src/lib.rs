@@ -15,6 +15,9 @@
 //! * [`nickv::NicKv`] — the SmartNIC-resident component: node list,
 //!   steady-state replication fan-out (Figure 9), `thread-num`
 //!   multi-threading, and probe-based failure detection with failover,
+//! * [`nodelist::NodeList`] — Nic-KV's node list and failure detector as
+//!   an IO-free state machine (registration, probes, `waiting-time`,
+//!   failover, the slave-set update and the mode-failover verdict),
 //! * [`client::BenchClient`] — closed-loop load generation à la
 //!   `redis-benchmark`, over a [`link::ClientLink`] (what a client's
 //!   connection is: dial, backoff, input step, teardown),
@@ -60,6 +63,7 @@ pub mod hotcache;
 pub mod link;
 pub mod metrics;
 pub mod nickv;
+pub mod nodelist;
 pub mod probes;
 pub mod protocol;
 pub mod replmode;

@@ -4,15 +4,17 @@
 //! ARM cores:
 //!
 //! * maintains the **node list** — master and slaves with their replication
-//!   state and validity flags,
+//!   state and validity flags; its decisions belong to the IO-free
+//!   [`NodeList`] (DESIGN.md §32), this actor carries them out,
 //! * relays initial synchronization requests to the master (Fig. 8 ①→②),
 //! * performs **steady-state replication fan-out** (Fig. 9): one request
 //!   from the master becomes one `WRITE_WITH_IMM` per valid slave, written
 //!   from the slaves' send buffers on the NIC, optionally spread over
 //!   `thread-num` ARM cores,
-//! * runs **failure detection**: 1-second probes, `waiting-time` timeouts,
-//!   invalid flags, `min-slaves` notifications to the master, and master
-//!   failover with downgrade-on-return,
+//! * runs **failure detection**: 1-second probes, `waiting-time` timeouts
+//!   (counted from an unanswered probe or a closed channel), invalid flags,
+//!   `min-slaves` notifications to the master, master failover with
+//!   downgrade-on-return, and the `mode_failover` verdict,
 //! * with the hot-key cache on, runs the clients' **command front end** on
 //!   every ARM core the fan-out threads leave free, each core polling its
 //!   own CQ and its share of the client connections (DESIGN.md §16.1).
@@ -21,7 +23,6 @@ use skv_netsim::{CqId, Frame, Net, NetEvent, NodeId, SocketAddr, WcOpcode, WcSta
 use skv_simcore::stats::CounterSet;
 use skv_simcore::{Actor, ActorId, Context, CorePool, Payload, SimDuration, SimTime};
 use skv_store::cmd;
-use skv_store::repl::ReplicationPosition;
 use skv_store::resp::{self, ParsedCommand, Resp};
 
 use crate::channel::{Channel, ChannelMsg, RING_SIZE};
@@ -31,36 +32,14 @@ use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain::{self, POLL_BUDGET};
 use crate::hotcache::{Dispatch, HotCache, SocFrontEnd};
 use crate::metrics::catalog::NicStat;
+use crate::nodelist::NodeList;
 use crate::protocol::{tag, NodeMsg};
-use crate::replmode::{quorum_slave_acks, ReplModeKind, Step, Tracker, REPL_WINDOW};
+use crate::replmode::{ReplModeKind, Step, Tracker, REPL_WINDOW};
 use crate::replsink::parse_stream_frame;
-use crate::replsource::MAX_SLAVE_LAG;
 
 /// Emptied connection lists kept for reuse; more than a replication
 /// window's worth in flight at once is not a steady state worth serving.
 const SPARE_LISTS: usize = 64;
-
-/// An entry in the node list (paper §III-C: "a node list storing the
-/// corresponding relationship between the master node and the slave node
-/// is maintained on the SmartNIC").
-#[derive(Debug, Clone)]
-pub struct NodeEntry {
-    /// The node's server address.
-    pub addr: SocketAddr,
-    /// Whether this entry is the master.
-    pub is_master: bool,
-    /// Replication state as last reported.
-    pub position: ReplicationPosition,
-    /// The invalid flag (§III-D): cleared while the node answers probes.
-    pub valid: bool,
-    /// Last time this node answered a probe (or any message).
-    pub last_reply: SimTime,
-    /// When the oldest unanswered probe was sent (§III-D: a node is failed
-    /// when a probe sent `waiting-time` ago has no reply).
-    pub pending_probe_since: Option<SimTime>,
-    /// Connection index, once the node has a channel to Nic-KV.
-    conn: Option<usize>,
-}
 
 #[derive(Default)]
 enum NicMsg {
@@ -115,26 +94,17 @@ pub struct NicKv {
     /// tagged with the ARM core that polls its CQ and runs its work; the
     /// node list maps nodes to indices here.
     conns: ConnTable<usize>,
-    nodes: Vec<NodeEntry>,
-    probe_seq: u64,
-    /// Address of a slave promoted during master failover, if any.
-    promoted: Option<SocketAddr>,
+    /// The node list and failure detector (§III-C, §III-D).
+    nodes: NodeList,
     /// Round-robin cursor for thread assignment.
     fanout_cursor: usize,
     /// Whether the SoC is currently crashed.
     crashed: bool,
     /// Highest master replication offset observed in forwarded frames.
     master_offset: u64,
-    /// Last `(available, lagging)` pair pushed to the master.
-    last_update_sent: Option<(u32, bool)>,
     /// This actor's `nic.*` counters (the rest are its parts'; see
     /// [`NicKv::stats`]).
     stats: CounterSet<NicStat>,
-    /// Instants at which a node was declared failed (detection latency
-    /// analysis for the `waiting-time` ablation).
-    pub detections: Vec<(SimTime, SocketAddr)>,
-    /// Instants at which a previously failed node was seen alive again.
-    pub recoveries: Vec<(SimTime, SocketAddr)>,
     /// Tracked replication (quorum / chain): in-flight writes, acks, the
     /// commit frontier, and the mode currently *in force* — `cfg.repl_mode`
     /// unless `mode_failover` degraded a quorum cluster to the async
@@ -148,10 +118,6 @@ pub struct NicKv {
     /// checker cuts its linearizability claim at the first entry — the
     /// declared degradation point.
     pub mode_changes: Vec<(SimTime, ReplModeKind)>,
-    /// Highest simultaneously-valid slave count ever observed; degrading
-    /// below quorum is only meaningful once a full quorum existed
-    /// (otherwise cluster start-up would read as a partition).
-    peak_slaves: usize,
     /// Replicated writes seen per master shard, classified by the hash
     /// slot of the command's first key (index = shard). Only populated
     /// when `num_shards > 1` — the NIC's view of how evenly the shard
@@ -189,22 +155,16 @@ impl NicKv {
             accept_cursor: 0,
             cpu: CorePool::new(cores, speed),
             conns: ConnTable::new(None),
-            nodes: Vec::new(),
-            probe_seq: 0,
-            promoted: None,
+            nodes: NodeList::new(&cfg),
             fanout_cursor: 0,
             crashed: false,
             master_offset: 0,
-            last_update_sent: None,
             cfg,
             stats: CounterSet::default(),
-            detections: Vec::new(),
-            recoveries: Vec::new(),
             tracker,
             live: Vec::new(),
             notified_upto: 0,
             mode_changes: Vec::new(),
-            peak_slaves: 0,
             shard_ingress,
             front: SocFrontEnd::new(cache),
             spare_conns: Vec::new(),
@@ -268,7 +228,7 @@ impl NicKv {
         live.clear();
         // Only chains read it: their hops, and who a repair keeps.
         if self.tracker.mode() == ReplModeKind::Chain {
-            live.extend(self.slave_targets().map(|(_, addr)| addr));
+            live.extend(self.nodes.targets().map(|(_, addr)| addr));
         }
         input(&mut self.tracker, &live);
         self.live = live;
@@ -294,46 +254,15 @@ impl NicKv {
         }
     }
 
-    fn addr_of_conn(&self, conn: usize) -> Option<SocketAddr> {
-        self.nodes
-            .iter()
-            .find(|n| n.conn == Some(conn))
-            .map(|n| n.addr)
-    }
-
-    /// The node list (for tests and reports).
-    pub fn node_list(&self) -> &[NodeEntry] {
+    /// The node list: its entries, valid slaves, detections and
+    /// recoveries.
+    pub fn nodes(&self) -> &NodeList {
         &self.nodes
-    }
-
-    /// Currently valid slaves.
-    pub fn available_slaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| !n.is_master && n.valid)
-            .count()
     }
 
     /// Mean ARM-core utilization so far.
     pub fn mean_utilization(&self, now: SimTime) -> f64 {
         self.cpu.mean_utilization(now)
-    }
-
-    fn entry_mut(&mut self, addr: SocketAddr) -> Option<&mut NodeEntry> {
-        self.nodes.iter_mut().find(|n| n.addr == addr)
-    }
-
-    fn master_conn(&self) -> Option<usize> {
-        self.open_conn_of(|n| n.is_master)
-    }
-
-    /// The open channel of the first node `pred` picks, if it has one.
-    fn open_conn_of(&self, pred: impl Fn(&NodeEntry) -> bool) -> Option<usize> {
-        self.nodes
-            .iter()
-            .find(|n| pred(n))
-            .and_then(|n| n.conn)
-            .filter(|&c| self.conns.is_open(c))
     }
 
     /// Send on an open connection; a send that breaks the channel tears
@@ -350,19 +279,7 @@ impl NicKv {
     /// takes the hot cache cold and fails outstanding forwards over to
     /// error replies (see [`NicKv::on_master_channel_lost`]).
     fn close_conn(&mut self, ctx: &mut Context<'_>, conn: usize) {
-        if !self.conns.close(&self.net, conn) {
-            return;
-        }
-        let was_master = self
-            .nodes
-            .iter()
-            .any(|n| n.is_master && n.conn == Some(conn));
-        for e in &mut self.nodes {
-            if e.conn == Some(conn) {
-                e.conn = None;
-            }
-        }
-        if was_master {
+        if self.conns.close(&self.net, conn) && self.nodes.closed(ctx.now(), conn) {
             self.on_master_channel_lost(ctx);
         }
     }
@@ -383,29 +300,21 @@ impl NicKv {
         self.send_on(ctx, conn, tag::REPLY, err);
     }
 
-    /// Whether any *valid* slave lags beyond the configured bound.
-    fn any_valid_slave_lagging(&self) -> bool {
-        self.nodes.iter().any(|n| {
-            !n.is_master
-                && n.valid
-                && n.position.offset > 0
-                && self.master_offset.saturating_sub(n.position.offset) > MAX_SLAVE_LAG
-        })
+    /// Every availability change funnels through here: the cross-mode
+    /// failover verdict first, then the slave-set update if it changed.
+    fn notify_available(&mut self, ctx: &mut Context<'_>) {
+        if let Some(mode) = self.nodes.mode_verdict(self.tracker.mode()) {
+            self.switch_mode(ctx, mode);
+        }
+        if let Some((conn, msg)) = self.nodes.update(self.master_offset) {
+            self.send_on(ctx, conn, tag::NODE, msg.encode());
+        }
     }
 
-    fn notify_available(&mut self, ctx: &mut Context<'_>) {
-        // Every availability change funnels through here — the natural
-        // seam for the cross-mode failover policy.
-        self.maybe_mode_transition(ctx);
-        let available = u32::try_from(self.available_slaves()).unwrap_or(u32::MAX);
-        let lagging = self.any_valid_slave_lagging();
-        if self.last_update_sent == Some((available, lagging)) {
-            return;
-        }
-        if let Some(conn) = self.master_conn() {
-            self.last_update_sent = Some((available, lagging));
-            let msg = NodeMsg::SlaveSetUpdate { available, lagging }.encode();
-            self.send_on(ctx, conn, tag::NODE, msg);
+    /// Send `msg` on `conn`, when there is one.
+    fn send_node(&mut self, ctx: &mut Context<'_>, conn: Option<usize>, msg: NodeMsg) {
+        if let Some(conn) = conn {
+            self.send_on(ctx, conn, tag::NODE, msg.encode());
         }
     }
 
@@ -452,7 +361,7 @@ impl NicKv {
     /// front-end work is done. With no live master channel the client
     /// gets an immediate error reply.
     fn fwd_to_master(&mut self, ctx: &mut Context<'_>, cookie: u64, frame: Frame) {
-        if let Some(mconn) = self.master_conn() {
+        if let Some(mconn) = self.nodes.master_conn() {
             // A send that breaks the master channel fails every
             // outstanding cookie over to an error reply in `close_conn`.
             self.send_on(ctx, mconn, tag::FWD_CMD, frame);
@@ -509,13 +418,14 @@ impl NicKv {
     }
 
     fn on_node_msg(&mut self, ctx: &mut Context<'_>, conn: usize, msg: NodeMsg) {
+        let now = ctx.now();
         match msg {
             NodeMsg::Hello { from, is_master } => {
-                self.upsert_node(ctx.now(), from, is_master, Some(conn));
+                let demote = self.nodes.register(now, from, is_master, conn, None);
                 if is_master {
                     // §III-D: a returning original master demotes whoever
                     // was promoted in its absence.
-                    self.demote_promoted(ctx);
+                    self.send_node(ctx, demote, NodeMsg::Demote);
                     // Tell the master how many slaves are already valid.
                     self.notify_available(ctx);
                     if self.cfg.mode_failover && self.tracker.mode() != self.cfg.repl_mode {
@@ -535,17 +445,13 @@ impl NicKv {
             NodeMsg::SyncRequest { slave, position } => {
                 // Fig. 8 ①: record the slave's replication status at the
                 // end of the node list, then notify the master (②).
-                self.upsert_node(ctx.now(), slave, false, Some(conn));
-                if let Some(e) = self.entry_mut(slave) {
-                    e.position = position;
-                }
+                let offset = Some(position.offset);
+                self.nodes.register(now, slave, false, conn, offset);
                 // Small ARM-core cost for parsing + list update
                 // (reference-core time; the pool scales it down).
-                self.cpu.run_any(ctx.now(), SimDuration::from_nanos(400));
-                if let Some(mconn) = self.master_conn() {
-                    let relay = NodeMsg::SyncNotify { slave, position }.encode();
-                    self.send_on(ctx, mconn, tag::NODE, relay);
-                }
+                self.cpu.run_any(now, SimDuration::from_nanos(400));
+                let master = self.nodes.master_conn();
+                self.send_node(ctx, master, NodeMsg::SyncNotify { slave, position });
                 self.notify_available(ctx);
                 if self.deferred() {
                     self.track(ctx, |t, live| t.on_progress(slave, position.offset, live));
@@ -565,91 +471,22 @@ impl NicKv {
             // *applied* the stream up to `offset` (cumulative, so one ack
             // can cover several pending writes).
             NodeMsg::ProgressReport { slave, offset } | NodeMsg::WriteAck { slave, offset } => {
-                if let Some(e) = self.entry_mut(slave) {
-                    e.position.offset = e.position.offset.max(offset);
-                    e.last_reply = ctx.now();
-                }
+                self.nodes.progress(slave, offset);
                 if self.deferred() {
                     self.track(ctx, |t, live| t.on_progress(slave, offset, live));
                 }
             }
             NodeMsg::ProbeReply { seq: _, from } => {
-                let now = ctx.now();
-                let mut became_valid = false;
-                let mut master_returned = false;
-                if let Some(e) = self.entry_mut(from) {
-                    e.last_reply = now;
-                    e.pending_probe_since = None;
-                    if !e.valid {
-                        e.valid = true;
-                        became_valid = true;
-                        master_returned = e.is_master;
-                        // The node's replication state is unknown until it
-                        // reports fresh progress; don't let a stale offset
-                        // trip the lag check.
-                        e.position.offset = 0;
-                    }
-                }
-                if became_valid {
-                    self.recoveries.push((now, from));
-                }
-                if master_returned {
-                    // §III-D: "when the original master node is found
-                    // recovered, Nic-KV lets it continue to be the master
-                    // node and downgrades the previously selected master".
-                    self.demote_promoted(ctx);
-                }
-                if became_valid {
+                let (back, demote) = self.nodes.probe_reply(now, from);
+                // §III-D: "when the original master node is found
+                // recovered, Nic-KV lets it continue to be the master
+                // node and downgrades the previously selected master".
+                self.send_node(ctx, demote, NodeMsg::Demote);
+                if back {
                     self.notify_available(ctx);
                 }
             }
             _ => {}
-        }
-    }
-
-    /// Send Demote to the slave promoted during a failover, if any.
-    fn demote_promoted(&mut self, ctx: &mut Context<'_>) {
-        if let Some(promoted) = self.promoted.take() {
-            if let Some(conn) = self.entry_mut(promoted).and_then(|e| e.conn) {
-                let msg = NodeMsg::Demote.encode();
-                self.send_on(ctx, conn, tag::NODE, msg);
-            }
-        }
-    }
-
-    fn upsert_node(
-        &mut self,
-        now: SimTime,
-        addr: SocketAddr,
-        is_master: bool,
-        conn: Option<usize>,
-    ) {
-        let mut revalidated = false;
-        match self.entry_mut(addr) {
-            Some(e) => {
-                e.last_reply = now;
-                e.pending_probe_since = None;
-                if !e.valid {
-                    e.valid = true;
-                    revalidated = true;
-                }
-                if conn.is_some() {
-                    e.conn = conn;
-                }
-                e.is_master = is_master || e.is_master;
-            }
-            None => self.nodes.push(NodeEntry {
-                addr,
-                is_master,
-                position: ReplicationPosition::unsynced(),
-                valid: true,
-                last_reply: now,
-                pending_probe_since: None,
-                conn,
-            }),
-        }
-        if revalidated {
-            self.recoveries.push((now, addr));
         }
     }
 
@@ -694,7 +531,7 @@ impl NicKv {
     /// that instant, or `None` without a live slave.
     fn charge_fanout(&mut self, now: SimTime) -> Option<(Vec<usize>, SimTime)> {
         let mut conns = self.spare_conns.pop().unwrap_or_default();
-        conns.extend(self.slave_targets().map(|(conn, _)| conn));
+        conns.extend(self.nodes.targets().map(|(conn, _)| conn));
         let mut done = now;
         for _ in &conns {
             done = done.max(self.charge_fanout_thread(now));
@@ -712,16 +549,6 @@ impl NicKv {
         if self.spare_conns.len() < SPARE_LISTS {
             self.spare_conns.push(conns);
         }
-    }
-
-    /// Valid slaves with an open channel, in node-list order: the targets
-    /// of one replicated write, as `(connection index, address)`.
-    fn slave_targets(&self) -> impl Iterator<Item = (usize, SocketAddr)> + '_ {
-        self.nodes
-            .iter()
-            .filter(|n| !n.is_master && n.valid)
-            .filter_map(|n| n.conn.map(|c| (c, n.addr)))
-            .filter(|&(c, _)| self.conns.is_open(c))
     }
 
     /// Charge one slave's ring-write work to the next fan-out thread
@@ -756,7 +583,7 @@ impl NicKv {
                 self.conns.stage(conn, tag::REPL_STREAM, frame.clone());
                 continue;
             };
-            let Some(slave) = self.addr_of_conn(conn) else {
+            let Some(slave) = self.nodes.addr_of(conn) else {
                 continue;
             };
             let staged = self
@@ -782,7 +609,7 @@ impl NicKv {
         let Some((slave, frame)) = target else {
             return;
         };
-        let conn = self.open_conn_of(|n| n.addr == slave);
+        let conn = self.nodes.conn_of(slave);
         if !conn.is_some_and(|c| self.post_stream(ctx, &[c], &frame, Some(seq))) {
             // The hop died between scheduling and posting, or on the post.
             self.tracker.hop_unposted(seq);
@@ -797,7 +624,7 @@ impl NicKv {
         if upto <= self.notified_upto {
             return;
         }
-        if let Some(conn) = self.master_conn() {
+        if let Some(conn) = self.nodes.master_conn() {
             self.notified_upto = upto;
             let msg = NodeMsg::WriteCommitted { upto }.encode();
             self.send_on(ctx, conn, tag::NODE, msg);
@@ -807,7 +634,7 @@ impl NicKv {
     /// Quorum mode: re-post every pending write a re-registering slave has
     /// not acked.
     fn retransmit_pending(&mut self, ctx: &mut Context<'_>, slave: SocketAddr) {
-        let Some(conn) = self.open_conn_of(|n| n.addr == slave) else {
+        let Some(conn) = self.nodes.conn_of(slave) else {
             return;
         };
         for seq in self.tracker.unacked_by(slave) {
@@ -830,139 +657,61 @@ impl NicKv {
 
     // -- cross-mode failover (`ClusterConfig::mode_failover`) -------------------
 
-    /// The failover policy, run on every availability change: a quorum
-    /// cluster that can no longer assemble a write quorum degrades to the
-    /// async stream rather than stalling every client, and re-promotes to
-    /// the configured mode once enough slaves return. Linearizability is
-    /// promised only up to the first degradation instant; `mode_changes`
-    /// is the seam `histcheck::check_linearizable_upto` cuts at.
-    fn maybe_mode_transition(&mut self, ctx: &mut Context<'_>) {
-        if !self.cfg.mode_failover || self.cfg.repl_mode != ReplModeKind::Quorum {
-            return;
-        }
-        let need = quorum_slave_acks(self.cfg.num_slaves);
-        let avail = self.available_slaves();
-        self.peak_slaves = self.peak_slaves.max(avail);
-        let mode = self.tracker.mode();
-        if mode == self.cfg.repl_mode && avail < need && self.peak_slaves >= need {
-            self.degrade_to_async(ctx);
-        } else if mode == ReplModeKind::Async && avail >= need {
-            self.promote_to_configured(ctx);
-        }
-    }
-
-    /// Degrade to the async stream. Every byte the master has streamed so
-    /// far is re-declared committed under async semantics (the master's
-    /// deferred replies release), tracked-write state is dropped, and
-    /// window-parked frames are flushed through the async fast path so no
-    /// write is lost in the transition.
-    fn degrade_to_async(&mut self, ctx: &mut Context<'_>) {
+    /// Carry out the node list's failover verdict. Degrading to the async
+    /// stream re-declares every byte the master has streamed so far
+    /// committed (its deferred replies release), drops tracked-write state
+    /// and flushes window-parked frames through the async fast path, so no
+    /// write is lost in the transition. Promoting back commits the async
+    /// interlude's bytes by the semantics they were written under and
+    /// tracks afresh from the stream frontier. Linearizability is promised
+    /// only up to the first degradation; `mode_changes` is the seam
+    /// `histcheck::check_linearizable_upto` cuts at.
+    fn switch_mode(&mut self, ctx: &mut Context<'_>, mode: ReplModeKind) {
         self.stats.inc(NicStat::ModeChanges);
-        self.mode_changes.push((ctx.now(), ReplModeKind::Async));
-        for frame in self.tracker.degrade(self.master_offset) {
-            self.async_send(ctx, frame);
+        self.mode_changes.push((ctx.now(), mode));
+        if mode == ReplModeKind::Async {
+            for frame in self.tracker.degrade(self.master_offset) {
+                self.async_send(ctx, frame);
+            }
+        } else {
+            self.tracker.promote(mode, self.master_offset);
         }
-        self.announce_mode(ctx);
-        self.notify_committed(ctx);
-    }
-
-    /// Re-promote to the configured mode. The async interlude's bytes
-    /// commit by the semantics they were written under; tracking starts
-    /// fresh at the current stream frontier.
-    fn promote_to_configured(&mut self, ctx: &mut Context<'_>) {
-        self.tracker.promote(self.cfg.repl_mode, self.master_offset);
-        self.stats.inc(NicStat::ModeChanges);
-        self.mode_changes.push((ctx.now(), self.cfg.repl_mode));
         self.announce_mode(ctx);
         self.notify_committed(ctx);
     }
 
     /// Tell the master which mode is in force now.
     fn announce_mode(&mut self, ctx: &mut Context<'_>) {
-        if let Some(conn) = self.master_conn() {
-            let msg = NodeMsg::ModeChange {
-                mode: self.tracker.mode(),
-            }
-            .encode();
-            self.send_on(ctx, conn, tag::NODE, msg);
-        }
+        let (master, mode) = (self.nodes.master_conn(), self.tracker.mode());
+        self.send_node(ctx, master, NodeMsg::ModeChange { mode });
     }
 
     // -- failure detection (§III-D) ---------------------------------------------
 
+    /// Carry out a probe round: the failover the node list decided on, one
+    /// probe per open channel (cheap ARM work each; one encode, one
+    /// buffer, each copy a `Frame` refcount bump), chain repair after a
+    /// detection, and the slave-set update.
     fn on_probe_tick(&mut self, ctx: &mut Context<'_>) {
         ctx.timer(self.cfg.probe_interval, NicMsg::ProbeTick);
         let now = ctx.now();
-        self.probe_seq += 1;
-        let seq = self.probe_seq;
-
-        // A node is failed when a probe sent `waiting-time` ago has no
-        // reply (§III-D).
-        let waiting = self.cfg.waiting_time;
-        let mut detected = Vec::new();
-        let mut master_failed = false;
-        for e in &mut self.nodes {
-            let overdue = e
-                .pending_probe_since
-                .is_some_and(|t| now.saturating_since(t) > waiting);
-            if e.valid && overdue {
-                e.valid = false;
-                detected.push((now, e.addr));
-                if e.is_master {
-                    master_failed = true;
-                }
-            }
+        let round = self.nodes.probe_round(now);
+        if round.promote.is_some() {
+            self.stats.inc(NicStat::Failovers);
+            self.send_node(ctx, round.promote, NodeMsg::Promote);
         }
-        let any_detected = !detected.is_empty();
-        self.detections.extend(detected);
-        if master_failed && self.promoted.is_none() {
-            self.failover(ctx);
-        }
-
-        // Send this round's probes (cheap ARM work per probe). One encode,
-        // one buffer: each target's copy is a Frame refcount bump.
-        let probe: Frame = NodeMsg::Probe { seq }.encode().into();
-        let targets: Vec<(usize, SocketAddr)> = self
-            .nodes
-            .iter()
-            .filter_map(|e| e.conn.map(|c| (c, e.addr)))
-            .filter(|&(c, _)| self.conns.is_open(c))
-            .collect();
-        for (conn, addr) in targets {
-            let cost = SimDuration::from_nanos(150);
-            self.cpu.run_any(now, cost);
+        let probe: Frame = NodeMsg::Probe { seq: round.seq }.encode().into();
+        let mut at = 0;
+        while let Some(conn) = self.nodes.next_probe(&mut at, now) {
+            self.cpu.run_any(now, SimDuration::from_nanos(150));
             self.stats.inc(NicStat::Probes);
-            if let Some(e) = self.entry_mut(addr) {
-                if e.pending_probe_since.is_none() {
-                    e.pending_probe_since = Some(now);
-                }
-            }
             self.send_on(ctx, conn, tag::NODE, probe.clone());
         }
-        // Push availability/lag state to the master when it changed.
-        if any_detected {
+        if round.detected {
             // Newly invalid nodes break in-flight chains: splice them out.
             self.chain_repair(ctx);
         }
         self.notify_available(ctx);
-    }
-
-    /// §III-D: "one of the available slave nodes is selected as the master
-    /// node" — the one with the highest replication offset loses the least.
-    fn failover(&mut self, ctx: &mut Context<'_>) {
-        let best = self
-            .nodes
-            .iter()
-            .filter(|n| !n.is_master && n.valid)
-            .max_by_key(|n| (n.position.offset, std::cmp::Reverse(n.addr)))
-            .map(|n| (n.addr, n.conn));
-        let Some((addr, Some(conn))) = best else {
-            return;
-        };
-        self.promoted = Some(addr);
-        self.stats.inc(NicStat::Failovers);
-        let msg = NodeMsg::Promote.encode();
-        self.send_on(ctx, conn, tag::NODE, msg);
     }
 }
 
@@ -1001,13 +750,11 @@ impl Actor for NicKv {
                         // tearing down the master conn doesn't fire error
                         // replies into already-dead client channels.
                         self.front.restart();
-                        self.nodes.clear();
+                        self.nodes.restart();
                         for i in 0..self.conns.len() {
                             self.close_conn(ctx, i);
                         }
-                        self.promoted = None;
                         self.master_offset = 0;
-                        self.last_update_sent = None;
                         // Tracked-mode state is process state: gone too.
                         self.tracker.reset();
                         self.notified_upto = 0;

@@ -268,7 +268,7 @@ const SIM_CRATE_PREFIXES: [&str; 4] = [
 /// Protocol hot-path files (rule `unwrap` applies); an entry ending in `/`
 /// covers every file under it. Every client command passes through the
 /// store's RESP codec and a command handler.
-const HOT_PATH_FILES: [&str; 20] = [
+const HOT_PATH_FILES: [&str; 21] = [
     "crates/store/src/cmd/",
     "crates/store/src/resp.rs",
     "crates/core/src/server.rs",
@@ -278,6 +278,7 @@ const HOT_PATH_FILES: [&str; 20] = [
     "crates/core/src/cqdrain.rs",
     "crates/core/src/hotcache.rs",
     "crates/core/src/nickv.rs",
+    "crates/core/src/nodelist.rs",
     "crates/core/src/shard.rs",
     "crates/core/src/replmode.rs",
     "crates/core/src/replsink.rs",
@@ -317,12 +318,13 @@ const HANDOFF_FILE: &str = "crates/netsim/src/fabric.rs";
 /// The crate that defines the primitive (and so calls it).
 const HANDOFF_HOME_PREFIX: &str = "crates/simcore/src/";
 
-/// The IO-free protocol state machines, command front ends and the host's
-/// link owner (rule `io-free`): the actors around them do the dialling,
-/// sending and charging.
-const IO_FREE_FILES: [&str; 6] = [
+/// The IO-free protocol state machines, command front ends, the host's
+/// link owner and Nic-KV's node list (rule `io-free`): the actors around
+/// them do the dialling, sending and charging.
+const IO_FREE_FILES: [&str; 7] = [
     "crates/core/src/hostlinks.rs",
     "crates/core/src/hotcache.rs",
+    "crates/core/src/nodelist.rs",
     "crates/core/src/replmode.rs",
     "crates/core/src/replsink.rs",
     "crates/core/src/replsource.rs",

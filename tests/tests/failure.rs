@@ -37,8 +37,9 @@ fn nic_detects_slave_crash_within_waiting_time() {
     cluster.run();
 
     let nic = cluster.nic_kv().expect("SKV has a NIC");
-    assert_eq!(nic.available_slaves(), 2);
+    assert_eq!(nic.nodes().available_slaves(), 2);
     let (detected_at, _) = nic
+        .nodes()
         .detections
         .iter()
         .find(|(t, _)| *t >= crash_at)
@@ -62,10 +63,11 @@ fn crashed_slave_recovery_is_detected_and_resynced() {
 
     let nic = cluster.nic_kv().expect("nic");
     assert!(nic
+        .nodes()
         .recoveries
         .iter()
         .any(|(t, _)| *t >= SimTime::from_millis(1_800)));
-    assert_eq!(nic.available_slaves(), 3);
+    assert_eq!(nic.nodes().available_slaves(), 3);
 
     // After a drain, every replica matches again (the recovered slave
     // resynchronized from its stale offset).
@@ -169,7 +171,8 @@ fn master_failover_promotes_best_slave_and_demotes_on_return() {
     }
     // The master is valid again in the node list.
     let master_entry = nic
-        .node_list()
+        .nodes()
+        .entries()
         .iter()
         .find(|e| e.is_master)
         .expect("master entry");
@@ -183,11 +186,11 @@ fn failure_detection_has_no_false_positives() {
     cluster.run();
     let nic = cluster.nic_kv().expect("nic");
     assert!(
-        nic.detections.is_empty(),
+        nic.nodes().detections.is_empty(),
         "false positives: {:?}",
-        nic.detections
+        nic.nodes().detections
     );
-    assert_eq!(nic.available_slaves(), 3);
+    assert_eq!(nic.nodes().available_slaves(), 3);
     assert_eq!(nic.stats().get(NicStat::Failovers), 0);
 }
 
@@ -203,6 +206,7 @@ fn waiting_time_scales_detection_delay() {
         cluster.run();
         let nic = cluster.nic_kv().expect("nic");
         let (t, _) = nic
+            .nodes()
             .detections
             .iter()
             .find(|(t, _)| *t >= crash_at)
@@ -263,8 +267,8 @@ fn unsignaled_fanout_error_closes_a_crashed_slaves_connection_before_detection()
     assert_eq!(sends3 - sends2, 2 * (msgs3 - msgs2));
     assert!(cluster.net.counters().get("rdma.qp_errors") > qp_errors);
     let nic = cluster.nic_kv().expect("nic");
-    assert!(nic.detections.is_empty(), "no probe timeout yet");
-    assert_eq!(nic.available_slaves(), 3, "still flagged valid");
+    assert!(nic.nodes().detections.is_empty(), "no probe timeout yet");
+    assert_eq!(nic.nodes().available_slaves(), 3, "still flagged valid");
 }
 
 #[test]
@@ -422,5 +426,36 @@ fn a_slave_down_longer_than_the_backlog_holds_recovers_with_at_most_two_full_syn
     assert!(
         digests.iter().all(|&d| d == digests[0]),
         "diverged: {digests:x?}"
+    );
+}
+
+#[test]
+fn a_slave_crashed_between_probe_ticks_is_still_detected() {
+    // Under write load the fan-out's error completion closes a crashed
+    // slave's channel within a millisecond, so no probe is ever sent to
+    // it again: the closed channel has to start its `waiting-time` clock.
+    // Only the 800 ms crash lands on a probe tick.
+    let mut missed = Vec::new();
+    for crash_ms in [800u64, 1_001, 1_100, 1_500] {
+        let mut cluster = Cluster::build(spec(3, 2, 2_500));
+        let crash_at = SimTime::from_millis(crash_ms);
+        cluster.schedule_slave_crash(1, crash_at);
+        let cfg = &cluster.spec.cfg;
+        let bound = cfg.waiting_time + cfg.probe_interval + cfg.probe_interval;
+        cluster.sim.run_until(crash_at + bound);
+        let slave = cluster.slave_nodes[1];
+        let nic = cluster.nic_kv().expect("nic");
+        let detected = nic
+            .nodes()
+            .detections
+            .iter()
+            .any(|(t, addr)| *t >= crash_at && addr.node == slave);
+        if !detected || nic.nodes().available_slaves() != 2 {
+            missed.push((crash_ms, nic.nodes().available_slaves()));
+        }
+    }
+    assert!(
+        missed.is_empty(),
+        "(crash at ms, available slaves) not detected in time: {missed:?}"
     );
 }

@@ -411,3 +411,26 @@ proptest! {
         );
     }
 }
+
+#[test]
+fn a_soc_restart_is_not_a_partition() {
+    // The restarted SoC rebuilds its node list from zero as the master and
+    // the slaves re-register. No slave was ever cut off, so the mode must
+    // not change: a count rising from zero is not a lost quorum.
+    let mut s = spec(ReplModeKind::Quorum, 3, 1_500, 7);
+    s.cfg.mode_failover = true;
+    let mut cluster = Cluster::build(s);
+    cluster.schedule_nic_crash(SimTime::from_millis(800));
+    cluster.schedule_nic_recover(SimTime::from_millis(1_400));
+    run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
+    let nic = cluster.nic_kv().expect("nic");
+    assert!(
+        nic.mode_changes.is_empty(),
+        "mode changes: {:?}",
+        nic.mode_changes
+    );
+    assert_eq!(
+        cluster.master_server().stats().get(ServerStat::ModeChanges),
+        0
+    );
+}
