@@ -177,20 +177,19 @@ pub fn ablation_wr_batching() -> Table {
 }
 
 // ===========================================================================
-// replication mode (async stream vs quorum vs chain)
+// replication mode (async stream vs quorum)
 // ===========================================================================
 
 /// Sweep the replication protocol at a fixed fan-out: the async stream is
 /// the latency/throughput ceiling (replies return as soon as the host
-/// write lands), quorum pays one NIC→slave RTT before release, and chain
-/// pays the full hop-by-hop pipeline — the paper's offload numbers are
-/// the async arm, the other two price its durability upgrade.
+/// write lands) and quorum pays one NIC→slave RTT before release — the
+/// paper's offload numbers are the async arm, quorum prices its
+/// durability upgrade.
 ///
 /// `commits` are writes the NIC committed through ack tracking (0 for
 /// async — the stream mode has no commit point), `deferred` the replies
 /// the master held until the NIC's commit frontier (and the slave census)
-/// caught up, `rexmit` quorum retransmits to re-registered slaves,
-/// `repairs` hops spliced out of in-flight chain writes.
+/// caught up, `rexmit` quorum retransmits to re-registered slaves.
 pub fn ablation_replmode() -> Table {
     let mut t = Table::new(
         "Ablation — replication protocol (SKV, 3 slaves, 8 clients, GET/SET)",
@@ -201,7 +200,6 @@ pub fn ablation_replmode() -> Table {
             Column::new("commits", 10),
             Column::new("deferred", 10),
             Column::new("rexmit", 8),
-            Column::new("repairs", 10),
             Column::new("hist ops", 10),
             Column::new("lin", 8),
         ],
@@ -215,18 +213,11 @@ pub fn ablation_replmode() -> Table {
         // actually constrain the order.
         s.cfg.record_history = true;
         s.set_ratio = 0.5;
-        // The quorum arm carries the cross-mode failover knob too;
-        // with no faults injected the mode never moves, so the knob's
-        // steady-state cost shows up here as exactly zero transitions.
-        if mode == ReplModeKind::Quorum {
-            s.cfg.mode_failover = true;
-        }
         let mut cluster = Cluster::build(s);
         let report = cluster.run();
         let nic = cluster.nic_kv().map(NicKv::stats).unwrap_or_default();
         let commits = nic.get(NicStat::Commits);
         let retransmits = nic.get(NicStat::Retransmits);
-        let chain_repairs = nic.get(NicStat::ChainRepairs);
         let master = cluster.master_server().stats();
         // The history the bench clients recorded of themselves
         // (`record_history`) and the violations the checker finds in it
@@ -242,7 +233,6 @@ pub fn ablation_replmode() -> Table {
             commits,
             master.get(ServerStat::DeferredReplies),
             retransmits,
-            chain_repairs,
             hist_ops,
             if violations == 0 { "ok" } else { "FAIL" },
         ]);

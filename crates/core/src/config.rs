@@ -143,9 +143,10 @@ pub struct ClusterConfig {
     pub client_retry_timeout: SimDuration,
     /// Which replication protocol the cluster runs (see
     /// [`crate::replmode`]). `Async` reproduces the paper's stream
-    /// bit-for-bit; `Quorum` and `Chain` (SKV mode only — the tracking
-    /// runs on the Nic-KV) defer client replies until the NIC commits the
-    /// covering offset.
+    /// bit-for-bit; `Quorum` (SKV mode only — the tracking runs on the
+    /// Nic-KV) defers client replies until the NIC commits the covering
+    /// offset, and stalls rather than weakening its guarantee while a
+    /// write quorum is unreachable.
     pub repl_mode: ReplModeKind,
     /// Number of keyspace shards per server (Redis-Cluster-style hash
     /// slots, CRC16 → 16384 slots → `num_shards` contiguous ranges).
@@ -177,16 +178,6 @@ pub struct ClusterConfig {
     /// NIC also keeps each commit's ack set (`Tracker::committed_acks`)
     /// while this is on.
     pub record_history: bool,
-    /// Cross-mode failover (`repl_mode = Quorum` only): allow the NIC to
-    /// demote a quorum cluster to
-    /// the async stream when fewer than a write quorum of slaves are
-    /// reachable, and re-promote once a quorum heals. The demotion
-    /// instant is recorded (`NicKv::mode_changes`) as the declared
-    /// degradation point: the history before it must still linearize,
-    /// after it only async's eventual convergence is promised. Off by
-    /// default — quorum stalls (and sheds load via `min-slaves`-style
-    /// timeouts) rather than silently weakening its guarantee.
-    pub mode_failover: bool,
     /// CPU cost model.
     pub costs: CostParams,
     /// Fabric calibration.
@@ -215,7 +206,6 @@ impl Default for ClusterConfig {
             hot_cache_bytes: 0,
             hot_cache_policy: "lru".into(),
             record_history: false,
-            mode_failover: false,
             costs: CostParams::default(),
             net: NetParams::default(),
             machines: MachineParams::default(),
@@ -311,7 +301,7 @@ impl ClusterConfig {
                 self.thread_num, self.machines.nic_cores, self.num_shards
             ));
         }
-        // Replication knobs. The deferred modes are tracked on the Nic-KV;
+        // Replication knobs. Quorum is tracked on the Nic-KV;
         // a baseline master would hold every reply for a commit nobody
         // reports.
         if self.repl_mode != ReplModeKind::Async && self.mode != Mode::Skv {
@@ -320,13 +310,6 @@ impl ClusterConfig {
                  Nic-KV); mode is {}",
                 self.repl_mode,
                 self.mode.label()
-            ));
-        }
-        if self.mode_failover && self.repl_mode != ReplModeKind::Quorum {
-            return Err(format!(
-                "mode_failover degrades a quorum cluster to the async stream; \
-                 repl_mode is {}",
-                self.repl_mode
             ));
         }
         // Hot-cache knobs. The policy name is checked even with the
@@ -596,45 +579,25 @@ mod tests {
 
     #[test]
     fn validate_rejects_deferred_modes_outside_skv_mode() {
-        for repl_mode in [ReplModeKind::Quorum, ReplModeKind::Chain] {
-            for mode in [Mode::TcpRedis, Mode::RdmaRedis] {
-                let cfg = ClusterConfig {
-                    mode,
-                    repl_mode,
-                    ..Default::default()
-                };
-                let err = cfg.validate().unwrap_err();
-                assert!(err.contains("repl_mode"), "unexpected error: {err}");
-            }
-            let skv = ClusterConfig {
+        let repl_mode = ReplModeKind::Quorum;
+        for mode in [Mode::TcpRedis, Mode::RdmaRedis] {
+            let cfg = ClusterConfig {
+                mode,
                 repl_mode,
                 ..Default::default()
             };
-            assert!(skv.validate().is_ok(), "{repl_mode} on SKV rejected");
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("repl_mode"), "unexpected error: {err}");
         }
+        let skv = ClusterConfig {
+            repl_mode,
+            ..Default::default()
+        };
+        assert!(skv.validate().is_ok(), "quorum on SKV rejected");
         // The async stream is every mode's default.
         for mode in [Mode::TcpRedis, Mode::RdmaRedis, Mode::Skv] {
             assert!(ClusterConfig::for_mode(mode).validate().is_ok());
         }
-    }
-
-    #[test]
-    fn validate_rejects_mode_failover_without_quorum() {
-        for repl_mode in [ReplModeKind::Async, ReplModeKind::Chain] {
-            let cfg = ClusterConfig {
-                repl_mode,
-                mode_failover: true,
-                ..Default::default()
-            };
-            let err = cfg.validate().unwrap_err();
-            assert!(err.contains("mode_failover"), "unexpected error: {err}");
-        }
-        let cfg = ClusterConfig {
-            repl_mode: ReplModeKind::Quorum,
-            mode_failover: true,
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # histcheck — client-visible operation histories + the one checker
 //!
 //! The replication-mode work (see [`crate::replmode`]) promises different
-//! guarantees per mode: linearizable writes for quorum and chain,
-//! eventual convergence only for the async stream. Promises about
+//! guarantees per mode: linearizable writes for quorum, eventual
+//! convergence only for the async stream. Promises about
 //! *client-visible* behaviour need client-visible evidence, so clients
 //! record what they did and saw — the probe actors of [`crate::probes`]
 //! during chaos runs, the bench clients behind
@@ -17,7 +17,7 @@
 //!   the *expected* [`ViolationKind::Stale`] hits are the evidence that it
 //!   only converges eventually. [`check_linearizable_upto`] checks a
 //!   prefix only — the tool for proving a history linearizable up to a
-//!   declared cross-mode degradation point.
+//!   declared point after which a run promises less.
 //!
 //! Per key the checker runs two stages, both near-linear in the key's
 //! records (DESIGN.md §17):
@@ -467,8 +467,8 @@ pub fn check_linearizable(history: &History) -> Vec<Violation> {
 
 /// Check only the prefix of the history before `cutoff` — the tool for
 /// proving a run linearizable *up to a declared degradation point*
-/// (cross-mode failover demotes quorum to async mid-run; everything
-/// invoked before the demotion instant must still linearize).
+/// (a fault plan that ends the run's guarantee on purpose; everything
+/// invoked before that instant must still linearize).
 ///
 /// Ops invoked at or after `cutoff` are outside the claim and dropped;
 /// ops that completed at or after it are treated as still-open within

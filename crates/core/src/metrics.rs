@@ -53,22 +53,18 @@ pub mod catalog {
             /// WRs the command path was charged for — batching amortizes
             /// doorbells, never work requests.
             WrsPosted => "server.stat_wrs_posted",
-            /// Client replies deferred behind replication commit
-            /// (quorum/chain).
+            /// Client replies deferred behind replication commit (quorum).
             DeferredReplies => "server.stat_deferred_replies",
             /// Deferred replies released after a commit or census advance.
             ReleasedReplies => "server.stat_released_replies",
-            /// Mode transitions applied from `NodeMsg::ModeChange`.
-            ModeChanges => "server.stat_mode_changes",
         }
 
         /// Nic-KV counters. Each part of the SoC counts its own slots in
         /// a set of its own — the actor (fan-out, probes, failover,
-        /// retransmits, mode changes), its connection table (doorbells and
-        /// WRs), the [`Tracker`](crate::replmode::Tracker) (commits, chain
-        /// repair) and the [`SocFrontEnd`](crate::hotcache::SocFrontEnd)
-        /// (stale forwards) — and [`NicKv::stats`](crate::nickv::NicKv::stats)
-        /// sums them.
+        /// retransmits), its connection table (doorbells and WRs), the
+        /// [`Tracker`](crate::replmode::Tracker) (commits) and the
+        /// [`SocFrontEnd`](crate::hotcache::SocFrontEnd) (stale forwards)
+        /// — and [`NicKv::stats`](crate::nickv::NicKv::stats) sums them.
         pub enum NicStat {
             /// Replicated writes fanned out.
             FanoutMsgs => "nic.stat_fanout_msgs",
@@ -85,18 +81,10 @@ pub mod catalog {
             Probes => "nic.stat_probes",
             /// Master failovers performed.
             Failovers => "nic.stat_failovers",
-            /// Tracked writes committed (quorum / chain).
+            /// Tracked writes committed (quorum).
             Commits => "nic.stat_commits",
             /// Quorum-mode retransmissions to re-registering slaves.
             Retransmits => "nic.stat_retransmits",
-            /// Chain-repair actions: dead hops spliced out of in-flight
-            /// chains.
-            ChainRepairs => "nic.stat_chain_repairs",
-            /// Chain-rejoin actions: a re-registering slave spliced back
-            /// onto the tail of in-flight chains.
-            ChainRejoins => "nic.stat_chain_rejoins",
-            /// Mode transitions performed (degradations + re-promotions).
-            ModeChanges => "nic.stat_mode_changes",
             /// Replies for forwarded commands dropped because their cookie
             /// carried a stale (pre-restart) epoch.
             FwdStaleDrops => "nic.stat_fwd_stale_drops",

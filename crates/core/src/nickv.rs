@@ -13,8 +13,8 @@
 //!   `thread-num` ARM cores,
 //! * runs **failure detection**: 1-second probes, `waiting-time` timeouts
 //!   (counted from an unanswered probe or a closed channel), invalid flags,
-//!   `min-slaves` notifications to the master, master failover with
-//!   downgrade-on-return, and the `mode_failover` verdict,
+//!   `min-slaves` notifications to the master, and master failover with
+//!   downgrade-on-return,
 //! * with the hot-key cache on, runs the clients' **command front end** on
 //!   every ARM core the fan-out threads leave free, each core polling its
 //!   own CQ and its share of the client connections (DESIGN.md §16.1).
@@ -34,7 +34,7 @@ use crate::hotcache::{Dispatch, HotCache, SocFrontEnd};
 use crate::metrics::catalog::NicStat;
 use crate::nodelist::NodeList;
 use crate::protocol::{tag, NodeMsg};
-use crate::replmode::{ReplModeKind, Step, Tracker, REPL_WINDOW};
+use crate::replmode::{Step, Tracker, REPL_WINDOW};
 use crate::replsink::parse_stream_frame;
 
 /// Emptied connection lists kept for reuse; more than a replication
@@ -50,12 +50,9 @@ enum NicMsg {
     /// one WR per slave under a single doorbell. Each slave's WR carries
     /// the same frame by refcount bump.
     FanoutSendBatch { conns: Vec<usize>, frame: Frame },
-    /// Tracked-mode (quorum) fan-out work finished; post the write's WRs
+    /// Quorum fan-out work finished; post the write's WRs
     /// under one doorbell and arm ack tracking on their completions.
     TrackedSend { seq: u64, conns: Vec<usize> },
-    /// Chain-mode per-hop work finished; post the write to its current
-    /// head hop.
-    ChainHop { seq: u64 },
     /// Front-end ARM work for a client-bound reply finished (a cache hit
     /// or a relayed forwarded reply); send it on the client channel now.
     CacheReply { conn: usize, frame: Frame },
@@ -105,19 +102,11 @@ pub struct NicKv {
     /// This actor's `nic.*` counters (the rest are its parts'; see
     /// [`NicKv::stats`]).
     stats: CounterSet<NicStat>,
-    /// Tracked replication (quorum / chain): in-flight writes, acks, the
-    /// commit frontier, and the mode currently *in force* — `cfg.repl_mode`
-    /// unless `mode_failover` degraded a quorum cluster to the async
-    /// stream.
+    /// Quorum's tracked replication: in-flight writes, acks and the
+    /// commit frontier.
     tracker: Tracker,
-    /// Scratch for the live-slave list every tracker call is given.
-    live: Vec<SocketAddr>,
     /// Highest commit offset pushed to the master via `WriteCommitted`.
     notified_upto: u64,
-    /// Every mode transition `(instant, new mode)`, in order. The history
-    /// checker cuts its linearizability claim at the first entry — the
-    /// declared degradation point.
-    pub mode_changes: Vec<(SimTime, ReplModeKind)>,
     /// Replicated writes seen per master shard, classified by the hash
     /// slot of the command's first key (index = shard). Only populated
     /// when `num_shards > 1` — the NIC's view of how evenly the shard
@@ -141,12 +130,7 @@ impl NicKv {
         let cache = cfg
             .hot_cache_enabled()
             .then(|| HotCache::new(cfg.hot_cache_bytes, cfg.hot_cache_policy_kind()));
-        let tracker = Tracker::new(
-            cfg.repl_mode,
-            cfg.num_slaves,
-            REPL_WINDOW,
-            cfg.record_history,
-        );
+        let tracker = Tracker::new(cfg.num_slaves, REPL_WINDOW, cfg.record_history);
         NicKv {
             net,
             node,
@@ -162,17 +146,15 @@ impl NicKv {
             cfg,
             stats: CounterSet::default(),
             tracker,
-            live: Vec::new(),
             notified_upto: 0,
-            mode_changes: Vec::new(),
             shard_ingress,
             front: SocFrontEnd::new(cache),
             spare_conns: Vec::new(),
         }
     }
 
-    /// The tracked-replication state machine: the mode in force, the
-    /// commit frontier and in-flight writes.
+    /// The tracked-replication state machine: the commit frontier and
+    /// in-flight writes.
     pub fn tracker(&self) -> &Tracker {
         &self.tracker
     }
@@ -214,24 +196,16 @@ impl NicKv {
         &self.shard_ingress
     }
 
-    /// Whether the mode *currently in force* tracks per-write acks and
-    /// defers the master's client replies (quorum and chain; not the
-    /// async stream, including a quorum cluster degraded into it).
+    /// Whether the cluster tracks per-write acks and defers the master's
+    /// client replies (quorum; not the async stream).
     fn deferred(&self) -> bool {
-        self.tracker.mode().defers_replies()
+        self.cfg.repl_mode.defers_replies()
     }
 
-    /// Hand the tracker an input together with the live-slave set, then
-    /// carry out every step it decided on, in order.
-    fn track(&mut self, ctx: &mut Context<'_>, input: impl FnOnce(&mut Tracker, &[SocketAddr])) {
-        let mut live = std::mem::take(&mut self.live);
-        live.clear();
-        // Only chains read it: their hops, and who a repair keeps.
-        if self.tracker.mode() == ReplModeKind::Chain {
-            live.extend(self.nodes.targets().map(|(_, addr)| addr));
-        }
-        input(&mut self.tracker, &live);
-        self.live = live;
+    /// Hand the tracker an input, then carry out every step it decided on,
+    /// in order.
+    fn track(&mut self, ctx: &mut Context<'_>, input: impl FnOnce(&mut Tracker)) {
+        input(&mut self.tracker);
         while let Some(step) = self.tracker.next_step() {
             match step {
                 // Parsing the request happens once, on the thread that owns
@@ -244,10 +218,6 @@ impl NicKv {
                     if let Some((conns, done)) = self.charge_fanout(ctx.now()) {
                         ctx.timer_at(done, NicMsg::TrackedSend { seq, conns });
                     }
-                }
-                Step::Hop { seq } => {
-                    let done = self.charge_fanout_thread(ctx.now());
-                    ctx.timer_at(done, NicMsg::ChainHop { seq });
                 }
                 Step::Committed => self.notify_committed(ctx),
             }
@@ -300,12 +270,9 @@ impl NicKv {
         self.send_on(ctx, conn, tag::REPLY, err);
     }
 
-    /// Every availability change funnels through here: the cross-mode
-    /// failover verdict first, then the slave-set update if it changed.
+    /// Every availability change funnels through here: the slave-set
+    /// update, if it changed.
     fn notify_available(&mut self, ctx: &mut Context<'_>) {
-        if let Some(mode) = self.nodes.mode_verdict(self.tracker.mode()) {
-            self.switch_mode(ctx, mode);
-        }
         if let Some((conn, msg)) = self.nodes.update(self.master_offset) {
             self.send_on(ctx, conn, tag::NODE, msg.encode());
         }
@@ -428,12 +395,6 @@ impl NicKv {
                     self.send_node(ctx, demote, NodeMsg::Demote);
                     // Tell the master how many slaves are already valid.
                     self.notify_available(ctx);
-                    if self.cfg.mode_failover && self.tracker.mode() != self.cfg.repl_mode {
-                        // A (re)connecting master defaults to the
-                        // configured mode; bring it up to date with the
-                        // mode actually in force.
-                        self.announce_mode(ctx);
-                    }
                     if self.deferred() {
                         // A reconnecting master lost any earlier commit
                         // notification state; resend the frontier.
@@ -454,26 +415,17 @@ impl NicKv {
                 self.send_node(ctx, master, NodeMsg::SyncNotify { slave, position });
                 self.notify_available(ctx);
                 if self.deferred() {
-                    self.track(ctx, |t, live| t.on_progress(slave, position.offset, live));
-                    match self.tracker.mode() {
-                        ReplModeKind::Quorum => self.retransmit_pending(ctx, slave),
-                        // A healed slave re-enters the replication
-                        // topology here, at the tail of every in-flight
-                        // chain its cumulative offset does not cover.
-                        ReplModeKind::Chain => {
-                            self.tracker.rejoin(slave, position.offset);
-                        }
-                        ReplModeKind::Async => {}
-                    }
+                    self.track(ctx, |t| t.on_progress(slave, position.offset));
+                    self.retransmit_pending(ctx, slave);
                 }
             }
-            // A progress report, or a chain hop acknowledgement: the slave
-            // *applied* the stream up to `offset` (cumulative, so one ack
-            // can cover several pending writes).
-            NodeMsg::ProgressReport { slave, offset } | NodeMsg::WriteAck { slave, offset } => {
+            // A progress report: the slave *applied* the stream up to
+            // `offset` (cumulative, so one report can cover several pending
+            // writes).
+            NodeMsg::ProgressReport { slave, offset } => {
                 self.nodes.progress(slave, offset);
                 if self.deferred() {
-                    self.track(ctx, |t, live| t.on_progress(slave, offset, live));
+                    self.track(ctx, |t| t.on_progress(slave, offset));
                 }
             }
             NodeMsg::ProbeReply { seq: _, from } => {
@@ -492,9 +444,9 @@ impl NicKv {
 
     /// Steady-state fan-out (Fig. 9 ②): write the command into each valid
     /// slave's send buffer and post one WRITE_WITH_IMM per slave, the work
-    /// spread round-robin across `thread-num` ARM cores. Quorum/chain
-    /// modes hand the write to the tracker instead, which launches it
-    /// under the mode's pattern or parks it behind a full window.
+    /// spread round-robin across `thread-num` ARM cores. Quorum hands the
+    /// write to the tracker instead, which launches it or parks it behind
+    /// a full window.
     fn fan_out(&mut self, ctx: &mut Context<'_>, frame: Frame) {
         self.stats.inc(NicStat::FanoutMsgs);
         let end_offset = parse_stream_frame(&frame).map(|(from_offset, body)| {
@@ -509,14 +461,12 @@ impl NicKv {
         if !self.deferred() {
             self.async_send(ctx, frame);
         } else if let Some(end_offset) = end_offset {
-            self.track(ctx, |t, live| t.admit(frame, end_offset, live));
+            self.track(ctx, |t| t.admit(frame, end_offset));
         }
     }
 
     /// The async-stream send body: the request parse on thread 0, then
-    /// the per-slave ARM work. Shared by the steady-state fast path and
-    /// the degrade flush, which re-launches window-parked tracked frames
-    /// under async semantics (already counted in `NicStat::FanoutMsgs`).
+    /// the per-slave ARM work.
     fn async_send(&mut self, ctx: &mut Context<'_>, frame: Frame) {
         self.cpu
             .run_on(0, ctx.now(), self.cfg.costs.nic_fanout_base);
@@ -602,21 +552,6 @@ impl NicKv {
         accepted
     }
 
-    /// Post one chain write to its head hop (the `ChainHop` timer body).
-    fn chain_hop_post(&mut self, ctx: &mut Context<'_>, seq: u64) {
-        let mut target = None;
-        self.track(ctx, |t, live| target = t.hop_target(seq, live));
-        let Some((slave, frame)) = target else {
-            return;
-        };
-        let conn = self.nodes.conn_of(slave);
-        if !conn.is_some_and(|c| self.post_stream(ctx, &[c], &frame, Some(seq))) {
-            // The hop died between scheduling and posting, or on the post.
-            self.tracker.hop_unposted(seq);
-            self.chain_repair(ctx);
-        }
-    }
-
     /// Push the commit frontier to the master so it can release deferred
     /// client replies.
     fn notify_committed(&mut self, ctx: &mut Context<'_>) {
@@ -631,7 +566,7 @@ impl NicKv {
         }
     }
 
-    /// Quorum mode: re-post every pending write a re-registering slave has
+    /// Quorum: re-post every pending write a re-registering slave has
     /// not acked.
     fn retransmit_pending(&mut self, ctx: &mut Context<'_>, slave: SocketAddr) {
         let Some(conn) = self.nodes.conn_of(slave) else {
@@ -646,52 +581,12 @@ impl NicKv {
         }
     }
 
-    /// Chain mode: splice every dead hop out of every in-flight chain and
-    /// re-drive stalled writes. Run after completion drains and failure
-    /// detections — any path that can tear a conn down.
-    fn chain_repair(&mut self, ctx: &mut Context<'_>) {
-        if self.tracker.mode() == ReplModeKind::Chain {
-            self.track(ctx, Tracker::repair);
-        }
-    }
-
-    // -- cross-mode failover (`ClusterConfig::mode_failover`) -------------------
-
-    /// Carry out the node list's failover verdict. Degrading to the async
-    /// stream re-declares every byte the master has streamed so far
-    /// committed (its deferred replies release), drops tracked-write state
-    /// and flushes window-parked frames through the async fast path, so no
-    /// write is lost in the transition. Promoting back commits the async
-    /// interlude's bytes by the semantics they were written under and
-    /// tracks afresh from the stream frontier. Linearizability is promised
-    /// only up to the first degradation; `mode_changes` is the seam
-    /// `histcheck::check_linearizable_upto` cuts at.
-    fn switch_mode(&mut self, ctx: &mut Context<'_>, mode: ReplModeKind) {
-        self.stats.inc(NicStat::ModeChanges);
-        self.mode_changes.push((ctx.now(), mode));
-        if mode == ReplModeKind::Async {
-            for frame in self.tracker.degrade(self.master_offset) {
-                self.async_send(ctx, frame);
-            }
-        } else {
-            self.tracker.promote(mode, self.master_offset);
-        }
-        self.announce_mode(ctx);
-        self.notify_committed(ctx);
-    }
-
-    /// Tell the master which mode is in force now.
-    fn announce_mode(&mut self, ctx: &mut Context<'_>) {
-        let (master, mode) = (self.nodes.master_conn(), self.tracker.mode());
-        self.send_node(ctx, master, NodeMsg::ModeChange { mode });
-    }
-
     // -- failure detection (§III-D) ---------------------------------------------
 
     /// Carry out a probe round: the failover the node list decided on, one
     /// probe per open channel (cheap ARM work each; one encode, one
-    /// buffer, each copy a `Frame` refcount bump), chain repair after a
-    /// detection, and the slave-set update.
+    /// buffer, each copy a `Frame` refcount bump), and the slave-set
+    /// update.
     fn on_probe_tick(&mut self, ctx: &mut Context<'_>) {
         ctx.timer(self.cfg.probe_interval, NicMsg::ProbeTick);
         let now = ctx.now();
@@ -706,10 +601,6 @@ impl NicKv {
             self.cpu.run_any(now, SimDuration::from_nanos(150));
             self.stats.inc(NicStat::Probes);
             self.send_on(ctx, conn, tag::NODE, probe.clone());
-        }
-        if round.detected {
-            // Newly invalid nodes break in-flight chains: splice them out.
-            self.chain_repair(ctx);
         }
         self.notify_available(ctx);
     }
@@ -755,7 +646,7 @@ impl Actor for NicKv {
                             self.close_conn(ctx, i);
                         }
                         self.master_offset = 0;
-                        // Tracked-mode state is process state: gone too.
+                        // Quorum tracking state is process state: gone too.
                         self.tracker.reset();
                         self.notified_upto = 0;
                         // Stale completions still replenish receive slots,
@@ -790,9 +681,6 @@ impl Actor for NicKv {
                             self.post_stream(ctx, &conns, &frame, Some(seq));
                         }
                         self.recycle_conns(conns);
-                    }
-                    NicMsg::ChainHop { seq } => {
-                        self.chain_hop_post(ctx, seq);
                     }
                     NicMsg::CacheReply { conn, frame } => {
                         self.send_on(ctx, conn, tag::REPLY, frame);
@@ -853,13 +741,12 @@ impl Actor for NicKv {
                         let Some(conn) = self.conns.conn_of_qp(wc.qp).filter(open) else {
                             return;
                         };
-                        // Tracked-mode ack hook: a send-side completion for a
+                        // Quorum's ack hook: a send-side completion for a
                         // replication WR resolves to its `(seq, slave)` —
-                        // success means the slave holds the bytes (RC), error
-                        // feeds chain repair.
+                        // success means the slave holds the bytes (RC).
                         if self.deferred() && wc.opcode == WcOpcode::RdmaWrite {
                             let (key, ok) = ((wc.qp, wc.wr_id), wc.status == WcStatus::Success);
-                            self.track(ctx, |t, live| t.on_wr_done(key, ok, live));
+                            self.track(ctx, |t| t.on_wr_done(key, ok));
                         }
                         match self.conns.on_wc(&net, ctx, conn, &wc) {
                             ConnEvent::Msg(m) => self.on_channel_msg(ctx, conn, m),
@@ -868,9 +755,6 @@ impl Actor for NicKv {
                         }
                     });
                 self.conns.put_wcs(wcs);
-                // Completion errors may have torn connections down; give
-                // in-flight chains a chance to splice dead hops out.
-                self.chain_repair(ctx);
                 let done = self.cpu.run_on(core, ctx.now(), out.cpu_cost).finished;
                 if out.more {
                     ctx.timer_at(done, NetEvent::CqNotify { cq });

@@ -6,25 +6,23 @@
 //! leaves a probe unanswered for `waiting-time` is flagged invalid, a
 //! failed master is replaced by the best valid slave and that slave is
 //! demoted when the original master returns, and the master hears how
-//! many slaves are valid (`min-slaves`). With `mode_failover`, the same
-//! count decides when a quorum cluster degrades to the async stream.
+//! many slaves are valid (`min-slaves`).
 //!
 //! [`NodeList`] owns every decision of that policy: the entries, the probe
-//! sequence, the promoted slave, the last slave-set update sent, the
-//! detection and recovery records and the peak slave count. It does no IO
-//! and reads no clock: [`crate::nickv::NicKv`] passes in what only it
-//! knows — which channel carried a registration and which one closed, the
-//! master's stream offset, `now` — and carries the answers out: it sends,
-//! charges the ARM cores, counts and drives the tracker. Every close is
-//! reported, so an entry's channel is an open one. The same split as
-//! [`crate::hostlinks::HostLinks`] (DESIGN.md §32).
+//! sequence, the promoted slave, the last slave-set update sent, and the
+//! detection and recovery records. It does no IO and reads no clock:
+//! [`crate::nickv::NicKv`] passes in what only it knows — which channel
+//! carried a registration and which one closed, the master's stream
+//! offset, `now` — and carries the answers out: it sends, charges the ARM
+//! cores and counts. Every close is reported, so an entry's channel is an
+//! open one. The same split as [`crate::hostlinks::HostLinks`] (DESIGN.md
+//! §32).
 
 use skv_netsim::SocketAddr;
 use skv_simcore::{SimDuration, SimTime};
 
 use crate::config::ClusterConfig;
 use crate::protocol::NodeMsg;
-use crate::replmode::{quorum_slave_acks, ReplModeKind};
 use crate::replsource::MAX_SLAVE_LAG;
 
 /// An entry in the node list.
@@ -52,8 +50,6 @@ pub(crate) struct Round {
     pub promote: Option<usize>,
     /// The sequence number this round's probes carry.
     pub seq: u64,
-    /// Some node was flagged failed: in-flight chains lose a hop.
-    pub detected: bool,
 }
 
 /// Nic-KV's node list and failure detector.
@@ -69,23 +65,15 @@ pub struct NodeList {
     pub detections: Vec<(SimTime, SocketAddr)>,
     /// Instants at which a node declared failed was seen alive again.
     pub recoveries: Vec<(SimTime, SocketAddr)>,
-    /// Highest valid slave count seen since the SoC started: degrading
-    /// below quorum means something only once a full quorum existed
-    /// (otherwise start-up would read as a partition).
-    peak: usize,
     /// How long a node's clock may run before it is flagged failed.
     waiting_time: SimDuration,
-    /// The quorum size, when `mode_failover` applies (a quorum cluster).
-    failover_need: Option<usize>,
 }
 
 impl NodeList {
     /// The node list of a Nic-KV configured by `cfg`.
     pub(crate) fn new(cfg: &ClusterConfig) -> Self {
-        let failover = cfg.mode_failover && cfg.repl_mode == ReplModeKind::Quorum;
         NodeList {
             waiting_time: cfg.waiting_time,
-            failover_need: failover.then(|| quorum_slave_acks(cfg.num_slaves)),
             ..NodeList::default()
         }
     }
@@ -187,7 +175,7 @@ impl NodeList {
         }
     }
 
-    /// A progress report or write ack: the slave applied up to `offset`.
+    /// A progress report: the slave applied up to `offset`.
     pub(crate) fn progress(&mut self, addr: SocketAddr, offset: u64) {
         if let Some(i) = self.index_of(addr) {
             let e = &mut self.entries[i];
@@ -215,7 +203,7 @@ impl NodeList {
     /// through [`NodeList::next_probe`].
     pub(crate) fn probe_round(&mut self, now: SimTime) -> Round {
         self.probe_seq += 1;
-        let (mut detected, mut master_failed) = (false, false);
+        let mut master_failed = false;
         for e in &mut self.entries {
             let overdue = e
                 .pending_probe_since
@@ -223,7 +211,6 @@ impl NodeList {
             if e.valid && overdue {
                 e.valid = false;
                 self.detections.push((now, e.addr));
-                detected = true;
                 master_failed |= e.is_master;
             }
         }
@@ -239,7 +226,6 @@ impl NodeList {
         }
         Round {
             seq: self.probe_seq,
-            detected,
             promote,
         }
     }
@@ -287,28 +273,11 @@ impl NodeList {
         Some((conn, NodeMsg::SlaveSetUpdate { available, lagging }))
     }
 
-    /// `mode_failover` on a quorum cluster, given the mode in force: the
-    /// mode to switch to. A cluster that can no longer assemble a write
-    /// quorum degrades to the async stream — once a full quorum has
-    /// existed — and is promoted back once enough slaves are valid.
-    pub(crate) fn mode_verdict(&mut self, mode: ReplModeKind) -> Option<ReplModeKind> {
-        let need = self.failover_need?;
-        let avail = self.available_slaves();
-        self.peak = self.peak.max(avail);
-        match mode {
-            ReplModeKind::Quorum if avail < need && self.peak >= need => Some(ReplModeKind::Async),
-            ReplModeKind::Async if avail >= need => Some(ReplModeKind::Quorum),
-            _ => None,
-        }
-    }
-
     /// The SoC restarted: the list is rebuilt from the master's `Hello`
-    /// and the slaves' re-registrations, and nothing else survives —
-    /// not the peak, or a rebuilding list would read as a partition.
+    /// and the slaves' re-registrations, and nothing else survives.
     pub(crate) fn restart(&mut self) {
         *self = NodeList {
             waiting_time: self.waiting_time,
-            failover_need: self.failover_need,
             ..NodeList::default()
         };
     }
@@ -338,15 +307,12 @@ mod tests {
         SimTime::from_millis(t)
     }
 
-    /// 200 ms probes, 400 ms `waiting-time`; quorum with `mode_failover`
-    /// over three slaves (a quorum is two).
+    /// 200 ms probes, 400 ms `waiting-time`, three slaves.
     fn cfg() -> ClusterConfig {
         let mut cfg = ClusterConfig::for_mode(Mode::Skv);
         cfg.num_slaves = 3;
         cfg.probe_interval = SimDuration::from_millis(200);
         cfg.waiting_time = SimDuration::from_millis(400);
-        cfg.repl_mode = ReplModeKind::Quorum;
-        cfg.mode_failover = true;
         cfg
     }
 
@@ -399,7 +365,6 @@ mod tests {
             && nodes.last_update.is_none()
             && nodes.detections.is_empty()
             && nodes.recoveries.is_empty()
-            && nodes.peak == 0
     }
 
     #[test]
@@ -469,13 +434,14 @@ mod tests {
         slaves_answer(&mut nodes, ms(210));
         // The master misses its probes and is replaced; its late reply
         // revalidates it and demotes the promoted slave.
-        let r = round(&mut nodes, ms(800));
-        assert!(r.detected && r.promote == Some(2));
+        assert_eq!(round(&mut nodes, ms(800)).promote, Some(2));
+        assert_eq!(nodes.detections, vec![(ms(800), MASTER)]);
         assert_eq!(nodes.probe_reply(ms(810), MASTER), (true, Some(2)));
         assert_eq!(nodes.recoveries, vec![(ms(810), MASTER)]);
         // A slave's return demotes nobody, and forgets its stale offset.
         let r = round(&mut nodes, ms(1_400));
-        assert!(r.detected && r.promote.is_none(), "the master answered");
+        assert!(r.promote.is_none(), "the master answered");
+        assert_eq!(nodes.detections.len(), 4, "the three silent slaves");
         assert_eq!(nodes.probe_reply(ms(1_410), SLAVES[0]), (true, None));
         assert_eq!(entry(&nodes, SLAVES[0]).offset, 0);
     }
@@ -484,14 +450,15 @@ mod tests {
     fn a_probe_round_flags_overdue_nodes_and_picks_the_best_slave() {
         let mut nodes = cluster();
         let first = nodes.probe_round(ms(200));
-        assert!(first.seq == 1 && !first.detected && first.promote.is_none());
+        assert!(first.seq == 1 && first.promote.is_none());
         assert_eq!(probes(&mut nodes, ms(200)), vec![0, 1, 2, 3]);
         // The oldest unanswered probe keeps the clock.
         assert_eq!(nodes.probe_round(ms(400)).seq, 2);
         probes(&mut nodes, ms(400));
         assert_eq!(entry(&nodes, MASTER).pending_probe_since, Some(ms(200)));
         // Overdue means more than `waiting-time`.
-        assert!(!round(&mut nodes, ms(600)).detected);
+        round(&mut nodes, ms(600));
+        assert!(nodes.detections.is_empty());
         slaves_answer(&mut nodes, ms(700));
         let r = round(&mut nodes, ms(800));
         assert_eq!(nodes.detections, vec![(ms(800), MASTER)]);
@@ -526,7 +493,8 @@ mod tests {
         for t in [ms(500), ms(700)] {
             slaves_answer(&mut nodes, t);
             nodes.probe_reply(t, MASTER);
-            let detected = round(&mut nodes, t + SimDuration::from_millis(100)).detected;
+            round(&mut nodes, t + SimDuration::from_millis(100));
+            let detected = !nodes.detections.is_empty();
             assert_eq!(detected, t == ms(700), "550 ms after the close, not 350");
         }
         assert_eq!(nodes.detections, vec![(ms(800), SLAVES[0])]);
@@ -556,46 +524,17 @@ mod tests {
     }
 
     #[test]
-    fn mode_failover_degrades_only_below_a_quorum_that_existed() {
-        let mut off = cfg();
-        off.mode_failover = false;
-        let mut nodes = NodeList::new(&off);
-        nodes.register(ms(0), SLAVES[0], false, 1, None);
-        assert_eq!(nodes.mode_verdict(ReplModeKind::Quorum), None);
-
-        let mut nodes = NodeList::new(&cfg());
-        nodes.register(ms(0), SLAVES[0], false, 1, None);
-        assert_eq!(nodes.mode_verdict(ReplModeKind::Quorum), None, "start-up");
-        nodes.register(ms(0), SLAVES[1], false, 2, None);
-        assert_eq!(nodes.mode_verdict(ReplModeKind::Quorum), None);
-        nodes.closed(ms(0), 2);
-        round(&mut nodes, ms(600));
-        assert_eq!(
-            nodes.mode_verdict(ReplModeKind::Quorum),
-            Some(ReplModeKind::Async)
-        );
-        assert_eq!(nodes.mode_verdict(ReplModeKind::Async), None);
-        nodes.register(ms(700), SLAVES[1], false, 3, None);
-        assert_eq!(
-            nodes.mode_verdict(ReplModeKind::Async),
-            Some(ReplModeKind::Quorum)
-        );
-    }
-
-    #[test]
-    fn a_restart_forgets_everything_including_the_peak() {
+    fn a_restart_forgets_everything() {
         let mut nodes = cluster();
-        nodes.mode_verdict(ReplModeKind::Quorum);
         nodes.closed(ms(0), 0);
         round(&mut nodes, ms(600));
         nodes.update(0);
         assert!(!forgotten(&nodes));
         nodes.restart();
         assert!(forgotten(&nodes));
-        // The list rebuilds from zero: rising through one slave is no
-        // partition.
+        // The list rebuilds from zero.
         nodes.register(ms(700), SLAVES[0], false, 5, None);
-        assert_eq!(nodes.mode_verdict(ReplModeKind::Quorum), None);
+        assert_eq!((nodes.entries().len(), nodes.available_slaves()), (1, 1));
         assert_eq!(
             nodes.waiting_time,
             cfg().waiting_time,
@@ -614,7 +553,6 @@ mod tests {
         chan: [Option<usize>; 4],
         chanless_since: [Option<SimTime>; 4],
         next_conn: usize,
-        mode: ReplModeKind,
         sent: Option<NodeMsg>,
         /// Each node's last record: `Some(true)` a detection.
         last_record: [Option<bool>; 4],
@@ -632,7 +570,6 @@ mod tests {
                 chan: [None; 4],
                 chanless_since: [None; 4],
                 next_conn: 0,
-                mode: ReplModeKind::Quorum,
                 sent: None,
                 last_record: [None; 4],
                 seen: (0, 0),
@@ -678,10 +615,6 @@ mod tests {
         }
 
         fn notify(&mut self, master_offset: u64) -> Result<(), TestCaseError> {
-            if let Some(mode) = self.nodes.mode_verdict(self.mode) {
-                prop_assert_ne!(mode, self.mode);
-                self.mode = mode;
-            }
             if let Some((conn, msg)) = self.nodes.update(master_offset) {
                 prop_assert_eq!(Some(conn), self.chan[0]);
                 let msg = Some(msg);
@@ -757,11 +690,11 @@ mod tests {
 
         /// Whatever happened before — registrations on new channels,
         /// progress, probe replies, closed channels, probe rounds,
-        /// slave-set updates with the failover verdict, SoC restarts —
-        /// a node that lost its channel is declared failed in time unless
-        /// it registered again, the records alternate, at most one valid
-        /// slave with a channel is promoted, an update goes out only when
-        /// it changed, and nothing survives a restart.
+        /// slave-set updates, SoC restarts — a node that lost its channel
+        /// is declared failed in time unless it registered again, the
+        /// records alternate, at most one valid slave with a channel is
+        /// promoted, an update goes out only when it changed, and nothing
+        /// survives a restart.
         #[test]
         fn the_detector_keeps_its_promises(
             ops in prop::collection::vec((any::<u8>(), 0..4usize, 0..120u64), 0..160),

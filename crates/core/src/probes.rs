@@ -53,8 +53,7 @@ pub enum ReadAnchor {
     /// Read from the master only (quorum-mode arm: the master holds
     /// every committed write).
     Master,
-    /// Read from one slave only (async arm: exposes staleness; chain
-    /// arm with the tail index: the commit point).
+    /// Read from one slave only (async arm: exposes staleness).
     Slave(usize),
     /// Read from the master plus enough slaves for a majority of the
     /// replica set (ABD-style read quorum).

@@ -9,8 +9,6 @@
 use skv_netsim::SocketAddr;
 use skv_store::repl::{ReplicationId, ReplicationPosition};
 
-use crate::replmode::ReplModeKind;
-
 /// Message tags carried in the RDMA immediate field (and as the first byte
 /// of TCP frames) to route payloads without peeking inside.
 pub mod tag {
@@ -177,32 +175,24 @@ pub enum NodeMsg {
         /// True when the sender is the master Host-KV.
         is_master: bool,
     },
-    /// Slave → Nic-KV (chain mode): cumulative *applied* offset. Unlike
-    /// the periodic `ProgressReport`, this is sent eagerly after every
-    /// apply batch, because a chain hop only advances once the previous
-    /// hop has durably applied — not merely received — the segment.
+    /// A slave's cumulative *applied* offset, once sent eagerly after
+    /// every apply batch by chain replication. No node sends it since that
+    /// mode left, and every receiver ignores it; it stays in the codec
+    /// only because the benchmark's codec timing (`benchmark/src/replay.rs`,
+    /// a frozen surface) encodes it, and goes with the next change to the
+    /// benchmark.
     WriteAck {
         /// The acking slave.
         slave: SocketAddr,
         /// Bytes of the master history applied so far.
         offset: u64,
     },
-    /// Nic-KV → master Host-KV (quorum/chain modes): every write whose
-    /// end offset is ≤ `upto` has committed under the active replication
-    /// mode; the master may release the deferred client replies it
-    /// covers.
+    /// Nic-KV → master Host-KV (quorum): every write whose end offset is
+    /// ≤ `upto` has committed; the master may release the deferred client
+    /// replies it covers.
     WriteCommitted {
         /// Cumulative committed replication offset.
         upto: u64,
-    },
-    /// Nic-KV → master Host-KV (cross-mode failover): the replication
-    /// guarantee in force changed at runtime. Demotion to `Async`
-    /// releases every deferred reply (the degradation point is declared,
-    /// not silent); re-promotion to the configured mode resumes
-    /// deferring from the next write on.
-    ModeChange {
-        /// The replication mode now in force.
-        mode: ReplModeKind,
     },
 }
 
@@ -280,10 +270,6 @@ impl NodeMsg {
                 out.push(13);
                 out.extend_from_slice(&upto.to_le_bytes());
             }
-            NodeMsg::ModeChange { mode } => {
-                out.push(14);
-                out.push(mode.code());
-            }
         }
         out
     }
@@ -343,9 +329,8 @@ impl NodeMsg {
             13 => Some(NodeMsg::WriteCommitted {
                 upto: get_u64(buf, &mut pos)?,
             }),
-            14 => Some(NodeMsg::ModeChange {
-                mode: ReplModeKind::from_code(*buf.get(pos)?)?,
-            }),
+            // 14 was the cross-mode failover's `ModeChange`: retired, and
+            // never reused.
             _ => None,
         }
     }
@@ -405,6 +390,7 @@ fn get_u16(buf: &[u8], pos: &mut usize) -> Option<u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use skv_netsim::NodeId;
 
     fn addr(n: u32, p: u16) -> SocketAddr {
@@ -468,15 +454,6 @@ mod tests {
                 offset: 987_654,
             },
             NodeMsg::WriteCommitted { upto: u64::MAX - 1 },
-            NodeMsg::ModeChange {
-                mode: ReplModeKind::Async,
-            },
-            NodeMsg::ModeChange {
-                mode: ReplModeKind::Quorum,
-            },
-            NodeMsg::ModeChange {
-                mode: ReplModeKind::Chain,
-            },
         ];
         for msg in msgs {
             let bytes = msg.encode();
@@ -537,7 +514,32 @@ mod tests {
         assert_eq!(NodeMsg::decode(&[255]), None);
         assert_eq!(NodeMsg::decode(&[0, 1]), None, "truncated");
         assert_eq!(NodeMsg::decode(&[2, 0, 0]), None, "truncated repl id");
-        assert_eq!(NodeMsg::decode(&[14]), None, "truncated mode change");
-        assert_eq!(NodeMsg::decode(&[14, 9]), None, "unknown mode code");
+        // The retired `ModeChange` tag is unknown, bare or with the
+        // payload it once carried (a mode code).
+        assert_eq!(NodeMsg::decode(&[14]), None, "retired tag 14");
+        assert_eq!(NodeMsg::decode(&[14, 1]), None, "retired tag 14 + payload");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// Decoding arbitrary bytes of at most 64 never panics, and
+        /// whatever decodes re-encodes to a frame that decodes to the same
+        /// message. Each case is tried as drawn and again with its first
+        /// byte forced to one of the sixteen tags 0..=15 (known, retired
+        /// and unknown), so most of the cases reach a payload decoder.
+        #[test]
+        fn arbitrary_bytes_decode_to_none_or_a_stable_message(
+            bytes in prop::collection::vec(any::<u8>(), 0..65),
+            tag in 0u8..16,
+        ) {
+            let tail = bytes.iter().skip(1).copied();
+            let tagged: Vec<u8> = std::iter::once(tag).chain(tail).collect();
+            for frame in [bytes, tagged] {
+                if let Some(m) = NodeMsg::decode(&frame) {
+                    prop_assert_eq!(NodeMsg::decode(&m.encode()), Some(m));
+                }
+            }
+        }
     }
 }

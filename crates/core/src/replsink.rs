@@ -103,8 +103,6 @@ pub struct ReplSink {
     /// equals), at most [`STASH_CAP`].
     stash: VecDeque<(u64, Frame)>,
     rdb: Option<Transfer>,
-    /// Chain mode: highest applied offset already `WriteAck`ed.
-    last_write_ack: u64,
     /// A smaller stash than [`STASH_CAP`], for small-scope exploration.
     #[cfg(test)]
     stash_cap: Option<usize>,
@@ -236,16 +234,6 @@ impl ReplSink {
             self.apply_frame(from, &body, apply);
         }
         self.drain(now, apply) || ask
-    }
-
-    /// Chain mode: the applied offset to `WriteAck`, if it moved past the
-    /// last one acked. The caller sends it.
-    pub fn write_ack(&mut self) -> Option<u64> {
-        if !self.is_streaming() || self.applied <= self.last_write_ack {
-            return None;
-        }
-        self.last_write_ack = self.applied;
-        Some(self.applied)
     }
 
     /// One past the last stream byte held: applied or carried.
@@ -681,19 +669,6 @@ mod tests {
         r.reserve(T0, &stream);
         assert_eq!(r.keys, ["k2", "k3", "k4", "k5", "k6", "k7"]);
         assert_eq!(r.sink.applied(), stream.len() as u64);
-    }
-
-    #[test]
-    fn write_acks_are_cumulative_and_only_while_streaming() {
-        let mut r = Replica::new(ReplSink::at(0));
-        assert_eq!(r.sink.write_ack(), None);
-        r.deliver(T0, stream_frame(0, &set(0, 10)));
-        let applied = r.sink.applied();
-        assert_eq!(r.sink.write_ack(), Some(applied));
-        assert_eq!(r.sink.write_ack(), None);
-        r.sink.on_full_sync_begin(T0, 0, 1);
-        r.sink.applied += 1;
-        assert_eq!(r.sink.write_ack(), None);
     }
 
     proptest! {

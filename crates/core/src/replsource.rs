@@ -258,9 +258,9 @@ impl ReplSource {
         }
     }
 
-    /// Deferred modes: the commit offset derivable from the master's own
-    /// view of replica progress, independent of the NIC's `WriteCommitted`
-    /// notifications. This is what keeps quorum/chain semantics working
+    /// Quorum: the commit offset derivable from the master's own view of
+    /// replica progress, independent of the NIC's `WriteCommitted`
+    /// notifications. This is what keeps quorum semantics working
     /// through degraded (host fan-out) periods and covers the window where
     /// a commit notification is lost with the NIC channel: the same
     /// [`ReplModeKind::commit_frontier`] the NIC's tracker applies to its
@@ -275,8 +275,7 @@ impl ReplSource {
         let reported = open.map(|replica| self.replicas.get(&replica).copied().unwrap_or(0));
         self.held.clear();
         self.held.extend(reported);
-        let frontier = mode.commit_frontier(num_slaves, &mut self.held);
-        frontier.unwrap_or(0)
+        mode.commit_frontier(num_slaves, &mut self.held)
     }
 }
 
@@ -660,32 +659,23 @@ mod tests {
             source.on_progress(replica(n), offset, true);
         }
         let all = || (0..3).map(replica);
-        // Quorum of 3 slaves: the 2nd largest. Chain: the minimum.
+        // Quorum of 3 slaves: the 2nd largest.
         assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, all()), 90);
-        assert_eq!(source.commit_census(ReplModeKind::Chain, 3, all()), 60);
         assert_eq!(
             source.commit_census(ReplModeKind::Async, 3, all()),
             u64::MAX
         );
-        // A closed channel's replica is out of both …
+        // A closed channel's replica is out …
         let open = || [replica(0), replica(1)].into_iter();
         assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, open()), 60);
-        assert_eq!(
-            source.commit_census(ReplModeKind::Chain, 3, [replica(0)].into_iter()),
-            100
-        );
-        // … fewer reports than the quorum, or no hop in sight, prove nothing …
+        // … fewer reports than the quorum prove nothing …
         assert_eq!(
             source.commit_census(ReplModeKind::Quorum, 3, [replica(0)].into_iter()),
             0
         );
-        assert_eq!(
-            source.commit_census(ReplModeKind::Chain, 3, [].into_iter()),
-            0
-        );
         // … and an open replica that has not reported yet holds 0.
         source.attach(replica(1));
-        assert_eq!(source.commit_census(ReplModeKind::Chain, 3, all()), 0);
+        assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, open()), 0);
         assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, all()), 90);
     }
 

@@ -44,7 +44,6 @@ use crate::hostlinks::{ConnKind, Fallback, HostLinks};
 use crate::hotcache::FWD_NO_ADMIT;
 use crate::metrics::catalog::ServerStat;
 use crate::protocol::{tag, NodeMsg};
-use crate::replmode::ReplModeKind;
 use crate::replsink::{Apply, ReplSink};
 use crate::replsource::{ReplSource, Serve};
 use crate::shard::{ApplyRing, ShardSet, APPLY_RING_CAP, CROSS_SHARD_HOP};
@@ -100,7 +99,7 @@ struct OutFrame {
 }
 
 /// A client reply the master is holding until the replication mode
-/// commits the covering offset (quorum/chain modes only).
+/// commits the covering offset (quorum only).
 struct PendingReply {
     /// Backlog offset one past the write this reply acknowledges.
     end_offset: u64,
@@ -161,15 +160,11 @@ pub struct KvServer {
     rng: DetRng,
     /// The `server.*` counters.
     stats: CounterSet<ServerStat>,
-    /// Master, deferred modes: replies held back for commit, FIFO by
+    /// Master, quorum: replies held back for commit, FIFO by
     /// `end_offset` (the backlog only grows, so pushes are ordered).
     pending_replies: VecDeque<PendingReply>,
-    /// Master, deferred modes: highest offset Nic-KV reported committed.
+    /// Master, quorum: highest offset Nic-KV reported committed.
     commit_upto: u64,
-    /// The replication mode currently in force. Equals `cfg.repl_mode`
-    /// unless a `NodeMsg::ModeChange` from Nic-KV moved it (the
-    /// `mode_failover` degrade/re-promote path).
-    active_mode: ReplModeKind,
     /// Send-ring pool for wire frames (TCP framing), replies and
     /// replication stream frames; shared by every channel this server owns.
     pool: FramePool,
@@ -208,7 +203,6 @@ impl KvServer {
             lag_exceeded: false,
             crashed: false,
             rng: DetRng::new(seed ^ 0xD1CE),
-            active_mode: cfg.repl_mode,
             cfg,
             stats: CounterSet::default(),
             pending_replies: VecDeque::new(),
@@ -488,11 +482,11 @@ impl KvServer {
         let mut doorbells = 0u32; // post calls; each may stall (tail model)
         let mut frames: Vec<OutFrame> = self.spare_frames.pop().unwrap_or_default();
 
-        // Quorum/chain modes hold a replicated write's reply until the NIC
+        // Quorum holds a replicated write's reply until the NIC
         // commits the covering offset; its post cost is charged on release
         // (`release_ready_replies`), not here. Async keeps the original
         // immediate-reply schedule bit for bit.
-        let defer = replicate.is_some() && self.is_master() && self.active_mode.defers_replies();
+        let defer = replicate.is_some() && self.is_master() && self.cfg.repl_mode.defers_replies();
         // The reply is encoded straight into a recycled send-ring buffer. A
         // forwarded command's reply leads with its relay cookie and leaves
         // under FWD_REPLY.
@@ -698,7 +692,7 @@ impl KvServer {
             ConnKind::Slave(addr) if open => Some(*addr),
             _ => None,
         });
-        let (mode, slaves) = (self.active_mode, self.cfg.num_slaves);
+        let (mode, slaves) = (self.cfg.repl_mode, self.cfg.num_slaves);
         let census = self.source.commit_census(mode, slaves, open);
         let upto = self.commit_upto.max(census);
         let mut frames: Vec<OutFrame> = self.spare_frames.pop().unwrap_or_default();
@@ -903,27 +897,6 @@ impl KvServer {
         if ask {
             self.send_sync_request(ctx);
         }
-        self.maybe_send_write_ack(ctx);
-    }
-
-    /// Chain mode (SKV): eagerly ack the cumulative *applied* offset to
-    /// Nic-KV after an apply batch. The NIC advances a chain hop only on
-    /// this ack — a WR completion proves delivery to the ring, not
-    /// application — so the tail ack certifies the whole chain has the
-    /// write applied when the client reply releases.
-    fn maybe_send_write_ack(&mut self, ctx: &mut Context<'_>) {
-        if self.cfg.mode != Mode::Skv || self.active_mode != ReplModeKind::Chain {
-            return;
-        }
-        let Some(conn) = self.open_conn(ConnKind::Nic) else {
-            return;
-        };
-        let Some(offset) = self.sink.as_mut().and_then(ReplSink::write_ack) else {
-            return;
-        };
-        let slave = self.addr;
-        let msg = NodeMsg::WriteAck { slave, offset }.encode();
-        self.send_on(ctx, conn, tag::NODE, msg);
     }
 
     // -- node messages ---------------------------------------------------------
@@ -974,7 +947,7 @@ impl KvServer {
                     self.serve(ctx, slave, serve);
                 }
                 // Progress may have advanced the census commit point.
-                if self.is_master() && self.active_mode.defers_replies() {
+                if self.is_master() && self.cfg.repl_mode.defers_replies() {
                     self.release_ready_replies(ctx);
                 }
             }
@@ -1021,21 +994,6 @@ impl KvServer {
                     self.release_ready_replies(ctx);
                 }
             }
-            NodeMsg::ModeChange { mode } => {
-                // Nic-KV's cross-mode failover policy moved the cluster's
-                // replication mode. Gated on the knob so a stray frame
-                // cannot flip a fixed-mode cluster.
-                if self.cfg.mode_failover && self.is_master() && mode != self.active_mode {
-                    self.active_mode = mode;
-                    self.stats.inc(ServerStat::ModeChanges);
-                    if !mode.defers_replies() {
-                        // Degraded to async: every held reply releases
-                        // under the weaker (immediate-ack) contract.
-                        self.commit_upto = self.commit_upto.max(self.source.offset());
-                        self.release_ready_replies(ctx);
-                    }
-                }
-            }
             NodeMsg::ProbeReply { .. }
             | NodeMsg::Replicate { .. }
             | NodeMsg::Hello { .. }
@@ -1056,19 +1014,19 @@ impl KvServer {
             let (slave, offset) = (self.addr, self.repl_offset());
             let report: Frame = NodeMsg::ProgressReport { slave, offset }.encode().into();
             let master = self.open_conn(ConnKind::Master);
-            // Deferred modes: Nic-KV also consumes progress as cumulative
+            // Quorum: Nic-KV also consumes progress as cumulative
             // acks (covers acks lost to QP errors between retransmits).
-            let nic = (self.cfg.mode == Mode::Skv && self.active_mode.defers_replies())
+            let nic = (self.cfg.mode == Mode::Skv && self.cfg.repl_mode.defers_replies())
                 .then(|| self.open_conn(ConnKind::Nic))
                 .flatten();
             for conn in master.into_iter().chain(nic) {
                 self.send_on(ctx, conn, tag::NODE, report.clone());
             }
         }
-        // Deferred modes, master side: drop replies whose client conn died
+        // Quorum, master side: drop replies whose client conn died
         // (undeliverable) and re-check the census commit point so a
         // lost `WriteCommitted` cannot wedge the reply queue.
-        if self.is_master() && self.active_mode.defers_replies() {
+        if self.is_master() && self.cfg.repl_mode.defers_replies() {
             let conns = &self.conns;
             self.pending_replies.retain(|p| conns.is_open(p.conn));
             self.release_ready_replies(ctx);

@@ -210,7 +210,7 @@ pub const RULES: [RuleInfo; 17] = [
         name: "knob-budget",
         severity: Severity::Error,
         summary: "config struct has more public fields than its budget",
-        scope: "ClusterConfig (21) and NetParams (15)",
+        scope: "ClusterConfig (20) and NetParams (15)",
     },
     RuleInfo {
         name: "cmd-drift",
@@ -334,7 +334,7 @@ const IO_FREE_FILES: [&str; 7] = [
 /// Config structs whose public fields are drift-checked knobs, each with
 /// the most fields it may have (rule `knob-budget`).
 const CONFIG_STRUCTS: [(&str, &str, usize); 2] = [
-    ("crates/core/src/config.rs", "ClusterConfig", 21),
+    ("crates/core/src/config.rs", "ClusterConfig", 20),
     ("crates/netsim/src/params.rs", "NetParams", 15),
 ];
 
@@ -346,7 +346,7 @@ const FILE_BUDGET: usize = 800;
 /// Files still over [`FILE_BUDGET`], each capped at its size when the rule
 /// landed. A ceiling only ever goes down, and a file under the budget
 /// leaves this list.
-const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 960)];
+const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 931)];
 
 /// The most non-test code lines `rel` may have, if it is budgeted.
 fn line_budget(rel: &str) -> Option<usize> {

@@ -31,7 +31,7 @@ cargo run -q -p skv-analyze -- --stats | tee target/skv-analyze-stats.txt
 
 echo "==> cargo test --workspace (with the histcheck smoke: bounded linearizability gate, all repl modes)"
 # tests/tests/histcheck_smoke.rs feeds small recorded bench runs
-# (async/quorum/chain) through the checker. On a violation it writes the
+# (async and quorum) through the checker. On a violation it writes the
 # full event log to target/histcheck_events.json before failing — CI
 # uploads it as the counterexample artifact (ci.yml, `if: failure()`).
 rm -f target/histcheck_events.json
@@ -63,7 +63,7 @@ echo "==> benchmark smoke (benchmark/ builds against the crate APIs and runs cle
 # pipeline.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
 
-echo "==> experiments --check fig7 fig10 fig11 fig14 failparams replmode shards hotcache (calibration, recovery, the failure detector, mode failover and both front ends have not moved)"
+echo "==> experiments --check fig7 fig10 fig11 fig14 failparams replmode shards hotcache (calibration, recovery, the failure detector, quorum and both front ends have not moved)"
 # Figures 7, 10 and 11 are the calibrated points every other number hangs
 # off (master throughput with and without slaves, the RDMA-Redis no-slave
 # plateau and its one-client row, the offload gain); `shards` and
@@ -71,10 +71,10 @@ echo "==> experiments --check fig7 fig10 fig11 fig14 failparams replmode shards 
 # SocFrontEnd) hardest; Figure 14 is a slave's crash and recovery under
 # load, the full sync and its catch-up range end to end; `failparams` is
 # the failure detector's arm (a slave crash under each `waiting-time`) and
-# `replmode` the one that runs quorum, chain and the mode failover. Each
+# `replmode` the one that runs quorum against the async stream. Each
 # arm is rendered in release (≈ 50 s for Figures 7 and 11, ≈ 11 s more for
 # Figure 10, ≈ 54 s for Figure 14 on a 2-core box, ≈ 59 s for
-# `failparams`, ≈ 24 s for `replmode`, ≈ 70 s for `shards` and
+# `failparams`, ≈ 13 s for `replmode`, ≈ 70 s for `shards` and
 # `hotcache`) and compared with its block of the committed
 # experiments_output.txt; a mismatch prints a unified diff. A change that
 # moves them on purpose regenerates the file and says so.

@@ -320,78 +320,6 @@ fn unsignaled_request_error_makes_clients_reconnect_after_a_master_crash() {
 }
 
 #[test]
-fn degrade_relaunches_window_parked_frames_unsignaled_and_converges() {
-    use skv_core::replmode::{ReplModeKind, REPL_WINDOW};
-
-    // Quorum over three slaves needs two acks. Cutting two slaves off
-    // stalls every commit: the window fills, the overflow parks, and once
-    // the probes time out the NIC degrades to async and re-launches the
-    // parked frames to the one slave it still reaches.
-    let mut s = spec(3, 8, 1_600);
-    s.cfg.repl_mode = ReplModeKind::Quorum;
-    s.cfg.mode_failover = true;
-    s.pipeline = 48; // 384 writes in flight > REPL_WINDOW
-    let mut cluster = Cluster::build(s);
-    let (cut, heal) = (SimTime::from_millis(600), SimTime::from_millis(1_400));
-    cluster.apply_chaos(&skv_core::cluster::ChaosSpec {
-        partition: Some((vec![0, 1], cut, heal)),
-        ..Default::default()
-    });
-
-    cluster.sim.run_until(cut + SimDuration::from_millis(100));
-    let nic = cluster.nic_kv().expect("nic");
-    assert_eq!(nic.tracker().mode(), ReplModeKind::Quorum);
-    assert_eq!(nic.tracker().pending_writes(), REPL_WINDOW, "window full");
-    let master = cluster.master_server();
-    let held = master.stats().get(ServerStat::DeferredReplies)
-        - master.stats().get(ServerStat::ReleasedReplies);
-    assert!(
-        held > REPL_WINDOW as u64,
-        "only {held} writes held: none parked"
-    );
-
-    cluster.sim.run_until(SimTime::from_millis(1_200));
-    let nic = cluster.nic_kv().expect("nic");
-    let &(degraded_at, mode) = nic.mode_changes.first().expect("degraded");
-    assert_eq!(mode, ReplModeKind::Async);
-    assert_eq!(nic.tracker().pending_writes(), 0);
-
-    // The async interlude, one live slave. Per SET the fabric's CQs see
-    // six completions — the command and its reply (2), the master's two
-    // signaled sends (2), the stream frame at the NIC and at the slave (2)
-    // — and none for the NIC's own send, which a signaled fan-out would
-    // add as a seventh.
-    let polled = |c: &Cluster| c.net.counters().get("rdma.wcs_polled");
-    let replies = |c: &Cluster| c.counters_snapshot().get("client.stat_replies");
-    cluster.sim.run_until(SimTime::from_millis(1_250));
-    let (polled0, replies0) = (polled(&cluster), replies(&cluster));
-    cluster.sim.run_until(SimTime::from_millis(1_350));
-    let (polled1, replies1) = (polled(&cluster), replies(&cluster));
-    let ops = replies1 - replies0;
-    assert!(ops > 5_000, "the degraded cluster serves: {ops} ops");
-    let per_op = (polled1 - polled0) as f64 / ops as f64;
-    assert!(
-        (5.9..6.3).contains(&per_op),
-        "{per_op:.3} completions polled per SET in the async interlude"
-    );
-
-    // The partition heals, the NIC re-promotes, and no write was lost on
-    // the way: every replica ends with the master's keyspace.
-    cluster.run();
-    cluster
-        .sim
-        .run_until(cluster.measure_until + SimDuration::from_secs(2));
-    assert!(degraded_at > cut);
-    let nic = cluster.nic_kv().expect("nic");
-    assert_eq!(nic.tracker().mode(), ReplModeKind::Quorum, "re-promoted");
-    let digests = cluster.keyspace_digests();
-    assert!(
-        digests.iter().all(|&d| d == digests[0]),
-        "diverged: {digests:x?}"
-    );
-}
-
-#[test]
 fn a_slave_down_longer_than_the_backlog_holds_recovers_with_at_most_two_full_syncs() {
     // 100 ms of 256 B SETs is several times the 1 MiB backlog, so the
     // recovered slave is answered with a snapshot; 30 000 preloaded keys

@@ -80,8 +80,3 @@ fn histcheck_smoke_async() {
 fn histcheck_smoke_quorum() {
     smoke(ReplModeKind::Quorum, 52);
 }
-
-#[test]
-fn histcheck_smoke_chain() {
-    smoke(ReplModeKind::Chain, 53);
-}

@@ -1,14 +1,13 @@
-//! Replication-mode coverage: quorum and chain protocols behind the
-//! `ReplicationMode` trait, their client-visible guarantees (checked via
-//! `skv_core::histcheck` operation histories), the quorum-intersection
-//! invariant under randomized fault plans, and the capped reconnect
-//! backoff regression.
+//! Replication-mode coverage: the quorum protocol's client-visible
+//! guarantees (checked via `skv_core::histcheck` operation histories),
+//! the quorum-intersection invariant under randomized fault plans, and
+//! the capped reconnect backoff regression.
 
 use proptest::prelude::*;
 use skv_core::client::BenchClient;
 use skv_core::cluster::{ChaosSpec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
-use skv_core::histcheck::{check_linearizable, check_linearizable_upto, OpKind};
+use skv_core::histcheck::{check_linearizable, OpKind};
 use skv_core::metrics::catalog::{ClientStat, NicStat, ServerStat};
 use skv_core::probes::ReadAnchor;
 use skv_core::replmode::{quorum_slave_acks, ReplModeKind};
@@ -101,11 +100,6 @@ fn quorum_mode_serves_and_commits() {
 }
 
 #[test]
-fn chain_mode_serves_and_commits() {
-    tracked_mode_serves(ReplModeKind::Chain);
-}
-
-#[test]
 fn quorum_history_linearizable_on_quorum_reads() {
     // Majority-quorum writes + master-anchored quorum reads: the probe
     // history must carry zero violations.
@@ -122,21 +116,6 @@ fn quorum_history_linearizable_on_quorum_reads() {
     assert!(reads > 50, "not enough quorum reads completed: {reads}");
     let violations = check_linearizable(&h);
     assert!(violations.is_empty(), "quorum violations: {violations:?}");
-}
-
-#[test]
-fn chain_history_linearizable_at_tail() {
-    // Chain commit = tail applied, so tail-anchored reads must be
-    // linearizable.
-    let mut cluster = Cluster::build(spec(ReplModeKind::Chain, 3, 600, 34));
-    let history = cluster.add_history(ReadAnchor::Slave(2));
-    run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
-
-    let h = history.borrow();
-    let reads = h.ops.iter().filter(|o| o.completed.is_some()).count();
-    assert!(reads > 50, "not enough probe ops completed: {reads}");
-    let violations = check_linearizable(&h);
-    assert!(violations.is_empty(), "chain violations: {violations:?}");
 }
 
 #[test]
@@ -240,80 +219,6 @@ fn quorum_bench_history_multi_writer_linearizable() {
     bench_history_linearizable(ReplModeKind::Quorum, 36);
 }
 
-#[test]
-fn chain_bench_history_multi_writer_linearizable() {
-    bench_history_linearizable(ReplModeKind::Chain, 37);
-}
-
-#[test]
-fn cross_mode_failover_degrades_and_promotes() {
-    // Start quorum, cut off both slaves mid-run: the NIC must degrade to
-    // async (writes keep flowing), then re-promote once the partition
-    // heals — and the recorded history must be provably linearizable up
-    // to the declared degradation point.
-    let mut s = spec(ReplModeKind::Quorum, 2, 2_500, 38);
-    s.cfg.mode_failover = true;
-    s.cfg.record_history = true;
-    s.set_ratio = 0.5;
-    let mut cluster = Cluster::build(s);
-    let cut = SimTime::from_millis(800);
-    let heal = SimTime::from_millis(1_600);
-    cluster.apply_chaos(&ChaosSpec {
-        partition: Some((vec![0, 1], cut, heal)),
-        ..ChaosSpec::default()
-    });
-    run_and_quiesce(&mut cluster, SimDuration::from_secs(2));
-
-    let nic = cluster.nic_kv().expect("nic");
-    assert_eq!(
-        nic.stats().get(NicStat::ModeChanges),
-        2,
-        "expected degrade + promote, got {:?}",
-        nic.mode_changes
-    );
-    let (degraded_at, degraded_to) = nic.mode_changes[0];
-    let (promoted_at, promoted_to) = nic.mode_changes[1];
-    assert_eq!(degraded_to, ReplModeKind::Async);
-    assert_eq!(promoted_to, ReplModeKind::Quorum);
-    assert!(degraded_at >= cut && promoted_at >= heal && degraded_at < promoted_at);
-    assert_eq!(
-        nic.tracker().mode(),
-        ReplModeKind::Quorum,
-        "must end promoted"
-    );
-    assert_eq!(nic.tracker().pending_writes(), 0, "stuck in-flight writes");
-    // The master tracked both transitions (it releases deferred replies
-    // on degrade and resumes deferring on promote).
-    assert_eq!(
-        cluster.master_server().stats().get(ServerStat::ModeChanges),
-        2
-    );
-
-    // Writes kept completing while the quorum was unreachable.
-    let hub = cluster.metrics.borrow();
-    let degraded_ops = hub
-        .completions
-        .count_between(degraded_at + SimDuration::from_millis(100), heal);
-    drop(hub);
-    assert!(
-        degraded_ops > 200,
-        "async degradation must keep serving, got {degraded_ops} ops"
-    );
-
-    // The pre-degradation prefix carries the full quorum guarantee.
-    let history = cluster.bench_history.clone().expect("recording on");
-    let h = history.borrow();
-    let before = h.ops.iter().filter(|o| o.invoked < degraded_at).count();
-    assert!(before > 100, "only {before} ops before the degradation point");
-    let violations = check_linearizable_upto(&h, degraded_at);
-    assert!(
-        violations.is_empty(),
-        "pre-degradation prefix not linearizable: {violations:?}"
-    );
-    drop(h);
-    assert_converged(&cluster);
-}
-
 /// Distinctness helper: no slave counted twice in an ack set.
 fn all_distinct(addrs: &[SocketAddr]) -> bool {
     let mut seen: Vec<SocketAddr> = Vec::with_capacity(addrs.len());
@@ -383,15 +288,15 @@ proptest! {
 
     /// seed × mode × shards × cache: every healthy run's recorded bench
     /// history — all writers, all shards, cache hits included — must
-    /// pass the multi-writer checker under all three replication modes.
+    /// pass the multi-writer checker under both replication modes.
     #[test]
     fn recorded_bench_histories_linearizable(
         seed in 0u64..1_000,
-        mode_ix in 0usize..3,
+        mode_ix in 0usize..2,
         shards in 1usize..3,
         cache_on in any::<bool>(),
     ) {
-        let mode = [ReplModeKind::Async, ReplModeKind::Quorum, ReplModeKind::Chain][mode_ix];
+        let mode = ReplModeKind::ALL[mode_ix];
         let mut s = spec(mode, 2, 600, 4_000 + seed);
         s.cfg.record_history = true;
         s.cfg.num_shards = shards;
@@ -410,27 +315,4 @@ proptest! {
             "{mode} shards={shards} cache={cache_on}: {violations:?}"
         );
     }
-}
-
-#[test]
-fn a_soc_restart_is_not_a_partition() {
-    // The restarted SoC rebuilds its node list from zero as the master and
-    // the slaves re-register. No slave was ever cut off, so the mode must
-    // not change: a count rising from zero is not a lost quorum.
-    let mut s = spec(ReplModeKind::Quorum, 3, 1_500, 7);
-    s.cfg.mode_failover = true;
-    let mut cluster = Cluster::build(s);
-    cluster.schedule_nic_crash(SimTime::from_millis(800));
-    cluster.schedule_nic_recover(SimTime::from_millis(1_400));
-    run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
-    let nic = cluster.nic_kv().expect("nic");
-    assert!(
-        nic.mode_changes.is_empty(),
-        "mode changes: {:?}",
-        nic.mode_changes
-    );
-    assert_eq!(
-        cluster.master_server().stats().get(ServerStat::ModeChanges),
-        0
-    );
 }
