@@ -15,9 +15,12 @@
 //! * [`nickv::NicKv`] — the SmartNIC-resident component: node list,
 //!   steady-state replication fan-out (Figure 9), `thread-num`
 //!   multi-threading, and probe-based failure detection with failover,
+//! * [`commitgate::CommitGate`] — the master's `min-slaves` / lag write
+//!   gate and quorum's held replies as an IO-free state machine (which
+//!   verdict stands, the commit point, the replies a release frees),
 //! * [`nodelist::NodeList`] — Nic-KV's node list and failure detector as
 //!   an IO-free state machine (registration, probes, `waiting-time`,
-//!   failover, the slave-set update and the mode-failover verdict),
+//!   failover, the slave-set update),
 //! * [`client::BenchClient`] — closed-loop load generation à la
 //!   `redis-benchmark`, over a [`link::ClientLink`] (what a client's
 //!   connection is: dial, backoff, input step, teardown),
@@ -54,6 +57,7 @@
 pub mod channel;
 pub mod client;
 pub mod cluster;
+pub mod commitgate;
 pub mod config;
 pub mod conns;
 pub mod cqdrain;

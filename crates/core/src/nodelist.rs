@@ -140,8 +140,9 @@ impl NodeList {
 
     /// `Hello`, or a slave's `SyncRequest` from `offset`: the node joins
     /// the list, or is revalidated on its new channel `conn`. A master
-    /// that registers demotes whoever was promoted in its absence: the
-    /// channel to send `Demote` on.
+    /// that registers forgets the last slave-set update, so the next one
+    /// goes out whatever it says, and demotes whoever was promoted in its
+    /// absence: the channel to send `Demote` on.
     pub(crate) fn register(
         &mut self,
         now: SimTime,
@@ -169,6 +170,9 @@ impl NodeList {
             e.offset = offset;
         }
         if is_master {
+            // The master hears the slave-set update afresh: the last one
+            // may have been lost with its old channel.
+            self.last_update = None;
             self.demote()
         } else {
             None
@@ -524,6 +528,31 @@ mod tests {
     }
 
     #[test]
+    fn a_master_that_registers_again_hears_the_update_again() {
+        let mut nodes = cluster();
+        let set = |conn| {
+            Some((
+                conn,
+                NodeMsg::SlaveSetUpdate {
+                    available: 3,
+                    lagging: false,
+                },
+            ))
+        };
+        assert_eq!(nodes.update(30), set(0));
+        assert_eq!(nodes.update(30), None);
+        // The master's channel breaks and it registers on a new one: the
+        // unchanged update goes out again, on the new channel.
+        assert!(nodes.closed(ms(100), 0));
+        nodes.register(ms(150), MASTER, true, 7, None);
+        assert_eq!(nodes.update(30), set(7));
+        assert_eq!(nodes.update(30), None);
+        // A slave's registration does not repeat it.
+        nodes.register(ms(200), SLAVES[0], false, 8, Some(30));
+        assert_eq!(nodes.update(30), None);
+    }
+
+    #[test]
     fn a_restart_forgets_everything() {
         let mut nodes = cluster();
         nodes.closed(ms(0), 0);
@@ -586,6 +615,10 @@ mod tests {
             let slave_offset = (i > 0).then_some(offset);
             self.nodes
                 .register(self.now, NODES[i], i == 0, conn, slave_offset);
+            if i == 0 {
+                // A new master channel: nothing has been sent on it yet.
+                self.sent = None;
+            }
             self.chan[i] = Some(conn);
             self.chanless_since[i] = None;
         }
@@ -618,7 +651,7 @@ mod tests {
             if let Some((conn, msg)) = self.nodes.update(master_offset) {
                 prop_assert_eq!(Some(conn), self.chan[0]);
                 let msg = Some(msg);
-                prop_assert!(msg != self.sent, "an unchanged update");
+                prop_assert!(msg != self.sent, "an unchanged update on one channel");
                 self.sent = msg;
             }
             Ok(())
@@ -693,8 +726,9 @@ mod tests {
         /// slave-set updates, SoC restarts — a node that lost its channel
         /// is declared failed in time unless it registered again, the
         /// records alternate, at most one valid slave with a channel is
-        /// promoted, an update goes out only when it changed, and nothing
-        /// survives a restart.
+        /// promoted, an update goes out only when it changed since the
+        /// last one on the master's channel, and nothing survives a
+        /// restart.
         #[test]
         fn the_detector_keeps_its_promises(
             ops in prop::collection::vec((any::<u8>(), 0..4usize, 0..120u64), 0..160),

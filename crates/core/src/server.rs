@@ -34,9 +34,8 @@ use skv_store::cmd::{self, CommandSpec};
 use skv_store::repl::{ReplicationId, ReplicationPosition};
 use skv_store::resp::{self, ParsedCommand, Resp};
 
-use std::collections::VecDeque;
-
 use crate::channel::{Channel, ChannelMsg, RING_SIZE};
+use crate::commitgate::{CommitGate, OutFrame};
 use crate::config::{ClusterConfig, Mode};
 use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain::{self, ParkedCqs, POLL_BUDGET};
@@ -92,24 +91,6 @@ enum ServerMsg {
     Redial { to: SocketAddr },
 }
 
-struct OutFrame {
-    conn: usize,
-    tag: u32,
-    payload: Frame,
-}
-
-/// A client reply the master is holding until the replication mode
-/// commits the covering offset (quorum only).
-struct PendingReply {
-    /// Backlog offset one past the write this reply acknowledges.
-    end_offset: u64,
-    conn: usize,
-    /// `REPLY` for a direct client, `FWD_REPLY` (cookie-framed payload)
-    /// for a command relayed by the SoC front-end.
-    tag: u32,
-    payload: Frame,
-}
-
 /// The Host-KV server actor.
 pub struct KvServer {
     net: Net,
@@ -147,12 +128,8 @@ pub struct KvServer {
     conns: ConnTable<ConnKind>,
     /// Dial intents, backoff, Nic-KV liveness and the degraded flag.
     links: HostLinks,
-    /// Slaves considered available (from Nic-KV updates, or own census in
-    /// baseline modes). Drives `min-slaves` rejection.
-    available_slaves: usize,
-    /// Whether any synced slave lags too far (Nic-KV's verdict in SKV
-    /// mode, the source's own otherwise).
-    lag_exceeded: bool,
+    /// `min-slaves` and the lag verdicts; quorum's held replies.
+    gate: CommitGate,
     crashed: bool,
     /// Seeded from `seed` at construction, replaced by a split of the
     /// simulation RNG in `on_start` (so actor start order matters, not OS
@@ -160,11 +137,6 @@ pub struct KvServer {
     rng: DetRng,
     /// The `server.*` counters.
     stats: CounterSet<ServerStat>,
-    /// Master, quorum: replies held back for commit, FIFO by
-    /// `end_offset` (the backlog only grows, so pushes are ordered).
-    pending_replies: VecDeque<PendingReply>,
-    /// Master, quorum: highest offset Nic-KV reported committed.
-    commit_upto: u64,
     /// Send-ring pool for wire frames (TCP framing), replies and
     /// replication stream frames; shared by every channel this server owns.
     pool: FramePool,
@@ -199,14 +171,11 @@ impl KvServer {
             sink: None,
             conns: ConnTable::new(Some(pool.clone())),
             links: HostLinks::new(&cfg),
-            available_slaves: 0,
-            lag_exceeded: false,
+            gate: CommitGate::new(&cfg),
             crashed: false,
             rng: DetRng::new(seed ^ 0xD1CE),
             cfg,
             stats: CounterSet::default(),
-            pending_replies: VecDeque::new(),
-            commit_upto: 0,
             pool,
             spare_frames: Vec::new(),
         }
@@ -419,7 +388,9 @@ impl KvServer {
         let spec = cmd::lookup(args[0]);
         // min-slaves / lag write gating (paper §III-C, §III-D).
         let is_write_cmd = spec.is_some_and(CommandSpec::is_write);
-        if is_write_cmd && self.write_gate_blocked() {
+        let (master, degraded) = (self.is_master(), self.links.is_degraded());
+        let own_slaves = || self.synced_slave_conns().count();
+        if is_write_cmd && self.gate.blocked(master, degraded, own_slaves) {
             self.stats.inc(ServerStat::Rejected);
             let reply = Resp::Error("NOREPLICAS Not enough good replicas to write".into());
             self.finish_command(ctx, conn, payload.len(), &reply, None, unrouted, fwd);
@@ -437,24 +408,6 @@ impl KvServer {
         let replicate = result.should_replicate().then(|| payload.clone());
         let (bytes, route) = (payload.len(), (shard, CROSS_SHARD_HOP * hops));
         self.finish_command(ctx, conn, bytes, &result.reply, replicate, route, fwd);
-    }
-
-    fn write_gate_blocked(&self) -> bool {
-        if !self.is_master() {
-            return false; // slaves reject writes elsewhere (read-only is
-                          // not enforced: the paper's slaves serve reads)
-        }
-        // While degraded (Nic-KV dead) the master cannot trust stale NIC
-        // updates; fall back to its own census, like the baselines.
-        let available = if self.cfg.mode == Mode::Skv && !self.links.is_degraded() {
-            self.available_slaves
-        } else {
-            self.synced_slave_conns().count()
-        };
-        if self.cfg.min_slaves > 0 && available < self.cfg.min_slaves {
-            return true;
-        }
-        self.lag_exceeded
     }
 
     /// Account CPU for a command and schedule its reply + replication.
@@ -486,7 +439,7 @@ impl KvServer {
         // commits the covering offset; its post cost is charged on release
         // (`release_ready_replies`), not here. Async keeps the original
         // immediate-reply schedule bit for bit.
-        let defer = replicate.is_some() && self.is_master() && self.cfg.repl_mode.defers_replies();
+        let defer = replicate.is_some() && self.gate.defers(self.is_master());
         // The reply is encoded straight into a recycled send-ring buffer. A
         // forwarded command's reply leads with its relay cookie and leaves
         // under FWD_REPLY.
@@ -511,7 +464,7 @@ impl KvServer {
             cost += net_p.tcp_recv_cost(req_bytes);
         }
         if !defer {
-            let (post, wrs) = self.reply_post(reply_len);
+            let (post, wrs) = reply_post(&self.cfg, reply_len);
             cost += post;
             wr_posts += wrs;
             doorbells += wrs;
@@ -523,11 +476,7 @@ impl KvServer {
         // replies keep the seed's reply-first order bit for bit.
         let reply_after_stream = fwd.is_some() && replicate.is_some();
         if !defer && !reply_after_stream {
-            frames.push(OutFrame {
-                conn,
-                tag: reply_tag,
-                payload: reply_frame.clone(),
-            });
+            frames.push(OutFrame::new(conn, reply_tag, reply_frame.clone()));
         }
 
         // Replication propagation (the heart of the experiment).
@@ -535,12 +484,8 @@ impl KvServer {
             let span = self.source.feed(&cmd_bytes);
             if defer {
                 self.stats.inc(ServerStat::DeferredReplies);
-                self.pending_replies.push_back(PendingReply {
-                    end_offset: span.end,
-                    conn,
-                    tag: reply_tag,
-                    payload: reply_frame.clone(),
-                });
+                let reply = OutFrame::new(conn, reply_tag, reply_frame.clone());
+                self.gate.hold(span.end, reply);
             }
             // The stream frame is built in a recycled send-ring buffer —
             // no allocation on the steady-state path — and every recipient
@@ -563,22 +508,14 @@ impl KvServer {
                 (Mode::TcpRedis, _) => {
                     for slave in self.synced_slave_conns() {
                         cost += net_p.tcp_send_cost(frame.len());
-                        frames.push(OutFrame {
-                            conn: slave,
-                            tag: tag::REPL_STREAM,
-                            payload: frame.clone(),
-                        });
+                        frames.push(OutFrame::new(slave, tag::REPL_STREAM, frame.clone()));
                     }
                 }
                 (_, Some(nic)) => {
                     cost += net_p.wr_post_cpu;
                     wr_posts += 1;
                     doorbells += 1;
-                    frames.push(OutFrame {
-                        conn: nic,
-                        tag: tag::REPL_STREAM,
-                        payload: frame,
-                    });
+                    frames.push(OutFrame::new(nic, tag::REPL_STREAM, frame));
                 }
                 (_, None) => {
                     // One WR per slave on the event loop — the CPU the
@@ -589,11 +526,7 @@ impl KvServer {
                     wr_posts += u32::try_from(slaves).unwrap_or(u32::MAX);
                     doorbells += u32::from(slaves > 0);
                     for slave in self.synced_slave_conns() {
-                        frames.push(OutFrame {
-                            conn: slave,
-                            tag: tag::REPL_STREAM,
-                            payload: frame.clone(),
-                        });
+                        frames.push(OutFrame::new(slave, tag::REPL_STREAM, frame.clone()));
                     }
                 }
             }
@@ -602,26 +535,12 @@ impl KvServer {
             // The deferred-from-above forwarded ack, now ordered behind
             // its stream frame (its post cost was charged with the reply
             // branch above; only the emission order moved).
-            frames.push(OutFrame {
-                conn,
-                tag: reply_tag,
-                payload: reply_frame,
-            });
+            frames.push(OutFrame::new(conn, reply_tag, reply_frame));
         }
 
         self.stats.add(ServerStat::WrsPosted, u64::from(wr_posts));
         let done = self.charge_posts(ctx.now(), shard, cost, doorbells);
         self.schedule_frames(ctx, done, frames);
-    }
-
-    /// Event-loop cost of posting one reply of `len` bytes, and the WRs
-    /// (each its own doorbell) that takes: one over RDMA, none over TCP.
-    fn reply_post(&self, len: usize) -> (SimDuration, u32) {
-        if self.cfg.mode.uses_rdma() {
-            (self.cfg.net.wr_post_cpu, 1)
-        } else {
-            (self.cfg.net.tcp_send_cost(len), 0)
-        }
     }
 
     /// Charge `core` a handler's `cost` — jittered, plus the stalls its
@@ -682,10 +601,10 @@ impl KvServer {
         ctx.timer_at(at, ServerMsg::SendFrames(frames));
     }
 
-    /// Release every deferred reply covered by the known commit point,
-    /// charging the reply-post CPU that `finish_command` skipped.
+    /// Release every held reply the gate frees, charging the reply-post
+    /// CPU that `finish_command` skipped.
     fn release_ready_replies(&mut self, ctx: &mut Context<'_>) {
-        if self.pending_replies.is_empty() {
+        if !self.gate.holding(self.is_master()) {
             return;
         }
         let open = self.conns.iter().filter_map(|(_, open, kind)| match kind {
@@ -694,31 +613,19 @@ impl KvServer {
         });
         let (mode, slaves) = (self.cfg.repl_mode, self.cfg.num_slaves);
         let census = self.source.commit_census(mode, slaves, open);
-        let upto = self.commit_upto.max(census);
         let mut frames: Vec<OutFrame> = self.spare_frames.pop().unwrap_or_default();
         let mut cost = SimDuration::ZERO;
         let mut doorbells = 0u32;
-        while let Some(front) = self.pending_replies.front() {
-            if front.end_offset > upto {
-                break;
-            }
-            let Some(p) = self.pending_replies.pop_front() else {
-                break;
-            };
-            if !self.conns.is_open(p.conn) {
-                continue; // client gave up waiting; nothing to deliver
-            }
-            self.stats.inc(ServerStat::ReleasedReplies);
-            let (post, wrs) = self.reply_post(p.payload.len());
+        let conns = &self.conns;
+        for reply in self.gate.release(census, |conn| conns.is_open(conn)) {
+            let (post, wrs) = reply_post(&self.cfg, reply.payload.len());
             cost += post;
-            self.stats.add(ServerStat::WrsPosted, u64::from(wrs));
             doorbells += wrs;
-            frames.push(OutFrame {
-                conn: p.conn,
-                tag: p.tag,
-                payload: p.payload,
-            });
+            frames.push(reply);
         }
+        let released = frames.len() as u64;
+        self.stats.add(ServerStat::ReleasedReplies, released);
+        self.stats.add(ServerStat::WrsPosted, u64::from(doorbells));
         if frames.is_empty() {
             self.spare_frames.push(frames);
             return;
@@ -937,19 +844,12 @@ impl KvServer {
             NodeMsg::ProgressReport { slave, offset } => {
                 let open = self.open_conn(ConnKind::Slave(slave)).is_some();
                 let progress = self.source.on_progress(slave, offset, open);
-                // In SKV mode the lag verdict comes from Nic-KV, which
-                // knows which slaves are still valid; the master's own
-                // census would keep counting a crashed slave forever.
-                if self.cfg.mode != Mode::Skv {
-                    self.lag_exceeded = progress.lag_exceeded();
-                }
+                self.gate.own_verdict(progress.lag_exceeded());
                 if let Some(serve) = progress.repair {
                     self.serve(ctx, slave, serve);
                 }
                 // Progress may have advanced the census commit point.
-                if self.is_master() && self.cfg.repl_mode.defers_replies() {
-                    self.release_ready_replies(ctx);
-                }
+                self.release_ready_replies(ctx);
             }
             NodeMsg::Probe { seq } => {
                 // Reply immediately (paper: "they reply to Nic-KV
@@ -963,10 +863,7 @@ impl KvServer {
                 self.send_on(ctx, conn, tag::NODE, reply);
             }
             NodeMsg::SlaveSetUpdate { available, lagging } => {
-                self.available_slaves = available as usize;
-                if self.cfg.mode == Mode::Skv {
-                    self.lag_exceeded = lagging;
-                }
+                self.gate.nic_verdict(available, lagging);
             }
             NodeMsg::Promote => {
                 if let Some(sink) = self.sink.take() {
@@ -987,12 +884,10 @@ impl KvServer {
                 }
             }
             NodeMsg::WriteCommitted { upto } => {
-                // Nic-KV reports the replication mode's commit point; the
-                // master releases every deferred reply it covers.
-                if self.is_master() {
-                    self.commit_upto = self.commit_upto.max(upto);
-                    self.release_ready_replies(ctx);
-                }
+                // Nic-KV reports the replication mode's commit point; a
+                // master releases every held reply it covers.
+                self.gate.committed(upto);
+                self.release_ready_replies(ctx);
             }
             NodeMsg::ProbeReply { .. }
             | NodeMsg::Replicate { .. }
@@ -1026,11 +921,7 @@ impl KvServer {
         // Quorum, master side: drop replies whose client conn died
         // (undeliverable) and re-check the census commit point so a
         // lost `WriteCommitted` cannot wedge the reply queue.
-        if self.is_master() && self.cfg.repl_mode.defers_replies() {
-            let conns = &self.conns;
-            self.pending_replies.retain(|p| conns.is_open(p.conn));
-            self.release_ready_replies(ctx);
-        }
+        self.release_ready_replies(ctx);
         // A sync can stall: the request lost in flight (e.g. relayed via a
         // Nic-KV that had no master link at that instant), or the RDB/stream
         // transfer cut by a transport error. Silence means re-request.
@@ -1323,5 +1214,15 @@ impl KvServer {
         for (t, p) in frames {
             self.send_on(ctx, conn, t, p);
         }
+    }
+}
+
+/// Event-loop cost of posting one reply of `len` bytes, and the WRs (each
+/// its own doorbell) that takes: one over RDMA, none over TCP.
+fn reply_post(cfg: &ClusterConfig, len: usize) -> (SimDuration, u32) {
+    if cfg.mode.uses_rdma() {
+        (cfg.net.wr_post_cpu, 1)
+    } else {
+        (cfg.net.tcp_send_cost(len), 0)
     }
 }

@@ -268,12 +268,13 @@ const SIM_CRATE_PREFIXES: [&str; 4] = [
 /// Protocol hot-path files (rule `unwrap` applies); an entry ending in `/`
 /// covers every file under it. Every client command passes through the
 /// store's RESP codec and a command handler.
-const HOT_PATH_FILES: [&str; 21] = [
+const HOT_PATH_FILES: [&str; 22] = [
     "crates/store/src/cmd/",
     "crates/store/src/resp.rs",
     "crates/core/src/server.rs",
     "crates/core/src/client.rs",
     "crates/core/src/channel.rs",
+    "crates/core/src/commitgate.rs",
     "crates/core/src/conns.rs",
     "crates/core/src/cqdrain.rs",
     "crates/core/src/hotcache.rs",
@@ -319,9 +320,11 @@ const HANDOFF_FILE: &str = "crates/netsim/src/fabric.rs";
 const HANDOFF_HOME_PREFIX: &str = "crates/simcore/src/";
 
 /// The IO-free protocol state machines, command front ends, the host's
-/// link owner and Nic-KV's node list (rule `io-free`): the actors around
-/// them do the dialling, sending and charging.
-const IO_FREE_FILES: [&str; 7] = [
+/// link owner, the master's write gate and Nic-KV's node list (rule
+/// `io-free`): the actors around them do the dialling, sending and
+/// charging.
+const IO_FREE_FILES: [&str; 8] = [
+    "crates/core/src/commitgate.rs",
     "crates/core/src/hostlinks.rs",
     "crates/core/src/hotcache.rs",
     "crates/core/src/nodelist.rs",
@@ -346,7 +349,7 @@ const FILE_BUDGET: usize = 800;
 /// Files still over [`FILE_BUDGET`], each capped at its size when the rule
 /// landed. A ceiling only ever goes down, and a file under the budget
 /// leaves this list.
-const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 931)];
+const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 853)];
 
 /// The most non-test code lines `rel` may have, if it is budgeted.
 fn line_budget(rel: &str) -> Option<usize> {
@@ -1573,6 +1576,11 @@ use skv_store::engine::Engine;
 ";
         assert!(check_source("crates/core/src/shard.rs", ok).is_empty());
         assert!(check_source("crates/core/src/hotcache.rs", ok).is_empty());
+        // What the master's write gate is built from: a frame, a queue, an
+        // open-connection predicate and a census closure.
+        let ok = "use std::collections::VecDeque;\nuse skv_netsim::Frame;\n\
+                  fn f(open: impl Fn(usize) -> bool, own_slaves: impl FnOnce() -> usize) {}\n";
+        assert!(check_source("crates/core/src/commitgate.rs", ok).is_empty());
         // Hot path too: a sync decision must not panic on a peer's input.
         let v = check_source("crates/core/src/replsource.rs", "fn f() { x.unwrap(); }\n");
         assert_eq!(v.iter().map(|x| x.rule).collect::<Vec<_>>(), ["unwrap"]);

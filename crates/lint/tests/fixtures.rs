@@ -152,6 +152,14 @@ fn fixtures_produce_expected_diagnostics() {
         vec![(5, "io-free"), (6, "io-free")],
         "{io_free:?}"
     );
+    // And the master's write gate: it is told which connections are open
+    // and hands back the replies to post, never looking one up or posting.
+    let io_free = by_file(&violations, "crates/core/src/commitgate.rs");
+    assert_eq!(
+        io_free.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+        vec![(5, "io-free"), (6, "io-free")],
+        "{io_free:?}"
+    );
 
     // --- wire-format hygiene ------------------------------------------
     // Narrowing casts only; the `as u64` / `as usize` widenings are clean.
@@ -252,7 +260,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 52, "{violations:?}");
+    assert_eq!(violations.len(), 54, "{violations:?}");
 }
 
 #[test]
@@ -260,7 +268,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 51);
+    assert_eq!(analysis.errors(), 53);
     assert!(analysis
         .violations
         .iter()
@@ -298,7 +306,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 52, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 54, "{json}");
 }
 
 #[test]

@@ -387,3 +387,25 @@ fn a_slave_crashed_between_probe_ticks_is_still_detected() {
         "(crash at ms, available slaves) not detected in time: {missed:?}"
     );
 }
+
+#[test]
+fn min_slaves_counts_the_masters_own_slaves_through_a_soc_outage() {
+    // While the SoC is down the master fans out itself and Nic-KV's
+    // last verdict is stale: `min-slaves` counts the master's own slave
+    // channels, so writes flow while both slaves are up and are refused
+    // once one of them crashes inside the outage.
+    let mut s = spec(2, 2, 2_500);
+    s.cfg.min_slaves = 2;
+    let mut cluster = Cluster::build(s);
+    cluster.schedule_nic_crash(SimTime::from_millis(800));
+    cluster.schedule_slave_crash(0, SimTime::from_millis(1_500));
+    let rejected = |c: &Cluster| c.master_server().stats().get(ServerStat::Rejected);
+    cluster.sim.run_until(SimTime::from_millis(1_400));
+    let master = cluster.master_server();
+    assert!(master.links().is_degraded(), "the master fans out itself");
+    assert_eq!(rejected(&cluster), 0, "both slaves up: no NOREPLICAS");
+    let report = cluster.run();
+    assert!(cluster.master_server().links().is_degraded());
+    assert!(rejected(&cluster) > 0, "one slave left: writes are refused");
+    assert!(report.errors > 0);
+}
