@@ -48,11 +48,13 @@ enum NicMsg {
     ProbeTick,
     /// All per-slave fan-out work for one replicated write finished; post
     /// one WR per slave under a single doorbell. Each slave's WR carries
-    /// the same frame by refcount bump.
-    FanoutSendBatch { conns: Vec<usize>, frame: Frame },
-    /// Quorum fan-out work finished; post the write's WRs
-    /// under one doorbell and arm ack tracking on their completions.
-    TrackedSend { seq: u64, conns: Vec<usize> },
+    /// the same frame by refcount bump. With a `seq` (quorum) each WR is
+    /// armed, so its completion acks that tracked write.
+    Fanout {
+        conns: Vec<usize>,
+        frame: Frame,
+        seq: Option<u64>,
+    },
     /// Front-end ARM work for a client-bound reply finished (a cache hit
     /// or a relayed forwarded reply); send it on the client channel now.
     CacheReply { conn: usize, frame: Frame },
@@ -196,29 +198,14 @@ impl NicKv {
         &self.shard_ingress
     }
 
-    /// Whether the cluster tracks per-write acks and defers the master's
-    /// client replies (quorum; not the async stream).
-    fn deferred(&self) -> bool {
-        self.cfg.repl_mode.defers_replies()
-    }
-
     /// Hand the tracker an input, then carry out every step it decided on,
-    /// in order.
+    /// in order. A tracker that admitted nothing (the async stream)
+    /// decides nothing.
     fn track(&mut self, ctx: &mut Context<'_>, input: impl FnOnce(&mut Tracker)) {
         input(&mut self.tracker);
         while let Some(step) = self.tracker.next_step() {
             match step {
-                // Parsing the request happens once, on the thread that owns
-                // the master connection (thread 0 by convention).
-                Step::Parse => {
-                    self.cpu
-                        .run_on(0, ctx.now(), self.cfg.costs.nic_fanout_base);
-                }
-                Step::Fanout { seq } => {
-                    if let Some((conns, done)) = self.charge_fanout(ctx.now()) {
-                        ctx.timer_at(done, NicMsg::TrackedSend { seq, conns });
-                    }
-                }
+                Step::Fanout { seq, frame } => self.launch(ctx, frame, Some(seq)),
                 Step::Committed => self.notify_committed(ctx),
             }
         }
@@ -388,45 +375,40 @@ impl NicKv {
         let now = ctx.now();
         match msg {
             NodeMsg::Hello { from, is_master } => {
-                let demote = self.nodes.register(now, from, is_master, conn, None);
+                let demote = self.nodes.register(now, from, is_master, conn);
                 if is_master {
                     // §III-D: a returning original master demotes whoever
                     // was promoted in its absence.
                     self.send_node(ctx, demote, NodeMsg::Demote);
                     // Tell the master how many slaves are already valid.
                     self.notify_available(ctx);
-                    if self.deferred() {
-                        // A reconnecting master lost any earlier commit
-                        // notification state; resend the frontier.
-                        self.notified_upto = 0;
-                        self.notify_committed(ctx);
-                    }
+                    // A reconnecting master lost any earlier commit
+                    // notification state; resend the frontier.
+                    self.notified_upto = 0;
+                    self.notify_committed(ctx);
                 }
             }
             NodeMsg::SyncRequest { slave, position } => {
-                // Fig. 8 ①: record the slave's replication status at the
-                // end of the node list, then notify the master (②).
-                let offset = Some(position.offset);
-                self.nodes.register(now, slave, false, conn, offset);
+                // Fig. 8 ①: record the slave at the end of the node list,
+                // then notify the master (②).
+                self.nodes.register(now, slave, false, conn);
                 // Small ARM-core cost for parsing + list update
                 // (reference-core time; the pool scales it down).
                 self.cpu.run_any(now, SimDuration::from_nanos(400));
                 let master = self.nodes.master_conn();
                 self.send_node(ctx, master, NodeMsg::SyncNotify { slave, position });
                 self.notify_available(ctx);
-                if self.deferred() {
-                    self.track(ctx, |t| t.on_progress(slave, position.offset));
-                    self.retransmit_pending(ctx, slave);
-                }
+                // The position acks what the slave holds, and it is sent
+                // the tracked writes it has not acked.
+                self.track(ctx, |t| t.on_progress(slave, position.offset));
+                self.retransmit_pending(ctx, slave);
             }
             // A progress report: the slave *applied* the stream up to
             // `offset` (cumulative, so one report can cover several pending
             // writes).
             NodeMsg::ProgressReport { slave, offset } => {
                 self.nodes.progress(slave, offset);
-                if self.deferred() {
-                    self.track(ctx, |t| t.on_progress(slave, offset));
-                }
+                self.track(ctx, |t| t.on_progress(slave, offset));
             }
             NodeMsg::ProbeReply { seq: _, from } => {
                 let (back, demote) = self.nodes.probe_reply(now, from);
@@ -442,11 +424,10 @@ impl NicKv {
         }
     }
 
-    /// Steady-state fan-out (Fig. 9 ②): write the command into each valid
-    /// slave's send buffer and post one WRITE_WITH_IMM per slave, the work
-    /// spread round-robin across `thread-num` ARM cores. Quorum hands the
-    /// write to the tracker instead, which launches it or parks it behind
-    /// a full window.
+    /// Steady-state fan-out (Fig. 9 ②): the one place Nic-KV asks the
+    /// replication mode. The async stream launches the write now; quorum
+    /// hands it to the tracker, which launches it the same way or parks it
+    /// behind a full window.
     fn fan_out(&mut self, ctx: &mut Context<'_>, frame: Frame) {
         self.stats.inc(NicStat::FanoutMsgs);
         let end_offset = parse_stream_frame(&frame).map(|(from_offset, body)| {
@@ -458,39 +439,36 @@ impl NicKv {
         if let Some(end_offset) = end_offset {
             self.master_offset = self.master_offset.max(end_offset);
         }
-        if !self.deferred() {
-            self.async_send(ctx, frame);
+        if !self.cfg.repl_mode.defers_replies() {
+            self.launch(ctx, frame, None);
         } else if let Some(end_offset) = end_offset {
             self.track(ctx, |t| t.admit(frame, end_offset));
         }
     }
 
-    /// The async-stream send body: the request parse on thread 0, then
-    /// the per-slave ARM work.
-    fn async_send(&mut self, ctx: &mut Context<'_>, frame: Frame) {
-        self.cpu
-            .run_on(0, ctx.now(), self.cfg.costs.nic_fanout_base);
-        if let Some((conns, done)) = self.charge_fanout(ctx.now()) {
-            ctx.timer_at(done, NicMsg::FanoutSendBatch { conns, frame });
-        }
-    }
-
-    /// Charge one ring write per live slave, round-robin over the fan-out
-    /// threads. The WQEs are only staged: one doorbell flushes them all
-    /// once the last thread finishes. Returns the target connections and
-    /// that instant, or `None` without a live slave.
-    fn charge_fanout(&mut self, now: SimTime) -> Option<(Vec<usize>, SimTime)> {
+    /// Launch one replicated write (tracked under `seq` for quorum): the
+    /// request parse on thread 0, the thread that owns the master
+    /// connection, then one ring write per live slave, round-robin over the
+    /// fan-out threads. The WQEs are only staged: one doorbell flushes them
+    /// all once the last thread finishes. Without a live slave nothing is
+    /// posted.
+    fn launch(&mut self, ctx: &mut Context<'_>, frame: Frame, seq: Option<u64>) {
+        let (now, costs) = (ctx.now(), &self.cfg.costs);
+        self.cpu.run_on(0, now, costs.nic_fanout_base);
         let mut conns = self.spare_conns.pop().unwrap_or_default();
         conns.extend(self.nodes.targets().map(|(conn, _)| conn));
-        let mut done = now;
-        for _ in &conns {
-            done = done.max(self.charge_fanout_thread(now));
-        }
         if conns.is_empty() {
             self.recycle_conns(conns);
-            return None;
+            return;
         }
-        Some((conns, done))
+        let mut done = now;
+        for _ in &conns {
+            let thread = self.fanout_cursor % self.cfg.effective_nic_threads();
+            self.fanout_cursor += 1;
+            self.stats.inc(NicStat::FanoutSends);
+            done = done.max(self.cpu.run_on(thread, now, costs.nic_per_slave).finished);
+        }
+        ctx.timer_at(done, NicMsg::Fanout { conns, frame, seq });
     }
 
     /// Keep an emptied connection list for the next fan-out to fill.
@@ -499,17 +477,6 @@ impl NicKv {
         if self.spare_conns.len() < SPARE_LISTS {
             self.spare_conns.push(conns);
         }
-    }
-
-    /// Charge one slave's ring-write work to the next fan-out thread
-    /// (round-robin) and return when that thread finishes it.
-    fn charge_fanout_thread(&mut self, now: SimTime) -> SimTime {
-        let thread = self.fanout_cursor % self.cfg.effective_nic_threads();
-        self.fanout_cursor += 1;
-        self.stats.inc(NicStat::FanoutSends);
-        self.cpu
-            .run_on(thread, now, self.cfg.costs.nic_per_slave)
-            .finished
     }
 
     /// Post `frame` to each of `conns` under a single doorbell — the one
@@ -671,14 +638,11 @@ impl Actor for NicKv {
                     NicMsg::ProbeTick => self.on_probe_tick(ctx),
                     // Work a crashed process had in progress is lost.
                     _ if self.crashed => {}
-                    NicMsg::FanoutSendBatch { conns, frame } => {
-                        self.post_stream(ctx, &conns, &frame, None);
-                        self.recycle_conns(conns);
-                    }
-                    NicMsg::TrackedSend { seq, conns } => {
-                        // `None`: committed before the fan-out work finished.
-                        if let Some(frame) = self.tracker.frame_of(seq) {
-                            self.post_stream(ctx, &conns, &frame, Some(seq));
+                    NicMsg::Fanout { conns, frame, seq } => {
+                        // A tracked write that committed before its fan-out
+                        // work finished is not posted.
+                        if seq.is_none_or(|seq| self.tracker.frame_of(seq).is_some()) {
+                            self.post_stream(ctx, &conns, &frame, seq);
                         }
                         self.recycle_conns(conns);
                     }
@@ -742,9 +706,10 @@ impl Actor for NicKv {
                             return;
                         };
                         // Quorum's ack hook: a send-side completion for a
-                        // replication WR resolves to its `(seq, slave)` —
-                        // success means the slave holds the bytes (RC).
-                        if self.deferred() && wc.opcode == WcOpcode::RdmaWrite {
+                        // tracked replication WR resolves to its
+                        // `(seq, slave)` — success means the slave holds the
+                        // bytes (RC). Only tracked WRs are armed.
+                        if wc.opcode == WcOpcode::RdmaWrite {
                             let (key, ok) = ((wc.qp, wc.wr_id), wc.status == WcStatus::Success);
                             self.track(ctx, |t| t.on_wr_done(key, ok));
                         }

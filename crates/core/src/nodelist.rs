@@ -138,18 +138,20 @@ impl NodeList {
         self.conn_of(promoted)
     }
 
-    /// `Hello`, or a slave's `SyncRequest` from `offset`: the node joins
-    /// the list, or is revalidated on its new channel `conn`. A master
-    /// that registers forgets the last slave-set update, so the next one
-    /// goes out whatever it says, and demotes whoever was promoted in its
-    /// absence: the channel to send `Demote` on.
+    /// `Hello`, or a slave's `SyncRequest`: the node joins the list, or is
+    /// revalidated on its new channel `conn`, with its offset unknown until
+    /// it reports progress — a registration's position is where a resync
+    /// starts, not what the node holds, and under async no progress report
+    /// ever corrects it. A master that registers forgets the last
+    /// slave-set update, so the next one goes out whatever it says, and
+    /// demotes whoever was promoted in its absence: the channel to send
+    /// `Demote` on.
     pub(crate) fn register(
         &mut self,
         now: SimTime,
         addr: SocketAddr,
         is_master: bool,
         conn: usize,
-        offset: Option<u64>,
     ) -> Option<usize> {
         let i = self.index_of(addr).unwrap_or_else(|| {
             self.entries.push(NodeEntry {
@@ -166,9 +168,7 @@ impl NodeList {
         let e = &mut self.entries[i];
         e.conn = Some(conn);
         e.is_master |= is_master;
-        if let Some(offset) = offset {
-            e.offset = offset;
-        }
+        e.offset = 0;
         if is_master {
             // The master hears the slave-set update afresh: the last one
             // may have been lost with its old channel.
@@ -320,16 +320,14 @@ mod tests {
         cfg
     }
 
-    /// A master on channel 0 and three slaves on 1..=3, at offsets 10,
-    /// 30, 30, registered at `t = 0`.
+    /// A master on channel 0 and three slaves on 1..=3, registered at
+    /// `t = 0`, that reported offsets 10, 30, 30.
     fn cluster() -> NodeList {
         let mut nodes = NodeList::new(&cfg());
-        assert_eq!(nodes.register(ms(0), MASTER, true, 0, None), None);
+        assert_eq!(nodes.register(ms(0), MASTER, true, 0), None);
         for (i, (slave, offset)) in SLAVES.into_iter().zip([10, 30, 30]).enumerate() {
-            assert_eq!(
-                nodes.register(ms(0), slave, false, i + 1, Some(offset)),
-                None
-            );
+            assert_eq!(nodes.register(ms(0), slave, false, i + 1), None);
+            nodes.progress(slave, offset);
         }
         nodes
     }
@@ -378,19 +376,20 @@ mod tests {
         assert_eq!(nodes.conn_of(SLAVES[0]), Some(1));
         assert_eq!(entry(&nodes, SLAVES[0]).offset, 10);
         // A valid node re-registering is no recovery; its clock stops and
-        // the `SyncRequest` sets its offset, down as well as up.
+        // its offset is unknown until it reports again.
         probes(&mut nodes, ms(200));
-        nodes.register(ms(250), SLAVES[0], false, 7, Some(4));
+        nodes.register(ms(250), SLAVES[0], false, 7);
         let e = entry(&nodes, SLAVES[0]);
-        assert!(e.valid && e.pending_probe_since.is_none() && e.offset == 4);
+        assert!(e.valid && e.pending_probe_since.is_none() && e.offset == 0);
         assert_eq!(nodes.addr_of(7), Some(SLAVES[0]));
         assert!(nodes.recoveries.is_empty());
         // A failed one comes back on its new channel: one recovery.
         nodes.closed(ms(300), 7);
         round(&mut nodes, ms(800));
         assert!(!entry(&nodes, SLAVES[0]).valid);
-        nodes.register(ms(900), SLAVES[0], false, 8, Some(50));
+        nodes.register(ms(900), SLAVES[0], false, 8);
         assert_eq!(nodes.recoveries, vec![(ms(900), SLAVES[0])]);
+        nodes.progress(SLAVES[0], 50);
         assert_eq!(entry(&nodes, SLAVES[0]).offset, 50);
         assert_eq!(nodes.entries().len(), 4, "one entry per address");
     }
@@ -402,18 +401,15 @@ mod tests {
         let r = round(&mut nodes, ms(600));
         assert_eq!(r.promote, Some(2), "slave 1: highest offset, lower address");
         // The master's `Hello`: the promoted slave's channel, once.
-        assert_eq!(nodes.register(ms(700), MASTER, true, 9, None), Some(2));
-        assert_eq!(nodes.register(ms(710), MASTER, true, 9, None), None);
+        assert_eq!(nodes.register(ms(700), MASTER, true, 9), Some(2));
+        assert_eq!(nodes.register(ms(710), MASTER, true, 9), None);
         assert!(entry(&nodes, MASTER).valid);
         assert_eq!(nodes.master_conn(), Some(9));
         // A slave's registration demotes nobody.
         slaves_answer(&mut nodes, ms(800));
         nodes.closed(ms(800), 9);
         assert_eq!(round(&mut nodes, ms(1_300)).promote, Some(2));
-        assert_eq!(
-            nodes.register(ms(1_350), SLAVES[0], false, 10, Some(1)),
-            None
-        );
+        assert_eq!(nodes.register(ms(1_350), SLAVES[0], false, 10), None);
         assert_eq!(nodes.promoted, Some(SLAVES[1]));
     }
 
@@ -476,7 +472,8 @@ mod tests {
         nodes.progress(SLAVES[2], 99);
         nodes.closed(ms(100), 3);
         nodes.closed(ms(100), 0);
-        nodes.register(ms(400), SLAVES[2], false, 3, Some(99));
+        nodes.register(ms(400), SLAVES[2], false, 3);
+        nodes.progress(SLAVES[2], 99);
         nodes.closed(ms(450), 3);
         let r = round(&mut nodes, ms(600));
         assert_eq!(r.promote, None);
@@ -513,18 +510,51 @@ mod tests {
     #[test]
     fn the_slave_set_update_is_sent_only_on_change() {
         let mut nodes = NodeList::new(&cfg());
-        nodes.register(ms(0), SLAVES[0], false, 1, Some(1));
+        nodes.register(ms(0), SLAVES[0], false, 1);
+        nodes.progress(SLAVES[0], 1);
         assert_eq!(nodes.update(0), None, "no master channel: nothing sent");
-        nodes.register(ms(0), MASTER, true, 0, None);
+        nodes.register(ms(0), MASTER, true, 0);
         let set = |available, lagging| Some((0, NodeMsg::SlaveSetUpdate { available, lagging }));
         assert_eq!(nodes.update(0), set(1, false), "not recorded while unsent");
         assert_eq!(nodes.update(0), None);
         assert_eq!(nodes.update(MAX_SLAVE_LAG + 2), set(1, true));
-        nodes.register(ms(0), SLAVES[1], false, 2, Some(0));
+        nodes.register(ms(0), SLAVES[1], false, 2);
         assert_eq!(nodes.update(MAX_SLAVE_LAG + 2), set(2, true));
         // A slave at offset 0 has reported nothing yet: it does not lag.
         nodes.progress(SLAVES[0], MAX_SLAVE_LAG);
         assert_eq!(nodes.update(MAX_SLAVE_LAG + 2), set(2, false));
+    }
+
+    #[test]
+    fn a_registration_is_not_a_progress_report() {
+        // Under async no slave reports progress to Nic-KV. A slave that
+        // comes back re-registers from its old position, and the master
+        // runs on past it: were that position taken for the slave's
+        // offset, the lag verdict would judge it frozen and say `lagging`
+        // for good once the master is `MAX_SLAVE_LAG` past it.
+        let mut nodes = NodeList::new(&cfg());
+        nodes.register(ms(0), MASTER, true, 0);
+        nodes.register(ms(0), SLAVES[0], false, 1);
+        let set = |lagging| {
+            Some((
+                0,
+                NodeMsg::SlaveSetUpdate {
+                    available: 1,
+                    lagging,
+                },
+            ))
+        };
+        assert_eq!(nodes.update(0), set(false));
+        nodes.progress(SLAVES[0], 10);
+        // Its channel breaks and it registers again: what it reported
+        // before is forgotten, and nobody lags.
+        nodes.closed(ms(100), 1);
+        nodes.register(ms(150), SLAVES[0], false, 2);
+        assert_eq!(entry(&nodes, SLAVES[0]).offset, 0);
+        assert_eq!(nodes.update(MAX_SLAVE_LAG + 20), None, "still not lagging");
+        // Once it reports, its lag is real.
+        nodes.progress(SLAVES[0], 15);
+        assert_eq!(nodes.update(MAX_SLAVE_LAG + 20), set(true));
     }
 
     #[test]
@@ -544,11 +574,11 @@ mod tests {
         // The master's channel breaks and it registers on a new one: the
         // unchanged update goes out again, on the new channel.
         assert!(nodes.closed(ms(100), 0));
-        nodes.register(ms(150), MASTER, true, 7, None);
+        nodes.register(ms(150), MASTER, true, 7);
         assert_eq!(nodes.update(30), set(7));
         assert_eq!(nodes.update(30), None);
         // A slave's registration does not repeat it.
-        nodes.register(ms(200), SLAVES[0], false, 8, Some(30));
+        nodes.register(ms(200), SLAVES[0], false, 8);
         assert_eq!(nodes.update(30), None);
     }
 
@@ -562,7 +592,7 @@ mod tests {
         nodes.restart();
         assert!(forgotten(&nodes));
         // The list rebuilds from zero.
-        nodes.register(ms(700), SLAVES[0], false, 5, None);
+        nodes.register(ms(700), SLAVES[0], false, 5);
         assert_eq!((nodes.entries().len(), nodes.available_slaves()), (1, 1));
         assert_eq!(
             nodes.waiting_time,
@@ -609,12 +639,10 @@ mod tests {
             NODES.iter().position(|&a| a == addr).expect("a known node")
         }
 
-        fn register(&mut self, i: usize, offset: u64) {
+        fn register(&mut self, i: usize) {
             let conn = self.next_conn;
             self.next_conn += 1;
-            let slave_offset = (i > 0).then_some(offset);
-            self.nodes
-                .register(self.now, NODES[i], i == 0, conn, slave_offset);
+            self.nodes.register(self.now, NODES[i], i == 0, conn);
             if i == 0 {
                 // A new master channel: nothing has been sent on it yet.
                 self.sent = None;
@@ -672,7 +700,7 @@ mod tests {
                 self.now = (self.now + SimDuration::from_millis(arg % 60)).min(self.next_round);
             }
             match op % 8 {
-                0 => self.register(i, arg),
+                0 => self.register(i),
                 1 => self.nodes.progress(NODES[i], arg),
                 2 if self.chan[i].is_some() => {
                     self.nodes.probe_reply(self.now, NODES[i]);

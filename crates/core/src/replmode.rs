@@ -35,9 +35,10 @@ use skv_simcore::stats::CounterSet;
 use crate::metrics::catalog::NicStat;
 
 /// Which replication protocol the cluster runs. Carried by
-/// `ClusterConfig` and consulted by the master (`server.rs` reply
-/// deferral and census) and the Nic-KV actor (which drives a [`Tracker`]
-/// under quorum).
+/// `ClusterConfig` and asked once per node: by the master's
+/// [`crate::commitgate::CommitGate`] (does a reply wait?), by Nic-KV's
+/// fan-out (launch now, or hand the write to a [`Tracker`]) and by a
+/// slave's cron (report progress to Nic-KV too?).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum ReplModeKind {
     /// Asynchronous stream fan-out (the paper's protocol; default).
@@ -65,21 +66,20 @@ impl ReplModeKind {
     pub fn defers_replies(self) -> bool {
         self == ReplModeKind::Quorum
     }
+}
 
-    /// The commit rule, defined once: the highest stream offset this mode
-    /// considers replicated, given the cumulative offsets `held` by the
-    /// slaves heard from. Under quorum that is the k-th largest offset
-    /// (it is on k slaves, k = [`quorum_slave_acks`]), 0 while fewer than
-    /// k slaves are heard from; the async stream commits everything.
-    /// Reorders `held`.
-    pub fn commit_frontier(self, configured_slaves: usize, held: &mut [u64]) -> u64 {
-        let k = quorum_slave_acks(configured_slaves);
-        if self == ReplModeKind::Async || k == 0 {
-            return u64::MAX; // nothing to wait for, or the master is the whole quorum
-        }
-        held.sort_unstable_by(|a, b| b.cmp(a));
-        held.get(k - 1).copied().unwrap_or(0)
+/// Quorum's commit rule, defined once: the highest stream offset
+/// replicated, given the cumulative offsets `held` by the slaves heard
+/// from — the k-th largest (it is on k slaves, k = [`quorum_slave_acks`]),
+/// 0 while fewer than k slaves are heard from. Only quorum asks: the
+/// async stream commits nothing it waits for. Reorders `held`.
+pub fn commit_frontier(configured_slaves: usize, held: &mut [u64]) -> u64 {
+    let k = quorum_slave_acks(configured_slaves);
+    if k == 0 {
+        return u64::MAX; // the master is the whole quorum
     }
+    held.sort_unstable_by(|a, b| b.cmp(a));
+    held.get(k - 1).copied().unwrap_or(0)
 }
 
 impl fmt::Display for ReplModeKind {
@@ -119,14 +119,16 @@ struct PendingWrite {
 }
 
 /// What the owner of a [`Tracker`] must do next, in the order decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step {
-    /// A write entered the window: charge the request-parse cost.
-    Parse,
-    /// Post write `seq` to every live slave under one doorbell.
+    /// A write entered the window: launch it as an async write is
+    /// launched — parse, per-slave work, one doorbell — with each WR
+    /// armed under `seq`.
     Fanout {
         /// Launch sequence of the write.
         seq: u64,
+        /// The write's stream frame.
+        frame: Frame,
     },
     /// [`Tracker::committed_upto`] advanced: tell the master.
     Committed,
@@ -209,16 +211,18 @@ impl Tracker {
     }
 
     fn launch(&mut self, frame: Frame, end_offset: u64) {
-        self.steps.push_back(Step::Parse);
         self.write_seq += 1;
         let seq = self.write_seq;
+        self.steps.push_back(Step::Fanout {
+            seq,
+            frame: frame.clone(),
+        });
         self.pending.push_back(PendingWrite {
             seq,
             end_offset,
             frame,
             acked: Vec::new(),
         });
-        self.steps.push_back(Step::Fanout { seq });
         // N = 0 commits immediately (master is the whole quorum).
         self.check_commits();
     }
@@ -288,8 +292,7 @@ impl Tracker {
             // An acked slave holds all of the write.
             self.held.clear();
             self.held.extend(p.acked.iter().map(|_| p.end_offset));
-            let frontier =
-                ReplModeKind::Quorum.commit_frontier(self.configured_slaves, &mut self.held);
+            let frontier = commit_frontier(self.configured_slaves, &mut self.held);
             if frontier < p.end_offset {
                 break;
             }
@@ -415,6 +418,13 @@ mod tests {
         std::iter::from_fn(|| t.next_step()).collect()
     }
 
+    fn fanout(seq: u64, text: &str) -> Step {
+        Step::Fanout {
+            seq,
+            frame: frame(text),
+        }
+    }
+
     /// Admit a write and arm one WR per live slave, as the NIC's poster does.
     fn admit_armed(t: &mut Tracker, seq: u64, end_offset: u64, live: &[SocketAddr]) {
         t.admit(frame("w"), end_offset);
@@ -430,15 +440,7 @@ mod tests {
         let mut t = Tracker::new(live.len(), 8, true);
         admit_armed(&mut t, 1, 100, &live);
         admit_armed(&mut t, 2, 200, &live);
-        assert_eq!(
-            steps(&mut t),
-            [
-                Step::Parse,
-                Step::Fanout { seq: 1 },
-                Step::Parse,
-                Step::Fanout { seq: 2 }
-            ]
-        );
+        assert_eq!(steps(&mut t), [fanout(1, "w"), fanout(2, "w")]);
         // Write 2 reaches its quorum first, but the stream commits in
         // offset order: nothing moves while write 1 is short.
         t.on_wr_done(key(2, 1), true);
@@ -476,28 +478,15 @@ mod tests {
         }
         // Two launched, two parked: no step, no sequence number yet.
         assert_eq!(t.pending_writes(), 2);
-        assert_eq!(
-            steps(&mut t),
-            [
-                Step::Parse,
-                Step::Fanout { seq: 1 },
-                Step::Parse,
-                Step::Fanout { seq: 2 }
-            ]
-        );
+        assert_eq!(steps(&mut t), [fanout(1, "a"), fanout(2, "b")]);
         assert_eq!(t.frame_of(3), None);
         // Each commit frees one slot for the oldest parked write.
         t.on_progress(slave(1), 100);
-        assert_eq!(
-            steps(&mut t),
-            [Step::Committed, Step::Parse, Step::Fanout { seq: 3 }]
-        );
+        assert_eq!(steps(&mut t), [Step::Committed, fanout(3, "c")]);
+        assert_eq!(t.frame_of(1), None, "committed");
         assert_eq!(t.frame_of(3), Some(frame("c")));
         t.on_progress(slave(1), 200);
-        assert_eq!(
-            steps(&mut t),
-            [Step::Committed, Step::Parse, Step::Fanout { seq: 4 }]
-        );
+        assert_eq!(steps(&mut t), [Step::Committed, fanout(4, "d")]);
         assert_eq!(t.frame_of(4), Some(frame("d")));
         t.on_progress(slave(1), 400);
         assert_eq!(steps(&mut t), [Step::Committed]);
@@ -506,11 +495,30 @@ mod tests {
 
     #[test]
     fn commit_frontier_is_the_kth_largest() {
-        let q = |n, held: &[u64]| ReplModeKind::Quorum.commit_frontier(n, &mut held.to_vec());
+        let q = |n, held: &[u64]| commit_frontier(n, &mut held.to_vec());
         assert_eq!(q(3, &[10, 30, 20]), 20, "2nd largest of 3 slaves");
         assert_eq!(q(5, &[10, 30, 20]), 10, "3rd largest of 5 slaves");
         assert_eq!(q(3, &[30]), 0, "fewer reports than the quorum");
         assert_eq!(q(0, &[]), u64::MAX, "no slaves: the master alone");
-        assert_eq!(ReplModeKind::Async.commit_frontier(3, &mut [1]), u64::MAX);
+    }
+
+    #[test]
+    fn a_tracker_that_admitted_nothing_does_nothing() {
+        // The async stream never admits a write, yet Nic-KV hands its
+        // tracker every progress report, send completion and master
+        // registration in either mode: none of them may decide anything.
+        let mut t = Tracker::new(3, REPL_WINDOW, true);
+        t.on_progress(slave(1), 100);
+        t.on_wr_done(key(1, 1), true);
+        t.on_wr_done(key(1, 2), false);
+        assert!(steps(&mut t).is_empty());
+        assert!(t.wr_acks.is_empty() && t.pending_writes() == 0);
+        // A master that registers again is sent the frontier only past
+        // the 0 it was last sent.
+        assert_eq!(t.committed_upto(), 0);
+        // A slave that registers again is sent nothing.
+        assert!(t.unacked_by(slave(1)).is_empty());
+        assert!(t.committed_acks.is_empty());
+        assert_eq!(t.stats.get(NicStat::Commits), 0);
     }
 }

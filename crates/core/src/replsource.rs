@@ -32,7 +32,7 @@ use skv_store::backlog::Backlog;
 use skv_store::repl::{ReplicationId, ReplicationPosition};
 
 use crate::protocol::{tag, NodeMsg};
-use crate::replmode::ReplModeKind;
+use crate::replmode::commit_frontier;
 use crate::replsink::stream_frames;
 
 /// Maximum replication lag (bytes) before the master returns errors
@@ -263,19 +263,17 @@ impl ReplSource {
     /// notifications. This is what keeps quorum semantics working
     /// through degraded (host fan-out) periods and covers the window where
     /// a commit notification is lost with the NIC channel: the same
-    /// [`ReplModeKind::commit_frontier`] the NIC's tracker applies to its
-    /// acks, here fed the offsets reported by the replicas a channel is
-    /// `open` to.
+    /// [`commit_frontier`] the NIC's tracker applies to its acks, here fed
+    /// the offsets reported by the replicas a channel is `open` to.
     pub fn commit_census(
         &mut self,
-        mode: ReplModeKind,
         num_slaves: usize,
         open: impl Iterator<Item = SocketAddr>,
     ) -> u64 {
         let reported = open.map(|replica| self.replicas.get(&replica).copied().unwrap_or(0));
         self.held.clear();
         self.held.extend(reported);
-        mode.commit_frontier(num_slaves, &mut self.held)
+        commit_frontier(num_slaves, &mut self.held)
     }
 }
 
@@ -660,23 +658,16 @@ mod tests {
         }
         let all = || (0..3).map(replica);
         // Quorum of 3 slaves: the 2nd largest.
-        assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, all()), 90);
-        assert_eq!(
-            source.commit_census(ReplModeKind::Async, 3, all()),
-            u64::MAX
-        );
+        assert_eq!(source.commit_census(3, all()), 90);
         // A closed channel's replica is out …
         let open = || [replica(0), replica(1)].into_iter();
-        assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, open()), 60);
+        assert_eq!(source.commit_census(3, open()), 60);
         // … fewer reports than the quorum prove nothing …
-        assert_eq!(
-            source.commit_census(ReplModeKind::Quorum, 3, [replica(0)].into_iter()),
-            0
-        );
+        assert_eq!(source.commit_census(3, [replica(0)].into_iter()), 0);
         // … and an open replica that has not reported yet holds 0.
         source.attach(replica(1));
-        assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, open()), 0);
-        assert_eq!(source.commit_census(ReplModeKind::Quorum, 3, all()), 90);
+        assert_eq!(source.commit_census(3, open()), 0);
+        assert_eq!(source.commit_census(3, all()), 90);
     }
 
     #[test]

@@ -602,7 +602,8 @@ impl KvServer {
     }
 
     /// Release every held reply the gate frees, charging the reply-post
-    /// CPU that `finish_command` skipped.
+    /// CPU that `finish_command` skipped. Only quorum holds replies, so
+    /// only quorum takes the commit census.
     fn release_ready_replies(&mut self, ctx: &mut Context<'_>) {
         if !self.gate.holding(self.is_master()) {
             return;
@@ -611,8 +612,7 @@ impl KvServer {
             ConnKind::Slave(addr) if open => Some(*addr),
             _ => None,
         });
-        let (mode, slaves) = (self.cfg.repl_mode, self.cfg.num_slaves);
-        let census = self.source.commit_census(mode, slaves, open);
+        let census = self.source.commit_census(self.cfg.num_slaves, open);
         let mut frames: Vec<OutFrame> = self.spare_frames.pop().unwrap_or_default();
         let mut cost = SimDuration::ZERO;
         let mut doorbells = 0u32;

@@ -349,7 +349,7 @@ const FILE_BUDGET: usize = 800;
 /// Files still over [`FILE_BUDGET`], each capped at its size when the rule
 /// landed. A ceiling only ever goes down, and a file under the budget
 /// leaves this list.
-const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 853)];
+const FILE_CEILINGS: [(&str, usize); 1] = [("crates/core/src/server.rs", 852)];
 
 /// The most non-test code lines `rel` may have, if it is budgeted.
 fn line_budget(rel: &str) -> Option<usize> {

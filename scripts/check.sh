@@ -63,7 +63,7 @@ echo "==> benchmark smoke (benchmark/ builds against the crate APIs and runs cle
 # pipeline.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
 
-echo "==> experiments --check fig7 fig10 fig11 fig14 failparams replmode shards hotcache (calibration, recovery, the failure detector, quorum and both front ends have not moved)"
+echo "==> experiments --check fig7 fig10 fig11 fig14 failparams replmode shards hotcache threadnum wrbatch backoff (calibration, recovery, the failure detector, quorum, both front ends and Nic-KV's fan-out have not moved)"
 # Figures 7, 10 and 11 are the calibrated points every other number hangs
 # off (master throughput with and without slaves, the RDMA-Redis no-slave
 # plateau and its one-client row, the offload gain); `shards` and
@@ -71,14 +71,18 @@ echo "==> experiments --check fig7 fig10 fig11 fig14 failparams replmode shards 
 # SocFrontEnd) hardest; Figure 14 is a slave's crash and recovery under
 # load, the full sync and its catch-up range end to end; `failparams` is
 # the failure detector's arm (a slave crash under each `waiting-time`) and
-# `replmode` the one that runs quorum against the async stream. Each
+# `replmode` the one that runs quorum against the async stream;
+# `threadnum` parks ≈ 2 200 async fan-out timers behind one ARM thread,
+# `wrbatch` reads Nic-KV's doorbells and WRs per write over 1–8 slaves, and
+# `backoff` runs a master's `Hello` after a crash. Each
 # arm is rendered in release (≈ 50 s for Figures 7 and 11, ≈ 11 s more for
 # Figure 10, ≈ 54 s for Figure 14 on a 2-core box, ≈ 59 s for
 # `failparams`, ≈ 13 s for `replmode`, ≈ 70 s for `shards` and
-# `hotcache`) and compared with its block of the committed
+# `hotcache`, ≈ 51 s, 33 s and 8 s for `threadnum`, `wrbatch` and
+# `backoff`) and compared with its block of the committed
 # experiments_output.txt; a mismatch prints a unified diff. A change that
 # moves them on purpose regenerates the file and says so.
-cargo run --release --quiet -p skv-bench --bin experiments -- --check fig7 fig10 fig11 fig14 failparams replmode shards hotcache
+cargo run --release --quiet -p skv-bench --bin experiments -- --check fig7 fig10 fig11 fig14 failparams replmode shards hotcache threadnum wrbatch backoff
 
 if [ "$nightly" = 1 ]; then
   echo "==> nightly: scripts/hostprof.sh --allocs self-test (the census finds set-fanout's new-key row)"

@@ -409,3 +409,30 @@ fn min_slaves_counts_the_masters_own_slaves_through_a_soc_outage() {
     assert!(rejected(&cluster) > 0, "one slave left: writes are refused");
     assert!(report.errors > 0);
 }
+
+#[test]
+fn a_recovered_slave_is_not_judged_lagging_on_its_registration_position() {
+    // Under async no slave reports progress to Nic-KV. A slave that comes
+    // back registers with its old position, and the master runs far past
+    // it (16 KiB SETs are ≈ 200 MB of stream per simulated second). Were
+    // that position taken for progress, Nic-KV would call the slave
+    // lagging for good once the master is `MAX_SLAVE_LAG` past it, and a
+    // master with `min-slaves` 0 would refuse every write.
+    let mut s = spec(3, 8, 1_200);
+    s.value_size = 16 << 10;
+    let mut cluster = Cluster::build(s);
+    cluster.schedule_slave_crash(0, SimTime::from_millis(500));
+    let up = SimTime::from_millis(700);
+    cluster.schedule_slave_recover(0, up);
+    cluster.sim.run_until(up);
+    let at_recovery = cluster.master_server().repl_offset();
+    let report = cluster.run();
+    let master = cluster.master_server();
+    assert_eq!(master.stats().get(ServerStat::Rejected), 0, "NOREPLICAS");
+    assert_eq!(report.errors, 0);
+    let past = master.repl_offset() - at_recovery;
+    assert!(
+        past > 2 * skv_core::replsource::MAX_SLAVE_LAG,
+        "the master got only {past} B past the recovery"
+    );
+}

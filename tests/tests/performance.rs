@@ -190,7 +190,7 @@ fn fanout_keeps_up_at_the_fig11_point() {
         nic.stats().get(NicStat::WrsPosted),
     );
 
-    // A fan-out thread that falls behind parks one `FanoutSendBatch` timer
+    // A fan-out thread that falls behind parks one `NicMsg::Fanout` timer
     // per write it has not reached yet — ≈ 2 200 of them at this point
     // before. Keeping up, the whole cluster has a few dozen events queued.
     let mut deepest = 0;
