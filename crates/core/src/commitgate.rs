@@ -23,22 +23,8 @@
 
 use std::collections::VecDeque;
 
-use skv_netsim::Frame;
-
 use crate::config::{ClusterConfig, Mode};
-
-/// A frame bound for one connection: a staged send, or a held reply.
-pub(crate) struct OutFrame {
-    pub conn: usize,
-    pub tag: u32,
-    pub payload: Frame,
-}
-
-impl OutFrame {
-    pub(crate) fn new(conn: usize, tag: u32, payload: Frame) -> Self {
-        OutFrame { conn, tag, payload }
-    }
-}
+use crate::egress::OutFrame;
 
 /// The master's write gate and its held replies.
 #[derive(Default)]
@@ -142,6 +128,7 @@ mod tests {
 
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+    use skv_netsim::Frame;
 
     use crate::replmode::ReplModeKind;
 
@@ -155,7 +142,13 @@ mod tests {
 
     /// A reply on `conn`, told apart by `tag`.
     fn reply(conn: usize, tag: u32) -> OutFrame {
-        OutFrame::new(conn, tag, Frame::from(vec![0u8; 4]))
+        let payload = Frame::from(vec![0u8; 4]);
+        OutFrame {
+            conn,
+            tag,
+            listed: false,
+            payload,
+        }
     }
 
     fn tags(released: impl Iterator<Item = OutFrame>) -> Vec<u32> {

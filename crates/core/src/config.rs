@@ -279,6 +279,16 @@ impl ClusterConfig {
                 crate::protocol::NUM_SLOTS
             ));
         }
+        // A master refuses writes below `min-slaves` valid slaves, and no
+        // census or Nic-KV verdict counts more slaves than there are: such
+        // a master would refuse every write of the run.
+        if self.min_slaves > self.num_slaves {
+            return Err(format!(
+                "min_slaves {} exceeds num_slaves {}: every write would be \
+                 refused",
+                self.min_slaves, self.num_slaves
+            ));
+        }
         // Each shard pins a dedicated host core and the background
         // persist/load core rides alongside them.
         if self.num_shards + 1 > self.machines.host_cores {
@@ -447,6 +457,25 @@ mod tests {
                 ..Default::default()
             };
             assert!(cfg.validate().is_ok(), "num_shards {shards} rejected");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_more_min_slaves_than_slaves() {
+        let cfg = ClusterConfig {
+            num_slaves: 2,
+            min_slaves: 3,
+            ..Default::default()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("min_slaves 3 exceeds num_slaves 2"), "{err}");
+        for min_slaves in [0, 1, 2] {
+            let cfg = ClusterConfig {
+                num_slaves: 2,
+                min_slaves,
+                ..Default::default()
+            };
+            assert!(cfg.validate().is_ok(), "min_slaves {min_slaves} of 2");
         }
     }
 

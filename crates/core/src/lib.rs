@@ -18,6 +18,9 @@
 //! * [`commitgate::CommitGate`] — the master's `min-slaves` / lag write
 //!   gate and quorum's held replies as an IO-free state machine (which
 //!   verdict stands, the commit point, the replies a release frees),
+//! * [`egress::Egress`] — what leaves the master for one command as an
+//!   IO-free plan (frame order, the one linked post list, CPU / WR /
+//!   doorbell cost, the held reply, the stream's egress floor),
 //! * [`nodelist::NodeList`] — Nic-KV's node list and failure detector as
 //!   an IO-free state machine (registration, probes, `waiting-time`,
 //!   failover, the slave-set update),
@@ -61,6 +64,7 @@ pub mod commitgate;
 pub mod config;
 pub mod conns;
 pub mod cqdrain;
+pub mod egress;
 pub mod histcheck;
 pub mod hostlinks;
 pub mod hotcache;

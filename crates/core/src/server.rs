@@ -35,10 +35,11 @@ use skv_store::repl::{ReplicationId, ReplicationPosition};
 use skv_store::resp::{self, ParsedCommand, Resp};
 
 use crate::channel::{Channel, ChannelMsg, RING_SIZE};
-use crate::commitgate::{CommitGate, OutFrame};
+use crate::commitgate::CommitGate;
 use crate::config::{ClusterConfig, Mode};
 use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain::{self, ParkedCqs, POLL_BUDGET};
+use crate::egress::{Batch, Command, Egress, OutFrame, Plan};
 use crate::hostlinks::{ConnKind, Fallback, HostLinks};
 use crate::hotcache::FWD_NO_ADMIT;
 use crate::metrics::catalog::ServerStat;
@@ -46,10 +47,6 @@ use crate::protocol::{tag, NodeMsg};
 use crate::replsink::{Apply, ReplSink};
 use crate::replsource::{ReplSource, Serve};
 use crate::shard::{ApplyRing, ShardSet, APPLY_RING_CAP, CROSS_SHARD_HOP};
-
-/// Emptied `SendFrames` lists kept for reuse (one is in flight per
-/// command whose CPU work has not finished yet).
-const SPARE_LISTS: usize = 64;
 
 /// External control events injected by the harness.
 #[derive(Debug, Clone)]
@@ -116,9 +113,6 @@ pub struct KvServer {
     /// Sharded slave apply pipeline: bounded ring between the parse core
     /// and the apply core (unused at `num_shards = 1`).
     apply_ring: ApplyRing,
-    /// Monotonic floor for REPL_STREAM emission times: shard cores finish
-    /// out of order, but the stream must leave in backlog-offset order.
-    repl_egress_at: SimTime,
     /// The history this server writes (or, as a replica, follows) and
     /// what it knows about its own replicas.
     source: ReplSource,
@@ -130,6 +124,9 @@ pub struct KvServer {
     links: HostLinks,
     /// `min-slaves` and the lag verdicts; quorum's held replies.
     gate: CommitGate,
+    /// What each command and release pass sends, in what order, on which
+    /// post list and at what cost; the stream's egress floor.
+    egress: Egress,
     crashed: bool,
     /// Seeded from `seed` at construction, replaced by a split of the
     /// simulation RNG in `on_start` (so actor start order matters, not OS
@@ -140,8 +137,6 @@ pub struct KvServer {
     /// Send-ring pool for wire frames (TCP framing), replies and
     /// replication stream frames; shared by every channel this server owns.
     pool: FramePool,
-    /// Emptied `SendFrames` lists, reused by the next `finish_command`.
-    spare_frames: Vec<Vec<OutFrame>>,
 }
 
 impl KvServer {
@@ -166,18 +161,17 @@ impl KvServer {
             cpu: CorePool::new(cores, cfg.machines.host_core_speed),
             shards: ShardSet::new(num_shards, seed),
             apply_ring: ApplyRing::new(APPLY_RING_CAP),
-            repl_egress_at: SimTime::ZERO,
             source: ReplSource::new(cfg.backlog_size, ReplicationId::from_seed(seed ^ 0xCAFE)),
             sink: None,
             conns: ConnTable::new(Some(pool.clone())),
             links: HostLinks::new(&cfg),
             gate: CommitGate::new(&cfg),
+            egress: Egress::new(&cfg),
             crashed: false,
             rng: DetRng::new(seed ^ 0xD1CE),
             cfg,
             stats: CounterSet::default(),
             pool,
-            spare_frames: Vec::new(),
         }
     }
 
@@ -293,13 +287,6 @@ impl KvServer {
         self.conns.dial(&self.net, ctx, self.node, rdma, to);
     }
 
-    fn synced_slave_conns(&self) -> impl Iterator<Item = usize> + '_ {
-        self.conns
-            .iter()
-            .filter(|(_, open, kind)| *open && matches!(kind, ConnKind::Slave(_)))
-            .map(|(i, ..)| i)
-    }
-
     // -- failure handling ----------------------------------------------------
 
     /// A connection's transport failed: tear it down and start whatever
@@ -368,18 +355,14 @@ impl KvServer {
     /// reply then leaves as a cookie-framed `FWD_REPLY` on `conn`.
     fn run_command(&mut self, ctx: &mut Context<'_>, conn: usize, payload: Frame, fwd: Option<u64>) {
         // Parsed once, in place: the arguments are views into `payload`.
-        let unrouted = (0, SimDuration::ZERO);
+        let refused = |reply| Command::reply(conn, payload.len(), fwd, reply);
         let args = match resp::parse_command(&payload) {
             ParsedCommand::Command(args, _) => args,
             ParsedCommand::NotCommand(why, _) => {
-                let reply = Resp::err(why);
-                self.finish_command(ctx, conn, payload.len(), &reply, None, unrouted, fwd);
-                return;
+                return self.finish_command(ctx, 0, refused(&Resp::err(why)));
             }
             ParsedCommand::Incomplete | ParsedCommand::ProtocolError(_) => {
-                let reply = Resp::err("protocol error");
-                self.finish_command(ctx, conn, payload.len(), &reply, None, unrouted, fwd);
-                return;
+                return self.finish_command(ctx, 0, refused(&Resp::err("protocol error")));
             }
         };
 
@@ -389,12 +372,11 @@ impl KvServer {
         // min-slaves / lag write gating (paper §III-C, §III-D).
         let is_write_cmd = spec.is_some_and(CommandSpec::is_write);
         let (master, degraded) = (self.is_master(), self.links.is_degraded());
-        let own_slaves = || self.synced_slave_conns().count();
+        let own_slaves = || synced_slaves(&self.conns).count();
         if is_write_cmd && self.gate.blocked(master, degraded, own_slaves) {
             self.stats.inc(ServerStat::Rejected);
             let reply = Resp::Error("NOREPLICAS Not enough good replicas to write".into());
-            self.finish_command(ctx, conn, payload.len(), &reply, None, unrouted, fwd);
-            return;
+            return self.finish_command(ctx, 0, refused(&reply));
         }
 
         let (result, shard, hops) = self.shards.execute(Self::now_ms(ctx), spec, &args);
@@ -403,207 +385,63 @@ impl KvServer {
         // admit": the host owns expiry, so the host says so.
         let veto = fwd.is_some() && self.shards.vetoes_admission(spec, &args, shard);
         let fwd = fwd.map(|cookie| if veto { cookie | FWD_NO_ADMIT } else { cookie });
+        let mut cmd = Command::reply(conn, payload.len(), fwd, &result.reply);
+        cmd.cross_cost = CROSS_SHARD_HOP * hops;
         // The *original* command bytes are replicated even for split
         // executions; slaves re-route them with the same slot map.
-        let replicate = result.should_replicate().then(|| payload.clone());
-        let (bytes, route) = (payload.len(), (shard, CROSS_SHARD_HOP * hops));
-        self.finish_command(ctx, conn, bytes, &result.reply, replicate, route, fwd);
+        if result.should_replicate() {
+            // Quorum holds the reply until Nic-KV commits the covering
+            // offset; async replies with the command.
+            cmd.defer = self.gate.defers(master);
+            cmd.stream = Some((self.source.feed(&payload), &payload));
+        }
+        self.finish_command(ctx, shard, cmd);
     }
 
-    /// Account CPU for a command and schedule its reply + replication.
-    /// `route` is `(shard, cross_cost)`: the core that executed the command
-    /// (always 0 unsharded) and the inter-shard hop overhead a split
-    /// command paid.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_command(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: usize,
-        req_bytes: usize,
-        reply: &Resp,
-        replicate: Option<Frame>,
-        route: (usize, SimDuration),
-        fwd: Option<u64>,
-    ) {
-        let (shard, cross_cost) = route;
-        let costs = &self.cfg.costs;
-        let net_p = &self.cfg.net;
-        let payload_kib = req_bytes as f64 / 1024.0;
-
-        let mut cost = costs.cmd_base + costs.cmd_per_kib.mul_f64(payload_kib) + cross_cost;
-        let mut wr_posts = 0u32; // WQEs built (the unit of replication work)
-        let mut doorbells = 0u32; // post calls; each may stall (tail model)
-        let mut frames: Vec<OutFrame> = self.spare_frames.pop().unwrap_or_default();
-
-        // Quorum holds a replicated write's reply until the NIC
-        // commits the covering offset; its post cost is charged on release
-        // (`release_ready_replies`), not here. Async keeps the original
-        // immediate-reply schedule bit for bit.
-        let defer = replicate.is_some() && self.gate.defers(self.is_master());
-        // The reply is encoded straight into a recycled send-ring buffer. A
-        // forwarded command's reply leads with its relay cookie and leaves
-        // under FWD_REPLY.
-        let reply_tag = if fwd.is_some() {
-            tag::FWD_REPLY
-        } else {
-            tag::REPLY
-        };
-        let reply_frame: Frame = self.pool.build(|out| {
-            if let Some(cookie) = fwd {
-                out.extend_from_slice(&cookie.to_le_bytes());
-            }
-            reply.encode_into(out);
-        });
-        let reply_len = reply_frame.len();
-
-        // Transport costs for receiving the request and posting the reply.
-        // Over RDMA the completion-side CPU (cq_poll_cpu + wc_handle_cpu)
-        // is charged where polling happens — the CqNotify drain — not per
-        // command; here only the reply's WR post.
-        if self.cfg.mode == Mode::TcpRedis {
-            cost += net_p.tcp_recv_cost(req_bytes);
+    /// Carry out a command's egress plan on the core that executed it
+    /// (`shard`; always 0 unsharded): hold its reply if the plan says so,
+    /// charge the core, schedule the frames.
+    fn finish_command(&mut self, ctx: &mut Context<'_>, shard: usize, cmd: Command<'_>) {
+        let (conns, degraded) = (&self.conns, self.links.is_degraded());
+        let nic = || conns.find_open(|k| !degraded && *k == ConnKind::Nic);
+        let slaves = synced_slaves(conns);
+        let mut plan = self.egress.command(&self.pool, cmd, nic, slaves);
+        if let Some((end, reply)) = plan.held.take() {
+            self.stats.inc(ServerStat::DeferredReplies);
+            self.gate.hold(end, reply);
         }
-        if !defer {
-            let (post, wrs) = reply_post(&self.cfg, reply_len);
-            cost += post;
-            wr_posts += wrs;
-            doorbells += wrs;
-        }
-        // A forwarded *dirty* command's ack must chase its own stream
-        // frame down the master→NIC channel (the front-end invalidates
-        // off the stream before relaying acks), so its reply frame is
-        // appended after the replication block instead of here. Direct
-        // replies keep the seed's reply-first order bit for bit.
-        let reply_after_stream = fwd.is_some() && replicate.is_some();
-        if !defer && !reply_after_stream {
-            frames.push(OutFrame::new(conn, reply_tag, reply_frame.clone()));
-        }
-
-        // Replication propagation (the heart of the experiment).
-        if let Some(cmd_bytes) = replicate {
-            let span = self.source.feed(&cmd_bytes);
-            if defer {
-                self.stats.inc(ServerStat::DeferredReplies);
-                let reply = OutFrame::new(conn, reply_tag, reply_frame.clone());
-                self.gate.hold(span.end, reply);
-            }
-            // The stream frame is built in a recycled send-ring buffer —
-            // no allocation on the steady-state path — and every recipient
-            // below clones the Frame, so N-slave fan-out is N refcount
-            // bumps of this one buffer.
-            let frame: Frame = self.pool.build(|out| {
-                out.extend_from_slice(&span.start.to_le_bytes());
-                out.extend_from_slice(&cmd_bytes);
-            });
-            // SKV hands Nic-KV one request, regardless of slave count
-            // (Figure 9 ①). When the SoC is dead (degraded mode, or the
-            // channel simply isn't up) the master falls back to
-            // RDMA-Redis-style fan-out so writes keep replicating.
-            let nic_conn = if self.cfg.mode == Mode::Skv && !self.links.is_degraded() {
-                self.open_conn(ConnKind::Nic)
-            } else {
-                None
-            };
-            match (self.cfg.mode, nic_conn) {
-                (Mode::TcpRedis, _) => {
-                    for slave in self.synced_slave_conns() {
-                        cost += net_p.tcp_send_cost(frame.len());
-                        frames.push(OutFrame::new(slave, tag::REPL_STREAM, frame.clone()));
-                    }
-                }
-                (_, Some(nic)) => {
-                    cost += net_p.wr_post_cpu;
-                    wr_posts += 1;
-                    doorbells += 1;
-                    frames.push(OutFrame::new(nic, tag::REPL_STREAM, frame));
-                }
-                (_, None) => {
-                    // One WR per slave on the event loop — the CPU the
-                    // paper measures RDMA-Redis burning — posted as one
-                    // linked list under a single doorbell.
-                    let slaves = self.synced_slave_conns().count();
-                    cost += net_p.post_list_cpu(slaves);
-                    wr_posts += u32::try_from(slaves).unwrap_or(u32::MAX);
-                    doorbells += u32::from(slaves > 0);
-                    for slave in self.synced_slave_conns() {
-                        frames.push(OutFrame::new(slave, tag::REPL_STREAM, frame.clone()));
-                    }
-                }
-            }
-        }
-        if !defer && reply_after_stream {
-            // The deferred-from-above forwarded ack, now ordered behind
-            // its stream frame (its post cost was charged with the reply
-            // branch above; only the emission order moved).
-            frames.push(OutFrame::new(conn, reply_tag, reply_frame));
-        }
-
-        self.stats.add(ServerStat::WrsPosted, u64::from(wr_posts));
-        let done = self.charge_posts(ctx.now(), shard, cost, doorbells);
-        self.schedule_frames(ctx, done, frames);
+        self.dispatch(ctx, shard, plan);
     }
 
-    /// Charge `core` a handler's `cost` — jittered, plus the stalls its
-    /// `doorbells` draw — and return when the core is done with it. The
-    /// stall is doorbell/CQ contention on the MMIO write, so it is drawn
-    /// once per *doorbell*, not per linked WR: a whole fan-out risks one
-    /// stall, however many slaves it reaches.
-    fn charge_posts(
-        &mut self,
-        now: SimTime,
-        core: usize,
-        cost: SimDuration,
-        doorbells: u32,
-    ) -> SimTime {
-        let jitter = self.cfg.costs.jitter;
-        let spike_prob = self.cfg.costs.post_spike_prob;
-        let mut cost = cost.mul_f64(self.rng.service_jitter(jitter));
-        for _ in 0..doorbells {
-            if self.rng.chance(spike_prob) {
-                cost += self.cfg.costs.post_spike_cost;
-            }
+    /// Charge `core` what a plan costs — its CPU jittered, plus one stall
+    /// draw per doorbell — and schedule its frames for when the core is
+    /// done. The stall is doorbell/CQ contention on the MMIO write, so a
+    /// whole post list risks one stall, however many slaves it reaches.
+    fn dispatch(&mut self, ctx: &mut Context<'_>, core: usize, plan: Plan) {
+        let (wrs, doorbells) = (u64::from(plan.wrs), u64::from(plan.doorbells));
+        self.stats.add(ServerStat::WrsPosted, wrs);
+        self.stats.add(ServerStat::Doorbells, doorbells);
+        let (costs, rng) = (&self.cfg.costs, &mut self.rng);
+        let cpu = plan.cpu.mul_f64(rng.service_jitter(costs.jitter));
+        let stalls = (0..plan.doorbells).filter(|_| rng.chance(costs.post_spike_prob));
+        let cpu = cpu + costs.post_spike_cost * stalls.count() as u64;
+        let done = self.cpu.run_on(core, ctx.now(), cpu).finished;
+        let (first, behind) = self.egress.depart(done, plan.frames);
+        self.send_frames_at(ctx, first);
+        if let Some(stream) = behind {
+            self.send_frames_at(ctx, stream);
         }
-        self.stats.add(ServerStat::Doorbells, u64::from(doorbells));
-        self.cpu.run_on(core, now, cost).finished
-    }
-
-    /// Schedule a handler's staged frames, whose CPU work ends at `done`.
-    /// Replication-stream frames pass one egress point (`repl_egress_at`):
-    /// shards may finish out of order, but the backlog is one stream, so
-    /// stream frames must hit the wire in the offset order they were fed —
-    /// the sim's FIFO tie-break at equal timestamps preserves feed order
-    /// for frames released together. A batch leaves whole when it need not
-    /// wait, or when it carries a `FWD_REPLY`: a forwarded ack must trail
-    /// its own stream frame to the SoC, which invalidates off the stream
-    /// before it relays acks. Only otherwise do its other frames go ahead
-    /// at `done`. One core finishes its work in order, so at one shard the
-    /// egress point never passes `done` and every batch leaves whole.
-    fn schedule_frames(&mut self, ctx: &mut Context<'_>, done: SimTime, frames: Vec<OutFrame>) {
-        if !frames.iter().any(|f| f.tag == tag::REPL_STREAM) {
-            return self.send_frames_at(ctx, done, frames);
-        }
-        let at = done.max(self.repl_egress_at);
-        self.repl_egress_at = at;
-        let whole = frames.iter().all(|f| f.tag == tag::REPL_STREAM)
-            || frames.iter().any(|f| f.tag == tag::FWD_REPLY);
-        if at == done || whole {
-            return self.send_frames_at(ctx, at, frames);
-        }
-        let (stream, other) = frames.into_iter().partition(|f| f.tag == tag::REPL_STREAM);
-        self.send_frames_at(ctx, done, other);
-        self.send_frames_at(ctx, at, stream);
     }
 
     /// The one `SendFrames` timer: the event that ends a command's CPU
     /// work, and so the one that polls a CQ parked behind it.
-    fn send_frames_at(&mut self, ctx: &mut Context<'_>, at: SimTime, frames: Vec<OutFrame>) {
+    fn send_frames_at(&mut self, ctx: &mut Context<'_>, (at, frames): Batch) {
         self.frames_due = Some(self.frames_due.map_or(at, |due| due.max(at)));
         ctx.timer_at(at, ServerMsg::SendFrames(frames));
     }
 
-    /// Release every held reply the gate frees, charging the reply-post
-    /// CPU that `finish_command` skipped. Only quorum holds replies, so
-    /// only quorum takes the commit census.
+    /// Release every held reply the gate frees, priced by the egress plan.
+    /// Only quorum holds replies, so only quorum takes the commit census.
     fn release_ready_replies(&mut self, ctx: &mut Context<'_>) {
         if !self.gate.holding(self.is_master()) {
             return;
@@ -613,48 +451,28 @@ impl KvServer {
             _ => None,
         });
         let census = self.source.commit_census(self.cfg.num_slaves, open);
-        let mut frames: Vec<OutFrame> = self.spare_frames.pop().unwrap_or_default();
-        let mut cost = SimDuration::ZERO;
-        let mut doorbells = 0u32;
         let conns = &self.conns;
-        for reply in self.gate.release(census, |conn| conns.is_open(conn)) {
-            let (post, wrs) = reply_post(&self.cfg, reply.payload.len());
-            cost += post;
-            doorbells += wrs;
-            frames.push(reply);
+        let released = self.gate.release(census, |conn| conns.is_open(conn));
+        let plan = self.egress.release(released);
+        let count = plan.frames.len() as u64;
+        self.stats.add(ServerStat::ReleasedReplies, count);
+        if plan.frames.is_empty() {
+            return self.egress.recycle(plan.frames);
         }
-        let released = frames.len() as u64;
-        self.stats.add(ServerStat::ReleasedReplies, released);
-        self.stats.add(ServerStat::WrsPosted, u64::from(doorbells));
-        if frames.is_empty() {
-            self.spare_frames.push(frames);
-            return;
-        }
-        let done = self.charge_posts(ctx.now(), 0, cost, doorbells);
-        self.schedule_frames(ctx, done, frames);
+        self.dispatch(ctx, 0, plan);
     }
 
-    /// Deliver the frames a command handler staged. Replication-stream
-    /// frames bound for RDMA connections are staged and posted as one
-    /// linked list — a single doorbell for the whole fan-out — while
-    /// replies and TCP sends leave one by one.
+    /// Deliver the frames a plan staged: the listed ones as one linked post
+    /// list under a single doorbell, the others one send each.
     fn emit_frames(&mut self, ctx: &mut Context<'_>, mut frames: Vec<OutFrame>) {
-        // Cookie replies (only the cache front end forwards) ride the same
-        // linked post list as the stream frames they must trail — the list
-        // preserves per-QP order, where an early `send_on` would overtake
-        // the batch.
         for f in frames.drain(..) {
-            let listed = (f.tag == tag::REPL_STREAM || f.tag == tag::FWD_REPLY)
-                && self.conns.channel(f.conn).qp().is_some();
-            if listed {
+            if f.listed {
                 self.conns.stage(f.conn, f.tag, f.payload);
             } else {
                 self.send_on(ctx, f.conn, f.tag, f.payload);
             }
         }
-        if self.spare_frames.len() < SPARE_LISTS {
-            self.spare_frames.push(frames);
-        }
+        self.egress.recycle(frames);
         for (conn, ..) in self.conns.post(&self.net, ctx) {
             self.on_conn_broken(ctx, conn);
         }
@@ -1217,12 +1035,10 @@ impl KvServer {
     }
 }
 
-/// Event-loop cost of posting one reply of `len` bytes, and the WRs (each
-/// its own doorbell) that takes: one over RDMA, none over TCP.
-fn reply_post(cfg: &ClusterConfig, len: usize) -> (SimDuration, u32) {
-    if cfg.mode.uses_rdma() {
-        (cfg.net.wr_post_cpu, 1)
-    } else {
-        (cfg.net.tcp_send_cost(len), 0)
-    }
+/// The synced slave connections: the master's own fan-out targets.
+fn synced_slaves(conns: &ConnTable<ConnKind>) -> impl Iterator<Item = usize> + '_ {
+    conns
+        .iter()
+        .filter(|(_, open, kind)| *open && matches!(kind, ConnKind::Slave(_)))
+        .map(|(i, ..)| i)
 }

@@ -161,6 +161,16 @@ fn fixtures_produce_expected_diagnostics() {
         "{io_free:?}"
     );
 
+    // And the master's egress plan: it is told the mode's transport and
+    // hands back the frames and their cost, never asking a channel for its
+    // QP, charging a core or posting.
+    let io_free = by_file(&violations, "crates/core/src/egress.rs");
+    assert_eq!(
+        io_free.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+        vec![(5, "io-free"), (6, "io-free"), (6, "io-free")],
+        "{io_free:?}"
+    );
+
     // --- wire-format hygiene ------------------------------------------
     // Narrowing casts only; the `as u64` / `as usize` widenings are clean.
     assert_eq!(
@@ -207,7 +217,7 @@ fn fixtures_produce_expected_diagnostics() {
 
     // --- size ----------------------------------------------------------
     // 801 code lines in core: the 801st is the finding. The fixture
-    // `server.rs` is far under its ceiling and reports only its unwraps.
+    // `server.rs` is far under the budget and reports only its unwraps.
     assert_eq!(
         by_file(&violations, "crates/core/src/over_budget.rs")
             .iter()
@@ -260,7 +270,7 @@ fn fixtures_produce_expected_diagnostics() {
         );
     }
 
-    assert_eq!(violations.len(), 54, "{violations:?}");
+    assert_eq!(violations.len(), 57, "{violations:?}");
 }
 
 #[test]
@@ -268,7 +278,7 @@ fn severities_split_errors_from_warnings() {
     let analysis = analyze_workspace(fixture_root()).expect("fixture walk");
     // Exactly one warning: the stale allow. Everything else is an error.
     assert_eq!(analysis.warnings(), 1);
-    assert_eq!(analysis.errors(), 53);
+    assert_eq!(analysis.errors(), 56);
     assert!(analysis
         .violations
         .iter()
@@ -306,7 +316,7 @@ fn json_report_round_trips_fixture_diagnostics() {
             "missing rule {rule} in JSON:\n{json}"
         );
     }
-    assert_eq!(json.matches("\"rule\":").count(), 54, "{json}");
+    assert_eq!(json.matches("\"rule\":").count(), 57, "{json}");
 }
 
 #[test]

@@ -4,10 +4,13 @@
 //! `rdma.doorbells` / `rdma.wrs_posted` counters rather than by what the
 //! actors say they did.
 //!
-//! * a replicated write posts N WRs under exactly one doorbell, and it is
-//!   the only thing in the system that shares a doorbell — so the
-//!   fabric-wide gap `wrs_posted − doorbells` is exactly `(N − 1)` per
-//!   replicated write;
+//! * a replicated write posts N WRs under exactly one doorbell, and with
+//!   the SoC cache off it is the only thing in the system that shares a
+//!   doorbell — so the fabric-wide gap `wrs_posted − doorbells` is exactly
+//!   `(N − 1)` per replicated write. With the cache on, a forwarded write's
+//!   `FWD_REPLY` rides the master's post list behind its stream frame, so
+//!   the master shares a doorbell too (and is charged for one it does not
+//!   ring, ROADMAP item 4 B);
 //! * the post-stall probability is drawn once per *doorbell*, so forcing
 //!   a stall on every doorbell costs a replicated write two stalls (reply
 //!   + list) however many slaves the list reaches;
@@ -94,6 +97,32 @@ fn nic_fanout_is_one_doorbell_and_n_wrs_per_replicated_write() {
     // missed one flushed by the MR handshake, these would drift apart.
     assert_eq!(nic.stats().get(NicStat::Doorbells), writes);
     assert_eq!(nic.stats().get(NicStat::WrsPosted), slaves * writes);
+}
+
+#[test]
+fn known_a_forwarded_write_is_charged_a_doorbell_it_does_not_ring() {
+    // SKV with the SoC cache on and pure SET: every write reaches the
+    // master as a `FWD_CMD`, and its `FWD_REPLY` leaves on the same post
+    // list as its stream frame to Nic-KV — two WRs, one doorbell. The
+    // master charges its event loop for two doorbells (a reply post and a
+    // stream post), so one stall draw per write has no doorbell behind it.
+    // ROADMAP item 4 B charges the pair as one list (DESIGN.md §34).
+    let mut s = spec(Mode::Skv, 3, 0xF0D);
+    s.cfg.hot_cache_bytes = 64 << 10;
+    let (cluster, report) = run(s);
+    assert!(report.ops > 0);
+    let master = cluster.master_server();
+    let writes = master.stats().get(ServerStat::Commands);
+    assert!(writes > 1000, "{writes} writes");
+    let nic = cluster.nic_kv().expect("SKV mode has a Nic-KV");
+    assert_eq!(nic.stats().get(NicStat::FanoutMsgs), writes);
+    // Per write the fabric sees one linked pair from the master (gap 1)
+    // and Nic-KV's 3-WR fan-out (gap 2).
+    let (wrs, doorbells) = fabric_posts(&cluster);
+    assert_eq!(wrs - doorbells, 3 * writes);
+    // Charged: 2 doorbells and 2 WRs per forwarded write; rung: 1.
+    assert_eq!(master.stats().get(ServerStat::Doorbells), 2 * writes);
+    assert_eq!(master.stats().get(ServerStat::WrsPosted), 2 * writes);
 }
 
 #[test]
