@@ -207,25 +207,23 @@ pub fn ablation_replmode() -> Table {
     for (i, &mode) in ReplModeKind::ALL.iter().enumerate() {
         let mut s = spec(Mode::Skv, 3, 8, 31_000 + i as u64);
         s.cfg.repl_mode = mode;
-        // Every arm records its own client traffic and runs the
-        // linearizability checker over it: the verdict column proves
-        // the protocol (not just prices it). Mixed GET/SET so reads
-        // actually constrain the order.
-        s.cfg.record_history = true;
+        // Mixed GET/SET so reads actually constrain the order.
         s.set_ratio = 0.5;
         let mut cluster = Cluster::build(s);
+        // Every arm records its own client traffic and runs the
+        // linearizability checker over it: the verdict column proves
+        // the protocol (not just prices it).
+        let history = cluster.record_history();
         let report = cluster.run();
         let nic = cluster.nic_kv().map(NicKv::stats).unwrap_or_default();
         let commits = nic.get(NicStat::Commits);
         let retransmits = nic.get(NicStat::Retransmits);
         let master = cluster.master_server().stats();
-        // The history the bench clients recorded of themselves
-        // (`record_history`) and the violations the checker finds in it
-        // (none is the expected verdict for every fault-free arm).
-        let (hist_ops, violations) = cluster.bench_history.as_ref().map_or((0, 0), |h| {
-            let hb = h.borrow();
-            (hb.ops.len(), histcheck::check_linearizable(&hb).len())
-        });
+        // The history the bench clients recorded of themselves and the
+        // violations the checker finds in it (none is the expected
+        // verdict for every fault-free arm).
+        let hb = history.borrow();
+        let (hist_ops, violations) = (hb.ops.len(), histcheck::check_linearizable(&hb).len());
         t.row(cells![
             mode.label(),
             report.throughput_kops,

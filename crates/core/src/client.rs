@@ -5,6 +5,11 @@
 //! wait for the reply, record the latency, send the next. Throughput at a
 //! given concurrency level therefore emerges from server service times and
 //! round-trip latency exactly as it does for the paper's load generator.
+//!
+//! The same actor is the history probe of `Cluster::add_history`: given a
+//! [`Probe`], it draws keys from a range no bench client reaches, thinks
+//! [`PROBE_GAP`] between operations, and may read from several targets at
+//! once (DESIGN.md §17).
 
 use skv_netsim::{Net, NodeId, SocketAddr};
 use skv_simcore::stats::CounterSet;
@@ -124,6 +129,8 @@ pub struct WorkloadGen {
     rng: DetRng,
     /// Dedicated Zipf key stream (untouched placeholder when θ = 0).
     key_rng: DetRng,
+    /// Added to every key index drawn (a probe's key range; 0 otherwise).
+    key_base: u64,
     zipf: Option<ZipfSampler>,
     /// Key draws so far (drives the deterministic hot-set rotation).
     key_draws: u64,
@@ -214,6 +221,7 @@ impl WorkloadGen {
             w: w.clone(),
             rng,
             key_rng,
+            key_base: 0,
             zipf,
             key_draws: 0,
             filler: vec![b'x'; w.value_size],
@@ -284,7 +292,7 @@ impl WorkloadGen {
         sink: &mut impl CommandSink,
         mut on_key: impl FnMut(&[u8]),
     ) -> bool {
-        let key = KeyName::new(self.key_index());
+        let key = KeyName::new(self.key_base + self.key_index());
         let is_write = self.rng.chance(self.w.set_ratio);
         on_key(key.as_bytes());
         if !is_write {
@@ -304,7 +312,7 @@ impl WorkloadGen {
             sink.arg(key.as_bytes());
             sink.arg(stamped.as_deref().unwrap_or(&self.filler));
             for _ in 1..self.w.mset_keys {
-                let key = KeyName::new(self.key_index());
+                let key = KeyName::new(self.key_base + self.key_index());
                 on_key(key.as_bytes());
                 sink.arg(key.as_bytes());
                 sink.arg(stamped.as_deref().unwrap_or(&self.filler));
@@ -360,6 +368,47 @@ pub(crate) fn parse_reply_stamp(payload: &[u8]) -> Option<u64> {
     }
 }
 
+/// Writer probes per `Cluster::add_history`; each owns its keys.
+pub const WRITERS: usize = 2;
+/// Keys per writer probe.
+pub const KEYS_PER_WRITER: u64 = 4;
+/// Reader probes per `Cluster::add_history`.
+pub const READERS: usize = 2;
+/// The first probe key index: `key:1000000000000`, one digit wider than
+/// any index a bench key space below 10¹² draws.
+pub const PROBE_KEYS: u64 = 1_000_000_000_000;
+/// A probe's think time between a reply and its next operation.
+pub const PROBE_GAP: SimDuration = SimDuration::from_micros(30);
+
+/// Where `Cluster::add_history`'s reader probes send their GETs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadAnchor {
+    /// Read from the master only (quorum-mode arm: the master holds
+    /// every committed write).
+    Master,
+    /// Read from one slave only (async arm: exposes staleness).
+    Slave(usize),
+    /// Read from the master plus enough slaves for a majority of the
+    /// replica set (ABD-style read quorum).
+    MasterQuorum,
+}
+
+/// What makes a [`BenchClient`] a history probe rather than load: given
+/// at construction. A probe records no latency anyone reports.
+#[derive(Debug, Clone)]
+pub struct Probe {
+    /// Added to every key index the workload draws: writer `w` owns
+    /// `PROBE_KEYS + w·KEYS_PER_WRITER` on, so a key has one writer and
+    /// its largest stamp is its latest write.
+    pub key_base: u64,
+    /// Servers every command also goes to, after the client's own (the
+    /// anchor): a reader of several targets.
+    pub peers: Vec<SocketAddr>,
+    /// Targets that must answer a read, the anchor among them; the read
+    /// observes the largest stamp they returned.
+    pub read_quorum: usize,
+}
+
 /// Issue the next operation (after per-op client overhead). A unit
 /// struct rather than a `ClientMsg` variant: the closed loop arms this
 /// timer once per reply, and a zero-sized payload boxes without
@@ -374,6 +423,8 @@ enum ClientMsg {
     /// Periodic liveness check: reconnect when the oldest in-flight
     /// command has waited longer than `client_retry_timeout`.
     Watchdog,
+    /// Dial this target again after a refusal.
+    Redial(usize),
 }
 
 /// A benchmark client actor.
@@ -402,6 +453,12 @@ pub struct BenchClient {
     /// `in_flight` (one index per key an MSET touches; empty vec and
     /// untouched unless recording).
     rec_in_flight: std::collections::VecDeque<Vec<usize>>,
+    /// Targets a command must hear back from: 1, or a probe's read quorum.
+    read_quorum: usize,
+    /// With several targets, per target: replies still owed on its
+    /// connection (they come in order, the read in flight's last), and its
+    /// answer to the read in flight.
+    asked: Vec<(u32, Option<u64>)>,
     /// Send-ring pool: each command is generated straight into a recycled
     /// buffer (and, over TCP, framed into a second one).
     pool: FramePool,
@@ -411,7 +468,8 @@ pub struct BenchClient {
 }
 
 impl BenchClient {
-    /// Create a client on `node` targeting `server`.
+    /// Create a client on `node` targeting `server`; a history probe when
+    /// `probe` is given.
     pub fn new(
         net: Net,
         cfg: ClusterConfig,
@@ -419,15 +477,26 @@ impl BenchClient {
         server: SocketAddr,
         workload: Workload,
         metrics: SharedMetrics,
+        probe: Option<Probe>,
     ) -> Self {
-        let gen = WorkloadGen::new(&workload, DetRng::new(0));
+        let mut gen = WorkloadGen::new(&workload, DetRng::new(0));
+        gen.key_base = probe.as_ref().map_or(0, |p| p.key_base);
         // A command buffer and a TCP wire buffer per pipelined command,
         // sized for one SET of the configured value.
         let pool = FramePool::new(workload.value_size + 64, 4 * workload.pipeline.max(1));
+        let mut targets = vec![server];
+        targets.extend(probe.iter().flat_map(|p| p.peers.iter()));
+        let asked = if targets.len() > 1 {
+            vec![(0, None); targets.len()]
+        } else {
+            Vec::new()
+        };
         BenchClient {
-            think: cfg.costs.client_op,
+            think: probe.as_ref().map_or(cfg.costs.client_op, |_| PROBE_GAP),
             retry_timeout: cfg.client_retry_timeout,
-            link: ClientLink::new(net, cfg, node, server, Some(pool.clone())),
+            link: ClientLink::new(net, cfg, node, &targets, Some(pool.clone())),
+            read_quorum: probe.as_ref().map_or(1, |p| p.read_quorum.max(1)),
+            asked,
             workload,
             metrics,
             gen,
@@ -442,7 +511,7 @@ impl BenchClient {
     }
 
     /// Route this client's operations into a shared history for the
-    /// linearizability checker (see `ClusterConfig::record_history`).
+    /// linearizability checker (see `Cluster::record_history`).
     /// `client_id` keys the write stamps; it must be unique per client.
     pub fn record_into(&mut self, client_id: usize, history: SharedHistory) {
         self.client_id = client_id;
@@ -474,12 +543,14 @@ impl BenchClient {
             }
         }
         self.in_flight.clear();
+        self.asked.fill((0, None));
         self.stats.inc(ClientStat::Reconnects);
         ctx.timer(SimDuration::from_millis(1), ClientMsg::Start);
     }
 
     fn issue(&mut self, ctx: &mut Context<'_>) {
-        if ctx.now() >= self.workload.stop_at || !self.link.connected() {
+        let ready = self.link.connected(0) && self.link.up() >= self.read_quorum;
+        if ctx.now() >= self.workload.stop_at || !ready {
             return;
         }
         let stamp = self.history.is_some().then(|| {
@@ -514,6 +585,9 @@ impl BenchClient {
         self.stats.inc(ClientStat::Issued);
         // A send that breaks the channel is the watchdog's to notice.
         self.link.send(ctx, cmd);
+        for (target, (owed, _)) in self.asked.iter_mut().enumerate() {
+            *owed += u32::from(self.link.connected(target));
+        }
     }
 
     /// Fill the pipeline up to its configured depth.
@@ -527,8 +601,35 @@ impl BenchClient {
         }
     }
 
-    fn on_reply(&mut self, ctx: &mut Context<'_>, payload: &[u8]) {
+    /// Take `target`'s reply to a read of several targets. The read is
+    /// over once the anchor and `read_quorum` targets in all have answered:
+    /// then this returns the largest stamp they returned and who they are.
+    fn answer(&mut self, target: usize, payload: &[u8]) -> Option<(u64, Vec<SocketAddr>)> {
+        let (owed, answer) = &mut self.asked[target];
+        *owed = owed.saturating_sub(1);
+        if *owed > 0 || self.in_flight.is_empty() {
+            return None; // the reply to a read that is over
+        }
+        *answer = parse_reply_stamp(payload);
+        let answered = || self.asked.iter().enumerate().filter(|(_, a)| a.1.is_some());
+        if self.asked[0].1.is_none() || answered().count() < self.read_quorum {
+            return None;
+        }
+        let observed = answered().filter_map(|(_, a)| a.1).max().unwrap_or(0);
+        let read_set = answered().map(|(t, _)| self.link.target(t)).collect();
+        self.asked.iter_mut().for_each(|a| a.1 = None);
+        Some((observed, read_set))
+    }
+
+    fn on_reply(&mut self, ctx: &mut Context<'_>, target: usize, payload: &[u8]) {
         self.stats.inc(ClientStat::Replies);
+        let mut quorum = None;
+        if !self.asked.is_empty() {
+            quorum = self.answer(target, payload);
+            if quorum.is_none() {
+                return;
+            }
+        }
         let Some((sent_at, is_write)) = self.in_flight.pop_front() else {
             return;
         };
@@ -540,10 +641,10 @@ impl BenchClient {
                 // (MSET: one per key, sharing the stamp). Replies served
                 // by the NIC cache or relayed off FWD_CMD cookies arrive
                 // on this same channel and are recorded identically.
-                let observed = if is_write {
-                    None
-                } else {
-                    parse_reply_stamp(payload)
+                let (observed, mut read_set) = match quorum {
+                    Some((max, set)) => (Some(max), set),
+                    None if is_write => (None, Vec::new()),
+                    None => (parse_reply_stamp(payload), vec![self.link.target(0)]),
                 };
                 let mut h = h.borrow_mut();
                 for idx in idxs {
@@ -555,7 +656,7 @@ impl BenchClient {
                                 if let Some(v) = observed {
                                     op.ok = true;
                                     op.seq = v;
-                                    op.read_set = vec![self.link.server()];
+                                    op.read_set = std::mem::take(&mut read_set);
                                 }
                                 // Unparseable replies observe nothing:
                                 // the record completes with ok = false
@@ -576,7 +677,11 @@ impl BenchClient {
 
 impl Actor for BenchClient {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.gen = WorkloadGen::new(&self.workload, ctx.rng().split());
+        let gen = WorkloadGen::new(&self.workload, ctx.rng().split());
+        self.gen = WorkloadGen {
+            key_base: self.gen.key_base,
+            ..gen
+        };
         let start = self.workload.start_at;
         ctx.timer_at(start, ClientMsg::Start);
         ctx.timer_at(start + self.retry_timeout, ClientMsg::Watchdog);
@@ -590,7 +695,8 @@ impl Actor for BenchClient {
         let msg = match msg.downcast::<ClientMsg>() {
             Ok(m) => {
                 match ctx.open(m) {
-                    ClientMsg::Start => self.link.dial(ctx),
+                    ClientMsg::Start => self.link.dial_all(ctx),
+                    ClientMsg::Redial(target) => self.link.dial(ctx, target),
                     ClientMsg::Watchdog => {
                         let now = ctx.now();
                         if now >= self.workload.stop_at && self.in_flight.is_empty() {
@@ -610,10 +716,10 @@ impl Actor for BenchClient {
             Err(other) => other,
         };
         self.link.accept(ctx, msg);
-        while let Some(ev) = self.link.next_event(ctx) {
+        while let Some((target, ev)) = self.link.next_event(ctx) {
             match ev {
                 LinkEvent::Up => self.fill_pipeline(ctx),
-                LinkEvent::Reply(payload) => self.on_reply(ctx, &payload),
+                LinkEvent::Reply(payload) => self.on_reply(ctx, target, &payload),
                 // A server closing the connection after the run is over
                 // is not a loss.
                 LinkEvent::Lost { by_peer } if !by_peer || ctx.now() < self.workload.stop_at => {
@@ -622,7 +728,7 @@ impl Actor for BenchClient {
                 LinkEvent::Lost { .. } => {}
                 LinkEvent::Refused(delay) => {
                     self.stats.inc(ClientStat::DialFailures);
-                    ctx.timer(delay, ClientMsg::Start);
+                    ctx.timer(delay, ClientMsg::Redial(target));
                 }
             }
         }
@@ -826,6 +932,33 @@ mod tests {
                 format!("key:{index:012}").as_bytes()
             );
         }
+    }
+
+    /// Probe writer `w` draws exactly its own keys, `key:1000000000000`
+    /// on, four each: one digit wider than any bench key below 10¹².
+    #[test]
+    fn probe_keys_are_namespaced_and_stable() {
+        let mut w = workload(0.0, 0);
+        w.key_space = KEYS_PER_WRITER;
+        let keys_of = |writer: u64| {
+            let mut gen = WorkloadGen::new(&w, DetRng::new(3));
+            gen.key_base = PROBE_KEYS + writer * KEYS_PER_WRITER;
+            let mut keys = std::collections::BTreeSet::new();
+            for _ in 0..64 {
+                gen.write_command(None, &mut Vec::new(), |k| {
+                    keys.insert(String::from_utf8(k.to_vec()).unwrap());
+                });
+            }
+            keys.into_iter().collect::<Vec<_>>()
+        };
+        let key = |i: u64| format!("key:{}", PROBE_KEYS + i);
+        assert_eq!(keys_of(0), (0..4).map(key).collect::<Vec<_>>());
+        assert_eq!(keys_of(1), (4..8).map(key).collect::<Vec<_>>());
+        assert_eq!(key(0), "key:1000000000000");
+        assert_eq!(
+            KeyName::new(PROBE_KEYS - 1).as_bytes().len(),
+            key(0).len() - 1
+        );
     }
 
     /// The hot-set rotation moves the head of the distribution without

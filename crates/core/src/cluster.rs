@@ -10,14 +10,13 @@ use skv_netsim::{FabricStat, FaultPlan, Net, NodeId, Partition, SocketAddr, Time
 use skv_simcore::stats::{CounterSet, CounterSlot, Counters};
 use skv_simcore::{ActorId, SimDuration, SimTime, Simulation};
 
-use crate::client::{BenchClient, Workload};
+use crate::client::{self, BenchClient, Probe, ReadAnchor, Workload, PROBE_KEYS};
 use crate::config::{ClusterConfig, Mode};
 use crate::histcheck::{self, SharedHistory};
 use crate::hotcache::{HotCache, ENTRY_OVERHEAD};
 use crate::metrics::catalog::{ClientStat, HistStat, ShardStat, StoreStat};
 use crate::metrics::{MetricsHub, RunReport, SharedMetrics};
 use crate::nickv::{NicControl, NicKv};
-use crate::probes::{self, HistReader, HistWriter, ReadAnchor};
 use crate::replmode::quorum_slave_acks;
 use crate::server::{Control, KvServer};
 
@@ -162,8 +161,8 @@ pub struct Cluster {
     pub nic_node: Option<NodeId>,
     /// Client actors.
     pub clients: Vec<ActorId>,
-    /// Op history recorded by the bench clients themselves, when
-    /// `ClusterConfig::record_history` is set — the linearizability
+    /// Op history recorded by the bench clients themselves, once
+    /// [`Cluster::record_history`] turned it on — the linearizability
     /// checker's input. `None` otherwise (recording off is the default
     /// and leaves the client schedule bit-identical).
     pub bench_history: Option<SharedHistory>,
@@ -272,21 +271,17 @@ impl Cluster {
             stop_at: measure_until,
         };
         let client_target = front_addr(cfg, nic_node, master_addr);
-        let bench_history = cfg.record_history.then(histcheck::new_history);
         let clients: Vec<ActorId> = (0..spec.num_clients)
-            .map(|i| {
-                let mut client = BenchClient::new(
+            .map(|_| {
+                sim.add_actor(Box::new(BenchClient::new(
                     net.clone(),
                     cfg.clone(),
                     client_node,
                     client_target,
                     workload.clone(),
                     metrics.clone(),
-                );
-                if let Some(history) = &bench_history {
-                    client.record_into(i, history.clone());
-                }
-                sim.add_actor(Box::new(client))
+                    None,
+                )))
             })
             .collect();
 
@@ -301,7 +296,7 @@ impl Cluster {
             client_node,
             nic_node,
             clients,
-            bench_history,
+            bench_history: None,
             metrics,
             spec,
             clients_start,
@@ -358,59 +353,93 @@ impl Cluster {
         }
     }
 
-    /// Deploy the history probe actors (see [`crate::probes`]) on the
-    /// client machine: [`probes::WRITERS`] single-writer actors against
-    /// the master and [`probes::READERS`] readers against `anchor`. Call
+    /// Record every bench client's operations into one history, kept in
+    /// [`Cluster::bench_history`] and returned, and keep Nic-KV's ack set
+    /// of every commit (`Tracker::committed_acks`). Call after
+    /// [`Cluster::build`], before running. Stamped values are the only
+    /// difference on the wire, so the schedule is the unrecorded one.
+    pub fn record_history(&mut self) -> SharedHistory {
+        let history = histcheck::new_history();
+        for (i, &id) in self.clients.iter().enumerate() {
+            if let Some(client) = self.sim.actor_mut::<BenchClient>(id) {
+                client.record_into(i, history.clone());
+            }
+        }
+        if let Some(nic) = self.nic.and_then(|id| self.sim.actor_mut::<NicKv>(id)) {
+            nic.record_commits();
+        }
+        self.bench_history = Some(history.clone());
+        history
+    }
+
+    /// Deploy history probes on the client machine: [`client::WRITERS`]
+    /// bench clients that only SET, one op at a time, each to keys of its
+    /// own, against the master (or the cache front end), and
+    /// [`client::READERS`] that only GET those keys from `anchor`. Call
     /// after [`Cluster::build`], before running. The returned handle holds
-    /// the recorded history for [`histcheck::check_linearizable`].
+    /// their history for [`histcheck::check_linearizable`]; their
+    /// latencies and counters stay out of every report.
     pub fn add_history(&mut self, anchor: ReadAnchor) -> SharedHistory {
         let history = histcheck::new_history();
-        let cfg = self.spec.cfg.clone();
-        // With the hot-key cache on, the history probes exercise the NIC
-        // front end exactly like the bench clients: writers and
-        // master-anchored readers dial the Nic-KV, so stale cache hits
-        // surface as non-monotone reads.
+        let cfg = &self.spec.cfg;
+        // With the hot-key cache on, the probes go through the NIC front
+        // end exactly like the bench clients: stale cache hits surface as
+        // non-monotone reads.
         let master_addr = SocketAddr::new(self.master_node, KV_PORT);
-        let front_addr = front_addr(&cfg, self.nic_node, master_addr);
-        let slave_addrs: Vec<SocketAddr> = self
-            .slave_nodes
-            .iter()
-            .map(|&n| SocketAddr::new(n, KV_PORT))
-            .collect();
-        let (targets, read_quorum) = match anchor {
-            ReadAnchor::Master => (vec![front_addr], 1),
-            ReadAnchor::Slave(i) => (vec![slave_addrs[i]], 1),
+        let front = front_addr(cfg, self.nic_node, master_addr);
+        let slave = |n: &NodeId| SocketAddr::new(*n, KV_PORT);
+        let (anchor, peers, read_quorum) = match anchor {
+            ReadAnchor::Master => (front, vec![], 1),
+            ReadAnchor::Slave(i) => (slave(&self.slave_nodes[i]), vec![], 1),
             ReadAnchor::MasterQuorum => {
-                let mut t = vec![front_addr];
-                t.extend(slave_addrs.iter().copied());
-                (t, quorum_slave_acks(cfg.num_slaves) + 1)
+                let peers = self.slave_nodes.iter().map(slave).collect();
+                (front, peers, quorum_slave_acks(cfg.num_slaves) + 1)
             }
         };
-        let start = self.clients_start;
-        let stop = self.measure_until;
-        for w in 0..probes::WRITERS {
-            self.sim.add_actor(Box::new(HistWriter::new(
+        let keys = client::KEYS_PER_WRITER;
+        let workload = |set_ratio, key_space| Workload {
+            pipeline: 1,
+            set_ratio,
+            mset_keys: 0,
+            key_space,
+            value_size: 0,
+            zipf_theta: 0.0,
+            zipf_shift_every: 0,
+            start_at: self.clients_start,
+            stop_at: self.measure_until,
+        };
+        let writers = (0..client::WRITERS).map(|w| {
+            let key_base = PROBE_KEYS + w as u64 * keys;
+            let probe = Probe {
+                key_base,
+                peers: vec![],
+                read_quorum: 1,
+            };
+            (front, workload(1.0, keys), probe)
+        });
+        let all_keys = client::WRITERS as u64 * keys;
+        let reader = Probe {
+            key_base: PROBE_KEYS,
+            peers,
+            read_quorum,
+        };
+        let readers =
+            (0..client::READERS).map(|_| (anchor, workload(0.0, all_keys), reader.clone()));
+        let probes: Vec<_> = writers.chain(readers).collect();
+        // Nobody reports what the probes measure.
+        let unreported = MetricsHub::new(self.measure_from, self.measure_until);
+        for (id, (server, workload, probe)) in probes.into_iter().enumerate() {
+            let mut client = BenchClient::new(
                 self.net.clone(),
                 cfg.clone(),
                 self.client_node,
-                front_addr,
-                history.clone(),
-                w,
-                start,
-                stop,
-            )));
-        }
-        for _ in 0..probes::READERS {
-            self.sim.add_actor(Box::new(HistReader::new(
-                self.net.clone(),
-                cfg.clone(),
-                self.client_node,
-                targets.clone(),
-                read_quorum,
-                history.clone(),
-                start,
-                stop,
-            )));
+                server,
+                workload,
+                unreported.clone(),
+                Some(probe),
+            );
+            client.record_into(id, history.clone());
+            self.sim.add_actor(Box::new(client));
         }
         history
     }

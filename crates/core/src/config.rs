@@ -168,16 +168,6 @@ pub struct ClusterConfig {
     /// gate against the eviction victim). Validated by
     /// [`ClusterConfig::validate`]; ignored when `hot_cache_bytes` is 0.
     pub hot_cache_policy: String,
-    /// Record every bench client's operations (invocation/response
-    /// windows, stamped write values, observed read values — including
-    /// NIC-cache-served GETs and forwarded FWD_CMD replies) into a
-    /// shared history for the linearizability checker
-    /// (`histcheck::check_linearizable`). Off by default: recording
-    /// changes the written *values* (stamps replace the `xxxx…` filler),
-    /// so the pinned workload trace digests only hold with it off. The
-    /// NIC also keeps each commit's ack set (`Tracker::committed_acks`)
-    /// while this is on.
-    pub record_history: bool,
     /// CPU cost model.
     pub costs: CostParams,
     /// Fabric calibration.
@@ -205,7 +195,6 @@ impl Default for ClusterConfig {
             num_shards: 1,
             hot_cache_bytes: 0,
             hot_cache_policy: "lru".into(),
-            record_history: false,
             costs: CostParams::default(),
             net: NetParams::default(),
             machines: MachineParams::default(),
@@ -288,6 +277,16 @@ impl ClusterConfig {
                  refused",
                 self.min_slaves, self.num_slaves
             ));
+        }
+        // Each re-arms its own timer with this delay: at zero it fires at
+        // the same instant forever and simulated time stops.
+        for (name, period) in [
+            ("client_retry_timeout", self.client_retry_timeout),
+            ("probe_interval", self.probe_interval),
+        ] {
+            if period.is_zero() {
+                return Err(format!("{name} must be positive"));
+            }
         }
         // Each shard pins a dedicated host core and the background
         // persist/load core rides alongside them.
@@ -477,6 +476,32 @@ mod tests {
             };
             assert!(cfg.validate().is_ok(), "min_slaves {min_slaves} of 2");
         }
+    }
+
+    #[test]
+    fn validate_rejects_zero_timer_periods() {
+        let retry = ClusterConfig {
+            client_retry_timeout: SimDuration::ZERO,
+            ..Default::default()
+        };
+        let err = retry.validate().unwrap_err();
+        assert!(
+            err.contains("client_retry_timeout must be positive"),
+            "{err}"
+        );
+        let probe = ClusterConfig {
+            probe_interval: SimDuration::ZERO,
+            ..Default::default()
+        };
+        let err = probe.validate().unwrap_err();
+        assert!(err.contains("probe_interval must be positive"), "{err}");
+        // The smallest periods any run uses stay valid.
+        let smallest = ClusterConfig {
+            client_retry_timeout: SimDuration::from_millis(35),
+            probe_interval: SimDuration::from_millis(40),
+            ..Default::default()
+        };
+        assert!(smallest.validate().is_ok());
     }
 
     #[test]

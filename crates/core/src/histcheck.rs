@@ -4,11 +4,12 @@
 //! guarantees per mode: linearizable writes for quorum, eventual
 //! convergence only for the async stream. Promises about
 //! *client-visible* behaviour need client-visible evidence, so clients
-//! record what they did and saw — the probe actors of [`crate::probes`]
-//! during chaos runs, the bench clients behind
-//! `ClusterConfig::record_history` (including NIC-cache-served GETs and
-//! forwarded FWD_CMD replies) — and this module checks the record
-//! deterministically afterwards:
+//! record what they did and saw — every recording client is a
+//! [`crate::client::BenchClient`]: the history probes
+//! `Cluster::add_history` deploys during chaos runs, and the bench
+//! clients once `Cluster::record_history` is called (including
+//! NIC-cache-served GETs and forwarded FWD_CMD replies) — and this module
+//! checks the record deterministically afterwards:
 //!
 //! * [`History`] / [`OpRecord`] — what was recorded, in record order;
 //! * [`check_linearizable`] — the only checker: every key is an atomic
@@ -69,7 +70,8 @@ pub enum OpKind {
 /// `seq` is the value written or observed (`0` = key absent).
 #[derive(Debug, Clone)]
 pub struct OpRecord {
-    /// The key (probes: `h:{writer:02}:{key:04}`).
+    /// The key (probes draw theirs past the bench key space:
+    /// `key:1000000000000` on, four per writer).
     pub key: String,
     /// Read or write.
     pub kind: OpKind,

@@ -105,7 +105,8 @@ impl CountMinSketch {
     fn bucket(row: usize, key: &[u8]) -> usize {
         // FNV-1a with a per-row seed; rows stay independent because the
         // seed lands before any key byte is folded in.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(row as u64 + 1));
+        let mut h: u64 =
+            0xcbf2_9ce4_8422_2325 ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(row as u64 + 1));
         for &b in key {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);

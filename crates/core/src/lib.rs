@@ -25,11 +25,11 @@
 //!   an IO-free state machine (registration, probes, `waiting-time`,
 //!   failover, the slave-set update),
 //! * [`client::BenchClient`] — closed-loop load generation à la
-//!   `redis-benchmark`, over a [`link::ClientLink`] (what a client's
-//!   connection is: dial, backoff, input step, teardown),
+//!   `redis-benchmark`, and the history probes beside the workload, over
+//!   a [`link::ClientLink`] (what a client's connections are: dial,
+//!   backoff, input step, teardown),
 //! * [`histcheck`] — client-visible operation histories and the
-//!   linearizability checker ([`probes`]: the actors that record one
-//!   beside the workload),
+//!   linearizability checker,
 //! * [`cluster`] — the harness that assembles testbeds and produces
 //!   [`metrics::RunReport`]s,
 //! * three run modes ([`config::Mode`]): original **Redis** over TCP,
@@ -72,7 +72,6 @@ pub mod link;
 pub mod metrics;
 pub mod nickv;
 pub mod nodelist;
-pub mod probes;
 pub mod protocol;
 pub mod replmode;
 pub mod replsink;

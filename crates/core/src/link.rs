@@ -1,16 +1,18 @@
-//! The client side of one connection.
+//! The client side of a client's connections.
 //!
 //! The paper's load generator is one closed-loop connection per client
 //! (redis-benchmark, §V-B). [`ClientLink`] is what such a connection *is*
-//! on the client's side, whoever the client: which transport the mode
-//! uses, the dial and its `client_dial_delay` backoff, the CQ / TCP input
-//! step that turns transport events into replies, whether the connection
-//! is still good, and closing it. [`crate::client::BenchClient`] and
-//! [`crate::probes::HistWriter`] keep only what to send, what a reply
-//! means and when to give up.
+//! on the client's side: which transport the mode uses, the dial and its
+//! `client_dial_delay` backoff, the CQ / TCP input step that turns
+//! transport events into replies, whether the connection is still good,
+//! and closing it. A link has one or more *targets*, each dialled and
+//! re-dialled on its own, all on the one CQ its table dials on: a bench
+//! client has one, and a history probe that reads from a quorum has the
+//! anchor first and its peers after it. [`crate::client::BenchClient`]
+//! keeps only what to send, what a reply means and when to give up.
 //!
 //! The owner hands every simulator message it does not recognise to
-//! [`ClientLink::accept`] and then takes [`LinkEvent`]s out of
+//! [`ClientLink::accept`] and then takes `(target, LinkEvent)`s out of
 //! [`ClientLink::next_event`] until there are none. Events come out one
 //! at a time so that the owner handles each reply between the same two
 //! completions it arrived between: handling a reply schedules a timer,
@@ -31,7 +33,7 @@ use crate::conns::{ConnEvent, ConnTable};
 use crate::cqdrain::{self, POLL_BUDGET};
 use crate::protocol::tag;
 
-/// What the transport told the link.
+/// What the transport told the link about one target.
 #[derive(Debug)]
 pub enum LinkEvent {
     /// The dial succeeded: start sending.
@@ -49,98 +51,130 @@ pub enum LinkEvent {
     Refused(SimDuration),
 }
 
-/// One client's connection to one server address, re-dialled at will.
+/// One address a link dials, and its connection there.
+struct Target {
+    addr: SocketAddr,
+    /// The live connection, if any. Whatever the transport delivers for
+    /// this target is taken as this connection's traffic.
+    conn: Option<usize>,
+    /// Consecutive refused dials since the last established connection.
+    dial_attempts: u32,
+    /// An error completion broke `conn` in the drain under way.
+    broke: bool,
+}
+
+/// One client's connections to its targets, each re-dialled at will.
 pub struct ClientLink {
     net: Net,
     cfg: ClusterConfig,
     node: NodeId,
-    server: SocketAddr,
-    /// Every connection this link ever opened; it talks on `conn`.
-    conns: ConnTable<()>,
-    /// The live connection, if any. Whatever the transport delivers is
-    /// taken as this connection's traffic.
-    conn: Option<usize>,
-    /// Consecutive refused dials since the last established connection.
-    dial_attempts: u32,
+    targets: Vec<Target>,
+    /// Every connection this link ever opened, tagged with its target.
+    conns: ConnTable<usize>,
     /// Input [`ClientLink::accept`] took and [`ClientLink::next_event`]
     /// has yet to hand out, newest first: polled completions, reassembled
-    /// TCP messages, the drain to finish, and at most one event of the
-    /// other kinds.
+    /// TCP messages (and their target), the drain to finish, and at most
+    /// one event of the other kinds.
     wcs: Vec<Wc>,
     msgs: Vec<ChannelMsg>,
+    msgs_from: usize,
     draining: Option<(CqId, usize)>,
-    broke: bool,
-    queued: Option<LinkEvent>,
+    queued: Option<(usize, LinkEvent)>,
 }
 
 impl ClientLink {
-    /// A link from `node` to `server`, not yet dialled. `pool`, when
+    /// A link from `node` to `targets`, none dialled yet. `pool`, when
     /// given, backs the TCP wire frames.
     pub fn new(
         net: Net,
         cfg: ClusterConfig,
         node: NodeId,
-        server: SocketAddr,
+        targets: &[SocketAddr],
         pool: Option<FramePool>,
     ) -> Self {
+        let targets = targets.iter().map(|&addr| Target {
+            addr,
+            conn: None,
+            dial_attempts: 0,
+            broke: false,
+        });
         ClientLink {
             net,
             cfg,
             node,
-            server,
+            targets: targets.collect(),
             conns: ConnTable::new(pool),
-            conn: None,
-            dial_attempts: 0,
             wcs: Vec::new(),
             msgs: Vec::new(),
+            msgs_from: 0,
             draining: None,
-            broke: false,
             queued: None,
         }
     }
 
-    /// The address this link dials.
-    pub fn server(&self) -> SocketAddr {
-        self.server
+    /// The address of `target`.
+    pub fn target(&self, target: usize) -> SocketAddr {
+        self.targets[target].addr
     }
 
-    /// Dial, unless a connection is up. The answer arrives as
+    /// Dial `target`, unless its connection is up. The answer arrives as
     /// [`LinkEvent::Up`] or [`LinkEvent::Refused`].
-    pub fn dial(&mut self, ctx: &mut Context<'_>) {
-        if self.conn.is_none() {
+    pub fn dial(&mut self, ctx: &mut Context<'_>, target: usize) {
+        let t = &self.targets[target];
+        if t.conn.is_none() {
             let rdma = self.cfg.mode.uses_rdma();
-            self.conns
-                .dial(&self.net, ctx, self.node, rdma, self.server);
+            self.conns.dial(&self.net, ctx, self.node, rdma, t.addr);
         }
     }
 
-    /// Whether a connection is up (it may have broken since).
-    pub fn connected(&self) -> bool {
-        self.conn.is_some()
+    /// Dial every target whose connection is not up.
+    pub fn dial_all(&mut self, ctx: &mut Context<'_>) {
+        for target in 0..self.targets.len() {
+            self.dial(ctx, target);
+        }
     }
 
-    /// Whether the connection that is up can no longer carry traffic.
+    /// Whether `target`'s connection is up (it may have broken since).
+    pub fn connected(&self, target: usize) -> bool {
+        self.targets[target].conn.is_some()
+    }
+
+    /// How many targets have a connection up.
+    pub fn up(&self) -> usize {
+        self.targets.iter().filter(|t| t.conn.is_some()).count()
+    }
+
+    /// Whether a connection that is up can no longer carry traffic.
     pub fn broken(&self) -> bool {
-        self.conn.is_some_and(|c| self.conns.channel(c).broken())
+        let mut live = self.targets.iter().filter_map(|t| t.conn);
+        live.any(|c| self.conns.channel(c).broken())
     }
 
-    /// Send one command (nothing happens without a connection). A send
-    /// that breaks the channel shows in [`ClientLink::broken`].
+    /// Send one command to every target that is up. A send that breaks a
+    /// channel shows in [`ClientLink::broken`].
     pub fn send(&mut self, ctx: &mut Context<'_>, cmd: impl Into<Frame>) {
-        if let Some(conn) = self.conn {
-            self.conns.send(&self.net, ctx, conn, tag::CMD, cmd);
+        let cmd = cmd.into();
+        for conn in self.targets.iter().filter_map(|t| t.conn) {
+            self.conns.send(&self.net, ctx, conn, tag::CMD, cmd.clone());
         }
     }
 
-    /// Abandon the connection, if any: commands in flight on it are lost,
-    /// like a real client timing out.
-    pub fn close(&mut self, ctx: &mut Context<'_>) {
-        let Some(conn) = self.conn.take() else {
+    /// Abandon `target`'s connection, if any: commands in flight on it are
+    /// lost, like a real client timing out.
+    pub fn close_target(&mut self, ctx: &mut Context<'_>, target: usize) {
+        let Some(conn) = self.targets[target].conn.take() else {
             return;
         };
         self.conns.close(&self.net, conn);
         if let Some(tcp) = self.conns.channel(conn).tcp_conn() {
             self.net.tcp_close(ctx, tcp);
+        }
+    }
+
+    /// Abandon every target's connection.
+    pub fn close(&mut self, ctx: &mut Context<'_>) {
+        for target in 0..self.targets.len() {
+            self.close_target(ctx, target);
         }
     }
 
@@ -150,68 +184,98 @@ impl ClientLink {
         let Ok(ev) = msg.downcast::<NetEvent>() else {
             return;
         };
+        let target_of = |targets: &[Target], addr| targets.iter().position(|t| t.addr == addr);
         match ctx.open(ev) {
-            // A second QP while connected is left unused; a second TCP
-            // connection replaces the first.
-            NetEvent::CmEstablished { qp, .. } if self.conn.is_none() => {
-                // A request's completion is its reply; its send completion
-                // says nothing the client reads. The channel queues the
-                // first burst until the MR handshake completes.
-                let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE).unsignaled();
-                self.connected_on(ch);
+            NetEvent::CmEstablished { qp, peer } => {
+                // A second QP to a target that is connected is left
+                // unused. A request's completion is its reply; its send
+                // completion says nothing the client reads. The channel
+                // queues the first burst until the MR handshake completes.
+                let idle = |t: &Target| t.addr == peer && t.conn.is_none();
+                if let Some(target) = self.targets.iter().position(idle) {
+                    let ch = Channel::rdma(&self.net, ctx, self.node, qp, RING_SIZE).unsignaled();
+                    self.connected_on(target, ch);
+                }
             }
-            NetEvent::TcpConnected { conn, .. } => self.connected_on(Channel::tcp(conn)),
+            // A second TCP connection replaces the first.
+            NetEvent::TcpConnected { conn, peer } => {
+                if let Some(target) = target_of(&self.targets, peer) {
+                    self.connected_on(target, Channel::tcp(conn));
+                }
+            }
             NetEvent::CqNotify { cq } => {
                 let polled = cqdrain::begin_drain(&self.net, cq, POLL_BUDGET, &mut self.wcs);
                 self.wcs.reverse();
                 self.draining = Some((cq, polled));
             }
-            NetEvent::TcpDelivered { bytes, .. } => {
-                if let Some(conn) = self.conn {
+            NetEvent::TcpDelivered { conn, bytes } => {
+                let target = self.target_of_tcp(conn);
+                if let Some(conn) = self.targets[target].conn {
                     self.msgs = self.conns.on_tcp_bytes(conn, bytes);
                     self.msgs.reverse();
+                    self.msgs_from = target;
                 }
             }
-            NetEvent::TcpClosed { .. } => self.queued = Some(LinkEvent::Lost { by_peer: true }),
-            NetEvent::CmConnectFailed { .. } | NetEvent::TcpConnectFailed { .. } => {
+            NetEvent::TcpClosed { conn } => {
+                let lost = LinkEvent::Lost { by_peer: true };
+                self.queued = Some((self.target_of_tcp(conn), lost));
+            }
+            NetEvent::CmConnectFailed { to } | NetEvent::TcpConnectFailed { to } => {
+                let Some(target) = target_of(&self.targets, to) else {
+                    return;
+                };
                 // Capped exponential backoff: the base delay for the
                 // startup race, doubling toward the configured cap under a
                 // long partition — but never beyond `client_retry_timeout`,
                 // so a recovered server is found within one watchdog period.
-                self.dial_attempts = self.dial_attempts.saturating_add(1);
-                let delay = self.cfg.client_dial_delay(self.dial_attempts);
-                self.queued = Some(LinkEvent::Refused(delay));
+                let t = &mut self.targets[target];
+                t.dial_attempts = t.dial_attempts.saturating_add(1);
+                let delay = self.cfg.client_dial_delay(t.dial_attempts);
+                self.queued = Some((target, LinkEvent::Refused(delay)));
             }
             _ => {}
         }
     }
 
-    fn connected_on(&mut self, channel: Channel) {
-        self.dial_attempts = 0;
-        self.conn = Some(self.conns.add(channel, (), None));
-        self.queued = Some(LinkEvent::Up);
+    /// The target a TCP connection was opened to (the first, if unknown).
+    fn target_of_tcp(&self, tcp: skv_netsim::TcpConnId) -> usize {
+        let conn = self.conns.conn_of_tcp(tcp);
+        conn.map_or(0, |c| *self.conns.kind(c))
     }
 
-    /// The next thing the accepted input means, in arrival order.
-    pub fn next_event(&mut self, ctx: &mut Context<'_>) -> Option<LinkEvent> {
+    fn connected_on(&mut self, target: usize, channel: Channel) {
+        let conn = self.conns.add(channel, target, None);
+        let t = &mut self.targets[target];
+        t.dial_attempts = 0;
+        t.conn = Some(conn);
+        self.queued = Some((target, LinkEvent::Up));
+    }
+
+    /// The next thing the accepted input means, and for which target, in
+    /// arrival order.
+    pub fn next_event(&mut self, ctx: &mut Context<'_>) -> Option<(usize, LinkEvent)> {
         while let Some(wc) = self.wcs.pop() {
-            // Dropped: completions past a break, and those of a QP that
-            // is not the live connection's (a closed one, an unused one).
-            let live = |c: &usize| !self.broke && self.conns.channel(*c).qp() == Some(wc.qp);
-            let Some(conn) = self.conn.filter(live) else {
+            // Dropped: completions past their target's break, and those of
+            // a QP that is no target's live connection (a closed one, an
+            // unused one).
+            let live = self.targets.iter().enumerate().find_map(|(target, t)| {
+                let on_qp = |c: &usize| self.conns.channel(*c).qp() == Some(wc.qp);
+                Some((target, t.conn.filter(on_qp).filter(|_| !t.broke)?))
+            });
+            let Some((target, conn)) = live else {
                 continue;
             };
             match self.conns.on_wc(&self.net, ctx, conn, &wc) {
                 ConnEvent::Msg(m) if m.tag == tag::REPLY => {
-                    return Some(LinkEvent::Reply(m.payload));
+                    return Some((target, LinkEvent::Reply(m.payload)));
                 }
-                ConnEvent::Broken => self.broke = true,
+                ConnEvent::Broken => self.targets[target].broke = true,
                 _ => {}
             }
         }
         while let Some(m) = self.msgs.pop() {
             if m.tag == tag::REPLY {
-                return Some(LinkEvent::Reply(m.payload));
+                return Some((self.msgs_from, LinkEvent::Reply(m.payload)));
             }
         }
         if self.msgs.capacity() > 0 {
@@ -223,8 +287,9 @@ impl ClientLink {
                 ctx.timer_at(ctx.now(), NetEvent::CqNotify { cq });
             }
         }
-        if std::mem::take(&mut self.broke) {
-            return Some(LinkEvent::Lost { by_peer: false });
+        if let Some(target) = self.targets.iter().position(|t| t.broke) {
+            self.targets[target].broke = false;
+            return Some((target, LinkEvent::Lost { by_peer: false }));
         }
         self.queued.take()
     }

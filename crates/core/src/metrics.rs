@@ -147,7 +147,7 @@ pub mod catalog {
         }
 
         /// History-recorder counters (`histcheck.rs` event logs produced
-        /// by the bench clients under `ClusterConfig::record_history`),
+        /// by the bench clients once `Cluster::record_history` is called),
         /// read at snapshot time. All stay zero when recording is off.
         pub enum HistStat {
             /// Reads abandoned by a dial-away (excluded from the

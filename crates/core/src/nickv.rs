@@ -132,7 +132,7 @@ impl NicKv {
         let cache = cfg
             .hot_cache_enabled()
             .then(|| HotCache::new(cfg.hot_cache_bytes, cfg.hot_cache_policy_kind()));
-        let tracker = Tracker::new(cfg.num_slaves, REPL_WINDOW, cfg.record_history);
+        let tracker = Tracker::new(cfg.num_slaves, REPL_WINDOW);
         NicKv {
             net,
             node,
@@ -159,6 +159,11 @@ impl NicKv {
     /// in-flight writes.
     pub fn tracker(&self) -> &Tracker {
         &self.tracker
+    }
+
+    /// Keep every commit's ack set (see [`Tracker::record_commits`]).
+    pub fn record_commits(&mut self) {
+        self.tracker.record_commits();
     }
 
     /// Every `nic.*` counter: this actor's, its connection table's, the

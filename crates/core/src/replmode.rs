@@ -158,8 +158,8 @@ pub struct Tracker {
     held: Vec<u64>,
     /// Commits, as a `nic.*` slot.
     pub(crate) stats: CounterSet<NicStat>,
-    /// Per-commit ack sets `(end_offset, acked slaves)`, when recording
-    /// was requested (the quorum-intersection proptest reads these).
+    /// Per-commit ack sets `(end_offset, acked slaves)`, once
+    /// [`Tracker::record_commits`] was called (the quorum-intersection proptest reads these).
     pub committed_acks: Vec<(u64, Vec<SocketAddr>)>,
     record_acks: bool,
 }
@@ -167,7 +167,7 @@ pub struct Tracker {
 impl Tracker {
     /// A tracker over `configured_slaves` slaves that keeps at most
     /// `window` writes in flight.
-    pub fn new(configured_slaves: usize, window: usize, record_acks: bool) -> Self {
+    pub fn new(configured_slaves: usize, window: usize) -> Self {
         Tracker {
             configured_slaves,
             window: window.max(1),
@@ -180,8 +180,14 @@ impl Tracker {
             held: Vec::new(),
             stats: CounterSet::default(),
             committed_acks: Vec::new(),
-            record_acks,
+            record_acks: false,
         }
+    }
+
+    /// Keep every commit's ack set in [`Tracker::committed_acks`] from now
+    /// on (`Cluster::record_history`).
+    pub fn record_commits(&mut self) {
+        self.record_acks = true;
     }
 
     /// Highest backlog offset committed (0 under the async stream, which
@@ -437,7 +443,8 @@ mod tests {
     fn quorum_commits_in_offset_order_at_exactly_the_quorum() {
         let live = [slave(1), slave(2), slave(3)];
         assert_eq!(quorum_slave_acks(live.len()), 2);
-        let mut t = Tracker::new(live.len(), 8, true);
+        let mut t = Tracker::new(live.len(), 8);
+        t.record_commits();
         admit_armed(&mut t, 1, 100, &live);
         admit_armed(&mut t, 2, 200, &live);
         assert_eq!(steps(&mut t), [fanout(1, "w"), fanout(2, "w")]);
@@ -472,7 +479,7 @@ mod tests {
 
     #[test]
     fn window_parks_and_refills_fifo() {
-        let mut t = Tracker::new(1, 2, false);
+        let mut t = Tracker::new(1, 2);
         for (i, text) in ["a", "b", "c", "d"].into_iter().enumerate() {
             t.admit(frame(text), 100 * (i as u64 + 1));
         }
@@ -507,7 +514,8 @@ mod tests {
         // The async stream never admits a write, yet Nic-KV hands its
         // tracker every progress report, send completion and master
         // registration in either mode: none of them may decide anything.
-        let mut t = Tracker::new(3, REPL_WINDOW, true);
+        let mut t = Tracker::new(3, REPL_WINDOW);
+        t.record_commits();
         t.on_progress(slave(1), 100);
         t.on_wr_done(key(1, 1), true);
         t.on_wr_done(key(1, 2), false);

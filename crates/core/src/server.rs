@@ -353,7 +353,13 @@ impl KvServer {
     /// The shared command path behind both entry points. `fwd` carries a
     /// relay cookie when the command came through the SoC front-end; its
     /// reply then leaves as a cookie-framed `FWD_REPLY` on `conn`.
-    fn run_command(&mut self, ctx: &mut Context<'_>, conn: usize, payload: Frame, fwd: Option<u64>) {
+    fn run_command(
+        &mut self,
+        ctx: &mut Context<'_>,
+        conn: usize,
+        payload: Frame,
+        fwd: Option<u64>,
+    ) {
         // Parsed once, in place: the arguments are views into `payload`.
         let refused = |reply| Command::reply(conn, payload.len(), fwd, reply);
         let args = match resp::parse_command(&payload) {

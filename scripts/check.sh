@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI would run.
 #
-#   scripts/check.sh            # skv-analyze + tests + clippy + benchmark smoke
+#   scripts/check.sh            # fmt + skv-analyze + tests + clippy + benchmark smoke
 #                               # + the calibrated figures against their record
 #   scripts/check.sh --nightly  # the same, then the slower tooling self-tests
 #
@@ -15,6 +15,9 @@ for arg in "$@"; do
     *) echo "usage: scripts/check.sh [--nightly]" >&2; exit 2 ;;
   esac
 done
+
+echo "==> cargo fmt --check (the workspace; benchmark/ is outside it)"
+cargo fmt --all -- --check
 
 echo "==> skv-analyze (determinism, event-loop, wire-format & drift rules)"
 # JSON report first (CI uploads target/skv-analyze.json as an artifact);

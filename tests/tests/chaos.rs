@@ -266,8 +266,8 @@ proptest! {
 
 // -- per-protocol fault arms (replication modes) ------------------------------
 
+use skv_core::client::ReadAnchor;
 use skv_core::histcheck::{check_linearizable, ViolationKind};
-use skv_core::probes::ReadAnchor;
 use skv_core::replmode::ReplModeKind;
 use skv_netsim::{FaultPlan, Partition, TimeWindow};
 

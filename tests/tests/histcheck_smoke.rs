@@ -23,7 +23,6 @@ fn smoke_spec(mode: ReplModeKind, seed: u64) -> RunSpec {
     let mut cfg = ClusterConfig::for_mode(Mode::Skv);
     cfg.num_slaves = 2;
     cfg.repl_mode = mode;
-    cfg.record_history = true;
     cfg.probe_interval = SimDuration::from_millis(200);
     cfg.waiting_time = SimDuration::from_millis(300);
     cfg.upstream_silence = SimDuration::from_millis(600);
@@ -49,14 +48,18 @@ fn smoke_spec(mode: ReplModeKind, seed: u64) -> RunSpec {
 /// fail if the checker finds a counterexample.
 fn smoke(mode: ReplModeKind, seed: u64) {
     let mut cluster = Cluster::build(smoke_spec(mode, seed));
+    let history = cluster.record_history();
     cluster.run();
     cluster
         .sim
         .run_until(cluster.measure_until + SimDuration::from_secs(1));
 
-    let history = cluster.bench_history.clone().expect("recording on");
     let h = history.borrow();
-    assert!(h.ops.len() > 100, "{mode}: only {} ops recorded", h.ops.len());
+    assert!(
+        h.ops.len() > 100,
+        "{mode}: only {} ops recorded",
+        h.ops.len()
+    );
     let violations = check_linearizable(&h);
     if !violations.is_empty() {
         // Persist the counterexample for CI before failing.

@@ -5,10 +5,10 @@
 //! SoC rejoins with a cold cache without ever serving a stale read.
 
 use proptest::prelude::*;
+use skv_core::client::ReadAnchor;
 use skv_core::cluster::{ChaosSpec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::histcheck::check_linearizable;
-use skv_core::probes::ReadAnchor;
 use skv_simcore::{SimDuration, SimTime};
 
 /// Compressed-time SKV spec with the SoC cache configured: read-heavy
@@ -210,19 +210,18 @@ fn sharded_forwarded_acks_trail_their_stream_frames() {
     for seed in [61, 62, 63] {
         let mut s = spec(64 << 10, "lru", 200, seed);
         s.cfg.num_shards = 4;
-        s.cfg.record_history = true;
         s.key_space = 256;
         s.num_clients = 8;
         s.pipeline = 1;
         s.set_ratio = 0.5;
         let mut cluster = Cluster::build(s);
+        let history = cluster.record_history();
         run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
 
         assert!(
             cache_counter(&cluster, "cache.hits") > 0,
             "seed {seed}: no cached replies — vacuous"
         );
-        let history = cluster.bench_history.as_ref().expect("recording on");
         let violations = check_linearizable(&history.borrow());
         assert!(
             violations.is_empty(),

@@ -4,12 +4,11 @@
 //! the capped reconnect backoff regression.
 
 use proptest::prelude::*;
-use skv_core::client::BenchClient;
+use skv_core::client::{BenchClient, ReadAnchor};
 use skv_core::cluster::{ChaosSpec, Cluster, RunSpec};
 use skv_core::config::{ClusterConfig, Mode};
 use skv_core::histcheck::{check_linearizable, OpKind};
 use skv_core::metrics::catalog::{ClientStat, NicStat, ServerStat};
-use skv_core::probes::ReadAnchor;
 use skv_core::replmode::{quorum_slave_acks, ReplModeKind};
 use skv_netsim::SocketAddr;
 use skv_simcore::{SimDuration, SimTime};
@@ -186,11 +185,11 @@ fn distinct_writers(h: &skv_core::histcheck::History) -> usize {
 /// whole history linearizable.
 fn bench_history_linearizable(mode: ReplModeKind, seed: u64) {
     let mut s = spec(mode, 2, 1_000, seed);
-    s.cfg.record_history = true;
     s.cfg.num_shards = 2;
     s.cfg.hot_cache_bytes = 64 * 1024;
     s.set_ratio = 0.5; // the checker needs reads, not a pure SET stream
     let mut cluster = Cluster::build(s);
+    let history = cluster.record_history();
     run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
 
     let report = cluster.report();
@@ -199,7 +198,6 @@ fn bench_history_linearizable(mode: ReplModeKind, seed: u64) {
         cluster.counters_snapshot().get("cache.hits") > 0,
         "{mode}: no cache-served GETs in the recorded traffic"
     );
-    let history = cluster.bench_history.clone().expect("recording on");
     let h = history.borrow();
     assert!(
         distinct_writers(&h) >= 2,
@@ -246,9 +244,9 @@ proptest! {
         flap_start in 400u64..800,
         chaos_seed in 0u64..1_000,
     ) {
-        let mut s = spec(ReplModeKind::Quorum, slaves, 1_200, 2_000 + chaos_seed);
-        s.cfg.record_history = true;
+        let s = spec(ReplModeKind::Quorum, slaves, 1_200, 2_000 + chaos_seed);
         let mut cluster = Cluster::build(s);
+        cluster.record_history();
         cluster.apply_chaos(&ChaosSpec {
             loss_prob: loss,
             flaps: vec![(
@@ -298,14 +296,13 @@ proptest! {
     ) {
         let mode = ReplModeKind::ALL[mode_ix];
         let mut s = spec(mode, 2, 600, 4_000 + seed);
-        s.cfg.record_history = true;
         s.cfg.num_shards = shards;
         s.cfg.hot_cache_bytes = if cache_on { 64 * 1024 } else { 0 };
         s.set_ratio = 0.5;
         let mut cluster = Cluster::build(s);
+        let history = cluster.record_history();
         run_and_quiesce(&mut cluster, SimDuration::from_secs(1));
 
-        let history = cluster.bench_history.clone().expect("recording on");
         let h = history.borrow();
         prop_assert!(h.ops.len() > 200, "{mode}: only {} ops recorded", h.ops.len());
         prop_assert!(distinct_writers(&h) >= 2, "{mode}: single-writer history");
